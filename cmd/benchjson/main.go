@@ -21,10 +21,11 @@
 //
 // Compare mode: benchmarks are matched by name with the -cpu suffix
 // stripped (machines differ). Entries whose name matches the -gate
-// regexp (default covers the search benchmarks plus the decode
-// micro-benchmarks) fail the comparison when their ns/op grew by more
-// than -tolerance (fraction, default 0.25) or when they disappeared
-// from the new results; everything else —
+// regexp (default covers the search benchmarks, the decode
+// micro-benchmarks and the client-side obfuscation and inference rows)
+// fail the comparison when their ns/op or allocs/op grew by more than
+// -tolerance (fraction, default 0.25) or when they disappeared from
+// the new results; everything else —
 // other benchmarks, and work metrics like docs_scored/op — only
 // warns. Entries carrying an index_bytes/doc metric (the
 // BenchmarkIndexSize memory-footprint row) are gated on that metric
@@ -51,10 +52,11 @@ import (
 )
 
 // defaultGate gates the end-to-end search benchmarks, the postings
-// decode micro-benchmarks, and the mapped-store traversal benchmarks;
+// decode micro-benchmarks, the mapped-store traversal benchmarks, and
+// the two client-side rows (one obfuscated cycle, one LDA posterior);
 // everything else (live-index, instrumented variants) only warns on
 // regression.
-const defaultGate = "^Benchmark(Search|DecodeTraversal|SeekAfterSkip|TraversalCold|TraversalWarm)"
+const defaultGate = "^Benchmark(Search|DecodeTraversal|SeekAfterSkip|TraversalCold|TraversalWarm|ObfuscateQuery$|Inference$)"
 
 // Benchmark is one parsed result line.
 type Benchmark struct {
@@ -237,9 +239,10 @@ const sizeMetric = "index_bytes/doc"
 // not instead of it.
 const residentMetric = "resident_bytes/doc"
 
-// compareBenchmarks diffs new against the old baseline. ns/op growth
-// beyond the tolerance fails gated entries (gate regexp match) and
-// warns for the rest; docs_scored/op growth always only warns —
+// compareBenchmarks diffs new against the old baseline. ns/op or
+// allocs/op growth beyond the tolerance fails gated entries (gate
+// regexp match) and warns for the rest; docs_scored/op growth always
+// only warns —
 // scoring more documents is a pruning regression worth flagging, but
 // it is machine-independent work, not wall-clock, so it never blocks
 // by itself. Entries carrying the index_bytes/doc size metric are
@@ -304,6 +307,12 @@ func compareBenchmarks(oldB, newB []Benchmark, tolerance, sizeTolerance float64,
 			if newNS, ok := nb.Metrics["ns/op"]; ok && newNS > oldNS*(1+tolerance) {
 				flag(gated, "%s: ns/op %.0f → %.0f (+%.1f%%, tolerance %.0f%%)",
 					name, oldNS, newNS, (newNS/oldNS-1)*100, tolerance*100)
+			}
+		}
+		if oldA, ok := ob.Metrics["allocs/op"]; ok && oldA > 0 {
+			if newA, ok := nb.Metrics["allocs/op"]; ok && newA > oldA*(1+tolerance) {
+				flag(gated, "%s: allocs/op %.0f → %.0f (+%.1f%%, tolerance %.0f%%)",
+					name, oldA, newA, (newA/oldA-1)*100, tolerance*100)
 			}
 		}
 		if oldDS, ok := ob.Metrics["docs_scored/op"]; ok && oldDS > 0 {

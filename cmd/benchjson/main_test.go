@@ -196,8 +196,14 @@ func TestCompareDefaultGateRegexp(t *testing.T) {
 		bench("BenchmarkTraversalCold", 3000, 0),
 		bench("BenchmarkTraversalWarm/mapped-cached", 3000, 0),
 		bench("BenchmarkResearchIndexing", 500, 0),
+		bench("BenchmarkObfuscateQuery", 300000, 0),
+		bench("BenchmarkInference", 20000, 0),
+		bench("BenchmarkInferenceIters/160", 80000, 0),
 	}
 	newB := []Benchmark{
+		bench("BenchmarkObfuscateQuery", 800000, 0),
+		bench("BenchmarkInference", 40000, 0),
+		bench("BenchmarkInferenceIters/160", 160000, 0),
 		bench("BenchmarkDecodeTraversal/w8", 2000, 0),
 		bench("BenchmarkSeekAfterSkip", 4000, 0),
 		bench("BenchmarkTraversalCold", 6000, 0),
@@ -205,11 +211,29 @@ func TestCompareDefaultGateRegexp(t *testing.T) {
 		bench("BenchmarkResearchIndexing", 1000, 0),
 	}
 	failures, warnings := compareBenchmarks(oldB, newB, 0.25, 0.10, gate)
-	if len(failures) != 4 {
-		t.Errorf("failures = %v, want DecodeTraversal, SeekAfterSkip and both Traversal rows gated", failures)
+	if len(failures) != 6 {
+		t.Errorf("failures = %v, want DecodeTraversal, SeekAfterSkip, both Traversal rows, ObfuscateQuery and Inference gated", failures)
 	}
-	if len(warnings) != 1 || !strings.Contains(warnings[0], "ResearchIndexing") {
-		t.Errorf("warnings = %v, want the anchored-out name to warn only", warnings)
+	if all := strings.Join(warnings, "\n"); len(warnings) != 2 || !strings.Contains(all, "ResearchIndexing") || !strings.Contains(all, "InferenceIters") {
+		t.Errorf("warnings = %v, want the anchored-out names to warn only", warnings)
+	}
+}
+
+// TestCompareAllocsGate: allocations per operation do not depend on the
+// machine, and follow the rule of ns/op — a gated row fails, any other
+// row warns.
+func TestCompareAllocsGate(t *testing.T) {
+	allocBench := func(name string, allocs float64) Benchmark {
+		return Benchmark{Name: name, N: 1, Metrics: map[string]float64{"ns/op": 1000, "allocs/op": allocs}}
+	}
+	oldB := []Benchmark{allocBench("BenchmarkObfuscateQuery", 139), allocBench("BenchmarkInference", 2), allocBench("BenchmarkFig2", 100)}
+	newB := []Benchmark{allocBench("BenchmarkObfuscateQuery", 150), allocBench("BenchmarkInference", 6), allocBench("BenchmarkFig2", 200)}
+	failures, warnings := compareBenchmarks(oldB, newB, 0.25, 0.10, regexp.MustCompile(defaultGate))
+	if len(failures) != 1 || !strings.Contains(failures[0], "BenchmarkInference: allocs/op 2 → 6") {
+		t.Errorf("failures = %v, want exactly the Inference allocs/op regression", failures)
+	}
+	if len(warnings) != 1 || !strings.Contains(warnings[0], "BenchmarkFig2: allocs/op") {
+		t.Errorf("warnings = %v, want the ungated allocs/op growth", warnings)
 	}
 }
 

@@ -132,10 +132,9 @@ func (p *PDX) Embellish(userTerms []string, rng *rand.Rand) ([]string, error) {
 // whose corpus probability matches some genuine term's within the band.
 func (p *PDX) pickDecoy(topic int, targets []float64, seen map[string]struct{}, rng *rand.Rand) string {
 	m := p.eng.Model()
-	dist := m.WordDistribution(topic)
 	var fallback string
 	for attempt := 0; attempt < 80; attempt++ {
-		w := sampleIndex(dist, rng)
+		w := m.SampleWord(topic, rng)
 		term := m.Terms[w]
 		if _, dup := seen[term]; dup {
 			continue
@@ -153,21 +152,4 @@ func (p *PDX) pickDecoy(topic int, targets []float64, seen map[string]struct{}, 
 		}
 	}
 	return fallback
-}
-
-// sampleIndex draws an index proportional to non-negative weights.
-func sampleIndex(weights []float64, rng *rand.Rand) int {
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	u := rng.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

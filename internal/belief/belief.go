@@ -45,6 +45,12 @@ func (e *Engine) Posterior(terms []string, rng *rand.Rand) []float64 {
 	return e.inf.PosteriorTerms(terms, rng)
 }
 
+// PosteriorBag is Posterior for a query already held as model word IDs,
+// which is how the obfuscator holds the ghosts it samples.
+func (e *Engine) PosteriorBag(bag []int, rng *rand.Rand) []float64 {
+	return e.inf.Posterior(bag, rng)
+}
+
 // Boost returns B(t|q) = Pr(t|q) − Pr(t) for a single query.
 func (e *Engine) Boost(terms []string, rng *rand.Rand) []float64 {
 	return BoostOf(e.Posterior(terms, rng), e.Prior())

@@ -108,6 +108,20 @@ func TestCyclePosteriorIsAverage(t *testing.T) {
 	}
 }
 
+// TestPosteriorBagMatchesTerms: a query held as word IDs must get the
+// posterior its terms get, from the same draws.
+func TestPosteriorBagMatchesTerms(t *testing.T) {
+	e, gt := testEngine(t)
+	q := append(analyzedHead(gt, 2, 6), "zzzznotaword")
+	byTerms := e.Posterior(q, rand.New(rand.NewSource(4)))
+	byIDs := e.PosteriorBag(e.Model().BagFromTerms(q), rand.New(rand.NewSource(4)))
+	for t2 := range byTerms {
+		if byTerms[t2] != byIDs[t2] {
+			t.Fatalf("topic %d: %v by terms, %v by IDs", t2, byTerms[t2], byIDs[t2])
+		}
+	}
+}
+
 func TestCyclePosteriorEmpty(t *testing.T) {
 	e, _ := testEngine(t)
 	rng := rand.New(rand.NewSource(4))

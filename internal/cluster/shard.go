@@ -410,17 +410,30 @@ func (s *Shard) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	writeJSON(w, s.toWire(resps))
+}
+
+// toWire translates the store's hits from store-local IDs to gids.
+//
+// An ingest makes its documents searchable (store.Add) before it can
+// append their gids to the table, so a query running beside it can hit
+// a local ID the table does not have yet. Such a hit is dropped: the
+// ingest has not been acknowledged, so the query is ordered before it,
+// and the next query finds the document.
+func (s *Shard) toWire(resps []vsm.Response) batchResponse {
 	out := batchResponse{Responses: make([]wireResponse, len(resps))}
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	for i := range resps {
-		hits := make([]wireHit, len(resps[i].Hits))
-		for j, h := range resps[i].Hits {
-			hits[j] = wireHit{Gid: s.gids[h.Doc], Score: h.Score}
+		hits := make([]wireHit, 0, len(resps[i].Hits))
+		for _, h := range resps[i].Hits {
+			if int(h.Doc) < len(s.gids) {
+				hits = append(hits, wireHit{Gid: s.gids[h.Doc], Score: h.Score})
+			}
 		}
 		out.Responses[i] = wireResponse{Hits: hits, Stats: resps[i].Stats}
 	}
-	s.mu.RUnlock()
-	writeJSON(w, out)
+	return out
 }
 
 // handleIngest adds router-placed documents. Replayed documents (gids

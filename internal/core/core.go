@@ -218,7 +218,7 @@ func (o *Obfuscator) ObfuscateSticky(userTerms []string, prefer []int, rng *rand
 			// except under profile mimicry, where the ghost matches the
 			// genuine length exactly (length is itself a distinguishing
 			// feature).
-			var ghost []string
+			var ghost []int // model word IDs
 			if o.params.MimicProfile {
 				ghost = o.sampleGhostWordsMimic(tm, len(userTerms), userTerms, rng)
 			} else {
@@ -232,7 +232,7 @@ func (o *Obfuscator) ObfuscateSticky(userTerms []string, prefer []int, rng *rand
 
 			// Step 3(c): accept only if the ghost reduces the exposure
 			// of U (computed on the tentative cycle C ∪ {q_g}).
-			ghostPost := o.eng.Posterior(ghost, rng)
+			ghostPost := o.eng.PosteriorBag(ghost, rng)
 			tentative := make([]float64, k)
 			for t := 0; t < k; t++ {
 				tentative[t] = postSum[t] + ghostPost[t]
@@ -246,7 +246,11 @@ func (o *Obfuscator) ObfuscateSticky(userTerms []string, prefer []int, rng *rand
 
 			// Step 3(d): commit.
 			postSum = tentative
-			queries = append(queries, ghost)
+			ghostTerms := make([]string, len(ghost))
+			for i, w := range ghost {
+				ghostTerms[i] = m.Terms[w]
+			}
+			queries = append(queries, ghostTerms)
 			inTm[tm] = true
 			maskTopics = append(maskTopics, tm)
 			accepted = true
@@ -326,17 +330,17 @@ func (o *Obfuscator) ghostLen(userLen int, rng *rand.Rand) int {
 	return lo + rng.Intn(hi-lo+1)
 }
 
-// sampleGhostWords draws distinct words for a ghost query. The default
-// draws proportionally to Pr(w|t_m) — a topic vector with Pr(t_m) = 1
-// collapses Pr(w) = Σ_t Pr(w|t)Pr(t) to Φ[t_m] — so ghosts read as
-// semantically coherent text on the masking topic. The UniformWords
-// ablation draws uniformly from the vocabulary instead.
-func (o *Obfuscator) sampleGhostWords(tm, n int, rng *rand.Rand) []string {
+// sampleGhostWords draws distinct words, as model word IDs, for a ghost
+// query. The default draws proportionally to Pr(w|t_m)
+// (lda.Model.SampleWord), so ghosts read as semantically coherent text
+// on the masking topic. The UniformWords ablation draws uniformly from
+// the vocabulary instead.
+func (o *Obfuscator) sampleGhostWords(tm, n int, rng *rand.Rand) []int {
 	m := o.eng.Model()
 	if n > m.V {
 		n = m.V
 	}
-	words := make([]string, 0, n)
+	words := make([]int, 0, n)
 	seen := make(map[int]struct{}, n)
 	if o.params.UniformWords {
 		for len(words) < n {
@@ -345,40 +349,18 @@ func (o *Obfuscator) sampleGhostWords(tm, n int, rng *rand.Rand) []string {
 				continue
 			}
 			seen[w] = struct{}{}
-			words = append(words, m.Terms[w])
+			words = append(words, w)
 		}
 		return words
 	}
-	dist := m.WordDistribution(tm)
-	if dist == nil {
-		return nil
-	}
 	maxAttempts := 50 * n
 	for attempts := 0; len(words) < n && attempts < maxAttempts; attempts++ {
-		w := sampleIndex(dist, rng)
+		w := m.SampleWord(tm, rng)
 		if _, dup := seen[w]; dup {
 			continue
 		}
 		seen[w] = struct{}{}
-		words = append(words, m.Terms[w])
+		words = append(words, w)
 	}
 	return words
-}
-
-// sampleIndex draws an index from an unnormalized non-negative weight
-// vector.
-func sampleIndex(weights []float64, rng *rand.Rand) int {
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	u := rng.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
-		acc += w
-		if u < acc {
-			return i
-		}
-	}
-	return len(weights) - 1
 }

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"toppriv/internal/belief"
@@ -35,6 +37,13 @@ func getFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sharedFixture = &fixture{eng: engineOver(t, m), gt: gt, an: textproc.NewAnalyzer()}
+	return sharedFixture
+}
+
+// engineOver wraps a model in a default inferencer and belief engine.
+func engineOver(t *testing.T, m *lda.Model) *belief.Engine {
+	t.Helper()
 	inf, err := lda.NewInferencer(m, lda.InferSpec{})
 	if err != nil {
 		t.Fatal(err)
@@ -43,8 +52,7 @@ func getFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedFixture = &fixture{eng: eng, gt: gt, an: textproc.NewAnalyzer()}
-	return sharedFixture
+	return eng
 }
 
 // topicQuery returns an analyzed query drawn from a topic's head words.
@@ -446,4 +454,59 @@ func TestCycleDiagnostics(t *testing.T) {
 	if cyc.GenTime <= 0 {
 		t.Error("GenTime not recorded")
 	}
+}
+
+// TestObfuscatorSharedByGoroutines drives one obfuscator over a freshly
+// loaded model from 8 goroutines, the way clients of one process share
+// them: the model's first-use lookup structures and the inferencer's
+// pooled scratch must hold up, and each goroutine must get the cycles a
+// lone caller gets from the same seed. Run under -race.
+func TestObfuscatorSharedByGoroutines(t *testing.T) {
+	f := getFixture(t)
+	var buf bytes.Buffer
+	if err := f.eng.Model().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	m, err := lda.Load(&buf) // nothing derived from it yet
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := NewObfuscator(engineOver(t, m), Params{Eps1: 0.04, Eps2: 0.015})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := make([][]string, f.eng.NumTopics())
+	for topic := range queries {
+		queries[topic] = f.topicQuery(topic, 4+topic)
+	}
+	digests := func(o *Obfuscator) ([]string, error) {
+		rng := rand.New(rand.NewSource(21))
+		var out []string
+		for _, q := range queries {
+			cyc, err := o.Obfuscate(q, rng)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, cycleDigest(cyc))
+		}
+		return out, nil
+	}
+	want, err := digests(defaultObfuscator(t, f))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := digests(shared)
+			if err != nil {
+				t.Error(err)
+			} else if !reflect.DeepEqual(got, want) {
+				t.Errorf("a goroutine's cycles differ from a lone caller's")
+			}
+		}()
+	}
+	wg.Wait()
 }

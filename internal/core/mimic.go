@@ -24,9 +24,9 @@ import (
 // rank across topics.
 type mimicState struct {
 	once sync.Once
-	// ranked[t] is topic t's vocabulary in descending Pr(w|t) order,
-	// truncated to rankDepth.
-	ranked [][]string
+	// ranked[t] is topic t's vocabulary, as model word IDs, in
+	// descending Pr(w|t) order, truncated to rankDepth.
+	ranked [][]int
 	// bestRank[term] is the term's best rank across all topics; terms
 	// absent from every truncated head are missing (treated as deep).
 	bestRank map[string]int
@@ -44,13 +44,13 @@ func (o *Obfuscator) mimic() *mimicState {
 			depth = m.V
 		}
 		st := &mimicState{
-			ranked:   make([][]string, m.K),
+			ranked:   make([][]int, m.K),
 			bestRank: make(map[string]int, m.K*depth),
 		}
 		for t := 0; t < m.K; t++ {
-			words := make([]string, depth)
+			words := make([]int, depth)
 			for rank, tw := range m.TopWords(t, depth) {
-				words[rank] = tw.Term
+				words[rank] = m.TermID(tw.Term)
 				if old, ok := st.bestRank[tw.Term]; !ok || rank < old {
 					st.bestRank[tw.Term] = rank
 				}
@@ -62,9 +62,10 @@ func (o *Obfuscator) mimic() *mimicState {
 	return o.mimicCache
 }
 
-// sampleGhostWordsMimic draws n distinct ghost words from masking topic
-// tm whose rank depths mirror the user query's term depths.
-func (o *Obfuscator) sampleGhostWordsMimic(tm, n int, userTerms []string, rng *rand.Rand) []string {
+// sampleGhostWordsMimic draws n distinct ghost words (model word IDs)
+// from masking topic tm whose rank depths mirror the user query's term
+// depths.
+func (o *Obfuscator) sampleGhostWordsMimic(tm, n int, userTerms []string, rng *rand.Rand) []int {
 	st := o.mimic()
 	ranked := st.ranked[tm]
 	if len(ranked) == 0 {
@@ -83,8 +84,8 @@ func (o *Obfuscator) sampleGhostWordsMimic(tm, n int, userTerms []string, rng *r
 			depths = append(depths, len(ranked)-1)
 		}
 	}
-	words := make([]string, 0, n)
-	seen := make(map[string]struct{}, n)
+	words := make([]int, 0, n)
+	seen := make(map[int]struct{}, n)
 	maxAttempts := 30 * n
 	for attempts := 0; len(words) < n && attempts < maxAttempts; attempts++ {
 		target := depths[rng.Intn(len(depths))]

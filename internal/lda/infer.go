@@ -3,6 +3,7 @@ package lda
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 )
 
 // InferSpec configures query-time topic inference.
@@ -36,6 +37,16 @@ func (s InferSpec) withDefaults() InferSpec {
 type Inferencer struct {
 	m    *Model
 	spec InferSpec
+	// scratch recycles *foldScratch between calls.
+	scratch sync.Pool
+}
+
+// foldScratch is one call's working memory.
+type foldScratch struct {
+	// f holds the bag's gathered Φ columns (len(bag)×K, token-major),
+	// then the K topic counts, running sums and posterior accumulators.
+	f      []float64
+	assign []int32
 }
 
 // NewInferencer creates an inferencer over a trained model.
@@ -56,54 +67,85 @@ func (inf *Inferencer) Model() *Model { return inf.m }
 // (e.g. a query whose terms are all out of vocabulary) returns the
 // model prior, which is the correct Bayesian answer absent evidence.
 // The caller provides the RNG so experiments stay deterministic.
+//
+// Every sweep needs Φ[t][w] for all K topics of every token: K cache
+// lines apart in Φ. They are gathered once per call into a contiguous
+// column per token, which every sweep then reads in order.
 func (inf *Inferencer) Posterior(bag []int, rng *rand.Rand) []float64 {
 	m := inf.m
+	k := m.K
+	out := make([]float64, k)
 	if len(bag) == 0 {
-		out := make([]float64, m.K)
 		copy(out, m.Prior)
 		return out
 	}
-	k := m.K
 	alpha := m.Alpha
 	kalpha := float64(k) * alpha
 
-	assign := make([]int, len(bag))
-	counts := make([]float64, k)
-	for i, w := range bag {
+	sc, _ := inf.scratch.Get().(*foldScratch)
+	if sc == nil {
+		sc = new(foldScratch)
+	}
+	if need := (len(bag) + 3) * k; cap(sc.f) < need {
+		sc.f = make([]float64, need)
+	}
+	if cap(sc.assign) < len(bag) {
+		sc.assign = make([]int32, len(bag))
+	}
+	cols := sc.f[:len(bag)*k]
+	rest := sc.f[len(bag)*k : (len(bag)+3)*k]
+	counts, cum, accum := rest[:k:k], rest[k:2*k:2*k], rest[2*k:]
+	assign := sc.assign[:len(bag)]
+	for t := range counts {
+		counts[t], accum[t] = 0, 0
+	}
+	for t, row := range m.Phi {
+		for i, w := range bag {
+			cols[i*k+t] = row[w]
+		}
+	}
+
+	// pick draws a topic in proportion to the weights whose running
+	// sums are in cum; a u that rounded up to the total gets the last
+	// topic.
+	pick := func() int32 {
+		t := firstAbove(cum, rng.Float64()*cum[k-1])
+		if t == k {
+			t = k - 1
+		}
+		return int32(t)
+	}
+
+	for i := range bag {
 		// Initialize each token at its most compatible topic mixture by
 		// sampling from Φ(·|w) ∝ Phi[t][w]; faster mixing than uniform.
-		t := sampleTopicForWord(m, w, rng)
+		total := 0.0
+		for t, phi := range cols[i*k : (i+1)*k] {
+			total += phi
+			cum[t] = total
+		}
+		t := pick()
 		assign[i] = t
 		counts[t]++
 	}
 
-	probs := make([]float64, k)
-	accum := make([]float64, k)
 	sampleStart := inf.spec.Iterations - inf.spec.Samples
 	if sampleStart < 0 {
 		sampleStart = 0
 	}
 	samplesTaken := 0
 	for sweep := 0; sweep < inf.spec.Iterations; sweep++ {
-		for i, w := range bag {
-			old := assign[i]
-			counts[old]--
+		for i := range bag {
+			counts[assign[i]]--
 			total := 0.0
-			for t := 0; t < k; t++ {
-				p := m.Phi[t][w] * (counts[t] + alpha)
-				probs[t] = p
-				total += p
+			for t, phi := range cols[i*k : (i+1)*k] {
+				// The conversion rounds the product before it is added,
+				// on every architecture: a fused multiply-add would
+				// change which topic a draw lands on.
+				total += float64(phi * (counts[t] + alpha))
+				cum[t] = total
 			}
-			nu := k - 1
-			u := rng.Float64() * total
-			acc := 0.0
-			for t := 0; t < k; t++ {
-				acc += probs[t]
-				if u < acc {
-					nu = t
-					break
-				}
-			}
+			nu := pick()
 			assign[i] = nu
 			counts[nu]++
 		}
@@ -115,31 +157,14 @@ func (inf *Inferencer) Posterior(bag []int, rng *rand.Rand) []float64 {
 			samplesTaken++
 		}
 	}
-	out := make([]float64, k)
 	for t := 0; t < k; t++ {
 		out[t] = accum[t] / float64(samplesTaken)
 	}
+	inf.scratch.Put(sc)
 	return out
 }
 
 // PosteriorTerms is Posterior over raw surface terms.
 func (inf *Inferencer) PosteriorTerms(terms []string, rng *rand.Rand) []float64 {
 	return inf.Posterior(inf.m.BagFromTerms(terms), rng)
-}
-
-// sampleTopicForWord draws a topic proportional to Phi[t][w].
-func sampleTopicForWord(m *Model, w int, rng *rand.Rand) int {
-	total := 0.0
-	for t := 0; t < m.K; t++ {
-		total += m.Phi[t][w]
-	}
-	u := rng.Float64() * total
-	acc := 0.0
-	for t := 0; t < m.K; t++ {
-		acc += m.Phi[t][w]
-		if u < acc {
-			return t
-		}
-	}
-	return m.K - 1
 }

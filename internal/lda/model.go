@@ -16,7 +16,9 @@ package lda
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
+	"sync"
 
 	"toppriv/internal/textproc"
 )
@@ -38,23 +40,42 @@ type Model struct {
 	// corpus vocabulary the model was trained on.
 	Terms []string
 
-	// termID rebuilds the term -> ID map lazily on load.
-	termID map[string]int
+	// Lookup structures derived from Terms and Phi on first use; the
+	// Once makes that first use safe when goroutines share the model.
+	derive   sync.Once
+	termID   map[string]int
+	samplers []rowSampler // one per topic
+}
+
+func (m *Model) buildLookups() {
+	m.termID = make(map[string]int, len(m.Terms))
+	for i, t := range m.Terms {
+		m.termID[t] = i
+	}
+	m.samplers = make([]rowSampler, len(m.Phi))
+	for t, row := range m.Phi {
+		m.samplers[t] = newRowSampler(row)
+	}
 }
 
 // TermID returns the model's word ID for a term, or -1 when the term is
 // out of vocabulary.
 func (m *Model) TermID(term string) int {
-	if m.termID == nil {
-		m.termID = make(map[string]int, len(m.Terms))
-		for i, t := range m.Terms {
-			m.termID[t] = i
-		}
-	}
+	m.derive.Do(m.buildLookups)
 	if id, ok := m.termID[term]; ok {
 		return id
 	}
 	return -1
+}
+
+// SampleWord draws a word ID with probability Pr(w|t) — the
+// distribution TopPriv's Step 3(b) samples ghost-query words from: a
+// topic vector with Pr(t) = 1 collapses Pr(w) = Σ_t Pr(w|t)·Pr(t) to
+// Phi[t]. It consumes one rng.Float64 and costs a binary search plus a
+// scan of at most 64 words, not a pass over the vocabulary.
+func (m *Model) SampleWord(t int, rng *rand.Rand) int {
+	m.derive.Do(m.buildLookups)
+	return m.samplers[t].sample(rng)
 }
 
 // BagFromTerms maps surface terms to model word IDs, dropping unknown
@@ -112,16 +133,6 @@ func (m *Model) TopWords(t, n int) []TermWeight {
 		out[i] = TermWeight{Term: m.Terms[idx[i]], Weight: row[idx[i]]}
 	}
 	return out
-}
-
-// WordDistribution returns Pr(w) under a pure topic vector with
-// Pr(t_m) = 1 — the distribution TopPriv's Step 3(b) samples ghost-query
-// words from: Pr(w) = Σ_t Pr(w|t)·Pr(t) collapses to Phi[tm].
-func (m *Model) WordDistribution(tm int) []float64 {
-	if tm < 0 || tm >= m.K {
-		return nil
-	}
-	return m.Phi[tm]
 }
 
 // SizeBytes reports the in-memory footprint of the model's numeric
