@@ -28,6 +28,7 @@ import (
 	"toppriv/internal/lda"
 	"toppriv/internal/linkrank"
 	"toppriv/internal/telemetry"
+	"toppriv/internal/textproc"
 	"toppriv/internal/vsm"
 )
 
@@ -464,7 +465,8 @@ func BenchmarkSearchInstrumented(b *testing.B) {
 // eight queries run sequentially in the default (auto) mode. The batch
 // plan shares term resolution, postings fetches and the per-posting
 // impact computation across members; the sequential baseline pays each
-// query's full cost. The regression gate covers both rows.
+// query's full cost. The -global rows run the cycle as a shard sees it
+// behind a router. The regression gate covers every row.
 func BenchmarkSearchBatch(b *testing.B) {
 	env := getBenchEnv(b)
 	eng := midEngine(env)
@@ -496,22 +498,44 @@ func BenchmarkSearchBatch(b *testing.B) {
 		for i, q := range cycle {
 			reqs[i] = vsm.Request{Terms: q, K: 10}
 		}
-		b.Run(scoring.String()+"/batch8", func(b *testing.B) {
-			var scored int
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				resps, err := engine.SearchBatch(ctx, reqs)
-				if err != nil {
-					b.Fatal(err)
+		batch8 := func(reqs []vsm.Request) func(*testing.B) {
+			return func(b *testing.B) {
+				var scored int
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					resps, err := engine.SearchBatch(ctx, reqs)
+					if err != nil {
+						b.Fatal(err)
+					}
+					scored = 0
+					for j := range resps {
+						scored += resps[j].Stats.DocsScored
+					}
 				}
-				scored = 0
-				for j := range resps {
-					scored += resps[j].Stats.DocsScored
+				b.ReportMetric(float64(scored), "docs_scored/op")
+			}
+		}
+		b.Run(scoring.String()+"/batch8", batch8(reqs))
+		// The routed form of the same cycle: every member carries
+		// GlobalStats the way a cluster.Router attaches them (here the
+		// index's own, so the work matches the row above). It must cost
+		// what batch8 costs, not what sequential8 does.
+		var totalLen int64
+		for d := 0; d < env.Index.NumDocs(); d++ {
+			totalLen += int64(env.Index.DocLen(corpus.DocID(d)))
+		}
+		routed := make([]vsm.Request, len(reqs))
+		for i, r := range reqs {
+			r.Global = &vsm.GlobalStats{Docs: env.Index.NumDocs(), TotalLen: totalLen, DF: make([]int, len(r.Terms))}
+			for j, term := range r.Terms {
+				if id := env.Index.Vocab().ID(term); id != textproc.InvalidTerm {
+					r.Global.DF[j] = env.Index.DocFreq(id)
 				}
 			}
-			b.ReportMetric(float64(scored), "docs_scored/op")
-		})
+			routed[i] = r
+		}
+		b.Run(scoring.String()+"-global/batch8", batch8(routed))
 		b.Run(scoring.String()+"/sequential8", func(b *testing.B) {
 			var stats vsm.ExecStats
 			b.ReportAllocs()

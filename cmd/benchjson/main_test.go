@@ -226,11 +226,14 @@ func TestCompareAllocsGate(t *testing.T) {
 	allocBench := func(name string, allocs float64) Benchmark {
 		return Benchmark{Name: name, N: 1, Metrics: map[string]float64{"ns/op": 1000, "allocs/op": allocs}}
 	}
-	oldB := []Benchmark{allocBench("BenchmarkObfuscateQuery", 139), allocBench("BenchmarkInference", 2), allocBench("BenchmarkFig2", 100)}
-	newB := []Benchmark{allocBench("BenchmarkObfuscateQuery", 150), allocBench("BenchmarkInference", 6), allocBench("BenchmarkFig2", 200)}
+	// The routed-cycle row is gated through the BenchmarkSearch prefix:
+	// falling back to per-member set-up (32 allocations) must fail.
+	const routed = "BenchmarkSearchBatch/bm25-global/batch8"
+	oldB := []Benchmark{allocBench("BenchmarkObfuscateQuery", 139), allocBench("BenchmarkInference", 2), allocBench("BenchmarkFig2", 100), allocBench(routed, 17)}
+	newB := []Benchmark{allocBench("BenchmarkObfuscateQuery", 150), allocBench("BenchmarkInference", 6), allocBench("BenchmarkFig2", 200), allocBench(routed, 32)}
 	failures, warnings := compareBenchmarks(oldB, newB, 0.25, 0.10, regexp.MustCompile(defaultGate))
-	if len(failures) != 1 || !strings.Contains(failures[0], "BenchmarkInference: allocs/op 2 → 6") {
-		t.Errorf("failures = %v, want exactly the Inference allocs/op regression", failures)
+	if all := strings.Join(failures, "\n"); len(failures) != 2 || !strings.Contains(all, "BenchmarkInference: allocs/op 2 → 6") || !strings.Contains(all, routed+": allocs/op 17 → 32") {
+		t.Errorf("failures = %v, want exactly the Inference and routed-batch allocs/op regressions", failures)
 	}
 	if len(warnings) != 1 || !strings.Contains(warnings[0], "BenchmarkFig2: allocs/op") {
 		t.Errorf("warnings = %v, want the ungated allocs/op growth", warnings)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http/httptest"
@@ -243,54 +244,86 @@ func runClusterTrial(t *testing.T, scoring vsm.Scoring, trial int64) {
 					t.Fatalf("trial %d query %q: degraded with all shards healthy: %+v",
 						trial, q, resp.Shards)
 				}
-				want := refEng.SearchTerms(terms, k)
-				got := resp.Hits
-				if len(got) != len(want) {
-					t.Fatalf("trial %d query %q mode %s k=%d: cluster %d docs, reference %d",
-						trial, q, mode, k, len(got), len(want))
-				}
-				if k > len(alive) {
-					// Full retrieval: exact document-set and per-document
-					// score agreement.
-					gotScores := make(map[corpus.DocID]float64, len(got))
-					for _, res := range got {
-						ref, ok := gidToRef[res.Doc]
-						if !ok {
-							t.Fatalf("trial %d query %q: cluster returned dead/unknown doc %d",
-								trial, q, res.Doc)
-						}
-						gotScores[ref] = res.Score
-					}
-					for _, res := range want {
-						gs, ok := gotScores[res.Doc]
-						if !ok {
-							t.Fatalf("trial %d query %q: reference doc %d missing from cluster results",
-								trial, q, res.Doc)
-						}
-						if math.Abs(gs-res.Score) > 1e-9 {
-							t.Fatalf("trial %d query %q doc %d: cluster %.12f, reference %.12f",
-								trial, q, res.Doc, gs, res.Score)
-						}
-					}
-				} else {
-					// Top-k: rank-by-rank score agreement (exact FP ties
-					// may order differently across placements).
-					for j := range got {
-						if math.Abs(got[j].Score-want[j].Score) > 1e-9 {
-							t.Fatalf("trial %d query %q mode %s rank %d: cluster %.12f, reference %.12f",
-								trial, q, mode, j, got[j].Score, want[j].Score)
-						}
-					}
-				}
+				label := fmt.Sprintf("trial %d query %q mode %s k=%d", trial, q, mode, k)
+				compareWithRebuild(t, label, resp.Hits, refEng.SearchTerms(terms, k), k > len(alive), gidToRef)
 			}
 		}
 	}
+	// The same queries as obfuscation-style cycles: auto-mode members
+	// submitted together, which the shards serve with the shared
+	// cycle-at-a-time traversal.
+	cycle := make([][]string, 0, len(queries))
+	for _, q := range queries {
+		cycle = append(cycle, an.Analyze(q))
+	}
+	checkCycleAgainstRebuild(t, fmt.Sprintf("trial %d", trial), r, refEng, gidToRef, len(alive), cycle)
 
 	// The aggregate stats surface must agree with the reference on the
 	// collection-level numbers.
 	stats := r.ComputeStats()
 	if stats.NumDocs != len(alive) {
 		t.Fatalf("trial %d: cluster reports %d docs, %d survive", trial, stats.NumDocs, len(alive))
+	}
+}
+
+// compareWithRebuild holds one routed result list to the single-index
+// reference: under full retrieval the document sets and per-document
+// scores must agree to 1e-9; under top-k the scores agree rank by rank
+// (exact floating-point ties may order differently across placements).
+func compareWithRebuild(t *testing.T, label string, got, want []vsm.Result, full bool, gidToRef map[corpus.DocID]corpus.DocID) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: cluster %d docs, reference %d", label, len(got), len(want))
+	}
+	if !full {
+		for j := range got {
+			if math.Abs(got[j].Score-want[j].Score) > 1e-9 {
+				t.Fatalf("%s rank %d: cluster %.12f, reference %.12f", label, j, got[j].Score, want[j].Score)
+			}
+		}
+		return
+	}
+	gotScores := make(map[corpus.DocID]float64, len(got))
+	for _, res := range got {
+		ref, ok := gidToRef[res.Doc]
+		if !ok {
+			t.Fatalf("%s: cluster returned dead/unknown doc %d", label, res.Doc)
+		}
+		gotScores[ref] = res.Score
+	}
+	for _, res := range want {
+		gs, ok := gotScores[res.Doc]
+		if !ok {
+			t.Fatalf("%s: reference doc %d missing from cluster results", label, res.Doc)
+		}
+		if math.Abs(gs-res.Score) > 1e-9 {
+			t.Fatalf("%s doc %d: cluster %.12f, reference %.12f", label, res.Doc, gs, res.Score)
+		}
+	}
+}
+
+// checkCycleAgainstRebuild submits cycle as one batch of auto-mode
+// members — the shape a TopPriv client sends and the one the shards'
+// engines evaluate in a single shared traversal — at top-k and at full
+// retrieval, and holds every member to the reference.
+func checkCycleAgainstRebuild(t *testing.T, label string, r *Router, refEng *vsm.Engine, gidToRef map[corpus.DocID]corpus.DocID, nAlive int, cycle [][]string) {
+	t.Helper()
+	for _, k := range []int{5, nAlive + 5} {
+		reqs := make([]vsm.Request, len(cycle))
+		for i, terms := range cycle {
+			reqs[i] = vsm.Request{Terms: terms, K: k}
+		}
+		resps, err := r.SearchBatch(context.Background(), reqs)
+		if err != nil {
+			t.Fatalf("%s: cycle: %v", label, err)
+		}
+		for i, resp := range resps {
+			if resp.Degraded {
+				t.Fatalf("%s: cycle degraded with all shards healthy: %+v", label, resp.Shards)
+			}
+			compareWithRebuild(t, fmt.Sprintf("%s cycle member %d k=%d", label, i, k),
+				resp.Hits, refEng.SearchTerms(cycle[i], k), k > nAlive, gidToRef)
+		}
 	}
 }
 

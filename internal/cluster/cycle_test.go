@@ -1,0 +1,172 @@
+package cluster
+
+import (
+	"context"
+	"encoding/json"
+	"net/http"
+	"strings"
+	"sync"
+	"testing"
+
+	"toppriv/internal/textproc"
+	"toppriv/internal/vsm"
+)
+
+// wireTap is a transport that shows every router→shard cycle
+// (/cluster/batch body) to see before forwarding the request.
+type wireTap struct {
+	see func(batchRequest)
+}
+
+func (w wireTap) RoundTrip(req *http.Request) (*http.Response, error) {
+	if strings.HasSuffix(req.URL.Path, "/cluster/batch") {
+		body, err := req.GetBody()
+		if err != nil {
+			return nil, err
+		}
+		var br batchRequest
+		err = json.NewDecoder(body).Decode(&br)
+		body.Close()
+		if err != nil {
+			return nil, err
+		}
+		w.see(br)
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// overlappingCycle builds an n-member cycle over one pool of n words:
+// member i is the pool without word i, so every term recurs in n−1
+// members — the overlap ghosts of one masking topic have, and far past
+// the engine's sharing gate on every segment.
+func overlappingCycle(pool []string) [][]string {
+	cycle := make([][]string, len(pool))
+	for i := range pool {
+		for j, w := range pool {
+			if j != i {
+				cycle[i] = append(cycle[i], w)
+			}
+		}
+	}
+	return cycle
+}
+
+// TestCycleScoresAgainstOneSnapshot interleaves routed ingest with
+// routed cycles and inspects the wire: every member of one cycle must
+// carry the same merged Docs/TotalLen. Per-member snapshots let an
+// ingest ack land between two members, scoring one cycle against two
+// collections and splitting the shards' shared traversal.
+func TestCycleScoresAgainstOneSnapshot(t *testing.T) {
+	var mu sync.Mutex
+	collections := map[int]bool{}
+	tap := wireTap{see: func(br batchRequest) {
+		first := br.Queries[0].Global
+		for i, q := range br.Queries {
+			if q.Global.Docs != first.Docs || q.Global.TotalLen != first.TotalLen {
+				t.Errorf("member %d scores against %d docs / %d tokens, member 0 against %d / %d",
+					i, q.Global.Docs, q.Global.TotalLen, first.Docs, first.TotalLen)
+				return
+			}
+		}
+		mu.Lock()
+		collections[first.Docs] = true
+		mu.Unlock()
+	}}
+	tc := newTestCluster(t, vsm.BM25, 3, Config{HTTPClient: &http.Client{Transport: tap}})
+	docs := synthDocs(t, 140, 77)
+	if _, err := tc.router.Add(docs[:20]...); err != nil {
+		t.Fatal(err)
+	}
+	an := textproc.NewAnalyzer()
+	reqs := make([]vsm.Request, 48)
+	for i := range reqs {
+		reqs[i] = vsm.Request{Terms: an.Analyze(queryFrom(docs[i%20], i, 12)), K: 5}
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 20; i < len(docs); i++ {
+			if _, err := tc.router.Add(docs[i]); err != nil {
+				t.Errorf("add: %v", err)
+				return
+			}
+		}
+	}()
+	for ingesting := true; ingesting && !t.Failed(); {
+		select {
+		case <-done:
+			ingesting = false
+		default:
+		}
+		if _, err := tc.router.SearchBatch(context.Background(), reqs); err != nil {
+			t.Error(err)
+		}
+	}
+	<-done
+	if len(collections) < 2 {
+		t.Errorf("cycles saw %d distinct collection sizes: ingest never interleaved", len(collections))
+	}
+}
+
+// TestRoutedCycleSharesTraversal is the guard on the routed path: a
+// cycle of overlapping auto-mode members sent through the router must
+// reach the shards' engines as one shared traversal per segment, not
+// as one pruned scan per member. The tell is in the work counters the
+// wire carries back: the flat shared scan counts postings and decodes
+// exactly what a member-at-a-time exhaustive run does, and never
+// prunes, seeks or primes. (The shard engines of a segment.Store are
+// deliberately uninstrumented, so there is no trace ring to consult;
+// vsm's own property test checks the "batch" trace label.) Anything
+// that pushes Global-carrying members back to member-at-a-time —
+// a new Request field the planner excludes, say — fails here.
+func TestRoutedCycleSharesTraversal(t *testing.T) {
+	for _, scoring := range []vsm.Scoring{vsm.Cosine, vsm.BM25} {
+		scoring := scoring
+		t.Run(scoring.String(), func(t *testing.T) {
+			tc := newTestCluster(t, scoring, 3, Config{})
+			docs := synthDocs(t, 120, 91)
+			if _, err := tc.router.Add(docs...); err != nil {
+				t.Fatal(err)
+			}
+			for i, st := range tc.stores {
+				if n := st.Stats().Segments; n < 2 {
+					t.Fatalf("shard %d has %d sealed segments, want several", i, n)
+				}
+			}
+			pool := textproc.NewAnalyzer().Analyze(queryFrom(docs[3], 0, 6))
+			if len(pool) < 4 {
+				t.Fatalf("pool of %d terms, want ≥ 4 members", len(pool))
+			}
+			cycle := overlappingCycle(pool)
+			run := func(mode vsm.ExecMode) []vsm.Response {
+				reqs := make([]vsm.Request, len(cycle))
+				for i, terms := range cycle {
+					reqs[i] = vsm.Request{Terms: terms, K: 3, Mode: mode}
+				}
+				resps, err := tc.router.SearchBatch(context.Background(), reqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return resps
+			}
+			routed, exhaustive := run(vsm.ExecAuto), run(vsm.ExecExhaustive)
+			for i := range routed {
+				got, want := routed[i].Stats, exhaustive[i].Stats
+				if got.Postings == 0 || got.DocsPruned != 0 || got.SeekProbes != 0 || got.HeadBlocksPrimed != 0 {
+					t.Errorf("member %d ran a pruned scan on some segment: %+v", i, got)
+				}
+				if got.Postings != want.Postings || got.BlocksDecoded != want.BlocksDecoded || got.DocsScored != want.DocsScored {
+					t.Errorf("member %d: routed work %+v, exhaustive %+v", i, got, want)
+				}
+				if len(routed[i].Hits) != len(exhaustive[i].Hits) {
+					t.Fatalf("member %d: %d hits, exhaustive %d", i, len(routed[i].Hits), len(exhaustive[i].Hits))
+				}
+				for j, h := range exhaustive[i].Hits {
+					if routed[i].Hits[j] != h {
+						t.Errorf("member %d rank %d: %+v, exhaustive %+v", i, j, routed[i].Hits[j], h)
+					}
+				}
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -404,8 +405,10 @@ func runCrashTrial(t *testing.T, scoring vsm.Scoring, trial int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cycle := make([][]string, 0, 8)
 	for q := 0; q < 8; q++ {
 		terms := an.Analyze(queryFrom(docs[rng.Intn(len(docs))], rng.Intn(25), 3+rng.Intn(4)))
+		cycle = append(cycle, terms)
 		for _, k := range []int{5, len(alive) + 5} {
 			resp, err := r.SearchRequest(context.Background(), vsm.Request{Terms: terms, K: k})
 			if err != nil {
@@ -414,38 +417,10 @@ func runCrashTrial(t *testing.T, scoring vsm.Scoring, trial int64) {
 			if resp.Degraded {
 				t.Fatalf("trial %d: degraded search after full recovery: %+v", trial, resp.Shards)
 			}
-			want := refEng.SearchTerms(terms, k)
-			if len(resp.Hits) != len(want) {
-				t.Fatalf("trial %d k=%d: cluster %d hits, reference %d", trial, k, len(resp.Hits), len(want))
-			}
-			if k > len(alive) {
-				gotScores := make(map[corpus.DocID]float64, len(resp.Hits))
-				for _, res := range resp.Hits {
-					ref, ok := gidToRef[res.Doc]
-					if !ok {
-						t.Fatalf("trial %d: cluster returned dead/unknown doc %d", trial, res.Doc)
-					}
-					gotScores[ref] = res.Score
-				}
-				for _, res := range want {
-					gs, ok := gotScores[res.Doc]
-					if !ok {
-						t.Fatalf("trial %d: reference doc %d missing from recovered cluster", trial, res.Doc)
-					}
-					if math.Abs(gs-res.Score) > 1e-9 {
-						t.Fatalf("trial %d doc %d: cluster %.12f, reference %.12f", trial, res.Doc, gs, res.Score)
-					}
-				}
-			} else {
-				for j := range resp.Hits {
-					if math.Abs(resp.Hits[j].Score-want[j].Score) > 1e-9 {
-						t.Fatalf("trial %d rank %d: cluster %.12f, reference %.12f",
-							trial, j, resp.Hits[j].Score, want[j].Score)
-					}
-				}
-			}
+			compareWithRebuild(t, fmt.Sprintf("trial %d k=%d", trial, k), resp.Hits, refEng.SearchTerms(terms, k), k > len(alive), gidToRef)
 		}
 	}
+	checkCycleAgainstRebuild(t, fmt.Sprintf("trial %d", trial), r, refEng, gidToRef, len(alive), cycle)
 
 	h := r.ClusterHealth()
 	if !h.Journaled {

@@ -747,13 +747,13 @@ func (r *Router) compactLocked() error {
 	return r.journal.Compact(r.nextGid, pending, titles)
 }
 
-// mergedStats sums the shards' last-known tables into one query's
-// GlobalStats. DF aligns with terms, repeats repeating their df, the
-// exact shape vsm.Request.Global requires.
-func (r *Router) mergedStats(terms []string) *vsm.GlobalStats {
+// mergedStats sums one snapshot of the shards' last-known tables into
+// one query's GlobalStats. DF aligns with terms, repeats repeating
+// their df, the exact shape vsm.Request.Global requires.
+func mergedStats(snap []shardStats, terms []string) *vsm.GlobalStats {
 	g := &vsm.GlobalStats{DF: make([]int, len(terms))}
-	for _, c := range r.shards {
-		st := c.snapStats()
+	for i := range snap {
+		st := &snap[i]
 		g.Docs += st.Docs
 		g.TotalLen += st.TotalLen
 		if st.DF == nil {
@@ -786,6 +786,13 @@ func (r *Router) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Res
 	if len(reqs) == 0 {
 		return nil, nil
 	}
+	// One statistics snapshot per cycle: every member scores against the
+	// same collection even while ingest acks land, and the shards' BM25
+	// members agree on avgdl, so the whole cycle shares one traversal.
+	snap := make([]shardStats, len(r.shards))
+	for i, c := range r.shards {
+		snap[i] = c.snapStats()
+	}
 	wire := batchRequest{Queries: make([]wireQuery, len(reqs))}
 	for i, req := range reqs {
 		if err := req.Validate(); err != nil {
@@ -809,7 +816,7 @@ func (r *Router) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Res
 			Terms:  terms,
 			K:      req.K,
 			Mode:   mode,
-			Global: r.mergedStats(terms),
+			Global: mergedStats(snap, terms),
 		}
 	}
 	body, err := json.Marshal(wire)

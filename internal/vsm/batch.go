@@ -1,9 +1,11 @@
 package vsm
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"toppriv/internal/corpus"
 	"toppriv/internal/index"
@@ -39,6 +41,7 @@ type batchMember struct {
 // batchRef fans one distinct term out to a member containing it, with
 // the member's query-side weight for that term.
 type batchRef struct {
+	id     textproc.TermID
 	member int
 	w      float64
 }
@@ -58,6 +61,8 @@ type unionTerm struct {
 // list.
 type batchState struct {
 	members []batchMember
+	// shared lists the members the cycle-at-a-time traversal serves.
+	shared  []int
 	union   []unionTerm
 	refs    []batchRef
 	impacts []float64
@@ -65,6 +70,8 @@ type batchState struct {
 	// k1·(1−b+b·dl/avgdl) across the whole union — documents recur in
 	// a cycle's term lists, and the factor is query-independent. Zero
 	// means "not computed yet" (the real factor is always positive).
+	// Valid for one avgdl only, which is why BM25 members share by
+	// avgdl group.
 	denoms []float64
 }
 
@@ -72,6 +79,7 @@ func newBatchState() *batchState { return &batchState{} }
 
 func (bs *batchState) reset() {
 	bs.members = bs.members[:0]
+	bs.shared = bs.shared[:0]
 	bs.union = bs.union[:0]
 	bs.refs = bs.refs[:0]
 }
@@ -83,11 +91,16 @@ func (bs *batchState) reset() {
 // the members' term overlap makes it profitable, all auto-mode members
 // are evaluated in a single cycle-at-a-time traversal that walks each
 // distinct postings list once and fans every posting's shared impact
-// factor out to the members containing the term. Members with an
-// explicit execution mode run member-at-a-time with the shared
-// resolution. Either way each member's hits are bit-identical to what
-// SearchRequest would return for it alone; the property tests assert
-// it.
+// factor out to the members containing the term. Members carrying a
+// router's Global statistics join it like any other — a routed cycle
+// shares on every shard segment exactly as it does on a single node;
+// under BM25 the members that share must score with one avgdl, so the
+// largest same-avgdl group shares and any stragglers (a mixed
+// Global/local batch, a cycle whose members saw different statistics)
+// do not. Stragglers and members with an explicit execution mode run
+// member-at-a-time with the shared resolution. Either way each
+// member's hits are bit-identical to what SearchRequest would return
+// for it alone; the property tests assert it.
 //
 // Responses align with reqs by index. The context cancels
 // mid-execution between postings blocks; on cancellation the whole
@@ -125,9 +138,6 @@ func (e *Engine) SearchBatch(ctx context.Context, reqs []Request) ([]Response, e
 			}
 			bs.members[i] = batchMember{}
 		}
-		for i := range bs.union {
-			bs.union[i].it = index.Iterator{}
-		}
 		e.batches.Put(bs)
 	}()
 
@@ -164,23 +174,18 @@ func (e *Engine) SearchBatch(ctx context.Context, reqs []Request) ([]Response, e
 	// Plan: auto-mode members may join the shared traversal when the
 	// engine itself is not pinned to a pruned strategy; explicit-mode
 	// members (and pinned engines) keep their member-at-a-time path.
-	sharable := e.mode == ExecAuto || e.mode == ExecExhaustive
-	var shared []int
-	totalPostings := 0
-	for i := range bs.members {
-		m := &bs.members[i]
-		// Members with injected global statistics stay member-at-a-time:
-		// the shared traversal reads the source's own avgdl.
-		if !m.live || m.req.Mode != ExecAuto || !sharable || m.req.Global != nil {
-			continue
+	if e.mode == ExecAuto || e.mode == ExecExhaustive {
+		for i := range bs.members {
+			if m := &bs.members[i]; m.live && m.req.Mode == ExecAuto {
+				bs.shared = append(bs.shared, i)
+			}
 		}
-		for j := range m.qs.terms {
-			totalPostings += e.src.DocFreq(m.qs.terms[j].id)
+		if e.scoring == BM25 {
+			bs.shared = largestAvgLenGroup(bs.members, bs.shared)
 		}
-		shared = append(shared, i)
 	}
-	if len(shared) >= 2 {
-		distinct := e.buildUnion(bs, shared)
+	if shared := bs.shared; len(shared) >= 2 {
+		distinct, totalPostings := e.buildUnion(bs)
 		bc.mark(&bc.fetch)
 		if e.mode == ExecExhaustive || distinct*batchShareDen <= totalPostings*batchShareNum {
 			if err := e.batchExhaustive(ctx, bs); err != nil {
@@ -191,7 +196,7 @@ func (e *Engine) SearchBatch(ctx context.Context, reqs []Request) ([]Response, e
 				resps[i].Hits = drainTopK(&bs.members[i].qs.heap)
 			}
 			bc.mark(&bc.merge)
-			e.finishBatch(&bc, bs, shared, resps)
+			e.finishBatch(&bc, bs, resps)
 		}
 	}
 
@@ -221,10 +226,11 @@ func (e *Engine) SearchBatch(ctx context.Context, reqs []Request) ([]Response, e
 // aggregates the served members' work counters, is recorded once in
 // the ring and observed once in the latency histogram (mode "batch"),
 // and is copied to every served member that asked for an inline trace.
-func (e *Engine) finishBatch(bc *phaseClock, bs *batchState, shared []int, resps []Response) {
+func (e *Engine) finishBatch(bc *phaseClock, bs *batchState, resps []Response) {
 	if !bc.enabled {
 		return
 	}
+	shared := bs.shared
 	t := telemetry.PhaseTrace{
 		Scorer:     e.scoring.String(),
 		Mode:       "batch",
@@ -260,45 +266,78 @@ func (e *Engine) finishBatch(bc *phaseClock, bs *batchState, shared []int, resps
 	}
 }
 
-// buildUnion assembles the TermID-sorted union plan over the given
-// members, fetching each distinct term's postings exactly once.
-// Returns the number of distinct postings across the union.
-func (e *Engine) buildUnion(bs *batchState, members []int) int {
-	type triple struct {
-		id textproc.TermID
-		batchRef
+// largestAvgLenGroup narrows the BM25 sharing candidates to the largest
+// set scoring with one avgdl (compared by bit pattern; the earliest
+// group wins a tie), filtering cand in place. Members of one routed
+// cycle, or of one local batch, all agree, so this normally returns
+// cand untouched.
+func largestAvgLenGroup(members []batchMember, cand []int) []int {
+	bits := func(i int) uint64 { return math.Float64bits(members[i].qs.avgLen) }
+	var best uint64
+	bestN := 0
+	for _, i := range cand {
+		n := 0
+		for _, j := range cand {
+			if bits(j) == bits(i) {
+				n++
+			}
+		}
+		if n == len(cand) {
+			return cand
+		}
+		if n > bestN {
+			best, bestN = bits(i), n
+		}
 	}
-	var triples []triple
-	for _, i := range members {
+	group := cand[:0]
+	for _, i := range cand {
+		if bits(i) == best {
+			group = append(group, i)
+		}
+	}
+	return group
+}
+
+// buildUnion assembles the TermID-sorted union plan over bs.shared,
+// fetching each distinct term's postings exactly once. Returns the
+// number of distinct postings across the union and the per-member sum
+// the sharing gate compares it with.
+func (e *Engine) buildUnion(bs *batchState) (distinct, total int) {
+	for _, i := range bs.shared {
 		m := &bs.members[i]
 		for j := range m.qs.terms {
 			t := &m.qs.terms[j]
-			if t.w == 0 {
-				continue
+			total += e.src.DocFreq(t.id)
+			if t.w != 0 {
+				bs.refs = append(bs.refs, batchRef{id: t.id, member: i, w: t.w})
 			}
-			triples = append(triples, triple{id: t.id, batchRef: batchRef{member: i, w: t.w}})
 		}
 	}
-	sort.Slice(triples, func(a, b int) bool {
-		if triples[a].id != triples[b].id {
-			return triples[a].id < triples[b].id
+	slices.SortFunc(bs.refs, func(a, b batchRef) int {
+		if c := cmp.Compare(a.id, b.id); c != 0 {
+			return c
 		}
-		return triples[a].member < triples[b].member
+		return cmp.Compare(a.member, b.member)
 	})
-	distinct := 0
-	for _, tr := range triples {
+	for ri := range bs.refs {
 		n := len(bs.union)
-		if n == 0 || bs.union[n-1].id != tr.id {
-			bs.union = append(bs.union, unionTerm{id: tr.id, from: len(bs.refs)})
+		if id := bs.refs[ri].id; n == 0 || bs.union[n-1].id != id {
+			// Reuse the pooled slot: its iterator (a kilobyte of decode
+			// buffer) is repositioned in place, never cleared or copied.
+			if n < cap(bs.union) {
+				bs.union = bs.union[:n+1]
+			} else {
+				bs.union = append(bs.union, unionTerm{})
+			}
 			n++
 			ut := &bs.union[n-1]
-			e.src.IterInto(tr.id, &ut.it)
+			ut.id, ut.from = id, ri
+			e.src.IterInto(id, &ut.it)
 			distinct += ut.it.Len()
 		}
-		bs.refs = append(bs.refs, tr.batchRef)
-		bs.union[n-1].to = len(bs.refs)
+		bs.union[n-1].to = ri + 1
 	}
-	return distinct
+	return distinct, total
 }
 
 // batchExhaustive is the cycle-at-a-time traversal: one pass over each
@@ -312,7 +351,6 @@ func (e *Engine) buildUnion(bs *batchState, members []int) int {
 // drains them.
 func (e *Engine) batchExhaustive(ctx context.Context, bs *batchState) error {
 	done := ctx.Done()
-	var avgLen float64
 	// Size each member's accumulator off its own lists' final entries
 	// (block metadata — no decoding), as the single-query path does.
 	maxDoc := corpus.DocID(-1)
@@ -329,16 +367,17 @@ func (e *Engine) batchExhaustive(ctx context.Context, bs *batchState) error {
 			bs.members[rf.member].qs.ensureDoc(last)
 		}
 	}
+	var avgLen float64
 	var denoms []float64
 	if e.scoring == BM25 {
-		avgLen = e.src.AvgDocLen()
+		// The sharing group's one avgdl: the source's own, or the
+		// cluster-merged value a router injected.
+		avgLen = bs.members[bs.shared[0]].qs.avgLen
 		if need := int(maxDoc) + 1; cap(bs.denoms) < need {
 			bs.denoms = make([]float64, need)
 		} else {
 			bs.denoms = bs.denoms[:need]
-			for i := range bs.denoms {
-				bs.denoms[i] = 0
-			}
+			clear(bs.denoms)
 		}
 		denoms = bs.denoms
 	}
@@ -443,13 +482,8 @@ func (e *Engine) batchExhaustive(ctx context.Context, bs *batchState) error {
 	}
 	// Finalize per member: same normalization, same heap discipline as
 	// the single-query exhaustive tail.
-	seen := make(map[int]bool, len(bs.members))
-	for _, rf := range bs.refs {
-		if seen[rf.member] {
-			continue
-		}
-		seen[rf.member] = true
-		m := &bs.members[rf.member]
+	for _, i := range bs.shared {
+		m := &bs.members[i]
 		qs := m.qs
 		m.stats.DocsScored += len(qs.touched)
 		for _, d := range qs.touched {

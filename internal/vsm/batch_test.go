@@ -2,6 +2,7 @@ package vsm
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -237,4 +238,143 @@ func testEngine(t *testing.T) (*Engine, *corpus.GroundTruth) {
 		t.Fatal(err)
 	}
 	return eng, gt
+}
+
+// globalFor builds the statistics a router would inject for terms: the
+// index's own collection scaled up as if mult−1 more shards held
+// identical documents, with extraLen more tokens among them (which
+// moves BM25's avgdl). Terms this index lacks get df 1 — another shard
+// holds them — so the cosine wire-order norm sees them.
+func globalFor(idx *index.Index, terms []string, mult int, extraLen int64) *GlobalStats {
+	g := &GlobalStats{Docs: idx.NumDocs() * mult, TotalLen: extraLen, DF: make([]int, len(terms))}
+	for d := 0; d < idx.NumDocs(); d++ {
+		g.TotalLen += int64(idx.DocLen(corpus.DocID(d)) * mult)
+	}
+	for i, term := range terms {
+		g.DF[i] = 1
+		if id := idx.Vocab().ID(term); id != textproc.InvalidTerm {
+			g.DF[i] = idx.DocFreq(id) * mult
+		}
+	}
+	return g
+}
+
+// TestSearchBatchGlobalBitIdentical is the property that lets a routed
+// cycle share: members carrying injected statistics join the
+// cycle-at-a-time traversal and still return, bit for bit, what
+// SearchRequest returns for them alone in the exhaustive and MaxScore
+// modes. Three batch shapes per scoring, with and without the
+// tombstone filter a store always sets: every member on one Global;
+// two Globals with different avgdl (under BM25 only the larger group
+// may share one denoms cache); Global mixed with local members.
+func TestSearchBatchGlobalBitIdentical(t *testing.T) {
+	ctx := context.Background()
+	// stats[i%len] picks member i's statistics: 0 = local, 1 = Global
+	// A, 2 = Global B (another avgdl), 3 = a Global equal to the index's
+	// own statistics. bm25Shared is who the BM25 plan must serve
+	// together; cosine has no avgdl and shares everyone.
+	shapes := []struct {
+		name       string
+		stats      []int
+		bm25Shared func(i int) bool
+	}{
+		{"one-global", []int{1}, func(int) bool { return true }},
+		{"two-globals", []int{1, 1, 2}, func(i int) bool { return i%3 != 2 }},
+		{"global-and-local", []int{1, 0, 1}, func(i int) bool { return i%3 != 1 }},
+		{"global-equals-local", []int{3, 0}, func(int) bool { return true }},
+	}
+	for _, scoring := range []Scoring{Cosine, BM25} {
+		for _, shape := range shapes {
+			for _, filtered := range []bool{false, true} {
+				scoring, shape, filtered := scoring, shape, filtered
+				name := scoring.String() + "/" + shape.name
+				if filtered {
+					name += "/keep"
+				}
+				t.Run(name, func(t *testing.T) {
+					for trial := int64(0); trial < 3; trial++ {
+						rng := rand.New(rand.NewSource(8200 + trial))
+						c, gt, err := corpus.Synthesize(corpus.GenSpec{
+							Seed:    410 + trial,
+							NumDocs: 400 + int(trial)*150, NumTopics: 5,
+							DocLenMin: 15, DocLenMax: 60,
+						}, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						idx, err := index.Build(c)
+						if err != nil {
+							t.Fatal(err)
+						}
+						an := textproc.NewAnalyzer()
+						eng, err := NewEngine(idx, an, scoring)
+						if err != nil {
+							t.Fatal(err)
+						}
+						var keep func(corpus.DocID) bool
+						if filtered {
+							dead := make([]bool, c.NumDocs())
+							for d := range dead {
+								dead[d] = rng.Float64() < 0.15
+							}
+							keep = func(d corpus.DocID) bool { return !dead[d] }
+						}
+						queries := cycleQueries(gt, an, rng, 12)
+						queries[4] = append(queries[4], "zzzzothershardterm", queries[4][0])
+						reqs := make([]Request, len(queries))
+						for i, q := range queries {
+							reqs[i] = Request{Terms: q, K: 10, Keep: keep, Trace: true}
+							switch shape.stats[i%len(shape.stats)] {
+							case 1:
+								reqs[i].Global = globalFor(idx, q, 3, 131)
+							case 2:
+								reqs[i].Global = globalFor(idx, q, 3, 977)
+							case 3:
+								reqs[i].Global = globalFor(idx, q, 1, 0)
+							}
+						}
+						batch, err := eng.SearchBatch(ctx, reqs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i, req := range reqs {
+							req.Trace = false
+							req.Mode = ExecExhaustive
+							exh, err := eng.SearchRequest(ctx, req)
+							if err != nil {
+								t.Fatal(err)
+							}
+							req.Mode = ExecMaxScore
+							pruned, err := eng.SearchRequest(ctx, req)
+							if err != nil {
+								t.Fatal(err)
+							}
+							for _, solo := range []Response{exh, pruned} {
+								if len(batch[i].Hits) != len(solo.Hits) {
+									t.Fatalf("trial %d member %d: batch %d hits, solo %d", trial, i, len(batch[i].Hits), len(solo.Hits))
+								}
+								for j, h := range solo.Hits {
+									b := batch[i].Hits[j]
+									if b.Doc != h.Doc || math.Float64bits(b.Score) != math.Float64bits(h.Score) {
+										t.Fatalf("trial %d member %d rank %d: batch %+v, solo %+v", trial, i, j, b, h)
+									}
+								}
+							}
+							shared := scoring == Cosine || shape.bm25Shared(i)
+							if got := batch[i].Trace.Mode == "batch"; got != shared {
+								t.Fatalf("trial %d member %d: ran as %q, want shared = %v", trial, i, batch[i].Trace.Mode, shared)
+							}
+							if !shared {
+								continue
+							}
+							if bs, es := batch[i].Stats, exh.Stats; bs.Postings != es.Postings || bs.BlocksDecoded != es.BlocksDecoded ||
+								bs.DocsScored != es.DocsScored || bs.DocsFiltered != es.DocsFiltered || bs.DocsPruned != 0 {
+								t.Errorf("trial %d member %d: shared stats %+v, exhaustive solo %+v", trial, i, bs, es)
+							}
+						}
+					}
+				})
+			}
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"toppriv/internal/corpus"
@@ -257,10 +258,11 @@ func docWeight(tf int32) float64 {
 // TermID — the canonical accumulation order both execution paths share
 // so their floating-point scores agree bit-for-bit.
 type qterm struct {
-	id  textproc.TermID
-	qtf int     // query-side term frequency
-	w   float64 // query weight: cosine (1+ln qtf)·idf, BM25 idf
-	ub  float64 // max contribution of this term to any final score
+	id   textproc.TermID
+	wire int32   // index of the term's first occurrence in the request bag
+	qtf  int     // query-side term frequency
+	w    float64 // query weight: cosine (1+ln qtf)·idf, BM25 idf
+	ub   float64 // max contribution of this term to any final score
 	// Block-max WAND caches the current block's contribution bound so
 	// repeated pivots inside one block pay no recomputation. bbBlk is
 	// the block ordinal the cache is valid for (-1 = none).
@@ -353,18 +355,20 @@ func (qs *queryState) ensureDoc(d corpus.DocID) {
 // qs.terms. Returns false when no query term is in the dictionary.
 func (e *Engine) resolveTerms(qs *queryState, terms []string) bool {
 	vocab := e.src.Vocab()
-	for _, term := range terms {
+	for i, term := range terms {
 		id := vocab.ID(term)
 		if id == textproc.InvalidTerm {
 			continue
 		}
-		qs.terms = append(qs.terms, qterm{id: id, qtf: 1})
+		qs.terms = append(qs.terms, qterm{id: id, wire: int32(i), qtf: 1})
 	}
 	if len(qs.terms) == 0 {
 		return false
 	}
 	// Insertion sort by TermID: queries are a handful of terms, and
-	// avoiding sort.Slice keeps the pooled path allocation-free.
+	// avoiding sort.Slice keeps the pooled path allocation-free. The
+	// sort is stable, so the survivor of each duplicate run below is the
+	// term's first occurrence and keeps that occurrence's wire index.
 	for i := 1; i < len(qs.terms); i++ {
 		for j := i; j > 0 && qs.terms[j].id < qs.terms[j-1].id; j-- {
 			qs.terms[j], qs.terms[j-1] = qs.terms[j-1], qs.terms[j]
@@ -437,15 +441,8 @@ func (e *Engine) weighTerms(qs *queryState) float64 {
 // shards derive the same norm from the same inputs in the same order.
 func (e *Engine) weighTermsGlobal(qs *queryState, terms []string, g *GlobalStats) float64 {
 	n := float64(g.Docs)
-	// Collapse the aligned (term, df) pairs to one df per distinct term
-	// string; repeated terms carry repeated df values.
-	gdf := make(map[string]int, len(terms))
-	for i, term := range terms {
-		if _, ok := gdf[term]; !ok {
-			gdf[term] = g.DF[i]
-		}
-	}
-	vocab := e.src.Vocab()
+	// A repeated term repeats its df, so each resolved term reads the
+	// merged df at its first occurrence in the wire bag (qterm.wire).
 	switch e.scoring {
 	case BM25:
 		if g.Docs == 0 {
@@ -454,7 +451,7 @@ func (e *Engine) weighTermsGlobal(qs *queryState, terms []string, g *GlobalStats
 		qs.avgLen = float64(g.TotalLen) / float64(g.Docs)
 		for i := range qs.terms {
 			t := &qs.terms[i]
-			df := float64(gdf[vocab.Term(t.id)])
+			df := float64(g.DF[t.wire])
 			if df == 0 {
 				t.w = 0
 				continue
@@ -469,16 +466,12 @@ func (e *Engine) weighTermsGlobal(qs *queryState, terms []string, g *GlobalStats
 		// Wire-order norm: dedup by term string in first-occurrence
 		// order, qtf = occurrence count, weight from the merged df. This
 		// mirrors what a single engine computes over its resolved bag up
-		// to summation order.
+		// to summation order. The bag is a query's worth of terms, so the
+		// dedup is a scan of the prefix rather than a map.
 		qnorm := 0.0
-		seen := make(map[string]bool, len(terms))
 		for i, term := range terms {
-			if seen[term] {
-				continue
-			}
-			seen[term] = true
-			df := gdf[term]
-			if df == 0 {
+			df := g.DF[i]
+			if df == 0 || slices.Contains(terms[:i], term) {
 				continue
 			}
 			qtf := 0
@@ -496,7 +489,7 @@ func (e *Engine) weighTermsGlobal(qs *queryState, terms []string, g *GlobalStats
 		}
 		for i := range qs.terms {
 			t := &qs.terms[i]
-			df := gdf[vocab.Term(t.id)]
+			df := g.DF[t.wire]
 			if df == 0 {
 				t.w = 0
 				continue
