@@ -392,12 +392,20 @@ func BenchmarkInferenceIters(b *testing.B) {
 	}
 }
 
+// searchMode runs one analyzed top-10 query under an explicit
+// Request.Mode and folds its work counters into stats.
+func searchMode(b *testing.B, engine *vsm.Engine, terms []string, mode vsm.ExecMode, stats *vsm.ExecStats) {
+	resp, err := engine.SearchRequest(context.Background(), vsm.Request{Terms: terms, K: 10, Mode: mode})
+	if err != nil {
+		b.Fatal(err)
+	}
+	stats.Add(resp.Stats)
+}
+
 // BenchmarkSearch measures top-10 engine throughput for both scorers
-// under every execution strategy. The per-op docs_scored metric is
-// the pruning evidence: the pruned modes fully score a fraction of
-// the documents the exhaustive oracle touches, at identical results;
-// block-max WAND additionally reports how many candidates died on a
-// per-block bound alone.
+// under both execution strategies. The per-op docs_scored metric is
+// the pruning evidence: MaxScore fully scores a fraction of the
+// documents the exhaustive oracle touches, at identical results.
 func BenchmarkSearch(b *testing.B) {
 	env := getBenchEnv(b)
 	queries := env.AnalyzedQueries()
@@ -406,19 +414,16 @@ func BenchmarkSearch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, mode := range []vsm.ExecMode{vsm.ExecMaxScore, vsm.ExecBlockMax, vsm.ExecExhaustive} {
+		for _, mode := range []vsm.ExecMode{vsm.ExecMaxScore, vsm.ExecExhaustive} {
 			b.Run(scoring.String()+"/"+mode.String(), func(b *testing.B) {
 				var stats vsm.ExecStats
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					engine.SearchTermsExec(queries[i%len(queries)], 10, nil, mode, &stats)
+					searchMode(b, engine, queries[i%len(queries)], mode, &stats)
 				}
 				b.ReportMetric(float64(stats.DocsScored)/float64(b.N), "docs_scored/op")
 				b.ReportMetric(float64(stats.DocsPruned)/float64(b.N), "docs_pruned/op")
-				if mode == vsm.ExecBlockMax {
-					b.ReportMetric(float64(stats.BlockSkips)/float64(b.N), "block_skips/op")
-				}
 			})
 		}
 	}
@@ -444,13 +449,13 @@ func BenchmarkSearchInstrumented(b *testing.B) {
 			b.Fatal(err)
 		}
 		engine.EnableMetrics(telemetry.NewRegistry(), telemetry.NewTraceRing(telemetry.DefaultTraceCap))
-		for _, mode := range []vsm.ExecMode{vsm.ExecMaxScore, vsm.ExecBlockMax, vsm.ExecExhaustive} {
+		for _, mode := range []vsm.ExecMode{vsm.ExecMaxScore, vsm.ExecExhaustive} {
 			b.Run(scoring.String()+"/"+mode.String(), func(b *testing.B) {
 				var stats vsm.ExecStats
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					engine.SearchTermsExec(queries[i%len(queries)], 10, nil, mode, &stats)
+					searchMode(b, engine, queries[i%len(queries)], mode, &stats)
 				}
 				b.ReportMetric(float64(stats.DocsScored)/float64(b.N), "docs_scored/op")
 			})
@@ -543,7 +548,7 @@ func BenchmarkSearchBatch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				stats = vsm.ExecStats{}
 				for _, q := range cycle {
-					engine.SearchTermsExec(q, 10, nil, vsm.ExecAuto, &stats)
+					searchMode(b, engine, q, vsm.ExecAuto, &stats)
 				}
 			}
 			b.ReportMetric(float64(stats.DocsScored), "docs_scored/op")

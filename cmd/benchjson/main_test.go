@@ -93,12 +93,12 @@ func bench(name string, ns, docsScored float64) Benchmark {
 
 func TestCompareGatesNsOpRegressions(t *testing.T) {
 	oldB := []Benchmark{
-		bench("BenchmarkSearch/cosine/blockmax", 40000, 60),
+		bench("BenchmarkSearch/cosine/maxscore", 40000, 60),
 		bench("BenchmarkSearch/bm25/maxscore", 30000, 55),
 		bench("BenchmarkLiveIndex/single", 36000, 0),
 	}
 	newB := []Benchmark{
-		bench("BenchmarkSearch/cosine/blockmax", 49000, 60),  // within 25%
+		bench("BenchmarkSearch/cosine/maxscore", 49000, 60),  // within 25%
 		bench("BenchmarkSearch/bm25/maxscore", 40000, 80),    // +33% ns: fail; docs_scored +45%: warn
 		bench("BenchmarkLiveIndex/single", 80000, 0),         // ungated: warn only
 		bench("BenchmarkSearch/cosine/exhaustive", 10000, 0), // addition: ignored
@@ -122,7 +122,7 @@ func TestCompareGatesNsOpRegressions(t *testing.T) {
 }
 
 func TestCompareMissingGatedEntryFails(t *testing.T) {
-	oldB := []Benchmark{bench("BenchmarkSearch/cosine/blockmax", 40000, 0)}
+	oldB := []Benchmark{bench("BenchmarkSearch/cosine/maxscore", 40000, 0)}
 	failures, _ := compareBenchmarks(oldB, []Benchmark{bench("BenchmarkOther", 1, 0)}, 0.25, 0.10, regexp.MustCompile("^BenchmarkSearch"))
 	if len(failures) != 1 || !strings.Contains(failures[0], "missing") {
 		t.Errorf("failures = %v, want a missing-entry failure", failures)
@@ -131,11 +131,11 @@ func TestCompareMissingGatedEntryFails(t *testing.T) {
 
 func TestCompareCleanRun(t *testing.T) {
 	oldB := []Benchmark{
-		bench("BenchmarkSearch/cosine/blockmax", 40000, 60),
+		bench("BenchmarkSearch/cosine/maxscore", 40000, 60),
 		bench("BenchmarkLiveIndex/segmented4", 66000, 400),
 	}
 	newB := []Benchmark{
-		bench("BenchmarkSearch/cosine/blockmax", 41000, 58),
+		bench("BenchmarkSearch/cosine/maxscore", 41000, 58),
 		bench("BenchmarkLiveIndex/segmented4", 70000, 410),
 	}
 	failures, warnings := compareBenchmarks(oldB, newB, 0.25, 0.10, regexp.MustCompile("^BenchmarkSearch"))
@@ -172,7 +172,7 @@ func TestCompareSizeGate(t *testing.T) {
 	}
 	// Size entry vanished entirely: hard failure.
 	failures, _ = compareBenchmarks(oldB,
-		[]Benchmark{bench("BenchmarkSearch/cosine/blockmax", 40000, 60)}, 0.25, 0.10, regexp.MustCompile("^BenchmarkSearch"))
+		[]Benchmark{bench("BenchmarkSearch/cosine/maxscore", 40000, 60)}, 0.25, 0.10, regexp.MustCompile("^BenchmarkSearch"))
 	if len(failures) != 1 || !strings.Contains(failures[0], "missing") {
 		t.Errorf("failures = %v, want a missing size-entry failure", failures)
 	}

@@ -87,7 +87,6 @@ func main() {
 		corpusPath  = flag.String("corpus", "corpus.json", "corpus JSON from corpusgen")
 		addr        = flag.String("addr", ":8080", "listen address")
 		bm25        = flag.Bool("bm25", false, "score with BM25 instead of tf-idf cosine")
-		execFlag    = flag.String("exec", "auto", "query execution: auto, maxscore (DAAT top-k pruning), blockmax (block-max WAND), or exhaustive")
 		maxK        = flag.Int("max-k", 0, "cap per-request result count (0 = default 1000)")
 		maxBatch    = flag.Int("max-batch", 0, "cap queries per POST /search/batch request (0 = default 64)")
 		live        = flag.Bool("live", false, "serve the segmented live index (POST /index, DELETE /doc/{id})")
@@ -144,10 +143,6 @@ func main() {
 	if *bm25 {
 		scoring = vsm.BM25
 	}
-	execMode, err := vsm.ParseExecMode(*execFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
 	an := textproc.NewAnalyzer()
 
 	var (
@@ -191,7 +186,7 @@ func main() {
 		searcher = rt
 	case *shardMode:
 		storeCfg := segment.Config{
-			Scoring: scoring, ExecMode: execMode, Analyzer: an,
+			Scoring: scoring, Analyzer: an,
 			SealThreshold: *seal, Logf: log.Printf,
 		}
 		if *dataDir != "" {
@@ -220,7 +215,7 @@ func main() {
 		}
 		searcher = store
 	case *live:
-		store = openLiveStore(an, scoring, execMode, *corpusPath, *dataDir, *seal, *mmapFlag, *cacheBytes)
+		store = openLiveStore(an, scoring, *corpusPath, *dataDir, *seal, *mmapFlag, *cacheBytes)
 		searcher = store
 		// A recovered manifest's scoring overrides the flag; report what
 		// is actually served.
@@ -238,7 +233,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		engine.SetExecMode(execMode)
 		stats := idx.ComputeStats()
 		log.Printf("immutable index: %d docs / %d terms", stats.NumDocs, stats.NumTerms)
 		searcher = engine
@@ -270,7 +264,7 @@ func main() {
 	case *live:
 		mode = "live"
 	}
-	log.Printf("serving (%s, %s scoring, %s exec) on %s", mode, scoring, execMode, ln.Addr())
+	log.Printf("serving (%s, %s scoring) on %s", mode, scoring, ln.Addr())
 
 	httpSrv := &http.Server{
 		Handler:           srv,
@@ -371,9 +365,9 @@ func main() {
 // openLiveStore recovers a saved store from dataDir when a manifest
 // exists; otherwise it opens a fresh store and, when the corpus file is
 // readable, bulk-loads it.
-func openLiveStore(an *textproc.Analyzer, scoring vsm.Scoring, execMode vsm.ExecMode, corpusPath, dataDir string, seal int, mapped bool, cacheBytes int64) *segment.Store {
+func openLiveStore(an *textproc.Analyzer, scoring vsm.Scoring, corpusPath, dataDir string, seal int, mapped bool, cacheBytes int64) *segment.Store {
 	cfg := segment.Config{
-		Scoring: scoring, ExecMode: execMode, Analyzer: an, SealThreshold: seal,
+		Scoring: scoring, Analyzer: an, SealThreshold: seal,
 		Mapped: mapped, CacheBytes: cacheBytes, Logf: log.Printf,
 	}
 	if dataDir != "" {

@@ -33,7 +33,6 @@ import (
 	"toppriv/internal/search"
 	"toppriv/internal/telemetry"
 	"toppriv/internal/textproc"
-	"toppriv/internal/vsm"
 )
 
 func main() {
@@ -47,7 +46,6 @@ func main() {
 		eps2       = flag.Float64("eps2", 0.01, "exposure threshold ε2 (≤ ε1)")
 		k          = flag.Int("k", 10, "results per query")
 		batch      = flag.Bool("batch", false, "submit each obfuscation cycle in a single POST /search/batch round-trip instead of query-by-query (the server still logs every cycle member separately)")
-		execMode   = flag.String("exec", "", "ask the server for this query-execution mode (auto, maxscore, blockmax, exhaustive; empty = server default)")
 		seed       = flag.Int64("seed", 0, "obfuscation seed (0 = nondeterministic)")
 		showGhosts = flag.Bool("show-ghosts", false, "print the ghost queries the server saw")
 		plain      = flag.Bool("plain", false, "skip obfuscation (for comparison)")
@@ -117,13 +115,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Fail on a bad -exec now, not with an HTTP 400 on every query of
-	// the first cycle.
-	if _, err := vsm.ParseExecMode(*execMode); err != nil {
-		log.Fatal(err)
-	}
 	client.K = *k
-	client.Exec = *execMode
 
 	var sess *core.Session
 	if *session {

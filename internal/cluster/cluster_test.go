@@ -230,23 +230,19 @@ func runClusterTrial(t *testing.T, scoring vsm.Scoring, trial int64) {
 	}
 	queries = append(queries, "zzzzunseenterm", "")
 
-	modes := []vsm.ExecMode{vsm.ExecExhaustive, vsm.ExecMaxScore, vsm.ExecBlockMax}
 	for _, q := range queries {
 		terms := an.Analyze(q)
-		for _, mode := range modes {
-			for _, k := range []int{5, len(alive) + 5} {
-				resp, err := r.SearchRequest(context.Background(),
-					vsm.Request{Terms: terms, K: k, Mode: mode})
-				if err != nil {
-					t.Fatalf("trial %d query %q mode %s: %v", trial, q, mode, err)
-				}
-				if resp.Degraded {
-					t.Fatalf("trial %d query %q: degraded with all shards healthy: %+v",
-						trial, q, resp.Shards)
-				}
-				label := fmt.Sprintf("trial %d query %q mode %s k=%d", trial, q, mode, k)
-				compareWithRebuild(t, label, resp.Hits, refEng.SearchTerms(terms, k), k > len(alive), gidToRef)
+		for _, k := range []int{5, len(alive) + 5} {
+			resp, err := r.SearchRequest(context.Background(), vsm.Request{Terms: terms, K: k})
+			if err != nil {
+				t.Fatalf("trial %d query %q: %v", trial, q, err)
 			}
+			if resp.Degraded {
+				t.Fatalf("trial %d query %q: degraded with all shards healthy: %+v",
+					trial, q, resp.Shards)
+			}
+			label := fmt.Sprintf("trial %d query %q k=%d", trial, q, k)
+			compareWithRebuild(t, label, resp.Hits, refEng.SearchTerms(terms, k), k > len(alive), gidToRef)
 		}
 	}
 	// The same queries as obfuscation-style cycles: auto-mode members

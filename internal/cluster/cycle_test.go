@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -114,7 +116,7 @@ func TestCycleScoresAgainstOneSnapshot(t *testing.T) {
 // as one pruned scan per member. The tell is in the work counters the
 // wire carries back: the flat shared scan counts postings and decodes
 // exactly what a member-at-a-time exhaustive run does, and never
-// prunes, seeks or primes. (The shard engines of a segment.Store are
+// prunes or seeks. (The shard engines of a segment.Store are
 // deliberately uninstrumented, so there is no trace ring to consult;
 // vsm's own property test checks the "batch" trace label.) Anything
 // that pushes Global-carrying members back to member-at-a-time —
@@ -138,35 +140,86 @@ func TestRoutedCycleSharesTraversal(t *testing.T) {
 				t.Fatalf("pool of %d terms, want ≥ 4 members", len(pool))
 			}
 			cycle := overlappingCycle(pool)
-			run := func(mode vsm.ExecMode) []vsm.Response {
-				reqs := make([]vsm.Request, len(cycle))
-				for i, terms := range cycle {
-					reqs[i] = vsm.Request{Terms: terms, K: 3, Mode: mode}
-				}
-				resps, err := tc.router.SearchBatch(context.Background(), reqs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return resps
+			reqs := make([]vsm.Request, len(cycle))
+			for i, terms := range cycle {
+				reqs[i] = vsm.Request{Terms: terms, K: 3}
 			}
-			routed, exhaustive := run(vsm.ExecAuto), run(vsm.ExecExhaustive)
+			routed, err := tc.router.SearchBatch(context.Background(), reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for i := range routed {
-				got, want := routed[i].Stats, exhaustive[i].Stats
-				if got.Postings == 0 || got.DocsPruned != 0 || got.SeekProbes != 0 || got.HeadBlocksPrimed != 0 {
+				// The reference work: the member alone under the flat scan on
+				// every shard's store, in process (the wire carries no mode).
+				// Postings, decodes and documents touched do not depend on the
+				// collection statistics, so local statistics serve.
+				var want vsm.ExecStats
+				for _, st := range tc.stores {
+					resp, err := st.SearchRequest(context.Background(),
+						vsm.Request{Terms: cycle[i], K: 3, Mode: vsm.ExecExhaustive})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want.Add(resp.Stats)
+				}
+				got := routed[i].Stats
+				if got.Postings == 0 || got.DocsPruned != 0 || got.SeekProbes != 0 {
 					t.Errorf("member %d ran a pruned scan on some segment: %+v", i, got)
 				}
 				if got.Postings != want.Postings || got.BlocksDecoded != want.BlocksDecoded || got.DocsScored != want.DocsScored {
 					t.Errorf("member %d: routed work %+v, exhaustive %+v", i, got, want)
 				}
-				if len(routed[i].Hits) != len(exhaustive[i].Hits) {
-					t.Fatalf("member %d: %d hits, exhaustive %d", i, len(routed[i].Hits), len(exhaustive[i].Hits))
-				}
-				for j, h := range exhaustive[i].Hits {
-					if routed[i].Hits[j] != h {
-						t.Errorf("member %d rank %d: %+v, exhaustive %+v", i, j, routed[i].Hits[j], h)
-					}
-				}
 			}
 		})
+	}
+}
+
+// TestShardBatchIgnoresLegacyMode pins mixed-version rolling restarts:
+// a /cluster/batch member that still carries the retired "mode" field —
+// a router one release behind its shard — is answered exactly like the
+// same member without it, whatever the value, never with a 400.
+func TestShardBatchIgnoresLegacyMode(t *testing.T) {
+	tc := newTestCluster(t, vsm.BM25, 1, Config{})
+	docs := synthDocs(t, 40, 17)
+	if _, err := tc.router.Add(docs...); err != nil {
+		t.Fatal(err)
+	}
+	terms := textproc.NewAnalyzer().Analyze(queryFrom(docs[5], 0, 4))
+	global := &vsm.GlobalStats{Docs: len(docs), TotalLen: 4000, DF: make([]int, len(terms))}
+	for i := range global.DF {
+		global.DF[i] = 3
+	}
+	post := func(mode string) batchResponse {
+		t.Helper()
+		member := map[string]interface{}{"terms": terms, "k": 5, "global": global}
+		if mode != "" {
+			member["mode"] = mode
+		}
+		body, err := json.Marshal(map[string]interface{}{"queries": []interface{}{member}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(tc.servers[0].URL+"/cluster/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("mode %q: status %d, want 200", mode, resp.StatusCode)
+		}
+		var br batchResponse
+		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+			t.Fatal(err)
+		}
+		return br
+	}
+	want := post("")
+	if len(want.Responses) != 1 || len(want.Responses[0].Hits) == 0 {
+		t.Fatalf("no hits without a mode: %+v", want)
+	}
+	for _, mode := range []string{"maxscore", "blockmax", "exhaustive", "turbo"} {
+		if got := post(mode); !reflect.DeepEqual(got, want) {
+			t.Errorf("mode %q changed the answer:\n%+v\nwant %+v", mode, got, want)
+		}
 	}
 }

@@ -138,40 +138,36 @@ func TestClusterEndToEnd(t *testing.T) {
 	const k = 10
 	full := make(map[string][]search.SearchHit, len(queries))
 	for _, q := range queries {
-		for _, mode := range []string{"exhaustive", "maxscore", "blockmax"} {
-			var sr search.SearchResponse
-			postJSON(t, routerURL+"/search", search.SearchRequest{Query: q, K: len(alive), Exec: mode}, &sr)
-			if sr.Degraded {
-				t.Fatalf("query %q degraded with all shards up: %+v", q, sr.Shards)
+		var sr search.SearchResponse
+		postJSON(t, routerURL+"/search", search.SearchRequest{Query: q, K: len(alive)}, &sr)
+		if sr.Degraded {
+			t.Fatalf("query %q degraded with all shards up: %+v", q, sr.Shards)
+		}
+		want := refEng.SearchTerms(an.Analyze(q), len(alive))
+		if len(sr.Hits) != len(want) {
+			t.Fatalf("query %q: cluster %d hits, rebuild %d", q, len(sr.Hits), len(want))
+		}
+		// Full retrieval: exact document-set and per-document score
+		// agreement (rank order on exact FP ties may differ).
+		gotScores := make(map[corpus.DocID]float64, len(sr.Hits))
+		for _, hit := range sr.Hits {
+			ref, ok := gidToRef[hit.Doc]
+			if !ok {
+				t.Fatalf("query %q: dead/unknown doc %d in results", q, hit.Doc)
 			}
-			want := refEng.SearchTerms(an.Analyze(q), len(alive))
-			if len(sr.Hits) != len(want) {
-				t.Fatalf("query %q mode %s: cluster %d hits, rebuild %d", q, mode, len(sr.Hits), len(want))
+			gotScores[ref] = hit.Score
+		}
+		for _, res := range want {
+			gs, ok := gotScores[res.Doc]
+			if !ok {
+				t.Fatalf("query %q: rebuild doc %d missing from cluster results", q, res.Doc)
 			}
-			// Full retrieval: exact document-set and per-document score
-			// agreement (rank order on exact FP ties may differ).
-			gotScores := make(map[corpus.DocID]float64, len(sr.Hits))
-			for _, hit := range sr.Hits {
-				ref, ok := gidToRef[hit.Doc]
-				if !ok {
-					t.Fatalf("query %q: dead/unknown doc %d in results", q, hit.Doc)
-				}
-				gotScores[ref] = hit.Score
-			}
-			for _, res := range want {
-				gs, ok := gotScores[res.Doc]
-				if !ok {
-					t.Fatalf("query %q mode %s: rebuild doc %d missing from cluster results", q, mode, res.Doc)
-				}
-				if math.Abs(gs-res.Score) > 1e-9 {
-					t.Fatalf("query %q mode %s doc %d: cluster %.12f, rebuild %.12f",
-						q, mode, res.Doc, gs, res.Score)
-				}
-			}
-			if mode == "exhaustive" {
-				full[q] = sr.Hits
+			if math.Abs(gs-res.Score) > 1e-9 {
+				t.Fatalf("query %q doc %d: cluster %.12f, rebuild %.12f",
+					q, res.Doc, gs, res.Score)
 			}
 		}
+		full[q] = sr.Hits
 	}
 
 	// Kill shard 1 outright and query again: merged survivor results,
@@ -608,7 +604,7 @@ func TestClusterCrashRecoveryE2E(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		q := queryFrom(docs[i*11], i*3, 4)
 		var sr search.SearchResponse
-		postJSON(t, routerURL+"/search", search.SearchRequest{Query: q, K: len(ordered), Exec: "exhaustive"}, &sr)
+		postJSON(t, routerURL+"/search", search.SearchRequest{Query: q, K: len(ordered)}, &sr)
 		if sr.Degraded {
 			t.Fatalf("query %q degraded after full recovery: %+v", q, sr.Shards)
 		}

@@ -808,14 +808,9 @@ func (r *Router) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Res
 		if terms == nil {
 			terms = r.an.Analyze(req.Query)
 		}
-		mode := ""
-		if req.Mode != vsm.ExecAuto {
-			mode = req.Mode.String()
-		}
 		wire.Queries[i] = wireQuery{
 			Terms:  terms,
 			K:      req.K,
-			Mode:   mode,
 			Global: mergedStats(snap, terms),
 		}
 	}
@@ -906,18 +901,6 @@ func (r *Router) SearchTerms(terms []string, k int) []vsm.Result {
 		return nil
 	}
 	resp, err := r.SearchRequest(context.Background(), vsm.Request{Terms: terms, K: k})
-	if err != nil {
-		return nil
-	}
-	return resp.Hits
-}
-
-// SearchMode runs one query under an explicit execution mode.
-func (r *Router) SearchMode(query string, k int, mode vsm.ExecMode) []vsm.Result {
-	if k <= 0 {
-		return nil
-	}
-	resp, err := r.SearchRequest(context.Background(), vsm.Request{Query: query, K: k, Mode: mode})
 	if err != nil {
 		return nil
 	}

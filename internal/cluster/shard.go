@@ -394,16 +394,11 @@ func (s *Shard) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	reqs := make([]vsm.Request, len(br.Queries))
 	for i, q := range br.Queries {
-		mode, err := vsm.ParseExecMode(q.Mode)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("member %d: %v", i, err), http.StatusBadRequest)
-			return
-		}
 		terms := q.Terms
 		if terms == nil {
 			terms = []string{}
 		}
-		reqs[i] = vsm.Request{Terms: terms, K: q.K, Mode: mode, Global: q.Global}
+		reqs[i] = vsm.Request{Terms: terms, K: q.K, Global: q.Global}
 	}
 	resps, err := s.store.SearchBatch(r.Context(), reqs)
 	if err != nil {

@@ -17,16 +17,15 @@ type batchRequest struct {
 	Queries []wireQuery `json:"queries"`
 }
 
-// wireQuery is one cycle member as a shard executes it.
+// wireQuery is one cycle member as a shard executes it. The shard's
+// engine picks its own execution strategy; a "mode" field, which a
+// router one release behind may still send, is ignored.
 type wireQuery struct {
 	// Terms is the analyzed query in wire order; Global.DF aligns with
 	// it, and cosine shards derive the query norm from it, so every
 	// shard of a cycle computes the identical norm.
 	Terms []string `json:"terms"`
 	K     int      `json:"k"`
-	// Mode names the execution strategy ("" = auto). Results are
-	// identical across modes.
-	Mode string `json:"mode,omitempty"`
 	// Global is the router's merged N/totalLen/df for this query.
 	Global *vsm.GlobalStats `json:"global"`
 }

@@ -21,7 +21,7 @@ import (
 // benefit while the filter stays ~1.25 bytes per term, a rounding
 // error next to the dictionary itself. Hashing is FNV-1a 64 split
 // into a double-hashing pair, so the filter is deterministic across
-// builds and platforms and the TPIX v6 codec can persist it verbatim.
+// builds and platforms and the TPIX codec can persist it verbatim.
 const (
 	bloomBitsPerTerm = 10
 	bloomHashes      = 7
@@ -47,8 +47,7 @@ func NewTermBloom(n int) *TermBloom {
 }
 
 // buildVocabBloom derives a segment bloom from a dictionary — what
-// Build-time sealing produces and what legacy (pre-v6) TPIX loads
-// reconstruct.
+// Build-time sealing produces.
 func buildVocabBloom(v *textproc.Vocab) *TermBloom {
 	b := NewTermBloom(v.Size())
 	for t := 0; t < v.Size(); t++ {
@@ -109,7 +108,7 @@ func (b *TermBloom) SizeBytes() int64 {
 	return 8 * int64(len(b.bits))
 }
 
-// readBloomWire reads the v6 trailing bloom section: uvarint probe
+// readBloomWire reads the trailing bloom section: uvarint probe
 // count, uvarint word count, then the bit words little-endian. The
 // word count is validated against the dictionary size so a corrupt
 // header cannot demand an implausible allocation, and an empty filter

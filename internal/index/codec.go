@@ -13,45 +13,34 @@ import (
 
 // The on-disk format is deliberately simple and compact:
 //
-//	magic "TPIX" | uint32 version
+//	magic "TPIX" | uint32 version (7)
 //	uvarint numDocs
 //	uvarint numTerms
 //	per term: uvarint(len(term)) term-bytes
 //	          uvarint(listLen)
-//	          v4/v5: uvarint(dataLen) followed by the block-compressed
-//	              postings bytes exactly as held in memory (see
-//	              postings.go for the per-block layout), then per
-//	              block: uvarint lastDoc-delta (from the previous
-//	              block's last doc; +1 offset so the first block's
-//	              value is lastDoc+1), uvarint blockMaxTF,
+//	          non-empty lists only: uvarint(dataLen) followed by the
+//	              block-compressed postings bytes exactly as held in
+//	              memory (see postings.go for the per-block layout),
+//	              then per block: uvarint lastDoc-delta (from the
+//	              previous block's last doc; +1 offset so the first
+//	              block's value is lastDoc+1), uvarint blockMaxTF,
 //	              float64 blockMaxCos | float64 blockMaxBM25
-//	          v5 only: uvarint headLen, then headLen uvarint block
-//	              ordinals — the impact-ordered head (see headOrder)
-//	          v1–v3: postings as (uvarint docID-delta, uvarint tf)
-//	          v2 only: uvarint maxTF
-//	                   float64 maxCosImpact | float64 maxBM25Impact
-//	          v3 only: per ceil(listLen/BlockSize) blocks:
-//	                   uvarint blockMaxTF
-//	                   float64 blockMaxCos | float64 blockMaxBM25
 //	per doc:  uvarint docLen
-//	v6 only:  uvarint bloomHashes, uvarint bloomWords,
-//	          bloomWords × uint64 bloom bit words (little-endian) —
-//	          the per-segment term bloom (see bloom.go)
+//	uvarint bloomHashes, uvarint bloomWords,
+//	bloomWords × uint64 bloom bit words (little-endian) — the
+//	per-segment term bloom (see bloom.go)
 //
-// Versions 4–6 write the block-compressed postings verbatim — the
-// file is a memory image of the lists plus the per-block skip metadata
-// (last docs; byte offsets and start ordinals are rebuilt by walking
-// the self-describing block headers) and impact bounds, so writing
-// does no re-encoding and loading does no re-compression. Version 5
-// additionally persists each list's impact-ordered head, and version 6
-// a trailing per-segment term bloom filter. Loading through Read
-// fully validates every block (structure and payload) and every head
-// (length cap, ordinal range, no duplicates — a duplicate would make
-// threshold priming double-count a document, turning the prune bound
-// unsound) and rejects corrupt or truncated input with an error,
-// never a panic. Version 4 files load with heads derived from the
-// persisted block bounds, exactly as a fresh build computes them;
-// pre-v6 files derive the bloom from the dictionary on demand.
+// The block-compressed postings are written verbatim — the file is a
+// memory image of the lists plus the per-block skip metadata (last
+// docs; byte offsets and start ordinals are rebuilt by walking the
+// self-describing block headers) and impact bounds, so writing does no
+// re-encoding and loading does no re-compression. Loading through Read
+// fully validates every block (structure and payload) and rejects
+// corrupt or truncated input with an error, never a panic.
+//
+// There is one version and one reader. A file of any other version is
+// rejected with an error naming both versions; no deployed index files
+// exist, and an index is rebuilt from its documents in seconds.
 //
 // OpenMapped (mapped.go) reads the same format through a zero-copy
 // slice reader over the mapped file: all header, dictionary, skip and
@@ -61,22 +50,10 @@ import (
 // page at open would defeat disk residency. Payload decoding is
 // bounds-checked at traversal time, so a corrupt payload yields wrong
 // postings values, never memory unsafety.
-//
-// Versions 1–3 still load: their varint-delta postings are read into
-// raw lists and compressed on the fly. Version 3 carries per-block
-// impact metadata (BlockSize-aligned, matching what compression
-// produces for a fresh list) which is retained; versions 1 and 2
-// recompute all impact metadata from the postings after reading,
-// which yields exactly the values Build would have produced.
 
-const codecMagic = "TPIX"
 const (
-	codecVersion   = 6
-	codecVersionV5 = 5
-	codecVersionV4 = 4
-	codecVersionV3 = 3
-	codecVersionV2 = 2
-	codecVersionV1 = 1
+	codecMagic   = "TPIX"
+	codecVersion = 7
 )
 
 // tpixReader is the byte source the codec decodes from: a buffered
@@ -219,15 +196,6 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 				return cw.n, err
 			}
 		}
-		head := x.heads[id]
-		if err := writeUvarint(uint64(len(head))); err != nil {
-			return cw.n, err
-		}
-		for _, ord := range head {
-			if err := writeUvarint(uint64(ord)); err != nil {
-				return cw.n, err
-			}
-		}
 	}
 	for _, dl := range x.docLen {
 		if err := writeUvarint(uint64(dl)); err != nil {
@@ -251,46 +219,41 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 	return cw.n, cw.w.(*bufio.Writer).Flush()
 }
 
-// Read deserializes an index written by WriteTo (any TPIX version),
-// fully validating every block payload.
+// Read deserializes an index written by WriteTo, fully validating
+// every block payload.
 func Read(r io.Reader) (*Index, error) {
-	x, _, err := readIndex(streamReader{bufio.NewReader(r)}, true)
-	return x, err
+	return readIndex(streamReader{bufio.NewReader(r)}, true)
 }
 
 // readIndex decodes one TPIX image from r. verifyPayload selects full
 // per-posting validation of the packed block payloads (the stream
-// path) versus structural-only validation of headers, skip metadata,
-// heads and bloom (the mapped path — see the format comment above).
-// It returns the decoded index and the file's version.
-func readIndex(r tpixReader, verifyPayload bool) (*Index, uint32, error) {
+// path) versus structural-only validation of headers, skip metadata
+// and bloom (the mapped path — see the format comment above).
+func readIndex(r tpixReader, verifyPayload bool) (*Index, error) {
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(r, magic); err != nil {
-		return nil, 0, fmt.Errorf("index: read magic: %w", err)
+		return nil, fmt.Errorf("index: read magic: %w", err)
 	}
 	if string(magic) != codecMagic {
-		return nil, 0, fmt.Errorf("index: bad magic %q", magic)
+		return nil, fmt.Errorf("index: bad magic %q", magic)
 	}
 	var ver [4]byte
 	if _, err := io.ReadFull(r, ver[:]); err != nil {
-		return nil, 0, fmt.Errorf("index: read version: %w", err)
+		return nil, fmt.Errorf("index: read version: %w", err)
 	}
-	version := binary.LittleEndian.Uint32(ver[:])
-	switch version {
-	case codecVersion, codecVersionV5, codecVersionV4, codecVersionV3, codecVersionV2, codecVersionV1:
-	default:
-		return nil, 0, fmt.Errorf("index: unsupported version %d", version)
+	if version := binary.LittleEndian.Uint32(ver[:]); version != codecVersion {
+		return nil, fmt.Errorf("index: TPIX version %d: this build reads version %d only; rebuild the index from its documents", version, codecVersion)
 	}
 	numDocs, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, 0, fmt.Errorf("index: read numDocs: %w", err)
+		return nil, fmt.Errorf("index: read numDocs: %w", err)
 	}
 	if numDocs > math.MaxInt32 {
-		return nil, 0, fmt.Errorf("index: numDocs %d out of range", numDocs)
+		return nil, fmt.Errorf("index: numDocs %d out of range", numDocs)
 	}
 	numTerms, err := binary.ReadUvarint(r)
 	if err != nil {
-		return nil, 0, fmt.Errorf("index: read numTerms: %w", err)
+		return nil, fmt.Errorf("index: read numTerms: %w", err)
 	}
 	x := &Index{
 		vocab:   textproc.NewVocab(),
@@ -304,100 +267,34 @@ func readIndex(r tpixReader, verifyPayload bool) (*Index, uint32, error) {
 	if prealloc > preallocCap {
 		prealloc = preallocCap
 	}
-	// Legacy versions accumulate raw lists to compress after reading.
-	var raw [][]Posting
-	if version >= codecVersionV4 {
-		x.lists = make([]compList, 0, prealloc)
-	} else {
-		raw = make([][]Posting, 0, prealloc)
-	}
+	x.lists = make([]compList, 0, prealloc)
 	termBuf := make([]byte, 0, 64)
 	for t := uint64(0); t < numTerms; t++ {
 		tl, err := binary.ReadUvarint(r)
 		if err != nil {
-			return nil, 0, fmt.Errorf("index: term %d length: %w", t, err)
+			return nil, fmt.Errorf("index: term %d length: %w", t, err)
 		}
 		if tl > 1<<20 {
-			return nil, 0, fmt.Errorf("index: term %d length %d out of range", t, tl)
+			return nil, fmt.Errorf("index: term %d length %d out of range", t, tl)
 		}
 		if cap(termBuf) < int(tl) {
 			termBuf = make([]byte, tl)
 		}
 		termBuf = termBuf[:tl]
 		if _, err := io.ReadFull(r, termBuf); err != nil {
-			return nil, 0, fmt.Errorf("index: term %d bytes: %w", t, err)
+			return nil, fmt.Errorf("index: term %d bytes: %w", t, err)
 		}
 		x.vocab.Add(string(termBuf))
 		ll, err := binary.ReadUvarint(r)
 		if err != nil {
-			return nil, 0, fmt.Errorf("index: term %d list length: %w", t, err)
+			return nil, fmt.Errorf("index: term %d list length: %w", t, err)
 		}
 		if ll > numDocs {
 			// A list holds at most one posting per document.
-			return nil, 0, fmt.Errorf("index: term %d list length %d exceeds %d docs", t, ll, numDocs)
+			return nil, fmt.Errorf("index: term %d list length %d exceeds %d docs", t, ll, numDocs)
 		}
-		if version >= codecVersionV4 {
-			if err := x.readCompList(r, t, ll, int(numDocs), version, verifyPayload); err != nil {
-				return nil, 0, err
-			}
-			continue
-		}
-		plPrealloc := int(ll)
-		if plPrealloc > preallocCap {
-			plPrealloc = preallocCap
-		}
-		pl := make([]Posting, 0, plPrealloc)
-		prev := uint64(0)
-		for i := uint64(0); i < ll; i++ {
-			delta, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, 0, fmt.Errorf("index: term %d posting %d: %w", t, i, err)
-			}
-			prev += delta
-			if prev >= numDocs || (i > 0 && delta == 0) {
-				return nil, 0, fmt.Errorf("index: term %d posting %d: doc %d out of range", t, i, prev)
-			}
-			tf, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, 0, fmt.Errorf("index: term %d tf %d: %w", t, i, err)
-			}
-			if tf == 0 || tf > math.MaxInt32 {
-				return nil, 0, fmt.Errorf("index: term %d posting %d: tf %d out of range", t, i, tf)
-			}
-			pl = append(pl, Posting{Doc: corpus.DocID(prev), TF: int32(tf)})
-		}
-		raw = append(raw, pl)
-		switch version {
-		case codecVersionV2:
-			// v2 carried term-level metadata but no blocks. The blocks
-			// must be recomputed from the postings anyway (below), and
-			// that recomputation reproduces the term-level values
-			// bit-for-bit, so the stored trio is only validated for
-			// presence, not retained.
-			if _, err := binary.ReadUvarint(r); err != nil {
-				return nil, 0, fmt.Errorf("index: term %d maxTF: %w", t, err)
-			}
-			if _, err := readFloat(r); err != nil {
-				return nil, 0, fmt.Errorf("index: term %d maxCos: %w", t, err)
-			}
-			if _, err := readFloat(r); err != nil {
-				return nil, 0, fmt.Errorf("index: term %d maxBM25: %w", t, err)
-			}
-		case codecVersionV3:
-			var bs []BlockMax
-			for b := uint64(0); b < (ll+BlockSize-1)/BlockSize; b++ {
-				bm, err := readBlockMax(r)
-				if err != nil {
-					return nil, 0, fmt.Errorf("index: term %d block %d: %w", t, b, err)
-				}
-				bs = append(bs, bm)
-			}
-			x.blocks = append(x.blocks, bs)
-			x.heads = append(x.heads, headOrder(bs))
-			mtf, mcos, mbm := maxOverBlocks(bs)
-			x.maxTF = append(x.maxTF, mtf)
-			x.maxCos = append(x.maxCos, mcos)
-			x.maxBM = append(x.maxBM, mbm)
+		if err := x.readCompList(r, t, ll, int(numDocs), verifyPayload); err != nil {
+			return nil, err
 		}
 	}
 	dlPrealloc := int(numDocs)
@@ -408,42 +305,24 @@ func readIndex(r tpixReader, verifyPayload bool) (*Index, uint32, error) {
 	for d := uint64(0); d < numDocs; d++ {
 		dl, err := binary.ReadUvarint(r)
 		if err != nil {
-			return nil, 0, fmt.Errorf("index: doc %d length: %w", d, err)
+			return nil, fmt.Errorf("index: doc %d length: %w", d, err)
 		}
 		x.docLen = append(x.docLen, int(dl))
 		x.totalLen += int(dl)
 	}
-	if version >= codecVersion {
-		if x.bloom, err = readBloomWire(r, numTerms); err != nil {
-			return nil, 0, err
-		}
+	if x.bloom, err = readBloomWire(r, numTerms); err != nil {
+		return nil, err
 	}
-	switch version {
-	case codecVersion, codecVersionV5, codecVersionV4:
-		// Block-compressed lists and metadata were read directly.
-	case codecVersionV3:
-		x.compressLists(raw)
-	default:
-		// v1 files carry no impact metadata and v2 files no per-block
-		// bounds; derive both from the postings so loaded indexes
-		// prune identically to built ones.
-		x.computeImpacts(raw)
-		x.compressLists(raw)
-	}
-	return x, version, nil
+	return x, nil
 }
 
 // readCompList reads one term's block-compressed list and per-block
-// metadata (the shared v4–v6 list layout). For v5+ it also reads and
-// validates the persisted impact-ordered head; for v4 the head is
-// derived from the block bounds, exactly as a fresh build would
-// compute it. verifyPayload additionally decodes every block to check
+// metadata. verifyPayload additionally decodes every block to check
 // the packed postings themselves (see readIndex).
-func (x *Index) readCompList(r tpixReader, t, ll uint64, numDocs int, version uint32, verifyPayload bool) error {
+func (x *Index) readCompList(r tpixReader, t, ll uint64, numDocs int, verifyPayload bool) error {
 	if ll == 0 {
 		x.lists = append(x.lists, compList{})
 		x.blocks = append(x.blocks, nil)
-		x.heads = append(x.heads, nil)
 		x.maxTF = append(x.maxTF, 0)
 		x.maxCos = append(x.maxCos, 0)
 		x.maxBM = append(x.maxBM, 0)
@@ -488,63 +367,17 @@ func (x *Index) readCompList(r tpixReader, t, ll uint64, numDocs int, version ui
 			return fmt.Errorf("index: term %d block %d: %w", t, b, err)
 		}
 	}
-	var head []int32
-	if version >= codecVersionV5 {
-		if head, err = readHead(r, t, nb); err != nil {
-			return err
-		}
-	} else {
-		head = headOrder(bs)
-	}
 	cl, err := newCompListWire(int(ll), data, lasts, numDocs, verifyPayload)
 	if err != nil {
 		return fmt.Errorf("index: term %d: %w", t, err)
 	}
 	x.lists = append(x.lists, cl)
 	x.blocks = append(x.blocks, bs)
-	x.heads = append(x.heads, head)
 	mtf, mcos, mbm := maxOverBlocks(bs)
 	x.maxTF = append(x.maxTF, mtf)
 	x.maxCos = append(x.maxCos, mcos)
 	x.maxBM = append(x.maxBM, mbm)
 	return nil
-}
-
-// readHead reads and validates one list's persisted impact-ordered
-// head: at most maxHeadBlocks ordinals, each a distinct valid block of
-// the nb-block list. Duplicate or out-of-range ordinals are rejected —
-// a head is only an ordering hint for threshold priming, but a
-// duplicate entry would let priming count one document's contribution
-// twice, overstating the primed threshold and silently dropping true
-// results.
-func readHead(r tpixReader, t uint64, nb int) ([]int32, error) {
-	hl, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("index: term %d head length: %w", t, err)
-	}
-	if hl > maxHeadBlocks {
-		return nil, fmt.Errorf("index: term %d head length %d exceeds %d", t, hl, maxHeadBlocks)
-	}
-	if hl == 0 {
-		return nil, nil
-	}
-	head := make([]int32, hl)
-	for i := range head {
-		ord, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("index: term %d head entry %d: %w", t, i, err)
-		}
-		if ord >= uint64(nb) {
-			return nil, fmt.Errorf("index: term %d head entry %d: block %d out of range (%d blocks)", t, i, ord, nb)
-		}
-		head[i] = int32(ord)
-		for j := 0; j < i; j++ {
-			if head[j] == head[i] {
-				return nil, fmt.Errorf("index: term %d head entry %d: duplicate block %d", t, i, ord)
-			}
-		}
-	}
-	return head, nil
 }
 
 // readBlockMax reads one persisted per-block impact triple.

@@ -2,51 +2,128 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"toppriv/internal/corpus"
 	"toppriv/internal/textproc"
 )
 
-// TestReadV1Fixture loads the checked-in v1-format TPIX file (written
-// by the pre-impact codec) and checks both the round-tripped postings
-// and that the impact metadata was recomputed on load. The fixture
-// pins the historical byte layout: if this test breaks, v1 files in
-// the field stopped loading.
-func TestReadV1Fixture(t *testing.T) {
-	f, err := os.Open("testdata/v1.tpix")
-	if err != nil {
-		t.Fatal(err)
+// fixtureIndex is a four-document index whose lists all fit one block
+// (stemming off, matching buildTestIndex).
+func fixtureIndex(t *testing.T) *Index {
+	t.Helper()
+	return buildTestIndex(t,
+		"apache helicopter army weapons apache helicopter apache",
+		"stock market investors trading volume stock",
+		"apache webserver software configuration",
+		"cooking recipes kitchen dinner helicopter",
+	)
+}
+
+// multiBlockIndex builds an index whose "common" postings list spans
+// several compressed blocks with distinct block maxima — including an
+// impact spike far from block 0. Single-block terms ("sparse", the
+// unique fillers) ride along in the same stream.
+func multiBlockIndex(t testing.TB) *Index {
+	t.Helper()
+	texts := make([]string, 300)
+	for i := range texts {
+		var sb strings.Builder
+		// tf cycles 1..5 with a spike late in the list, so the
+		// highest-impact block is not the first one.
+		tf := i%5 + 1
+		if i == 290 {
+			tf = 40
+		}
+		for j := 0; j < tf; j++ {
+			sb.WriteString("common ")
+		}
+		fmt.Fprintf(&sb, "unique%d", i)
+		if i%3 == 0 {
+			sb.WriteString(" sparse")
+		}
+		texts[i] = sb.String()
 	}
-	defer f.Close()
-	x, err := Read(f)
-	if err != nil {
-		t.Fatalf("v1 fixture must load: %v", err)
+	return buildTestIndex(t, texts...)
+}
+
+// assertImpactsMatchFresh compares got's postings and impact metadata
+// — term-level and per-block — against a freshly built reference.
+func assertImpactsMatchFresh(t *testing.T, got, want *Index) {
+	t.Helper()
+	if got.NumDocs() != want.NumDocs() || got.NumTerms() != want.NumTerms() {
+		t.Fatalf("shape: %d/%d docs, %d/%d terms",
+			got.NumDocs(), want.NumDocs(), got.NumTerms(), want.NumTerms())
 	}
-	if x.NumDocs() != 4 {
-		t.Fatalf("fixture NumDocs = %d, want 4", x.NumDocs())
-	}
-	// The fixture was built from doc 0 = "apache helicopter army
-	// weapons apache helicopter" (stemming off).
-	pl := x.PostingsByTerm("apache")
-	if len(pl) != 2 || pl[0].Doc != 0 || pl[0].TF != 2 {
-		t.Fatalf("apache postings = %v", pl)
-	}
-	if got := x.MaxTF(x.Vocab().ID("apache")); got != 2 {
-		t.Errorf("MaxTF(apache) = %d, want 2 (recomputed from v1 postings)", got)
-	}
-	for tid := 0; tid < x.NumTerms(); tid++ {
-		id := textproc.TermID(tid)
-		if x.DocFreq(id) > 0 && (x.MaxTF(id) <= 0 || x.MaxCosImpact(id) <= 0 || x.MaxBM25Impact(id) <= 0) {
-			t.Errorf("term %q: v1 load left impact metadata empty", x.Vocab().Term(id))
+	for tid := 0; tid < want.NumTerms(); tid++ {
+		term := want.Vocab().Term(textproc.TermID(tid))
+		gid := got.Vocab().ID(term)
+		wpl, gpl := want.Postings(textproc.TermID(tid)), got.Postings(gid)
+		if len(wpl) != len(gpl) {
+			t.Fatalf("term %q: %d vs %d postings", term, len(gpl), len(wpl))
+		}
+		for i := range wpl {
+			if wpl[i] != gpl[i] {
+				t.Fatalf("term %q posting %d: %v vs %v", term, i, gpl[i], wpl[i])
+			}
+		}
+		if got.MaxTF(gid) != want.MaxTF(textproc.TermID(tid)) {
+			t.Errorf("term %q: MaxTF %d vs %d", term, got.MaxTF(gid), want.MaxTF(textproc.TermID(tid)))
+		}
+		if math.Float64bits(got.MaxCosImpact(gid)) != math.Float64bits(want.MaxCosImpact(textproc.TermID(tid))) {
+			t.Errorf("term %q: MaxCosImpact differs", term)
+		}
+		if math.Float64bits(got.MaxBM25Impact(gid)) != math.Float64bits(want.MaxBM25Impact(textproc.TermID(tid))) {
+			t.Errorf("term %q: MaxBM25Impact differs", term)
+		}
+		gb, wb := got.BlockMaxes(gid), want.BlockMaxes(textproc.TermID(tid))
+		if len(gb) != len(wb) {
+			t.Fatalf("term %q: %d vs %d blocks", term, len(gb), len(wb))
+		}
+		for b := range wb {
+			if gb[b].MaxTF != wb[b].MaxTF ||
+				math.Float64bits(gb[b].MaxCos) != math.Float64bits(wb[b].MaxCos) ||
+				math.Float64bits(gb[b].MaxBM) != math.Float64bits(wb[b].MaxBM) {
+				t.Errorf("term %q block %d: %+v vs %+v", term, b, gb[b], wb[b])
+			}
 		}
 	}
 }
 
-// TestV2RoundTripPreservesImpacts writes a v2 file and reads it back:
+// TestOtherVersionsRejected feeds header-only images of every TPIX
+// version this build does not read through both open paths: each must
+// come back as an error naming the version found and the one
+// supported, never a panic and never a partial index. Index files are
+// input from outside the program — a data directory written by an
+// older or newer build is the expected way to meet one.
+func TestOtherVersionsRejected(t *testing.T) {
+	for _, version := range []uint32{0, 1, 2, 3, 4, 5, 6, 8} {
+		img := binary.LittleEndian.AppendUint32([]byte(codecMagic), version)
+		want := fmt.Sprintf("TPIX version %d: this build reads version %d only", version, codecVersion)
+		_, err := Read(bytes.NewReader(img))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Read v%d: err = %v, want mention of %q", version, err, want)
+		}
+		path := filepath.Join(t.TempDir(), "old.tpix")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = OpenMapped(path)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("OpenMapped v%d: err = %v, want mention of %q", version, err, want)
+		}
+	}
+}
+
+// TestV2RoundTripPreservesImpacts writes an index and reads it back:
 // postings, lengths, and every per-term impact must survive exactly.
+// (Named for the format version that first persisted impacts.)
 func TestV2RoundTripPreservesImpacts(t *testing.T) {
 	x := buildTestIndex(t,
 		"apache helicopter army weapons apache helicopter apache",

@@ -2,7 +2,11 @@ package index
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"toppriv/internal/corpus"
@@ -59,7 +63,7 @@ func FuzzDecodePostings(f *testing.F) {
 		if err != nil {
 			t.Fatalf("valid encoding rejected: %v", err)
 		}
-		it := newCompIterator(&validated, nil, nil)
+		it := newCompIterator(&validated)
 		for i, want := range pl {
 			if !it.Valid() {
 				t.Fatalf("iterator exhausted at %d/%d", i, len(pl))
@@ -84,12 +88,34 @@ func FuzzDecodePostings(f *testing.F) {
 	})
 }
 
+// assertTraversable walks every list of an index the reader accepted:
+// documents strictly ascending and in range, term frequencies
+// positive. It is what "structurally valid" means for corrupted-but-
+// accepted input (some flips only touch impact floats, which carry no
+// structural invariant).
+func assertTraversable(t *testing.T, y *Index, what string) {
+	t.Helper()
+	for tid := 0; tid < y.NumTerms(); tid++ {
+		it := y.Iter(textproc.TermID(tid))
+		prev := corpus.DocID(-1)
+		for it.Valid() {
+			if it.Doc() <= prev || int(it.Doc()) >= y.NumDocs() || it.TF() < 1 {
+				t.Fatalf("%s: term %d: invalid posting (%d,%d) after prev %d", what, tid, it.Doc(), it.TF(), prev)
+			}
+			prev = it.Doc()
+			it.Next()
+		}
+	}
+}
+
 // FuzzReadTPIX mutates real current-format files — one small, one
-// whose lists span blocks and carry impact-ordered heads, plus
-// variants clipped and flipped near the head/tail boundary — and
-// requires every Read outcome to be an error or a structurally valid
-// index (postings traversable, heads satisfying the head invariants),
-// never a panic.
+// whose lists span blocks, plus variants clipped and flipped in the
+// per-list block metadata and the trailing bloom — and requires every
+// Read outcome to be an error or a structurally valid index, never a
+// panic. testdata/fuzz/FuzzReadTPIX holds the same four shapes (valid,
+// truncated, corrupt block, corrupt bloom) as checked-in seeds;
+// TPIX_WRITE_FUZZ_SEEDS=1 go test -run TestFuzzSeedsCurrent rewrites
+// them after a format change.
 func FuzzReadTPIX(f *testing.F) {
 	x := buildTestIndex(f,
 		"apache helicopter army weapons apache helicopter apache",
@@ -108,8 +134,7 @@ func FuzzReadTPIX(f *testing.F) {
 	}
 	f.Add(mb.Bytes())
 	// Mutations around the trailing quarter land in per-list block
-	// metadata and head fields, steering the fuzzer onto the
-	// head/tail boundary validation.
+	// metadata, document lengths and the bloom section.
 	f.Add(mb.Bytes()[:mb.Len()-mb.Len()/4])
 	flipped := append([]byte(nil), mb.Bytes()...)
 	for pos := len(flipped) - len(flipped)/4; pos < len(flipped); pos += 11 {
@@ -121,68 +146,112 @@ func FuzzReadTPIX(f *testing.F) {
 		if err != nil || y == nil {
 			return
 		}
-		// Accepted indexes must be traversable end to end.
-		for tid := 0; tid < y.NumTerms(); tid++ {
-			it := y.Iter(textproc.TermID(tid))
-			prev := corpus.DocID(-1)
-			for it.Valid() {
-				if it.Doc() <= prev || int(it.Doc()) >= y.NumDocs() || it.TF() < 1 {
-					t.Fatalf("term %d: invalid posting (%d,%d) after prev %d", tid, it.Doc(), it.TF(), prev)
-				}
-				prev = it.Doc()
-				it.Next()
-			}
-		}
-		assertHeadInvariants(t, y)
+		assertTraversable(t, y, "accepted input")
 	})
 }
 
-// TestV4CorruptBlocksRejected hand-corrupts specific fields of a
-// current-format stream — block widths, counts, payload truncation,
-// last-doc metadata — and requires Read to return an error for each,
-// not panic and not accept. (Named for the v4 format that introduced
-// block compression; the checks apply unchanged to v5.)
+// fuzzSeeds are the checked-in FuzzReadTPIX corpus files, each derived
+// from the four-document fixture image: as written, cut mid-dictionary,
+// with the first list's block header zeroed, and with the bloom word
+// count (the image's last varint before the bit words) inflated.
+func fuzzSeeds(t *testing.T) map[string][]byte {
+	t.Helper()
+	x := fixtureIndex(t)
+	var buf bytes.Buffer
+	if _, err := x.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.Bytes()
+	// The first list's packed data starts after magic+version (8),
+	// numDocs, numTerms, the first term and its list and data lengths —
+	// all single-byte varints at this size.
+	blockAt := 8 + 2 + 1 + len(x.Vocab().Term(0)) + 2
+	block := append([]byte(nil), valid...)
+	block[blockAt], block[blockAt+1] = 0, 0
+	bl := x.Bloom()
+	bloom := append([]byte(nil), valid...)
+	bloom[len(valid)-8*len(bl.bits)-1] = 0x7F
+	return map[string][]byte{
+		"valid":         valid,
+		"truncated":     valid[:len(valid)/3],
+		"corrupt-block": block,
+		"corrupt-bloom": bloom,
+	}
+}
+
+// TestFuzzSeedsCurrent holds the checked-in fuzz corpus to the current
+// format: every seed file must equal what fuzzSeeds derives, the valid
+// one must load and the damaged ones must be rejected past the version
+// check — a corpus of old-version images would only ever exercise the
+// version error.
+func TestFuzzSeedsCurrent(t *testing.T) {
+	for name, img := range fuzzSeeds(t) {
+		path := filepath.Join("testdata", "fuzz", "FuzzReadTPIX", name)
+		want := []byte(fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", img))
+		if os.Getenv("TPIX_WRITE_FUZZ_SEEDS") != "" {
+			if err := os.WriteFile(path, want, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run with TPIX_WRITE_FUZZ_SEEDS=1 to generate)", err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s drifted from the current format (regenerate with TPIX_WRITE_FUZZ_SEEDS=1)", path)
+		}
+		_, err = Read(bytes.NewReader(img))
+		if (err == nil) != (name == "valid") || (err != nil && strings.Contains(err.Error(), "TPIX version")) {
+			t.Errorf("%s seed: Read err = %v; the valid seed must load, the others fail past the version check", name, err)
+		}
+	}
+}
+
+// TestV4CorruptBlocksRejected hand-corrupts a current-format stream of
+// single-block lists — block widths, counts, payload truncation,
+// last-doc metadata, bloom — byte by byte and requires Read to return
+// an error or a structurally valid index for each, not panic. (Named
+// for the format version that introduced block compression.)
 func TestV4CorruptBlocksRejected(t *testing.T) {
-	x := buildTestIndex(t,
-		"apache helicopter army weapons apache helicopter apache",
-		"stock market investors trading volume stock",
-		"apache webserver software configuration",
-		"cooking recipes kitchen dinner helicopter",
-	)
+	sweepCorruptStream(t, fixtureIndex(t), 7, 1)
+}
+
+// TestV5CorruptStreamRejected is the same sweep over a stream whose
+// longest list spans several blocks, so truncations and flips also land
+// in interior block headers and skip metadata.
+func TestV5CorruptStreamRejected(t *testing.T) {
+	if testing.Short() {
+		t.Skip("byte-flip sweep is slow")
+	}
+	sweepCorruptStream(t, multiBlockIndex(t), 13, 3)
+}
+
+// sweepCorruptStream truncates x's image at every cutStep-th length
+// (each must be rejected) and inverts every flipStep-th byte past the
+// header (each must be rejected or load as a traversable index).
+func sweepCorruptStream(t *testing.T, x *Index, cutStep, flipStep int) {
+	t.Helper()
 	var buf bytes.Buffer
 	if _, err := x.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	orig := buf.Bytes()
 	if _, err := Read(bytes.NewReader(orig)); err != nil {
-		t.Fatalf("pristine v4 must load: %v", err)
+		t.Fatalf("pristine image must load: %v", err)
 	}
-	// Truncation at every prefix length must error.
-	for cut := 0; cut < len(orig); cut += 7 {
+	for cut := 0; cut < len(orig); cut += cutStep {
 		if _, err := Read(bytes.NewReader(orig[:cut])); err == nil {
 			t.Fatalf("truncation at %d bytes accepted", cut)
 		}
 	}
-	// Single-byte corruption across the stream: every outcome must be
-	// an error or a fully valid index (some flips only touch impact
-	// floats, which carry no structural invariant) — never a panic.
-	for pos := 8; pos < len(orig); pos++ {
+	for pos := 8; pos < len(orig); pos += flipStep {
 		mut := append([]byte(nil), orig...)
 		mut[pos] ^= 0xFF
 		y, err := Read(bytes.NewReader(mut))
 		if err != nil || y == nil {
 			continue
 		}
-		for tid := 0; tid < y.NumTerms(); tid++ {
-			it := y.Iter(textproc.TermID(tid))
-			prev := corpus.DocID(-1)
-			for it.Valid() {
-				if it.Doc() <= prev || int(it.Doc()) >= y.NumDocs() || it.TF() < 1 {
-					t.Fatalf("byte %d flipped: accepted index has invalid posting", pos)
-				}
-				prev = it.Doc()
-				it.Next()
-			}
-		}
+		assertTraversable(t, y, fmt.Sprintf("byte %d flipped", pos))
 	}
 }

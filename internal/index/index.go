@@ -37,13 +37,12 @@ const (
 )
 
 // BlockSize is the number of postings per compressed block and per
-// max-impact block. Per-block bounds are what let document-at-a-time
-// execution skip whole runs of postings (block-max WAND) instead of
-// single documents, and block-wise compression is what lets a skipped
-// run also skip its decode. 128 is the standard choice — big enough
+// max-impact block. Block-wise compression is what lets a seek pass
+// over a run of postings without decoding it, and per-block bounds are
+// what lets a merge carry exact term-level maxima forward without
+// rescoring clean blocks. 128 is the standard choice — big enough
 // that block metadata is a rounding error next to the postings, small
-// enough that the bounds stay tight and a decoded block fits in a
-// kilobyte of iterator buffer.
+// enough that a decoded block fits in a kilobyte of iterator buffer.
 const BlockSize = 128
 
 // BlockMax is the impact summary of one block of postings: the same
@@ -72,7 +71,7 @@ func BM25TFBound(tf int32) float64 {
 type Index struct {
 	vocab *textproc.Vocab
 	// lists holds each term's block-compressed postings (indexed by
-	// TermID). Traversal decodes block-at-a-time through Iter/BlockIter;
+	// TermID). Traversal decodes block-at-a-time through Iter/IterInto;
 	// Postings materializes a list only for cold paths and tests.
 	lists    []compList
 	docLen   []int // analyzed length of each document
@@ -88,24 +87,15 @@ type Index struct {
 	maxCos []float64
 	maxBM  []float64
 	// blocks holds the same bounds per compressed block of each list
-	// (aligned with the list's block structure; nil for empty lists) —
-	// the skipping fuel of block-max WAND. The term-level maxima above
-	// are exactly the maxima over a list's blocks. Persisted by the
-	// codec, recomputed on v1/v2 loads.
+	// (aligned with the list's block structure; nil for empty lists).
+	// The term-level maxima above are exactly the maxima over a list's
+	// blocks, which is how a block-wise merge folds them without
+	// rescoring. Persisted by the codec.
 	blocks [][]BlockMax
-	// heads holds each list's impact-ordered head: the ordinals of its
-	// up to maxHeadBlocks highest-impact blocks, strongest first (see
-	// headOrder). The physical postings stay doc-ordered — the head is
-	// a permutation view, so delta chains, byte-for-byte merges, and
-	// doc-ordered traversal are untouched — and the query engine uses
-	// it to decode the best blocks first and seed the top-k threshold
-	// before doc-ordered traversal begins. Persisted by the v5 codec,
-	// derived from the block bounds on legacy loads and merges.
-	heads [][]int32
 
 	// bloom is the per-segment term bloom filter (see bloom.go): read
-	// from v6 files, derived lazily from the dictionary otherwise.
-	// Access through Bloom.
+	// from the file, derived lazily from the dictionary for indexes
+	// built or merged in memory. Access through Bloom.
 	bloomOnce sync.Once
 	bloom     *TermBloom
 
@@ -122,48 +112,6 @@ type Index struct {
 	// never reused, so late inserts just age out), a torn one is not.
 	cache      atomic.Pointer[BlockCache]
 	cacheOwner atomic.Uint32
-}
-
-// maxHeadBlocks caps a list's impact-ordered head. Eight blocks — a
-// thousand postings — is far more than threshold seeding ever decodes
-// (the engine budgets a handful of blocks per query), while keeping
-// the head under nine bytes per multi-block list; the codec rejects
-// files claiming more.
-const maxHeadBlocks = 8
-
-// headOrder computes a list's impact-ordered head from its per-block
-// bounds: the ordinals of up to maxHeadBlocks blocks by descending
-// cosine block maximum, ties broken by ascending ordinal so the order
-// is deterministic. Single-block lists carry no head — it would name
-// the whole list. One scalar orders the head for both scorers: MaxBM
-// is monotone in MaxTF and tracks MaxCos closely, and consumers
-// re-check each entry's own bound for the scorer in play, so the
-// choice affects priming quality, never safety.
-func headOrder(bs []BlockMax) []int32 {
-	if len(bs) < 2 {
-		return nil
-	}
-	h := len(bs)
-	if h > maxHeadBlocks {
-		h = maxHeadBlocks
-	}
-	ord := make([]int32, len(bs))
-	for i := range ord {
-		ord[i] = int32(i)
-	}
-	// Partial selection sort: h is at most eight and this runs once per
-	// list per build/merge/load, never on the query path.
-	for i := 0; i < h; i++ {
-		best := i
-		for j := i + 1; j < len(ord); j++ {
-			bj, bb := bs[ord[j]], bs[ord[best]]
-			if bj.MaxCos > bb.MaxCos || (bj.MaxCos == bb.MaxCos && ord[j] < ord[best]) {
-				best = j
-			}
-		}
-		ord[i], ord[best] = ord[best], ord[i]
-	}
-	return ord[:h:h]
 }
 
 // Build constructs the index from an analyzed corpus.
@@ -230,7 +178,6 @@ func (x *Index) computeImpacts(raw [][]Posting) {
 	x.maxCos = make([]float64, len(raw))
 	x.maxBM = make([]float64, len(raw))
 	x.blocks = make([][]BlockMax, len(raw))
-	x.heads = make([][]int32, len(raw))
 	for t, pl := range raw {
 		if len(pl) == 0 {
 			continue
@@ -244,7 +191,6 @@ func (x *Index) computeImpacts(raw [][]Posting) {
 			bs[b] = blockMaxOf(pl[start:end], norms, nil)
 		}
 		x.blocks[t] = bs
-		x.heads[t] = headOrder(bs)
 		x.maxTF[t], x.maxCos[t], x.maxBM[t] = maxOverBlocks(bs)
 	}
 }
@@ -288,8 +234,8 @@ func maxOverBlocks(bs []BlockMax) (mtf int32, mcos, mbm float64) {
 }
 
 // Bloom returns the index's per-segment term bloom filter, deriving
-// it from the dictionary on first use when the source file predates
-// v6 (or the index was built in memory). Safe for concurrent readers.
+// it from the dictionary on first use when the index was built or
+// merged in memory. Safe for concurrent readers.
 func (x *Index) Bloom() *TermBloom {
 	x.bloomOnce.Do(func() {
 		if x.bloom == nil {
@@ -368,7 +314,7 @@ func (x *Index) WarmCache() int {
 }
 
 // Mapped reports whether the index's postings payloads are views into
-// a disk mapping (an OpenMapped index on a current-format file).
+// a disk mapping (an OpenMapped index).
 func (x *Index) Mapped() bool { return x.mapped != nil }
 
 // Close releases the disk mapping behind an OpenMapped index and
@@ -394,7 +340,7 @@ func (x *Index) NumTerms() int { return len(x.lists) }
 
 // Postings decodes and returns the postings list for a term ID. Each
 // call materializes a fresh slice — hot paths should traverse through
-// Iter/BlockIter instead, which decode block-at-a-time without
+// Iter/IterInto instead, which decode block-at-a-time without
 // allocating.
 func (x *Index) Postings(id textproc.TermID) PostingList {
 	if id < 0 || int(id) >= len(x.lists) {
@@ -405,7 +351,7 @@ func (x *Index) Postings(id textproc.TermID) PostingList {
 		return nil
 	}
 	out := make(PostingList, 0, cl.n)
-	it := newCompIterator(cl, nil, nil)
+	it := newCompIterator(cl)
 	for it.Valid() {
 		docs, tfs := it.Window()
 		for i := range docs {
@@ -432,16 +378,15 @@ func (x *Index) DocFreq(id textproc.TermID) int {
 	return int(x.lists[id].n)
 }
 
-// Iter returns a decode-on-traversal iterator over id's postings,
-// carrying the per-block impact bounds. Absent terms yield an
-// exhausted iterator. Query hot paths use IterInto instead, which
+// Iter returns a decode-on-traversal iterator over id's postings.
+// Absent terms yield an exhausted iterator. Query hot paths use IterInto instead, which
 // repositions a pooled iterator without copying its buffers.
 func (x *Index) Iter(id textproc.TermID) Iterator {
 	if id < 0 || int(id) >= len(x.lists) {
 		return Iterator{}
 	}
 	var it Iterator
-	it.resetCompCached(&x.lists[id], x.blocks[id], x.heads[id], x.cache.Load(), x.cacheOwner.Load(), int32(id))
+	it.resetCompCached(&x.lists[id], x.cache.Load(), x.cacheOwner.Load(), int32(id))
 	return it
 }
 
@@ -454,7 +399,7 @@ func (x *Index) iterUncached(id textproc.TermID) Iterator {
 	if id < 0 || int(id) >= len(x.lists) {
 		return Iterator{}
 	}
-	return newCompIterator(&x.lists[id], x.blocks[id], x.heads[id])
+	return newCompIterator(&x.lists[id])
 }
 
 // IterInto repositions it over id's postings in place — the vsm
@@ -462,10 +407,10 @@ func (x *Index) iterUncached(id textproc.TermID) Iterator {
 // iterator's kilobyte of buffer is neither cleared nor copied.
 func (x *Index) IterInto(id textproc.TermID, it *Iterator) {
 	if id < 0 || int(id) >= len(x.lists) {
-		it.ResetList(nil, nil)
+		it.ResetList(nil)
 		return
 	}
-	it.resetCompCached(&x.lists[id], x.blocks[id], x.heads[id], x.cache.Load(), x.cacheOwner.Load(), int32(id))
+	it.resetCompCached(&x.lists[id], x.cache.Load(), x.cacheOwner.Load(), int32(id))
 }
 
 // MaxTF returns the largest term frequency in id's postings list
@@ -507,32 +452,6 @@ func (x *Index) BlockMaxes(id textproc.TermID) []BlockMax {
 	}
 	return x.blocks[id]
 }
-
-// HeadOrder returns the impact-ordered head of id's postings list:
-// block ordinals by descending cosine block bound (see headOrder).
-// Nil for absent terms and lists of fewer than two blocks. The slice
-// is shared; callers must not modify it.
-func (x *Index) HeadOrder(id textproc.TermID) []int32 {
-	if id < 0 || int(id) >= len(x.heads) {
-		return nil
-	}
-	return x.heads[id]
-}
-
-// HasBlocks reports that this index hands out per-block bounds (it
-// always does: Build, Merge, and every codec version populate them) —
-// the vsm BlockSource capability probe.
-func (x *Index) HasBlocks() bool { return true }
-
-// BlockIter returns an iterator over id's postings that carries the
-// per-block impact bounds, enabling block-level skipping in the
-// query engine. Identical to Iter.
-func (x *Index) BlockIter(id textproc.TermID) Iterator { return x.Iter(id) }
-
-// BlockIterInto is the in-place BlockIter — the vsm BlockSource
-// contract. Identical to IterInto (every index iterator carries
-// block bounds).
-func (x *Index) BlockIterInto(id textproc.TermID, it *Iterator) { x.IterInto(id, it) }
 
 // IDF returns the smoothed inverse document frequency
 // ln(1 + N/df). Terms absent from the dictionary get 0.

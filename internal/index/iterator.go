@@ -19,20 +19,17 @@ import "toppriv/internal/corpus"
 // IterInto, ResetList), so steady-state queries allocate nothing and
 // never clear or copy the kilobyte of buffer.
 //
-// An iterator may additionally carry per-block max-impact bounds
-// (IterBlocks, Index.BlockIter): BlockMax exposes the current block's
-// bounds and SkipBlock jumps past its remaining postings, which is
-// what lets block-max WAND discard BlockSize postings on one
-// comparison instead of walking — or, in compressed mode, even
-// decoding — them.
+// Both modes present the list in blocks of BlockSize postings (the
+// compressed blocks themselves; consecutive runs of a slice):
+// BlockIndex and BlockLastDoc describe the current block, Window hands
+// out its postings in bulk, and SkipBlock jumps past its remainder
+// without walking — or, in compressed mode, even decoding — it.
 type Iterator struct {
-	pl     PostingList // slice mode (nil in compressed mode)
-	cl     *compList   // compressed mode (nil in slice mode)
-	blocks []BlockMax
-	head   []int32      // impact-ordered head ordinals (see Index.heads); may be nil
-	pos    int          // global posting ordinal
-	n      int          // total postings
-	cur    corpus.DocID // current posting's doc; maintained by every move
+	pl  PostingList  // slice mode (nil in compressed mode)
+	cl  *compList    // compressed mode (nil in slice mode)
+	pos int          // global posting ordinal
+	n   int          // total postings
+	cur corpus.DocID // current posting's doc; maintained by every move
 
 	// Compressed-mode decode state: the current block, its parsed
 	// header, and its decoded window. tfOK marks the tf half of the
@@ -70,21 +67,11 @@ func (pl PostingList) Iter() Iterator {
 	return it
 }
 
-// IterBlocks returns an iterator that also carries per-block impact
-// bounds; blocks must describe pl in BlockSize-posting blocks (as
-// computed by Build/Merge). A nil blocks slice degrades to a plain
-// iterator.
-func (pl PostingList) IterBlocks(blocks []BlockMax) Iterator {
-	it := pl.Iter()
-	it.blocks = blocks
-	return it
-}
-
 // ResetList repositions the iterator over a plain postings slice
 // without touching the decode buffers — the in-place counterpart of
 // Iter for pooled iterator slots.
-func (it *Iterator) ResetList(pl PostingList, blocks []BlockMax) {
-	it.pl, it.cl, it.blocks, it.head = pl, nil, blocks, nil
+func (it *Iterator) ResetList(pl PostingList) {
+	it.pl, it.cl = pl, nil
 	it.cache = nil
 	it.pos, it.n, it.probes, it.decodes = 0, len(pl), 0, 0
 	if it.n > 0 {
@@ -92,19 +79,14 @@ func (it *Iterator) ResetList(pl PostingList, blocks []BlockMax) {
 	}
 }
 
-// resetComp repositions the iterator over a compressed list, decoding
-// only the first block's doc IDs. The in-place counterpart of
-// newCompIterator.
-func (it *Iterator) resetComp(cl *compList, blocks []BlockMax, head []int32) {
-	it.resetCompCached(cl, blocks, head, nil, 0, 0)
-}
-
-// resetCompCached is resetComp with a decoded-block cache attached:
-// block loads (including the first, here) consult the cache before
-// decoding. Index.Iter/IterInto route through it so a cache-backed
-// index transparently shares hot blocks across its iterators.
-func (it *Iterator) resetCompCached(cl *compList, blocks []BlockMax, head []int32, c *BlockCache, owner uint32, term int32) {
-	it.pl, it.cl, it.blocks, it.head = nil, cl, blocks, head
+// resetCompCached repositions the iterator over a compressed list,
+// decoding only the first block's doc IDs, with an optional
+// decoded-block cache attached: block loads (including the first,
+// here) consult the cache before decoding. Index.Iter/IterInto route
+// through it so a cache-backed index transparently shares hot blocks
+// across its iterators.
+func (it *Iterator) resetCompCached(cl *compList, c *BlockCache, owner uint32, term int32) {
+	it.pl, it.cl = nil, cl
 	it.cache = c
 	it.ckey = cacheKey{owner: owner, term: term}
 	it.pos, it.n, it.probes, it.decodes = 0, int(cl.n), 0, 0
@@ -114,11 +96,11 @@ func (it *Iterator) resetCompCached(cl *compList, blocks []BlockMax, head []int3
 	}
 }
 
-// newCompIterator returns a decode-on-traversal iterator positioned on
-// the first posting of a compressed list.
-func newCompIterator(cl *compList, blocks []BlockMax, head []int32) Iterator {
+// newCompIterator returns an uncached decode-on-traversal iterator
+// positioned on the first posting of a compressed list.
+func newCompIterator(cl *compList) Iterator {
 	var it Iterator
-	it.resetComp(cl, blocks, head)
+	it.resetCompCached(cl, nil, 0, 0)
 	return it
 }
 
@@ -159,32 +141,6 @@ func (it *Iterator) loadBlock(b int) bool {
 	return true
 }
 
-// HasBlocks reports whether the iterator carries per-block bounds.
-func (it *Iterator) HasBlocks() bool { return it.blocks != nil }
-
-// HeadOrder returns the list's impact-ordered head: the ordinals of
-// its highest-impact blocks, strongest first (see Index.HeadOrder).
-// Nil when the list carries no head — single-block lists, slice mode.
-// The slice is shared; callers must not modify it.
-func (it *Iterator) HeadOrder() []int32 { return it.head }
-
-// BlockMaxAt returns block b's impact bounds without moving the
-// cursor. HasBlocks must be true and b a valid block ordinal.
-func (it *Iterator) BlockMaxAt(b int) BlockMax { return it.blocks[b] }
-
-// EnterBlock positions the cursor on the first posting of block b —
-// random block access for impact-ordered consumers working through
-// HeadOrder — reporting whether b exists. Only meaningful in
-// compressed mode; unlike SeekGE it may move backwards, so a caller
-// mixing EnterBlock with doc-ordered traversal must reposition (or
-// SeekGE forward) afterwards.
-func (it *Iterator) EnterBlock(b int) bool {
-	if it.cl == nil || b < 0 {
-		return false
-	}
-	return it.loadBlock(b)
-}
-
 // Len returns the total number of postings in the underlying list.
 func (it *Iterator) Len() int { return it.n }
 
@@ -197,34 +153,20 @@ func (it *Iterator) LastDoc() corpus.DocID {
 	return it.pl[it.n-1].Doc
 }
 
-// BlockMax returns the current block's impact bounds. Valid and
-// HasBlocks must be true.
-func (it *Iterator) BlockMax() BlockMax { return it.blocks[it.BlockIndex()] }
-
-// BlockIndex returns the ordinal of the current block (always 0
-// without block metadata, where the whole list is one block) — a
-// cheap cache key for bound computations derived from BlockMax.
+// BlockIndex returns the ordinal of the current block: the entry of
+// Index.BlockMaxes that bounds the current posting.
 func (it *Iterator) BlockIndex() int {
 	if it.cl != nil {
 		return it.blk
 	}
-	if it.blocks == nil {
-		return 0
-	}
 	return it.pos / BlockSize
 }
 
-// BlockLastDoc returns the last document of the current block — the
-// horizon up to which BlockMax bounds every posting, read from block
-// metadata without any decoding. Without block metadata the whole
-// list is one block, so this is the list's final document. Valid must
-// be true.
+// BlockLastDoc returns the last document of the current block, read
+// from block metadata without any decoding. Valid must be true.
 func (it *Iterator) BlockLastDoc() corpus.DocID {
 	if it.cl != nil {
 		return it.cl.blockLast(it.blk)
-	}
-	if it.blocks == nil {
-		return it.pl[len(it.pl)-1].Doc
 	}
 	end := (it.pos/BlockSize + 1) * BlockSize
 	if end > len(it.pl) {
@@ -234,17 +176,12 @@ func (it *Iterator) BlockLastDoc() corpus.DocID {
 }
 
 // SkipBlock advances past the remainder of the current block to the
-// first posting of the next one (the end of the list when the
-// iterator carries no block metadata), reporting whether the iterator
-// is still valid. The skipped remainder is never decoded. Valid must
-// be true on entry.
+// first posting of the next one, reporting whether the iterator is
+// still valid. The skipped remainder is never decoded. Valid must be
+// true on entry.
 func (it *Iterator) SkipBlock() bool {
 	if it.cl != nil {
 		return it.loadBlock(it.blk + 1)
-	}
-	if it.blocks == nil {
-		it.pos = len(it.pl)
-		return false
 	}
 	it.pos = (it.pos/BlockSize + 1) * BlockSize
 	if it.pos >= len(it.pl) {

@@ -102,30 +102,6 @@ func TestIteratorSeekGEMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// blockedList builds a posting list of n postings with its per-block
-// maxima computed the brute way (uniform norms keep MaxCos simple to
-// cross-check; the engine-facing block math is covered by the vsm
-// property tests).
-func blockedList(rng *rand.Rand, n int) (PostingList, []BlockMax) {
-	pl := randomList(rng, n)
-	var blocks []BlockMax
-	for start := 0; start < len(pl); start += BlockSize {
-		end := start + BlockSize
-		if end > len(pl) {
-			end = len(pl)
-		}
-		var bm BlockMax
-		for _, p := range pl[start:end] {
-			if p.TF > bm.MaxTF {
-				bm.MaxTF = p.TF
-			}
-		}
-		bm.MaxBM = BM25TFBound(bm.MaxTF)
-		blocks = append(blocks, bm)
-	}
-	return pl, blocks
-}
-
 // TestIteratorSeekGEBlockBoundaries pins SeekGE behaviour at the exact
 // edges of the block structure: targets equal to the first and last
 // document of each block, a list whose length is an exact multiple of
@@ -134,11 +110,8 @@ func blockedList(rng *rand.Rand, n int) (PostingList, []BlockMax) {
 func TestIteratorSeekGEBlockBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{1, BlockSize - 1, BlockSize, BlockSize + 1, 2 * BlockSize, 2*BlockSize + 1, 3*BlockSize - 1} {
-		pl, blocks := blockedList(rng, n)
+		pl := randomList(rng, n)
 		wantBlocks := (n + BlockSize - 1) / BlockSize
-		if len(blocks) != wantBlocks {
-			t.Fatalf("n=%d: %d blocks, want %d", n, len(blocks), wantBlocks)
-		}
 		for b := 0; b < wantBlocks; b++ {
 			first := pl[b*BlockSize].Doc
 			lastPos := (b+1)*BlockSize - 1
@@ -147,7 +120,7 @@ func TestIteratorSeekGEBlockBoundaries(t *testing.T) {
 			}
 			last := pl[lastPos].Doc
 			for _, target := range []corpus.DocID{first, last, first - 1, last + 1} {
-				it := pl.IterBlocks(blocks)
+				it := pl.Iter()
 				ok := it.SeekGE(target)
 				pos := 0
 				for pos < n && pl[pos].Doc < target {
@@ -159,13 +132,13 @@ func TestIteratorSeekGEBlockBoundaries(t *testing.T) {
 				if ok && it.Doc() != pl[pos].Doc {
 					t.Fatalf("n=%d block %d: SeekGE(%d) landed on %d, scan on %d", n, b, target, it.Doc(), pl[pos].Doc)
 				}
-				if ok && it.BlockMax() != blocks[pos/BlockSize] {
-					t.Fatalf("n=%d: BlockMax at pos %d wrong", n, pos)
+				if ok && it.BlockIndex() != pos/BlockSize {
+					t.Fatalf("n=%d: BlockIndex at pos %d = %d", n, pos, it.BlockIndex())
 				}
 			}
 			// Seeking to exactly the last doc of a block then advancing
 			// must cross into the next block (or exhaust).
-			it := pl.IterBlocks(blocks)
+			it := pl.Iter()
 			it.SeekGE(last)
 			hadNext := it.Next()
 			if want := lastPos+1 < n; hadNext != want {
@@ -176,19 +149,16 @@ func TestIteratorSeekGEBlockBoundaries(t *testing.T) {
 }
 
 // TestIteratorSkipBlock checks SkipBlock against the block layout:
-// each skip lands on the next block's first posting, the final skip
-// exhausts, and a blockless iterator treats the whole list as one
-// block.
+// each skip lands on the next block's first posting and the final
+// skip exhausts.
 func TestIteratorSkipBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	pl, blocks := blockedList(rng, 2*BlockSize+17)
-	it := pl.IterBlocks(blocks)
-	if !it.HasBlocks() {
-		t.Fatal("IterBlocks iterator must report HasBlocks")
-	}
-	for b := 0; b < len(blocks); b++ {
-		if got, want := it.BlockMax(), blocks[b]; got != want {
-			t.Fatalf("block %d: BlockMax = %+v, want %+v", b, got, want)
+	pl := randomList(rng, 2*BlockSize+17)
+	const numBlocks = 3
+	it := pl.Iter()
+	for b := 0; b < numBlocks; b++ {
+		if got := it.BlockIndex(); got != b {
+			t.Fatalf("block %d: BlockIndex = %d", b, got)
 		}
 		lastPos := (b+1)*BlockSize - 1
 		if lastPos >= len(pl) {
@@ -198,7 +168,7 @@ func TestIteratorSkipBlock(t *testing.T) {
 			t.Fatalf("block %d: BlockLastDoc = %d, want %d", b, got, want)
 		}
 		ok := it.SkipBlock()
-		if want := b+1 < len(blocks); ok != want {
+		if want := b+1 < numBlocks; ok != want {
 			t.Fatalf("block %d: SkipBlock = %v, want %v", b, ok, want)
 		}
 		if ok && it.Doc() != pl[(b+1)*BlockSize].Doc {
@@ -207,21 +177,10 @@ func TestIteratorSkipBlock(t *testing.T) {
 	}
 	// Mid-block skip: position inside block 0, skip must still land on
 	// block 1's first posting.
-	it = pl.IterBlocks(blocks)
+	it = pl.Iter()
 	it.SeekGE(pl[BlockSize/2].Doc)
 	if !it.SkipBlock() || it.Doc() != pl[BlockSize].Doc {
 		t.Fatalf("mid-block SkipBlock landed on %d, want %d", it.Doc(), pl[BlockSize].Doc)
-	}
-	// Blockless iterator: one implicit block spanning the list.
-	plain := pl.Iter()
-	if plain.HasBlocks() {
-		t.Fatal("plain iterator must not report blocks")
-	}
-	if got, want := plain.BlockLastDoc(), pl[len(pl)-1].Doc; got != want {
-		t.Fatalf("plain BlockLastDoc = %d, want %d", got, want)
-	}
-	if plain.SkipBlock() || plain.Valid() {
-		t.Fatal("plain SkipBlock must exhaust the iterator")
 	}
 }
 

@@ -7,15 +7,11 @@ import "fmt"
 // — see mmap_fallback.go) and decoded through the zero-copy slice
 // reader, so every list's packed payload is a view into the mapping
 // and pages in on traversal instead of living on the heap. Header,
-// dictionary, skip metadata, impact bounds, heads and bloom are
+// dictionary, skip metadata, impact bounds and bloom are
 // eagerly decoded and validated exactly as Read does; only the
 // per-posting payload verification is skipped (see the codec format
 // comment). The returned index is safe for concurrent readers; Close
 // releases the mapping once no readers remain.
-//
-// Pre-v4 files are not memory images — they are fully decoded into
-// heap lists and the mapping is released before returning, so
-// OpenMapped degrades to Read (plus upgrade) on legacy input.
 func OpenMapped(path string) (*Index, error) {
 	m, err := mapFile(path)
 	if err != nil {
@@ -26,7 +22,7 @@ func OpenMapped(path string) (*Index, error) {
 	// random for traversal's skippy access pattern.
 	m.adviseSequential()
 	sr := &sliceReader{data: m.data}
-	x, version, err := readIndex(sr, false)
+	x, err := readIndex(sr, false)
 	if err != nil {
 		m.Close()
 		return nil, err
@@ -35,13 +31,7 @@ func OpenMapped(path string) (*Index, error) {
 		m.Close()
 		return nil, fmt.Errorf("index: %d trailing bytes after index image", len(sr.data)-sr.off)
 	}
-	if version >= codecVersionV4 {
-		x.mapped = m
-		m.adviseRandom()
-	} else {
-		// Legacy postings were re-encoded into fresh heap lists above;
-		// nothing references the mapping.
-		m.Close()
-	}
+	x.mapped = m
+	m.adviseRandom()
 	return x, nil
 }

@@ -28,7 +28,7 @@ func writeTempTPIX(t *testing.T, x *Index) string {
 
 // TestOpenMappedMatchesRead is the mapped path's core guarantee: an
 // index opened through OpenMapped is indistinguishable — postings,
-// impact metadata, heads, bloom — from the same file read through
+// impact metadata, bloom — from the same file read through
 // Read. Only the residency differs.
 func TestOpenMappedMatchesRead(t *testing.T) {
 	for _, x := range []*Index{fixtureIndex(t), multiBlockIndex(t)} {
@@ -38,7 +38,7 @@ func TestOpenMappedMatchesRead(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !m.Mapped() {
-			t.Fatal("current-format OpenMapped must report Mapped")
+			t.Fatal("OpenMapped must report Mapped")
 		}
 		assertImpactsMatchFresh(t, m, x)
 		if !m.Bloom().MayContain(x.Vocab().Term(0)) {
@@ -60,28 +60,9 @@ func TestOpenMappedMatchesRead(t *testing.T) {
 	}
 }
 
-// TestOpenMappedLegacy feeds a v3 (pre-memory-image) file through
-// OpenMapped: legacy postings are re-encoded onto the heap, the
-// mapping is released, and the result must equal a fresh build.
-func TestOpenMappedLegacy(t *testing.T) {
-	x := fixtureIndex(t)
-	path := filepath.Join(t.TempDir(), "v3.tpix")
-	if err := os.WriteFile(path, writeLegacy(t, codecVersionV3, x), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m, err := OpenMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Mapped() {
-		t.Fatal("legacy file must not stay mapped: its lists are heap re-encodings")
-	}
-	assertImpactsMatchFresh(t, m, x)
-}
-
 // TestOpenMappedRejectsCorrupt mirrors TestV4CorruptBlocksRejected for
 // the mapped open path. Structural damage — truncation anywhere,
-// flips in headers, skip metadata, heads, bloom — must error, never
+// flips in headers, skip metadata, bloom — must error, never
 // panic. Flips inside packed payload bytes MAY be accepted (the mapped
 // path skips per-posting verification by design); accepted indexes
 // must still traverse without panicking and yield exactly the declared

@@ -151,7 +151,6 @@ func mergeBlockwise(merged *Index, parts []*Index, remap [][]corpus.DocID, dirty
 	nTerms := merged.vocab.Size()
 	merged.lists = make([]compList, nTerms)
 	merged.blocks = make([][]BlockMax, nTerms)
-	merged.heads = make([][]int32, nTerms)
 	merged.maxTF = make([]int32, nTerms)
 	merged.maxCos = make([]float64, nTerms)
 	merged.maxBM = make([]float64, nTerms)
@@ -185,7 +184,7 @@ func mergeBlockwise(merged *Index, parts []*Index, remap [][]corpus.DocID, dirty
 				continue
 			}
 			decoded, origDocs = decoded[:0], origDocs[:0]
-			it := newCompIterator(cl, nil, nil)
+			it := newCompIterator(cl)
 			dm := remap[i]
 			for it.Valid() {
 				docs, tfs := it.Window()
@@ -202,7 +201,6 @@ func mergeBlockwise(merged *Index, parts []*Index, remap [][]corpus.DocID, dirty
 			mb.appendReencoded(decoded, origDocs, norms[i])
 		}
 		merged.lists[t], merged.blocks[t] = mb.finish()
-		merged.heads[t] = headOrder(merged.blocks[t])
 		merged.maxTF[t], merged.maxCos[t], merged.maxBM[t] = maxOverBlocks(merged.blocks[t])
 	}
 }

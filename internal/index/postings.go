@@ -9,7 +9,7 @@ import (
 	"toppriv/internal/corpus"
 )
 
-// Block-compressed postings: the in-memory (and, via the v4 codec,
+// Block-compressed postings: the in-memory (and, via the codec,
 // on-disk) representation of a postings list. Each run of up to
 // BlockSize postings is stored as one frame-of-reference block —
 // delta-encoded doc IDs and term frequencies, both reduced by a
@@ -18,7 +18,7 @@ import (
 // Posting, and traversal decodes one block at a time into a small
 // per-iterator buffer instead of materializing []Posting.
 //
-// Wire layout of one block (identical in memory and in the v4 file):
+// Wire layout of one block (identical in memory and in the file):
 //
 //	uvarint baseDelta   firstDoc − prevLast (prevLast = −1 before the
 //	                    first block, so baseDelta ≥ 1). First so a
@@ -48,8 +48,8 @@ import (
 
 // compList is one term's compressed postings plus the per-block skip
 // metadata (byte offsets, start ordinals, last doc IDs) that lets
-// SeekGE and block-max WAND jump across blocks without decoding them.
-// Lists of at most BlockSize postings — the overwhelmingly common case
+// SeekGE jump across blocks without decoding them. Lists of at
+// most BlockSize postings — the overwhelmingly common case
 // — keep offs/starts/lasts nil and answer block queries from n,
 // len(data), and lastDoc, so a short list costs exactly one data
 // allocation.

@@ -22,7 +22,7 @@ func TestCompIteratorMatchesSlice(t *testing.T) {
 	for _, n := range []int{1, 3, BlockSize - 1, BlockSize, BlockSize + 1, 2 * BlockSize, 5*BlockSize + 17} {
 		cl, pl := compressedRandomList(rng, n)
 		// Full Next walk.
-		it := newCompIterator(&cl, nil, nil)
+		it := newCompIterator(&cl)
 		for i, p := range pl {
 			if !it.Valid() || it.Doc() != p.Doc || it.TF() != p.TF {
 				t.Fatalf("n=%d next-walk posting %d mismatch", n, i)
@@ -33,7 +33,7 @@ func TestCompIteratorMatchesSlice(t *testing.T) {
 			t.Fatalf("n=%d: iterator valid past end", n)
 		}
 		// Window walk.
-		it = newCompIterator(&cl, nil, nil)
+		it = newCompIterator(&cl)
 		i := 0
 		for it.Valid() {
 			docs, tfs := it.Window()
@@ -51,7 +51,7 @@ func TestCompIteratorMatchesSlice(t *testing.T) {
 			t.Fatalf("n=%d: windows yielded %d postings", n, i)
 		}
 		// Random interleaved seeks vs linear scan.
-		it = newCompIterator(&cl, nil, nil)
+		it = newCompIterator(&cl)
 		pos := 0
 		for step := 0; step < 60 && pos < n; step++ {
 			target := corpus.DocID(rng.Intn(int(pl[n-1].Doc) + 3))
@@ -86,8 +86,7 @@ func TestSeekAfterSkipProbeCounts(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	const nBlocks = 64
 	cl, pl := compressedRandomList(rng, nBlocks*BlockSize)
-	blocks := make([]BlockMax, nBlocks)
-	it := newCompIterator(&cl, blocks, nil)
+	it := newCompIterator(&cl)
 	seeks := 0
 	for it.Valid() {
 		if !it.SkipBlock() {
@@ -117,18 +116,17 @@ func TestSeekAfterSkipProbeCounts(t *testing.T) {
 
 // BenchmarkSeekAfterSkip is the wall-clock form of the probe-count
 // regression test: a SkipBlock→SeekGE stride over a long compressed
-// list, the access pattern block-max WAND produces. probes/op is
+// list, the access pattern of a pruned traversal. probes/op is
 // reported so the bench record catches cost-model regressions too.
 func BenchmarkSeekAfterSkip(b *testing.B) {
 	rng := rand.New(rand.NewSource(23))
 	const nBlocks = 256
 	cl, pl := compressedRandomList(rng, nBlocks*BlockSize)
-	blocks := make([]BlockMax, nBlocks)
 	b.ReportAllocs()
 	b.ResetTimer()
 	probes := 0
 	for i := 0; i < b.N; i++ {
-		it := newCompIterator(&cl, blocks, nil)
+		it := newCompIterator(&cl)
 		for it.Valid() {
 			if !it.SkipBlock() {
 				break
@@ -146,18 +144,17 @@ func BenchmarkSeekAfterSkip(b *testing.B) {
 // BenchmarkDecodeTraversal measures raw block-decode throughput: a
 // full Window walk over a long compressed list (every doc and tf
 // decoded), and a skip walk that touches only block metadata — the
-// gap between them is the decode work block-max WAND saves on long
+// gap between them is the decode work skipping saves on long
 // lists.
 func BenchmarkDecodeTraversal(b *testing.B) {
 	rng := rand.New(rand.NewSource(24))
 	const nBlocks = 256
 	cl, pl := compressedRandomList(rng, nBlocks*BlockSize)
-	blocks := make([]BlockMax, nBlocks)
 	b.Run("full", func(b *testing.B) {
 		b.SetBytes(int64(cl.n) * 8)
 		sum := int64(0)
 		for i := 0; i < b.N; i++ {
-			it := newCompIterator(&cl, blocks, nil)
+			it := newCompIterator(&cl)
 			for it.Valid() {
 				docs, tfs := it.Window()
 				for j := range docs {
@@ -175,7 +172,7 @@ func BenchmarkDecodeTraversal(b *testing.B) {
 		// their last-doc metadata alone and never decoded.
 		b.SetBytes(int64(cl.n) * 8)
 		for i := 0; i < b.N; i++ {
-			it := newCompIterator(&cl, blocks, nil)
+			it := newCompIterator(&cl)
 			for it.Valid() {
 				next := (it.BlockIndex() + 4) * BlockSize
 				if next >= int(cl.n) {
@@ -196,8 +193,7 @@ func TestSkipBlockAlignedListLength(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
 	for _, nb := range []int{1, 2, 3} {
 		pl := randomList(rng, nb*BlockSize)
-		blocks := make([]BlockMax, nb)
-		it := pl.IterBlocks(blocks)
+		it := pl.Iter()
 		for b := 0; b < nb-1; b++ {
 			if !it.SkipBlock() {
 				t.Fatalf("nb=%d: exhausted after %d skips", nb, b+1)
@@ -220,7 +216,7 @@ func TestSkipBlockAlignedListLength(t *testing.T) {
 func TestCompIteratorStaysExhausted(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	cl, pl := compressedRandomList(rng, 4*BlockSize)
-	it := newCompIterator(&cl, nil, nil)
+	it := newCompIterator(&cl)
 	if it.SeekGE(pl[len(pl)-1].Doc + 1) {
 		t.Fatal("seek past the last doc must exhaust")
 	}

@@ -42,7 +42,7 @@ func TestServerBatchEndpoint(t *testing.T) {
 	queries := []SearchRequest{
 		{Query: f.topicQueryText(0, 5), K: 7},
 		{Query: f.topicQueryText(1, 4), K: 3},
-		{Query: f.topicQueryText(0, 6), K: 5, Exec: "exhaustive"},
+		{Query: f.topicQueryText(0, 6), K: 5},
 	}
 	resp, br := postBatch(t, f.ts.URL, BatchSearchRequest{Queries: queries})
 	if resp.StatusCode != http.StatusOK {
@@ -73,17 +73,16 @@ func TestServerBatchEndpoint(t *testing.T) {
 
 // TestServerBatchValidation pins the shared request decoding: the
 // batch endpoint enforces exactly the single endpoint's rules — empty
-// query, negative k, unknown exec mode — plus its own member cap, and
+// query, negative k — plus its own member cap, and
 // rejected batches log nothing.
 func TestServerBatchValidation(t *testing.T) {
 	f := getFixture(t)
 	q := f.topicQueryText(2, 4)
 
 	for name, batch := range map[string]BatchSearchRequest{
-		"empty batch":  {},
-		"empty query":  {Queries: []SearchRequest{{Query: q}, {Query: "   "}}},
-		"negative k":   {Queries: []SearchRequest{{Query: q}, {Query: q, K: -2}}},
-		"unknown exec": {Queries: []SearchRequest{{Query: q, Exec: "turbo"}}},
+		"empty batch": {},
+		"empty query": {Queries: []SearchRequest{{Query: q}, {Query: "   "}}},
+		"negative k":  {Queries: []SearchRequest{{Query: q}, {Query: q, K: -2}}},
 	} {
 		resp, _ := postBatch(t, f.ts.URL, batch)
 		if resp.StatusCode != http.StatusBadRequest {

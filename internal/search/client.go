@@ -36,12 +36,6 @@ type Client struct {
 
 	// K is the default result count per query.
 	K int
-	// Exec, when non-empty, asks the server to run every query under
-	// this execution mode ("maxscore", "blockmax", "exhaustive",
-	// "auto"). Results are identical across modes; the knob exists for
-	// benchmarking and regression triage, not for the privacy
-	// machinery.
-	Exec string
 	// AdminToken, when non-empty, is sent as a bearer token on the
 	// mutation endpoints (AddDocuments, DeleteDocument); required when
 	// the server was started with an admin token.
@@ -176,7 +170,7 @@ func (c *Client) SubmitBatch(ctx context.Context, queries [][]string) ([]SearchR
 	for i, terms := range queries {
 		sorted := append([]string{}, terms...)
 		sort.Strings(sorted)
-		batch.Queries[i] = SearchRequest{Query: strings.Join(sorted, " "), K: c.K, Exec: c.Exec}
+		batch.Queries[i] = SearchRequest{Query: strings.Join(sorted, " "), K: c.K}
 	}
 	body, err := json.Marshal(batch)
 	if err != nil {
@@ -217,7 +211,7 @@ func (c *Client) LastCycle() *core.Cycle { return c.lastCycle }
 func (c *Client) submit(terms []string) ([]SearchHit, error) {
 	sorted := append([]string{}, terms...)
 	sort.Strings(sorted)
-	body, err := json.Marshal(SearchRequest{Query: strings.Join(sorted, " "), K: c.K, Exec: c.Exec})
+	body, err := json.Marshal(SearchRequest{Query: strings.Join(sorted, " "), K: c.K})
 	if err != nil {
 		return nil, err
 	}

@@ -104,7 +104,7 @@ func TestClientBatchErrorPaths(t *testing.T) {
 func TestServerBatchStatsRoundTrip(t *testing.T) {
 	f := getFixture(t)
 	resp, br := postBatch(t, f.ts.URL, BatchSearchRequest{Queries: []SearchRequest{
-		{Query: f.topicQueryText(2, 5), K: 5, Exec: "maxscore"},
+		{Query: f.topicQueryText(2, 5), K: 5},
 	}})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d", resp.StatusCode)

@@ -3,9 +3,11 @@ package search
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -55,32 +57,43 @@ func TestServerKValidation(t *testing.T) {
 	}
 }
 
-// TestServerExecOverride exercises the per-request execution-mode
-// knob: maxscore, blockmax, and exhaustive must return identical hit
-// lists, and an unknown mode is a 400.
+// TestServerExecOverride pins what is left of the per-request
+// execution-mode override: nothing. A body that still carries "exec" —
+// an older client, or a router one release behind its shards' front
+// end — is answered exactly like the same body without it, whatever
+// the value, on both query endpoints.
 func TestServerExecOverride(t *testing.T) {
 	f := getFixture(t)
 	q := f.topicQueryText(2, 5)
-
-	respEX, ex := postSearch(t, f.ts.URL, SearchRequest{Query: q, K: 10, Exec: "exhaustive"})
-	if respEX.StatusCode != http.StatusOK {
-		t.Fatalf("exhaustive status %d", respEX.StatusCode)
-	}
-	if len(ex.Hits) == 0 {
-		t.Fatal("no hits under exhaustive")
-	}
-	for _, mode := range []string{"maxscore", "blockmax"} {
-		resp, got := postSearch(t, f.ts.URL, SearchRequest{Query: q, K: 10, Exec: mode})
+	post := func(path, body string, out interface{}) {
+		t.Helper()
+		resp, err := http.Post(f.ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s status %d", mode, resp.StatusCode)
+			t.Fatalf("POST %s %s: status %d, want 200", path, body, resp.StatusCode)
 		}
-		if !reflect.DeepEqual(got.Hits, ex.Hits) {
-			t.Errorf("exec modes disagree:\n%s: %v\nexhaustive: %v", mode, got.Hits, ex.Hits)
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatal(err)
 		}
 	}
-
-	resp, _ := postSearch(t, f.ts.URL, SearchRequest{Query: q, Exec: "turbo"})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown exec mode status %d, want 400", resp.StatusCode)
+	_, want := postSearch(t, f.ts.URL, SearchRequest{Query: q, K: 10})
+	if len(want.Hits) == 0 {
+		t.Fatal("no hits")
+	}
+	for _, mode := range []string{"auto", "maxscore", "blockmax", "exhaustive", "turbo"} {
+		member := fmt.Sprintf(`{"query":%q,"k":10,"exec":%q}`, q, mode)
+		var single SearchResponse
+		post("/search", member, &single)
+		if !reflect.DeepEqual(single.Hits, want.Hits) {
+			t.Errorf("exec=%q changed /search hits:\n%v\nwant %v", mode, single.Hits, want.Hits)
+		}
+		var batch BatchSearchResponse
+		post("/search/batch", `{"queries":[`+member+`]}`, &batch)
+		if len(batch.Responses) != 1 || !reflect.DeepEqual(batch.Responses[0].Hits, want.Hits) {
+			t.Errorf("exec=%q changed /search/batch hits: %+v", mode, batch.Responses)
+		}
 	}
 }

@@ -46,13 +46,6 @@ type LiveIndex interface {
 	Doc(id corpus.DocID) (corpus.Document, bool)
 }
 
-// ModeSearcher is the optional per-request execution-mode surface;
-// both *vsm.Engine and *segment.Store implement it. Backends without
-// it reject requests that name an explicit exec mode.
-type ModeSearcher interface {
-	SearchMode(query string, k int, mode vsm.ExecMode) []vsm.Result
-}
-
 // statsProvider is the optional stats surface behind GET /stats; both
 // *vsm.Engine and *segment.Store implement it.
 type statsProvider interface {
@@ -70,7 +63,9 @@ const DefaultMaxK = 1000
 // single request monopolize the engine.
 const DefaultMaxBatch = 64
 
-// SearchRequest is the POST /search payload.
+// SearchRequest is the POST /search payload. The engine picks its own
+// execution strategy; an "exec" field, which older clients may still
+// send, is ignored like any other unknown field.
 type SearchRequest struct {
 	// Query is the raw query text (a bag of words; order is ignored).
 	Query string `json:"query"`
@@ -78,12 +73,6 @@ type SearchRequest struct {
 	// configured maximum (default 1000). Zero means 10; negative is
 	// rejected.
 	K int `json:"k,omitempty"`
-	// Exec optionally overrides the backend's query-execution strategy
-	// for this request: "auto", "maxscore", "blockmax", or
-	// "exhaustive" (empty means the backend default). Results are
-	// identical either way; the knob exists for benchmarking and
-	// regression triage.
-	Exec string `json:"exec,omitempty"`
 	// Trace, when true, asks for a per-phase timing breakdown of this
 	// query's execution inline in the response. The trace carries phase
 	// durations and work counters only — never query content — so
@@ -163,7 +152,6 @@ type Server struct {
 	// cancellation and POST /search/batch. Legacy backends fall back
 	// to the Searcher methods and get neither.
 	reqs   vsm.RequestSearcher
-	modal  ModeSearcher  // non-nil when engine supports per-request exec modes
 	live   LiveIndex     // non-nil when engine supports mutation
 	titles titleProvider // non-nil when engine resolves titles directly
 	docs   []corpus.Document
@@ -217,9 +205,6 @@ func NewServer(engine vsm.Searcher, docs []corpus.Document) (*Server, error) {
 	s := &Server{engine: engine, docs: docs, mux: http.NewServeMux(), logCap: DefaultQueryLogCap, maxK: DefaultMaxK, maxBatch: DefaultMaxBatch}
 	if live, ok := engine.(LiveIndex); ok {
 		s.live = live
-	}
-	if modal, ok := engine.(ModeSearcher); ok {
-		s.modal = modal
 	}
 	if reqs, ok := engine.(vsm.RequestSearcher); ok {
 		s.reqs = reqs
@@ -320,10 +305,10 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // decodeQuery is the one place a SearchRequest becomes an executable
-// vsm.Request: empty-query rejection, the negative-k rejection and
-// SetMaxK clamp, and exec-mode parsing all live here, so the single
-// and batch endpoints cannot drift apart (the clamp used to be
-// single-endpoint only, which a batch endpoint would have bypassed).
+// vsm.Request: empty-query rejection, the negative-k rejection and the
+// SetMaxK clamp all live here, so the single and batch endpoints
+// cannot drift apart (the clamp used to be single-endpoint only, which
+// a batch endpoint would have bypassed).
 func (s *Server) decodeQuery(req *SearchRequest) (vsm.Request, error) {
 	if strings.TrimSpace(req.Query) == "" {
 		return vsm.Request{}, errors.New("empty query")
@@ -338,34 +323,21 @@ func (s *Server) decodeQuery(req *SearchRequest) (vsm.Request, error) {
 	if k > s.maxK {
 		k = s.maxK
 	}
-	mode, err := vsm.ParseExecMode(req.Exec)
-	if err != nil {
-		return vsm.Request{}, err
-	}
-	if req.Exec != "" && s.reqs == nil && s.modal == nil {
-		return vsm.Request{}, errors.New("backend does not support exec mode overrides")
-	}
-	return vsm.Request{Query: req.Query, K: k, Mode: mode, Trace: req.Trace && s.reqs != nil}, nil
+	return vsm.Request{Query: req.Query, K: k, Trace: req.Trace && s.reqs != nil}, nil
 }
 
 // execute runs one decoded request on the best surface the backend
 // offers: the structured RequestSearcher (stats, cancellation) or the
 // legacy Searcher methods.
-func (s *Server) execute(ctx context.Context, req *SearchRequest, vreq vsm.Request) (SearchResponse, error) {
-	var results []vsm.Result
-	switch {
-	case s.reqs != nil:
+func (s *Server) execute(ctx context.Context, vreq vsm.Request) (SearchResponse, error) {
+	if s.reqs != nil {
 		vresp, err := s.reqs.SearchRequest(ctx, vreq)
 		if err != nil {
 			return SearchResponse{}, err
 		}
 		return s.toSearchResponse(&vresp), nil
-	case req.Exec != "":
-		results = s.modal.SearchMode(vreq.Query, vreq.K, vreq.Mode)
-	default:
-		results = s.engine.Search(vreq.Query, vreq.K)
 	}
-	return s.toSearchResponse(&vsm.Response{Hits: results}), nil
+	return s.toSearchResponse(&vsm.Response{Hits: s.engine.Search(vreq.Query, vreq.K)}), nil
 }
 
 // toSearchResponse shapes an engine response into the wire form,
@@ -422,7 +394,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 	s.logQuery(req.Query)
 
-	resp, err := s.execute(r.Context(), &req, vreq)
+	resp, err := s.execute(r.Context(), vreq)
 	if err != nil {
 		writeExecError(w, err)
 		return
@@ -483,7 +455,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	// Legacy backend: member-at-a-time, same results, no stats.
 	for i := range batch.Queries {
-		sr, err := s.execute(r.Context(), &batch.Queries[i], vreqs[i])
+		sr, err := s.execute(r.Context(), vreqs[i])
 		if err != nil {
 			writeExecError(w, err)
 			return

@@ -50,7 +50,7 @@ func TestStoreSearchBatchMatchesSingle(t *testing.T) {
 				}
 			}
 
-			modes := []vsm.ExecMode{vsm.ExecAuto, vsm.ExecAuto, vsm.ExecMaxScore, vsm.ExecBlockMax, vsm.ExecExhaustive, vsm.ExecAuto}
+			modes := []vsm.ExecMode{vsm.ExecAuto, vsm.ExecAuto, vsm.ExecMaxScore, vsm.ExecExhaustive, vsm.ExecAuto}
 			reqs := make([]vsm.Request, 0, 8)
 			for qi := 0; qi < 8; qi++ {
 				q := queryFrom(docs[rng.Intn(len(docs))], rng.Intn(25), 2+rng.Intn(4))
@@ -81,7 +81,7 @@ func TestStoreSearchBatchMatchesSingle(t *testing.T) {
 					}
 				}
 				// The legacy surface must agree too.
-				legacy := st.SearchTermsExec(an.Analyze(req.Query), req.K, req.Mode, nil)
+				legacy := st.SearchTerms(an.Analyze(req.Query), req.K)
 				for j := range legacy {
 					if batch[i].Hits[j] != legacy[j] {
 						t.Fatalf("member %d rank %d: batch %+v vs legacy %+v", i, j, batch[i].Hits[j], legacy[j])

@@ -73,7 +73,7 @@ func BenchmarkLiveIndex(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			terms := an.Analyze(queries[i%len(queries)])
-			if res := st.SearchTermsExec(terms, 10, vsm.ExecMaxScore, &stats); len(res) == 0 {
+			if res := searchMode(b, st, terms, 10, vsm.ExecMaxScore, &stats); len(res) == 0 {
 				b.Fatal("no results")
 			}
 		}
@@ -82,7 +82,7 @@ func BenchmarkLiveIndex(b *testing.B) {
 
 	b.Run("segmented4-exhaustive", func(b *testing.B) {
 		// The same 4-segment layout forced onto the exhaustive scorer:
-		// the gap against "segmented4" (MaxScore by default) is the live
+		// the gap against "segmented4" (forced MaxScore) is the live
 		// store's pruning win.
 		st, err := Open(Config{
 			Analyzer:          an,
@@ -103,7 +103,7 @@ func BenchmarkLiveIndex(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			terms := an.Analyze(queries[i%len(queries)])
-			if res := st.SearchTermsExec(terms, 10, vsm.ExecExhaustive, &stats); len(res) == 0 {
+			if res := searchMode(b, st, terms, 10, vsm.ExecExhaustive, &stats); len(res) == 0 {
 				b.Fatal("no results")
 			}
 		}
@@ -200,7 +200,7 @@ func traversalLoop(b *testing.B, st *Store, queries [][]string) {
 	b.Helper()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := st.SearchTermsExec(queries[i%len(queries)], 10, vsm.ExecExhaustive, nil); len(res) == 0 {
+		if res := searchMode(b, st, queries[i%len(queries)], 10, vsm.ExecExhaustive, nil); len(res) == 0 {
 			b.Fatal("no results")
 		}
 	}
@@ -256,7 +256,7 @@ func BenchmarkTraversalWarm(b *testing.B) {
 		defer st.Close()
 		// Prime: one pass over the battery fills the cache.
 		for _, q := range queries {
-			st.SearchTermsExec(q, 10, vsm.ExecExhaustive, nil)
+			searchMode(b, st, q, 10, vsm.ExecExhaustive, nil)
 		}
 		traversalLoop(b, st, queries)
 		if cs, ok := st.CacheStats(); ok && cs.Hits+cs.Misses > 0 {

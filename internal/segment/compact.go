@@ -165,7 +165,6 @@ func (st *Store) compactRun(start, end int) (*seg, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng.SetExecMode(st.cfg.ExecMode)
 	out := &seg{
 		level: level + 1,
 		ids:   ids,

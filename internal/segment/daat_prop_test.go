@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,10 +11,10 @@ import (
 	"toppriv/internal/vsm"
 )
 
-// TestStoreMaxScoreMatchesExhaustive asserts that pruned execution —
-// MaxScore and block-max WAND — through the segmented store: memtable
-// (term-level bounds only) plus sealed segments (exact block bounds
-// from seal), with tombstones filtered before scoring in every shard,
+// TestStoreMaxScoreMatchesExhaustive asserts that MaxScore execution
+// through the segmented store: memtable (incremental term-level
+// bounds) plus sealed segments (exact bounds from seal), with
+// tombstones filtered before scoring in every shard,
 // returns exactly the documents and order of exhaustive execution,
 // scores within 1e-9, for both scoring functions and k from selective
 // to full-collection.
@@ -75,10 +76,10 @@ func runStoreDAATTrial(t *testing.T, scoring vsm.Scoring, trial int64) {
 		terms := an.Analyze(q)
 		for _, k := range []int{1, 10, 100} {
 			var ex vsm.ExecStats
-			oracle := st.SearchTermsExec(terms, k, vsm.ExecExhaustive, &ex)
-			for _, mode := range []vsm.ExecMode{vsm.ExecMaxScore, vsm.ExecBlockMax} {
+			oracle := searchMode(t, st, terms, k, vsm.ExecExhaustive, &ex)
+			for _, mode := range []vsm.ExecMode{vsm.ExecMaxScore} {
 				var ms vsm.ExecStats
-				pruned := st.SearchTermsExec(terms, k, mode, &ms)
+				pruned := searchMode(t, st, terms, k, mode, &ms)
 				if len(pruned) != len(oracle) {
 					t.Fatalf("trial %d q%d k=%d %s: %d results vs oracle %d",
 						trial, qi, k, mode, len(pruned), len(oracle))
@@ -98,10 +99,26 @@ func runStoreDAATTrial(t *testing.T, scoring vsm.Scoring, trial int64) {
 	}
 }
 
+// searchMode runs one analyzed query under an explicit Request.Mode,
+// accumulating its work counters into stats when non-nil.
+func searchMode(tb testing.TB, st *Store, terms []string, k int, mode vsm.ExecMode, stats *vsm.ExecStats) []vsm.Result {
+	tb.Helper()
+	if len(terms) == 0 {
+		return nil
+	}
+	resp, err := st.SearchRequest(context.Background(), vsm.Request{Terms: terms, K: k, Mode: mode})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if stats != nil {
+		stats.Add(resp.Stats)
+	}
+	return resp.Hits
+}
+
 // TestStoreExecModeSurvivesReload checks that a store saved and
-// reloaded (v3 TPIX segments, block bounds persisted) still prunes —
-// under MaxScore and block-max WAND alike — and still agrees with its
-// own exhaustive oracle.
+// reloaded (impact bounds persisted in the TPIX segments) still runs
+// MaxScore and still agrees with its own exhaustive oracle.
 func TestStoreExecModeSurvivesReload(t *testing.T) {
 	an := textproc.NewAnalyzer()
 	docs := synthDocs(t, 60, 777)
@@ -125,10 +142,10 @@ func TestStoreExecModeSurvivesReload(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for qi := 0; qi < 8; qi++ {
 		terms := an.Analyze(queryFrom(docs[rng.Intn(len(docs))], qi, 3))
-		oracle := ld.SearchTermsExec(terms, 10, vsm.ExecExhaustive, nil)
-		for _, mode := range []vsm.ExecMode{vsm.ExecMaxScore, vsm.ExecBlockMax} {
+		oracle := searchMode(t, ld, terms, 10, vsm.ExecExhaustive, nil)
+		for _, mode := range []vsm.ExecMode{vsm.ExecMaxScore} {
 			var ms vsm.ExecStats
-			pruned := ld.SearchTermsExec(terms, 10, mode, &ms)
+			pruned := searchMode(t, ld, terms, 10, mode, &ms)
 			if len(pruned) != len(oracle) {
 				t.Fatalf("q%d %s: %d vs %d results", qi, mode, len(pruned), len(oracle))
 			}

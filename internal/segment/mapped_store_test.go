@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -82,13 +83,13 @@ func TestMappedStoreBitIdentical(t *testing.T) {
 
 		for qi, q := range queries {
 			terms := an.Analyze(q)
-			for _, mode := range []vsm.ExecMode{vsm.ExecExhaustive, vsm.ExecMaxScore, vsm.ExecBlockMax} {
+			for _, mode := range []vsm.ExecMode{vsm.ExecExhaustive, vsm.ExecMaxScore} {
 				for _, k := range []int{5, 20} {
-					want := mem.SearchTermsExec(terms, k, mode, nil)
+					want := searchMode(t, mem, terms, k, mode, nil)
 					// Two passes over the cached store: the second is served
 					// (partly) from the block cache and must not drift.
 					for _, st := range []*Store{mapped, cached, cached} {
-						got := st.SearchTermsExec(terms, k, mode, nil)
+						got := searchMode(t, st, terms, k, mode, nil)
 						if len(got) != len(want) {
 							t.Fatalf("scoring %v q%d %v k=%d: %d results vs %d in-memory",
 								scoring, qi, mode, k, len(got), len(want))
@@ -203,9 +204,9 @@ func TestMappedCacheSurvivesCompaction(t *testing.T) {
 	// the first pass repopulates, the second hits.
 	for qi, q := range queries {
 		terms := an.Analyze(q)
-		want := mem.SearchTermsExec(terms, 10, vsm.ExecExhaustive, nil)
+		want := searchMode(t, mem, terms, 10, vsm.ExecExhaustive, nil)
 		for pass := 0; pass < 2; pass++ {
-			got := cached.SearchTermsExec(terms, 10, vsm.ExecExhaustive, nil)
+			got := searchMode(t, cached, terms, 10, vsm.ExecExhaustive, nil)
 			if len(got) != len(want) {
 				t.Fatalf("q%d pass %d: %d results vs %d in-memory", qi, pass, len(got), len(want))
 			}
@@ -259,6 +260,21 @@ func TestMappedStoreRejectsCorruptSegment(t *testing.T) {
 		}
 		if _, err := Load(dir, Config{Analyzer: an}); err == nil {
 			t.Fatalf("%s segment accepted by in-memory Load", name)
+		}
+	}
+	// A segment written by another build's format version: the error
+	// names the file and both versions, so an operator knows which data
+	// directory to rebuild.
+	old := append([]byte(nil), orig...)
+	old[4] = 6
+	if err := os.WriteFile(segs[0], old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mapped := range []bool{true, false} {
+		_, err := Load(dir, Config{Analyzer: an, Mapped: mapped})
+		if err == nil || !strings.Contains(err.Error(), filepath.Base(segs[0])) ||
+			!strings.Contains(err.Error(), "TPIX version 6: this build reads version 7 only") {
+			t.Fatalf("old-version segment (mapped=%v): err = %v, want the file name and both versions", mapped, err)
 		}
 	}
 	restore()

@@ -29,9 +29,7 @@ type memtable struct {
 	// Incremental per-term max-impact bounds for top-k pruning.
 	// They only grow as documents arrive (never shrink on tombstone),
 	// which keeps them valid upper bounds; sealing rebuilds the shard
-	// through index.Build, which recomputes them exactly and adds the
-	// per-block bounds a growing list cannot maintain (block-max
-	// execution over the memtable treats each list as one block).
+	// through index.Build, which recomputes them exactly.
 	maxTF  map[textproc.TermID]int32
 	maxCos map[textproc.TermID]float64
 	eng    *vsm.Engine
@@ -48,7 +46,6 @@ func newMemtable(st *Store) (*memtable, error) {
 	if err != nil {
 		return nil, fmt.Errorf("segment: memtable engine: %w", err)
 	}
-	eng.SetExecMode(st.cfg.ExecMode)
 	mt.eng = eng
 	return mt, nil
 }
@@ -100,7 +97,7 @@ func (mt *memtable) NumTerms() int { return mt.st.vocab.Size() }
 // place); compression happens on seal, when index.Build lays the
 // frozen lists out block-compressed.
 func (mt *memtable) IterInto(id textproc.TermID, it *index.Iterator) {
-	it.ResetList(mt.post[id], nil)
+	it.ResetList(mt.post[id])
 }
 
 func (mt *memtable) DocLen(d corpus.DocID) int {
@@ -155,7 +152,6 @@ func (mt *memtable) seal() (*seg, error) {
 	if err != nil {
 		return nil, fmt.Errorf("segment: seal engine: %w", err)
 	}
-	eng.SetExecMode(mt.st.cfg.ExecMode)
 	return &seg{
 		level: 0,
 		ids:   mt.ids,

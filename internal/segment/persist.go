@@ -313,7 +313,6 @@ func (st *Store) loadSeg(dir string, ms manifestSeg) (*seg, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng.SetExecMode(st.cfg.ExecMode)
 	return &seg{level: ms.Level, ids: ms.IDs, docs: docs, idx: idx, eng: eng, dead: dead, live: live}, nil
 }
 

@@ -10,15 +10,14 @@
 // (N, df, avgdl) so results are identical — to floating-point noise —
 // to a from-scratch index.Build over the surviving documents.
 //
-// Shard queries execute document-at-a-time with top-k pruning by
-// default (block-max WAND for cosine, MaxScore otherwise): sealed
-// segments carry exact per-term and per-block impact bounds from
-// index.Build, the memtable maintains incremental (never-shrinking)
-// term-level bounds as documents arrive — its block bounds are
-// computed exactly on seal, when the lists stop growing — and
-// tombstones are filtered before a document is scored.
-// Config.ExecMode pins a strategy store-wide; SearchTermsExec
-// overrides it per query.
+// Every shard engine picks its execution strategy by the one rule in
+// vsm (the flat scan under cosine and for near-full retrieval,
+// MaxScore pruning under BM25): sealed segments carry exact per-term
+// impact bounds from index.Build, the memtable maintains incremental
+// (never-shrinking) term-level bounds as documents arrive — exact
+// again on seal, when the lists stop growing — and tombstones are
+// filtered before a document is scored. The store has no strategy
+// setting of its own.
 //
 // The store persists as one TPIX file per sealed segment plus a JSON
 // manifest, so a restart recovers without re-analyzing any text.
@@ -145,64 +144,6 @@ func (s *liveSource) MaxTF(id textproc.TermID) int32          { return s.local.M
 func (s *liveSource) MaxCosImpact(id textproc.TermID) float64 { return s.local.MaxCosImpact(id) }
 func (s *liveSource) MaxBM25Impact(id textproc.TermID) float64 {
 	return s.local.MaxBM25Impact(id)
-}
-
-// localBlocks is implemented by shards whose postings carry per-block
-// impact bounds (*index.Index — i.e. every sealed segment, whose
-// blocks are computed exactly by index.Build on seal and by Merge on
-// compaction). The memtable does not: its lists grow in place, so its
-// iterators fall back to term-level bounds.
-type localBlocks interface {
-	BlockIterInto(id textproc.TermID, it *index.Iterator)
-}
-
-// BlockIterInto implements vsm.BlockSource: sealed shards hand out
-// iterators with per-block bounds; the memtable degrades to a plain
-// iterator, which block-max WAND treats as a single block bounded by
-// the term-level maxima.
-func (s *liveSource) BlockIterInto(id textproc.TermID, it *index.Iterator) {
-	if lb, ok := s.local.(localBlocks); ok {
-		lb.BlockIterInto(id, it)
-		return
-	}
-	s.local.IterInto(id, it)
-}
-
-// HasBlocks reports whether this shard's iterators carry real block
-// bounds (sealed segments yes, memtable no), so ExecAuto routes the
-// memtable through MaxScore instead of degraded WAND while an
-// explicit ExecBlockMax still executes — correctly — either way.
-func (s *liveSource) HasBlocks() bool {
-	_, ok := s.local.(localBlocks)
-	return ok
-}
-
-// localHeads is implemented by shards whose postings carry an
-// impact-ordered head (*index.Index — computed on seal and on
-// compaction). The memtable does not; its queries simply run unprimed.
-type localHeads interface {
-	HeadOrder(id textproc.TermID) []int32
-	BlockMaxes(id textproc.TermID) []index.BlockMax
-}
-
-// HeadOrder implements the vsm head-source extension: sealed shards
-// hand out their lists' impact-ordered heads for threshold priming;
-// the memtable has none.
-func (s *liveSource) HeadOrder(id textproc.TermID) []int32 {
-	if lh, ok := s.local.(localHeads); ok {
-		return lh.HeadOrder(id)
-	}
-	return nil
-}
-
-// BlockMaxes exposes the shard's per-block impact bounds alongside
-// HeadOrder (priming reads bounds by head ordinal without positioning
-// an iterator). Nil over the memtable.
-func (s *liveSource) BlockMaxes(id textproc.TermID) []index.BlockMax {
-	if lh, ok := s.local.(localHeads); ok {
-		return lh.BlockMaxes(id)
-	}
-	return nil
 }
 
 func (s *liveSource) AvgDocLen() float64 {

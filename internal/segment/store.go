@@ -27,11 +27,6 @@ var ErrClosed = errors.New("segment: store is closed")
 type Config struct {
 	// Scoring selects the ranking function, as in vsm.
 	Scoring vsm.Scoring
-	// ExecMode is the default query-execution strategy for every shard
-	// engine (vsm.ExecAuto runs pruned execution — block-max WAND or
-	// MaxScore; per-query overrides go through
-	// SearchTermsExec/SearchMode).
-	ExecMode vsm.ExecMode
 	// Analyzer is the shared text pipeline; nil means the default.
 	Analyzer *textproc.Analyzer
 	// SealThreshold is the memtable document count that triggers an
@@ -577,32 +572,12 @@ func (st *Store) Search(query string, k int) []vsm.Result {
 // ranking equals a single-index search over the surviving documents.
 // Legacy wrapper; new code should use SearchRequest.
 func (st *Store) SearchTerms(terms []string, k int) []vsm.Result {
-	return st.SearchTermsExec(terms, k, vsm.ExecAuto, nil)
-}
-
-// SearchMode analyzes and runs a query under an explicit execution
-// mode, overriding the store's configured default. Legacy wrapper; new
-// code should use SearchRequest with Request.Mode.
-func (st *Store) SearchMode(query string, k int, mode vsm.ExecMode) []vsm.Result {
-	return st.SearchTermsExec(st.an.Analyze(query), k, mode, nil)
-}
-
-// SearchTermsExec is the uncancellable full-control query entry point:
-// analyzed terms, an explicit execution mode (vsm.ExecAuto defers to
-// the configured default), and an optional work-counter sink that
-// accumulates across shards. Every shard prunes against its own local
-// top-k threshold, so the merged result is identical to exhaustive
-// execution. Legacy wrapper over SearchRequest.
-func (st *Store) SearchTermsExec(terms []string, k int, mode vsm.ExecMode, stats *vsm.ExecStats) []vsm.Result {
 	if k <= 0 || len(terms) == 0 {
 		return nil
 	}
-	resp, err := st.SearchRequest(context.Background(), vsm.Request{Terms: terms, K: k, Mode: mode})
+	resp, err := st.SearchRequest(context.Background(), vsm.Request{Terms: terms, K: k})
 	if err != nil {
 		return nil
-	}
-	if stats != nil {
-		stats.Add(resp.Stats)
 	}
 	return resp.Hits
 }

@@ -27,7 +27,6 @@ type storeMetrics struct {
 	docsPruned    *telemetry.Counter
 	docsFiltered  *telemetry.Counter
 	postings      *telemetry.Counter
-	blockSkips    *telemetry.Counter
 	seekProbes    *telemetry.Counter
 	blocksDecoded *telemetry.Counter
 }
@@ -58,8 +57,6 @@ func (st *Store) EnableMetrics(reg *telemetry.Registry, ring *telemetry.TraceRin
 		"Documents rejected by the keep predicate (tombstones) before scoring.")
 	m.postings = reg.Counter("toppriv_postings_total",
 		"Postings visited by exhaustive traversals.")
-	m.blockSkips = reg.Counter("toppriv_block_skips_total",
-		"Pivots discarded by block-max WAND on the per-block bound alone.")
 	m.seekProbes = reg.Counter("toppriv_seek_probes_total",
 		"Document comparisons made by iterator seeks.")
 	m.blocksDecoded = reg.Counter("toppriv_blocks_decoded_total",
@@ -168,7 +165,6 @@ func (st *Store) finishBatch(bt *batchTimer, reqs []vsm.Request, resps []vsm.Res
 	t.DocsScored = agg.DocsScored
 	t.DocsPruned = agg.DocsPruned
 	t.Postings = agg.Postings
-	t.BlockSkips = agg.BlockSkips
 	t.SeekProbes = agg.SeekProbes
 	t.BlocksDecoded = agg.BlocksDecoded
 	if m := st.metrics; m != nil {
@@ -178,7 +174,6 @@ func (st *Store) finishBatch(bt *batchTimer, reqs []vsm.Request, resps []vsm.Res
 		m.docsPruned.Add(uint64(agg.DocsPruned))
 		m.docsFiltered.Add(uint64(agg.DocsFiltered))
 		m.postings.Add(uint64(agg.Postings))
-		m.blockSkips.Add(uint64(agg.BlockSkips))
 		m.seekProbes.Add(uint64(agg.SeekProbes))
 		m.blocksDecoded.Add(uint64(agg.BlocksDecoded))
 		if m.ring != nil {

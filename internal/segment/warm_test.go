@@ -46,9 +46,9 @@ func TestCompactionWarmsCache(t *testing.T) {
 	// block of the merged segment: the whole query pass must hit.
 	for qi, q := range queries {
 		terms := an.Analyze(q)
-		for _, mode := range []vsm.ExecMode{vsm.ExecExhaustive, vsm.ExecMaxScore, vsm.ExecBlockMax} {
-			want := mem.SearchTermsExec(terms, 10, mode, nil)
-			got := cached.SearchTermsExec(terms, 10, mode, nil)
+		for _, mode := range []vsm.ExecMode{vsm.ExecExhaustive, vsm.ExecMaxScore} {
+			want := searchMode(t, mem, terms, 10, mode, nil)
+			got := searchMode(t, cached, terms, 10, mode, nil)
 			if len(got) != len(want) {
 				t.Fatalf("q%d %v: %d results vs %d in-memory", qi, mode, len(got), len(want))
 			}

@@ -41,7 +41,6 @@ type PhaseTrace struct {
 	DocsScored    int `json:"docs_scored"`
 	DocsPruned    int `json:"docs_pruned"`
 	Postings      int `json:"postings"`
-	BlockSkips    int `json:"block_skips,omitempty"`
 	SeekProbes    int `json:"seek_probes,omitempty"`
 	BlocksDecoded int `json:"blocks_decoded,omitempty"`
 }

@@ -33,13 +33,13 @@ func TestSearchAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []ExecMode{ExecMaxScore, ExecBlockMax, ExecExhaustive} {
+		for _, mode := range []ExecMode{ExecMaxScore, ExecExhaustive} {
 			// Warm the pool (and the accumulator growth) first.
 			for i := 0; i < 8; i++ {
-				eng.SearchTermsExec(terms, 10, nil, mode, nil)
+				searchMode(t, eng, terms, 10, nil, mode, nil)
 			}
 			avg := testing.AllocsPerRun(200, func() {
-				if res := eng.SearchTermsExec(terms, 10, nil, mode, nil); len(res) == 0 {
+				if res := searchMode(t, eng, terms, 10, nil, mode, nil); len(res) == 0 {
 					t.Fatal("no results")
 				}
 			})

@@ -18,9 +18,9 @@ import (
 // across the batch are at most batchShareNum/batchShareDen of the
 // per-member sum — i.e. the cycle's term overlap repays the shared
 // scan with at least a 20% postings saving. Below that the batch runs
-// member-at-a-time under the usual auto heuristic. Like the single
-// query auto crossover, the exact boundary is a calibration candidate
-// (see the ROADMAP auto exec-mode item).
+// member-at-a-time under the single-query rule (effectiveMode). The
+// exact boundary is a calibration candidate (see the ROADMAP engine
+// item).
 const (
 	batchShareNum = 4
 	batchShareDen = 5
@@ -171,23 +171,20 @@ func (e *Engine) SearchBatch(ctx context.Context, reqs []Request) ([]Response, e
 	}
 	bc.mark(&bc.resolve)
 
-	// Plan: auto-mode members may join the shared traversal when the
-	// engine itself is not pinned to a pruned strategy; explicit-mode
-	// members (and pinned engines) keep their member-at-a-time path.
-	if e.mode == ExecAuto || e.mode == ExecExhaustive {
-		for i := range bs.members {
-			if m := &bs.members[i]; m.live && m.req.Mode == ExecAuto {
-				bs.shared = append(bs.shared, i)
-			}
+	// Plan: auto-mode members may join the shared traversal;
+	// explicit-mode members keep their member-at-a-time path.
+	for i := range bs.members {
+		if m := &bs.members[i]; m.live && m.req.Mode == ExecAuto {
+			bs.shared = append(bs.shared, i)
 		}
-		if e.scoring == BM25 {
-			bs.shared = largestAvgLenGroup(bs.members, bs.shared)
-		}
+	}
+	if e.scoring == BM25 {
+		bs.shared = largestAvgLenGroup(bs.members, bs.shared)
 	}
 	if shared := bs.shared; len(shared) >= 2 {
 		distinct, totalPostings := e.buildUnion(bs)
 		bc.mark(&bc.fetch)
-		if e.mode == ExecExhaustive || distinct*batchShareDen <= totalPostings*batchShareNum {
+		if distinct*batchShareDen <= totalPostings*batchShareNum {
 			if err := e.batchExhaustive(ctx, bs); err != nil {
 				return nil, err
 			}
@@ -200,8 +197,8 @@ func (e *Engine) SearchBatch(ctx context.Context, reqs []Request) ([]Response, e
 		}
 	}
 
-	// Member-at-a-time for everyone left: explicit modes, unprofitable
-	// sharing, and engines pinned to a pruned strategy. Members the
+	// Member-at-a-time for everyone left: explicit modes, avgdl
+	// stragglers and unprofitable sharing. Members the
 	// shared traversal served have non-nil (possibly empty) hit
 	// slices; dead members keep nil hits and zero stats. Resolution was
 	// shared, so per-member clocks carry fetch/traverse/merge only.

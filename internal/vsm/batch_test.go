@@ -77,7 +77,7 @@ func TestSearchBatchMatchesSingle(t *testing.T) {
 				keep := func(d corpus.DocID) bool { return !dead[d] }
 
 				queries := cycleQueries(gt, an, rng, 8)
-				modes := []ExecMode{ExecAuto, ExecAuto, ExecAuto, ExecMaxScore, ExecBlockMax, ExecExhaustive, ExecAuto, ExecAuto}
+				modes := []ExecMode{ExecAuto, ExecAuto, ExecAuto, ExecMaxScore, ExecAuto, ExecExhaustive, ExecAuto, ExecAuto}
 				ks := []int{10, 10, 1, 10, 25, 10, 100, 10}
 				reqs := make([]Request, len(queries))
 				for i, q := range queries {
@@ -142,7 +142,9 @@ func TestSearchBatchSharesTraversal(t *testing.T) {
 		t.Fatal(err)
 	}
 	an := textproc.NewAnalyzer()
-	eng, err := NewEngine(idx, an, Cosine)
+	// BM25: the scorer whose solo auto queries run MaxScore, so shared
+	// and member-at-a-time plans are distinguishable by their counters.
+	eng, err := NewEngine(idx, an, BM25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +207,7 @@ func TestSearchCancellation(t *testing.T) {
 	q := analyzeTerms(eng.Analyzer(), gt.TopicWords[0][:3])
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, mode := range []ExecMode{ExecAuto, ExecMaxScore, ExecBlockMax, ExecExhaustive} {
+	for _, mode := range []ExecMode{ExecAuto, ExecMaxScore, ExecExhaustive} {
 		if _, err := eng.SearchRequest(ctx, Request{Terms: q, K: 10, Mode: mode}); err != context.Canceled {
 			t.Errorf("%v: canceled request returned %v, want context.Canceled", mode, err)
 		}

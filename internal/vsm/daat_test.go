@@ -1,6 +1,7 @@
 package vsm
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,13 +12,13 @@ import (
 	"toppriv/internal/textproc"
 )
 
-// TestMaxScoreMatchesExhaustive is the pruned paths' correctness
+// TestMaxScoreMatchesExhaustive is the pruned path's correctness
 // anchor: over random synthetic corpora, for both scoring functions,
 // with and without tombstone filters and priors, and for k spanning
-// "selective" to "nearly everything", DAAT/MaxScore and block-max
-// WAND must each return exactly the documents and order of the
-// exhaustive oracle, with scores within 1e-9 (in fact all paths share
-// their accumulation order, so scores are expected bit-identical).
+// "selective" to "nearly everything", DAAT/MaxScore must return
+// exactly the documents and order of the exhaustive oracle, with
+// scores within 1e-9 (in fact both paths share their accumulation
+// order, so scores are expected bit-identical).
 func TestMaxScoreMatchesExhaustive(t *testing.T) {
 	for _, scoring := range []Scoring{Cosine, BM25} {
 		scoring := scoring
@@ -112,10 +113,10 @@ func runMaxScoreTrial(t *testing.T, scoring Scoring, trial int64) {
 				for qi, q := range queries {
 					var ex ExecStats
 					terms := analyzeTerms(an, q)
-					oracle := eng.SearchTermsExec(terms, k, keep, ExecExhaustive, &ex)
-					for _, mode := range []ExecMode{ExecMaxScore, ExecBlockMax} {
+					oracle := searchMode(t, eng, terms, k, keep, ExecExhaustive, &ex)
+					for _, mode := range []ExecMode{ExecMaxScore} {
 						var ms ExecStats
-						pruned := eng.SearchTermsExec(terms, k, keep, mode, &ms)
+						pruned := searchMode(t, eng, terms, k, keep, mode, &ms)
 						if len(pruned) != len(oracle) {
 							t.Fatalf("%s/%s/%s/%s k=%d q%d %v: %d results vs oracle %d",
 								scoring, engName, keepName, mode, k, qi, q, len(pruned), len(oracle))
@@ -135,6 +136,20 @@ func runMaxScoreTrial(t *testing.T, scoring Scoring, trial int64) {
 			}
 		}
 	}
+}
+
+// searchMode runs one analyzed query under an explicit Request.Mode,
+// accumulating its work counters into stats when non-nil.
+func searchMode(t testing.TB, eng *Engine, terms []string, k int, keep func(corpus.DocID) bool, mode ExecMode, stats *ExecStats) []Result {
+	t.Helper()
+	resp, err := eng.SearchRequest(context.Background(), Request{Terms: terms, K: k, Keep: keep, Mode: mode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats != nil {
+		stats.Add(resp.Stats)
+	}
+	return resp.Hits
 }
 
 // analyzeTerms runs each raw query word through the analyzer (the
@@ -169,54 +184,110 @@ func TestMaxScorePrunesWork(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var ms, bm, ex ExecStats
+		var ms, ex ExecStats
 		for i := 0; i < 20; i++ {
 			topic := gt.TopicWords[rng.Intn(len(gt.TopicWords))]
 			q := analyzeTerms(an, []string{topic[0], topic[1], topic[2]})
-			eng.SearchTermsExec(q, 10, nil, ExecMaxScore, &ms)
-			eng.SearchTermsExec(q, 10, nil, ExecBlockMax, &bm)
-			eng.SearchTermsExec(q, 10, nil, ExecExhaustive, &ex)
+			searchMode(t, eng, q, 10, nil, ExecMaxScore, &ms)
+			searchMode(t, eng, q, 10, nil, ExecExhaustive, &ex)
 		}
 		if ms.DocsScored*2 > ex.DocsScored {
 			t.Errorf("%v: MaxScore fully scored %d docs, exhaustive %d — expected ≥2× reduction",
 				scoring, ms.DocsScored, ex.DocsScored)
 		}
-		if bm.DocsScored*2 > ex.DocsScored {
-			t.Errorf("%v: block-max fully scored %d docs, exhaustive %d — expected ≥2× reduction",
-				scoring, bm.DocsScored, ex.DocsScored)
-		}
-		if bm.BlockSkips == 0 {
-			t.Errorf("%v: block-max WAND never skipped on a block bound", scoring)
-		}
-		if ms.HeadBlocksPrimed == 0 || bm.HeadBlocksPrimed == 0 {
-			t.Errorf("%v: pruned modes never primed from the impact-ordered heads (maxscore=%d blockmax=%d)",
-				scoring, ms.HeadBlocksPrimed, bm.HeadBlocksPrimed)
-		}
-		if ex.HeadBlocksPrimed != 0 {
-			t.Errorf("%v: exhaustive mode primed %d head blocks, want 0", scoring, ex.HeadBlocksPrimed)
-		}
-		t.Logf("%v: docs scored maxscore=%d blockmax=%d exhaustive=%d pruned=%d/%d blockskips=%d primed=%d/%d",
-			scoring, ms.DocsScored, bm.DocsScored, ex.DocsScored, ms.DocsPruned, bm.DocsPruned, bm.BlockSkips,
-			ms.HeadBlocksPrimed, bm.HeadBlocksPrimed)
+		t.Logf("%v: docs scored maxscore=%d exhaustive=%d pruned=%d",
+			scoring, ms.DocsScored, ex.DocsScored, ms.DocsPruned)
 	}
 }
 
-// TestExecModeParsing pins the flag/API surface.
-func TestExecModeParsing(t *testing.T) {
-	for s, want := range map[string]ExecMode{
-		"": ExecAuto, "auto": ExecAuto, "maxscore": ExecMaxScore,
-		"exhaustive": ExecExhaustive, "blockmax": ExecBlockMax,
+// impactlessSource hides every optional extension of the Source it
+// wraps: the engine sees postings and statistics, no max-impact bounds.
+type impactlessSource struct{ Source }
+
+// TestAutoPlan pins the planner rule (effectiveMode) through the trace
+// every response can carry: without impact metadata or for near-full
+// retrieval (4k ≥ N) the flat scan; otherwise MaxScore under BM25 and
+// the flat scan under cosine. Batch members that cannot join the shared
+// traversal follow the same rule.
+func TestAutoPlan(t *testing.T) {
+	c, gt, err := corpus.Synthesize(corpus.GenSpec{
+		Seed: 31, NumDocs: 300, NumTopics: 5, DocLenMin: 20, DocLenMax: 50,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := index.Build(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := textproc.NewAnalyzer()
+	terms := analyzeTerms(an, gt.TopicWords[0][:3])
+	ctx := context.Background()
+	n := idx.NumDocs()
+	for _, tc := range []struct {
+		scoring Scoring
+		impacts bool
+		k       int
+		want    ExecMode
+	}{
+		{Cosine, true, 10, ExecExhaustive},
+		{Cosine, true, n, ExecExhaustive},
+		{Cosine, false, 10, ExecExhaustive},
+		{BM25, true, 10, ExecMaxScore},
+		{BM25, true, (n - 1) / 4, ExecMaxScore},
+		{BM25, true, (n + 3) / 4, ExecExhaustive},
+		{BM25, true, n, ExecExhaustive},
+		{BM25, false, 10, ExecExhaustive},
 	} {
-		got, err := ParseExecMode(s)
-		if err != nil || got != want {
-			t.Errorf("ParseExecMode(%q) = %v, %v", s, got, err)
+		var src Source = idx
+		if !tc.impacts {
+			src = impactlessSource{idx}
+		}
+		eng, err := NewEngineOver(src, an, tc.scoring)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := eng.SearchRequest(ctx, Request{Terms: terms, K: tc.k, Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := resp.Trace.Mode; got != tc.want.String() {
+			t.Errorf("%v impacts=%v k=%d N=%d: auto ran %q, want %q", tc.scoring, tc.impacts, tc.k, n, got, tc.want)
+		}
+		// An explicit mode is honoured when the source can run it.
+		resp, err = eng.SearchRequest(ctx, Request{Terms: terms, K: tc.k, Mode: ExecMaxScore, Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := ExecMaxScore
+		if !tc.impacts {
+			want = ExecExhaustive
+		}
+		if got := resp.Trace.Mode; got != want.String() {
+			t.Errorf("%v impacts=%v k=%d: explicit maxscore ran %q, want %q", tc.scoring, tc.impacts, tc.k, got, want)
 		}
 	}
-	if _, err := ParseExecMode("bogus"); err == nil {
-		t.Error("bogus mode must error")
+
+	// Two BM25 statistics with different avgdl cannot share one
+	// traversal: the pair on the first shares, the straggler runs alone
+	// under the single-query rule.
+	eng, err := NewEngine(idx, an, BM25)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ExecMaxScore.String() != "maxscore" || ExecExhaustive.String() != "exhaustive" ||
-		ExecAuto.String() != "auto" || ExecBlockMax.String() != "blockmax" {
-		t.Error("ExecMode.String broken")
+	ga, gb := globalFor(idx, terms, 3, 0), globalFor(idx, terms, 3, 5000)
+	resps, err := eng.SearchBatch(ctx, []Request{
+		{Terms: terms, K: 10, Global: ga, Trace: true},
+		{Terms: terms, K: 10, Global: ga, Trace: true},
+		{Terms: terms, K: 10, Global: gb, Trace: true},
+		{Terms: terms, K: n, Global: gb, Trace: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"batch", "batch", "maxscore", "exhaustive"} {
+		if got := resps[i].Trace.Mode; got != want {
+			t.Errorf("batch member %d ran %q, want %q", i, got, want)
+		}
 	}
 }

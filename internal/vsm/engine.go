@@ -5,17 +5,15 @@
 // of Baeza-Yates & Ribeiro-Neto, the paper's reference [7]) and Okapi
 // BM25 — selected per Engine.
 //
-// Query execution is document-at-a-time over postings iterators, in
-// one of three strategies (see ExecMode): MaxScore pruning with
-// per-term max-impact bounds — once the running k-th best score
-// exceeds what a term's best posting could contribute, that term's
-// list stops driving candidates and is consulted only by skipping —
-// block-max WAND, which re-checks each pivot against per-block
-// (index.BlockSize postings) maxima and skips whole blocks that
-// cannot compete, and an exhaustive scorer over flat accumulators
-// that remains as the reference oracle. All paths accumulate
-// contributions in the same canonical term order, so their results —
-// documents, ranks, and floating-point scores — are identical.
+// Query execution walks postings iterators in one of two strategies,
+// picked per query by one rule (see effectiveMode): an exhaustive
+// scorer over flat accumulators, which is also the reference oracle,
+// and document-at-a-time MaxScore pruning with per-term max-impact
+// bounds — once the running k-th best score exceeds what a term's best
+// posting could contribute, that term's list stops driving candidates
+// and is consulted only by skipping. Both accumulate contributions in
+// the same canonical term order, so their results — documents, ranks,
+// and floating-point scores — are identical.
 //
 // TopPriv deliberately requires no changes to this engine; the privacy
 // machinery lives entirely client-side.
@@ -124,14 +122,8 @@ type Engine struct {
 	docNorm []float64  // cosine: precomputed norms (static sources)
 	normSrc NormSource // cosine: dynamic norms (live sources)
 	// impacts is the source's max-impact surface (nil when the source
-	// offers none); required for MaxScore and block-max execution.
+	// offers none); required for MaxScore execution.
 	impacts ImpactSource
-	// blockSrc is the source's per-block iterator surface (nil when
-	// the source offers none); block-max WAND uses it for block-level
-	// skipping and otherwise degrades to term-level bounds.
-	blockSrc BlockSource
-	// mode is the default execution strategy; set before serving.
-	mode ExecMode
 	// states pools per-query scratch (term bags, flat accumulators,
 	// heaps) across queries and goroutines.
 	states sync.Pool
@@ -177,9 +169,6 @@ func NewEngineOver(src Source, an *textproc.Analyzer, scoring Scoring) (*Engine,
 	if imp, ok := src.(ImpactSource); ok {
 		e.impacts = imp
 	}
-	if bs, ok := src.(BlockSource); ok {
-		e.blockSrc = bs
-	}
 	if scoring == Cosine {
 		if ns, ok := src.(NormSource); ok {
 			e.normSrc = ns
@@ -189,14 +178,6 @@ func NewEngineOver(src Source, an *textproc.Analyzer, scoring Scoring) (*Engine,
 	}
 	return e, nil
 }
-
-// SetExecMode selects the engine's default execution strategy. Call
-// before serving queries; per-query overrides go through
-// SearchTermsExec or SearchMode.
-func (e *Engine) SetExecMode(mode ExecMode) { e.mode = mode }
-
-// ExecModeValue reports the configured default execution mode.
-func (e *Engine) ExecModeValue() ExecMode { return e.mode }
 
 // NewEngineWithPrior builds an engine that folds a static document
 // prior (e.g. PageRank or HITS authority from internal/linkrank) into
@@ -301,7 +282,7 @@ func (e *Engine) ComputeStats() index.Stats {
 func (e *Engine) Analyzer() *textproc.Analyzer { return e.an }
 
 // SearchRequest executes one structured request: analyze (when Terms
-// is unset), resolve, and run under the requested execution mode,
+// is unset), resolve, and run under the strategy effectiveMode picks,
 // returning the ranked hits together with the execution counters. The
 // context cancels mid-execution between postings blocks. This is the
 // primary query entry point; the string-and-int methods below are thin
@@ -350,25 +331,7 @@ func (e *Engine) SearchTerms(terms []string, k int) []Result {
 // scored, so tombstoned postings cost no arithmetic. Legacy wrapper;
 // new code should use SearchRequest with Request.Keep.
 func (e *Engine) SearchTermsFiltered(terms []string, k int, keep func(corpus.DocID) bool) []Result {
-	return e.SearchTermsExec(terms, k, keep, e.mode, nil)
-}
-
-// SearchMode analyzes and runs a query under an explicit execution
-// mode, overriding the engine default. Legacy wrapper; new code should
-// use SearchRequest with Request.Mode.
-func (e *Engine) SearchMode(query string, k int, mode ExecMode) []Result {
-	return e.SearchTermsExec(e.an.Analyze(query), k, nil, mode, nil)
-}
-
-// SearchTermsExec is the uncancellable full-control entry point:
-// analyzed terms, a tombstone filter, an explicit execution mode
-// (ExecAuto defers to the engine default, then to metadata
-// availability), and an optional work-counter sink. MaxScore and
-// exhaustive execution return identical results; the property tests in
-// this package assert it. Legacy wrapper over the context-aware path;
-// new code should use SearchRequest.
-func (e *Engine) SearchTermsExec(terms []string, k int, keep func(corpus.DocID) bool, mode ExecMode, stats *ExecStats) []Result {
-	res, _ := e.searchTermsCtx(context.Background(), terms, k, keep, mode, nil, stats, nil)
+	res, _ := e.searchTermsCtx(context.Background(), terms, k, keep, ExecAuto, nil, nil, nil)
 	return res
 }
 
@@ -414,42 +377,23 @@ func (e *Engine) searchTermsCtx(ctx context.Context, terms []string, k int, keep
 	return res, nil
 }
 
-// effectiveMode resolves the strategy a query will actually run under:
-// ExecAuto defers to the engine default, then to metadata availability
-// and the retrieval-size heuristic.
+// effectiveMode resolves the strategy a query will actually run under.
+// Without max-impact metadata only the exhaustive scorer can run. Under
+// ExecAuto the exhaustive scorer also takes near-full retrieval
+// (4k ≥ N, where pruning cannot skip much) and every cosine query: the
+// normalized cosine bounds are too loose for MaxScore to shrink its
+// candidate stream, while BM25's saturation bounds do. Measured on the
+// benchmark's own genuine and ghost queries at 9 000 and 100 000
+// documents; see README "How the engine picks a strategy".
 func (e *Engine) effectiveMode(mode ExecMode, k int) ExecMode {
-	if mode == ExecAuto {
-		mode = e.mode
-	}
 	switch {
-	case mode == ExecExhaustive || e.impacts == nil:
-		return ExecExhaustive
-	case mode == ExecAuto && 4*k >= e.src.NumDocs():
-		// Near-full retrieval: pruning cannot skip much, so the flat
-		// scan's lower per-posting cost wins. An explicit pruned mode
-		// overrides this heuristic.
+	case e.impacts == nil || mode == ExecExhaustive:
 		return ExecExhaustive
 	case mode == ExecMaxScore:
 		return ExecMaxScore
-	case mode == ExecBlockMax:
-		return ExecBlockMax
+	case 4*k >= e.src.NumDocs() || e.scoring != BM25:
+		return ExecExhaustive
 	default:
-		// ExecAuto on a selective query: cosine's normalized term
-		// bounds are loose enough that MaxScore's candidate stream
-		// stays wide, so block-level skipping wins there; BM25's
-		// tighter saturation bounds already shrink MaxScore's
-		// essential set below what WAND's per-pivot bookkeeping
-		// costs. Recalibrated with the specialized decode kernels and
-		// head priming (one coherent run behind BENCH_search.json):
-		// cosine blockmax 36.3 µs vs maxscore 42.0 µs — block skips
-		// also skip block decodes, and priming tightens θ before the
-		// first pivot — while BM25 maxscore 24.6 µs vs blockmax
-		// 43.9 µs keeps MaxScore. See README "Choosing an execution
-		// mode"; per-(list-length, k) calibration remains the
-		// ROADMAP's auto exec-mode item.
-		if e.blockSrc != nil && e.blockSrc.HasBlocks() && e.scoring != BM25 {
-			return ExecBlockMax
-		}
 		return ExecMaxScore
 	}
 }
@@ -462,14 +406,10 @@ func (e *Engine) effectiveMode(mode ExecMode, k int) ExecMode {
 func (e *Engine) execResolved(ctx context.Context, qs *queryState, k int, qnorm float64, keep func(corpus.DocID) bool, mode ExecMode, stats *ExecStats) ([]Result, error) {
 	eff := e.effectiveMode(mode, k)
 	qs.effMode = eff
-	switch eff {
-	case ExecMaxScore:
+	if eff == ExecMaxScore {
 		return e.searchMaxScore(ctx, qs, k, qnorm, keep, stats)
-	case ExecBlockMax:
-		return e.searchBlockMax(ctx, qs, k, qnorm, keep, stats)
-	default:
-		return e.searchExhaustive(ctx, qs, k, qnorm, keep, stats)
 	}
+	return e.searchExhaustive(ctx, qs, k, qnorm, keep, stats)
 }
 
 // norm returns document d's lnc vector norm from whichever norm source

@@ -53,16 +53,19 @@ func (pc *phaseClock) total() int64 {
 	return time.Since(pc.began).Nanoseconds()
 }
 
-// ExecMode selects the query-execution strategy.
+// ExecMode selects the query-execution strategy. It is an in-process
+// selector (Request.Mode): no flag, config field, HTTP field or wire
+// field carries it, and deployed processes always run ExecAuto. The two
+// explicit modes exist so tests and benchmarks can name the strategy
+// they compare against.
 type ExecMode int
 
 const (
-	// ExecAuto (the default) picks a pruned path when the source
-	// carries max-impact metadata and the query is selective (k well
-	// under the collection size) — block-max WAND for cosine when the
-	// source has per-block bounds, MaxScore otherwise — and falls
-	// back to the exhaustive scorer for near-full retrieval. All
-	// choices return identical results.
+	// ExecAuto (the default) lets the engine pick (see effectiveMode):
+	// the exhaustive scorer when the source carries no max-impact
+	// metadata or the retrieval is near-full (4k ≥ N), otherwise
+	// MaxScore under BM25 and the exhaustive scorer under cosine. Both
+	// strategies return identical results.
 	ExecAuto ExecMode = iota
 	// ExecMaxScore runs document-at-a-time traversal with MaxScore
 	// top-k pruning: postings lists whose maximum possible contribution
@@ -73,18 +76,9 @@ const (
 	// over plain sources quietly fall back to the exhaustive path.
 	ExecMaxScore
 	// ExecExhaustive scores every matching document — the reference
-	// oracle the pruned paths are property-tested against, and the
+	// oracle the pruned path is property-tested against, and the
 	// right mode when k approaches the collection size.
 	ExecExhaustive
-	// ExecBlockMax runs block-max WAND: document-at-a-time pivot
-	// selection over global per-term bounds, then a second bound check
-	// against the much tighter per-block (index.BlockSize postings)
-	// maxima before any document is fully scored, skipping whole
-	// blocks whose best posting cannot beat the current k-th score.
-	// Results are identical to ExecExhaustive. Sources without block
-	// metadata (a live memtable) still execute correctly — each list
-	// degrades to one implicit block bounded by its term-level maxima.
-	ExecBlockMax
 )
 
 // String implements fmt.Stringer.
@@ -96,34 +90,15 @@ func (m ExecMode) String() string {
 		return "maxscore"
 	case ExecExhaustive:
 		return "exhaustive"
-	case ExecBlockMax:
-		return "blockmax"
 	default:
 		return fmt.Sprintf("ExecMode(%d)", int(m))
-	}
-}
-
-// ParseExecMode parses the textual form used by flags and the HTTP
-// API. The empty string is ExecAuto.
-func ParseExecMode(s string) (ExecMode, error) {
-	switch s {
-	case "", "auto":
-		return ExecAuto, nil
-	case "maxscore":
-		return ExecMaxScore, nil
-	case "exhaustive":
-		return ExecExhaustive, nil
-	case "blockmax":
-		return ExecBlockMax, nil
-	default:
-		return ExecAuto, fmt.Errorf("vsm: unknown exec mode %q (want auto, maxscore, blockmax, or exhaustive)", s)
 	}
 }
 
 // ImpactSource is the optional Source extension that fuels MaxScore
 // pruning: per-term upper bounds on any single document's score
 // contribution. *index.Index implements it natively (computed by Build,
-// persisted by the v2 codec); live shards maintain it incrementally.
+// persisted by the codec); live shards maintain it incrementally.
 type ImpactSource interface {
 	// MaxTF is the largest term frequency in the term's postings.
 	MaxTF(id textproc.TermID) int32
@@ -134,45 +109,10 @@ type ImpactSource interface {
 	MaxBM25Impact(id textproc.TermID) float64
 }
 
-// BlockSource is the optional Source extension that fuels block-max
-// WAND: per-term postings iterators carrying per-block impact bounds.
-// *index.Index implements it natively (blocks computed by Build and
-// Merge, persisted by the codec); live shards delegate to their
-// sealed index, while memtable iterators carry no blocks and fall
-// back to term-level bounds.
-type BlockSource interface {
-	// BlockIterInto repositions it over the term's postings; when the
-	// source has per-block metadata the iterator carries it
-	// (Iterator.HasBlocks).
-	BlockIterInto(id textproc.TermID, it *index.Iterator)
-	// HasBlocks reports whether BlockIter actually hands out per-block
-	// bounds. A source may satisfy the interface structurally while
-	// degrading to plain iterators (a live memtable, whose lists grow
-	// in place); ExecAuto only routes to block-max WAND when real
-	// blocks are present, since degraded WAND loses the block skips
-	// that justify it over MaxScore.
-	HasBlocks() bool
-}
-
-// headSource is the optional BlockSource extension that fuels top-k
-// threshold priming: each list's impact-ordered head (its
-// highest-bound blocks, strongest first) and the per-block bounds
-// themselves, readable without positioning an iterator or decoding
-// anything. *index.Index implements it natively (heads computed by
-// Build and Merge, persisted by the v5 codec); live shards delegate to
-// their sealed index. Sources without it simply skip priming — the
-// pruned loops then start from an unprimed threshold, exactly the
-// pre-head behavior.
-type headSource interface {
-	HeadOrder(id textproc.TermID) []int32
-	BlockMaxes(id textproc.TermID) []index.BlockMax
-}
-
 // ExecStats counts the work one query performed; returned in every
-// Response (and passed to SearchTermsExec by the legacy surface) to
-// measure pruning effectiveness. All counters are per-call (the engine
-// never retains them). The JSON form is what the HTTP server's search
-// responses carry.
+// Response to measure pruning effectiveness. All counters are per-call
+// (the engine never retains them). The JSON form is what the HTTP
+// server's search responses carry.
 type ExecStats struct {
 	// DocsScored is the number of documents whose full score was
 	// computed.
@@ -184,39 +124,27 @@ type ExecStats struct {
 	// (tombstones) rejected before any scoring.
 	DocsFiltered int `json:"docs_filtered,omitempty"`
 	// Postings is the number of postings visited by the exhaustive
-	// path (0 under MaxScore and block-max WAND, which touch lists
-	// lazily).
+	// path (0 under MaxScore, which touches lists lazily).
 	Postings int `json:"postings,omitempty"`
-	// BlockSkips is the number of pivot candidates block-max WAND
-	// discarded on the per-block bound check alone — each one also
-	// counts in DocsPruned.
-	BlockSkips int `json:"block_skips,omitempty"`
 	// SeekProbes is the total number of document comparisons the
-	// query's iterators made under SeekGE — the traversal cost the
-	// pruned modes pay for skipping instead of scanning.
+	// query's iterators made under SeekGE — the traversal cost MaxScore
+	// pays for skipping instead of scanning.
 	SeekProbes int `json:"seek_probes,omitempty"`
 	// BlocksDecoded is how many compressed postings blocks were
-	// actually decoded; blocks passed over by seeks and block skips
-	// never decode, so this against Postings/index.BlockSize shows the
-	// decode work pruning saved. 0 over uncompressed sources.
+	// actually decoded; blocks passed over by seeks never decode, so
+	// this against Postings/index.BlockSize shows the decode work
+	// pruning saved. 0 over uncompressed sources.
 	BlocksDecoded int `json:"blocks_decoded,omitempty"`
-	// HeadBlocksPrimed is how many impact-ordered head blocks the
-	// pruned modes decoded up front to seed the top-k threshold before
-	// doc-ordered traversal began (their decodes also count in
-	// BlocksDecoded).
-	HeadBlocksPrimed int `json:"head_blocks_primed,omitempty"`
 }
 
-// add accumulates other into s (used by segmented fan-out).
+// Add accumulates other into s (used by segmented fan-out).
 func (s *ExecStats) Add(other ExecStats) {
 	s.DocsScored += other.DocsScored
 	s.DocsPruned += other.DocsPruned
 	s.DocsFiltered += other.DocsFiltered
 	s.Postings += other.Postings
-	s.BlockSkips += other.BlockSkips
 	s.SeekProbes += other.SeekProbes
 	s.BlocksDecoded += other.BlocksDecoded
-	s.HeadBlocksPrimed += other.HeadBlocksPrimed
 }
 
 // harvestIterStats folds each iterator's cumulative seek-probe and
@@ -263,11 +191,6 @@ type qterm struct {
 	qtf  int     // query-side term frequency
 	w    float64 // query weight: cosine (1+ln qtf)·idf, BM25 idf
 	ub   float64 // max contribution of this term to any final score
-	// Block-max WAND caches the current block's contribution bound so
-	// repeated pivots inside one block pay no recomputation. bbBlk is
-	// the block ordinal the cache is valid for (-1 = none).
-	bb    float64
-	bbBlk int
 }
 
 // queryState is the pooled per-query scratch space: the resolved term
@@ -287,13 +210,10 @@ type queryState struct {
 	touched []corpus.DocID // alive docs hit this query
 	gen     uint32
 	heap    resultHeap
-	ord     []int          // MaxScore: term indexes by ascending ub; block-max: live lists by doc
-	prefix  []float64      // MaxScore: prefix sums of ub; block-max: per-involved block bounds
-	inv     []int          // block-max: live positions on the current pivot
-	docs    []corpus.DocID // block-max: cached current doc per live list
-	ubs     []float64      // block-max: cached term bound per live list
+	ord     []int          // MaxScore: term indexes by ascending ub
+	prefix  []float64      // MaxScore: prefix sums of ub
+	docs    []corpus.DocID // MaxScore: cached current doc per list
 	contrib []float64      // per-term raw contribution of the current candidate
-	prime   []primeEntry   // threshold priming: candidate head blocks
 	avgLen  float64        // BM25: collection average length, read once per query
 	// clock times the query's phases when telemetry or an inline trace
 	// is requested; effMode records the execution strategy actually
@@ -319,10 +239,7 @@ func (qs *queryState) reset() {
 	qs.heap = qs.heap[:0]
 	qs.ord = qs.ord[:0]
 	qs.prefix = qs.prefix[:0]
-	qs.inv = qs.inv[:0]
 	qs.docs = qs.docs[:0]
-	qs.ubs = qs.ubs[:0]
-	qs.prime = qs.prime[:0]
 	qs.gen += 2
 	if qs.gen == 0 { // wrapped: stale stamps could collide
 		for i := range qs.stamp {
@@ -642,164 +559,6 @@ func (e *Engine) finalizeScore(raw float64, d corpus.DocID, qnorm float64) float
 	return s
 }
 
-// primeEntry is one candidate head block for threshold priming: a
-// term's block and the upper bound on that block's best single-term
-// contribution, in final-score units.
-type primeEntry struct {
-	term, block int32
-	bound       float64
-}
-
-// better orders prime entries strongest bound first, ties broken by
-// term then block so the decode order — and therefore every primed
-// query's floating-point state — is deterministic.
-func (a primeEntry) better(b primeEntry) bool {
-	if a.bound != b.bound {
-		return a.bound > b.bound
-	}
-	if a.term != b.term {
-		return a.term < b.term
-	}
-	return a.block < b.block
-}
-
-// primeBudget caps how many head blocks one query decodes to seed the
-// threshold. A handful of the strongest blocks almost always yields k
-// high-scoring documents (BlockSize postings each), while keeping the
-// worst case — priming that fails to fill a top-k — bounded at a few
-// microseconds of kernel-decoded work.
-const primeBudget = 4
-
-// primeTheta seeds the top-k threshold for the pruned execution loops
-// by decoding up to primeBudget impact-ordered head blocks (strongest
-// single-term bound first, across all query terms) and fully scoring
-// the documents they surface. It returns a threshold strictly below
-// the k-th best primed score — or -Inf when priming is unavailable or
-// surfaces fewer than k documents — that the caller starts its main
-// loop from instead of -Inf.
-//
-// Soundness: each primed document's accumulated partial is a lower
-// bound on its true raw score (a term's blocks partition its list, so
-// no contribution is counted twice, and every contribution is
-// non-negative), and finalizeScore is monotone in the raw score for a
-// fixed document. So k documents have true final scores at or above
-// the k-th primed partial, and the returned threshold backs off
-// strictly below it with margin to spare for the bound checks'
-// floating-point rescaling: any candidate the main loop prunes at
-// this threshold has true score strictly below k others and can never
-// enter the top-k — ties included — leaving results bit-identical to
-// the exhaustive oracle. The keep filter is applied before any
-// primed document enters the accumulator, so tombstoned documents
-// cannot inflate the threshold. The primed heap and accumulator are
-// discarded: the main loop rescoring from scratch is what keeps its
-// floating-point sums canonical.
-func (e *Engine) primeTheta(qs *queryState, k int, qnorm float64, keep func(corpus.DocID) bool, stats *ExecStats) float64 {
-	noPrime := math.Inf(-1)
-	if k <= 0 || e.blockSrc == nil || !e.blockSrc.HasBlocks() {
-		return noPrime
-	}
-	hs, ok := e.blockSrc.(headSource)
-	if !ok {
-		return noPrime
-	}
-	entries := qs.prime[:0]
-	for i := range qs.terms {
-		t := &qs.terms[i]
-		if t.w == 0 || t.ub <= 0 {
-			continue
-		}
-		head := hs.HeadOrder(t.id)
-		if len(head) == 0 {
-			continue
-		}
-		bms := hs.BlockMaxes(t.id)
-		for _, ord := range head {
-			bm := bms[ord]
-			var b float64
-			if e.scoring == BM25 {
-				b = t.w * bm.MaxBM
-			} else {
-				b = t.w * bm.MaxCos / qnorm
-			}
-			if b > 0 {
-				entries = append(entries, primeEntry{term: int32(i), block: ord, bound: b})
-			}
-		}
-	}
-	qs.prime = entries
-	if len(entries) == 0 {
-		return noPrime
-	}
-	for i := 1; i < len(entries); i++ {
-		for j := i; j > 0 && entries[j].better(entries[j-1]); j-- {
-			entries[j], entries[j-1] = entries[j-1], entries[j]
-		}
-	}
-	genAlive, genDead := qs.gen, qs.gen+1
-	its := qs.iterSlots(len(qs.terms))
-	primed := 0
-	for idx := 0; idx < len(entries) && primed < primeBudget; idx++ {
-		ent := entries[idx]
-		t := &qs.terms[ent.term]
-		it := &its[ent.term]
-		// Reposition per entry: EnterBlock needs a compressed-mode
-		// iterator, and the main loop re-repositions every slot anyway.
-		e.blockSrc.BlockIterInto(t.id, it)
-		if !it.Valid() {
-			continue
-		}
-		if ent.block != 0 && !it.EnterBlock(int(ent.block)) {
-			continue
-		}
-		qs.ensureDoc(it.BlockLastDoc())
-		docs, tfs := it.Window()
-		for j, d := range docs {
-			st := qs.stamp[d]
-			if st == genDead {
-				continue
-			}
-			if st != genAlive {
-				if keep != nil && !keep(d) {
-					qs.stamp[d] = genDead
-					continue
-				}
-				qs.stamp[d] = genAlive
-				qs.score[d] = 0
-				qs.touched = append(qs.touched, d)
-			}
-			qs.score[d] += e.rawContribution(qs, t, tfs[j], d)
-		}
-		if stats != nil {
-			stats.BlocksDecoded += it.BlocksDecoded()
-			stats.HeadBlocksPrimed++
-		}
-		primed++
-	}
-	theta := noPrime
-	if len(qs.touched) >= k {
-		for _, d := range qs.touched {
-			pushTopK(&qs.heap, k, Result{Doc: d, Score: e.finalizeScore(qs.score[d], d, qnorm)})
-		}
-		// Back the threshold off the k-th primed score by a relative
-		// margin that dwarfs floating-point error, not just one ulp: the
-		// main loops' bound checks rescale the threshold ((theta −
-		// prefix)·den), and a primed document reappearing in the main
-		// loop can beat the k-th primed score by exactly one ulp — a
-		// sub-rounding margin that a single multiply can erase, pruning
-		// a true result. 1e-9 relative slack (scores are non-negative)
-		// is ~10⁶ ulps of headroom at any magnitude while costing
-		// pruning nothing measurable.
-		kth := qs.heap[0].Score
-		theta = kth * (1 - 1e-9)
-		if theta >= kth { // kth = 0 (or denormal): fall back to one step down
-			theta = math.Nextafter(kth, noPrime)
-		}
-		qs.heap = qs.heap[:0]
-	}
-	qs.touched = qs.touched[:0]
-	return theta
-}
-
 // searchMaxScore is the document-at-a-time MaxScore loop. Terms are
 // ordered by ascending contribution bound; the lists whose prefix sum
 // of bounds cannot reach the current k-th best score become
@@ -813,11 +572,7 @@ func (e *Engine) searchMaxScore(ctx context.Context, qs *queryState, k int, qnor
 	done := ctx.Done()
 	rounds := 0
 	n := len(qs.terms)
-	// Seed the threshold from the impact-ordered heads before any list
-	// is positioned: every bound check below starts against the k-th
-	// best primed score instead of -Inf, so pruning bites from the
-	// first candidate.
-	theta := e.primeTheta(qs, k, qnorm, keep, stats)
+	theta := math.Inf(-1)
 	its := qs.iterSlots(n)
 	// curDocs caches each list's current document (drained sentinel
 	// when exhausted) so the per-candidate scans touch one compact
@@ -862,9 +617,6 @@ func (e *Engine) searchMaxScore(ctx context.Context, qs *queryState, k int, qnor
 	qs.clock.mark(&qs.clock.fetch)
 
 	first := 0 // ord[first:] are the essential lists
-	for first < n && qs.prefix[first] <= theta {
-		first++ // lists non-essential from the start under the primed threshold
-	}
 	for first < n {
 		if rounds++; rounds&255 == 1 && canceled(done) {
 			return nil, ctx.Err()
@@ -970,300 +722,6 @@ func (e *Engine) searchMaxScore(ctx context.Context, qs *queryState, k int, qnor
 				for first < n && qs.prefix[first] <= theta {
 					first++
 				}
-			}
-		}
-	}
-	harvestIterStats(its, stats)
-	qs.clock.mark(&qs.clock.traverse)
-	res := drainTopK(&qs.heap)
-	qs.clock.mark(&qs.clock.merge)
-	return res, nil
-}
-
-// blockBound is one term's upper bound on its contribution to the
-// current pivot's final score, read from the iterator's current block
-// when the source carries block metadata and falling back to the
-// term-level bound otherwise. Like qterm.ub it is in final-score
-// units: the cosine block maximum already folds in each document's
-// norm, so only the query norm divides; the static prior multiplies
-// scores by at most 1 and never loosens the bound. The bound is
-// cached per block, so consecutive pivots inside one block pay a
-// comparison, not a divide.
-func (e *Engine) blockBound(t *qterm, it *index.Iterator, qnorm float64) float64 {
-	if !it.HasBlocks() {
-		return t.ub
-	}
-	blk := it.BlockIndex()
-	if blk == t.bbBlk {
-		return t.bb
-	}
-	bm := it.BlockMax()
-	var b float64
-	if e.scoring == BM25 {
-		b = t.w * bm.MaxBM
-	} else {
-		b = t.w * bm.MaxCos / qnorm
-	}
-	t.bbBlk, t.bb = blk, b
-	return b
-}
-
-// searchBlockMax is the block-max WAND loop. Live lists are kept
-// ordered by their current document (cached in qs.docs so the sort
-// never touches the postings); the pivot — the smallest document
-// whose cumulative term-level bounds could still beat the k-th best
-// score — is then re-checked against the per-block maxima of the
-// lists that actually contain it. When even the block bounds cannot
-// reach the threshold, every involved list skips to just past its
-// current block (capped by the next uninvolved list's position),
-// discarding up to index.BlockSize postings per list on a single
-// comparison. Surviving pivots are evaluated strongest block bound
-// first with the same mid-evaluation abandonment MaxScore applies,
-// and fully evaluated documents sum their raw contributions in
-// ascending TermID order and normalize exactly as the exhaustive
-// oracle does, so results — documents, ranks, and floating-point
-// scores — are identical. Safe on ties for the same reason
-// searchMaxScore is: traversal is in ascending document order and the
-// heap prefers smaller IDs at equal scores, so a candidate that can
-// at best tie the threshold can never enter. The context is polled
-// every few hundred pivots — between blocks, never inside one.
-func (e *Engine) searchBlockMax(ctx context.Context, qs *queryState, k int, qnorm float64, keep func(corpus.DocID) bool, stats *ExecStats) ([]Result, error) {
-	done := ctx.Done()
-	rounds := 0
-	// Seed the threshold from the impact-ordered heads (see primeTheta)
-	// so pivot selection and block skips bite from the first round.
-	theta := e.primeTheta(qs, k, qnorm, keep, stats)
-	// drained marks exhausted lists in the doc cache; they sort to the
-	// end and are compacted away before the next round.
-	const drained = corpus.DocID(math.MaxInt32)
-	live, docs, ubs := qs.ord[:0], qs.docs[:0], qs.ubs[:0]
-	its := qs.iterSlots(len(qs.terms))
-	for i := range qs.terms {
-		t := &qs.terms[i]
-		if e.blockSrc != nil {
-			e.blockSrc.BlockIterInto(t.id, &its[i])
-		} else {
-			e.src.IterInto(t.id, &its[i])
-		}
-		t.bbBlk = -1
-		if t.w != 0 && its[i].Valid() {
-			live = append(live, i)
-			docs = append(docs, its[i].Doc())
-			ubs = append(ubs, t.ub)
-		}
-	}
-	qs.ord, qs.docs, qs.ubs = live, docs, ubs
-	qs.clock.mark(&qs.clock.fetch)
-
-	dirty := false // drained sentinels present in docs
-	for len(live) > 0 {
-		if rounds++; rounds&255 == 1 && canceled(done) {
-			return nil, ctx.Err()
-		}
-		if dirty {
-			dirty = false
-			out := 0
-			for i := range live {
-				if docs[i] != drained {
-					live[out], docs[out], ubs[out] = live[i], docs[i], ubs[i]
-					out++
-				}
-			}
-			live, docs, ubs = live[:out], docs[:out], ubs[:out]
-			if len(live) == 0 {
-				break
-			}
-		}
-		// Keep live lists ordered by current document. Insertion sort
-		// over the cached docs: lists barely move between rounds, so
-		// this is near-linear in the handful of query terms.
-		for i := 1; i < len(live); i++ {
-			for j := i; j > 0 && docs[j] < docs[j-1]; j-- {
-				docs[j], docs[j-1] = docs[j-1], docs[j]
-				live[j], live[j-1] = live[j-1], live[j]
-				ubs[j], ubs[j-1] = ubs[j-1], ubs[j]
-			}
-		}
-		// Pivot: the first document at which the cumulative term-level
-		// bounds of every list at or before it exceed the threshold.
-		// Documents below it can appear only in a prefix of lists whose
-		// bounds sum to <= theta, so none of them can enter the heap.
-		sum, p := 0.0, -1
-		for i, ub := range ubs {
-			sum += ub
-			if sum > theta {
-				p = i
-				break
-			}
-		}
-		if p < 0 {
-			break // all remaining lists together cannot beat theta
-		}
-		pivot := docs[p]
-		// Gather the involved lists with their per-block bounds, and
-		// the nearest uninvolved document (it caps any block skip).
-		// Lists before the pivot hold only non-competitive documents:
-		// bring them up to it, collecting the ones that land exactly
-		// on it. The rest of the involved set is the sorted run of
-		// at-pivot lists starting at p, so nothing beyond the run is
-		// scanned — the first list past it is the nearest uninvolved
-		// document.
-		inv, bounds := qs.inv[:0], qs.prefix[:0]
-		blockSum := 0.0
-		minOther := drained
-		for i := 0; i < p; i++ {
-			it := &its[live[i]]
-			if !it.SeekGE(pivot) {
-				docs[i] = drained
-				dirty = true
-				continue
-			}
-			d := it.Doc()
-			docs[i] = d
-			if d == pivot {
-				inv = append(inv, i)
-				b := e.blockBound(&qs.terms[live[i]], it, qnorm)
-				bounds = append(bounds, b)
-				blockSum += b
-			} else if d < minOther {
-				minOther = d
-			}
-		}
-		r := p
-		for r < len(live) && docs[r] == pivot {
-			inv = append(inv, r)
-			b := e.blockBound(&qs.terms[live[r]], &its[live[r]], qnorm)
-			bounds = append(bounds, b)
-			blockSum += b
-			r++
-		}
-		if r < len(live) && docs[r] < minOther {
-			minOther = docs[r]
-		}
-		qs.inv, qs.prefix = inv, bounds
-		if blockSum <= theta {
-			// No document from the pivot through the shortest involved
-			// block can beat theta: within that span the involved lists
-			// are the only possible contributors, and even their block
-			// maxima fall short. Skip to the first document past the
-			// span.
-			next := minOther
-			for _, li := range inv {
-				if b := its[live[li]].BlockLastDoc(); b+1 < next {
-					next = b + 1
-				}
-			}
-			for _, li := range inv {
-				// One seek per involved list: SeekGE walks the block
-				// last-doc metadata from the current block, so every
-				// block inside the skipped span is passed over without
-				// being decoded — the compressed layout's block skip
-				// discards the decode work along with the scoring work.
-				it := &its[live[li]]
-				if it.SeekGE(next) {
-					docs[li] = it.Doc()
-				} else {
-					docs[li] = drained
-					dirty = true
-				}
-			}
-			if stats != nil {
-				stats.DocsPruned++
-				stats.BlockSkips++
-			}
-			continue
-		}
-		if keep != nil && !keep(pivot) {
-			if stats != nil {
-				stats.DocsFiltered++
-			}
-			for _, li := range inv {
-				it := &its[live[li]]
-				if it.Next() {
-					docs[li] = it.Doc()
-				} else {
-					docs[li] = drained
-					dirty = true
-				}
-			}
-			continue
-		}
-		// Evaluate the involved lists strongest block bound first,
-		// abandoning the pivot as soon as its partial score plus the
-		// unconsulted bounds can no longer reach the threshold — the
-		// same mid-evaluation test MaxScore applies, with tighter
-		// block-level bounds. Contributions stay in raw units; bound
-		// checks scale the threshold by the candidate's normalization
-		// denominator instead (den > 0).
-		for i := 1; i < len(inv); i++ {
-			for j := i; j > 0 && bounds[j] > bounds[j-1]; j-- {
-				bounds[j], bounds[j-1] = bounds[j-1], bounds[j]
-				inv[j], inv[j-1] = inv[j-1], inv[j]
-			}
-		}
-		den := 1.0
-		if e.scoring != BM25 {
-			if nd := e.norm(pivot); nd > 0 {
-				den = nd * qnorm
-			}
-		}
-		craw := qs.contrib[:0]
-		partial, remaining := 0.0, blockSum
-		pruned := false
-		for i, li := range inv {
-			// Before consulting the next list: can the rest still lift
-			// the pivot over theta? partial/den + remaining <= theta ⟺
-			// partial <= (theta − remaining)·den. (The i = 0 case is
-			// the blockSum test above; a candidate that survives every
-			// check is scored canonically and the heap decides.)
-			if i > 0 && partial <= (theta-remaining)*den {
-				pruned = true
-				break
-			}
-			remaining -= bounds[i]
-			raw := e.rawContribution(qs, &qs.terms[live[li]], its[live[li]].TF(), pivot)
-			craw = append(craw, raw)
-			partial += raw
-		}
-		qs.contrib = craw
-		for _, li := range inv {
-			it := &its[live[li]]
-			if it.Next() {
-				docs[li] = it.Doc()
-			} else {
-				docs[li] = drained
-				dirty = true
-			}
-		}
-		if pruned {
-			if stats != nil {
-				stats.DocsPruned++
-			}
-			continue
-		}
-		if stats != nil {
-			stats.DocsScored++
-		}
-		// Canonical final score: reorder the contributions by
-		// ascending TermID (qs.terms is TermID-sorted, so ascending
-		// term index) and sum in that order — bit-identical to the
-		// exhaustive accumulator, which adds exactly these terms in
-		// exactly this order.
-		m := len(craw)
-		for i := 1; i < m; i++ {
-			for j := i; j > 0 && live[inv[j]] < live[inv[j-1]]; j-- {
-				inv[j], inv[j-1] = inv[j-1], inv[j]
-				craw[j], craw[j-1] = craw[j-1], craw[j]
-			}
-		}
-		raw := 0.0
-		for i := 0; i < m; i++ {
-			raw += craw[i]
-		}
-		pushTopK(&qs.heap, k, Result{Doc: pivot, Score: e.finalizeScore(raw, pivot, qnorm)})
-		if len(qs.heap) == k {
-			if nt := qs.heap[0].Score; nt > theta {
-				theta = nt
 			}
 		}
 	}

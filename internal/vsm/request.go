@@ -27,9 +27,13 @@ type Request struct {
 	// validation that used to be scattered across callers now lives
 	// here.
 	K int
-	// Mode selects the execution strategy for this request. ExecAuto
-	// (the zero value) defers to the engine or store default. Results
-	// are identical across modes.
+	// Mode names the execution strategy for this request. ExecAuto (the
+	// zero value) lets the engine's rule pick (Engine.effectiveMode);
+	// ExecMaxScore and ExecExhaustive force one, which is how the
+	// bit-identity tests and benchmarks name their reference. Results
+	// are identical across modes. Like Keep it is an in-process
+	// selector and never crosses a process boundary: the HTTP surface
+	// and the shard wire do not carry it, and a router ignores it.
 	Mode ExecMode
 	// Keep, when non-nil, restricts results to documents for which it
 	// returns true, consulted before a document is scored. Live stores
@@ -99,7 +103,7 @@ type Response struct {
 	// ascending DocID on ties).
 	Hits []Result
 	// Stats counts the work this query performed (documents scored,
-	// pruned, filtered; block skips). Always populated.
+	// pruned, filtered; blocks decoded). Always populated.
 	Stats ExecStats
 	// Trace is the per-phase timing breakdown, populated only when the
 	// request set Trace. Batch members served by the shared traversal

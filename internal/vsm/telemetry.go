@@ -20,11 +20,11 @@ const (
 type engineMetrics struct {
 	ring *telemetry.TraceRing
 	// lat is indexed by effective ExecMode (ExecMaxScore,
-	// ExecExhaustive, ExecBlockMax); batchLat covers the cycle-at-a-time
-	// shared traversal, which has no single-member mode.
-	lat      [4]*telemetry.Histogram
+	// ExecExhaustive); batchLat covers the cycle-at-a-time shared
+	// traversal, which has no single-member mode.
+	lat      [ExecExhaustive + 1]*telemetry.Histogram
 	batchLat *telemetry.Histogram
-	queries  [4]*telemetry.Counter
+	queries  [ExecExhaustive + 1]*telemetry.Counter
 	batchQ   *telemetry.Counter
 	// phase is indexed resolve, fetch, traverse, merge.
 	phase [4]*telemetry.Histogram
@@ -33,10 +33,8 @@ type engineMetrics struct {
 	docsPruned    *telemetry.Counter
 	docsFiltered  *telemetry.Counter
 	postings      *telemetry.Counter
-	blockSkips    *telemetry.Counter
 	seekProbes    *telemetry.Counter
 	blocksDecoded *telemetry.Counter
-	headPrimed    *telemetry.Counter
 }
 
 // newEngineMetrics resolves every family and child the query path
@@ -51,7 +49,7 @@ func newEngineMetrics(reg *telemetry.Registry, ring *telemetry.TraceRing, scorer
 	q := reg.CounterVec(MetricQueriesTotal,
 		"Queries executed by scorer and effective execution mode.",
 		"scorer", "mode")
-	for _, md := range []ExecMode{ExecMaxScore, ExecExhaustive, ExecBlockMax} {
+	for _, md := range []ExecMode{ExecMaxScore, ExecExhaustive} {
 		m.lat[md] = lat.With(scorer, md.String())
 		m.queries[md] = q.With(scorer, md.String())
 	}
@@ -71,14 +69,10 @@ func newEngineMetrics(reg *telemetry.Registry, ring *telemetry.TraceRing, scorer
 		"Documents rejected by the keep predicate (tombstones) before scoring.")
 	m.postings = reg.Counter("toppriv_postings_total",
 		"Postings visited by exhaustive traversals.")
-	m.blockSkips = reg.Counter("toppriv_block_skips_total",
-		"Pivots discarded by block-max WAND on the per-block bound alone.")
 	m.seekProbes = reg.Counter("toppriv_seek_probes_total",
 		"Document comparisons made by iterator seeks.")
 	m.blocksDecoded = reg.Counter("toppriv_blocks_decoded_total",
 		"Compressed postings blocks decoded.")
-	m.headPrimed = reg.Counter("toppriv_head_blocks_primed_total",
-		"Impact-ordered head blocks decoded to seed top-k thresholds.")
 	return m
 }
 
@@ -91,10 +85,8 @@ func (m *engineMetrics) addStats(stats *ExecStats) {
 	m.docsPruned.Add(uint64(stats.DocsPruned))
 	m.docsFiltered.Add(uint64(stats.DocsFiltered))
 	m.postings.Add(uint64(stats.Postings))
-	m.blockSkips.Add(uint64(stats.BlockSkips))
 	m.seekProbes.Add(uint64(stats.SeekProbes))
 	m.blocksDecoded.Add(uint64(stats.BlocksDecoded))
-	m.headPrimed.Add(uint64(stats.HeadBlocksPrimed))
 }
 
 // EnableMetrics wires the engine to a telemetry registry (histograms
@@ -134,7 +126,6 @@ func (e *Engine) finishQuery(qs *queryState, terms, k int, stats *ExecStats, tra
 		t.DocsScored = stats.DocsScored
 		t.DocsPruned = stats.DocsPruned
 		t.Postings = stats.Postings
-		t.BlockSkips = stats.BlockSkips
 		t.SeekProbes = stats.SeekProbes
 		t.BlocksDecoded = stats.BlocksDecoded
 	}

@@ -50,9 +50,9 @@ func telemetryEngine(t *testing.T) (*Engine, *telemetry.Registry, *telemetry.Tra
 // execution mode, and Add folds them like the other counters.
 func TestExecStatsIteratorCounters(t *testing.T) {
 	eng, _, _, terms := telemetryEngine(t)
-	for _, mode := range []ExecMode{ExecExhaustive, ExecMaxScore, ExecBlockMax} {
+	for _, mode := range []ExecMode{ExecExhaustive, ExecMaxScore} {
 		var stats ExecStats
-		eng.SearchTermsExec(terms, 10, nil, mode, &stats)
+		searchMode(t, eng, terms, 10, nil, mode, &stats)
 		if stats.BlocksDecoded == 0 {
 			t.Errorf("%v: BlocksDecoded = 0, want > 0", mode)
 		}

@@ -87,14 +87,10 @@ type (
 	Analyzer = textproc.Analyzer
 	// IndexStats summarizes the inverted index.
 	IndexStats = index.Stats
-	// ExecMode selects the query-execution strategy: pruned
-	// document-at-a-time execution (MaxScore or block-max WAND, the
-	// default) or the exhaustive reference scorer.
-	ExecMode = vsm.ExecMode
 	// ExecStats counts the work one query performed.
 	ExecStats = vsm.ExecStats
 	// Request is one structured similarity query: terms or raw text,
-	// k, an execution mode, an optional document filter.
+	// k, an optional document filter.
 	Request = vsm.Request
 	// Response is the ranked hits plus execution stats for one Request.
 	Response = vsm.Response
@@ -115,23 +111,9 @@ type (
 	// ClusterShardConfig parameterizes a persistent shard: data
 	// directory, save cadence, logging.
 	ClusterShardConfig = cluster.ShardConfig
-	// StoreConfig parameterizes a live segment store (scoring,
-	// execution mode, seal threshold); used by OpenClusterShard.
+	// StoreConfig parameterizes a live segment store (scoring, seal
+	// threshold); used by OpenClusterShard.
 	StoreConfig = segment.Config
-)
-
-// Query-execution modes, re-exported from the engine.
-const (
-	// ExecAuto prunes wherever impact metadata exists (block-max WAND
-	// for cosine over block-carrying indexes, MaxScore otherwise).
-	ExecAuto = vsm.ExecAuto
-	// ExecMaxScore forces document-at-a-time MaxScore pruning.
-	ExecMaxScore = vsm.ExecMaxScore
-	// ExecExhaustive forces the exhaustive reference scorer.
-	ExecExhaustive = vsm.ExecExhaustive
-	// ExecBlockMax forces block-max WAND: per-block impact bounds let
-	// the engine skip whole posting blocks, not just documents.
-	ExecBlockMax = vsm.ExecBlockMax
 )
 
 // DefaultPrivacyParams returns the paper's defaults: ε1 = 5%, ε2 = 1%.
@@ -182,12 +164,6 @@ type ServiceSpec struct {
 	TrainIters int
 	// BM25 selects Okapi BM25 scoring instead of tf-idf cosine.
 	BM25 bool
-	// ExecMode pins the query-execution strategy for the service's
-	// engine or live store. The zero value (ExecAuto) runs pruned
-	// top-k execution (block-max WAND or MaxScore); ExecExhaustive
-	// restores the scan-everything reference behavior. Rankings are
-	// identical either way.
-	ExecMode ExecMode
 	// LinkPriorWeight, when > 0, synthesizes a citation graph over the
 	// corpus (topical preferential attachment), computes PageRank, and
 	// folds it into the ranking with this weight in (0, 1] — the
@@ -277,7 +253,6 @@ func NewService(spec ServiceSpec) (*Service, error) {
 	case spec.Live:
 		store, err = segment.Open(segment.Config{
 			Scoring:       scoring,
-			ExecMode:      spec.ExecMode,
 			Analyzer:      an,
 			SealThreshold: spec.SealThreshold,
 		})
@@ -310,14 +285,12 @@ func NewService(spec ServiceSpec) (*Service, error) {
 		if err != nil {
 			return nil, fmt.Errorf("toppriv: engine: %w", err)
 		}
-		eng.SetExecMode(spec.ExecMode)
 		searcher = eng
 	default:
 		eng, err := vsm.NewEngine(idx, an, scoring)
 		if err != nil {
 			return nil, fmt.Errorf("toppriv: engine: %w", err)
 		}
-		eng.SetExecMode(spec.ExecMode)
 		searcher = eng
 	}
 
@@ -382,8 +355,8 @@ func (s *Service) Search(raw string, k int) []SearchHit {
 }
 
 // SearchRequest runs one structured (unprotected) query against the
-// local engine or live store: per-request k and execution mode,
-// context cancellation, execution stats. Hits carry titles resolved
+// local engine or live store: per-request k, context cancellation,
+// execution stats. Hits carry titles resolved
 // against the service's document source.
 func (s *Service) SearchRequest(ctx context.Context, req Request) ([]SearchHit, ExecStats, error) {
 	rs, ok := s.searcher.(vsm.RequestSearcher)
@@ -407,20 +380,6 @@ func (s *Service) SearchBatch(ctx context.Context, reqs []Request) ([]Response, 
 		return nil, fmt.Errorf("toppriv: %T does not implement vsm.RequestSearcher", s.searcher)
 	}
 	return rs.SearchBatch(ctx, reqs)
-}
-
-// SearchExec runs an unprotected query under an explicit execution
-// mode, overriding the spec default — results are identical across
-// modes; the knob exists for benchmarking and regression triage. A
-// searcher without per-mode support is an explicit error, not a silent
-// fallback to the default mode (callers asking for a specific plan
-// must not silently measure a different one).
-func (s *Service) SearchExec(raw string, k int, mode ExecMode) ([]SearchHit, error) {
-	m, ok := s.searcher.(search.ModeSearcher)
-	if !ok {
-		return nil, fmt.Errorf("toppriv: %T does not support per-request execution modes", s.searcher)
-	}
-	return s.toHits(m.SearchMode(raw, k, mode)), nil
 }
 
 // toHits resolves result titles against whichever document source the

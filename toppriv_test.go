@@ -294,7 +294,7 @@ func TestServiceRequestAPI(t *testing.T) {
 	// by-member execution.
 	reqs := []Request{
 		{Query: q, K: 5},
-		{Query: svc.topicQueryText(1, 4), K: 3, Mode: ExecExhaustive},
+		{Query: svc.topicQueryText(1, 4), K: 3},
 	}
 	resps, err := svc.SearchBatch(ctx, reqs)
 	if err != nil {
@@ -326,28 +326,5 @@ func TestServiceRequestAPI(t *testing.T) {
 	cancel()
 	if _, _, err := svc.SearchRequest(canceled, Request{Query: q, K: 5}); err == nil {
 		t.Error("canceled context must error")
-	}
-}
-
-func TestServiceSearchExecModes(t *testing.T) {
-	svc := getService(t)
-	q := svc.topicQueryText(2, 5)
-	base, err := svc.SearchExec(q, 10, ExecExhaustive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base) == 0 {
-		t.Fatal("no hits under exhaustive")
-	}
-	for _, mode := range []ExecMode{ExecMaxScore, ExecBlockMax, ExecAuto} {
-		hits, err := svc.SearchExec(q, 10, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range base {
-			if hits[i] != base[i] {
-				t.Fatalf("%v rank %d: %+v vs exhaustive %+v", mode, i, hits[i], base[i])
-			}
-		}
 	}
 }
