@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"reflect"
 	"strings"
@@ -220,6 +221,58 @@ func TestShardBatchIgnoresLegacyMode(t *testing.T) {
 	for _, mode := range []string{"maxscore", "blockmax", "exhaustive", "turbo"} {
 		if got := post(mode); !reflect.DeepEqual(got, want) {
 			t.Errorf("mode %q changed the answer:\n%+v\nwant %+v", mode, got, want)
+		}
+	}
+}
+
+// TestShardBatchRejectsBadStatistics pins the shard's answer to a
+// /cluster/batch body no router would send: statistics the scorer
+// cannot weigh with (a df below zero or above the collection size
+// makes idf negative or NaN), a df list that does not line up with the
+// terms, a non-positive k. Each is a 400 naming the member — before
+// this check the first two were ranked with garbage weights and
+// answered 200, and the others came back as a 500.
+func TestShardBatchRejectsBadStatistics(t *testing.T) {
+	tc := newTestCluster(t, vsm.BM25, 1, Config{})
+	docs := synthDocs(t, 40, 17)
+	if _, err := tc.router.Add(docs...); err != nil {
+		t.Fatal(err)
+	}
+	terms := textproc.NewAnalyzer().Analyze(queryFrom(docs[5], 0, 3))
+	if len(terms) != 3 {
+		t.Fatalf("query analyzed to %v, want three terms", terms)
+	}
+	for _, tt := range []struct {
+		name   string
+		k      int
+		global vsm.GlobalStats
+		status int
+	}{
+		{"well-formed", 5, vsm.GlobalStats{Docs: 40, TotalLen: 4000, DF: []int{3, 0, 40}}, http.StatusOK},
+		{"negative df", 5, vsm.GlobalStats{Docs: 40, TotalLen: 4000, DF: []int{3, -1, 3}}, http.StatusBadRequest},
+		{"df above docs", 5, vsm.GlobalStats{Docs: 40, TotalLen: 4000, DF: []int{3, 41, 3}}, http.StatusBadRequest},
+		{"df on an empty collection", 5, vsm.GlobalStats{Docs: 0, TotalLen: 0, DF: []int{0, 1, 0}}, http.StatusBadRequest},
+		{"short df", 5, vsm.GlobalStats{Docs: 40, TotalLen: 4000, DF: []int{3, 3}}, http.StatusBadRequest},
+		{"negative docs", 5, vsm.GlobalStats{Docs: -1, TotalLen: 4000, DF: []int{0, 0, 0}}, http.StatusBadRequest},
+		{"zero k", 0, vsm.GlobalStats{Docs: 40, TotalLen: 4000, DF: []int{3, 3, 3}}, http.StatusBadRequest},
+	} {
+		good := map[string]interface{}{"terms": terms, "k": 5, "global": vsm.GlobalStats{Docs: 40, TotalLen: 4000, DF: []int{3, 3, 3}}}
+		bad := map[string]interface{}{"terms": terms, "k": tt.k, "global": tt.global}
+		body, err := json.Marshal(map[string]interface{}{"queries": []interface{}{good, bad}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(tc.servers[0].URL+"/cluster/batch", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tt.status {
+			t.Errorf("%s: status %d (%s), want %d", tt.name, resp.StatusCode, bytes.TrimSpace(msg), tt.status)
+		}
+		if tt.status == http.StatusBadRequest && !bytes.Contains(msg, []byte("query 1")) {
+			t.Errorf("%s: error %q does not name the offending member", tt.name, bytes.TrimSpace(msg))
 		}
 	}
 }

@@ -399,6 +399,10 @@ func (s *Shard) handleBatch(w http.ResponseWriter, r *http.Request) {
 			terms = []string{}
 		}
 		reqs[i] = vsm.Request{Terms: terms, K: q.K, Global: q.Global}
+		if err := reqs[i].Validate(); err != nil {
+			http.Error(w, fmt.Sprintf("bad request: query %d: %v", i, err), http.StatusBadRequest)
+			return
+		}
 	}
 	resps, err := s.store.SearchBatch(r.Context(), reqs)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -197,5 +198,71 @@ func TestMergeCarriesImpacts(t *testing.T) {
 			math.Float64bits(merged.maxBM[tid]) != math.Float64bits(wantBM[tid]) {
 			t.Fatalf("term %d: merge metadata differs from recomputation", tid)
 		}
+	}
+}
+
+// TestReadBlockHeaderMatchesParser pins the traversal-time header read
+// to the validating parser: on every block of every list the package
+// accepts or produces — the four-document fixture through a TPIX v7
+// round trip, each checked-in fuzz seed that loads, a multi-block build,
+// and block-wise merges of random part sizes under random tombstones,
+// whose interior blocks are partial and whose first blocks are rebased —
+// readBlockHeader returns exactly what parseBlockHeader does.
+func TestReadBlockHeaderMatchesParser(t *testing.T) {
+	check := func(label string, x *Index) {
+		t.Helper()
+		blocks := 0
+		for tid := range x.lists {
+			cl := &x.lists[tid]
+			for b := 0; b < cl.numBlocks(); b++ {
+				want, err := parseBlockHeader(cl.data, cl.byteOff(b))
+				if err != nil {
+					t.Fatalf("%s: term %d block %d: validating parser: %v", label, tid, b, err)
+				}
+				if got := readBlockHeader(cl.data, cl.byteOff(b)); got != want {
+					t.Fatalf("%s: term %d block %d: unchecked read %+v, parser %+v", label, tid, b, got, want)
+				}
+				blocks++
+			}
+		}
+		if blocks == 0 {
+			t.Fatalf("%s: no blocks compared", label)
+		}
+	}
+
+	var buf bytes.Buffer
+	if _, err := fixtureIndex(t).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("v7 fixture", back)
+	for name, img := range fuzzSeeds(t) {
+		if x, err := Read(bytes.NewReader(img)); err == nil {
+			check("fuzz seed "+name, x)
+		}
+	}
+	check("multi-block build", multiBlockIndex(t))
+
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 12; trial++ {
+		sizes := make([]int, 2+rng.Intn(3))
+		for i := range sizes {
+			sizes[i] = 1 + rng.Intn(2*BlockSize+40)
+		}
+		parts, _ := sharedVocabParts(t, sizes)
+		keep := make([]func(corpus.DocID) bool, len(parts))
+		for i := range keep {
+			if mod := corpus.DocID(2 + rng.Intn(5)); rng.Intn(2) == 0 {
+				keep[i] = func(d corpus.DocID) bool { return d%mod != 1 }
+			}
+		}
+		merged, _, err := Merge(parts, keep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("merge of %v", sizes), merged)
 	}
 }

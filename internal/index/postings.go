@@ -283,7 +283,9 @@ type blockHeader struct {
 }
 
 // parseBlockHeader parses the block starting at data[off:], validating
-// every field and that the payload fits in data.
+// every field and that the payload fits in data. It is the parser for
+// bytes from outside (load, fuzz); iterators over accepted lists read
+// headers with readBlockHeader.
 func parseBlockHeader(data []byte, off int) (blockHeader, error) {
 	var h blockHeader
 	rd := func() (uint64, error) {
@@ -338,13 +340,33 @@ func parseBlockHeader(data []byte, off int) (blockHeader, error) {
 	return h, nil
 }
 
-// mustParseHeader parses block b's header; the list must be valid
-// (built by encodePostings or validated on load).
-func (cl *compList) mustParseHeader(b int) blockHeader {
-	h, err := parseBlockHeader(cl.data, cl.byteOff(b))
-	if err != nil {
-		panic("index: corrupt validated postings block: " + err.Error())
+// readBlockHeader reads the header of the block at data[off:] without
+// validating it — the traversal-time counterpart of parseBlockHeader,
+// for lists that parser has already accepted (walkBlocks at load) or
+// that this package encoded itself (encodePostings, block-wise merge).
+// On such a block the two return the same header; on anything else
+// this one returns garbage or panics on a slice bound.
+func readBlockHeader(data []byte, off int) blockHeader {
+	var h blockHeader
+	var k int
+	h.baseDelta, k = binary.Uvarint(data[off:])
+	off += k
+	cnt, k := binary.Uvarint(data[off:])
+	off += k
+	h.count = int(cnt)
+	h.gapBits, h.tfBits = uint(data[off]), uint(data[off+1])
+	off += 2
+	if h.count > 1 {
+		mg, k := binary.Uvarint(data[off:])
+		off += k
+		h.minGap = mg + 1
 	}
+	mt, k := binary.Uvarint(data[off:])
+	off += k
+	h.minTF = mt + 1
+	h.gapsOff = off
+	h.tfsOff = off + packedLen(h.count-1, h.gapBits)
+	h.end = h.tfsOff + packedLen(h.count, h.tfBits)
 	return h
 }
 
@@ -357,7 +379,7 @@ func (cl *compList) decodeBlockDocs(b int, out *[BlockSize]corpus.DocID) blockHe
 	if b > 0 {
 		prevLast = cl.blockLast(b - 1)
 	}
-	h := cl.mustParseHeader(b)
+	h := readBlockHeader(cl.data, cl.byteOff(b))
 	d := prevLast + corpus.DocID(h.baseDelta)
 	out[0] = d
 	n := h.count - 1

@@ -16,7 +16,8 @@
 // impact bounds from index.Build, the memtable maintains incremental
 // (never-shrinking) term-level bounds as documents arrive — exact
 // again on seal, when the lists stop growing — and tombstones are
-// filtered before a document is scored. The store has no strategy
+// filtered inside the shard, before a document can reach its top-k
+// (a shard with none runs unfiltered). The store has no strategy
 // setting of its own.
 //
 // The store persists as one TPIX file per sealed segment plus a JSON

@@ -447,16 +447,20 @@ func (st *Store) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Res
 		wg.Add(1)
 		go func(i int, sh shard, inc []int) {
 			defer wg.Done()
-			dead := sh.dead
-			keep := func(d corpus.DocID) bool { return !dead[d] }
+			// dead is nil for a shard without tombstones: its members
+			// then run unfiltered (or under the caller's filter alone),
+			// which is the engine's fast path.
+			dead, ids := sh.dead, sh.ids
+			var keep func(corpus.DocID) bool
+			if dead != nil {
+				keep = func(d corpus.DocID) bool { return !dead[d] }
+			}
 			prep := func(req vsm.Request) vsm.Request {
-				userKeep := req.Keep
-				if userKeep == nil {
+				if userKeep := req.Keep; userKeep == nil {
 					req.Keep = keep
 				} else {
-					ids := sh.ids
 					req.Keep = func(d corpus.DocID) bool {
-						return !dead[d] && userKeep(ids[d])
+						return (dead == nil || !dead[d]) && userKeep(ids[d])
 					}
 				}
 				return req
@@ -526,8 +530,17 @@ func (st *Store) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Res
 type shard struct {
 	eng   *vsm.Engine
 	ids   []corpus.DocID
-	dead  []bool
+	dead  []bool           // nil when no document of the shard is tombstoned
 	bloom *index.TermBloom // nil for the memtable: no prefilter
+}
+
+// tombstones returns dead, or nil when every one of its documents is
+// live.
+func tombstones(dead []bool, live int) []bool {
+	if live == len(dead) {
+		return nil
+	}
+	return dead
 }
 
 // shardsLocked snapshots the live shards. Caller holds st.mu (either
@@ -536,11 +549,11 @@ func (st *Store) shardsLocked() []shard {
 	shards := make([]shard, 0, len(st.segs)+1)
 	for _, sg := range st.segs {
 		if sg.live > 0 {
-			shards = append(shards, shard{eng: sg.eng, ids: sg.ids, dead: sg.dead, bloom: sg.idx.Bloom()})
+			shards = append(shards, shard{eng: sg.eng, ids: sg.ids, dead: tombstones(sg.dead, sg.live), bloom: sg.idx.Bloom()})
 		}
 	}
 	if st.mem.live > 0 {
-		shards = append(shards, shard{eng: st.mem.eng, ids: st.mem.ids, dead: st.mem.dead})
+		shards = append(shards, shard{eng: st.mem.eng, ids: st.mem.ids, dead: tombstones(st.mem.dead, st.mem.live)})
 	}
 	return shards
 }
@@ -567,7 +580,7 @@ func (st *Store) Search(query string, k int) []vsm.Result {
 // SearchTerms fans the analyzed query out to every shard concurrently —
 // one goroutine per sealed segment plus the memtable — then merges the
 // per-shard top-k lists with a bounded min-heap. Tombstoned documents
-// are filtered inside each shard before they are scored, and every
+// are filtered inside each shard before they can be ranked, and every
 // shard scores with the store's global statistics, so the merged
 // ranking equals a single-index search over the surviving documents.
 // Legacy wrapper; new code should use SearchRequest.

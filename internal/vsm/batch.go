@@ -1,3 +1,9 @@
+// The flat scan: the engine's one term-at-a-time kernel. A cycle of υ
+// queries and a query on its own run the same two loops — flatScan
+// accumulates, sweep finalizes — the solo query as a one-member cycle
+// (scanSolo). SearchBatch, also here, plans which members of a batch
+// the kernel serves together.
+
 package vsm
 
 import (
@@ -14,12 +20,13 @@ import (
 )
 
 // batchShareNum/batchShareDen gate the cycle-at-a-time shared
-// traversal: auto-mode members join it only when the distinct postings
+// traversal where a member left out of it would run MaxScore (see
+// sharingGated): auto-mode members join only when the distinct postings
 // across the batch are at most batchShareNum/batchShareDen of the
-// per-member sum — i.e. the cycle's term overlap repays the shared
-// scan with at least a 20% postings saving. Below that the batch runs
-// member-at-a-time under the single-query rule (effectiveMode). The
-// exact boundary is a calibration candidate (see the ROADMAP engine
+// per-member sum — i.e. the cycle's term overlap repays scanning every
+// posting with at least a 20% postings saving. Below that the batch
+// runs member-at-a-time under the single-query rule (effectiveMode).
+// The exact boundary is a calibration candidate (see the ROADMAP engine
 // item).
 const (
 	batchShareNum = 4
@@ -31,8 +38,11 @@ const (
 type batchMember struct {
 	qs    *queryState
 	qnorm float64
-	req   *Request
-	stats *ExecStats
+	k     int
+	keep  func(corpus.DocID) bool
+	// stats is the flat scan's work on this member's behalf; the caller
+	// copies it out.
+	stats ExecStats
 	// live is false when the member resolved to nothing (no indexable
 	// terms, or zero query norm) and owns no pooled state.
 	live bool
@@ -55,27 +65,51 @@ type unionTerm struct {
 	from, to int // refs[from:to]
 }
 
-// batchState is the pooled per-batch scratch: the member table, the
+// batchState is the pooled per-scan scratch: the member table, the
 // TermID-sorted union plan, the flattened member references, and the
-// per-term impact buffer the shared traversal fills once per distinct
-// list.
+// per-block impact buffer the flat scan fills once per distinct block.
 type batchState struct {
 	members []batchMember
-	// shared lists the members the cycle-at-a-time traversal serves.
+	// shared lists the members the flat scan serves.
 	shared  []int
 	union   []unionTerm
 	refs    []batchRef
-	impacts []float64
+	impacts [index.BlockSize]float64
 	// denoms caches each document's BM25 length normalization
-	// k1·(1−b+b·dl/avgdl) across the whole union — documents recur in
-	// a cycle's term lists, and the factor is query-independent. Zero
-	// means "not computed yet" (the real factor is always positive).
-	// Valid for one avgdl only, which is why BM25 members share by
-	// avgdl group.
-	denoms []float64
+	// k1·(1−b+b·dl/avgdl), computed under denomsAvgLen — documents recur
+	// in a cycle's term lists and from one scan to the next, and the
+	// factor is query-independent. Zero means "not computed yet" (the
+	// real factor is always positive). Valid for one avgdl only, which
+	// is why BM25 members share by avgdl group.
+	denoms       []float64
+	denomsAvgLen float64
 }
 
 func newBatchState() *batchState { return &batchState{} }
+
+// denomsFor readies the length-normalization cache for a scan that
+// scores with avgLen over documents below n. Entries computed under
+// another avgdl are dropped; the rest stay, since a document's length
+// never changes (Source.DocLen) — an engine over a static index ends up
+// computing each document's factor once per pooled state, not once per
+// scan.
+func (bs *batchState) denomsFor(avgLen float64, n int) []float64 {
+	if bs.denomsAvgLen != avgLen {
+		clear(bs.denoms)
+		bs.denomsAvgLen = avgLen
+	}
+	if n > len(bs.denoms) {
+		bs.denoms = append(bs.denoms, make([]float64, n-len(bs.denoms))...)
+	}
+	return bs.denoms
+}
+
+// putBatch returns scan scratch to the pool, dropping its references to
+// the members' states, filters and requests.
+func (e *Engine) putBatch(bs *batchState) {
+	clear(bs.members)
+	e.batches.Put(bs)
+}
 
 func (bs *batchState) reset() {
 	bs.members = bs.members[:0]
@@ -86,21 +120,23 @@ func (bs *batchState) reset() {
 
 // SearchBatch executes a batch of requests — typically the υ queries
 // of one obfuscation cycle, submitted together as the paper's system
-// model does (§III, Fig. 1). Terms are resolved in one pass and each
-// distinct term's postings are fetched once for the whole batch; when
-// the members' term overlap makes it profitable, all auto-mode members
-// are evaluated in a single cycle-at-a-time traversal that walks each
-// distinct postings list once and fans every posting's shared impact
-// factor out to the members containing the term. Members carrying a
-// router's Global statistics join it like any other — a routed cycle
-// shares on every shard segment exactly as it does on a single node;
-// under BM25 the members that share must score with one avgdl, so the
-// largest same-avgdl group shares and any stragglers (a mixed
-// Global/local batch, a cycle whose members saw different statistics)
-// do not. Stragglers and members with an explicit execution mode run
-// member-at-a-time with the shared resolution. Either way each
-// member's hits are bit-identical to what SearchRequest would return
-// for it alone; the property tests assert it.
+// model does (§III, Fig. 1). Terms are resolved in one pass, and the
+// auto-mode members are evaluated in a single cycle-at-a-time flat scan
+// that decodes each distinct postings list once, computes every
+// posting's query-independent impact once, and fans it out to the
+// members containing the term. Members carrying a router's Global
+// statistics join it like any other — a routed cycle shares on every
+// shard segment exactly as it does on a single node; under BM25 the
+// members that share must score with one avgdl, so the largest
+// same-avgdl group shares and any stragglers (a mixed Global/local
+// batch, a cycle whose members saw different statistics) do not. Where
+// a member on its own would run MaxScore (sharingGated) the cycle
+// shares only if its term overlap pays for scanning every posting;
+// elsewhere the alternative is this same scan once per member, and the
+// cycle always shares. Stragglers and members with an explicit
+// execution mode run member-at-a-time with the shared resolution.
+// Either way each member's hits are bit-identical to what SearchRequest
+// would return for it alone; the property tests assert it.
 //
 // Responses align with reqs by index. The context cancels
 // mid-execution between postings blocks; on cancellation the whole
@@ -134,17 +170,16 @@ func (e *Engine) SearchBatch(ctx context.Context, reqs []Request) ([]Response, e
 	defer func() {
 		for i := range bs.members {
 			if bs.members[i].live {
-				e.states.Put(bs.members[i].qs)
+				e.putState(bs.members[i].qs)
 			}
-			bs.members[i] = batchMember{}
 		}
-		e.batches.Put(bs)
+		e.putBatch(bs)
 	}()
 
 	// One term-resolution pass across the batch.
 	for i := range reqs {
 		req := &reqs[i]
-		m := batchMember{req: req, stats: &resps[i].Stats}
+		m := batchMember{k: req.K, keep: req.Keep}
 		terms := req.Terms
 		if terms == nil {
 			terms = e.an.Analyze(req.Query)
@@ -174,7 +209,7 @@ func (e *Engine) SearchBatch(ctx context.Context, reqs []Request) ([]Response, e
 	// Plan: auto-mode members may join the shared traversal;
 	// explicit-mode members keep their member-at-a-time path.
 	for i := range bs.members {
-		if m := &bs.members[i]; m.live && m.req.Mode == ExecAuto {
+		if bs.members[i].live && reqs[i].Mode == ExecAuto {
 			bs.shared = append(bs.shared, i)
 		}
 	}
@@ -182,15 +217,16 @@ func (e *Engine) SearchBatch(ctx context.Context, reqs []Request) ([]Response, e
 		bs.shared = largestAvgLenGroup(bs.members, bs.shared)
 	}
 	if shared := bs.shared; len(shared) >= 2 {
-		distinct, totalPostings := e.buildUnion(bs)
+		e.buildUnion(bs)
 		bc.mark(&bc.fetch)
-		if distinct*batchShareDen <= totalPostings*batchShareNum {
-			if err := e.batchExhaustive(ctx, bs); err != nil {
+		if !e.sharingGated() || e.sharingPays(bs) {
+			if err := e.flatScan(ctx, bs); err != nil {
 				return nil, err
 			}
 			bc.mark(&bc.traverse)
 			for _, i := range shared {
 				resps[i].Hits = drainTopK(&bs.members[i].qs.heap)
+				resps[i].Stats = bs.members[i].stats
 			}
 			bc.mark(&bc.merge)
 			e.finishBatch(&bc, bs, resps)
@@ -209,12 +245,12 @@ func (e *Engine) SearchBatch(ctx context.Context, reqs []Request) ([]Response, e
 		}
 		bm.qs.clock.enabled = m != nil || resps[i].Trace != nil
 		bm.qs.clock.start()
-		hits, err := e.execResolved(ctx, bm.qs, bm.req.K, bm.qnorm, bm.req.Keep, bm.req.Mode, bm.stats)
+		hits, err := e.execResolved(ctx, bm.qs, bm.k, bm.qnorm, bm.keep, reqs[i].Mode, &resps[i].Stats)
 		if err != nil {
 			return nil, err
 		}
 		resps[i].Hits = hits
-		e.finishQuery(bm.qs, len(bm.qs.terms), bm.req.K, bm.stats, resps[i].Trace)
+		e.finishQuery(bm.qs, len(bm.qs.terms), bm.k, &resps[i].Stats, resps[i].Trace)
 	}
 	return resps, nil
 }
@@ -267,7 +303,7 @@ func (e *Engine) finishBatch(bc *phaseClock, bs *batchState, resps []Response) {
 // set scoring with one avgdl (compared by bit pattern; the earliest
 // group wins a tie), filtering cand in place. Members of one routed
 // cycle, or of one local batch, all agree, so this normally returns
-// cand untouched.
+// cand as it came.
 func largestAvgLenGroup(members []batchMember, cand []int) []int {
 	bits := func(i int) uint64 { return math.Float64bits(members[i].qs.avgLen) }
 	var best uint64
@@ -295,16 +331,36 @@ func largestAvgLenGroup(members []batchMember, cand []int) []int {
 	return group
 }
 
-// buildUnion assembles the TermID-sorted union plan over bs.shared,
-// fetching each distinct term's postings exactly once. Returns the
-// number of distinct postings across the union and the per-member sum
-// the sharing gate compares it with.
-func (e *Engine) buildUnion(bs *batchState) (distinct, total int) {
+// sharingGated reports whether a cycle must earn its shared scan: only
+// where a member left to itself would prune with MaxScore. Under
+// cosine, or without impact metadata, the member would run this very
+// scan alone, and sharing it can only save work.
+func (e *Engine) sharingGated() bool {
+	return e.scoring == BM25 && e.impacts != nil
+}
+
+// sharingPays applies the batchShareNum/batchShareDen gate to a built
+// union: the distinct postings the shared scan walks against the sum of
+// what its members would each be charged alone.
+func (e *Engine) sharingPays(bs *batchState) bool {
+	distinct, total := 0, 0
+	for ui := range bs.union {
+		distinct += bs.union[ui].it.Len()
+	}
 	for _, i := range bs.shared {
-		m := &bs.members[i]
-		for j := range m.qs.terms {
-			t := &m.qs.terms[j]
+		for _, t := range bs.members[i].qs.terms {
 			total += e.src.DocFreq(t.id)
+		}
+	}
+	return distinct*batchShareDen <= total*batchShareNum
+}
+
+// buildUnion assembles the TermID-sorted union plan over bs.shared,
+// fetching each distinct term's postings exactly once. Terms that carry
+// no weight for a member are left out of it.
+func (e *Engine) buildUnion(bs *batchState) {
+	for _, i := range bs.shared {
+		for _, t := range bs.members[i].qs.terms {
 			if t.w != 0 {
 				bs.refs = append(bs.refs, batchRef{id: t.id, member: i, w: t.w})
 			}
@@ -330,26 +386,61 @@ func (e *Engine) buildUnion(bs *batchState) (distinct, total int) {
 			ut := &bs.union[n-1]
 			ut.id, ut.from = id, ri
 			e.src.IterInto(id, &ut.it)
-			distinct += ut.it.Len()
 		}
 		bs.union[n-1].to = ri + 1
 	}
-	return distinct, total
 }
 
-// batchExhaustive is the cycle-at-a-time traversal: one pass over each
-// distinct term's postings (ascending TermID), fanning the shared
-// impact factor of every posting out to the members containing the
-// term. Per member, the sequence of accumulator updates — terms in
-// ascending TermID order, postings in ascending document order, the
-// identical weight-times-impact product — matches searchExhaustive
-// exactly, so scores, ranks and stats are bit-identical to
-// member-at-a-time execution. Top-k heaps are filled here; the caller
-// drains them.
-func (e *Engine) batchExhaustive(ctx context.Context, bs *batchState) error {
+// scanSolo runs the flat scan for one resolved query — a cycle of one.
+// The member table, union plan and block buffers come from the same
+// pool SearchBatch draws on; stats may be nil.
+func (e *Engine) scanSolo(ctx context.Context, qs *queryState, k int, qnorm float64, keep func(corpus.DocID) bool, stats *ExecStats) ([]Result, error) {
+	bs := e.batches.Get().(*batchState)
+	bs.reset()
+	defer e.putBatch(bs)
+	bs.members = append(bs.members, batchMember{qs: qs, qnorm: qnorm, k: k, keep: keep, live: true})
+	bs.shared = append(bs.shared, 0)
+	e.buildUnion(bs)
+	qs.clock.mark(&qs.clock.fetch)
+	if err := e.flatScan(ctx, bs); err != nil {
+		return nil, err
+	}
+	if stats != nil {
+		stats.Add(bs.members[0].stats)
+	}
+	qs.clock.mark(&qs.clock.traverse)
+	res := drainTopK(&qs.heap)
+	qs.clock.mark(&qs.clock.merge)
+	return res, nil
+}
+
+// flatScan scores every posting of every term in bs.union for the
+// members in bs.shared and leaves each member's top k in its heap; the
+// caller drains them. It is the reference semantics MaxScore is tested
+// against.
+//
+// One pass over each distinct list, in ascending TermID order, a
+// decoded block at a time. Per block, once: the query-independent
+// impact of every posting (blockImpacts) with the scorer chosen outside
+// the loop. Per member containing the term: score[d] += w·impact over
+// the block (add) and nothing else — no per-document bookkeeping to
+// load, no branch, no filter. The accumulators are all zero when a scan starts
+// (queryState), so a member's first contribution to a document is 0 + x
+// and the rest follow in term order: the sequence of additions each
+// score sees is the one a textbook term-at-a-time scorer makes, whoever
+// else is in the cycle, which is what keeps every member's scores
+// bit-identical to running alone and to MaxScore's per-candidate sum.
+// Every weight and impact is finite and positive (Request.Validate
+// vouches for injected statistics), which is what lets add recognize a
+// first contribution by the zero it lands on.
+//
+// The context is polled every cancelStride postings, between blocks. A
+// scan that stops early leaves its members' accumulators unswept;
+// putState keeps such a state out of the pool.
+func (e *Engine) flatScan(ctx context.Context, bs *batchState) error {
 	done := ctx.Done()
 	// Size each member's accumulator off its own lists' final entries
-	// (block metadata — no decoding), as the single-query path does.
+	// (block metadata — no decoding).
 	maxDoc := corpus.DocID(-1)
 	for ui := range bs.union {
 		ut := &bs.union[ui]
@@ -357,12 +448,13 @@ func (e *Engine) batchExhaustive(ctx context.Context, bs *batchState) error {
 			continue
 		}
 		last := ut.it.LastDoc()
-		if last > maxDoc {
-			maxDoc = last
-		}
+		maxDoc = max(maxDoc, last)
 		for _, rf := range bs.refs[ut.from:ut.to] {
 			bs.members[rf.member].qs.ensureDoc(last)
 		}
+	}
+	for _, i := range bs.shared {
+		bs.members[i].qs.unswept = true
 	}
 	var avgLen float64
 	var denoms []float64
@@ -370,16 +462,7 @@ func (e *Engine) batchExhaustive(ctx context.Context, bs *batchState) error {
 		// The sharing group's one avgdl: the source's own, or the
 		// cluster-merged value a router injected.
 		avgLen = bs.members[bs.shared[0]].qs.avgLen
-		if need := int(maxDoc) + 1; cap(bs.denoms) < need {
-			bs.denoms = make([]float64, need)
-		} else {
-			bs.denoms = bs.denoms[:need]
-			clear(bs.denoms)
-		}
-		denoms = bs.denoms
-	}
-	if cap(bs.impacts) < index.BlockSize {
-		bs.impacts = make([]float64, index.BlockSize)
+		denoms = bs.denomsFor(avgLen, int(maxDoc)+1)
 	}
 	for ui := range bs.union {
 		ut := &bs.union[ui]
@@ -400,93 +483,155 @@ func (e *Engine) batchExhaustive(ctx context.Context, bs *batchState) error {
 				}
 			}
 			impacts := bs.impacts[:len(docs)]
-			// Pass 1, once per distinct term and block: the
-			// query-independent impact factor of every posting — the
-			// arithmetic every member containing the term would
-			// otherwise redo. The BM25 branch mirrors sharedImpact
-			// exactly, with the per-document length factor cached
-			// across the union's lists.
-			if e.scoring == BM25 {
-				for i, d := range docs {
-					dn := denoms[d]
-					if dn == 0 {
-						dn = bm25K1 * (1 - bm25B + bm25B*float64(e.src.DocLen(d))/avgLen)
-						denoms[d] = dn
-					}
-					ftf := float64(tfs[i])
-					impacts[i] = ftf * (bm25K1 + 1) / (ftf + dn)
-				}
-			} else {
-				for i := range docs {
-					impacts[i] = docWeight(tfs[i])
-				}
-			}
-			// Pass 2, per member: a tight accumulate loop over this
-			// member's own arrays, the same update sequence as the
-			// single-query exhaustive scan.
+			e.blockImpacts(impacts, docs, tfs, avgLen, denoms)
 			for _, rf := range refs {
-				m := &bs.members[rf.member]
-				qs := m.qs
-				genAlive, genDead := qs.gen, qs.gen+1
-				w, keep := rf.w, m.req.Keep
-				stamp, score, touched := qs.stamp, qs.score, qs.touched
-				if keep == nil {
-					// Without a filter a stamp is either genAlive or
-					// stale (genDead only ever marks filtered docs), so
-					// first touch can write the contribution directly:
-					// contributions are positive, making x and 0+x the
-					// same float64.
-					for i, d := range docs {
-						if stamp[d] == genAlive {
-							score[d] += w * impacts[i]
-							continue
-						}
-						stamp[d] = genAlive
-						score[d] = w * impacts[i]
-						touched = append(touched, d)
-					}
-					qs.touched = touched
-					continue
-				}
-				for i, d := range docs {
-					st := stamp[d]
-					if st == genDead {
-						continue
-					}
-					if st != genAlive {
-						if !keep(d) {
-							stamp[d] = genDead
-							m.stats.DocsFiltered++
-							continue
-						}
-						stamp[d] = genAlive
-						score[d] = 0
-						touched = append(touched, d)
-					}
-					score[d] += w * impacts[i]
-				}
-				qs.touched = touched
+				bs.members[rf.member].qs.add(docs, impacts, rf.w)
 			}
 			if !ut.it.NextWindow() {
 				break
 			}
 		}
 		for _, rf := range refs {
-			st := bs.members[rf.member].stats
+			st := &bs.members[rf.member].stats
 			st.Postings += ut.it.Len()
 			st.BlocksDecoded += ut.it.BlocksDecoded()
 		}
 	}
-	// Finalize per member: same normalization, same heap discipline as
-	// the single-query exhaustive tail.
 	for _, i := range bs.shared {
-		m := &bs.members[i]
-		qs := m.qs
-		m.stats.DocsScored += len(qs.touched)
-		for _, d := range qs.touched {
-			s := e.finalizeScore(qs.score[d], d, m.qnorm)
-			pushTopK(&qs.heap, m.req.K, Result{Doc: d, Score: s})
-		}
+		e.sweep(&bs.members[i])
 	}
 	return nil
+}
+
+// blockImpacts fills impacts with the query-independent factor of every
+// posting of one decoded block: impact's two expressions with the
+// scorer chosen once per block instead of once per posting, and BM25's
+// length normalization read from (or entered into) the denoms cache,
+// so a document's DocLen is fetched once however many of the union's
+// lists it is on.
+func (e *Engine) blockImpacts(impacts []float64, docs []corpus.DocID, tfs []int32, avgLen float64, denoms []float64) {
+	if e.scoring != BM25 {
+		for i, tf := range tfs {
+			impacts[i] = docWeight(tf)
+		}
+		return
+	}
+	for i, d := range docs {
+		dn := denoms[d]
+		if dn == 0 {
+			dn = bm25K1 * (1 - bm25B + bm25B*float64(e.src.DocLen(d))/avgLen)
+			denoms[d] = dn
+		}
+		ftf := float64(tfs[i])
+		impacts[i] = ftf * (bm25K1 + 1) / (ftf + dn)
+	}
+}
+
+// add is the flat scan's inner loop: one block of one term into one
+// member's accumulator. A document's first contribution is the one
+// that finds its score zero — contributions are positive — and that is
+// how the document gets on the reached list, without a branch: every
+// posting writes its document at the list's end, and the end moves on
+// only for a first contribution. A function of its own so that its
+// handful of values stay in registers whatever flatScan is juggling
+// around the call.
+func (qs *queryState) add(docs []corpus.DocID, impacts []float64, w float64) {
+	score, n := qs.score, len(qs.reached)
+	reached := slices.Grow(qs.reached, len(docs))[:n+len(docs)]
+	impacts = impacts[:len(docs)]
+	for i, d := range docs {
+		s := score[d]
+		reached[n] = d
+		// 1 for +0, whose bits are all clear; 0 for any positive score.
+		n += int((math.Float64bits(s) - 1) >> 63)
+		// The conversion rounds the product on its own, so no platform
+		// fuses it into the addition.
+		score[d] = s + float64(w*impacts[i])
+	}
+	qs.reached = reached[:n]
+}
+
+// gateSlack shrinks the cosine skip limit by more than the rounding of
+// the two multiplications that form it, and of the division it stands
+// in for, can add up to (a few parts in 2⁵³): a document under the
+// limit finalizes strictly below the heap's root, never level with it.
+const gateSlack = 1 - 1.0/(1<<40)
+
+// next takes the next reached document, from position *at of the list,
+// out of the accumulator — its score is zeroed, which is what restores
+// the pooled state's all-zero invariant — and returns it with its raw
+// score; ok is false when none is left. Documents whose raw score is
+// below limit are taken out but not returned, only counted in skipped:
+// the limit is bound itself when norms is nil, norms[d]·bound
+// otherwise, so a bound of 0 returns every document. The loop makes no
+// calls, so it runs out of registers; that is the reason it is a
+// function of its own.
+func (qs *queryState) next(at *int, norms []float64, bound float64) (d corpus.DocID, raw float64, skipped int, ok bool) {
+	score, reached := qs.score, qs.reached
+	for i := *at; i < len(reached); i++ {
+		d := reached[i]
+		raw := score[d]
+		if raw == 0 {
+			// Already taken out: listed twice, which only a contribution
+			// that was not positive (a corrupt tf) can bring about.
+			continue
+		}
+		score[d] = 0
+		limit := bound
+		if norms != nil {
+			limit = 0
+			if int(d) < len(norms) {
+				limit = norms[d] * bound
+			}
+		}
+		if raw < limit {
+			skipped++
+			continue
+		}
+		*at = i + 1
+		return d, raw, skipped, true
+	}
+	*at = len(reached)
+	return 0, 0, skipped, false
+}
+
+// sweep finalizes one member after flatScan: it takes the reached
+// documents out of the accumulator, consults the keep filter once per
+// document, and offers the survivors to the member's top-k heap, each
+// finalized by finalizeScore like MaxScore's candidates. Once the heap
+// is full most documents cannot enter it, and where the final score is
+// raw/(norm·qnorm) or raw itself with nothing else to consult — no
+// filter, no prior, norms in a slice — next turns those away with one
+// multiplication and a comparison, before the division and the heap
+// call: final < root ⟸ raw < root·norm·qnorm·gateSlack under cosine,
+// raw < root (exactly) under BM25. A document with no norm has limit 0
+// and always takes the exact path. The heap ends up holding the k best
+// whatever order documents are offered in, so nothing depends on the
+// list's (first-contribution) order.
+func (e *Engine) sweep(m *batchMember) {
+	qs, k, keep, qnorm := m.qs, m.k, m.keep, m.qnorm
+	gated := keep == nil && e.prior == nil && e.normSrc == nil
+	norms, scale := e.docNorm, qnorm*gateSlack
+	if e.scoring == BM25 {
+		norms, scale = nil, 1
+	}
+	bound, at := 0.0, 0
+	for {
+		d, raw, skipped, ok := qs.next(&at, norms, bound)
+		m.stats.DocsScored += skipped
+		if !ok {
+			break
+		}
+		if keep != nil && !keep(d) {
+			m.stats.DocsFiltered++
+			continue
+		}
+		m.stats.DocsScored++
+		pushTopK(&qs.heap, k, Result{Doc: d, Score: e.finalizeScore(raw, d, qnorm)})
+		if gated && len(qs.heap) == k {
+			bound = qs.heap[0].Score * scale
+		}
+	}
+	qs.reached = qs.reached[:0]
+	qs.unswept = false
 }

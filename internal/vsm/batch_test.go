@@ -201,7 +201,8 @@ func TestSearchBatchValidation(t *testing.T) {
 
 // TestSearchCancellation pins context handling: an already-canceled
 // context aborts single and batch execution with the context's error,
-// for every execution mode.
+// for every execution mode, and an execution stopped part-way does not
+// poison the ones after it.
 func TestSearchCancellation(t *testing.T) {
 	eng, gt := testEngine(t)
 	q := analyzeTerms(eng.Analyzer(), gt.TopicWords[0][:3])
@@ -218,6 +219,143 @@ func TestSearchCancellation(t *testing.T) {
 		{Terms: q2, K: 10},
 	}); err != context.Canceled {
 		t.Errorf("canceled batch returned %v, want context.Canceled", err)
+	}
+	t.Run("pool stays clean", interruptedScanLeavesPoolClean)
+}
+
+// cancelingSource is an impactless Source (so BM25 runs the flat scan)
+// whose DocLen — which the BM25 flat scan reads in the middle of its
+// traversal, once per document — cancels a context after a set number
+// of reads.
+type cancelingSource struct {
+	impactlessSource
+	reads, cancelAt int
+	cancel          context.CancelFunc
+}
+
+func (s *cancelingSource) DocLen(d corpus.DocID) int {
+	if s.reads++; s.reads == s.cancelAt {
+		s.cancel()
+	}
+	return s.impactlessSource.DocLen(d)
+}
+
+// interruptedScanLeavesPoolClean extends the cancellation contract to
+// what happens next. A flat scan stopped between blocks — its
+// members' accumulators hold contributions no sweep took out — or
+// abandoned inside its sweep by a panicking keep filter must not hand
+// those states back to the pool: the same engine then answers a stream
+// of solo queries and cycles bit for bit like an engine that was never
+// interrupted.
+func interruptedScanLeavesPoolClean(t *testing.T) {
+	c, gt, err := corpus.Synthesize(corpus.GenSpec{
+		Seed: 23, NumDocs: 2500, NumTopics: 5, DocLenMin: 20, DocLenMax: 50,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := index.Build(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := textproc.NewAnalyzer()
+	rng := rand.New(rand.NewSource(24))
+	var cycles [][]Request
+	for i := 0; i < 10; i++ {
+		var reqs []Request
+		for _, q := range cycleQueries(gt, an, rng, 8) {
+			reqs = append(reqs, Request{Terms: q, K: 10})
+		}
+		cycles = append(cycles, reqs)
+	}
+	for _, scoring := range []Scoring{Cosine, BM25} {
+		src := &cancelingSource{impactlessSource: impactlessSource{idx}}
+		eng, err := NewEngineOver(src, an, scoring)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewEngineOver(impactlessSource{idx}, an, scoring)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scoring == BM25 {
+			// Mid-traversal: a few hundred documents into the first
+			// lists, with thousands of postings still to come. Each
+			// interrupted call scores under an avgdl of its own, so the
+			// length cache starts cold and DocLen gets read.
+			withAvgLen := func(req Request, extraLen int64) Request {
+				req.Global = globalFor(idx, req.Terms, 1, extraLen)
+				return req
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			src.reads, src.cancelAt, src.cancel = 0, 300, cancel
+			var reqs []Request
+			for _, req := range cycles[2] {
+				reqs = append(reqs, withAvgLen(req, 1000))
+			}
+			if _, err := eng.SearchBatch(ctx, reqs); err != context.Canceled {
+				t.Fatalf("batch canceled mid-traversal returned %v, want context.Canceled", err)
+			}
+			ctx, cancel = context.WithCancel(context.Background())
+			src.reads, src.cancelAt, src.cancel = 0, 300, cancel
+			solo := withAvgLen(cycles[2][0], 2000)
+			solo.Mode = ExecExhaustive
+			if _, err := eng.SearchRequest(ctx, solo); err != context.Canceled {
+				t.Fatalf("request canceled mid-traversal returned %v, want context.Canceled", err)
+			}
+			src.cancelAt = 0
+		}
+		// Mid-sweep: the filter gives up on the hundredth document of
+		// the first member it is asked about.
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("panicking keep filter did not propagate")
+				}
+			}()
+			calls := 0
+			reqs := append([]Request(nil), cycles[3]...)
+			for i := range reqs {
+				reqs[i].Keep = func(corpus.DocID) bool {
+					if calls++; calls == 100 {
+						panic("keep filter gave up")
+					}
+					return true
+				}
+			}
+			eng.SearchBatch(context.Background(), reqs)
+		}()
+
+		for n := 0; n < 50; n++ {
+			reqs := cycles[n%len(cycles)]
+			var got, want []Response
+			if n%2 == 0 {
+				if got, err = eng.SearchBatch(context.Background(), reqs); err != nil {
+					t.Fatal(err)
+				}
+				if want, err = fresh.SearchBatch(context.Background(), reqs); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				g, err := eng.SearchRequest(context.Background(), reqs[n%len(reqs)])
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := fresh.SearchRequest(context.Background(), reqs[n%len(reqs)])
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, want = []Response{g}, []Response{w}
+			}
+			for i := range want {
+				if err := sameHits(got[i].Hits, want[i].Hits); err != nil {
+					t.Fatalf("%v, query %d after the interruptions, member %d: %v", scoring, n, i, err)
+				}
+				if got[i].Stats != want[i].Stats {
+					t.Fatalf("%v, query %d after the interruptions, member %d: stats %+v, fresh engine %+v", scoring, n, i, got[i].Stats, want[i].Stats)
+				}
+			}
+		}
 	}
 }
 

@@ -6,14 +6,17 @@
 // BM25 — selected per Engine.
 //
 // Query execution walks postings iterators in one of two strategies,
-// picked per query by one rule (see effectiveMode): an exhaustive
-// scorer over flat accumulators, which is also the reference oracle,
-// and document-at-a-time MaxScore pruning with per-term max-impact
-// bounds — once the running k-th best score exceeds what a term's best
-// posting could contribute, that term's list stops driving candidates
-// and is consulted only by skipping. Both accumulate contributions in
-// the same canonical term order, so their results — documents, ranks,
-// and floating-point scores — are identical.
+// picked per query by one rule (see effectiveMode): the flat scan, a
+// term-at-a-time scorer that adds every posting into a dense
+// accumulator and then sweeps the documents it reached into a top-k
+// heap — one kernel (flatScan) that a cycle's members run together and
+// a solo query runs as a cycle of one, and the reference oracle — and
+// document-at-a-time MaxScore pruning with per-term max-impact bounds:
+// once the running k-th best score exceeds what a term's best posting
+// could contribute, that term's list stops driving candidates and is
+// consulted only by skipping. Both accumulate contributions in the same
+// canonical term order, so their results — documents, ranks, and
+// floating-point scores — are identical.
 //
 // TopPriv deliberately requires no changes to this engine; the privacy
 // machinery lives entirely client-side.
@@ -99,6 +102,10 @@ type Source interface {
 	// DocFreq is the term's postings-list length.
 	DocFreq(id textproc.TermID) int
 	IDF(id textproc.TermID) float64
+	// DocLen is the analyzed token count of document d. A source whose
+	// document set grows must keep the length of a document it has
+	// handed out postings for fixed: the BM25 flat scan caches the
+	// length normalization it derives from it.
 	DocLen(d corpus.DocID) int
 	AvgDocLen() float64
 }
@@ -127,8 +134,9 @@ type Engine struct {
 	// states pools per-query scratch (term bags, flat accumulators,
 	// heaps) across queries and goroutines.
 	states sync.Pool
-	// batches pools per-batch scratch (the term-union plan and the
-	// postings-reuse cache) across SearchBatch calls.
+	// batches pools the flat scan's scratch (the member table, the
+	// term-union plan with its iterators, the BM25 length cache) across
+	// SearchBatch calls and solo scans.
 	batches sync.Pool
 	// prior, when non-nil, is a static per-document score multiplier in
 	// (0, 1], derived from link analysis (see NewEngineWithPrior).
@@ -327,9 +335,8 @@ func (e *Engine) SearchTerms(terms []string, k int) []Result {
 // SearchTermsFiltered runs an analyzed query and returns the top-k
 // among documents for which keep returns true (nil keeps everything).
 // Live stores use the filter to hide tombstoned documents without
-// rebuilding the shard; the filter is consulted before a document is
-// scored, so tombstoned postings cost no arithmetic. Legacy wrapper;
-// new code should use SearchRequest with Request.Keep.
+// rebuilding the shard; see Request.Keep for when it is consulted.
+// Legacy wrapper; new code should use SearchRequest with Request.Keep.
 func (e *Engine) SearchTermsFiltered(terms []string, k int, keep func(corpus.DocID) bool) []Result {
 	res, _ := e.searchTermsCtx(context.Background(), terms, k, keep, ExecAuto, nil, nil, nil)
 	return res
@@ -346,7 +353,7 @@ func (e *Engine) searchTermsCtx(ctx context.Context, terms []string, k int, keep
 	}
 	m := e.metrics
 	qs := e.states.Get().(*queryState)
-	defer e.states.Put(qs)
+	defer e.putState(qs)
 	qs.reset()
 	qs.clock.enabled = m != nil || trace != nil
 	if qs.clock.enabled && stats == nil {
@@ -409,7 +416,7 @@ func (e *Engine) execResolved(ctx context.Context, qs *queryState, k int, qnorm 
 	if eff == ExecMaxScore {
 		return e.searchMaxScore(ctx, qs, k, qnorm, keep, stats)
 	}
-	return e.searchExhaustive(ctx, qs, k, qnorm, keep, stats)
+	return e.scanSolo(ctx, qs, k, qnorm, keep, stats)
 }
 
 // norm returns document d's lnc vector norm from whichever norm source

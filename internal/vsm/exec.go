@@ -75,9 +75,10 @@ const (
 	// identical to ExecExhaustive. Requires an ImpactSource; engines
 	// over plain sources quietly fall back to the exhaustive path.
 	ExecMaxScore
-	// ExecExhaustive scores every matching document — the reference
-	// oracle the pruned path is property-tested against, and the
-	// right mode when k approaches the collection size.
+	// ExecExhaustive scores every matching document with the flat scan
+	// (flatScan) — the reference oracle the pruned path is
+	// property-tested against, and the right mode when k approaches the
+	// collection size.
 	ExecExhaustive
 )
 
@@ -114,14 +115,17 @@ type ImpactSource interface {
 // (the engine never retains them). The JSON form is what the HTTP
 // server's search responses carry.
 type ExecStats struct {
-	// DocsScored is the number of documents whose full score was
-	// computed.
+	// DocsScored is the number of documents scored: under the flat scan
+	// every matching document the filter kept (its sum is complete
+	// whether or not the sweep then had to normalize it), under MaxScore
+	// the candidates that were not abandoned on a bound.
 	DocsScored int `json:"docs_scored"`
 	// DocsPruned is the number of candidate documents MaxScore
 	// abandoned on a bound check before fully scoring them.
 	DocsPruned int `json:"docs_pruned,omitempty"`
-	// DocsFiltered is the number of documents the keep predicate
-	// (tombstones) rejected before any scoring.
+	// DocsFiltered is the number of matching documents the keep
+	// predicate (tombstones) rejected: the flat scan asks once per
+	// document a query term occurs in, MaxScore once per candidate.
 	DocsFiltered int `json:"docs_filtered,omitempty"`
 	// Postings is the number of postings visited by the exhaustive
 	// path (0 under MaxScore, which touches lists lazily).
@@ -168,7 +172,7 @@ func harvestIterStats(its []index.Iterator, stats *ExecStats) {
 // uncached paths score identically.
 var lnTFTable = func() [64]float64 {
 	var t [64]float64
-	for i := 1; i < len(t); i++ {
+	for i := range t {
 		t[i] = 1 + math.Log(float64(i))
 	}
 	return t
@@ -176,7 +180,7 @@ var lnTFTable = func() [64]float64 {
 
 // docWeight returns the lnc document weight 1+ln(tf).
 func docWeight(tf int32) float64 {
-	if tf > 0 && int(tf) < len(lnTFTable) {
+	if uint32(tf) < uint32(len(lnTFTable)) {
 		return lnTFTable[tf]
 	}
 	return 1 + math.Log(float64(tf))
@@ -194,21 +198,32 @@ type qterm struct {
 }
 
 // queryState is the pooled per-query scratch space: the resolved term
-// bag, flat score accumulators (replacing the old map accumulator),
-// the top-k heap, and the MaxScore ordering buffers. One queryState
-// serves one query at a time; engines keep them in a sync.Pool.
+// bag, the flat scan's dense accumulator, the top-k heap, and the
+// MaxScore ordering buffers. One queryState serves one query at a time;
+// engines keep them in a sync.Pool.
 type queryState struct {
 	terms []qterm
-	// its holds one postings iterator per resolved term, parallel to
-	// terms and filled by each execution strategy at entry. It lives
-	// outside qterm because an iterator carries its own block-decode
-	// buffer (~1 KiB): keeping terms small keeps their sort and dedup
-	// cheap, while the buffers still come from the pool, not the heap.
-	its     []index.Iterator
-	score   []float64      // flat accumulator indexed by local doc ID
-	stamp   []uint32       // generation marks: gen = alive, gen+1 = dead
-	touched []corpus.DocID // alive docs hit this query
-	gen     uint32
+	// its holds one postings iterator per resolved term for MaxScore,
+	// parallel to terms. It lives outside qterm because an iterator
+	// carries its own block-decode buffer (~1 KiB): keeping terms small
+	// keeps their sort and dedup cheap, while the buffers still come from
+	// the pool, not the heap. (The flat scan's iterators belong to its
+	// union plan.)
+	its []index.Iterator
+	// score is the flat scan's accumulator, indexed by local doc ID, and
+	// reached lists the documents a scan has added to, each once, in the
+	// order of their first contributions. Pool invariant: between
+	// queries every score is zero and the list empty. A scan adds into
+	// the zeros and its sweep zeroes what it reads, so no query clears
+	// the array or versions its entries, and a short query on a large
+	// index visits the documents it reached and nothing else.
+	score   []float64
+	reached []corpus.DocID
+	// unswept is set from the moment a flat scan may have written score
+	// until its sweep has finished; putState drops a state released in
+	// between (a cancelled scan, a panicking keep filter) rather than
+	// pooling an accumulator that breaks the invariant.
+	unswept bool
 	heap    resultHeap
 	ord     []int          // MaxScore: term indexes by ascending ub
 	prefix  []float64      // MaxScore: prefix sums of ub
@@ -231,41 +246,32 @@ func (qs *queryState) iterSlots(n int) []index.Iterator {
 	return qs.its[:n]
 }
 
-// reset prepares the state for a new query, bumping the stamp
-// generation instead of clearing the accumulator arrays.
+// reset prepares the state for a new query. The accumulator needs
+// nothing: it is all zero whenever the state is in the pool.
 func (qs *queryState) reset() {
 	qs.terms = qs.terms[:0]
-	qs.touched = qs.touched[:0]
 	qs.heap = qs.heap[:0]
 	qs.ord = qs.ord[:0]
 	qs.prefix = qs.prefix[:0]
 	qs.docs = qs.docs[:0]
-	qs.gen += 2
-	if qs.gen == 0 { // wrapped: stale stamps could collide
-		for i := range qs.stamp {
-			qs.stamp[i] = 0
-		}
-		qs.gen = 2
+}
+
+// ensureDoc grows the accumulator to cover local doc ID d. Only called
+// before a scan writes, when every score is zero, so growing never
+// copies.
+func (qs *queryState) ensureDoc(d corpus.DocID) {
+	if need := int(d) + 1; need > len(qs.score) {
+		qs.score = make([]float64, need+need/2)
 	}
 }
 
-// ensureDoc grows the flat accumulators to cover local doc ID d.
-func (qs *queryState) ensureDoc(d corpus.DocID) {
-	need := int(d) + 1
-	if need <= len(qs.score) {
-		return
+// putState returns a query state to the pool — unless a flat scan left
+// its accumulator unswept, in which case the state is dropped and the
+// pool allocates a clean one when it next runs short.
+func (e *Engine) putState(qs *queryState) {
+	if !qs.unswept {
+		e.states.Put(qs)
 	}
-	if need <= cap(qs.score) {
-		qs.score = qs.score[:need]
-		qs.stamp = qs.stamp[:need]
-		return
-	}
-	ns := make([]float64, need, need+need/2)
-	copy(ns, qs.score)
-	qs.score = ns
-	nst := make([]uint32, need, need+need/2)
-	copy(nst, qs.stamp)
-	qs.stamp = nst
 }
 
 // resolveTerms builds the deduplicated, TermID-sorted term bag in
@@ -440,91 +446,16 @@ func canceled(done <-chan struct{}) bool {
 	}
 }
 
-// searchExhaustive scores every posting of every query term into the
-// flat accumulator — the reference semantics. Lists are traversed
-// block-at-a-time through their iterators (decoding compressed blocks
-// into the iterator's buffer, never materializing a list); the keep
-// filter is consulted once per document, before any contribution
-// lands. The context is polled every cancelStride postings, between
-// blocks.
-func (e *Engine) searchExhaustive(ctx context.Context, qs *queryState, k int, qnorm float64, keep func(corpus.DocID) bool, stats *ExecStats) ([]Result, error) {
-	done := ctx.Done()
-	genAlive, genDead := qs.gen, qs.gen+1
-	// Size the accumulator once, off the lists' final entries (block
-	// metadata — no decoding).
-	its := qs.iterSlots(len(qs.terms))
-	for i := range qs.terms {
-		e.src.IterInto(qs.terms[i].id, &its[i])
-		if its[i].Valid() {
-			qs.ensureDoc(its[i].LastDoc())
-		}
-	}
-	qs.clock.mark(&qs.clock.fetch)
-	for i := range qs.terms {
-		t, it := &qs.terms[i], &its[i]
-		if t.w == 0 || !it.Valid() {
-			continue
-		}
-		if stats != nil {
-			stats.Postings += it.Len()
-		}
-		if canceled(done) {
-			return nil, ctx.Err()
-		}
-		sinceCancel := 0
-		for {
-			docs, tfs := it.Window()
-			if sinceCancel += len(docs); sinceCancel >= cancelStride {
-				sinceCancel = 0
-				if canceled(done) {
-					return nil, ctx.Err()
-				}
-			}
-			for j, d := range docs {
-				st := qs.stamp[d]
-				if st == genDead {
-					continue
-				}
-				if st != genAlive {
-					if keep != nil && !keep(d) {
-						qs.stamp[d] = genDead
-						if stats != nil {
-							stats.DocsFiltered++
-						}
-						continue
-					}
-					qs.stamp[d] = genAlive
-					qs.score[d] = 0
-					qs.touched = append(qs.touched, d)
-				}
-				qs.score[d] += e.rawContribution(qs, t, tfs[j], d)
-			}
-			if !it.NextWindow() {
-				break
-			}
-		}
-	}
-	if stats != nil {
-		stats.DocsScored += len(qs.touched)
-	}
-	harvestIterStats(its, stats)
-	qs.clock.mark(&qs.clock.traverse)
-	for _, d := range qs.touched {
-		s := e.finalizeScore(qs.score[d], d, qnorm)
-		pushTopK(&qs.heap, k, Result{Doc: d, Score: s})
-	}
-	res := drainTopK(&qs.heap)
-	qs.clock.mark(&qs.clock.merge)
-	return res, nil
-}
-
-// sharedImpact is the query-independent factor of one posting's
+// impact is the query-independent factor of one posting's
 // contribution: the lnc document weight 1+ln(tf) for cosine, the BM25
-// tf-saturation factor for BM25. rawContribution multiplies it by the
-// per-query term weight; the batch traversal computes it once per
-// posting and fans it out to every cycle member containing the term,
-// which is what makes shared execution both cheaper and bit-identical.
-func (e *Engine) sharedImpact(avgLen float64, tf int32, d corpus.DocID) float64 {
+// tf-saturation factor for BM25. A posting adds the per-query term
+// weight times this to its document's score; every execution path
+// accumulates exactly that product in exactly TermID order, which is
+// what makes their floating-point results identical. MaxScore calls it
+// per candidate posting; the flat scan evaluates the same two
+// expressions a block at a time (flatScan), once for every cycle member
+// containing the term.
+func (e *Engine) impact(avgLen float64, tf int32, d corpus.DocID) float64 {
 	if e.scoring == BM25 {
 		ftf := float64(tf)
 		dl := float64(e.src.DocLen(d))
@@ -532,16 +463,6 @@ func (e *Engine) sharedImpact(avgLen float64, tf int32, d corpus.DocID) float64 
 		return ftf * (bm25K1 + 1) / denom
 	}
 	return docWeight(tf)
-}
-
-// rawContribution is one term's unnormalized addition to a document's
-// score: cosine w·(1+ln tf) (the lnc dot-product part), BM25
-// idf·saturation. Every execution path accumulates exactly this
-// expression — the per-query weight times the shared impact factor —
-// in exactly TermID order, which is what makes their floating-point
-// results identical.
-func (e *Engine) rawContribution(qs *queryState, t *qterm, tf int32, d corpus.DocID) float64 {
-	return t.w * e.sharedImpact(qs.avgLen, tf, d)
 }
 
 // finalizeScore applies the per-document normalization (cosine) and
@@ -666,7 +587,7 @@ func (e *Engine) searchMaxScore(ctx context.Context, qs *queryState, k int, qnor
 		for _, i := range ord[first:] {
 			if curDocs[i] == cand {
 				it := &its[i]
-				raw := e.rawContribution(qs, &qs.terms[i], it.TF(), cand)
+				raw := qs.terms[i].w * e.impact(qs.avgLen, it.TF(), cand)
 				qs.contrib[i] = raw
 				partial += raw
 				if it.Next() {
@@ -690,7 +611,7 @@ func (e *Engine) searchMaxScore(ctx context.Context, qs *queryState, k int, qnor
 			if it.SeekGE(cand) {
 				curDocs[ord[j]] = it.Doc()
 				if it.Doc() == cand {
-					raw := e.rawContribution(qs, &qs.terms[ord[j]], it.TF(), cand)
+					raw := qs.terms[ord[j]].w * e.impact(qs.avgLen, it.TF(), cand)
 					qs.contrib[ord[j]] = raw
 					partial += raw
 				}

@@ -36,9 +36,11 @@ type Request struct {
 	// and the shard wire do not carry it, and a router ignores it.
 	Mode ExecMode
 	// Keep, when non-nil, restricts results to documents for which it
-	// returns true, consulted before a document is scored. Live stores
-	// use it to hide tombstones; it is an in-process knob and never
-	// crosses the HTTP surface.
+	// returns true. It is consulted at most once per document a query
+	// term occurs in, before the document can enter the top-k: by the
+	// flat scan when it finalizes (in no particular order), by MaxScore
+	// per candidate. Live stores use it to hide tombstones; it is an
+	// in-process knob and never crosses the HTTP surface.
 	Keep func(corpus.DocID) bool
 	// Trace asks for the per-phase timing breakdown of this request in
 	// Response.Trace. It works with or without engine-level metrics and
@@ -90,6 +92,13 @@ func (r *Request) Validate() error {
 		}
 		if g.Docs < 0 || g.TotalLen < 0 {
 			return fmt.Errorf("vsm: negative global stats")
+		}
+		// A df outside [0, Docs] turns idf negative or NaN, and the
+		// ranking with it.
+		for i, df := range g.DF {
+			if df < 0 || df > g.Docs {
+				return fmt.Errorf("vsm: global df[%d] = %d, outside [0, %d docs]", i, df, g.Docs)
+			}
 		}
 	}
 	return nil

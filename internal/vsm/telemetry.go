@@ -66,7 +66,7 @@ func newEngineMetrics(reg *telemetry.Registry, ring *telemetry.TraceRing, scorer
 	m.docsPruned = reg.Counter("toppriv_docs_pruned_total",
 		"Candidate documents abandoned on a bound check before full scoring.")
 	m.docsFiltered = reg.Counter("toppriv_docs_filtered_total",
-		"Documents rejected by the keep predicate (tombstones) before scoring.")
+		"Documents rejected by the keep predicate (tombstones).")
 	m.postings = reg.Counter("toppriv_postings_total",
 		"Postings visited by exhaustive traversals.")
 	m.seekProbes = reg.Counter("toppriv_seek_probes_total",
