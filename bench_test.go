@@ -392,20 +392,19 @@ func BenchmarkInferenceIters(b *testing.B) {
 	}
 }
 
-// searchMode runs one analyzed top-10 query under an explicit
-// Request.Mode and folds its work counters into stats.
-func searchMode(b *testing.B, engine *vsm.Engine, terms []string, mode vsm.ExecMode, stats *vsm.ExecStats) {
-	resp, err := engine.SearchRequest(context.Background(), vsm.Request{Terms: terms, K: 10, Mode: mode})
+// searchTop10 runs one analyzed top-10 query alone and folds its work
+// counters into stats.
+func searchTop10(b *testing.B, engine *vsm.Engine, terms []string, stats *vsm.ExecStats) {
+	resp, err := engine.SearchRequest(context.Background(), vsm.Request{Terms: terms, K: 10})
 	if err != nil {
 		b.Fatal(err)
 	}
 	stats.Add(resp.Stats)
 }
 
-// BenchmarkSearch measures top-10 engine throughput for both scorers
-// under both execution strategies. The per-op docs_scored metric is
-// the pruning evidence: MaxScore fully scores a fraction of the
-// documents the exhaustive oracle touches, at identical results.
+// BenchmarkSearch measures top-10 engine throughput of a query scanned
+// alone, for both scorers. (The rows are named "exhaustive", the mode
+// label such a query carries in traces and metrics.)
 func BenchmarkSearch(b *testing.B) {
 	env := getBenchEnv(b)
 	queries := env.AnalyzedQueries()
@@ -414,18 +413,15 @@ func BenchmarkSearch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, mode := range []vsm.ExecMode{vsm.ExecMaxScore, vsm.ExecExhaustive} {
-			b.Run(scoring.String()+"/"+mode.String(), func(b *testing.B) {
-				var stats vsm.ExecStats
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					searchMode(b, engine, queries[i%len(queries)], mode, &stats)
-				}
-				b.ReportMetric(float64(stats.DocsScored)/float64(b.N), "docs_scored/op")
-				b.ReportMetric(float64(stats.DocsPruned)/float64(b.N), "docs_pruned/op")
-			})
-		}
+		b.Run(scoring.String()+"/exhaustive", func(b *testing.B) {
+			var stats vsm.ExecStats
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				searchTop10(b, engine, queries[i%len(queries)], &stats)
+			}
+			b.ReportMetric(float64(stats.DocsScored)/float64(b.N), "docs_scored/op")
+		})
 	}
 }
 
@@ -449,17 +445,15 @@ func BenchmarkSearchInstrumented(b *testing.B) {
 			b.Fatal(err)
 		}
 		engine.EnableMetrics(telemetry.NewRegistry(), telemetry.NewTraceRing(telemetry.DefaultTraceCap))
-		for _, mode := range []vsm.ExecMode{vsm.ExecMaxScore, vsm.ExecExhaustive} {
-			b.Run(scoring.String()+"/"+mode.String(), func(b *testing.B) {
-				var stats vsm.ExecStats
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					searchMode(b, engine, queries[i%len(queries)], mode, &stats)
-				}
-				b.ReportMetric(float64(stats.DocsScored)/float64(b.N), "docs_scored/op")
-			})
-		}
+		b.Run(scoring.String()+"/exhaustive", func(b *testing.B) {
+			var stats vsm.ExecStats
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				searchTop10(b, engine, queries[i%len(queries)], &stats)
+			}
+			b.ReportMetric(float64(stats.DocsScored)/float64(b.N), "docs_scored/op")
+		})
 	}
 }
 
@@ -467,11 +461,11 @@ func BenchmarkSearchInstrumented(b *testing.B) {
 // 8-member obfuscation cycle (generated by the TopPriv obfuscator, so
 // its members share topics and terms the way real ghost cycles do)
 // submitted through SearchBatch in one engine pass versus the same
-// eight queries run sequentially in the default (auto) mode. The batch
-// plan shares term resolution, postings fetches and the per-posting
-// impact computation across members; the sequential baseline pays each
-// query's full cost. The -global rows run the cycle as a shard sees it
-// behind a router. The regression gate covers every row.
+// eight queries run one after another. The batch plan shares term
+// resolution, postings fetches and the per-posting impact computation
+// across members; the sequential baseline pays each query's full cost.
+// The -global rows run the cycle as a shard sees it behind a router.
+// The regression gate covers every row.
 func BenchmarkSearchBatch(b *testing.B) {
 	env := getBenchEnv(b)
 	eng := midEngine(env)
@@ -548,7 +542,7 @@ func BenchmarkSearchBatch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				stats = vsm.ExecStats{}
 				for _, q := range cycle {
-					searchMode(b, engine, q, vsm.ExecAuto, &stats)
+					searchTop10(b, engine, q, &stats)
 				}
 			}
 			b.ReportMetric(float64(stats.DocsScored), "docs_scored/op")

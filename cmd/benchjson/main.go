@@ -56,7 +56,7 @@ import (
 // the two client-side rows (one obfuscated cycle, one LDA posterior);
 // everything else (live-index, instrumented variants) only warns on
 // regression.
-const defaultGate = "^Benchmark(Search|DecodeTraversal|SeekAfterSkip|TraversalCold|TraversalWarm|ObfuscateQuery$|Inference$)"
+const defaultGate = "^Benchmark(Search|DecodeTraversal|TraversalCold|TraversalWarm|ObfuscateQuery$|Inference$)"
 
 // Benchmark is one parsed result line.
 type Benchmark struct {
@@ -243,7 +243,7 @@ const residentMetric = "resident_bytes/doc"
 // allocs/op growth beyond the tolerance fails gated entries (gate
 // regexp match) and warns for the rest; docs_scored/op growth always
 // only warns —
-// scoring more documents is a pruning regression worth flagging, but
+// scoring more documents is a work regression worth flagging, but
 // it is machine-independent work, not wall-clock, so it never blocks
 // by itself. Entries carrying the index_bytes/doc size metric are
 // compared on that metric alone and hard-fail beyond sizeTolerance
@@ -318,7 +318,7 @@ func compareBenchmarks(oldB, newB []Benchmark, tolerance, sizeTolerance float64,
 		if oldDS, ok := ob.Metrics["docs_scored/op"]; ok && oldDS > 0 {
 			if newDS, ok := nb.Metrics["docs_scored/op"]; ok && newDS > oldDS*(1+tolerance) {
 				warnings = append(warnings, fmt.Sprintf(
-					"%s: docs_scored/op %.1f → %.1f (+%.1f%%) — pruning got weaker",
+					"%s: docs_scored/op %.1f → %.1f (+%.1f%%) — more documents scored",
 					name, oldDS, newDS, (newDS/oldDS-1)*100))
 			}
 		}

@@ -7,18 +7,18 @@ import (
 )
 
 func TestParseLineStandard(t *testing.T) {
-	b, ok := parseLine("BenchmarkSearch/cosine/maxscore-8         \t   26794\t     47863 ns/op\t       175.7 docs_pruned/op\t        75.07 docs_scored/op\t     184 B/op\t       2 allocs/op")
+	b, ok := parseLine("BenchmarkSearch/cosine/exhaustive-8         \t   26794\t     47863 ns/op\t        75.07 docs_scored/op\t     184 B/op\t       2 allocs/op")
 	if !ok {
 		t.Fatal("standard line must parse")
 	}
-	if b.Name != "BenchmarkSearch/cosine/maxscore" {
+	if b.Name != "BenchmarkSearch/cosine/exhaustive" {
 		t.Errorf("Name = %q, want cpu suffix stripped", b.Name)
 	}
 	if b.N != 26794 {
 		t.Errorf("N = %d", b.N)
 	}
 	want := map[string]float64{
-		"ns/op": 47863, "docs_pruned/op": 175.7, "docs_scored/op": 75.07,
+		"ns/op": 47863, "docs_scored/op": 75.07,
 		"B/op": 184, "allocs/op": 2,
 	}
 	for unit, v := range want {
@@ -71,11 +71,11 @@ func TestParseLineRejectsNonBenchmarks(t *testing.T) {
 
 func TestStripCPUSuffix(t *testing.T) {
 	for in, want := range map[string]string{
-		"BenchmarkSearch/cosine/maxscore-8": "BenchmarkSearch/cosine/maxscore",
-		"BenchmarkSearch/cosine/maxscore":   "BenchmarkSearch/cosine/maxscore",
-		"BenchmarkX-12":                     "BenchmarkX",
-		"BenchmarkX-a8":                     "BenchmarkX-a8",
-		"BenchmarkX-":                       "BenchmarkX-",
+		"BenchmarkSearch/cosine/exhaustive-8": "BenchmarkSearch/cosine/exhaustive",
+		"BenchmarkSearch/cosine/exhaustive":   "BenchmarkSearch/cosine/exhaustive",
+		"BenchmarkX-12":                       "BenchmarkX",
+		"BenchmarkX-a8":                       "BenchmarkX-a8",
+		"BenchmarkX-":                         "BenchmarkX-",
 	} {
 		if got := stripCPUSuffix(in); got != want {
 			t.Errorf("stripCPUSuffix(%q) = %q, want %q", in, got, want)
@@ -93,19 +93,19 @@ func bench(name string, ns, docsScored float64) Benchmark {
 
 func TestCompareGatesNsOpRegressions(t *testing.T) {
 	oldB := []Benchmark{
-		bench("BenchmarkSearch/cosine/maxscore", 40000, 60),
-		bench("BenchmarkSearch/bm25/maxscore", 30000, 55),
+		bench("BenchmarkSearch/cosine/exhaustive", 40000, 60),
+		bench("BenchmarkSearch/bm25/exhaustive", 30000, 55),
 		bench("BenchmarkLiveIndex/single", 36000, 0),
 	}
 	newB := []Benchmark{
-		bench("BenchmarkSearch/cosine/maxscore", 49000, 60),  // within 25%
-		bench("BenchmarkSearch/bm25/maxscore", 40000, 80),    // +33% ns: fail; docs_scored +45%: warn
-		bench("BenchmarkLiveIndex/single", 80000, 0),         // ungated: warn only
-		bench("BenchmarkSearch/cosine/exhaustive", 10000, 0), // addition: ignored
+		bench("BenchmarkSearch/cosine/exhaustive", 49000, 60), // within 25%
+		bench("BenchmarkSearch/bm25/exhaustive", 40000, 80),   // +33% ns: fail; docs_scored +45%: warn
+		bench("BenchmarkLiveIndex/single", 80000, 0),          // ungated: warn only
+		bench("BenchmarkSearchBatch/cosine/batch8", 10000, 0), // addition: ignored
 	}
 	failures, warnings := compareBenchmarks(oldB, newB, 0.25, 0.10, regexp.MustCompile("^BenchmarkSearch"))
-	if len(failures) != 1 || !strings.Contains(failures[0], "bm25/maxscore") {
-		t.Errorf("failures = %v, want exactly the bm25/maxscore ns/op regression", failures)
+	if len(failures) != 1 || !strings.Contains(failures[0], "bm25/exhaustive") {
+		t.Errorf("failures = %v, want exactly the bm25/exhaustive ns/op regression", failures)
 	}
 	foundLive, foundDS := false, false
 	for _, w := range warnings {
@@ -122,7 +122,7 @@ func TestCompareGatesNsOpRegressions(t *testing.T) {
 }
 
 func TestCompareMissingGatedEntryFails(t *testing.T) {
-	oldB := []Benchmark{bench("BenchmarkSearch/cosine/maxscore", 40000, 0)}
+	oldB := []Benchmark{bench("BenchmarkSearch/cosine/exhaustive", 40000, 0)}
 	failures, _ := compareBenchmarks(oldB, []Benchmark{bench("BenchmarkOther", 1, 0)}, 0.25, 0.10, regexp.MustCompile("^BenchmarkSearch"))
 	if len(failures) != 1 || !strings.Contains(failures[0], "missing") {
 		t.Errorf("failures = %v, want a missing-entry failure", failures)
@@ -131,11 +131,11 @@ func TestCompareMissingGatedEntryFails(t *testing.T) {
 
 func TestCompareCleanRun(t *testing.T) {
 	oldB := []Benchmark{
-		bench("BenchmarkSearch/cosine/maxscore", 40000, 60),
+		bench("BenchmarkSearch/cosine/exhaustive", 40000, 60),
 		bench("BenchmarkLiveIndex/segmented4", 66000, 400),
 	}
 	newB := []Benchmark{
-		bench("BenchmarkSearch/cosine/maxscore", 41000, 58),
+		bench("BenchmarkSearch/cosine/exhaustive", 41000, 58),
 		bench("BenchmarkLiveIndex/segmented4", 70000, 410),
 	}
 	failures, warnings := compareBenchmarks(oldB, newB, 0.25, 0.10, regexp.MustCompile("^BenchmarkSearch"))
@@ -172,7 +172,7 @@ func TestCompareSizeGate(t *testing.T) {
 	}
 	// Size entry vanished entirely: hard failure.
 	failures, _ = compareBenchmarks(oldB,
-		[]Benchmark{bench("BenchmarkSearch/cosine/maxscore", 40000, 60)}, 0.25, 0.10, regexp.MustCompile("^BenchmarkSearch"))
+		[]Benchmark{bench("BenchmarkSearch/cosine/exhaustive", 40000, 60)}, 0.25, 0.10, regexp.MustCompile("^BenchmarkSearch"))
 	if len(failures) != 1 || !strings.Contains(failures[0], "missing") {
 		t.Errorf("failures = %v, want a missing size-entry failure", failures)
 	}
@@ -192,7 +192,6 @@ func TestCompareDefaultGateRegexp(t *testing.T) {
 	gate := regexp.MustCompile(defaultGate)
 	oldB := []Benchmark{
 		bench("BenchmarkDecodeTraversal/w8", 1000, 0),
-		bench("BenchmarkSeekAfterSkip", 2000, 0),
 		bench("BenchmarkTraversalCold", 3000, 0),
 		bench("BenchmarkTraversalWarm/mapped-cached", 3000, 0),
 		bench("BenchmarkResearchIndexing", 500, 0),
@@ -205,14 +204,13 @@ func TestCompareDefaultGateRegexp(t *testing.T) {
 		bench("BenchmarkInference", 40000, 0),
 		bench("BenchmarkInferenceIters/160", 160000, 0),
 		bench("BenchmarkDecodeTraversal/w8", 2000, 0),
-		bench("BenchmarkSeekAfterSkip", 4000, 0),
 		bench("BenchmarkTraversalCold", 6000, 0),
 		bench("BenchmarkTraversalWarm/mapped-cached", 6000, 0),
 		bench("BenchmarkResearchIndexing", 1000, 0),
 	}
 	failures, warnings := compareBenchmarks(oldB, newB, 0.25, 0.10, gate)
-	if len(failures) != 6 {
-		t.Errorf("failures = %v, want DecodeTraversal, SeekAfterSkip, both Traversal rows, ObfuscateQuery and Inference gated", failures)
+	if len(failures) != 5 {
+		t.Errorf("failures = %v, want DecodeTraversal, both Traversal rows, ObfuscateQuery and Inference gated", failures)
 	}
 	if all := strings.Join(warnings, "\n"); len(warnings) != 2 || !strings.Contains(all, "ResearchIndexing") || !strings.Contains(all, "InferenceIters") {
 		t.Errorf("warnings = %v, want the anchored-out names to warn only", warnings)

@@ -247,11 +247,13 @@ func TestCLILivePipeline(t *testing.T) {
 	if err := srv.Process.Signal(os.Interrupt); err != nil {
 		t.Fatal(err)
 	}
+	// Read stderr to EOF before Wait, which closes the pipe: the other
+	// order can lose the tail of the log.
+	tail := <-drained
 	if err := srv.Wait(); err != nil {
 		t.Fatalf("searchd exit: %v", err)
 	}
 	killed = true
-	tail := <-drained
 	if !strings.Contains(tail, "saved") {
 		t.Fatalf("no save on shutdown:\n%s", tail)
 	}

@@ -112,16 +112,13 @@ func TestCycleScoresAgainstOneSnapshot(t *testing.T) {
 }
 
 // TestRoutedCycleSharesTraversal is the guard on the routed path: a
-// cycle of overlapping auto-mode members sent through the router must
-// reach the shards' engines as one shared traversal per segment, not
-// as one pruned scan per member. The tell is in the work counters the
-// wire carries back: the flat shared scan counts postings and decodes
-// exactly what a member-at-a-time exhaustive run does, and never
-// prunes or seeks. (The shard engines of a segment.Store are
-// deliberately uninstrumented, so there is no trace ring to consult;
-// vsm's own property test checks the "batch" trace label.) Anything
-// that pushes Global-carrying members back to member-at-a-time —
-// a new Request field the planner excludes, say — fails here.
+// cycle of overlapping members sent through the router must cost each
+// member, on every segment of every shard, exactly the work of the flat
+// scan — the postings, decodes and documents of its own lists, as the
+// work counters the wire carries back report them. (The shard engines
+// of a segment.Store are deliberately uninstrumented, so there is no
+// trace ring to consult; vsm's own tests check the "batch" trace
+// label.)
 func TestRoutedCycleSharesTraversal(t *testing.T) {
 	for _, scoring := range []vsm.Scoring{vsm.Cosine, vsm.BM25} {
 		scoring := scoring
@@ -150,25 +147,25 @@ func TestRoutedCycleSharesTraversal(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range routed {
-				// The reference work: the member alone under the flat scan on
-				// every shard's store, in process (the wire carries no mode).
-				// Postings, decodes and documents touched do not depend on the
-				// collection statistics, so local statistics serve.
+				// The reference work: the member alone on every shard's store,
+				// in process. Postings, decodes and documents touched do not
+				// depend on the collection statistics, so local statistics
+				// serve.
 				var want vsm.ExecStats
 				for _, st := range tc.stores {
 					resp, err := st.SearchRequest(context.Background(),
-						vsm.Request{Terms: cycle[i], K: 3, Mode: vsm.ExecExhaustive})
+						vsm.Request{Terms: cycle[i], K: 3})
 					if err != nil {
 						t.Fatal(err)
 					}
 					want.Add(resp.Stats)
 				}
 				got := routed[i].Stats
-				if got.Postings == 0 || got.DocsPruned != 0 || got.SeekProbes != 0 {
-					t.Errorf("member %d ran a pruned scan on some segment: %+v", i, got)
+				if got.Postings == 0 || got.DocsPruned != 0 {
+					t.Errorf("member %d: no postings counted, or some pruned: %+v", i, got)
 				}
 				if got.Postings != want.Postings || got.BlocksDecoded != want.BlocksDecoded || got.DocsScored != want.DocsScored {
-					t.Errorf("member %d: routed work %+v, exhaustive %+v", i, got, want)
+					t.Errorf("member %d: routed work %+v, alone %+v", i, got, want)
 				}
 			}
 		})
@@ -218,7 +215,7 @@ func TestShardBatchIgnoresLegacyMode(t *testing.T) {
 	if len(want.Responses) != 1 || len(want.Responses[0].Hits) == 0 {
 		t.Fatalf("no hits without a mode: %+v", want)
 	}
-	for _, mode := range []string{"maxscore", "blockmax", "exhaustive", "turbo"} {
+	for _, mode := range []string{"auto", "blockmax", "exhaustive", "turbo"} {
 		if got := post(mode); !reflect.DeepEqual(got, want) {
 			t.Errorf("mode %q changed the answer:\n%+v\nwant %+v", mode, got, want)
 		}
@@ -228,8 +225,9 @@ func TestShardBatchIgnoresLegacyMode(t *testing.T) {
 // TestShardBatchRejectsBadStatistics pins the shard's answer to a
 // /cluster/batch body no router would send: statistics the scorer
 // cannot weigh with (a df below zero or above the collection size
-// makes idf negative or NaN), a df list that does not line up with the
-// terms, a non-positive k. Each is a 400 naming the member — before
+// makes idf negative or NaN, terms in a collection of no tokens make
+// BM25's avgdl zero), a df list that does not line up with the terms, a
+// non-positive k. Each is a 400 naming the member — before
 // this check the first two were ranked with garbage weights and
 // answered 200, and the others came back as a 500.
 func TestShardBatchRejectsBadStatistics(t *testing.T) {
@@ -254,6 +252,7 @@ func TestShardBatchRejectsBadStatistics(t *testing.T) {
 		{"df on an empty collection", 5, vsm.GlobalStats{Docs: 0, TotalLen: 0, DF: []int{0, 1, 0}}, http.StatusBadRequest},
 		{"short df", 5, vsm.GlobalStats{Docs: 40, TotalLen: 4000, DF: []int{3, 3}}, http.StatusBadRequest},
 		{"negative docs", 5, vsm.GlobalStats{Docs: -1, TotalLen: 4000, DF: []int{0, 0, 0}}, http.StatusBadRequest},
+		{"terms in a collection of no tokens", 5, vsm.GlobalStats{Docs: 40, TotalLen: 0, DF: []int{3, 3, 3}}, http.StatusBadRequest},
 		{"zero k", 0, vsm.GlobalStats{Docs: 40, TotalLen: 4000, DF: []int{3, 3, 3}}, http.StatusBadRequest},
 	} {
 		good := map[string]interface{}{"terms": terms, "k": 5, "global": vsm.GlobalStats{Docs: 40, TotalLen: 4000, DF: []int{3, 3, 3}}}

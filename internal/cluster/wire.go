@@ -18,7 +18,7 @@ type batchRequest struct {
 }
 
 // wireQuery is one cycle member as a shard executes it. The shard's
-// engine picks its own execution strategy; a "mode" field, which a
+// engine has one execution strategy; a "mode" field, which a
 // router one release behind may still send, is ignored.
 type wireQuery struct {
 	// Terms is the analyzed query in wire order; Global.DF aligns with

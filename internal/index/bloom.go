@@ -11,8 +11,8 @@ import (
 // surface terms. The segment store probes it before fanning a query
 // out to a sealed segment: a segment whose bloom rejects every term of
 // a request cannot contribute a hit (an absent term has no postings,
-// and DAAT evaluation only ever scores documents that appear in some
-// queried list), so the whole shard probe is skipped. False positives
+// and a scan only ever scores documents that appear in some queried
+// list), so the whole shard probe is skipped. False positives
 // only cost a wasted probe, never a wrong result.
 //
 // Sizing is fixed at build time: bloomBitsPerTerm bits per dictionary

@@ -13,7 +13,7 @@ import (
 
 // The on-disk format is deliberately simple and compact:
 //
-//	magic "TPIX" | uint32 version (7)
+//	magic "TPIX" | uint32 version (8)
 //	uvarint numDocs
 //	uvarint numTerms
 //	per term: uvarint(len(term)) term-bytes
@@ -23,8 +23,7 @@ import (
 //	              memory (see postings.go for the per-block layout),
 //	              then per block: uvarint lastDoc-delta (from the
 //	              previous block's last doc; +1 offset so the first
-//	              block's value is lastDoc+1), uvarint blockMaxTF,
-//	              float64 blockMaxCos | float64 blockMaxBM25
+//	              block's value is lastDoc+1)
 //	per doc:  uvarint docLen
 //	uvarint bloomHashes, uvarint bloomWords,
 //	bloomWords × uint64 bloom bit words (little-endian) — the
@@ -33,27 +32,27 @@ import (
 // The block-compressed postings are written verbatim — the file is a
 // memory image of the lists plus the per-block skip metadata (last
 // docs; byte offsets and start ordinals are rebuilt by walking the
-// self-describing block headers) and impact bounds, so writing does no
-// re-encoding and loading does no re-compression. Loading through Read
-// fully validates every block (structure and payload) and rejects
-// corrupt or truncated input with an error, never a panic.
+// self-describing block headers), so writing does no re-encoding and
+// loading does no re-compression. Loading through Read fully validates
+// every block (structure and payload) and rejects corrupt or truncated
+// input with an error, never a panic.
 //
 // There is one version and one reader. A file of any other version is
 // rejected with an error naming both versions; no deployed index files
 // exist, and an index is rebuilt from its documents in seconds.
 //
 // OpenMapped (mapped.go) reads the same format through a zero-copy
-// slice reader over the mapped file: all header, dictionary, skip and
-// impact metadata is eagerly decoded and validated exactly as above,
-// but the packed block payloads stay as views into the mapping and
-// skip the per-posting decode validation — faulting every payload
-// page at open would defeat disk residency. Payload decoding is
+// slice reader over the mapped file: all header, dictionary and skip
+// metadata is eagerly decoded and validated exactly as above, but the
+// packed block payloads stay as views into the mapping and skip the
+// per-posting decode validation — faulting every payload page at open
+// would defeat disk residency. Payload decoding is
 // bounds-checked at traversal time, so a corrupt payload yields wrong
 // postings values, never memory unsafety.
 
 const (
 	codecMagic   = "TPIX"
-	codecVersion = 7
+	codecVersion = 8
 )
 
 // tpixReader is the byte source the codec decodes from: a buffered
@@ -138,12 +137,6 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 		_, err := cw.Write(buf[:n])
 		return err
 	}
-	writeFloat := func(v float64) error {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-		_, err := cw.Write(b[:])
-		return err
-	}
 	if _, err := cw.Write([]byte(codecMagic)); err != nil {
 		return cw.n, err
 	}
@@ -180,21 +173,12 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 			return cw.n, err
 		}
 		prevLast := corpus.DocID(-1)
-		for b, bm := range x.blocks[id] {
+		for b := 0; b < cl.numBlocks(); b++ {
 			last := cl.blockLast(b)
 			if err := writeUvarint(uint64(last - prevLast)); err != nil {
 				return cw.n, err
 			}
 			prevLast = last
-			if err := writeUvarint(uint64(bm.MaxTF)); err != nil {
-				return cw.n, err
-			}
-			if err := writeFloat(bm.MaxCos); err != nil {
-				return cw.n, err
-			}
-			if err := writeFloat(bm.MaxBM); err != nil {
-				return cw.n, err
-			}
 		}
 	}
 	for _, dl := range x.docLen {
@@ -317,15 +301,11 @@ func readIndex(r tpixReader, verifyPayload bool) (*Index, error) {
 }
 
 // readCompList reads one term's block-compressed list and per-block
-// metadata. verifyPayload additionally decodes every block to check
+// last docs. verifyPayload additionally decodes every block to check
 // the packed postings themselves (see readIndex).
 func (x *Index) readCompList(r tpixReader, t, ll uint64, numDocs int, verifyPayload bool) error {
 	if ll == 0 {
 		x.lists = append(x.lists, compList{})
-		x.blocks = append(x.blocks, nil)
-		x.maxTF = append(x.maxTF, 0)
-		x.maxCos = append(x.maxCos, 0)
-		x.maxBM = append(x.maxBM, 0)
 		return nil
 	}
 	dataLen, err := binary.ReadUvarint(r)
@@ -351,7 +331,6 @@ func (x *Index) readCompList(r tpixReader, t, ll uint64, numDocs int, verifyPayl
 	}
 	nb := len(offs) - 1
 	lasts := make([]corpus.DocID, nb)
-	bs := make([]BlockMax, nb)
 	prevLast := int64(-1)
 	for b := 0; b < nb; b++ {
 		delta, err := binary.ReadUvarint(r)
@@ -363,47 +342,13 @@ func (x *Index) readCompList(r tpixReader, t, ll uint64, numDocs int, verifyPayl
 			return fmt.Errorf("index: term %d block %d last doc out of range", t, b)
 		}
 		lasts[b] = corpus.DocID(prevLast)
-		if bs[b], err = readBlockMax(r); err != nil {
-			return fmt.Errorf("index: term %d block %d: %w", t, b, err)
-		}
 	}
 	cl, err := newCompListWire(int(ll), data, lasts, numDocs, verifyPayload)
 	if err != nil {
 		return fmt.Errorf("index: term %d: %w", t, err)
 	}
 	x.lists = append(x.lists, cl)
-	x.blocks = append(x.blocks, bs)
-	mtf, mcos, mbm := maxOverBlocks(bs)
-	x.maxTF = append(x.maxTF, mtf)
-	x.maxCos = append(x.maxCos, mcos)
-	x.maxBM = append(x.maxBM, mbm)
 	return nil
-}
-
-// readBlockMax reads one persisted per-block impact triple.
-func readBlockMax(r tpixReader) (BlockMax, error) {
-	btf, err := binary.ReadUvarint(r)
-	if err != nil {
-		return BlockMax{}, fmt.Errorf("maxTF: %w", err)
-	}
-	bcos, err := readFloat(r)
-	if err != nil {
-		return BlockMax{}, fmt.Errorf("maxCos: %w", err)
-	}
-	bbm, err := readFloat(r)
-	if err != nil {
-		return BlockMax{}, fmt.Errorf("maxBM25: %w", err)
-	}
-	return BlockMax{MaxTF: int32(btf), MaxCos: bcos, MaxBM: bbm}, nil
-}
-
-// readFloat reads one little-endian IEEE-754 float64.
-func readFloat(r io.Reader) (float64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
 }
 
 // SizeBytes returns the serialized size of the index without writing it

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -28,16 +27,16 @@ func fixtureIndex(t *testing.T) *Index {
 }
 
 // multiBlockIndex builds an index whose "common" postings list spans
-// several compressed blocks with distinct block maxima — including an
-// impact spike far from block 0. Single-block terms ("sparse", the
+// several compressed blocks of differing tf widths — including a tf
+// spike far from block 0. Single-block terms ("sparse", the
 // unique fillers) ride along in the same stream.
 func multiBlockIndex(t testing.TB) *Index {
 	t.Helper()
 	texts := make([]string, 300)
 	for i := range texts {
 		var sb strings.Builder
-		// tf cycles 1..5 with a spike late in the list, so the
-		// highest-impact block is not the first one.
+		// tf cycles 1..5 with a spike late in the list, so the widest
+		// block is not the first one.
 		tf := i%5 + 1
 		if i == 290 {
 			tf = 40
@@ -54,9 +53,9 @@ func multiBlockIndex(t testing.TB) *Index {
 	return buildTestIndex(t, texts...)
 }
 
-// assertImpactsMatchFresh compares got's postings and impact metadata
-// — term-level and per-block — against a freshly built reference.
-func assertImpactsMatchFresh(t *testing.T, got, want *Index) {
+// assertPostingsMatchFresh compares got's postings against a freshly
+// built reference.
+func assertPostingsMatchFresh(t *testing.T, got, want *Index) {
 	t.Helper()
 	if got.NumDocs() != want.NumDocs() || got.NumTerms() != want.NumTerms() {
 		t.Fatalf("shape: %d/%d docs, %d/%d terms",
@@ -74,26 +73,6 @@ func assertImpactsMatchFresh(t *testing.T, got, want *Index) {
 				t.Fatalf("term %q posting %d: %v vs %v", term, i, gpl[i], wpl[i])
 			}
 		}
-		if got.MaxTF(gid) != want.MaxTF(textproc.TermID(tid)) {
-			t.Errorf("term %q: MaxTF %d vs %d", term, got.MaxTF(gid), want.MaxTF(textproc.TermID(tid)))
-		}
-		if math.Float64bits(got.MaxCosImpact(gid)) != math.Float64bits(want.MaxCosImpact(textproc.TermID(tid))) {
-			t.Errorf("term %q: MaxCosImpact differs", term)
-		}
-		if math.Float64bits(got.MaxBM25Impact(gid)) != math.Float64bits(want.MaxBM25Impact(textproc.TermID(tid))) {
-			t.Errorf("term %q: MaxBM25Impact differs", term)
-		}
-		gb, wb := got.BlockMaxes(gid), want.BlockMaxes(textproc.TermID(tid))
-		if len(gb) != len(wb) {
-			t.Fatalf("term %q: %d vs %d blocks", term, len(gb), len(wb))
-		}
-		for b := range wb {
-			if gb[b].MaxTF != wb[b].MaxTF ||
-				math.Float64bits(gb[b].MaxCos) != math.Float64bits(wb[b].MaxCos) ||
-				math.Float64bits(gb[b].MaxBM) != math.Float64bits(wb[b].MaxBM) {
-				t.Errorf("term %q block %d: %+v vs %+v", term, b, gb[b], wb[b])
-			}
-		}
 	}
 }
 
@@ -104,7 +83,7 @@ func assertImpactsMatchFresh(t *testing.T, got, want *Index) {
 // input from outside the program — a data directory written by an
 // older or newer build is the expected way to meet one.
 func TestOtherVersionsRejected(t *testing.T) {
-	for _, version := range []uint32{0, 1, 2, 3, 4, 5, 6, 8} {
+	for _, version := range []uint32{0, 1, 2, 3, 4, 5, 6, 7, 9} {
 		img := binary.LittleEndian.AppendUint32([]byte(codecMagic), version)
 		want := fmt.Sprintf("TPIX version %d: this build reads version %d only", version, codecVersion)
 		_, err := Read(bytes.NewReader(img))
@@ -122,88 +101,9 @@ func TestOtherVersionsRejected(t *testing.T) {
 	}
 }
 
-// TestV2RoundTripPreservesImpacts writes an index and reads it back:
-// postings, lengths, and every per-term impact must survive exactly.
-// (Named for the format version that first persisted impacts.)
-func TestV2RoundTripPreservesImpacts(t *testing.T) {
-	x := buildTestIndex(t,
-		"apache helicopter army weapons apache helicopter apache",
-		"stock market investors trading volume stock",
-		"apache webserver software configuration",
-	)
-	var buf bytes.Buffer
-	if _, err := x.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	y, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if y.NumDocs() != x.NumDocs() || y.NumTerms() != x.NumTerms() {
-		t.Fatalf("shape changed: %d/%d docs, %d/%d terms",
-			y.NumDocs(), x.NumDocs(), y.NumTerms(), x.NumTerms())
-	}
-	for tid := 0; tid < x.NumTerms(); tid++ {
-		id := textproc.TermID(tid)
-		if got, want := y.MaxTF(id), x.MaxTF(id); got != want {
-			t.Errorf("term %d: MaxTF %d != %d", tid, got, want)
-		}
-		// Bit-exact: the floats are persisted, not recomputed.
-		if got, want := y.MaxCosImpact(id), x.MaxCosImpact(id); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("term %d: MaxCosImpact %v != %v", tid, got, want)
-		}
-		if got, want := y.MaxBM25Impact(id), x.MaxBM25Impact(id); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("term %d: MaxBM25Impact %v != %v", tid, got, want)
-		}
-	}
-}
-
-// TestMergeCarriesImpacts checks that a Merge with tombstones leaves
-// metadata consistent with a fresh computation over the merged
-// postings — in particular that dropping a list's argmax document
-// lowers the recorded maxima.
-func TestMergeCarriesImpacts(t *testing.T) {
-	a := buildTestIndex(t,
-		"apache apache apache apache army", // doc 0: the apache maxTF holder
-		"apache army army",
-	)
-	b := buildTestIndex(t,
-		"apache navy",
-	)
-	// Drop part a's doc 0; the merged apache maxTF must fall to 1.
-	merged, _, err := Merge([]*Index{a, b}, []func(corpus.DocID) bool{
-		func(d corpus.DocID) bool { return d != 0 },
-		nil,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := merged.Vocab().ID("apache")
-	if got := merged.MaxTF(id); got != 1 {
-		t.Fatalf("merged MaxTF(apache) = %d, want 1 after dropping the tf=4 doc", got)
-	}
-	// Full consistency: metadata equals a recomputation over the
-	// decoded merged postings.
-	wantTF := append([]int32(nil), merged.maxTF...)
-	wantCos := append([]float64(nil), merged.maxCos...)
-	wantBM := append([]float64(nil), merged.maxBM...)
-	raw := make([][]Posting, merged.NumTerms())
-	for tid := range raw {
-		raw[tid] = merged.Postings(textproc.TermID(tid))
-	}
-	merged.computeImpacts(raw)
-	for tid := range wantTF {
-		if merged.maxTF[tid] != wantTF[tid] ||
-			math.Float64bits(merged.maxCos[tid]) != math.Float64bits(wantCos[tid]) ||
-			math.Float64bits(merged.maxBM[tid]) != math.Float64bits(wantBM[tid]) {
-			t.Fatalf("term %d: merge metadata differs from recomputation", tid)
-		}
-	}
-}
-
 // TestReadBlockHeaderMatchesParser pins the traversal-time header read
 // to the validating parser: on every block of every list the package
-// accepts or produces — the four-document fixture through a TPIX v7
+// accepts or produces — the four-document fixture through a TPIX v8
 // round trip, each checked-in fuzz seed that loads, a multi-block build,
 // and block-wise merges of random part sizes under random tombstones,
 // whose interior blocks are partial and whose first blocks are rebased —
@@ -238,7 +138,7 @@ func TestReadBlockHeaderMatchesParser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("v7 fixture", back)
+	check("v8 fixture", back)
 	for name, img := range fuzzSeeds(t) {
 		if x, err := Read(bytes.NewReader(img)); err == nil {
 			check("fuzz seed "+name, x)

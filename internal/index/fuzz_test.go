@@ -91,8 +91,8 @@ func FuzzDecodePostings(f *testing.F) {
 // assertTraversable walks every list of an index the reader accepted:
 // documents strictly ascending and in range, term frequencies
 // positive. It is what "structurally valid" means for corrupted-but-
-// accepted input (some flips only touch impact floats, which carry no
-// structural invariant).
+// accepted input (some flips only touch a term frequency, a document
+// length or a bloom bit, which carry no structural invariant).
 func assertTraversable(t *testing.T, y *Index, what string) {
 	t.Helper()
 	for tid := 0; tid < y.NumTerms(); tid++ {

@@ -28,43 +28,13 @@ type Posting struct {
 // PostingList is a term's postings, sorted by ascending DocID.
 type PostingList []Posting
 
-// Okapi BM25 parameters, shared with the scoring engine so the
-// precomputed per-term impact bounds and the query-time scores use the
-// same constants.
-const (
-	BM25K1 = 1.2
-	BM25B  = 0.75
-)
-
-// BlockSize is the number of postings per compressed block and per
-// max-impact block. Block-wise compression is what lets a seek pass
-// over a run of postings without decoding it, and per-block bounds are
-// what lets a merge carry exact term-level maxima forward without
-// rescoring clean blocks. 128 is the standard choice — big enough
+// BlockSize is the number of postings per compressed block. Block-wise
+// compression is what lets traversal decode a kilobyte at a time
+// instead of materializing a list, and lets a merge copy a clean part's
+// blocks without decoding them. 128 is the standard choice — big enough
 // that block metadata is a rounding error next to the postings, small
 // enough that a decoded block fits in a kilobyte of iterator buffer.
 const BlockSize = 128
-
-// BlockMax is the impact summary of one block of postings: the same
-// three bounds the term-level metadata carries (largest term
-// frequency, largest lnc cosine partial, largest length-free BM25
-// saturation factor), restricted to the block's documents.
-type BlockMax struct {
-	MaxTF  int32
-	MaxCos float64
-	MaxBM  float64
-}
-
-// BM25TFBound returns an upper bound on the Okapi tf-saturation factor
-// tf·(k1+1)/(tf + k1·(1−b+b·dl/avgdl)) that holds for every document
-// length and every collection average: the denominator is minimized at
-// dl = 0. Being length-free makes the bound safe even when a segment's
-// postings are scored against global collection statistics that differ
-// from the segment's own.
-func BM25TFBound(tf int32) float64 {
-	t := float64(tf)
-	return t * (BM25K1 + 1) / (t + BM25K1*(1-BM25B))
-}
 
 // Index is an immutable inverted index over a corpus. Build it with
 // Build; it is then safe for concurrent readers.
@@ -77,21 +47,6 @@ type Index struct {
 	docLen   []int // analyzed length of each document
 	numDocs  int
 	totalLen int
-
-	// Per-term max-impact metadata (indexed by TermID), the skipping
-	// fuel of MaxScore-style top-k pruning: the largest term frequency
-	// in the list, the largest lnc cosine partial (1+ln tf)/‖d‖ any
-	// posting contributes, and the largest length-free BM25 saturation
-	// factor. Computed by Build/Merge, persisted by the codec.
-	maxTF  []int32
-	maxCos []float64
-	maxBM  []float64
-	// blocks holds the same bounds per compressed block of each list
-	// (aligned with the list's block structure; nil for empty lists).
-	// The term-level maxima above are exactly the maxima over a list's
-	// blocks, which is how a block-wise merge folds them without
-	// rescoring. Persisted by the codec.
-	blocks [][]BlockMax
 
 	// bloom is the per-segment term bloom filter (see bloom.go): read
 	// from the file, derived lazily from the dictionary for indexes
@@ -142,7 +97,6 @@ func Build(c *corpus.Corpus) (*Index, error) {
 		pl := raw[id]
 		sort.Slice(pl, func(i, j int) bool { return pl[i].Doc < pl[j].Doc })
 	}
-	idx.computeImpacts(raw)
 	idx.compressLists(raw)
 	return idx, nil
 }
@@ -154,83 +108,6 @@ func (x *Index) compressLists(raw [][]Posting) {
 	for t, pl := range raw {
 		x.lists[t] = encodePostings(pl)
 	}
-}
-
-// computeImpacts derives the per-term and per-block max-impact
-// metadata from the raw (uncompressed, sorted) postings in one pass:
-// lnc document norms first (they need the whole index), then each
-// list's blocks, then the term-level maxima as the maxima over blocks
-// — which makes the two levels consistent by construction
-// (bit-for-bit: they maximize over the same float values, and
-// BM25TFBound is monotone in tf).
-func (x *Index) computeImpacts(raw [][]Posting) {
-	norms := make([]float64, x.numDocs)
-	for _, pl := range raw {
-		for _, p := range pl {
-			w := 1 + math.Log(float64(p.TF))
-			norms[p.Doc] += w * w
-		}
-	}
-	for d := range norms {
-		norms[d] = math.Sqrt(norms[d])
-	}
-	x.maxTF = make([]int32, len(raw))
-	x.maxCos = make([]float64, len(raw))
-	x.maxBM = make([]float64, len(raw))
-	x.blocks = make([][]BlockMax, len(raw))
-	for t, pl := range raw {
-		if len(pl) == 0 {
-			continue
-		}
-		bs := make([]BlockMax, (len(pl)+BlockSize-1)/BlockSize)
-		for b := range bs {
-			start, end := b*BlockSize, (b+1)*BlockSize
-			if end > len(pl) {
-				end = len(pl)
-			}
-			bs[b] = blockMaxOf(pl[start:end], norms, nil)
-		}
-		x.blocks[t] = bs
-		x.maxTF[t], x.maxCos[t], x.maxBM[t] = maxOverBlocks(bs)
-	}
-}
-
-// blockMaxOf computes one block's impact bounds over its postings.
-// When remap is non-nil, norms are indexed by remap of the posting's
-// doc (the block-wise merge path, where postings already carry merged
-// IDs but norms are per-part).
-func blockMaxOf(pl []Posting, norms []float64, remap []corpus.DocID) BlockMax {
-	var bm BlockMax
-	for i, p := range pl {
-		if p.TF > bm.MaxTF {
-			bm.MaxTF = p.TF
-		}
-		d := p.Doc
-		if remap != nil {
-			d = remap[i]
-		}
-		if c := (1 + math.Log(float64(p.TF))) / norms[d]; c > bm.MaxCos {
-			bm.MaxCos = c
-		}
-	}
-	bm.MaxBM = BM25TFBound(bm.MaxTF)
-	return bm
-}
-
-// maxOverBlocks folds a list's block bounds into its term-level maxima.
-func maxOverBlocks(bs []BlockMax) (mtf int32, mcos, mbm float64) {
-	for _, bm := range bs {
-		if bm.MaxTF > mtf {
-			mtf = bm.MaxTF
-		}
-		if bm.MaxCos > mcos {
-			mcos = bm.MaxCos
-		}
-		if bm.MaxBM > mbm {
-			mbm = bm.MaxBM
-		}
-	}
-	return mtf, mcos, mbm
 }
 
 // Bloom returns the index's per-segment term bloom filter, deriving
@@ -411,46 +288,6 @@ func (x *Index) IterInto(id textproc.TermID, it *Iterator) {
 		return
 	}
 	it.resetCompCached(&x.lists[id], x.cache.Load(), x.cacheOwner.Load(), int32(id))
-}
-
-// MaxTF returns the largest term frequency in id's postings list
-// (0 for absent terms).
-func (x *Index) MaxTF(id textproc.TermID) int32 {
-	if id < 0 || int(id) >= len(x.maxTF) {
-		return 0
-	}
-	return x.maxTF[id]
-}
-
-// MaxCosImpact returns the largest lnc cosine partial
-// (1+ln tf)/‖d‖ any posting of id contributes — an upper bound on the
-// term's per-document share of a normalized cosine score.
-func (x *Index) MaxCosImpact(id textproc.TermID) float64 {
-	if id < 0 || int(id) >= len(x.maxCos) {
-		return 0
-	}
-	return x.maxCos[id]
-}
-
-// MaxBM25Impact returns an upper bound on the BM25 tf-saturation
-// factor over id's postings, valid for any document length and any
-// collection average (see BM25TFBound).
-func (x *Index) MaxBM25Impact(id textproc.TermID) float64 {
-	if id < 0 || int(id) >= len(x.maxBM) {
-		return 0
-	}
-	return x.maxBM[id]
-}
-
-// BlockMaxes returns the per-block impact bounds of id's postings,
-// aligned with the list's compressed-block structure (block b of the
-// iterator carries bounds entry b). Nil for absent terms and empty
-// lists. The returned slice is shared; callers must not modify it.
-func (x *Index) BlockMaxes(id textproc.TermID) []BlockMax {
-	if id < 0 || int(id) >= len(x.blocks) {
-		return nil
-	}
-	return x.blocks[id]
 }
 
 // IDF returns the smoothed inverse document frequency

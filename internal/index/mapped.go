@@ -7,11 +7,11 @@ import "fmt"
 // — see mmap_fallback.go) and decoded through the zero-copy slice
 // reader, so every list's packed payload is a view into the mapping
 // and pages in on traversal instead of living on the heap. Header,
-// dictionary, skip metadata, impact bounds and bloom are
-// eagerly decoded and validated exactly as Read does; only the
-// per-posting payload verification is skipped (see the codec format
-// comment). The returned index is safe for concurrent readers; Close
-// releases the mapping once no readers remain.
+// dictionary, skip metadata and bloom are eagerly decoded and
+// validated exactly as Read does; only the per-posting payload
+// verification is skipped (see the codec format comment). The returned
+// index is safe for concurrent readers; Close releases the mapping once
+// no readers remain.
 func OpenMapped(path string) (*Index, error) {
 	m, err := mapFile(path)
 	if err != nil {
@@ -19,7 +19,8 @@ func OpenMapped(path string) (*Index, error) {
 	}
 	// The eager metadata walk touches the whole file front to back;
 	// tell the kernel so readahead batches the faults, then switch to
-	// random for traversal's skippy access pattern.
+	// random for queries, which read a few lists scattered through the
+	// file.
 	m.adviseSequential()
 	sr := &sliceReader{data: m.data}
 	x, err := readIndex(sr, false)

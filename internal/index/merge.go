@@ -3,7 +3,6 @@ package index
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"toppriv/internal/corpus"
 	"toppriv/internal/textproc"
@@ -30,9 +29,9 @@ const DroppedDoc corpus.DocID = -1
 // interleave in a merged list, so merging is block-wise: a part with
 // no dropped documents contributes its compressed blocks byte-for-byte
 // (only the first block's base varint is rewritten to the new document
-// offset — delta coding is shift-invariant) together with its block
-// impact bounds, decoding nothing. Only parts with tombstoned
-// documents are decoded, filtered, and re-encoded. The fast path
+// offset — delta coding is shift-invariant), decoding nothing. Only
+// parts with tombstoned documents are decoded, filtered, and
+// re-encoded. The fast path
 // requires every part's term IDs to survive the vocabulary union
 // verbatim; otherwise Merge falls back to a full decode-and-rebuild,
 // which produces exactly what Build over the surviving documents
@@ -47,9 +46,7 @@ func Merge(parts []*Index, keep []func(corpus.DocID) bool) (*Index, [][]corpus.D
 
 	// Union the vocabularies and record, per part, local → merged term
 	// IDs, noting whether every part keeps its IDs (the block-wise
-	// precondition: per-part document norms then accumulate term
-	// contributions in the same order a merged recomputation would, so
-	// copied cosine bounds stay bit-identical).
+	// precondition: list t of a part is then list t of the merge).
 	vocab := textproc.NewVocab()
 	termMap := make([][]textproc.TermID, len(parts))
 	identity := true
@@ -98,8 +95,8 @@ func Merge(parts []*Index, keep []func(corpus.DocID) bool) (*Index, [][]corpus.D
 }
 
 // mergeRebuild is the general path: decode every list, concatenate the
-// remapped survivors, and recompute all impact metadata — exactly what
-// Build over the surviving documents produces.
+// remapped survivors, and re-encode — exactly what Build over the
+// surviving documents produces.
 func mergeRebuild(merged *Index, parts []*Index, termMap [][]textproc.TermID, remap [][]corpus.DocID) {
 	raw := make([][]Posting, merged.vocab.Size())
 	// Processing parts in order keeps every list sorted: merged IDs of
@@ -128,44 +125,20 @@ func mergeRebuild(merged *Index, parts []*Index, termMap [][]textproc.TermID, re
 			raw[mt] = dst
 		}
 	}
-	// Max-impact metadata does not merge by taking maxima: dropped
-	// documents may have carried a list's maximum, and block layouts
-	// change with the surviving postings. Recompute from the merged
-	// lists.
-	merged.computeImpacts(raw)
 	merged.compressLists(raw)
 }
 
 // mergeBlockwise is the identity-vocabulary path: per merged list,
 // clean parts contribute their compressed blocks verbatim (first block
-// rebased) and their impact bounds unchanged, while dirty parts are
-// decoded, filtered, and re-encoded with bounds from that part's own
-// document norms. Interior blocks may therefore be shorter than
-// BlockSize (one partial block per source run), which the iterator
-// supports natively. Term-level maxima are folded from the assembled
-// blocks; they equal what a recomputation over the merged postings
-// yields, because every copied cosine bound divides by a norm that is
-// bit-identical in part and merged index (a surviving document keeps
-// all its postings, visited in the same term order).
+// rebased), while dirty parts are decoded, filtered, and re-encoded.
+// Interior blocks may therefore be shorter than BlockSize (one partial
+// block per source run), which the iterator supports natively.
 func mergeBlockwise(merged *Index, parts []*Index, remap [][]corpus.DocID, dirty []bool) {
 	nTerms := merged.vocab.Size()
 	merged.lists = make([]compList, nTerms)
-	merged.blocks = make([][]BlockMax, nTerms)
-	merged.maxTF = make([]int32, nTerms)
-	merged.maxCos = make([]float64, nTerms)
-	merged.maxBM = make([]float64, nTerms)
-
-	// Per-part document norms, needed only where re-encoding happens.
-	norms := make([][]float64, len(parts))
-	for i, part := range parts {
-		if dirty[i] {
-			norms[i] = partNorms(part)
-		}
-	}
 
 	var mb mergedListBuilder
-	var decoded []Posting       // dirty-part scratch: filtered postings, merged IDs
-	var origDocs []corpus.DocID // parallel original local IDs for norm lookup
+	var decoded []Posting // dirty-part scratch: filtered postings, merged IDs
 	for t := 0; t < nTerms; t++ {
 		mb.reset()
 		for i, part := range parts {
@@ -180,10 +153,10 @@ func mergeBlockwise(merged *Index, parts []*Index, remap [][]corpus.DocID, dirty
 				// dm is a pure shift for a clean part: merged IDs are
 				// dense and ascend with local IDs.
 				shift := remap[i][0]
-				mb.appendClean(cl, part.blocks[t], shift)
+				mb.appendClean(cl, shift)
 				continue
 			}
-			decoded, origDocs = decoded[:0], origDocs[:0]
+			decoded = decoded[:0]
 			it := newCompIterator(cl)
 			dm := remap[i]
 			for it.Valid() {
@@ -191,43 +164,16 @@ func mergeBlockwise(merged *Index, parts []*Index, remap [][]corpus.DocID, dirty
 				for j, d := range docs {
 					if nd := dm[d]; nd != DroppedDoc {
 						decoded = append(decoded, Posting{Doc: nd, TF: tfs[j]})
-						origDocs = append(origDocs, d)
 					}
 				}
 				if !it.NextWindow() {
 					break
 				}
 			}
-			mb.appendReencoded(decoded, origDocs, norms[i])
+			mb.appendReencoded(decoded)
 		}
-		merged.lists[t], merged.blocks[t] = mb.finish()
-		merged.maxTF[t], merged.maxCos[t], merged.maxBM[t] = maxOverBlocks(merged.blocks[t])
+		merged.lists[t] = mb.finish()
 	}
-}
-
-// partNorms computes one part's lnc document norms from its own
-// postings — identical values to what a merged recomputation assigns
-// its surviving documents, since a kept document's postings and their
-// term order are unchanged by concatenating parts.
-func partNorms(part *Index) []float64 {
-	norms := make([]float64, part.NumDocs())
-	for t := 0; t < part.NumTerms(); t++ {
-		it := part.iterUncached(textproc.TermID(t))
-		for it.Valid() {
-			docs, tfs := it.Window()
-			for j, d := range docs {
-				w := 1 + math.Log(float64(tfs[j]))
-				norms[d] += w * w
-			}
-			if !it.NextWindow() {
-				break
-			}
-		}
-	}
-	for d := range norms {
-		norms[d] = math.Sqrt(norms[d])
-	}
-	return norms
 }
 
 // mergedListBuilder assembles one merged compressed list from
@@ -237,7 +183,6 @@ type mergedListBuilder struct {
 	offs     []uint32
 	starts   []int32
 	lasts    []corpus.DocID
-	blocks   []BlockMax
 	n        int
 	prevLast corpus.DocID
 }
@@ -247,14 +192,13 @@ func (mb *mergedListBuilder) reset() {
 	mb.offs = mb.offs[:0]
 	mb.starts = mb.starts[:0]
 	mb.lasts = mb.lasts[:0]
-	mb.blocks = nil // handed to the merged index; never reused
 	mb.n = 0
 	mb.prevLast = -1
 }
 
 // appendClean copies a part's whole compressed list, shifting its
 // document space by rewriting only the first block's base varint.
-func (mb *mergedListBuilder) appendClean(cl *compList, bms []BlockMax, shift corpus.DocID) {
+func (mb *mergedListBuilder) appendClean(cl *compList, shift corpus.DocID) {
 	// The stored base delta of block 0 is firstDoc − (−1); recover
 	// firstDoc, shift it, and re-delta against the merged predecessor.
 	b0 := cl.blockData(0)
@@ -269,14 +213,11 @@ func (mb *mergedListBuilder) appendClean(cl *compList, bms []BlockMax, shift cor
 		mb.data = append(mb.data, cl.blockData(b)...)
 		mb.endBlock(cl.blockLast(b)+shift, cl.blockLen(b))
 	}
-	mb.blocks = append(mb.blocks, bms...)
 }
 
 // appendReencoded compresses filtered postings (already carrying
-// merged doc IDs) into fresh BlockSize-aligned blocks, computing their
-// impact bounds from the source part's norms via the parallel
-// original-ID slice.
-func (mb *mergedListBuilder) appendReencoded(pl []Posting, origDocs []corpus.DocID, norms []float64) {
+// merged doc IDs) into fresh BlockSize-aligned blocks.
+func (mb *mergedListBuilder) appendReencoded(pl []Posting) {
 	for start := 0; start < len(pl); start += BlockSize {
 		end := start + BlockSize
 		if end > len(pl) {
@@ -285,7 +226,6 @@ func (mb *mergedListBuilder) appendReencoded(pl []Posting, origDocs []corpus.Doc
 		mb.beginBlock()
 		mb.data = appendBlock(mb.data, mb.prevLast, pl[start:end])
 		mb.endBlock(pl[end-1].Doc, end-start)
-		mb.blocks = append(mb.blocks, blockMaxOf(pl[start:end], norms, origDocs[start:end]))
 	}
 }
 
@@ -303,9 +243,9 @@ func (mb *mergedListBuilder) endBlock(last corpus.DocID, count int) {
 // finish snapshots the assembled list. The data and metadata are
 // copied out so the builder's scratch can be reused for the next term;
 // single-block lists drop the skip arrays entirely.
-func (mb *mergedListBuilder) finish() (compList, []BlockMax) {
+func (mb *mergedListBuilder) finish() compList {
 	if mb.n == 0 {
-		return compList{}, nil
+		return compList{}
 	}
 	cl := compList{
 		n:       int32(mb.n),
@@ -317,5 +257,5 @@ func (mb *mergedListBuilder) finish() (compList, []BlockMax) {
 		cl.starts = append(append([]int32(nil), mb.starts...), int32(mb.n))
 		cl.lasts = append([]corpus.DocID(nil), mb.lasts...)
 	}
-	return cl, mb.blocks
+	return cl
 }

@@ -70,9 +70,9 @@ func (m *mapping) adviseSequential() {
 	}
 }
 
-// adviseRandom hints the kernel that access is now skippy block
-// traversal, disabling readahead so a seek-heavy query faults in only
-// the blocks it decodes.
+// adviseRandom hints the kernel that access is now a few lists per
+// query, scattered through the file, disabling readahead so a query
+// faults in only the blocks it decodes.
 func (m *mapping) adviseRandom() {
 	if m != nil && m.mmaped {
 		_ = syscall.Madvise(m.data, syscall.MADV_RANDOM)

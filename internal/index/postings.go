@@ -46,13 +46,14 @@ import (
 
 //go:generate go run gen_kernels.go
 
-// compList is one term's compressed postings plus the per-block skip
-// metadata (byte offsets, start ordinals, last doc IDs) that lets
-// SeekGE jump across blocks without decoding them. Lists of at
-// most BlockSize postings — the overwhelmingly common case
-// — keep offs/starts/lasts nil and answer block queries from n,
-// len(data), and lastDoc, so a short list costs exactly one data
-// allocation.
+// compList is one term's compressed postings plus the per-block
+// metadata (byte offsets, start ordinals, last doc IDs) that lets an
+// iterator enter any block directly — each block's doc IDs are deltas
+// from its predecessor's last doc — a merge copy blocks verbatim, and a
+// load check the payload against it. Lists of at most BlockSize
+// postings — the overwhelmingly common case — keep offs/starts/lasts
+// nil and answer block queries from n, len(data), and lastDoc, so a
+// short list costs exactly one data allocation.
 type compList struct {
 	n       int32
 	lastDoc corpus.DocID

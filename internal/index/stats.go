@@ -16,10 +16,9 @@ type Stats struct {
 	SizeBytes int64
 	// PostingsBytes is the exact in-memory footprint of the
 	// block-compressed postings: packed data plus the per-block skip
-	// metadata (offsets, start ordinals, last docs). Impact bounds and
-	// the dictionary are excluded — this is the number to compare
-	// against 8·NumPostings, the cost of the uncompressed
-	// ⟨int32 doc, int32 tf⟩ representation.
+	// metadata (offsets, start ordinals, last docs). The dictionary is
+	// excluded — this is the number to compare against 8·NumPostings,
+	// the cost of the uncompressed ⟨int32 doc, int32 tf⟩ representation.
 	PostingsBytes int64
 	// BytesPerDoc is PostingsBytes per indexed document — the
 	// index_bytes/doc metric the bench suite records and CI gates.

@@ -99,8 +99,8 @@ func TestClientBatchErrorPaths(t *testing.T) {
 }
 
 // TestServerBatchStatsRoundTrip decodes the stats the batch endpoint
-// emits: the JSON names are the bench metrics' names, and pruned
-// execution's counters survive the trip.
+// emits: the JSON names are the bench metrics' names, and the work
+// counters survive the trip.
 func TestServerBatchStatsRoundTrip(t *testing.T) {
 	f := getFixture(t)
 	resp, br := postBatch(t, f.ts.URL, BatchSearchRequest{Queries: []SearchRequest{

@@ -83,7 +83,7 @@ func TestServerExecOverride(t *testing.T) {
 	if len(want.Hits) == 0 {
 		t.Fatal("no hits")
 	}
-	for _, mode := range []string{"auto", "maxscore", "blockmax", "exhaustive", "turbo"} {
+	for _, mode := range []string{"auto", "blockmax", "exhaustive", "turbo"} {
 		member := fmt.Sprintf(`{"query":%q,"k":10,"exec":%q}`, q, mode)
 		var single SearchResponse
 		post("/search", member, &single)

@@ -63,7 +63,7 @@ const DefaultMaxK = 1000
 // single request monopolize the engine.
 const DefaultMaxBatch = 64
 
-// SearchRequest is the POST /search payload. The engine picks its own
+// SearchRequest is the POST /search payload. The engine has one
 // execution strategy; an "exec" field, which older clients may still
 // send, is ignored like any other unknown field.
 type SearchRequest struct {
@@ -91,10 +91,9 @@ type SearchHit struct {
 // POST /search/batch reply).
 type SearchResponse struct {
 	Hits []SearchHit `json:"hits"`
-	// Stats carries the engine's execution counters (documents scored,
-	// pruned, filtered; block skips) when the backend exposes them —
-	// the first time they cross the HTTP layer. Nil for legacy
-	// backends that only implement vsm.Searcher.
+	// Stats carries the engine's execution counters (documents scored
+	// and filtered, postings, blocks decoded) when the backend exposes
+	// them. Nil for legacy backends that only implement vsm.Searcher.
 	Stats *vsm.ExecStats `json:"stats,omitempty"`
 	// Trace is the per-phase timing breakdown, present when the request
 	// set "trace": true and the backend supports tracing. Batch members

@@ -50,14 +50,12 @@ func TestStoreSearchBatchMatchesSingle(t *testing.T) {
 				}
 			}
 
-			modes := []vsm.ExecMode{vsm.ExecAuto, vsm.ExecAuto, vsm.ExecMaxScore, vsm.ExecExhaustive, vsm.ExecAuto}
 			reqs := make([]vsm.Request, 0, 8)
 			for qi := 0; qi < 8; qi++ {
 				q := queryFrom(docs[rng.Intn(len(docs))], rng.Intn(25), 2+rng.Intn(4))
 				reqs = append(reqs, vsm.Request{
 					Query: q,
 					K:     []int{1, 10, 50}[qi%3],
-					Mode:  modes[qi%len(modes)],
 				})
 			}
 			batch, err := st.SearchBatch(ctx, reqs)

@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"context"
 	"testing"
 
 	"toppriv/internal/corpus"
@@ -73,39 +74,11 @@ func BenchmarkLiveIndex(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			terms := an.Analyze(queries[i%len(queries)])
-			if res := searchMode(b, st, terms, 10, vsm.ExecMaxScore, &stats); len(res) == 0 {
-				b.Fatal("no results")
+			resp, err := st.SearchRequest(context.Background(), vsm.Request{Terms: terms, K: 10})
+			if err != nil || len(resp.Hits) == 0 {
+				b.Fatalf("%d results, err %v", len(resp.Hits), err)
 			}
-		}
-		b.ReportMetric(float64(stats.DocsScored)/float64(b.N), "docs_scored/op")
-	})
-
-	b.Run("segmented4-exhaustive", func(b *testing.B) {
-		// The same 4-segment layout forced onto the exhaustive scorer:
-		// the gap against "segmented4" (forced MaxScore) is the live
-		// store's pruning win.
-		st, err := Open(Config{
-			Analyzer:          an,
-			SealThreshold:     numDocs / 4,
-			DisableCompaction: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer st.Close()
-		if _, err := st.Add(cloneDocs(c.Docs)...); err != nil {
-			b.Fatal(err)
-		}
-		if err := st.Flush(); err != nil {
-			b.Fatal(err)
-		}
-		var stats vsm.ExecStats
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			terms := an.Analyze(queries[i%len(queries)])
-			if res := searchMode(b, st, terms, 10, vsm.ExecExhaustive, &stats); len(res) == 0 {
-				b.Fatal("no results")
-			}
+			stats.Add(resp.Stats)
 		}
 		b.ReportMetric(float64(stats.DocsScored)/float64(b.N), "docs_scored/op")
 	})
@@ -192,15 +165,15 @@ func saveTraversalFixture(b *testing.B, an *textproc.Analyzer) (string, [][]stri
 	return dir, queries
 }
 
-// traversalLoop runs the query battery under the exhaustive scorer —
-// every posting of every queried list is decoded, so the measured cost
-// is dominated by postings traversal, which is exactly what differs
+// traversalLoop runs the query battery — every posting of every
+// queried list is decoded, so the measured cost is dominated by
+// postings traversal, which is exactly what differs
 // between heap-resident, mapped, and block-cached stores.
 func traversalLoop(b *testing.B, st *Store, queries [][]string) {
 	b.Helper()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := searchMode(b, st, queries[i%len(queries)], 10, vsm.ExecExhaustive, nil); len(res) == 0 {
+		if res := st.SearchTerms(queries[i%len(queries)], 10); len(res) == 0 {
 			b.Fatal("no results")
 		}
 	}
@@ -256,7 +229,7 @@ func BenchmarkTraversalWarm(b *testing.B) {
 		defer st.Close()
 		// Prime: one pass over the battery fills the cache.
 		for _, q := range queries {
-			searchMode(b, st, q, 10, vsm.ExecExhaustive, nil)
+			st.SearchTerms(q, 10)
 		}
 		traversalLoop(b, st, queries)
 		if cs, ok := st.CacheStats(); ok && cs.Hits+cs.Misses > 0 {

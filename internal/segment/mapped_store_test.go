@@ -60,7 +60,7 @@ func saveMappedFixture(t *testing.T, scoring vsm.Scoring, seed int64) (string, [
 // guarantee: a store loaded with Mapped (with and without a block
 // cache) returns bit-identical results — same documents, same float64
 // scores, no tolerance — to the same directory loaded in-memory,
-// across scorers, exec modes, k values, and tombstoned documents.
+// across scorers, k values, and tombstoned documents.
 func TestMappedStoreBitIdentical(t *testing.T) {
 	for _, scoring := range []vsm.Scoring{vsm.Cosine, vsm.BM25} {
 		dir, queries, an := saveMappedFixture(t, scoring, 40+int64(scoring))
@@ -83,22 +83,20 @@ func TestMappedStoreBitIdentical(t *testing.T) {
 
 		for qi, q := range queries {
 			terms := an.Analyze(q)
-			for _, mode := range []vsm.ExecMode{vsm.ExecExhaustive, vsm.ExecMaxScore} {
-				for _, k := range []int{5, 20} {
-					want := searchMode(t, mem, terms, k, mode, nil)
-					// Two passes over the cached store: the second is served
-					// (partly) from the block cache and must not drift.
-					for _, st := range []*Store{mapped, cached, cached} {
-						got := searchMode(t, st, terms, k, mode, nil)
-						if len(got) != len(want) {
-							t.Fatalf("scoring %v q%d %v k=%d: %d results vs %d in-memory",
-								scoring, qi, mode, k, len(got), len(want))
-						}
-						for i := range got {
-							if got[i].Doc != want[i].Doc || got[i].Score != want[i].Score {
-								t.Fatalf("scoring %v q%d %v k=%d rank %d: (%d,%v) vs in-memory (%d,%v)",
-									scoring, qi, mode, k, i, got[i].Doc, got[i].Score, want[i].Doc, want[i].Score)
-							}
+			for _, k := range []int{5, 20} {
+				want := mem.SearchTerms(terms, k)
+				// Two passes over the cached store: the second is served
+				// (partly) from the block cache and must not drift.
+				for _, st := range []*Store{mapped, cached, cached} {
+					got := st.SearchTerms(terms, k)
+					if len(got) != len(want) {
+						t.Fatalf("scoring %v q%d k=%d: %d results vs %d in-memory",
+							scoring, qi, k, len(got), len(want))
+					}
+					for i := range got {
+						if got[i].Doc != want[i].Doc || got[i].Score != want[i].Score {
+							t.Fatalf("scoring %v q%d k=%d rank %d: (%d,%v) vs in-memory (%d,%v)",
+								scoring, qi, k, i, got[i].Doc, got[i].Score, want[i].Doc, want[i].Score)
 						}
 					}
 				}
@@ -204,9 +202,9 @@ func TestMappedCacheSurvivesCompaction(t *testing.T) {
 	// the first pass repopulates, the second hits.
 	for qi, q := range queries {
 		terms := an.Analyze(q)
-		want := searchMode(t, mem, terms, 10, vsm.ExecExhaustive, nil)
+		want := mem.SearchTerms(terms, 10)
 		for pass := 0; pass < 2; pass++ {
-			got := searchMode(t, cached, terms, 10, vsm.ExecExhaustive, nil)
+			got := cached.SearchTerms(terms, 10)
 			if len(got) != len(want) {
 				t.Fatalf("q%d pass %d: %d results vs %d in-memory", qi, pass, len(got), len(want))
 			}
@@ -266,14 +264,14 @@ func TestMappedStoreRejectsCorruptSegment(t *testing.T) {
 	// names the file and both versions, so an operator knows which data
 	// directory to rebuild.
 	old := append([]byte(nil), orig...)
-	old[4] = 6
+	old[4] = 7
 	if err := os.WriteFile(segs[0], old, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, mapped := range []bool{true, false} {
 		_, err := Load(dir, Config{Analyzer: an, Mapped: mapped})
 		if err == nil || !strings.Contains(err.Error(), filepath.Base(segs[0])) ||
-			!strings.Contains(err.Error(), "TPIX version 6: this build reads version 7 only") {
+			!strings.Contains(err.Error(), "TPIX version 7: this build reads version 8 only") {
 			t.Fatalf("old-version segment (mapped=%v): err = %v, want the file name and both versions", mapped, err)
 		}
 	}

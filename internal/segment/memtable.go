@@ -26,21 +26,13 @@ type memtable struct {
 	dead   []bool
 	live   int
 	post   map[textproc.TermID][]index.Posting
-	// Incremental per-term max-impact bounds for top-k pruning.
-	// They only grow as documents arrive (never shrink on tombstone),
-	// which keeps them valid upper bounds; sealing rebuilds the shard
-	// through index.Build, which recomputes them exactly.
-	maxTF  map[textproc.TermID]int32
-	maxCos map[textproc.TermID]float64
 	eng    *vsm.Engine
 }
 
 func newMemtable(st *Store) (*memtable, error) {
 	mt := &memtable{
-		st:     st,
-		post:   make(map[textproc.TermID][]index.Posting),
-		maxTF:  make(map[textproc.TermID]int32),
-		maxCos: make(map[textproc.TermID]float64),
+		st:   st,
+		post: make(map[textproc.TermID][]index.Posting),
 	}
 	eng, err := vsm.NewEngineOver(&liveSource{st: st, local: mt}, st.an, st.cfg.Scoring)
 	if err != nil {
@@ -75,16 +67,7 @@ func (mt *memtable) add(doc corpus.Document, gid corpus.DocID) []textproc.TermID
 		w := 1 + math.Log(float64(tf))
 		normSq += w * w
 	}
-	norm := math.Sqrt(normSq)
-	mt.norm = append(mt.norm, norm)
-	for id, tf := range counts {
-		if tf > mt.maxTF[id] {
-			mt.maxTF[id] = tf
-		}
-		if c := (1 + math.Log(float64(tf))) / norm; c > mt.maxCos[id] {
-			mt.maxCos[id] = c
-		}
-	}
+	mt.norm = append(mt.norm, math.Sqrt(normSq))
 	return bag
 }
 
@@ -113,18 +96,6 @@ func (mt *memtable) DocNorm(d corpus.DocID) float64 {
 		return 0
 	}
 	return mt.norm[d]
-}
-
-// Max-impact bounds (localSource). Unknown terms report zero, which
-// makes their query terms contribute nothing to pruning thresholds.
-
-func (mt *memtable) MaxTF(id textproc.TermID) int32          { return mt.maxTF[id] }
-func (mt *memtable) MaxCosImpact(id textproc.TermID) float64 { return mt.maxCos[id] }
-func (mt *memtable) MaxBM25Impact(id textproc.TermID) float64 {
-	if tf := mt.maxTF[id]; tf > 0 {
-		return index.BM25TFBound(tf)
-	}
-	return 0
 }
 
 // locate binary-searches for a global ID (ids are ascending).

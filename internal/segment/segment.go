@@ -10,15 +10,9 @@
 // (N, df, avgdl) so results are identical — to floating-point noise —
 // to a from-scratch index.Build over the surviving documents.
 //
-// Every shard engine picks its execution strategy by the one rule in
-// vsm (the flat scan under cosine and for near-full retrieval,
-// MaxScore pruning under BM25): sealed segments carry exact per-term
-// impact bounds from index.Build, the memtable maintains incremental
-// (never-shrinking) term-level bounds as documents arrive — exact
-// again on seal, when the lists stop growing — and tombstones are
-// filtered inside the shard, before a document can reach its top-k
-// (a shard with none runs unfiltered). The store has no strategy
-// setting of its own.
+// Every shard engine runs vsm's flat scan, a cycle's members together;
+// tombstones are filtered inside the shard, before a document can reach
+// its top-k (a shard with none runs unfiltered).
 //
 // The store persists as one TPIX file per sealed segment plus a JSON
 // manifest, so a restart recovers without re-analyzing any text.
@@ -77,19 +71,14 @@ func locateID(ids []corpus.DocID, gid corpus.DocID) (corpus.DocID, bool) {
 }
 
 // localSource is the shard-local half of a liveSource: postings
-// iterators, per-document facts, and the per-term max-impact bounds
-// that fuel MaxScore pruning. Both *index.Index (sealed segments:
-// decode-on-traversal iterators over block-compressed lists, exact
-// bounds computed at Build) and *memtable (plain slice iterators over
-// its uncompressed growing lists, incrementally maintained bounds
-// recomputed exactly on seal) satisfy it.
+// iterators and per-document lengths. Both *index.Index (sealed
+// segments: decode-on-traversal iterators over block-compressed lists)
+// and *memtable (plain slice iterators over its uncompressed growing
+// lists) satisfy it.
 type localSource interface {
 	NumTerms() int
 	IterInto(id textproc.TermID, it *index.Iterator)
 	DocLen(d corpus.DocID) int
-	MaxTF(id textproc.TermID) int32
-	MaxCosImpact(id textproc.TermID) float64
-	MaxBM25Impact(id textproc.TermID) float64
 }
 
 // liveSource adapts one shard to the vsm.Source contract by delegating
@@ -136,16 +125,6 @@ func (s *liveSource) IDF(id textproc.TermID) float64 {
 }
 
 func (s *liveSource) DocLen(d corpus.DocID) int { return s.local.DocLen(d) }
-
-// Max-impact delegation: bounds are shard-local facts (a term's best
-// posting in this shard), so per-shard pruning against the global
-// top-k threshold stays sound. Implements vsm.ImpactSource.
-
-func (s *liveSource) MaxTF(id textproc.TermID) int32          { return s.local.MaxTF(id) }
-func (s *liveSource) MaxCosImpact(id textproc.TermID) float64 { return s.local.MaxCosImpact(id) }
-func (s *liveSource) MaxBM25Impact(id textproc.TermID) float64 {
-	return s.local.MaxBM25Impact(id)
-}
 
 func (s *liveSource) AvgDocLen() float64 {
 	if s.st.liveDocs == 0 {

@@ -24,10 +24,8 @@ type storeMetrics struct {
 	queries *telemetry.Counter
 
 	docsScored    *telemetry.Counter
-	docsPruned    *telemetry.Counter
 	docsFiltered  *telemetry.Counter
 	postings      *telemetry.Counter
-	seekProbes    *telemetry.Counter
 	blocksDecoded *telemetry.Counter
 }
 
@@ -44,21 +42,17 @@ func (st *Store) EnableMetrics(reg *telemetry.Registry, ring *telemetry.TraceRin
 	scorer := st.cfg.Scoring.String()
 	m := &storeMetrics{ring: ring}
 	m.lat = reg.HistogramVec(vsm.MetricQuerySeconds,
-		"Query latency by scorer and effective execution mode.",
+		"Query latency by scorer and mode (exhaustive = one query scanned alone, batch, store).",
 		telemetry.DefaultLatencyBuckets, "scorer", "mode").With(scorer, "store")
 	m.queries = reg.CounterVec(vsm.MetricQueriesTotal,
-		"Queries executed by scorer and effective execution mode.",
+		"Queries executed by scorer and mode (exhaustive = one query scanned alone, batch, store).",
 		"scorer", "mode").With(scorer, "store")
 	m.docsScored = reg.Counter("toppriv_docs_scored_total",
 		"Documents fully scored across all queries.")
-	m.docsPruned = reg.Counter("toppriv_docs_pruned_total",
-		"Candidate documents abandoned on a bound check before full scoring.")
 	m.docsFiltered = reg.Counter("toppriv_docs_filtered_total",
 		"Documents rejected by the keep predicate (tombstones).")
 	m.postings = reg.Counter("toppriv_postings_total",
-		"Postings visited by exhaustive traversals.")
-	m.seekProbes = reg.Counter("toppriv_seek_probes_total",
-		"Document comparisons made by iterator seeks.")
+		"Postings visited.")
 	m.blocksDecoded = reg.Counter("toppriv_blocks_decoded_total",
 		"Compressed postings blocks decoded.")
 
@@ -163,18 +157,14 @@ func (st *Store) finishBatch(bt *batchTimer, reqs []vsm.Request, resps []vsm.Res
 		t.K = reqs[0].K
 	}
 	t.DocsScored = agg.DocsScored
-	t.DocsPruned = agg.DocsPruned
 	t.Postings = agg.Postings
-	t.SeekProbes = agg.SeekProbes
 	t.BlocksDecoded = agg.BlocksDecoded
 	if m := st.metrics; m != nil {
 		m.lat.ObserveSeconds(t.TotalNS)
 		m.queries.Add(uint64(len(reqs)))
 		m.docsScored.Add(uint64(agg.DocsScored))
-		m.docsPruned.Add(uint64(agg.DocsPruned))
 		m.docsFiltered.Add(uint64(agg.DocsFiltered))
 		m.postings.Add(uint64(agg.Postings))
-		m.seekProbes.Add(uint64(agg.SeekProbes))
 		m.blocksDecoded.Add(uint64(agg.BlocksDecoded))
 		if m.ring != nil {
 			t.Seq = m.ring.Record(t)

@@ -46,17 +46,15 @@ func TestCompactionWarmsCache(t *testing.T) {
 	// block of the merged segment: the whole query pass must hit.
 	for qi, q := range queries {
 		terms := an.Analyze(q)
-		for _, mode := range []vsm.ExecMode{vsm.ExecExhaustive, vsm.ExecMaxScore} {
-			want := searchMode(t, mem, terms, 10, mode, nil)
-			got := searchMode(t, cached, terms, 10, mode, nil)
-			if len(got) != len(want) {
-				t.Fatalf("q%d %v: %d results vs %d in-memory", qi, mode, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Doc != want[i].Doc || got[i].Score != want[i].Score {
-					t.Fatalf("q%d %v rank %d: (%d,%v) vs in-memory (%d,%v)",
-						qi, mode, i, got[i].Doc, got[i].Score, want[i].Doc, want[i].Score)
-				}
+		want := mem.SearchTerms(terms, 10)
+		got := cached.SearchTerms(terms, 10)
+		if len(got) != len(want) {
+			t.Fatalf("q%d: %d results vs %d in-memory", qi, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Doc != want[i].Doc || got[i].Score != want[i].Score {
+				t.Fatalf("q%d rank %d: (%d,%v) vs in-memory (%d,%v)",
+					qi, i, got[i].Doc, got[i].Score, want[i].Doc, want[i].Score)
 			}
 		}
 	}

@@ -15,8 +15,9 @@ type PhaseTrace struct {
 	// Seq is the trace's position in the ring's lifetime, assigned at
 	// Record time; 0 until recorded.
 	Seq uint64 `json:"seq"`
-	// Scorer and Mode identify the scoring function and the effective
-	// execution strategy (after ExecAuto resolution).
+	// Scorer and Mode identify the scoring function and how the query
+	// ran: "exhaustive" for one query scanned alone, "batch" for a cycle
+	// scanned together, "store" for a segment store's fan-out.
 	Scorer string `json:"scorer,omitempty"`
 	Mode   string `json:"mode,omitempty"`
 	// Terms is the number of query terms after analysis; K the result
@@ -39,9 +40,7 @@ type PhaseTrace struct {
 
 	// Work counters, copied from ExecStats at completion.
 	DocsScored    int `json:"docs_scored"`
-	DocsPruned    int `json:"docs_pruned"`
 	Postings      int `json:"postings"`
-	SeekProbes    int `json:"seek_probes,omitempty"`
 	BlocksDecoded int `json:"blocks_decoded,omitempty"`
 }
 

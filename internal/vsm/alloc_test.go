@@ -1,6 +1,7 @@
 package vsm
 
 import (
+	"context"
 	"testing"
 
 	"toppriv/internal/corpus"
@@ -33,22 +34,22 @@ func TestSearchAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, mode := range []ExecMode{ExecMaxScore, ExecExhaustive} {
-			// Warm the pool (and the accumulator growth) first.
-			for i := 0; i < 8; i++ {
-				searchMode(t, eng, terms, 10, nil, mode, nil)
+		search := func() {
+			resp, err := eng.SearchRequest(context.Background(), Request{Terms: terms, K: 10})
+			if err != nil || len(resp.Hits) == 0 {
+				t.Fatalf("%d results, err %v", len(resp.Hits), err)
 			}
-			avg := testing.AllocsPerRun(200, func() {
-				if res := searchMode(t, eng, terms, 10, nil, mode, nil); len(res) == 0 {
-					t.Fatal("no results")
-				}
-			})
-			// Result slice + sort.Slice internals; anything near the old
-			// map-accumulator behavior (hundreds) fails loudly.
-			const budget = 8
-			if avg > budget {
-				t.Errorf("%v/%v: %.1f allocs per search, budget %d", scoring, mode, avg, budget)
-			}
+		}
+		// Warm the pool (and the accumulator growth) first.
+		for i := 0; i < 8; i++ {
+			search()
+		}
+		avg := testing.AllocsPerRun(200, search)
+		// Result slice + sort.Slice internals; anything near the old
+		// map-accumulator behavior (hundreds) fails loudly.
+		const budget = 8
+		if avg > budget {
+			t.Errorf("%v: %.1f allocs per search, budget %d", scoring, avg, budget)
 		}
 	}
 }

@@ -19,20 +19,6 @@ import (
 	"toppriv/internal/textproc"
 )
 
-// batchShareNum/batchShareDen gate the cycle-at-a-time shared
-// traversal where a member left out of it would run MaxScore (see
-// sharingGated): auto-mode members join only when the distinct postings
-// across the batch are at most batchShareNum/batchShareDen of the
-// per-member sum — i.e. the cycle's term overlap repays scanning every
-// posting with at least a 20% postings saving. Below that the batch
-// runs member-at-a-time under the single-query rule (effectiveMode).
-// The exact boundary is a calibration candidate (see the ROADMAP engine
-// item).
-const (
-	batchShareNum = 4
-	batchShareDen = 5
-)
-
 // batchMember is one request's resolved execution state inside a
 // batch.
 type batchMember struct {
@@ -121,22 +107,18 @@ func (bs *batchState) reset() {
 // SearchBatch executes a batch of requests — typically the υ queries
 // of one obfuscation cycle, submitted together as the paper's system
 // model does (§III, Fig. 1). Terms are resolved in one pass, and the
-// auto-mode members are evaluated in a single cycle-at-a-time flat scan
-// that decodes each distinct postings list once, computes every
-// posting's query-independent impact once, and fans it out to the
-// members containing the term. Members carrying a router's Global
-// statistics join it like any other — a routed cycle shares on every
-// shard segment exactly as it does on a single node; under BM25 the
-// members that share must score with one avgdl, so the largest
-// same-avgdl group shares and any stragglers (a mixed Global/local
-// batch, a cycle whose members saw different statistics) do not. Where
-// a member on its own would run MaxScore (sharingGated) the cycle
-// shares only if its term overlap pays for scanning every posting;
-// elsewhere the alternative is this same scan once per member, and the
-// cycle always shares. Stragglers and members with an explicit
-// execution mode run member-at-a-time with the shared resolution.
-// Either way each member's hits are bit-identical to what SearchRequest
-// would return for it alone; the property tests assert it.
+// members are evaluated in a single cycle-at-a-time flat scan that
+// decodes each distinct postings list once, computes every posting's
+// query-independent impact once, and fans it out to the members
+// containing the term. Members carrying a router's Global statistics
+// join it like any other — a routed cycle shares on every shard segment
+// exactly as it does on a single node; under BM25 the members that share
+// must score with one avgdl (the length cache is valid for one), so the
+// largest same-avgdl group shares and any stragglers (a mixed
+// Global/local batch, a cycle whose members saw different statistics)
+// run the same scan one at a time, with the shared resolution. Either
+// way each member's hits are bit-identical to what SearchRequest would
+// return for it alone; the property tests assert it.
 //
 // Responses align with reqs by index. The context cancels
 // mid-execution between postings blocks; on cancellation the whole
@@ -155,7 +137,7 @@ func (e *Engine) SearchBatch(ctx context.Context, reqs []Request) ([]Response, e
 	// bc times the batch-level phases: the shared resolution pass, the
 	// union fetch, the cycle-at-a-time traversal and the drains. Members
 	// the shared traversal serves get this cycle-level trace; members
-	// running member-at-a-time get their own per-member clocks.
+	// scanned alone get their own per-member clocks.
 	var bc phaseClock
 	bc.enabled = m != nil
 	for i := range reqs {
@@ -206,10 +188,10 @@ func (e *Engine) SearchBatch(ctx context.Context, reqs []Request) ([]Response, e
 	}
 	bc.mark(&bc.resolve)
 
-	// Plan: auto-mode members may join the shared traversal;
-	// explicit-mode members keep their member-at-a-time path.
+	// Plan: every live member shares one scan — under BM25, the largest
+	// group that scores with one avgdl.
 	for i := range bs.members {
-		if bs.members[i].live && reqs[i].Mode == ExecAuto {
+		if bs.members[i].live {
 			bs.shared = append(bs.shared, i)
 		}
 	}
@@ -219,25 +201,23 @@ func (e *Engine) SearchBatch(ctx context.Context, reqs []Request) ([]Response, e
 	if shared := bs.shared; len(shared) >= 2 {
 		e.buildUnion(bs)
 		bc.mark(&bc.fetch)
-		if !e.sharingGated() || e.sharingPays(bs) {
-			if err := e.flatScan(ctx, bs); err != nil {
-				return nil, err
-			}
-			bc.mark(&bc.traverse)
-			for _, i := range shared {
-				resps[i].Hits = drainTopK(&bs.members[i].qs.heap)
-				resps[i].Stats = bs.members[i].stats
-			}
-			bc.mark(&bc.merge)
-			e.finishBatch(&bc, bs, resps)
+		if err := e.flatScan(ctx, bs); err != nil {
+			return nil, err
 		}
+		bc.mark(&bc.traverse)
+		for _, i := range shared {
+			resps[i].Hits = drainTopK(&bs.members[i].qs.heap)
+			resps[i].Stats = bs.members[i].stats
+		}
+		bc.mark(&bc.merge)
+		e.finishBatch(&bc, bs, resps)
 	}
 
-	// Member-at-a-time for everyone left: explicit modes, avgdl
-	// stragglers and unprofitable sharing. Members the
-	// shared traversal served have non-nil (possibly empty) hit
-	// slices; dead members keep nil hits and zero stats. Resolution was
-	// shared, so per-member clocks carry fetch/traverse/merge only.
+	// Anyone left — avgdl stragglers, the one live member of a batch —
+	// is scanned alone. Members the shared traversal served have non-nil
+	// (possibly empty) hit slices; dead members keep nil hits and zero
+	// stats. Resolution was shared, so per-member clocks carry
+	// fetch/traverse/merge only.
 	for i := range bs.members {
 		bm := &bs.members[i]
 		if !bm.live || resps[i].Hits != nil {
@@ -245,7 +225,7 @@ func (e *Engine) SearchBatch(ctx context.Context, reqs []Request) ([]Response, e
 		}
 		bm.qs.clock.enabled = m != nil || resps[i].Trace != nil
 		bm.qs.clock.start()
-		hits, err := e.execResolved(ctx, bm.qs, bm.k, bm.qnorm, bm.keep, reqs[i].Mode, &resps[i].Stats)
+		hits, err := e.scanSolo(ctx, bm.qs, bm.k, bm.qnorm, bm.keep, &resps[i].Stats)
 		if err != nil {
 			return nil, err
 		}
@@ -331,30 +311,6 @@ func largestAvgLenGroup(members []batchMember, cand []int) []int {
 	return group
 }
 
-// sharingGated reports whether a cycle must earn its shared scan: only
-// where a member left to itself would prune with MaxScore. Under
-// cosine, or without impact metadata, the member would run this very
-// scan alone, and sharing it can only save work.
-func (e *Engine) sharingGated() bool {
-	return e.scoring == BM25 && e.impacts != nil
-}
-
-// sharingPays applies the batchShareNum/batchShareDen gate to a built
-// union: the distinct postings the shared scan walks against the sum of
-// what its members would each be charged alone.
-func (e *Engine) sharingPays(bs *batchState) bool {
-	distinct, total := 0, 0
-	for ui := range bs.union {
-		distinct += bs.union[ui].it.Len()
-	}
-	for _, i := range bs.shared {
-		for _, t := range bs.members[i].qs.terms {
-			total += e.src.DocFreq(t.id)
-		}
-	}
-	return distinct*batchShareDen <= total*batchShareNum
-}
-
 // buildUnion assembles the TermID-sorted union plan over bs.shared,
 // fetching each distinct term's postings exactly once. Terms that carry
 // no weight for a member are left out of it.
@@ -416,20 +372,19 @@ func (e *Engine) scanSolo(ctx context.Context, qs *queryState, k int, qnorm floa
 
 // flatScan scores every posting of every term in bs.union for the
 // members in bs.shared and leaves each member's top k in its heap; the
-// caller drains them. It is the reference semantics MaxScore is tested
-// against.
+// caller drains them.
 //
 // One pass over each distinct list, in ascending TermID order, a
 // decoded block at a time. Per block, once: the query-independent
 // impact of every posting (blockImpacts) with the scorer chosen outside
 // the loop. Per member containing the term: score[d] += w·impact over
 // the block (add) and nothing else — no per-document bookkeeping to
-// load, no branch, no filter. The accumulators are all zero when a scan starts
-// (queryState), so a member's first contribution to a document is 0 + x
-// and the rest follow in term order: the sequence of additions each
-// score sees is the one a textbook term-at-a-time scorer makes, whoever
-// else is in the cycle, which is what keeps every member's scores
-// bit-identical to running alone and to MaxScore's per-candidate sum.
+// load, no branch, no filter. The accumulators are all zero when a scan
+// starts (queryState), so a member's first contribution to a document
+// is 0 + x and the rest follow in term order: the sequence of additions
+// each score sees is the one a textbook term-at-a-time scorer makes,
+// whoever else is in the cycle, which is what keeps every member's
+// scores bit-identical to running alone and to the reference scorer.
 // Every weight and impact is finite and positive (Request.Validate
 // vouches for injected statistics), which is what lets add recognize a
 // first contribution by the zero it lands on.
@@ -504,11 +459,12 @@ func (e *Engine) flatScan(ctx context.Context, bs *batchState) error {
 }
 
 // blockImpacts fills impacts with the query-independent factor of every
-// posting of one decoded block: impact's two expressions with the
-// scorer chosen once per block instead of once per posting, and BM25's
-// length normalization read from (or entered into) the denoms cache,
-// so a document's DocLen is fetched once however many of the union's
-// lists it is on.
+// posting of one decoded block — the lnc document weight 1+ln(tf) for
+// cosine, the BM25 tf-saturation factor for BM25 — with the scorer
+// chosen once per block instead of once per posting, and BM25's length
+// normalization read from (or entered into) the denoms cache, so a
+// document's DocLen is fetched once however many of the union's lists
+// it is on.
 func (e *Engine) blockImpacts(impacts []float64, docs []corpus.DocID, tfs []int32, avgLen float64, denoms []float64) {
 	if e.scoring != BM25 {
 		for i, tf := range tfs {
@@ -598,8 +554,8 @@ func (qs *queryState) next(at *int, norms []float64, bound float64) (d corpus.Do
 // sweep finalizes one member after flatScan: it takes the reached
 // documents out of the accumulator, consults the keep filter once per
 // document, and offers the survivors to the member's top-k heap, each
-// finalized by finalizeScore like MaxScore's candidates. Once the heap
-// is full most documents cannot enter it, and where the final score is
+// finalized by finalizeScore. Once the heap is full most documents
+// cannot enter it, and where the final score is
 // raw/(norm·qnorm) or raw itself with nothing else to consult — no
 // filter, no prior, norms in a slice — next turns those away with one
 // multiplication and a comparison, before the division and the heap

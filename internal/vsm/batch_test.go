@@ -2,14 +2,27 @@ package vsm
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"toppriv/internal/corpus"
 	"toppriv/internal/index"
 	"toppriv/internal/textproc"
 )
+
+// analyzeTerms runs each raw query word through the analyzer (the
+// synthesized topic words are already normalized, but stemming must
+// match the corpus pipeline).
+func analyzeTerms(an *textproc.Analyzer, words []string) []string {
+	out := make([]string, 0, len(words))
+	for _, w := range words {
+		out = append(out, an.Analyze(w)...)
+	}
+	return out
+}
 
 // cycleQueries builds a batch of queries shaped like an obfuscation
 // cycle: members drawn from a couple of shared topics, so terms repeat
@@ -41,8 +54,8 @@ func cycleQueries(gt *corpus.GroundTruth, an *textproc.Analyzer, rng *rand.Rand,
 }
 
 // TestSearchBatchMatchesSingle is the batch path's correctness anchor:
-// over random corpora, both scorings, mixed per-member modes and k,
-// with and without tombstone filters, every batch member's hits must
+// over random corpora, both scorings, mixed per-member k, with and
+// without tombstone filters, every batch member's hits must
 // be bit-identical — documents, ranks, and float64 scores — to running
 // the same Request alone through SearchRequest.
 func TestSearchBatchMatchesSingle(t *testing.T) {
@@ -77,11 +90,10 @@ func TestSearchBatchMatchesSingle(t *testing.T) {
 				keep := func(d corpus.DocID) bool { return !dead[d] }
 
 				queries := cycleQueries(gt, an, rng, 8)
-				modes := []ExecMode{ExecAuto, ExecAuto, ExecAuto, ExecMaxScore, ExecAuto, ExecExhaustive, ExecAuto, ExecAuto}
 				ks := []int{10, 10, 1, 10, 25, 10, 100, 10}
 				reqs := make([]Request, len(queries))
 				for i, q := range queries {
-					reqs[i] = Request{Terms: q, K: ks[i], Mode: modes[i]}
+					reqs[i] = Request{Terms: q, K: ks[i]}
 					if i%3 == 2 {
 						reqs[i].Keep = keep
 					}
@@ -111,25 +123,16 @@ func TestSearchBatchMatchesSingle(t *testing.T) {
 								trial, i, j, batch[i].Hits[j], single.Hits[j])
 						}
 					}
-					if batch[i].Stats.DocsScored != single.Stats.DocsScored &&
-						req.Mode != ExecAuto {
-						// Explicit modes take the identical member-at-a-time
-						// path, so even the work counters must agree; auto
-						// members may legitimately run a different (shared)
-						// plan.
-						t.Errorf("trial %d member %d: batch scored %d docs, single %d",
-							trial, i, batch[i].Stats.DocsScored, single.Stats.DocsScored)
-					}
 				}
 			}
 		})
 	}
 }
 
-// TestSearchBatchSharesTraversal pins the planner: a cycle of
-// overlapping auto-mode queries on an auto-mode engine runs the shared
-// exhaustive traversal (no pruning counters), not υ pruned scans — and
-// still returns the pruned path's exact results (checked above).
+// TestSearchBatchSharesTraversal pins what sharing means: a cycle of
+// overlapping queries runs as one scan over the union of its members'
+// terms — fewer lists than the members hold between them — and charges
+// each member the postings of its own lists.
 func TestSearchBatchSharesTraversal(t *testing.T) {
 	c, gt, err := corpus.Synthesize(corpus.GenSpec{
 		Seed: 11, NumDocs: 600, NumTopics: 6, DocLenMin: 30, DocLenMax: 70,
@@ -142,8 +145,6 @@ func TestSearchBatchSharesTraversal(t *testing.T) {
 		t.Fatal(err)
 	}
 	an := textproc.NewAnalyzer()
-	// BM25: the scorer whose solo auto queries run MaxScore, so shared
-	// and member-at-a-time plans are distinguishable by their counters.
 	eng, err := NewEngine(idx, an, BM25)
 	if err != nil {
 		t.Fatal(err)
@@ -152,36 +153,129 @@ func TestSearchBatchSharesTraversal(t *testing.T) {
 	queries := cycleQueries(gt, an, rng, 8)
 	reqs := make([]Request, len(queries))
 	for i, q := range queries {
-		reqs[i] = Request{Terms: q, K: 10}
+		reqs[i] = Request{Terms: q, K: 10, Trace: true}
 	}
 	batch, err := eng.SearchBatch(context.Background(), reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	singlePruned := 0
+	memberTerms := 0
 	for i := range batch {
 		if batch[i].Stats.Postings == 0 {
-			t.Errorf("member %d: no postings counted — not the exhaustive traversal?", i)
-		}
-		if batch[i].Stats.DocsPruned != 0 {
-			t.Errorf("member %d: %d docs pruned — batch ran a pruned scan instead of the shared traversal", i, batch[i].Stats.DocsPruned)
+			t.Errorf("member %d: no postings counted", i)
 		}
 		single, err := eng.SearchRequest(context.Background(), reqs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		singlePruned += single.Stats.DocsPruned
+		if single.Stats != batch[i].Stats {
+			t.Errorf("member %d: charged %+v in the cycle, %+v alone", i, batch[i].Stats, single.Stats)
+		}
+		memberTerms += single.Trace.Terms
 	}
-	// Single-query auto on this corpus prunes; the tell that the batch
-	// really chose a different, shared plan.
-	if singlePruned == 0 {
-		t.Error("single-query auto never pruned — test premise broken")
+	if tr := batch[0].Trace; tr.Mode != "batch" || tr.Batch != len(reqs) || tr.Terms >= memberTerms {
+		t.Errorf("cycle trace %+v: want one batch of %d over fewer than the members' %d term lists", tr, len(reqs), memberTerms)
 	}
 }
 
-// TestSearchBatchValidation pins the error surface: non-positive k
-// fails the whole batch naming the offending member; an empty batch is
-// a no-op.
+// plainSource hides what a Source is behind the interface: the engine
+// sees postings and statistics, not an *index.Index.
+type plainSource struct{ Source }
+
+// TestOneStrategy pins, through the trace every response can carry,
+// that nothing selects how a query runs: a solo query is one flat scan
+// ("exhaustive") whatever the scorer, the source or k; a cycle is one
+// shared scan ("batch") whether or not its members have a term in
+// common; and the only members of a batch left to run alone are BM25's
+// avgdl stragglers. Nothing is ever pruned.
+func TestOneStrategy(t *testing.T) {
+	c, gt, err := corpus.Synthesize(corpus.GenSpec{
+		Seed: 31, NumDocs: 300, NumTopics: 8, DocLenMin: 20, DocLenMax: 50,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := index.Build(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := textproc.NewAnalyzer()
+	terms := analyzeTerms(an, gt.TopicWords[0][:3])
+	ctx := context.Background()
+	n := idx.NumDocs()
+	ran := func(what string, resp Response, want string) {
+		t.Helper()
+		if resp.Trace.Mode != want || resp.Stats.DocsPruned != 0 || len(resp.Hits) == 0 {
+			t.Errorf("%s: ran %q with %d hits, stats %+v; want %q and nothing pruned", what, resp.Trace.Mode, len(resp.Hits), resp.Stats, want)
+		}
+	}
+	for _, scoring := range []Scoring{Cosine, BM25} {
+		static, err := NewEngine(idx, an, scoring)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := NewEngineOver(plainSource{idx}, an, scoring)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, eng := range map[string]*Engine{"static index": static, "plain source": plain} {
+			for _, k := range []int{10, (n + 3) / 4} {
+				resp, err := eng.SearchRequest(ctx, Request{Terms: terms, K: k, Trace: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ran(fmt.Sprintf("%v over a %s, k=%d of N=%d", scoring, name, k, n), resp, "exhaustive")
+			}
+		}
+	}
+
+	eng, err := NewEngine(idx, an, BM25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One topic per member, no word twice: a cycle with no term in
+	// common.
+	seen := map[string]bool{}
+	var disjoint []Request
+	for _, words := range gt.TopicWords[:8] {
+		var q []string
+		for _, w := range analyzeTerms(an, words) {
+			if len(q) < 3 && !seen[w] {
+				seen[w] = true
+				q = append(q, w)
+			}
+		}
+		disjoint = append(disjoint, Request{Terms: q, K: 10, Trace: true})
+	}
+	resps, err := eng.SearchBatch(ctx, disjoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, resp := range resps {
+		ran(fmt.Sprintf("disjoint cycle member %d %v", i, disjoint[i].Terms), resp, "batch")
+	}
+
+	// Two BM25 statistics with different avgdl cannot share one length
+	// cache: the larger group shares, the stragglers are scanned alone.
+	ga, gb := globalFor(idx, terms, 3, 0), globalFor(idx, terms, 3, 5000)
+	resps, err = eng.SearchBatch(ctx, []Request{
+		{Terms: terms, K: 10, Global: gb, Trace: true},
+		{Terms: terms, K: 10, Global: ga, Trace: true},
+		{Terms: terms, K: 10, Global: ga, Trace: true},
+		{Terms: terms, K: n, Global: gb, Trace: true},
+		{Terms: terms, K: 10, Global: ga, Trace: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{"exhaustive", "batch", "batch", "exhaustive", "batch"} {
+		ran(fmt.Sprintf("two-avgdl batch member %d", i), resps[i], want)
+	}
+}
+
+// TestSearchBatchValidation pins the error surface: non-positive k, or
+// injected statistics the scorer cannot weigh with, fail the whole batch
+// naming the offending member; an empty batch is a no-op.
 func TestSearchBatchValidation(t *testing.T) {
 	eng, _ := testEngine(t)
 	if _, err := eng.SearchBatch(context.Background(), []Request{
@@ -189,6 +283,12 @@ func TestSearchBatchValidation(t *testing.T) {
 		{Terms: []string{"beta"}, K: 0},
 	}); err == nil {
 		t.Error("k = 0 batch member must error")
+	}
+	if _, err := eng.SearchBatch(context.Background(), []Request{
+		{Terms: []string{"alpha"}, K: 5},
+		{Terms: []string{"alpha", "beta"}, K: 5, Global: &GlobalStats{Docs: 300, TotalLen: 0, DF: []int{10, 10}}},
+	}); err == nil || !strings.Contains(err.Error(), "member 1") {
+		t.Errorf("terms that occur in a collection of no tokens: err = %v, want one naming member 1", err)
 	}
 	resps, err := eng.SearchBatch(context.Background(), nil)
 	if err != nil || resps != nil {
@@ -201,17 +301,14 @@ func TestSearchBatchValidation(t *testing.T) {
 
 // TestSearchCancellation pins context handling: an already-canceled
 // context aborts single and batch execution with the context's error,
-// for every execution mode, and an execution stopped part-way does not
-// poison the ones after it.
+// and an execution stopped part-way does not poison the ones after it.
 func TestSearchCancellation(t *testing.T) {
 	eng, gt := testEngine(t)
 	q := analyzeTerms(eng.Analyzer(), gt.TopicWords[0][:3])
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, mode := range []ExecMode{ExecAuto, ExecMaxScore, ExecExhaustive} {
-		if _, err := eng.SearchRequest(ctx, Request{Terms: q, K: 10, Mode: mode}); err != context.Canceled {
-			t.Errorf("%v: canceled request returned %v, want context.Canceled", mode, err)
-		}
+	if _, err := eng.SearchRequest(ctx, Request{Terms: q, K: 10}); err != context.Canceled {
+		t.Errorf("canceled request returned %v, want context.Canceled", err)
 	}
 	q2 := analyzeTerms(eng.Analyzer(), gt.TopicWords[1][:3])
 	if _, err := eng.SearchBatch(ctx, []Request{
@@ -223,12 +320,11 @@ func TestSearchCancellation(t *testing.T) {
 	t.Run("pool stays clean", interruptedScanLeavesPoolClean)
 }
 
-// cancelingSource is an impactless Source (so BM25 runs the flat scan)
-// whose DocLen — which the BM25 flat scan reads in the middle of its
-// traversal, once per document — cancels a context after a set number
-// of reads.
+// cancelingSource is a Source whose DocLen — which the BM25 flat scan
+// reads in the middle of its traversal, once per document — cancels a
+// context after a set number of reads.
 type cancelingSource struct {
-	impactlessSource
+	Source
 	reads, cancelAt int
 	cancel          context.CancelFunc
 }
@@ -237,7 +333,7 @@ func (s *cancelingSource) DocLen(d corpus.DocID) int {
 	if s.reads++; s.reads == s.cancelAt {
 		s.cancel()
 	}
-	return s.impactlessSource.DocLen(d)
+	return s.Source.DocLen(d)
 }
 
 // interruptedScanLeavesPoolClean extends the cancellation contract to
@@ -269,12 +365,12 @@ func interruptedScanLeavesPoolClean(t *testing.T) {
 		cycles = append(cycles, reqs)
 	}
 	for _, scoring := range []Scoring{Cosine, BM25} {
-		src := &cancelingSource{impactlessSource: impactlessSource{idx}}
+		src := &cancelingSource{Source: idx}
 		eng, err := NewEngineOver(src, an, scoring)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := NewEngineOver(impactlessSource{idx}, an, scoring)
+		fresh, err := NewEngineOver(idx, an, scoring)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +395,6 @@ func interruptedScanLeavesPoolClean(t *testing.T) {
 			ctx, cancel = context.WithCancel(context.Background())
 			src.reads, src.cancelAt, src.cancel = 0, 300, cancel
 			solo := withAvgLen(cycles[2][0], 2000)
-			solo.Mode = ExecExhaustive
 			if _, err := eng.SearchRequest(ctx, solo); err != context.Canceled {
 				t.Fatalf("request canceled mid-traversal returned %v, want context.Canceled", err)
 			}
@@ -402,11 +497,11 @@ func globalFor(idx *index.Index, terms []string, mult int, extraLen int64) *Glob
 // TestSearchBatchGlobalBitIdentical is the property that lets a routed
 // cycle share: members carrying injected statistics join the
 // cycle-at-a-time traversal and still return, bit for bit, what
-// SearchRequest returns for them alone in the exhaustive and MaxScore
-// modes. Three batch shapes per scoring, with and without the
-// tombstone filter a store always sets: every member on one Global;
-// two Globals with different avgdl (under BM25 only the larger group
-// may share one denoms cache); Global mixed with local members.
+// SearchRequest returns for them alone. Three batch shapes per scoring,
+// with and without the tombstone filter a store always sets: every
+// member on one Global; two Globals with different avgdl (under BM25
+// only the larger group may share one denoms cache); Global mixed with
+// local members.
 func TestSearchBatchGlobalBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	// stats[i%len] picks member i's statistics: 0 = local, 1 = Global
@@ -479,25 +574,17 @@ func TestSearchBatchGlobalBitIdentical(t *testing.T) {
 						}
 						for i, req := range reqs {
 							req.Trace = false
-							req.Mode = ExecExhaustive
-							exh, err := eng.SearchRequest(ctx, req)
+							solo, err := eng.SearchRequest(ctx, req)
 							if err != nil {
 								t.Fatal(err)
 							}
-							req.Mode = ExecMaxScore
-							pruned, err := eng.SearchRequest(ctx, req)
-							if err != nil {
-								t.Fatal(err)
+							if len(batch[i].Hits) != len(solo.Hits) {
+								t.Fatalf("trial %d member %d: batch %d hits, solo %d", trial, i, len(batch[i].Hits), len(solo.Hits))
 							}
-							for _, solo := range []Response{exh, pruned} {
-								if len(batch[i].Hits) != len(solo.Hits) {
-									t.Fatalf("trial %d member %d: batch %d hits, solo %d", trial, i, len(batch[i].Hits), len(solo.Hits))
-								}
-								for j, h := range solo.Hits {
-									b := batch[i].Hits[j]
-									if b.Doc != h.Doc || math.Float64bits(b.Score) != math.Float64bits(h.Score) {
-										t.Fatalf("trial %d member %d rank %d: batch %+v, solo %+v", trial, i, j, b, h)
-									}
+							for j, h := range solo.Hits {
+								b := batch[i].Hits[j]
+								if b.Doc != h.Doc || math.Float64bits(b.Score) != math.Float64bits(h.Score) {
+									t.Fatalf("trial %d member %d rank %d: batch %+v, solo %+v", trial, i, j, b, h)
 								}
 							}
 							shared := scoring == Cosine || shape.bm25Shared(i)
@@ -507,9 +594,9 @@ func TestSearchBatchGlobalBitIdentical(t *testing.T) {
 							if !shared {
 								continue
 							}
-							if bs, es := batch[i].Stats, exh.Stats; bs.Postings != es.Postings || bs.BlocksDecoded != es.BlocksDecoded ||
+							if bs, es := batch[i].Stats, solo.Stats; bs.Postings != es.Postings || bs.BlocksDecoded != es.BlocksDecoded ||
 								bs.DocsScored != es.DocsScored || bs.DocsFiltered != es.DocsFiltered || bs.DocsPruned != 0 {
-								t.Errorf("trial %d member %d: shared stats %+v, exhaustive solo %+v", trial, i, bs, es)
+								t.Errorf("trial %d member %d: shared stats %+v, solo %+v", trial, i, bs, es)
 							}
 						}
 					}

@@ -5,18 +5,16 @@
 // of Baeza-Yates & Ribeiro-Neto, the paper's reference [7]) and Okapi
 // BM25 — selected per Engine.
 //
-// Query execution walks postings iterators in one of two strategies,
-// picked per query by one rule (see effectiveMode): the flat scan, a
-// term-at-a-time scorer that adds every posting into a dense
+// Query execution has one strategy, the flat scan: a term-at-a-time
+// scorer that adds every posting of every query term into a dense
 // accumulator and then sweeps the documents it reached into a top-k
-// heap — one kernel (flatScan) that a cycle's members run together and
-// a solo query runs as a cycle of one, and the reference oracle — and
-// document-at-a-time MaxScore pruning with per-term max-impact bounds:
-// once the running k-th best score exceeds what a term's best posting
-// could contribute, that term's list stops driving candidates and is
-// consulted only by skipping. Both accumulate contributions in the same
-// canonical term order, so their results — documents, ranks, and
-// floating-point scores — are identical.
+// heap. It is one kernel (flatScan) that a cycle's members run together
+// — each distinct postings block decoded and weighed once for all of
+// them — and a solo query runs as a cycle of one. Contributions are
+// accumulated in one canonical term order, so a query's results —
+// documents, ranks, and floating-point scores — are the same alone and
+// inside any cycle. README "Why there is one strategy" has the
+// measurements behind the choice.
 //
 // TopPriv deliberately requires no changes to this engine; the privacy
 // machinery lives entirely client-side.
@@ -57,11 +55,10 @@ func (s Scoring) String() string {
 	}
 }
 
-// BM25 parameters are shared with the index package, whose persisted
-// max-impact bounds must use the same constants the scorer does.
+// Okapi BM25 parameters.
 const (
-	bm25K1 = index.BM25K1
-	bm25B  = index.BM25B
+	bm25K1 = 1.2
+	bm25B  = 0.75
 )
 
 // Result is one retrieved document with its similarity score.
@@ -128,9 +125,6 @@ type Engine struct {
 	scoring Scoring
 	docNorm []float64  // cosine: precomputed norms (static sources)
 	normSrc NormSource // cosine: dynamic norms (live sources)
-	// impacts is the source's max-impact surface (nil when the source
-	// offers none); required for MaxScore execution.
-	impacts ImpactSource
 	// states pools per-query scratch (term bags, flat accumulators,
 	// heaps) across queries and goroutines.
 	states sync.Pool
@@ -174,9 +168,6 @@ func NewEngineOver(src Source, an *textproc.Analyzer, scoring Scoring) (*Engine,
 	e := &Engine{src: src, an: an, scoring: scoring}
 	e.states.New = func() interface{} { return &queryState{} }
 	e.batches.New = func() interface{} { return newBatchState() }
-	if imp, ok := src.(ImpactSource); ok {
-		e.impacts = imp
-	}
 	if scoring == Cosine {
 		if ns, ok := src.(NormSource); ok {
 			e.normSrc = ns
@@ -290,11 +281,11 @@ func (e *Engine) ComputeStats() index.Stats {
 func (e *Engine) Analyzer() *textproc.Analyzer { return e.an }
 
 // SearchRequest executes one structured request: analyze (when Terms
-// is unset), resolve, and run under the strategy effectiveMode picks,
-// returning the ranked hits together with the execution counters. The
-// context cancels mid-execution between postings blocks. This is the
-// primary query entry point; the string-and-int methods below are thin
-// wrappers kept for incremental migration.
+// is unset), resolve, and run the flat scan, returning the ranked hits
+// together with the execution counters. The context cancels
+// mid-execution between postings blocks. This is the primary query
+// entry point; the string-and-int methods below are thin wrappers kept
+// for incremental migration.
 func (e *Engine) SearchRequest(ctx context.Context, req Request) (Response, error) {
 	if err := req.Validate(); err != nil {
 		return Response{}, err
@@ -307,7 +298,7 @@ func (e *Engine) SearchRequest(ctx context.Context, req Request) (Response, erro
 	if req.Trace {
 		resp.Trace = &telemetry.PhaseTrace{}
 	}
-	hits, err := e.searchTermsCtx(ctx, terms, req.K, req.Keep, req.Mode, req.Global, &resp.Stats, resp.Trace)
+	hits, err := e.searchTermsCtx(ctx, terms, req.K, req.Keep, req.Global, &resp.Stats, resp.Trace)
 	if err != nil {
 		return Response{}, err
 	}
@@ -338,7 +329,7 @@ func (e *Engine) SearchTerms(terms []string, k int) []Result {
 // rebuilding the shard; see Request.Keep for when it is consulted.
 // Legacy wrapper; new code should use SearchRequest with Request.Keep.
 func (e *Engine) SearchTermsFiltered(terms []string, k int, keep func(corpus.DocID) bool) []Result {
-	res, _ := e.searchTermsCtx(context.Background(), terms, k, keep, ExecAuto, nil, nil, nil)
+	res, _ := e.searchTermsCtx(context.Background(), terms, k, keep, nil, nil, nil)
 	return res
 }
 
@@ -347,7 +338,7 @@ func (e *Engine) SearchTermsFiltered(terms []string, k int, keep func(corpus.Doc
 // error is the context's. When the engine is instrumented or the
 // caller wants an inline trace, the phases are timed and the query is
 // closed out through finishQuery.
-func (e *Engine) searchTermsCtx(ctx context.Context, terms []string, k int, keep func(corpus.DocID) bool, mode ExecMode, g *GlobalStats, stats *ExecStats, trace *telemetry.PhaseTrace) ([]Result, error) {
+func (e *Engine) searchTermsCtx(ctx context.Context, terms []string, k int, keep func(corpus.DocID) bool, g *GlobalStats, stats *ExecStats, trace *telemetry.PhaseTrace) ([]Result, error) {
 	if k <= 0 || len(terms) == 0 {
 		return nil, nil
 	}
@@ -376,47 +367,12 @@ func (e *Engine) searchTermsCtx(ctx context.Context, terms []string, k int, keep
 		return nil, nil
 	}
 	qs.clock.mark(&qs.clock.resolve)
-	res, err := e.execResolved(ctx, qs, k, qnorm, keep, mode, stats)
+	res, err := e.scanSolo(ctx, qs, k, qnorm, keep, stats)
 	if err != nil {
 		return nil, err
 	}
 	e.finishQuery(qs, len(qs.terms), k, stats, trace)
 	return res, nil
-}
-
-// effectiveMode resolves the strategy a query will actually run under.
-// Without max-impact metadata only the exhaustive scorer can run. Under
-// ExecAuto the exhaustive scorer also takes near-full retrieval
-// (4k ≥ N, where pruning cannot skip much) and every cosine query: the
-// normalized cosine bounds are too loose for MaxScore to shrink its
-// candidate stream, while BM25's saturation bounds do. Measured on the
-// benchmark's own genuine and ghost queries at 9 000 and 100 000
-// documents; see README "How the engine picks a strategy".
-func (e *Engine) effectiveMode(mode ExecMode, k int) ExecMode {
-	switch {
-	case e.impacts == nil || mode == ExecExhaustive:
-		return ExecExhaustive
-	case mode == ExecMaxScore:
-		return ExecMaxScore
-	case 4*k >= e.src.NumDocs() || e.scoring != BM25:
-		return ExecExhaustive
-	default:
-		return ExecMaxScore
-	}
-}
-
-// execResolved dispatches a resolved, weighted query state to an
-// execution strategy. SearchBatch calls it directly for batch members
-// that cannot join the shared traversal, so resolution is never
-// repeated. The effective mode is recorded on the state for telemetry
-// labeling.
-func (e *Engine) execResolved(ctx context.Context, qs *queryState, k int, qnorm float64, keep func(corpus.DocID) bool, mode ExecMode, stats *ExecStats) ([]Result, error) {
-	eff := e.effectiveMode(mode, k)
-	qs.effMode = eff
-	if eff == ExecMaxScore {
-		return e.searchMaxScore(ctx, qs, k, qnorm, keep, stats)
-	}
-	return e.scanSolo(ctx, qs, k, qnorm, keep, stats)
 }
 
 // norm returns document d's lnc vector norm from whichever norm source

@@ -1,14 +1,11 @@
 package vsm
 
 import (
-	"context"
-	"fmt"
 	"math"
 	"slices"
 	"time"
 
 	"toppriv/internal/corpus"
-	"toppriv/internal/index"
 	"toppriv/internal/textproc"
 )
 
@@ -53,116 +50,37 @@ func (pc *phaseClock) total() int64 {
 	return time.Since(pc.began).Nanoseconds()
 }
 
-// ExecMode selects the query-execution strategy. It is an in-process
-// selector (Request.Mode): no flag, config field, HTTP field or wire
-// field carries it, and deployed processes always run ExecAuto. The two
-// explicit modes exist so tests and benchmarks can name the strategy
-// they compare against.
-type ExecMode int
-
-const (
-	// ExecAuto (the default) lets the engine pick (see effectiveMode):
-	// the exhaustive scorer when the source carries no max-impact
-	// metadata or the retrieval is near-full (4k ≥ N), otherwise
-	// MaxScore under BM25 and the exhaustive scorer under cosine. Both
-	// strategies return identical results.
-	ExecAuto ExecMode = iota
-	// ExecMaxScore runs document-at-a-time traversal with MaxScore
-	// top-k pruning: postings lists whose maximum possible contribution
-	// cannot lift a document over the current k-th best score are
-	// consulted only via SeekGE, and candidates are abandoned as soon
-	// as their score bound falls under the threshold. Results are
-	// identical to ExecExhaustive. Requires an ImpactSource; engines
-	// over plain sources quietly fall back to the exhaustive path.
-	ExecMaxScore
-	// ExecExhaustive scores every matching document with the flat scan
-	// (flatScan) — the reference oracle the pruned path is
-	// property-tested against, and the right mode when k approaches the
-	// collection size.
-	ExecExhaustive
-)
-
-// String implements fmt.Stringer.
-func (m ExecMode) String() string {
-	switch m {
-	case ExecAuto:
-		return "auto"
-	case ExecMaxScore:
-		return "maxscore"
-	case ExecExhaustive:
-		return "exhaustive"
-	default:
-		return fmt.Sprintf("ExecMode(%d)", int(m))
-	}
-}
-
-// ImpactSource is the optional Source extension that fuels MaxScore
-// pruning: per-term upper bounds on any single document's score
-// contribution. *index.Index implements it natively (computed by Build,
-// persisted by the codec); live shards maintain it incrementally.
-type ImpactSource interface {
-	// MaxTF is the largest term frequency in the term's postings.
-	MaxTF(id textproc.TermID) int32
-	// MaxCosImpact bounds the lnc cosine partial (1+ln tf)/‖d‖.
-	MaxCosImpact(id textproc.TermID) float64
-	// MaxBM25Impact bounds the BM25 tf-saturation factor for any
-	// document length (see index.BM25TFBound).
-	MaxBM25Impact(id textproc.TermID) float64
-}
-
 // ExecStats counts the work one query performed; returned in every
-// Response to measure pruning effectiveness. All counters are per-call
-// (the engine never retains them). The JSON form is what the HTTP
-// server's search responses carry.
+// Response. All counters are per-call (the engine never retains them).
+// The JSON form is what the HTTP server's search responses carry.
 type ExecStats struct {
-	// DocsScored is the number of documents scored: under the flat scan
-	// every matching document the filter kept (its sum is complete
-	// whether or not the sweep then had to normalize it), under MaxScore
-	// the candidates that were not abandoned on a bound.
+	// DocsScored is the number of documents scored: every matching
+	// document the filter kept (its sum is complete whether or not the
+	// sweep then had to normalize it).
 	DocsScored int `json:"docs_scored"`
-	// DocsPruned is the number of candidate documents MaxScore
-	// abandoned on a bound check before fully scoring them.
+	// DocsPruned is always zero: the flat scan abandons no candidate.
+	// The field stays because the system benchmark (bench/trace.go,
+	// vsm.docs_pruned_per_cycle) reads it and is changed only by
+	// benchmark-only PRs; it goes with that row.
 	DocsPruned int `json:"docs_pruned,omitempty"`
 	// DocsFiltered is the number of matching documents the keep
-	// predicate (tombstones) rejected: the flat scan asks once per
-	// document a query term occurs in, MaxScore once per candidate.
+	// predicate (tombstones) rejected, asked once per document a query
+	// term occurs in.
 	DocsFiltered int `json:"docs_filtered,omitempty"`
-	// Postings is the number of postings visited by the exhaustive
-	// path (0 under MaxScore, which touches lists lazily).
+	// Postings is the number of postings visited.
 	Postings int `json:"postings,omitempty"`
-	// SeekProbes is the total number of document comparisons the
-	// query's iterators made under SeekGE — the traversal cost MaxScore
-	// pays for skipping instead of scanning.
-	SeekProbes int `json:"seek_probes,omitempty"`
 	// BlocksDecoded is how many compressed postings blocks were
-	// actually decoded; blocks passed over by seeks never decode, so
-	// this against Postings/index.BlockSize shows the decode work
-	// pruning saved. 0 over uncompressed sources.
+	// actually decoded (blocks served by a decoded-block cache are not
+	// counted). 0 over uncompressed sources.
 	BlocksDecoded int `json:"blocks_decoded,omitempty"`
 }
 
 // Add accumulates other into s (used by segmented fan-out).
 func (s *ExecStats) Add(other ExecStats) {
 	s.DocsScored += other.DocsScored
-	s.DocsPruned += other.DocsPruned
 	s.DocsFiltered += other.DocsFiltered
 	s.Postings += other.Postings
-	s.SeekProbes += other.SeekProbes
 	s.BlocksDecoded += other.BlocksDecoded
-}
-
-// harvestIterStats folds each iterator's cumulative seek-probe and
-// block-decode counters into stats, once at the end of an execution
-// loop (the counters reset when the pooled iterators are repositioned
-// for the next query).
-func harvestIterStats(its []index.Iterator, stats *ExecStats) {
-	if stats == nil {
-		return
-	}
-	for i := range its {
-		stats.SeekProbes += its[i].SeekProbes()
-		stats.BlocksDecoded += its[i].BlocksDecoded()
-	}
 }
 
 // lnTFTable caches the lnc document weight 1+ln(tf) for small term
@@ -187,29 +105,21 @@ func docWeight(tf int32) float64 {
 }
 
 // qterm is one resolved query term. Terms are kept sorted by ascending
-// TermID — the canonical accumulation order both execution paths share
-// so their floating-point scores agree bit-for-bit.
+// TermID — the canonical accumulation order, which is what makes a
+// member's floating-point scores the same alone and inside any cycle.
 type qterm struct {
 	id   textproc.TermID
 	wire int32   // index of the term's first occurrence in the request bag
 	qtf  int     // query-side term frequency
 	w    float64 // query weight: cosine (1+ln qtf)·idf, BM25 idf
-	ub   float64 // max contribution of this term to any final score
 }
 
 // queryState is the pooled per-query scratch space: the resolved term
-// bag, the flat scan's dense accumulator, the top-k heap, and the
-// MaxScore ordering buffers. One queryState serves one query at a time;
-// engines keep them in a sync.Pool.
+// bag, the flat scan's dense accumulator and the top-k heap. One
+// queryState serves one query at a time; engines keep them in a
+// sync.Pool. (The scan's iterators belong to its union plan.)
 type queryState struct {
 	terms []qterm
-	// its holds one postings iterator per resolved term for MaxScore,
-	// parallel to terms. It lives outside qterm because an iterator
-	// carries its own block-decode buffer (~1 KiB): keeping terms small
-	// keeps their sort and dedup cheap, while the buffers still come from
-	// the pool, not the heap. (The flat scan's iterators belong to its
-	// union plan.)
-	its []index.Iterator
 	// score is the flat scan's accumulator, indexed by local doc ID, and
 	// reached lists the documents a scan has added to, each once, in the
 	// order of their first contributions. Pool invariant: between
@@ -225,25 +135,10 @@ type queryState struct {
 	// pooling an accumulator that breaks the invariant.
 	unswept bool
 	heap    resultHeap
-	ord     []int          // MaxScore: term indexes by ascending ub
-	prefix  []float64      // MaxScore: prefix sums of ub
-	docs    []corpus.DocID // MaxScore: cached current doc per list
-	contrib []float64      // per-term raw contribution of the current candidate
-	avgLen  float64        // BM25: collection average length, read once per query
+	avgLen  float64 // BM25: collection average length, read once per query
 	// clock times the query's phases when telemetry or an inline trace
-	// is requested; effMode records the execution strategy actually
-	// chosen (after ExecAuto resolution) for labeling.
-	clock   phaseClock
-	effMode ExecMode
-}
-
-// iterSlots returns n pooled iterator slots (contents unspecified; the
-// caller assigns every slot it uses).
-func (qs *queryState) iterSlots(n int) []index.Iterator {
-	if cap(qs.its) < n {
-		qs.its = make([]index.Iterator, n)
-	}
-	return qs.its[:n]
+	// is requested.
+	clock phaseClock
 }
 
 // reset prepares the state for a new query. The accumulator needs
@@ -251,9 +146,6 @@ func (qs *queryState) iterSlots(n int) []index.Iterator {
 func (qs *queryState) reset() {
 	qs.terms = qs.terms[:0]
 	qs.heap = qs.heap[:0]
-	qs.ord = qs.ord[:0]
-	qs.prefix = qs.prefix[:0]
-	qs.docs = qs.docs[:0]
 }
 
 // ensureDoc grows the accumulator to cover local doc ID d. Only called
@@ -310,8 +202,7 @@ func (e *Engine) resolveTerms(qs *queryState, terms []string) bool {
 	return true
 }
 
-// weighTerms fills per-term query weights and (when impacts are
-// available) contribution upper bounds. Returns the cosine query norm
+// weighTerms fills per-term query weights. Returns the cosine query norm
 // (1 for BM25). A zero return means the query matches nothing.
 func (e *Engine) weighTerms(qs *queryState) float64 {
 	switch e.scoring {
@@ -326,9 +217,6 @@ func (e *Engine) weighTerms(qs *queryState) float64 {
 				continue
 			}
 			t.w = math.Log(1 + (n-df+0.5)/(df+0.5))
-			if e.impacts != nil {
-				t.ub = t.w * e.impacts.MaxBM25Impact(t.id)
-			}
 		}
 		return 1
 	default: // Cosine
@@ -338,26 +226,16 @@ func (e *Engine) weighTerms(qs *queryState) float64 {
 			t.w = (1 + math.Log(float64(t.qtf))) * e.src.IDF(t.id)
 			qnorm += t.w * t.w
 		}
-		qnorm = math.Sqrt(qnorm)
-		if qnorm == 0 {
-			return 0
-		}
-		if e.impacts != nil {
-			for i := range qs.terms {
-				t := &qs.terms[i]
-				t.ub = t.w * e.impacts.MaxCosImpact(t.id) / qnorm
-			}
-		}
-		return qnorm
+		return math.Sqrt(qnorm)
 	}
 }
 
 // weighTermsGlobal is weighTerms with the collection statistics (N,
-// df, avgdl) replaced by cluster-merged values from a router. Postings,
-// norms and impact bounds stay shard-local; only the query-side weights
-// change, so every shard of a scatter-gather cycle scores exactly as a
-// single index over the whole cluster would. terms is the wire-order
-// request bag that g.DF aligns with.
+// df, avgdl) replaced by cluster-merged values from a router. Postings
+// and norms stay shard-local; only the query-side weights change, so
+// every shard of a scatter-gather cycle scores exactly as a single index
+// over the whole cluster would. terms is the wire-order request bag that
+// g.DF aligns with.
 //
 // The cosine query norm is computed over the wire-order bag — including
 // terms this shard's dictionary lacks but other shards hold — so all
@@ -380,9 +258,6 @@ func (e *Engine) weighTermsGlobal(qs *queryState, terms []string, g *GlobalStats
 				continue
 			}
 			t.w = math.Log(1 + (n-df+0.5)/(df+0.5))
-			if e.impacts != nil {
-				t.ub = t.w * e.impacts.MaxBM25Impact(t.id)
-			}
 		}
 		return 1
 	default: // Cosine
@@ -418,18 +293,14 @@ func (e *Engine) weighTermsGlobal(qs *queryState, terms []string, g *GlobalStats
 				continue
 			}
 			t.w = (1 + math.Log(float64(t.qtf))) * math.Log(1+n/float64(df))
-			if e.impacts != nil {
-				t.ub = t.w * e.impacts.MaxCosImpact(t.id) / qnorm
-			}
 		}
 		return qnorm
 	}
 }
 
-// cancelStride is how many postings (exhaustive) or candidates
-// (pruned modes) are processed between context polls — a few blocks'
-// worth of work, so cancellation lands between blocks without a
-// channel read in the per-posting hot path.
+// cancelStride is how many postings are processed between context
+// polls — a few blocks' worth of work, so cancellation lands between
+// blocks without a channel read in the per-posting hot path.
 const cancelStride = 4096
 
 // canceled polls a context's done channel. A nil channel (background
@@ -446,27 +317,8 @@ func canceled(done <-chan struct{}) bool {
 	}
 }
 
-// impact is the query-independent factor of one posting's
-// contribution: the lnc document weight 1+ln(tf) for cosine, the BM25
-// tf-saturation factor for BM25. A posting adds the per-query term
-// weight times this to its document's score; every execution path
-// accumulates exactly that product in exactly TermID order, which is
-// what makes their floating-point results identical. MaxScore calls it
-// per candidate posting; the flat scan evaluates the same two
-// expressions a block at a time (flatScan), once for every cycle member
-// containing the term.
-func (e *Engine) impact(avgLen float64, tf int32, d corpus.DocID) float64 {
-	if e.scoring == BM25 {
-		ftf := float64(tf)
-		dl := float64(e.src.DocLen(d))
-		denom := ftf + bm25K1*(1-bm25B+bm25B*dl/avgLen)
-		return ftf * (bm25K1 + 1) / denom
-	}
-	return docWeight(tf)
-}
-
 // finalizeScore applies the per-document normalization (cosine) and
-// the static prior, in the same operation order for both paths.
+// the static prior.
 func (e *Engine) finalizeScore(raw float64, d corpus.DocID, qnorm float64) float64 {
 	s := raw
 	if e.scoring != BM25 {
@@ -478,177 +330,4 @@ func (e *Engine) finalizeScore(raw float64, d corpus.DocID, qnorm float64) float
 		s *= e.prior[d]
 	}
 	return s
-}
-
-// searchMaxScore is the document-at-a-time MaxScore loop. Terms are
-// ordered by ascending contribution bound; the lists whose prefix sum
-// of bounds cannot reach the current k-th best score become
-// non-essential and are consulted only by SeekGE for documents the
-// essential lists surface. Candidates are abandoned mid-evaluation
-// once their partial score plus the remaining bounds drops to or under
-// the threshold — safe on ties because traversal is in ascending doc
-// order and the ranking prefers smaller IDs at equal scores. The
-// context is polled every few hundred candidates.
-func (e *Engine) searchMaxScore(ctx context.Context, qs *queryState, k int, qnorm float64, keep func(corpus.DocID) bool, stats *ExecStats) ([]Result, error) {
-	done := ctx.Done()
-	rounds := 0
-	n := len(qs.terms)
-	theta := math.Inf(-1)
-	its := qs.iterSlots(n)
-	// curDocs caches each list's current document (drained sentinel
-	// when exhausted) so the per-candidate scans touch one compact
-	// array instead of striding across the iterators' decode buffers.
-	const drained = corpus.DocID(math.MaxInt32)
-	curDocs := qs.docs[:0]
-	for i := range qs.terms {
-		e.src.IterInto(qs.terms[i].id, &its[i])
-		qs.ord = append(qs.ord, i)
-		if its[i].Valid() {
-			curDocs = append(curDocs, its[i].Doc())
-		} else {
-			curDocs = append(curDocs, drained)
-		}
-	}
-	qs.docs = curDocs
-	if cap(qs.contrib) < n {
-		qs.contrib = make([]float64, n)
-	} else {
-		qs.contrib = qs.contrib[:n]
-	}
-	ord := qs.ord
-	// Insertion sort by ascending bound (ties by TermID): allocation-
-	// free, and n is the query's distinct term count.
-	ubLess := func(a, b int) bool {
-		ta, tb := &qs.terms[a], &qs.terms[b]
-		if ta.ub != tb.ub {
-			return ta.ub < tb.ub
-		}
-		return ta.id < tb.id
-	}
-	for i := 1; i < len(ord); i++ {
-		for j := i; j > 0 && ubLess(ord[j], ord[j-1]); j-- {
-			ord[j], ord[j-1] = ord[j-1], ord[j]
-		}
-	}
-	sum := 0.0
-	for _, i := range ord {
-		sum += qs.terms[i].ub
-		qs.prefix = append(qs.prefix, sum)
-	}
-	qs.clock.mark(&qs.clock.fetch)
-
-	first := 0 // ord[first:] are the essential lists
-	for first < n {
-		if rounds++; rounds&255 == 1 && canceled(done) {
-			return nil, ctx.Err()
-		}
-		// Pick the next candidate: the smallest current doc among the
-		// essential iterators.
-		cand := drained
-		for _, i := range ord[first:] {
-			if curDocs[i] < cand {
-				cand = curDocs[i]
-			}
-		}
-		if cand == drained {
-			break
-		}
-		if keep != nil && !keep(cand) {
-			if stats != nil {
-				stats.DocsFiltered++
-			}
-			for _, i := range ord[first:] {
-				if curDocs[i] == cand {
-					if its[i].Next() {
-						curDocs[i] = its[i].Doc()
-					} else {
-						curDocs[i] = drained
-					}
-				}
-			}
-			continue
-		}
-		// Score the essential lists at the candidate. Contributions are
-		// kept per term in raw units for the canonical final sum; bound
-		// checks stay in raw units too, scaling the threshold by the
-		// candidate's normalization denominator instead of dividing
-		// every partial — a multiplication per check, not a division
-		// per candidate.
-		for i := 0; i < n; i++ {
-			qs.contrib[i] = 0
-		}
-		den := 1.0
-		if e.scoring != BM25 {
-			if nd := e.norm(cand); nd > 0 {
-				den = nd * qnorm
-			}
-		}
-		partial := 0.0
-		for _, i := range ord[first:] {
-			if curDocs[i] == cand {
-				it := &its[i]
-				raw := qs.terms[i].w * e.impact(qs.avgLen, it.TF(), cand)
-				qs.contrib[i] = raw
-				partial += raw
-				if it.Next() {
-					curDocs[i] = it.Doc()
-				} else {
-					curDocs[i] = drained
-				}
-			}
-		}
-		// Non-essential lists, strongest bound first: stop as soon as
-		// the candidate can no longer reach the threshold. In raw
-		// units: partial/den + prefix[j] <= θ  ⟺  partial <= (θ −
-		// prefix[j])·den (den > 0).
-		pruned := false
-		for j := first - 1; j >= 0; j-- {
-			if partial <= (theta-qs.prefix[j])*den {
-				pruned = true
-				break
-			}
-			it := &its[ord[j]]
-			if it.SeekGE(cand) {
-				curDocs[ord[j]] = it.Doc()
-				if it.Doc() == cand {
-					raw := qs.terms[ord[j]].w * e.impact(qs.avgLen, it.TF(), cand)
-					qs.contrib[ord[j]] = raw
-					partial += raw
-				}
-			} else {
-				curDocs[ord[j]] = drained
-			}
-		}
-		if pruned {
-			if stats != nil {
-				stats.DocsPruned++
-			}
-			continue
-		}
-		if stats != nil {
-			stats.DocsScored++
-		}
-		// Canonical final score: sum the raw contributions in TermID
-		// order (absent terms add +0.0, which is exact), then normalize
-		// — bit-identical to the exhaustive accumulator.
-		raw := 0.0
-		for i := 0; i < n; i++ {
-			raw += qs.contrib[i]
-		}
-		s := e.finalizeScore(raw, cand, qnorm)
-		pushTopK(&qs.heap, k, Result{Doc: cand, Score: s})
-		if len(qs.heap) == k {
-			if nt := qs.heap[0].Score; nt > theta {
-				theta = nt
-				for first < n && qs.prefix[first] <= theta {
-					first++
-				}
-			}
-		}
-	}
-	harvestIterStats(its, stats)
-	qs.clock.mark(&qs.clock.traverse)
-	res := drainTopK(&qs.heap)
-	qs.clock.mark(&qs.clock.merge)
-	return res, nil
 }

@@ -214,10 +214,9 @@ func sameHits(got, want []Result) error {
 	return nil
 }
 
-// TestEngineMatchesReferenceScorer holds every way into the engine — a
-// solo request under the planner's rule, the flat scan and MaxScore
-// named explicitly, and a cycle through SearchBatch — to the naive
-// reference scorer, bit for bit. The solo flat scan and the shared
+// TestEngineMatchesReferenceScorer holds both ways into the engine — a
+// solo request and a cycle through SearchBatch — to the naive reference
+// scorer, bit for bit. The solo flat scan and the shared
 // traversal are one kernel, so comparing them with each other proves
 // nothing about it; this does.
 func TestEngineMatchesReferenceScorer(t *testing.T) {
@@ -297,9 +296,6 @@ func TestEngineMatchesReferenceScorer(t *testing.T) {
 								if err := sameHits(resp.Hits, want); err != nil {
 									t.Fatalf("%s member %d (k=%d) %s: %v", name, i, req.K, how, err)
 								}
-								if resp.Trace.Mode == ExecMaxScore.String() {
-									return
-								}
 								// Every flat scan, alone or shared, counts the
 								// same work.
 								got := resp.Stats
@@ -309,14 +305,11 @@ func TestEngineMatchesReferenceScorer(t *testing.T) {
 								}
 							}
 							check("in the batch", batch[i])
-							for _, mode := range []ExecMode{ExecAuto, ExecExhaustive, ExecMaxScore} {
-								req.Mode = mode
-								solo, err := eng.SearchRequest(ctx, req)
-								if err != nil {
-									t.Fatal(err)
-								}
-								check("alone, "+mode.String(), solo)
+							solo, err := eng.SearchRequest(ctx, req)
+							if err != nil {
+								t.Fatal(err)
 							}
+							check("alone", solo)
 						}
 					}
 				}

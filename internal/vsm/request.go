@@ -27,19 +27,10 @@ type Request struct {
 	// validation that used to be scattered across callers now lives
 	// here.
 	K int
-	// Mode names the execution strategy for this request. ExecAuto (the
-	// zero value) lets the engine's rule pick (Engine.effectiveMode);
-	// ExecMaxScore and ExecExhaustive force one, which is how the
-	// bit-identity tests and benchmarks name their reference. Results
-	// are identical across modes. Like Keep it is an in-process
-	// selector and never crosses a process boundary: the HTTP surface
-	// and the shard wire do not carry it, and a router ignores it.
-	Mode ExecMode
 	// Keep, when non-nil, restricts results to documents for which it
 	// returns true. It is consulted at most once per document a query
-	// term occurs in, before the document can enter the top-k: by the
-	// flat scan when it finalizes (in no particular order), by MaxScore
-	// per candidate. Live stores use it to hide tombstones; it is an
+	// term occurs in, before the document can enter the top-k, in no
+	// particular order. Live stores use it to hide tombstones; it is an
 	// in-process knob and never crosses the HTTP surface.
 	Keep func(corpus.DocID) bool
 	// Trace asks for the per-phase timing breakdown of this request in
@@ -50,9 +41,9 @@ type Request struct {
 	// Global, when non-nil, overrides the collection statistics this
 	// request scores with: a scatter-gather router injects the merged
 	// statistics of the whole cluster so every shard scores exactly as
-	// a single index over all documents would, while postings, norms
-	// and impact bounds stay shard-local. Requires Terms (DF aligns
-	// with it); in-process engines and stores leave it nil.
+	// a single index over all documents would, while postings and norms
+	// stay shard-local. Requires Terms (DF aligns with it); in-process
+	// engines and stores leave it nil.
 	Global *GlobalStats
 }
 
@@ -94,10 +85,16 @@ func (r *Request) Validate() error {
 			return fmt.Errorf("vsm: negative global stats")
 		}
 		// A df outside [0, Docs] turns idf negative or NaN, and the
-		// ranking with it.
+		// ranking with it. A term that occurs somewhere in a collection
+		// of no tokens is no collection: BM25's avgdl would be 0 and
+		// every contribution 0 or NaN, which the flat scan relies on
+		// never seeing.
 		for i, df := range g.DF {
 			if df < 0 || df > g.Docs {
 				return fmt.Errorf("vsm: global df[%d] = %d, outside [0, %d docs]", i, df, g.Docs)
+			}
+			if df > 0 && g.TotalLen == 0 {
+				return fmt.Errorf("vsm: global total_len = 0 with df[%d] = %d", i, df)
 			}
 		}
 	}
@@ -111,8 +108,8 @@ type Response struct {
 	// Hits are the top-k documents, best first (descending score,
 	// ascending DocID on ties).
 	Hits []Result
-	// Stats counts the work this query performed (documents scored,
-	// pruned, filtered; blocks decoded). Always populated.
+	// Stats counts the work this query performed (documents scored and
+	// filtered, postings, blocks decoded). Always populated.
 	Stats ExecStats
 	// Trace is the per-phase timing breakdown, populated only when the
 	// request set Trace. Batch members served by the shared traversal

@@ -13,27 +13,29 @@ const (
 	MetricQueriesTotal      = "toppriv_queries_total"
 )
 
+// modeSolo labels a query scanned on its own in traces and in the
+// latency and query-count families. The name predates the single
+// strategy; it is kept so that nothing a dashboard reads is renamed.
+const modeSolo = "exhaustive"
+
 // engineMetrics holds the telemetry handles an instrumented engine
 // updates per query. Every child is resolved once at EnableMetrics
 // time — the hot path does array indexing and atomic adds, never a
 // label lookup.
 type engineMetrics struct {
 	ring *telemetry.TraceRing
-	// lat is indexed by effective ExecMode (ExecMaxScore,
-	// ExecExhaustive); batchLat covers the cycle-at-a-time shared
-	// traversal, which has no single-member mode.
-	lat      [ExecExhaustive + 1]*telemetry.Histogram
+	// soloLat/soloQ cover a query scanned on its own (mode "exhaustive"),
+	// batchLat/batchQ a cycle scanned together (mode "batch").
+	soloLat  *telemetry.Histogram
 	batchLat *telemetry.Histogram
-	queries  [ExecExhaustive + 1]*telemetry.Counter
+	soloQ    *telemetry.Counter
 	batchQ   *telemetry.Counter
 	// phase is indexed resolve, fetch, traverse, merge.
 	phase [4]*telemetry.Histogram
 
 	docsScored    *telemetry.Counter
-	docsPruned    *telemetry.Counter
 	docsFiltered  *telemetry.Counter
 	postings      *telemetry.Counter
-	seekProbes    *telemetry.Counter
 	blocksDecoded *telemetry.Counter
 }
 
@@ -44,15 +46,13 @@ type engineMetrics struct {
 func newEngineMetrics(reg *telemetry.Registry, ring *telemetry.TraceRing, scorer string) *engineMetrics {
 	m := &engineMetrics{ring: ring}
 	lat := reg.HistogramVec(MetricQuerySeconds,
-		"Query latency by scorer and effective execution mode.",
+		"Query latency by scorer and mode (exhaustive = one query scanned alone, batch, store).",
 		telemetry.DefaultLatencyBuckets, "scorer", "mode")
 	q := reg.CounterVec(MetricQueriesTotal,
-		"Queries executed by scorer and effective execution mode.",
+		"Queries executed by scorer and mode (exhaustive = one query scanned alone, batch, store).",
 		"scorer", "mode")
-	for _, md := range []ExecMode{ExecMaxScore, ExecExhaustive} {
-		m.lat[md] = lat.With(scorer, md.String())
-		m.queries[md] = q.With(scorer, md.String())
-	}
+	m.soloLat = lat.With(scorer, modeSolo)
+	m.soloQ = q.With(scorer, modeSolo)
 	m.batchLat = lat.With(scorer, "batch")
 	m.batchQ = q.With(scorer, "batch")
 	ph := reg.HistogramVec(MetricQueryPhaseSeconds,
@@ -63,14 +63,10 @@ func newEngineMetrics(reg *telemetry.Registry, ring *telemetry.TraceRing, scorer
 	}
 	m.docsScored = reg.Counter("toppriv_docs_scored_total",
 		"Documents fully scored across all queries.")
-	m.docsPruned = reg.Counter("toppriv_docs_pruned_total",
-		"Candidate documents abandoned on a bound check before full scoring.")
 	m.docsFiltered = reg.Counter("toppriv_docs_filtered_total",
 		"Documents rejected by the keep predicate (tombstones).")
 	m.postings = reg.Counter("toppriv_postings_total",
-		"Postings visited by exhaustive traversals.")
-	m.seekProbes = reg.Counter("toppriv_seek_probes_total",
-		"Document comparisons made by iterator seeks.")
+		"Postings visited.")
 	m.blocksDecoded = reg.Counter("toppriv_blocks_decoded_total",
 		"Compressed postings blocks decoded.")
 	return m
@@ -82,10 +78,8 @@ func (m *engineMetrics) addStats(stats *ExecStats) {
 		return
 	}
 	m.docsScored.Add(uint64(stats.DocsScored))
-	m.docsPruned.Add(uint64(stats.DocsPruned))
 	m.docsFiltered.Add(uint64(stats.DocsFiltered))
 	m.postings.Add(uint64(stats.Postings))
-	m.seekProbes.Add(uint64(stats.SeekProbes))
 	m.blocksDecoded.Add(uint64(stats.BlocksDecoded))
 }
 
@@ -113,7 +107,7 @@ func (e *Engine) finishQuery(qs *queryState, terms, k int, stats *ExecStats, tra
 	}
 	t := telemetry.PhaseTrace{
 		Scorer:     e.scoring.String(),
-		Mode:       qs.effMode.String(),
+		Mode:       modeSolo,
 		Terms:      terms,
 		K:          k,
 		ResolveNS:  c.resolve,
@@ -124,16 +118,12 @@ func (e *Engine) finishQuery(qs *queryState, terms, k int, stats *ExecStats, tra
 	}
 	if stats != nil {
 		t.DocsScored = stats.DocsScored
-		t.DocsPruned = stats.DocsPruned
 		t.Postings = stats.Postings
-		t.SeekProbes = stats.SeekProbes
 		t.BlocksDecoded = stats.BlocksDecoded
 	}
 	if m := e.metrics; m != nil {
-		if h := m.lat[qs.effMode]; h != nil {
-			h.ObserveSeconds(t.TotalNS)
-			m.queries[qs.effMode].Inc()
-		}
+		m.soloLat.ObserveSeconds(t.TotalNS)
+		m.soloQ.Inc()
 		m.phase[0].ObserveSeconds(c.resolve)
 		m.phase[1].ObserveSeconds(c.fetch)
 		m.phase[2].ObserveSeconds(c.traverse)

@@ -12,8 +12,7 @@ import (
 )
 
 // telemetryEngine builds an instrumented engine over a synthetic
-// corpus large enough that the pruned modes actually seek and decode
-// blocks.
+// corpus.
 func telemetryEngine(t *testing.T) (*Engine, *telemetry.Registry, *telemetry.TraceRing, []string) {
 	t.Helper()
 	spec := corpus.GenSpec{Seed: 311, NumDocs: 400, NumTopics: 4, DocLenMin: 30, DocLenMax: 80}
@@ -45,32 +44,30 @@ func telemetryEngine(t *testing.T) (*Engine, *telemetry.Registry, *telemetry.Tra
 	return eng, reg, ring, terms
 }
 
-// TestExecStatsIteratorCounters pins the satellite surface: SeekProbes
-// and BlocksDecoded flow from the iterators into ExecStats for every
-// execution mode, and Add folds them like the other counters.
+// TestExecStatsIteratorCounters pins the satellite surface:
+// BlocksDecoded flows from the iterators into ExecStats, and Add folds
+// it like the other counters.
 func TestExecStatsIteratorCounters(t *testing.T) {
 	eng, _, _, terms := telemetryEngine(t)
-	for _, mode := range []ExecMode{ExecExhaustive, ExecMaxScore} {
-		var stats ExecStats
-		searchMode(t, eng, terms, 10, nil, mode, &stats)
-		if stats.BlocksDecoded == 0 {
-			t.Errorf("%v: BlocksDecoded = 0, want > 0", mode)
-		}
-		if mode != ExecExhaustive && stats.SeekProbes == 0 {
-			t.Errorf("%v: SeekProbes = 0, want > 0 for a seeking mode", mode)
-		}
-		var sum ExecStats
-		sum.Add(stats)
-		sum.Add(stats)
-		if sum.SeekProbes != 2*stats.SeekProbes || sum.BlocksDecoded != 2*stats.BlocksDecoded {
-			t.Errorf("%v: Add dropped iterator counters: %+v vs %+v", mode, sum, stats)
-		}
+	resp, err := eng.SearchRequest(context.Background(), Request{Terms: terms, K: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats := resp.Stats
+	if stats.BlocksDecoded == 0 {
+		t.Error("BlocksDecoded = 0, want > 0")
+	}
+	var sum ExecStats
+	sum.Add(stats)
+	sum.Add(stats)
+	if sum.BlocksDecoded != 2*stats.BlocksDecoded {
+		t.Errorf("Add dropped iterator counters: %+v vs %+v", sum, stats)
 	}
 }
 
 // TestEngineMetricsObserve checks the engine-side wiring end to end:
-// queries land in the latency and phase histograms under the
-// effective-mode label, the work counters advance, and the trace ring
+// queries land in the latency and phase histograms under the mode
+// label, the work counters advance, and the trace ring
 // retains a structurally-sound trace.
 func TestEngineMetricsObserve(t *testing.T) {
 	eng, reg, ring, terms := telemetryEngine(t)
@@ -117,8 +114,8 @@ func TestEngineMetricsObserve(t *testing.T) {
 	if last.Terms != len(terms) || last.K != 5 || last.Scorer != "cosine" {
 		t.Fatalf("trace = %+v, want terms=%d k=5 scorer=cosine", last, len(terms))
 	}
-	if last.Mode == "" || last.Mode == "auto" {
-		t.Fatalf("trace mode = %q, want the effective (resolved) mode", last.Mode)
+	if last.Mode != "exhaustive" {
+		t.Fatalf("trace mode = %q, want %q for a query scanned alone", last.Mode, "exhaustive")
 	}
 	if last.TotalNS <= 0 || last.TraverseNS <= 0 {
 		t.Fatalf("trace timings not populated: %+v", last)
