@@ -146,7 +146,7 @@ func main() {
 	an := textproc.NewAnalyzer()
 
 	var (
-		searcher vsm.Searcher
+		searcher vsm.RequestSearcher
 		docs     []corpus.Document
 		store    *segment.Store
 		shard    *cluster.Shard

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -16,6 +17,7 @@ import (
 	"toppriv/internal/corpus"
 	"toppriv/internal/segment"
 	"toppriv/internal/textproc"
+	"toppriv/internal/vsm"
 )
 
 func main() {
@@ -54,10 +56,7 @@ func main() {
 
 	query := c.Docs[10].Title
 	fmt.Printf("\nquery %q:\n", query)
-	for _, r := range st.Search(query, 3) {
-		doc, _ := st.Doc(r.Doc)
-		fmt.Printf("  doc %-4d %.4f  %s\n", r.Doc, r.Score, doc.Title)
-	}
+	printTop3(st, query)
 
 	// Deletes are tombstones: visible immediately, reclaimed by
 	// compaction.
@@ -93,8 +92,17 @@ func main() {
 	defer ld.Close()
 	fmt.Printf("\nreloaded from %s: %d live docs, next ID %d\n",
 		dir, ld.NumDocs(), ld.Stats().NextID)
-	for _, r := range ld.Search(query, 3) {
-		doc, _ := ld.Doc(r.Doc)
+	printTop3(ld, query)
+}
+
+// printTop3 runs query against the store and prints its three best hits.
+func printTop3(st *segment.Store, query string) {
+	resp, err := st.SearchRequest(context.Background(), vsm.Request{Query: query, K: 3})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, r := range resp.Hits {
+		doc, _ := st.Doc(r.Doc)
 		fmt.Printf("  doc %-4d %.4f  %s\n", r.Doc, r.Score, doc.Title)
 	}
 }

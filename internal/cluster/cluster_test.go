@@ -17,6 +17,17 @@ import (
 	"toppriv/internal/vsm"
 )
 
+// mustSearch answers one request from the router or a reference engine
+// and fails the test on an error.
+func mustSearch(t testing.TB, s vsm.RequestSearcher, req vsm.Request) []vsm.Result {
+	t.Helper()
+	resp, err := s.SearchRequest(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.Hits
+}
+
 // synthDocs mirrors the segment package's test corpus: topic-skewed
 // synthetic documents with enough vocabulary overlap to make ranking
 // non-trivial.
@@ -242,7 +253,7 @@ func runClusterTrial(t *testing.T, scoring vsm.Scoring, trial int64) {
 					trial, q, resp.Shards)
 			}
 			label := fmt.Sprintf("trial %d query %q k=%d", trial, q, k)
-			compareWithRebuild(t, label, resp.Hits, refEng.SearchTerms(terms, k), k > len(alive), gidToRef)
+			compareWithRebuild(t, label, resp.Hits, mustSearch(t, refEng, vsm.Request{Terms: terms, K: k}), k > len(alive), gidToRef)
 		}
 	}
 	// The same queries as obfuscation-style cycles: auto-mode members
@@ -318,7 +329,7 @@ func checkCycleAgainstRebuild(t *testing.T, label string, r *Router, refEng *vsm
 				t.Fatalf("%s: cycle degraded with all shards healthy: %+v", label, resp.Shards)
 			}
 			compareWithRebuild(t, fmt.Sprintf("%s cycle member %d k=%d", label, i, k),
-				resp.Hits, refEng.SearchTerms(cycle[i], k), k > nAlive, gidToRef)
+				resp.Hits, mustSearch(t, refEng, vsm.Request{Terms: cycle[i], K: k}), k > nAlive, gidToRef)
 		}
 	}
 }

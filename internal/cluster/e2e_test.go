@@ -143,7 +143,7 @@ func TestClusterEndToEnd(t *testing.T) {
 		if sr.Degraded {
 			t.Fatalf("query %q degraded with all shards up: %+v", q, sr.Shards)
 		}
-		want := refEng.SearchTerms(an.Analyze(q), len(alive))
+		want := mustSearch(t, refEng, vsm.Request{Terms: an.Analyze(q), K: len(alive)})
 		if len(sr.Hits) != len(want) {
 			t.Fatalf("query %q: cluster %d hits, rebuild %d", q, len(sr.Hits), len(want))
 		}
@@ -608,7 +608,7 @@ func TestClusterCrashRecoveryE2E(t *testing.T) {
 		if sr.Degraded {
 			t.Fatalf("query %q degraded after full recovery: %+v", q, sr.Shards)
 		}
-		want := refEng.SearchTerms(an.Analyze(q), len(ordered))
+		want := mustSearch(t, refEng, vsm.Request{Terms: an.Analyze(q), K: len(ordered)})
 		if len(sr.Hits) != len(want) {
 			t.Fatalf("query %q: recovered cluster %d hits, rebuild %d", q, len(sr.Hits), len(want))
 		}

@@ -452,9 +452,7 @@ func TestClusterMetricsExposition(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	tc.router.EnableMetrics(reg, nil)
-	if _, err := tc.router.Search("topic", 3), error(nil); err != nil {
-		t.Fatal(err)
-	}
+	mustSearch(t, tc.router, vsm.Request{Query: "topic", K: 3})
 	var buf bytes.Buffer
 	if err := reg.WriteText(&buf); err != nil {
 		t.Fatal(err)

@@ -417,7 +417,7 @@ func runCrashTrial(t *testing.T, scoring vsm.Scoring, trial int64) {
 			if resp.Degraded {
 				t.Fatalf("trial %d: degraded search after full recovery: %+v", trial, resp.Shards)
 			}
-			compareWithRebuild(t, fmt.Sprintf("trial %d k=%d", trial, k), resp.Hits, refEng.SearchTerms(terms, k), k > len(alive), gidToRef)
+			compareWithRebuild(t, fmt.Sprintf("trial %d k=%d", trial, k), resp.Hits, mustSearch(t, refEng, vsm.Request{Terms: terms, K: k}), k > len(alive), gidToRef)
 		}
 	}
 	checkCycleAgainstRebuild(t, fmt.Sprintf("trial %d", trial), r, refEng, gidToRef, len(alive), cycle)

@@ -79,7 +79,7 @@ type Config struct {
 
 // Router is the scatter-gather front of the distributed tier. It
 // implements the same surfaces segment.Store offers search.NewServer —
-// vsm.Searcher, vsm.RequestSearcher, search.LiveIndex, stats, titles —
+// vsm.RequestSearcher, search.LiveIndex, stats, titles —
 // so a router process serves the standard API unchanged while fanning
 // every obfuscation cycle out to the shards.
 //
@@ -887,24 +887,6 @@ func (r *Router) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Res
 		resps[j].Shards = status
 	}
 	return resps, nil
-}
-
-// Search analyzes and runs one query — the legacy vsm.Searcher
-// surface, kept so the router drops into search.NewServer unchanged.
-func (r *Router) Search(query string, k int) []vsm.Result {
-	return r.SearchTerms(r.an.Analyze(query), k)
-}
-
-// SearchTerms runs one pre-analyzed query.
-func (r *Router) SearchTerms(terms []string, k int) []vsm.Result {
-	if k <= 0 || len(terms) == 0 {
-		return nil
-	}
-	resp, err := r.SearchRequest(context.Background(), vsm.Request{Terms: terms, K: k})
-	if err != nil {
-		return nil
-	}
-	return resp.Hits
 }
 
 // Add ingests documents: sequential global IDs, ring placement, one

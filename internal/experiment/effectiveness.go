@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -61,19 +62,25 @@ func Effectiveness(env *Env, seed int64) ([]EffectivenessRow, error) {
 		if len(terms) == 0 {
 			continue
 		}
-		plain[q.ID] = docIDs(engine.SearchTerms(terms, k))
-
 		cyc, err := obf.Obfuscate(terms, rng)
 		if err != nil {
 			return nil, err
 		}
-		topp[q.ID] = docIDs(engine.SearchTerms(cyc.UserQuery(), k))
-
 		group, chosen, err := canon.Substitute(terms, rng)
 		if err != nil {
 			return nil, err
 		}
-		sub[q.ID] = docIDs(engine.SearchTerms(group[chosen], k))
+		resps, err := engine.SearchBatch(context.Background(), []vsm.Request{
+			{Terms: terms, K: k},
+			{Terms: cyc.UserQuery(), K: k},
+			{Terms: group[chosen], K: k},
+		})
+		if err != nil {
+			return nil, err
+		}
+		plain[q.ID] = docIDs(resps[0].Hits)
+		topp[q.ID] = docIDs(resps[1].Hits)
+		sub[q.ID] = docIDs(resps[2].Hits)
 	}
 	return []EffectivenessRow{
 		{Scheme: "plain", Metrics: eval.Evaluate(plain, qrels)},

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -49,8 +50,13 @@ func RetrievalQuality(env *Env, k int, seed int64) ([]QualityRow, error) {
 
 	var topprivSum, pdxSum, canonSum float64
 	n := 0
+	ctx := context.Background()
 	for _, q := range queries {
-		plain := engine.SearchTerms(q, k)
+		resp, err := engine.SearchRequest(ctx, vsm.Request{Terms: q, K: k})
+		if err != nil {
+			return nil, err
+		}
+		plain := resp.Hits
 		if len(plain) == 0 {
 			continue
 		}
@@ -59,27 +65,32 @@ func RetrievalQuality(env *Env, k int, seed int64) ([]QualityRow, error) {
 		for _, r := range plain {
 			plainSet[int(r.Doc)] = true
 		}
-
-		// TopPriv: the genuine query is submitted verbatim inside the
-		// cycle; the client keeps exactly its results.
 		cyc, err := obf.Obfuscate(q, rng)
 		if err != nil {
 			return nil, err
 		}
-		topprivSum += overlap(engine.SearchTerms(cyc.UserQuery(), k), plainSet)
-
-		// PDX: with the scheme's homomorphic protocol the engine scores
-		// only the genuine terms, so fidelity is that of the genuine
-		// query — identical by construction.
-		pdxSum += overlap(engine.SearchTerms(q, k), plainSet)
-
-		// Canonical substitution: the engine sees the canonical query,
-		// never the genuine one.
 		group, chosen, err := canon.Substitute(q, rng)
 		if err != nil {
 			return nil, err
 		}
-		canonSum += overlap(engine.SearchTerms(group[chosen], k), plainSet)
+		resps, err := engine.SearchBatch(ctx, []vsm.Request{
+			// TopPriv: the genuine query is submitted verbatim inside the
+			// cycle; the client keeps exactly its results.
+			{Terms: cyc.UserQuery(), K: k},
+			// PDX: with the scheme's homomorphic protocol the engine scores
+			// only the genuine terms, so fidelity is that of the genuine
+			// query — identical by construction.
+			{Terms: q, K: k},
+			// Canonical substitution: the engine sees the canonical query,
+			// never the genuine one.
+			{Terms: group[chosen], K: k},
+		})
+		if err != nil {
+			return nil, err
+		}
+		topprivSum += overlap(resps[0].Hits, plainSet)
+		pdxSum += overlap(resps[1].Hits, plainSet)
+		canonSum += overlap(resps[2].Hits, plainSet)
 	}
 	if n == 0 {
 		return nil, fmt.Errorf("experiment: no queries with results")

@@ -36,7 +36,8 @@ func postBatch(t *testing.T, url string, batch BatchSearchRequest) (*http.Respon
 
 // TestServerBatchEndpoint pins the batch surface: responses align with
 // the queries by index, each member's hits equal the single-endpoint
-// hits for the same query, and execution stats cross the HTTP layer.
+// hits for the same query, execution stats cross the HTTP layer, and
+// /search is /search/batch of one.
 func TestServerBatchEndpoint(t *testing.T) {
 	f := getFixture(t)
 	queries := []SearchRequest{
@@ -56,18 +57,26 @@ func TestServerBatchEndpoint(t *testing.T) {
 		if single.StatusCode != http.StatusOK {
 			t.Fatalf("single member %d status %d", i, single.StatusCode)
 		}
-		if !reflect.DeepEqual(br.Responses[i].Hits, sr.Hits) {
-			t.Errorf("member %d: batch hits differ from single:\nbatch:  %v\nsingle: %v",
-				i, br.Responses[i].Hits, sr.Hits)
+		// Hits and per-member execution stats: a cycle charges each member
+		// what it costs alone.
+		if !reflect.DeepEqual(br.Responses[i], sr) || sr.Stats == nil || sr.Stats.DocsScored == 0 {
+			t.Errorf("member %d: batch answered %+v, /search %+v; want the same hits and stats, with something scored",
+				i, br.Responses[i], sr)
 		}
-		if br.Responses[i].Stats == nil {
-			t.Errorf("member %d: no stats in batch response", i)
-		} else if br.Responses[i].Stats.DocsScored == 0 {
-			t.Errorf("member %d: stats say nothing was scored", i)
-		}
-		if sr.Stats == nil || sr.Stats.DocsScored == 0 {
-			t.Errorf("member %d: single response missing stats", i)
-		}
+	}
+
+	// One query through either endpoint: the same hits, the same stats,
+	// the same query-log entry.
+	f.server.ResetLog()
+	_, sr := postSearch(t, f.ts.URL, queries[0])
+	logged := f.server.QueryLog()
+	f.server.ResetLog()
+	_, one := postBatch(t, f.ts.URL, BatchSearchRequest{Queries: queries[:1]})
+	if !reflect.DeepEqual(one.Responses, []SearchResponse{sr}) {
+		t.Errorf("one-member batch answered %+v, /search %+v", one.Responses, sr)
+	}
+	if got := f.server.QueryLog(); len(got) != 1 || !reflect.DeepEqual(got, logged) {
+		t.Errorf("one-member batch logged %+v, /search %+v", got, logged)
 	}
 }
 

@@ -7,10 +7,10 @@
 // curious adversary analyzes after the fact — so experiments and tests
 // can attack precisely what a real search engine would retain.
 //
-// The server is backend-agnostic: it serves any vsm.Searcher, whether
-// the immutable single-index engine or the live segment.Store. When the
-// backend implements LiveIndex, the mutation endpoints (POST /index,
-// DELETE /doc/{id}) come alive too.
+// The server is backend-agnostic: it serves any vsm.RequestSearcher —
+// the immutable single-index engine, the live segment.Store, a cluster
+// router. When the backend implements LiveIndex, the mutation endpoints
+// (POST /index, DELETE /doc/{id}) come alive too.
 package search
 
 import (
@@ -92,12 +92,11 @@ type SearchHit struct {
 type SearchResponse struct {
 	Hits []SearchHit `json:"hits"`
 	// Stats carries the engine's execution counters (documents scored
-	// and filtered, postings, blocks decoded) when the backend exposes
-	// them. Nil for legacy backends that only implement vsm.Searcher.
+	// and filtered, postings, blocks decoded). The server always sets it.
 	Stats *vsm.ExecStats `json:"stats,omitempty"`
 	// Trace is the per-phase timing breakdown, present when the request
-	// set "trace": true and the backend supports tracing. Batch members
-	// served by a shared traversal all carry the same cycle-level trace.
+	// set "trace": true. Batch members served by a shared traversal all
+	// carry the same cycle-level trace.
 	Trace *telemetry.PhaseTrace `json:"trace,omitempty"`
 	// Degraded reports that a distributed backend assembled the hits
 	// without every shard (one was down or missed its deadline), so the
@@ -144,13 +143,7 @@ type LoggedQuery struct {
 // Server hosts the search engine over HTTP. It requires no knowledge of
 // TopPriv: ghost queries are indistinguishable requests.
 type Server struct {
-	engine vsm.Searcher
-	// reqs is the structured Request/Response surface (non-nil when
-	// the backend implements vsm.RequestSearcher — both *vsm.Engine
-	// and *segment.Store do); it powers execution stats, context
-	// cancellation and POST /search/batch. Legacy backends fall back
-	// to the Searcher methods and get neither.
-	reqs   vsm.RequestSearcher
+	engine vsm.RequestSearcher
 	live   LiveIndex     // non-nil when engine supports mutation
 	titles titleProvider // non-nil when engine resolves titles directly
 	docs   []corpus.Document
@@ -194,19 +187,16 @@ const (
 	maxIndexBody = 32 << 20 // 32 MiB
 )
 
-// NewServer builds the handler over any Searcher backend. docs may be
-// nil when titles/content are not needed (a live backend resolves
-// documents through its own LiveIndex.Doc instead).
-func NewServer(engine vsm.Searcher, docs []corpus.Document) (*Server, error) {
+// NewServer builds the handler over any backend. docs may be nil when
+// titles/content are not needed (a live backend resolves documents
+// through its own LiveIndex.Doc instead).
+func NewServer(engine vsm.RequestSearcher, docs []corpus.Document) (*Server, error) {
 	if engine == nil {
 		return nil, fmt.Errorf("search: nil engine")
 	}
 	s := &Server{engine: engine, docs: docs, mux: http.NewServeMux(), logCap: DefaultQueryLogCap, maxK: DefaultMaxK, maxBatch: DefaultMaxBatch}
 	if live, ok := engine.(LiveIndex); ok {
 		s.live = live
-	}
-	if reqs, ok := engine.(vsm.RequestSearcher); ok {
-		s.reqs = reqs
 	}
 	if titles, ok := engine.(titleProvider); ok {
 		s.titles = titles
@@ -322,21 +312,28 @@ func (s *Server) decodeQuery(req *SearchRequest) (vsm.Request, error) {
 	if k > s.maxK {
 		k = s.maxK
 	}
-	return vsm.Request{Query: req.Query, K: k, Trace: req.Trace && s.reqs != nil}, nil
+	return vsm.Request{Query: req.Query, K: k, Trace: req.Trace}, nil
 }
 
-// execute runs one decoded request on the best surface the backend
-// offers: the structured RequestSearcher (stats, cancellation) or the
-// legacy Searcher methods.
-func (s *Server) execute(ctx context.Context, vreq vsm.Request) (SearchResponse, error) {
-	if s.reqs != nil {
-		vresp, err := s.reqs.SearchRequest(ctx, vreq)
-		if err != nil {
-			return SearchResponse{}, err
-		}
-		return s.toSearchResponse(&vresp), nil
+// runBatch is what both search endpoints do with decoded requests —
+// /search is a batch of one. Every member is logged as its own
+// query-log entry, in submission order, before anything executes, so
+// the retained log — the adversary's artifact — reads the same whether
+// a cycle arrived together or query by query; then one SearchBatch, and
+// each response shaped for the wire.
+func (s *Server) runBatch(ctx context.Context, vreqs []vsm.Request) ([]SearchResponse, error) {
+	for i := range vreqs {
+		s.logQuery(vreqs[i].Query)
 	}
-	return s.toSearchResponse(&vsm.Response{Hits: s.engine.Search(vreq.Query, vreq.K)}), nil
+	vresps, err := s.engine.SearchBatch(ctx, vreqs)
+	if err != nil {
+		return nil, err
+	}
+	resps := make([]SearchResponse, len(vresps))
+	for i := range vresps {
+		resps[i] = s.toSearchResponse(&vresps[i])
+	}
+	return resps, nil
 }
 
 // toSearchResponse shapes an engine response into the wire form,
@@ -344,16 +341,13 @@ func (s *Server) execute(ctx context.Context, vreq vsm.Request) (SearchResponse,
 // endpoints use. Degradation state (a routed backend's partial-failure
 // signal) passes through untouched.
 func (s *Server) toSearchResponse(vresp *vsm.Response) SearchResponse {
-	results := vresp.Hits
+	results, stats := vresp.Hits, vresp.Stats
 	resp := SearchResponse{
 		Hits:     make([]SearchHit, len(results)),
+		Stats:    &stats,
 		Trace:    vresp.Trace,
 		Degraded: vresp.Degraded,
 		Shards:   vresp.Shards,
-	}
-	if s.reqs != nil {
-		stats := vresp.Stats
-		resp.Stats = &stats
 	}
 	for i, res := range results {
 		hit := SearchHit{Doc: res.Doc, Score: res.Score}
@@ -390,22 +384,17 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-
-	s.logQuery(req.Query)
-
-	resp, err := s.execute(r.Context(), vreq)
+	resps, err := s.runBatch(r.Context(), []vsm.Request{vreq})
 	if err != nil {
 		writeExecError(w, err)
 		return
 	}
-	writeJSON(w, resp)
+	writeJSON(w, resps[0])
 }
 
 // handleSearchBatch serves one whole cycle per round-trip. Every
 // member passes the same decoding and validation as a single /search
-// request, and every member is logged as its own query-log entry
-// before execution — the retained log, the adversary's artifact, is
-// byte-identical to query-by-query submission.
+// request before any is logged or run.
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
@@ -433,35 +422,12 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		vreqs[i] = vreq
 	}
-	// One log entry per cycle member, in submission order, exactly as
-	// query-by-query submission would record them.
-	for i := range batch.Queries {
-		s.logQuery(batch.Queries[i].Query)
-	}
-
-	resp := BatchSearchResponse{Responses: make([]SearchResponse, len(batch.Queries))}
-	if s.reqs != nil {
-		vresps, err := s.reqs.SearchBatch(r.Context(), vreqs)
-		if err != nil {
-			writeExecError(w, err)
-			return
-		}
-		for i := range vresps {
-			resp.Responses[i] = s.toSearchResponse(&vresps[i])
-		}
-		writeJSON(w, resp)
+	resps, err := s.runBatch(r.Context(), vreqs)
+	if err != nil {
+		writeExecError(w, err)
 		return
 	}
-	// Legacy backend: member-at-a-time, same results, no stats.
-	for i := range batch.Queries {
-		sr, err := s.execute(r.Context(), vreqs[i])
-		if err != nil {
-			writeExecError(w, err)
-			return
-		}
-		resp.Responses[i] = sr
-	}
-	writeJSON(w, resp)
+	writeJSON(w, BatchSearchResponse{Responses: resps})
 }
 
 // titleProvider is the optional title-resolution surface for backends

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"toppriv/internal/corpus"
+	"toppriv/internal/telemetry"
 	"toppriv/internal/textproc"
 	"toppriv/internal/vsm"
 )
@@ -78,13 +79,6 @@ func TestStoreSearchBatchMatchesSingle(t *testing.T) {
 						t.Fatalf("member %d rank %d: batch %+v vs single %+v", i, j, batch[i].Hits[j], single.Hits[j])
 					}
 				}
-				// The legacy surface must agree too.
-				legacy := st.SearchTerms(an.Analyze(req.Query), req.K)
-				for j := range legacy {
-					if batch[i].Hits[j] != legacy[j] {
-						t.Fatalf("member %d rank %d: batch %+v vs legacy %+v", i, j, batch[i].Hits[j], legacy[j])
-					}
-				}
 			}
 		})
 	}
@@ -116,5 +110,42 @@ func TestStoreSearchCancellation(t *testing.T) {
 	// Validation errors surface before execution.
 	if _, err := st.SearchBatch(context.Background(), []vsm.Request{{Query: q, K: 0}}); err == nil {
 		t.Error("k = 0 store batch member must error")
+	}
+}
+
+// TestStoreTelemetry pins the store's close-out: a traced batch comes
+// back with the store-level trace and is counted once per member,
+// against a populated store and against one with no live shard — what
+// every query meets on a freshly started, corpus-less searchd.
+func TestStoreTelemetry(t *testing.T) {
+	docs := synthDocs(t, 40, 77)
+	for _, seed := range [][]corpus.Document{docs, nil} {
+		st, err := Open(Config{SealThreshold: 16, DisableCompaction: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		if _, err := st.Add(seed...); err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.NewRegistry()
+		st.EnableMetrics(reg, nil)
+		reqs := []vsm.Request{
+			{Query: queryFrom(docs[3], 0, 4), K: 5, Trace: true},
+			{Query: "zzzzunseenterm", K: 5, Trace: true},
+		}
+		resps, err := st.SearchBatch(context.Background(), reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, resp := range resps {
+			if tr := resp.Trace; tr.Mode != "store" || tr.Batch != len(reqs) || tr.Scorer != "cosine" || tr.TotalNS <= 0 {
+				t.Errorf("%d docs, member %d: trace %+v, want mode store, batch %d, scorer cosine, total_ns > 0", len(seed), i, *tr, len(reqs))
+			}
+		}
+		counted := reg.CounterVec(vsm.MetricQueriesTotal, "", "scorer", "mode").With("cosine", "store")
+		if got := counted.Value(); got != uint64(len(reqs)) {
+			t.Errorf("%d docs: toppriv_queries_total{mode=\"store\"} = %d after a batch of %d", len(seed), got, len(reqs))
+		}
 	}
 }

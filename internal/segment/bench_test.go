@@ -28,6 +28,7 @@ func BenchmarkLiveIndex(b *testing.B) {
 	for i := range queries {
 		queries[i] = queryFrom(c.Docs[(i*31)%numDocs], i%40, 4)
 	}
+	ctx := context.Background()
 
 	b.Run("single", func(b *testing.B) {
 		// The static path: one index, one engine.
@@ -45,8 +46,8 @@ func BenchmarkLiveIndex(b *testing.B) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if res := eng.Search(queries[i%len(queries)], 10); len(res) == 0 {
-				b.Fatal("no results")
+			if resp, err := eng.SearchRequest(ctx, vsm.Request{Query: queries[i%len(queries)], K: 10}); err != nil || len(resp.Hits) == 0 {
+				b.Fatalf("no results (err %v)", err)
 			}
 		}
 	})
@@ -105,7 +106,7 @@ func BenchmarkLiveIndex(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			i := 0
 			for pb.Next() {
-				st.Search(queries[i%len(queries)], 10)
+				st.SearchRequest(ctx, vsm.Request{Query: queries[i%len(queries)], K: 10})
 				i++
 			}
 		})
@@ -173,8 +174,8 @@ func traversalLoop(b *testing.B, st *Store, queries [][]string) {
 	b.Helper()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if res := st.SearchTerms(queries[i%len(queries)], 10); len(res) == 0 {
-			b.Fatal("no results")
+		if resp, err := st.SearchRequest(context.Background(), vsm.Request{Terms: queries[i%len(queries)], K: 10}); err != nil || len(resp.Hits) == 0 {
+			b.Fatalf("no results (err %v)", err)
 		}
 	}
 	b.StopTimer()
@@ -229,7 +230,7 @@ func BenchmarkTraversalWarm(b *testing.B) {
 		defer st.Close()
 		// Prime: one pass over the battery fills the cache.
 		for _, q := range queries {
-			st.SearchTerms(q, 10)
+			st.SearchRequest(context.Background(), vsm.Request{Terms: q, K: 10})
 		}
 		traversalLoop(b, st, queries)
 		if cs, ok := st.CacheStats(); ok && cs.Hits+cs.Misses > 0 {

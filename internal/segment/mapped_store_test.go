@@ -84,11 +84,11 @@ func TestMappedStoreBitIdentical(t *testing.T) {
 		for qi, q := range queries {
 			terms := an.Analyze(q)
 			for _, k := range []int{5, 20} {
-				want := mem.SearchTerms(terms, k)
+				want := mustSearch(t, mem, vsm.Request{Terms: terms, K: k})
 				// Two passes over the cached store: the second is served
 				// (partly) from the block cache and must not drift.
 				for _, st := range []*Store{mapped, cached, cached} {
-					got := st.SearchTerms(terms, k)
+					got := mustSearch(t, st, vsm.Request{Terms: terms, K: k})
 					if len(got) != len(want) {
 						t.Fatalf("scoring %v q%d k=%d: %d results vs %d in-memory",
 							scoring, qi, k, len(got), len(want))
@@ -167,7 +167,7 @@ func TestMappedCacheSurvivesCompaction(t *testing.T) {
 	// Warm the cache, then merge everything down while searches are in
 	// flight against the pre-compaction stack.
 	for _, q := range queries {
-		cached.Search(q, 10)
+		mustSearch(t, cached, vsm.Request{Query: q, K: 10})
 	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -182,7 +182,7 @@ func TestMappedCacheSurvivesCompaction(t *testing.T) {
 				default:
 				}
 				for _, q := range queries {
-					cached.Search(q, 10)
+					mustSearch(t, cached, vsm.Request{Query: q, K: 10})
 				}
 			}
 		}()
@@ -202,9 +202,9 @@ func TestMappedCacheSurvivesCompaction(t *testing.T) {
 	// the first pass repopulates, the second hits.
 	for qi, q := range queries {
 		terms := an.Analyze(q)
-		want := mem.SearchTerms(terms, 10)
+		want := mustSearch(t, mem, vsm.Request{Terms: terms, K: 10})
 		for pass := 0; pass < 2; pass++ {
-			got := cached.SearchTerms(terms, 10)
+			got := mustSearch(t, cached, vsm.Request{Terms: terms, K: 10})
 			if len(got) != len(want) {
 				t.Fatalf("q%d pass %d: %d results vs %d in-memory", qi, pass, len(got), len(want))
 			}
@@ -319,7 +319,7 @@ func TestBloomSkipsSegments(t *testing.T) {
 	}
 	// "dividend" exists only in the second batch; segment 0's bloom was
 	// built from a vocabulary that predates it.
-	res := st.Search("dividend yield", 10)
+	res := mustSearch(t, st, vsm.Request{Query: "dividend yield", K: 10})
 	if len(res) != 1 {
 		t.Fatalf("dividend yield returned %d docs, want 1", len(res))
 	}
@@ -329,14 +329,14 @@ func TestBloomSkipsSegments(t *testing.T) {
 	}
 	// A term present in both segments' vocabularies must not skip and
 	// must still retrieve across segments.
-	if got := st.Search("apache", 10); len(got) != 2 {
+	if got := mustSearch(t, st, vsm.Request{Query: "apache", K: 10}); len(got) != 2 {
 		t.Fatalf("apache returned %d docs, want 2", len(got))
 	}
 	if st.BloomSkips() != skips {
 		t.Fatalf("apache query skipped a segment: %d -> %d", skips, st.BloomSkips())
 	}
 	// Unknown terms skip every sealed segment and return nothing.
-	if got := st.Search("zzzzunseenterm", 10); len(got) != 0 {
+	if got := mustSearch(t, st, vsm.Request{Query: "zzzzunseenterm", K: 10}); len(got) != 0 {
 		t.Fatalf("unseen term returned %d docs", len(got))
 	}
 	if st.BloomSkips() <= skips {

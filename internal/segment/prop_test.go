@@ -127,8 +127,8 @@ func runEquivalenceTrial(t *testing.T, scoring vsm.Scoring, trial int64) {
 		// Full-retrieval comparison: every matching survivor, no top-k
 		// boundary, so document sets and per-document scores must agree.
 		all := len(alive) + 5
-		got := st.Search(q, all)
-		want := refEng.Search(q, all)
+		got := mustSearch(t, st, vsm.Request{Query: q, K: all})
+		want := mustSearch(t, refEng, vsm.Request{Query: q, K: all})
 		if len(got) != len(want) {
 			t.Fatalf("trial %d query %q: store returned %d docs, reference %d",
 				trial, q, len(got), len(want))
@@ -155,8 +155,8 @@ func runEquivalenceTrial(t *testing.T, scoring vsm.Scoring, trial int64) {
 		// Top-k path: the k best scores must match the reference's, even
 		// if exact FP ties order differently across shards.
 		const k = 5
-		gotK := st.Search(q, k)
-		wantK := refEng.Search(q, k)
+		gotK := mustSearch(t, st, vsm.Request{Query: q, K: k})
+		wantK := mustSearch(t, refEng, vsm.Request{Query: q, K: k})
 		if len(gotK) != len(wantK) {
 			t.Fatalf("trial %d query %q: top-%d sizes differ: %d vs %d",
 				trial, q, k, len(gotK), len(wantK))
@@ -228,8 +228,8 @@ func TestEquivalenceSurvivesReload(t *testing.T) {
 	}
 	for i := 0; i < 10; i++ {
 		q := queryFrom(docs[rng.Intn(len(docs))], rng.Intn(20), 4)
-		got := ld.Search(q, len(alive))
-		want := refEng.Search(q, len(alive))
+		got := mustSearch(t, ld, vsm.Request{Query: q, K: len(alive)})
+		want := mustSearch(t, refEng, vsm.Request{Query: q, K: len(alive)})
 		if len(got) != len(want) {
 			t.Fatalf("query %q: %d vs %d results", q, len(got), len(want))
 		}

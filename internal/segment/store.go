@@ -78,8 +78,9 @@ func (c Config) withDefaults() Config {
 }
 
 // Store is a live, segmented search index: Add and Delete mutate it
-// while Search serves concurrently. It implements vsm.Searcher, so
-// anything that can query a vsm.Engine can query a Store.
+// while SearchBatch serves concurrently. It implements
+// vsm.RequestSearcher, so anything that can query a vsm.Engine can query
+// a Store.
 type Store struct {
 	cfg Config
 	an  *textproc.Analyzer
@@ -350,12 +351,11 @@ func (st *Store) Flush() error {
 	return nil
 }
 
-// SearchRequest executes one structured request across all shards —
-// the primary query entry point since the query-API redesign. The
-// request's Keep filter composes with the per-shard tombstone filter;
-// stats accumulate across shards; the context cancels mid-execution
-// between postings blocks. Implements vsm.RequestSearcher together
-// with SearchBatch.
+// SearchRequest executes one structured request across all shards — a
+// batch of one. The request's Keep filter composes with the per-shard
+// tombstone filter; stats accumulate across shards; the context cancels
+// mid-execution between postings blocks. Implements
+// vsm.RequestSearcher together with SearchBatch.
 func (st *Store) SearchRequest(ctx context.Context, req vsm.Request) (vsm.Response, error) {
 	resps, err := st.SearchBatch(ctx, []vsm.Request{req})
 	if err != nil {
@@ -366,10 +366,14 @@ func (st *Store) SearchRequest(ctx context.Context, req vsm.Request) (vsm.Respon
 
 // SearchBatch executes a batch of requests — typically one obfuscation
 // cycle — against every shard with a single fan-out: one goroutine per
-// shard runs the whole batch (sharing term resolution and postings
-// buffers inside the shard engine), then each member's per-shard top-k
-// lists merge into its global top-k. Each member's result is identical
-// to running it alone; the property tests assert it.
+// sealed segment plus the memtable runs the whole batch (sharing term
+// resolution and postings buffers inside the shard engine), then each
+// member's per-shard top-k lists merge into its global top-k with a
+// bounded min-heap. Tombstoned documents are filtered inside each shard
+// before they can be ranked, and every shard scores with the store's
+// global statistics, so each member's ranking equals a single-index
+// search over the surviving documents — and its result is identical to
+// running it alone; the property tests assert both.
 func (st *Store) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Response, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -405,6 +409,7 @@ func (st *Store) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Res
 
 	shards := st.shardsLocked()
 	if len(shards) == 0 {
+		st.finishBatch(&bt, prepared, resps)
 		return resps, nil
 	}
 
@@ -570,31 +575,6 @@ func bloomMayMatch(bl *index.TermBloom, terms []string) bool {
 	return false
 }
 
-// Search analyzes the raw query and returns the global top-k across all
-// shards. Implements vsm.Searcher. Legacy wrapper; new code should use
-// SearchRequest.
-func (st *Store) Search(query string, k int) []vsm.Result {
-	return st.SearchTerms(st.an.Analyze(query), k)
-}
-
-// SearchTerms fans the analyzed query out to every shard concurrently —
-// one goroutine per sealed segment plus the memtable — then merges the
-// per-shard top-k lists with a bounded min-heap. Tombstoned documents
-// are filtered inside each shard before they can be ranked, and every
-// shard scores with the store's global statistics, so the merged
-// ranking equals a single-index search over the surviving documents.
-// Legacy wrapper; new code should use SearchRequest.
-func (st *Store) SearchTerms(terms []string, k int) []vsm.Result {
-	if k <= 0 || len(terms) == 0 {
-		return nil
-	}
-	resp, err := st.SearchRequest(context.Background(), vsm.Request{Terms: terms, K: k})
-	if err != nil {
-		return nil
-	}
-	return resp.Hits
-}
-
 // Scoring returns the store's effective scoring function. After Load
 // this is the manifest's saved scoring, which overrides the config —
 // callers should report this value, not the one they asked for.
@@ -723,5 +703,3 @@ func (st *Store) CacheStats() (index.CacheStats, bool) {
 // BloomSkips returns how many ⟨shard, request⟩ pairs the per-segment
 // bloom filters have pruned since the store opened.
 func (st *Store) BloomSkips() uint64 { return st.bloomSkips.Load() }
-
-var _ vsm.Searcher = (*Store)(nil)

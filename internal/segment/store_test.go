@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -24,6 +25,17 @@ func synthDocs(t testing.TB, n int, seed int64) []corpus.Document {
 		t.Fatal(err)
 	}
 	return c.Docs
+}
+
+// mustSearch answers one request from a store or a reference engine. An
+// error fails the test with Error, not Fatal: query goroutines call it.
+func mustSearch(t testing.TB, s vsm.RequestSearcher, req vsm.Request) []vsm.Result {
+	t.Helper()
+	resp, err := s.SearchRequest(context.Background(), req)
+	if err != nil {
+		t.Error(err)
+	}
+	return resp.Hits
 }
 
 // queryFrom builds a query from consecutive words of a document.
@@ -91,7 +103,7 @@ func TestStoreAddSearchDelete(t *testing.T) {
 	}
 
 	q := queryFrom(docs[5], 3, 5)
-	res := st.Search(q, 10)
+	res := mustSearch(t, st, vsm.Request{Query: q, K: 10})
 	if len(res) == 0 {
 		t.Fatalf("no results for %q", q)
 	}
@@ -114,7 +126,7 @@ func TestStoreAddSearchDelete(t *testing.T) {
 	if st.NumDocs() != 29 {
 		t.Fatalf("NumDocs after delete = %d", st.NumDocs())
 	}
-	for _, r := range st.Search(q, 30) {
+	for _, r := range mustSearch(t, st, vsm.Request{Query: q, K: 30}) {
 		if r.Doc == ids[5] {
 			t.Fatal("tombstoned doc still retrieved")
 		}
@@ -149,7 +161,7 @@ func TestStoreCompactPreservesResults(t *testing.T) {
 	}
 	before := make([][]vsm.Result, len(queries))
 	for i, q := range queries {
-		before[i] = st.Search(q, 15)
+		before[i] = mustSearch(t, st, vsm.Request{Query: q, K: 15})
 	}
 
 	if err := st.Compact(); err != nil {
@@ -163,7 +175,7 @@ func TestStoreCompactPreservesResults(t *testing.T) {
 		t.Fatalf("tombstones after compaction = %d, want 0", stats.Tombstones)
 	}
 	for i, q := range queries {
-		after := st.Search(q, 15)
+		after := mustSearch(t, st, vsm.Request{Query: q, K: 15})
 		if len(after) != len(before[i]) {
 			t.Fatalf("query %q: %d results after compaction, %d before", q, len(after), len(before[i]))
 		}
@@ -201,7 +213,7 @@ func TestBackgroundCompaction(t *testing.T) {
 	if st.NumDocs() != 32 {
 		t.Fatalf("NumDocs = %d after compaction", st.NumDocs())
 	}
-	res := st.Search(queryFrom(docs[9], 2, 5), 5)
+	res := mustSearch(t, st, vsm.Request{Query: queryFrom(docs[9], 2, 5), K: 5})
 	if len(res) == 0 {
 		t.Fatal("no results after background compaction")
 	}
@@ -230,7 +242,7 @@ func TestStorePersistenceRoundTrip(t *testing.T) {
 	}
 	want := make([][]vsm.Result, len(queries))
 	for i, q := range queries {
-		want[i] = st.Search(q, 12)
+		want[i] = mustSearch(t, st, vsm.Request{Query: q, K: 12})
 	}
 	wantStats := st.Stats()
 	if err := st.Save(dir); err != nil {
@@ -252,7 +264,7 @@ func TestStorePersistenceRoundTrip(t *testing.T) {
 		t.Fatalf("loaded NextID = %d, want %d", got, wantStats.NextID)
 	}
 	for i, q := range queries {
-		got := ld.Search(q, 12)
+		got := mustSearch(t, ld, vsm.Request{Query: q, K: 12})
 		if len(got) != len(want[i]) {
 			t.Fatalf("query %q: %d results loaded, want %d", q, len(got), len(want[i]))
 		}
@@ -305,7 +317,7 @@ func TestStoreConcurrentUse(t *testing.T) {
 		rng := rand.New(rand.NewSource(9))
 		for i := 0; i < 300; i++ {
 			q := queryFrom(docs[rng.Intn(len(docs))], rng.Intn(20), 4)
-			st.Search(q, 10)
+			mustSearch(t, st, vsm.Request{Query: q, K: 10})
 		}
 	}()
 	go func() {
@@ -350,7 +362,7 @@ func TestStoreEmptySearch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if res := st.Search("anything", 10); res != nil {
+	if res := mustSearch(t, st, vsm.Request{Query: "anything", K: 10}); res != nil {
 		t.Fatalf("search on empty store = %v", res)
 	}
 	if _, ok := st.Doc(0); ok {
@@ -412,12 +424,15 @@ func ExampleStore() {
 		corpus.Document{Title: "b", Text: "helicopter rotor maintenance manual"},
 		corpus.Document{Title: "c", Text: "submarine reactor fuel handling"},
 	)
-	for _, r := range st.Search("rotor maintenance", 10) {
+	req := vsm.Request{Query: "rotor maintenance", K: 10}
+	resp, _ := st.SearchRequest(context.Background(), req)
+	for _, r := range resp.Hits {
 		doc, _ := st.Doc(r.Doc)
 		fmt.Println("before delete:", doc.Title)
 	}
 	_ = st.Delete(ids[1])
-	fmt.Println("after delete:", len(st.Search("rotor maintenance", 10)), "hits,", st.NumDocs(), "live docs")
+	resp, _ = st.SearchRequest(context.Background(), req)
+	fmt.Println("after delete:", len(resp.Hits), "hits,", st.NumDocs(), "live docs")
 	// Output:
 	// before delete: b
 	// after delete: 0 hits, 2 live docs

@@ -46,8 +46,8 @@ func TestCompactionWarmsCache(t *testing.T) {
 	// block of the merged segment: the whole query pass must hit.
 	for qi, q := range queries {
 		terms := an.Analyze(q)
-		want := mem.SearchTerms(terms, 10)
-		got := cached.SearchTerms(terms, 10)
+		want := mustSearch(t, mem, vsm.Request{Terms: terms, K: 10})
+		got := mustSearch(t, cached, vsm.Request{Terms: terms, K: 10})
 		if len(got) != len(want) {
 			t.Fatalf("q%d: %d results vs %d in-memory", qi, len(got), len(want))
 		}

@@ -1,8 +1,8 @@
 // The flat scan: the engine's one term-at-a-time kernel. A cycle of υ
 // queries and a query on its own run the same two loops — flatScan
-// accumulates, sweep finalizes — the solo query as a one-member cycle
-// (scanSolo). SearchBatch, also here, plans which members of a batch
-// the kernel serves together.
+// accumulates, sweep finalizes — the solo query as a one-member cycle.
+// SearchBatch and runBatch, the one query path that feeds the kernel,
+// are here too.
 
 package vsm
 
@@ -56,7 +56,9 @@ type unionTerm struct {
 // per-block impact buffer the flat scan fills once per distinct block.
 type batchState struct {
 	members []batchMember
-	// shared lists the members the flat scan serves.
+	// pending lists the live members no scan has served yet, shared the
+	// members the current flat scan serves.
+	pending []int
 	shared  []int
 	union   []unionTerm
 	refs    []batchRef
@@ -97,11 +99,11 @@ func (e *Engine) putBatch(bs *batchState) {
 	e.batches.Put(bs)
 }
 
+// reset empties the member table; each scan of the batch empties its own
+// plan (shared, union, refs) before it builds it.
 func (bs *batchState) reset() {
 	bs.members = bs.members[:0]
-	bs.shared = bs.shared[:0]
-	bs.union = bs.union[:0]
-	bs.refs = bs.refs[:0]
+	bs.pending = bs.pending[:0]
 }
 
 // SearchBatch executes a batch of requests — typically the υ queries
@@ -112,13 +114,12 @@ func (bs *batchState) reset() {
 // query-independent impact once, and fans it out to the members
 // containing the term. Members carrying a router's Global statistics
 // join it like any other — a routed cycle shares on every shard segment
-// exactly as it does on a single node; under BM25 the members that share
-// must score with one avgdl (the length cache is valid for one), so the
-// largest same-avgdl group shares and any stragglers (a mixed
-// Global/local batch, a cycle whose members saw different statistics)
-// run the same scan one at a time, with the shared resolution. Either
-// way each member's hits are bit-identical to what SearchRequest would
-// return for it alone; the property tests assert it.
+// exactly as it does on a single node. Under BM25 the members of one
+// scan must score with one avgdl (the length cache is valid for one), so
+// members that agree on avgdl scan together: one scan for a local batch
+// or a routed cycle, one per avgdl for a mixed Global/local batch.
+// Either way each member's hits are bit-identical to what SearchRequest
+// would return for it alone; the property tests assert it.
 //
 // Responses align with reqs by index. The context cancels
 // mid-execution between postings blocks; on cancellation the whole
@@ -133,20 +134,30 @@ func (e *Engine) SearchBatch(ctx context.Context, reqs []Request) ([]Response, e
 		}
 	}
 	resps := make([]Response, len(reqs))
-	m := e.metrics
-	// bc times the batch-level phases: the shared resolution pass, the
-	// union fetch, the cycle-at-a-time traversal and the drains. Members
-	// the shared traversal serves get this cycle-level trace; members
-	// scanned alone get their own per-member clocks.
-	var bc phaseClock
-	bc.enabled = m != nil
+	if err := e.runBatch(ctx, reqs, resps); err != nil {
+		return nil, err
+	}
+	return resps, nil
+}
+
+// runBatch is the engine's one query path: resolve every member, scan
+// the live ones, drain their heaps, close out the telemetry. It answers
+// reqs, already validated, into resps, which the caller hands over
+// zeroed and of the same length. Members that resolve to nothing (no
+// indexable term, zero query norm) keep nil hits and zero stats.
+func (e *Engine) runBatch(ctx context.Context, reqs []Request, resps []Response) error {
+	// pc times each scan's phases: the resolution pass (charged to the
+	// first scan), the union fetch, the traversal and the drains. Every
+	// member of a scan gets that scan's trace.
+	var pc phaseClock
+	pc.enabled = e.metrics != nil
 	for i := range reqs {
 		if reqs[i].Trace {
-			bc.enabled = true
+			pc.enabled = true
 			resps[i].Trace = &telemetry.PhaseTrace{}
 		}
 	}
-	bc.start()
+	pc.start()
 	bs := e.batches.Get().(*batchState)
 	bs.reset()
 	defer func() {
@@ -178,6 +189,7 @@ func (e *Engine) SearchBatch(ctx context.Context, reqs []Request) ([]Response, e
 				}
 				if qnorm != 0 {
 					m.qs, m.qnorm, m.live = qs, qnorm, true
+					bs.pending = append(bs.pending, i)
 				}
 			}
 			if !m.live {
@@ -186,129 +198,41 @@ func (e *Engine) SearchBatch(ctx context.Context, reqs []Request) ([]Response, e
 		}
 		bs.members = append(bs.members, m)
 	}
-	bc.mark(&bc.resolve)
+	pc.mark(&pc.resolve)
 
-	// Plan: every live member shares one scan — under BM25, the largest
-	// group that scores with one avgdl.
-	for i := range bs.members {
-		if bs.members[i].live {
-			bs.shared = append(bs.shared, i)
+	// Members that agree on avgdl (compared by bit pattern) scan
+	// together; cosine has no avgdl, so all of its members do. Members of
+	// one routed cycle, or of one local batch, all agree, so this
+	// normally runs once.
+	for pending := bs.pending; len(pending) > 0; {
+		bs.shared, bs.union, bs.refs = bs.shared[:0], bs.union[:0], bs.refs[:0]
+		avgLen := math.Float64bits(bs.members[pending[0]].qs.avgLen)
+		rest := pending[:0]
+		for _, i := range pending {
+			if e.scoring != BM25 || math.Float64bits(bs.members[i].qs.avgLen) == avgLen {
+				bs.shared = append(bs.shared, i)
+			} else {
+				rest = append(rest, i)
+			}
 		}
-	}
-	if e.scoring == BM25 {
-		bs.shared = largestAvgLenGroup(bs.members, bs.shared)
-	}
-	if shared := bs.shared; len(shared) >= 2 {
+		pending = rest
 		e.buildUnion(bs)
-		bc.mark(&bc.fetch)
+		pc.mark(&pc.fetch)
 		if err := e.flatScan(ctx, bs); err != nil {
-			return nil, err
+			return err
 		}
-		bc.mark(&bc.traverse)
-		for _, i := range shared {
+		pc.mark(&pc.traverse)
+		for _, i := range bs.shared {
 			resps[i].Hits = drainTopK(&bs.members[i].qs.heap)
 			resps[i].Stats = bs.members[i].stats
 		}
-		bc.mark(&bc.merge)
-		e.finishBatch(&bc, bs, resps)
+		pc.mark(&pc.merge)
+		e.finishScan(&pc, bs, resps)
+		// Resolution was shared and is on the scan just closed out; a
+		// further scan's clock carries fetch, traverse and merge only.
+		pc.start()
 	}
-
-	// Anyone left — avgdl stragglers, the one live member of a batch —
-	// is scanned alone. Members the shared traversal served have non-nil
-	// (possibly empty) hit slices; dead members keep nil hits and zero
-	// stats. Resolution was shared, so per-member clocks carry
-	// fetch/traverse/merge only.
-	for i := range bs.members {
-		bm := &bs.members[i]
-		if !bm.live || resps[i].Hits != nil {
-			continue
-		}
-		bm.qs.clock.enabled = m != nil || resps[i].Trace != nil
-		bm.qs.clock.start()
-		hits, err := e.scanSolo(ctx, bm.qs, bm.k, bm.qnorm, bm.keep, &resps[i].Stats)
-		if err != nil {
-			return nil, err
-		}
-		resps[i].Hits = hits
-		e.finishQuery(bm.qs, len(bm.qs.terms), bm.k, &resps[i].Stats, resps[i].Trace)
-	}
-	return resps, nil
-}
-
-// finishBatch closes out one shared traversal: the cycle-level trace
-// aggregates the served members' work counters, is recorded once in
-// the ring and observed once in the latency histogram (mode "batch"),
-// and is copied to every served member that asked for an inline trace.
-func (e *Engine) finishBatch(bc *phaseClock, bs *batchState, resps []Response) {
-	if !bc.enabled {
-		return
-	}
-	shared := bs.shared
-	t := telemetry.PhaseTrace{
-		Scorer:     e.scoring.String(),
-		Mode:       "batch",
-		Terms:      len(bs.union),
-		Batch:      len(shared),
-		ResolveNS:  bc.resolve,
-		FetchNS:    bc.fetch,
-		TraverseNS: bc.traverse,
-		MergeNS:    bc.merge,
-		TotalNS:    bc.total(),
-	}
-	for _, i := range shared {
-		st := &resps[i].Stats
-		t.DocsScored += st.DocsScored
-		t.Postings += st.Postings
-		t.BlocksDecoded += st.BlocksDecoded
-	}
-	if m := e.metrics; m != nil {
-		m.batchLat.ObserveSeconds(t.TotalNS)
-		m.batchQ.Add(uint64(len(shared)))
-		for _, i := range shared {
-			st := resps[i].Stats
-			m.addStats(&st)
-		}
-		if m.ring != nil {
-			t.Seq = m.ring.Record(t)
-		}
-	}
-	for _, i := range shared {
-		if resps[i].Trace != nil {
-			*resps[i].Trace = t
-		}
-	}
-}
-
-// largestAvgLenGroup narrows the BM25 sharing candidates to the largest
-// set scoring with one avgdl (compared by bit pattern; the earliest
-// group wins a tie), filtering cand in place. Members of one routed
-// cycle, or of one local batch, all agree, so this normally returns
-// cand as it came.
-func largestAvgLenGroup(members []batchMember, cand []int) []int {
-	bits := func(i int) uint64 { return math.Float64bits(members[i].qs.avgLen) }
-	var best uint64
-	bestN := 0
-	for _, i := range cand {
-		n := 0
-		for _, j := range cand {
-			if bits(j) == bits(i) {
-				n++
-			}
-		}
-		if n == len(cand) {
-			return cand
-		}
-		if n > bestN {
-			best, bestN = bits(i), n
-		}
-	}
-	group := cand[:0]
-	for _, i := range cand {
-		if bits(i) == best {
-			group = append(group, i)
-		}
-	}
-	return group
+	return nil
 }
 
 // buildUnion assembles the TermID-sorted union plan over bs.shared,
@@ -345,29 +269,6 @@ func (e *Engine) buildUnion(bs *batchState) {
 		}
 		bs.union[n-1].to = ri + 1
 	}
-}
-
-// scanSolo runs the flat scan for one resolved query — a cycle of one.
-// The member table, union plan and block buffers come from the same
-// pool SearchBatch draws on; stats may be nil.
-func (e *Engine) scanSolo(ctx context.Context, qs *queryState, k int, qnorm float64, keep func(corpus.DocID) bool, stats *ExecStats) ([]Result, error) {
-	bs := e.batches.Get().(*batchState)
-	bs.reset()
-	defer e.putBatch(bs)
-	bs.members = append(bs.members, batchMember{qs: qs, qnorm: qnorm, k: k, keep: keep, live: true})
-	bs.shared = append(bs.shared, 0)
-	e.buildUnion(bs)
-	qs.clock.mark(&qs.clock.fetch)
-	if err := e.flatScan(ctx, bs); err != nil {
-		return nil, err
-	}
-	if stats != nil {
-		stats.Add(bs.members[0].stats)
-	}
-	qs.clock.mark(&qs.clock.traverse)
-	res := drainTopK(&qs.heap)
-	qs.clock.mark(&qs.clock.merge)
-	return res, nil
 }
 
 // flatScan scores every posting of every term in bs.union for the

@@ -186,8 +186,8 @@ type plainSource struct{ Source }
 // that nothing selects how a query runs: a solo query is one flat scan
 // ("exhaustive") whatever the scorer, the source or k; a cycle is one
 // shared scan ("batch") whether or not its members have a term in
-// common; and the only members of a batch left to run alone are BM25's
-// avgdl stragglers. Nothing is ever pruned.
+// common; and BM25 members that disagree on avgdl scan in one group per
+// avgdl. Nothing is ever pruned.
 func TestOneStrategy(t *testing.T) {
 	c, gt, err := corpus.Synthesize(corpus.GenSpec{
 		Seed: 31, NumDocs: 300, NumTopics: 8, DocLenMin: 20, DocLenMax: 50,
@@ -256,7 +256,7 @@ func TestOneStrategy(t *testing.T) {
 	}
 
 	// Two BM25 statistics with different avgdl cannot share one length
-	// cache: the larger group shares, the stragglers are scanned alone.
+	// cache: each group is a scan of its own.
 	ga, gb := globalFor(idx, terms, 3, 0), globalFor(idx, terms, 3, 5000)
 	resps, err = eng.SearchBatch(ctx, []Request{
 		{Terms: terms, K: 10, Global: gb, Trace: true},
@@ -268,8 +268,11 @@ func TestOneStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range []string{"exhaustive", "batch", "batch", "exhaustive", "batch"} {
-		ran(fmt.Sprintf("two-avgdl batch member %d", i), resps[i], want)
+	for i, group := range []int{2, 3, 3, 2, 3} {
+		ran(fmt.Sprintf("two-avgdl batch member %d", i), resps[i], "batch")
+		if got := resps[i].Trace.Batch; got != group {
+			t.Errorf("two-avgdl batch member %d: scanned in a group of %d, want %d", i, got, group)
+		}
 	}
 }
 
@@ -497,26 +500,24 @@ func globalFor(idx *index.Index, terms []string, mult int, extraLen int64) *Glob
 // TestSearchBatchGlobalBitIdentical is the property that lets a routed
 // cycle share: members carrying injected statistics join the
 // cycle-at-a-time traversal and still return, bit for bit, what
-// SearchRequest returns for them alone. Three batch shapes per scoring,
+// SearchRequest returns for them alone. Four batch shapes per scoring,
 // with and without the tombstone filter a store always sets: every
 // member on one Global; two Globals with different avgdl (under BM25
-// only the larger group may share one denoms cache); Global mixed with
-// local members.
+// each avgdl has a denoms cache, and a scan, of its own); Global mixed
+// with local members; a Global equal to the local statistics.
 func TestSearchBatchGlobalBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	// stats[i%len] picks member i's statistics: 0 = local, 1 = Global
 	// A, 2 = Global B (another avgdl), 3 = a Global equal to the index's
-	// own statistics. bm25Shared is who the BM25 plan must serve
-	// together; cosine has no avgdl and shares everyone.
+	// own statistics.
 	shapes := []struct {
-		name       string
-		stats      []int
-		bm25Shared func(i int) bool
+		name  string
+		stats []int
 	}{
-		{"one-global", []int{1}, func(int) bool { return true }},
-		{"two-globals", []int{1, 1, 2}, func(i int) bool { return i%3 != 2 }},
-		{"global-and-local", []int{1, 0, 1}, func(i int) bool { return i%3 != 1 }},
-		{"global-equals-local", []int{3, 0}, func(int) bool { return true }},
+		{"one-global", []int{1}},
+		{"two-globals", []int{1, 1, 2}},
+		{"global-and-local", []int{1, 0, 1}},
+		{"global-equals-local", []int{3, 0}},
 	}
 	for _, scoring := range []Scoring{Cosine, BM25} {
 		for _, shape := range shapes {
@@ -587,15 +588,10 @@ func TestSearchBatchGlobalBitIdentical(t *testing.T) {
 									t.Fatalf("trial %d member %d rank %d: batch %+v, solo %+v", trial, i, j, b, h)
 								}
 							}
-							shared := scoring == Cosine || shape.bm25Shared(i)
-							if got := batch[i].Trace.Mode == "batch"; got != shared {
-								t.Fatalf("trial %d member %d: ran as %q, want shared = %v", trial, i, batch[i].Trace.Mode, shared)
+							if mode := batch[i].Trace.Mode; mode != "batch" {
+								t.Fatalf("trial %d member %d: ran as %q, want a shared scan", trial, i, mode)
 							}
-							if !shared {
-								continue
-							}
-							if bs, es := batch[i].Stats, solo.Stats; bs.Postings != es.Postings || bs.BlocksDecoded != es.BlocksDecoded ||
-								bs.DocsScored != es.DocsScored || bs.DocsFiltered != es.DocsFiltered || bs.DocsPruned != 0 {
+							if bs, es := batch[i].Stats, solo.Stats; bs != es || bs.DocsPruned != 0 {
 								t.Errorf("trial %d member %d: shared stats %+v, solo %+v", trial, i, bs, es)
 							}
 						}

@@ -29,7 +29,6 @@ import (
 
 	"toppriv/internal/corpus"
 	"toppriv/internal/index"
-	"toppriv/internal/telemetry"
 	"toppriv/internal/textproc"
 )
 
@@ -65,15 +64,6 @@ const (
 type Result struct {
 	Doc   corpus.DocID
 	Score float64
-}
-
-// Searcher is the query surface shared by the static Engine and live
-// index stores (segment.Store): analyze-and-rank, returning the top-k
-// documents. Server and facade code should depend on this interface so
-// either backend can serve it.
-type Searcher interface {
-	Search(query string, k int) []Result
-	SearchTerms(terms []string, k int) []Result
 }
 
 // Source is the postings-and-statistics surface the engine scores over.
@@ -130,7 +120,7 @@ type Engine struct {
 	states sync.Pool
 	// batches pools the flat scan's scratch (the member table, the
 	// term-union plan with its iterators, the BM25 length cache) across
-	// SearchBatch calls and solo scans.
+	// batches, a solo query's batch of one included.
 	batches sync.Pool
 	// prior, when non-nil, is a static per-document score multiplier in
 	// (0, 1], derived from link analysis (see NewEngineWithPrior).
@@ -280,99 +270,22 @@ func (e *Engine) ComputeStats() index.Stats {
 // Analyzer exposes the engine's analyzer.
 func (e *Engine) Analyzer() *textproc.Analyzer { return e.an }
 
-// SearchRequest executes one structured request: analyze (when Terms
-// is unset), resolve, and run the flat scan, returning the ranked hits
-// together with the execution counters. The context cancels
-// mid-execution between postings blocks. This is the primary query
-// entry point; the string-and-int methods below are thin wrappers kept
-// for incremental migration.
+// SearchRequest executes one structured request — a batch of one: it
+// runs the path SearchBatch runs, over a single member. Hits are the
+// ranked top K (descending score, ascending DocID on ties; none for an
+// empty or fully-stopworded query) and come with the execution
+// counters. The context cancels mid-execution between postings blocks.
 func (e *Engine) SearchRequest(ctx context.Context, req Request) (Response, error) {
 	if err := req.Validate(); err != nil {
 		return Response{}, err
 	}
-	terms := req.Terms
-	if terms == nil {
-		terms = e.an.Analyze(req.Query)
-	}
-	var resp Response
-	if req.Trace {
-		resp.Trace = &telemetry.PhaseTrace{}
-	}
-	hits, err := e.searchTermsCtx(ctx, terms, req.K, req.Keep, req.Global, &resp.Stats, resp.Trace)
-	if err != nil {
+	// The response slot lives in this frame: a solo query allocates its
+	// hits and nothing else.
+	var resp [1]Response
+	if err := e.runBatch(ctx, []Request{req}, resp[:]); err != nil {
 		return Response{}, err
 	}
-	resp.Hits = hits
-	return resp, nil
-}
-
-// Search analyzes the raw query text and returns the top-k documents by
-// descending score. Ties break by ascending DocID for determinism.
-// An empty or fully-stopworded query returns no results.
-//
-// Search is the legacy string-and-int surface, retained as a thin
-// wrapper; new code should use SearchRequest, which adds context
-// cancellation, error returns and execution stats.
-func (e *Engine) Search(query string, k int) []Result {
-	return e.SearchTerms(e.an.Analyze(query), k)
-}
-
-// SearchTerms runs a query that is already analyzed into terms. Legacy
-// wrapper; new code should use SearchRequest with Request.Terms.
-func (e *Engine) SearchTerms(terms []string, k int) []Result {
-	return e.SearchTermsFiltered(terms, k, nil)
-}
-
-// SearchTermsFiltered runs an analyzed query and returns the top-k
-// among documents for which keep returns true (nil keeps everything).
-// Live stores use the filter to hide tombstoned documents without
-// rebuilding the shard; see Request.Keep for when it is consulted.
-// Legacy wrapper; new code should use SearchRequest with Request.Keep.
-func (e *Engine) SearchTermsFiltered(terms []string, k int, keep func(corpus.DocID) bool) []Result {
-	res, _ := e.searchTermsCtx(context.Background(), terms, k, keep, nil, nil, nil)
-	return res
-}
-
-// searchTermsCtx resolves and executes one analyzed query — the shared
-// core under SearchRequest and the legacy wrappers. The only possible
-// error is the context's. When the engine is instrumented or the
-// caller wants an inline trace, the phases are timed and the query is
-// closed out through finishQuery.
-func (e *Engine) searchTermsCtx(ctx context.Context, terms []string, k int, keep func(corpus.DocID) bool, g *GlobalStats, stats *ExecStats, trace *telemetry.PhaseTrace) ([]Result, error) {
-	if k <= 0 || len(terms) == 0 {
-		return nil, nil
-	}
-	m := e.metrics
-	qs := e.states.Get().(*queryState)
-	defer e.putState(qs)
-	qs.reset()
-	qs.clock.enabled = m != nil || trace != nil
-	if qs.clock.enabled && stats == nil {
-		// Traces carry the work counters; collect them locally when the
-		// caller did not ask for any.
-		var local ExecStats
-		stats = &local
-	}
-	qs.clock.start()
-	if !e.resolveTerms(qs, terms) {
-		return nil, nil
-	}
-	qnorm := 0.0
-	if g != nil {
-		qnorm = e.weighTermsGlobal(qs, terms, g)
-	} else {
-		qnorm = e.weighTerms(qs)
-	}
-	if qnorm == 0 {
-		return nil, nil
-	}
-	qs.clock.mark(&qs.clock.resolve)
-	res, err := e.scanSolo(ctx, qs, k, qnorm, keep, stats)
-	if err != nil {
-		return nil, err
-	}
-	e.finishQuery(qs, len(qs.terms), k, stats, trace)
-	return res, nil
+	return resp[0], nil
 }
 
 // norm returns document d's lnc vector norm from whichever norm source

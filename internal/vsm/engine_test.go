@@ -1,6 +1,7 @@
 package vsm
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -33,6 +34,17 @@ func buildEngine(t *testing.T, scoring Scoring, texts ...string) *Engine {
 	return e
 }
 
+// mustSearch answers one request through SearchRequest and fails the
+// test on an error.
+func mustSearch(t testing.TB, e *Engine, req Request) []Result {
+	t.Helper()
+	resp, err := e.SearchRequest(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.Hits
+}
+
 func TestSearchRanksRelevantFirst(t *testing.T) {
 	for _, scoring := range []Scoring{Cosine, BM25} {
 		e := buildEngine(t, scoring,
@@ -41,7 +53,7 @@ func TestSearchRanksRelevantFirst(t *testing.T) {
 			"apache webserver software configuration",
 			"cooking recipes kitchen dinner",
 		)
-		res := e.Search("apache helicopter army", 10)
+		res := mustSearch(t, e, Request{Query: "apache helicopter army", K: 10})
 		if len(res) == 0 {
 			t.Fatalf("%v: no results", scoring)
 		}
@@ -60,7 +72,7 @@ func TestSearchRanksRelevantFirst(t *testing.T) {
 func TestSearchScoresDescending(t *testing.T) {
 	e := buildEngine(t, Cosine,
 		"alpha beta gamma", "alpha beta", "alpha", "delta epsilon")
-	res := e.Search("alpha beta gamma", 10)
+	res := mustSearch(t, e, Request{Query: "alpha beta gamma", K: 10})
 	for i := 1; i < len(res); i++ {
 		if res[i-1].Score < res[i].Score {
 			t.Fatalf("scores not descending: %v", res)
@@ -71,24 +83,24 @@ func TestSearchScoresDescending(t *testing.T) {
 func TestSearchTopKBound(t *testing.T) {
 	e := buildEngine(t, Cosine,
 		"x common", "y common", "z common", "w common", "v common")
-	res := e.Search("common", 3)
+	res := mustSearch(t, e, Request{Query: "common", K: 3})
 	if len(res) != 3 {
 		t.Errorf("k=3 returned %d results", len(res))
 	}
-	if res := e.Search("common", 0); res != nil {
-		t.Error("k=0 should return nil")
+	if _, err := e.SearchRequest(context.Background(), Request{Query: "common", K: 0}); err == nil {
+		t.Error("k=0 should be a validation error")
 	}
 }
 
 func TestSearchEmptyAndUnknown(t *testing.T) {
 	e := buildEngine(t, Cosine, "alpha beta")
-	if res := e.Search("", 5); res != nil {
+	if res := mustSearch(t, e, Request{Query: "", K: 5}); res != nil {
 		t.Error("empty query should return nil")
 	}
-	if res := e.Search("zzzz qqqq", 5); res != nil {
+	if res := mustSearch(t, e, Request{Query: "zzzz qqqq", K: 5}); res != nil {
 		t.Error("out-of-vocabulary query should return nil")
 	}
-	if res := e.Search("the and of", 5); res != nil {
+	if res := mustSearch(t, e, Request{Query: "the and of", K: 5}); res != nil {
 		t.Error("stopword-only query should return nil")
 	}
 }
@@ -100,7 +112,7 @@ func TestCosineNormalization(t *testing.T) {
 		"apache helicopter",
 		"apache one two three four five six seven eight nine ten eleven twelve",
 	)
-	res := e.Search("apache helicopter", 2)
+	res := mustSearch(t, e, Request{Query: "apache helicopter", K: 2})
 	if len(res) != 2 || res[0].Doc != 0 {
 		t.Errorf("normalization failed: %v", res)
 	}
@@ -111,7 +123,7 @@ func TestBM25LengthNormalization(t *testing.T) {
 		"apache helicopter",
 		"apache one two three four five six seven eight nine ten eleven twelve",
 	)
-	res := e.Search("apache helicopter", 2)
+	res := mustSearch(t, e, Request{Query: "apache helicopter", K: 2})
 	if len(res) != 2 || res[0].Doc != 0 {
 		t.Errorf("BM25 length normalization failed: %v", res)
 	}
@@ -126,7 +138,7 @@ func TestIDFDominates(t *testing.T) {
 		"common filler2",
 		"common filler3",
 	)
-	res := e.Search("rare common", 4)
+	res := mustSearch(t, e, Request{Query: "rare common", K: 4})
 	if res[0].Doc != 0 {
 		t.Errorf("rare-term doc should rank first: %v", res)
 	}
@@ -135,7 +147,7 @@ func TestIDFDominates(t *testing.T) {
 func TestDeterministicTieBreak(t *testing.T) {
 	e := buildEngine(t, Cosine, "same text", "same text", "same text")
 	for trial := 0; trial < 5; trial++ {
-		res := e.Search("same text", 3)
+		res := mustSearch(t, e, Request{Query: "same text", K: 3})
 		if len(res) != 3 {
 			t.Fatalf("got %d results", len(res))
 		}
@@ -149,7 +161,7 @@ func TestDeterministicTieBreak(t *testing.T) {
 
 func TestSearchTermsBypassesAnalysis(t *testing.T) {
 	e := buildEngine(t, Cosine, "alpha beta", "gamma delta")
-	res := e.SearchTerms([]string{"alpha"}, 5)
+	res := mustSearch(t, e, Request{Terms: []string{"alpha"}, K: 5})
 	if len(res) != 1 || res[0].Doc != 0 {
 		t.Errorf("SearchTerms = %v", res)
 	}
@@ -182,7 +194,7 @@ func TestCosineScoreRange(t *testing.T) {
 	e, _ := NewEngine(idx, textproc.NewAnalyzer(), Cosine)
 	qs, _ := corpus.Workload(gt, corpus.WorkloadSpec{Seed: 3, NumQueries: 30})
 	for _, q := range qs {
-		for _, r := range e.Search(q.Text(), 10) {
+		for _, r := range mustSearch(t, e, Request{Query: q.Text(), K: 10}) {
 			if r.Score < 0 || r.Score > 1+1e-9 || math.IsNaN(r.Score) {
 				t.Fatalf("cosine score %v out of range for query %q", r.Score, q.Text())
 			}
@@ -203,7 +215,7 @@ func TestSearchMonotoneUnderIrrelevantDocs(t *testing.T) {
 		an := textproc.NewAnalyzer()
 		e, _ := NewEngine(idx, an, Cosine)
 		q := gt.TopicWords[0][0] + " " + gt.TopicWords[0][1]
-		res := e.Search(q, 100)
+		res := mustSearch(t, e, Request{Query: q, K: 100})
 		set := map[corpus.DocID]bool{}
 		for _, r := range res {
 			set[r.Doc] = true
@@ -243,7 +255,7 @@ func TestEngineWithPriorReordersTies(t *testing.T) {
 	idx, _ := index.Build(c)
 	// Without a prior, doc 0 wins the tie-break.
 	plain, _ := NewEngine(idx, an, Cosine)
-	res := plain.Search("same text", 2)
+	res := mustSearch(t, plain, Request{Query: "same text", K: 2})
 	if res[0].Doc != 0 {
 		t.Fatalf("baseline tie-break broken: %v", res)
 	}
@@ -252,7 +264,7 @@ func TestEngineWithPriorReordersTies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res = e.Search("same text", 2)
+	res = mustSearch(t, e, Request{Query: "same text", K: 2})
 	if res[0].Doc != 1 {
 		t.Fatalf("prior ignored: %v", res)
 	}
@@ -261,7 +273,7 @@ func TestEngineWithPriorReordersTies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res = e0.Search("same text", 2)
+	res = mustSearch(t, e0, Request{Query: "same text", K: 2})
 	if res[0].Doc != 0 {
 		t.Fatalf("weight 0 should be pure similarity: %v", res)
 	}
@@ -311,7 +323,7 @@ func TestEngineWithPageRankPrior(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := e.SearchTerms(an.Analyze(c.Docs[0].Text)[:5], 10)
+	res := mustSearch(t, e, Request{Terms: an.Analyze(c.Docs[0].Text)[:5], K: 10})
 	if len(res) == 0 {
 		t.Fatal("no results with prior-modulated engine")
 	}

@@ -10,11 +10,11 @@ import (
 )
 
 // phaseClock times the resolve/fetch/traverse/merge phases of one
-// query. Disabled (the common case without telemetry) it costs one
+// scan. Disabled (the common case without telemetry) it costs one
 // predictable branch per mark and no time.Now calls; enabled it is
-// ~5 monotonic clock reads per query, well under the instrumentation
-// budget the benchmarks gate. It lives in the pooled queryState so
-// enabling tracing allocates nothing.
+// ~7 monotonic clock reads per query, well under the instrumentation
+// budget the benchmarks gate. It lives in runBatch's frame, so enabling
+// tracing allocates nothing.
 type phaseClock struct {
 	enabled                         bool
 	began                           time.Time
@@ -136,9 +136,6 @@ type queryState struct {
 	unswept bool
 	heap    resultHeap
 	avgLen  float64 // BM25: collection average length, read once per query
-	// clock times the query's phases when telemetry or an inline trace
-	// is requested.
-	clock phaseClock
 }
 
 // reset prepares the state for a new query. The accumulator needs

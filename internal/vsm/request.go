@@ -9,11 +9,10 @@ import (
 )
 
 // Request is one structured similarity query — the unit the engine,
-// the live store, the HTTP server and the trusted client all speak
-// since the query-API redesign. The paper's system model (§III,
-// Fig. 1) submits each obfuscation cycle's υ queries together; Request
-// is the per-member shape and SearchBatch the cycle-at-a-time entry
-// point.
+// the live store, the HTTP server and the trusted client all speak.
+// The paper's system model (§III, Fig. 1) submits each obfuscation
+// cycle's υ queries together; Request is the per-member shape and
+// SearchBatch the cycle-at-a-time entry point.
 type Request struct {
 	// Query is the raw query text, analyzed by the engine's analyzer
 	// when Terms is nil. Ignored when Terms is set.
@@ -23,9 +22,7 @@ type Request struct {
 	// client canonicalizes word order before submission) pass Terms so
 	// the text pipeline runs exactly once per query.
 	Terms []string
-	// K is the number of results wanted. Must be positive; the
-	// validation that used to be scattered across callers now lives
-	// here.
+	// K is the number of results wanted. Must be positive (Validate).
 	K int
 	// Keep, when non-nil, restricts results to documents for which it
 	// returns true. It is consulted at most once per document a query
@@ -67,9 +64,9 @@ type GlobalStats struct {
 
 // Validate rejects malformed requests. Empty queries are not an
 // error — a fully-stopworded query legitimately matches nothing and
-// returns an empty Response — but a non-positive K is a caller bug the
-// old int-parameter surface silently swallowed. Every execution layer
-// (engine, store, HTTP server) applies the same check.
+// returns an empty Response — but a non-positive K is a caller bug.
+// Every execution layer (engine, store, HTTP server) applies the same
+// check.
 func (r *Request) Validate() error {
 	if r.K <= 0 {
 		return fmt.Errorf("vsm: request k = %d, must be positive", r.K)
@@ -102,8 +99,7 @@ func (r *Request) Validate() error {
 }
 
 // Response is the engine's reply to one Request: the ranked hits plus
-// the execution counters that previously could not cross API
-// boundaries at all.
+// the execution counters.
 type Response struct {
 	// Hits are the top-k documents, best first (descending score,
 	// ascending DocID on ties).
@@ -137,14 +133,14 @@ type ShardStatus struct {
 	Err string `json:"err,omitempty"`
 }
 
-// RequestSearcher is the structured query surface shared by the static
-// Engine and the live segment.Store: context-aware, error-returning,
-// with per-request knobs and execution stats. The string-and-int
-// Searcher methods remain as thin wrappers over it for incremental
-// migration.
+// RequestSearcher is the query surface shared by the static Engine, the
+// live segment.Store and the cluster router: context-aware,
+// error-returning, with per-request knobs and execution stats. Server
+// and facade code depend on this interface so any backend can serve
+// them.
 type RequestSearcher interface {
-	// SearchRequest executes one request. The context cancels
-	// mid-execution between postings blocks.
+	// SearchRequest executes one request — a batch of one. The context
+	// cancels mid-execution between postings blocks.
 	SearchRequest(ctx context.Context, req Request) (Response, error)
 	// SearchBatch executes a batch — typically one obfuscation
 	// cycle — sharing term resolution and postings buffers across

@@ -13,9 +13,10 @@ const (
 	MetricQueriesTotal      = "toppriv_queries_total"
 )
 
-// modeSolo labels a query scanned on its own in traces and in the
-// latency and query-count families. The name predates the single
-// strategy; it is kept so that nothing a dashboard reads is renamed.
+// modeSolo labels a scan of one member — a solo query, or the only live
+// member of a batch — in traces and in the latency and query-count
+// families. The name predates the single strategy; it is kept so that
+// nothing a dashboard reads is renamed.
 const modeSolo = "exhaustive"
 
 // engineMetrics holds the telemetry handles an instrumented engine
@@ -24,8 +25,8 @@ const modeSolo = "exhaustive"
 // label lookup.
 type engineMetrics struct {
 	ring *telemetry.TraceRing
-	// soloLat/soloQ cover a query scanned on its own (mode "exhaustive"),
-	// batchLat/batchQ a cycle scanned together (mode "batch").
+	// soloLat/soloQ cover a scan of one member (mode "exhaustive"),
+	// batchLat/batchQ a scan of several (mode "batch").
 	soloLat  *telemetry.Histogram
 	batchLat *telemetry.Histogram
 	soloQ    *telemetry.Counter
@@ -74,9 +75,6 @@ func newEngineMetrics(reg *telemetry.Registry, ring *telemetry.TraceRing, scorer
 
 // addStats folds one query's work counters into the running totals.
 func (m *engineMetrics) addStats(stats *ExecStats) {
-	if stats == nil {
-		return
-	}
 	m.docsScored.Add(uint64(stats.DocsScored))
 	m.docsFiltered.Add(uint64(stats.DocsFiltered))
 	m.postings.Add(uint64(stats.Postings))
@@ -95,45 +93,62 @@ func (e *Engine) EnableMetrics(reg *telemetry.Registry, ring *telemetry.TraceRin
 	e.metrics = newEngineMetrics(reg, ring, e.scoring.String())
 }
 
-// finishQuery closes out one instrumented query: it builds the phase
-// trace from the state's clock and counters, observes the latency and
-// phase histograms, bumps the aggregate counters, records the trace in
-// the ring, and copies it to the caller's inline sink. No-op when
-// neither telemetry nor an inline trace was requested.
-func (e *Engine) finishQuery(qs *queryState, terms, k int, stats *ExecStats, trace *telemetry.PhaseTrace) {
-	c := &qs.clock
-	if !c.enabled {
+// finishScan closes out one flat scan — the one place a query's
+// telemetry is produced, whatever the scan's size. It builds the scan's
+// phase trace from the clock and the served members' work counters,
+// observes the latency and phase histograms once, counts the members,
+// records the trace in the ring, and copies it to every served member
+// that asked for one inline. A scan of one member is labelled modeSolo
+// and carries its K; a scan of several is labelled "batch" and carries
+// how many. No-op when neither telemetry nor an inline trace was
+// requested.
+func (e *Engine) finishScan(pc *phaseClock, bs *batchState, resps []Response) {
+	if !pc.enabled {
 		return
 	}
+	served := bs.shared
 	t := telemetry.PhaseTrace{
 		Scorer:     e.scoring.String(),
 		Mode:       modeSolo,
-		Terms:      terms,
-		K:          k,
-		ResolveNS:  c.resolve,
-		FetchNS:    c.fetch,
-		TraverseNS: c.traverse,
-		MergeNS:    c.merge,
-		TotalNS:    c.total(),
+		Terms:      len(bs.union),
+		ResolveNS:  pc.resolve,
+		FetchNS:    pc.fetch,
+		TraverseNS: pc.traverse,
+		MergeNS:    pc.merge,
+		TotalNS:    pc.total(),
 	}
-	if stats != nil {
-		t.DocsScored = stats.DocsScored
-		t.Postings = stats.Postings
-		t.BlocksDecoded = stats.BlocksDecoded
+	if len(served) == 1 {
+		t.K = bs.members[served[0]].k
+	} else {
+		t.Mode, t.Batch = "batch", len(served)
+	}
+	for _, i := range served {
+		st := &resps[i].Stats
+		t.DocsScored += st.DocsScored
+		t.Postings += st.Postings
+		t.BlocksDecoded += st.BlocksDecoded
 	}
 	if m := e.metrics; m != nil {
-		m.soloLat.ObserveSeconds(t.TotalNS)
-		m.soloQ.Inc()
-		m.phase[0].ObserveSeconds(c.resolve)
-		m.phase[1].ObserveSeconds(c.fetch)
-		m.phase[2].ObserveSeconds(c.traverse)
-		m.phase[3].ObserveSeconds(c.merge)
-		m.addStats(stats)
+		lat, queries := m.soloLat, m.soloQ
+		if len(served) > 1 {
+			lat, queries = m.batchLat, m.batchQ
+		}
+		lat.ObserveSeconds(t.TotalNS)
+		queries.Add(uint64(len(served)))
+		m.phase[0].ObserveSeconds(pc.resolve)
+		m.phase[1].ObserveSeconds(pc.fetch)
+		m.phase[2].ObserveSeconds(pc.traverse)
+		m.phase[3].ObserveSeconds(pc.merge)
+		for _, i := range served {
+			m.addStats(&resps[i].Stats)
+		}
 		if m.ring != nil {
 			t.Seq = m.ring.Record(t)
 		}
 	}
-	if trace != nil {
-		*trace = t
+	for _, i := range served {
+		if resps[i].Trace != nil {
+			*resps[i].Trace = t
+		}
 	}
 }

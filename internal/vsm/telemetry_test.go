@@ -65,63 +65,75 @@ func TestExecStatsIteratorCounters(t *testing.T) {
 	}
 }
 
-// TestEngineMetricsObserve checks the engine-side wiring end to end:
-// queries land in the latency and phase histograms under the mode
-// label, the work counters advance, and the trace ring
-// retains a structurally-sound trace.
+// TestEngineMetricsObserve checks the engine-side wiring end to end,
+// for a query on its own and for a cycle: every scan lands once in the
+// latency histogram under its mode label and once in each phase
+// histogram, every member is counted, the work counters advance, and
+// the trace ring retains a structurally-sound trace.
 func TestEngineMetricsObserve(t *testing.T) {
-	eng, reg, ring, terms := telemetryEngine(t)
-	const n = 4
-	ctx := context.Background()
-	for i := 0; i < n; i++ {
-		if _, err := eng.SearchRequest(ctx, Request{Terms: terms, K: 5}); err != nil {
+	for _, tc := range []struct {
+		mode           string
+		members, k, of int // of: the trace's Batch
+	}{{"exhaustive", 1, 5, 0}, {"batch", 3, 0, 3}} {
+		eng, reg, ring, terms := telemetryEngine(t)
+		const n = 4
+		ctx := context.Background()
+		reqs := make([]Request, tc.members)
+		for i := range reqs {
+			reqs[i] = Request{Terms: terms, K: 5}
+		}
+		for i := 0; i < n; i++ {
+			var err error
+			if tc.members == 1 {
+				_, err = eng.SearchRequest(ctx, reqs[0])
+			} else {
+				_, err = eng.SearchBatch(ctx, reqs)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		var sb strings.Builder
+		if err := reg.WriteText(&sb); err != nil {
 			t.Fatal(err)
 		}
-	}
-
-	var sb strings.Builder
-	if err := reg.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	fams, err := telemetry.ParseText(strings.NewReader(sb.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var latCount, queries float64
-	for _, f := range fams {
-		switch f.Name {
-		case MetricQuerySeconds:
+		fams, err := telemetry.ParseText(strings.NewReader(sb.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var latCount, phaseCount, queries float64
+		for _, f := range fams {
 			for _, s := range f.Samples {
-				if strings.HasSuffix(s.Name, "_count") {
+				switch count := strings.HasSuffix(s.Name, "_count"); {
+				case f.Name == MetricQuerySeconds && count && s.Labels["mode"] == tc.mode:
 					latCount += s.Value
+				case f.Name == MetricQueryPhaseSeconds && count:
+					phaseCount += s.Value
+				case f.Name == MetricQueriesTotal && s.Labels["mode"] == tc.mode:
+					queries += s.Value
 				}
 			}
-		case MetricQueriesTotal:
-			for _, s := range f.Samples {
-				queries += s.Value
-			}
 		}
-	}
-	if latCount != n || queries != n {
-		t.Fatalf("histogram count = %v, queries_total = %v, want %d each", latCount, queries, n)
-	}
+		if latCount != n || phaseCount != 4*n || queries != float64(n*tc.members) {
+			t.Fatalf("%s: histogram count = %v, count over the four phases = %v, queries_total = %v, want %d, %d, %d",
+				tc.mode, latCount, phaseCount, queries, n, 4*n, n*tc.members)
+		}
 
-	if ring.Len() != n {
-		t.Fatalf("trace ring retains %d, want %d", ring.Len(), n)
-	}
-	traces := ring.Snapshot()
-	last := traces[len(traces)-1]
-	if last.Terms != len(terms) || last.K != 5 || last.Scorer != "cosine" {
-		t.Fatalf("trace = %+v, want terms=%d k=5 scorer=cosine", last, len(terms))
-	}
-	if last.Mode != "exhaustive" {
-		t.Fatalf("trace mode = %q, want %q for a query scanned alone", last.Mode, "exhaustive")
-	}
-	if last.TotalNS <= 0 || last.TraverseNS <= 0 {
-		t.Fatalf("trace timings not populated: %+v", last)
-	}
-	if last.DocsScored == 0 || last.BlocksDecoded == 0 {
-		t.Fatalf("trace work counters not populated: %+v", last)
+		if ring.Len() != n {
+			t.Fatalf("%s: trace ring retains %d, want %d", tc.mode, ring.Len(), n)
+		}
+		traces := ring.Snapshot()
+		last := traces[len(traces)-1]
+		if last.Terms != len(terms) || last.K != tc.k || last.Batch != tc.of || last.Scorer != "cosine" || last.Mode != tc.mode {
+			t.Fatalf("trace = %+v, want terms=%d k=%d batch=%d scorer=cosine mode=%s", last, len(terms), tc.k, tc.of, tc.mode)
+		}
+		if last.TotalNS <= 0 || last.TraverseNS <= 0 {
+			t.Fatalf("%s: trace timings not populated: %+v", tc.mode, last)
+		}
+		if last.DocsScored == 0 || last.BlocksDecoded == 0 {
+			t.Fatalf("%s: trace work counters not populated: %+v", tc.mode, last)
+		}
 	}
 }
 

@@ -195,7 +195,7 @@ type Service struct {
 	Beliefs     *BeliefEngine
 
 	analyzer *Analyzer
-	searcher vsm.Searcher
+	searcher vsm.RequestSearcher
 	store    *segment.Store // non-nil in live mode
 	inf      *lda.Inferencer
 
@@ -244,7 +244,7 @@ func NewService(spec ServiceSpec) (*Service, error) {
 		scoring = vsm.BM25
 	}
 	var (
-		searcher vsm.Searcher
+		searcher vsm.RequestSearcher
 		store    *segment.Store
 	)
 	switch {
@@ -348,10 +348,12 @@ func (s *Service) Analyzer() *Analyzer { return s.analyzer }
 func (s *Service) AnalyzeQuery(raw string) []string { return s.analyzer.Analyze(raw) }
 
 // Search runs an (unprotected) similarity query directly against the
-// local engine, returning up to k results. Legacy wrapper; new code
-// should use SearchRequest.
+// local engine, returning up to k results: SearchRequest without the
+// context, the stats or the error, which only a non-positive k can
+// raise here (it returns no hits).
 func (s *Service) Search(raw string, k int) []SearchHit {
-	return s.toHits(s.searcher.Search(raw, k))
+	hits, _, _ := s.SearchRequest(context.Background(), Request{Query: raw, K: k})
+	return hits
 }
 
 // SearchRequest runs one structured (unprotected) query against the
@@ -359,11 +361,7 @@ func (s *Service) Search(raw string, k int) []SearchHit {
 // execution stats. Hits carry titles resolved
 // against the service's document source.
 func (s *Service) SearchRequest(ctx context.Context, req Request) ([]SearchHit, ExecStats, error) {
-	rs, ok := s.searcher.(vsm.RequestSearcher)
-	if !ok {
-		return nil, ExecStats{}, fmt.Errorf("toppriv: %T does not implement vsm.RequestSearcher", s.searcher)
-	}
-	resp, err := rs.SearchRequest(ctx, req)
+	resp, err := s.searcher.SearchRequest(ctx, req)
 	if err != nil {
 		return nil, ExecStats{}, err
 	}
@@ -375,11 +373,7 @@ func (s *Service) SearchRequest(ctx context.Context, req Request) ([]SearchHit, 
 // resolution and postings buffers across members. Responses align with
 // reqs by index; each member's hits are identical to running it alone.
 func (s *Service) SearchBatch(ctx context.Context, reqs []Request) ([]Response, error) {
-	rs, ok := s.searcher.(vsm.RequestSearcher)
-	if !ok {
-		return nil, fmt.Errorf("toppriv: %T does not implement vsm.RequestSearcher", s.searcher)
-	}
-	return rs.SearchBatch(ctx, reqs)
+	return s.searcher.SearchBatch(ctx, reqs)
 }
 
 // toHits resolves result titles against whichever document source the

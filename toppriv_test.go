@@ -283,10 +283,10 @@ func TestServiceRequestAPI(t *testing.T) {
 	if stats.DocsScored == 0 {
 		t.Error("stats should count scored documents")
 	}
-	legacy := svc.Search(q, 7)
-	for i := range legacy {
-		if hits[i] != legacy[i] {
-			t.Fatalf("rank %d: SearchRequest %+v vs Search %+v", i, hits[i], legacy[i])
+	short := svc.Search(q, 7)
+	for i := range short {
+		if hits[i] != short[i] {
+			t.Fatalf("rank %d: SearchRequest %+v vs Search %+v", i, hits[i], short[i])
 		}
 	}
 
