@@ -193,7 +193,7 @@ func TestCompareDefaultGateRegexp(t *testing.T) {
 	oldB := []Benchmark{
 		bench("BenchmarkDecodeTraversal/w8", 1000, 0),
 		bench("BenchmarkTraversalCold", 3000, 0),
-		bench("BenchmarkTraversalWarm/mapped-cached", 3000, 0),
+		bench("BenchmarkTraversalWarm/heap", 3000, 0),
 		bench("BenchmarkResearchIndexing", 500, 0),
 		bench("BenchmarkObfuscateQuery", 300000, 0),
 		bench("BenchmarkInference", 20000, 0),
@@ -205,7 +205,7 @@ func TestCompareDefaultGateRegexp(t *testing.T) {
 		bench("BenchmarkInferenceIters/160", 160000, 0),
 		bench("BenchmarkDecodeTraversal/w8", 2000, 0),
 		bench("BenchmarkTraversalCold", 6000, 0),
-		bench("BenchmarkTraversalWarm/mapped-cached", 6000, 0),
+		bench("BenchmarkTraversalWarm/heap", 6000, 0),
 		bench("BenchmarkResearchIndexing", 1000, 0),
 	}
 	failures, warnings := compareBenchmarks(oldB, newB, 0.25, 0.10, gate)
@@ -252,37 +252,37 @@ func residentBench(name string, nsOp, resPerDoc float64) Benchmark {
 // regexp, and — unlike index_bytes/doc rows — the same row's ns/op
 // still gates too, so one entry can fail on either axis.
 func TestCompareResidentGate(t *testing.T) {
-	oldB := []Benchmark{residentBench("BenchmarkTraversalWarm/mapped-cached", 50000, 130)}
+	oldB := []Benchmark{residentBench("BenchmarkTraversalWarm/heap", 50000, 130)}
 	gate := regexp.MustCompile(defaultGate)
 	// Both axes within tolerance: clean.
 	failures, warnings := compareBenchmarks(oldB,
-		[]Benchmark{residentBench("BenchmarkTraversalWarm/mapped-cached", 55000, 138)}, 0.25, 0.10, gate)
+		[]Benchmark{residentBench("BenchmarkTraversalWarm/heap", 55000, 138)}, 0.25, 0.10, gate)
 	if len(failures) != 0 || len(warnings) != 0 {
 		t.Errorf("within-tolerance run flagged: failures %v warnings %v", failures, warnings)
 	}
 	// Residency +23%: hard failure even under a gate regexp that does
 	// not match the name.
 	failures, _ = compareBenchmarks(oldB,
-		[]Benchmark{residentBench("BenchmarkTraversalWarm/mapped-cached", 50000, 160)}, 0.25, 0.10,
+		[]Benchmark{residentBench("BenchmarkTraversalWarm/heap", 50000, 160)}, 0.25, 0.10,
 		regexp.MustCompile("^BenchmarkNothing"))
 	if len(failures) != 1 || !strings.Contains(failures[0], "resident_bytes/doc") {
 		t.Errorf("failures = %v, want one resident_bytes/doc failure", failures)
 	}
 	// Residency flat but ns/op +40%: the timing gate still applies.
 	failures, _ = compareBenchmarks(oldB,
-		[]Benchmark{residentBench("BenchmarkTraversalWarm/mapped-cached", 70000, 130)}, 0.25, 0.10, gate)
+		[]Benchmark{residentBench("BenchmarkTraversalWarm/heap", 70000, 130)}, 0.25, 0.10, gate)
 	if len(failures) != 1 || !strings.Contains(failures[0], "ns/op") {
 		t.Errorf("failures = %v, want one ns/op failure", failures)
 	}
 	// Both regressed: both axes reported.
 	failures, _ = compareBenchmarks(oldB,
-		[]Benchmark{residentBench("BenchmarkTraversalWarm/mapped-cached", 70000, 160)}, 0.25, 0.10, gate)
+		[]Benchmark{residentBench("BenchmarkTraversalWarm/heap", 70000, 160)}, 0.25, 0.10, gate)
 	if len(failures) != 2 {
 		t.Errorf("failures = %v, want residency and timing failures", failures)
 	}
 	// Metric lost while the benchmark survives: hard failure.
 	failures, _ = compareBenchmarks(oldB,
-		[]Benchmark{bench("BenchmarkTraversalWarm/mapped-cached", 50000, 0)}, 0.25, 0.10, gate)
+		[]Benchmark{bench("BenchmarkTraversalWarm/heap", 50000, 0)}, 0.25, 0.10, gate)
 	if len(failures) != 1 || !strings.Contains(failures[0], "resident_bytes/doc missing") {
 		t.Errorf("failures = %v, want a missing-metric failure", failures)
 	}

@@ -13,8 +13,7 @@
 // per segment plus a manifest) so a restart recovers without
 // re-analyzing a single document. With -mmap the recovered segments
 // are memory-mapped instead of decoded onto the heap — postings page
-// in on traversal — and -cache-bytes pins a decoded-block cache on
-// top; GET /stats reports the resulting residency.
+// in on traversal; GET /stats reports the resulting residency.
 //
 // On SIGINT/SIGTERM the server drains in-flight requests, and in -live
 // mode flushes the memtable into a sealed segment and saves to -data
@@ -47,7 +46,7 @@
 //
 //	searchd -corpus corpus.json -addr :8080 [-bm25]
 //	searchd -live -data ./idx -corpus corpus.json -addr :8080
-//	searchd -live -data ./idx -mmap -cache-bytes 8388608 -addr :8080
+//	searchd -live -data ./idx -mmap -addr :8080
 //	searchd -corpus corpus.json -addr :8080 -metrics-addr 127.0.0.1:9090 -pprof
 //	searchd -shard -addr :8081 [-bm25]
 //	searchd -shard -data ./shard0 -addr :8081
@@ -93,7 +92,6 @@ func main() {
 		dataDir     = flag.String("data", "", "live mode: segment persistence directory (empty = in-memory only)")
 		seal        = flag.Int("seal", 0, "live mode: memtable seal threshold in documents (0 = default)")
 		mmapFlag    = flag.Bool("mmap", false, "live mode: open saved segments memory-mapped (disk-resident postings; requires -data)")
-		cacheBytes  = flag.Int64("cache-bytes", 0, "with -mmap: pin a decoded-block cache of this many bytes (0 = no cache)")
 		querylogCap = flag.Int("querylog-cap", 0, "retain at most this many query-log entries (0 = default 100k)")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 		adminToken  = flag.String("admin-token", "", "live mode: require this bearer token on POST /index and DELETE /doc/{id}")
@@ -134,9 +132,6 @@ func main() {
 	}
 	if *mmapFlag && (!*live || *dataDir == "") {
 		log.Fatal("-mmap requires -live and -data: only saved segments can be memory-mapped")
-	}
-	if *cacheBytes != 0 && !*mmapFlag {
-		log.Fatal("-cache-bytes requires -mmap: the block cache only serves mapped segments")
 	}
 
 	scoring := vsm.Cosine
@@ -215,7 +210,7 @@ func main() {
 		}
 		searcher = store
 	case *live:
-		store = openLiveStore(an, scoring, *corpusPath, *dataDir, *seal, *mmapFlag, *cacheBytes)
+		store = openLiveStore(an, scoring, *corpusPath, *dataDir, *seal, *mmapFlag)
 		searcher = store
 		// A recovered manifest's scoring overrides the flag; report what
 		// is actually served.
@@ -365,10 +360,10 @@ func main() {
 // openLiveStore recovers a saved store from dataDir when a manifest
 // exists; otherwise it opens a fresh store and, when the corpus file is
 // readable, bulk-loads it.
-func openLiveStore(an *textproc.Analyzer, scoring vsm.Scoring, corpusPath, dataDir string, seal int, mapped bool, cacheBytes int64) *segment.Store {
+func openLiveStore(an *textproc.Analyzer, scoring vsm.Scoring, corpusPath, dataDir string, seal int, mapped bool) *segment.Store {
 	cfg := segment.Config{
 		Scoring: scoring, Analyzer: an, SealThreshold: seal,
-		Mapped: mapped, CacheBytes: cacheBytes, Logf: log.Printf,
+		Mapped: mapped, Logf: log.Printf,
 	}
 	if dataDir != "" {
 		if _, err := os.Stat(filepath.Join(dataDir, "MANIFEST.json")); err == nil {

@@ -7,12 +7,14 @@ package toppriv
 
 import (
 	"bufio"
+	"encoding/json"
 	"io"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -261,10 +263,11 @@ func TestCLILivePipeline(t *testing.T) {
 		t.Fatalf("manifest not written: %v", err)
 	}
 
-	// Second run: recover from the manifest — no corpus flag at all —
-	// and the flushed document plus the delete must have survived.
+	// Second run: recover from the manifest — no corpus flag at all, and
+	// memory-mapped — and the flushed document plus the delete must have
+	// survived.
 	srv2 := exec.Command(filepath.Join(bin, "searchd"),
-		"-live", "-data", dataDir, "-corpus", filepath.Join(work, "absent.json"), "-addr", "127.0.0.1:0")
+		"-live", "-data", dataDir, "-mmap", "-corpus", filepath.Join(work, "absent.json"), "-addr", "127.0.0.1:0")
 	stderr2, err := srv2.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -299,6 +302,22 @@ func TestCLILivePipeline(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("deleted doc resurrected: status %d", resp.StatusCode)
+	}
+	// -mmap across the process boundary: on Linux the recovered postings
+	// payloads are file views, so less is resident than is indexed.
+	// (Elsewhere the mapping falls back to a heap read.)
+	resp, err = http.Get("http://" + addr2 + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats struct{ ResidentBytes, PostingsBytes int64 }
+	err = json.NewDecoder(resp.Body).Decode(&stats)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runtime.GOOS == "linux" && (stats.PostingsBytes <= 0 || stats.ResidentBytes >= stats.PostingsBytes) {
+		t.Fatalf("-mmap store resident %d of %d postings bytes", stats.ResidentBytes, stats.PostingsBytes)
 	}
 }
 

@@ -352,14 +352,20 @@ func (x *Index) readCompList(r tpixReader, t, ll uint64, numDocs int, verifyPayl
 }
 
 // SizeBytes returns the serialized size of the index without writing it
-// anywhere (used by Figure 6 and the PIR table).
+// anywhere (Figure 6, the PIR table, and every stats scrape). The index
+// is immutable, so the one serialization that measures it runs on first
+// use only — a scrape must not re-read every payload byte, least of all
+// a mapped index's.
 func (x *Index) SizeBytes() int64 {
-	n, err := x.WriteTo(io.Discard)
-	if err != nil {
-		// io.Discard cannot fail; keep the invariant visible.
-		panic(fmt.Sprintf("index: SizeBytes: %v", err))
-	}
-	return n
+	x.sizeOnce.Do(func() {
+		n, err := x.WriteTo(io.Discard)
+		if err != nil {
+			// io.Discard cannot fail; keep the invariant visible.
+			panic(fmt.Sprintf("index: SizeBytes: %v", err))
+		}
+		x.size = n
+	})
+	return x.size
 }
 
 type countingWriter struct {

@@ -20,7 +20,8 @@ func TestCompIteratorMatchesSlice(t *testing.T) {
 	for _, n := range []int{1, 3, BlockSize - 1, BlockSize, BlockSize + 1, 2 * BlockSize, 5*BlockSize + 17} {
 		cl, pl := compressedRandomList(rng, n)
 		// Full Next walk.
-		it := newCompIterator(&cl)
+		var it Iterator
+		it.reset(&cl)
 		for i, p := range pl {
 			if !it.Valid() || it.Doc() != p.Doc || it.TF() != p.TF {
 				t.Fatalf("n=%d next-walk posting %d mismatch", n, i)
@@ -31,7 +32,7 @@ func TestCompIteratorMatchesSlice(t *testing.T) {
 			t.Fatalf("n=%d: iterator valid past end", n)
 		}
 		// Window walk.
-		it = newCompIterator(&cl)
+		it.reset(&cl)
 		i := 0
 		for it.Valid() {
 			docs, tfs := it.Window()
@@ -61,8 +62,9 @@ func BenchmarkDecodeTraversal(b *testing.B) {
 	b.Run("full", func(b *testing.B) {
 		b.SetBytes(int64(cl.n) * 8)
 		sum := int64(0)
+		var it Iterator
 		for i := 0; i < b.N; i++ {
-			it := newCompIterator(&cl)
+			it.reset(&cl)
 			for it.Valid() {
 				docs, tfs := it.Window()
 				for j := range docs {
@@ -84,7 +86,8 @@ func BenchmarkDecodeTraversal(b *testing.B) {
 func TestCompIteratorStaysExhausted(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	cl, _ := compressedRandomList(rng, 4*BlockSize)
-	it := newCompIterator(&cl)
+	var it Iterator
+	it.reset(&cl)
 	for it.NextWindow() {
 	}
 	for step := 0; step < 3; step++ {

@@ -63,7 +63,8 @@ func FuzzDecodePostings(f *testing.F) {
 		if err != nil {
 			t.Fatalf("valid encoding rejected: %v", err)
 		}
-		it := newCompIterator(&validated)
+		var it Iterator
+		it.reset(&validated)
 		for i, want := range pl {
 			if !it.Valid() {
 				t.Fatalf("iterator exhausted at %d/%d", i, len(pl))
@@ -95,8 +96,9 @@ func FuzzDecodePostings(f *testing.F) {
 // length or a bloom bit, which carry no structural invariant).
 func assertTraversable(t *testing.T, y *Index, what string) {
 	t.Helper()
+	var it Iterator
 	for tid := 0; tid < y.NumTerms(); tid++ {
-		it := y.Iter(textproc.TermID(tid))
+		y.IterInto(textproc.TermID(tid), &it)
 		prev := corpus.DocID(-1)
 		for it.Valid() {
 			if it.Doc() <= prev || int(it.Doc()) >= y.NumDocs() || it.TF() < 1 {

@@ -10,7 +10,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"toppriv/internal/corpus"
 	"toppriv/internal/textproc"
@@ -41,7 +40,7 @@ const BlockSize = 128
 type Index struct {
 	vocab *textproc.Vocab
 	// lists holds each term's block-compressed postings (indexed by
-	// TermID). Traversal decodes block-at-a-time through Iter/IterInto;
+	// TermID). Traversal decodes block-at-a-time through IterInto;
 	// Postings materializes a list only for cold paths and tests.
 	lists    []compList
 	docLen   []int // analyzed length of each document
@@ -54,19 +53,14 @@ type Index struct {
 	bloomOnce sync.Once
 	bloom     *TermBloom
 
+	// size is the serialized size, measured on first use (SizeBytes).
+	sizeOnce sync.Once
+	size     int64
+
 	// mapped, when non-nil, is the disk mapping whose pages back every
 	// list's packed payload (OpenMapped). The index owns it; Close
 	// releases it. Nil for built, merged, and stream-read indexes.
 	mapped *mapping
-	// cache, when non-nil, is the shared decoded-block cache iterators
-	// of this index route block decodes through (AttachCache), with
-	// cacheOwner namespacing this index's entries. Both are atomic
-	// because the segment store detaches retired segments (DropCache)
-	// while searches that snapshotted the old stack may still be
-	// opening iterators — a stale pair is harmless (owner IDs are
-	// never reused, so late inserts just age out), a torn one is not.
-	cache      atomic.Pointer[BlockCache]
-	cacheOwner atomic.Uint32
 }
 
 // Build constructs the index from an analyzed corpus.
@@ -122,85 +116,15 @@ func (x *Index) Bloom() *TermBloom {
 	return x.bloom
 }
 
-// AttachCache routes this index's block decodes through a shared
-// decoded-block cache. The owner ID is published before the cache
-// pointer, so a concurrent reader that observes the cache always
-// reads a valid owner; DropCache/Close detach and purge.
-func (x *Index) AttachCache(c *BlockCache) {
-	if c == nil {
-		return
-	}
-	x.cacheOwner.Store(c.RegisterOwner())
-	x.cache.Store(c)
-}
-
-// DropCache detaches the index from its block cache, purging the
-// entries it owns. Safe concurrent with traversal: an in-flight
-// iterator that captured the cache before the swap keeps using it
-// correctly — its owner ID is retired, never reused, so anything it
-// still inserts is unreachable and ages out of the CLOCK ring.
-func (x *Index) DropCache() {
-	if c := x.cache.Swap(nil); c != nil {
-		c.DropOwner(x.cacheOwner.Load())
-	}
-}
-
-// WarmCache pre-fills the attached block cache with this index's
-// decoded blocks, longest lists first — the lists a query is most
-// likely to touch — and returns the number of blocks inserted. Warming
-// claims only free slots (it never evicts what live queries cached) and
-// stops at the first full slot-ring, so it is safe to call eagerly:
-// compaction uses it to hand the merged segment a warm cache instead of
-// starting every post-compaction query from a cold one. No-op without
-// an attached cache.
-func (x *Index) WarmCache() int {
-	c := x.cache.Load()
-	if c == nil {
-		return 0
-	}
-	owner := x.cacheOwner.Load()
-	order := make([]int32, 0, len(x.lists))
-	for id := range x.lists {
-		if x.lists[id].n > 0 {
-			order = append(order, int32(id))
-		}
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := x.lists[order[i]].n, x.lists[order[j]].n
-		if a != b {
-			return a > b
-		}
-		return order[i] < order[j]
-	})
-	warmed := 0
-	var docs [BlockSize]corpus.DocID
-	var tfs [BlockSize]int32
-	for _, id := range order {
-		cl := &x.lists[id]
-		for b := 0; b < cl.numBlocks(); b++ {
-			h := cl.decodeBlockDocs(b, &docs)
-			cl.decodeBlockTFs(h, &tfs)
-			k := cacheKey{owner: owner, term: id, block: int32(b)}
-			if !c.warmPut(k, &docs, &tfs, h.count) {
-				return warmed
-			}
-			warmed++
-		}
-	}
-	return warmed
-}
-
 // Mapped reports whether the index's postings payloads are views into
 // a disk mapping (an OpenMapped index).
 func (x *Index) Mapped() bool { return x.mapped != nil }
 
-// Close releases the disk mapping behind an OpenMapped index and
-// detaches its block cache. After Close every traversal touching a
-// mapped payload is invalid — callers must ensure no readers remain
-// (in-memory indexes have no mapping and Close is then cache-drop
-// only). Safe on nil-mapping indexes and safe to call twice.
+// Close releases the disk mapping behind an OpenMapped index. After
+// Close every traversal touching a mapped payload is invalid — callers
+// must ensure no readers remain. Safe on nil-mapping indexes (a no-op)
+// and safe to call twice.
 func (x *Index) Close() error {
-	x.DropCache()
 	m := x.mapped
 	x.mapped = nil
 	return m.Close()
@@ -217,25 +141,17 @@ func (x *Index) NumTerms() int { return len(x.lists) }
 
 // Postings decodes and returns the postings list for a term ID. Each
 // call materializes a fresh slice — hot paths should traverse through
-// Iter/IterInto instead, which decode block-at-a-time without
-// allocating.
+// IterInto instead, which decodes block-at-a-time without allocating.
 func (x *Index) Postings(id textproc.TermID) PostingList {
-	if id < 0 || int(id) >= len(x.lists) {
+	if x.DocFreq(id) == 0 {
 		return nil
 	}
-	cl := &x.lists[id]
-	if cl.n == 0 {
-		return nil
-	}
-	out := make(PostingList, 0, cl.n)
-	it := newCompIterator(cl)
-	for it.Valid() {
+	out := make(PostingList, 0, x.lists[id].n)
+	var it Iterator
+	for x.IterInto(id, &it); it.Valid(); it.NextWindow() {
 		docs, tfs := it.Window()
 		for i := range docs {
 			out = append(out, Posting{Doc: docs[i], TF: tfs[i]})
-		}
-		if !it.NextWindow() {
-			break
 		}
 	}
 	return out
@@ -255,30 +171,6 @@ func (x *Index) DocFreq(id textproc.TermID) int {
 	return int(x.lists[id].n)
 }
 
-// Iter returns a decode-on-traversal iterator over id's postings.
-// Absent terms yield an exhausted iterator. Query hot paths use IterInto instead, which
-// repositions a pooled iterator without copying its buffers.
-func (x *Index) Iter(id textproc.TermID) Iterator {
-	if id < 0 || int(id) >= len(x.lists) {
-		return Iterator{}
-	}
-	var it Iterator
-	it.resetCompCached(&x.lists[id], x.cache.Load(), x.cacheOwner.Load(), int32(id))
-	return it
-}
-
-// iterUncached returns an iterator over id's postings that bypasses
-// any attached block cache. Merge traversal uses it: a compaction
-// reads every list of every part exactly once, so routing those
-// decodes through the cache would evict the query working set with
-// blocks that are about to be retired.
-func (x *Index) iterUncached(id textproc.TermID) Iterator {
-	if id < 0 || int(id) >= len(x.lists) {
-		return Iterator{}
-	}
-	return newCompIterator(&x.lists[id])
-}
-
 // IterInto repositions it over id's postings in place — the vsm
 // Source contract. Only the first block's doc IDs are decoded; the
 // iterator's kilobyte of buffer is neither cleared nor copied.
@@ -287,7 +179,7 @@ func (x *Index) IterInto(id textproc.TermID, it *Iterator) {
 		it.ResetList(nil)
 		return
 	}
-	it.resetCompCached(&x.lists[id], x.cache.Load(), x.cacheOwner.Load(), int32(id))
+	it.reset(&x.lists[id])
 }
 
 // IDF returns the smoothed inverse document frequency

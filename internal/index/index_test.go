@@ -130,6 +130,13 @@ func TestCodecRoundTrip(t *testing.T) {
 	if y.NumDocs() != x.NumDocs() || y.NumTerms() != x.NumTerms() {
 		t.Fatalf("shape mismatch after round trip")
 	}
+	// SizeBytes is measured once and remembered; both the first and the
+	// remembered answer must be the length of a real serialization.
+	for pass := 0; pass < 2; pass++ {
+		if x.SizeBytes() != n || y.SizeBytes() != n {
+			t.Fatalf("pass %d: SizeBytes %d (built) / %d (read), WriteTo wrote %d", pass, x.SizeBytes(), y.SizeBytes(), n)
+		}
+	}
 	for id := 0; id < x.NumTerms(); id++ {
 		tid := textproc.TermID(id)
 		if x.Vocab().Term(tid) != y.Vocab().Term(tid) {

@@ -37,51 +37,27 @@ type Iterator struct {
 	blkLen   int
 	tfOK     bool
 	hdr      blockHeader
-	// decodes counts compressed blocks whose doc IDs were actually
-	// decoded since the iterator was (re)positioned. Always 0 in slice
-	// mode. Cache hits fill the window without decoding and are not
-	// counted.
+	// decodes counts compressed blocks decoded since the iterator was
+	// (re)positioned. Always 0 in slice mode.
 	decodes int
-	// cache, when non-nil, interposes the shared decoded-block cache on
-	// loadBlock; ckey carries the owning index's namespace and the
-	// list's term, with the block ordinal filled per lookup.
-	cache  *BlockCache
-	ckey   cacheKey
-	docBuf [BlockSize]corpus.DocID
-	tfBuf  [BlockSize]int32
-}
-
-// Iter returns an iterator positioned on the list's first posting.
-func (pl PostingList) Iter() Iterator {
-	it := Iterator{pl: pl, n: len(pl)}
-	if it.n > 0 {
-		it.cur = pl[0].Doc
-	}
-	return it
+	docBuf  [BlockSize]corpus.DocID
+	tfBuf   [BlockSize]int32
 }
 
 // ResetList repositions the iterator over a plain postings slice
-// without touching the decode buffers — the in-place counterpart of
-// Iter for pooled iterator slots.
+// without touching the decode buffers.
 func (it *Iterator) ResetList(pl PostingList) {
 	it.pl, it.cl = pl, nil
-	it.cache = nil
 	it.pos, it.n, it.decodes = 0, len(pl), 0
 	if it.n > 0 {
 		it.cur = pl[0].Doc
 	}
 }
 
-// resetCompCached repositions the iterator over a compressed list,
-// decoding only the first block's doc IDs, with an optional
-// decoded-block cache attached: block loads (including the first,
-// here) consult the cache before decoding. Index.Iter/IterInto route
-// through it so a cache-backed index transparently shares hot blocks
-// across its iterators.
-func (it *Iterator) resetCompCached(cl *compList, c *BlockCache, owner uint32, term int32) {
+// reset repositions the iterator over a compressed list, decoding only
+// the first block's doc IDs.
+func (it *Iterator) reset(cl *compList) {
 	it.pl, it.cl = nil, cl
-	it.cache = c
-	it.ckey = cacheKey{owner: owner, term: term}
 	it.pos, it.n, it.decodes = 0, int(cl.n), 0
 	it.blk, it.blkStart, it.blkLen, it.tfOK = 0, 0, 0, false
 	if it.n > 0 {
@@ -89,20 +65,9 @@ func (it *Iterator) resetCompCached(cl *compList, c *BlockCache, owner uint32, t
 	}
 }
 
-// newCompIterator returns an uncached decode-on-traversal iterator
-// positioned on the first posting of a compressed list.
-func newCompIterator(cl *compList) Iterator {
-	var it Iterator
-	it.resetCompCached(cl, nil, 0, 0)
-	return it
-}
-
-// loadBlock decodes block b's doc IDs and positions the cursor on its
-// first posting, reporting whether b exists. With a cache attached a
-// hit fills both window halves (docs and tfs) from the cached copy
-// without touching the packed payload — on a mapped index that is
-// what keeps hot blocks from faulting their pages back in — and a
-// miss decodes both halves eagerly and inserts them.
+// loadBlock decodes block b's doc IDs from wherever the payload lies
+// (heap or mapping) and positions the cursor on its first posting,
+// reporting whether b exists. The tf half is left for the first read.
 func (it *Iterator) loadBlock(b int) bool {
 	if b >= it.cl.numBlocks() {
 		it.pos = it.n
@@ -110,25 +75,10 @@ func (it *Iterator) loadBlock(b int) bool {
 	}
 	it.blk = b
 	it.blkStart = it.cl.blockStart(b)
-	if c := it.cache; c != nil {
-		it.ckey.block = int32(b)
-		if n, ok := c.get(it.ckey, &it.docBuf, &it.tfBuf); ok {
-			it.blkLen = n
-			it.tfOK = true
-		} else {
-			it.hdr = it.cl.decodeBlockDocs(b, &it.docBuf)
-			it.decodes++
-			it.blkLen = it.hdr.count
-			it.cl.decodeBlockTFs(it.hdr, &it.tfBuf)
-			it.tfOK = true
-			c.put(it.ckey, &it.docBuf, &it.tfBuf, it.blkLen)
-		}
-	} else {
-		it.hdr = it.cl.decodeBlockDocs(b, &it.docBuf)
-		it.decodes++
-		it.blkLen = it.hdr.count
-		it.tfOK = false
-	}
+	it.hdr = it.cl.decodeBlockDocs(b, &it.docBuf)
+	it.decodes++
+	it.blkLen = it.hdr.count
+	it.tfOK = false
 	it.pos = it.blkStart
 	it.cur = it.docBuf[0]
 	return true
@@ -229,5 +179,5 @@ func (it *Iterator) NextWindow() bool {
 
 // BlocksDecoded returns how many compressed blocks this iterator
 // decoded since it was (re)positioned — 0 in slice mode, where nothing
-// is compressed, and not counting blocks a decoded-block cache served.
+// is compressed.
 func (it *Iterator) BlocksDecoded() int { return it.decodes }

@@ -39,7 +39,8 @@ func randomList(rng *rand.Rand, n int) PostingList {
 func TestIteratorNextWalksWholeList(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pl := randomList(rng, 40)
-	it := pl.Iter()
+	var it Iterator
+	it.ResetList(pl)
 	for i, p := range pl {
 		if !it.Valid() {
 			t.Fatalf("iterator exhausted at %d/%d", i, len(pl))
@@ -55,7 +56,8 @@ func TestIteratorNextWalksWholeList(t *testing.T) {
 }
 
 func TestIteratorEmptyList(t *testing.T) {
-	it := PostingList(nil).Iter()
+	var it Iterator
+	it.ResetList(nil)
 	if it.Valid() {
 		t.Fatal("empty list iterator should be invalid")
 	}

@@ -111,9 +111,10 @@ func TestOpenMappedRejectsCorrupt(t *testing.T) {
 		if err != nil || y == nil {
 			continue
 		}
+		var it Iterator
 		for tid := 0; tid < y.NumTerms(); tid++ {
 			n := 0
-			for it := y.Iter(textproc.TermID(tid)); it.Valid(); it.Next() {
+			for y.IterInto(textproc.TermID(tid), &it); it.Valid(); it.Next() {
 				_ = it.Doc()
 				_ = it.TF()
 				n++
@@ -143,9 +144,10 @@ func TestOpenMappedIterators(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
+	var it Iterator
 	for tid := 0; tid < x.NumTerms(); tid++ {
 		want := x.Postings(textproc.TermID(tid))
-		it := m.Iter(textproc.TermID(tid))
+		m.IterInto(textproc.TermID(tid), &it)
 		for i, p := range want {
 			if !it.Valid() || it.Doc() != p.Doc || it.TF() != p.TF {
 				t.Fatalf("term %d posting %d: got (%d,%d,%v), want %v",

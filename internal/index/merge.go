@@ -102,24 +102,18 @@ func mergeRebuild(merged *Index, parts []*Index, termMap [][]textproc.TermID, re
 	// Processing parts in order keeps every list sorted: merged IDs of
 	// part i all precede part i+1's, and each source list is already
 	// ascending.
+	var it Iterator
 	for i, part := range parts {
 		dm := remap[i]
 		for t := 0; t < part.NumTerms(); t++ {
-			it := part.iterUncached(textproc.TermID(t))
-			if !it.Valid() {
-				continue
-			}
 			mt := termMap[i][t]
 			dst := raw[mt]
-			for {
+			for part.IterInto(textproc.TermID(t), &it); it.Valid(); it.NextWindow() {
 				docs, tfs := it.Window()
 				for j, d := range docs {
 					if nd := dm[d]; nd != DroppedDoc {
 						dst = append(dst, Posting{Doc: nd, TF: tfs[j]})
 					}
-				}
-				if !it.NextWindow() {
-					break
 				}
 			}
 			raw[mt] = dst
@@ -139,6 +133,7 @@ func mergeBlockwise(merged *Index, parts []*Index, remap [][]corpus.DocID, dirty
 
 	var mb mergedListBuilder
 	var decoded []Posting // dirty-part scratch: filtered postings, merged IDs
+	var it Iterator
 	for t := 0; t < nTerms; t++ {
 		mb.reset()
 		for i, part := range parts {
@@ -157,17 +152,13 @@ func mergeBlockwise(merged *Index, parts []*Index, remap [][]corpus.DocID, dirty
 				continue
 			}
 			decoded = decoded[:0]
-			it := newCompIterator(cl)
 			dm := remap[i]
-			for it.Valid() {
+			for it.reset(cl); it.Valid(); it.NextWindow() {
 				docs, tfs := it.Window()
 				for j, d := range docs {
 					if nd := dm[d]; nd != DroppedDoc {
 						decoded = append(decoded, Posting{Doc: nd, TF: tfs[j]})
 					}
-				}
-				if !it.NextWindow() {
-					break
 				}
 			}
 			mb.appendReencoded(decoded)

@@ -200,7 +200,8 @@ func assertMergedMatchesRebuild(t *testing.T, merged, want *Index) {
 				t.Fatalf("term %q posting %d: %+v vs %+v", term, i, mp[i], wp[i])
 			}
 		}
-		it := merged.Iter(mid)
+		var it Iterator
+		merged.IterInto(mid, &it)
 		pos := 0
 		for it.Valid() {
 			docs, tfs := it.Window()

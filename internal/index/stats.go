@@ -26,8 +26,7 @@ type Stats struct {
 	// ResidentBytes is the heap-resident portion of PostingsBytes: for
 	// a mapped index (OpenMapped on Linux) the packed payloads live on
 	// evictable page-cache pages and only the skip metadata counts;
-	// everywhere else it equals PostingsBytes. The store adds its
-	// block-cache allocation on top.
+	// everywhere else it equals PostingsBytes.
 	ResidentBytes int64
 	// ResidentPerDoc is ResidentBytes per indexed document — the
 	// resident_bytes/doc metric the bench suite records and CI gates.
@@ -37,7 +36,8 @@ type Stats struct {
 	PaddedPIRBytes int64
 }
 
-// ComputeStats scans the index once and serializes it once.
+// ComputeStats scans the lists' metadata; the serialized size is
+// measured once per index (see SizeBytes).
 func (x *Index) ComputeStats() Stats {
 	s := Stats{NumDocs: x.numDocs, NumTerms: len(x.lists)}
 	var mappedPayload int64

@@ -542,24 +542,16 @@ type QueryLogStats struct {
 }
 
 // StatsResponse is the GET /stats reply: the index shape stats the
-// endpoint has always served, plus the query-log ring's state and —
-// when the backend runs a block cache — its residency counters. The
+// endpoint has always served, plus the query-log ring's state. The
 // extensions are additive — clients decoding into index.Stats ignore
-// the new keys, and resident_bytes/resident_bytes_per_doc live inside
+// the new keys, and ResidentBytes/ResidentPerDoc live inside
 // index.Stats itself.
 type StatsResponse struct {
 	index.Stats
-	QueryLog QueryLogStats     `json:"querylog"`
-	Cache    *index.CacheStats `json:"cache,omitempty"`
+	QueryLog QueryLogStats `json:"querylog"`
 	// Cluster aggregates per-shard health when the backend is a
 	// scatter-gather router; nil on single-node servers.
 	Cluster *ClusterHealth `json:"cluster,omitempty"`
-}
-
-// cacheStatsProvider is implemented by backends with a decoded-block
-// cache (segment.Store); ok reports whether one is configured.
-type cacheStatsProvider interface {
-	CacheStats() (index.CacheStats, bool)
 }
 
 // ShardHealth is one shard's aggregate health as the router sees it,
@@ -626,11 +618,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := StatsResponse{Stats: sp.ComputeStats(), QueryLog: s.queryLogStats()}
-	if cp, ok := s.engine.(cacheStatsProvider); ok {
-		if cs, ok := cp.CacheStats(); ok {
-			resp.Cache = &cs
-		}
-	}
 	if hp, ok := s.engine.(ClusterHealthProvider); ok {
 		ch := hp.ClusterHealth()
 		resp.Cluster = &ch

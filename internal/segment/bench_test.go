@@ -168,8 +168,8 @@ func saveTraversalFixture(b *testing.B, an *textproc.Analyzer) (string, [][]stri
 
 // traversalLoop runs the query battery — every posting of every
 // queried list is decoded, so the measured cost is dominated by
-// postings traversal, which is exactly what differs
-// between heap-resident, mapped, and block-cached stores.
+// postings traversal, which is exactly what differs between a
+// heap-resident and a mapped store.
 func traversalLoop(b *testing.B, st *Store, queries [][]string) {
 	b.Helper()
 	b.ResetTimer()
@@ -184,12 +184,12 @@ func traversalLoop(b *testing.B, st *Store, queries [][]string) {
 	}
 }
 
-// BenchmarkTraversalCold measures query traversal over a mapped store
-// with no block cache: every block decodes straight from the mapped
-// file image on every query. (CI cannot drop the OS page cache, so
-// "cold" means cold decode state, not cold pages.) The committed
-// resident_bytes/doc row is the disk-residency claim the benchjson
-// gate enforces: near zero, because postings stay out of the heap.
+// BenchmarkTraversalCold measures query traversal over a mapped store:
+// every block decodes straight from the mapped file image on every
+// query. (CI cannot drop the OS page cache, so "cold" means cold decode
+// state, not cold pages.) The committed resident_bytes/doc row is the
+// disk-residency claim the benchjson gate enforces: near zero, because
+// postings stay out of the heap.
 func BenchmarkTraversalCold(b *testing.B) {
 	an := textproc.NewAnalyzer()
 	dir, queries := saveTraversalFixture(b, an)
@@ -201,11 +201,11 @@ func BenchmarkTraversalCold(b *testing.B) {
 	traversalLoop(b, st, queries)
 }
 
-// BenchmarkTraversalWarm compares the heap-resident store against the
-// mapped store with a primed block cache on the same saved directory.
-// The acceptance bar for the mapped subsystem is warm mapped ≤ 1.15×
-// heap: decode work is identical, the cache absorbs repeat decodes,
-// and the remaining gap is cache lookups and mapped-payload reads.
+// BenchmarkTraversalWarm is the heap-resident baseline on the same
+// saved directory. The bar held for the mapped subsystem is
+// BenchmarkTraversalCold ≤ 1.15 × heap — decode work is identical, the
+// gap is mapped-payload reads — with resident_bytes/doc of both rows
+// inside benchjson's 10 % size gate.
 func BenchmarkTraversalWarm(b *testing.B) {
 	an := textproc.NewAnalyzer()
 	dir, queries := saveTraversalFixture(b, an)
@@ -216,26 +216,6 @@ func BenchmarkTraversalWarm(b *testing.B) {
 		}
 		defer st.Close()
 		traversalLoop(b, st, queries)
-	})
-	b.Run("mapped-cached", func(b *testing.B) {
-		// The cache's slot ring is pinned at allocation (that is the
-		// point: bounded, predictable residency), so capacity is sized
-		// to the hot working set, not generously — a cache larger than
-		// the postings it fronts would just be the heap store with
-		// extra steps.
-		st, err := Load(dir, Config{Analyzer: an, DisableCompaction: true, Mapped: true, CacheBytes: 256 << 10})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer st.Close()
-		// Prime: one pass over the battery fills the cache.
-		for _, q := range queries {
-			st.SearchRequest(context.Background(), vsm.Request{Terms: q, K: 10})
-		}
-		traversalLoop(b, st, queries)
-		if cs, ok := st.CacheStats(); ok && cs.Hits+cs.Misses > 0 {
-			b.ReportMetric(float64(cs.Hits)/float64(cs.Hits+cs.Misses), "cache_hit_ratio")
-		}
 	})
 }
 

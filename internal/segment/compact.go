@@ -80,7 +80,6 @@ func (st *Store) compactOnce(fanout int) (bool, error) {
 	for i, sg := range st.segs {
 		if sg.live == 0 {
 			st.segs = append(st.segs[:i:i], st.segs[i+1:]...)
-			sg.idx.DropCache()
 			st.mu.Unlock()
 			return true, nil
 		}
@@ -174,10 +173,6 @@ func (st *Store) compactRun(start, end int) (*seg, error) {
 		dead:  make([]bool, merged.NumDocs()),
 		live:  merged.NumDocs(),
 	}
-	// The merged segment takes the retired parts' place in the cache:
-	// heap-resident blocks still pay the decode on every traversal, so
-	// the cache earns its keep regardless of where the payload lives.
-	merged.AttachCache(st.cache)
 
 	st.mu.Lock()
 	err = func() error {
@@ -211,26 +206,16 @@ func (st *Store) compactRun(start, end int) (*seg, error) {
 		stack = append(stack, out)
 		stack = append(stack, st.segs[end:]...)
 		st.segs = stack
-		// Purge the retired parts' block-cache entries. Do NOT unmap them:
-		// a Save snapshot may still be serializing these indexes without
-		// the store lock — the mapping finalizer reclaims them once no
-		// reference remains.
-		for _, sg := range parts {
-			sg.idx.DropCache()
-		}
+		// Do NOT unmap the retired parts: a Save snapshot may still be
+		// serializing these indexes, and a search that snapshotted the
+		// old stack may still be reading them, without the store lock —
+		// the mapping finalizer reclaims them once no reference remains.
 		return nil
 	}()
 	st.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	// Populate-on-compact: the retired parts' entries just freed their
-	// slots, and the merge already paid to read every surviving posting —
-	// refill the free capacity with the merged segment's blocks so the
-	// first queries after a compaction hit a warm cache instead of
-	// re-decoding. Outside the lock: warming is pure cache population and
-	// searches may proceed against the new stack meanwhile.
-	merged.WarmCache()
 	st.compactRuns.Add(1)
 	st.compactNanos.Add(time.Since(began).Nanoseconds())
 	return out, nil

@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -57,10 +58,10 @@ func saveMappedFixture(t *testing.T, scoring vsm.Scoring, seed int64) (string, [
 }
 
 // TestMappedStoreBitIdentical is the mapped open path's end-to-end
-// guarantee: a store loaded with Mapped (with and without a block
-// cache) returns bit-identical results — same documents, same float64
-// scores, no tolerance — to the same directory loaded in-memory,
-// across scorers, k values, and tombstoned documents.
+// guarantee: a store loaded with Mapped returns bit-identical results —
+// same documents, same float64 scores, no tolerance — to the same
+// directory loaded in-memory, across scorers, k values, and tombstoned
+// documents.
 func TestMappedStoreBitIdentical(t *testing.T) {
 	for _, scoring := range []vsm.Scoring{vsm.Cosine, vsm.BM25} {
 		dir, queries, an := saveMappedFixture(t, scoring, 40+int64(scoring))
@@ -75,70 +76,63 @@ func TestMappedStoreBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer mapped.Close()
-		cached, err := Load(dir, Config{Analyzer: an, DisableCompaction: true, Mapped: true, CacheBytes: 1 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cached.Close()
 
 		for qi, q := range queries {
 			terms := an.Analyze(q)
 			for _, k := range []int{5, 20} {
-				want := mustSearch(t, mem, vsm.Request{Terms: terms, K: k})
-				// Two passes over the cached store: the second is served
-				// (partly) from the block cache and must not drift.
-				for _, st := range []*Store{mapped, cached, cached} {
-					got := mustSearch(t, st, vsm.Request{Terms: terms, K: k})
-					if len(got) != len(want) {
-						t.Fatalf("scoring %v q%d k=%d: %d results vs %d in-memory",
-							scoring, qi, k, len(got), len(want))
-					}
-					for i := range got {
-						if got[i].Doc != want[i].Doc || got[i].Score != want[i].Score {
-							t.Fatalf("scoring %v q%d k=%d rank %d: (%d,%v) vs in-memory (%d,%v)",
-								scoring, qi, k, i, got[i].Doc, got[i].Score, want[i].Doc, want[i].Score)
-						}
-					}
-				}
+				req := vsm.Request{Terms: terms, K: k}
+				assertSameHits(t, fmt.Sprintf("scoring %v q%d k=%d", scoring, qi, k),
+					mustSearch(t, mapped, req), mustSearch(t, mem, req))
 			}
 		}
 
-		// The cached store must expose cache telemetry; the plain stores
-		// must not.
-		if _, ok := mem.CacheStats(); ok {
-			t.Fatal("in-memory store reports a block cache")
-		}
-		cs, ok := cached.CacheStats()
-		if !ok {
-			t.Fatal("Mapped+CacheBytes store has no cache stats")
-		}
-		if cs.Hits == 0 || cs.Misses == 0 {
-			t.Fatalf("cache never exercised: %+v", cs)
-		}
 		// Residency: the in-memory store holds every posting on the heap;
 		// the mapped store's payloads are disk views, so its resident
-		// figure must be strictly smaller (possibly zero). The cached
-		// store additionally accounts its pinned slots.
-		ms, is, chs := mapped.ComputeStats(), mem.ComputeStats(), cached.ComputeStats()
+		// figure must be strictly smaller (possibly zero).
+		ms, is := mapped.ComputeStats(), mem.ComputeStats()
 		if is.ResidentBytes <= 0 {
 			t.Fatalf("in-memory residency unreported: %d", is.ResidentBytes)
 		}
 		if ms.ResidentBytes < 0 || ms.ResidentBytes >= is.ResidentBytes {
 			t.Fatalf("mapped store resident %d, in-memory %d", ms.ResidentBytes, is.ResidentBytes)
 		}
-		if chs.ResidentBytes <= ms.ResidentBytes {
-			t.Fatalf("cached store resident %d does not account cache slots (mapped %d)",
-				chs.ResidentBytes, ms.ResidentBytes)
+
+		// A stats scrape runs under the store's read lock, three times
+		// per /metrics: it must not re-serialize the segments (which on a
+		// mapped store also faults every payload page back in). The size
+		// it reports is still the saved files' size, byte for byte.
+		files, err := filepath.Glob(filepath.Join(dir, "seg-*.tpix"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var onDisk int64
+		for _, f := range files {
+			fi, err := os.Stat(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			onDisk += fi.Size()
+		}
+		for name, st := range map[string]*Store{"in-memory": mem, "mapped": mapped} {
+			if got := st.ComputeStats().SizeBytes; got != onDisk {
+				t.Fatalf("%s store SizeBytes %d, segment files hold %d", name, got, onDisk)
+			}
+			if allocs := testing.AllocsPerRun(10, func() { st.ComputeStats() }); allocs > 2 {
+				t.Fatalf("%s store: ComputeStats allocates %.0f times per call", name, allocs)
+			}
 		}
 	}
 }
 
-// TestMappedCacheSurvivesCompaction guards against the cache going
-// permanently dead after a compaction: retired parts must have their
-// entries purged, but the merged segment (and segments sealed after
-// load) must attach to the same cache, so post-compaction queries
-// repopulate it and hit. Searches run concurrently with the compaction
-// to exercise the atomic cache detach under the race detector.
+// TestMappedCacheSurvivesCompaction is the mapped store's
+// search-during-Compact test (its name predates the removal of the
+// decoded-block cache). Compaction retires mapped segments while
+// searches that snapshotted the old stack are still reading their
+// payloads, so the retired parts must not be unmapped under a reader —
+// the race detector and a SIGSEGV are the judges. It also holds that a
+// segment sealed after a mapped Load is searched alongside the mapped
+// ones, and that post-compaction hits are bit-identical to the
+// uncompacted in-memory oracle.
 func TestMappedCacheSurvivesCompaction(t *testing.T) {
 	dir, queries, an := saveMappedFixture(t, vsm.Cosine, 99)
 	mem, err := Load(dir, Config{Analyzer: an, DisableCompaction: true})
@@ -146,16 +140,16 @@ func TestMappedCacheSurvivesCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mem.Close()
-	cached, err := Load(dir, Config{Analyzer: an, DisableCompaction: true, Mapped: true, CacheBytes: 1 << 20})
+	mapped, err := Load(dir, Config{Analyzer: an, DisableCompaction: true, Mapped: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cached.Close()
+	defer mapped.Close()
 
-	// Grow both stores identically past load, then seal: the new
-	// segment must join the cache too (attach-on-seal).
+	// Grow both stores identically past load, then seal: the stack is
+	// now mapped segments plus one heap segment.
 	extra := synthDocs(t, 12, 77)
-	for _, st := range []*Store{mem, cached} {
+	for _, st := range []*Store{mem, mapped} {
 		if _, err := st.Add(extra...); err != nil {
 			t.Fatal(err)
 		}
@@ -163,12 +157,13 @@ func TestMappedCacheSurvivesCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A query drawn from the post-load documents must find them in the
+	// mapped store exactly as in the heap one.
+	sealedQuery := vsm.Request{Query: queryFrom(extra[0], 0, 4), K: 10}
+	assertSameHits(t, "sealed after load", mustSearch(t, mapped, sealedQuery), mustSearch(t, mem, sealedQuery))
 
-	// Warm the cache, then merge everything down while searches are in
-	// flight against the pre-compaction stack.
-	for _, q := range queries {
-		mustSearch(t, cached, vsm.Request{Query: q, K: 10})
-	}
+	// Merge everything down while searches are in flight against the
+	// pre-compaction stack.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 3; g++ {
@@ -182,46 +177,37 @@ func TestMappedCacheSurvivesCompaction(t *testing.T) {
 				default:
 				}
 				for _, q := range queries {
-					mustSearch(t, cached, vsm.Request{Query: q, K: 10})
+					mustSearch(t, mapped, vsm.Request{Query: q, K: 10})
 				}
 			}
 		}()
 	}
-	if err := cached.Compact(); err != nil {
+	if err := mapped.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)
 	wg.Wait()
+	if n := mapped.NumSegments(); n != 1 {
+		t.Fatalf("%d segments after Compact, want 1", n)
+	}
 
-	before, ok := cached.CacheStats()
-	if !ok {
-		t.Fatal("cache telemetry lost after compaction")
+	for qi, q := range append(queries, sealedQuery.Query) {
+		req := vsm.Request{Terms: an.Analyze(q), K: 10}
+		assertSameHits(t, fmt.Sprintf("q%d after compaction", qi), mustSearch(t, mapped, req), mustSearch(t, mem, req))
 	}
-	// Post-compaction queries must still be bit-identical to the
-	// (uncompacted) in-memory oracle, and must flow through the cache:
-	// the first pass repopulates, the second hits.
-	for qi, q := range queries {
-		terms := an.Analyze(q)
-		want := mustSearch(t, mem, vsm.Request{Terms: terms, K: 10})
-		for pass := 0; pass < 2; pass++ {
-			got := mustSearch(t, cached, vsm.Request{Terms: terms, K: 10})
-			if len(got) != len(want) {
-				t.Fatalf("q%d pass %d: %d results vs %d in-memory", qi, pass, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Doc != want[i].Doc || got[i].Score != want[i].Score {
-					t.Fatalf("q%d pass %d rank %d: (%d,%v) vs in-memory (%d,%v)",
-						qi, pass, i, got[i].Doc, got[i].Score, want[i].Doc, want[i].Score)
-				}
-			}
+}
+
+// assertSameHits requires got and want to agree bit for bit.
+func assertSameHits(t *testing.T, what string, got, want []vsm.Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results vs %d in-memory", what, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Doc != want[i].Doc || got[i].Score != want[i].Score {
+			t.Fatalf("%s rank %d: (%d,%v) vs in-memory (%d,%v)",
+				what, i, got[i].Doc, got[i].Score, want[i].Doc, want[i].Score)
 		}
-	}
-	after, _ := cached.CacheStats()
-	if after.Entries == 0 {
-		t.Fatalf("cache dead after compaction: %+v", after)
-	}
-	if after.Hits <= before.Hits {
-		t.Fatalf("merged segment never hit the cache: before %+v after %+v", before, after)
 	}
 }
 

@@ -243,12 +243,6 @@ func Load(dir string, cfg Config) (*Store, error) {
 	st.nextID = m.NextID
 	st.gen = m.Gen
 	st.rebuildStatsLocked()
-	// Attach the block cache only now: norm computation and the stats
-	// rebuild above traverse every list once, and letting those scans
-	// through the cache would just churn it before the first query.
-	for _, sg := range st.segs {
-		sg.idx.AttachCache(st.cache)
-	}
 	st.start()
 	return st, nil
 }
@@ -320,6 +314,7 @@ func (st *Store) loadSeg(dir string, ms manifestSeg) (*seg, error) {
 // the loaded segments with one postings scan — no text analysis.
 func (st *Store) rebuildStatsLocked() {
 	st.growDF()
+	var it index.Iterator
 	for _, sg := range st.segs {
 		st.liveDocs += sg.live
 		for d := 0; d < sg.idx.NumDocs(); d++ {
@@ -328,7 +323,7 @@ func (st *Store) rebuildStatsLocked() {
 			}
 		}
 		for t := 0; t < sg.idx.NumTerms(); t++ {
-			for it := sg.idx.Iter(textproc.TermID(t)); it.Valid(); it.Next() {
+			for sg.idx.IterInto(textproc.TermID(t), &it); it.Valid(); it.Next() {
 				if !sg.dead[it.Doc()] {
 					st.df[t]++
 				}

@@ -49,12 +49,6 @@ type Config struct {
 	// until the next Save/Load cycle. Search results are bit-identical
 	// to the in-memory open path — the property tests assert it.
 	Mapped bool
-	// CacheBytes, when positive, allocates a pinned decoded-block
-	// cache of that capacity (see index.BlockCache), shared by every
-	// segment in the store — loaded mapped segments and segments
-	// sealed or compacted afterward alike, since heap-held blocks
-	// still pay a decode per traversal. Ignored unless Mapped is set.
-	CacheBytes int64
 	// Logf, when non-nil, receives diagnostics from the background
 	// compactor — without it a persistently failing compaction would
 	// retry invisibly forever. searchd passes log.Printf.
@@ -109,10 +103,6 @@ type Store struct {
 	wg        sync.WaitGroup
 	closed    bool
 
-	// cache is the shared decoded-block cache mapped segments attach to
-	// (nil unless Mapped && CacheBytes > 0). Created once at newStore;
-	// never replaced, so it is safe to read without st.mu.
-	cache *index.BlockCache
 	// bloomSkips counts ⟨shard, request⟩ pairs pruned by the per-segment
 	// term bloom filters without running the shard engine.
 	bloomSkips atomic.Uint64
@@ -138,7 +128,7 @@ func Open(cfg Config) (*Store, error) {
 }
 
 func newStore(cfg Config) (*Store, error) {
-	if cfg.SealThreshold < 0 || cfg.CompactFanout < 0 || cfg.CacheBytes < 0 {
+	if cfg.SealThreshold < 0 || cfg.CompactFanout < 0 {
 		return nil, fmt.Errorf("segment: negative config")
 	}
 	cfg = cfg.withDefaults()
@@ -148,9 +138,6 @@ func newStore(cfg Config) (*Store, error) {
 		vocab:     textproc.NewVocab(),
 		compactCh: make(chan struct{}, 1),
 		closeCh:   make(chan struct{}),
-	}
-	if cfg.Mapped {
-		st.cache = index.NewBlockCache(cfg.CacheBytes)
 	}
 	mt, err := newMemtable(st)
 	if err != nil {
@@ -319,10 +306,6 @@ func (st *Store) sealLocked() error {
 		return err
 	}
 	if sg != nil {
-		// Freshly sealed segments join the shared block cache right away
-		// (AttachCache no-ops on a nil cache): their blocks are heap-held
-		// but still cost a decode per traversal.
-		sg.idx.AttachCache(st.cache)
 		st.segs = append(st.segs, sg)
 	}
 	mt, err := newMemtable(st)
@@ -651,9 +634,8 @@ func (st *Store) Stats() Stats {
 // excluded). PostingsBytes counts the sealed segments' exact compressed
 // footprint plus the memtable's uncompressed lists at their in-memory
 // cost of 8 bytes per ⟨int32 doc, int32 tf⟩ posting. ResidentBytes
-// drops the mapped segments' page-cache-backed payloads and adds the
-// block cache's pinned allocation, so it reports what the store
-// actually holds on the heap.
+// drops the mapped segments' page-cache-backed payloads, so it reports
+// what the store actually holds on the heap.
 func (st *Store) ComputeStats() index.Stats {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -676,7 +658,6 @@ func (st *Store) ComputeStats() index.Stats {
 		s.PostingsBytes += 8 * int64(len(pl))
 		s.ResidentBytes += 8 * int64(len(pl))
 	}
-	s.ResidentBytes += st.cache.Stats().Bytes
 	if s.NumTerms > 0 {
 		s.MeanListLen = float64(s.NumPostings) / float64(s.NumTerms)
 	}
@@ -689,15 +670,6 @@ func (st *Store) ComputeStats() index.Stats {
 		s.PaddedPIRBytes = int64(bytesPerPosting * float64(s.MaxListLen) * float64(s.NumTerms))
 	}
 	return s
-}
-
-// CacheStats snapshots the shared block cache's counters; ok is false
-// when no cache is configured (not Mapped, or CacheBytes == 0).
-func (st *Store) CacheStats() (index.CacheStats, bool) {
-	if st.cache == nil {
-		return index.CacheStats{}, false
-	}
-	return st.cache.Stats(), true
 }
 
 // BloomSkips returns how many ⟨shard, request⟩ pairs the per-segment

@@ -81,25 +81,11 @@ func (st *Store) EnableMetrics(reg *telemetry.Registry, ring *telemetry.TraceRin
 		"Total wall time spent in completed compaction runs.",
 		func() float64 { return float64(st.compactNanos.Load()) / 1e9 })
 	reg.GaugeFunc("toppriv_resident_bytes",
-		"Heap-resident postings footprint: PostingsBytes minus mapped payloads plus the pinned block cache.",
+		"Heap-resident postings footprint: PostingsBytes minus mapped payloads.",
 		func() float64 { return float64(st.ComputeStats().ResidentBytes) })
 	reg.CounterFunc("toppriv_bloom_skips_total",
 		"Shard-request pairs pruned by per-segment term bloom filters.",
 		func() float64 { return float64(st.bloomSkips.Load()) })
-	if c := st.cache; c != nil {
-		reg.CounterFunc("toppriv_blockcache_hits_total",
-			"Decoded-block cache hits.",
-			func() float64 { return float64(c.Stats().Hits) })
-		reg.CounterFunc("toppriv_blockcache_misses_total",
-			"Decoded-block cache misses.",
-			func() float64 { return float64(c.Stats().Misses) })
-		reg.CounterFunc("toppriv_blockcache_evictions_total",
-			"Decoded-block cache CLOCK evictions.",
-			func() float64 { return float64(c.Stats().Evictions) })
-		reg.GaugeFunc("toppriv_blockcache_bytes",
-			"Pinned allocation of the decoded-block cache.",
-			func() float64 { return float64(c.Stats().Bytes) })
-	}
 	st.metrics = m
 }
 
