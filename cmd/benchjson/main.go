@@ -2,9 +2,9 @@
 // artifact, so CI can upload a machine-readable performance record
 // (ns/op, allocs/op, and custom metrics like docs_scored/op) and the
 // perf trajectory of the query engine can be tracked across commits.
-// It also compares two such artifacts and exits non-zero on
-// regression, which is what lets CI gate a PR on the committed
-// baseline.
+// It also compares two such artifacts and exits non-zero when a
+// machine-independent metric regressed, which is what lets CI gate a PR
+// on the committed baseline.
 //
 // Usage:
 //
@@ -20,23 +20,24 @@
 // the whole line.
 //
 // Compare mode: benchmarks are matched by name with the -cpu suffix
-// stripped (machines differ). Entries whose name matches the -gate
-// regexp (default covers the search benchmarks, the decode
+// stripped (machines differ). It fails only on what does not depend on
+// the machine that ran the benchmarks. Entries whose name matches the
+// -gate regexp (default covers the search benchmarks, the decode
 // micro-benchmarks and the client-side obfuscation and inference rows)
-// fail the comparison when their ns/op or allocs/op grew by more than
-// -tolerance (fraction, default 0.25) or when they disappeared from
-// the new results; everything else —
-// other benchmarks, and work metrics like docs_scored/op — only
-// warns. Entries carrying an index_bytes/doc metric (the
-// BenchmarkIndexSize memory-footprint row) are gated on that metric
-// instead: growth beyond -size-tolerance (default 0.10) always hard-
-// fails — index size is machine-independent, so there is no hardware
-// excuse — while their ns/op (dominated by one-time environment
-// setup) is ignored. Entries carrying resident_bytes/doc (the
-// BenchmarkTraversalCold/Warm store-residency rows) gate on that
-// metric with the same size tolerance in addition to their ns/op —
-// those rows are real traversal timings, not setup shells. Exit
-// status 1 on any failure.
+// fail the comparison when their allocs/op grew by more than -tolerance
+// (fraction, default 0.25) or when they disappeared from the new
+// results. Entries carrying an index_bytes/doc metric (the
+// BenchmarkIndexSize memory-footprint row) are compared on that metric
+// alone: growth beyond -size-tolerance (default 0.10) always fails,
+// whatever the gate; entries carrying resident_bytes/doc (the
+// BenchmarkTraversalCold/Warm store-residency rows) fail on that metric
+// with the same size tolerance. Everything else only warns: other
+// benchmarks, work metrics like docs_scored/op, and ns/op growth beyond
+// -tolerance on every row, gated or not — a committed ns/op is one
+// machine's, and a gate that compared it with another's failed five PRs
+// running (17–21) on code they had not touched. Time is judged by the
+// system benchmark (bench/, BENCHMARK.json), which runs both sides on
+// the same machine. Exit status 1 on any failure.
 package main
 
 import (
@@ -53,9 +54,9 @@ import (
 
 // defaultGate gates the end-to-end search benchmarks, the postings
 // decode micro-benchmarks, the mapped-store traversal benchmarks, and
-// the two client-side rows (one obfuscated cycle, one LDA posterior);
-// everything else (live-index, instrumented variants) only warns on
-// regression.
+// the two client-side rows (one obfuscated cycle, one LDA posterior) on
+// allocs/op and on still being there; everything else (live-index,
+// instrumented variants) only warns.
 const defaultGate = "^Benchmark(Search|DecodeTraversal|TraversalCold|TraversalWarm|ObfuscateQuery$|Inference$)"
 
 // Benchmark is one parsed result line.
@@ -76,7 +77,7 @@ func main() {
 	log.SetPrefix("benchjson: ")
 	out := flag.String("o", "", "output file (default stdout)")
 	compare := flag.Bool("compare", false, "compare two benchmark JSON files (old new) and exit non-zero on regression")
-	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional ns/op growth before a gated benchmark counts as regressed")
+	tolerance := flag.Float64("tolerance", 0.25, "allowed fractional growth: of allocs/op before a gated benchmark counts as regressed, of ns/op before a warning is printed")
 	sizeTolerance := flag.Float64("size-tolerance", 0.10, "allowed fractional index_bytes/doc growth before a size benchmark hard-fails")
 	gate := flag.String("gate", defaultGate, "regexp over benchmark names whose regressions fail the comparison (others only warn)")
 	flag.Parse()
@@ -208,7 +209,7 @@ func runCompare(args []string, tolerance, sizeTolerance float64, gate string) {
 	if len(failures) > 0 {
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: %d baseline benchmarks compared, no gated regressions (tolerance %.0f%%)\n",
+	fmt.Fprintf(os.Stderr, "benchjson: %d baseline benchmarks compared, no gated regressions (allocs/op tolerance %.0f%%; ns/op only warns)\n",
 		len(oldB), tolerance*100)
 }
 
@@ -235,19 +236,19 @@ const sizeMetric = "index_bytes/doc"
 // residentMetric is the heap-residency footprint of the traversal
 // benchmarks (BenchmarkTraversalCold/Warm): heap bytes per document a
 // loaded store actually pins. Unlike sizeMetric rows, these rows are
-// real traversal timings, so the metric gates IN ADDITION to ns/op,
-// not instead of it.
+// real traversal timings, so their ns/op and allocs/op are compared as
+// well.
 const residentMetric = "resident_bytes/doc"
 
-// compareBenchmarks diffs new against the old baseline. ns/op or
-// allocs/op growth beyond the tolerance fails gated entries (gate
-// regexp match) and warns for the rest; docs_scored/op growth always
-// only warns —
-// scoring more documents is a work regression worth flagging, but
-// it is machine-independent work, not wall-clock, so it never blocks
-// by itself. Entries carrying the index_bytes/doc size metric are
-// compared on that metric alone and hard-fail beyond sizeTolerance
-// regardless of the gate regexp (bytes don't depend on the runner).
+// compareBenchmarks diffs new against the old baseline. allocs/op
+// growth beyond the tolerance fails gated entries (gate regexp match)
+// and warns for the rest; ns/op growth beyond it only ever warns — the
+// baseline's timings are another machine's. docs_scored/op growth
+// always only warns — scoring more documents is a work regression worth
+// flagging, but it never blocks by itself. Entries carrying the
+// index_bytes/doc size metric are compared on that metric alone and
+// hard-fail beyond sizeTolerance regardless of the gate regexp (bytes
+// don't depend on the runner).
 // Entries present only in the new run are additions and pass
 // silently. Names are matched as stored: parseLine already normalized
 // away the -cpu suffix, and stripping again here would mangle
@@ -295,7 +296,7 @@ func compareBenchmarks(oldB, newB []Benchmark, tolerance, sizeTolerance float64,
 		if oldRes, ok := ob.Metrics[residentMetric]; ok && oldRes > 0 {
 			// Residency is machine-independent, so like index_bytes/doc it
 			// hard-fails beyond sizeTolerance regardless of the gate
-			// regexp; the row's ns/op is still compared below.
+			// regexp; the row's other metrics are still compared below.
 			if newRes, ok := nb.Metrics[residentMetric]; !ok {
 				flag(true, "%s: %s missing from new results", name, residentMetric)
 			} else if newRes > oldRes*(1+sizeTolerance) {
@@ -305,8 +306,9 @@ func compareBenchmarks(oldB, newB []Benchmark, tolerance, sizeTolerance float64,
 		}
 		if oldNS, ok := ob.Metrics["ns/op"]; ok && oldNS > 0 {
 			if newNS, ok := nb.Metrics["ns/op"]; ok && newNS > oldNS*(1+tolerance) {
-				flag(gated, "%s: ns/op %.0f → %.0f (+%.1f%%, tolerance %.0f%%)",
-					name, oldNS, newNS, (newNS/oldNS-1)*100, tolerance*100)
+				warnings = append(warnings, fmt.Sprintf(
+					"%s: ns/op %.0f → %.0f (+%.1f%%, tolerance %.0f%%) — time is not gated here, see go run ./bench",
+					name, oldNS, newNS, (newNS/oldNS-1)*100, tolerance*100))
 			}
 		}
 		if oldA, ok := ob.Metrics["allocs/op"]; ok && oldA > 0 {

@@ -91,7 +91,10 @@ func bench(name string, ns, docsScored float64) Benchmark {
 	return Benchmark{Name: name, N: 1, Metrics: m}
 }
 
-func TestCompareGatesNsOpRegressions(t *testing.T) {
+// TestCompareNsOpOnlyWarns: the committed ns/op is one machine's and
+// the new run another's, so growth past the tolerance is printed for
+// every row, gated or not, and never fails the comparison.
+func TestCompareNsOpOnlyWarns(t *testing.T) {
 	oldB := []Benchmark{
 		bench("BenchmarkSearch/cosine/exhaustive", 40000, 60),
 		bench("BenchmarkSearch/bm25/exhaustive", 30000, 55),
@@ -99,25 +102,18 @@ func TestCompareGatesNsOpRegressions(t *testing.T) {
 	}
 	newB := []Benchmark{
 		bench("BenchmarkSearch/cosine/exhaustive", 49000, 60), // within 25%
-		bench("BenchmarkSearch/bm25/exhaustive", 40000, 80),   // +33% ns: fail; docs_scored +45%: warn
-		bench("BenchmarkLiveIndex/single", 80000, 0),          // ungated: warn only
+		bench("BenchmarkSearch/bm25/exhaustive", 40000, 80),   // gated, +33% ns: warn; docs_scored +45%: warn
+		bench("BenchmarkLiveIndex/single", 80000, 0),          // ungated, +122% ns: warn
 		bench("BenchmarkSearchBatch/cosine/batch8", 10000, 0), // addition: ignored
 	}
 	failures, warnings := compareBenchmarks(oldB, newB, 0.25, 0.10, regexp.MustCompile("^BenchmarkSearch"))
-	if len(failures) != 1 || !strings.Contains(failures[0], "bm25/exhaustive") {
-		t.Errorf("failures = %v, want exactly the bm25/exhaustive ns/op regression", failures)
+	if len(failures) != 0 {
+		t.Errorf("failures = %v, want none: ns/op growth is never fatal", failures)
 	}
-	foundLive, foundDS := false, false
-	for _, w := range warnings {
-		if strings.Contains(w, "BenchmarkLiveIndex/single") {
-			foundLive = true
-		}
-		if strings.Contains(w, "docs_scored") {
-			foundDS = true
-		}
-	}
-	if !foundLive || !foundDS {
-		t.Errorf("warnings = %v, want ungated ns/op and docs_scored entries", warnings)
+	all := strings.Join(warnings, "\n")
+	if len(warnings) != 3 || !strings.Contains(all, "BenchmarkSearch/bm25/exhaustive: ns/op 30000 → 40000") ||
+		!strings.Contains(all, "BenchmarkLiveIndex/single: ns/op") || !strings.Contains(all, "docs_scored") {
+		t.Errorf("warnings = %v, want the gated and the ungated ns/op growth and the docs_scored growth", warnings)
 	}
 }
 
@@ -185,9 +181,10 @@ func TestCompareSizeGate(t *testing.T) {
 }
 
 // TestCompareDefaultGateRegexp pins the default gate: the decode
-// micro-benchmarks and the mapped-traversal benchmarks regress loudly
-// alongside the search benchmarks, while a name that merely contains
-// (not starts with) a gated word stays a warning.
+// micro-benchmarks, the mapped-traversal benchmarks and the client-side
+// rows fail alongside the search benchmarks when they disappear from
+// the new results, while a name that merely contains (not starts with)
+// a gated word only warns.
 func TestCompareDefaultGateRegexp(t *testing.T) {
 	gate := regexp.MustCompile(defaultGate)
 	oldB := []Benchmark{
@@ -199,15 +196,7 @@ func TestCompareDefaultGateRegexp(t *testing.T) {
 		bench("BenchmarkInference", 20000, 0),
 		bench("BenchmarkInferenceIters/160", 80000, 0),
 	}
-	newB := []Benchmark{
-		bench("BenchmarkObfuscateQuery", 800000, 0),
-		bench("BenchmarkInference", 40000, 0),
-		bench("BenchmarkInferenceIters/160", 160000, 0),
-		bench("BenchmarkDecodeTraversal/w8", 2000, 0),
-		bench("BenchmarkTraversalCold", 6000, 0),
-		bench("BenchmarkTraversalWarm/heap", 6000, 0),
-		bench("BenchmarkResearchIndexing", 1000, 0),
-	}
+	newB := []Benchmark{bench("BenchmarkSearch/cosine/exhaustive", 40000, 0)}
 	failures, warnings := compareBenchmarks(oldB, newB, 0.25, 0.10, gate)
 	if len(failures) != 5 {
 		t.Errorf("failures = %v, want DecodeTraversal, both Traversal rows, ObfuscateQuery and Inference gated", failures)
@@ -218,8 +207,7 @@ func TestCompareDefaultGateRegexp(t *testing.T) {
 }
 
 // TestCompareAllocsGate: allocations per operation do not depend on the
-// machine, and follow the rule of ns/op — a gated row fails, any other
-// row warns.
+// machine — a gated row fails, any other row warns.
 func TestCompareAllocsGate(t *testing.T) {
 	allocBench := func(name string, allocs float64) Benchmark {
 		return Benchmark{Name: name, N: 1, Metrics: map[string]float64{"ns/op": 1000, "allocs/op": allocs}}
@@ -249,8 +237,8 @@ func residentBench(name string, nsOp, resPerDoc float64) Benchmark {
 
 // TestCompareResidentGate checks the resident_bytes/doc rules: the
 // metric hard-fails beyond the size tolerance regardless of the gate
-// regexp, and — unlike index_bytes/doc rows — the same row's ns/op
-// still gates too, so one entry can fail on either axis.
+// regexp, and — unlike index_bytes/doc rows — the same row's ns/op is
+// still compared, as a warning.
 func TestCompareResidentGate(t *testing.T) {
 	oldB := []Benchmark{residentBench("BenchmarkTraversalWarm/heap", 50000, 130)}
 	gate := regexp.MustCompile(defaultGate)
@@ -268,17 +256,17 @@ func TestCompareResidentGate(t *testing.T) {
 	if len(failures) != 1 || !strings.Contains(failures[0], "resident_bytes/doc") {
 		t.Errorf("failures = %v, want one resident_bytes/doc failure", failures)
 	}
-	// Residency flat but ns/op +40%: the timing gate still applies.
-	failures, _ = compareBenchmarks(oldB,
+	// Residency flat but ns/op +40%: the timing is reported, not failed.
+	failures, warnings = compareBenchmarks(oldB,
 		[]Benchmark{residentBench("BenchmarkTraversalWarm/heap", 70000, 130)}, 0.25, 0.10, gate)
-	if len(failures) != 1 || !strings.Contains(failures[0], "ns/op") {
-		t.Errorf("failures = %v, want one ns/op failure", failures)
+	if len(failures) != 0 || len(warnings) != 1 || !strings.Contains(warnings[0], "ns/op") {
+		t.Errorf("failures %v warnings %v, want one ns/op warning and no failure", failures, warnings)
 	}
-	// Both regressed: both axes reported.
-	failures, _ = compareBenchmarks(oldB,
+	// Both regressed: both axes reported, the residency as the failure.
+	failures, warnings = compareBenchmarks(oldB,
 		[]Benchmark{residentBench("BenchmarkTraversalWarm/heap", 70000, 160)}, 0.25, 0.10, gate)
-	if len(failures) != 2 {
-		t.Errorf("failures = %v, want residency and timing failures", failures)
+	if len(failures) != 1 || !strings.Contains(failures[0], "resident_bytes/doc") || len(warnings) != 1 {
+		t.Errorf("failures %v warnings %v, want the residency failure and the timing warning", failures, warnings)
 	}
 	// Metric lost while the benchmark survives: hard failure.
 	failures, _ = compareBenchmarks(oldB,

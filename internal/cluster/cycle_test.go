@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"reflect"
@@ -273,5 +274,65 @@ func TestShardBatchRejectsBadStatistics(t *testing.T) {
 		if tt.status == http.StatusBadRequest && !bytes.Contains(msg, []byte("query 1")) {
 			t.Errorf("%s: error %q does not name the offending member", tt.name, bytes.TrimSpace(msg))
 		}
+	}
+}
+
+// TestShardDeleteRejectsMalformedParameters pins the shard's answer to
+// a DELETE /cluster/doc/{gid} whose seq or instance does not parse: a
+// 400 naming the parameter, the document untouched. Read as absent — as
+// they were — a malformed seq applied a journalled delete unjournalled,
+// so its re-drive met a 404 and the router retired the record as
+// rejected, and a malformed instance skipped the restart precondition.
+func TestShardDeleteRejectsMalformedParameters(t *testing.T) {
+	tc := newTestCluster(t, vsm.BM25, 1, Config{})
+	docs := synthDocs(t, 12, 19)
+	gids, err := tc.router.Add(docs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := fmt.Sprintf("%s/cluster/doc/%d", tc.servers[0].URL, gids[4])
+	do := func(method, query string) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, url+query, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(bytes.TrimSpace(msg))
+	}
+	instance := tc.shards[0].instance
+	for _, tt := range []struct {
+		name, query, names string
+		status             int
+	}{
+		{"seq is not a number", "?seq=next", "seq", http.StatusBadRequest},
+		{"negative seq", fmt.Sprintf("?seq=-1&instance=%d", instance), "seq", http.StatusBadRequest},
+		{"seq overflows", "?seq=18446744073709551616", "seq", http.StatusBadRequest},
+		{"instance is not a number", "?seq=99&instance=0x2a", "instance", http.StatusBadRequest},
+		{"another process's instance", fmt.Sprintf("?seq=99&instance=%d", instance+2), "instance mismatch", http.StatusPreconditionFailed},
+	} {
+		status, msg := do(http.MethodDelete, tt.query)
+		if status != tt.status || !strings.Contains(msg, tt.names) {
+			t.Errorf("%s: %d %q, want %d naming %q", tt.name, status, msg, tt.status, tt.names)
+		}
+		if status, _ := do(http.MethodGet, ""); status != http.StatusOK {
+			t.Fatalf("%s: document gone after a refused delete (GET %d)", tt.name, status)
+		}
+	}
+	// Well-formed, the delete applies, and its re-drive under the same
+	// sequence is acknowledged.
+	good := fmt.Sprintf("?seq=99&instance=%d", instance)
+	for _, what := range []string{"delete", "re-driven delete"} {
+		if status, msg := do(http.MethodDelete, good); status != http.StatusOK {
+			t.Fatalf("%s: %d %q, want 200", what, status, msg)
+		}
+	}
+	if status, _ := do(http.MethodGet, ""); status != http.StatusNotFound {
+		t.Fatalf("deleted document still served (GET %d)", status)
 	}
 }

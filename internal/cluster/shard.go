@@ -550,12 +550,24 @@ func (s *Shard) handleDoc(w http.ResponseWriter, r *http.Request) {
 		doc.ID = gid
 		writeJSON(w, doc)
 	case http.MethodDelete:
+		// A parameter that does not parse is refused, not read as absent:
+		// dropping a malformed seq would apply a journalled delete as an
+		// unjournalled one (its re-drive then 404s and the router retires
+		// the record as rejected), dropping a malformed instance would
+		// skip the restart precondition.
 		var seq uint64
 		if v := r.URL.Query().Get("seq"); v != "" {
-			seq, _ = strconv.ParseUint(v, 10, 64)
+			if seq, err = strconv.ParseUint(v, 10, 64); err != nil {
+				http.Error(w, "bad request: seq: "+err.Error(), http.StatusBadRequest)
+				return
+			}
 		}
 		if v := r.URL.Query().Get("instance"); v != "" {
-			want, _ := strconv.ParseUint(v, 10, 64)
+			want, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				http.Error(w, "bad request: instance: "+err.Error(), http.StatusBadRequest)
+				return
+			}
 			if want != 0 && want != s.instance {
 				http.Error(w, fmt.Sprintf("instance mismatch: request for %x, shard is %x", want, s.instance), http.StatusPreconditionFailed)
 				return

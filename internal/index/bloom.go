@@ -8,12 +8,14 @@ import (
 )
 
 // TermBloom is a per-segment bloom filter over the dictionary's
-// surface terms. The segment store probes it before fanning a query
-// out to a sealed segment: a segment whose bloom rejects every term of
-// a request cannot contribute a hit (an absent term has no postings,
-// and a scan only ever scores documents that appear in some queried
-// list), so the whole shard probe is skipped. False positives
-// only cost a wasted probe, never a wrong result.
+// surface terms: a segment whose bloom rejects every term of a request
+// cannot contribute a hit (an absent term has no postings, and a scan
+// only ever scores documents that appear in some queried list). Nothing
+// on the query path probes it any more — the segment store scans every
+// part with one engine, and an absent term is an empty list the scan
+// steps over — so the filter is format-only: TPIX v8 persists it, and it
+// leaves with the next format bump. False positives only cost a wasted
+// probe, never a wrong result.
 //
 // Sizing is fixed at build time: bloomBitsPerTerm bits per dictionary
 // entry with bloomHashes probes per term, giving a theoretical false

@@ -12,11 +12,10 @@ import (
 )
 
 // TestStoreSearchBatchMatchesSingle asserts the store's batch path —
-// one fan-out per batch, each shard running the whole cycle, per-member
-// merge — returns, member for member, exactly what SearchRequest
-// returns alone: same documents, same order, same float64 scores, same
-// aggregated stats for explicit modes. Exercised over a store with
-// memtable + sealed segments + tombstones, both scorings, mixed modes.
+// the whole cycle resolved once and scanned part by part — returns,
+// member for member, exactly what SearchRequest returns alone: same
+// documents, same order, same float64 scores. Exercised over a store
+// with memtable + sealed segments + tombstones, both scorings.
 func TestStoreSearchBatchMatchesSingle(t *testing.T) {
 	ctx := context.Background()
 	for _, scoring := range []vsm.Scoring{vsm.Cosine, vsm.BM25} {
@@ -84,8 +83,8 @@ func TestStoreSearchBatchMatchesSingle(t *testing.T) {
 	}
 }
 
-// TestStoreSearchCancellation pins context propagation through the
-// shard fan-out: an already-canceled context fails the batch with the
+// TestStoreSearchCancellation pins context propagation into the
+// store's engine: an already-canceled context fails the batch with the
 // context's error.
 func TestStoreSearchCancellation(t *testing.T) {
 	an := textproc.NewAnalyzer()
@@ -113,14 +112,20 @@ func TestStoreSearchCancellation(t *testing.T) {
 	}
 }
 
-// TestStoreTelemetry pins the store's close-out: a traced batch comes
-// back with the store-level trace and is counted once per member,
-// against a populated store and against one with no live shard — what
-// every query meets on a freshly started, corpus-less searchd.
+// TestStoreTelemetry pins that a live store's query telemetry is its
+// engine's: a traced cycle over three segments and a memtable is one
+// scan — counted under the engine's "batch" label once per member it
+// served, observed once in the latency histogram and once in each of the
+// four phase histograms however many parts it crossed, every served
+// member carrying that scan's trace — and a lone query is "exhaustive".
+// A member that resolves to nothing (an unseen term; anything at all on a
+// store with no document, what every query meets on a freshly started,
+// corpus-less searchd) is answered without a scan, as a static engine
+// answers it: nil hits, an empty trace, nothing counted.
 func TestStoreTelemetry(t *testing.T) {
 	docs := synthDocs(t, 40, 77)
 	for _, seed := range [][]corpus.Document{docs, nil} {
-		st, err := Open(Config{SealThreshold: 16, DisableCompaction: true})
+		st, err := Open(Config{SealThreshold: 11, DisableCompaction: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,23 +134,61 @@ func TestStoreTelemetry(t *testing.T) {
 			t.Fatal(err)
 		}
 		reg := telemetry.NewRegistry()
-		st.EnableMetrics(reg, nil)
+		ring := telemetry.NewTraceRing(4)
+		st.EnableMetrics(reg, ring)
 		reqs := []vsm.Request{
 			{Query: queryFrom(docs[3], 0, 4), K: 5, Trace: true},
+			{Query: queryFrom(docs[30], 2, 3), K: 5, Trace: true},
 			{Query: "zzzzunseenterm", K: 5, Trace: true},
 		}
 		resps, err := st.SearchBatch(context.Background(), reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
+		served := 0
+		if seed != nil {
+			served = 2
+		}
 		for i, resp := range resps {
-			if tr := resp.Trace; tr.Mode != "store" || tr.Batch != len(reqs) || tr.Scorer != "cosine" || tr.TotalNS <= 0 {
-				t.Errorf("%d docs, member %d: trace %+v, want mode store, batch %d, scorer cosine, total_ns > 0", len(seed), i, *tr, len(reqs))
+			tr := resp.Trace
+			if i >= served {
+				if resp.Hits != nil || *tr != (telemetry.PhaseTrace{}) {
+					t.Errorf("%d docs, member %d resolved to nothing: hits %v, trace %+v", len(seed), i, resp.Hits, *tr)
+				}
+				continue
+			}
+			if tr.Mode != "batch" || tr.Batch != served || tr.Scorer != "cosine" || tr.TotalNS <= 0 || tr.FetchNS <= 0 || tr.TraverseNS <= 0 {
+				t.Errorf("member %d: trace %+v, want mode batch of %d, scorer cosine, fetch, traverse and total times", i, *tr, served)
 			}
 		}
-		counted := reg.CounterVec(vsm.MetricQueriesTotal, "", "scorer", "mode").With("cosine", "store")
-		if got := counted.Value(); got != uint64(len(reqs)) {
-			t.Errorf("%d docs: toppriv_queries_total{mode=\"store\"} = %d after a batch of %d", len(seed), got, len(reqs))
+		if served > 0 {
+			if _, err := st.SearchRequest(context.Background(), reqs[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// What the registry holds: the cycle's scan and the lone query's.
+		queries := reg.CounterVec(vsm.MetricQueriesTotal, "", "scorer", "mode")
+		lat := reg.HistogramVec(vsm.MetricQuerySeconds, "", telemetry.DefaultLatencyBuckets, "scorer", "mode")
+		phases := reg.HistogramVec(vsm.MetricQueryPhaseSeconds, "", telemetry.DefaultLatencyBuckets, "scorer", "phase")
+		scans := uint64(min(served, 1))
+		if got := queries.With("cosine", "batch").Value(); got != uint64(served) {
+			t.Errorf("%d docs: toppriv_queries_total{mode=\"batch\"} = %d, want %d", len(seed), got, served)
+		}
+		if got := queries.With("cosine", "exhaustive").Value(); got != scans {
+			t.Errorf("%d docs: toppriv_queries_total{mode=\"exhaustive\"} = %d, want %d", len(seed), got, scans)
+		}
+		for _, mode := range []string{"batch", "exhaustive"} {
+			if got := lat.With("cosine", mode).Count(); got != scans {
+				t.Errorf("%d docs: %d latency observations under mode %s, want %d", len(seed), got, mode, scans)
+			}
+		}
+		for _, phase := range []string{"resolve", "fetch", "traverse", "merge"} {
+			if got := phases.With("cosine", phase).Count(); got != 2*scans {
+				t.Errorf("%d docs: %d observations of phase %s after %d scans over %d parts", len(seed), got, phase, 2*scans, st.NumSegments()+1)
+			}
+		}
+		if got := ring.Len(); got != int(2*scans) {
+			t.Errorf("%d docs: trace ring retains %d, want %d", len(seed), got, 2*scans)
 		}
 	}
 }

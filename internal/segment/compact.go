@@ -159,17 +159,12 @@ func (st *Store) compactRun(start, end int) (*seg, error) {
 			}
 		}
 	}
-	norms := vsm.DocNorms(merged)
-	eng, err := vsm.NewEngineOver(&liveSource{st: st, local: merged, norms: norms}, st.an, st.cfg.Scoring)
-	if err != nil {
-		return nil, err
-	}
 	out := &seg{
 		level: level + 1,
 		ids:   ids,
 		docs:  docs,
 		idx:   merged,
-		eng:   eng,
+		norms: vsm.DocNorms(merged),
 		dead:  make([]bool, merged.NumDocs()),
 		live:  merged.NumDocs(),
 	}

@@ -1,6 +1,7 @@
 package segment
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -270,11 +271,12 @@ func TestMappedStoreRejectsCorruptSegment(t *testing.T) {
 }
 
 // TestBloomSkipsSegments builds two sealed segments with (partially)
-// disjoint vocabularies. The first segment is sealed before the second
-// batch's terms enter the dictionary, so its persisted bloom cannot
-// contain them: querying a second-batch-only term must skip the first
-// segment — observable via BloomSkips — while returning exactly the
-// results the full scan would.
+// disjoint vocabularies; the first is sealed before the second batch's
+// terms enter the dictionary. No query consults a segment's term bloom
+// any more — BloomSkips stays 0 — and none needs to: a segment that
+// lacks every term of a query hands the scan empty lists, which add
+// nothing to the query's postings or decoded blocks, and the hits are
+// exactly those of the segments that hold the terms.
 func TestBloomSkipsSegments(t *testing.T) {
 	an := textproc.NewAnalyzer()
 	st, err := Open(Config{Analyzer: an, SealThreshold: 1 << 30, DisableCompaction: true})
@@ -300,32 +302,34 @@ func TestBloomSkipsSegments(t *testing.T) {
 	if err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	search := func(query string) vsm.Response {
+		t.Helper()
+		resp, err := st.SearchRequest(context.Background(), vsm.Request{Query: query, K: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	// "dividend" and "yield" exist only in the second batch, one posting
+	// each in one block each; segment 0's dictionary predates them.
+	resp := search("dividend yield")
+	if len(resp.Hits) != 1 || resp.Hits[0].Doc != 3 {
+		t.Fatalf("dividend yield returned %v, want document 3 alone", resp.Hits)
+	}
+	if resp.Stats.Postings != 2 || resp.Stats.BlocksDecoded != 2 || resp.Stats.DocsScored != 1 {
+		t.Fatalf("dividend yield: stats %+v, want segment 1's two postings in two blocks and nothing from segment 0", resp.Stats)
+	}
+	// A term both segments' dictionaries hold, with postings in the
+	// first only: the second adds nothing either.
+	resp = search("apache")
+	if len(resp.Hits) != 2 || resp.Stats.Postings != 2 || resp.Stats.BlocksDecoded != 1 {
+		t.Fatalf("apache returned %v with stats %+v, want documents 0 and 1 off one block", resp.Hits, resp.Stats)
+	}
+	// Unknown terms scan nothing and return nothing.
+	if resp = search("zzzzunseenterm"); len(resp.Hits) != 0 || resp.Stats != (vsm.ExecStats{}) {
+		t.Fatalf("unseen term returned %v with stats %+v", resp.Hits, resp.Stats)
+	}
 	if st.BloomSkips() != 0 {
-		t.Fatalf("skips before any query: %d", st.BloomSkips())
-	}
-	// "dividend" exists only in the second batch; segment 0's bloom was
-	// built from a vocabulary that predates it.
-	res := mustSearch(t, st, vsm.Request{Query: "dividend yield", K: 10})
-	if len(res) != 1 {
-		t.Fatalf("dividend yield returned %d docs, want 1", len(res))
-	}
-	skips := st.BloomSkips()
-	if skips == 0 {
-		t.Fatal("query with terms absent from segment 0 did not skip it")
-	}
-	// A term present in both segments' vocabularies must not skip and
-	// must still retrieve across segments.
-	if got := mustSearch(t, st, vsm.Request{Query: "apache", K: 10}); len(got) != 2 {
-		t.Fatalf("apache returned %d docs, want 2", len(got))
-	}
-	if st.BloomSkips() != skips {
-		t.Fatalf("apache query skipped a segment: %d -> %d", skips, st.BloomSkips())
-	}
-	// Unknown terms skip every sealed segment and return nothing.
-	if got := mustSearch(t, st, vsm.Request{Query: "zzzzunseenterm", K: 10}); len(got) != 0 {
-		t.Fatalf("unseen term returned %d docs", len(got))
-	}
-	if st.BloomSkips() <= skips {
-		t.Fatal("unseen-term query did not skip sealed segments")
+		t.Fatalf("BloomSkips() = %d, want 0: nothing consults the blooms", st.BloomSkips())
 	}
 }

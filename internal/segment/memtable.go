@@ -3,6 +3,7 @@ package segment
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"toppriv/internal/corpus"
 	"toppriv/internal/index"
@@ -14,8 +15,9 @@ import (
 // inverted index over the most recently added documents. It keeps the
 // analyzed bags so sealing can build a real index.Index without
 // re-analyzing, and maintains per-document lnc norms incrementally so
-// its engine never needs a construction-time scan. All mutation happens
-// under the store's write lock; reads under the read lock.
+// the engine reads them off a slice like a sealed segment's. All
+// mutation happens under the store's write lock; reads under the read
+// lock.
 type memtable struct {
 	st     *Store
 	ids    []corpus.DocID
@@ -26,20 +28,10 @@ type memtable struct {
 	dead   []bool
 	live   int
 	post   map[textproc.TermID][]index.Posting
-	eng    *vsm.Engine
 }
 
-func newMemtable(st *Store) (*memtable, error) {
-	mt := &memtable{
-		st:   st,
-		post: make(map[textproc.TermID][]index.Posting),
-	}
-	eng, err := vsm.NewEngineOver(&liveSource{st: st, local: mt}, st.an, st.cfg.Scoring)
-	if err != nil {
-		return nil, fmt.Errorf("segment: memtable engine: %w", err)
-	}
-	mt.eng = eng
-	return mt, nil
+func newMemtable(st *Store) *memtable {
+	return &memtable{st: st, post: make(map[textproc.TermID][]index.Posting)}
 }
 
 // add analyzes one document into the shared vocabulary and indexes it
@@ -60,8 +52,18 @@ func (mt *memtable) add(doc corpus.Document, gid corpus.DocID) []textproc.TermID
 	for _, id := range bag {
 		counts[id]++
 	}
+	// Squares are summed in ascending term order, the order
+	// vsm.DocNorms adds them in: a document's norm, and so its cosine
+	// score, is the same bits before and after it is sealed, and from
+	// one run to the next (map order would make it neither).
+	terms := make([]textproc.TermID, 0, len(counts))
+	for id := range counts {
+		terms = append(terms, id)
+	}
+	slices.Sort(terms)
 	normSq := 0.0
-	for id, tf := range counts {
+	for _, id := range terms {
+		tf := counts[id]
 		// Appending per document keeps each list ascending by local ID.
 		mt.post[id] = append(mt.post[id], index.Posting{Doc: local, TF: tf})
 		w := 1 + math.Log(float64(tf))
@@ -71,14 +73,11 @@ func (mt *memtable) add(doc corpus.Document, gid corpus.DocID) []textproc.TermID
 	return bag
 }
 
-// localSource implementation.
-
-func (mt *memtable) NumTerms() int { return mt.st.vocab.Size() }
-
-// IterInto hands out a plain slice iterator over the term's growing
-// list — the memtable keeps its postings uncompressed (they mutate in
-// place); compression happens on seal, when index.Build lays the
-// frozen lists out block-compressed.
+// IterInto and DocLen make the memtable a vsm.Postings. IterInto hands
+// out a plain slice iterator over the term's growing list — the memtable
+// keeps its postings uncompressed (they mutate in place); compression
+// happens on seal, when index.Build lays the frozen lists out
+// block-compressed.
 func (mt *memtable) IterInto(id textproc.TermID, it *index.Iterator) {
 	it.ResetList(mt.post[id])
 }
@@ -88,14 +87,6 @@ func (mt *memtable) DocLen(d corpus.DocID) int {
 		return 0
 	}
 	return mt.docLen[d]
-}
-
-// DocNorm implements localNorms.
-func (mt *memtable) DocNorm(d corpus.DocID) float64 {
-	if d < 0 || int(d) >= len(mt.norm) {
-		return 0
-	}
-	return mt.norm[d]
 }
 
 // locate binary-searches for a global ID (ids are ascending).
@@ -118,17 +109,12 @@ func (mt *memtable) seal() (*seg, error) {
 	if err != nil {
 		return nil, fmt.Errorf("segment: seal: %w", err)
 	}
-	norms := vsm.DocNorms(idx)
-	eng, err := vsm.NewEngineOver(&liveSource{st: mt.st, local: idx, norms: norms}, mt.st.an, mt.st.cfg.Scoring)
-	if err != nil {
-		return nil, fmt.Errorf("segment: seal engine: %w", err)
-	}
 	return &seg{
 		level: 0,
 		ids:   mt.ids,
 		docs:  mt.docs,
 		idx:   idx,
-		eng:   eng,
+		norms: vsm.DocNorms(idx),
 		dead:  mt.dead,
 		live:  mt.live,
 	}, nil

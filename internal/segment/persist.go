@@ -302,12 +302,7 @@ func (st *Store) loadSeg(dir string, ms manifestSeg) (*seg, error) {
 			live--
 		}
 	}
-	norms := vsm.DocNorms(idx)
-	eng, err := vsm.NewEngineOver(&liveSource{st: st, local: idx, norms: norms}, st.an, st.cfg.Scoring)
-	if err != nil {
-		return nil, err
-	}
-	return &seg{level: ms.Level, ids: ms.IDs, docs: docs, idx: idx, eng: eng, dead: dead, live: live}, nil
+	return &seg{level: ms.Level, ids: ms.IDs, docs: docs, idx: idx, norms: vsm.DocNorms(idx), dead: dead, live: live}, nil
 }
 
 // rebuildStatsLocked recomputes liveDocs, liveLen, and per-term df from

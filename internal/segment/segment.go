@@ -4,30 +4,30 @@
 // the memtable; at a size threshold the memtable is sealed into a new
 // level-0 segment; a background compactor merges same-level runs of
 // segments into the next level; deletes set tombstone bits without
-// touching postings. Searches fan out across all segments (and the
-// memtable) concurrently and merge per-shard top-k results with a heap,
-// scoring every shard against *global* live collection statistics
-// (N, df, avgdl) so results are identical — to floating-point noise —
-// to a from-scratch index.Build over the surviving documents.
+// touching postings.
 //
-// Every shard engine runs vsm's flat scan, a cycle's members together;
-// tombstones are filtered inside the shard, before a document can reach
-// its top-k (a shard with none runs unfiltered).
+// The store has one vsm.Engine, and is that engine's source: a query —
+// a whole cycle at once — is resolved against the shared dictionary and
+// weighed against the store's *global* live collection statistics
+// (N, df, avgdl) once, and then the sealed segments and the memtable are
+// scanned in turn by the engine's flat scan into one top-k heap per
+// member, under store-wide document IDs. Tombstones are filtered inside
+// the scan, before a document can reach a heap (a part with none runs
+// unfiltered). Results are therefore identical — to floating-point noise
+// — to a from-scratch index.Build over the surviving documents.
 //
 // The store persists as one TPIX file per sealed segment plus a JSON
 // manifest, so a restart recovers without re-analyzing any text.
 package segment
 
 import (
-	"math"
-
 	"toppriv/internal/corpus"
 	"toppriv/internal/index"
 	"toppriv/internal/textproc"
 	"toppriv/internal/vsm"
 )
 
-// seg is one immutable sealed segment. Its postings and engine never
+// seg is one immutable sealed segment. Its postings and norms never
 // change after sealing; only the tombstone bits (dead) mutate, under
 // the store's write lock.
 type seg struct {
@@ -40,9 +40,11 @@ type seg struct {
 	// maintenance, and persistence.
 	docs []corpus.Document
 	idx  *index.Index
-	eng  *vsm.Engine
-	dead []bool
-	live int
+	// norms holds the documents' lnc vector norms (vsm.DocNorms),
+	// computed once when the segment is sealed, loaded or merged.
+	norms []float64
+	dead  []bool
+	live  int
 }
 
 // locate binary-searches the segment for a global doc ID, returning the
@@ -52,7 +54,7 @@ func (s *seg) locate(gid corpus.DocID) (corpus.DocID, bool) {
 }
 
 // locateID binary-searches an ascending global-ID slice, returning the
-// position as a shard-local doc ID. Shared by segments and the
+// position as a part-local doc ID. Shared by segments and the
 // memtable.
 func locateID(ids []corpus.DocID, gid corpus.DocID) (corpus.DocID, bool) {
 	lo, hi := 0, len(ids)
@@ -70,77 +72,53 @@ func locateID(ids []corpus.DocID, gid corpus.DocID) (corpus.DocID, bool) {
 	return 0, false
 }
 
-// localSource is the shard-local half of a liveSource: postings
-// iterators and per-document lengths. Both *index.Index (sealed
-// segments: decode-on-traversal iterators over block-compressed lists)
-// and *memtable (plain slice iterators over its uncompressed growing
-// lists) satisfy it.
-type localSource interface {
-	NumTerms() int
-	IterInto(id textproc.TermID, it *index.Iterator)
-	DocLen(d corpus.DocID) int
-}
+// collection is the Store as its engine's vsm.Source — the same memory
+// under a type whose methods read the store's live counters, which span
+// every part and exclude tombstoned documents, without locking: the
+// engine only calls them from SearchBatch, under the store's read lock,
+// which excludes every writer. (Store's own exported accessors take that
+// lock, and must not be re-entered under it.)
+type collection Store
 
-// liveSource adapts one shard to the vsm.Source contract by delegating
-// postings to the shard while reading collection statistics — document
-// count, document frequency, idf, average length — from the store's
-// live counters, which span every shard and exclude tombstoned
-// documents. This is what makes per-shard scoring add up to exactly the
-// single-index result: a query term's weight is the same in every
-// shard, even in shards that have never seen the term.
-//
-// All methods read store fields without locking: the engine only calls
-// them while the store's mutex is held (read-held during Search,
-// write-held during seal), which excludes every writer.
-type liveSource struct {
-	st    *Store
-	local localSource
-	// norms holds precomputed lnc document norms for sealed shards; nil
-	// for the memtable, whose norms grow with it (localNorms).
-	norms []float64
-}
+func (c *collection) Vocab() *textproc.Vocab { return c.vocab }
+func (c *collection) NumDocs() int           { return c.liveDocs }
 
-// localNorms is implemented by shards that maintain their own norms
-// (the memtable).
-type localNorms interface {
-	DocNorm(d corpus.DocID) float64
-}
-
-func (s *liveSource) Vocab() *textproc.Vocab { return s.st.vocab }
-func (s *liveSource) NumDocs() int           { return s.st.liveDocs }
-func (s *liveSource) NumTerms() int          { return s.local.NumTerms() }
-
-func (s *liveSource) IterInto(id textproc.TermID, it *index.Iterator) {
-	s.local.IterInto(id, it)
-}
-
-func (s *liveSource) DocFreq(id textproc.TermID) int { return s.st.docFreqLocked(id) }
-
-func (s *liveSource) IDF(id textproc.TermID) float64 {
-	df := s.st.docFreqLocked(id)
-	if df == 0 {
+func (c *collection) DocFreq(id textproc.TermID) int {
+	if id < 0 || int(id) >= len(c.df) {
 		return 0
 	}
-	return math.Log(1 + float64(s.st.liveDocs)/float64(df))
+	return int(c.df[id])
 }
 
-func (s *liveSource) DocLen(d corpus.DocID) int { return s.local.DocLen(d) }
-
-func (s *liveSource) AvgDocLen() float64 {
-	if s.st.liveDocs == 0 {
+func (c *collection) AvgDocLen() float64 {
+	if c.liveDocs == 0 {
 		return 0
 	}
-	return float64(s.st.liveLen) / float64(s.st.liveDocs)
+	return float64(c.liveLen) / float64(c.liveDocs)
 }
 
-// DocNorm implements vsm.NormSource so engine construction never scans
-// a live source.
-func (s *liveSource) DocNorm(d corpus.DocID) float64 {
-	if s.norms != nil {
-		if int(d) < len(s.norms) {
-			return s.norms[d]
+// AppendParts snapshots the parts with a live document: the sealed
+// segments in stack order, then the memtable. The slices a part carries
+// — a segment's norms and IDs, the memtable's growing ones, either's
+// tombstones — are safe to read for as long as the read lock is held.
+func (c *collection) AppendParts(dst []vsm.Part) []vsm.Part {
+	for _, sg := range c.segs {
+		if sg.live > 0 {
+			dst = append(dst, vsm.Part{Postings: sg.idx, Norms: sg.norms, IDs: sg.ids, Dead: tombstones(sg.dead, sg.live)})
 		}
-		return 0
 	}
-	return s.local.(localNorms).DocNorm(d)
+	if mt := c.mem; mt.live > 0 {
+		dst = append(dst, vsm.Part{Postings: mt, Norms: mt.norm, IDs: mt.ids, Dead: tombstones(mt.dead, mt.live)})
+	}
+	return dst
+}
+
+// tombstones returns dead, or nil when every one of its documents is
+// live: a part without tombstones is scanned unfiltered, which is the
+// engine's fast path.
+func tombstones(dead []bool, live int) []bool {
+	if live == len(dead) {
+		return nil
+	}
+	return dead
 }

@@ -10,7 +10,6 @@ import (
 
 	"toppriv/internal/corpus"
 	"toppriv/internal/index"
-	"toppriv/internal/telemetry"
 	"toppriv/internal/textproc"
 	"toppriv/internal/vsm"
 )
@@ -78,6 +77,9 @@ func (c Config) withDefaults() Config {
 type Store struct {
 	cfg Config
 	an  *textproc.Analyzer
+	// eng is the store's one engine; its source is the store itself
+	// (collection). It runs under mu, read-held.
+	eng *vsm.Engine
 
 	mu    sync.RWMutex
 	vocab *textproc.Vocab // shared, append-only dictionary
@@ -89,7 +91,7 @@ type Store struct {
 	liveDocs int
 	liveLen  int
 	// df[id] counts live documents containing term id — the global
-	// document frequency every shard scores with.
+	// document frequency every part is scored with.
 	df []int32
 
 	// compactMu serializes stack restructuring between the background
@@ -103,13 +105,6 @@ type Store struct {
 	wg        sync.WaitGroup
 	closed    bool
 
-	// bloomSkips counts ⟨shard, request⟩ pairs pruned by the per-segment
-	// term bloom filters without running the shard engine.
-	bloomSkips atomic.Uint64
-
-	// metrics, when non-nil, carries the pre-resolved telemetry handles
-	// the query path updates (see EnableMetrics). Set before serving.
-	metrics *storeMetrics
 	// compactRuns/compactNanos count completed compaction runs and
 	// their total wall time; maintained by compactRun, read at scrape
 	// time. Atomics so the compactor never contends with scrapes.
@@ -139,11 +134,12 @@ func newStore(cfg Config) (*Store, error) {
 		compactCh: make(chan struct{}, 1),
 		closeCh:   make(chan struct{}),
 	}
-	mt, err := newMemtable(st)
+	st.mem = newMemtable(st)
+	eng, err := vsm.NewEngineOver((*collection)(st), st.an, cfg.Scoring)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("segment: engine: %w", err)
 	}
-	st.mem = mt
+	st.eng = eng
 	return st, nil
 }
 
@@ -243,7 +239,7 @@ func (st *Store) Delete(gid corpus.DocID) error {
 	return nil
 }
 
-// tombstoneLocked marks gid dead in whichever shard owns it, returning
+// tombstoneLocked marks gid dead in whichever part holds it, returning
 // the document for stats maintenance.
 func (st *Store) tombstoneLocked(gid corpus.DocID) (corpus.Document, bool) {
 	if local, ok := st.mem.locate(gid); ok {
@@ -289,15 +285,6 @@ func (st *Store) growDF() {
 	}
 }
 
-// docFreqLocked reads a term's live document frequency. Caller holds
-// st.mu (either mode).
-func (st *Store) docFreqLocked(id textproc.TermID) int {
-	if id < 0 || int(id) >= len(st.df) {
-		return 0
-	}
-	return int(st.df[id])
-}
-
 // sealLocked freezes the memtable into a level-0 segment and starts a
 // fresh one. Caller holds the write lock.
 func (st *Store) sealLocked() error {
@@ -308,11 +295,7 @@ func (st *Store) sealLocked() error {
 	if sg != nil {
 		st.segs = append(st.segs, sg)
 	}
-	mt, err := newMemtable(st)
-	if err != nil {
-		return err
-	}
-	st.mem = mt
+	st.mem = newMemtable(st)
 	return nil
 }
 
@@ -334,11 +317,8 @@ func (st *Store) Flush() error {
 	return nil
 }
 
-// SearchRequest executes one structured request across all shards — a
-// batch of one. The request's Keep filter composes with the per-shard
-// tombstone filter; stats accumulate across shards; the context cancels
-// mid-execution between postings blocks. Implements
-// vsm.RequestSearcher together with SearchBatch.
+// SearchRequest executes one structured request — a batch of one.
+// Implements vsm.RequestSearcher together with SearchBatch.
 func (st *Store) SearchRequest(ctx context.Context, req vsm.Request) (vsm.Response, error) {
 	resps, err := st.SearchBatch(ctx, []vsm.Request{req})
 	if err != nil {
@@ -348,32 +328,20 @@ func (st *Store) SearchRequest(ctx context.Context, req vsm.Request) (vsm.Respon
 }
 
 // SearchBatch executes a batch of requests — typically one obfuscation
-// cycle — against every shard with a single fan-out: one goroutine per
-// sealed segment plus the memtable runs the whole batch (sharing term
-// resolution and postings buffers inside the shard engine), then each
-// member's per-shard top-k lists merge into its global top-k with a
-// bounded min-heap. Tombstoned documents are filtered inside each shard
-// before they can be ranked, and every shard scores with the store's
-// global statistics, so each member's ranking equals a single-index
-// search over the surviving documents — and its result is identical to
-// running it alone; the property tests assert both.
+// cycle — with one call into the store's engine: the members are
+// resolved and weighed once against the store's global statistics (or
+// the cluster's, for members carrying Global), then every sealed segment
+// and the memtable is scanned in turn into one top-k heap per member,
+// under store-wide IDs. Tombstoned documents are filtered inside the
+// scan before they can be ranked, and a request's Keep filter, asked
+// about store-wide IDs, composes with them; a member's stats are its
+// work summed over the parts; the context cancels mid-execution between
+// postings blocks. Each member's ranking equals a single-index search
+// over the surviving documents — and its result is identical to running
+// it alone; the property tests assert both.
 func (st *Store) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Response, error) {
-	if len(reqs) == 0 {
-		return nil, nil
-	}
-	resps := make([]vsm.Response, len(reqs))
-	bt := batchTimer{enabled: st.metrics != nil}
-	for i := range reqs {
-		if reqs[i].Trace {
-			bt.enabled = true
-			resps[i].Trace = &telemetry.PhaseTrace{}
-		}
-	}
-	bt.start()
-	// Analyze raw queries once, before taking the lock. Tracing is
-	// handled at the store level (finishBatch), so the per-shard copies
-	// drop the Trace flag — shard-local phase times are partial and
-	// concurrent, not something a caller can interpret.
+	// Analyze raw queries once, before taking the lock: writers wait for
+	// the scan, not for the text pipeline.
 	prepared := make([]vsm.Request, len(reqs))
 	for i, req := range reqs {
 		if err := req.Validate(); err != nil {
@@ -382,180 +350,11 @@ func (st *Store) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Res
 		if req.Terms == nil {
 			req.Terms = st.an.Analyze(req.Query)
 		}
-		req.Trace = false
 		prepared[i] = req
 	}
-	bt.mark(&bt.resolve)
-
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-
-	shards := st.shardsLocked()
-	if len(shards) == 0 {
-		st.finishBatch(&bt, prepared, resps)
-		return resps, nil
-	}
-
-	// Bloom prefilter: a sealed segment whose term bloom contains none
-	// of a request's terms provably cannot contribute a hit, so the
-	// shard never runs that member. nil include means "run every
-	// member" (the common case, and always the memtable); a non-nil
-	// subset lists the member ordinals that survived. False positives
-	// only cost the lookup that was going to happen anyway; false
-	// negatives cannot occur, so results are unchanged.
-	include := make([][]int, len(shards))
-	for i := range shards {
-		bl := shards[i].bloom
-		if bl == nil {
-			continue
-		}
-		sel := make([]int, 0, len(prepared))
-		for j := range prepared {
-			if bloomMayMatch(bl, prepared[j].Terms) {
-				sel = append(sel, j)
-			}
-		}
-		if len(sel) == len(prepared) {
-			continue
-		}
-		st.bloomSkips.Add(uint64(len(prepared) - len(sel)))
-		include[i] = sel
-	}
-
-	type shardOut struct {
-		resps []vsm.Response
-		err   error
-	}
-	outs := make([]shardOut, len(shards))
-	var wg sync.WaitGroup
-	for i := range shards {
-		if include[i] != nil && len(include[i]) == 0 {
-			continue // every member bloom-skipped; outs[i].resps stays nil
-		}
-		wg.Add(1)
-		go func(i int, sh shard, inc []int) {
-			defer wg.Done()
-			// dead is nil for a shard without tombstones: its members
-			// then run unfiltered (or under the caller's filter alone),
-			// which is the engine's fast path.
-			dead, ids := sh.dead, sh.ids
-			var keep func(corpus.DocID) bool
-			if dead != nil {
-				keep = func(d corpus.DocID) bool { return !dead[d] }
-			}
-			prep := func(req vsm.Request) vsm.Request {
-				if userKeep := req.Keep; userKeep == nil {
-					req.Keep = keep
-				} else {
-					req.Keep = func(d corpus.DocID) bool {
-						return (dead == nil || !dead[d]) && userKeep(ids[d])
-					}
-				}
-				return req
-			}
-			var local []vsm.Request
-			if inc == nil {
-				local = make([]vsm.Request, len(prepared))
-				for j, req := range prepared {
-					local[j] = prep(req)
-				}
-			} else {
-				local = make([]vsm.Request, len(inc))
-				for k, j := range inc {
-					local[k] = prep(prepared[j])
-				}
-			}
-			rs, err := sh.eng.SearchBatch(ctx, local)
-			if err != nil {
-				outs[i].err = err
-				return
-			}
-			for j := range rs {
-				for h := range rs[j].Hits {
-					rs[j].Hits[h].Doc = sh.ids[rs[j].Hits[h].Doc]
-				}
-			}
-			if inc == nil {
-				outs[i].resps = rs
-			} else {
-				// Scatter the subset back into member order; skipped
-				// members keep a zero Response (no hits, no work).
-				full := make([]vsm.Response, len(prepared))
-				for k, j := range inc {
-					full[j] = rs[k]
-				}
-				outs[i].resps = full
-			}
-		}(i, shards[i], include[i])
-	}
-	wg.Wait()
-	for i := range outs {
-		if outs[i].err != nil {
-			return nil, outs[i].err
-		}
-	}
-	bt.mark(&bt.traverse)
-	lists := make([][]vsm.Result, len(shards))
-	for j := range reqs {
-		for i := range outs {
-			if outs[i].resps == nil {
-				lists[i] = nil
-				continue
-			}
-			lists[i] = outs[i].resps[j].Hits
-			resps[j].Stats.Add(outs[i].resps[j].Stats)
-		}
-		resps[j].Hits = vsm.MergeTopK(lists, prepared[j].K)
-	}
-	bt.mark(&bt.merge)
-	st.finishBatch(&bt, prepared, resps)
-	return resps, nil
-}
-
-// shard is one searchable slice of the store: a sealed segment or the
-// memtable, with its engine, global-ID mapping, tombstone bits and —
-// for sealed segments — the term bloom filter queries prefilter on.
-type shard struct {
-	eng   *vsm.Engine
-	ids   []corpus.DocID
-	dead  []bool           // nil when no document of the shard is tombstoned
-	bloom *index.TermBloom // nil for the memtable: no prefilter
-}
-
-// tombstones returns dead, or nil when every one of its documents is
-// live.
-func tombstones(dead []bool, live int) []bool {
-	if live == len(dead) {
-		return nil
-	}
-	return dead
-}
-
-// shardsLocked snapshots the live shards. Caller holds st.mu (either
-// mode).
-func (st *Store) shardsLocked() []shard {
-	shards := make([]shard, 0, len(st.segs)+1)
-	for _, sg := range st.segs {
-		if sg.live > 0 {
-			shards = append(shards, shard{eng: sg.eng, ids: sg.ids, dead: tombstones(sg.dead, sg.live), bloom: sg.idx.Bloom()})
-		}
-	}
-	if st.mem.live > 0 {
-		shards = append(shards, shard{eng: st.mem.eng, ids: st.mem.ids, dead: tombstones(st.mem.dead, st.mem.live)})
-	}
-	return shards
-}
-
-// bloomMayMatch reports whether any query term may occur in a segment
-// according to its bloom filter. False means provably no term occurs —
-// the segment cannot contribute a hit for this request.
-func bloomMayMatch(bl *index.TermBloom, terms []string) bool {
-	for _, t := range terms {
-		if bl.MayContain(t) {
-			return true
-		}
-	}
-	return false
+	return st.eng.SearchBatch(ctx, prepared)
 }
 
 // Scoring returns the store's effective scoring function. After Load
@@ -672,6 +471,9 @@ func (st *Store) ComputeStats() index.Stats {
 	return s
 }
 
-// BloomSkips returns how many ⟨shard, request⟩ pairs the per-segment
-// bloom filters have pruned since the store opened.
-func (st *Store) BloomSkips() uint64 { return st.bloomSkips.Load() }
+// BloomSkips is always zero: no query consults a segment's term bloom
+// any more (a term a part lacks is an empty list the scan steps over).
+// The accessor stays because the system benchmark (bench/trace.go,
+// segment.bloom_skips_per_cycle) calls it and is changed only by
+// benchmark-only PRs; it goes with that row.
+func (st *Store) BloomSkips() uint64 { return 0 }

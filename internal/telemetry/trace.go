@@ -17,7 +17,8 @@ type PhaseTrace struct {
 	Seq uint64 `json:"seq"`
 	// Scorer and Mode identify the scoring function and how the query
 	// ran: "exhaustive" for one query scanned alone, "batch" for a cycle
-	// scanned together, "store" for a segment store's fan-out.
+	// scanned together — over a static index or a live segment store
+	// alike.
 	Scorer string `json:"scorer,omitempty"`
 	Mode   string `json:"mode,omitempty"`
 	// Terms is the number of query terms after analysis; K the result

@@ -42,60 +42,89 @@ type batchRef struct {
 	w      float64
 }
 
-// unionTerm is one distinct term across the batch with its postings
-// iterator (created once — each distinct list is decoded exactly one
-// time for the whole batch) and the slice of members containing it.
+// unionTerm is one distinct term across the batch with the slice of
+// members containing it and its postings iterator, repositioned over
+// each part in turn — each distinct list of each part is decoded exactly
+// one time for the whole batch.
 type unionTerm struct {
 	id       textproc.TermID
 	it       index.Iterator
 	from, to int // refs[from:to]
 }
 
+// lengthCache holds one part's BM25 length normalizations
+// k1·(1−b+b·dl/avgdl) by local document ID, computed under avgLen —
+// documents recur in a cycle's term lists and from one scan to the next,
+// and the factor is query-independent. Zero means "not computed yet"
+// (the real factor is always positive). Valid for one part and one avgdl
+// only — two parts hold different documents under the same local IDs —
+// which is why BM25 members share by avgdl group.
+type lengthCache struct {
+	of     Postings
+	avgLen float64
+	denoms []float64
+}
+
 // batchState is the pooled per-scan scratch: the member table, the
-// TermID-sorted union plan, the flattened member references, and the
-// per-block impact buffer the flat scan fills once per distinct block.
+// parts, the TermID-sorted union plan, the flattened member references,
+// and the per-block impact buffer the flat scan fills once per distinct
+// block.
 type batchState struct {
 	members []batchMember
 	// pending lists the live members no scan has served yet, shared the
 	// members the current flat scan serves.
 	pending []int
 	shared  []int
+	parts   []Part
 	union   []unionTerm
 	refs    []batchRef
 	impacts [index.BlockSize]float64
-	// denoms caches each document's BM25 length normalization
-	// k1·(1−b+b·dl/avgdl), computed under denomsAvgLen — documents recur
-	// in a cycle's term lists and from one scan to the next, and the
-	// factor is query-independent. Zero means "not computed yet" (the
-	// real factor is always positive). Valid for one avgdl only, which
-	// is why BM25 members share by avgdl group.
-	denoms       []float64
-	denomsAvgLen float64
+	// lengths has a cache per part, by its position among the parts: a
+	// static index keeps its one, and a store's segments keep their
+	// places from one query to the next until the stack is restructured.
+	lengths []lengthCache
 }
 
 func newBatchState() *batchState { return &batchState{} }
 
-// denomsFor readies the length-normalization cache for a scan that
-// scores with avgLen over documents below n. Entries computed under
-// another avgdl are dropped; the rest stay, since a document's length
-// never changes (Source.DocLen) — an engine over a static index ends up
-// computing each document's factor once per pooled state, not once per
-// scan.
-func (bs *batchState) denomsFor(avgLen float64, n int) []float64 {
-	if bs.denomsAvgLen != avgLen {
-		clear(bs.denoms)
-		bs.denomsAvgLen = avgLen
+// denomsFor readies the length-normalization cache of the part at
+// position pi for a scan that scores with avgLen over its documents
+// below n. Entries computed for another part or under another avgdl are
+// dropped; the rest stay, since a document's length never changes
+// (Postings.DocLen) — an engine over a static index ends up computing
+// each document's factor once per pooled state, not once per scan.
+func (bs *batchState) denomsFor(pi int, of Postings, avgLen float64, n int) []float64 {
+	lc := &bs.lengths[pi]
+	if lc.of != of || lc.avgLen != avgLen {
+		clear(lc.denoms)
+		lc.of, lc.avgLen = of, avgLen
 	}
-	if n > len(bs.denoms) {
-		bs.denoms = append(bs.denoms, make([]float64, n-len(bs.denoms))...)
+	if n > len(lc.denoms) {
+		lc.denoms = append(lc.denoms, make([]float64, n-len(lc.denoms))...)
 	}
-	return bs.denoms
+	return lc.denoms
+}
+
+// takeParts snapshots the source's parts and lines the length caches up
+// with them. Caches past the last part go: they would hold on to parts
+// the source has retired.
+func (bs *batchState) takeParts(src Source) {
+	bs.parts = src.AppendParts(bs.parts[:0])
+	n := len(bs.parts)
+	if n < len(bs.lengths) {
+		clear(bs.lengths[n:])
+		bs.lengths = bs.lengths[:n]
+	}
+	for len(bs.lengths) < n {
+		bs.lengths = append(bs.lengths, lengthCache{})
+	}
 }
 
 // putBatch returns scan scratch to the pool, dropping its references to
-// the members' states, filters and requests.
+// the members' states, filters and requests and to the source's parts.
 func (e *Engine) putBatch(bs *batchState) {
 	clear(bs.members)
+	clear(bs.parts)
 	e.batches.Put(bs)
 }
 
@@ -112,14 +141,15 @@ func (bs *batchState) reset() {
 // members are evaluated in a single cycle-at-a-time flat scan that
 // decodes each distinct postings list once, computes every posting's
 // query-independent impact once, and fans it out to the members
-// containing the term. Members carrying a router's Global statistics
-// join it like any other — a routed cycle shares on every shard segment
-// exactly as it does on a single node. Under BM25 the members of one
-// scan must score with one avgdl (the length cache is valid for one), so
-// members that agree on avgdl scan together: one scan for a local batch
-// or a routed cycle, one per avgdl for a mixed Global/local batch.
-// Either way each member's hits are bit-identical to what SearchRequest
-// would return for it alone; the property tests assert it.
+// containing the term — over each of the source's parts in turn, into
+// one top-k heap per member. Members carrying a router's Global
+// statistics join it like any other — a routed cycle shares on every
+// shard segment exactly as it does on a single node. Under BM25 the
+// members of one scan must score with one avgdl (a length cache is valid
+// for one), so members that agree on avgdl scan together: one scan for a
+// local batch or a routed cycle, one per avgdl for a mixed Global/local
+// batch. Either way each member's hits are bit-identical to what
+// SearchRequest would return for it alone; the property tests assert it.
 //
 // Responses align with reqs by index. The context cancels
 // mid-execution between postings blocks; on cancellation the whole
@@ -141,14 +171,15 @@ func (e *Engine) SearchBatch(ctx context.Context, reqs []Request) ([]Response, e
 }
 
 // runBatch is the engine's one query path: resolve every member, scan
-// the live ones, drain their heaps, close out the telemetry. It answers
-// reqs, already validated, into resps, which the caller hands over
-// zeroed and of the same length. Members that resolve to nothing (no
-// indexable term, zero query norm) keep nil hits and zero stats.
+// the live ones over every part, drain their heaps, close out the
+// telemetry. It answers reqs, already validated, into resps, which the
+// caller hands over zeroed and of the same length. Members that resolve
+// to nothing (no indexable term, zero query norm) keep nil hits and zero
+// stats.
 func (e *Engine) runBatch(ctx context.Context, reqs []Request, resps []Response) error {
 	// pc times each scan's phases: the resolution pass (charged to the
-	// first scan), the union fetch, the traversal and the drains. Every
-	// member of a scan gets that scan's trace.
+	// first scan), the union plan and each part's fetch, the traversals
+	// and the drains. Every member of a scan gets that scan's trace.
 	var pc phaseClock
 	pc.enabled = e.metrics != nil
 	for i := range reqs {
@@ -198,6 +229,7 @@ func (e *Engine) runBatch(ctx context.Context, reqs []Request, resps []Response)
 		}
 		bs.members = append(bs.members, m)
 	}
+	bs.takeParts(e.src)
 	pc.mark(&pc.resolve)
 
 	// Members that agree on avgdl (compared by bit pattern) scan
@@ -216,12 +248,18 @@ func (e *Engine) runBatch(ctx context.Context, reqs []Request, resps []Response)
 			}
 		}
 		pending = rest
-		e.buildUnion(bs)
-		pc.mark(&pc.fetch)
-		if err := e.flatScan(ctx, bs); err != nil {
-			return err
+		bs.buildUnion()
+		for pi := range bs.parts {
+			for ui := range bs.union {
+				ut := &bs.union[ui]
+				bs.parts[pi].IterInto(ut.id, &ut.it)
+			}
+			pc.mark(&pc.fetch)
+			if err := e.flatScan(ctx, bs, pi); err != nil {
+				return err
+			}
+			pc.mark(&pc.traverse)
 		}
-		pc.mark(&pc.traverse)
 		for _, i := range bs.shared {
 			resps[i].Hits = drainTopK(&bs.members[i].qs.heap)
 			resps[i].Stats = bs.members[i].stats
@@ -235,10 +273,11 @@ func (e *Engine) runBatch(ctx context.Context, reqs []Request, resps []Response)
 	return nil
 }
 
-// buildUnion assembles the TermID-sorted union plan over bs.shared,
-// fetching each distinct term's postings exactly once. Terms that carry
-// no weight for a member are left out of it.
-func (e *Engine) buildUnion(bs *batchState) {
+// buildUnion assembles the TermID-sorted union plan over bs.shared: one
+// entry per distinct term, whose iterator the scan of each part
+// repositions. Terms that carry no weight for a member are left out of
+// it.
+func (bs *batchState) buildUnion() {
 	for _, i := range bs.shared {
 		for _, t := range bs.members[i].qs.terms {
 			if t.w != 0 {
@@ -263,17 +302,16 @@ func (e *Engine) buildUnion(bs *batchState) {
 				bs.union = append(bs.union, unionTerm{})
 			}
 			n++
-			ut := &bs.union[n-1]
-			ut.id, ut.from = id, ri
-			e.src.IterInto(id, &ut.it)
+			bs.union[n-1].id, bs.union[n-1].from = id, ri
 		}
 		bs.union[n-1].to = ri + 1
 	}
 }
 
-// flatScan scores every posting of every term in bs.union for the
-// members in bs.shared and leaves each member's top k in its heap; the
-// caller drains them.
+// flatScan scores every posting part pi holds of every term in bs.union
+// — the iterators are on that part's lists — for the members in
+// bs.shared and offers the documents it reached to each member's heap;
+// the caller drains the heaps after the last part.
 //
 // One pass over each distinct list, in ascending TermID order, a
 // decoded block at a time. Per block, once: the query-independent
@@ -281,7 +319,8 @@ func (e *Engine) buildUnion(bs *batchState) {
 // the loop. Per member containing the term: score[d] += w·impact over
 // the block (add) and nothing else — no per-document bookkeeping to
 // load, no branch, no filter. The accumulators are all zero when a scan
-// starts (queryState), so a member's first contribution to a document
+// starts (queryState; the sweep that ends a part's scan leaves them so
+// for the next), so a member's first contribution to a document
 // is 0 + x and the rest follow in term order: the sequence of additions
 // each score sees is the one a textbook term-at-a-time scorer makes,
 // whoever else is in the cycle, which is what keeps every member's
@@ -293,7 +332,8 @@ func (e *Engine) buildUnion(bs *batchState) {
 // The context is polled every cancelStride postings, between blocks. A
 // scan that stops early leaves its members' accumulators unswept;
 // putState keeps such a state out of the pool.
-func (e *Engine) flatScan(ctx context.Context, bs *batchState) error {
+func (e *Engine) flatScan(ctx context.Context, bs *batchState, pi int) error {
+	part := &bs.parts[pi]
 	done := ctx.Done()
 	// Size each member's accumulator off its own lists' final entries
 	// (block metadata — no decoding).
@@ -318,7 +358,7 @@ func (e *Engine) flatScan(ctx context.Context, bs *batchState) error {
 		// The sharing group's one avgdl: the source's own, or the
 		// cluster-merged value a router injected.
 		avgLen = bs.members[bs.shared[0]].qs.avgLen
-		denoms = bs.denomsFor(avgLen, int(maxDoc)+1)
+		denoms = bs.denomsFor(pi, part.Postings, avgLen, int(maxDoc)+1)
 	}
 	for ui := range bs.union {
 		ut := &bs.union[ui]
@@ -339,7 +379,7 @@ func (e *Engine) flatScan(ctx context.Context, bs *batchState) error {
 				}
 			}
 			impacts := bs.impacts[:len(docs)]
-			e.blockImpacts(impacts, docs, tfs, avgLen, denoms)
+			e.blockImpacts(impacts, docs, tfs, part.Postings, avgLen, denoms)
 			for _, rf := range refs {
 				bs.members[rf.member].qs.add(docs, impacts, rf.w)
 			}
@@ -354,7 +394,7 @@ func (e *Engine) flatScan(ctx context.Context, bs *batchState) error {
 		}
 	}
 	for _, i := range bs.shared {
-		e.sweep(&bs.members[i])
+		e.sweep(&bs.members[i], part)
 	}
 	return nil
 }
@@ -366,7 +406,7 @@ func (e *Engine) flatScan(ctx context.Context, bs *batchState) error {
 // normalization read from (or entered into) the denoms cache, so a
 // document's DocLen is fetched once however many of the union's lists
 // it is on.
-func (e *Engine) blockImpacts(impacts []float64, docs []corpus.DocID, tfs []int32, avgLen float64, denoms []float64) {
+func (e *Engine) blockImpacts(impacts []float64, docs []corpus.DocID, tfs []int32, part Postings, avgLen float64, denoms []float64) {
 	if e.scoring != BM25 {
 		for i, tf := range tfs {
 			impacts[i] = docWeight(tf)
@@ -376,7 +416,7 @@ func (e *Engine) blockImpacts(impacts []float64, docs []corpus.DocID, tfs []int3
 	for i, d := range docs {
 		dn := denoms[d]
 		if dn == 0 {
-			dn = bm25K1 * (1 - bm25B + bm25B*float64(e.src.DocLen(d))/avgLen)
+			dn = bm25K1 * (1 - bm25B + bm25B*float64(part.DocLen(d))/avgLen)
 			denoms[d] = dn
 		}
 		ftf := float64(tfs[i])
@@ -452,39 +492,49 @@ func (qs *queryState) next(at *int, norms []float64, bound float64) (d corpus.Do
 	return 0, 0, skipped, false
 }
 
-// sweep finalizes one member after flatScan: it takes the reached
-// documents out of the accumulator, consults the keep filter once per
-// document, and offers the survivors to the member's top-k heap, each
-// finalized by finalizeScore. Once the heap is full most documents
-// cannot enter it, and where the final score is
-// raw/(norm·qnorm) or raw itself with nothing else to consult — no
-// filter, no prior, norms in a slice — next turns those away with one
-// multiplication and a comparison, before the division and the heap
-// call: final < root ⟸ raw < root·norm·qnorm·gateSlack under cosine,
-// raw < root (exactly) under BM25. A document with no norm has limit 0
-// and always takes the exact path. The heap ends up holding the k best
-// whatever order documents are offered in, so nothing depends on the
-// list's (first-contribution) order.
-func (e *Engine) sweep(m *batchMember) {
+// sweep finalizes one member over one part after flatScan: it takes the
+// reached documents out of the accumulator, consults the part's
+// tombstones and then the keep filter (under the document's reported ID)
+// once per document, and offers the survivors to the member's top-k
+// heap, each finalized by finalizeScore. Once the heap is full — filled
+// by this part or by the ones before it — most documents cannot enter
+// it, and where the final score is raw/(norm·qnorm) or raw itself with
+// nothing else to consult — no tombstone, no filter, no prior — next
+// turns those away with one multiplication and a comparison, before the
+// division and the heap call: final < root ⟸ raw <
+// root·norm·qnorm·gateSlack under cosine, raw < root (exactly) under
+// BM25. A document with no norm has limit 0 and always takes the exact
+// path. The heap ends up holding the k best whatever order documents
+// are offered in, so nothing depends on the list's (first-contribution)
+// order, or on the parts'.
+func (e *Engine) sweep(m *batchMember, part *Part) {
 	qs, k, keep, qnorm := m.qs, m.k, m.keep, m.qnorm
-	gated := keep == nil && e.prior == nil && e.normSrc == nil
-	norms, scale := e.docNorm, qnorm*gateSlack
+	ids, dead := part.IDs, part.Dead
+	gated := keep == nil && dead == nil && e.prior == nil
+	norms, scale := part.Norms, qnorm*gateSlack
 	if e.scoring == BM25 {
 		norms, scale = nil, 1
 	}
 	bound, at := 0.0, 0
+	if gated && len(qs.heap) == k {
+		bound = qs.heap[0].Score * scale
+	}
 	for {
 		d, raw, skipped, ok := qs.next(&at, norms, bound)
 		m.stats.DocsScored += skipped
 		if !ok {
 			break
 		}
-		if keep != nil && !keep(d) {
+		id := d
+		if ids != nil {
+			id = ids[d]
+		}
+		if (dead != nil && dead[d]) || (keep != nil && !keep(id)) {
 			m.stats.DocsFiltered++
 			continue
 		}
 		m.stats.DocsScored++
-		pushTopK(&qs.heap, k, Result{Doc: d, Score: e.finalizeScore(raw, d, qnorm)})
+		pushTopK(&qs.heap, k, Result{Doc: id, Score: e.finalizeScore(raw, d, part.Norms, qnorm)})
 		if gated && len(qs.heap) == k {
 			bound = qs.heap[0].Score * scale
 		}

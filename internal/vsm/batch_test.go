@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -178,9 +179,36 @@ func TestSearchBatchSharesTraversal(t *testing.T) {
 	}
 }
 
-// plainSource hides what a Source is behind the interface: the engine
-// sees postings and statistics, not an *index.Index.
-type plainSource struct{ Source }
+// partsSource is a Source put together by hand: one index's dictionary
+// and statistics over whatever parts hold the postings.
+type partsSource struct {
+	*index.Index
+	parts []Part
+}
+
+func (s partsSource) AppendParts(dst []Part) []Part { return append(dst, s.parts...) }
+
+// splitParts deals c's documents out to n parts, document d to part
+// d mod n: each part an index of its own over the shared dictionary,
+// reporting its documents under the IDs they have in c.
+func splitParts(t testing.TB, c *corpus.Corpus, n int) []Part {
+	t.Helper()
+	parts := make([]Part, n)
+	for p := range parts {
+		sub := &corpus.Corpus{Vocab: c.Vocab}
+		for d := p; d < c.NumDocs(); d += n {
+			sub.Docs = append(sub.Docs, c.Docs[d])
+			sub.Bags = append(sub.Bags, c.Bags[d])
+			parts[p].IDs = append(parts[p].IDs, corpus.DocID(d))
+		}
+		idx, err := index.Build(sub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts[p].Postings, parts[p].Norms = idx, DocNorms(idx)
+	}
+	return parts
+}
 
 // TestOneStrategy pins, through the trace every response can carry,
 // that nothing selects how a query runs: a solo query is one flat scan
@@ -214,11 +242,11 @@ func TestOneStrategy(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, err := NewEngineOver(plainSource{idx}, an, scoring)
+		split, err := NewEngineOver(partsSource{idx, splitParts(t, c, 3)}, an, scoring)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, eng := range map[string]*Engine{"static index": static, "plain source": plain} {
+		for name, eng := range map[string]*Engine{"static index": static, "three-part source": split} {
 			for _, k := range []int{10, (n + 3) / 4} {
 				resp, err := eng.SearchRequest(ctx, Request{Terms: terms, K: k, Trace: true})
 				if err != nil {
@@ -323,20 +351,20 @@ func TestSearchCancellation(t *testing.T) {
 	t.Run("pool stays clean", interruptedScanLeavesPoolClean)
 }
 
-// cancelingSource is a Source whose DocLen — which the BM25 flat scan
-// reads in the middle of its traversal, once per document — cancels a
-// context after a set number of reads.
-type cancelingSource struct {
-	Source
+// cancelingPostings is a part's Postings whose DocLen — which the BM25
+// flat scan reads in the middle of its traversal, once per document —
+// cancels a context after a set number of reads.
+type cancelingPostings struct {
+	Postings
 	reads, cancelAt int
 	cancel          context.CancelFunc
 }
 
-func (s *cancelingSource) DocLen(d corpus.DocID) int {
+func (s *cancelingPostings) DocLen(d corpus.DocID) int {
 	if s.reads++; s.reads == s.cancelAt {
 		s.cancel()
 	}
-	return s.Source.DocLen(d)
+	return s.Postings.DocLen(d)
 }
 
 // interruptedScanLeavesPoolClean extends the cancellation contract to
@@ -368,18 +396,23 @@ func interruptedScanLeavesPoolClean(t *testing.T) {
 		cycles = append(cycles, reqs)
 	}
 	for _, scoring := range []Scoring{Cosine, BM25} {
-		src := &cancelingSource{Source: idx}
-		eng, err := NewEngineOver(src, an, scoring)
+		// Three parts, the interruptions in the middle one: by then the
+		// first has been swept into the members' heaps.
+		parts := splitParts(t, c, 3)
+		fresh, err := NewEngineOver(partsSource{idx, parts}, an, scoring)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := NewEngineOver(idx, an, scoring)
+		src := &cancelingPostings{Postings: parts[1].Postings}
+		parts = slices.Clone(parts)
+		parts[1].Postings = src
+		eng, err := NewEngineOver(partsSource{idx, parts}, an, scoring)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if scoring == BM25 {
-			// Mid-traversal: a few hundred documents into the first
-			// lists, with thousands of postings still to come. Each
+			// Mid-traversal: a hundred documents into the middle part's
+			// first lists, with thousands of postings still to come. Each
 			// interrupted call scores under an avgdl of its own, so the
 			// length cache starts cold and DocLen gets read.
 			withAvgLen := func(req Request, extraLen int64) Request {
@@ -387,7 +420,7 @@ func interruptedScanLeavesPoolClean(t *testing.T) {
 				return req
 			}
 			ctx, cancel := context.WithCancel(context.Background())
-			src.reads, src.cancelAt, src.cancel = 0, 300, cancel
+			src.reads, src.cancelAt, src.cancel = 0, 100, cancel
 			var reqs []Request
 			for _, req := range cycles[2] {
 				reqs = append(reqs, withAvgLen(req, 1000))
@@ -396,7 +429,7 @@ func interruptedScanLeavesPoolClean(t *testing.T) {
 				t.Fatalf("batch canceled mid-traversal returned %v, want context.Canceled", err)
 			}
 			ctx, cancel = context.WithCancel(context.Background())
-			src.reads, src.cancelAt, src.cancel = 0, 300, cancel
+			src.reads, src.cancelAt, src.cancel = 0, 100, cancel
 			solo := withAvgLen(cycles[2][0], 2000)
 			if _, err := eng.SearchRequest(ctx, solo); err != context.Canceled {
 				t.Fatalf("request canceled mid-traversal returned %v, want context.Canceled", err)

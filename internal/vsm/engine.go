@@ -66,43 +66,73 @@ type Result struct {
 	Score float64
 }
 
-// Source is the postings-and-statistics surface the engine scores over.
-// *index.Index satisfies it directly; a live segmented store wraps each
-// of its shards in a Source whose collection statistics (NumDocs,
-// DocFreq, IDF, AvgDocLen) are global across shards while postings stay
-// shard-local, so distributed scoring matches a single-index build.
-//
-// Postings are consumed exclusively through iterators: an index-backed
-// source hands out decode-on-traversal cursors over block-compressed
-// lists, a memtable hands out plain slice cursors, and every execution
-// path walks them through the same API without materializing
-// []Posting.
+// Source is what the engine knows of the collection it scores over: the
+// dictionary queries resolve against, the statistics they are weighed
+// with (N, df, avgdl; idf is derived from them), and the parts that hold
+// the postings. An index is a collection of one part (NewEngine). A live
+// segmented store is a collection whose parts — sealed segments and a
+// memtable — come and go while its statistics span them all and exclude
+// tombstoned documents: a query term weighs the same in every part, even
+// one that has never seen it, which is what makes scanning part by part
+// add up to exactly the single-index result.
 type Source interface {
 	Vocab() *textproc.Vocab
 	NumDocs() int
-	NumTerms() int
+	// DocFreq is the number of documents containing the term.
+	DocFreq(id textproc.TermID) int
+	AvgDocLen() float64
+	// AppendParts appends the parts a query starting now scans, in the
+	// order it scans them. The engine reads the source and the parts
+	// without locking, for the length of one query: whoever runs the
+	// query keeps writers out that long (a store holds its read lock).
+	AppendParts(dst []Part) []Part
+}
+
+// Postings is a part's postings and document lengths, addressed by
+// part-local document ID. *index.Index satisfies it with
+// decode-on-traversal cursors over block-compressed lists, a memtable
+// with plain slice cursors; the scan walks both through the same
+// iterator without materializing []Posting. Implementations are
+// pointers: the BM25 length cache tells parts apart by comparing them.
+type Postings interface {
 	// IterInto repositions it over the term's postings, on the first
 	// posting (exhausted for absent terms). In-place so pooled
 	// iterators — which embed a block-decode buffer — are never
 	// cleared or copied on the query path.
 	IterInto(id textproc.TermID, it *index.Iterator)
-	// DocFreq is the term's postings-list length.
-	DocFreq(id textproc.TermID) int
-	IDF(id textproc.TermID) float64
-	// DocLen is the analyzed token count of document d. A source whose
+	// DocLen is the analyzed token count of document d. A part whose
 	// document set grows must keep the length of a document it has
 	// handed out postings for fixed: the BM25 flat scan caches the
 	// length normalization it derives from it.
 	DocLen(d corpus.DocID) int
-	AvgDocLen() float64
 }
 
-// NormSource is an optional Source extension supplying per-document lnc
-// vector norms. Sources whose document set can grow after engine
-// construction (a memtable) must implement it; for static sources the
-// engine precomputes norms once with DocNorms.
-type NormSource interface {
-	DocNorm(d corpus.DocID) float64
+// Part is one slice of a collection, scanned in turn with the others
+// into the same top-k heaps. Everything is indexed by part-local
+// document ID.
+type Part struct {
+	Postings
+	// Norms holds the documents' lnc vector norms (DocNorms, or kept up
+	// as documents arrive); a document past its end has none. Read under
+	// cosine only.
+	Norms []float64
+	// IDs maps local IDs, in ascending order, to the IDs hits are
+	// reported (and the caller's Keep is asked) under; nil means a
+	// document's local ID is its ID.
+	IDs []corpus.DocID
+	// Dead marks documents no query may return; nil means none.
+	Dead []bool
+}
+
+// whole presents an index as a Source: a collection of the one part,
+// whose documents go by their own IDs.
+type whole struct {
+	*index.Index
+	norms []float64
+}
+
+func (w whole) AppendParts(dst []Part) []Part {
+	return append(dst, Part{Postings: w.Index, Norms: w.norms})
 }
 
 // Engine executes similarity queries against a Source. Built over a
@@ -113,13 +143,11 @@ type Engine struct {
 	idx     *index.Index // non-nil when built over a concrete index
 	an      *textproc.Analyzer
 	scoring Scoring
-	docNorm []float64  // cosine: precomputed norms (static sources)
-	normSrc NormSource // cosine: dynamic norms (live sources)
 	// states pools per-query scratch (term bags, flat accumulators,
 	// heaps) across queries and goroutines.
 	states sync.Pool
 	// batches pools the flat scan's scratch (the member table, the
-	// term-union plan with its iterators, the BM25 length cache) across
+	// term-union plan with its iterators, the BM25 length caches) across
 	// batches, a solo query's batch of one included.
 	batches sync.Pool
 	// prior, when non-nil, is a static per-document score multiplier in
@@ -137,7 +165,11 @@ func NewEngine(idx *index.Index, an *textproc.Analyzer, scoring Scoring) (*Engin
 	if idx == nil {
 		return nil, fmt.Errorf("vsm: nil index")
 	}
-	e, err := NewEngineOver(idx, an, scoring)
+	src := whole{Index: idx}
+	if scoring == Cosine {
+		src.norms = DocNorms(idx)
+	}
+	e, err := NewEngineOver(src, an, scoring)
 	if err != nil {
 		return nil, err
 	}
@@ -145,9 +177,7 @@ func NewEngine(idx *index.Index, an *textproc.Analyzer, scoring Scoring) (*Engin
 	return e, nil
 }
 
-// NewEngineOver builds an engine over any Source. When the source does
-// not implement NormSource, cosine norms are precomputed here, so the
-// source's document set must already be final.
+// NewEngineOver builds an engine over any Source.
 func NewEngineOver(src Source, an *textproc.Analyzer, scoring Scoring) (*Engine, error) {
 	if src == nil {
 		return nil, fmt.Errorf("vsm: nil source")
@@ -158,13 +188,6 @@ func NewEngineOver(src Source, an *textproc.Analyzer, scoring Scoring) (*Engine,
 	e := &Engine{src: src, an: an, scoring: scoring}
 	e.states.New = func() interface{} { return &queryState{} }
 	e.batches.New = func() interface{} { return newBatchState() }
-	if scoring == Cosine {
-		if ns, ok := src.(NormSource); ok {
-			e.normSrc = ns
-		} else {
-			e.docNorm = DocNorms(src)
-		}
-	}
 	return e, nil
 }
 
@@ -212,19 +235,17 @@ func NewEngineWithPrior(idx *index.Index, an *textproc.Analyzer, scoring Scoring
 }
 
 // DocNorms accumulates, per document, the L2 norm of its lnc weight
-// vector: weight = 1 + ln(tf). Exported so live stores can precompute
-// norms for a sealed shard once instead of per engine construction.
+// vector: weight = 1 + ln(tf). Exported so live stores can compute a
+// sealed segment's norms once, when it is sealed, loaded or merged.
 // One block-at-a-time pass over the postings: the norm array grows to
 // each list's last (largest) document ID as it is encountered, so no
 // separate max-doc-ID scan is needed, and no list is ever
-// materialized. For a plain index the resulting length is NumDocs();
-// for a shard source it is the local document range, which may differ
-// from the global NumDocs().
-func DocNorms(src Source) []float64 {
+// materialized.
+func DocNorms(idx *index.Index) []float64 {
 	var norms []float64
 	var it index.Iterator
-	for id := 0; id < src.NumTerms(); id++ {
-		src.IterInto(textproc.TermID(id), &it)
+	for id := 0; id < idx.NumTerms(); id++ {
+		idx.IterInto(textproc.TermID(id), &it)
 		if !it.Valid() {
 			continue
 		}
@@ -286,18 +307,6 @@ func (e *Engine) SearchRequest(ctx context.Context, req Request) (Response, erro
 		return Response{}, err
 	}
 	return resp[0], nil
-}
-
-// norm returns document d's lnc vector norm from whichever norm source
-// the engine was constructed with.
-func (e *Engine) norm(d corpus.DocID) float64 {
-	if e.normSrc != nil {
-		return e.normSrc.DocNorm(d)
-	}
-	if int(d) < len(e.docNorm) {
-		return e.docNorm[d]
-	}
-	return 0
 }
 
 // resultHeap is a min-heap over scores (ties: larger DocID is "worse"

@@ -63,19 +63,18 @@ type ExecStats struct {
 	// vsm.docs_pruned_per_cycle) reads it and is changed only by
 	// benchmark-only PRs; it goes with that row.
 	DocsPruned int `json:"docs_pruned,omitempty"`
-	// DocsFiltered is the number of matching documents the keep
-	// predicate (tombstones) rejected, asked once per document a query
-	// term occurs in.
+	// DocsFiltered is the number of matching documents a part's
+	// tombstones or the keep predicate rejected, asked once per document
+	// a query term occurs in.
 	DocsFiltered int `json:"docs_filtered,omitempty"`
 	// Postings is the number of postings visited.
 	Postings int `json:"postings,omitempty"`
-	// BlocksDecoded is how many compressed postings blocks were
-	// actually decoded (blocks served by a decoded-block cache are not
-	// counted). 0 over uncompressed sources.
+	// BlocksDecoded is how many compressed postings blocks were decoded.
+	// 0 over uncompressed postings (a memtable's).
 	BlocksDecoded int `json:"blocks_decoded,omitempty"`
 }
 
-// Add accumulates other into s (used by segmented fan-out).
+// Add accumulates other into s.
 func (s *ExecStats) Add(other ExecStats) {
 	s.DocsScored += other.DocsScored
 	s.DocsFiltered += other.DocsFiltered
@@ -217,10 +216,17 @@ func (e *Engine) weighTerms(qs *queryState) float64 {
 		}
 		return 1
 	default: // Cosine
+		n := float64(e.src.NumDocs())
 		qnorm := 0.0
 		for i := range qs.terms {
 			t := &qs.terms[i]
-			t.w = (1 + math.Log(float64(t.qtf))) * e.src.IDF(t.id)
+			// Smoothed idf ln(1 + N/df); 0 for a term no live document
+			// holds.
+			idf := 0.0
+			if df := e.src.DocFreq(t.id); df != 0 {
+				idf = math.Log(1 + n/float64(df))
+			}
+			t.w = (1 + math.Log(float64(t.qtf))) * idf
 			qnorm += t.w * t.w
 		}
 		return math.Sqrt(qnorm)
@@ -314,12 +320,13 @@ func canceled(done <-chan struct{}) bool {
 	}
 }
 
-// finalizeScore applies the per-document normalization (cosine) and
-// the static prior.
-func (e *Engine) finalizeScore(raw float64, d corpus.DocID, qnorm float64) float64 {
+// finalizeScore applies the per-document normalization (cosine, by the
+// part's norms; a document without one is left as it is) and the static
+// prior.
+func (e *Engine) finalizeScore(raw float64, d corpus.DocID, norms []float64, qnorm float64) float64 {
 	s := raw
-	if e.scoring != BM25 {
-		if n := e.norm(d); n > 0 {
+	if e.scoring != BM25 && int(d) < len(norms) {
+		if n := norms[d]; n > 0 {
 			s /= n * qnorm
 		}
 	}

@@ -1,54 +1,17 @@
 package vsm
 
-import (
-	"container/heap"
-	"sort"
-)
-
 // MergeTopK merges per-shard top-k result lists into the global top-k
-// with a size-bounded min-heap. Ties break by ascending document ID —
-// the same rule every ranked surface in the system uses — so a merged
-// ranking over shards equals a single-index ranking over the union, as
-// long as every shard scored with the same global statistics. Both the
-// in-process segment store and the cluster router merge through this
-// one function, so their tie-breaking can never drift apart.
+// with a size-bounded min-heap — the engine's own, so a hit is never
+// boxed on its way in. Ties break by ascending document ID — the same
+// rule every ranked surface in the system uses — so the cluster router's
+// merged ranking over shards equals a single-index ranking over the
+// union, as long as every shard scored with the same global statistics.
 func MergeTopK(lists [][]Result, k int) []Result {
-	h := make(minHeap, 0, k+1)
-	heap.Init(&h)
+	h := make(resultHeap, 0, k)
 	for _, list := range lists {
 		for _, r := range list {
-			if len(h) < k {
-				heap.Push(&h, r)
-				continue
-			}
-			if top := h[0]; r.Score > top.Score || (r.Score == top.Score && r.Doc < top.Doc) {
-				heap.Pop(&h)
-				heap.Push(&h, r)
-			}
+			pushTopK(&h, k, r)
 		}
 	}
-	out := make([]Result, len(h))
-	copy(out, h)
-	sort.Sort(byRank(out))
-	return out
-}
-
-// minHeap orders results worst-first (ties: larger doc ID is worse).
-type minHeap []Result
-
-func (h minHeap) Len() int { return len(h) }
-func (h minHeap) Less(i, j int) bool {
-	if h[i].Score != h[j].Score {
-		return h[i].Score < h[j].Score
-	}
-	return h[i].Doc > h[j].Doc
-}
-func (h minHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *minHeap) Push(x interface{}) { *h = append(*h, x.(Result)) }
-func (h *minHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
+	return drainTopK(&h)
 }

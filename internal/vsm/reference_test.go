@@ -218,7 +218,11 @@ func sameHits(got, want []Result) error {
 // solo request and a cycle through SearchBatch — to the naive reference
 // scorer, bit for bit. The solo flat scan and the shared
 // traversal are one kernel, so comparing them with each other proves
-// nothing about it; this does.
+// nothing about it; this does. Each collection is searched as one index
+// (with and without a prior) and dealt out to three parts the way a live
+// store holds it: reported IDs that are not the local ones, a tombstone
+// or more in every part, documents of unequal length under equal local
+// IDs.
 func TestEngineMatchesReferenceScorer(t *testing.T) {
 	ctx := context.Background()
 	ks := []int{1, 10, 100}
@@ -256,25 +260,44 @@ func TestEngineMatchesReferenceScorer(t *testing.T) {
 		}
 		randomKeep := func(d corpus.DocID) bool { return !dead[d] }
 
+		parts := splitParts(t, c, 3)
+		tomb := make([]bool, c.NumDocs())
+		tombRng := rand.New(rand.NewSource(9400 + trial))
+		unequal := false
+		for p := range parts {
+			parts[p].Dead = make([]bool, len(parts[p].IDs))
+			for local, d := range parts[p].IDs {
+				parts[p].Dead[local] = local == 1 || tombRng.Float64() < 0.1
+				tomb[d] = parts[p].Dead[local]
+				unequal = unequal || parts[p].DocLen(corpus.DocID(local)) != parts[0].DocLen(corpus.DocID(local))
+			}
+		}
+		if !unequal {
+			t.Fatal("every part holds documents of the same lengths under the same local IDs")
+		}
+
 		queries := cycleQueries(gt, an, rng, 9)
 		// A term no document of this collection holds (another shard's),
 		// and a repeated one.
 		queries[3] = append(queries[3], "zzzzothershardterm", queries[3][0])
 
 		for _, scoring := range []Scoring{Cosine, BM25} {
-			for _, withPrior := range []bool{false, true} {
+			for _, over := range []string{"index", "index with prior", "three parts"} {
 				eng, err := NewEngine(idx, an, scoring)
 				var prior []float64
-				if withPrior {
+				switch over {
+				case "index with prior":
 					eng, err = NewEngineWithPrior(idx, an, scoring, rawPrior, priorWeight)
 					prior = scaledPrior
+				case "three parts":
+					eng, err = NewEngineOver(partsSource{idx, parts}, an, scoring)
 				}
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, keep := range []func(corpus.DocID) bool{nil, randomKeep} {
 					for globals := 0; globals <= 2; globals++ {
-						name := fmt.Sprintf("trial %d %v prior=%v keep=%v globals=%d", trial, scoring, withPrior, keep != nil, globals)
+						name := fmt.Sprintf("trial %d %v over %s keep=%v globals=%d", trial, scoring, over, keep != nil, globals)
 						reqs := make([]Request, len(queries))
 						for i, q := range queries {
 							reqs[i] = Request{Terms: q, K: ks[i%len(ks)], Keep: keep, Trace: true}
@@ -290,7 +313,12 @@ func TestEngineMatchesReferenceScorer(t *testing.T) {
 							t.Fatal(err)
 						}
 						for i, req := range reqs {
-							want, wantStats := ref.search(scoring, prior, req)
+							refReq := req
+							if over == "three parts" {
+								// To the reference a tombstone is a filter.
+								refReq.Keep = func(d corpus.DocID) bool { return !tomb[d] && (keep == nil || keep(d)) }
+							}
+							want, wantStats := ref.search(scoring, prior, refReq)
 							check := func(how string, resp Response) {
 								t.Helper()
 								if err := sameHits(resp.Hits, want); err != nil {

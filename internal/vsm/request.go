@@ -25,10 +25,11 @@ type Request struct {
 	// K is the number of results wanted. Must be positive (Validate).
 	K int
 	// Keep, when non-nil, restricts results to documents for which it
-	// returns true. It is consulted at most once per document a query
-	// term occurs in, before the document can enter the top-k, in no
-	// particular order. Live stores use it to hide tombstones; it is an
-	// in-process knob and never crosses the HTTP surface.
+	// returns true, asked about the ID a hit would be reported under
+	// (store-wide, on a live store). It is consulted at most once per
+	// document a query term occurs in — never for a tombstoned one —
+	// before the document can enter the top-k, in no particular order.
+	// It is an in-process knob and never crosses the HTTP surface.
 	Keep func(corpus.DocID) bool
 	// Trace asks for the per-phase timing breakdown of this request in
 	// Response.Trace. It works with or without engine-level metrics and
@@ -46,7 +47,7 @@ type Request struct {
 
 // GlobalStats carries cluster-merged collection statistics for one
 // request — the distributed form of the segment store's global-
-// statistics discipline (store-wide N, df, avgdl over shard-local
+// statistics discipline (store-wide N, df, avgdl over part-local
 // postings). The router computes them from the shards' reported local
 // statistics; every shard of a cycle receives the identical struct, so
 // query-side weights and the cosine query norm agree across shards and

@@ -33,23 +33,44 @@ func nudge(x float64, n int) float64 {
 // rounding; runs of documents with one norm and one raw score (equal
 // finals, larger IDs); documents without a norm; heaps that never fill
 // (k above the document count), k = 1; and reached lists in shuffled
-// order and heaps seeded with larger document IDs than anything swept,
-// so an equal final with the smaller ID — which must be admitted —
-// meets the gate as well.
+// order and heaps seeded — as by an earlier part of the collection —
+// with larger document IDs than anything swept, so an equal final with
+// the smaller ID, which must be admitted, meets the gate as well, from
+// the first document on. Some parts report their documents under other
+// IDs than the local ones, some hold tombstones.
 func TestSweepGateNeverRejectsAnAdmissibleDocument(t *testing.T) {
 	const nDocs = 300
 	rng := rand.New(rand.NewSource(18))
 	for trial := 0; trial < 4000; trial++ {
 		e := &Engine{scoring: Scoring(trial % 2)}
 		qnorm := 1.0
+		var part Part
 		if e.scoring == Cosine {
 			qnorm = 0.2 + 3*rng.Float64()
-			e.docNorm = make([]float64, nDocs-7) // the last few documents have none
-			for d := range e.docNorm {
-				if e.docNorm[d] = 0.5 + 9*rng.Float64(); rng.Intn(25) == 0 {
-					e.docNorm[d] = 0
+			part.Norms = make([]float64, nDocs-7) // the last few documents have none
+			for d := range part.Norms {
+				if part.Norms[d] = 0.5 + 9*rng.Float64(); rng.Intn(25) == 0 {
+					part.Norms[d] = 0
 				}
 			}
+		}
+		if trial%5 == 4 {
+			part.IDs = make([]corpus.DocID, nDocs)
+			for d := range part.IDs {
+				part.IDs[d] = corpus.DocID(2*d + 17)
+			}
+		}
+		if trial%13 == 12 {
+			part.Dead = make([]bool, nDocs)
+			for d := range part.Dead {
+				part.Dead[d] = rng.Intn(6) == 0
+			}
+		}
+		reported := func(d int) corpus.DocID {
+			if part.IDs != nil {
+				return part.IDs[d]
+			}
+			return corpus.DocID(d)
 		}
 		if trial%11 == 10 {
 			e.prior = make([]float64, nDocs)
@@ -64,8 +85,8 @@ func TestSweepGateNeverRejectsAnAdmissibleDocument(t *testing.T) {
 		}
 		k := []int{1, 2, 10, 50, nDocs + 20}[rng.Intn(5)]
 		den := func(d int) float64 {
-			if n := e.norm(corpus.DocID(d)); n > 0 {
-				return n * qnorm
+			if d < len(part.Norms) && part.Norms[d] > 0 {
+				return part.Norms[d] * qnorm
 			}
 			return 1
 		}
@@ -80,8 +101,8 @@ func TestSweepGateNeverRejectsAnAdmissibleDocument(t *testing.T) {
 			case 2, 3, 4, 5:
 				qs.score[d] = nudge(pivot*den(d), rng.Intn(9)-4)
 			case 6:
-				if d > 0 && qs.score[d-1] != 0 && d < len(e.docNorm) {
-					e.docNorm[d] = e.docNorm[d-1]
+				if d > 0 && qs.score[d-1] != 0 && d < len(part.Norms) {
+					part.Norms[d] = part.Norms[d-1]
 					qs.score[d] = qs.score[d-1]
 					break
 				}
@@ -114,19 +135,20 @@ func TestSweepGateNeverRejectsAnAdmissibleDocument(t *testing.T) {
 			if qs.score[d] == 0 {
 				continue
 			}
-			if keep != nil && !keep(corpus.DocID(d)) {
+			if (part.Dead != nil && part.Dead[d]) || (keep != nil && !keep(reported(d))) {
 				want.DocsFiltered++
 				continue
 			}
 			want.DocsScored++
-			pushTopK(&exact, k, Result{Doc: corpus.DocID(d), Score: e.finalizeScore(qs.score[d], corpus.DocID(d), qnorm)})
+			pushTopK(&exact, k, Result{Doc: reported(d), Score: e.finalizeScore(qs.score[d], corpus.DocID(d), part.Norms, qnorm)})
 		}
 
 		m := batchMember{qs: qs, qnorm: qnorm, k: k, keep: keep}
 		qs.unswept = true
-		e.sweep(&m)
+		e.sweep(&m, &part)
 		if err := sameHits(drainTopK(&qs.heap), drainTopK(&exact)); err != nil {
-			t.Fatalf("trial %d (%v, k=%d, keep=%v, prior=%v): %v", trial, e.scoring, k, keep != nil, e.prior != nil, err)
+			t.Fatalf("trial %d (%v, k=%d, keep=%v, prior=%v, ids=%v, dead=%v): %v",
+				trial, e.scoring, k, keep != nil, e.prior != nil, part.IDs != nil, part.Dead != nil, err)
 		}
 		if m.stats != want {
 			t.Fatalf("trial %d: stats %+v, want %+v", trial, m.stats, want)

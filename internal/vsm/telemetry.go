@@ -4,9 +4,9 @@ import (
 	"toppriv/internal/telemetry"
 )
 
-// Telemetry metric family names published by the engine (and by
-// segment.Store, which reuses the same families so a deployment's
-// dashboards are backend-agnostic).
+// Telemetry metric family names published by the engine — a static
+// one or the one inside a segment.Store, so a deployment's dashboards
+// are backend-agnostic.
 const (
 	MetricQuerySeconds      = "toppriv_query_seconds"
 	MetricQueryPhaseSeconds = "toppriv_query_phase_seconds"
@@ -42,15 +42,14 @@ type engineMetrics struct {
 
 // newEngineMetrics resolves every family and child the query path
 // needs. scorer labels the engine's scoring function; the same
-// registry can carry several scorers (a store with mixed engines would
-// simply resolve more children).
+// registry can carry several scorers.
 func newEngineMetrics(reg *telemetry.Registry, ring *telemetry.TraceRing, scorer string) *engineMetrics {
 	m := &engineMetrics{ring: ring}
 	lat := reg.HistogramVec(MetricQuerySeconds,
-		"Query latency by scorer and mode (exhaustive = one query scanned alone, batch, store).",
+		"Query latency by scorer and mode (exhaustive = one query scanned alone, batch).",
 		telemetry.DefaultLatencyBuckets, "scorer", "mode")
 	q := reg.CounterVec(MetricQueriesTotal,
-		"Queries executed by scorer and mode (exhaustive = one query scanned alone, batch, store).",
+		"Queries executed by scorer and mode (exhaustive = one query scanned alone, batch).",
 		"scorer", "mode")
 	m.soloLat = lat.With(scorer, modeSolo)
 	m.soloQ = q.With(scorer, modeSolo)
