@@ -81,7 +81,7 @@ func splitWords(s string) []string {
 
 // testCluster is an in-process cluster: n shard stores, each mounted
 // on its own search.Server behind an httptest listener, fronted by a
-// Router — real HTTP, real JSON, separate vocabularies.
+// Router — real HTTP, the real wire, separate vocabularies.
 type testCluster struct {
 	router  *Router
 	shards  []*Shard

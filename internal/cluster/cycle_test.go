@@ -3,11 +3,9 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -16,10 +14,11 @@ import (
 	"toppriv/internal/vsm"
 )
 
-// wireTap is a transport that shows every router→shard cycle
-// (/cluster/batch body) to see before forwarding the request.
+// wireTap is a transport that shows every router→shard cycle — the
+// requests a shard rebuilds from the /cluster/batch frame — to see
+// before forwarding the request.
 type wireTap struct {
-	see func(batchRequest)
+	see func([]vsm.Request)
 }
 
 func (w wireTap) RoundTrip(req *http.Request) (*http.Response, error) {
@@ -28,13 +27,16 @@ func (w wireTap) RoundTrip(req *http.Request) (*http.Response, error) {
 		if err != nil {
 			return nil, err
 		}
-		var br batchRequest
-		err = json.NewDecoder(body).Decode(&br)
+		frame, err := io.ReadAll(body)
 		body.Close()
 		if err != nil {
 			return nil, err
 		}
-		w.see(br)
+		cycle, err := decodeBatchRequest(frame)
+		if err != nil {
+			return nil, err
+		}
+		w.see(cycle)
 	}
 	return http.DefaultTransport.RoundTrip(req)
 }
@@ -57,19 +59,31 @@ func overlappingCycle(pool []string) [][]string {
 
 // TestCycleScoresAgainstOneSnapshot interleaves routed ingest with
 // routed cycles and inspects the wire: every member of one cycle must
-// carry the same merged Docs/TotalLen. Per-member snapshots let an
-// ingest ack land between two members, scoring one cycle against two
-// collections and splitting the shards' shared traversal.
+// carry the same merged Docs/TotalLen, and equal terms the same df.
+// Per-member snapshots let an ingest ack land between two members,
+// scoring one cycle against two collections and splitting the shards'
+// shared traversal. The frame now makes this hold by construction — it
+// has room for one snapshot and one df per distinct term — so what the
+// test still guards is the decoder handing every member that one
+// snapshot, and a router that would go back to taking several.
 func TestCycleScoresAgainstOneSnapshot(t *testing.T) {
 	var mu sync.Mutex
 	collections := map[int]bool{}
-	tap := wireTap{see: func(br batchRequest) {
-		first := br.Queries[0].Global
-		for i, q := range br.Queries {
+	tap := wireTap{see: func(cycle []vsm.Request) {
+		first := cycle[0].Global
+		df := map[string]int{}
+		for i, q := range cycle {
 			if q.Global.Docs != first.Docs || q.Global.TotalLen != first.TotalLen {
 				t.Errorf("member %d scores against %d docs / %d tokens, member 0 against %d / %d",
 					i, q.Global.Docs, q.Global.TotalLen, first.Docs, first.TotalLen)
 				return
+			}
+			for j, term := range q.Terms {
+				if was, ok := df[term]; ok && was != q.Global.DF[j] {
+					t.Errorf("member %d weighs a term with df %d, an earlier member with %d", i, q.Global.DF[j], was)
+					return
+				}
+				df[term] = q.Global.DF[j]
 			}
 		}
 		mu.Lock()
@@ -173,64 +187,15 @@ func TestRoutedCycleSharesTraversal(t *testing.T) {
 	}
 }
 
-// TestShardBatchIgnoresLegacyMode pins mixed-version rolling restarts:
-// a /cluster/batch member that still carries the retired "mode" field —
-// a router one release behind its shard — is answered exactly like the
-// same member without it, whatever the value, never with a 400.
-func TestShardBatchIgnoresLegacyMode(t *testing.T) {
-	tc := newTestCluster(t, vsm.BM25, 1, Config{})
-	docs := synthDocs(t, 40, 17)
-	if _, err := tc.router.Add(docs...); err != nil {
-		t.Fatal(err)
-	}
-	terms := textproc.NewAnalyzer().Analyze(queryFrom(docs[5], 0, 4))
-	global := &vsm.GlobalStats{Docs: len(docs), TotalLen: 4000, DF: make([]int, len(terms))}
-	for i := range global.DF {
-		global.DF[i] = 3
-	}
-	post := func(mode string) batchResponse {
-		t.Helper()
-		member := map[string]interface{}{"terms": terms, "k": 5, "global": global}
-		if mode != "" {
-			member["mode"] = mode
-		}
-		body, err := json.Marshal(map[string]interface{}{"queries": []interface{}{member}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(tc.servers[0].URL+"/cluster/batch", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("mode %q: status %d, want 200", mode, resp.StatusCode)
-		}
-		var br batchResponse
-		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-			t.Fatal(err)
-		}
-		return br
-	}
-	want := post("")
-	if len(want.Responses) != 1 || len(want.Responses[0].Hits) == 0 {
-		t.Fatalf("no hits without a mode: %+v", want)
-	}
-	for _, mode := range []string{"auto", "blockmax", "exhaustive", "turbo"} {
-		if got := post(mode); !reflect.DeepEqual(got, want) {
-			t.Errorf("mode %q changed the answer:\n%+v\nwant %+v", mode, got, want)
-		}
-	}
-}
-
 // TestShardBatchRejectsBadStatistics pins the shard's answer to a
 // /cluster/batch body no router would send: statistics the scorer
-// cannot weigh with (a df below zero or above the collection size
-// makes idf negative or NaN, terms in a collection of no tokens make
-// BM25's avgdl zero), a df list that does not line up with the terms, a
-// non-positive k. Each is a 400 naming the member — before
-// this check the first two were ranked with garbage weights and
-// answered 200, and the others came back as a 500.
+// cannot weigh with (a df above the collection size makes idf negative
+// or NaN, terms in a collection of no tokens make BM25's avgdl zero), a
+// non-positive k — each a 400 naming the member, from Request.Validate —
+// and a body that is not a well-formed frame at all: a 400 from the
+// decoder, or 415 when it does not even claim to be one. (A negative df
+// and a df list that does not line up with the terms, which the JSON
+// body could say, the frame has no way to.)
 func TestShardBatchRejectsBadStatistics(t *testing.T) {
 	tc := newTestCluster(t, vsm.BM25, 1, Config{})
 	docs := synthDocs(t, 40, 17)
@@ -241,28 +206,47 @@ func TestShardBatchRejectsBadStatistics(t *testing.T) {
 	if len(terms) != 3 {
 		t.Fatalf("query analyzed to %v, want three terms", terms)
 	}
+	// Member 0 is well-formed and asks for terms[0] alone; member 1 brings
+	// in the other two, so whatever is wrong with their statistics is
+	// member 1's.
+	frame := func(k, docs int, totalLen int64, df ...int) []byte {
+		members := []vsm.Request{{Terms: terms[:1], K: 5}, {Terms: terms, K: k}}
+		return appendBatchRequest(nil, docs, totalLen, members, func(term string) int {
+			for i := range terms {
+				if terms[i] == term {
+					return df[i]
+				}
+			}
+			t.Fatalf("df asked for %q", term)
+			return 0
+		})
+	}
+	good := frame(5, 40, 4000, 3, 0, 40)
+	// The last byte of the payload is member 1's reference to terms[2].
+	badRef := append([]byte(nil), good...)
+	badRef[len(badRef)-1] = 7
+	unsealed := append([]byte(nil), badRef...)
+	sealFrame(badRef)
 	for _, tt := range []struct {
-		name   string
-		k      int
-		global vsm.GlobalStats
-		status int
+		name        string
+		contentType string
+		body        []byte
+		status      int
+		names       string
 	}{
-		{"well-formed", 5, vsm.GlobalStats{Docs: 40, TotalLen: 4000, DF: []int{3, 0, 40}}, http.StatusOK},
-		{"negative df", 5, vsm.GlobalStats{Docs: 40, TotalLen: 4000, DF: []int{3, -1, 3}}, http.StatusBadRequest},
-		{"df above docs", 5, vsm.GlobalStats{Docs: 40, TotalLen: 4000, DF: []int{3, 41, 3}}, http.StatusBadRequest},
-		{"df on an empty collection", 5, vsm.GlobalStats{Docs: 0, TotalLen: 0, DF: []int{0, 1, 0}}, http.StatusBadRequest},
-		{"short df", 5, vsm.GlobalStats{Docs: 40, TotalLen: 4000, DF: []int{3, 3}}, http.StatusBadRequest},
-		{"negative docs", 5, vsm.GlobalStats{Docs: -1, TotalLen: 4000, DF: []int{0, 0, 0}}, http.StatusBadRequest},
-		{"terms in a collection of no tokens", 5, vsm.GlobalStats{Docs: 40, TotalLen: 0, DF: []int{3, 3, 3}}, http.StatusBadRequest},
-		{"zero k", 0, vsm.GlobalStats{Docs: 40, TotalLen: 4000, DF: []int{3, 3, 3}}, http.StatusBadRequest},
+		{"well-formed", batchContentType, good, http.StatusOK, ""},
+		{"df above docs", batchContentType, frame(5, 40, 4000, 3, 41, 3), http.StatusBadRequest, "query 1"},
+		{"df on an empty collection", batchContentType, frame(5, 0, 0, 0, 1, 0), http.StatusBadRequest, "query 1"},
+		{"terms in a collection of no tokens", batchContentType, frame(5, 40, 0, 0, 3, 3), http.StatusBadRequest, "query 1"},
+		{"zero k", batchContentType, frame(0, 40, 4000, 3, 3, 3), http.StatusBadRequest, "query 1"},
+		{"bad CRC", batchContentType, unsealed, http.StatusBadRequest, "checksum"},
+		{"short frame", batchContentType, good[:len(good)-3], http.StatusBadRequest, "cut short"},
+		{"bytes after the frame", batchContentType, append(append([]byte(nil), good...), 0), http.StatusBadRequest, "after the frame"},
+		{"reference out of range", batchContentType, badRef, http.StatusBadRequest, "member 1 refers to term 7"},
+		{"JSON body", "application/json", []byte(`{"queries":[{"terms":["a"],"k":5,"global":{"docs":40,"total_len":4000,"df":[3]}}]}`), http.StatusUnsupportedMediaType, batchContentType},
+		{"frame under a JSON content type", "application/json", good, http.StatusUnsupportedMediaType, batchContentType},
 	} {
-		good := map[string]interface{}{"terms": terms, "k": 5, "global": vsm.GlobalStats{Docs: 40, TotalLen: 4000, DF: []int{3, 3, 3}}}
-		bad := map[string]interface{}{"terms": terms, "k": tt.k, "global": tt.global}
-		body, err := json.Marshal(map[string]interface{}{"queries": []interface{}{good, bad}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(tc.servers[0].URL+"/cluster/batch", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(tc.servers[0].URL+"/cluster/batch", tt.contentType, bytes.NewReader(tt.body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,8 +255,12 @@ func TestShardBatchRejectsBadStatistics(t *testing.T) {
 		if resp.StatusCode != tt.status {
 			t.Errorf("%s: status %d (%s), want %d", tt.name, resp.StatusCode, bytes.TrimSpace(msg), tt.status)
 		}
-		if tt.status == http.StatusBadRequest && !bytes.Contains(msg, []byte("query 1")) {
-			t.Errorf("%s: error %q does not name the offending member", tt.name, bytes.TrimSpace(msg))
+		if tt.status == http.StatusOK {
+			if got, err := decodeBatchReply(msg); err != nil || len(got) != 2 || len(got[1].Hits) == 0 {
+				t.Errorf("%s: reply %+v, %v; want two members, the second with hits", tt.name, got, err)
+			}
+		} else if !bytes.Contains(msg, []byte(tt.names)) {
+			t.Errorf("%s: error %q does not say %q", tt.name, bytes.TrimSpace(msg), tt.names)
 		}
 	}
 }

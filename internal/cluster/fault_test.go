@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"net"
 	"net/http"
@@ -468,5 +469,24 @@ func TestClusterMetricsExposition(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, text)
 		}
+	}
+	// One one-member cycle over two shards: the request frame twice, and
+	// two replies no shorter than an empty one.
+	cycle := []vsm.Request{{Terms: textproc.NewAnalyzer().Analyze("topic"), K: 3}}
+	var merged shardStats
+	df := 0
+	for _, c := range tc.router.shards {
+		st := c.snapStats()
+		merged.Docs += st.Docs
+		merged.TotalLen += st.TotalLen
+		df += st.DF[cycle[0].Terms[0]]
+	}
+	frame := appendBatchRequest(nil, merged.Docs, merged.TotalLen, cycle, func(string) int { return df })
+	sent := fmt.Sprintf("toppriv_cluster_batch_bytes_total{dir=\"sent\"} %d\n", 2*len(frame))
+	if !strings.Contains(text, sent) {
+		t.Fatalf("exposition missing %q:\n%s", sent, text)
+	}
+	if empty := len(appendBatchReply(nil, make([]vsm.Response, 1))); tc.router.mBatchReceived.Value() < uint64(2*empty) {
+		t.Fatalf("%d reply bytes counted, two empty replies are %d", tc.router.mBatchReceived.Value(), 2*empty)
 	}
 }

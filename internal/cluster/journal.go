@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -27,11 +25,7 @@ import (
 //	journal.wal    — magic header, then length-prefixed CRC-framed records
 //	SNAPSHOT.json  — periodic compaction point (atomic rename)
 //
-// Wire framing per record: a uint32 little-endian payload length, a
-// uint32 little-endian CRC-32 (IEEE) over the length bytes followed by
-// the payload, then the JSON payload. Covering the length field by the
-// checksum means a corrupted length can never silently re-frame the
-// stream: any complete frame that fails its CRC is rejected.
+// Each record is one frame (frame.go) around a JSON payload.
 //
 // Recovery semantics, the contract the byte-flip sweep tests pin down:
 //
@@ -279,26 +273,16 @@ func replayWAL(path string, st *journalState) (int64, error) {
 		if len(rest) == 0 {
 			return off, nil
 		}
-		if len(rest) < 8 {
-			// Header cut by EOF: torn tail.
-			st.TornBytes = int64(len(rest))
-			return off, nil
-		}
-		length := binary.LittleEndian.Uint32(rest[:4])
-		sum := binary.LittleEndian.Uint32(rest[4:8])
-		if length > journalMaxRecord || int64(length) > int64(len(rest))-8 {
-			// Payload extends past EOF — a crash-torn final record, or a
-			// corrupted length field that is indistinguishable from one.
+		payload, size, err := openFrame(rest, journalMaxRecord)
+		if errors.Is(err, errFrameTorn) {
+			// Header or payload cut by EOF — a crash-torn final record, or
+			// a corrupted length field that is indistinguishable from one.
 			// Either way nothing past this offset is trustworthy as a
 			// frame boundary; report the cut loudly and stop.
 			st.TornBytes = int64(len(rest))
 			return off, nil
 		}
-		payload := rest[8 : 8+length]
-		crc := crc32.NewIEEE()
-		crc.Write(rest[:4])
-		crc.Write(payload)
-		if crc.Sum32() != sum {
+		if err != nil {
 			// A complete frame that fails its checksum is interior
 			// corruption (bit rot, tampering) — never replay past it,
 			// never drop it silently.
@@ -309,7 +293,7 @@ func replayWAL(path string, st *journalState) (int64, error) {
 			return 0, fmt.Errorf("cluster: journal: record at offset %d undecodable: %w", off, err)
 		}
 		applyRecord(st, rec)
-		off += 8 + int64(length)
+		off += int64(size)
 	}
 }
 
@@ -360,13 +344,9 @@ func (j *journal) Append(rec *journalRecord) error {
 		j.mu.Unlock()
 		return err
 	}
-	frame := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
-	copy(frame[8:], payload)
-	crc := crc32.NewIEEE()
-	crc.Write(frame[:4])
-	crc.Write(payload)
-	binary.LittleEndian.PutUint32(frame[4:8], crc.Sum32())
+	frame := make([]byte, frameHeader+len(payload))
+	copy(frame[frameHeader:], payload)
+	sealFrame(frame)
 
 	if j.crashAfter >= 0 && j.size+int64(len(frame)) > j.crashAfter {
 		// Injected crash: write only the bytes that "made it to disk"

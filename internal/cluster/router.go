@@ -140,6 +140,9 @@ type Router struct {
 	mDegraded   *telemetry.Counter
 	mRecoveries *telemetry.Counter
 	mReplayed   *telemetry.Counter
+	// Frame bytes over /cluster/batch, summed over shards.
+	mBatchSent     *telemetry.Counter
+	mBatchReceived *telemetry.Counter
 }
 
 // latRingSize bounds the per-shard latency sample window the p99
@@ -230,17 +233,50 @@ func (c *shardConn) p99Locked() float64 {
 	return samples[idx] * 1000
 }
 
-// exchange POSTs (or GETs, body nil) one wire call and decodes the
-// reply, recording health and latency. Non-2xx replies become errors
-// carrying the shard's message.
+// exchange POSTs (or GETs, body nil) one JSON control-plane call and
+// decodes the reply into out (nil: discarded).
 func (c *shardConn) exchange(ctx context.Context, method, path string, body []byte, out interface{}) error {
+	return c.roundTrip(ctx, method, path, "application/json", body, func(reply io.Reader) error {
+		if out == nil {
+			io.Copy(io.Discard, reply)
+			return nil
+		}
+		return json.NewDecoder(reply).Decode(out)
+	})
+}
+
+// exchangeBatch POSTs one cycle's request frame to /cluster/batch and
+// decodes the reply frame, reporting the reply's size in bytes. The
+// reply is read through a pooled buffer and bounded by maxBatchReply
+// whatever the shard sends; a frame that does not decode fails this
+// shard's exchange like any other error.
+func (c *shardConn) exchangeBatch(ctx context.Context, frame []byte) (resps []vsm.Response, received int, err error) {
+	err = c.roundTrip(ctx, http.MethodPost, "/cluster/batch", batchContentType, frame, func(reply io.Reader) (err error) {
+		bp := wireBufs.Get().(*[]byte)
+		defer wireBufs.Put(bp)
+		// One byte past the largest frame: a longer reply fails to decode
+		// instead of being cut to something that might.
+		if *bp, err = readBody(io.LimitReader(reply, frameHeader+maxBatchReply+1), *bp); err != nil {
+			return err
+		}
+		received = len(*bp)
+		resps, err = decodeBatchReply(*bp)
+		return err
+	})
+	return resps, received, err
+}
+
+// roundTrip sends one wire call and hands a 200 reply's body to read,
+// recording health and latency (read's time and error included).
+// Non-2xx replies become errors carrying the shard's message.
+func (c *shardConn) roundTrip(ctx context.Context, method, path, contentType string, body []byte, read func(io.Reader) error) error {
 	start := time.Now()
-	err := c.exchangeRaw(ctx, method, path, body, out)
+	err := c.roundTripRaw(ctx, method, path, contentType, body, read)
 	c.observe(time.Since(start).Seconds(), err)
 	return err
 }
 
-func (c *shardConn) exchangeRaw(ctx context.Context, method, path string, body []byte, out interface{}) error {
+func (c *shardConn) roundTripRaw(ctx context.Context, method, path, contentType string, body []byte, read func(io.Reader) error) error {
 	build := func() (*http.Request, error) {
 		var rd io.Reader
 		if body != nil {
@@ -251,7 +287,7 @@ func (c *shardConn) exchangeRaw(ctx context.Context, method, path string, body [
 			return nil, err
 		}
 		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
+			req.Header.Set("Content-Type", contentType)
 		}
 		return req, nil
 	}
@@ -264,11 +300,7 @@ func (c *shardConn) exchangeRaw(ctx context.Context, method, path string, body [
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return &statusError{code: resp.StatusCode, msg: string(bytes.TrimSpace(msg))}
 	}
-	if out == nil {
-		io.Copy(io.Discard, resp.Body)
-		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return read(resp.Body)
 }
 
 // statusError is a non-2xx shard reply. It is not transient: the shard
@@ -747,25 +779,6 @@ func (r *Router) compactLocked() error {
 	return r.journal.Compact(r.nextGid, pending, titles)
 }
 
-// mergedStats sums one snapshot of the shards' last-known tables into
-// one query's GlobalStats. DF aligns with terms, repeats repeating
-// their df, the exact shape vsm.Request.Global requires.
-func mergedStats(snap []shardStats, terms []string) *vsm.GlobalStats {
-	g := &vsm.GlobalStats{DF: make([]int, len(terms))}
-	for i := range snap {
-		st := &snap[i]
-		g.Docs += st.Docs
-		g.TotalLen += st.TotalLen
-		if st.DF == nil {
-			continue
-		}
-		for i, t := range terms {
-			g.DF[i] += st.DF[t]
-		}
-	}
-	return g
-}
-
 // SearchRequest executes one request through the full scatter-gather
 // path (it is a one-member batch; the shards treat it identically).
 func (r *Router) SearchRequest(ctx context.Context, req vsm.Request) (vsm.Response, error) {
@@ -793,7 +806,7 @@ func (r *Router) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Res
 	for i, c := range r.shards {
 		snap[i] = c.snapStats()
 	}
-	wire := batchRequest{Queries: make([]wireQuery, len(reqs))}
+	members := make([]vsm.Request, len(reqs))
 	for i, req := range reqs {
 		if err := req.Validate(); err != nil {
 			return nil, fmt.Errorf("cluster: batch member %d: %w", i, err)
@@ -808,20 +821,25 @@ func (r *Router) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Res
 		if terms == nil {
 			terms = r.an.Analyze(req.Query)
 		}
-		wire.Queries[i] = wireQuery{
-			Terms:  terms,
-			K:      req.K,
-			Global: mergedStats(snap, terms),
+		members[i] = vsm.Request{Terms: terms, K: req.K}
+	}
+	docs, totalLen := 0, int64(0)
+	for i := range snap {
+		docs += snap[i].Docs
+		totalLen += snap[i].TotalLen
+	}
+	frame := appendBatchRequest(nil, docs, totalLen, members, func(term string) int {
+		df := 0
+		for i := range snap {
+			df += snap[i].DF[term]
 		}
-	}
-	body, err := json.Marshal(wire)
-	if err != nil {
-		return nil, err
-	}
+		return df
+	})
 
 	type shardOut struct {
-		resps []wireResponse
-		err   error
+		resps    []vsm.Response
+		received int
+		err      error
 	}
 	outs := make([]shardOut, len(r.shards))
 	var wg sync.WaitGroup
@@ -831,16 +849,11 @@ func (r *Router) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Res
 			defer wg.Done()
 			sctx, cancel := context.WithTimeout(ctx, r.deadline)
 			defer cancel()
-			var br batchResponse
-			if err := c.exchange(sctx, http.MethodPost, "/cluster/batch", body, &br); err != nil {
-				outs[i].err = err
-				return
+			resps, received, err := c.exchangeBatch(sctx, frame)
+			if err == nil && len(resps) != len(reqs) {
+				err = fmt.Errorf("shard answered %d members for %d queries", len(resps), len(reqs))
 			}
-			if len(br.Responses) != len(reqs) {
-				outs[i].err = fmt.Errorf("shard answered %d members for %d queries", len(br.Responses), len(reqs))
-				return
-			}
-			outs[i].resps = br.Responses
+			outs[i] = shardOut{resps, received, err}
 		}(i, c)
 	}
 	wg.Wait()
@@ -858,6 +871,10 @@ func (r *Router) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Res
 			status[i].Err = outs[i].err.Error()
 			degraded = true
 		}
+		if r.mBatchSent != nil {
+			r.mBatchSent.Add(uint64(len(frame)))
+			r.mBatchReceived.Add(uint64(outs[i].received))
+		}
 	}
 	if degraded {
 		r.degraded.Add(1)
@@ -874,15 +891,10 @@ func (r *Router) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Res
 			if outs[i].err != nil {
 				continue
 			}
-			wr := &outs[i].resps[j]
-			hits := make([]vsm.Result, len(wr.Hits))
-			for h, wh := range wr.Hits {
-				hits[h] = vsm.Result{Doc: wh.Gid, Score: wh.Score}
-			}
-			lists = append(lists, hits)
-			resps[j].Stats.Add(wr.Stats)
+			lists = append(lists, outs[i].resps[j].Hits)
+			resps[j].Stats.Add(outs[i].resps[j].Stats)
 		}
-		resps[j].Hits = vsm.MergeTopK(lists, wire.Queries[j].K)
+		resps[j].Hits = vsm.MergeTopK(lists, members[j].K)
 		resps[j].Degraded = degraded
 		resps[j].Shards = status
 	}
@@ -1203,6 +1215,10 @@ func (r *Router) EnableMetrics(reg *telemetry.Registry, _ *telemetry.TraceRing) 
 		}
 		c.mu.Unlock()
 	}
+	batchBytes := reg.CounterVec("toppriv_cluster_batch_bytes_total",
+		"Frame bytes exchanged over /cluster/batch, summed over shards: request frames sent, reply frames received.", "dir")
+	r.mBatchSent = batchBytes.With("sent")
+	r.mBatchReceived = batchBytes.With("received")
 	r.mDegraded = reg.Counter("toppriv_cluster_degraded_queries_total",
 		"Query cycles answered without every shard (merged survivor results).")
 	r.mRecoveries = reg.Counter("toppriv_cluster_recoveries_total",

@@ -379,26 +379,34 @@ func (s *Shard) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleBatch executes one cycle against the local store. Every member
-// carries the router's merged statistics, so the store's engines weigh
+// carries the router's merged statistics, so the store's engine weighs
 // query terms with cluster-wide N/df/avgdl while traversing only local
-// postings.
+// postings. Request and reply are one frame each (wire.go); a body of
+// any other content type is a router of another release and gets 415.
 func (s *Shard) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	var br batchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20)).Decode(&br); err != nil {
+	if r.Header.Get("Content-Type") != batchContentType {
+		http.Error(w, "Content-Type must be "+batchContentType, http.StatusUnsupportedMediaType)
+		return
+	}
+	// One buffer serves both directions: the decoded requests alias
+	// nothing in it, so the reply is built over the request.
+	bp := wireBufs.Get().(*[]byte)
+	defer wireBufs.Put(bp)
+	var err error
+	if *bp, err = readBody(http.MaxBytesReader(w, r.Body, frameHeader+maxBatchRequest), *bp); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	reqs := make([]vsm.Request, len(br.Queries))
-	for i, q := range br.Queries {
-		terms := q.Terms
-		if terms == nil {
-			terms = []string{}
-		}
-		reqs[i] = vsm.Request{Terms: terms, K: q.K, Global: q.Global}
+	reqs, err := decodeBatchRequest(*bp)
+	if err != nil {
+		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	for i := range reqs {
 		if err := reqs[i].Validate(); err != nil {
 			http.Error(w, fmt.Sprintf("bad request: query %d: %v", i, err), http.StatusBadRequest)
 			return
@@ -409,30 +417,34 @@ func (s *Shard) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, s.toWire(resps))
+	s.globalize(resps)
+	*bp = appendBatchReply((*bp)[:0], resps)
+	w.Header().Set("Content-Type", batchContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(*bp)))
+	w.Write(*bp)
 }
 
-// toWire translates the store's hits from store-local IDs to gids.
+// globalize rewrites the store's hits in place from store-local IDs to
+// gids.
 //
 // An ingest makes its documents searchable (store.Add) before it can
 // append their gids to the table, so a query running beside it can hit
 // a local ID the table does not have yet. Such a hit is dropped: the
 // ingest has not been acknowledged, so the query is ordered before it,
 // and the next query finds the document.
-func (s *Shard) toWire(resps []vsm.Response) batchResponse {
-	out := batchResponse{Responses: make([]wireResponse, len(resps))}
+func (s *Shard) globalize(resps []vsm.Response) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	for i := range resps {
-		hits := make([]wireHit, 0, len(resps[i].Hits))
+		hits := resps[i].Hits[:0]
 		for _, h := range resps[i].Hits {
 			if int(h.Doc) < len(s.gids) {
-				hits = append(hits, wireHit{Gid: s.gids[h.Doc], Score: h.Score})
+				h.Doc = s.gids[h.Doc]
+				hits = append(hits, h)
 			}
 		}
-		out.Responses[i] = wireResponse{Hits: hits, Stats: resps[i].Stats}
+		resps[i].Hits = hits
 	}
-	return out
 }
 
 // handleIngest adds router-placed documents. Replayed documents (gids

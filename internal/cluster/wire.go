@@ -1,6 +1,13 @@
 package cluster
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"sync"
+
 	"toppriv/internal/corpus"
 	"toppriv/internal/index"
 	"toppriv/internal/vsm"
@@ -10,43 +17,351 @@ import (
 // document IDs and cluster-merged statistics; raw query text never
 // reaches a shard (the router analyzes once), and store-local document
 // IDs never leave one.
+//
+// The control plane — /cluster/stats, /cluster/index, /cluster/doc — is
+// JSON, the structs at the bottom of this file. The query path, POST
+// /cluster/batch, is one binary frame each way, Content-Type
+// batchContentType: the framing of frame.go (uint32 length, uint32
+// CRC-32 over length + payload) around a payload of uvarints
+// (encoding/binary's, shortest form only), term bytes and raw float64
+// bits. It carries what a cycle is: one collection, the cycle's distinct
+// terms, and the members as references into them.
+//
+// Request payload:
+//
+//	uvarint docs           merged live document count N    ┐ the statistics snapshot,
+//	uvarint total_len      merged analyzed token count     ┘ once for the whole cycle
+//	uvarint terms          number of distinct terms
+//	terms × {
+//	    uvarint n, n bytes the term
+//	    uvarint df         its merged document frequency (0: unseen)
+//	}                      in order of first occurrence over the members
+//	uvarint members
+//	members × {            in submission order
+//	    uvarint k
+//	    uvarint refs
+//	    refs × uvarint     index into the term table: the member's terms
+//	}                      in wire order, repeats included
+//
+// Reply payload:
+//
+//	uvarint members        the request's, in the request's order
+//	members × {
+//	    uvarint docs_scored, docs_filtered, postings, blocks_decoded
+//	    uvarint hits
+//	    hits × {
+//	        uvarint gid
+//	        8 bytes        math.Float64bits(score), little-endian
+//	    }                  best first
+//	}
+//
+// A frame has one encoding: a padded uvarint, a term listed twice or out
+// of first-occurrence order or never referenced, and bytes after the
+// payload are all refused, so equal terms carry equal df by construction
+// and the bytes are a function of the member sequence alone. Nothing in
+// a frame tells the genuine query from its ghosts.
+//
+// There is one version and no negotiation: a shard answers any other
+// Content-Type with 415, so a router and its shards upgrade together.
 
-// batchRequest is the POST /cluster/batch payload: one obfuscation
-// cycle, every member carrying the identical merged statistics.
-type batchRequest struct {
-	Queries []wireQuery `json:"queries"`
+const (
+	batchContentType = "application/x-toppriv-cycle"
+	// maxBatchRequest and maxBatchReply bound the frame a shard reads
+	// from a router and a router from a shard. A cycle of 64 members
+	// asking 1000 hits each answers in under 1 MiB.
+	maxBatchRequest = 4 << 20
+	maxBatchReply   = 16 << 20
+)
+
+// appendBatchRequest appends the request frame of one cycle: members
+// supplies each member's Terms and K, df a term's merged document
+// frequency, asked once per distinct term.
+func appendBatchRequest(dst []byte, docs int, totalLen int64, members []vsm.Request, df func(term string) int) []byte {
+	// Sized for the few terms a query has; cycles share most of them.
+	refs := make(map[string]uint64, 4*len(members))
+	table := make([]string, 0, 4*len(members))
+	for i := range members {
+		for _, t := range members[i].Terms {
+			if _, ok := refs[t]; !ok {
+				refs[t] = uint64(len(table))
+				table = append(table, t)
+			}
+		}
+	}
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeader)...)
+	dst = binary.AppendUvarint(dst, uint64(docs))
+	dst = binary.AppendUvarint(dst, uint64(totalLen))
+	dst = binary.AppendUvarint(dst, uint64(len(table)))
+	for _, t := range table {
+		dst = binary.AppendUvarint(dst, uint64(len(t)))
+		dst = append(dst, t...)
+		dst = binary.AppendUvarint(dst, uint64(df(t)))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(members)))
+	for i := range members {
+		dst = binary.AppendUvarint(dst, uint64(members[i].K))
+		dst = binary.AppendUvarint(dst, uint64(len(members[i].Terms)))
+		for _, t := range members[i].Terms {
+			dst = binary.AppendUvarint(dst, refs[t])
+		}
+	}
+	sealFrame(dst[start:])
+	return dst
 }
 
-// wireQuery is one cycle member as a shard executes it. The shard's
-// engine has one execution strategy; a "mode" field, which a
-// router one release behind may still send, is ignored.
-type wireQuery struct {
-	// Terms is the analyzed query in wire order; Global.DF aligns with
-	// it, and cosine shards derive the query norm from it, so every
-	// shard of a cycle computes the identical norm.
-	Terms []string `json:"terms"`
-	K     int      `json:"k"`
-	// Global is the router's merged N/totalLen/df for this query.
-	Global *vsm.GlobalStats `json:"global"`
+// decodeBatchRequest rebuilds the cycle of a request frame as the
+// requests a shard's store executes: every member's Terms and Global.DF
+// are windows of one backing array each, and every Global carries the
+// frame's one snapshot. Nothing returned aliases frame. What comes back
+// is well-formed, not yet valid: Request.Validate still judges k and
+// the statistics.
+func decodeBatchRequest(frame []byte) ([]vsm.Request, error) {
+	r, err := openBatchFrame(frame, maxBatchRequest)
+	if err != nil {
+		return nil, err
+	}
+	docs := r.num()
+	totalLen := r.num()
+	// Every count is checked against the bytes its elements must still
+	// occupy before anything is sized by it.
+	nTerms := r.count(2)
+	if r.err != nil {
+		return nil, r.err
+	}
+	// One copy of the rest of the payload holds every term's bytes; the
+	// terms are substrings of it.
+	text := string(r.b)
+	terms := make([]string, nTerms)
+	dfs := make([]int, nTerms)
+	seen := make(map[string]struct{}, nTerms)
+	for i := range terms {
+		n := r.count(1)
+		if r.err != nil {
+			return nil, r.err
+		}
+		at := len(text) - len(r.b)
+		terms[i] = text[at : at+n]
+		r.b = r.b[n:]
+		dfs[i] = r.num()
+		if _, dup := seen[terms[i]]; dup {
+			return nil, fmt.Errorf("cluster: batch frame: term %d repeats an earlier term", i)
+		}
+		seen[terms[i]] = struct{}{}
+	}
+	nMembers := r.count(2)
+	if r.err == nil && nMembers == 0 {
+		// Not a cycle, and nothing to hang its snapshot on.
+		r.fail(errors.New("cluster: batch frame: no members"))
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	// A reference takes a byte at least, a member two more.
+	maxRefs := len(r.b) - 2*nMembers
+	reqs := make([]vsm.Request, nMembers)
+	globals := make([]vsm.GlobalStats, nMembers)
+	flatTerms := make([]string, 0, maxRefs)
+	flatDF := make([]int, 0, maxRefs)
+	next := 0
+	for i := range reqs {
+		k := r.num()
+		n := r.count(1)
+		lo := len(flatTerms)
+		for j := 0; j < n && r.err == nil; j++ {
+			ref := r.num()
+			if ref > next || ref >= nTerms {
+				r.fail(fmt.Errorf("cluster: batch frame: member %d refers to term %d, out of range or out of first-occurrence order", i, ref))
+				break
+			}
+			if ref == next {
+				next++
+			}
+			flatTerms = append(flatTerms, terms[ref])
+			flatDF = append(flatDF, dfs[ref])
+		}
+		if r.err != nil {
+			return nil, r.err
+		}
+		hi := len(flatTerms)
+		globals[i] = vsm.GlobalStats{Docs: docs, TotalLen: int64(totalLen), DF: flatDF[lo:hi:hi]}
+		reqs[i] = vsm.Request{Terms: flatTerms[lo:hi:hi], K: k, Global: &globals[i]}
+	}
+	if next != nTerms {
+		r.fail(fmt.Errorf("cluster: batch frame: %d of %d terms are never referenced", nTerms-next, nTerms))
+	}
+	if err := r.end(); err != nil {
+		return nil, err
+	}
+	return reqs, nil
 }
 
-// batchResponse is the POST /cluster/batch reply; Responses align with
-// the request's Queries.
-type batchResponse struct {
-	Responses []wireResponse `json:"responses"`
+// appendBatchReply appends the reply frame for a cycle's responses,
+// whose hits already carry global document IDs.
+func appendBatchReply(dst []byte, resps []vsm.Response) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeader)...)
+	dst = binary.AppendUvarint(dst, uint64(len(resps)))
+	for i := range resps {
+		st := &resps[i].Stats
+		dst = binary.AppendUvarint(dst, uint64(st.DocsScored))
+		dst = binary.AppendUvarint(dst, uint64(st.DocsFiltered))
+		dst = binary.AppendUvarint(dst, uint64(st.Postings))
+		dst = binary.AppendUvarint(dst, uint64(st.BlocksDecoded))
+		dst = binary.AppendUvarint(dst, uint64(len(resps[i].Hits)))
+		for _, h := range resps[i].Hits {
+			dst = binary.AppendUvarint(dst, uint64(h.Doc))
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(h.Score))
+		}
+	}
+	sealFrame(dst[start:])
+	return dst
 }
 
-// wireResponse is one member's shard-local result: hits carry global
-// document IDs and raw scores. Titles stay off this path — the router
-// resolves display titles from its ingest-time cache.
-type wireResponse struct {
-	Hits  []wireHit     `json:"hits"`
-	Stats vsm.ExecStats `json:"stats"`
+// replyHitMin is the least a hit occupies: one gid byte and the score.
+const replyHitMin = 1 + 8
+
+// decodeBatchReply reads a reply frame into one response per member —
+// Hits (windows of one backing array, in the order MergeTopK consumes)
+// and Stats (the counters ExecStats.Add sums). Nothing returned aliases
+// frame.
+func decodeBatchReply(frame []byte) ([]vsm.Response, error) {
+	r, err := openBatchFrame(frame, maxBatchReply)
+	if err != nil {
+		return nil, err
+	}
+	nMembers := r.count(5)
+	if r.err != nil {
+		return nil, r.err
+	}
+	resps := make([]vsm.Response, nMembers)
+	hits := make([]vsm.Result, 0, len(r.b)/replyHitMin)
+	for i := range resps {
+		st := &resps[i].Stats
+		st.DocsScored = r.num()
+		st.DocsFiltered = r.num()
+		st.Postings = r.num()
+		st.BlocksDecoded = r.num()
+		n := r.count(replyHitMin)
+		if r.err != nil {
+			return nil, r.err
+		}
+		lo := len(hits)
+		for j := 0; j < n; j++ {
+			gid, score := r.num(), r.float()
+			if r.err == nil && gid > math.MaxInt32 {
+				r.fail(fmt.Errorf("cluster: batch frame: member %d hit %d: gid %d beyond int32", i, j, gid))
+			}
+			if r.err != nil {
+				return nil, r.err
+			}
+			hits = append(hits, vsm.Result{Doc: corpus.DocID(gid), Score: score})
+		}
+		resps[i].Hits = hits[lo:len(hits):len(hits)]
+	}
+	if err := r.end(); err != nil {
+		return nil, err
+	}
+	return resps, nil
 }
 
-type wireHit struct {
-	Gid   corpus.DocID `json:"gid"`
-	Score float64      `json:"score"`
+// frameReader consumes a payload field by field; the first malformed
+// field sticks in err and every later read returns zero.
+type frameReader struct {
+	b   []byte
+	err error
+}
+
+// openBatchFrame checks a /cluster/batch frame that must be the whole of
+// its input.
+func openBatchFrame(frame []byte, maxPayload uint32) (frameReader, error) {
+	payload, size, err := openFrame(frame, maxPayload)
+	if err != nil {
+		return frameReader{}, fmt.Errorf("cluster: batch frame: %w", err)
+	}
+	if size != len(frame) {
+		return frameReader{}, fmt.Errorf("cluster: batch frame: %d bytes after the frame", len(frame)-size)
+	}
+	return frameReader{b: payload}, nil
+}
+
+func (r *frameReader) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
+}
+
+// num reads one shortest-form uvarint that fits an int.
+func (r *frameReader) num() int {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 || (n > 1 && r.b[n-1] == 0) || v > math.MaxInt {
+		r.fail(errors.New("cluster: batch frame: truncated, padded or oversized integer"))
+		return 0
+	}
+	r.b = r.b[n:]
+	return int(v)
+}
+
+// float reads a float64 from the 8 little-endian bytes of its bits.
+func (r *frameReader) float() float64 {
+	if r.err == nil && len(r.b) < 8 {
+		r.fail(errors.New("cluster: batch frame: truncated score"))
+	}
+	if r.err != nil {
+		return 0
+	}
+	bits := binary.LittleEndian.Uint64(r.b)
+	r.b = r.b[8:]
+	return math.Float64frombits(bits)
+}
+
+// count reads the number of elements that follow, each at least min
+// bytes long, and refuses one the remaining bytes cannot hold — so a
+// claimed count never sizes an allocation the input did not pay for.
+func (r *frameReader) count(min int) int {
+	n := r.num()
+	if r.err == nil && n > len(r.b)/min {
+		r.fail(fmt.Errorf("cluster: batch frame: count %d exceeds the %d bytes left", n, len(r.b)))
+		return 0
+	}
+	return n
+}
+
+// end reports the first error, or payload bytes nothing consumed.
+func (r *frameReader) end() error {
+	if r.err == nil && len(r.b) != 0 {
+		r.fail(fmt.Errorf("cluster: batch frame: %d unread payload bytes", len(r.b)))
+	}
+	return r.err
+}
+
+// wireBufs pools the buffers /cluster/batch frames are read into and
+// replies built in. A request frame is never pooled: net/http may still
+// be reading it after Do returns, and a cycle's shard goroutines share
+// it.
+var wireBufs = sync.Pool{New: func() interface{} { return new([]byte) }}
+
+// readBody reads r to EOF into buf — to EOF so that a keep-alive
+// connection is reused — growing it as bytes arrive, never ahead of
+// them.
+func readBody(r io.Reader, buf []byte) ([]byte, error) {
+	buf = buf[:0]
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
 
 // shardStats is the GET /cluster/stats reply and the refreshed-stats
