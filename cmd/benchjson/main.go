@@ -23,12 +23,13 @@
 // stripped (machines differ). It fails only on what does not depend on
 // the machine that ran the benchmarks. Entries whose name matches the
 // -gate regexp (default covers the search benchmarks, the decode
-// micro-benchmarks and the client-side obfuscation and inference rows)
-// fail the comparison when their allocs/op grew by more than -tolerance
-// (fraction, default 0.25) or when they disappeared from the new
-// results. Entries carrying an index_bytes/doc metric (the
-// BenchmarkIndexSize memory-footprint row) are compared on that metric
-// alone: growth beyond -size-tolerance (default 0.10) always fails,
+// micro-benchmarks, the client-side obfuscation and inference rows and
+// the public-hop codec rows) fail the comparison when their allocs/op
+// grew by more than -tolerance (fraction, default 0.25; a baseline of
+// zero allows none) or when they disappeared from the new results.
+// Entries carrying an index_bytes/doc metric (the BenchmarkIndexSize
+// memory-footprint row) are compared on that metric alone: growth
+// beyond -size-tolerance (default 0.10) always fails,
 // whatever the gate; entries carrying resident_bytes/doc (the
 // BenchmarkTraversalCold/Warm store-residency rows) fail on that metric
 // with the same size tolerance. Everything else only warns: other
@@ -53,11 +54,12 @@ import (
 )
 
 // defaultGate gates the end-to-end search benchmarks, the postings
-// decode micro-benchmarks, the mapped-store traversal benchmarks, and
-// the two client-side rows (one obfuscated cycle, one LDA posterior) on
-// allocs/op and on still being there; everything else (live-index,
-// instrumented variants) only warns.
-const defaultGate = "^Benchmark(Search|DecodeTraversal|TraversalCold|TraversalWarm|ObfuscateQuery$|Inference$)"
+// decode micro-benchmarks, the mapped-store traversal benchmarks, the
+// two client-side rows (one obfuscated cycle, one LDA posterior) and the
+// public hop's reply codec (BenchmarkPublicWire: encode, decode keeping
+// one member, decode keeping all) on allocs/op and on still being
+// there; everything else (live-index, instrumented variants) only warns.
+const defaultGate = "^Benchmark(Search|DecodeTraversal|TraversalCold|TraversalWarm|ObfuscateQuery$|Inference$|PublicWire/)"
 
 // Benchmark is one parsed result line.
 type Benchmark struct {
@@ -241,9 +243,10 @@ const sizeMetric = "index_bytes/doc"
 const residentMetric = "resident_bytes/doc"
 
 // compareBenchmarks diffs new against the old baseline. allocs/op
-// growth beyond the tolerance fails gated entries (gate regexp match)
-// and warns for the rest; ns/op growth beyond it only ever warns — the
-// baseline's timings are another machine's. docs_scored/op growth
+// growth beyond the tolerance — any growth from a baseline of zero —
+// fails gated entries (gate regexp match) and warns for the rest; ns/op
+// growth beyond it only ever warns — the baseline's timings are another
+// machine's. docs_scored/op growth
 // always only warns — scoring more documents is a work regression worth
 // flagging, but it never blocks by itself. Entries carrying the
 // index_bytes/doc size metric are compared on that metric alone and
@@ -311,10 +314,15 @@ func compareBenchmarks(oldB, newB []Benchmark, tolerance, sizeTolerance float64,
 					name, oldNS, newNS, (newNS/oldNS-1)*100, tolerance*100))
 			}
 		}
-		if oldA, ok := ob.Metrics["allocs/op"]; ok && oldA > 0 {
-			if newA, ok := nb.Metrics["allocs/op"]; ok && newA > oldA*(1+tolerance) {
+		if oldA, ok := ob.Metrics["allocs/op"]; ok {
+			newA, ok := nb.Metrics["allocs/op"]
+			switch {
+			case ok && oldA > 0 && newA > oldA*(1+tolerance):
 				flag(gated, "%s: allocs/op %.0f → %.0f (+%.1f%%, tolerance %.0f%%)",
 					name, oldA, newA, (newA/oldA-1)*100, tolerance*100)
+			case ok && oldA == 0 && newA > 0:
+				// No fraction of nothing: a row committed at zero stays there.
+				flag(gated, "%s: allocs/op 0 → %.0f — the baseline allocates nothing", name, newA)
 			}
 		}
 		if oldDS, ok := ob.Metrics["docs_scored/op"]; ok && oldDS > 0 {

@@ -195,13 +195,17 @@ func TestCompareDefaultGateRegexp(t *testing.T) {
 		bench("BenchmarkObfuscateQuery", 300000, 0),
 		bench("BenchmarkInference", 20000, 0),
 		bench("BenchmarkInferenceIters/160", 80000, 0),
+		bench("BenchmarkPublicWire/encode", 12000, 0),
+		bench("BenchmarkPublicWire/decode/keep-one", 23000, 0),
+		bench("BenchmarkPublicWire/decode/keep-all", 140000, 0),
+		bench("BenchmarkPublicWireless", 100, 0),
 	}
 	newB := []Benchmark{bench("BenchmarkSearch/cosine/exhaustive", 40000, 0)}
 	failures, warnings := compareBenchmarks(oldB, newB, 0.25, 0.10, gate)
-	if len(failures) != 5 {
-		t.Errorf("failures = %v, want DecodeTraversal, both Traversal rows, ObfuscateQuery and Inference gated", failures)
+	if len(failures) != 8 {
+		t.Errorf("failures = %v, want DecodeTraversal, both Traversal rows, ObfuscateQuery, Inference and the three PublicWire rows gated", failures)
 	}
-	if all := strings.Join(warnings, "\n"); len(warnings) != 2 || !strings.Contains(all, "ResearchIndexing") || !strings.Contains(all, "InferenceIters") {
+	if all := strings.Join(warnings, "\n"); len(warnings) != 3 || !strings.Contains(all, "ResearchIndexing") || !strings.Contains(all, "InferenceIters") || !strings.Contains(all, "PublicWireless") {
 		t.Errorf("warnings = %v, want the anchored-out names to warn only", warnings)
 	}
 }
@@ -215,11 +219,15 @@ func TestCompareAllocsGate(t *testing.T) {
 	// The routed-cycle row is gated through the BenchmarkSearch prefix:
 	// falling back to per-member set-up (32 allocations) must fail.
 	const routed = "BenchmarkSearchBatch/bm25-global/batch8"
-	oldB := []Benchmark{allocBench("BenchmarkObfuscateQuery", 139), allocBench("BenchmarkInference", 2), allocBench("BenchmarkFig2", 100), allocBench(routed, 17)}
-	newB := []Benchmark{allocBench("BenchmarkObfuscateQuery", 150), allocBench("BenchmarkInference", 6), allocBench("BenchmarkFig2", 200), allocBench(routed, 32)}
+	// The public hop's rows: keeping one member must not creep toward
+	// keeping all, and the encoder, committed at zero, allocates nothing —
+	// a fraction of zero would let any growth through.
+	const encode, keepOne = "BenchmarkPublicWire/encode", "BenchmarkPublicWire/decode/keep-one"
+	oldB := []Benchmark{allocBench("BenchmarkObfuscateQuery", 139), allocBench("BenchmarkInference", 2), allocBench("BenchmarkFig2", 100), allocBench(routed, 17), allocBench(encode, 0), allocBench(keepOne, 31), allocBench("BenchmarkLiveIndex/single", 0)}
+	newB := []Benchmark{allocBench("BenchmarkObfuscateQuery", 150), allocBench("BenchmarkInference", 6), allocBench("BenchmarkFig2", 200), allocBench(routed, 32), allocBench(encode, 1), allocBench(keepOne, 60), allocBench("BenchmarkLiveIndex/single", 0)}
 	failures, warnings := compareBenchmarks(oldB, newB, 0.25, 0.10, regexp.MustCompile(defaultGate))
-	if all := strings.Join(failures, "\n"); len(failures) != 2 || !strings.Contains(all, "BenchmarkInference: allocs/op 2 → 6") || !strings.Contains(all, routed+": allocs/op 17 → 32") {
-		t.Errorf("failures = %v, want exactly the Inference and routed-batch allocs/op regressions", failures)
+	if all := strings.Join(failures, "\n"); len(failures) != 4 || !strings.Contains(all, "BenchmarkInference: allocs/op 2 → 6") || !strings.Contains(all, routed+": allocs/op 17 → 32") || !strings.Contains(all, encode+": allocs/op 0 → 1") || !strings.Contains(all, keepOne+": allocs/op 31 → 60") {
+		t.Errorf("failures = %v, want exactly the Inference, routed-batch and two PublicWire allocs/op regressions", failures)
 	}
 	if len(warnings) != 1 || !strings.Contains(warnings[0], "BenchmarkFig2: allocs/op") {
 		t.Errorf("warnings = %v, want the ungated allocs/op growth", warnings)

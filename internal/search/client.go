@@ -8,7 +8,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 
@@ -122,7 +121,8 @@ func (c *Client) Search(rawQuery string) ([]SearchHit, error) {
 // the adversary's artifact, and the (ε1, ε2) guarantee over it, are
 // unchanged — but the cycle pays one HTTP exchange instead of υ, and
 // the engine shares term resolution and postings buffers across the
-// members. Only the genuine query's results are returned. Jitter does
+// members. Only the genuine query's results are returned — and only
+// they are decoded; SubmitBatch returns every member's. Jitter does
 // not apply (there is nothing to space out inside one request); use
 // Search when smearing the cycle over time matters more than latency.
 func (c *Client) SearchCycle(ctx context.Context, rawQuery string) ([]SearchHit, error) {
@@ -130,7 +130,9 @@ func (c *Client) SearchCycle(ctx context.Context, rawQuery string) ([]SearchHit,
 	if err != nil {
 		return nil, err
 	}
-	responses, err := c.SubmitBatch(ctx, cycle.Queries)
+	// Step 4 at the decoder: every member's reply is validated, only the
+	// genuine one is built. Which one that is never leaves this process.
+	responses, err := c.submitBatch(ctx, cycle.Queries, cycle.UserIndex)
 	if err != nil {
 		return nil, fmt.Errorf("search: submit cycle: %w", err)
 	}
@@ -166,16 +168,15 @@ func (c *Client) SearchPlain(rawQuery string) ([]SearchHit, error) {
 // returns the per-member responses, stats included, aligned with
 // queries by index. The context bounds the whole exchange.
 func (c *Client) SubmitBatch(ctx context.Context, queries [][]string) ([]SearchResponse, error) {
-	batch := BatchSearchRequest{Queries: make([]SearchRequest, len(queries))}
-	for i, terms := range queries {
-		sorted := append([]string{}, terms...)
-		sort.Strings(sorted)
-		batch.Queries[i] = SearchRequest{Query: strings.Join(sorted, " "), K: c.K}
-	}
-	body, err := json.Marshal(batch)
-	if err != nil {
-		return nil, err
-	}
+	return c.submitBatch(ctx, queries, -1)
+}
+
+// submitBatch is the one /search/batch exchange behind SubmitBatch and
+// SearchCycle. The request is the same bytes whatever only is; the
+// reply is read under maxReplyBody and validated in full, and member
+// only — every member when only < 0 — is decoded, the rest left zero.
+func (c *Client) submitBatch(ctx context.Context, queries [][]string, only int) ([]SearchResponse, error) {
+	body := appendBatchRequest(nil, queries, c.K)
 	resp, err := c.Retry.Do(c.httpc, func() (*http.Request, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+"/search/batch", bytes.NewReader(body))
 		if err != nil {
@@ -192,14 +193,12 @@ func (c *Client) SubmitBatch(ctx context.Context, queries [][]string) ([]SearchR
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("server returned %s: %s", resp.Status, strings.TrimSpace(string(msg)))
 	}
-	var br BatchSearchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+	bp := wireBufs.Get().(*[]byte)
+	defer wireBufs.Put(bp)
+	if *bp, err = readReply(resp.Body, *bp); err != nil {
 		return nil, err
 	}
-	if len(br.Responses) != len(queries) {
-		return nil, fmt.Errorf("server returned %d responses for %d queries", len(br.Responses), len(queries))
-	}
-	return br.Responses, nil
+	return decodeBatch(*bp, len(queries), only)
 }
 
 // LastCycle returns the cycle generated by the most recent Search call,
@@ -209,12 +208,7 @@ func (c *Client) LastCycle() *core.Cycle { return c.lastCycle }
 // submit sends one bag of terms as a search request. Terms are sorted
 // into canonical order before submission.
 func (c *Client) submit(terms []string) ([]SearchHit, error) {
-	sorted := append([]string{}, terms...)
-	sort.Strings(sorted)
-	body, err := json.Marshal(SearchRequest{Query: strings.Join(sorted, " "), K: c.K})
-	if err != nil {
-		return nil, err
-	}
+	body, _ := appendRequest(nil, nil, terms, c.K)
 	resp, err := c.Retry.Do(c.httpc, func() (*http.Request, error) {
 		req, err := http.NewRequest(http.MethodPost, c.baseURL+"/search", bytes.NewReader(body))
 		if err != nil {
@@ -232,7 +226,7 @@ func (c *Client) submit(terms []string) ([]SearchHit, error) {
 		return nil, fmt.Errorf("server returned %s: %s", resp.Status, strings.TrimSpace(string(msg)))
 	}
 	var sr SearchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
+	if err := unmarshalReply(resp.Body, &sr); err != nil {
 		return nil, err
 	}
 	return sr.Hits, nil
@@ -274,7 +268,7 @@ func (c *Client) AddDocuments(docs []corpus.Document) ([]corpus.DocID, error) {
 		return nil, fmt.Errorf("server returned %s: %s", resp.Status, strings.TrimSpace(string(msg)))
 	}
 	var ir IndexResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ir); err != nil {
+	if err := unmarshalReply(resp.Body, &ir); err != nil {
 		return nil, err
 	}
 	return ir.IDs, nil

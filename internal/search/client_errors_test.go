@@ -2,12 +2,15 @@ package search
 
 import (
 	"context"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"toppriv/internal/corpus"
 )
 
 // TestClientBatchErrorPaths pins the HTTP client's failure behavior on
@@ -115,5 +118,82 @@ func TestServerBatchStatsRoundTrip(t *testing.T) {
 	}
 	if st.DocsScored == 0 {
 		t.Error("docs_scored did not survive the HTTP round-trip")
+	}
+}
+
+// TestClientBoundsAndValidatesReplies pins what the client accepts from
+// a server it cannot trust to be well-behaved: a reply is read under a
+// fixed cap, must be one JSON object and nothing more, is validated in
+// full whichever member the client keeps, and must carry one response
+// per query under the key the server writes.
+func TestClientBoundsAndValidatesReplies(t *testing.T) {
+	f := getFixture(t)
+	queries := [][]string{
+		f.an.Analyze(f.topicQueryText(0, 4)),
+		f.an.Analyze(f.topicQueryText(1, 4)),
+	}
+	var reply string
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, reply)
+	}))
+	defer srv.Close()
+	cl, err := NewClient(srv.URL, nil, f.obf, f.an, rand.New(rand.NewSource(72)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const good = `{"hits":[{"doc":1,"score":0.5}]}`
+
+	for _, tc := range []struct {
+		name, reply string
+		only        int
+		wantErr     string
+	}{
+		{"well-formed", `{"responses":[` + good + `,` + good + `]}` + "\n", 1, ""},
+		{"trailing garbage", `{"responses":[` + good + `,` + good + `]}` + "\n{}", -1, "trailing bytes"},
+		{"responses missing", `{"hits":[]}`, -1, "0 responses for 2 queries"},
+		{"responses null", `{"responses":null}`, -1, "0 responses for 2 queries"},
+		{"responses not an array", `{"responses":{"0":` + good + `,"1":` + good + `}}`, -1, "0 responses for 2 queries"},
+		{"responses under a folded key", `{"Responses":[` + good + `,` + good + `]}`, -1, "0 responses for 2 queries"},
+		{"one too many", `{"responses":[` + good + `,` + good + `,` + good + `]}`, -1, "3 responses for 2 queries"},
+		{"not an object", `[` + good + `,` + good + `]`, -1, "not a JSON object"},
+		{"broken ghost, kept member intact", `{"responses":[{"hits":[{"doc":}]},` + good + `]}`, 1, "invalid JSON"},
+		{"ghost of the wrong type is not decoded", `{"responses":[7,` + good + `]}`, 1, ""},
+		{"kept member of the wrong type", `{"responses":[7,` + good + `]}`, 0, "response 0"},
+		{"nesting past the bound", `{"responses":[` + good + `,` + strings.Repeat("[", 200_000), 0, "nests deeper"},
+		{"over the cap", `{"responses":[` + good + `,` + good + `]}` + strings.Repeat(" ", maxReplyBody), -1, "cap of 16384000 bytes"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reply = tc.reply
+			resps, err := cl.submitBatch(context.Background(), queries, tc.only)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("unexpected error: %v", err)
+				}
+				if kept := resps[1]; len(kept.Hits) != 1 || kept.Hits[0].Doc != 1 || kept.Hits[0].Score != 0.5 {
+					t.Errorf("kept member decoded as %+v", kept)
+				}
+				if len(resps[0].Hits) != 0 {
+					t.Errorf("member 0 was materialised: %+v", resps[0])
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error = %v, want one containing %q", err, tc.wantErr)
+			}
+		})
+	}
+
+	// The single-query and ingest paths read under the same cap.
+	reply = good + strings.Repeat(" ", maxReplyBody)
+	if _, err := cl.SearchPlain(f.topicQueryText(0, 3)); err == nil || !strings.Contains(err.Error(), "cap of") {
+		t.Errorf("SearchPlain over the cap: %v", err)
+	}
+	reply = `{"ids":[1]}` + strings.Repeat(" ", maxReplyBody)
+	if _, err := NewAdminClient(srv.URL, nil).AddDocuments([]corpus.Document{{Title: "t", Text: "x"}}); err == nil || !strings.Contains(err.Error(), "cap of") {
+		t.Errorf("AddDocuments over the cap: %v", err)
+	}
+	reply = good + "\n"
+	if hits, err := cl.SearchPlain(f.topicQueryText(0, 3)); err != nil || len(hits) != 1 {
+		t.Errorf("SearchPlain at the cap's good side: %v, %v", hits, err)
 	}
 }

@@ -389,7 +389,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeExecError(w, err)
 		return
 	}
-	writeJSON(w, resps[0])
+	writeWire(w, func(dst []byte) ([]byte, error) { return appendResponse(dst, &resps[0]) })
 }
 
 // handleSearchBatch serves one whole cycle per round-trip. Every
@@ -427,7 +427,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		writeExecError(w, err)
 		return
 	}
-	writeJSON(w, BatchSearchResponse{Responses: resps})
+	writeWire(w, func(dst []byte) ([]byte, error) { return appendBatchResponse(dst, resps) })
 }
 
 // titleProvider is the optional title-resolution surface for backends
@@ -680,6 +680,8 @@ func (s *Server) ResetLog() {
 	s.logEvicted.Store(0)
 }
 
+// writeJSON answers a control-plane endpoint (/stats, /doc, /index,
+// /debug/traces); the search endpoints use writeWire.
 func writeJSON(w http.ResponseWriter, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(v); err != nil {

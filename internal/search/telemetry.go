@@ -27,28 +27,33 @@ func (s *Server) Registry() *telemetry.Registry { return s.reg }
 func (s *Server) TraceRing() *telemetry.TraceRing { return s.ring }
 
 // endpointMetrics is one endpoint's pre-resolved request/error/
-// in-flight handles.
+// in-flight/response-byte handles.
 type endpointMetrics struct {
-	reqs     *telemetry.Counter
-	errs     *telemetry.Counter
-	inflight *telemetry.Gauge
+	reqs      *telemetry.Counter
+	errs      *telemetry.Counter
+	inflight  *telemetry.Gauge
+	respBytes *telemetry.Counter
 }
 
 // instrument wraps a handler with per-endpoint request, error and
 // in-flight tracking. Children are resolved here, once per endpoint
-// at mux construction; the per-request cost is three atomic ops plus
-// a small ResponseWriter wrapper.
+// at mux construction; the per-request cost is three atomic ops, one
+// more per body write, and a small ResponseWriter wrapper.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 	em := &endpointMetrics{
 		reqs:     s.httpReqs.With(endpoint),
 		errs:     s.httpErrs.With(endpoint),
 		inflight: s.httpInflight.With(endpoint),
+		// Declared here, its one use; the registry returns the same
+		// family for every endpoint.
+		respBytes: s.reg.CounterVec("toppriv_http_response_bytes_total",
+			"HTTP response body bytes written, by endpoint.", "endpoint").With(endpoint),
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		em.reqs.Inc()
 		em.inflight.Inc()
 		defer em.inflight.Dec()
-		sw := statusRecorder{ResponseWriter: w}
+		sw := statusRecorder{ResponseWriter: w, bytes: em.respBytes}
 		h(&sw, r)
 		if sw.status >= 400 {
 			em.errs.Inc()
@@ -57,10 +62,12 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.Handler {
 }
 
 // statusRecorder captures the response status so the error counter
-// can distinguish 2xx from 4xx/5xx without the handlers reporting.
+// can distinguish 2xx from 4xx/5xx without the handlers reporting, and
+// counts the body bytes written — a count only, never what they say.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
+	bytes  *telemetry.Counter
 }
 
 func (sr *statusRecorder) WriteHeader(code int) {
@@ -74,7 +81,9 @@ func (sr *statusRecorder) Write(b []byte) (int, error) {
 	if sr.status == 0 {
 		sr.status = http.StatusOK
 	}
-	return sr.ResponseWriter.Write(b)
+	n, err := sr.ResponseWriter.Write(b)
+	sr.bytes.Add(uint64(n))
+	return n, err
 }
 
 // handleMetrics serves the Prometheus text-format exposition of every

@@ -3,6 +3,7 @@ package search
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -426,5 +427,48 @@ func TestClientTelemetryHelpers(t *testing.T) {
 	}
 	if st.NumDocs == 0 || st.QueryLog.TailSeq == 0 {
 		t.Fatalf("StatsFull = %+v, want index stats and querylog seq", st)
+	}
+}
+
+// TestHTTPResponseBytesCounter: toppriv_http_response_bytes_total
+// counts, per endpoint, exactly the body bytes a client read — error
+// bodies included — and the search replies arrive with Content-Length,
+// not chunked.
+func TestHTTPResponseBytesCounter(t *testing.T) {
+	f := newTelemetryFixture(t)
+	read := map[string]float64{}
+	post := func(endpoint, body string, wantStatus int) {
+		t.Helper()
+		resp, err := http.Post(f.ts.URL+endpoint, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		got, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != wantStatus {
+			t.Fatalf("%s returned %s, want %d", endpoint, resp.Status, wantStatus)
+		}
+		if wantStatus == http.StatusOK && (resp.ContentLength != int64(len(got)) || len(resp.TransferEncoding) != 0) {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v for a %d-byte reply", endpoint, resp.ContentLength, resp.TransferEncoding, len(got))
+		}
+		read[endpoint] += float64(len(got))
+	}
+	q := func(topic int) string { return `{"query":"` + f.queryText(topic, 4) + `","k":5}` }
+	post("/search", q(0), http.StatusOK)
+	post("/search", q(1), http.StatusOK)
+	post("/search", `{"query":""}`, http.StatusBadRequest)
+	post("/search/batch", `{"queries":[`+q(0)+`,`+q(2)+`,`+q(3)+`]}`, http.StatusOK)
+
+	fam, ok := f.scrape(t)["toppriv_http_response_bytes_total"]
+	if !ok {
+		t.Fatal("toppriv_http_response_bytes_total missing from exposition")
+	}
+	for endpoint, want := range read {
+		if s, ok := findSample(fam, map[string]string{"endpoint": endpoint}); !ok || s.Value != want || want == 0 {
+			t.Errorf("http_response_bytes_total{endpoint=%s} = %v (found=%v), want the %v bytes read", endpoint, s.Value, ok, want)
+		}
 	}
 }
