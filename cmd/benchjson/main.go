@@ -32,7 +32,8 @@
 // beyond -size-tolerance (default 0.10) always fails,
 // whatever the gate; entries carrying resident_bytes/doc (the
 // BenchmarkTraversalCold/Warm store-residency rows) fail on that metric
-// with the same size tolerance. Everything else only warns: other
+// with the same size tolerance (a baseline of zero allows none).
+// Everything else only warns: other
 // benchmarks, work metrics like docs_scored/op, and ns/op growth beyond
 // -tolerance on every row, gated or not — a committed ns/op is one
 // machine's, and a gate that compared it with another's failed five PRs
@@ -296,12 +297,15 @@ func compareBenchmarks(oldB, newB []Benchmark, tolerance, sizeTolerance float64,
 			flag(gated, "%s: missing from new results", name)
 			continue
 		}
-		if oldRes, ok := ob.Metrics[residentMetric]; ok && oldRes > 0 {
+		if oldRes, ok := ob.Metrics[residentMetric]; ok {
 			// Residency is machine-independent, so like index_bytes/doc it
 			// hard-fails beyond sizeTolerance regardless of the gate
-			// regexp; the row's other metrics are still compared below.
+			// regexp — from a committed zero, at any growth; the row's
+			// other metrics are still compared below.
 			if newRes, ok := nb.Metrics[residentMetric]; !ok {
 				flag(true, "%s: %s missing from new results", name, residentMetric)
+			} else if oldRes == 0 && newRes > 0 {
+				flag(true, "%s: %s 0 → %.1f — the baseline pins nothing on the heap", name, residentMetric, newRes)
 			} else if newRes > oldRes*(1+sizeTolerance) {
 				flag(true, "%s: %s %.1f → %.1f (+%.1f%%, tolerance %.0f%%) — store residency regressed",
 					name, residentMetric, oldRes, newRes, (newRes/oldRes-1)*100, sizeTolerance*100)

@@ -282,4 +282,15 @@ func TestCompareResidentGate(t *testing.T) {
 	if len(failures) != 1 || !strings.Contains(failures[0], "resident_bytes/doc missing") {
 		t.Errorf("failures = %v, want a missing-metric failure", failures)
 	}
+	// A row committed at zero (the mapped store pins no postings bytes)
+	// stays there: no fraction of nothing is tolerated.
+	zero := []Benchmark{residentBench("BenchmarkTraversalCold", 50000, 0)}
+	failures, _ = compareBenchmarks(zero,
+		[]Benchmark{residentBench("BenchmarkTraversalCold", 50000, 0.1)}, 0.25, 0.10, gate)
+	if len(failures) != 1 || !strings.Contains(failures[0], "resident_bytes/doc 0 → 0.1") {
+		t.Errorf("failures = %v, want one growth-from-zero failure", failures)
+	}
+	if failures, _ = compareBenchmarks(zero, zero, 0.25, 0.10, gate); len(failures) != 0 {
+		t.Errorf("zero held at zero flagged: %v", failures)
+	}
 }

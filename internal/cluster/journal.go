@@ -430,27 +430,8 @@ func (j *journal) Compact(nextGid corpus.DocID, pending []journalRecord, titles 
 		Pending: pending,
 		Titles:  titles,
 	}
-	tmp := filepath.Join(j.dir, snapshotName+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
+	if err := writeJSONAtomic(j.dir, snapshotName, &snap); err != nil {
 		return fmt.Errorf("cluster: journal snapshot: %w", err)
-	}
-	if err := json.NewEncoder(f).Encode(&snap); err != nil {
-		f.Close()
-		return fmt.Errorf("cluster: journal snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("cluster: journal snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("cluster: journal snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(j.dir, snapshotName)); err != nil {
-		return fmt.Errorf("cluster: journal snapshot: %w", err)
-	}
-	if err := syncJournalDir(j.dir); err != nil {
-		return err
 	}
 	// The snapshot is durable; the WAL's contents are now redundant.
 	if err := j.f.Truncate(int64(len(journalMagic))); err != nil {
@@ -488,17 +469,41 @@ func (j *journal) Close() error {
 	return err
 }
 
-func syncJournalDir(dir string) error {
+// writeJSONAtomic replaces dir/name with v's JSON encoding: written to a
+// temporary file and fsynced, renamed over name, and the rename made
+// durable by syncing dir. A crash at any point leaves either the old
+// file or the new one, never a torn one.
+func writeJSONAtomic(dir, name string, v any) error {
+	tmp := filepath.Join(dir, name+".tmp")
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	err = json.NewEncoder(f).Encode(v)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, making the renames into it durable.
+func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return fmt.Errorf("cluster: journal: %w", err)
+		return err
 	}
 	err = d.Sync()
 	if cerr := d.Close(); err == nil {
 		err = cerr
 	}
-	if err != nil {
-		return fmt.Errorf("cluster: journal: %w", err)
-	}
-	return nil
+	return err
 }

@@ -298,27 +298,8 @@ func (s *Shard) Save() error {
 		AppliedSeq: s.appliedSeq,
 	}
 	s.mu.RUnlock()
-	tmp := filepath.Join(s.cfg.Dir, shardMetaName+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
+	if err := writeJSONAtomic(s.cfg.Dir, shardMetaName, &meta); err != nil {
 		return fmt.Errorf("cluster: shard meta: %w", err)
-	}
-	if err := json.NewEncoder(f).Encode(&meta); err != nil {
-		f.Close()
-		return fmt.Errorf("cluster: shard meta: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("cluster: shard meta: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("cluster: shard meta: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(s.cfg.Dir, shardMetaName)); err != nil {
-		return fmt.Errorf("cluster: shard meta: %w", err)
-	}
-	if err := syncJournalDir(s.cfg.Dir); err != nil {
-		return err
 	}
 	s.mu.Lock()
 	s.durableSeq = meta.AppliedSeq

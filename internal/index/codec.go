@@ -13,7 +13,7 @@ import (
 
 // The on-disk format is deliberately simple and compact:
 //
-//	magic "TPIX" | uint32 version (8)
+//	magic "TPIX" | uint32 version (9)
 //	uvarint numDocs
 //	uvarint numTerms
 //	per term: uvarint(len(term)) term-bytes
@@ -21,38 +21,32 @@ import (
 //	          non-empty lists only: uvarint(dataLen) followed by the
 //	              block-compressed postings bytes exactly as held in
 //	              memory (see postings.go for the per-block layout),
-//	              then per block: uvarint lastDoc-delta (from the
-//	              previous block's last doc; +1 offset so the first
-//	              block's value is lastDoc+1)
-//	per doc:  uvarint docLen
-//	uvarint bloomHashes, uvarint bloomWords,
-//	bloomWords × uint64 bloom bit words (little-endian) — the
-//	per-segment term bloom (see bloom.go)
+//	              then uvarint lastDoc, the list's last document
+//	per doc:  uvarint docLen (≤ MaxInt32)
 //
 // The block-compressed postings are written verbatim — the file is a
-// memory image of the lists plus the per-block skip metadata (last
-// docs; byte offsets and start ordinals are rebuilt by walking the
-// self-describing block headers), so writing does no re-encoding and
-// loading does no re-compression. Loading through Read fully validates
-// every block (structure and payload) and rejects corrupt or truncated
-// input with an error, never a panic.
+// memory image of the lists, each exactly {listLen, lastDoc, bytes},
+// so writing does no re-encoding and loading does no re-compression.
+// Loading through Read walks every block header, decodes every payload
+// and checks the final document against the stored last doc, and
+// rejects corrupt or truncated input with an error, never a panic.
 //
 // There is one version and one reader. A file of any other version is
 // rejected with an error naming both versions; no deployed index files
 // exist, and an index is rebuilt from its documents in seconds.
 //
 // OpenMapped (mapped.go) reads the same format through a zero-copy
-// slice reader over the mapped file: all header, dictionary and skip
-// metadata is eagerly decoded and validated exactly as above, but the
-// packed block payloads stay as views into the mapping and skip the
-// per-posting decode validation — faulting every payload page at open
-// would defeat disk residency. Payload decoding is
+// slice reader over the mapped file: the header, the dictionary, every
+// block header and every stored last doc are validated exactly as
+// above, but the packed block payloads stay as views into the mapping
+// and skip the per-posting decode validation — faulting every payload
+// page at open would defeat disk residency. Payload decoding is
 // bounds-checked at traversal time, so a corrupt payload yields wrong
 // postings values, never memory unsafety.
 
 const (
 	codecMagic   = "TPIX"
-	codecVersion = 8
+	codecVersion = 9
 )
 
 // tpixReader is the byte source the codec decodes from: a buffered
@@ -172,31 +166,12 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 		if _, err := cw.Write(cl.data); err != nil {
 			return cw.n, err
 		}
-		prevLast := corpus.DocID(-1)
-		for b := 0; b < cl.numBlocks(); b++ {
-			last := cl.blockLast(b)
-			if err := writeUvarint(uint64(last - prevLast)); err != nil {
-				return cw.n, err
-			}
-			prevLast = last
+		if err := writeUvarint(uint64(cl.lastDoc)); err != nil {
+			return cw.n, err
 		}
 	}
 	for _, dl := range x.docLen {
 		if err := writeUvarint(uint64(dl)); err != nil {
-			return cw.n, err
-		}
-	}
-	bl := x.Bloom()
-	if err := writeUvarint(uint64(bl.k)); err != nil {
-		return cw.n, err
-	}
-	if err := writeUvarint(uint64(len(bl.bits))); err != nil {
-		return cw.n, err
-	}
-	var wb [8]byte
-	for _, word := range bl.bits {
-		binary.LittleEndian.PutUint64(wb[:], word)
-		if _, err := cw.Write(wb[:]); err != nil {
 			return cw.n, err
 		}
 	}
@@ -211,8 +186,8 @@ func Read(r io.Reader) (*Index, error) {
 
 // readIndex decodes one TPIX image from r. verifyPayload selects full
 // per-posting validation of the packed block payloads (the stream
-// path) versus structural-only validation of headers, skip metadata
-// and bloom (the mapped path — see the format comment above).
+// path) versus structural-only validation of block headers and last
+// docs (the mapped path — see the format comment above).
 func readIndex(r tpixReader, verifyPayload bool) (*Index, error) {
 	magic := make([]byte, 4)
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -291,18 +266,21 @@ func readIndex(r tpixReader, verifyPayload bool) (*Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("index: doc %d length: %w", d, err)
 		}
+		if dl > math.MaxInt32 {
+			// numDocs's bound: a length past it cannot come from a real
+			// document, and would drive AvgDocLen — and with it the BM25
+			// length factor — negative.
+			return nil, fmt.Errorf("index: doc %d length %d out of range", d, dl)
+		}
 		x.docLen = append(x.docLen, int(dl))
 		x.totalLen += int(dl)
-	}
-	if x.bloom, err = readBloomWire(r, numTerms); err != nil {
-		return nil, err
 	}
 	return x, nil
 }
 
-// readCompList reads one term's block-compressed list and per-block
-// last docs. verifyPayload additionally decodes every block to check
-// the packed postings themselves (see readIndex).
+// readCompList reads one term's block-compressed list and last doc.
+// verifyPayload additionally decodes every block to check the packed
+// postings themselves (see readIndex).
 func (x *Index) readCompList(r tpixReader, t, ll uint64, numDocs int, verifyPayload bool) error {
 	if ll == 0 {
 		x.lists = append(x.lists, compList{})
@@ -324,26 +302,14 @@ func (x *Index) readCompList(r tpixReader, t, ll uint64, numDocs int, verifyPayl
 	if err != nil {
 		return fmt.Errorf("index: term %d data: %w", t, err)
 	}
-	// The block count is structural: walk the self-describing headers.
-	offs, _, err := walkBlocks(data, int(ll))
+	last, err := binary.ReadUvarint(r)
 	if err != nil {
-		return fmt.Errorf("index: term %d: %w", t, err)
+		return fmt.Errorf("index: term %d last doc: %w", t, err)
 	}
-	nb := len(offs) - 1
-	lasts := make([]corpus.DocID, nb)
-	prevLast := int64(-1)
-	for b := 0; b < nb; b++ {
-		delta, err := binary.ReadUvarint(r)
-		if err != nil {
-			return fmt.Errorf("index: term %d block %d last doc: %w", t, b, err)
-		}
-		prevLast += int64(delta)
-		if delta == 0 || prevLast >= int64(numDocs) {
-			return fmt.Errorf("index: term %d block %d last doc out of range", t, b)
-		}
-		lasts[b] = corpus.DocID(prevLast)
+	if last >= uint64(numDocs) {
+		return fmt.Errorf("index: term %d last doc %d out of range", t, last)
 	}
-	cl, err := newCompListWire(int(ll), data, lasts, numDocs, verifyPayload)
+	cl, err := newCompListWire(int(ll), data, corpus.DocID(last), numDocs, verifyPayload)
 	if err != nil {
 		return fmt.Errorf("index: term %d: %w", t, err)
 	}

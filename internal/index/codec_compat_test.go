@@ -83,7 +83,7 @@ func assertPostingsMatchFresh(t *testing.T, got, want *Index) {
 // input from outside the program — a data directory written by an
 // older or newer build is the expected way to meet one.
 func TestOtherVersionsRejected(t *testing.T) {
-	for _, version := range []uint32{0, 1, 2, 3, 4, 5, 6, 7, 9} {
+	for _, version := range []uint32{0, 1, 2, 3, 4, 5, 6, 7, 8, 10} {
 		img := binary.LittleEndian.AppendUint32([]byte(codecMagic), version)
 		want := fmt.Sprintf("TPIX version %d: this build reads version %d only", version, codecVersion)
 		_, err := Read(bytes.NewReader(img))
@@ -103,25 +103,28 @@ func TestOtherVersionsRejected(t *testing.T) {
 
 // TestReadBlockHeaderMatchesParser pins the traversal-time header read
 // to the validating parser: on every block of every list the package
-// accepts or produces — the four-document fixture through a TPIX v8
+// accepts or produces — the four-document fixture through a TPIX v9
 // round trip, each checked-in fuzz seed that loads, a multi-block build,
 // and block-wise merges of random part sizes under random tombstones,
 // whose interior blocks are partial and whose first blocks are rebased —
-// readBlockHeader returns exactly what parseBlockHeader does.
+// readBlockHeader returns exactly what parseBlockHeader does, walking
+// the header chain as the iterator does: each block starts where its
+// predecessor's header says it ends.
 func TestReadBlockHeaderMatchesParser(t *testing.T) {
 	check := func(label string, x *Index) {
 		t.Helper()
 		blocks := 0
 		for tid := range x.lists {
 			cl := &x.lists[tid]
-			for b := 0; b < cl.numBlocks(); b++ {
-				want, err := parseBlockHeader(cl.data, cl.byteOff(b))
+			for off, b := 0, 0; off < len(cl.data); b++ {
+				want, err := parseBlockHeader(cl.data, off)
 				if err != nil {
 					t.Fatalf("%s: term %d block %d: validating parser: %v", label, tid, b, err)
 				}
-				if got := readBlockHeader(cl.data, cl.byteOff(b)); got != want {
+				if got := readBlockHeader(cl.data, off); got != want {
 					t.Fatalf("%s: term %d block %d: unchecked read %+v, parser %+v", label, tid, b, got, want)
 				}
+				off = want.end
 				blocks++
 			}
 		}
@@ -138,7 +141,7 @@ func TestReadBlockHeaderMatchesParser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check("v8 fixture", back)
+	check("v9 fixture", back)
 	for name, img := range fuzzSeeds(t) {
 		if x, err := Read(bytes.NewReader(img)); err == nil {
 			check("fuzz seed "+name, x)

@@ -51,15 +51,11 @@ func FuzzDecodePostings(f *testing.F) {
 		// (a) Round trip: encode(postings) then decode must be exact.
 		pl := postingsFromBytes(data)
 		cl := encodePostings(pl)
-		lasts := make([]corpus.DocID, cl.numBlocks())
-		for b := range lasts {
-			lasts[b] = cl.blockLast(b)
-		}
 		numDocs := 0
 		if n := len(pl); n > 0 {
 			numDocs = int(pl[n-1].Doc) + 1
 		}
-		validated, err := newCompListFromWire(len(pl), cl.data, lasts, numDocs)
+		validated, err := newCompListFromWire(len(pl), cl.data, cl.lastDoc, numDocs)
 		if err != nil {
 			t.Fatalf("valid encoding rejected: %v", err)
 		}
@@ -80,9 +76,10 @@ func FuzzDecodePostings(f *testing.F) {
 
 		// (b) Arbitrary bytes as wire data: must error or succeed, never
 		// panic. Plausible list lengths are tried so truncation at every
-		// boundary is exercised.
+		// boundary is exercised; the last doc is checked only after every
+		// block has been.
 		for _, n := range []int{1, 7, BlockSize, BlockSize + 1} {
-			_, _ = newCompListFromWire(n, data, lasts[:0], 1<<20)
+			_, _ = newCompListFromWire(n, data, 0, 1<<20)
 		}
 		// And as a whole TPIX stream.
 		_, _ = Read(bytes.NewReader(data))
@@ -91,11 +88,17 @@ func FuzzDecodePostings(f *testing.F) {
 
 // assertTraversable walks every list of an index the reader accepted:
 // documents strictly ascending and in range, term frequencies
-// positive. It is what "structurally valid" means for corrupted-but-
-// accepted input (some flips only touch a term frequency, a document
-// length or a bloom bit, which carry no structural invariant).
+// positive, document lengths non-negative. It is what "structurally
+// valid" means for corrupted-but-accepted input (some flips only touch
+// a term frequency or a document length, whose values carry no
+// invariant beyond those).
 func assertTraversable(t *testing.T, y *Index, what string) {
 	t.Helper()
+	for d := 0; d < y.NumDocs(); d++ {
+		if dl := y.DocLen(corpus.DocID(d)); dl < 0 {
+			t.Fatalf("%s: doc %d has length %d", what, d, dl)
+		}
+	}
 	var it Iterator
 	for tid := 0; tid < y.NumTerms(); tid++ {
 		y.IterInto(textproc.TermID(tid), &it)
@@ -112,10 +115,10 @@ func assertTraversable(t *testing.T, y *Index, what string) {
 
 // FuzzReadTPIX mutates real current-format files — one small, one
 // whose lists span blocks, plus variants clipped and flipped in the
-// per-list block metadata and the trailing bloom — and requires every
-// Read outcome to be an error or a structurally valid index, never a
-// panic. testdata/fuzz/FuzzReadTPIX holds the same four shapes (valid,
-// truncated, corrupt block, corrupt bloom) as checked-in seeds;
+// trailing lists' last docs and the document lengths — and requires
+// every Read outcome to be an error or a structurally valid index,
+// never a panic. testdata/fuzz/FuzzReadTPIX holds four shapes (valid,
+// truncated, corrupt block, corrupt last doc) as checked-in seeds;
 // TPIX_WRITE_FUZZ_SEEDS=1 go test -run TestFuzzSeedsCurrent rewrites
 // them after a format change.
 func FuzzReadTPIX(f *testing.F) {
@@ -135,8 +138,8 @@ func FuzzReadTPIX(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(mb.Bytes())
-	// Mutations around the trailing quarter land in per-list block
-	// metadata, document lengths and the bloom section.
+	// Mutations around the trailing quarter land in the last lists'
+	// payloads and last docs and in the document lengths.
 	f.Add(mb.Bytes()[:mb.Len()-mb.Len()/4])
 	flipped := append([]byte(nil), mb.Bytes()...)
 	for pos := len(flipped) - len(flipped)/4; pos < len(flipped); pos += 11 {
@@ -154,8 +157,9 @@ func FuzzReadTPIX(f *testing.F) {
 
 // fuzzSeeds are the checked-in FuzzReadTPIX corpus files, each derived
 // from the four-document fixture image: as written, cut mid-dictionary,
-// with the first list's block header zeroed, and with the bloom word
-// count (the image's last varint before the bit words) inflated.
+// with the first list's block header zeroed, and with the first list's
+// stored last doc moved to another document in range — a file only the
+// payload decode can catch.
 func fuzzSeeds(t *testing.T) map[string][]byte {
 	t.Helper()
 	x := fixtureIndex(t)
@@ -166,18 +170,18 @@ func fuzzSeeds(t *testing.T) map[string][]byte {
 	valid := buf.Bytes()
 	// The first list's packed data starts after magic+version (8),
 	// numDocs, numTerms, the first term and its list and data lengths —
-	// all single-byte varints at this size.
+	// all single-byte varints at this size — and its last doc follows it.
 	blockAt := 8 + 2 + 1 + len(x.Vocab().Term(0)) + 2
 	block := append([]byte(nil), valid...)
 	block[blockAt], block[blockAt+1] = 0, 0
-	bl := x.Bloom()
-	bloom := append([]byte(nil), valid...)
-	bloom[len(valid)-8*len(bl.bits)-1] = 0x7F
+	lastAt := blockAt + int(valid[blockAt-1])
+	last := append([]byte(nil), valid...)
+	last[lastAt] = byte((int(last[lastAt]) + 1) % x.NumDocs())
 	return map[string][]byte{
-		"valid":         valid,
-		"truncated":     valid[:len(valid)/3],
-		"corrupt-block": block,
-		"corrupt-bloom": bloom,
+		"valid":            valid,
+		"truncated":        valid[:len(valid)/3],
+		"corrupt-block":    block,
+		"corrupt-last-doc": last,
 	}
 }
 
@@ -212,7 +216,7 @@ func TestFuzzSeedsCurrent(t *testing.T) {
 
 // TestV4CorruptBlocksRejected hand-corrupts a current-format stream of
 // single-block lists — block widths, counts, payload truncation,
-// last-doc metadata, bloom — byte by byte and requires Read to return
+// last docs, document lengths — byte by byte and requires Read to return
 // an error or a structurally valid index for each, not panic. (Named
 // for the format version that introduced block compression.)
 func TestV4CorruptBlocksRejected(t *testing.T) {
@@ -221,7 +225,7 @@ func TestV4CorruptBlocksRejected(t *testing.T) {
 
 // TestV5CorruptStreamRejected is the same sweep over a stream whose
 // longest list spans several blocks, so truncations and flips also land
-// in interior block headers and skip metadata.
+// in interior block headers.
 func TestV5CorruptStreamRejected(t *testing.T) {
 	if testing.Short() {
 		t.Skip("byte-flip sweep is slow")

@@ -47,12 +47,6 @@ type Index struct {
 	numDocs  int
 	totalLen int
 
-	// bloom is the per-segment term bloom filter (see bloom.go): read
-	// from the file, derived lazily from the dictionary for indexes
-	// built or merged in memory. Access through Bloom.
-	bloomOnce sync.Once
-	bloom     *TermBloom
-
 	// size is the serialized size, measured on first use (SizeBytes).
 	sizeOnce sync.Once
 	size     int64
@@ -102,18 +96,6 @@ func (x *Index) compressLists(raw [][]Posting) {
 	for t, pl := range raw {
 		x.lists[t] = encodePostings(pl)
 	}
-}
-
-// Bloom returns the index's per-segment term bloom filter, deriving
-// it from the dictionary on first use when the index was built or
-// merged in memory. Safe for concurrent readers.
-func (x *Index) Bloom() *TermBloom {
-	x.bloomOnce.Do(func() {
-		if x.bloom == nil {
-			x.bloom = buildVocabBloom(x.vocab)
-		}
-	})
-	return x.bloom
 }
 
 // Mapped reports whether the index's postings payloads are views into

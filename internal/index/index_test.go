@@ -2,7 +2,10 @@ package index
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"os"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -336,5 +339,29 @@ func TestReadTruncatedDocLens(t *testing.T) {
 	cut := buf.Bytes()[:buf.Len()-2]
 	if _, err := Read(bytes.NewReader(cut)); err == nil {
 		t.Error("truncated doc lengths must be rejected")
+	}
+}
+
+// TestReadRejectsHugeDocLens: a stored document length past
+// math.MaxInt32 — numDocs's own bound — is refused by both open paths
+// with an error naming the document. Accepted, 1<<63 would load as a
+// negative length and drive AvgDocLen, and with it the BM25 length
+// factor, below zero.
+func TestReadRejectsHugeDocLens(t *testing.T) {
+	for _, dl := range []int{1 << 40, math.MinInt64} { // MinInt64 is written as uvarint 1<<63
+		x := fixtureIndex(t)
+		x.docLen[1] = dl
+		path := writeTempTPIX(t, x)
+		img, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("doc 1 length %d out of range", uint64(dl))
+		if _, err := Read(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Read: length %d: err = %v, want %q", uint64(dl), err, want)
+		}
+		if _, err := OpenMapped(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("OpenMapped: length %d: err = %v, want %q", uint64(dl), err, want)
+		}
 	}
 }

@@ -29,10 +29,10 @@ type Iterator struct {
 	n   int          // total postings
 	cur corpus.DocID // current posting's doc; maintained by every move
 
-	// Compressed-mode decode state: the current block, its parsed
-	// header, and its decoded window. tfOK marks the tf half of the
-	// window decoded.
-	blk      int
+	// Compressed-mode decode state: the current block's first ordinal,
+	// its parsed header (hdr.end is the next block's byte offset), and
+	// its decoded window, whose last doc is the next block's base.
+	// tfOK marks the tf half of the window decoded.
 	blkStart int
 	blkLen   int
 	tfOK     bool
@@ -59,28 +59,34 @@ func (it *Iterator) ResetList(pl PostingList) {
 func (it *Iterator) reset(cl *compList) {
 	it.pl, it.cl = nil, cl
 	it.pos, it.n, it.decodes = 0, int(cl.n), 0
-	it.blk, it.blkStart, it.blkLen, it.tfOK = 0, 0, 0, false
+	it.blkStart, it.blkLen = 0, 0
 	if it.n > 0 {
-		it.loadBlock(0)
+		it.loadBlock(0, -1)
 	}
 }
 
-// loadBlock decodes block b's doc IDs from wherever the payload lies
-// (heap or mapping) and positions the cursor on its first posting,
-// reporting whether b exists. The tf half is left for the first read.
-func (it *Iterator) loadBlock(b int) bool {
-	if b >= it.cl.numBlocks() {
-		it.pos = it.n
-		return false
-	}
-	it.blk = b
-	it.blkStart = it.cl.blockStart(b)
-	it.hdr = it.cl.decodeBlockDocs(b, &it.docBuf)
+// loadBlock decodes the doc IDs of the block at byte offset off (its
+// predecessor's last doc prevLast) from wherever the payload lies
+// (heap or mapping) and positions the cursor on its first posting. The
+// tf half is left for the first read.
+func (it *Iterator) loadBlock(off int, prevLast corpus.DocID) {
+	it.blkStart += it.blkLen
+	it.hdr = it.cl.decodeBlockDocs(off, prevLast, &it.docBuf)
 	it.decodes++
 	it.blkLen = it.hdr.count
 	it.tfOK = false
 	it.pos = it.blkStart
 	it.cur = it.docBuf[0]
+}
+
+// nextBlock enters the block after the current one, reporting whether
+// there is one.
+func (it *Iterator) nextBlock() bool {
+	if it.blkStart+it.blkLen >= it.n {
+		it.pos = it.n
+		return false
+	}
+	it.loadBlock(it.hdr.end, it.docBuf[it.blkLen-1])
 	return true
 }
 
@@ -131,7 +137,7 @@ func (it *Iterator) Next() bool {
 		it.cur = it.docBuf[i]
 		return true
 	}
-	return it.loadBlock(it.blk + 1)
+	return it.nextBlock()
 }
 
 // Window returns the postings from the cursor through the end of the
@@ -166,7 +172,7 @@ func (it *Iterator) Window() (docs []corpus.DocID, tfs []int32) {
 // whether any remain.
 func (it *Iterator) NextWindow() bool {
 	if it.cl != nil {
-		return it.loadBlock(it.blk + 1)
+		return it.nextBlock()
 	}
 	it.pos += BlockSize
 	if it.pos >= it.n {

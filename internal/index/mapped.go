@@ -7,7 +7,7 @@ import "fmt"
 // — see mmap_fallback.go) and decoded through the zero-copy slice
 // reader, so every list's packed payload is a view into the mapping
 // and pages in on traversal instead of living on the heap. Header,
-// dictionary, skip metadata and bloom are eagerly decoded and
+// dictionary, block headers and last docs are eagerly decoded and
 // validated exactly as Read does; only the per-posting payload
 // verification is skipped (see the codec format comment). The returned
 // index is safe for concurrent readers; Close releases the mapping once

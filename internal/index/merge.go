@@ -123,8 +123,9 @@ func mergeRebuild(merged *Index, parts []*Index, termMap [][]textproc.TermID, re
 }
 
 // mergeBlockwise is the identity-vocabulary path: per merged list,
-// clean parts contribute their compressed blocks verbatim (first block
-// rebased), while dirty parts are decoded, filtered, and re-encoded.
+// clean parts contribute their compressed bytes verbatim (one varint
+// rewrite plus a byte copy), while dirty parts are decoded, filtered,
+// and re-encoded.
 // Interior blocks may therefore be shorter than BlockSize (one partial
 // block per source run), which the iterator supports natively.
 func mergeBlockwise(merged *Index, parts []*Index, remap [][]corpus.DocID, dirty []bool) {
@@ -171,18 +172,12 @@ func mergeBlockwise(merged *Index, parts []*Index, remap [][]corpus.DocID, dirty
 // per-part block runs.
 type mergedListBuilder struct {
 	data     []byte
-	offs     []uint32
-	starts   []int32
-	lasts    []corpus.DocID
 	n        int
 	prevLast corpus.DocID
 }
 
 func (mb *mergedListBuilder) reset() {
 	mb.data = mb.data[:0]
-	mb.offs = mb.offs[:0]
-	mb.starts = mb.starts[:0]
-	mb.lasts = mb.lasts[:0]
 	mb.n = 0
 	mb.prevLast = -1
 }
@@ -192,61 +187,30 @@ func (mb *mergedListBuilder) reset() {
 func (mb *mergedListBuilder) appendClean(cl *compList, shift corpus.DocID) {
 	// The stored base delta of block 0 is firstDoc − (−1); recover
 	// firstDoc, shift it, and re-delta against the merged predecessor.
-	b0 := cl.blockData(0)
-	baseDelta, k := binary.Uvarint(b0)
+	baseDelta, k := binary.Uvarint(cl.data)
 	firstDoc := corpus.DocID(baseDelta) - 1 + shift
-	mb.beginBlock()
 	mb.data = appendUvarint(mb.data, uint64(firstDoc-mb.prevLast))
-	mb.data = append(mb.data, b0[k:]...)
-	mb.endBlock(cl.blockLast(0)+shift, cl.blockLen(0))
-	for b := 1; b < cl.numBlocks(); b++ {
-		mb.beginBlock()
-		mb.data = append(mb.data, cl.blockData(b)...)
-		mb.endBlock(cl.blockLast(b)+shift, cl.blockLen(b))
-	}
+	mb.data = append(mb.data, cl.data[k:]...)
+	mb.n += int(cl.n)
+	mb.prevLast = cl.lastDoc + shift
 }
 
 // appendReencoded compresses filtered postings (already carrying
 // merged doc IDs) into fresh BlockSize-aligned blocks.
 func (mb *mergedListBuilder) appendReencoded(pl []Posting) {
-	for start := 0; start < len(pl); start += BlockSize {
-		end := start + BlockSize
-		if end > len(pl) {
-			end = len(pl)
-		}
-		mb.beginBlock()
-		mb.data = appendBlock(mb.data, mb.prevLast, pl[start:end])
-		mb.endBlock(pl[end-1].Doc, end-start)
+	if len(pl) == 0 {
+		return
 	}
+	mb.data = appendBlocks(mb.data, mb.prevLast, pl)
+	mb.n += len(pl)
+	mb.prevLast = pl[len(pl)-1].Doc
 }
 
-func (mb *mergedListBuilder) beginBlock() {
-	mb.offs = append(mb.offs, uint32(len(mb.data)))
-	mb.starts = append(mb.starts, int32(mb.n))
-}
-
-func (mb *mergedListBuilder) endBlock(last corpus.DocID, count int) {
-	mb.lasts = append(mb.lasts, last)
-	mb.n += count
-	mb.prevLast = last
-}
-
-// finish snapshots the assembled list. The data and metadata are
-// copied out so the builder's scratch can be reused for the next term;
-// single-block lists drop the skip arrays entirely.
+// finish snapshots the assembled list. The data is copied out so the
+// builder's scratch can be reused for the next term.
 func (mb *mergedListBuilder) finish() compList {
 	if mb.n == 0 {
 		return compList{}
 	}
-	cl := compList{
-		n:       int32(mb.n),
-		lastDoc: mb.prevLast,
-		data:    append([]byte(nil), mb.data...),
-	}
-	if nb := len(mb.lasts); nb > 1 {
-		cl.offs = append(append([]uint32(nil), mb.offs...), uint32(len(mb.data)))
-		cl.starts = append(append([]int32(nil), mb.starts...), int32(mb.n))
-		cl.lasts = append([]corpus.DocID(nil), mb.lasts...)
-	}
-	return cl
+	return compList{n: int32(mb.n), lastDoc: mb.prevLast, data: append([]byte(nil), mb.data...)}
 }

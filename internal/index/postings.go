@@ -34,9 +34,10 @@ import (
 //
 // Blocks produced by Build and seal are BlockSize-aligned; a
 // block-wise Merge may append shorter interior blocks (one partial
-// block per source run), which every consumer supports because block
-// boundaries are carried as explicit start ordinals, never derived by
-// division.
+// block per source run), which every consumer supports because blocks
+// are only ever walked in order, each header giving its own count and
+// length — block boundaries are never derived by division, and no
+// block is ever entered out of turn.
 //
 // Decoding dispatches on the frame width: the byte-rounded widths the
 // encoder emits go through unrolled width-specialized kernels
@@ -46,73 +47,16 @@ import (
 
 //go:generate go run gen_kernels.go
 
-// compList is one term's compressed postings plus the per-block
-// metadata (byte offsets, start ordinals, last doc IDs) that lets an
-// iterator enter any block directly — each block's doc IDs are deltas
-// from its predecessor's last doc — a merge copy blocks verbatim, and a
-// load check the payload against it. Lists of at most BlockSize
-// postings — the overwhelmingly common case — keep offs/starts/lasts
-// nil and answer block queries from n, len(data), and lastDoc, so a
-// short list costs exactly one data allocation.
+// compList is one term's compressed postings: the packed blocks, their
+// posting count, and the list's last document (Iterator.LastDoc, and
+// what a merge rebases the next part's first block against). Every
+// consumer walks the blocks front to back — the iterator carries the
+// next block's byte offset and the previous block's last doc from the
+// block it just decoded — so no per-block index is kept.
 type compList struct {
 	n       int32
 	lastDoc corpus.DocID
 	data    []byte
-	// Multi-block lists only (nil otherwise):
-	offs   []uint32       // numBlocks+1 byte offsets into data
-	starts []int32        // numBlocks+1 posting ordinals (starts[numBlocks] = n)
-	lasts  []corpus.DocID // last doc ID of each block
-}
-
-// numBlocks returns the block count.
-func (cl *compList) numBlocks() int {
-	if cl.offs == nil {
-		if cl.n == 0 {
-			return 0
-		}
-		return 1
-	}
-	return len(cl.offs) - 1
-}
-
-// blockData returns the raw bytes of block b.
-func (cl *compList) blockData(b int) []byte {
-	if cl.offs == nil {
-		return cl.data
-	}
-	return cl.data[cl.offs[b]:cl.offs[b+1]]
-}
-
-// blockStart returns the ordinal of block b's first posting.
-func (cl *compList) blockStart(b int) int {
-	if cl.starts == nil {
-		return 0
-	}
-	return int(cl.starts[b])
-}
-
-// blockLen returns the posting count of block b.
-func (cl *compList) blockLen(b int) int {
-	if cl.starts == nil {
-		return int(cl.n)
-	}
-	return int(cl.starts[b+1] - cl.starts[b])
-}
-
-// blockLast returns the last doc ID of block b.
-func (cl *compList) blockLast(b int) corpus.DocID {
-	if cl.lasts == nil {
-		return cl.lastDoc
-	}
-	return cl.lasts[b]
-}
-
-// memBytes is the exact in-memory footprint of the postings
-// representation: packed data plus the skip metadata arrays. This is
-// what Stats.PostingsBytes sums.
-func (cl *compList) memBytes() int64 {
-	return int64(len(cl.data)) +
-		4*int64(len(cl.offs)) + 4*int64(len(cl.starts)) + 4*int64(len(cl.lasts))
 }
 
 // appendUvarint appends v as a uvarint.
@@ -234,40 +178,24 @@ func appendBlock(data []byte, prevLast corpus.DocID, pl []Posting) []byte {
 	return appendPackedBits(data, tfs[:n], tfBits)
 }
 
-// encodePostings compresses a sorted postings list into
-// BlockSize-aligned blocks.
+// appendBlocks encodes a sorted postings list as BlockSize-aligned
+// blocks after a predecessor whose last doc was prevLast (−1 at list
+// start).
+func appendBlocks(data []byte, prevLast corpus.DocID, pl []Posting) []byte {
+	for start := 0; start < len(pl); start += BlockSize {
+		end := min(start+BlockSize, len(pl))
+		data = appendBlock(data, prevLast, pl[start:end])
+		prevLast = pl[end-1].Doc
+	}
+	return data
+}
+
+// encodePostings compresses a sorted postings list.
 func encodePostings(pl []Posting) compList {
 	if len(pl) == 0 {
 		return compList{}
 	}
-	cl := compList{n: int32(len(pl)), lastDoc: pl[len(pl)-1].Doc}
-	nb := (len(pl) + BlockSize - 1) / BlockSize
-	if nb > 1 {
-		cl.offs = make([]uint32, 0, nb+1)
-		cl.starts = make([]int32, 0, nb+1)
-		cl.lasts = make([]corpus.DocID, 0, nb)
-	}
-	prevLast := corpus.DocID(-1)
-	var data []byte
-	for start := 0; start < len(pl); start += BlockSize {
-		end := start + BlockSize
-		if end > len(pl) {
-			end = len(pl)
-		}
-		if nb > 1 {
-			cl.offs = append(cl.offs, uint32(len(data)))
-			cl.starts = append(cl.starts, int32(start))
-			cl.lasts = append(cl.lasts, pl[end-1].Doc)
-		}
-		data = appendBlock(data, prevLast, pl[start:end])
-		prevLast = pl[end-1].Doc
-	}
-	if nb > 1 {
-		cl.offs = append(cl.offs, uint32(len(data)))
-		cl.starts = append(cl.starts, int32(len(pl)))
-	}
-	cl.data = data
-	return cl
+	return compList{n: int32(len(pl)), lastDoc: pl[len(pl)-1].Doc, data: appendBlocks(nil, -1, pl)}
 }
 
 // blockHeader is a parsed block header with absolute payload offsets.
@@ -371,16 +299,14 @@ func readBlockHeader(data []byte, off int) blockHeader {
 	return h
 }
 
-// decodeBlockDocs parses block b's header and decodes its doc IDs
-// into out — one fused word-at-a-time unpack-and-prefix-sum pass. The
-// returned header lets the caller decode the tf half later without
-// reparsing.
-func (cl *compList) decodeBlockDocs(b int, out *[BlockSize]corpus.DocID) blockHeader {
-	prevLast := corpus.DocID(-1)
-	if b > 0 {
-		prevLast = cl.blockLast(b - 1)
-	}
-	h := readBlockHeader(cl.data, cl.byteOff(b))
+// decodeBlockDocs parses the header of the block at byte offset off,
+// whose predecessor's last doc was prevLast (−1 for the first block),
+// and decodes its doc IDs into out — one fused word-at-a-time
+// unpack-and-prefix-sum pass. The returned header lets the caller
+// decode the tf half later without reparsing, and its end is the next
+// block's offset.
+func (cl *compList) decodeBlockDocs(off int, prevLast corpus.DocID, out *[BlockSize]corpus.DocID) blockHeader {
+	h := readBlockHeader(cl.data, off)
 	d := prevLast + corpus.DocID(h.baseDelta)
 	out[0] = d
 	n := h.count - 1
@@ -490,105 +416,87 @@ func decodeTFs(src []byte, n int, width uint, minTF int32, out []int32) {
 	unpackTFsGeneric(src, n, width, minTF, out)
 }
 
-// byteOff returns the byte offset of block b in data.
-func (cl *compList) byteOff(b int) int {
-	if cl.offs == nil {
-		return 0
-	}
-	return int(cl.offs[b])
-}
-
-// newCompListFromWire reconstructs a list from its wire data: walks
-// the block headers to derive offsets and start ordinals, attaches the
-// separately stored per-block last docs, then fully decodes every
-// block once to verify the structure — strictly ascending doc IDs
-// inside [0, numDocs), positive frequencies, agreement with the stored
-// last docs — so corrupt or truncated input is rejected here with an
-// error and iterators over accepted lists can decode unchecked.
-func newCompListFromWire(n int, data []byte, lasts []corpus.DocID, numDocs int) (compList, error) {
-	return newCompListWire(n, data, lasts, numDocs, true)
+// newCompListFromWire reconstructs a list from its wire data and
+// stored last doc: walks the block headers, then fully decodes every
+// block once to verify the payload — strictly ascending doc IDs inside
+// [0, numDocs), positive frequencies, a final doc equal to lastDoc —
+// so corrupt or truncated input is rejected here with an error and
+// iterators over accepted lists can decode unchecked.
+func newCompListFromWire(n int, data []byte, lastDoc corpus.DocID, numDocs int) (compList, error) {
+	return newCompListWire(n, data, lastDoc, numDocs, true)
 }
 
 // newCompListWire is newCompListFromWire with the payload decode pass
 // optional: the mapped open path (OpenMapped) accepts lists on
-// structural checks alone — walking every self-describing block header
-// and the skip metadata — without faulting in and decoding every
-// payload page. Block headers, offsets and counts are still fully
+// structural checks alone — walking every self-describing block header;
+// the caller range-checks lastDoc — without faulting in and decoding
+// every payload page. Block headers and counts are still fully
 // validated here, so decoding stays in-bounds; a corrupt payload can
 // only yield wrong posting values (a trade the mapped path documents:
 // segment files are written and fsynced by this process).
-func newCompListWire(n int, data []byte, lasts []corpus.DocID, numDocs int, verifyPayload bool) (compList, error) {
+func newCompListWire(n int, data []byte, lastDoc corpus.DocID, numDocs int, verifyPayload bool) (compList, error) {
 	if n == 0 {
-		if len(data) != 0 || len(lasts) != 0 {
+		if len(data) != 0 {
 			return compList{}, fmt.Errorf("index: empty list with %d data bytes", len(data))
 		}
 		return compList{}, nil
 	}
-	offs, starts, err := walkBlocks(data, n)
-	if err != nil {
+	var verify func(blockHeader) error
+	d := int64(-1)
+	if verifyPayload {
+		verify = func(h blockHeader) error {
+			var resid [BlockSize]uint32
+			unpackBits(data[h.gapsOff:h.tfsOff], h.count-1, h.gapBits, resid[:])
+			d += int64(h.baseDelta)
+			for i := 0; i < h.count; i++ {
+				if i > 0 {
+					d += int64(h.minGap) + int64(resid[i-1])
+				}
+				if d >= int64(numDocs) || d > math.MaxInt32 {
+					return fmt.Errorf("index: doc %d out of range", d)
+				}
+			}
+			unpackBits(data[h.tfsOff:h.end], h.count, h.tfBits, resid[:])
+			for i := 0; i < h.count; i++ {
+				if h.minTF+uint64(resid[i]) > math.MaxInt32 {
+					return fmt.Errorf("index: tf overflow")
+				}
+			}
+			return nil
+		}
+	}
+	if err := walkBlocks(data, n, verify); err != nil {
 		return compList{}, err
 	}
-	nb := len(offs) - 1
-	if len(lasts) != nb {
-		return compList{}, fmt.Errorf("index: %d block-last entries for %d blocks", len(lasts), nb)
+	if verifyPayload && d != int64(lastDoc) {
+		return compList{}, fmt.Errorf("index: last doc %d, stored %d", d, lastDoc)
 	}
-	cl := compList{n: int32(n), data: data, lastDoc: lasts[nb-1]}
-	if nb > 1 {
-		cl.offs, cl.starts, cl.lasts = offs, starts, lasts
-	}
-	if !verifyPayload {
-		return cl, nil
-	}
-	prevLast := corpus.DocID(-1)
-	for b := 0; b < nb; b++ {
-		h, err := parseBlockHeader(data, int(offs[b]))
-		if err != nil {
-			return compList{}, err
-		}
-		var resid [BlockSize]uint32
-		unpackBits(data[h.gapsOff:h.tfsOff], h.count-1, h.gapBits, resid[:])
-		d := int64(prevLast) + int64(h.baseDelta)
-		for i := 0; i < h.count; i++ {
-			if i > 0 {
-				d += int64(h.minGap) + int64(resid[i-1])
-			}
-			if d >= int64(numDocs) || d > math.MaxInt32 {
-				return compList{}, fmt.Errorf("index: block %d doc %d out of range", b, d)
-			}
-		}
-		if corpus.DocID(d) != lasts[b] {
-			return compList{}, fmt.Errorf("index: block %d last doc %d, metadata says %d", b, d, lasts[b])
-		}
-		unpackBits(data[h.tfsOff:h.end], h.count, h.tfBits, resid[:])
-		for i := 0; i < h.count; i++ {
-			if h.minTF+uint64(resid[i]) > math.MaxInt32 {
-				return compList{}, fmt.Errorf("index: block %d tf overflow", b)
-			}
-		}
-		prevLast = lasts[b]
-	}
-	return cl, nil
+	return compList{n: int32(n), lastDoc: lastDoc, data: data}, nil
 }
 
-// walkBlocks scans the block headers (no payload decode) of a list of
-// n postings, returning per-block byte offsets and start ordinals,
-// both with an end sentinel.
-func walkBlocks(data []byte, n int) (offs []uint32, starts []int32, err error) {
+// walkBlocks parses the block headers (no payload decode) of a list of
+// n postings in order, checking that their counts sum to n and that
+// they tile data exactly. visit, when non-nil, is handed each header
+// as it is accepted.
+func walkBlocks(data []byte, n int, visit func(blockHeader) error) error {
 	off, start := 0, 0
 	for start < n {
 		h, err := parseBlockHeader(data, off)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		if start+h.count > n {
-			return nil, nil, fmt.Errorf("index: blocks hold more than %d postings", n)
+			return fmt.Errorf("index: blocks hold more than %d postings", n)
 		}
-		offs = append(offs, uint32(off))
-		starts = append(starts, int32(start))
+		if visit != nil {
+			if err := visit(h); err != nil {
+				return err
+			}
+		}
 		off, start = h.end, start+h.count
 	}
 	if off != len(data) {
-		return nil, nil, fmt.Errorf("index: %d trailing bytes after last block", len(data)-off)
+		return fmt.Errorf("index: %d trailing bytes after last block", len(data)-off)
 	}
-	return append(offs, uint32(off)), append(starts, int32(n)), nil
+	return nil
 }

@@ -14,19 +14,19 @@ type Stats struct {
 	MaxListLen int
 	// SizeBytes is the serialized index size.
 	SizeBytes int64
-	// PostingsBytes is the exact in-memory footprint of the
-	// block-compressed postings: packed data plus the per-block skip
-	// metadata (offsets, start ordinals, last docs). The dictionary is
-	// excluded — this is the number to compare against 8·NumPostings,
-	// the cost of the uncompressed ⟨int32 doc, int32 tf⟩ representation.
+	// PostingsBytes is the exact footprint of the block-compressed
+	// postings: the packed blocks, which are all a list holds besides
+	// its count and last doc. The dictionary is excluded — this is the
+	// number to compare against 8·NumPostings, the cost of the
+	// uncompressed ⟨int32 doc, int32 tf⟩ representation.
 	PostingsBytes int64
 	// BytesPerDoc is PostingsBytes per indexed document — the
 	// index_bytes/doc metric the bench suite records and CI gates.
 	BytesPerDoc float64
-	// ResidentBytes is the heap-resident portion of PostingsBytes: for
-	// a mapped index (OpenMapped on Linux) the packed payloads live on
-	// evictable page-cache pages and only the skip metadata counts;
-	// everywhere else it equals PostingsBytes.
+	// ResidentBytes is the heap-resident portion of PostingsBytes: 0
+	// for a mapped index (OpenMapped on Linux), whose packed payloads
+	// live on evictable page-cache pages; everywhere else it equals
+	// PostingsBytes.
 	ResidentBytes int64
 	// ResidentPerDoc is ResidentBytes per indexed document — the
 	// resident_bytes/doc metric the bench suite records and CI gates.
@@ -40,21 +40,17 @@ type Stats struct {
 // measured once per index (see SizeBytes).
 func (x *Index) ComputeStats() Stats {
 	s := Stats{NumDocs: x.numDocs, NumTerms: len(x.lists)}
-	var mappedPayload int64
 	for t := range x.lists {
 		cl := &x.lists[t]
 		s.NumPostings += int(cl.n)
 		if int(cl.n) > s.MaxListLen {
 			s.MaxListLen = int(cl.n)
 		}
-		s.PostingsBytes += cl.memBytes()
-		mappedPayload += int64(len(cl.data))
+		s.PostingsBytes += int64(len(cl.data))
 	}
-	s.ResidentBytes = s.PostingsBytes
-	if x.mapped != nil && !x.mapped.heapBacked() {
-		// Payload bytes are views into the mapping; only the skip
-		// metadata arrays are heap-resident.
-		s.ResidentBytes -= mappedPayload
+	if x.mapped == nil || x.mapped.heapBacked() {
+		// Otherwise every payload byte is a view into the mapping.
+		s.ResidentBytes = s.PostingsBytes
 	}
 	if s.NumTerms > 0 {
 		s.MeanListLen = float64(s.NumPostings) / float64(s.NumTerms)

@@ -195,7 +195,7 @@ func (c *Client) submitBatch(ctx context.Context, queries [][]string, only int) 
 	}
 	bp := wireBufs.Get().(*[]byte)
 	defer wireBufs.Put(bp)
-	if *bp, err = readReply(resp.Body, *bp); err != nil {
+	if *bp, err = readReply(resp.Body, *bp, maxReplyBody); err != nil {
 		return nil, err
 	}
 	return decodeBatch(*bp, len(queries), only)
@@ -309,19 +309,8 @@ func (c *Client) authorize(req *http.Request) {
 // (PostingsBytes/BytesPerDoc) — the numbers the paper's PIR cost
 // argument turns on.
 func (c *Client) Stats() (index.Stats, error) {
-	var s index.Stats
-	resp, err := c.httpc.Get(c.baseURL + "/stats")
-	if err != nil {
-		return s, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return s, fmt.Errorf("server returned %s", resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
-		return s, fmt.Errorf("decoding stats: %w", err)
-	}
-	return s, nil
+	s, err := c.StatsFull()
+	return s.Stats, err
 }
 
 // StatsFull retrieves the complete GET /stats reply — the index-shape
@@ -337,7 +326,7 @@ func (c *Client) StatsFull() (StatsResponse, error) {
 	if resp.StatusCode != http.StatusOK {
 		return s, fmt.Errorf("server returned %s", resp.Status)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
+	if err := unmarshalReply(resp.Body, &s); err != nil {
 		return s, fmt.Errorf("decoding stats: %w", err)
 	}
 	return s, nil
@@ -355,7 +344,7 @@ func (c *Client) MetricsText() (string, error) {
 	if resp.StatusCode != http.StatusOK {
 		return "", fmt.Errorf("server returned %s", resp.Status)
 	}
-	b, err := io.ReadAll(resp.Body)
+	b, err := readReply(resp.Body, nil, maxReplyBody)
 	if err != nil {
 		return "", err
 	}
@@ -385,7 +374,7 @@ func (c *Client) Traces(n int) ([]telemetry.PhaseTrace, error) {
 		return nil, fmt.Errorf("server returned %s: %s", resp.Status, strings.TrimSpace(string(msg)))
 	}
 	var tr TracesResponse
-	if err := json.NewDecoder(resp.Body).Decode(&tr); err != nil {
+	if err := unmarshalReply(resp.Body, &tr); err != nil {
 		return nil, fmt.Errorf("decoding traces: %w", err)
 	}
 	return tr.Traces, nil
@@ -393,6 +382,8 @@ func (c *Client) Traces(n int) ([]telemetry.PhaseTrace, error) {
 
 // FetchDocument retrieves a document body (Step 7 of Fig. 1; the paper
 // notes result-document privacy is out of scope and handled by [15]).
+// The body is read under maxIndexBody: no document is larger than the
+// /index request that ingested it.
 func (c *Client) FetchDocument(id int) (json.RawMessage, error) {
 	resp, err := c.httpc.Get(fmt.Sprintf("%s/doc/%d", c.baseURL, id))
 	if err != nil {
@@ -402,5 +393,5 @@ func (c *Client) FetchDocument(id int) (json.RawMessage, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("server returned %s", resp.Status)
 	}
-	return io.ReadAll(resp.Body)
+	return readReply(resp.Body, nil, maxIndexBody)
 }

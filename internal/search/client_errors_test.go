@@ -196,4 +196,27 @@ func TestClientBoundsAndValidatesReplies(t *testing.T) {
 	if hits, err := cl.SearchPlain(f.topicQueryText(0, 3)); err != nil || len(hits) != 1 {
 		t.Errorf("SearchPlain at the cap's good side: %v, %v", hits, err)
 	}
+
+	// The control plane reads under the same cap, and a document under
+	// the ingest body's.
+	overReply := `{}` + strings.Repeat(" ", maxReplyBody)
+	for _, tc := range []struct {
+		name, reply, wantErr string
+		call                 func() error
+	}{
+		{"Stats", overReply, "cap of 16384000 bytes", func() error { _, err := cl.Stats(); return err }},
+		{"StatsFull", overReply, "cap of 16384000 bytes", func() error { _, err := cl.StatsFull(); return err }},
+		{"Traces", overReply, "cap of 16384000 bytes", func() error { _, err := cl.Traces(0); return err }},
+		{"MetricsText", "# x" + strings.Repeat(" ", maxReplyBody), "cap of 16384000 bytes", func() error { _, err := cl.MetricsText(); return err }},
+		{"FetchDocument", `{}` + strings.Repeat(" ", maxIndexBody), "cap of 33554432 bytes", func() error { _, err := cl.FetchDocument(1); return err }},
+	} {
+		reply = tc.reply
+		if err := tc.call(); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s over the cap: error = %v, want one containing %q", tc.name, err, tc.wantErr)
+		}
+	}
+	reply = overReply
+	if doc, err := cl.FetchDocument(1); err != nil || len(doc) != len(overReply) {
+		t.Errorf("FetchDocument past maxReplyBody, under maxIndexBody: %d bytes, %v", len(doc), err)
+	}
 }

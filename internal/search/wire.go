@@ -314,12 +314,13 @@ func appendBatchRequest(dst []byte, queries [][]string, k int) []byte {
 }
 
 // readReply reads one reply body into buf, to EOF — so that the
-// keep-alive connection is reused — and refuses one past maxReplyBody.
-// The buffer grows as bytes arrive, never ahead of them.
-func readReply(r io.Reader, buf []byte) ([]byte, error) {
+// keep-alive connection is reused — and refuses one past limit bytes
+// (maxReplyBody for every reply but a document's). The buffer grows as
+// bytes arrive, never ahead of them.
+func readReply(r io.Reader, buf []byte, limit int) ([]byte, error) {
 	// One byte past the cap, so that an over-long reply is seen to be
 	// one instead of being cut to something that might parse.
-	r = io.LimitReader(r, maxReplyBody+1)
+	r = io.LimitReader(r, int64(limit)+1)
 	buf = buf[:0]
 	for {
 		if len(buf) == cap(buf) {
@@ -327,8 +328,8 @@ func readReply(r io.Reader, buf []byte) ([]byte, error) {
 		}
 		n, err := r.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
-		if len(buf) > maxReplyBody {
-			return buf, fmt.Errorf("reply exceeds the client's cap of %d bytes", maxReplyBody)
+		if len(buf) > limit {
+			return buf, fmt.Errorf("reply exceeds the client's cap of %d bytes", limit)
 		}
 		if err == io.EOF {
 			return buf, nil
@@ -345,7 +346,7 @@ func unmarshalReply(body io.Reader, v any) error {
 	bp := wireBufs.Get().(*[]byte)
 	defer wireBufs.Put(bp)
 	var err error
-	if *bp, err = readReply(body, *bp); err != nil {
+	if *bp, err = readReply(body, *bp, maxReplyBody); err != nil {
 		return err
 	}
 	return json.Unmarshal(*bp, v)

@@ -194,8 +194,9 @@ func traversalLoop(b *testing.B, st *Store, queries [][]string) {
 // every block decodes straight from the mapped file image on every
 // query. (CI cannot drop the OS page cache, so "cold" means cold decode
 // state, not cold pages.) The committed resident_bytes/doc row is the
-// disk-residency claim the benchjson gate enforces: near zero, because
-// postings stay out of the heap.
+// disk-residency claim the benchjson gate enforces: zero, because a
+// mapped list is its count, its last doc and a view of the file — no
+// postings byte lives on the heap.
 func BenchmarkTraversalCold(b *testing.B) {
 	an := textproc.NewAnalyzer()
 	dir, queries := saveTraversalFixture(b, an)

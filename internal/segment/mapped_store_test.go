@@ -258,7 +258,7 @@ func TestMappedStoreRejectsCorruptSegment(t *testing.T) {
 	for _, mapped := range []bool{true, false} {
 		_, err := Load(dir, Config{Analyzer: an, Mapped: mapped})
 		if err == nil || !strings.Contains(err.Error(), filepath.Base(segs[0])) ||
-			!strings.Contains(err.Error(), "TPIX version 7: this build reads version 8 only") {
+			!strings.Contains(err.Error(), "TPIX version 7: this build reads version 9 only") {
 			t.Fatalf("old-version segment (mapped=%v): err = %v, want the file name and both versions", mapped, err)
 		}
 	}
@@ -272,8 +272,8 @@ func TestMappedStoreRejectsCorruptSegment(t *testing.T) {
 
 // TestBloomSkipsSegments builds two sealed segments with (partially)
 // disjoint vocabularies; the first is sealed before the second batch's
-// terms enter the dictionary. No query consults a segment's term bloom
-// any more — BloomSkips stays 0 — and none needs to: a segment that
+// terms enter the dictionary. Segments carry no term bloom since TPIX
+// v9 — BloomSkips stays 0 — and none is needed: a segment that
 // lacks every term of a query hands the scan empty lists, which add
 // nothing to the query's postings or decoded blocks, and the hits are
 // exactly those of the segments that hold the terms.

@@ -433,8 +433,9 @@ func (st *Store) Stats() Stats {
 // excluded). PostingsBytes counts the sealed segments' exact compressed
 // footprint plus the memtable's uncompressed lists at their in-memory
 // cost of 8 bytes per ⟨int32 doc, int32 tf⟩ posting. ResidentBytes
-// drops the mapped segments' page-cache-backed payloads, so it reports
-// what the store actually holds on the heap.
+// drops the mapped segments' page-cache-backed payloads — all of their
+// postings bytes — so it reports what the store actually holds on the
+// heap.
 func (st *Store) ComputeStats() index.Stats {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -471,9 +472,9 @@ func (st *Store) ComputeStats() index.Stats {
 	return s
 }
 
-// BloomSkips is always zero: no query consults a segment's term bloom
-// any more (a term a part lacks is an empty list the scan steps over).
-// The accessor stays because the system benchmark (bench/trace.go,
+// BloomSkips is always zero: segments carry no term bloom since TPIX v9
+// (a term a part lacks is an empty list the scan steps over). The
+// accessor stays because the system benchmark (bench/trace.go,
 // segment.bloom_skips_per_cycle) calls it and is changed only by
 // benchmark-only PRs; it goes with that row.
 func (st *Store) BloomSkips() uint64 { return 0 }
