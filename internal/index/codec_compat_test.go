@@ -101,15 +101,65 @@ func TestOtherVersionsRejected(t *testing.T) {
 	}
 }
 
+// irregularBlocks re-encodes every list of x in runs of varying length,
+// interior blocks shorter than BlockSize among them — the layout of v9
+// files written while Merge still copied a clean part's blocks verbatim,
+// one partial block at every part seam. The result holds x's postings.
+func irregularBlocks(x *Index) *Index {
+	runs := []int{BlockSize, 37, 1, 90, BlockSize - 1}
+	y := &Index{vocab: x.vocab, lists: make([]compList, len(x.lists)), docLen: x.docLen, numDocs: x.numDocs, totalLen: x.totalLen}
+	for tid := range x.lists {
+		pl := x.Postings(textproc.TermID(tid))
+		if len(pl) == 0 {
+			continue
+		}
+		var data []byte
+		prev := corpus.DocID(-1)
+		for start, r := 0, 0; start < len(pl); r++ {
+			end := min(start+runs[r%len(runs)], len(pl))
+			data = appendBlock(data, prev, pl[start:end])
+			prev, start = pl[end-1].Doc, end
+		}
+		y.lists[tid] = compList{n: int32(len(pl)), lastDoc: prev, data: data}
+	}
+	return y
+}
+
+// TestPartialInteriorBlocksLoad holds both open paths to the v9 files
+// that predate Merge's re-encoding: an image whose lists carry partial
+// interior blocks must load through Read and OpenMapped and yield the
+// postings it was written from.
+func TestPartialInteriorBlocksLoad(t *testing.T) {
+	want := multiBlockIndex(t)
+	var buf bytes.Buffer
+	if _, err := irregularBlocks(want).WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	assertPostingsMatchFresh(t, back, want)
+	path := filepath.Join(t.TempDir(), "seams.tpix")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenMapped(path)
+	if err != nil {
+		t.Fatalf("OpenMapped: %v", err)
+	}
+	defer mapped.Close()
+	assertPostingsMatchFresh(t, mapped, want)
+}
+
 // TestReadBlockHeaderMatchesParser pins the traversal-time header read
 // to the validating parser: on every block of every list the package
 // accepts or produces — the four-document fixture through a TPIX v9
 // round trip, each checked-in fuzz seed that loads, a multi-block build,
-// and block-wise merges of random part sizes under random tombstones,
-// whose interior blocks are partial and whose first blocks are rebased —
-// readBlockHeader returns exactly what parseBlockHeader does, walking
-// the header chain as the iterator does: each block starts where its
-// predecessor's header says it ends.
+// the same lists with partial interior blocks, and merges of random
+// part sizes under random tombstones — readBlockHeader returns exactly
+// what parseBlockHeader does, walking the header chain as the iterator
+// does: each block starts where its predecessor's header says it ends.
 func TestReadBlockHeaderMatchesParser(t *testing.T) {
 	check := func(label string, x *Index) {
 		t.Helper()
@@ -148,6 +198,7 @@ func TestReadBlockHeaderMatchesParser(t *testing.T) {
 		}
 	}
 	check("multi-block build", multiBlockIndex(t))
+	check("partial interior blocks", irregularBlocks(multiBlockIndex(t)))
 
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 12; trial++ {

@@ -9,7 +9,8 @@ import (
 // plus the decoded reference.
 func compressedRandomList(rng *rand.Rand, n int) (compList, PostingList) {
 	pl := randomList(rng, n)
-	return encodePostings(pl), pl
+	cl, _ := encodePostings(pl, nil)
+	return cl, pl
 }
 
 // TestCompIteratorMatchesSlice walks a compressed iterator against the

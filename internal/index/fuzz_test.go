@@ -45,12 +45,12 @@ func FuzzDecodePostings(f *testing.F) {
 	f.Add([]byte{1, 1, 2, 3, 255, 30, 7, 0})
 	// A well-formed encoding as a seed so mutations explore near-valid
 	// block structures.
-	seed := encodePostings([]Posting{{Doc: 0, TF: 1}, {Doc: 5, TF: 3}, {Doc: 1000, TF: 9}})
+	seed, _ := encodePostings([]Posting{{Doc: 0, TF: 1}, {Doc: 5, TF: 3}, {Doc: 1000, TF: 9}}, nil)
 	f.Add(seed.data)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// (a) Round trip: encode(postings) then decode must be exact.
 		pl := postingsFromBytes(data)
-		cl := encodePostings(pl)
+		cl, _ := encodePostings(pl, nil)
 		numDocs := 0
 		if n := len(pl); n > 0 {
 			numDocs = int(pl[n-1].Doc) + 1

@@ -29,8 +29,7 @@ type PostingList []Posting
 
 // BlockSize is the number of postings per compressed block. Block-wise
 // compression is what lets traversal decode a kilobyte at a time
-// instead of materializing a list, and lets a merge copy a clean part's
-// blocks without decoding them. 128 is the standard choice — big enough
+// instead of materializing a list. 128 is the standard choice — big enough
 // that block metadata is a rounding error next to the postings, small
 // enough that a decoded block fits in a kilobyte of iterator buffer.
 const BlockSize = 128
@@ -90,11 +89,13 @@ func Build(c *corpus.Corpus) (*Index, error) {
 }
 
 // compressLists encodes the raw sorted lists into the block-compressed
-// in-memory form. The raw slices are not retained.
+// in-memory form through one reused scratch buffer. The raw slices are
+// not retained.
 func (x *Index) compressLists(raw [][]Posting) {
 	x.lists = make([]compList, len(raw))
+	var scratch []byte
 	for t, pl := range raw {
-		x.lists[t] = encodePostings(pl)
+		x.lists[t], scratch = encodePostings(pl, scratch)
 	}
 }
 

@@ -142,7 +142,7 @@ func (it *Iterator) Next() bool {
 
 // Window returns the postings from the cursor through the end of the
 // current decoded block as parallel doc/tf slices — the bulk surface
-// the flat scan, the norm pass and the merges consume, one tight loop
+// the flat scan, the norm pass and Merge consume, one tight loop
 // per block instead of three method calls per posting. In slice mode the
 // next run of up to BlockSize postings is staged through the same
 // buffers. The slices are valid until the iterator moves; advance

@@ -3,7 +3,8 @@ package index
 import (
 	"bytes"
 	"fmt"
-	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"toppriv/internal/corpus"
@@ -24,73 +25,34 @@ func buildCorpus(t *testing.T, texts []string) *corpus.Corpus {
 	return c
 }
 
-func TestMergeMatchesSinglePassBuild(t *testing.T) {
-	left := []string{
+// TestMergeRefusesForeignVocabulary merges indexes built over two
+// independent dictionaries — term 0 of one is not term 0 of the other —
+// and requires an error, in either order, rather than a merge that files
+// one term's postings under another. An index merged with itself shares
+// its dictionary and is accepted.
+func TestMergeRefusesForeignVocabulary(t *testing.T) {
+	left, err := Build(buildCorpus(t, []string{
 		"submarine propulsion reactor cooling systems",
 		"reactor fuel rods and cooling towers",
 		"helicopter rotor blade maintenance",
+	}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	right := []string{
+	right, err := Build(buildCorpus(t, []string{
 		"cooling pumps for reactor loops",
 		"sonar arrays aboard the submarine fleet",
-	}
-	cl := buildCorpus(t, left)
-	cr := buildCorpus(t, right)
-	il, err := Build(cl)
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ir, err := Build(cr)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	merged, remap, err := Merge([]*Index{il, ir}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	whole := buildCorpus(t, append(append([]string{}, left...), right...))
-	want, err := Build(whole)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if merged.NumDocs() != want.NumDocs() {
-		t.Fatalf("merged NumDocs = %d, want %d", merged.NumDocs(), want.NumDocs())
-	}
-	if merged.AvgDocLen() != want.AvgDocLen() {
-		t.Fatalf("merged AvgDocLen = %v, want %v", merged.AvgDocLen(), want.AvgDocLen())
-	}
-	// Renumbering is sequential: part order then local order.
-	next := corpus.DocID(0)
-	for _, dm := range remap {
-		for _, nd := range dm {
-			if nd != next {
-				t.Fatalf("remap out of sequence: got %d, want %d", nd, next)
-			}
-			next++
+	for _, parts := range [][]*Index{{left, right}, {right, left}} {
+		if _, _, err := Merge(parts, nil); err == nil || !strings.Contains(err.Error(), "dictionary") {
+			t.Fatalf("merge over foreign vocabularies: err = %v, want a dictionary error", err)
 		}
 	}
-	// Every term of the single-pass build must have identical postings
-	// (doc frequency, tfs, and doc IDs) in the merged index.
-	for id := 0; id < want.NumTerms(); id++ {
-		term := want.Vocab().Term(textproc.TermID(id))
-		mid := merged.Vocab().ID(term)
-		if mid == textproc.InvalidTerm {
-			t.Fatalf("term %q missing from merged vocab", term)
-		}
-		wp, mp := want.Postings(textproc.TermID(id)), merged.Postings(mid)
-		if len(wp) != len(mp) {
-			t.Fatalf("term %q: %d postings merged, want %d", term, len(mp), len(wp))
-		}
-		for i := range wp {
-			if wp[i] != mp[i] {
-				t.Fatalf("term %q posting %d: merged %+v, want %+v", term, i, mp[i], wp[i])
-			}
-		}
-		if math.Abs(want.IDF(textproc.TermID(id))-merged.IDF(mid)) > 1e-12 {
-			t.Fatalf("term %q IDF mismatch", term)
-		}
+	if _, _, err := Merge([]*Index{left, left}, nil); err != nil {
+		t.Fatalf("merge of an index with itself: %v", err)
 	}
 }
 
@@ -143,162 +105,242 @@ func TestMergeErrors(t *testing.T) {
 	}
 }
 
-// sharedVocabParts builds nParts indexes over one shared append-only
-// dictionary — the segment store's discipline, where every earlier
-// part's vocabulary is a prefix of every later one's, so Merge takes
-// its block-wise path. Lists for "common" span multiple blocks.
-func sharedVocabParts(t *testing.T, sizes []int) ([]*Index, [][]string) {
+// sharedDocs is what sharedVocabParts built its parts from: per part,
+// the documents' term bags, all over one dictionary.
+type sharedDocs struct {
+	vocab *textproc.Vocab
+	bags  [][][]textproc.TermID
+}
+
+// survivors is the index a merge of the parts must reproduce: Build
+// over the documents keep retains, in part order, under a clone of the
+// shared dictionary.
+func (s sharedDocs) survivors(t testing.TB, keep []func(corpus.DocID) bool) *Index {
 	t.Helper()
-	an := textproc.NewAnalyzer(textproc.WithStemming(false))
+	var bags [][]textproc.TermID
+	for p, part := range s.bags {
+		for d, bag := range part {
+			if keep == nil || keep[p] == nil || keep[p](corpus.DocID(d)) {
+				bags = append(bags, bag)
+			}
+		}
+	}
+	x, err := Build(&corpus.Corpus{Docs: make([]corpus.Document, len(bags)), Vocab: s.vocab.Clone(), Bags: bags})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+// sharedVocabParts builds one index per size over one shared
+// append-only dictionary — the segment store's discipline, where every
+// earlier part's vocabulary is a prefix of every later one's. Every
+// document holds "common", so its list spans blocks; every third holds
+// "periodic" twice; every 37th word holds "rare" at a growing tf, for
+// wider gap and tf frames; each holds its own unique term twice.
+func sharedVocabParts(t testing.TB, sizes []int) ([]*Index, sharedDocs) {
+	t.Helper()
 	vocab := textproc.NewVocab()
+	common := vocab.Add("common")
+	docs := sharedDocs{vocab: vocab, bags: make([][][]textproc.TermID, len(sizes))}
 	parts := make([]*Index, len(sizes))
-	texts := make([][]string, len(sizes))
 	word := 0
 	for p, size := range sizes {
-		docs := make([]corpus.Document, size)
 		bags := make([][]textproc.TermID, size)
-		for d := 0; d < size; d++ {
-			// Every doc shares "common"; every third doc shares
-			// "periodic"; each doc has a unique term and a repeated one.
-			txt := fmt.Sprintf("common unique%d unique%d", word, word)
+		for d := range bags {
+			unique := vocab.Add(fmt.Sprintf("unique%d", word))
+			bag := []textproc.TermID{common, unique, unique}
 			if d%3 == 0 {
-				txt += " periodic periodic"
+				periodic := vocab.Add("periodic")
+				bag = append(bag, periodic, periodic)
 			}
+			if word%37 == 0 {
+				rare := vocab.Add("rare")
+				for k := 0; k <= word%300; k++ {
+					bag = append(bag, rare)
+				}
+			}
+			bags[d] = bag
 			word++
-			docs[d] = corpus.Document{Text: txt}
-			bags[d] = corpus.AnalyzeInto(docs[d], an, vocab)
-			texts[p] = append(texts[p], txt)
 		}
-		c := &corpus.Corpus{Docs: docs, Vocab: vocab.Clone(), Bags: bags}
-		idx, err := Build(c)
+		docs.bags[p] = bags
+		idx, err := Build(&corpus.Corpus{Docs: make([]corpus.Document, size), Vocab: vocab.Clone(), Bags: bags})
 		if err != nil {
 			t.Fatal(err)
 		}
 		parts[p] = idx
 	}
-	return parts, texts
+	return parts, docs
 }
 
-// assertMergedMatchesRebuild compares a merged index against a
-// from-scratch Build over the same surviving documents: postings and
-// document facts must match exactly, and the merged list's (possibly
-// irregular) blocks must iterate to the same postings.
-func assertMergedMatchesRebuild(t *testing.T, merged, want *Index) {
+// assertMergeIsBuild merges shared-dictionary parts of the given sizes
+// under keep and holds the result to Build over the survivors: the two
+// TPIX images must be equal byte for byte, the remap must number the
+// survivors densely in part order, and every list of either index must
+// be held at its exact size (capacity equal to length, no growth slack).
+func assertMergeIsBuild(t *testing.T, label string, sizes []int, keep []func(corpus.DocID) bool) {
 	t.Helper()
-	if merged.NumDocs() != want.NumDocs() || merged.AvgDocLen() != want.AvgDocLen() {
-		t.Fatalf("shape: %d/%d docs, avg %v/%v", merged.NumDocs(), want.NumDocs(), merged.AvgDocLen(), want.AvgDocLen())
+	parts, docs := sharedVocabParts(t, sizes)
+	merged, remap, err := Merge(parts, keep)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
-	for tid := 0; tid < want.NumTerms(); tid++ {
-		term := want.Vocab().Term(textproc.TermID(tid))
-		mid := merged.Vocab().ID(term)
-		wp, mp := want.Postings(textproc.TermID(tid)), merged.Postings(mid)
-		if len(wp) != len(mp) {
-			t.Fatalf("term %q: %d vs %d postings", term, len(mp), len(wp))
-		}
-		for i := range wp {
-			if wp[i] != mp[i] {
-				t.Fatalf("term %q posting %d: %+v vs %+v", term, i, mp[i], wp[i])
+	want := docs.survivors(t, keep)
+	var got, exp bytes.Buffer
+	if _, err := merged.WriteTo(&got); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := want.WriteTo(&exp); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), exp.Bytes()) {
+		t.Fatalf("%s: merged image (%d B) is not Build over the survivors (%d B)", label, got.Len(), exp.Len())
+	}
+	next := corpus.DocID(0)
+	for p, dm := range remap {
+		for d, nd := range dm {
+			kept := keep == nil || keep[p] == nil || keep[p](corpus.DocID(d))
+			switch {
+			case !kept && nd != DroppedDoc:
+				t.Fatalf("%s: part %d doc %d dropped by keep but remapped to %d", label, p, d, nd)
+			case kept && nd != next:
+				t.Fatalf("%s: part %d doc %d remapped to %d, want %d", label, p, d, nd, next)
+			case kept:
+				next++
 			}
 		}
-		var it Iterator
-		merged.IterInto(mid, &it)
-		pos := 0
-		for it.Valid() {
-			docs, tfs := it.Window()
-			for j := range docs {
-				if tfs[j] != mp[pos].TF || docs[j] != mp[pos].Doc {
-					t.Fatalf("term %q: iterator diverged at %d", term, pos)
-				}
-				pos++
-			}
-			if !it.NextWindow() {
-				break
+	}
+	for name, x := range map[string]*Index{"merge": merged, "build": want} {
+		for tid, cl := range x.lists {
+			if cap(cl.data) != len(cl.data) {
+				t.Fatalf("%s: %s list %d: cap %d, len %d", label, name, tid, cap(cl.data), len(cl.data))
 			}
 		}
-		if pos != len(mp) {
-			t.Fatalf("term %q: iterator yielded %d of %d postings", term, pos, len(mp))
+	}
+}
+
+// TestMergeIsBuild is the merge oracle: random part counts and sizes
+// (lists from one posting to past two blocks per part) under random
+// tombstone masks, from clean parts to nearly empty ones, each merge
+// byte-identical to Build over its survivors.
+func TestMergeIsBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	for trial := 0; trial < 40; trial++ {
+		sizes := make([]int, 1+rng.Intn(4))
+		keep := make([]func(corpus.DocID) bool, len(sizes))
+		for i := range sizes {
+			sizes[i] = 1 + rng.Intn(2*BlockSize+40)
+			if rng.Intn(3) == 0 {
+				continue // a clean part
+			}
+			dead := make([]bool, sizes[i])
+			rate := rng.Float64()
+			for d := range dead {
+				dead[d] = rng.Float64() < rate
+			}
+			keep[i] = func(d corpus.DocID) bool { return !dead[d] }
 		}
+		assertMergeIsBuild(t, fmt.Sprintf("trial %d, sizes %v", trial, sizes), sizes, keep)
 	}
 }
 
 // TestMergeBlockwiseClean merges three shared-dictionary parts with no
-// tombstones — the pure block-copy path, first blocks rebased, interior
-// partial blocks at the part seams — and requires exact agreement with
-// a from-scratch rebuild, surviving a v4 codec round trip.
+// tombstones, lists crossing block boundaries inside parts and at their
+// seams, and holds the result to Build over every document; the merged
+// image must also survive a codec round trip unchanged.
 func TestMergeBlockwiseClean(t *testing.T) {
-	parts, texts := sharedVocabParts(t, []int{300, 200, 140})
+	sizes := []int{300, 200, 140}
+	assertMergeIsBuild(t, "clean", sizes, nil)
+
+	parts, _ := sharedVocabParts(t, sizes)
 	merged, _, err := Merge(parts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var all []string
-	for _, tx := range texts {
-		all = append(all, tx...)
-	}
-	want, err := Build(buildCorpusNoStem(t, all))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMergedMatchesRebuild(t, merged, want)
-
-	// The irregular block layout must survive serialization.
 	var buf bytes.Buffer
 	if _, err := merged.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
+	image := append([]byte(nil), buf.Bytes()...)
 	back, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertMergedMatchesRebuild(t, back, want)
+	var again bytes.Buffer
+	if _, err := back.WriteTo(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(image, again.Bytes()) {
+		t.Fatalf("merged image changed across a round trip: %d B, then %d B", len(image), again.Len())
+	}
 }
 
-// TestMergeBlockwiseWithTombstones mixes a dirty part (tombstoned
-// documents force decode-filter-re-encode) between clean parts whose
-// blocks are copied; results must still match a rebuild over the
-// survivors exactly, including bit-identical term-level bounds.
+// TestMergeBlockwiseWithTombstones puts a tombstoned part between two
+// clean ones; the merge must equal Build over the survivors and drop
+// exactly the tombstoned documents of the middle part.
 func TestMergeBlockwiseWithTombstones(t *testing.T) {
-	parts, texts := sharedVocabParts(t, []int{200, 170, 150})
+	sizes := []int{200, 170, 150}
 	keep := []func(corpus.DocID) bool{
 		nil,
 		func(d corpus.DocID) bool { return d%4 != 1 },
 		nil,
 	}
-	merged, remap, err := Merge(parts, keep)
+	assertMergeIsBuild(t, "tombstoned", sizes, keep)
+
+	parts, _ := sharedVocabParts(t, sizes)
+	_, remap, err := Merge(parts, keep)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var all []string
-	for p, tx := range texts {
-		for d, txt := range tx {
-			if keep[p] == nil || keep[p](corpus.DocID(d)) {
-				all = append(all, txt)
-			}
-		}
-	}
-	want, err := Build(buildCorpusNoStem(t, all))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertMergedMatchesRebuild(t, merged, want)
-	for d := 0; d < len(remap[1]); d++ {
+	for d := range remap[1] {
 		if (remap[1][d] == DroppedDoc) != (d%4 == 1) {
 			t.Fatalf("part 1 doc %d: unexpected remap %d", d, remap[1][d])
 		}
 	}
 }
 
-// buildCorpusNoStem analyzes texts with stemming off (sharedVocabParts
-// uses the same analyzer configuration).
-func buildCorpusNoStem(t *testing.T, texts []string) *corpus.Corpus {
-	t.Helper()
-	docs := make([]corpus.Document, len(texts))
-	for i, txt := range texts {
-		docs[i] = corpus.Document{Text: txt}
+// mergeShape derives a merge from fuzz input: the first byte picks one
+// to four parts, the next two bytes per part its size (1 to
+// 2·BlockSize+40 documents), and the bits of the remaining bytes,
+// cycled over every document in part order, its tombstones — a set bit
+// drops the document. With no bytes left every document is kept.
+func mergeShape(data []byte) ([]int, []func(corpus.DocID) bool) {
+	if len(data) == 0 {
+		return []int{1}, nil
 	}
-	c, err := corpus.Build(docs, textproc.NewAnalyzer(textproc.WithStemming(false)), textproc.PruneSpec{})
-	if err != nil {
-		t.Fatal(err)
+	sizes := make([]int, 1+int(data[0])%4)
+	data = data[1:]
+	for i := range sizes {
+		v := 0
+		if len(data) >= 2 {
+			v = int(data[0]) | int(data[1])<<8
+			data = data[2:]
+		}
+		sizes[i] = 1 + v%(2*BlockSize+40)
 	}
-	return c
+	if len(data) == 0 {
+		return sizes, nil
+	}
+	keep := make([]func(corpus.DocID) bool, len(sizes))
+	first := 0
+	for i, n := range sizes {
+		base := first
+		keep[i] = func(d corpus.DocID) bool {
+			b := base + int(d)
+			return data[b/8%len(data)]>>(b%8)&1 == 0
+		}
+		first += n
+	}
+	return sizes, keep
+}
+
+// FuzzMerge holds every merge the input describes (see mergeShape) to
+// TestMergeIsBuild's oracle. testdata/fuzz/FuzzMerge holds the seeds: a
+// single posting, three clean parts, the same parts under tombstones,
+// and four parts straddling block boundaries.
+func FuzzMerge(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sizes, keep := mergeShape(data)
+		assertMergeIsBuild(t, fmt.Sprintf("sizes %v", sizes), sizes, keep)
+	})
 }

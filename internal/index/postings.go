@@ -22,8 +22,7 @@ import (
 //
 //	uvarint baseDelta   firstDoc − prevLast (prevLast = −1 before the
 //	                    first block, so baseDelta ≥ 1). First so a
-//	                    block-wise merge can rebase a copied run by
-//	                    rewriting one varint.
+//	                    block decodes against its predecessor.
 //	uvarint count       postings in the block (1..BlockSize)
 //	byte    gapBits     bit width of the packed gap residuals (≤ 31)
 //	byte    tfBits      bit width of the packed tf residuals (≤ 31)
@@ -32,12 +31,13 @@ import (
 //	packed  count−1 gap residuals (gap_i − minGap), gapBits each, LSB-first
 //	packed  count tf residuals (tf_i − minTF), tfBits each
 //
-// Blocks produced by Build and seal are BlockSize-aligned; a
-// block-wise Merge may append shorter interior blocks (one partial
-// block per source run), which every consumer supports because blocks
-// are only ever walked in order, each header giving its own count and
-// length — block boundaries are never derived by division, and no
-// block is ever entered out of turn.
+// Build and Merge share one encoder, so every list they produce is
+// BlockSize-aligned: full blocks and one shorter last block. Readers
+// still accept shorter interior blocks — v9 files written while Merge
+// copied blocks verbatim contain one at every part seam — because
+// blocks are only ever walked in order, each header giving its own
+// count and length: block boundaries are never derived by division,
+// and no block is ever entered out of turn.
 //
 // Decoding dispatches on the frame width: the byte-rounded widths the
 // encoder emits go through unrolled width-specialized kernels
@@ -48,8 +48,7 @@ import (
 //go:generate go run gen_kernels.go
 
 // compList is one term's compressed postings: the packed blocks, their
-// posting count, and the list's last document (Iterator.LastDoc, and
-// what a merge rebases the next part's first block against). Every
+// posting count, and the list's last document (Iterator.LastDoc). Every
 // consumer walks the blocks front to back — the iterator carries the
 // next block's byte offset and the previous block's last doc from the
 // block it just decoded — so no per-block index is kept.
@@ -179,9 +178,9 @@ func appendBlock(data []byte, prevLast corpus.DocID, pl []Posting) []byte {
 }
 
 // appendBlocks encodes a sorted postings list as BlockSize-aligned
-// blocks after a predecessor whose last doc was prevLast (−1 at list
-// start).
-func appendBlocks(data []byte, prevLast corpus.DocID, pl []Posting) []byte {
+// blocks.
+func appendBlocks(data []byte, pl []Posting) []byte {
+	prevLast := corpus.DocID(-1)
 	for start := 0; start < len(pl); start += BlockSize {
 		end := min(start+BlockSize, len(pl))
 		data = appendBlock(data, prevLast, pl[start:end])
@@ -190,12 +189,19 @@ func appendBlocks(data []byte, prevLast corpus.DocID, pl []Posting) []byte {
 	return data
 }
 
-// encodePostings compresses a sorted postings list.
-func encodePostings(pl []Posting) compList {
+// encodePostings compresses a sorted postings list — the one encoder
+// behind Build and Merge. It encodes into scratch and copies the list
+// out at its exact size, so a list's capacity is its length and its
+// only allocation is that copy; the returned scratch, grown as needed,
+// is for the next list.
+func encodePostings(pl []Posting, scratch []byte) (compList, []byte) {
 	if len(pl) == 0 {
-		return compList{}
+		return compList{}, scratch
 	}
-	return compList{n: int32(len(pl)), lastDoc: pl[len(pl)-1].Doc, data: appendBlocks(nil, -1, pl)}
+	scratch = appendBlocks(scratch[:0], pl)
+	data := make([]byte, len(scratch))
+	copy(data, scratch)
+	return compList{n: int32(len(pl)), lastDoc: pl[len(pl)-1].Doc, data: data}, scratch
 }
 
 // blockHeader is a parsed block header with absolute payload offsets.
@@ -272,7 +278,8 @@ func parseBlockHeader(data []byte, off int) (blockHeader, error) {
 // readBlockHeader reads the header of the block at data[off:] without
 // validating it — the traversal-time counterpart of parseBlockHeader,
 // for lists that parser has already accepted (walkBlocks at load) or
-// that this package encoded itself (encodePostings, block-wise merge).
+// that this package encoded itself (encodePostings, behind Build and
+// Merge).
 // On such a block the two return the same header; on anything else
 // this one returns garbage or panics on a slice bound.
 func readBlockHeader(data []byte, off int) blockHeader {

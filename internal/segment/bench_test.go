@@ -58,25 +58,36 @@ func BenchmarkLiveIndex(b *testing.B) {
 		}
 	})
 
-	b.Run("segmented4", func(b *testing.B) {
+	// fourSegments loads the corpus into a store that seals every
+	// numDocs/seals documents, compaction held off, then merges each run
+	// of seals/4 segments into one: four segments either way.
+	fourSegments := func(b *testing.B, seals int) *Store {
 		st, err := Open(Config{
 			Analyzer:          an,
-			SealThreshold:     numDocs / 4,
+			SealThreshold:     numDocs / seals,
 			DisableCompaction: true, // hold the 4-segment layout fixed
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer st.Close()
 		if _, err := st.Add(cloneDocs(c.Docs)...); err != nil {
 			b.Fatal(err)
 		}
 		if err := st.Flush(); err != nil {
 			b.Fatal(err)
 		}
+		for i := 0; seals > 4 && i < 4; i++ {
+			if _, err := st.compactRun(i, i+seals/4); err != nil {
+				b.Fatal(err)
+			}
+		}
 		if got := st.NumSegments(); got != 4 {
 			b.Fatalf("layout has %d segments, want 4", got)
 		}
+		return st
+	}
+	searchLoop := func(b *testing.B, st *Store) {
+		defer st.Close()
 		var stats vsm.ExecStats
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -88,26 +99,26 @@ func BenchmarkLiveIndex(b *testing.B) {
 			stats.Add(resp.Stats)
 		}
 		b.ReportMetric(float64(stats.DocsScored)/float64(b.N), "docs_scored/op")
+	}
+
+	b.Run("segmented4", func(b *testing.B) {
+		searchLoop(b, fourSegments(b, 4))
+	})
+
+	b.Run("compacted4", func(b *testing.B) {
+		// segmented4's documents and layout reached through compaction:
+		// sixteen seals, merged four at a time into four level-1
+		// segments. Their lists must scan as segmented4's do — were
+		// partial blocks left at the seams, this row would pay a block
+		// header and a kernel call for every few postings.
+		searchLoop(b, fourSegments(b, 16))
 	})
 
 	b.Run("segmented4-parallel", func(b *testing.B) {
 		// Concurrent searchers against the live store — the serving shape
 		// searchd actually runs.
-		st, err := Open(Config{
-			Analyzer:          an,
-			SealThreshold:     numDocs / 4,
-			DisableCompaction: true,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		st := fourSegments(b, 4)
 		defer st.Close()
-		if _, err := st.Add(cloneDocs(c.Docs)...); err != nil {
-			b.Fatal(err)
-		}
-		if err := st.Flush(); err != nil {
-			b.Fatal(err)
-		}
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			i := 0

@@ -318,9 +318,12 @@ func (st *Store) rebuildStatsLocked() {
 			}
 		}
 		for t := 0; t < sg.idx.NumTerms(); t++ {
-			for sg.idx.IterInto(textproc.TermID(t), &it); it.Valid(); it.Next() {
-				if !sg.dead[it.Doc()] {
-					st.df[t]++
+			for sg.idx.IterInto(textproc.TermID(t), &it); it.Valid(); it.NextWindow() {
+				docs, _ := it.Window()
+				for _, d := range docs {
+					if !sg.dead[d] {
+						st.df[t]++
+					}
 				}
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"toppriv/internal/corpus"
+	"toppriv/internal/index"
 	"toppriv/internal/textproc"
 	"toppriv/internal/vsm"
 )
@@ -216,6 +217,65 @@ func TestBackgroundCompaction(t *testing.T) {
 	res := mustSearch(t, st, vsm.Request{Query: queryFrom(docs[9], 2, 5), K: 5})
 	if len(res) == 0 {
 		t.Fatal("no results after background compaction")
+	}
+}
+
+// TestCompactedListsAreFullBlocks drives sixteen seals of 256 documents
+// through the background compactor, with deletes landing between adds
+// so merges drop documents, and requires every list of every resulting
+// segment to walk in exactly ⌈n/BlockSize⌉ blocks: a compacted segment
+// is laid out as Build lays out a fresh index, with no partial block at
+// the seams of the segments it was merged from.
+func TestCompactedListsAreFullBlocks(t *testing.T) {
+	docs := synthDocs(t, 16*256, 26)
+	st, err := Open(Config{CompactInterval: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for start := 0; start < len(docs); start += 64 {
+		ids, err := st.Add(docs[start : start+64]...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range ids {
+			if id%7 == 3 {
+				if err := st.Delete(id); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	// 16 level-0 segments compact into 4 at level 1, and those into one.
+	deadline := time.Now().Add(30 * time.Second)
+	for st.NumSegments() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("compactor never converged: %+v", st.Stats())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	st.mu.RLock()
+	segs := st.segs
+	st.mu.RUnlock()
+	var it index.Iterator
+	lists := 0
+	for _, sg := range segs {
+		for tid := 0; tid < sg.idx.NumTerms(); tid++ {
+			sg.idx.IterInto(textproc.TermID(tid), &it)
+			n := it.Len()
+			for it.Valid() && it.NextWindow() {
+			}
+			if want := (n + index.BlockSize - 1) / index.BlockSize; it.BlocksDecoded() != want {
+				t.Fatalf("level-%d segment, term %d: %d postings walk in %d blocks, want %d",
+					sg.level, tid, n, it.BlocksDecoded(), want)
+			}
+			if n > index.BlockSize {
+				lists++
+			}
+		}
+	}
+	if lists == 0 {
+		t.Fatal("no list spans more than one block")
 	}
 }
 
