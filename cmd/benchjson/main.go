@@ -58,9 +58,10 @@ import (
 // decode micro-benchmarks, the mapped-store traversal benchmarks, the
 // two client-side rows (one obfuscated cycle, one LDA posterior) and the
 // public hop's reply codec (BenchmarkPublicWire: encode, decode keeping
-// one member, decode keeping all) on allocs/op and on still being
+// one member, decode keeping all) and text analysis (BenchmarkAnalyze:
+// query, document, non-ASCII text) on allocs/op and on still being
 // there; everything else (live-index, instrumented variants) only warns.
-const defaultGate = "^Benchmark(Search|DecodeTraversal|TraversalCold|TraversalWarm|ObfuscateQuery$|Inference$|PublicWire/)"
+const defaultGate = "^Benchmark(Search|DecodeTraversal|TraversalCold|TraversalWarm|ObfuscateQuery$|Inference$|PublicWire/|Analyze/)"
 
 // Benchmark is one parsed result line.
 type Benchmark struct {

@@ -181,10 +181,10 @@ func TestCompareSizeGate(t *testing.T) {
 }
 
 // TestCompareDefaultGateRegexp pins the default gate: the decode
-// micro-benchmarks, the mapped-traversal benchmarks and the client-side
-// rows fail alongside the search benchmarks when they disappear from
-// the new results, while a name that merely contains (not starts with)
-// a gated word only warns.
+// micro-benchmarks, the mapped-traversal benchmarks, the client-side
+// rows and the text-analysis rows fail alongside the search benchmarks
+// when they disappear from the new results, while a name that merely
+// contains (not starts with) a gated word only warns.
 func TestCompareDefaultGateRegexp(t *testing.T) {
 	gate := regexp.MustCompile(defaultGate)
 	oldB := []Benchmark{
@@ -199,13 +199,15 @@ func TestCompareDefaultGateRegexp(t *testing.T) {
 		bench("BenchmarkPublicWire/decode/keep-one", 23000, 0),
 		bench("BenchmarkPublicWire/decode/keep-all", 140000, 0),
 		bench("BenchmarkPublicWireless", 100, 0),
+		bench("BenchmarkAnalyze/query", 3000, 0),
+		bench("BenchmarkAnalyzeReference/query", 12000, 0),
 	}
 	newB := []Benchmark{bench("BenchmarkSearch/cosine/exhaustive", 40000, 0)}
 	failures, warnings := compareBenchmarks(oldB, newB, 0.25, 0.10, gate)
-	if len(failures) != 8 {
-		t.Errorf("failures = %v, want DecodeTraversal, both Traversal rows, ObfuscateQuery, Inference and the three PublicWire rows gated", failures)
+	if len(failures) != 9 {
+		t.Errorf("failures = %v, want DecodeTraversal, both Traversal rows, ObfuscateQuery, Inference, the three PublicWire rows and Analyze/query gated", failures)
 	}
-	if all := strings.Join(warnings, "\n"); len(warnings) != 3 || !strings.Contains(all, "ResearchIndexing") || !strings.Contains(all, "InferenceIters") || !strings.Contains(all, "PublicWireless") {
+	if all := strings.Join(warnings, "\n"); len(warnings) != 4 || !strings.Contains(all, "ResearchIndexing") || !strings.Contains(all, "InferenceIters") || !strings.Contains(all, "PublicWireless") || !strings.Contains(all, "AnalyzeReference") {
 		t.Errorf("warnings = %v, want the anchored-out names to warn only", warnings)
 	}
 }
@@ -223,11 +225,14 @@ func TestCompareAllocsGate(t *testing.T) {
 	// keeping all, and the encoder, committed at zero, allocates nothing —
 	// a fraction of zero would let any growth through.
 	const encode, keepOne = "BenchmarkPublicWire/encode", "BenchmarkPublicWire/decode/keep-one"
-	oldB := []Benchmark{allocBench("BenchmarkObfuscateQuery", 139), allocBench("BenchmarkInference", 2), allocBench("BenchmarkFig2", 100), allocBench(routed, 17), allocBench(encode, 0), allocBench(keepOne, 31), allocBench("BenchmarkLiveIndex/single", 0)}
-	newB := []Benchmark{allocBench("BenchmarkObfuscateQuery", 150), allocBench("BenchmarkInference", 6), allocBench("BenchmarkFig2", 200), allocBench(routed, 32), allocBench(encode, 1), allocBench(keepOne, 60), allocBench("BenchmarkLiveIndex/single", 0)}
+	// Text analysis: a query back on the rune-by-rune pipeline's
+	// per-token allocations must fail.
+	const analyze = "BenchmarkAnalyze/query"
+	oldB := []Benchmark{allocBench("BenchmarkObfuscateQuery", 139), allocBench("BenchmarkInference", 2), allocBench("BenchmarkFig2", 100), allocBench(routed, 17), allocBench(encode, 0), allocBench(keepOne, 31), allocBench(analyze, 2), allocBench("BenchmarkLiveIndex/single", 0)}
+	newB := []Benchmark{allocBench("BenchmarkObfuscateQuery", 150), allocBench("BenchmarkInference", 6), allocBench("BenchmarkFig2", 200), allocBench(routed, 32), allocBench(encode, 1), allocBench(keepOne, 60), allocBench(analyze, 46), allocBench("BenchmarkLiveIndex/single", 0)}
 	failures, warnings := compareBenchmarks(oldB, newB, 0.25, 0.10, regexp.MustCompile(defaultGate))
-	if all := strings.Join(failures, "\n"); len(failures) != 4 || !strings.Contains(all, "BenchmarkInference: allocs/op 2 → 6") || !strings.Contains(all, routed+": allocs/op 17 → 32") || !strings.Contains(all, encode+": allocs/op 0 → 1") || !strings.Contains(all, keepOne+": allocs/op 31 → 60") {
-		t.Errorf("failures = %v, want exactly the Inference, routed-batch and two PublicWire allocs/op regressions", failures)
+	if all := strings.Join(failures, "\n"); len(failures) != 5 || !strings.Contains(all, "BenchmarkInference: allocs/op 2 → 6") || !strings.Contains(all, routed+": allocs/op 17 → 32") || !strings.Contains(all, encode+": allocs/op 0 → 1") || !strings.Contains(all, keepOne+": allocs/op 31 → 60") || !strings.Contains(all, analyze+": allocs/op 2 → 46") {
+		t.Errorf("failures = %v, want exactly the Inference, routed-batch, two PublicWire and Analyze allocs/op regressions", failures)
 	}
 	if len(warnings) != 1 || !strings.Contains(warnings[0], "BenchmarkFig2: allocs/op") {
 		t.Errorf("warnings = %v, want the ungated allocs/op growth", warnings)

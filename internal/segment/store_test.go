@@ -246,20 +246,32 @@ func TestCompactedListsAreFullBlocks(t *testing.T) {
 			}
 		}
 	}
-	// 16 level-0 segments compact into 4 at level 1, and those into one.
+	// Wait until no run qualifies rather than for one segment: findRun
+	// merges the maximal same-level run, so a compactor that falls behind
+	// can fold five level-0 segments into one and leave a stack (say three
+	// at level 1, three at level 0) that never reaches one segment.
 	deadline := time.Now().Add(30 * time.Second)
-	for st.NumSegments() != 1 {
+	var segs []*seg
+	for {
+		st.mu.RLock()
+		segs = st.segs
+		start, _ := findRun(segs, st.cfg.CompactFanout)
+		settled := start < 0
+		st.mu.RUnlock()
+		if settled {
+			break
+		}
 		if time.Now().After(deadline) {
 			t.Fatalf("compactor never converged: %+v", st.Stats())
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	st.mu.RLock()
-	segs := st.segs
-	st.mu.RUnlock()
 	var it index.Iterator
-	lists := 0
+	lists, merged := 0, 0
 	for _, sg := range segs {
+		if sg.level > 0 {
+			merged++
+		}
 		for tid := 0; tid < sg.idx.NumTerms(); tid++ {
 			sg.idx.IterInto(textproc.TermID(tid), &it)
 			n := it.Len()
@@ -273,6 +285,9 @@ func TestCompactedListsAreFullBlocks(t *testing.T) {
 				lists++
 			}
 		}
+	}
+	if merged == 0 {
+		t.Fatalf("no compacted segment to check: %+v", st.Stats())
 	}
 	if lists == 0 {
 		t.Fatal("no list spans more than one block")

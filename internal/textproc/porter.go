@@ -8,18 +8,37 @@ package textproc
 // high-specificity query terms require.
 
 // Stem returns the Porter stem of word. Words of length <= 2 and words
-// containing non-letter bytes are returned unchanged.
+// containing non-letter bytes are returned unchanged. A stem that is a
+// prefix of word is returned as that prefix, so for a word of up to
+// stemBufLen letters Stem allocates only when Porter rewrote the word's
+// tail (happy → happi, filing → file).
 func Stem(word string) string {
+	var buf [stemBufLen]byte
+	n, rewritten := porter(word, buf[:0])
+	if rewritten == nil {
+		return word[:n]
+	}
+	return string(rewritten)
+}
+
+// stemBufLen is the stack buffer the algorithm runs in; every token the
+// analyzer stems (at most maxTokenRunes letters) fits.
+const stemBufLen = 64
+
+// porter runs the algorithm on word, in buf's memory when word fits its
+// capacity. When the stem is word[:n] it returns n and a nil slice;
+// otherwise it returns the rewritten stem, which aliases buf.
+func porter(word string, buf []byte) (n int, rewritten []byte) {
 	if len(word) <= 2 {
-		return word
+		return len(word), nil
 	}
 	for i := 0; i < len(word); i++ {
 		c := word[i]
 		if c < 'a' || c > 'z' {
-			return word
+			return len(word), nil
 		}
 	}
-	s := stemmer{b: []byte(word)}
+	s := stemmer{b: append(buf, word...), k: len(word)}
 	s.step1a()
 	s.step1b()
 	s.step1c()
@@ -28,11 +47,17 @@ func Stem(word string) string {
 	s.step4()
 	s.step5a()
 	s.step5b()
-	return string(s.b)
+	if stem := s.b[:s.k]; string(stem) != word[:s.k] {
+		return s.k, stem
+	}
+	return s.k, nil
 }
 
+// stemmer holds the word being stemmed in b[:k]. No step lengthens the
+// word, so b is never reallocated.
 type stemmer struct {
 	b []byte
+	k int
 }
 
 // isCons reports whether the byte at index i acts as a consonant.
@@ -110,20 +135,26 @@ func (s *stemmer) cvc(end int) bool {
 
 // hasSuffix reports whether the current word ends with suf.
 func (s *stemmer) hasSuffix(suf string) bool {
-	n := len(s.b)
-	if len(suf) > n {
+	if len(suf) > s.k {
 		return false
 	}
-	return string(s.b[n-len(suf):]) == suf
+	// Compared from the last byte, where most candidates already differ.
+	b := s.b[s.k-len(suf) : s.k]
+	for i := len(suf) - 1; i >= 0; i-- {
+		if b[i] != suf[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // replaceSuffix replaces suf (assumed present) with rep if the measure
 // of the stem preceding suf is > m. Returns true when a replacement
 // happened.
 func (s *stemmer) replaceSuffix(suf, rep string, m int) bool {
-	stemLen := len(s.b) - len(suf)
+	stemLen := s.k - len(suf)
 	if s.measure(stemLen) > m {
-		s.b = append(s.b[:stemLen], rep...)
+		s.k = stemLen + copy(s.b[stemLen:], rep)
 		return true
 	}
 	return false
@@ -132,29 +163,29 @@ func (s *stemmer) replaceSuffix(suf, rep string, m int) bool {
 func (s *stemmer) step1a() {
 	switch {
 	case s.hasSuffix("sses"):
-		s.b = s.b[:len(s.b)-2]
+		s.k -= 2
 	case s.hasSuffix("ies"):
-		s.b = s.b[:len(s.b)-2]
+		s.k -= 2
 	case s.hasSuffix("ss"):
 		// no change
 	case s.hasSuffix("s"):
-		s.b = s.b[:len(s.b)-1]
+		s.k--
 	}
 }
 
 func (s *stemmer) step1b() {
 	if s.hasSuffix("eed") {
-		if s.measure(len(s.b)-3) > 0 {
-			s.b = s.b[:len(s.b)-1]
+		if s.measure(s.k-3) > 0 {
+			s.k--
 		}
 		return
 	}
 	cleanup := false
-	if s.hasSuffix("ed") && s.hasVowel(len(s.b)-2) {
-		s.b = s.b[:len(s.b)-2]
+	if s.hasSuffix("ed") && s.hasVowel(s.k-2) {
+		s.k -= 2
 		cleanup = true
-	} else if s.hasSuffix("ing") && s.hasVowel(len(s.b)-3) {
-		s.b = s.b[:len(s.b)-3]
+	} else if s.hasSuffix("ing") && s.hasVowel(s.k-3) {
+		s.k -= 3
 		cleanup = true
 	}
 	if !cleanup {
@@ -162,76 +193,99 @@ func (s *stemmer) step1b() {
 	}
 	switch {
 	case s.hasSuffix("at"), s.hasSuffix("bl"), s.hasSuffix("iz"):
-		s.b = append(s.b, 'e')
-	case s.doubleCons(len(s.b)):
-		last := s.b[len(s.b)-1]
+		s.appendE()
+	case s.doubleCons(s.k):
+		last := s.b[s.k-1]
 		if last != 'l' && last != 's' && last != 'z' {
-			s.b = s.b[:len(s.b)-1]
+			s.k--
 		}
-	case s.measure(len(s.b)) == 1 && s.cvc(len(s.b)):
-		s.b = append(s.b, 'e')
+	case s.measure(s.k) == 1 && s.cvc(s.k):
+		s.appendE()
 	}
+}
+
+// appendE adds the 'e' step 1b restores after removing "ed" or "ing",
+// into the room that removal left.
+func (s *stemmer) appendE() {
+	s.b[s.k] = 'e'
+	s.k++
 }
 
 func (s *stemmer) step1c() {
-	if s.hasSuffix("y") && s.hasVowel(len(s.b)-1) {
-		s.b[len(s.b)-1] = 'i'
+	if s.hasSuffix("y") && s.hasVowel(s.k-1) {
+		s.b[s.k-1] = 'i'
 	}
+}
+
+// suffixRule replaces suf with rep.
+type suffixRule struct{ suf, rep string }
+
+// suffixTable holds one step's rules grouped by the last byte of their
+// suffix, in Porter's order within each group. Only rules ending in the
+// word's last byte can match it, so the first match among them is the
+// first match in Porter's list.
+type suffixTable [26][]suffixRule
+
+func newSuffixTable(rules []suffixRule) *suffixTable {
+	var t suffixTable
+	for _, r := range rules {
+		c := r.suf[len(r.suf)-1] - 'a'
+		t[c] = append(t[c], r)
+	}
+	return &t
 }
 
 // step2 maps double suffixes to single ones when m(stem) > 0.
-func (s *stemmer) step2() {
-	pairs := []struct{ suf, rep string }{
-		{"ational", "ate"}, {"tional", "tion"}, {"enci", "ence"},
-		{"anci", "ance"}, {"izer", "ize"}, {"abli", "able"},
-		{"alli", "al"}, {"entli", "ent"}, {"eli", "e"}, {"ousli", "ous"},
-		{"ization", "ize"}, {"ation", "ate"}, {"ator", "ate"},
-		{"alism", "al"}, {"iveness", "ive"}, {"fulness", "ful"},
-		{"ousness", "ous"}, {"aliti", "al"}, {"iviti", "ive"},
-		{"biliti", "ble"},
-	}
-	for _, p := range pairs {
-		if s.hasSuffix(p.suf) {
-			s.replaceSuffix(p.suf, p.rep, 0)
-			return
+var step2Rules = newSuffixTable([]suffixRule{
+	{"ational", "ate"}, {"tional", "tion"}, {"enci", "ence"},
+	{"anci", "ance"}, {"izer", "ize"}, {"abli", "able"},
+	{"alli", "al"}, {"entli", "ent"}, {"eli", "e"}, {"ousli", "ous"},
+	{"ization", "ize"}, {"ation", "ate"}, {"ator", "ate"},
+	{"alism", "al"}, {"iveness", "ive"}, {"fulness", "ful"},
+	{"ousness", "ous"}, {"aliti", "al"}, {"iviti", "ive"},
+	{"biliti", "ble"},
+})
+
+var step3Rules = newSuffixTable([]suffixRule{
+	{"icate", "ic"}, {"ative", ""}, {"alize", "al"}, {"iciti", "ic"},
+	{"ical", "ic"}, {"ful", ""}, {"ness", ""},
+})
+
+// step4 strips a suffix when m(stem) > 1.
+var step4Rules = newSuffixTable([]suffixRule{
+	{"al", ""}, {"ance", ""}, {"ence", ""}, {"er", ""}, {"ic", ""},
+	{"able", ""}, {"ible", ""}, {"ant", ""}, {"ement", ""},
+	{"ment", ""}, {"ent", ""}, {"ou", ""}, {"ism", ""}, {"ate", ""},
+	{"iti", ""}, {"ous", ""}, {"ive", ""}, {"ize", ""},
+})
+
+// applyFirst applies the first rule of t whose suffix ends the word,
+// replacing the suffix when the stem before it has measure > m, and
+// reports whether a rule matched.
+func (s *stemmer) applyFirst(t *suffixTable, m int) bool {
+	for _, r := range t[s.b[s.k-1]-'a'] {
+		if s.hasSuffix(r.suf) {
+			s.replaceSuffix(r.suf, r.rep, m)
+			return true
 		}
 	}
+	return false
 }
 
-func (s *stemmer) step3() {
-	pairs := []struct{ suf, rep string }{
-		{"icate", "ic"}, {"ative", ""}, {"alize", "al"}, {"iciti", "ic"},
-		{"ical", "ic"}, {"ful", ""}, {"ness", ""},
-	}
-	for _, p := range pairs {
-		if s.hasSuffix(p.suf) {
-			s.replaceSuffix(p.suf, p.rep, 0)
-			return
-		}
-	}
-}
+func (s *stemmer) step2() { s.applyFirst(step2Rules, 0) }
+
+func (s *stemmer) step3() { s.applyFirst(step3Rules, 0) }
 
 func (s *stemmer) step4() {
-	sufs := []string{
-		"al", "ance", "ence", "er", "ic", "able", "ible", "ant", "ement",
-		"ment", "ent", "ou", "ism", "ate", "iti", "ous", "ive", "ize",
-	}
-	for _, suf := range sufs {
-		if !s.hasSuffix(suf) {
-			continue
-		}
-		stemLen := len(s.b) - len(suf)
-		if s.measure(stemLen) > 1 {
-			s.b = s.b[:stemLen]
-		}
+	if s.applyFirst(step4Rules, 1) {
 		return
 	}
 	// "ion" requires the stem to end in s or t.
 	if s.hasSuffix("ion") {
-		stemLen := len(s.b) - 3
+		stemLen := s.k - 3
 		if stemLen > 0 && (s.b[stemLen-1] == 's' || s.b[stemLen-1] == 't') &&
 			s.measure(stemLen) > 1 {
-			s.b = s.b[:stemLen]
+			s.k = stemLen
 		}
 	}
 }
@@ -240,16 +294,16 @@ func (s *stemmer) step5a() {
 	if !s.hasSuffix("e") {
 		return
 	}
-	stemLen := len(s.b) - 1
+	stemLen := s.k - 1
 	m := s.measure(stemLen)
 	if m > 1 || (m == 1 && !s.cvc(stemLen)) {
-		s.b = s.b[:stemLen]
+		s.k = stemLen
 	}
 }
 
 func (s *stemmer) step5b() {
-	n := len(s.b)
+	n := s.k
 	if n > 1 && s.b[n-1] == 'l' && s.doubleCons(n) && s.measure(n) > 1 {
-		s.b = s.b[:n-1]
+		s.k--
 	}
 }

@@ -43,16 +43,6 @@ func DefaultStopSet() StopSet {
 	return s
 }
 
-// NewStopSet builds a stop set from the given words (normalized to
-// lowercase by the caller).
-func NewStopSet(words ...string) StopSet {
-	s := make(StopSet, len(words))
-	for _, w := range words {
-		s[w] = struct{}{}
-	}
-	return s
-}
-
 // Contains reports whether w is a stopword.
 func (s StopSet) Contains(w string) bool {
 	_, ok := s[w]

@@ -10,89 +10,176 @@ package textproc
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
-// Token is a single normalized term extracted from text.
-type Token struct {
-	// Term is the normalized (lowercased, possibly stemmed) surface form.
-	Term string
-	// Position is the 0-based token offset within the source text.
-	Position int
-}
+// Tokens shorter or longer than this many runes are dropped.
+const (
+	minTokenRunes = 2
+	maxTokenRunes = 40
+)
 
-// Tokenizer splits raw text into lowercase word tokens. A token is a
-// maximal run of letters and digits; single hyphens and periods are kept
-// when they join alphanumeric runs, so designators such as "ah-64",
-// "m-1" and "u.s." survive as one token each (the paper's TREC queries
-// depend on such high-specificity terms).
-type Tokenizer struct {
-	// MinLen drops tokens shorter than this many runes (after
-	// normalization). Zero means keep everything.
-	MinLen int
-	// MaxLen drops tokens longer than this many runes. Zero means no
-	// upper bound.
-	MaxLen int
-	// KeepJoined controls whether inner '-' and '.' join runs into one
-	// token. Enabled by default via NewTokenizer.
-	KeepJoined bool
-}
+// Byte classes for the scan. Every byte below utf8.RuneSelf is its own
+// rune and is classified and lowercased here; at a byte of classRune
+// the scan decodes a rune.
+const (
+	classSep    = iota // ends a token
+	classLower         // a-z, 0-9: a word byte that is already lowercase
+	classUpper         // A-Z
+	classJoiner        // '-', '.'
+	classRune          // first byte of a non-ASCII rune (or an invalid byte)
+)
 
-// NewTokenizer returns a tokenizer with the defaults used throughout the
-// repository: tokens of 2..40 runes, joined designators kept.
-func NewTokenizer() *Tokenizer {
-	return &Tokenizer{MinLen: 2, MaxLen: 40, KeepJoined: true}
-}
+var byteClass = func() (t [256]uint8) {
+	for c := 'a'; c <= 'z'; c++ {
+		t[c], t[c-'a'+'A'] = classLower, classUpper
+	}
+	for c := '0'; c <= '9'; c++ {
+		t[c] = classLower
+	}
+	t['-'], t['.'] = classJoiner, classJoiner
+	for c := utf8.RuneSelf; c < len(t); c++ {
+		t[c] = classRune
+	}
+	return t
+}()
 
 func isWordRune(r rune) bool {
 	return unicode.IsLetter(r) || unicode.IsDigit(r)
 }
 
-// Tokenize splits text into tokens. The returned slice is freshly
-// allocated on each call; the tokenizer itself is stateless and safe for
-// concurrent use.
-func (t *Tokenizer) Tokenize(text string) []Token {
-	var out []Token
-	var b strings.Builder
-	pos := 0
-	runes := []rune(text)
-	flush := func() {
-		if b.Len() == 0 {
-			return
-		}
-		term := b.String()
-		b.Reset()
-		// Trim trailing joiners left by inputs like "u.s." at
-		// end-of-sentence.
-		term = strings.TrimRight(term, "-.")
-		n := len([]rune(term))
-		if n == 0 || (t.MinLen > 0 && n < t.MinLen) || (t.MaxLen > 0 && n > t.MaxLen) {
-			return
-		}
-		out = append(out, Token{Term: term, Position: pos})
-		pos++
+// wordAt reports whether a word rune (letter or digit) starts at text[i].
+func wordAt(text string, i int) bool {
+	if i >= len(text) {
+		return false
 	}
-	for i := 0; i < len(runes); i++ {
-		r := runes[i]
-		switch {
-		case isWordRune(r):
-			b.WriteRune(unicode.ToLower(r))
-		case t.KeepJoined && (r == '-' || r == '.') && b.Len() > 0 &&
-			i+1 < len(runes) && isWordRune(runes[i+1]):
-			b.WriteRune(r)
-		default:
-			flush()
-		}
+	switch byteClass[text[i]] {
+	case classLower, classUpper:
+		return true
+	case classRune:
+		r, _ := utf8.DecodeRuneInString(text[i:])
+		return isWordRune(r)
 	}
-	flush()
-	return out
+	return false
 }
 
-// Terms is a convenience wrapper returning only the term strings.
-func (t *Tokenizer) Terms(text string) []string {
-	toks := t.Tokenize(text)
-	terms := make([]string, len(toks))
-	for i, tok := range toks {
-		terms[i] = tok.Term
+// tokenScanner splits text into lowercase word tokens in one pass over
+// its bytes. A token is a maximal run of letters and digits; a single
+// '-' or '.' is kept where a word rune follows it, so designators such as
+// "ah-64", "m-1" and "u.s." survive as one token each (the paper's TREC
+// queries depend on such high-specificity terms). A joiner is never a
+// token's last rune: "u.s." at the end of a sentence yields "u.s".
+// Tokens of fewer than minTokenRunes or more than maxTokenRunes runes are
+// dropped.
+//
+// A token that is already lowercase ASCII is returned as a substring of
+// text. Any other token is lowercased into arena, which also takes the
+// stems Porter rewrote (stem). The arena is append-only, so a string cut
+// from it stays valid; it is sized to the text on first use, so one text
+// rarely costs more than one allocation for it.
+type tokenScanner struct {
+	text  string
+	pos   int
+	arena strings.Builder
+}
+
+// next returns the next token, or false at the end of the text.
+func (s *tokenScanner) next() (string, bool) {
+	text := s.text
+	i := s.pos
+	// The open token is text[start:end], or arena[lowAt:] once it needed
+	// lowering; runes counts its runes.
+	start, runes, lowAt := i, 0, -1
+	for i < len(text) {
+		end := i
+		switch c := text[i]; byteClass[c] {
+		case classLower:
+			if lowAt >= 0 {
+				s.arena.WriteByte(c)
+			}
+			i++
+			runes++
+			continue
+		case classUpper:
+			if lowAt < 0 {
+				lowAt = s.lowCopy(start, end)
+			}
+			s.arena.WriteByte(c + 'a' - 'A')
+			i++
+			runes++
+			continue
+		case classJoiner:
+			i++
+			if runes > 0 && wordAt(text, i) {
+				if lowAt >= 0 {
+					s.arena.WriteByte(c)
+				}
+				runes++
+				continue
+			}
+		case classRune:
+			r, size := utf8.DecodeRuneInString(text[i:])
+			i += size
+			if isWordRune(r) {
+				if lowAt < 0 {
+					lowAt = s.lowCopy(start, end)
+				}
+				s.arena.WriteRune(unicode.ToLower(r))
+				runes++
+				continue
+			}
+		default:
+			i++
+		}
+		// text[end:i] is a separator: it closes the open token, if any.
+		if tok, ok := s.token(start, end, runes, lowAt); ok {
+			s.pos = i
+			return tok, true
+		}
+		start, runes, lowAt = i, 0, -1
 	}
-	return terms
+	s.pos = i
+	return s.token(start, i, runes, lowAt)
+}
+
+// lowCopy starts the lowered copy of the open token with text[start:end],
+// the part scanned so far (lowercase ASCII as it stands), and returns the
+// copy's offset in the arena.
+func (s *tokenScanner) lowCopy(start, end int) int {
+	s.reserve()
+	at := s.arena.Len()
+	s.arena.WriteString(s.text[start:end])
+	return at
+}
+
+// reserve sizes the arena for the text on its first use.
+func (s *tokenScanner) reserve() {
+	if s.arena.Cap() == 0 {
+		s.arena.Grow(len(s.text))
+	}
+}
+
+// stem returns the Porter stem of tok: a prefix of tok, or a rewritten
+// stem copied into the arena.
+func (s *tokenScanner) stem(tok string) string {
+	var buf [stemBufLen]byte
+	n, rewritten := porter(tok, buf[:0])
+	if rewritten == nil {
+		return tok[:n]
+	}
+	s.reserve()
+	at := s.arena.Len()
+	s.arena.Write(rewritten)
+	return s.arena.String()[at:]
+}
+
+// token returns the closed token when its length is in bounds.
+func (s *tokenScanner) token(start, end, runes, lowAt int) (string, bool) {
+	if runes < minTokenRunes || runes > maxTokenRunes {
+		return "", false
+	}
+	if lowAt < 0 {
+		return s.text[start:end], true
+	}
+	return s.arena.String()[lowAt:], true
 }

@@ -3,6 +3,7 @@ package textproc
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // TermID identifies a vocabulary term. IDs are dense, starting at 0, in
@@ -35,11 +36,14 @@ func NewVocab() *Vocab {
 }
 
 // Add interns the term, returning its ID. Frequencies are not touched;
-// use Observe for counting.
+// use Observe for counting. A new term is copied: Analyze's terms share
+// memory with the text they came from, and the dictionary must not pin
+// whole documents.
 func (v *Vocab) Add(term string) TermID {
 	if id, ok := v.ids[term]; ok {
 		return id
 	}
+	term = strings.Clone(term)
 	id := TermID(len(v.terms))
 	v.terms = append(v.terms, term)
 	v.ids[term] = id

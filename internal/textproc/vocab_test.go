@@ -3,6 +3,7 @@ package textproc
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestVocabAddAndLookup(t *testing.T) {
@@ -26,6 +27,26 @@ func TestVocabAddAndLookup(t *testing.T) {
 	}
 	if v.Size() != 2 {
 		t.Errorf("Size = %d, want 2", v.Size())
+	}
+}
+
+// A stored term must not alias the text it was analyzed from, or the
+// dictionary would pin every document a term was first seen in.
+func TestVocabAddCopiesTerm(t *testing.T) {
+	text := "apache helicopters Apache HELICOPTERS"
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(text)))
+	v := NewVocab()
+	for _, term := range NewAnalyzer().Analyze(text) {
+		stored := v.Term(v.Add(term))
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(stored))); p >= lo && p < lo+uintptr(len(text)) {
+			t.Errorf("stored term %q aliases the analyzed text", stored)
+		}
+		if p, q := unsafe.StringData(stored), unsafe.StringData(term); p == q {
+			t.Errorf("stored term %q aliases the analyzed term", stored)
+		}
+	}
+	if v.Size() != 2 {
+		t.Errorf("Size = %d, want 2 (apach, helicopt)", v.Size())
 	}
 }
 
