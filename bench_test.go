@@ -704,10 +704,11 @@ func BenchmarkIntersectionAttack(b *testing.B) {
 // BenchmarkLDATrainParallel compares AD-LDA speedup over sequential
 // Gibbs on the same corpus.
 func BenchmarkLDATrainParallel(b *testing.B) {
-	// Sized so per-sweep sampling work (tokens × K) dominates the
-	// per-sweep merge cost (K × V × workers). Speedup requires real
+	// Per sweep, sampling costs tokens × K divisions; the merge adds K
+	// integer deltas for each distinct word of each shard, at most
+	// K × V × workers and in practice far fewer. Speedup requires real
 	// cores: on a single-CPU host the worker variants only show the
-	// coordination overhead.
+	// coordination overhead, and the model is the same on any host.
 	c, _, err := corpus.Synthesize(corpus.GenSpec{
 		Seed: 41, NumDocs: 1500, NumTopics: 16, DocLenMin: 80, DocLenMax: 140,
 	}, nil)

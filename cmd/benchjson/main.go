@@ -23,8 +23,8 @@
 // stripped (machines differ). It fails only on what does not depend on
 // the machine that ran the benchmarks. Entries whose name matches the
 // -gate regexp (default covers the search benchmarks, the decode
-// micro-benchmarks, the client-side obfuscation and inference rows and
-// the public-hop codec rows) fail the comparison when their allocs/op
+// micro-benchmarks, the client-side obfuscation, inference and LDA
+// training rows, the public-hop codec rows and the text-analysis rows) fail the comparison when their allocs/op
 // grew by more than -tolerance (fraction, default 0.25; a baseline of
 // zero allows none) or when they disappeared from the new results.
 // Entries carrying an index_bytes/doc metric (the BenchmarkIndexSize
@@ -56,12 +56,14 @@ import (
 
 // defaultGate gates the end-to-end search benchmarks, the postings
 // decode micro-benchmarks, the mapped-store traversal benchmarks, the
-// two client-side rows (one obfuscated cycle, one LDA posterior) and the
-// public hop's reply codec (BenchmarkPublicWire: encode, decode keeping
-// one member, decode keeping all) and text analysis (BenchmarkAnalyze:
-// query, document, non-ASCII text) on allocs/op and on still being
-// there; everything else (live-index, instrumented variants) only warns.
-const defaultGate = "^Benchmark(Search|DecodeTraversal|TraversalCold|TraversalWarm|ObfuscateQuery$|Inference$|PublicWire/|Analyze/)"
+// client-side rows (one obfuscated cycle, one LDA posterior, and LDA
+// training: BenchmarkLDATrain and BenchmarkLDATrainParallel's worker
+// rows) and the public hop's reply codec (BenchmarkPublicWire: encode,
+// decode keeping one member, decode keeping all) and text analysis
+// (BenchmarkAnalyze: query, document, non-ASCII text) on allocs/op and
+// on still being there; everything else (live-index, instrumented
+// variants) only warns.
+const defaultGate = "^Benchmark(Search|DecodeTraversal|TraversalCold|TraversalWarm|ObfuscateQuery$|Inference$|LDATrain|PublicWire/|Analyze/)"
 
 // Benchmark is one parsed result line.
 type Benchmark struct {

@@ -201,13 +201,16 @@ func TestCompareDefaultGateRegexp(t *testing.T) {
 		bench("BenchmarkPublicWireless", 100, 0),
 		bench("BenchmarkAnalyze/query", 3000, 0),
 		bench("BenchmarkAnalyzeReference/query", 12000, 0),
+		bench("BenchmarkLDATrain", 15e6, 0),
+		bench("BenchmarkLDATrainParallel/2workers", 80e6, 0),
+		bench("BenchmarkFitLDATrain", 1e6, 0),
 	}
 	newB := []Benchmark{bench("BenchmarkSearch/cosine/exhaustive", 40000, 0)}
 	failures, warnings := compareBenchmarks(oldB, newB, 0.25, 0.10, gate)
-	if len(failures) != 9 {
-		t.Errorf("failures = %v, want DecodeTraversal, both Traversal rows, ObfuscateQuery, Inference, the three PublicWire rows and Analyze/query gated", failures)
+	if len(failures) != 11 {
+		t.Errorf("failures = %v, want DecodeTraversal, both Traversal rows, ObfuscateQuery, Inference, the three PublicWire rows, Analyze/query and both LDATrain rows gated", failures)
 	}
-	if all := strings.Join(warnings, "\n"); len(warnings) != 4 || !strings.Contains(all, "ResearchIndexing") || !strings.Contains(all, "InferenceIters") || !strings.Contains(all, "PublicWireless") || !strings.Contains(all, "AnalyzeReference") {
+	if all := strings.Join(warnings, "\n"); len(warnings) != 5 || !strings.Contains(all, "ResearchIndexing") || !strings.Contains(all, "InferenceIters") || !strings.Contains(all, "PublicWireless") || !strings.Contains(all, "AnalyzeReference") || !strings.Contains(all, "FitLDATrain") {
 		t.Errorf("warnings = %v, want the anchored-out names to warn only", warnings)
 	}
 }
@@ -228,11 +231,15 @@ func TestCompareAllocsGate(t *testing.T) {
 	// Text analysis: a query back on the rune-by-rune pipeline's
 	// per-token allocations must fail.
 	const analyze = "BenchmarkAnalyze/query"
-	oldB := []Benchmark{allocBench("BenchmarkObfuscateQuery", 139), allocBench("BenchmarkInference", 2), allocBench("BenchmarkFig2", 100), allocBench(routed, 17), allocBench(encode, 0), allocBench(keepOne, 31), allocBench(analyze, 2), allocBench("BenchmarkLiveIndex/single", 0)}
-	newB := []Benchmark{allocBench("BenchmarkObfuscateQuery", 150), allocBench("BenchmarkInference", 6), allocBench("BenchmarkFig2", 200), allocBench(routed, 32), allocBench(encode, 1), allocBench(keepOne, 60), allocBench(analyze, 46), allocBench("BenchmarkLiveIndex/single", 0)}
+	// LDA training: working memory allocated per sweep instead of once
+	// per training (10 sweeps × 2 shards here) must fail; a run within
+	// the tolerance passes.
+	const train, train2 = "BenchmarkLDATrain", "BenchmarkLDATrainParallel/2workers"
+	oldB := []Benchmark{allocBench("BenchmarkObfuscateQuery", 139), allocBench("BenchmarkInference", 2), allocBench("BenchmarkFig2", 100), allocBench(routed, 17), allocBench(encode, 0), allocBench(keepOne, 31), allocBench(analyze, 2), allocBench(train, 441), allocBench(train2, 3086), allocBench("BenchmarkLiveIndex/single", 0)}
+	newB := []Benchmark{allocBench("BenchmarkObfuscateQuery", 150), allocBench("BenchmarkInference", 6), allocBench("BenchmarkFig2", 200), allocBench(routed, 32), allocBench(encode, 1), allocBench(keepOne, 60), allocBench(analyze, 46), allocBench(train, 460), allocBench(train2, 3886), allocBench("BenchmarkLiveIndex/single", 0)}
 	failures, warnings := compareBenchmarks(oldB, newB, 0.25, 0.10, regexp.MustCompile(defaultGate))
-	if all := strings.Join(failures, "\n"); len(failures) != 5 || !strings.Contains(all, "BenchmarkInference: allocs/op 2 → 6") || !strings.Contains(all, routed+": allocs/op 17 → 32") || !strings.Contains(all, encode+": allocs/op 0 → 1") || !strings.Contains(all, keepOne+": allocs/op 31 → 60") || !strings.Contains(all, analyze+": allocs/op 2 → 46") {
-		t.Errorf("failures = %v, want exactly the Inference, routed-batch, two PublicWire and Analyze allocs/op regressions", failures)
+	if all := strings.Join(failures, "\n"); len(failures) != 6 || !strings.Contains(all, "BenchmarkInference: allocs/op 2 → 6") || !strings.Contains(all, routed+": allocs/op 17 → 32") || !strings.Contains(all, encode+": allocs/op 0 → 1") || !strings.Contains(all, keepOne+": allocs/op 31 → 60") || !strings.Contains(all, analyze+": allocs/op 2 → 46") || !strings.Contains(all, train2+": allocs/op 3086 → 3886") {
+		t.Errorf("failures = %v, want exactly the Inference, routed-batch, two PublicWire, Analyze and parallel-training allocs/op regressions", failures)
 	}
 	if len(warnings) != 1 || !strings.Contains(warnings[0], "BenchmarkFig2: allocs/op") {
 		t.Errorf("warnings = %v, want the ungated allocs/op growth", warnings)

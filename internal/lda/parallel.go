@@ -1,10 +1,7 @@
 package lda
 
 import (
-	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 
 	"toppriv/internal/corpus"
 )
@@ -19,169 +16,97 @@ import (
 // obstacle to scaling the topic model to the full corpus; this is the
 // standard engineering answer. The result is statistically equivalent
 // to sequential Gibbs but not bit-identical; pass workers = 1 for the
-// exact sequential algorithm (it then delegates to Train).
+// exact sequential algorithm (it is then Train).
+//
+// The model depends only on the corpus, the spec and workers (at most
+// one per document), never on the host: shard s draws from its own
+// source seeded spec.Seed+s+1, and workers beyond the host's cores only
+// take turns on them.
 func TrainParallel(c *corpus.Corpus, spec TrainSpec, workers int) (*Model, error) {
-	if workers <= 1 {
-		m, _, err := Train(c, spec)
-		return m, err
-	}
-	if c == nil || c.Vocab == nil {
-		return nil, fmt.Errorf("lda: nil corpus")
-	}
-	if spec.NumTopics < 2 {
-		return nil, fmt.Errorf("lda: NumTopics = %d, need >= 2", spec.NumTopics)
-	}
-	spec = spec.withDefaults()
-	if workers > runtime.NumCPU()*2 {
-		workers = runtime.NumCPU() * 2
-	}
-	k := spec.NumTopics
-	v := c.Vocab.Size()
-	d := c.NumDocs()
-	if v == 0 || d == 0 {
-		return nil, fmt.Errorf("lda: empty corpus (docs=%d vocab=%d)", d, v)
-	}
-	if workers > d {
-		workers = d
-	}
+	m, _, err := train(c, spec, workers)
+	return m, err
+}
 
-	// Global state.
-	nwt := make([]int32, k*v)
-	ndt := make([]int32, d*k)
-	nt := make([]int32, k)
-	assign := make([][]int32, d)
-	initRng := rand.New(rand.NewSource(spec.Seed))
-	for di, bag := range c.Bags {
-		assign[di] = make([]int32, len(bag))
-		for i, w := range bag {
-			t := int32(initRng.Intn(k))
-			assign[di][i] = t
-			nwt[int(t)*v+int(w)]++
-			ndt[di*k+int(t)]++
-			nt[t]++
-		}
-	}
+// shard is one worker's contiguous range of documents and its working
+// memory, all allocated once per training.
+type shard struct {
+	lo, hi int
+	rng    *rand.Rand
+	// dnwt[w*k+t] and dnt[t] are the sweep's changes to the barrier
+	// counts nwt and nt, word-major like nwt.
+	dnwt, dnt []int32
+	// words lists the distinct words of the shard's documents in
+	// ascending order: the only rows of dnwt a sweep can change, and so
+	// the only rows merge walks.
+	words []int32
+	// den[t] is topic t's denominator nt[t]+dnt[t]+Vβ and docw[t] the
+	// current document's n_dt+α; cum holds the running sums of the
+	// current token's topic weights.
+	den, docw, cum []float64
+}
 
-	// Shard documents contiguously.
-	type shard struct {
-		lo, hi int
-		rng    *rand.Rand
-		// local deltas, reallocated per sweep
-		dnwt []int32
-		dnt  []int32
-	}
-	shards := make([]*shard, workers)
-	per := (d + workers - 1) / workers
+// partition splits the documents into n = workers contiguous ranges of
+// ⌈d/n⌉ (n at least one and at most d), the last ones shorter or empty.
+// Under workers ≤ 1 the one shard goes on drawing from rng, the source
+// that drew the initial topics; otherwise shard s draws from its own,
+// seeded seed+s+1 — also when a one-document corpus leaves one shard.
+func (g *gibbs) partition(workers, v int, rng *rand.Rand, seed int64) []*shard {
+	k, d := g.k, len(g.assign)
+	n := max(1, min(workers, d))
+	per := (d + n - 1) / n
+	seen := make([]bool, v)
+	shards := make([]*shard, n)
 	for s := range shards {
-		lo := s * per
-		hi := lo + per
-		if hi > d {
-			hi = d
-		}
-		shards[s] = &shard{
+		lo := min(s*per, d)
+		hi := min(lo+per, d)
+		sh := &shard{
 			lo:   lo,
 			hi:   hi,
-			rng:  rand.New(rand.NewSource(spec.Seed + int64(s) + 1)),
-			dnwt: make([]int32, k*v),
+			rng:  rng,
+			dnwt: make([]int32, v*k),
 			dnt:  make([]int32, k),
+			den:  make([]float64, k),
+			docw: make([]float64, k),
+			cum:  make([]float64, k),
 		}
-	}
-
-	alpha, beta := spec.Alpha, spec.Beta
-	vbeta := float64(v) * beta
-	var wg sync.WaitGroup
-	for sweep := 0; sweep < spec.Iterations; sweep++ {
-		for _, sh := range shards {
-			wg.Add(1)
-			go func(sh *shard) {
-				defer wg.Done()
-				probs := make([]float64, k)
-				for di := sh.lo; di < sh.hi; di++ {
-					docBase := di * k
-					bag := c.Bags[di]
-					for i, w := range bag {
-						old := assign[di][i]
-						wi := int(w)
-						// Remove from local view (global snapshot + delta).
-						sh.dnwt[int(old)*v+wi]--
-						sh.dnt[old]--
-						ndt[docBase+int(old)]-- // doc-local: owned by this shard
-
-						total := 0.0
-						for t := 0; t < k; t++ {
-							nw := float64(nwt[t*v+wi] + sh.dnwt[t*v+wi])
-							ntt := float64(nt[t] + sh.dnt[t])
-							p := (nw + beta) / (ntt + vbeta) *
-								(float64(ndt[docBase+t]) + alpha)
-							probs[t] = p
-							total += p
-						}
-						u := sh.rng.Float64() * total
-						acc := 0.0
-						nu := int32(k - 1)
-						for t := 0; t < k; t++ {
-							acc += probs[t]
-							if u < acc {
-								nu = int32(t)
-								break
-							}
-						}
-						assign[di][i] = nu
-						sh.dnwt[int(nu)*v+wi]++
-						sh.dnt[nu]++
-						ndt[docBase+int(nu)]++
-					}
-				}
-			}(sh)
+		if workers > 1 {
+			sh.rng = rand.New(rand.NewSource(seed + int64(s) + 1))
 		}
-		wg.Wait()
-		// Merge deltas into the global counts at the sweep barrier.
-		for _, sh := range shards {
-			for i, delta := range sh.dnwt {
-				if delta != 0 {
-					nwt[i] += delta
-					sh.dnwt[i] = 0
-				}
-			}
-			for t, delta := range sh.dnt {
-				if delta != 0 {
-					nt[t] += delta
-					sh.dnt[t] = 0
+		clear(seen)
+		distinct := 0
+		for _, bag := range g.bags[lo:hi] {
+			for _, w := range bag {
+				if !seen[w] {
+					seen[w] = true
+					distinct++
 				}
 			}
 		}
+		sh.words = make([]int32, 0, distinct)
+		for w, ok := range seen {
+			if ok {
+				sh.words = append(sh.words, int32(w))
+			}
+		}
+		shards[s] = sh
 	}
+	return shards
+}
 
-	m := &Model{
-		K:     k,
-		V:     v,
-		Alpha: alpha,
-		Beta:  beta,
-		Phi:   make([][]float64, k),
-		Theta: make([][]float64, d),
-		Prior: make([]float64, k),
-		Terms: c.Vocab.Terms(),
-	}
-	for t := 0; t < k; t++ {
-		row := make([]float64, v)
-		denom := float64(nt[t]) + vbeta
-		for w := 0; w < v; w++ {
-			row[w] = (float64(nwt[t*v+w]) + beta) / denom
+// merge folds sh's deltas into the barrier counts and zeroes them. They
+// are integer adds, so the order of shards and words does not matter.
+func (g *gibbs) merge(sh *shard) {
+	k := g.k
+	for _, w := range sh.words {
+		row := int(w) * k
+		nw, dnw := g.nwt[row:][:k], sh.dnwt[row:][:k]
+		for t, delta := range dnw {
+			nw[t] += delta
+			dnw[t] = 0
 		}
-		m.Phi[t] = row
 	}
-	kalpha := float64(k) * alpha
-	for di := 0; di < d; di++ {
-		row := make([]float64, k)
-		denom := float64(len(c.Bags[di])) + kalpha
-		for t := 0; t < k; t++ {
-			row[t] = (float64(ndt[di*k+t]) + alpha) / denom
-			m.Prior[t] += row[t]
-		}
-		m.Theta[di] = row
+	for t, delta := range sh.dnt {
+		g.nt[t] += delta
+		sh.dnt[t] = 0
 	}
-	for t := 0; t < k; t++ {
-		m.Prior[t] /= float64(d)
-	}
-	return m, nil
 }

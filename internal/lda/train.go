@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"toppriv/internal/corpus"
+	"toppriv/internal/textproc"
 )
 
 // TrainSpec configures collapsed Gibbs training.
@@ -50,7 +52,36 @@ type TrainTrace struct {
 // Train fits an LDA model to the corpus with collapsed Gibbs sampling.
 // Φ and Θ are estimated from the final sample's counts, matching the
 // GibbsLDA++ behaviour the paper relies on.
+//
+// It is TrainParallel's one-worker case: one shard holds every document,
+// and the random source seeded with spec.Seed that draws the initial
+// topics goes on to draw every sweep's.
 func Train(c *corpus.Corpus, spec TrainSpec) (*Model, *TrainTrace, error) {
+	return train(c, spec, 1)
+}
+
+// gibbs is the collapsed Gibbs state the shards of a training sample
+// against.
+type gibbs struct {
+	bags               [][]textproc.TermID
+	k                  int
+	alpha, beta, vbeta float64
+	// assign[d][i] is the topic of token i of document d.
+	assign [][]int32
+	// nwt[w*k+t] is the number of tokens of word w assigned topic t, and
+	// nt[t] the number assigned topic t, both as of the last sweep
+	// barrier: a sweep's changes collect in its shards' deltas. Word-major,
+	// so a token reads its word's K counts as one run.
+	nwt, nt []int32
+	// ndt[d*k+t] is the number of tokens of document d assigned topic t.
+	// A document belongs to one shard, which updates its row in place.
+	ndt []int32
+}
+
+// train is Train and TrainParallel: each of the shards partition makes
+// resamples its documents every sweep, and their deltas merge at the
+// sweep barrier.
+func train(c *corpus.Corpus, spec TrainSpec, workers int) (*Model, *TrainTrace, error) {
 	if c == nil || c.Vocab == nil {
 		return nil, nil, fmt.Errorf("lda: nil corpus")
 	}
@@ -64,123 +95,165 @@ func Train(c *corpus.Corpus, spec TrainSpec) (*Model, *TrainTrace, error) {
 	if v == 0 || d == 0 {
 		return nil, nil, fmt.Errorf("lda: empty corpus (docs=%d vocab=%d)", d, v)
 	}
+
+	g := &gibbs{
+		bags:   c.Bags,
+		k:      k,
+		alpha:  spec.Alpha,
+		beta:   spec.Beta,
+		vbeta:  float64(v) * spec.Beta,
+		assign: make([][]int32, d),
+		nwt:    make([]int32, v*k),
+		nt:     make([]int32, k),
+		ndt:    make([]int32, d*k),
+	}
 	rng := rand.New(rand.NewSource(spec.Seed))
-
-	// Gibbs state: topic assignment per token, plus count matrices.
-	// nwt[t*v+w]: tokens of word w assigned topic t.
-	// ndt[d*k+t]: tokens of doc d assigned topic t.
-	// nt[t]: tokens assigned topic t.
-	nwt := make([]int32, k*v)
-	ndt := make([]int32, d*k)
-	nt := make([]int32, k)
-
-	assign := make([][]int32, d)
 	for di, bag := range c.Bags {
-		assign[di] = make([]int32, len(bag))
+		assign := make([]int32, len(bag))
 		for i, w := range bag {
-			t := int32(rng.Intn(k))
-			assign[di][i] = t
-			nwt[int(t)*v+int(w)]++
-			ndt[di*k+int(t)]++
-			nt[t]++
+			t := rng.Intn(k)
+			assign[i] = int32(t)
+			g.nwt[int(w)*k+t]++
+			g.ndt[di*k+t]++
+			g.nt[t]++
 		}
+		g.assign[di] = assign
 	}
 
-	alpha, beta := spec.Alpha, spec.Beta
-	vbeta := float64(v) * beta
-	probs := make([]float64, k)
+	shards := g.partition(workers, v, rng, spec.Seed)
 	trace := &TrainTrace{}
-
+	var wg sync.WaitGroup
 	for sweep := 0; sweep < spec.Iterations; sweep++ {
-		for di, bag := range c.Bags {
-			docBase := di * k
-			for i, w := range bag {
-				old := assign[di][i]
-				wi := int(w)
-				nwt[int(old)*v+wi]--
-				ndt[docBase+int(old)]--
-				nt[old]--
-
-				total := 0.0
-				for t := 0; t < k; t++ {
-					p := (float64(nwt[t*v+wi]) + beta) / (float64(nt[t]) + vbeta) *
-						(float64(ndt[docBase+t]) + alpha)
-					probs[t] = p
-					total += p
-				}
-				u := rng.Float64() * total
-				acc := 0.0
-				nu := int32(k - 1)
-				for t := 0; t < k; t++ {
-					acc += probs[t]
-					if u < acc {
-						nu = int32(t)
-						break
-					}
-				}
-				assign[di][i] = nu
-				nwt[int(nu)*v+wi]++
-				ndt[docBase+int(nu)]++
-				nt[nu]++
-			}
+		for _, sh := range shards[1:] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				g.sweep(sh)
+			}()
+		}
+		g.sweep(shards[0])
+		wg.Wait()
+		for _, sh := range shards {
+			g.merge(sh)
 		}
 		if spec.LogEvery > 0 && (sweep+1)%spec.LogEvery == 0 {
-			trace.LogLikelihood = append(trace.LogLikelihood,
-				logLikelihood(c, nwt, ndt, nt, k, v, alpha, beta))
+			trace.LogLikelihood = append(trace.LogLikelihood, g.logLikelihood())
 		}
 	}
+	return g.model(c.Vocab.Terms()), trace, nil
+}
 
+// sweep resamples the topic of every token of sh's documents against the
+// barrier counts plus sh's deltas. Topic t's weight is
+// (n_wt+β)/(n_t+Vβ)·(n_dt+α), divided and multiplied in that order; the
+// conversion around it rounds the product before it joins the running
+// sum, so no architecture can fuse the two. The two sums that do not
+// depend on the token's word, n_t+Vβ and n_dt+α, are kept in K-vectors
+// and rebuilt only for the two topics a draw changes: the same integer
+// converts to the same float. The running sums are the ones a second
+// pass over stored weights would add up, so firstAbove picks the topic
+// that pass would.
+func (g *gibbs) sweep(sh *shard) {
+	k := g.k
+	alpha, beta, vbeta := g.alpha, g.beta, g.vbeta
+	nt, dnt := g.nt[:k], sh.dnt[:k]
+	den, docw, cum := sh.den[:k], sh.docw[:k], sh.cum[:k]
+	for t := range den {
+		den[t] = float64(nt[t]) + vbeta // dnt is zero at the barrier
+	}
+	for di := sh.lo; di < sh.hi; di++ {
+		assign := g.assign[di]
+		nd := g.ndt[di*k:][:k]
+		for t := range docw {
+			docw[t] = float64(nd[t]) + alpha
+		}
+		for i, w := range g.bags[di] {
+			row := int(w) * k
+			nw, dnw := g.nwt[row:][:k], sh.dnwt[row:][:k]
+			old := assign[i]
+			dnw[old]--
+			nd[old]--
+			dnt[old]--
+			den[old] = float64(nt[old]+dnt[old]) + vbeta
+			docw[old] = float64(nd[old]) + alpha
+
+			total := 0.0
+			for t := range cum {
+				total += float64((float64(nw[t]+dnw[t]) + beta) / den[t] * docw[t])
+				cum[t] = total
+			}
+			nu := firstAbove(cum, sh.rng.Float64()*total)
+			if nu == k {
+				nu = k - 1 // u rounded up to the total
+			}
+			assign[i] = int32(nu)
+			dnw[nu]++
+			nd[nu]++
+			dnt[nu]++
+			den[nu] = float64(nt[nu]+dnt[nu]) + vbeta
+			docw[nu] = float64(nd[nu]) + alpha
+		}
+	}
+}
+
+// model estimates Φ and Θ from the counts, and the prior from Θ (Eq. 1).
+func (g *gibbs) model(terms []string) *Model {
+	k, v, d := g.k, len(g.nwt)/g.k, len(g.assign)
 	m := &Model{
 		K:     k,
 		V:     v,
-		Alpha: alpha,
-		Beta:  beta,
+		Alpha: g.alpha,
+		Beta:  g.beta,
 		Phi:   make([][]float64, k),
 		Theta: make([][]float64, d),
 		Prior: make([]float64, k),
-		Terms: c.Vocab.Terms(),
+		Terms: terms,
 	}
-	for t := 0; t < k; t++ {
+	// A row at a time, each allocated just before it is written: filled a
+	// column at a time, the rows' pages were first touched interleaved,
+	// and the system benchmark's single_node cycles read 3–5 % slower in
+	// most pairs.
+	for t := range m.Phi {
 		row := make([]float64, v)
-		denom := float64(nt[t]) + vbeta
-		for w := 0; w < v; w++ {
-			row[w] = (float64(nwt[t*v+w]) + beta) / denom
+		denom := float64(g.nt[t]) + g.vbeta
+		for w := range row {
+			row[w] = (float64(g.nwt[w*k+t]) + g.beta) / denom
 		}
 		m.Phi[t] = row
 	}
-	kalpha := float64(k) * alpha
-	for di := 0; di < d; di++ {
+	kalpha := float64(k) * g.alpha
+	for di := range m.Theta {
 		row := make([]float64, k)
-		denom := float64(len(c.Bags[di])) + kalpha
-		for t := 0; t < k; t++ {
-			row[t] = (float64(ndt[di*k+t]) + alpha) / denom
+		denom := float64(len(g.bags[di])) + kalpha
+		for t, n := range g.ndt[di*k:][:k] {
+			row[t] = (float64(n) + g.alpha) / denom
 			m.Prior[t] += row[t]
 		}
 		m.Theta[di] = row
 	}
-	for t := 0; t < k; t++ {
+	for t := range m.Prior {
 		m.Prior[t] /= float64(d)
 	}
-	return m, trace, nil
+	return m
 }
 
 // logLikelihood estimates the per-token log-likelihood of the corpus
-// under the current Gibbs state.
-func logLikelihood(c *corpus.Corpus, nwt, ndt []int32, nt []int32, k, v int, alpha, beta float64) float64 {
-	vbeta := float64(v) * beta
-	kalpha := float64(k) * alpha
+// under the counts of the last sweep barrier.
+func (g *gibbs) logLikelihood() float64 {
+	k := g.k
+	kalpha := float64(k) * g.alpha
 	ll := 0.0
 	tokens := 0
-	for di, bag := range c.Bags {
-		docBase := di * k
+	for di, bag := range g.bags {
+		nd := g.ndt[di*k:][:k]
 		docDenom := float64(len(bag)) + kalpha
 		for _, w := range bag {
-			wi := int(w)
+			nw := g.nwt[int(w)*k:][:k]
 			p := 0.0
-			for t := 0; t < k; t++ {
-				phi := (float64(nwt[t*v+wi]) + beta) / (float64(nt[t]) + vbeta)
-				theta := (float64(ndt[docBase+t]) + alpha) / docDenom
-				p += phi * theta
+			for t := range nd {
+				phi := (float64(nw[t]) + g.beta) / (float64(g.nt[t]) + g.vbeta)
+				theta := (float64(nd[t]) + g.alpha) / docDenom
+				p += float64(phi * theta)
 			}
 			ll += math.Log(p)
 			tokens++
