@@ -24,7 +24,8 @@
 // the machine that ran the benchmarks. Entries whose name matches the
 // -gate regexp (default covers the search benchmarks, the decode
 // micro-benchmarks, the client-side obfuscation, inference and LDA
-// training rows, the public-hop codec rows and the text-analysis rows) fail the comparison when their allocs/op
+// training rows, the public-hop codec rows, the text-analysis rows and
+// the routed-ingest row) fail the comparison when their allocs/op
 // grew by more than -tolerance (fraction, default 0.25; a baseline of
 // zero allows none) or when they disappeared from the new results.
 // Entries carrying an index_bytes/doc metric (the BenchmarkIndexSize
@@ -59,11 +60,11 @@ import (
 // client-side rows (one obfuscated cycle, one LDA posterior, and LDA
 // training: BenchmarkLDATrain and BenchmarkLDATrainParallel's worker
 // rows) and the public hop's reply codec (BenchmarkPublicWire: encode,
-// decode keeping one member, decode keeping all) and text analysis
-// (BenchmarkAnalyze: query, document, non-ASCII text) on allocs/op and
-// on still being there; everything else (live-index, instrumented
-// variants) only warns.
-const defaultGate = "^Benchmark(Search|DecodeTraversal|TraversalCold|TraversalWarm|ObfuscateQuery$|Inference$|LDATrain|PublicWire/|Analyze/)"
+// decode keeping one member, decode keeping all), text analysis
+// (BenchmarkAnalyze: query, document, non-ASCII text) and one routed
+// ingest (BenchmarkRouterAdd) on allocs/op and on still being there;
+// everything else (live-index, instrumented variants) only warns.
+const defaultGate = "^Benchmark(Search|DecodeTraversal|TraversalCold|TraversalWarm|ObfuscateQuery$|Inference$|LDATrain|PublicWire/|Analyze/|RouterAdd$)"
 
 // Benchmark is one parsed result line.
 type Benchmark struct {

@@ -182,9 +182,9 @@ func TestCompareSizeGate(t *testing.T) {
 
 // TestCompareDefaultGateRegexp pins the default gate: the decode
 // micro-benchmarks, the mapped-traversal benchmarks, the client-side
-// rows and the text-analysis rows fail alongside the search benchmarks
-// when they disappear from the new results, while a name that merely
-// contains (not starts with) a gated word only warns.
+// rows, the text-analysis rows and the routed-ingest row fail alongside
+// the search benchmarks when they disappear from the new results, while
+// a name that merely contains (not starts with) a gated word only warns.
 func TestCompareDefaultGateRegexp(t *testing.T) {
 	gate := regexp.MustCompile(defaultGate)
 	oldB := []Benchmark{
@@ -204,13 +204,15 @@ func TestCompareDefaultGateRegexp(t *testing.T) {
 		bench("BenchmarkLDATrain", 15e6, 0),
 		bench("BenchmarkLDATrainParallel/2workers", 80e6, 0),
 		bench("BenchmarkFitLDATrain", 1e6, 0),
+		bench("BenchmarkRouterAdd", 12e6, 0),
+		bench("BenchmarkRouterAddAll", 12e6, 0),
 	}
 	newB := []Benchmark{bench("BenchmarkSearch/cosine/exhaustive", 40000, 0)}
 	failures, warnings := compareBenchmarks(oldB, newB, 0.25, 0.10, gate)
-	if len(failures) != 11 {
-		t.Errorf("failures = %v, want DecodeTraversal, both Traversal rows, ObfuscateQuery, Inference, the three PublicWire rows, Analyze/query and both LDATrain rows gated", failures)
+	if len(failures) != 12 {
+		t.Errorf("failures = %v, want DecodeTraversal, both Traversal rows, ObfuscateQuery, Inference, the three PublicWire rows, Analyze/query, both LDATrain rows and RouterAdd gated", failures)
 	}
-	if all := strings.Join(warnings, "\n"); len(warnings) != 5 || !strings.Contains(all, "ResearchIndexing") || !strings.Contains(all, "InferenceIters") || !strings.Contains(all, "PublicWireless") || !strings.Contains(all, "AnalyzeReference") || !strings.Contains(all, "FitLDATrain") {
+	if all := strings.Join(warnings, "\n"); len(warnings) != 6 || !strings.Contains(all, "ResearchIndexing") || !strings.Contains(all, "InferenceIters") || !strings.Contains(all, "PublicWireless") || !strings.Contains(all, "AnalyzeReference") || !strings.Contains(all, "FitLDATrain") || !strings.Contains(all, "RouterAddAll") {
 		t.Errorf("warnings = %v, want the anchored-out names to warn only", warnings)
 	}
 }

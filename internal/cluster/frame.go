@@ -7,9 +7,9 @@ import (
 )
 
 // One framing for everything this package checksums — the placement
-// journal's records and the /cluster/batch frames: a uint32
-// little-endian payload length, a uint32 little-endian CRC-32 (IEEE)
-// over the length bytes followed by the payload, then the payload.
+// journal's records, the /cluster/batch frames and the mutation acks: a
+// uint32 little-endian payload length, a uint32 little-endian CRC-32
+// (IEEE) over the length bytes followed by the payload, then the payload.
 // Covering the length field by the checksum means a corrupted length can
 // never silently re-frame a stream: any complete frame that fails its
 // CRC is rejected.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -177,7 +178,11 @@ func openJournal(dir string) (*journal, *journalState, error) {
 		return nil, nil, err
 	}
 	walPath := filepath.Join(dir, journalName)
-	goodBytes, err := replayWAL(walPath, st)
+	data, err := os.ReadFile(walPath)
+	if err != nil && !os.IsNotExist(err) {
+		return nil, nil, fmt.Errorf("cluster: journal: %w", err)
+	}
+	goodBytes, err := replayWAL(data, st)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -242,16 +247,10 @@ func loadSnapshot(dir string, st *journalState) error {
 	return nil
 }
 
-// replayWAL folds the WAL's records into st and returns the byte offset
-// of the last whole, valid frame — the reopen truncation point.
-func replayWAL(path string, st *journalState) (int64, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
-		}
-		return 0, fmt.Errorf("cluster: journal: %w", err)
-	}
+// replayWAL folds the records of the WAL's bytes into st and returns the
+// byte offset of the end of the last whole, valid frame — the reopen
+// truncation point. Every byte past it is counted in st.TornBytes.
+func replayWAL(data []byte, st *journalState) (int64, error) {
 	if len(data) == 0 {
 		return 0, nil
 	}
@@ -291,6 +290,10 @@ func replayWAL(path string, st *journalState) (int64, error) {
 		var rec journalRecord
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return 0, fmt.Errorf("cluster: journal: record at offset %d undecodable: %w", off, err)
+		}
+		if rec.Seq == math.MaxUint64 {
+			// No sequence can follow it: the next one would wrap to 0.
+			return 0, fmt.Errorf("cluster: journal: record at offset %d has the last sequence number", off)
 		}
 		applyRecord(st, rec)
 		off += int64(size)

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"sort"
 	"sync"
@@ -88,10 +89,16 @@ type Config struct {
 // the shards' last-reported tables), so each shard weighs query terms
 // exactly as a single index over the whole corpus would, and the
 // merged top-k is score-identical to a single-node rebuild. The tables
-// refresh synchronously on every mutation (shards return their updated
-// stats in the mutation reply), never on the query path — and a down
-// shard's last-known table keeps contributing, so the survivors'
-// scores during degradation equal their non-degraded values.
+// update synchronously on every mutation, never on the query path: a
+// shard acks a mutation with the df entries it changed, and the router
+// fetches a shard's whole table only when an ack cannot be applied to
+// the one it holds (see mutate). A down shard's last-known table keeps
+// contributing, so the survivors' scores during degradation equal their
+// non-degraded values.
+//
+// A mutation is delivered to all its shards concurrently; each shard
+// still receives its own documents in ascending gid order, because
+// mutations serialize under ingestMu.
 type Router struct {
 	shards      []*shardConn
 	byName      map[string]*shardConn
@@ -136,6 +143,8 @@ type Router struct {
 	degraded   atomic.Uint64
 	recoveries atomic.Uint64
 	replayed   atomic.Uint64
+	// refreshes counts the whole-table fetches mutations forced.
+	refreshes atomic.Uint64
 
 	mDegraded   *telemetry.Counter
 	mRecoveries *telemetry.Counter
@@ -143,6 +152,10 @@ type Router struct {
 	// Frame bytes over /cluster/batch, summed over shards.
 	mBatchSent     *telemetry.Counter
 	mBatchReceived *telemetry.Counter
+	// Mutation bytes, summed over shards: request bodies sent, ack
+	// frames received.
+	mMutationSent     *telemetry.Counter
+	mMutationReceived *telemetry.Counter
 }
 
 // latRingSize bounds the per-shard latency sample window the p99
@@ -159,17 +172,17 @@ type shardConn struct {
 	mu      sync.Mutex
 	up      bool
 	lastErr string
-	stats   shardStats // last-known; DF map is replaced wholesale, never mutated
-	lat     [latRingSize]float64
-	latN    int // total samples ever; ring index = latN % latRingSize
-	reqs    uint64
-	errs    uint64
+	// stats is the last-known table. Its DF map is copied on write,
+	// never mutated in place: cycle snapshots read it without the lock.
+	// A change of stats.Instance means the shard restarted, bumping
+	// restarts and flagging the shard for catch-up.
+	stats shardStats
+	lat   [latRingSize]float64
+	latN  int // total samples ever; ring index = latN % latRingSize
+	reqs  uint64
+	errs  uint64
 	// lastSeen is the wall time of the last successful exchange.
-	lastSeen time.Time
-	// instance is the shard's last-reported process nonce; a change
-	// means the shard restarted, bumping restarts and flagging the
-	// shard for catch-up.
-	instance      uint64
+	lastSeen      time.Time
 	restarts      uint64
 	needsRecovery bool
 
@@ -314,30 +327,84 @@ func (e *statusError) Error() string {
 	return fmt.Sprintf("shard returned %d: %s", e.code, e.msg)
 }
 
-// setStats installs a freshly decoded stats snapshot, watching the
-// shard's instance nonce: a change means the shard process restarted,
-// so it is counted and the shard flagged for catch-up. Returns whether
-// a restart was detected.
+// exchangeMutation sends one mutation and decodes the ack frame it is
+// answered with, reporting the ack's size in bytes. Like a batch reply
+// the ack is read through a pooled buffer, bounded whatever the shard
+// sends.
+func (c *shardConn) exchangeMutation(ctx context.Context, method, path string, body []byte) (ack mutationAck, received int, err error) {
+	err = c.roundTrip(ctx, method, path, "application/json", body, func(reply io.Reader) (err error) {
+		bp := wireBufs.Get().(*[]byte)
+		defer wireBufs.Put(bp)
+		if *bp, err = readBody(io.LimitReader(reply, frameHeader+maxMutationAck+1), *bp); err != nil {
+			return err
+		}
+		received = len(*bp)
+		ack, err = decodeMutationAck(*bp)
+		return err
+	})
+	return ack, received, err
+}
+
+// setStats installs a whole table fetched from GET /cluster/stats,
+// watching the shard's instance nonce: a change means the shard process
+// restarted, so it is counted and the shard flagged for catch-up. A
+// table older than the one held — the same instance at a lower version,
+// a fetch an ack overtook — is not installed. Returns whether a restart
+// was detected.
 func (c *shardConn) setStats(st shardStats) (restarted bool) {
 	c.mu.Lock()
-	if c.instance != 0 && st.Instance != 0 && st.Instance != c.instance {
+	defer c.mu.Unlock()
+	if c.stats.Instance != 0 && st.Instance != c.stats.Instance {
 		restarted = true
 		c.restarts++
 		c.needsRecovery = true
 		if c.mRestarts != nil {
 			c.mRestarts.Inc()
 		}
-	}
-	if st.Instance != 0 {
-		c.instance = st.Instance
+	} else if st.Version < c.stats.Version {
+		return false
 	}
 	c.stats = st
-	c.mu.Unlock()
 	return restarted
 }
 
+// applyAck folds a mutation's ack into the held table when it is the
+// table's next version: the changed df entries go into a copy of the
+// held map, df 0 deleting the term, and every other field is replaced.
+// An ack the held table already covers (a whole-table fetch overtook
+// it) changes nothing. Returns false for an ack it cannot apply — from
+// another instance, or past a version gap — which leaves the table to a
+// whole-table fetch.
+func (c *shardConn) applyAck(ack *mutationAck) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	held := &c.stats
+	switch {
+	case held.Instance == 0 || ack.stats.Instance != held.Instance:
+		return false
+	case ack.stats.Version <= held.Version:
+		return true
+	case ack.stats.Version > held.Version+1:
+		return false
+	}
+	df := maps.Clone(held.DF)
+	if df == nil {
+		df = make(map[string]int, len(ack.changed))
+	}
+	for _, e := range ack.changed {
+		if e.DF == 0 {
+			delete(df, e.Term)
+		} else {
+			df[e.Term] = e.DF
+		}
+	}
+	c.stats = ack.stats
+	c.stats.DF = df
+	return true
+}
+
 // snapStats returns the last-known snapshot. The DF map inside is safe
-// to read after the lock drops because updates replace it wholesale.
+// to read after the lock drops because updates copy it, never write it.
 func (c *shardConn) snapStats() shardStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -625,25 +692,16 @@ func (r *Router) shardLagsLocked(c *shardConn) bool {
 // idempotent; under-delivery can only follow a restart, and the nonce
 // check catches every restart). freshSeq, when nonzero, marks the
 // record whose first delivery this is; everything else delivered here
-// counts as a replayed entry. Caller holds ingestMu.
+// counts as a replayed entry. Caller holds ingestMu; drives of distinct
+// shards may run concurrently under it.
 func (r *Router) driveShardLocked(c *shardConn, freshSeq uint64) error {
 	for attempt := 0; ; attempt++ {
-		st := c.snapStats()
-		if st.Instance == 0 || attempt > 0 {
-			ctx, cancel := context.WithTimeout(context.Background(), r.deadline)
-			var fresh shardStats
-			err := c.exchange(ctx, http.MethodGet, "/cluster/stats", nil, &fresh)
-			cancel()
-			if err != nil {
+		if c.snapStats().Instance == 0 {
+			if err := r.refresh(c); err != nil {
 				return err
 			}
-			if err := r.noteScoring(c.name, fresh.Scoring); err != nil {
-				return err
-			}
-			c.setStats(fresh)
-			st = fresh
 		}
-		err := r.sendPendingLocked(c, st, freshSeq)
+		err := r.sendPendingLocked(c, c.snapStats(), freshSeq)
 		if err == nil {
 			c.mu.Lock()
 			recovered := c.needsRecovery
@@ -660,8 +718,9 @@ func (r *Router) driveShardLocked(c *shardConn, freshSeq uint64) error {
 		}
 		var se *statusError
 		if errors.As(err, &se) && se.code == http.StatusPreconditionFailed && attempt < 3 {
-			// The shard restarted mid-drive; refresh and restart from its
-			// new durable baseline.
+			// The shard restarted mid-drive and the failed exchange
+			// refetched its table: start over from the new instance's
+			// durable baseline.
 			continue
 		}
 		return err
@@ -674,16 +733,14 @@ func (r *Router) driveShardLocked(c *shardConn, freshSeq uint64) error {
 func (r *Router) sendPendingLocked(c *shardConn, st shardStats, freshSeq uint64) error {
 	for i := range r.pending {
 		rec := &r.pending[i]
-		if rec.rejected || rec.Seq <= st.AppliedSeq || !rec.targets(c.name) {
+		// targets first: a delete's rejected flag belongs to the drive of
+		// the shard it targets, which may run beside this one.
+		if !rec.targets(c.name) || rec.rejected || rec.Seq <= st.AppliedSeq {
 			continue
 		}
-		var reply shardStats
-		if del := rec.Delete; del != nil && del.Shard == c.name {
-			var dr deleteResponse
-			ctx, cancel := context.WithTimeout(context.Background(), r.mutDeadline)
-			err := c.exchange(ctx, http.MethodDelete,
-				fmt.Sprintf("/cluster/doc/%d?seq=%d&instance=%d", del.Gid, rec.Seq, st.Instance), nil, &dr)
-			cancel()
+		if del := rec.Delete; del != nil {
+			err := r.mutate(c, http.MethodDelete,
+				fmt.Sprintf("/cluster/doc/%d?seq=%d&instance=%d", del.Gid, rec.Seq, st.Instance), nil)
 			if err != nil {
 				var se *statusError
 				if errors.As(err, &se) && se.code == http.StatusNotFound {
@@ -694,7 +751,6 @@ func (r *Router) sendPendingLocked(c *shardConn, st shardStats, freshSeq uint64)
 				}
 				return err
 			}
-			reply = dr.Stats
 		} else {
 			var docs []ingestDoc
 			for _, p := range rec.Places {
@@ -710,23 +766,69 @@ func (r *Router) sendPendingLocked(c *shardConn, st shardStats, freshSeq uint64)
 			if err != nil {
 				return err
 			}
-			var ir ingestResponse
-			ctx, cancel := context.WithTimeout(context.Background(), r.mutDeadline)
-			err = c.exchange(ctx, http.MethodPost, "/cluster/index", body, &ir)
-			cancel()
-			if err != nil {
+			if err := r.mutate(c, http.MethodPost, "/cluster/index", body); err != nil {
 				return err
 			}
-			reply = ir.Stats
 		}
-		c.setStats(reply)
-		st = reply
 		if rec.Seq != freshSeq {
 			r.replayed.Add(1)
 			if r.mReplayed != nil {
 				r.mReplayed.Inc()
 			}
 		}
+	}
+	return nil
+}
+
+// mutate sends one mutation to c and applies the ack it is answered
+// with. The router fetches the shard's whole table instead on three
+// events: the ack came from another instance, the ack skipped a
+// version, or the exchange failed — after which the shard may have
+// applied the mutation all the same. A 404 is the one failure that
+// changed nothing.
+func (r *Router) mutate(c *shardConn, method, path string, body []byte) error {
+	ctx, cancel := context.WithTimeout(context.Background(), r.mutDeadline)
+	ack, received, err := c.exchangeMutation(ctx, method, path, body)
+	cancel()
+	if r.mMutationSent != nil {
+		r.mMutationSent.Add(uint64(len(body)))
+		r.mMutationReceived.Add(uint64(received))
+	}
+	if err != nil {
+		var se *statusError
+		if !errors.As(err, &se) || se.code != http.StatusNotFound {
+			// Best effort: the caller reports the mutation's own failure,
+			// and a shard that cannot answer this is refreshed by the next
+			// exchange that reaches it.
+			_ = r.refresh(c)
+		}
+		return err
+	}
+	if !c.applyAck(&ack) {
+		if err := r.refresh(c); err != nil {
+			// The mutation is in; the table catches up at the next ack or
+			// probe.
+			r.logf("cluster: stats refresh for %s: %v", c.name, err)
+		}
+	}
+	return nil
+}
+
+// refresh fetches and installs the shard's whole table from GET
+// /cluster/stats, counted in toppriv_cluster_stats_refreshes_total.
+func (r *Router) refresh(c *shardConn) error {
+	r.refreshes.Add(1)
+	ctx, cancel := context.WithTimeout(context.Background(), r.deadline)
+	defer cancel()
+	var st shardStats
+	if err := c.exchange(ctx, http.MethodGet, "/cluster/stats", nil, &st); err != nil {
+		return err
+	}
+	if err := r.noteScoring(c.name, st.Scoring); err != nil {
+		return err
+	}
+	if c.setStats(st) {
+		r.logf("cluster: shard %s restarted (instance %x)", c.name, st.Instance)
 	}
 	return nil
 }
@@ -902,9 +1004,10 @@ func (r *Router) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Res
 }
 
 // Add ingests documents: sequential global IDs, ring placement, one
-// POST per involved shard with its documents in ascending gid order.
-// Unlike queries, mutations never degrade — a failed shard fails the
-// call. The gid range is committed before any shard is contacted: a
+// POST per involved shard with its documents in ascending gid order,
+// the shards served concurrently. Unlike queries, mutations never
+// degrade — the call waits for every shard, and a failed shard fails
+// it. The gid range is committed before any shard is contacted: a
 // shard that accepts maps its gids immediately, so after a partial
 // failure the range is spent either way, and reusing it would bind the
 // same gid to different documents (the accepting shard's idempotency
@@ -950,13 +1053,12 @@ func (r *Router) Add(docs ...corpus.Document) ([]corpus.DocID, error) {
 		r.nextGid += corpus.DocID(len(docs))
 		r.pending = append(r.pending, rec)
 		r.cacheTitles(docs, gids)
-		for i, batch := range perShard {
-			if len(batch) == 0 {
-				continue
-			}
-			c := r.shards[i]
-			if err := r.driveShardLocked(c, rec.Seq); err != nil {
-				r.logf("cluster: ingest to %s deferred: %v (journaled, will re-drive)", c.name, err)
+		errs := r.deliver(perShard, func(c *shardConn, _ []ingestDoc) error {
+			return r.driveShardLocked(c, rec.Seq)
+		})
+		for i, err := range errs {
+			if err != nil {
+				r.logf("cluster: ingest to %s deferred: %v (journaled, will re-drive)", r.shards[i].name, err)
 			}
 		}
 		r.pruneLocked()
@@ -970,26 +1072,40 @@ func (r *Router) Add(docs ...corpus.Document) ([]corpus.DocID, error) {
 
 	// Burn the range up front — see the contract above.
 	r.nextGid += corpus.DocID(len(docs))
-	for i, batch := range perShard {
-		if len(batch) == 0 {
-			continue
-		}
+	errs := r.deliver(perShard, func(c *shardConn, batch []ingestDoc) error {
 		body, err := json.Marshal(ingestRequest{Docs: batch})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		c := r.shards[i]
-		var ir ingestResponse
-		ctx, cancel := context.WithTimeout(context.Background(), r.mutDeadline)
-		err = c.exchange(ctx, http.MethodPost, "/cluster/index", body, &ir)
-		cancel()
+		return r.mutate(c, http.MethodPost, "/cluster/index", body)
+	})
+	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("cluster: ingest to %s: %w", c.name, err)
+			return nil, fmt.Errorf("cluster: ingest to %s: %w", r.shards[i].name, err)
 		}
-		c.setStats(ir.Stats)
 	}
 	r.cacheTitles(docs, gids)
 	return gids, nil
+}
+
+// deliver runs send for every shard with documents in perShard, each on
+// its own goroutine, and returns once all have: the errors by shard
+// index.
+func (r *Router) deliver(perShard [][]ingestDoc, send func(c *shardConn, docs []ingestDoc) error) []error {
+	errs := make([]error, len(r.shards))
+	var wg sync.WaitGroup
+	for i, docs := range perShard {
+		if len(docs) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = send(r.shards[i], docs)
+		}()
+	}
+	wg.Wait()
+	return errs
 }
 
 // cacheTitles inserts the batch's titles into the bounded cache.
@@ -1063,18 +1179,13 @@ func (r *Router) Delete(id corpus.DocID) error {
 		}
 		return nil
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), r.mutDeadline)
-	defer cancel()
-	var dr deleteResponse
-	err := c.exchange(ctx, http.MethodDelete, fmt.Sprintf("/cluster/doc/%d", id), nil, &dr)
-	if err != nil {
+	if err := r.mutate(c, http.MethodDelete, fmt.Sprintf("/cluster/doc/%d", id), nil); err != nil {
 		var se *statusError
 		if errors.As(err, &se) && se.code == http.StatusNotFound {
 			return fmt.Errorf("cluster: no document %d", id)
 		}
 		return fmt.Errorf("cluster: delete on %s: %w", c.name, err)
 	}
-	c.setStats(dr.Stats)
 	r.titleMu.Lock()
 	delete(r.titles, id)
 	r.titleMu.Unlock()
@@ -1219,6 +1330,13 @@ func (r *Router) EnableMetrics(reg *telemetry.Registry, _ *telemetry.TraceRing) 
 		"Frame bytes exchanged over /cluster/batch, summed over shards: request frames sent, reply frames received.", "dir")
 	r.mBatchSent = batchBytes.With("sent")
 	r.mBatchReceived = batchBytes.With("received")
+	mutationBytes := reg.CounterVec("toppriv_cluster_mutation_bytes_total",
+		"Mutation bytes exchanged over /cluster/index and /cluster/doc, summed over shards: request bodies sent, ack frames received.", "dir")
+	r.mMutationSent = mutationBytes.With("sent")
+	r.mMutationReceived = mutationBytes.With("received")
+	reg.CounterFunc("toppriv_cluster_stats_refreshes_total",
+		"Whole-table GET /cluster/stats fetches a mutation forced: an ack from another shard instance or past a version gap, or a failed mutation exchange. 0 in steady state.",
+		func() float64 { return float64(r.refreshes.Load()) })
 	r.mDegraded = reg.Counter("toppriv_cluster_degraded_queries_total",
 		"Query cycles answered without every shard (merged survivor results).")
 	r.mRecoveries = reg.Counter("toppriv_cluster_recoveries_total",

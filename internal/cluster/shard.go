@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -45,8 +46,18 @@ type Shard struct {
 
 	// mutMu serializes mutations and saves against each other, so a
 	// save's store snapshot and its gid-table snapshot always describe
-	// the same state. Queries never take it. Ordered before mu.
+	// the same state. Queries never take it. Ordered before statsMu.
 	mutMu sync.Mutex
+
+	// statsMu orders stats reads after whole mutations: a mutation
+	// write-holds it across its store change, its version bump and its
+	// ack, and GET /cluster/stats read-holds it, so every table the shard
+	// sends is the one its version names. Saves and queries never take
+	// it. Ordered before mu.
+	statsMu sync.RWMutex
+	// version counts the mutations this instance has applied. Guarded by
+	// statsMu.
+	version uint64
 
 	mu    sync.RWMutex
 	gids  []corpus.DocID                // store-local dense ID → global ID (-1: recovered hole)
@@ -325,30 +336,30 @@ func (s *Shard) Close() error {
 	return s.Save()
 }
 
-// localStats snapshots the shard's live statistics for the router's
-// merge.
-func (s *Shard) localStats() shardStats {
-	docs, totalLen, df := s.store.LocalStats()
-	s.mu.RLock()
-	maxGid := s.hwm
-	applied := s.appliedSeq
-	durable := s.durableSeq
-	s.mu.RUnlock()
-	if !s.Persistent() {
-		durable = 0
-	}
-	return shardStats{
-		Docs:       docs,
-		TotalLen:   totalLen,
-		DF:         df,
-		MaxGid:     maxGid,
-		AppliedSeq: applied,
-		DurableSeq: durable,
+// statsLocked snapshots the shard's live statistics for the router's
+// merge; the df table only withDF, since an ack carries just the
+// entries its mutation changed. Caller holds statsMu.
+func (s *Shard) statsLocked(withDF bool) shardStats {
+	st := shardStats{
+		Version:    s.version,
 		Instance:   s.instance,
 		Persistent: s.Persistent(),
 		Scoring:    s.store.Scoring().String(),
 		Index:      s.store.ComputeStats(),
 	}
+	if withDF {
+		st.Docs, st.TotalLen, st.DF = s.store.LocalStats()
+	} else {
+		st.Docs, st.TotalLen = s.store.LiveSize()
+	}
+	s.mu.RLock()
+	st.MaxGid = s.hwm
+	st.AppliedSeq = s.appliedSeq
+	if s.Persistent() {
+		st.DurableSeq = s.durableSeq
+	}
+	s.mu.RUnlock()
+	return st
 }
 
 func (s *Shard) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -356,7 +367,10 @@ func (s *Shard) handleStats(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "GET required", http.StatusMethodNotAllowed)
 		return
 	}
-	writeJSON(w, s.localStats())
+	s.statsMu.RLock()
+	st := s.statsLocked(true)
+	s.statsMu.RUnlock()
+	writeJSON(w, st)
 }
 
 // handleBatch executes one cycle against the local store. Every member
@@ -441,7 +455,8 @@ func (s *Shard) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var ir ingestRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 32<<20)).Decode(&ir); err != nil {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 32<<20)).Decode(&ir)
+	if err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -449,6 +464,19 @@ func (s *Shard) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("instance mismatch: request for %x, shard is %x", ir.IfInstance, s.instance), http.StatusPreconditionFailed)
 		return
 	}
+	bp := wireBufs.Get().(*[]byte)
+	defer wireBufs.Put(bp)
+	var status int
+	if *bp, status, err = s.ingest((*bp)[:0], &ir); err != nil {
+		http.Error(w, err.Error(), status)
+		return
+	}
+	writeAck(w, *bp)
+}
+
+// ingest applies an ingest request and appends its ack to dst, or
+// returns the status to refuse it with.
+func (s *Shard) ingest(dst []byte, ir *ingestRequest) ([]byte, int, error) {
 	s.mutMu.Lock()
 	defer s.mutMu.Unlock()
 	s.mu.RLock()
@@ -470,23 +498,24 @@ func (s *Shard) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.RUnlock()
 	if conflict >= 0 {
-		http.Error(w, fmt.Sprintf("gid %d arrives out of order (high-water %d)", conflict, last), http.StatusConflict)
-		return
+		return dst, http.StatusConflict, fmt.Errorf("gid %d arrives out of order (high-water %d)", conflict, last)
 	}
+	s.statsMu.Lock()
+	defer s.statsMu.Unlock()
+	var changed []segment.TermDF
 	if len(fresh) > 0 {
-		locals, err := s.store.Add(fresh...)
+		locals, ch, err := s.store.AddDF(fresh...)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+			return dst, http.StatusInternalServerError, err
 		}
+		changed = ch
 		s.mu.Lock()
 		for i, local := range locals {
 			if int(local) != len(s.gids) {
 				// The store assigns dense sequential IDs; anything else
 				// breaks the gid translation table.
 				s.mu.Unlock()
-				http.Error(w, fmt.Sprintf("store assigned non-dense id %d", local), http.StatusInternalServerError)
-				return
+				return dst, http.StatusInternalServerError, fmt.Errorf("store assigned non-dense id %d", local)
 			}
 			s.gids = append(s.gids, freshGids[i])
 			s.byGid[freshGids[i]] = local
@@ -496,14 +525,16 @@ func (s *Shard) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		s.mu.Unlock()
 	}
-	s.finishMutation(ir.Seq)
-	writeJSON(w, ingestResponse{Stats: s.localStats()})
+	return s.finishMutation(dst, ir.Seq, changed), http.StatusOK, nil
 }
 
-// finishMutation advances the applied journal sequence and the dirty
-// counter after a successful mutation, kicking the saver at threshold.
-// Caller holds mutMu.
-func (s *Shard) finishMutation(seq uint64) {
+// finishMutation records a successful mutation — the applied journal
+// sequence, the dirty counter (kicking the saver at threshold) and the
+// stats version — and appends its ack to dst: the shard's statistics
+// with the df entries the mutation changed. Caller holds mutMu and
+// statsMu.
+func (s *Shard) finishMutation(dst []byte, seq uint64, changed []segment.TermDF) []byte {
+	s.version++
 	s.mu.Lock()
 	if seq > s.appliedSeq {
 		s.appliedSeq = seq
@@ -513,6 +544,8 @@ func (s *Shard) finishMutation(seq uint64) {
 	if kick {
 		s.kickSave()
 	}
+	st := s.statsLocked(false)
+	return appendMutationAck(dst, &st, changed)
 }
 
 // handleDoc serves GET (fetch) and DELETE (tombstone) for one global
@@ -526,11 +559,11 @@ func (s *Shard) handleDoc(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	gid := corpus.DocID(gid64)
-	s.mu.RLock()
-	local, ok := s.byGid[gid]
-	s.mu.RUnlock()
 	switch r.Method {
 	case http.MethodGet:
+		s.mu.RLock()
+		local, ok := s.byGid[gid]
+		s.mu.RUnlock()
 		if !ok {
 			http.Error(w, "no such document", http.StatusNotFound)
 			return
@@ -566,28 +599,45 @@ func (s *Shard) handleDoc(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		s.mutMu.Lock()
-		defer s.mutMu.Unlock()
-		if !ok {
-			http.Error(w, "no such document", http.StatusNotFound)
-			return
-		}
-		if err := s.store.Delete(local); err != nil {
-			if seq > 0 && err == segment.ErrNotFound {
-				// A journal re-drive of a delete that already applied:
-				// idempotent, advance the sequence and acknowledge.
-				s.finishMutation(seq)
-				writeJSON(w, deleteResponse{Stats: s.localStats()})
-				return
-			}
+		bp := wireBufs.Get().(*[]byte)
+		defer wireBufs.Put(bp)
+		if *bp, err = s.delete((*bp)[:0], gid, seq); err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
 		}
-		s.finishMutation(seq)
-		writeJSON(w, deleteResponse{Stats: s.localStats()})
+		writeAck(w, *bp)
 	default:
 		http.Error(w, "GET or DELETE required", http.StatusMethodNotAllowed)
 	}
+}
+
+// delete tombstones one document and appends the ack to dst. Whatever
+// refuses it is answered as a missing document is, with 404.
+func (s *Shard) delete(dst []byte, gid corpus.DocID, seq uint64) ([]byte, error) {
+	s.mutMu.Lock()
+	defer s.mutMu.Unlock()
+	s.mu.RLock()
+	local, ok := s.byGid[gid]
+	s.mu.RUnlock()
+	if !ok {
+		return dst, errors.New("no such document")
+	}
+	s.statsMu.Lock()
+	defer s.statsMu.Unlock()
+	changed, err := s.store.DeleteDF(local)
+	if err != nil && !(seq > 0 && errors.Is(err, segment.ErrNotFound)) {
+		return dst, err
+	}
+	// Applied — or a journal re-drive of a delete that already applied:
+	// idempotent, advance the sequence and acknowledge.
+	return s.finishMutation(dst, seq, changed), nil
+}
+
+// writeAck answers a mutation with its ack frame.
+func writeAck(w http.ResponseWriter, ack []byte) {
+	w.Header().Set("Content-Type", ackContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(ack)))
+	w.Write(ack)
 }
 
 func writeJSON(w http.ResponseWriter, v interface{}) {

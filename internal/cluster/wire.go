@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -10,6 +9,7 @@ import (
 
 	"toppriv/internal/corpus"
 	"toppriv/internal/index"
+	"toppriv/internal/segment"
 	"toppriv/internal/vsm"
 )
 
@@ -18,14 +18,15 @@ import (
 // reaches a shard (the router analyzes once), and store-local document
 // IDs never leave one.
 //
-// The control plane — /cluster/stats, /cluster/index, /cluster/doc — is
-// JSON, the structs at the bottom of this file. The query path, POST
+// The control plane's requests and GET /cluster/stats are JSON, the
+// structs at the bottom of this file. The query path, POST
 // /cluster/batch, is one binary frame each way, Content-Type
 // batchContentType: the framing of frame.go (uint32 length, uint32
 // CRC-32 over length + payload) around a payload of uvarints
 // (encoding/binary's, shortest form only), term bytes and raw float64
 // bits. It carries what a cycle is: one collection, the cycle's distinct
-// terms, and the members as references into them.
+// terms, and the members as references into them. A mutation's ack is
+// one such frame too (see appendMutationAck).
 //
 // Request payload:
 //
@@ -117,7 +118,7 @@ func appendBatchRequest(dst []byte, docs int, totalLen int64, members []vsm.Requ
 // is well-formed, not yet valid: Request.Validate still judges k and
 // the statistics.
 func decodeBatchRequest(frame []byte) ([]vsm.Request, error) {
-	r, err := openBatchFrame(frame, maxBatchRequest)
+	r, err := openFrameReader(frame, maxBatchRequest, "batch")
 	if err != nil {
 		return nil, err
 	}
@@ -145,14 +146,15 @@ func decodeBatchRequest(frame []byte) ([]vsm.Request, error) {
 		r.b = r.b[n:]
 		dfs[i] = r.num()
 		if _, dup := seen[terms[i]]; dup {
-			return nil, fmt.Errorf("cluster: batch frame: term %d repeats an earlier term", i)
+			r.failf("term %d repeats an earlier term", i)
+			return nil, r.err
 		}
 		seen[terms[i]] = struct{}{}
 	}
 	nMembers := r.count(2)
 	if r.err == nil && nMembers == 0 {
 		// Not a cycle, and nothing to hang its snapshot on.
-		r.fail(errors.New("cluster: batch frame: no members"))
+		r.failf("no members")
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -171,7 +173,7 @@ func decodeBatchRequest(frame []byte) ([]vsm.Request, error) {
 		for j := 0; j < n && r.err == nil; j++ {
 			ref := r.num()
 			if ref > next || ref >= nTerms {
-				r.fail(fmt.Errorf("cluster: batch frame: member %d refers to term %d, out of range or out of first-occurrence order", i, ref))
+				r.failf("member %d refers to term %d, out of range or out of first-occurrence order", i, ref)
 				break
 			}
 			if ref == next {
@@ -188,7 +190,7 @@ func decodeBatchRequest(frame []byte) ([]vsm.Request, error) {
 		reqs[i] = vsm.Request{Terms: flatTerms[lo:hi:hi], K: k, Global: &globals[i]}
 	}
 	if next != nTerms {
-		r.fail(fmt.Errorf("cluster: batch frame: %d of %d terms are never referenced", nTerms-next, nTerms))
+		r.failf("%d of %d terms are never referenced", nTerms-next, nTerms)
 	}
 	if err := r.end(); err != nil {
 		return nil, err
@@ -226,7 +228,7 @@ const replyHitMin = 1 + 8
 // and Stats (the counters ExecStats.Add sums). Nothing returned aliases
 // frame.
 func decodeBatchReply(frame []byte) ([]vsm.Response, error) {
-	r, err := openBatchFrame(frame, maxBatchReply)
+	r, err := openFrameReader(frame, maxBatchReply, "batch")
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +252,7 @@ func decodeBatchReply(frame []byte) ([]vsm.Response, error) {
 		for j := 0; j < n; j++ {
 			gid, score := r.num(), r.float()
 			if r.err == nil && gid > math.MaxInt32 {
-				r.fail(fmt.Errorf("cluster: batch frame: member %d hit %d: gid %d beyond int32", i, j, gid))
+				r.failf("member %d hit %d: gid %d beyond int32", i, j, gid)
 			}
 			if r.err != nil {
 				return nil, r.err
@@ -265,50 +267,196 @@ func decodeBatchReply(frame []byte) ([]vsm.Response, error) {
 	return resps, nil
 }
 
+// A mutation — POST /cluster/index, DELETE /cluster/doc/{gid} — is
+// acknowledged with one frame, Content-Type ackContentType: the shard's
+// statistics once the mutation is in, with only the df entries the
+// mutation changed (GET /cluster/stats carries the whole table).
+//
+//	uvarint version        the shard's stats version: mutations applied by its instance
+//	uvarint instance       the shard process's nonce
+//	uvarint docs, total_len
+//	uvarint max_gid + 1    0: nothing ever ingested
+//	uvarint applied_seq, durable_seq
+//	uvarint persistent     0 or 1
+//	uvarint n, n bytes     the scoring function's name
+//	uvarint num_postings, max_list_len, size_bytes, postings_bytes,
+//	        resident_bytes, padded_pir_bytes
+//	                       the index shape the router aggregates
+//	uvarint entries
+//	entries × {            every distinct term of the mutation's documents, once
+//	    uvarint n, n bytes the term
+//	    uvarint df         its live df afterwards (0: no live document holds it)
+//	}
+//
+// Like a batch frame it has one encoding: a padded uvarint, a flag other
+// than 0 or 1, a count beyond the bytes left and bytes after the payload
+// are refused.
+
+const (
+	ackContentType = "application/x-toppriv-ack"
+	// maxMutationAck bounds the ack a router reads. An ack names each
+	// distinct term of the mutation's documents once, so it is no larger
+	// than a few times the JSON that ingested them, which a shard caps at
+	// 32 MiB a request.
+	maxMutationAck = 64 << 20
+)
+
+// mutationAck is a decoded ack: the shard's statistics, DF nil, and the
+// df entries the mutation changed.
+type mutationAck struct {
+	stats   shardStats
+	changed []segment.TermDF
+}
+
+// appendMutationAck appends the ack frame of a mutation: st's fields but
+// DF, then changed.
+func appendMutationAck(dst []byte, st *shardStats, changed []segment.TermDF) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeader)...)
+	dst = binary.AppendUvarint(dst, st.Version)
+	dst = binary.AppendUvarint(dst, st.Instance)
+	dst = binary.AppendUvarint(dst, uint64(st.Docs))
+	dst = binary.AppendUvarint(dst, uint64(st.TotalLen))
+	dst = binary.AppendUvarint(dst, uint64(int64(st.MaxGid)+1))
+	dst = binary.AppendUvarint(dst, st.AppliedSeq)
+	dst = binary.AppendUvarint(dst, st.DurableSeq)
+	persistent := uint64(0)
+	if st.Persistent {
+		persistent = 1
+	}
+	dst = binary.AppendUvarint(dst, persistent)
+	dst = binary.AppendUvarint(dst, uint64(len(st.Scoring)))
+	dst = append(dst, st.Scoring...)
+	ix := &st.Index
+	for _, v := range [...]int64{int64(ix.NumPostings), int64(ix.MaxListLen), ix.SizeBytes, ix.PostingsBytes, ix.ResidentBytes, ix.PaddedPIRBytes} {
+		dst = binary.AppendUvarint(dst, uint64(v))
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(changed)))
+	for _, e := range changed {
+		dst = binary.AppendUvarint(dst, uint64(len(e.Term)))
+		dst = append(dst, e.Term...)
+		dst = binary.AppendUvarint(dst, uint64(e.DF))
+	}
+	sealFrame(dst[start:])
+	return dst
+}
+
+// decodeMutationAck reads an ack frame. Every string comes back in an
+// allocation of its own: the router keeps terms as table keys, and a
+// key that shared memory with the rest of its ack would keep the whole
+// ack alive.
+func decodeMutationAck(frame []byte) (mutationAck, error) {
+	r, err := openFrameReader(frame, maxMutationAck, "ack")
+	if err != nil {
+		return mutationAck{}, err
+	}
+	var a mutationAck
+	st := &a.stats
+	st.Version = r.u64()
+	st.Instance = r.u64()
+	st.Docs = r.num()
+	st.TotalLen = int64(r.num())
+	if maxGid := r.num(); maxGid > math.MaxInt32+1 {
+		r.failf("max gid %d beyond int32", maxGid-1)
+	} else {
+		st.MaxGid = corpus.DocID(maxGid - 1)
+	}
+	st.AppliedSeq = r.u64()
+	st.DurableSeq = r.u64()
+	switch r.num() {
+	case 0:
+	case 1:
+		st.Persistent = true
+	default:
+		r.failf("persistent flag is neither 0 nor 1")
+	}
+	st.Scoring = r.str()
+	ix := &st.Index
+	ix.NumPostings = r.num()
+	ix.MaxListLen = r.num()
+	ix.SizeBytes = int64(r.num())
+	ix.PostingsBytes = int64(r.num())
+	ix.ResidentBytes = int64(r.num())
+	ix.PaddedPIRBytes = int64(r.num())
+	// An entry takes a length byte and a df byte at least.
+	n := r.count(2)
+	if r.err != nil {
+		return mutationAck{}, r.err
+	}
+	a.changed = make([]segment.TermDF, n)
+	for i := range a.changed {
+		a.changed[i].Term = r.str()
+		a.changed[i].DF = r.num()
+	}
+	if err := r.end(); err != nil {
+		return mutationAck{}, err
+	}
+	return a, nil
+}
+
 // frameReader consumes a payload field by field; the first malformed
 // field sticks in err and every later read returns zero.
 type frameReader struct {
-	b   []byte
-	err error
+	b    []byte
+	err  error
+	kind string // the frame's name in errors: "batch" or "ack"
 }
 
-// openBatchFrame checks a /cluster/batch frame that must be the whole of
-// its input.
-func openBatchFrame(frame []byte, maxPayload uint32) (frameReader, error) {
+// openFrameReader checks a frame that must be the whole of its input.
+func openFrameReader(frame []byte, maxPayload uint32, kind string) (frameReader, error) {
 	payload, size, err := openFrame(frame, maxPayload)
 	if err != nil {
-		return frameReader{}, fmt.Errorf("cluster: batch frame: %w", err)
+		return frameReader{}, fmt.Errorf("cluster: %s frame: %w", kind, err)
 	}
 	if size != len(frame) {
-		return frameReader{}, fmt.Errorf("cluster: batch frame: %d bytes after the frame", len(frame)-size)
+		return frameReader{}, fmt.Errorf("cluster: %s frame: %d bytes after the frame", kind, len(frame)-size)
 	}
-	return frameReader{b: payload}, nil
+	return frameReader{b: payload, kind: kind}, nil
 }
 
-func (r *frameReader) fail(err error) {
+// failf records the first malformed field.
+func (r *frameReader) failf(format string, args ...interface{}) {
 	if r.err == nil {
-		r.err = err
+		r.err = fmt.Errorf("cluster: %s frame: %s", r.kind, fmt.Sprintf(format, args...))
 	}
 }
 
-// num reads one shortest-form uvarint that fits an int.
-func (r *frameReader) num() int {
+// u64 reads one shortest-form uvarint.
+func (r *frameReader) u64() uint64 {
 	if r.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b)
-	if n <= 0 || (n > 1 && r.b[n-1] == 0) || v > math.MaxInt {
-		r.fail(errors.New("cluster: batch frame: truncated, padded or oversized integer"))
+	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
+		r.failf("truncated, padded or oversized integer")
 		return 0
 	}
 	r.b = r.b[n:]
+	return v
+}
+
+// num reads one shortest-form uvarint that fits an int.
+func (r *frameReader) num() int {
+	v := r.u64()
+	if v > math.MaxInt {
+		r.failf("truncated, padded or oversized integer")
+		return 0
+	}
 	return int(v)
+}
+
+// str reads a length-prefixed string into an allocation of its own.
+func (r *frameReader) str() string {
+	n := r.count(1)
+	s := string(r.b[:n])
+	r.b = r.b[n:]
+	return s
 }
 
 // float reads a float64 from the 8 little-endian bytes of its bits.
 func (r *frameReader) float() float64 {
 	if r.err == nil && len(r.b) < 8 {
-		r.fail(errors.New("cluster: batch frame: truncated score"))
+		r.failf("truncated score")
 	}
 	if r.err != nil {
 		return 0
@@ -324,7 +472,7 @@ func (r *frameReader) float() float64 {
 func (r *frameReader) count(min int) int {
 	n := r.num()
 	if r.err == nil && n > len(r.b)/min {
-		r.fail(fmt.Errorf("cluster: batch frame: count %d exceeds the %d bytes left", n, len(r.b)))
+		r.failf("count %d exceeds the %d bytes left", n, len(r.b))
 		return 0
 	}
 	return n
@@ -333,7 +481,7 @@ func (r *frameReader) count(min int) int {
 // end reports the first error, or payload bytes nothing consumed.
 func (r *frameReader) end() error {
 	if r.err == nil && len(r.b) != 0 {
-		r.fail(fmt.Errorf("cluster: batch frame: %d unread payload bytes", len(r.b)))
+		r.failf("%d unread payload bytes", len(r.b))
 	}
 	return r.err
 }
@@ -364,12 +512,17 @@ func readBody(r io.Reader, buf []byte) ([]byte, error) {
 	}
 }
 
-// shardStats is the GET /cluster/stats reply and the refreshed-stats
-// section of every mutation reply: the shard's live collection
-// statistics, keyed by term string because shards have independent
-// vocabularies. Mutation replies carry it synchronously so the
-// router's merged tables are exact without extra round-trips.
+// shardStats is the GET /cluster/stats reply: the shard's live
+// collection statistics, keyed by term string because shards have
+// independent vocabularies. A mutation's ack carries the same fields
+// with only the df entries the mutation changed, so the router's merged
+// tables stay exact without extra round-trips.
 type shardStats struct {
+	// Version counts the mutations this shard instance has applied; the
+	// table a reply carries is the one after exactly that many. The
+	// router folds an ack into its copy of the table only when the ack's
+	// version is the next one.
+	Version uint64 `json:"version"`
 	// Docs and TotalLen are the shard's live document count and
 	// analyzed token count.
 	Docs     int   `json:"docs"`
@@ -424,16 +577,4 @@ type ingestRequest struct {
 type ingestDoc struct {
 	Gid corpus.DocID    `json:"gid"`
 	Doc corpus.Document `json:"doc"`
-}
-
-// ingestResponse acknowledges an ingest with the shard's refreshed
-// statistics.
-type ingestResponse struct {
-	Stats shardStats `json:"stats"`
-}
-
-// deleteResponse acknowledges a DELETE /cluster/doc/{gid} with the
-// shard's refreshed statistics.
-type deleteResponse struct {
-	Stats shardStats `json:"stats"`
 }

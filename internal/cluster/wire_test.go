@@ -16,6 +16,8 @@ import (
 	"testing"
 
 	"toppriv/internal/corpus"
+	"toppriv/internal/index"
+	"toppriv/internal/segment"
 	"toppriv/internal/textproc"
 	"toppriv/internal/vsm"
 )
@@ -280,13 +282,104 @@ var brokenReplyFrames = []struct {
 	{"cut inside the stats", "integer", payloadFrame(2, 0, 0, 0, 0, 0, 1<<40, 1<<40)},
 }
 
+// genAck draws a mutation ack: the statistics it carries (the index
+// shape only in the fields an ack has) and 0–49 df entries, some of
+// them 0.
+func genAck(rng *rand.Rand) (shardStats, []segment.TermDF) {
+	st := shardStats{
+		Version:    rng.Uint64() >> rng.Intn(64),
+		Instance:   rng.Uint64() | 1,
+		Docs:       rng.Intn(1 << 20),
+		TotalLen:   rng.Int63n(1 << 40),
+		MaxGid:     corpus.DocID(rng.Intn(1<<20)) - 1,
+		AppliedSeq: rng.Uint64() >> rng.Intn(64),
+		DurableSeq: rng.Uint64() >> rng.Intn(64),
+		Persistent: rng.Intn(2) == 0,
+		Scoring:    []string{"bm25", "cosine", ""}[rng.Intn(3)],
+		Index: index.Stats{
+			NumPostings:    rng.Intn(1 << 30),
+			MaxListLen:     rng.Intn(1 << 20),
+			SizeBytes:      rng.Int63n(1 << 40),
+			PostingsBytes:  rng.Int63n(1 << 40),
+			ResidentBytes:  rng.Int63n(1 << 40),
+			PaddedPIRBytes: rng.Int63n(1 << 50),
+		},
+	}
+	changed := make([]segment.TermDF, rng.Intn(50))
+	for i := range changed {
+		changed[i] = segment.TermDF{
+			Term: fmt.Sprintf("t%d%s", rng.Intn(1000), strings.Repeat("z", rng.Intn(6))),
+			DF:   rng.Intn(3) * rng.Intn(5000),
+		}
+	}
+	return st, changed
+}
+
+// TestMutationAckRoundTrip: an ack decodes to the statistics and df
+// entries it was built from, field for field, extremes included, and
+// re-encodes to its own bytes.
+func TestMutationAckRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for trial := 0; trial < 300; trial++ {
+		st, changed := genAck(rng)
+		switch trial {
+		case 0:
+			st.Version, st.Instance, st.AppliedSeq, st.DurableSeq = math.MaxUint64, math.MaxUint64, math.MaxUint64, math.MaxUint64
+			st.MaxGid = math.MaxInt32
+		case 1:
+			st = shardStats{MaxGid: -1, Instance: 1}
+			changed = changed[:0]
+		}
+		frame := appendMutationAck(nil, &st, changed)
+		got, err := decodeMutationAck(frame)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if !reflect.DeepEqual(got.stats, st) || !reflect.DeepEqual(got.changed, changed) {
+			t.Fatalf("trial %d: decoded\n%+v %v\nwant\n%+v %v", trial, got.stats, got.changed, st, changed)
+		}
+		if back := appendMutationAck(nil, &got.stats, got.changed); !bytes.Equal(back, frame) {
+			t.Fatalf("trial %d: decoded ack re-encodes to other bytes", trial)
+		}
+	}
+}
+
+// ackHead is an ack's fields up to its entries: version 3 of instance
+// 99, 10 documents of 400 tokens, max gid 10, nothing journaled, in
+// memory, bm25, and an index shape.
+var ackHead = []interface{}{3, 99, 10, 400, 11, 0, 0, 0, 4, "bm25", 60, 9, 0, 500, 500, 0}
+
+// ackFrame seals ackHead followed by entries.
+func ackFrame(entries ...interface{}) []byte {
+	return payloadFrame(append(append([]interface{}{}, ackHead...), entries...)...)
+}
+
+var brokenAckFrames = []struct {
+	name, says string
+	frame      []byte
+}{
+	{"empty payload", "integer", payloadFrame()},
+	{"docs beyond int64", "oversized", payloadFrame(3, 99, uint64(math.MaxUint64), 400, 11, 0, 0, 0, 4, "bm25", 60, 9, 0, 500, 500, 0, 0)},
+	{"max gid beyond int32", "beyond int32", payloadFrame(3, 99, 10, 400, 1<<31+1, 0, 0, 0, 4, "bm25", 60, 9, 0, 500, 500, 0, 0)},
+	{"persistent flag neither 0 nor 1", "persistent", payloadFrame(3, 99, 10, 400, 11, 0, 0, 2, 4, "bm25", 60, 9, 0, 500, 500, 0, 0)},
+	{"scoring length beyond the bytes left", "count", payloadFrame(3, 99, 10, 400, 11, 0, 0, 0, 200, "bm25")},
+	{"entry count beyond the bytes left", "count", ackFrame(1 << 40)},
+	{"term length beyond the bytes left", "count", ackFrame(1, 200, "ab", 2)},
+	{"padded integer", "padded", ackFrame(1, 1, "a", []byte{0x82, 0})},
+	{"cut inside an entry", "integer", ackFrame(1, 1, "a")},
+	{"unread payload bytes", "unread", ackFrame(1, 1, "a", 2, 0)},
+}
+
 // TestBatchFramesRefuseMalformed runs the hand-broken frames, every
-// truncation and every one-byte corruption of a good frame through both
-// decoders: each is an error, never a panic — and a count a frame merely
-// claims never sizes an allocation.
+// truncation and every one-byte corruption of a good frame through every
+// frame decoder — the batch request and reply, the mutation ack: each is
+// an error, never a panic — and a count a frame merely claims never
+// sizes an allocation.
 func TestBatchFramesRefuseMalformed(t *testing.T) {
 	goodRequest := genCycle(rand.New(rand.NewSource(1))).encode()
 	goodReply := appendBatchReply(nil, genReply(rand.New(rand.NewSource(1))))
+	ackStats, ackChanged := genAck(rand.New(rand.NewSource(1)))
+	goodAck := appendMutationAck(nil, &ackStats, ackChanged)
 	for _, side := range []struct {
 		name   string
 		good   []byte
@@ -298,6 +391,7 @@ func TestBatchFramesRefuseMalformed(t *testing.T) {
 	}{
 		{"request", goodRequest, func(b []byte) (int, error) { r, err := decodeBatchRequest(b); return len(r), err }, brokenRequestFrames},
 		{"reply", goodReply, func(b []byte) (int, error) { r, err := decodeBatchReply(b); return len(r), err }, brokenReplyFrames},
+		{"ack", goodAck, func(b []byte) (int, error) { a, err := decodeMutationAck(b); return len(a.changed), err }, brokenAckFrames},
 	} {
 		if _, err := side.decode(side.good); err != nil {
 			t.Fatalf("%s: good frame refused: %v", side.name, err)
@@ -411,6 +505,39 @@ func FuzzDecodeBatchReply(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkReplyFrame(t, data)
 		checkReplyFrame(t, payloadFrame(data))
+	})
+}
+
+// checkAckFrame is the fuzz property of the ack decoder: no panic, every
+// decoded entry paid for by input bytes, and one encoding per ack.
+func checkAckFrame(t *testing.T, frame []byte) {
+	a, err := decodeMutationAck(frame)
+	if err != nil {
+		return
+	}
+	if 2*len(a.changed) > len(frame) {
+		t.Fatalf("%d-byte frame decoded to %d entries", len(frame), len(a.changed))
+	}
+	if back := appendMutationAck(nil, &a.stats, a.changed); !bytes.Equal(back, frame) {
+		t.Fatalf("decoded ack re-encodes to other bytes:\n%x\n%x", frame, back)
+	}
+}
+
+func FuzzDecodeMutationAck(f *testing.F) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 8; i++ {
+		st, changed := genAck(rng)
+		frame := appendMutationAck(nil, &st, changed)
+		f.Add(frame)
+		f.Add(frame[frameHeader:])
+	}
+	for _, tt := range brokenAckFrames {
+		f.Add(tt.frame)
+		f.Add(tt.frame[frameHeader:])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAckFrame(t, data)
+		checkAckFrame(t, payloadFrame(data))
 	})
 }
 

@@ -35,9 +35,10 @@ func newMemtable(st *Store) *memtable {
 }
 
 // add analyzes one document into the shared vocabulary and indexes it
-// at the next local ID. Returns the analyzed bag for the store's
-// statistics bookkeeping.
-func (mt *memtable) add(doc corpus.Document, gid corpus.DocID) []textproc.TermID {
+// at the next local ID. Returns the document's distinct terms in
+// ascending order and its analyzed length, for the store's statistics
+// bookkeeping.
+func (mt *memtable) add(doc corpus.Document, gid corpus.DocID) (terms []textproc.TermID, length int) {
 	bag := corpus.AnalyzeInto(doc, mt.st.an, mt.st.vocab)
 	local := corpus.DocID(len(mt.docs))
 	doc.ID = gid
@@ -56,7 +57,7 @@ func (mt *memtable) add(doc corpus.Document, gid corpus.DocID) []textproc.TermID
 	// vsm.DocNorms adds them in: a document's norm, and so its cosine
 	// score, is the same bits before and after it is sealed, and from
 	// one run to the next (map order would make it neither).
-	terms := make([]textproc.TermID, 0, len(counts))
+	terms = make([]textproc.TermID, 0, len(counts))
 	for id := range counts {
 		terms = append(terms, id)
 	}
@@ -70,7 +71,7 @@ func (mt *memtable) add(doc corpus.Document, gid corpus.DocID) []textproc.TermID
 		normSq += w * w
 	}
 	mt.norm = append(mt.norm, math.Sqrt(normSq))
-	return bag
+	return terms, len(bag)
 }
 
 // IterInto and DocLen make the memtable a vsm.Postings. IterInto hands

@@ -168,31 +168,49 @@ func (st *Store) Close() error {
 	return nil
 }
 
+// TermDF is a term and its live document frequency.
+type TermDF struct {
+	Term string
+	DF   int
+}
+
 // Add ingests documents, assigning each a fresh global ID. The memtable
 // seals automatically at the configured threshold. Safe to call
 // concurrently with Search.
 func (st *Store) Add(docs ...corpus.Document) ([]corpus.DocID, error) {
+	ids, _, err := st.add(docs, false)
+	return ids, err
+}
+
+// AddDF is Add that also reports the df entries the batch changed: every
+// distinct term of the batch with its live document frequency once the
+// batch is in, read under the lock that made the change.
+func (st *Store) AddDF(docs ...corpus.Document) ([]corpus.DocID, []TermDF, error) {
+	return st.add(docs, true)
+}
+
+func (st *Store) add(docs []corpus.Document, report bool) ([]corpus.DocID, []TermDF, error) {
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
-		return nil, ErrClosed
+		return nil, nil, ErrClosed
 	}
 	ids := make([]corpus.DocID, len(docs))
+	var touched []textproc.TermID
 	var sealErr error
 	for i, doc := range docs {
 		gid := st.nextID
 		st.nextID++
-		bag := st.mem.add(doc, gid)
+		terms, length := st.mem.add(doc, gid)
 		st.growDF()
-		seen := make(map[textproc.TermID]struct{}, len(bag))
-		for _, id := range bag {
-			if _, ok := seen[id]; !ok {
-				seen[id] = struct{}{}
-				st.df[id]++
-			}
+		for _, id := range terms {
+			st.df[id]++
+		}
+		if report {
+			touched = append(touched, terms...)
 		}
 		st.liveDocs++
-		st.liveLen += len(bag)
+		st.liveLen += length
 		ids[i] = gid
 		if len(st.mem.docs) >= st.cfg.SealThreshold {
 			if err := st.sealLocked(); err != nil {
@@ -201,29 +219,46 @@ func (st *Store) Add(docs ...corpus.Document) ([]corpus.DocID, error) {
 			}
 		}
 	}
+	var changed []TermDF
+	if report && sealErr == nil {
+		changed = st.dfOfLocked(touched)
+	}
 	st.mu.Unlock()
 	if sealErr != nil {
-		return nil, sealErr
+		return nil, nil, sealErr
 	}
 	st.kickCompactor()
-	return ids, nil
+	return ids, changed, nil
 }
 
 // Delete tombstones a live document by global ID. Postings stay in
 // place until compaction drops them; global statistics are adjusted
 // immediately so scoring reflects the deletion at once.
 func (st *Store) Delete(gid corpus.DocID) error {
+	_, err := st.delete(gid, false)
+	return err
+}
+
+// DeleteDF is Delete that also reports the df entries the delete
+// changed: every distinct term of the document with its live document
+// frequency afterwards, 0 for a term no live document holds any more.
+func (st *Store) DeleteDF(gid corpus.DocID) ([]TermDF, error) {
+	return st.delete(gid, true)
+}
+
+func (st *Store) delete(gid corpus.DocID, report bool) ([]TermDF, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.closed {
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	doc, ok := st.tombstoneLocked(gid)
 	if !ok {
-		return ErrNotFound
+		return nil, ErrNotFound
 	}
 	terms := st.an.Analyze(doc.Text)
 	seen := make(map[textproc.TermID]struct{}, len(terms))
+	var touched []textproc.TermID
 	for _, term := range terms {
 		id := st.vocab.ID(term)
 		if id == textproc.InvalidTerm {
@@ -232,11 +267,38 @@ func (st *Store) Delete(gid corpus.DocID) error {
 		if _, dup := seen[id]; !dup {
 			seen[id] = struct{}{}
 			st.df[id]--
+			if report {
+				touched = append(touched, id)
+			}
 		}
 	}
 	st.liveDocs--
 	st.liveLen -= len(terms)
-	return nil
+	if !report {
+		return nil, nil
+	}
+	return st.dfOfLocked(touched), nil
+}
+
+// dfOfLocked returns the live df of each distinct term in ids, in order
+// of first occurrence. Caller holds mu.
+func (st *Store) dfOfLocked(ids []textproc.TermID) []TermDF {
+	seen := make([]bool, len(st.df))
+	n := 0
+	for _, id := range ids {
+		if !seen[id] {
+			seen[id] = true
+			n++
+		}
+	}
+	out := make([]TermDF, 0, n)
+	for _, id := range ids {
+		if seen[id] {
+			seen[id] = false
+			out = append(out, TermDF{Term: st.vocab.Term(id), DF: int(st.df[id])})
+		}
+	}
+	return out
 }
 
 // tombstoneLocked marks gid dead in whichever part holds it, returning
@@ -378,6 +440,14 @@ func (st *Store) LocalStats() (docs int, totalLen int64, df map[string]int) {
 		}
 	}
 	return st.liveDocs, int64(st.liveLen), df
+}
+
+// LiveSize is LocalStats without the df table: the live document count
+// and analyzed token count.
+func (st *Store) LiveSize() (docs int, totalLen int64) {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.liveDocs, int64(st.liveLen)
 }
 
 // NumDocs returns the number of live documents.

@@ -3,6 +3,7 @@ package segment
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -137,6 +138,77 @@ func TestStoreAddSearchDelete(t *testing.T) {
 	}
 	if d, ok := st.Doc(ids[6]); !ok || d.Title != docs[6].Title {
 		t.Fatalf("Doc(%d) = %+v, %v", ids[6], d, ok)
+	}
+}
+
+// TestStoreReportsChangedDF: AddDF and DeleteDF report exactly the df
+// entries their mutation changed — each distinct term of its documents
+// once, at the live df LocalStats then holds, 0 for a term no live
+// document holds any more — so a table kept by folding the reports in
+// equals LocalStats after every mutation, across seals.
+func TestStoreReportsChangedDF(t *testing.T) {
+	docs := synthDocs(t, 60, 8)
+	st, err := Open(Config{SealThreshold: 7, DisableCompaction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	an := textproc.NewAnalyzer()
+	table := map[string]int{}
+	fold := func(label string, changed []TermDF, of []corpus.Document) {
+		t.Helper()
+		want := map[string]bool{}
+		for _, d := range of {
+			for _, term := range an.Analyze(d.Text) {
+				want[term] = true
+			}
+		}
+		seen := map[string]bool{}
+		for _, e := range changed {
+			if seen[e.Term] || !want[e.Term] {
+				t.Fatalf("%s: %q reported twice, or not a term of the documents", label, e.Term)
+			}
+			seen[e.Term] = true
+			if e.DF == 0 {
+				delete(table, e.Term)
+			} else {
+				table[e.Term] = e.DF
+			}
+		}
+		if len(seen) != len(want) {
+			t.Fatalf("%s: %d entries reported for %d distinct terms", label, len(seen), len(want))
+		}
+		if _, _, df := st.LocalStats(); !maps.Equal(table, df) {
+			t.Fatalf("%s: the folded reports hold %d terms, LocalStats %d", label, len(table), len(df))
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	alive := map[corpus.DocID]corpus.Document{}
+	for i := 0; i < len(docs); {
+		n := min(1+rng.Intn(5), len(docs)-i)
+		ids, changed, err := st.AddDF(docs[i : i+n]...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fold(fmt.Sprintf("add %d..%d", i, i+n), changed, docs[i:i+n])
+		for j, id := range ids {
+			alive[id] = docs[i+j]
+		}
+		i += n
+		for id, doc := range alive {
+			if rng.Intn(3) > 0 {
+				break
+			}
+			changed, err := st.DeleteDF(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fold(fmt.Sprintf("delete %d", id), changed, []corpus.Document{doc})
+			delete(alive, id)
+			if _, err := st.DeleteDF(id); err != ErrNotFound {
+				t.Fatalf("second delete of %d: %v, want ErrNotFound", id, err)
+			}
+		}
 	}
 }
 
