@@ -24,8 +24,8 @@
 // the machine that ran the benchmarks. Entries whose name matches the
 // -gate regexp (default covers the search benchmarks, the decode
 // micro-benchmarks, the client-side obfuscation, inference and LDA
-// training rows, the public-hop codec rows, the text-analysis rows and
-// the routed-ingest row) fail the comparison when their allocs/op
+// training rows, the public-hop codec rows, the text-analysis rows, the
+// live-store ingest row and the routed-ingest row) fail the comparison when their allocs/op
 // grew by more than -tolerance (fraction, default 0.25; a baseline of
 // zero allows none) or when they disappeared from the new results.
 // Entries carrying an index_bytes/doc metric (the BenchmarkIndexSize
@@ -61,10 +61,11 @@ import (
 // training: BenchmarkLDATrain and BenchmarkLDATrainParallel's worker
 // rows) and the public hop's reply codec (BenchmarkPublicWire: encode,
 // decode keeping one member, decode keeping all), text analysis
-// (BenchmarkAnalyze: query, document, non-ASCII text) and one routed
-// ingest (BenchmarkRouterAdd) on allocs/op and on still being there;
-// everything else (live-index, instrumented variants) only warns.
-const defaultGate = "^Benchmark(Search|DecodeTraversal|TraversalCold|TraversalWarm|ObfuscateQuery$|Inference$|LDATrain|PublicWire/|Analyze/|RouterAdd$)"
+// (BenchmarkAnalyze: query, document, non-ASCII text), live-store
+// ingest (BenchmarkLiveIndexIngest) and one routed ingest
+// (BenchmarkRouterAdd) on allocs/op and on still being there; everything
+// else (live-index query rows, instrumented variants) only warns.
+const defaultGate = "^Benchmark(Search|DecodeTraversal|TraversalCold|TraversalWarm|ObfuscateQuery$|Inference$|LDATrain|PublicWire/|Analyze/|LiveIndexIngest$|RouterAdd$)"
 
 // Benchmark is one parsed result line.
 type Benchmark struct {

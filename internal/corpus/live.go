@@ -32,10 +32,11 @@ func DecodeDocs(r io.Reader) ([]Document, error) {
 
 // AnalyzeInto analyzes one document's text against a shared, growing
 // vocabulary: every term is interned into vocab (never pruned — a live
-// index cannot retract IDs), document/collection frequencies are
-// observed, and the analyzed bag is returned. It is the single-document
-// ingestion path of the live segment store, mirroring what Build does
-// corpus-wide.
+// index cannot retract IDs) and the analyzed bag is returned. It is the
+// single-document ingestion path of the live segment store. Unlike
+// Build it observes no frequencies: the store keeps its own live
+// document frequencies, which deletes must also move, so the
+// vocabulary's would go unread.
 //
 // The vocabulary is append-only and not safe for concurrent mutation;
 // callers serialize AnalyzeInto under their own lock.
@@ -45,6 +46,5 @@ func AnalyzeInto(doc Document, an *textproc.Analyzer, vocab *textproc.Vocab) []t
 	for i, term := range terms {
 		bag[i] = vocab.Add(term)
 	}
-	vocab.ObserveDoc(bag)
 	return bag
 }

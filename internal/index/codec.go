@@ -243,7 +243,9 @@ func readIndex(r tpixReader, verifyPayload bool) (*Index, error) {
 		if _, err := io.ReadFull(r, termBuf); err != nil {
 			return nil, fmt.Errorf("index: term %d bytes: %w", t, err)
 		}
-		x.vocab.Add(string(termBuf))
+		if id := x.vocab.AddBytes(termBuf); id != textproc.TermID(t) {
+			return nil, fmt.Errorf("index: term %d %q repeats term %d", t, termBuf, id)
+		}
 		ll, err := binary.ReadUvarint(r)
 		if err != nil {
 			return nil, fmt.Errorf("index: term %d list length: %w", t, err)

@@ -116,6 +116,25 @@ func (x *Index) Close() error {
 // Vocab returns the shared vocabulary.
 func (x *Index) Vocab() *textproc.Vocab { return x.vocab }
 
+// ShareVocab swaps x's own dictionary for a frozen view of dict's first
+// NumTerms terms, which must be x's terms at the same IDs — dict is the
+// growing dictionary x's terms were replayed into. It is how a loaded
+// segment stops holding a dictionary of its own. On a mismatch x keeps
+// its dictionary and the error names the first differing term.
+func (x *Index) ShareVocab(dict *textproc.Vocab) error {
+	n := x.NumTerms()
+	if dict.Size() < n {
+		return fmt.Errorf("index: share dictionary: %d terms, index has %d", dict.Size(), n)
+	}
+	for t := 0; t < n; t++ {
+		if term, want := dict.Term(textproc.TermID(t)), x.vocab.Term(textproc.TermID(t)); term != want {
+			return fmt.Errorf("index: share dictionary: term %d is %q, %q in the index", t, term, want)
+		}
+	}
+	x.vocab = dict.Prefix(n)
+	return nil
+}
+
 // NumDocs returns the number of indexed documents.
 func (x *Index) NumDocs() int { return x.numDocs }
 

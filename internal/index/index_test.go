@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -184,6 +185,82 @@ func TestCodecRejectsGarbage(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()/2]
 	if _, err := Read(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated stream must be rejected")
+	}
+}
+
+// TestCodecRejectsRepeatedTerm: a dictionary naming one term twice
+// would leave the index with more lists than terms; both readers refuse
+// it at open.
+func TestCodecRejectsRepeatedTerm(t *testing.T) {
+	vocab := textproc.NewVocab()
+	alpha, bravo := vocab.Add("alpha"), vocab.Add("bravo")
+	x, err := Build(&corpus.Corpus{Docs: make([]corpus.Document, 2), Vocab: vocab, Bags: [][]textproc.TermID{{alpha}, {bravo}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := x.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	image := bytes.Replace(buf.Bytes(), []byte("bravo"), []byte("alpha"), 1)
+	if _, err := Read(bytes.NewReader(image)); err == nil || !strings.Contains(err.Error(), "repeats") {
+		t.Fatalf("Read: err = %v, want a repeated-term error", err)
+	}
+	path := filepath.Join(t.TempDir(), "repeat.tpix")
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenMapped(path); err == nil || !strings.Contains(err.Error(), "repeats") {
+		t.Fatalf("OpenMapped: err = %v, want a repeated-term error", err)
+	}
+}
+
+// TestShareVocab: an index takes a view of a dictionary that holds its
+// terms at the same IDs, and writes the same image after; a dictionary
+// that disagrees or is too short is refused and the index keeps its own.
+func TestShareVocab(t *testing.T) {
+	x, err := Build(buildCorpusForCodec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before bytes.Buffer
+	if _, err := x.WriteTo(&before); err != nil {
+		t.Fatal(err)
+	}
+	own := x.Vocab()
+
+	short := textproc.NewVocab()
+	short.Add(own.Term(0))
+	foreign := textproc.NewVocab()
+	for id := x.NumTerms() - 1; id >= 0; id-- {
+		foreign.Add(own.Term(textproc.TermID(id)))
+	}
+	for name, dict := range map[string]*textproc.Vocab{"short": short, "foreign": foreign} {
+		if err := x.ShareVocab(dict); err == nil {
+			t.Fatalf("%s dictionary accepted", name)
+		}
+		if x.Vocab() != own {
+			t.Fatalf("%s dictionary: index lost its own after a refusal", name)
+		}
+	}
+
+	store := textproc.NewVocab()
+	for id := 0; id < x.NumTerms(); id++ {
+		store.Add(own.Term(textproc.TermID(id)))
+	}
+	store.Add("grown") // the store's dictionary runs past the index's
+	if err := x.ShareVocab(store); err != nil {
+		t.Fatal(err)
+	}
+	if v := x.Vocab(); !v.Frozen() || v.Size() != x.NumTerms() {
+		t.Fatalf("shared dictionary: frozen %v, %d terms, index has %d", v.Frozen(), v.Size(), x.NumTerms())
+	}
+	var after bytes.Buffer
+	if _, err := x.WriteTo(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("image changed when the index took the shared dictionary")
 	}
 }
 

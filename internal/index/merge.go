@@ -24,8 +24,10 @@ const DroppedDoc corpus.DocID = -1
 //
 // The parts must share one append-only dictionary — the segment
 // store's: every part's vocabulary is a prefix of the longest part's,
-// which becomes the merged vocabulary, so term IDs carry over verbatim.
-// Any other input is refused with an error.
+// so term IDs carry over verbatim, and the merged index holds the
+// longest part's vocabulary itself — for a store's segments, a view of
+// the store's dictionary — not a copy. Any other input is refused with
+// an error.
 //
 // A merge is Build over the survivors: list t of every part is walked
 // in order, its surviving postings are renumbered into one scratch list,

@@ -113,7 +113,7 @@ type sharedDocs struct {
 }
 
 // survivors is the index a merge of the parts must reproduce: Build
-// over the documents keep retains, in part order, under a clone of the
+// over the documents keep retains, in part order, under a view of the
 // shared dictionary.
 func (s sharedDocs) survivors(t testing.TB, keep []func(corpus.DocID) bool) *Index {
 	t.Helper()
@@ -125,7 +125,7 @@ func (s sharedDocs) survivors(t testing.TB, keep []func(corpus.DocID) bool) *Ind
 			}
 		}
 	}
-	x, err := Build(&corpus.Corpus{Docs: make([]corpus.Document, len(bags)), Vocab: s.vocab.Clone(), Bags: bags})
+	x, err := Build(&corpus.Corpus{Docs: make([]corpus.Document, len(bags)), Vocab: s.vocab.Prefix(s.vocab.Size()), Bags: bags})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +133,9 @@ func (s sharedDocs) survivors(t testing.TB, keep []func(corpus.DocID) bool) *Ind
 }
 
 // sharedVocabParts builds one index per size over one shared
-// append-only dictionary — the segment store's discipline, where every
-// earlier part's vocabulary is a prefix of every later one's. Every
+// append-only dictionary — the segment store's discipline, where each
+// part is sealed against a view of the dictionary's terms so far, so
+// every earlier part's vocabulary is a prefix of every later one's. Every
 // document holds "common", so its list spans blocks; every third holds
 // "periodic" twice; every 37th word holds "rare" at a growing tf, for
 // wider gap and tf frames; each holds its own unique term twice.
@@ -164,7 +165,7 @@ func sharedVocabParts(t testing.TB, sizes []int) ([]*Index, sharedDocs) {
 			word++
 		}
 		docs.bags[p] = bags
-		idx, err := Build(&corpus.Corpus{Docs: make([]corpus.Document, size), Vocab: vocab.Clone(), Bags: bags})
+		idx, err := Build(&corpus.Corpus{Docs: make([]corpus.Document, size), Vocab: vocab.Prefix(vocab.Size()), Bags: bags})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -102,10 +102,12 @@ func (mt *memtable) seal() (*seg, error) {
 	if len(mt.docs) == 0 {
 		return nil, nil
 	}
-	// Seal against a clone of the dictionary: the sealed index must be
-	// readable by the background compactor without locks, while the
-	// shared dictionary keeps growing under the store's write lock.
-	c := &corpus.Corpus{Docs: mt.docs, Vocab: mt.st.vocab.Clone(), Bags: mt.bags}
+	// Seal against a frozen view of the dictionary: the sealed index must
+	// be readable by the background compactor and Save without locks,
+	// while the shared dictionary keeps growing under the store's write
+	// lock — which only ever appends past the view.
+	vocab := mt.st.vocab
+	c := &corpus.Corpus{Docs: mt.docs, Vocab: vocab.Prefix(vocab.Size()), Bags: mt.bags}
 	idx, err := index.Build(c)
 	if err != nil {
 		return nil, fmt.Errorf("segment: seal: %w", err)

@@ -24,7 +24,9 @@ import (
 // and dictionaries round-trip, so no document is ever re-analyzed —
 // and replays each segment's dictionary into the shared vocabulary,
 // which is sound because the shared dictionary is append-only: every
-// segment's dictionary is a prefix of every later segment's.
+// segment's dictionary is a prefix of every later segment's. Each
+// loaded segment then holds a view of the shared dictionary, as a
+// sealed one does, not the copy it was read with.
 //
 // Crash safety: every Save writes under a fresh generation number (the
 // first filename component), never touching the previous generation's
@@ -95,7 +97,7 @@ func (st *Store) Save(dir string) error {
 	st.mu.Unlock()
 
 	// From here on only immutable segment state (postings, docs, ids,
-	// cloned dictionaries) and the snapshot copies are touched.
+	// frozen dictionary views) and the snapshot copies are touched.
 	for i, sg := range segs {
 		ms := manifestSeg{
 			File:  fmt.Sprintf("seg-%06d-%05d.tpix", gen, i),
@@ -211,8 +213,9 @@ func removeStaleSegFiles(dir string, m manifest) error {
 
 // Load reopens a store saved in dir: segments are read back through the
 // TPIX codec (no re-analysis), the shared dictionary is replayed from
-// the segment dictionaries, and live statistics are rebuilt by a single
-// postings scan. The background compactor starts once loading finishes.
+// the segment dictionaries (which then become views of it), and live
+// statistics are rebuilt by a single postings scan. The background
+// compactor starts once loading finishes.
 // The saved scoring function overrides cfg.Scoring.
 func Load(dir string, cfg Config) (*Store, error) {
 	mf, err := os.Open(filepath.Join(dir, manifestName))
@@ -239,6 +242,14 @@ func Load(dir string, cfg Config) (*Store, error) {
 			return nil, err
 		}
 		st.segs = append(st.segs, sg)
+	}
+	// Every segment's terms are in the store's dictionary now; each
+	// segment drops the dictionary it was read with for a view of the
+	// store's, taken once the dictionary is whole so all share one array.
+	for i, sg := range st.segs {
+		if err := sg.idx.ShareVocab(st.vocab); err != nil {
+			return nil, fmt.Errorf("segment: load %s: %w", m.Segments[i].File, err)
+		}
 	}
 	st.nextID = m.NextID
 	st.gen = m.Gen

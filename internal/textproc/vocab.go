@@ -20,7 +20,8 @@ const InvalidTerm TermID = -1
 // keyed identically).
 //
 // Vocab is not safe for concurrent mutation; build it single-threaded,
-// then share it read-only.
+// then share it read-only. A Prefix view of it, though, may be read
+// while it grows.
 type Vocab struct {
 	terms []string
 	ids   map[string]TermID
@@ -36,14 +37,31 @@ func NewVocab() *Vocab {
 }
 
 // Add interns the term, returning its ID. Frequencies are not touched;
-// use Observe for counting. A new term is copied: Analyze's terms share
-// memory with the text they came from, and the dictionary must not pin
-// whole documents.
+// use ObserveDoc for counting. A new term is copied: Analyze's terms
+// share memory with the text they came from, and the dictionary must
+// not pin whole documents.
 func (v *Vocab) Add(term string) TermID {
 	if id, ok := v.ids[term]; ok {
 		return id
 	}
-	term = strings.Clone(term)
+	return v.insert(strings.Clone(term))
+}
+
+// AddBytes is Add for a term held in a byte slice: the lookup copies
+// nothing, a new term is copied once, and the caller may reuse the
+// slice.
+func (v *Vocab) AddBytes(term []byte) TermID {
+	if id, ok := v.ids[string(term)]; ok {
+		return id
+	}
+	return v.insert(string(term))
+}
+
+// insert appends a term the caller has checked is absent and owns.
+func (v *Vocab) insert(term string) TermID {
+	if v.Frozen() {
+		panic("textproc: Add on a frozen dictionary view")
+	}
 	id := TermID(len(v.terms))
 	v.terms = append(v.terms, term)
 	v.ids[term] = id
@@ -52,26 +70,32 @@ func (v *Vocab) Add(term string) TermID {
 	return id
 }
 
-// Clone returns an independent deep copy: same term → ID mapping and
-// frequencies, sharing no mutable state with the original. A live
-// index seals segments against a clone so later growth of the shared
-// dictionary (which is append-only, so IDs never change meaning) can
-// never race with background readers of the sealed segment.
-func (v *Vocab) Clone() *Vocab {
-	nv := &Vocab{
-		terms:    append([]string(nil), v.terms...),
-		ids:      make(map[string]TermID, len(v.ids)),
-		docFreq:  append([]int(nil), v.docFreq...),
-		collFreq: append([]int(nil), v.collFreq...),
-	}
-	for term, id := range v.ids {
-		nv.ids[term] = id
-	}
-	return nv
+// Prefix returns a frozen view of v's first n terms. The view shares
+// v's term storage and holds no term → ID map and no frequencies, so
+// taking one copies nothing. It is what an index sealed from a growing
+// dictionary holds: v is append-only, so Add only ever writes past n
+// and the view may be read without a lock while v grows.
+//
+// A view answers Term, Size, Terms and ID (which scans); Add panics,
+// and ObserveDoc, DocFreq, CollFreq, Prune and TopByCollFreq have no
+// frequencies to read.
+func (v *Vocab) Prefix(n int) *Vocab {
+	return &Vocab{terms: v.terms[:n:n]}
 }
+
+// Frozen reports whether v is a Prefix view.
+func (v *Vocab) Frozen() bool { return v.ids == nil }
 
 // ID returns the term's ID, or InvalidTerm when absent.
 func (v *Vocab) ID(term string) TermID {
+	if v.Frozen() {
+		for id, t := range v.terms {
+			if t == term {
+				return TermID(id)
+			}
+		}
+		return InvalidTerm
+	}
 	if id, ok := v.ids[term]; ok {
 		return id
 	}

@@ -1,6 +1,7 @@
 package textproc
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -146,5 +147,103 @@ func TestVocabBijectionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestVocabPrefix: a view answers for its first n terms as the
+// dictionary does, shares the dictionary's strings, refuses Add, and
+// does not see terms added after it was taken.
+func TestVocabPrefix(t *testing.T) {
+	v := NewVocab()
+	for _, w := range []string{"alpha", "beta", "gamma"} {
+		v.Add(w)
+	}
+	view := v.Prefix(2)
+	if !view.Frozen() || v.Frozen() {
+		t.Fatalf("Frozen: view %v, dictionary %v", view.Frozen(), v.Frozen())
+	}
+	v.Add("delta")
+	if view.Size() != 2 {
+		t.Fatalf("view Size = %d, want 2", view.Size())
+	}
+	for id := TermID(0); id < 2; id++ {
+		if got, want := view.Term(id), v.Term(id); unsafe.StringData(got) != unsafe.StringData(want) {
+			t.Errorf("view term %d %q is a copy of %q", id, got, want)
+		}
+		if got := view.ID(v.Term(id)); got != id {
+			t.Errorf("view ID(%q) = %d, want %d", v.Term(id), got, id)
+		}
+	}
+	for _, w := range []string{"gamma", "delta", "missing"} {
+		if got := view.ID(w); got != InvalidTerm {
+			t.Errorf("view ID(%q) = %d, want InvalidTerm", w, got)
+		}
+	}
+	if terms := view.Terms(); len(terms) != 2 || terms[0] != "alpha" || terms[1] != "beta" {
+		t.Errorf("view Terms = %v", terms)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Add on a view did not panic")
+		}
+	}()
+	view.Add("epsilon")
+}
+
+// TestVocabPrefixReadWhileGrowing reads views from other goroutines
+// while the dictionary grows past them — the segment store's sealed
+// segments against its live dictionary. The race detector is the judge.
+func TestVocabPrefixReadWhileGrowing(t *testing.T) {
+	v := NewVocab()
+	for i := 0; i < 100; i++ {
+		v.Add(fmt.Sprintf("seed%d", i))
+	}
+	done := make(chan struct{})
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		view := v.Prefix(v.Size())
+		go func() {
+			for {
+				select {
+				case <-done:
+					errs <- nil
+					return
+				default:
+				}
+				for id := TermID(0); int(id) < view.Size(); id++ {
+					if want := fmt.Sprintf("seed%d", id); view.Term(id) != want {
+						errs <- fmt.Errorf("view term %d = %q, want %q", id, view.Term(id), want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < 5000; i++ {
+		v.Add(fmt.Sprintf("grown%d", i))
+	}
+	close(done)
+	for g := 0; g < 4; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// AddBytes interns as Add does, and a stored term never aliases the
+// caller's buffer.
+func TestVocabAddBytes(t *testing.T) {
+	v := NewVocab()
+	buf := []byte("apache")
+	id := v.AddBytes(buf)
+	copy(buf, "zzzzzz")
+	if got := v.Term(id); got != "apache" {
+		t.Fatalf("stored term %q changed with the caller's buffer", got)
+	}
+	if v.AddBytes([]byte("apache")) != id || v.Add("apache") != id || v.Size() != 1 {
+		t.Fatalf("re-adding changed the dictionary: size %d", v.Size())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { v.AddBytes([]byte("apache")) }); allocs != 0 {
+		t.Errorf("AddBytes of a known term allocates %.0f times", allocs)
 	}
 }
