@@ -568,9 +568,12 @@ func BenchmarkIndexSize(b *testing.B) {
 	}
 }
 
-// BenchmarkIndexBuild measures inverted-index construction.
+// BenchmarkIndexBuild measures inverted-index construction. Its
+// allocs/op is gated in CI: a build allocates its lists, their encoded
+// payloads and the index, and nothing per document.
 func BenchmarkIndexBuild(b *testing.B) {
 	env := getBenchEnv(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := index.Build(env.Corpus); err != nil {

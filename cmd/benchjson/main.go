@@ -61,11 +61,12 @@ import (
 // training: BenchmarkLDATrain and BenchmarkLDATrainParallel's worker
 // rows) and the public hop's reply codec (BenchmarkPublicWire: encode,
 // decode keeping one member, decode keeping all), text analysis
-// (BenchmarkAnalyze: query, document, non-ASCII text), live-store
-// ingest (BenchmarkLiveIndexIngest) and one routed ingest
-// (BenchmarkRouterAdd) on allocs/op and on still being there; everything
+// (BenchmarkAnalyze: query, document, non-ASCII text), index
+// construction (BenchmarkIndexBuild), live-store ingest
+// (BenchmarkLiveIndexIngest) and one routed ingest (BenchmarkRouterAdd)
+// on allocs/op and on still being there; everything
 // else (live-index query rows, instrumented variants) only warns.
-const defaultGate = "^Benchmark(Search|DecodeTraversal|TraversalCold|TraversalWarm|ObfuscateQuery$|Inference$|LDATrain|PublicWire/|Analyze/|LiveIndexIngest$|RouterAdd$)"
+const defaultGate = "^Benchmark(Search|DecodeTraversal|TraversalCold|TraversalWarm|ObfuscateQuery$|Inference$|LDATrain|PublicWire/|Analyze/|IndexBuild$|LiveIndexIngest$|RouterAdd$)"
 
 // Benchmark is one parsed result line.
 type Benchmark struct {

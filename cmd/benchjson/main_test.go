@@ -182,7 +182,8 @@ func TestCompareSizeGate(t *testing.T) {
 
 // TestCompareDefaultGateRegexp pins the default gate: the decode
 // micro-benchmarks, the mapped-traversal benchmarks, the client-side
-// rows, the text-analysis rows and both ingest rows fail alongside
+// rows, the text-analysis rows, index construction and both ingest rows
+// fail alongside
 // the search benchmarks when they disappear from the new results, while
 // a name that merely contains (not starts with) a gated word only warns.
 func TestCompareDefaultGateRegexp(t *testing.T) {
@@ -204,6 +205,8 @@ func TestCompareDefaultGateRegexp(t *testing.T) {
 		bench("BenchmarkLDATrain", 15e6, 0),
 		bench("BenchmarkLDATrainParallel/2workers", 80e6, 0),
 		bench("BenchmarkFitLDATrain", 1e6, 0),
+		bench("BenchmarkIndexBuild", 9e6, 0),
+		bench("BenchmarkIndexBuildParallel", 9e6, 0),
 		bench("BenchmarkLiveIndexIngest", 60000, 0),
 		bench("BenchmarkLiveIndexIngestMapped", 60000, 0),
 		bench("BenchmarkRouterAdd", 12e6, 0),
@@ -211,10 +214,10 @@ func TestCompareDefaultGateRegexp(t *testing.T) {
 	}
 	newB := []Benchmark{bench("BenchmarkSearch/cosine/exhaustive", 40000, 0)}
 	failures, warnings := compareBenchmarks(oldB, newB, 0.25, 0.10, gate)
-	if len(failures) != 13 {
-		t.Errorf("failures = %v, want DecodeTraversal, both Traversal rows, ObfuscateQuery, Inference, the three PublicWire rows, Analyze/query, both LDATrain rows, LiveIndexIngest and RouterAdd gated", failures)
+	if len(failures) != 14 {
+		t.Errorf("failures = %v, want DecodeTraversal, both Traversal rows, ObfuscateQuery, Inference, the three PublicWire rows, Analyze/query, both LDATrain rows, IndexBuild, LiveIndexIngest and RouterAdd gated", failures)
 	}
-	if all := strings.Join(warnings, "\n"); len(warnings) != 7 || !strings.Contains(all, "ResearchIndexing") || !strings.Contains(all, "InferenceIters") || !strings.Contains(all, "PublicWireless") || !strings.Contains(all, "AnalyzeReference") || !strings.Contains(all, "FitLDATrain") || !strings.Contains(all, "LiveIndexIngestMapped") || !strings.Contains(all, "RouterAddAll") {
+	if all := strings.Join(warnings, "\n"); len(warnings) != 8 || !strings.Contains(all, "IndexBuildParallel") || !strings.Contains(all, "ResearchIndexing") || !strings.Contains(all, "InferenceIters") || !strings.Contains(all, "PublicWireless") || !strings.Contains(all, "AnalyzeReference") || !strings.Contains(all, "FitLDATrain") || !strings.Contains(all, "LiveIndexIngestMapped") || !strings.Contains(all, "RouterAddAll") {
 		t.Errorf("warnings = %v, want the anchored-out names to warn only", warnings)
 	}
 }

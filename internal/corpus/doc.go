@@ -67,20 +67,20 @@ func (c *Corpus) AvgDocLen() float64 {
 // Build analyzes raw documents into a Corpus using the given analyzer,
 // then prunes the vocabulary per spec and remaps the bags. It is the
 // ingestion path for external document sets; Synthesize uses it too so
-// synthetic and ingested corpora share one code path.
+// synthetic and ingested corpora share one code path. The documents go
+// through one memoized textproc.DocAnalyzer, dropped on return.
 func Build(docs []Document, an *textproc.Analyzer, spec textproc.PruneSpec) (*Corpus, error) {
 	if an == nil {
 		return nil, fmt.Errorf("corpus: nil analyzer")
 	}
 	vocab := textproc.NewVocab()
+	da := textproc.NewDocAnalyzer(an, vocab)
 	bags := make([][]textproc.TermID, len(docs))
+	var ids []textproc.TermID
 	for i := range docs {
 		docs[i].ID = DocID(i)
-		terms := an.Analyze(docs[i].Text)
-		bag := make([]textproc.TermID, len(terms))
-		for j, term := range terms {
-			bag[j] = vocab.Add(term)
-		}
+		ids = da.AppendIDs(ids[:0], docs[i].Text)
+		bag := append(make([]textproc.TermID, 0, len(ids)), ids...)
 		vocab.ObserveDoc(bag)
 		bags[i] = bag
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 
 	"toppriv/internal/corpus"
 	"toppriv/internal/textproc"
@@ -320,20 +321,32 @@ func (x *Index) readCompList(r tpixReader, t, ll uint64, numDocs int, verifyPayl
 }
 
 // SizeBytes returns the serialized size of the index without writing it
-// anywhere (Figure 6, the PIR table, and every stats scrape). The index
-// is immutable, so the one serialization that measures it runs on first
-// use only — a scrape must not re-read every payload byte, least of all
-// a mapped index's.
+// anywhere (Figure 6, the PIR table, and every stats scrape): the sum of
+// the lengths WriteTo emits, from the lists' counts and payload lengths,
+// the terms' lengths and the document lengths, with no payload byte
+// read. The index is immutable, so the sum is taken on first use only.
 func (x *Index) SizeBytes() int64 {
 	x.sizeOnce.Do(func() {
-		n, err := x.WriteTo(io.Discard)
-		if err != nil {
-			// io.Discard cannot fail; keep the invariant visible.
-			panic(fmt.Sprintf("index: SizeBytes: %v", err))
+		n := len(codecMagic) + 4 + uvarintLen(uint64(x.numDocs)) + uvarintLen(uint64(len(x.lists)))
+		for id := range x.lists {
+			term := x.vocab.Term(textproc.TermID(id))
+			cl := &x.lists[id]
+			n += uvarintLen(uint64(len(term))) + len(term) + uvarintLen(uint64(cl.n))
+			if cl.n > 0 {
+				n += uvarintLen(uint64(len(cl.data))) + len(cl.data) + uvarintLen(uint64(cl.lastDoc))
+			}
 		}
-		x.size = n
+		for _, dl := range x.docLen {
+			n += uvarintLen(uint64(dl))
+		}
+		x.size = int64(n)
 	})
 	return x.size
+}
+
+// uvarintLen returns the length of v's uvarint encoding.
+func uvarintLen(v uint64) int {
+	return (bits.Len64(v|1) + 6) / 7
 }
 
 type countingWriter struct {

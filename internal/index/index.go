@@ -8,7 +8,7 @@ package index
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"toppriv/internal/corpus"
@@ -61,42 +61,128 @@ func Build(c *corpus.Corpus) (*Index, error) {
 	if c == nil || c.Vocab == nil {
 		return nil, fmt.Errorf("index: nil corpus")
 	}
-	idx := &Index{
-		vocab:   c.Vocab,
-		docLen:  make([]int, c.NumDocs()),
-		numDocs: c.NumDocs(),
+	if len(c.Bags) != c.NumDocs() {
+		return nil, fmt.Errorf("index: %d documents but %d bags", c.NumDocs(), len(c.Bags))
 	}
-	raw := make([][]Posting, c.Vocab.Size())
-	for d, bag := range c.Bags {
-		idx.docLen[d] = len(bag)
-		idx.totalLen += len(bag)
-		counts := make(map[textproc.TermID]int32, len(bag))
-		for _, id := range bag {
-			counts[id]++
-		}
-		for id, tf := range counts {
-			raw[id] = append(raw[id], Posting{Doc: corpus.DocID(d), TF: tf})
-		}
+	n := c.Vocab.Size()
+	b := Builder{lists: make([][]Posting, n), count: make([]int32, n)}
+	for _, bag := range c.Bags {
+		b.Add(bag)
 	}
-	// Document order within each list follows map iteration above; sort
-	// for deterministic layout and delta-encodable doc IDs.
-	for id := range raw {
-		pl := raw[id]
-		sort.Slice(pl, func(i, j int) bool { return pl[i].Doc < pl[j].Doc })
-	}
-	idx.compressLists(raw)
-	return idx, nil
+	return b.Index(c.Vocab)
 }
 
-// compressLists encodes the raw sorted lists into the block-compressed
-// in-memory form through one reused scratch buffer. The raw slices are
-// not retained.
-func (x *Index) compressLists(raw [][]Posting) {
-	x.lists = make([]compList, len(raw))
+// Builder assembles an index one document at a time: the one postings
+// builder behind Build and the live store's memtable. A document's terms
+// are counted in a dense per-TermID array that is all zero between
+// calls, so no map is made, and its postings are appended to
+// TermID-indexed lists. Documents arrive in ID order, so every list is
+// ascending as built and none is sorted. Until Index hands them over,
+// the lists are readable (List, DocLen) by whatever serializes with Add.
+// The zero value is an empty builder.
+type Builder struct {
+	lists    [][]Posting
+	docLen   []int
+	totalLen int
+	// count is zero everywhere between calls; Add counts into it, and
+	// Scratch lends it out.
+	count []int32
+	terms []textproc.TermID
+	tfs   []int32
+}
+
+// Add indexes bag, a document's term IDs, as the next document. It
+// returns the document's distinct terms in ascending order and their
+// term frequencies, in slices the builder reuses on the next Add.
+func (b *Builder) Add(bag []textproc.TermID) ([]textproc.TermID, []int32) {
+	doc := corpus.DocID(len(b.docLen))
+	b.docLen = append(b.docLen, len(bag))
+	b.totalLen += len(bag)
+	terms := b.terms[:0]
+	for _, id := range bag {
+		if int(id) >= len(b.count) {
+			b.count = grow(b.count, int(id)+1)
+		}
+		if b.count[id] == 0 {
+			terms = append(terms, id)
+		}
+		b.count[id]++
+	}
+	slices.Sort(terms)
+	if len(terms) > 0 {
+		b.lists = grow(b.lists, int(terms[len(terms)-1])+1)
+	}
+	tfs := b.tfs[:0]
+	for _, id := range terms {
+		tf := b.count[id]
+		b.count[id] = 0
+		b.lists[id] = append(b.lists[id], Posting{Doc: doc, TF: tf})
+		tfs = append(tfs, tf)
+	}
+	b.terms, b.tfs = terms, tfs
+	return terms, tfs
+}
+
+// grow extends s with zero values to length n, if it is shorter.
+func grow[T any](s []T, n int) []T {
+	if n <= len(s) {
+		return s
+	}
+	return append(s, make([]T, n-len(s))...)
+}
+
+// NumDocs returns the number of documents added since the last Index.
+func (b *Builder) NumDocs() int { return len(b.docLen) }
+
+// NumTerms returns one past the largest term ID added since the last
+// Index: List answers nil at and past it.
+func (b *Builder) NumTerms() int { return len(b.lists) }
+
+// List returns term id's postings so far, ascending by document.
+func (b *Builder) List(id textproc.TermID) []Posting {
+	if id < 0 || int(id) >= len(b.lists) {
+		return nil
+	}
+	return b.lists[id]
+}
+
+// DocLen returns the analyzed length of document d.
+func (b *Builder) DocLen(d corpus.DocID) int {
+	if d < 0 || int(d) >= len(b.docLen) {
+		return 0
+	}
+	return b.docLen[d]
+}
+
+// Scratch lends out the builder's count array, grown to at least n
+// entries and all zero, to a caller that needs a dense per-TermID array
+// between two Adds. The caller must hand it back all zero.
+func (b *Builder) Scratch(n int) []int32 {
+	b.count = grow(b.count, n)
+	return b.count
+}
+
+// Index encodes the documents added so far into an index over vocab,
+// which must name every term they hold, and empties the builder for the
+// next index; its scratch is kept. The index holds every list, and its
+// document lengths, at exact size.
+func (b *Builder) Index(vocab *textproc.Vocab) (*Index, error) {
+	if len(b.lists) > vocab.Size() {
+		return nil, fmt.Errorf("index: term %d outside the %d-term dictionary", len(b.lists)-1, vocab.Size())
+	}
+	x := &Index{
+		vocab:    vocab,
+		lists:    make([]compList, vocab.Size()),
+		docLen:   append(make([]int, 0, len(b.docLen)), b.docLen...),
+		numDocs:  len(b.docLen),
+		totalLen: b.totalLen,
+	}
 	var scratch []byte
-	for t, pl := range raw {
+	for t, pl := range b.lists {
 		x.lists[t], scratch = encodePostings(pl, scratch)
 	}
+	b.lists, b.docLen, b.totalLen = nil, nil, 0
+	return x, nil
 }
 
 // Mapped reports whether the index's postings payloads are views into

@@ -163,6 +163,85 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSizeBytesIsWriteTo holds the arithmetic SizeBytes to the bytes
+// WriteTo emits, for built, merged, stream-read and mapped indexes.
+func TestSizeBytesIsWriteTo(t *testing.T) {
+	parts, _ := sharedVocabParts(t, []int{300, 2, 140})
+	merged, _, err := Merge(parts, []func(corpus.DocID) bool{nil, nil, func(d corpus.DocID) bool { return d%3 != 0 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := Build(buildTestCorpus(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty, err := Build(&corpus.Corpus{Vocab: textproc.NewVocab()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, x := range map[string]*Index{"built": built, "multi-block": multiBlockIndex(t), "merged": merged, "empty": empty} {
+		var buf bytes.Buffer
+		n, err := x.WriteTo(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read, err := Read(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped, err := OpenMapped(writeTempTPIX(t, x))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for form, y := range map[string]*Index{"as is": x, "read": read, "mapped": mapped} {
+			if got := y.SizeBytes(); got != n {
+				t.Errorf("%s, %s: SizeBytes %d, WriteTo wrote %d", name, form, got, n)
+			}
+		}
+		mapped.Close()
+	}
+}
+
+// TestBuilderStartsOverAfterIndex: a builder that has handed one index
+// over builds the next from nothing but what it is given next — the
+// same bytes as Build over those documents — and lends out its count
+// array all zero.
+func TestBuilderStartsOverAfterIndex(t *testing.T) {
+	c := buildTestCorpus(t)
+	var b Builder
+	for _, bag := range c.Bags[:2] {
+		b.Add(bag)
+	}
+	if _, err := b.Index(c.Vocab); err != nil {
+		t.Fatal(err)
+	}
+	for _, bag := range c.Bags[2:] {
+		b.Add(bag)
+	}
+	got, err := b.Index(c.Vocab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Build(&corpus.Corpus{Docs: c.Docs[2:], Vocab: c.Vocab, Bags: c.Bags[2:]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gotBuf, wantBuf bytes.Buffer
+	got.WriteTo(&gotBuf)
+	want.WriteTo(&wantBuf)
+	if !bytes.Equal(gotBuf.Bytes(), wantBuf.Bytes()) {
+		t.Fatal("second index differs from Build over its documents")
+	}
+	for id, n := range b.Scratch(c.Vocab.Size() + 5) {
+		if n != 0 {
+			t.Fatalf("scratch[%d] = %d, want all zero", id, n)
+		}
+	}
+	if _, err := Build(&corpus.Corpus{Docs: c.Docs, Vocab: c.Vocab, Bags: c.Bags[1:]}); err == nil {
+		t.Fatal("Build over fewer bags than documents must fail")
+	}
+}
+
 func TestCodecRejectsGarbage(t *testing.T) {
 	if _, err := Read(bytes.NewReader([]byte("NOPE1234"))); err == nil {
 		t.Error("bad magic must be rejected")

@@ -6,7 +6,6 @@ import (
 
 	"toppriv/internal/corpus"
 	"toppriv/internal/index"
-	"toppriv/internal/vsm"
 )
 
 // compactLoop is the background compactor: a single goroutine woken by
@@ -149,13 +148,18 @@ func (st *Store) compactRun(start, end int) (*seg, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A document's lnc norm depends on its tfs alone, summed in
+	// ascending term order in every part, so the merged segment carries
+	// the parts' norms over: the bits vsm.DocNorms(merged) would compute.
 	ids := make([]corpus.DocID, 0, merged.NumDocs())
 	docs := make([]corpus.Document, 0, merged.NumDocs())
+	norms := make([]float64, 0, merged.NumDocs())
 	for i, sg := range parts {
 		for d, nd := range remap[i] {
 			if nd != index.DroppedDoc {
 				ids = append(ids, sg.ids[d])
 				docs = append(docs, sg.docs[d])
+				norms = append(norms, sg.norms[d])
 			}
 		}
 	}
@@ -164,7 +168,7 @@ func (st *Store) compactRun(start, end int) (*seg, error) {
 		ids:   ids,
 		docs:  docs,
 		idx:   merged,
-		norms: vsm.DocNorms(merged),
+		norms: norms,
 		dead:  make([]bool, merged.NumDocs()),
 		live:  merged.NumDocs(),
 	}

@@ -3,101 +3,80 @@ package segment
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"toppriv/internal/corpus"
 	"toppriv/internal/index"
 	"toppriv/internal/textproc"
-	"toppriv/internal/vsm"
 )
 
 // memtable is the mutable head of the store: an incremental in-memory
-// inverted index over the most recently added documents. It keeps the
-// analyzed bags so sealing can build a real index.Index without
-// re-analyzing, and maintains per-document lnc norms incrementally so
-// the engine reads them off a slice like a sealed segment's. All
-// mutation happens under the store's write lock; reads under the read
-// lock.
+// inverted index over the most recently added documents. Its postings
+// lists and document lengths are the store's index.Builder, which a seal
+// encodes as they stand; its lnc norms are kept per document as it is
+// added, so the engine reads them off a slice like a sealed segment's,
+// and the sealed segment keeps them. It keeps no analyzed bags. Its
+// DocAnalyzer memoizes the analysis of the surface tokens its documents
+// hold, and goes with it at seal. All mutation happens under the store's
+// write lock; reads under the read lock.
 type memtable struct {
-	st     *Store
-	ids    []corpus.DocID
-	docs   []corpus.Document
-	bags   [][]textproc.TermID
-	docLen []int
-	norm   []float64
-	dead   []bool
-	live   int
-	post   map[textproc.TermID][]index.Posting
+	st   *Store
+	b    *index.Builder // the store's; it holds this memtable's lists
+	an   *textproc.DocAnalyzer
+	bag  []textproc.TermID // scratch: the document being added
+	ids  []corpus.DocID
+	docs []corpus.Document
+	norm []float64
+	dead []bool
+	live int
 }
 
 func newMemtable(st *Store) *memtable {
-	return &memtable{st: st, post: make(map[textproc.TermID][]index.Posting)}
+	return &memtable{st: st, b: &st.build, an: textproc.NewDocAnalyzer(st.an, st.vocab)}
 }
 
 // add analyzes one document into the shared vocabulary and indexes it
 // at the next local ID. Returns the document's distinct terms in
-// ascending order and its analyzed length, for the store's statistics
-// bookkeeping.
+// ascending order, valid until the next add, and its analyzed length,
+// for the store's statistics bookkeeping.
 func (mt *memtable) add(doc corpus.Document, gid corpus.DocID) (terms []textproc.TermID, length int) {
-	bag := corpus.AnalyzeInto(doc, mt.st.an, mt.st.vocab)
-	local := corpus.DocID(len(mt.docs))
+	mt.bag = mt.an.AppendIDs(mt.bag[:0], doc.Text)
+	terms, tfs := mt.b.Add(mt.bag)
 	doc.ID = gid
 	mt.ids = append(mt.ids, gid)
 	mt.docs = append(mt.docs, doc)
-	mt.bags = append(mt.bags, bag)
-	mt.docLen = append(mt.docLen, len(bag))
 	mt.dead = append(mt.dead, false)
 	mt.live++
-
-	counts := make(map[textproc.TermID]int32, len(bag))
-	for _, id := range bag {
-		counts[id]++
-	}
 	// Squares are summed in ascending term order, the order
 	// vsm.DocNorms adds them in: a document's norm, and so its cosine
-	// score, is the same bits before and after it is sealed, and from
-	// one run to the next (map order would make it neither).
-	terms = make([]textproc.TermID, 0, len(counts))
-	for id := range counts {
-		terms = append(terms, id)
-	}
-	slices.Sort(terms)
+	// score, is the same bits before and after it is sealed or merged.
 	normSq := 0.0
-	for _, id := range terms {
-		tf := counts[id]
-		// Appending per document keeps each list ascending by local ID.
-		mt.post[id] = append(mt.post[id], index.Posting{Doc: local, TF: tf})
+	for _, tf := range tfs {
 		w := 1 + math.Log(float64(tf))
 		normSq += w * w
 	}
 	mt.norm = append(mt.norm, math.Sqrt(normSq))
-	return terms, len(bag)
+	return terms, len(mt.bag)
 }
 
 // IterInto and DocLen make the memtable a vsm.Postings. IterInto hands
 // out a plain slice iterator over the term's growing list — the memtable
-// keeps its postings uncompressed (they mutate in place); compression
-// happens on seal, when index.Build lays the frozen lists out
-// block-compressed.
+// keeps its postings uncompressed (they grow in place); compression
+// happens on seal, when the builder encodes the frozen lists into
+// blocks.
 func (mt *memtable) IterInto(id textproc.TermID, it *index.Iterator) {
-	it.ResetList(mt.post[id])
+	it.ResetList(mt.b.List(id))
 }
 
-func (mt *memtable) DocLen(d corpus.DocID) int {
-	if d < 0 || int(d) >= len(mt.docLen) {
-		return 0
-	}
-	return mt.docLen[d]
-}
+func (mt *memtable) DocLen(d corpus.DocID) int { return mt.b.DocLen(d) }
 
 // locate binary-searches for a global ID (ids are ascending).
 func (mt *memtable) locate(gid corpus.DocID) (corpus.DocID, bool) {
 	return locateID(mt.ids, gid)
 }
 
-// seal freezes the memtable into a level-0 segment, building a real
-// index over the buffered bags (no re-analysis). Returns nil when
-// empty. Caller holds the store's write lock.
+// seal freezes the memtable into a level-0 segment: the builder encodes
+// the memtable's lists as they stand, and the segment keeps its norms.
+// Returns nil when empty. Caller holds the store's write lock.
 func (mt *memtable) seal() (*seg, error) {
 	if len(mt.docs) == 0 {
 		return nil, nil
@@ -107,8 +86,7 @@ func (mt *memtable) seal() (*seg, error) {
 	// while the shared dictionary keeps growing under the store's write
 	// lock — which only ever appends past the view.
 	vocab := mt.st.vocab
-	c := &corpus.Corpus{Docs: mt.docs, Vocab: vocab.Prefix(vocab.Size()), Bags: mt.bags}
-	idx, err := index.Build(c)
+	idx, err := mt.b.Index(vocab.Prefix(vocab.Size()))
 	if err != nil {
 		return nil, fmt.Errorf("segment: seal: %w", err)
 	}
@@ -117,7 +95,7 @@ func (mt *memtable) seal() (*seg, error) {
 		ids:   mt.ids,
 		docs:  mt.docs,
 		idx:   idx,
-		norms: vsm.DocNorms(idx),
+		norms: append(make([]float64, 0, len(mt.norm)), mt.norm...),
 		dead:  mt.dead,
 		live:  mt.live,
 	}, nil

@@ -40,8 +40,9 @@ type seg struct {
 	// maintenance, and persistence.
 	docs []corpus.Document
 	idx  *index.Index
-	// norms holds the documents' lnc vector norms (vsm.DocNorms),
-	// computed once when the segment is sealed, loaded or merged.
+	// norms holds the documents' lnc vector norms, one per document: the
+	// memtable's at seal, the parts' survivors' at merge, vsm.DocNorms at
+	// load — the same bits every way.
 	norms []float64
 	dead  []bool
 	live  int

@@ -85,6 +85,9 @@ type Store struct {
 	vocab *textproc.Vocab // shared, append-only dictionary
 	mem   *memtable
 	segs  []*seg // stack order: ascending global-ID ranges
+	// build holds the memtable's postings; its count array is also the
+	// store's dense per-TermID scratch (dfOfLocked, delete).
+	build index.Builder
 
 	nextID   corpus.DocID
 	gen      int64 // persistence generation of the last Save/Load
@@ -257,20 +260,21 @@ func (st *Store) delete(gid corpus.DocID, report bool) ([]TermDF, error) {
 		return nil, ErrNotFound
 	}
 	terms := st.an.Analyze(doc.Text)
-	seen := make(map[textproc.TermID]struct{}, len(terms))
+	seen := st.build.Scratch(len(st.df))
 	var touched []textproc.TermID
 	for _, term := range terms {
 		id := st.vocab.ID(term)
 		if id == textproc.InvalidTerm {
 			continue // cannot happen for a doc this store analyzed
 		}
-		if _, dup := seen[id]; !dup {
-			seen[id] = struct{}{}
+		if seen[id] == 0 {
+			seen[id] = 1
 			st.df[id]--
-			if report {
-				touched = append(touched, id)
-			}
+			touched = append(touched, id)
 		}
+	}
+	for _, id := range touched {
+		seen[id] = 0
 	}
 	st.liveDocs--
 	st.liveLen -= len(terms)
@@ -283,18 +287,18 @@ func (st *Store) delete(gid corpus.DocID, report bool) ([]TermDF, error) {
 // dfOfLocked returns the live df of each distinct term in ids, in order
 // of first occurrence. Caller holds mu.
 func (st *Store) dfOfLocked(ids []textproc.TermID) []TermDF {
-	seen := make([]bool, len(st.df))
+	seen := st.build.Scratch(len(st.df))
 	n := 0
 	for _, id := range ids {
-		if !seen[id] {
-			seen[id] = true
+		if seen[id] == 0 {
+			seen[id] = 1
 			n++
 		}
 	}
 	out := make([]TermDF, 0, n)
 	for _, id := range ids {
-		if seen[id] {
-			seen[id] = false
+		if seen[id] != 0 {
+			seen[id] = 0
 			out = append(out, TermDF{Term: st.vocab.Term(id), DF: int(st.df[id])})
 		}
 	}
@@ -520,7 +524,8 @@ func (st *Store) ComputeStats() index.Stats {
 		s.PostingsBytes += part.PostingsBytes
 		s.ResidentBytes += part.ResidentBytes
 	}
-	for _, pl := range st.mem.post {
+	for t := 0; t < st.build.NumTerms(); t++ {
+		pl := st.build.List(textproc.TermID(t))
 		s.NumPostings += len(pl)
 		if len(pl) > s.MaxListLen {
 			s.MaxListLen = len(pl)

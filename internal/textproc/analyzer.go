@@ -1,5 +1,7 @@
 package textproc
 
+import "strings"
+
 // Analyzer is the full preprocessing pipeline: tokenize, drop stopwords,
 // and optionally stem. It is the single entry point the index, the topic
 // model and the query path all share, so that a query term and a
@@ -88,6 +90,61 @@ func (a *Analyzer) AnalyzeTerm(term string) (string, bool) {
 		return "", false
 	}
 	return a.normalize(&s, tok)
+}
+
+// DocAnalyzer analyzes documents into the term IDs of a growing
+// dictionary: the ingest side of the pipeline, where Analyze is the
+// query side. It runs Analyze's scan, stop filter and stemmer, and
+// memoizes each surface token it meets (lowercased, before stop
+// filtering and stemming) to the ID its term got, or to InvalidTerm for a
+// token the pipeline drops. A token seen before then costs one map
+// lookup instead of a stop check, a Porter stem and a dictionary lookup.
+//
+// The memo has no size setting: it holds the distinct tokens of the text
+// analyzed so far, so an owner bounds it by dropping the DocAnalyzer
+// along with that text (a live store's memtable at seal, corpus.Build
+// when it returns). It is allocated on first use.
+//
+// A DocAnalyzer is not safe for concurrent use, and its dictionary's
+// writers, this one included, must be serialized.
+type DocAnalyzer struct {
+	an    *Analyzer
+	vocab *Vocab
+	memo  map[string]TermID
+}
+
+// NewDocAnalyzer returns a DocAnalyzer that analyzes with an and interns
+// into vocab.
+func NewDocAnalyzer(an *Analyzer, vocab *Vocab) *DocAnalyzer {
+	return &DocAnalyzer{an: an, vocab: vocab}
+}
+
+// AppendIDs analyzes text, adds its new terms to the dictionary and
+// appends the ID of each of its terms to dst, in text order: the IDs
+// Vocab.Add returns for the terms of Analyze(text).
+func (d *DocAnalyzer) AppendIDs(dst []TermID, text string) []TermID {
+	if d.memo == nil {
+		d.memo = make(map[string]TermID)
+	}
+	s := tokenScanner{text: text}
+	for {
+		tok, ok := s.next()
+		if !ok {
+			return dst
+		}
+		id, seen := d.memo[tok]
+		if !seen {
+			id = InvalidTerm
+			if term, ok := d.an.normalize(&s, tok); ok {
+				id = d.vocab.Add(term)
+			}
+			// tok shares memory with the text or the scan's buffer.
+			d.memo[strings.Clone(tok)] = id
+		}
+		if id != InvalidTerm {
+			dst = append(dst, id)
+		}
+	}
 }
 
 // normalize drops a stopword token and stems the rest, dropping a stem

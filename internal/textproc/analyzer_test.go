@@ -63,6 +63,23 @@ func TestAnalyzeTerm(t *testing.T) {
 	}
 }
 
+// TestDocAnalyzerAllocatesOnlyTheScanBuffer: once the memo holds every
+// token of a document, analyzing it again into a sized ID slice costs the
+// scan's one lowercasing buffer (the document has capitals) and nothing
+// else: no result slice, no stem, no dictionary entry, no memo entry.
+func TestDocAnalyzerAllocatesOnlyTheScanBuffer(t *testing.T) {
+	text := "Submarine reactors need cooling; the reactor cooling loop runs pumps, valves and heat exchangers aboard every submarine in the fleet."
+	vocab := NewVocab()
+	da := NewDocAnalyzer(NewAnalyzer(), vocab)
+	ids := da.AppendIDs(nil, text)
+	if len(ids) < 10 || vocab.Size() >= len(ids) {
+		t.Fatalf("fixture: %d terms, %d distinct; want a long document with repeats", len(ids), vocab.Size())
+	}
+	if allocs := testing.AllocsPerRun(50, func() { da.AppendIDs(ids[:0], text) }); allocs > 1 {
+		t.Errorf("a memoized document allocates %.0f times, want the scan buffer alone", allocs)
+	}
+}
+
 // isStopword's shape pre-check must pass every stopword to the map.
 func TestIsStopword(t *testing.T) {
 	for w := range DefaultStopSet() {

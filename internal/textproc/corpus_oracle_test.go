@@ -2,6 +2,7 @@ package textproc_test
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"unicode/utf8"
 
@@ -48,4 +49,38 @@ func TestAnalyzeCorpusMatchesReference(t *testing.T) {
 		}
 	}
 	t.Logf("%d documents and %d queries analyze identically; %d texts are not ASCII", len(c.Docs), len(queries), nonASCII)
+}
+
+// TestDocAnalyzerMatchesAnalyze analyzes every document of the
+// benchmark's synthetic corpus into IDs through one memoized
+// DocAnalyzer, and requires the ID sequence Analyze + Vocab.Add gives
+// over a dictionary of its own, document for document, and the same
+// dictionary at the end.
+func TestDocAnalyzerMatchesAnalyze(t *testing.T) {
+	spec := corpus.GenSpec{Seed: 1, NumDocs: 9000, NumTopics: 32, WordsPerTopic: 150, SharedWords: 200}
+	if testing.Short() {
+		spec.NumDocs = 1000
+	}
+	c, _, err := corpus.Synthesize(spec, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := textproc.NewAnalyzer()
+	memoVocab, refVocab := textproc.NewVocab(), textproc.NewVocab()
+	da := textproc.NewDocAnalyzer(an, memoVocab)
+	var got, want []textproc.TermID
+	for d, doc := range c.Docs {
+		got = da.AppendIDs(got[:0], doc.Text)
+		want = want[:0]
+		for _, term := range an.Analyze(doc.Text) {
+			want = append(want, refVocab.Add(term))
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("document %d: AppendIDs = %v, Analyze + Vocab.Add = %v", d, got, want)
+		}
+	}
+	if !slices.Equal(memoVocab.Terms(), refVocab.Terms()) {
+		t.Fatal("the two dictionaries differ")
+	}
+	t.Logf("%d documents, %d terms", len(c.Docs), memoVocab.Size())
 }

@@ -55,6 +55,19 @@ func checkAnalyze(t *testing.T, text string) {
 		if got != want || gotOK != wantOK {
 			t.Fatalf("stem=%v: AnalyzeTerm(%q) = %q, %v; reference %q, %v", stem, text, got, gotOK, want, wantOK)
 		}
+		// The memoized document path, twice: the second pass is served
+		// by the memo the first one filled.
+		vocab := NewVocab()
+		da := NewDocAnalyzer(a, vocab)
+		for pass := 0; pass < 2; pass++ {
+			var terms []string
+			for _, id := range da.AppendIDs(nil, text) {
+				terms = append(terms, vocab.Term(id))
+			}
+			if want := refAnalyze(text, stem); !slices.Equal(terms, want) {
+				t.Fatalf("stem=%v pass %d: AppendIDs(%q) names %q, reference %q", stem, pass, text, terms, want)
+			}
+		}
 	}
 }
 

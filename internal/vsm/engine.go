@@ -235,37 +235,21 @@ func NewEngineWithPrior(idx *index.Index, an *textproc.Analyzer, scoring Scoring
 }
 
 // DocNorms accumulates, per document, the L2 norm of its lnc weight
-// vector: weight = 1 + ln(tf). Exported so live stores can compute a
-// sealed segment's norms once, when it is sealed, loaded or merged.
-// One block-at-a-time pass over the postings: the norm array grows to
-// each list's last (largest) document ID as it is encountered, so no
-// separate max-doc-ID scan is needed, and no list is ever
-// materialized.
+// vector: weight = 1 + ln(tf), squares summed in ascending term order.
+// Exported so live stores can compute a loaded segment's norms once;
+// a store sealing or merging a segment carries norms over instead, which
+// are the same bits. One block-at-a-time pass over the postings, no list
+// materialized; the result has one norm per document, 0 for a document
+// with no term.
 func DocNorms(idx *index.Index) []float64 {
-	var norms []float64
+	norms := make([]float64, idx.NumDocs())
 	var it index.Iterator
 	for id := 0; id < idx.NumTerms(); id++ {
-		idx.IterInto(textproc.TermID(id), &it)
-		if !it.Valid() {
-			continue
-		}
-		if need := int(it.LastDoc()) + 1; need > len(norms) {
-			if need <= cap(norms) {
-				norms = norms[:need]
-			} else {
-				grown := make([]float64, need, need+need/2)
-				copy(grown, norms)
-				norms = grown
-			}
-		}
-		for {
+		for idx.IterInto(textproc.TermID(id), &it); it.Valid(); it.NextWindow() {
 			docs, tfs := it.Window()
 			for i, d := range docs {
 				w := 1 + math.Log(float64(tfs[i]))
 				norms[d] += w * w
-			}
-			if !it.NextWindow() {
-				break
 			}
 		}
 	}
