@@ -131,9 +131,6 @@ func grow[T any](s []T, n int) []T {
 	return append(s, make([]T, n-len(s))...)
 }
 
-// NumDocs returns the number of documents added since the last Index.
-func (b *Builder) NumDocs() int { return len(b.docLen) }
-
 // NumTerms returns one past the largest term ID added since the last
 // Index: List answers nil at and past it.
 func (b *Builder) NumTerms() int { return len(b.lists) }
