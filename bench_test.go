@@ -707,11 +707,14 @@ func BenchmarkIntersectionAttack(b *testing.B) {
 // BenchmarkLDATrainParallel compares AD-LDA speedup over sequential
 // Gibbs on the same corpus.
 func BenchmarkLDATrainParallel(b *testing.B) {
-	// Per sweep, sampling costs tokens × K divisions; the merge adds K
-	// integer deltas for each distinct word of each shard, at most
-	// K × V × workers and in practice far fewer. Speedup requires real
+	// Per sweep, a token costs K weights (a division each), their
+	// running sum and a ⌈log2 K⌉-step draw, which take comparable
+	// shares. Each shard also copies in, and diffs out, K counts for
+	// each of its distinct words, and the barrier adds those deltas: at
+	// most K × V × workers, in practice far fewer. Speedup requires real
 	// cores: on a single-CPU host the worker variants only show the
-	// coordination overhead, and the model is the same on any host.
+	// coordination overhead, and the model is the same on any host. On
+	// 2 vCPUs, 2 workers trained only ≈ 1.15× faster than 1 at K = 32.
 	c, _, err := corpus.Synthesize(corpus.GenSpec{
 		Seed: 41, NumDocs: 1500, NumTopics: 16, DocLenMin: 80, DocLenMax: 140,
 	}, nil)
@@ -726,6 +729,31 @@ func BenchmarkLDATrainParallel(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkLDATrainSample trains the model the system benchmark (bench/)
+// trains before its first private query, for 10 of its 40 sweeps: K = 32
+// at 2 workers, on a 1 500-document sample of the same 9 000-document,
+// 32-topic corpus. At K = 32 each draw's search takes 5 halvings, against
+// 3 and 4 in the rows above.
+func BenchmarkLDATrainSample(b *testing.B) {
+	c, _, err := corpus.Synthesize(corpus.GenSpec{
+		Seed: 1, NumDocs: 9000, NumTopics: 32, WordsPerTopic: 150, SharedWords: 200,
+	}, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sample, err := corpus.Sample(c, corpus.SampleSpec{DocFraction: 1500.0 / 9000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := lda.TrainParallel(sample, lda.TrainSpec{NumTopics: 32, Iterations: 10, Seed: 1}, 2); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

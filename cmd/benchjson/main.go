@@ -58,8 +58,8 @@ import (
 // defaultGate gates the end-to-end search benchmarks, the postings
 // decode micro-benchmarks, the mapped-store traversal benchmarks, the
 // client-side rows (one obfuscated cycle, one LDA posterior, and LDA
-// training: BenchmarkLDATrain and BenchmarkLDATrainParallel's worker
-// rows) and the public hop's reply codec (BenchmarkPublicWire: encode,
+// training: BenchmarkLDATrain, BenchmarkLDATrainParallel's worker rows
+// and BenchmarkLDATrainSample) and the public hop's reply codec (BenchmarkPublicWire: encode,
 // decode keeping one member, decode keeping all), text analysis
 // (BenchmarkAnalyze: query, document, non-ASCII text), index
 // construction (BenchmarkIndexBuild), live-store ingest

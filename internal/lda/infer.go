@@ -57,6 +57,9 @@ func NewInferencer(m *Model, spec InferSpec) (*Inferencer, error) {
 	if err := m.validate(); err != nil {
 		return nil, err
 	}
+	if spec.Iterations < 0 || spec.Samples < 0 {
+		return nil, fmt.Errorf("lda: InferSpec{Iterations: %d, Samples: %d}, need both >= 0 (0 means the default)", spec.Iterations, spec.Samples)
+	}
 	return &Inferencer{m: m, spec: spec.withDefaults()}, nil
 }
 
@@ -106,14 +109,9 @@ func (inf *Inferencer) Posterior(bag []int, rng *rand.Rand) []float64 {
 	}
 
 	// pick draws a topic in proportion to the weights whose running
-	// sums are in cum; a u that rounded up to the total gets the last
-	// topic.
+	// sums are in cum.
 	pick := func() int32 {
-		t := firstAbove(cum, rng.Float64()*cum[k-1])
-		if t == k {
-			t = k - 1
-		}
-		return int32(t)
+		return int32(firstAbove(cum, rng.Float64()*cum[k-1]))
 	}
 
 	for i := range bag {

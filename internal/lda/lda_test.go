@@ -139,6 +139,21 @@ func TestTrainValidation(t *testing.T) {
 	if _, _, err := Train(c, TrainSpec{NumTopics: 1}); err == nil {
 		t.Error("K=1 must error")
 	}
+	for _, spec := range badTrainSpecs() {
+		if _, _, err := Train(c, spec); err == nil {
+			t.Errorf("%+v must error", spec)
+		}
+	}
+}
+
+// badTrainSpecs are specs with a negative sweep count or a negative or
+// non-finite prior; zero would mean the default.
+func badTrainSpecs() []TrainSpec {
+	var specs []TrainSpec
+	for _, x := range []float64{-0.5, math.Inf(1), math.Inf(-1), math.NaN()} {
+		specs = append(specs, TrainSpec{NumTopics: 3, Alpha: x}, TrainSpec{NumTopics: 3, Beta: x})
+	}
+	return append(specs, TrainSpec{NumTopics: 3, Iterations: -1})
 }
 
 func TestPriorMatchesThetaAverage(t *testing.T) {
@@ -244,6 +259,21 @@ func TestNewInferencerValidation(t *testing.T) {
 	}
 	if _, err := NewInferencer(&Model{K: 0}, InferSpec{}); err == nil {
 		t.Error("invalid model must error")
+	}
+	m, _, _ := trainSmall(t, 3, 5)
+	for _, spec := range []InferSpec{{Iterations: -1}, {Samples: -1}, {Iterations: 20, Samples: -3}} {
+		if _, err := NewInferencer(m, spec); err == nil {
+			t.Errorf("%+v must error", spec)
+		}
+	}
+	// Zero means the default, and more samples than sweeps average every
+	// sweep: both give a distribution, never NaN.
+	for _, spec := range []InferSpec{{}, {Iterations: 4, Samples: 9}} {
+		inf, err := NewInferencer(m, spec)
+		if err != nil {
+			t.Fatalf("%+v: %v", spec, err)
+		}
+		assertDistribution(t, "posterior", inf.Posterior([]int{0, 1, 2}, rand.New(rand.NewSource(1))))
 	}
 }
 

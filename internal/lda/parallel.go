@@ -32,16 +32,17 @@ func TrainParallel(c *corpus.Corpus, spec TrainSpec, workers int) (*Model, error
 type shard struct {
 	lo, hi int
 	rng    *rand.Rand
-	// dnwt[w*k+t] and dnt[t] are the sweep's changes to the barrier
-	// counts nwt and nt, word-major like nwt.
-	dnwt, dnt []int32
+	// nwt and nt are the shard's copies of the counts, laid out like the
+	// barrier's. During a sweep they hold the barrier counts plus the
+	// sweep's changes, after it only the changes, which merge adds to the
+	// barrier counts.
+	nwt, nt []int32
 	// words lists the distinct words of the shard's documents in
-	// ascending order: the only rows of dnwt a sweep can change, and so
-	// the only rows merge walks.
+	// ascending order: the only rows of nwt a sweep reads or changes.
 	words []int32
-	// den[t] is topic t's denominator nt[t]+dnt[t]+Vβ and docw[t] the
-	// current document's n_dt+α; cum holds the running sums of the
-	// current token's topic weights.
+	// den[t] is topic t's denominator nt[t]+Vβ and docw[t] the current
+	// document's n_dt+α; cum holds the running sums of the current
+	// token's topic weights.
 	den, docw, cum []float64
 }
 
@@ -63,8 +64,8 @@ func (g *gibbs) partition(workers, v int, rng *rand.Rand, seed int64) []*shard {
 			lo:   lo,
 			hi:   hi,
 			rng:  rng,
-			dnwt: make([]int32, v*k),
-			dnt:  make([]int32, k),
+			nwt:  make([]int32, v*k),
+			nt:   make([]int32, k),
 			den:  make([]float64, k),
 			docw: make([]float64, k),
 			cum:  make([]float64, k),
@@ -93,20 +94,19 @@ func (g *gibbs) partition(workers, v int, rng *rand.Rand, seed int64) []*shard {
 	return shards
 }
 
-// merge folds sh's deltas into the barrier counts and zeroes them. They
-// are integer adds, so the order of shards and words does not matter.
+// merge adds the changes sh's sweep left in its copies to the barrier
+// counts. They are integer adds, so the order of shards and words does
+// not matter.
 func (g *gibbs) merge(sh *shard) {
 	k := g.k
 	for _, w := range sh.words {
 		row := int(w) * k
-		nw, dnw := g.nwt[row:][:k], sh.dnwt[row:][:k]
-		for t, delta := range dnw {
+		nw := g.nwt[row:][:k]
+		for t, delta := range sh.nwt[row:][:k] {
 			nw[t] += delta
-			dnw[t] = 0
 		}
 	}
-	for t, delta := range sh.dnt {
+	for t, delta := range sh.nt {
 		g.nt[t] += delta
-		sh.dnt[t] = 0
 	}
 }

@@ -38,6 +38,11 @@ func TestTrainParallelValidation(t *testing.T) {
 	if _, err := TrainParallel(c, TrainSpec{NumTopics: 1}, 4); err == nil {
 		t.Error("K=1 must error")
 	}
+	for _, spec := range badTrainSpecs() {
+		if _, err := TrainParallel(c, spec, 2); err == nil {
+			t.Errorf("%+v must error", spec)
+		}
+	}
 }
 
 func TestTrainParallelQuality(t *testing.T) {

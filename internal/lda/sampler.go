@@ -1,6 +1,9 @@
 package lda
 
-import "math/rand"
+import (
+	"math"
+	"math/rand"
+)
 
 // samplerBlock is how many words share one stored prefix sum.
 const samplerBlock = 64
@@ -39,9 +42,10 @@ func (s rowSampler) sample(rng *rand.Rand) int {
 // word when none does (u rounded up to the total).
 func (s rowSampler) pick(u float64) int {
 	// The first block whose closing prefix exceeds u is the block
-	// holding the first such word.
+	// holding the first such word. When no block's does, firstAbove
+	// answers the last block, and u is at or above the total.
 	b := firstAbove(s.prefix[1:], u)
-	if b == len(s.prefix)-1 {
+	if u >= s.prefix[b+1] {
 		return len(s.row) - 1
 	}
 	acc := s.prefix[b]
@@ -53,20 +57,27 @@ func (s rowSampler) pick(u float64) int {
 	}
 }
 
-// firstAbove returns the first i with u < sums[i], or len(sums) when
-// there is none. sums are running sums of non-negative weights, so they
-// never decrease and a binary search finds what a left-to-right scan
-// would.
+// firstAbove returns the first i with u < sums[i], or len(sums)-1 when
+// there is none: the index a left-to-right scan would stop at, with a u
+// that rounded up to the total landing on the last entry. sums are
+// running sums from 0.0 of non-negative weights, and u is non-negative:
+// the sums never decrease, so halving finds what the scan would.
+//
+// It halves ⌈log2 len(sums)⌉ times whatever u is, and never branches on
+// a comparison: a draw is random by design, so such a branch can be
+// predicted only when one entry takes most of the weight. Non-negative
+// floats, +Inf included, order as their bit patterns do, so the sign of
+// the patterns' difference says whether a sum lies above u, and masking
+// the step with it keeps the right half. Never reading the last entry is
+// what clamps a u at or above the total. sums must not be empty.
 func firstAbove(sums []float64, u float64) int {
-	lo, n := 0, len(sums)
-	for n > 0 {
-		half := n / 2
-		if sums[lo+half] <= u {
-			lo += half + 1
-			n -= half + 1
-		} else {
-			n = half
-		}
+	ub := int64(math.Float64bits(u))
+	base, n := 0, len(sums)
+	for n > 1 {
+		half := n >> 1
+		above := int((ub - int64(math.Float64bits(sums[base+half-1]))) >> 63) // -1 or 0
+		base += half &^ above
+		n -= half
 	}
-	return lo
+	return base
 }

@@ -70,7 +70,7 @@ type gibbs struct {
 	assign [][]int32
 	// nwt[w*k+t] is the number of tokens of word w assigned topic t, and
 	// nt[t] the number assigned topic t, both as of the last sweep
-	// barrier: a sweep's changes collect in its shards' deltas. Word-major,
+	// barrier: a sweep samples against its shards' copies. Word-major,
 	// so a token reads its word's K counts as one run.
 	nwt, nt []int32
 	// ndt[d*k+t] is the number of tokens of document d assigned topic t.
@@ -87,6 +87,12 @@ func train(c *corpus.Corpus, spec TrainSpec, workers int) (*Model, *TrainTrace, 
 	}
 	if spec.NumTopics < 2 {
 		return nil, nil, fmt.Errorf("lda: NumTopics = %d, need >= 2", spec.NumTopics)
+	}
+	if spec.Iterations < 0 {
+		return nil, nil, fmt.Errorf("lda: Iterations = %d, need >= 0 (0 means the default)", spec.Iterations)
+	}
+	if !(spec.Alpha >= 0) || math.IsInf(spec.Alpha, 1) || !(spec.Beta >= 0) || math.IsInf(spec.Beta, 1) {
+		return nil, nil, fmt.Errorf("lda: Alpha = %v, Beta = %v, need finite values >= 0 (0 means the default)", spec.Alpha, spec.Beta)
 	}
 	spec = spec.withDefaults()
 	k := spec.NumTopics
@@ -144,22 +150,32 @@ func train(c *corpus.Corpus, spec TrainSpec, workers int) (*Model, *TrainTrace, 
 }
 
 // sweep resamples the topic of every token of sh's documents against the
-// barrier counts plus sh's deltas. Topic t's weight is
-// (n_wt+β)/(n_t+Vβ)·(n_dt+α), divided and multiplied in that order; the
-// conversion around it rounds the product before it joins the running
-// sum, so no architecture can fuse the two. The two sums that do not
-// depend on the token's word, n_t+Vβ and n_dt+α, are kept in K-vectors
-// and rebuilt only for the two topics a draw changes: the same integer
-// converts to the same float. The running sums are the ones a second
-// pass over stored weights would add up, so firstAbove picks the topic
-// that pass would.
+// barrier counts plus sh's own changes, which sh's copies of the counts
+// hold: refreshed from the barrier for sh's words first, they leave as
+// sh's changes for merge. Topic t's weight is (n_wt+β)/(n_t+Vβ)·(n_dt+α),
+// divided and multiplied in that order; the conversion around it rounds
+// the product before it joins the running sum, so no architecture can
+// fuse the two. The two sums that do not depend on the token's word,
+// n_t+Vβ and n_dt+α, are kept in K-vectors and rebuilt only for the two
+// topics a draw changes: the same integer converts to the same float.
+// The running sums are the ones a second pass over stored weights would
+// add up, so firstAbove picks the topic that pass would.
+//
+// No one step bounds a token: at K = 32 a CPU profile splits the sweep
+// into the weight expression ≈ 27 %, the running-sum stores ≈ 18 % and
+// the draw ≈ 25 %.
 func (g *gibbs) sweep(sh *shard) {
 	k := g.k
 	alpha, beta, vbeta := g.alpha, g.beta, g.vbeta
-	nt, dnt := g.nt[:k], sh.dnt[:k]
+	for _, w := range sh.words {
+		row := int(w) * k
+		copy(sh.nwt[row:][:k], g.nwt[row:][:k])
+	}
+	nt := sh.nt[:k]
+	copy(nt, g.nt)
 	den, docw, cum := sh.den[:k], sh.docw[:k], sh.cum[:k]
 	for t := range den {
-		den[t] = float64(nt[t]) + vbeta // dnt is zero at the barrier
+		den[t] = float64(nt[t]) + vbeta
 	}
 	for di := sh.lo; di < sh.hi; di++ {
 		assign := g.assign[di]
@@ -168,31 +184,37 @@ func (g *gibbs) sweep(sh *shard) {
 			docw[t] = float64(nd[t]) + alpha
 		}
 		for i, w := range g.bags[di] {
-			row := int(w) * k
-			nw, dnw := g.nwt[row:][:k], sh.dnwt[row:][:k]
+			nw := sh.nwt[int(w)*k:][:k]
 			old := assign[i]
-			dnw[old]--
+			nw[old]--
 			nd[old]--
-			dnt[old]--
-			den[old] = float64(nt[old]+dnt[old]) + vbeta
+			nt[old]--
+			den[old] = float64(nt[old]) + vbeta
 			docw[old] = float64(nd[old]) + alpha
 
 			total := 0.0
 			for t := range cum {
-				total += float64((float64(nw[t]+dnw[t]) + beta) / den[t] * docw[t])
+				total += float64((float64(nw[t]) + beta) / den[t] * docw[t])
 				cum[t] = total
 			}
 			nu := firstAbove(cum, sh.rng.Float64()*total)
-			if nu == k {
-				nu = k - 1 // u rounded up to the total
-			}
 			assign[i] = int32(nu)
-			dnw[nu]++
+			nw[nu]++
 			nd[nu]++
-			dnt[nu]++
-			den[nu] = float64(nt[nu]+dnt[nu]) + vbeta
+			nt[nu]++
+			den[nu] = float64(nt[nu]) + vbeta
 			docw[nu] = float64(nd[nu]) + alpha
 		}
+	}
+	for _, w := range sh.words {
+		row := int(w) * k
+		own, barrier := sh.nwt[row:][:k], g.nwt[row:][:k]
+		for t := range own {
+			own[t] -= barrier[t]
+		}
+	}
+	for t := range nt {
+		nt[t] -= g.nt[t]
 	}
 }
 
