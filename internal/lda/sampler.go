@@ -42,8 +42,8 @@ func (s rowSampler) sample(rng *rand.Rand) int {
 // word when none does (u rounded up to the total).
 func (s rowSampler) pick(u float64) int {
 	// The first block whose closing prefix exceeds u is the block
-	// holding the first such word. When no block's does, firstAbove
-	// answers the last block, and u is at or above the total.
+	// holding the first such word. When none does, firstAbove answers
+	// the last block, and u is at or above the total.
 	b := firstAbove(s.prefix[1:], u)
 	if u >= s.prefix[b+1] {
 		return len(s.row) - 1

@@ -149,17 +149,18 @@ func train(c *corpus.Corpus, spec TrainSpec, workers int) (*Model, *TrainTrace, 
 	return g.model(c.Vocab.Terms()), trace, nil
 }
 
-// sweep resamples the topic of every token of sh's documents against the
-// barrier counts plus sh's own changes, which sh's copies of the counts
-// hold: refreshed from the barrier for sh's words first, they leave as
-// sh's changes for merge. Topic t's weight is (n_wt+β)/(n_t+Vβ)·(n_dt+α),
-// divided and multiplied in that order; the conversion around it rounds
-// the product before it joins the running sum, so no architecture can
-// fuse the two. The two sums that do not depend on the token's word,
-// n_t+Vβ and n_dt+α, are kept in K-vectors and rebuilt only for the two
-// topics a draw changes: the same integer converts to the same float.
-// The running sums are the ones a second pass over stored weights would
-// add up, so firstAbove picks the topic that pass would.
+// sweep resamples the topic of every token of sh's documents against
+// sh's copies of the counts. It first refreshes them from the barrier
+// counts for sh's words; the draws then add sh's changes, and at the end
+// the copies keep only those changes, for merge to add. Topic t's weight
+// is (n_wt+β)/(n_t+Vβ)·(n_dt+α), divided and multiplied in that order;
+// the conversion around it rounds the product before it joins the
+// running sum, so no architecture can fuse the two. The two sums that do
+// not depend on the token's word, n_t+Vβ and n_dt+α, are kept in
+// K-vectors and rebuilt only for the two topics a draw changes: the same
+// integer converts to the same float. The running sums are the ones a
+// second pass over stored weights would add up, so firstAbove picks the
+// topic that pass would.
 //
 // No one step bounds a token: at K = 32 a CPU profile splits the sweep
 // into the weight expression ≈ 27 %, the running-sum stores ≈ 18 % and
