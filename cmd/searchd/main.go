@@ -28,10 +28,10 @@
 // -shard the process serves one slice of the corpus: a live store plus
 // the /cluster/* wire endpoints (batch search with injected global
 // statistics, stats export, gid-addressed ingest and delete) that a
-// router drives; it receives documents only by router placement, and
-// with -data it persists the store, the gid mapping, and the applied
-// journal sequence so a restart — graceful or kill -9 — recovers
-// without losing anything saved. With -router -shards=u1,u2,... the
+// router drives; it receives documents only by router placement, its
+// store holds each under its global ID, and with -data it persists the
+// store and the applied journal sequence so a restart — graceful or
+// kill -9 — recovers without losing anything saved. With -router -shards=u1,u2,... the
 // process holds no index at all: it scatter-gathers every query cycle
 // across the shards, merges top-k, degrades gracefully when shards
 // fail, and serves the standard /search surface unchanged. Adding
@@ -334,11 +334,11 @@ func main() {
 		}
 	case shard != nil:
 		// Shard drain mirrors live mode: close against stragglers, then
-		// the final save writes the store and the gid table together.
+		// the final save writes the store and then the applied sequence.
 		if err := shard.Close(); err != nil {
 			log.Printf("shard close: %v", err)
 		} else if shard.Persistent() {
-			log.Printf("saved %d segments and gid table to %s", store.NumSegments(), *dataDir)
+			log.Printf("saved %d segments and applied sequence to %s", store.NumSegments(), *dataDir)
 		}
 	case store != nil:
 		// Close first: any straggler that outlived the drain now gets

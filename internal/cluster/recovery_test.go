@@ -578,6 +578,49 @@ func TestRouterTitleCacheBounded(t *testing.T) {
 	}
 }
 
+// TestRouterTitleEvictionCost: past its cap, caching a title evicts
+// the lowest cached gid without allocating, however large the cache,
+// and a title fetched for an evicted gid resolves without entering the
+// cache again, so the cache stays at its cap.
+func TestRouterTitleEvictionCost(t *testing.T) {
+	const capacity = 1 << 14
+	r := &Router{titles: make(map[corpus.DocID]string), titleCap: capacity}
+	one := []corpus.Document{{Title: "t"}}
+	gid := []corpus.DocID{0}
+	for ; gid[0] < capacity; gid[0]++ {
+		r.cacheTitles(one, gid)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		r.cacheTitles(one, gid)
+		gid[0]++
+	})
+	if allocs > 0.1 {
+		t.Fatalf("caching a title past the cap allocates %.1f times", allocs)
+	}
+	if _, ok := r.titles[gid[0]-capacity-1]; ok || len(r.titles) != capacity {
+		t.Fatalf("cache holds %d titles, cap %d, lowest evicted: %v", len(r.titles), capacity, !ok)
+	}
+
+	tc := newTestCluster(t, vsm.BM25, 2, Config{TitleCacheSize: 4})
+	docs := synthDocs(t, 16, 5)
+	gids, err := tc.router.Add(docs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, gid := range gids[:12] {
+		if title, ok := tc.router.Title(gid); !ok || title != docs[i].Title {
+			t.Fatalf("evicted title %d: got %q ok=%v, want %q", gid, title, ok, docs[i].Title)
+		}
+	}
+	tc.router.titleMu.RLock()
+	defer tc.router.titleMu.RUnlock()
+	for _, gid := range gids[12:] {
+		if _, ok := tc.router.titles[gid]; !ok || len(tc.router.titles) != 4 {
+			t.Fatalf("cache lost gid %d or holds %d titles, cap 4", gid, len(tc.router.titles))
+		}
+	}
+}
+
 // TestRouterStartsWithShardDown: with a journal, a down shard at
 // startup is tolerated; mutations to it are journaled and applied when
 // it rejoins, counting a recovery.

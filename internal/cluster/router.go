@@ -134,6 +134,9 @@ type Router struct {
 	titleMu  sync.RWMutex
 	titles   map[corpus.DocID]string
 	titleCap int
+	// titleLow is the eviction low-water mark: every cached gid is at or
+	// above it, and nothing below it is cached again.
+	titleLow corpus.DocID
 
 	probeEvery time.Duration
 	stopCh     chan struct{}
@@ -499,8 +502,10 @@ func New(cfg Config) (*Router, error) {
 			logf("cluster: journal replayed %d record(s), %d still pending shard durability", jst.Replayed, len(jst.Pending))
 		}
 		r.titleMu.Lock()
+		r.titleLow = jst.NextGid
 		for gid, title := range jst.Titles {
 			r.titles[gid] = title
+			r.titleLow = min(r.titleLow, gid)
 		}
 		r.boundTitlesLocked()
 		r.titleMu.Unlock()
@@ -1008,7 +1013,7 @@ func (r *Router) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Res
 // the shards served concurrently. Unlike queries, mutations never
 // degrade — the call waits for every shard, and a failed shard fails
 // it. The gid range is committed before any shard is contacted: a
-// shard that accepts maps its gids immediately, so after a partial
+// shard that accepts holds its gids immediately, so after a partial
 // failure the range is spent either way, and reusing it would bind the
 // same gid to different documents (the accepting shard's idempotency
 // check would silently drop the replacements). On error the documents
@@ -1120,21 +1125,15 @@ func (r *Router) cacheTitles(docs []corpus.Document, gids []corpus.DocID) {
 	r.titleMu.Unlock()
 }
 
-// boundTitlesLocked evicts the lowest (oldest) gids down to the cap.
-// Evicted titles still resolve: Title falls back to a shard fetch, and
-// the journal snapshot carries the surviving cache across restarts.
-// Caller holds titleMu.
+// boundTitlesLocked evicts the lowest (oldest) gids down to the cap,
+// raising the low-water mark past them: gids enter in ascending order,
+// so the mark passes each gid once. Evicted titles still resolve:
+// Title falls back to a shard fetch, and the journal snapshot carries
+// the surviving cache across restarts. Caller holds titleMu.
 func (r *Router) boundTitlesLocked() {
-	if r.titleCap <= 0 || len(r.titles) <= r.titleCap {
-		return
-	}
-	gids := make([]corpus.DocID, 0, len(r.titles))
-	for gid := range r.titles {
-		gids = append(gids, gid)
-	}
-	sort.Slice(gids, func(i, j int) bool { return gids[i] < gids[j] })
-	for _, gid := range gids[:len(gids)-r.titleCap] {
-		delete(r.titles, gid)
+	for r.titleCap > 0 && len(r.titles) > r.titleCap {
+		delete(r.titles, r.titleLow)
+		r.titleLow++
 	}
 }
 
@@ -1208,8 +1207,9 @@ func (r *Router) Doc(id corpus.DocID) (corpus.Document, bool) {
 }
 
 // Title resolves a document title from the ingest-time cache, falling
-// back to a shard fetch (and re-caching) on miss — e.g. for documents
-// ingested before this router process started.
+// back to a shard fetch on miss — e.g. for documents ingested before
+// this router process started — and re-caching unless eviction has
+// passed the gid.
 func (r *Router) Title(id corpus.DocID) (string, bool) {
 	r.titleMu.RLock()
 	t, ok := r.titles[id]
@@ -1221,12 +1221,12 @@ func (r *Router) Title(id corpus.DocID) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	if doc.Title != "" {
-		r.titleMu.Lock()
+	r.titleMu.Lock()
+	if doc.Title != "" && id >= r.titleLow {
 		r.titles[id] = doc.Title
 		r.boundTitlesLocked()
-		r.titleMu.Unlock()
 	}
+	r.titleMu.Unlock()
 	return doc.Title, doc.Title != ""
 }
 

@@ -16,22 +16,19 @@ import (
 	"toppriv/internal/corpus"
 	"toppriv/internal/search"
 	"toppriv/internal/segment"
-	"toppriv/internal/vsm"
 )
 
 // Shard serves one slice of the corpus over the /cluster/* wire
 // schema, backed by an ordinary segment.Store. The shard is oblivious
-// to the ring — the router decides placement — but it owns the
-// gid↔local-ID translation: the store assigns its own dense IDs in
-// arrival order, and because the router ingests each shard's documents
-// in ascending global-ID order, local ID order mirrors global order.
-// That mirroring is what keeps shard-local score tie-breaks (ascending
-// local ID) identical to a single index's (ascending global ID) after
-// the merge.
+// to the ring — the router decides placement — and its store holds
+// each document under its global ID (gid). The router ingests each
+// shard's documents in ascending gid order, so the store's tie-break
+// (ascending ID) is a single index's, and hits leave the shard exactly
+// as the store returns them.
 //
-// A shard opened with OpenShard is persistent: the gid table and the
-// applied journal sequence are saved atomically beside the store's
-// crash-safe generation-numbered manifest, and recovered on restart.
+// A shard opened with OpenShard is persistent: the applied journal
+// sequence is saved atomically beside the store's crash-safe
+// generation-numbered manifest, and recovered on restart.
 // The title table needs no file of its own — titles live inside the
 // documents the store already persists. Anything ingested after the
 // last save is lost by kill -9 by design: the shard's durable sequence
@@ -45,7 +42,7 @@ type Shard struct {
 	instance uint64
 
 	// mutMu serializes mutations and saves against each other, so a
-	// save's store snapshot and its gid-table snapshot always describe
+	// save's store snapshot and its applied sequence always describe
 	// the same state. Queries never take it. Ordered before statsMu.
 	mutMu sync.Mutex
 
@@ -59,13 +56,7 @@ type Shard struct {
 	// statsMu.
 	version uint64
 
-	mu    sync.RWMutex
-	gids  []corpus.DocID                // store-local dense ID → global ID (-1: recovered hole)
-	byGid map[corpus.DocID]corpus.DocID // global ID → store-local ID
-	// hwm is the largest gid ever mapped (-1 when none): the ingest
-	// ordering check, kept as a field because recovery can leave holes
-	// at the tail of gids.
-	hwm corpus.DocID
+	mu sync.RWMutex
 	// appliedSeq is the highest journal sequence applied; durableSeq is
 	// its value as of the last completed save.
 	appliedSeq uint64
@@ -81,7 +72,8 @@ type Shard struct {
 
 // ShardConfig parameterizes a persistent shard.
 type ShardConfig struct {
-	// Dir is the persistence directory (store segments + SHARD.json).
+	// Dir is the persistence directory: the store's segments and
+	// manifest, and SHARD.json with the applied journal sequence.
 	// Empty means in-memory only.
 	Dir string
 	// SaveEvery triggers a background save after this many mutations
@@ -109,18 +101,17 @@ func (c ShardConfig) withDefaults() ShardConfig {
 
 const (
 	shardMetaName    = "SHARD.json"
-	shardMetaVersion = 1
+	shardMetaVersion = 2
 )
 
-// shardMeta is the gid-table sidecar, written atomically after each
-// store save. It always describes a state at or before the saved
-// store's: a crash between store save and meta write leaves the meta
-// one save behind, which recovery repairs by tombstoning the store's
-// unmapped tail documents (the router re-drives them afterwards).
+// shardMeta is the sidecar written atomically after each store save. It
+// always describes a state at or before the saved store's: a crash
+// between store save and meta write leaves the meta one save behind,
+// so the router re-drives mutations the store already holds, and
+// ingest and delete skip them as replays.
 type shardMeta struct {
-	Version    int            `json:"version"`
-	Gids       []corpus.DocID `json:"gids"`
-	AppliedSeq uint64         `json:"applied_seq"`
+	Version    int    `json:"version"`
+	AppliedSeq uint64 `json:"applied_seq"`
 }
 
 // NewShard wraps a live store in the shard wire surface, in-memory
@@ -131,8 +122,6 @@ func NewShard(store *segment.Store) *Shard {
 		store:    store,
 		cfg:      ShardConfig{}.withDefaults(),
 		instance: rand.Uint64() | 1,
-		byGid:    make(map[corpus.DocID]corpus.DocID),
-		hwm:      -1,
 		saveCh:   make(chan struct{}, 1),
 		closeCh:  make(chan struct{}),
 	}
@@ -171,62 +160,34 @@ func OpenShard(storeCfg segment.Config, cfg ShardConfig) (*Shard, error) {
 	return s, nil
 }
 
-// recover reconciles the store's document count with the persisted gid
-// table. The meta is written after the store save, so the only crash
-// inconsistency is a store one save ahead of its meta: documents exist
-// whose gid mapping was lost. Those tail documents are tombstoned —
-// they are unreachable by gid and were never shard-durable in the
-// journal's eyes, so the router re-drives them as fresh ingests.
+// recover reads the applied journal sequence back from SHARD.json.
 func (s *Shard) recover(haveManifest bool) error {
-	var meta shardMeta
-	metaPath := filepath.Join(s.cfg.Dir, shardMetaName)
-	f, err := os.Open(metaPath)
-	switch {
-	case err == nil:
-		derr := json.NewDecoder(f).Decode(&meta)
-		f.Close()
-		if derr != nil {
-			return fmt.Errorf("cluster: shard meta corrupt: %w", derr)
-		}
-		if meta.Version != shardMetaVersion {
-			return fmt.Errorf("cluster: shard meta: unsupported version %d", meta.Version)
-		}
-		if !haveManifest && len(meta.Gids) > 0 {
-			return fmt.Errorf("cluster: shard meta present but store manifest missing in %s", s.cfg.Dir)
-		}
-	case os.IsNotExist(err):
+	f, err := os.Open(filepath.Join(s.cfg.Dir, shardMetaName))
+	if os.IsNotExist(err) {
 		if haveManifest {
-			// A store without a gid table is a -live directory, not a
-			// shard's; serving it would invent gid mappings.
+			// A store without SHARD.json is a -live directory, not a
+			// shard's: its IDs were never assigned by a router.
 			return fmt.Errorf("cluster: %s holds a store but no %s — not a shard directory", s.cfg.Dir, shardMetaName)
 		}
-	default:
+		return nil
+	}
+	if err != nil {
 		return fmt.Errorf("cluster: shard meta: %w", err)
 	}
-
-	total := int(s.store.Stats().NextID) // dense local IDs: total docs ever, dead included
-	if len(meta.Gids) > total {
-		return fmt.Errorf("cluster: shard meta maps %d docs but store holds %d", len(meta.Gids), total)
-	}
-	s.gids = append(s.gids, meta.Gids...)
-	for local, gid := range s.gids {
-		if gid < 0 {
-			continue
-		}
-		s.byGid[gid] = corpus.DocID(local)
-		if gid > s.hwm {
-			s.hwm = gid
-		}
-	}
-	// Store ahead of meta: tombstone the unmapped tail and record holes.
-	for local := len(meta.Gids); local < total; local++ {
-		if err := s.store.Delete(corpus.DocID(local)); err != nil && err != segment.ErrNotFound {
-			return fmt.Errorf("cluster: shard recovery: tombstoning unmapped doc %d: %w", local, err)
-		}
-		s.gids = append(s.gids, -1)
-	}
-	if dropped := total - len(meta.Gids); dropped > 0 {
-		s.cfg.Logf("cluster: shard recovery dropped %d unmapped tail document(s); the router will re-drive them", dropped)
+	var meta shardMeta
+	err = json.NewDecoder(f).Decode(&meta)
+	f.Close()
+	switch {
+	case err != nil:
+		return fmt.Errorf("cluster: shard meta corrupt: %w", err)
+	case meta.Version == 1:
+		return fmt.Errorf("cluster: %s in %s is version 1, whose store numbers documents apart from their gids; "+
+			"rebuild the cluster: start every shard on an empty directory and the router on an empty journal, "+
+			"then add the corpus through the router again", shardMetaName, s.cfg.Dir)
+	case meta.Version != shardMetaVersion:
+		return fmt.Errorf("cluster: shard meta: unsupported version %d", meta.Version)
+	case !haveManifest:
+		return fmt.Errorf("cluster: shard meta present but store manifest missing in %s", s.cfg.Dir)
 	}
 	s.appliedSeq = meta.AppliedSeq
 	s.durableSeq = meta.AppliedSeq
@@ -289,7 +250,7 @@ func (s *Shard) kickSave() {
 }
 
 // Save persists the store (segments + manifest, the existing
-// generation-numbered crash-safe path) and then the gid table
+// generation-numbered crash-safe path) and then SHARD.json
 // atomically. Mutations are held off for the duration so both files
 // describe one state; queries proceed throughout. No-op without a
 // persistence directory.
@@ -303,11 +264,7 @@ func (s *Shard) Save() error {
 		return err
 	}
 	s.mu.RLock()
-	meta := shardMeta{
-		Version:    shardMetaVersion,
-		Gids:       append([]corpus.DocID(nil), s.gids...),
-		AppliedSeq: s.appliedSeq,
-	}
+	meta := shardMeta{Version: shardMetaVersion, AppliedSeq: s.appliedSeq}
 	s.mu.RUnlock()
 	if err := writeJSONAtomic(s.cfg.Dir, shardMetaName, &meta); err != nil {
 		return fmt.Errorf("cluster: shard meta: %w", err)
@@ -352,8 +309,8 @@ func (s *Shard) statsLocked(withDF bool) shardStats {
 	} else {
 		st.Docs, st.TotalLen = s.store.LiveSize()
 	}
+	st.MaxGid = s.store.NextID() - 1
 	s.mu.RLock()
-	st.MaxGid = s.hwm
 	st.AppliedSeq = s.appliedSeq
 	if s.Persistent() {
 		st.DurableSeq = s.durableSeq
@@ -412,43 +369,14 @@ func (s *Shard) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	s.globalize(resps)
 	*bp = appendBatchReply((*bp)[:0], resps)
 	w.Header().Set("Content-Type", batchContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(*bp)))
 	w.Write(*bp)
 }
 
-// globalize rewrites the store's hits in place from store-local IDs to
-// gids.
-//
-// An ingest makes its documents searchable (store.Add) before it can
-// append their gids to the table, so a query running beside it can hit
-// a local ID the table does not have yet. Such a hit is dropped: the
-// ingest has not been acknowledged, so the query is ordered before it,
-// and the next query finds the document.
-func (s *Shard) globalize(resps []vsm.Response) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for i := range resps {
-		hits := resps[i].Hits[:0]
-		for _, h := range resps[i].Hits {
-			if int(h.Doc) < len(s.gids) {
-				h.Doc = s.gids[h.Doc]
-				hits = append(hits, h)
-			}
-		}
-		resps[i].Hits = hits
-	}
-}
-
-// handleIngest adds router-placed documents. Replayed documents (gids
-// already mapped — a router retry after a lost response, or a journal
-// re-drive after a crash) are skipped, making ingest idempotent; a
-// never-seen gid at or below the current high-water mark is refused
-// because mapping it would break the local-order-mirrors-global-order
-// invariant. The request's journal sequence advances the applied
-// high-water even when every document is a replay.
+// handleIngest adds router-placed documents under their gids; see
+// ingest for which ones it skips and which requests it refuses.
 func (s *Shard) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
@@ -475,55 +403,45 @@ func (s *Shard) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // ingest applies an ingest request and appends its ack to dst, or
-// returns the status to refuse it with.
+// returns the status to refuse it with. A gid at or above the store's
+// next ID, and above the request's earlier gids, is fresh. One below
+// the next ID is a replay — a router retry after a lost response, or a
+// journal re-drive after a crash — and is skipped when the store holds
+// it, or when the request is journaled: delivery is in order, so a
+// journaled gid the store lacks can only be a document deleted and
+// compacted away after the save SHARD.json missed. Any other gid is
+// refused, because adding it would break the ascending-gid order that
+// keeps tie-breaks a single index's. The request's journal sequence
+// advances the applied high-water even when every document is a
+// replay.
 func (s *Shard) ingest(dst []byte, ir *ingestRequest) ([]byte, int, error) {
 	s.mutMu.Lock()
 	defer s.mutMu.Unlock()
-	s.mu.RLock()
-	last := s.hwm
+	next := s.store.NextID()
+	last := next - 1
 	fresh := make([]corpus.Document, 0, len(ir.Docs))
-	freshGids := make([]corpus.DocID, 0, len(ir.Docs))
-	conflict := corpus.DocID(-1)
 	for _, d := range ir.Docs {
-		if _, known := s.byGid[d.Gid]; known {
+		if d.Gid > last {
+			d.Doc.ID = d.Gid
+			fresh = append(fresh, d.Doc)
+			last = d.Gid
 			continue
 		}
-		if d.Gid <= last {
-			conflict = d.Gid
-			break
+		if 0 <= d.Gid && d.Gid < next && ir.Seq > 0 {
+			continue // a journaled replay
 		}
-		last = d.Gid
-		fresh = append(fresh, d.Doc)
-		freshGids = append(freshGids, d.Gid)
-	}
-	s.mu.RUnlock()
-	if conflict >= 0 {
-		return dst, http.StatusConflict, fmt.Errorf("gid %d arrives out of order (high-water %d)", conflict, last)
+		if _, held := s.store.Doc(d.Gid); !held {
+			return dst, http.StatusConflict, fmt.Errorf("gid %d arrives out of order (next ID %d)", d.Gid, last+1)
+		}
 	}
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
 	var changed []segment.TermDF
 	if len(fresh) > 0 {
-		locals, ch, err := s.store.AddDF(fresh...)
-		if err != nil {
+		var err error
+		if _, changed, err = s.store.AddDF(fresh...); err != nil {
 			return dst, http.StatusInternalServerError, err
 		}
-		changed = ch
-		s.mu.Lock()
-		for i, local := range locals {
-			if int(local) != len(s.gids) {
-				// The store assigns dense sequential IDs; anything else
-				// breaks the gid translation table.
-				s.mu.Unlock()
-				return dst, http.StatusInternalServerError, fmt.Errorf("store assigned non-dense id %d", local)
-			}
-			s.gids = append(s.gids, freshGids[i])
-			s.byGid[freshGids[i]] = local
-			if freshGids[i] > s.hwm {
-				s.hwm = freshGids[i]
-			}
-		}
-		s.mu.Unlock()
 	}
 	return s.finishMutation(dst, ir.Seq, changed), http.StatusOK, nil
 }
@@ -561,19 +479,11 @@ func (s *Shard) handleDoc(w http.ResponseWriter, r *http.Request) {
 	gid := corpus.DocID(gid64)
 	switch r.Method {
 	case http.MethodGet:
-		s.mu.RLock()
-		local, ok := s.byGid[gid]
-		s.mu.RUnlock()
+		doc, ok := s.store.Doc(gid)
 		if !ok {
 			http.Error(w, "no such document", http.StatusNotFound)
 			return
 		}
-		doc, ok := s.store.Doc(local)
-		if !ok {
-			http.Error(w, "no such document", http.StatusNotFound)
-			return
-		}
-		doc.ID = gid
 		writeJSON(w, doc)
 	case http.MethodDelete:
 		// A parameter that does not parse is refused, not read as absent:
@@ -616,20 +526,15 @@ func (s *Shard) handleDoc(w http.ResponseWriter, r *http.Request) {
 func (s *Shard) delete(dst []byte, gid corpus.DocID, seq uint64) ([]byte, error) {
 	s.mutMu.Lock()
 	defer s.mutMu.Unlock()
-	s.mu.RLock()
-	local, ok := s.byGid[gid]
-	s.mu.RUnlock()
-	if !ok {
-		return dst, errors.New("no such document")
-	}
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
-	changed, err := s.store.DeleteDF(local)
-	if err != nil && !(seq > 0 && errors.Is(err, segment.ErrNotFound)) {
+	changed, err := s.store.DeleteDF(gid)
+	if err != nil && !(seq > 0 && gid < s.store.NextID() && errors.Is(err, segment.ErrNotFound)) {
 		return dst, err
 	}
-	// Applied — or a journal re-drive of a delete that already applied:
-	// idempotent, advance the sequence and acknowledge.
+	// Applied — or, as ingest reads a journaled gid below the next ID, a
+	// journal re-drive of a delete that already applied: idempotent,
+	// advance the sequence and acknowledge.
 	return s.finishMutation(dst, seq, changed), nil
 }
 

@@ -555,9 +555,9 @@ type shardStats struct {
 
 // ingestRequest is the POST /cluster/index payload: documents with
 // router-assigned global IDs, in ascending gid order. Ascending order
-// is load-bearing — the shard's store assigns dense local IDs in
-// arrival order, and local order mirroring gid order is what keeps
-// shard-local score tie-breaks identical to a single index's.
+// is load-bearing — the shard's store holds each document under its
+// gid and accepts only IDs above those it holds, and ascending IDs are
+// what keep shard-local score tie-breaks identical to a single index's.
 type ingestRequest struct {
 	Docs []ingestDoc `json:"docs"`
 	// Seq is the router's journal sequence number for this mutation

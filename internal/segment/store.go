@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -185,31 +186,50 @@ func (st *Store) Add(docs ...corpus.Document) ([]corpus.DocID, error) {
 	return ids, err
 }
 
-// AddDF is Add that also reports the df entries the batch changed: every
-// distinct term of the batch with its live document frequency once the
-// batch is in, read under the lock that made the change.
+// AddDF is Add under the IDs the documents carry, which must ascend and
+// lie at or above the store's next ID; a batch that breaks this is
+// refused before anything changes. It also reports the df entries the
+// batch changed: every distinct term of the batch with its live
+// document frequency once the batch is in, read under the lock that
+// made the change.
 func (st *Store) AddDF(docs ...corpus.Document) ([]corpus.DocID, []TermDF, error) {
 	return st.add(docs, true)
 }
 
-func (st *Store) add(docs []corpus.Document, report bool) ([]corpus.DocID, []TermDF, error) {
+// add ingests docs under fresh IDs, or, carried, under their own IDs
+// and reporting the df entries the batch changed.
+func (st *Store) add(docs []corpus.Document, carried bool) ([]corpus.DocID, []TermDF, error) {
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
 		return nil, nil, ErrClosed
+	}
+	if carried {
+		next := st.nextID
+		for _, doc := range docs {
+			// The largest ID would leave no next ID above it.
+			if doc.ID < next || doc.ID == math.MaxInt32 {
+				st.mu.Unlock()
+				return nil, nil, fmt.Errorf("segment: document ID %d out of order (next ID %d)", doc.ID, next)
+			}
+			next = doc.ID + 1
+		}
 	}
 	ids := make([]corpus.DocID, len(docs))
 	var touched []textproc.TermID
 	var sealErr error
 	for i, doc := range docs {
 		gid := st.nextID
-		st.nextID++
+		if carried {
+			gid = doc.ID
+		}
+		st.nextID = gid + 1
 		terms, length := st.mem.add(doc, gid)
 		st.growDF()
 		for _, id := range terms {
 			st.df[id]++
 		}
-		if report {
+		if carried {
 			touched = append(touched, terms...)
 		}
 		st.liveDocs++
@@ -223,7 +243,7 @@ func (st *Store) add(docs []corpus.Document, report bool) ([]corpus.DocID, []Ter
 		}
 	}
 	var changed []TermDF
-	if report && sealErr == nil {
+	if carried && sealErr == nil {
 		changed = st.dfOfLocked(touched)
 	}
 	st.mu.Unlock()
@@ -459,6 +479,14 @@ func (st *Store) NumDocs() int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	return st.liveDocs
+}
+
+// NextID returns one above the largest ID the store ever held, dead
+// documents included: 0 when empty, and the least ID AddDF accepts.
+func (st *Store) NextID() corpus.DocID {
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.nextID
 }
 
 // NumSegments returns the number of sealed segments.

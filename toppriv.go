@@ -137,9 +137,9 @@ func NewClusterRouter(cfg ClusterConfig) (*ClusterRouter, error) { return cluste
 func NewClusterShard(store *segment.Store) *ClusterShard { return cluster.NewShard(store) }
 
 // OpenClusterShard opens (or creates) a persistent shard: the segment
-// store recovers from its manifest, the gid table and applied journal
-// sequence from SHARD.json beside it, and a background saver persists
-// both as mutations accumulate. Close flushes and saves; kill -9
+// store, which holds each document under its global ID, recovers from
+// its manifest, the applied journal sequence from SHARD.json beside it,
+// and a background saver persists both as mutations accumulate. Close flushes and saves; kill -9
 // rewinds to the last save and the router's journal re-drives the
 // rest.
 func OpenClusterShard(storeCfg StoreConfig, cfg ClusterShardConfig) (*ClusterShard, error) {
