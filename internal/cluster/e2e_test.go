@@ -378,7 +378,7 @@ func TestClusterCrashRecoveryE2E(t *testing.T) {
 	gids1 := ingest(docs[:30])
 
 	// Graceful path: SIGTERM shard 2, which must drain, save its
-	// segments and gid table, and exit 0; then restart it from disk.
+	// segments and SHARD.json, and exit 0; then restart it from disk.
 	// The router observes the instance change and counts a restart.
 	sh2 := procs["shard2"]
 	if err := sh2.Process.Signal(syscall.SIGTERM); err != nil {
@@ -465,8 +465,8 @@ func TestClusterCrashRecoveryE2E(t *testing.T) {
 	<-postDone // outcome intentionally ignored: the journal decides
 
 	// Restart both casualties from disk: the shard recovers its saved
-	// segments plus gid table, the router replays the placement journal
-	// and re-drives whatever the dead shard missed.
+	// segments and applied sequence, the router replays the placement
+	// journal and re-drives whatever the dead shard missed.
 	start("shard1", shardArgs(1)...)
 	waitReady(t, shardURLs[1]+"/cluster/stats")
 	start("router", routerArgs...)

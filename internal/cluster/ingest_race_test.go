@@ -12,12 +12,13 @@ import (
 )
 
 // TestQueryDuringIngest queries for documents whose ingest batch is
-// still in flight. The store makes a document searchable before the
-// shard has its gid, so a hit can carry a store-local ID the gid table
-// does not have yet; translating it used to panic with the table's read
-// lock held, and the lock was never released: the next ingest waited on
-// it forever. Every query must come back whole and every ingest must be
-// acknowledged. Run under -race.
+// still in flight: the store makes a document searchable before the
+// batch is acknowledged. When a shard numbered its documents apart from
+// their gids, such a hit could carry an ID its gid table did not have
+// yet, and translating it panicked with the table's lock held, so the
+// next ingest waited forever. A shard now keeps each document under its
+// gid; the test holds the same race: every query must come back whole
+// and every ingest must be acknowledged. Run under -race.
 func TestQueryDuringIngest(t *testing.T) {
 	tc := newTestCluster(t, vsm.BM25, 1, Config{Deadline: 3 * time.Second})
 	const batches, perBatch = 12, 48

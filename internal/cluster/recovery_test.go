@@ -501,9 +501,11 @@ func TestShardPersistRestartEquivalence(t *testing.T) {
 }
 
 // TestShardMetaLagRecovery reproduces the one crash window the shard
-// save order leaves open: the store saved but the gid-table write was
-// lost, so the store holds documents the mapping does not. Recovery
-// must tombstone the unmapped tail and the router must re-drive it.
+// save order leaves open: the store saved but the SHARD.json write was
+// lost, so the applied sequence on disk lags the store. The router must
+// re-drive the mutations past it, and the shard must take the ones its
+// store already holds as replays: every document resolves under its gid
+// with its own text, and none is counted twice.
 func TestShardMetaLagRecovery(t *testing.T) {
 	pc := newPCluster(t, vsm.Cosine, 1, Config{})
 	r := pc.router

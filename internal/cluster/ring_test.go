@@ -22,7 +22,9 @@ func TestRingPlacementIgnoresListOrder(t *testing.T) {
 }
 
 // TestRingDistribution: with 64 vnodes per shard, no shard's share of
-// a large gid range should collapse or balloon.
+// a large gid range should collapse or balloon. It bounds each share to
+// 10–60 %, not to uniform: these names split 30 000 gids
+// 12 587 / 9 649 / 7 764.
 func TestRingDistribution(t *testing.T) {
 	names := []string{"http://s0:7", "http://s1:7", "http://s2:7"}
 	r := newRing(names)

@@ -51,46 +51,47 @@ const (
 )
 
 // tpixReader is the byte source the codec decodes from: a buffered
-// stream (Read) or an in-memory image (OpenMapped). Bytes returns the
-// next n bytes — the slice-backed reader hands out zero-copy views of
-// the image, the stream reader allocates in bounded chunks so a lying
-// length cannot allocate past what the stream actually holds.
+// stream (Read) or an in-memory image (OpenMapped). payload reads the
+// next n bytes, one list's packed blocks, and returns them with their
+// offset in the reader's slab, which holds every list read so far. The
+// stream reader copies them onto the end of its slab, in bounded chunks
+// so a lying length cannot allocate past what the stream actually holds;
+// the image reader's slab is the image itself, so the offset is the
+// file's and nothing is copied.
 type tpixReader interface {
 	io.ByteReader
 	io.Reader
-	Bytes(n uint64) ([]byte, error)
+	payload(n uint64) (data []byte, off int, err error)
+	// slab returns the slab at its exact size, once every list is read.
+	slab() []byte
 }
 
 // streamReader adapts a bufio.Reader to tpixReader.
 type streamReader struct {
 	*bufio.Reader
+	data []byte
 }
 
-func (r streamReader) Bytes(n uint64) ([]byte, error) {
+func (r *streamReader) payload(n uint64) ([]byte, int, error) {
 	const chunk = 1 << 20
-	pre := n
-	if pre > chunk {
-		pre = chunk
-	}
-	data := make([]byte, 0, pre)
+	off := len(r.data)
 	for remaining := n; remaining > 0; {
-		step := remaining
-		if step > chunk {
-			step = chunk
-		}
-		off := len(data)
-		data = append(data, make([]byte, step)...)
-		if _, err := io.ReadFull(r.Reader, data[off:]); err != nil {
-			return nil, err
+		step := min(remaining, chunk)
+		start := len(r.data)
+		r.data = append(r.data, make([]byte, step)...)
+		if _, err := io.ReadFull(r.Reader, r.data[start:]); err != nil {
+			return nil, 0, err
 		}
 		remaining -= step
 	}
-	return data, nil
+	return r.data[off:], off, nil
 }
 
-// sliceReader reads from one in-memory image — the mapped file. Bytes
-// returns subslices of the image, so block payloads in the decoded
-// index are views into the mapping, not copies.
+func (r *streamReader) slab() []byte { return exactCopy(r.data) }
+
+// sliceReader reads from one in-memory image — the mapped file. Lists'
+// payloads stay where they lie in the image, so the decoded index
+// addresses the mapping, not a copy.
 type sliceReader struct {
 	data []byte
 	off  int
@@ -114,14 +115,16 @@ func (r *sliceReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-func (r *sliceReader) Bytes(n uint64) ([]byte, error) {
+func (r *sliceReader) payload(n uint64) ([]byte, int, error) {
 	if n > uint64(len(r.data)-r.off) {
-		return nil, io.ErrUnexpectedEOF
+		return nil, 0, io.ErrUnexpectedEOF
 	}
-	s := r.data[r.off : r.off+int(n) : r.off+int(n)]
+	off := r.off
 	r.off += int(n)
-	return s, nil
+	return r.data[off:r.off], off, nil
 }
+
+func (r *sliceReader) slab() []byte { return r.data }
 
 // WriteTo serializes the index. It returns the number of bytes written.
 func (x *Index) WriteTo(w io.Writer) (int64, error) {
@@ -161,10 +164,10 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 		if cl.n == 0 {
 			continue
 		}
-		if err := writeUvarint(uint64(len(cl.data))); err != nil {
+		if err := writeUvarint(uint64(cl.end - cl.off)); err != nil {
 			return cw.n, err
 		}
-		if _, err := cw.Write(cl.data); err != nil {
+		if _, err := cw.Write(x.data[cl.off:cl.end]); err != nil {
 			return cw.n, err
 		}
 		if err := writeUvarint(uint64(cl.lastDoc)); err != nil {
@@ -182,7 +185,7 @@ func (x *Index) WriteTo(w io.Writer) (int64, error) {
 // Read deserializes an index written by WriteTo, fully validating
 // every block payload.
 func Read(r io.Reader) (*Index, error) {
-	return readIndex(streamReader{bufio.NewReader(r)}, true)
+	return readIndex(&streamReader{Reader: bufio.NewReader(r)}, true)
 }
 
 // readIndex decodes one TPIX image from r. verifyPayload selects full
@@ -263,7 +266,7 @@ func readIndex(r tpixReader, verifyPayload bool) (*Index, error) {
 	if dlPrealloc > preallocCap {
 		dlPrealloc = preallocCap
 	}
-	x.docLen = make([]int, 0, dlPrealloc)
+	x.docLen = make([]int32, 0, dlPrealloc)
 	for d := uint64(0); d < numDocs; d++ {
 		dl, err := binary.ReadUvarint(r)
 		if err != nil {
@@ -275,9 +278,10 @@ func readIndex(r tpixReader, verifyPayload bool) (*Index, error) {
 			// length factor — negative.
 			return nil, fmt.Errorf("index: doc %d length %d out of range", d, dl)
 		}
-		x.docLen = append(x.docLen, int(dl))
+		x.docLen = append(x.docLen, int32(dl))
 		x.totalLen += int(dl)
 	}
+	x.data = r.slab()
 	return x, nil
 }
 
@@ -301,9 +305,12 @@ func (x *Index) readCompList(r tpixReader, t, ll uint64, numDocs int, verifyPayl
 	if dataLen > 16*ll+64 {
 		return fmt.Errorf("index: term %d data length %d implausible for %d postings", t, dataLen, ll)
 	}
-	data, err := r.Bytes(dataLen)
+	data, off, err := r.payload(dataLen)
 	if err != nil {
 		return fmt.Errorf("index: term %d data: %w", t, err)
+	}
+	if end := off + len(data); end > math.MaxUint32 {
+		return fmt.Errorf("index: term %d: %w", t, errSlabSize(end))
 	}
 	last, err := binary.ReadUvarint(r)
 	if err != nil {
@@ -312,11 +319,10 @@ func (x *Index) readCompList(r tpixReader, t, ll uint64, numDocs int, verifyPayl
 	if last >= uint64(numDocs) {
 		return fmt.Errorf("index: term %d last doc %d out of range", t, last)
 	}
-	cl, err := newCompListWire(int(ll), data, corpus.DocID(last), numDocs, verifyPayload)
-	if err != nil {
+	if err := checkListWire(int(ll), data, corpus.DocID(last), numDocs, verifyPayload); err != nil {
 		return fmt.Errorf("index: term %d: %w", t, err)
 	}
-	x.lists = append(x.lists, cl)
+	x.lists = append(x.lists, compList{off: uint32(off), end: uint32(off + len(data)), n: int32(ll), lastDoc: corpus.DocID(last)})
 	return nil
 }
 
@@ -333,7 +339,8 @@ func (x *Index) SizeBytes() int64 {
 			cl := &x.lists[id]
 			n += uvarintLen(uint64(len(term))) + len(term) + uvarintLen(uint64(cl.n))
 			if cl.n > 0 {
-				n += uvarintLen(uint64(len(cl.data))) + len(cl.data) + uvarintLen(uint64(cl.lastDoc))
+				size := int(cl.end - cl.off)
+				n += uvarintLen(uint64(size)) + size + uvarintLen(uint64(cl.lastDoc))
 			}
 		}
 		for _, dl := range x.docLen {

@@ -113,14 +113,14 @@ func irregularBlocks(x *Index) *Index {
 		if len(pl) == 0 {
 			continue
 		}
-		var data []byte
+		off := len(y.data)
 		prev := corpus.DocID(-1)
 		for start, r := 0, 0; start < len(pl); r++ {
 			end := min(start+runs[r%len(runs)], len(pl))
-			data = appendBlock(data, prev, pl[start:end])
+			y.data = appendBlock(y.data, prev, pl[start:end])
 			prev, start = pl[end-1].Doc, end
 		}
-		y.lists[tid] = compList{n: int32(len(pl)), lastDoc: prev, data: data}
+		y.lists[tid] = compList{off: uint32(off), end: uint32(len(y.data)), n: int32(len(pl)), lastDoc: prev}
 	}
 	return y
 }
@@ -165,13 +165,14 @@ func TestReadBlockHeaderMatchesParser(t *testing.T) {
 		t.Helper()
 		blocks := 0
 		for tid := range x.lists {
-			cl := &x.lists[tid]
-			for off, b := 0, 0; off < len(cl.data); b++ {
-				want, err := parseBlockHeader(cl.data, off)
+			cl := x.lists[tid]
+			data := x.data[cl.off:cl.end]
+			for off, b := 0, 0; off < len(data); b++ {
+				want, err := parseBlockHeader(data, off)
 				if err != nil {
 					t.Fatalf("%s: term %d block %d: validating parser: %v", label, tid, b, err)
 				}
-				if got := readBlockHeader(cl.data, off); got != want {
+				if got := readBlockHeader(data, off); got != want {
 					t.Fatalf("%s: term %d block %d: unchecked read %+v, parser %+v", label, tid, b, got, want)
 				}
 				off = want.end

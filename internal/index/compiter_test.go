@@ -5,12 +5,15 @@ import (
 	"testing"
 )
 
-// compressedRandomList builds a compressed list of n random postings
-// plus the decoded reference.
-func compressedRandomList(rng *rand.Rand, n int) (compList, PostingList) {
+// compressedRandomList builds a compressed list of n random postings,
+// the slab it lies in, and the decoded reference.
+func compressedRandomList(rng *rand.Rand, n int) ([]byte, compList, PostingList) {
 	pl := randomList(rng, n)
-	cl, _ := encodePostings(pl, nil)
-	return cl, pl
+	cl, slab, err := encodePostings(pl, nil)
+	if err != nil {
+		panic(err)
+	}
+	return slab, cl, pl
 }
 
 // TestCompIteratorMatchesSlice walks a compressed iterator against the
@@ -19,10 +22,10 @@ func compressedRandomList(rng *rand.Rand, n int) (compList, PostingList) {
 func TestCompIteratorMatchesSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, n := range []int{1, 3, BlockSize - 1, BlockSize, BlockSize + 1, 2 * BlockSize, 5*BlockSize + 17} {
-		cl, pl := compressedRandomList(rng, n)
+		slab, cl, pl := compressedRandomList(rng, n)
 		// Full Next walk.
 		var it Iterator
-		it.reset(&cl)
+		it.reset(slab, cl)
 		for i, p := range pl {
 			if !it.Valid() || it.Doc() != p.Doc || it.TF() != p.TF {
 				t.Fatalf("n=%d next-walk posting %d mismatch", n, i)
@@ -33,7 +36,7 @@ func TestCompIteratorMatchesSlice(t *testing.T) {
 			t.Fatalf("n=%d: iterator valid past end", n)
 		}
 		// Window walk.
-		it.reset(&cl)
+		it.reset(slab, cl)
 		i := 0
 		for it.Valid() {
 			docs, tfs := it.Window()
@@ -59,13 +62,13 @@ func TestCompIteratorMatchesSlice(t *testing.T) {
 func BenchmarkDecodeTraversal(b *testing.B) {
 	rng := rand.New(rand.NewSource(24))
 	const nBlocks = 256
-	cl, _ := compressedRandomList(rng, nBlocks*BlockSize)
+	slab, cl, _ := compressedRandomList(rng, nBlocks*BlockSize)
 	b.Run("full", func(b *testing.B) {
 		b.SetBytes(int64(cl.n) * 8)
 		sum := int64(0)
 		var it Iterator
 		for i := 0; i < b.N; i++ {
-			it.reset(&cl)
+			it.reset(slab, cl)
 			for it.Valid() {
 				docs, tfs := it.Window()
 				for j := range docs {
@@ -86,9 +89,9 @@ func BenchmarkDecodeTraversal(b *testing.B) {
 // mid-list block and walk the cursor backwards.
 func TestCompIteratorStaysExhausted(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
-	cl, _ := compressedRandomList(rng, 4*BlockSize)
+	slab, cl, _ := compressedRandomList(rng, 4*BlockSize)
 	var it Iterator
-	it.reset(&cl)
+	it.reset(slab, cl)
 	for it.NextWindow() {
 	}
 	for step := 0; step < 3; step++ {

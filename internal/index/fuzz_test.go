@@ -45,22 +45,24 @@ func FuzzDecodePostings(f *testing.F) {
 	f.Add([]byte{1, 1, 2, 3, 255, 30, 7, 0})
 	// A well-formed encoding as a seed so mutations explore near-valid
 	// block structures.
-	seed, _ := encodePostings([]Posting{{Doc: 0, TF: 1}, {Doc: 5, TF: 3}, {Doc: 1000, TF: 9}}, nil)
-	f.Add(seed.data)
+	_, seed, _ := encodePostings([]Posting{{Doc: 0, TF: 1}, {Doc: 5, TF: 3}, {Doc: 1000, TF: 9}}, nil)
+	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// (a) Round trip: encode(postings) then decode must be exact.
 		pl := postingsFromBytes(data)
-		cl, _ := encodePostings(pl, nil)
+		cl, slab, err := encodePostings(pl, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		numDocs := 0
 		if n := len(pl); n > 0 {
 			numDocs = int(pl[n-1].Doc) + 1
 		}
-		validated, err := newCompListFromWire(len(pl), cl.data, cl.lastDoc, numDocs)
-		if err != nil {
+		if err := checkListWire(len(pl), slab, cl.lastDoc, numDocs, true); err != nil {
 			t.Fatalf("valid encoding rejected: %v", err)
 		}
 		var it Iterator
-		it.reset(&validated)
+		it.reset(slab, cl)
 		for i, want := range pl {
 			if !it.Valid() {
 				t.Fatalf("iterator exhausted at %d/%d", i, len(pl))
@@ -79,7 +81,7 @@ func FuzzDecodePostings(f *testing.F) {
 		// boundary is exercised; the last doc is checked only after every
 		// block has been.
 		for _, n := range []int{1, 7, BlockSize, BlockSize + 1} {
-			_, _ = newCompListFromWire(n, data, 0, 1<<20)
+			_ = checkListWire(n, data, 0, 1<<20, true)
 		}
 		// And as a whole TPIX stream.
 		_, _ = Read(bytes.NewReader(data))

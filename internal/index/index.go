@@ -38,11 +38,15 @@ const BlockSize = 128
 // Build; it is then safe for concurrent readers.
 type Index struct {
 	vocab *textproc.Vocab
-	// lists holds each term's block-compressed postings (indexed by
-	// TermID). Traversal decodes block-at-a-time through IterInto;
+	// lists holds each term's entry (indexed by TermID): its count, last
+	// document and the span of data holding its block-compressed
+	// postings. Traversal decodes block-at-a-time through IterInto;
 	// Postings materializes a list only for cold paths and tests.
-	lists    []compList
-	docLen   []int // analyzed length of each document
+	lists []compList
+	// data is the one allocation holding every list's payload, in term
+	// order — for a mapped index, the file image the lists lie in.
+	data     []byte
+	docLen   []int32 // analyzed length of each document
 	numDocs  int
 	totalLen int
 
@@ -50,9 +54,9 @@ type Index struct {
 	sizeOnce sync.Once
 	size     int64
 
-	// mapped, when non-nil, is the disk mapping whose pages back every
-	// list's packed payload (OpenMapped). The index owns it; Close
-	// releases it. Nil for built, merged, and stream-read indexes.
+	// mapped, when non-nil, is the disk mapping whose pages back data
+	// (OpenMapped). The index owns it; Close releases it. Nil for built,
+	// merged, and stream-read indexes.
 	mapped *mapping
 }
 
@@ -82,7 +86,7 @@ func Build(c *corpus.Corpus) (*Index, error) {
 // The zero value is an empty builder.
 type Builder struct {
 	lists    [][]Posting
-	docLen   []int
+	docLen   []int32
 	totalLen int
 	// count is zero everywhere between calls; Add counts into it, and
 	// Scratch lends it out.
@@ -96,7 +100,7 @@ type Builder struct {
 // term frequencies, in slices the builder reuses on the next Add.
 func (b *Builder) Add(bag []textproc.TermID) ([]textproc.TermID, []int32) {
 	doc := corpus.DocID(len(b.docLen))
-	b.docLen = append(b.docLen, len(bag))
+	b.docLen = append(b.docLen, int32(len(bag)))
 	b.totalLen += len(bag)
 	terms := b.terms[:0]
 	for _, id := range bag {
@@ -148,7 +152,7 @@ func (b *Builder) DocLen(d corpus.DocID) int {
 	if d < 0 || int(d) >= len(b.docLen) {
 		return 0
 	}
-	return b.docLen[d]
+	return int(b.docLen[d])
 }
 
 // Scratch lends out the builder's count array, grown to at least n
@@ -161,8 +165,8 @@ func (b *Builder) Scratch(n int) []int32 {
 
 // Index encodes the documents added so far into an index over vocab,
 // which must name every term they hold, and empties the builder for the
-// next index; its scratch is kept. The index holds every list, and its
-// document lengths, at exact size.
+// next index; its scratch is kept. The index holds its payloads and its
+// document lengths at exact size.
 func (b *Builder) Index(vocab *textproc.Vocab) (*Index, error) {
 	if len(b.lists) > vocab.Size() {
 		return nil, fmt.Errorf("index: term %d outside the %d-term dictionary", len(b.lists)-1, vocab.Size())
@@ -170,14 +174,18 @@ func (b *Builder) Index(vocab *textproc.Vocab) (*Index, error) {
 	x := &Index{
 		vocab:    vocab,
 		lists:    make([]compList, vocab.Size()),
-		docLen:   append(make([]int, 0, len(b.docLen)), b.docLen...),
+		docLen:   exactCopy(b.docLen),
 		numDocs:  len(b.docLen),
 		totalLen: b.totalLen,
 	}
-	var scratch []byte
+	var slab []byte
 	for t, pl := range b.lists {
-		x.lists[t], scratch = encodePostings(pl, scratch)
+		var err error
+		if x.lists[t], slab, err = encodePostings(pl, slab); err != nil {
+			return nil, err
+		}
 	}
+	x.data = exactCopy(slab)
 	b.lists, b.docLen, b.totalLen = nil, nil, 0
 	return x, nil
 }
@@ -231,7 +239,7 @@ func (x *Index) Postings(id textproc.TermID) PostingList {
 	if x.DocFreq(id) == 0 {
 		return nil
 	}
-	out := make(PostingList, 0, x.lists[id].n)
+	out := make(PostingList, 0, x.DocFreq(id))
 	var it Iterator
 	for x.IterInto(id, &it); it.Valid(); it.NextWindow() {
 		docs, tfs := it.Window()
@@ -264,7 +272,7 @@ func (x *Index) IterInto(id textproc.TermID, it *Iterator) {
 		it.ResetList(nil)
 		return
 	}
-	it.reset(&x.lists[id])
+	it.reset(x.data, x.lists[id])
 }
 
 // IDF returns the smoothed inverse document frequency
@@ -282,7 +290,7 @@ func (x *Index) DocLen(d corpus.DocID) int {
 	if d < 0 || int(d) >= len(x.docLen) {
 		return 0
 	}
-	return x.docLen[int(d)]
+	return int(x.docLen[d])
 }
 
 // AvgDocLen returns the mean analyzed document length.

@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"toppriv/internal/corpus"
 	"toppriv/internal/textproc"
@@ -504,20 +506,83 @@ func TestReadTruncatedDocLens(t *testing.T) {
 // negative length and drive AvgDocLen, and with it the BM25 length
 // factor, below zero.
 func TestReadRejectsHugeDocLens(t *testing.T) {
-	for _, dl := range []int{1 << 40, math.MinInt64} { // MinInt64 is written as uvarint 1<<63
+	for _, dl := range []uint64{1 << 40, 1 << 63} {
+		// An image ends with its documents' lengths: rewrite document 1's.
 		x := fixtureIndex(t)
-		x.docLen[1] = dl
-		path := writeTempTPIX(t, x)
-		img, err := os.ReadFile(path)
-		if err != nil {
+		var buf bytes.Buffer
+		if _, err := x.WriteTo(&buf); err != nil {
 			t.Fatal(err)
 		}
-		want := fmt.Sprintf("doc 1 length %d out of range", uint64(dl))
+		tail := 0
+		for _, n := range x.docLen {
+			tail += uvarintLen(uint64(n))
+		}
+		img := buf.Bytes()[:buf.Len()-tail]
+		for d, n := range x.docLen {
+			v := uint64(n)
+			if d == 1 {
+				v = dl
+			}
+			img = binary.AppendUvarint(img, v)
+		}
+		path := filepath.Join(t.TempDir(), "huge.tpix")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("doc 1 length %d out of range", dl)
 		if _, err := Read(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("Read: length %d: err = %v, want %q", uint64(dl), err, want)
+			t.Errorf("Read: length %d: err = %v, want %q", dl, err, want)
 		}
 		if _, err := OpenMapped(path); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("OpenMapped: length %d: err = %v, want %q", uint64(dl), err, want)
+			t.Errorf("OpenMapped: length %d: err = %v, want %q", dl, err, want)
+		}
+	}
+}
+
+// TestListEntryIs16Bytes holds the entry an index keeps for every
+// dictionary term to 16 bytes: the span of its payload, its count and
+// its last document.
+func TestListEntryIs16Bytes(t *testing.T) {
+	if size := unsafe.Sizeof(compList{}); size > 16 {
+		t.Fatalf("a list entry is %d bytes, want at most 16", size)
+	}
+}
+
+// TestPayloadsShareOneSlab: a built, a merged and a stream-read index
+// each hold every payload in one exact-size allocation, and a mapped
+// index addresses the lists where they lie in its file image.
+func TestPayloadsShareOneSlab(t *testing.T) {
+	x := multiBlockIndex(t)
+	assertOneSlab(t, "build", x)
+	merged, _, err := Merge([]*Index{x, x}, []func(corpus.DocID) bool{nil, func(d corpus.DocID) bool { return d%3 == 0 }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertOneSlab(t, "merge", merged)
+	var buf bytes.Buffer
+	if _, err := x.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertOneSlab(t, "read", back)
+	if !bytes.Equal(back.data, x.data) {
+		t.Fatal("read: the slab differs from the built one")
+	}
+	mapped, err := OpenMapped(writeTempTPIX(t, x))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Close()
+	if !bytes.Equal(mapped.data, buf.Bytes()) {
+		t.Fatalf("mapped: the slab is %d bytes, not the %d-byte file image", len(mapped.data), buf.Len())
+	}
+	for tid, cl := range mapped.lists {
+		want := x.lists[tid]
+		if cl.n != want.n || cl.lastDoc != want.lastDoc || !bytes.Equal(mapped.data[cl.off:cl.end], x.data[want.off:want.end]) {
+			t.Fatalf("mapped: list %d is %+v, built %+v", tid, cl, want)
 		}
 	}
 }

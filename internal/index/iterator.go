@@ -23,11 +23,14 @@ import "toppriv/internal/corpus"
 // Window hands out the current block's postings in bulk, which is how
 // every scan consumes a list.
 type Iterator struct {
-	pl  PostingList  // slice mode (nil in compressed mode)
-	cl  *compList    // compressed mode (nil in slice mode)
-	pos int          // global posting ordinal
-	n   int          // total postings
-	cur corpus.DocID // current posting's doc; maintained by every move
+	pl PostingList // slice mode (nil in compressed mode)
+	// data is the list's packed blocks in compressed mode (nil in slice
+	// mode), last its last document.
+	data []byte
+	last corpus.DocID
+	pos  int          // global posting ordinal
+	n    int          // total postings
+	cur  corpus.DocID // current posting's doc; maintained by every move
 
 	// Compressed-mode decode state: the current block's first ordinal,
 	// its parsed header (hdr.end is the next block's byte offset), and
@@ -47,22 +50,25 @@ type Iterator struct {
 // ResetList repositions the iterator over a plain postings slice
 // without touching the decode buffers.
 func (it *Iterator) ResetList(pl PostingList) {
-	it.pl, it.cl = pl, nil
+	it.pl, it.data = pl, nil
 	it.pos, it.n, it.decodes = 0, len(pl), 0
 	if it.n > 0 {
 		it.cur = pl[0].Doc
 	}
 }
 
-// reset repositions the iterator over a compressed list, decoding only
-// the first block's doc IDs.
-func (it *Iterator) reset(cl *compList) {
-	it.pl, it.cl = nil, cl
+// reset repositions the iterator over compressed list cl, whose
+// payload lies in slab, decoding only the first block's doc IDs. An
+// empty list leaves it exhausted.
+func (it *Iterator) reset(slab []byte, cl compList) {
+	if cl.n == 0 {
+		it.ResetList(nil)
+		return
+	}
+	it.pl, it.data, it.last = nil, slab[cl.off:cl.end], cl.lastDoc
 	it.pos, it.n, it.decodes = 0, int(cl.n), 0
 	it.blkStart, it.blkLen = 0, 0
-	if it.n > 0 {
-		it.loadBlock(0, -1)
-	}
+	it.loadBlock(0, -1)
 }
 
 // loadBlock decodes the doc IDs of the block at byte offset off (its
@@ -71,7 +77,7 @@ func (it *Iterator) reset(cl *compList) {
 // tf half is left for the first read.
 func (it *Iterator) loadBlock(off int, prevLast corpus.DocID) {
 	it.blkStart += it.blkLen
-	it.hdr = it.cl.decodeBlockDocs(off, prevLast, &it.docBuf)
+	it.hdr = decodeBlockDocs(it.data, off, prevLast, &it.docBuf)
 	it.decodes++
 	it.blkLen = it.hdr.count
 	it.tfOK = false
@@ -96,8 +102,8 @@ func (it *Iterator) Len() int { return it.n }
 // LastDoc returns the last document of the whole list — available
 // without decoding in compressed mode. The list must be non-empty.
 func (it *Iterator) LastDoc() corpus.DocID {
-	if it.cl != nil {
-		return it.cl.lastDoc
+	if it.data != nil {
+		return it.last
 	}
 	return it.pl[it.n-1].Doc
 }
@@ -112,9 +118,9 @@ func (it *Iterator) Doc() corpus.DocID { return it.cur }
 // In compressed mode the first TF read of a block decodes the block's
 // tf payload; a block whose documents alone are read never pays it.
 func (it *Iterator) TF() int32 {
-	if it.cl != nil {
+	if it.data != nil {
 		if !it.tfOK {
-			it.cl.decodeBlockTFs(it.hdr, &it.tfBuf)
+			decodeBlockTFs(it.data, it.hdr, &it.tfBuf)
 			it.tfOK = true
 		}
 		return it.tfBuf[it.pos-it.blkStart]
@@ -126,7 +132,7 @@ func (it *Iterator) TF() int32 {
 // iterator is still valid.
 func (it *Iterator) Next() bool {
 	it.pos++
-	if it.cl == nil {
+	if it.data == nil {
 		if it.pos >= it.n {
 			return false
 		}
@@ -148,9 +154,9 @@ func (it *Iterator) Next() bool {
 // buffers. The slices are valid until the iterator moves; advance
 // with NextWindow. Valid must be true.
 func (it *Iterator) Window() (docs []corpus.DocID, tfs []int32) {
-	if it.cl != nil {
+	if it.data != nil {
 		if !it.tfOK {
-			it.cl.decodeBlockTFs(it.hdr, &it.tfBuf)
+			decodeBlockTFs(it.data, it.hdr, &it.tfBuf)
 			it.tfOK = true
 		}
 		lo, hi := it.pos-it.blkStart, it.blkLen
@@ -171,7 +177,7 @@ func (it *Iterator) Window() (docs []corpus.DocID, tfs []int32) {
 // NextWindow advances past the postings Window returned, reporting
 // whether any remain.
 func (it *Iterator) NextWindow() bool {
-	if it.cl != nil {
+	if it.data != nil {
 		return it.nextBlock()
 	}
 	it.pos += BlockSize

@@ -75,9 +75,9 @@ func Merge(parts []*Index, keep []func(corpus.DocID) bool) (*Index, [][]corpus.D
 			}
 			dm[d] = corpus.DocID(merged.numDocs)
 			merged.numDocs++
-			dl := part.DocLen(corpus.DocID(d))
+			dl := part.docLen[d]
 			merged.docLen = append(merged.docLen, dl)
-			merged.totalLen += dl
+			merged.totalLen += int(dl)
 		}
 		remap[i] = dm
 	}
@@ -86,16 +86,13 @@ func Merge(parts []*Index, keep []func(corpus.DocID) bool) (*Index, [][]corpus.D
 	// part i all precede part i+1's, and each source list is ascending.
 	merged.lists = make([]compList, longest.NumTerms())
 	var pl []Posting
-	var scratch []byte
+	var slab []byte
 	var it Iterator
 	for t := range merged.lists {
 		pl = pl[:0]
 		for i, part := range parts {
-			if t >= len(part.lists) {
-				continue
-			}
 			dm := remap[i]
-			for it.reset(&part.lists[t]); it.Valid(); it.NextWindow() {
+			for part.IterInto(textproc.TermID(t), &it); it.Valid(); it.NextWindow() {
 				docs, tfs := it.Window()
 				for j, d := range docs {
 					if nd := dm[d]; nd != DroppedDoc {
@@ -104,7 +101,11 @@ func Merge(parts []*Index, keep []func(corpus.DocID) bool) (*Index, [][]corpus.D
 				}
 			}
 		}
-		merged.lists[t], scratch = encodePostings(pl, scratch)
+		var err error
+		if merged.lists[t], slab, err = encodePostings(pl, slab); err != nil {
+			return nil, nil, err
+		}
 	}
+	merged.data = exactCopy(slab)
 	return merged, remap, nil
 }

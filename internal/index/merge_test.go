@@ -177,8 +177,9 @@ func sharedVocabParts(t testing.TB, sizes []int) ([]*Index, sharedDocs) {
 // assertMergeIsBuild merges shared-dictionary parts of the given sizes
 // under keep and holds the result to Build over the survivors: the two
 // TPIX images must be equal byte for byte, the remap must number the
-// survivors densely in part order, and every list of either index must
-// be held at its exact size (capacity equal to length, no growth slack).
+// survivors densely in part order, and either index must hold its
+// payloads in one exact-size slab (capacity equal to length, no growth
+// slack) that its lists tile.
 func assertMergeIsBuild(t *testing.T, label string, sizes []int, keep []func(corpus.DocID) bool) {
 	t.Helper()
 	parts, docs := sharedVocabParts(t, sizes)
@@ -212,11 +213,31 @@ func assertMergeIsBuild(t *testing.T, label string, sizes []int, keep []func(cor
 		}
 	}
 	for name, x := range map[string]*Index{"merge": merged, "build": want} {
-		for tid, cl := range x.lists {
-			if cap(cl.data) != len(cl.data) {
-				t.Fatalf("%s: %s list %d: cap %d, len %d", label, name, tid, cap(cl.data), len(cl.data))
-			}
+		assertOneSlab(t, label+": "+name, x)
+	}
+}
+
+// assertOneSlab checks that x's payloads are one exact-size slab that
+// its non-empty lists tile in term order, and that its empty lists are
+// zero entries.
+func assertOneSlab(t *testing.T, label string, x *Index) {
+	t.Helper()
+	if cap(x.data) != len(x.data) {
+		t.Fatalf("%s: payload slab cap %d, len %d", label, cap(x.data), len(x.data))
+	}
+	next := uint32(0)
+	for tid, cl := range x.lists {
+		switch {
+		case cl.n == 0 && cl != compList{}:
+			t.Fatalf("%s: empty list %d has entry %+v", label, tid, cl)
+		case cl.n > 0 && (cl.off != next || cl.end <= cl.off):
+			t.Fatalf("%s: list %d spans [%d, %d), want it to start at %d", label, tid, cl.off, cl.end, next)
+		case cl.n > 0:
+			next = cl.end
 		}
+	}
+	if int(next) != len(x.data) {
+		t.Fatalf("%s: lists end at %d in a %d-byte slab", label, next, len(x.data))
 	}
 }
 

@@ -47,15 +47,17 @@ import (
 
 //go:generate go run gen_kernels.go
 
-// compList is one term's compressed postings: the packed blocks, their
-// posting count, and the list's last document (Iterator.LastDoc). Every
+// compList is one term's compressed postings: where its packed blocks
+// lie in the index's payload slab (Index.data[off:end]), their posting
+// count, and the list's last document (Iterator.LastDoc). Every
 // consumer walks the blocks front to back — the iterator carries the
 // next block's byte offset and the previous block's last doc from the
-// block it just decoded — so no per-block index is kept.
+// block it just decoded — so no per-block index is kept. Sixteen bytes:
+// DocFreq and LastDoc read the entry alone, never the payload.
 type compList struct {
-	n       int32
-	lastDoc corpus.DocID
-	data    []byte
+	off, end uint32
+	n        int32
+	lastDoc  corpus.DocID
 }
 
 // appendUvarint appends v as a uvarint.
@@ -190,18 +192,32 @@ func appendBlocks(data []byte, pl []Posting) []byte {
 }
 
 // encodePostings compresses a sorted postings list — the one encoder
-// behind Build and Merge. It encodes into scratch and copies the list
-// out at its exact size, so a list's capacity is its length and its
-// only allocation is that copy; the returned scratch, grown as needed,
-// is for the next list.
-func encodePostings(pl []Posting, scratch []byte) (compList, []byte) {
+// behind Build and Merge — onto the end of slab, and returns the list's
+// entry with the grown slab. An empty list takes no bytes, and its entry
+// is the zero value.
+func encodePostings(pl []Posting, slab []byte) (compList, []byte, error) {
 	if len(pl) == 0 {
-		return compList{}, scratch
+		return compList{}, slab, nil
 	}
-	scratch = appendBlocks(scratch[:0], pl)
-	data := make([]byte, len(scratch))
-	copy(data, scratch)
-	return compList{n: int32(len(pl)), lastDoc: pl[len(pl)-1].Doc, data: data}, scratch
+	off := len(slab)
+	slab = appendBlocks(slab, pl)
+	if len(slab) > math.MaxUint32 {
+		return compList{}, nil, errSlabSize(len(slab))
+	}
+	return compList{off: uint32(off), end: uint32(len(slab)), n: int32(len(pl)), lastDoc: pl[len(pl)-1].Doc}, slab, nil
+}
+
+// exactCopy copies b into a new slice whose capacity is its length: a
+// payload slab or a length table, kept for the index's life.
+func exactCopy[T any](b []T) []T {
+	out := make([]T, len(b))
+	copy(out, b)
+	return out
+}
+
+// errSlabSize reports a payload past what a list entry can address.
+func errSlabSize(n int) error {
+	return fmt.Errorf("index: %d bytes of postings, more than the %d one index addresses", n, uint64(math.MaxUint32))
 }
 
 // blockHeader is a parsed block header with absolute payload offsets.
@@ -306,14 +322,15 @@ func readBlockHeader(data []byte, off int) blockHeader {
 	return h
 }
 
-// decodeBlockDocs parses the header of the block at byte offset off,
-// whose predecessor's last doc was prevLast (−1 for the first block),
+// decodeBlockDocs parses the header of the block at byte offset off of
+// a list's payload data, whose predecessor's last doc was prevLast (−1
+// for the first block),
 // and decodes its doc IDs into out — one fused word-at-a-time
 // unpack-and-prefix-sum pass. The returned header lets the caller
 // decode the tf half later without reparsing, and its end is the next
 // block's offset.
-func (cl *compList) decodeBlockDocs(off int, prevLast corpus.DocID, out *[BlockSize]corpus.DocID) blockHeader {
-	h := readBlockHeader(cl.data, off)
+func decodeBlockDocs(data []byte, off int, prevLast corpus.DocID, out *[BlockSize]corpus.DocID) blockHeader {
+	h := readBlockHeader(data, off)
 	d := prevLast + corpus.DocID(h.baseDelta)
 	out[0] = d
 	n := h.count - 1
@@ -328,7 +345,7 @@ func (cl *compList) decodeBlockDocs(off int, prevLast corpus.DocID, out *[BlockS
 		}
 		return h
 	}
-	decodeGaps(cl.data[h.gapsOff:h.tfsOff], n, h.gapBits, minGap, d, out[1:1+n])
+	decodeGaps(data[h.gapsOff:h.tfsOff], n, h.gapBits, minGap, d, out[1:1+n])
 	return h
 }
 
@@ -401,7 +418,7 @@ func gatherTail(src []byte, byteIdx int) uint64 {
 
 // decodeBlockTFs decodes the tf half of a block whose header was
 // already parsed by decodeBlockDocs.
-func (cl *compList) decodeBlockTFs(h blockHeader, out *[BlockSize]int32) {
+func decodeBlockTFs(data []byte, h blockHeader, out *[BlockSize]int32) {
 	minTF := int32(h.minTF)
 	if h.tfBits == 0 {
 		for i := 0; i < h.count; i++ {
@@ -409,7 +426,7 @@ func (cl *compList) decodeBlockTFs(h blockHeader, out *[BlockSize]int32) {
 		}
 		return
 	}
-	decodeTFs(cl.data[h.tfsOff:h.end], h.count, h.tfBits, minTF, out[:h.count])
+	decodeTFs(data[h.tfsOff:h.end], h.count, h.tfBits, minTF, out[:h.count])
 }
 
 // decodeTFs decodes n width-bit tf residuals (width 1..32) into out,
@@ -423,30 +440,27 @@ func decodeTFs(src []byte, n int, width uint, minTF int32, out []int32) {
 	unpackTFsGeneric(src, n, width, minTF, out)
 }
 
-// newCompListFromWire reconstructs a list from its wire data and
-// stored last doc: walks the block headers, then fully decodes every
-// block once to verify the payload — strictly ascending doc IDs inside
-// [0, numDocs), positive frequencies, a final doc equal to lastDoc —
-// so corrupt or truncated input is rejected here with an error and
-// iterators over accepted lists can decode unchecked.
-func newCompListFromWire(n int, data []byte, lastDoc corpus.DocID, numDocs int) (compList, error) {
-	return newCompListWire(n, data, lastDoc, numDocs, true)
-}
-
-// newCompListWire is newCompListFromWire with the payload decode pass
-// optional: the mapped open path (OpenMapped) accepts lists on
-// structural checks alone — walking every self-describing block header;
-// the caller range-checks lastDoc — without faulting in and decoding
-// every payload page. Block headers and counts are still fully
-// validated here, so decoding stays in-bounds; a corrupt payload can
-// only yield wrong posting values (a trade the mapped path documents:
-// segment files are written and fsynced by this process).
-func newCompListWire(n int, data []byte, lastDoc corpus.DocID, numDocs int, verifyPayload bool) (compList, error) {
+// checkListWire checks a list's wire data against its posting count n
+// and stored last doc: it walks the block headers and, with
+// verifyPayload, fully decodes every block once to verify the payload —
+// strictly ascending doc IDs inside [0, numDocs), positive frequencies,
+// a final doc equal to lastDoc — so corrupt or truncated input is
+// rejected here with an error and iterators over accepted lists can
+// decode unchecked.
+//
+// The mapped open path (OpenMapped) accepts lists on structural checks
+// alone — walking every self-describing block header; the caller
+// range-checks lastDoc — without faulting in and decoding every payload
+// page. Block headers and counts are still fully validated, so decoding
+// stays in-bounds; a corrupt payload can only yield wrong posting values
+// (a trade the mapped path documents: segment files are written and
+// fsynced by this process).
+func checkListWire(n int, data []byte, lastDoc corpus.DocID, numDocs int, verifyPayload bool) error {
 	if n == 0 {
 		if len(data) != 0 {
-			return compList{}, fmt.Errorf("index: empty list with %d data bytes", len(data))
+			return fmt.Errorf("index: empty list with %d data bytes", len(data))
 		}
-		return compList{}, nil
+		return nil
 	}
 	var verify func(blockHeader) error
 	d := int64(-1)
@@ -473,12 +487,12 @@ func newCompListWire(n int, data []byte, lastDoc corpus.DocID, numDocs int, veri
 		}
 	}
 	if err := walkBlocks(data, n, verify); err != nil {
-		return compList{}, err
+		return err
 	}
 	if verifyPayload && d != int64(lastDoc) {
-		return compList{}, fmt.Errorf("index: last doc %d, stored %d", d, lastDoc)
+		return fmt.Errorf("index: last doc %d, stored %d", d, lastDoc)
 	}
-	return compList{n: int32(n), lastDoc: lastDoc, data: data}, nil
+	return nil
 }
 
 // walkBlocks parses the block headers (no payload decode) of a list of

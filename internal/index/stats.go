@@ -46,7 +46,7 @@ func (x *Index) ComputeStats() Stats {
 		if int(cl.n) > s.MaxListLen {
 			s.MaxListLen = int(cl.n)
 		}
-		s.PostingsBytes += int64(len(cl.data))
+		s.PostingsBytes += int64(cl.end - cl.off)
 	}
 	if x.mapped == nil || x.mapped.heapBacked() {
 		// Otherwise every payload byte is a view into the mapping.

@@ -9,13 +9,15 @@ import (
 
 // modelWire is the gob wire form of a Model. Keeping it separate from
 // the runtime type lets the in-memory layout evolve without breaking
-// saved models.
+// saved models. Files saved before the model stopped holding Pr(t|d)
+// also carry a Theta field; gob skips a field the target type lacks, so
+// they load as they are; an older build reads a file saved now with an
+// empty Theta.
 type modelWire struct {
 	Version     int
 	K, V        int
 	Alpha, Beta float64
 	Phi         [][]float64
-	Theta       [][]float64
 	Prior       []float64
 	Terms       []string
 }
@@ -30,7 +32,7 @@ func (m *Model) Save(w io.Writer) error {
 		Version: modelWireVersion,
 		K:       m.K, V: m.V,
 		Alpha: m.Alpha, Beta: m.Beta,
-		Phi: m.Phi, Theta: m.Theta, Prior: m.Prior, Terms: m.Terms,
+		Phi: m.Phi, Prior: m.Prior, Terms: m.Terms,
 	})
 	if err != nil {
 		return fmt.Errorf("lda: save: %w", err)
@@ -50,7 +52,7 @@ func Load(r io.Reader) (*Model, error) {
 	m := &Model{
 		K: wire.K, V: wire.V,
 		Alpha: wire.Alpha, Beta: wire.Beta,
-		Phi: wire.Phi, Theta: wire.Theta, Prior: wire.Prior, Terms: wire.Terms,
+		Phi: wire.Phi, Prior: wire.Prior, Terms: wire.Terms,
 	}
 	if err := m.validate(); err != nil {
 		return nil, err

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
+	"runtime"
+	"slices"
 	"testing"
 
 	"toppriv/internal/corpus"
@@ -12,6 +15,28 @@ import (
 
 // trainSmall fits a model on a small synthetic corpus with clear topics.
 func trainSmall(t *testing.T, k int, seed int64) (*Model, *corpus.Corpus, *corpus.GroundTruth) {
+	t.Helper()
+	c, gt := smallCorpus(t, seed)
+	m, _, err := Train(c, TrainSpec{NumTopics: k, Iterations: 80, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, c, gt
+}
+
+// fitSmall is trainSmall's training, returning the final sample as
+// well as the model: Θ is derived from the sample (theta).
+func fitSmall(t *testing.T, k int, seed int64) (*Model, *gibbs) {
+	t.Helper()
+	c, _ := smallCorpus(t, seed)
+	g, _, err := fit(c, TrainSpec{NumTopics: k, Iterations: 80, Seed: seed}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.model(c.Vocab.Terms()), g
+}
+
+func smallCorpus(t *testing.T, seed int64) (*corpus.Corpus, *corpus.GroundTruth) {
 	t.Helper()
 	spec := corpus.GenSpec{
 		Seed:      seed,
@@ -24,11 +49,7 @@ func trainSmall(t *testing.T, k int, seed int64) (*Model, *corpus.Corpus, *corpu
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _, err := Train(c, TrainSpec{NumTopics: k, Iterations: 80, Seed: seed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, c, gt
+	return c, gt
 }
 
 func assertDistribution(t *testing.T, name string, p []float64) {
@@ -46,15 +67,16 @@ func assertDistribution(t *testing.T, name string, p []float64) {
 }
 
 func TestTrainShapesAndDistributions(t *testing.T) {
-	m, c, _ := trainSmall(t, 6, 1)
-	if m.K != 6 || m.V != c.VocabSize() {
+	m, g := fitSmall(t, 6, 1)
+	if m.K != 6 || m.V != len(g.nwt)/g.k {
 		t.Fatalf("shape K=%d V=%d", m.K, m.V)
 	}
 	for tt := 0; tt < m.K; tt++ {
 		assertDistribution(t, "Phi", m.Phi[tt])
 	}
+	theta := g.theta()
 	for d := 0; d < 10; d++ {
-		assertDistribution(t, "Theta", m.Theta[d])
+		assertDistribution(t, "Theta", theta[d])
 	}
 	assertDistribution(t, "Prior", m.Prior)
 	// Paper defaults: alpha = 50/K, beta = 0.1.
@@ -157,13 +179,14 @@ func badTrainSpecs() []TrainSpec {
 }
 
 func TestPriorMatchesThetaAverage(t *testing.T) {
-	m, _, _ := trainSmall(t, 5, 11)
+	m, g := fitSmall(t, 5, 11)
+	theta := g.theta()
 	for tt := 0; tt < m.K; tt++ {
 		sum := 0.0
-		for d := range m.Theta {
-			sum += m.Theta[d][tt]
+		for d := range theta {
+			sum += theta[d][tt]
 		}
-		want := sum / float64(len(m.Theta))
+		want := sum / float64(len(theta))
 		if math.Abs(m.Prior[tt]-want) > 1e-9 {
 			t.Fatalf("Prior[%d] = %v, want Eq.1 average %v", tt, m.Prior[tt], want)
 		}
@@ -302,6 +325,32 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadModelWithTheta loads a model file saved while models still
+// carried Pr(t|d) for every training document: it must load, and hold
+// what training the same corpus gives now.
+func TestLoadModelWithTheta(t *testing.T) {
+	f, err := os.Open("testdata/model_with_theta.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := Load(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := bagsCorpus(6, []textproc.TermID{3, 3, 3, 1, 3}, []textproc.TermID{5, 5, 0, 5}, []textproc.TermID{1, 1, 2, 4, 1, 1})
+	want, _, err := Train(c, TrainSpec{NumTopics: 3, Iterations: 20, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameModelBits(got, want); err != nil {
+		t.Fatal(err)
+	}
+	if got.TermID("w4") != 4 || got.TermID("w6") != -1 {
+		t.Errorf("TermID after load: w4 → %d, w6 → %d", got.TermID("w4"), got.TermID("w6"))
+	}
+}
+
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not a gob"))); err == nil {
 		t.Error("garbage must be rejected")
@@ -311,8 +360,73 @@ func TestLoadRejectsGarbage(t *testing.T) {
 func TestSizeBytesDominatedByPhi(t *testing.T) {
 	m, _, _ := trainSmall(t, 6, 31)
 	min := int64(m.K) * int64(m.V) * 8
-	if m.SizeBytes() < min {
-		t.Errorf("SizeBytes %d below Phi floor %d", m.SizeBytes(), min)
+	if m.ClientSizeBytes() < min {
+		t.Errorf("ClientSizeBytes %d below Phi floor %d", m.ClientSizeBytes(), min)
+	}
+}
+
+// liveHeap returns the bytes of live heap objects after two collections.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestClientSizeIsResident holds ClientSizeBytes to the heap a model
+// retains once it has served an inferencer and a term lookup, at the
+// system benchmark's training shape (K = 32, 1 500 documents): within
+// 10 %. Pr(t|d) for those documents was about a third of Φ, so no
+// per-document structure can come back unnoticed.
+func TestClientSizeIsResident(t *testing.T) {
+	// Whatever synthesis keeps for the process is made before the
+	// baseline.
+	if _, _, err := corpus.Synthesize(corpus.GenSpec{Seed: 2, NumDocs: 2, NumTopics: 2}, nil); err != nil {
+		t.Fatal(err)
+	}
+	var m *Model
+	var inf *Inferencer
+	before := liveHeap()
+	func() {
+		c, _, err := corpus.Synthesize(corpus.GenSpec{Seed: 1, NumDocs: 1500, NumTopics: 32, WordsPerTopic: 150, SharedWords: 200}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, err = TrainParallel(c, TrainSpec{NumTopics: 32, Iterations: 2, Seed: 1}, 2); err != nil {
+			t.Fatal(err)
+		}
+		if inf, err = NewInferencer(m, InferSpec{}); err != nil {
+			t.Fatal(err)
+		}
+		if m.TermID(m.Terms[m.V/2]) != m.V/2 {
+			t.Fatal("TermID misses a model term")
+		}
+	}()
+	held := liveHeap() - before
+	runtime.KeepAlive(inf)
+	want := m.ClientSizeBytes()
+	t.Logf("K=%d V=%d: %d B held, ClientSizeBytes %d", m.K, m.V, held, want)
+	if d := float64(held-want) / float64(want); math.Abs(d) > 0.10 {
+		t.Errorf("the model holds %d B of heap, ClientSizeBytes says %d (%+.1f %%)", held, want, 100*d)
+	}
+}
+
+// TestTermIDFindsEveryTerm checks the sorted lookup against the terms
+// themselves, in and out of vocabulary.
+func TestTermIDFindsEveryTerm(t *testing.T) {
+	m, _, _ := trainSmall(t, 3, 41)
+	for id, term := range m.Terms {
+		if got := m.TermID(term); got != id {
+			t.Fatalf("TermID(%q) = %d, want %d", term, got, id)
+		}
+		if got := m.TermID(term + "\x00"); got != -1 {
+			t.Fatalf("TermID(%q) = %d, want -1", term+"\x00", got)
+		}
+	}
+	sorted := slices.Sorted(slices.Values(m.Terms))
+	if m.TermID("") != -1 || m.TermID(sorted[0][:len(sorted[0])-1]) != -1 || m.TermID(sorted[len(sorted)-1]+"z") != -1 {
+		t.Error("a term outside the dictionary's range resolves")
 	}
 }
 

@@ -7,7 +7,8 @@
 //   - Pr(w|t) for every word w and topic t (which words describe a topic);
 //   - Pr(t|d) for every topic t and document d (which topics dominate a
 //     document), from which the prior Pr(t) = (1/|D|) Σ_d Pr(t|d) follows
-//     (Eq. 1).
+//     (Eq. 1). Only the prior is kept: nothing reads Pr(t|d) once it is
+//     summed, and the client holds Φ, the prior and the dictionary alone.
 //
 // A trained Model also supports inference mode: estimating Pr(t|q) for a
 // query q that was not part of the training corpus, which is how both
@@ -17,7 +18,9 @@ package lda
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"toppriv/internal/textproc"
@@ -32,8 +35,6 @@ type Model struct {
 	Alpha, Beta float64
 	// Phi[t][w] = Pr(w|t), each row summing to 1.
 	Phi [][]float64
-	// Theta[d][t] = Pr(t|d) for the training documents.
-	Theta [][]float64
 	// Prior[t] = Pr(t), the corpus-wide topic prior of Eq. 1.
 	Prior []float64
 	// Terms[w] is the surface form of word ID w, aligned with the
@@ -42,16 +43,22 @@ type Model struct {
 
 	// Lookup structures derived from Terms and Phi on first use; the
 	// Once makes that first use safe when goroutines share the model.
-	derive   sync.Once
-	termID   map[string]int
+	derive sync.Once
+	// byTerm lists the word IDs in ascending order of their terms (ties
+	// by ID), which TermID searches by halving: 4 B a word, where a
+	// map[string]int took about 43.
+	byTerm   []int32
 	samplers []rowSampler // one per topic
 }
 
 func (m *Model) buildLookups() {
-	m.termID = make(map[string]int, len(m.Terms))
-	for i, t := range m.Terms {
-		m.termID[t] = i
+	m.byTerm = make([]int32, len(m.Terms))
+	for i := range m.byTerm {
+		m.byTerm[i] = int32(i)
 	}
+	slices.SortStableFunc(m.byTerm, func(a, b int32) int {
+		return strings.Compare(m.Terms[a], m.Terms[b])
+	})
 	m.samplers = make([]rowSampler, len(m.Phi))
 	for t, row := range m.Phi {
 		m.samplers[t] = newRowSampler(row)
@@ -59,13 +66,16 @@ func (m *Model) buildLookups() {
 }
 
 // TermID returns the model's word ID for a term, or -1 when the term is
-// out of vocabulary.
+// out of vocabulary. A term listed twice resolves to its first ID.
 func (m *Model) TermID(term string) int {
 	m.derive.Do(m.buildLookups)
-	if id, ok := m.termID[term]; ok {
-		return id
+	i, ok := slices.BinarySearchFunc(m.byTerm, term, func(id int32, term string) int {
+		return strings.Compare(m.Terms[id], term)
+	})
+	if !ok {
+		return -1
 	}
-	return -1
+	return int(m.byTerm[i])
 }
 
 // SampleWord draws a word ID with probability Pr(w|t) — the
@@ -135,35 +145,21 @@ func (m *Model) TopWords(t, n int) []TermWeight {
 	return out
 }
 
-// SizeBytes reports the in-memory footprint of the model's numeric
-// structures (Φ, Θ, prior) plus the dictionary — the quantity Figure 6
-// plots against the inverted-index size. The Φ matrix (K × V float64)
-// dominates, and its V dimension plateaus as the corpus grows, which is
-// the paper's scaling argument.
-func (m *Model) SizeBytes() int64 {
-	var n int64
-	n += int64(m.K) * int64(m.V) * 8 // Phi
-	for _, row := range m.Theta {
-		n += int64(len(row)) * 8
-	}
-	n += int64(len(m.Prior)) * 8
-	for _, t := range m.Terms {
-		n += int64(len(t)) + 8 // string bytes + map/slice overhead estimate
-	}
-	return n
-}
-
-// ClientSizeBytes reports the footprint of the structures the TopPriv
-// client actually ships and holds: Φ (K × V), the prior Pr(t), and the
-// dictionary. Θ stays server-side (it is only needed to derive the
-// prior once), so the client cost plateaus with the vocabulary even as
-// the corpus grows — the sublinear curve of Figure 6.
+// ClientSizeBytes reports the heap the TopPriv client holds for the
+// model once it has answered a query: Φ (K × V), the prior Pr(t), the
+// dictionary with its sorted lookup, and the per-topic prefix sums
+// SampleWord draws from — the quantity Figure 6 plots against the
+// inverted-index size. Pr(t|d) is not held (it is only needed to derive
+// the prior once), so the cost plateaus with the vocabulary even as the
+// corpus grows — the sublinear curve of Figure 6.
 func (m *Model) ClientSizeBytes() int64 {
-	var n int64
-	n += int64(m.K) * int64(m.V) * 8 // Phi
-	n += int64(m.K) * 8              // Prior
+	k, v := int64(m.K), int64(m.V)
+	n := k*v*8 + k*24 // Φ's rows and their headers
+	n += k * 8        // Prior
+	n += k * (((v+samplerBlock-1)/samplerBlock+1)*8 + 48)
+	n += v * 4 // byTerm
 	for _, t := range m.Terms {
-		n += int64(len(t)) + 8
+		n += int64(len(t)) + 16
 	}
 	return n
 }

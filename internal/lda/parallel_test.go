@@ -139,15 +139,16 @@ func TestTrainParallelMassConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := TrainParallel(c, TrainSpec{NumTopics: 5, Iterations: 25, Seed: 205}, 3)
+	// TrainParallel's final sample: Phi rows summing to 1 and Theta rows
+	// summing to 1 already depend on count consistency; verify Theta too.
+	g, _, err := fit(c, TrainSpec{NumTopics: 5, Iterations: 25, Seed: 205}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Phi rows summing to 1 and Theta rows summing to 1 already depend
-	// on count consistency; verify Theta too.
-	for d := 0; d < len(m.Theta); d++ {
+	theta := g.theta()
+	for d := 0; d < len(theta); d++ {
 		sum := 0.0
-		for _, p := range m.Theta[d] {
+		for _, p := range theta[d] {
 			sum += p
 		}
 		if math.Abs(sum-1) > 1e-9 {

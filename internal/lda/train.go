@@ -50,8 +50,8 @@ type TrainTrace struct {
 }
 
 // Train fits an LDA model to the corpus with collapsed Gibbs sampling.
-// Φ and Θ are estimated from the final sample's counts, matching the
-// GibbsLDA++ behaviour the paper relies on.
+// Φ and the prior are estimated from the final sample's counts,
+// matching the GibbsLDA++ behaviour the paper relies on.
 //
 // It is TrainParallel's one-worker case: one shard holds every document,
 // and the random source seeded with spec.Seed that draws the initial
@@ -78,10 +78,19 @@ type gibbs struct {
 	ndt []int32
 }
 
-// train is Train and TrainParallel: each of the shards partition makes
-// resamples its documents every sweep, and their deltas merge at the
-// sweep barrier.
+// train is Train and TrainParallel: the model of fit's final sample.
 func train(c *corpus.Corpus, spec TrainSpec, workers int) (*Model, *TrainTrace, error) {
+	g, trace, err := fit(c, spec, workers)
+	if err != nil {
+		return nil, nil, err
+	}
+	return g.model(c.Vocab.Terms()), trace, nil
+}
+
+// fit runs the Gibbs sampler: each of the shards partition makes
+// resamples its documents every sweep, and their deltas merge at the
+// sweep barrier. It returns the final sample's counts.
+func fit(c *corpus.Corpus, spec TrainSpec, workers int) (*gibbs, *TrainTrace, error) {
 	if c == nil || c.Vocab == nil {
 		return nil, nil, fmt.Errorf("lda: nil corpus")
 	}
@@ -146,7 +155,7 @@ func train(c *corpus.Corpus, spec TrainSpec, workers int) (*Model, *TrainTrace, 
 			trace.LogLikelihood = append(trace.LogLikelihood, g.logLikelihood())
 		}
 	}
-	return g.model(c.Vocab.Terms()), trace, nil
+	return g, trace, nil
 }
 
 // sweep resamples the topic of every token of sh's documents against
@@ -219,7 +228,9 @@ func (g *gibbs) sweep(sh *shard) {
 	}
 }
 
-// model estimates Φ and Θ from the counts, and the prior from Θ (Eq. 1).
+// model estimates Φ from the counts, and the prior as the mean of the
+// documents' Pr(t|d) (Eq. 1), each added to the sum as it is computed
+// and none kept.
 func (g *gibbs) model(terms []string) *Model {
 	k, v, d := g.k, len(g.nwt)/g.k, len(g.assign)
 	m := &Model{
@@ -228,7 +239,6 @@ func (g *gibbs) model(terms []string) *Model {
 		Alpha: g.alpha,
 		Beta:  g.beta,
 		Phi:   make([][]float64, k),
-		Theta: make([][]float64, d),
 		Prior: make([]float64, k),
 		Terms: terms,
 	}
@@ -245,14 +255,11 @@ func (g *gibbs) model(terms []string) *Model {
 		m.Phi[t] = row
 	}
 	kalpha := float64(k) * g.alpha
-	for di := range m.Theta {
-		row := make([]float64, k)
-		denom := float64(len(g.bags[di])) + kalpha
+	for di, bag := range g.bags {
+		denom := float64(len(bag)) + kalpha
 		for t, n := range g.ndt[di*k:][:k] {
-			row[t] = (float64(n) + g.alpha) / denom
-			m.Prior[t] += row[t]
+			m.Prior[t] += (float64(n) + g.alpha) / denom
 		}
-		m.Theta[di] = row
 	}
 	for t := range m.Prior {
 		m.Prior[t] /= float64(d)

@@ -20,19 +20,19 @@ import (
 // clamps workers to the host's core count (the model would depend on the
 // host). Kept verbatim otherwise as the oracle the kernel must match bit
 // for bit.
-func trainRef(c *corpus.Corpus, spec TrainSpec) (*Model, *TrainTrace, error) {
+func trainRef(c *corpus.Corpus, spec TrainSpec) (*Model, [][]float64, *TrainTrace, error) {
 	if c == nil || c.Vocab == nil {
-		return nil, nil, fmt.Errorf("lda: nil corpus")
+		return nil, nil, nil, fmt.Errorf("lda: nil corpus")
 	}
 	if spec.NumTopics < 2 {
-		return nil, nil, fmt.Errorf("lda: NumTopics = %d, need >= 2", spec.NumTopics)
+		return nil, nil, nil, fmt.Errorf("lda: NumTopics = %d, need >= 2", spec.NumTopics)
 	}
 	spec = spec.withDefaults()
 	k := spec.NumTopics
 	v := c.Vocab.Size()
 	d := c.NumDocs()
 	if v == 0 || d == 0 {
-		return nil, nil, fmt.Errorf("lda: empty corpus (docs=%d vocab=%d)", d, v)
+		return nil, nil, nil, fmt.Errorf("lda: empty corpus (docs=%d vocab=%d)", d, v)
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 
@@ -106,10 +106,10 @@ func trainRef(c *corpus.Corpus, spec TrainSpec) (*Model, *TrainTrace, error) {
 		Alpha: alpha,
 		Beta:  beta,
 		Phi:   make([][]float64, k),
-		Theta: make([][]float64, d),
 		Prior: make([]float64, k),
 		Terms: c.Vocab.Terms(),
 	}
+	theta := make([][]float64, d)
 	for t := 0; t < k; t++ {
 		row := make([]float64, v)
 		denom := float64(nt[t]) + vbeta
@@ -126,12 +126,12 @@ func trainRef(c *corpus.Corpus, spec TrainSpec) (*Model, *TrainTrace, error) {
 			row[t] = (float64(ndt[di*k+t]) + alpha) / denom
 			m.Prior[t] += row[t]
 		}
-		m.Theta[di] = row
+		theta[di] = row
 	}
 	for t := 0; t < k; t++ {
 		m.Prior[t] /= float64(d)
 	}
-	return m, trace, nil
+	return m, theta, trace, nil
 }
 
 // logLikelihoodRef estimates the per-token log-likelihood of the corpus
@@ -162,23 +162,23 @@ func logLikelihoodRef(c *corpus.Corpus, nwt, ndt []int32, nt []int32, k, v int, 
 	return ll / float64(tokens)
 }
 
-func trainParallelRef(c *corpus.Corpus, spec TrainSpec, workers int) (*Model, error) {
+func trainParallelRef(c *corpus.Corpus, spec TrainSpec, workers int) (*Model, [][]float64, error) {
 	if workers <= 1 {
-		m, _, err := trainRef(c, spec)
-		return m, err
+		m, theta, _, err := trainRef(c, spec)
+		return m, theta, err
 	}
 	if c == nil || c.Vocab == nil {
-		return nil, fmt.Errorf("lda: nil corpus")
+		return nil, nil, fmt.Errorf("lda: nil corpus")
 	}
 	if spec.NumTopics < 2 {
-		return nil, fmt.Errorf("lda: NumTopics = %d, need >= 2", spec.NumTopics)
+		return nil, nil, fmt.Errorf("lda: NumTopics = %d, need >= 2", spec.NumTopics)
 	}
 	spec = spec.withDefaults()
 	k := spec.NumTopics
 	v := c.Vocab.Size()
 	d := c.NumDocs()
 	if v == 0 || d == 0 {
-		return nil, fmt.Errorf("lda: empty corpus (docs=%d vocab=%d)", d, v)
+		return nil, nil, fmt.Errorf("lda: empty corpus (docs=%d vocab=%d)", d, v)
 	}
 	if workers > d {
 		workers = d
@@ -297,10 +297,10 @@ func trainParallelRef(c *corpus.Corpus, spec TrainSpec, workers int) (*Model, er
 		Alpha: alpha,
 		Beta:  beta,
 		Phi:   make([][]float64, k),
-		Theta: make([][]float64, d),
 		Prior: make([]float64, k),
 		Terms: c.Vocab.Terms(),
 	}
+	theta := make([][]float64, d)
 	for t := 0; t < k; t++ {
 		row := make([]float64, v)
 		denom := float64(nt[t]) + vbeta
@@ -317,12 +317,12 @@ func trainParallelRef(c *corpus.Corpus, spec TrainSpec, workers int) (*Model, er
 			row[t] = (float64(ndt[di*k+t]) + alpha) / denom
 			m.Prior[t] += row[t]
 		}
-		m.Theta[di] = row
+		theta[di] = row
 	}
 	for t := 0; t < k; t++ {
 		m.Prior[t] /= float64(d)
 	}
-	return m, nil
+	return m, theta, nil
 }
 
 // bagsCorpus is a corpus of hand-written bags over a vocabulary of v
@@ -347,14 +347,6 @@ func sameModelBits(got, want *Model) error {
 			return fmt.Errorf("Phi[%d] differs", t)
 		}
 	}
-	if len(got.Theta) != len(want.Theta) {
-		return fmt.Errorf("Theta has %d rows, want %d", len(got.Theta), len(want.Theta))
-	}
-	for d := range want.Theta {
-		if !sameBits(got.Theta[d], want.Theta[d]) {
-			return fmt.Errorf("Theta[%d] differs", d)
-		}
-	}
 	if !sameBits(got.Prior, want.Prior) {
 		return fmt.Errorf("Prior differs:\n got %v\nwant %v", got.Prior, want.Prior)
 	}
@@ -364,11 +356,52 @@ func sameModelBits(got, want *Model) error {
 	return nil
 }
 
+// theta returns Pr(t|d) for every training document from the sample's
+// counts, with the expression model sums into the prior: the Θ a model
+// no longer holds, for the tests to check.
+func (g *gibbs) theta() [][]float64 {
+	k := g.k
+	kalpha := float64(k) * g.alpha
+	theta := make([][]float64, len(g.bags))
+	for di, bag := range g.bags {
+		row := make([]float64, k)
+		denom := float64(len(bag)) + kalpha
+		for t, n := range g.ndt[di*k:][:k] {
+			row[t] = (float64(n) + g.alpha) / denom
+		}
+		theta[di] = row
+	}
+	return theta
+}
+
+// trainTheta is train — Train at one worker, TrainParallel at more —
+// that also returns Θ of the final sample.
+func trainTheta(c *corpus.Corpus, spec TrainSpec, workers int) (*Model, [][]float64, *TrainTrace, error) {
+	g, trace, err := fit(c, spec, workers)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return g.model(c.Vocab.Terms()), g.theta(), trace, nil
+}
+
+func sameThetaBits(got, want [][]float64) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("Theta has %d rows, want %d", len(got), len(want))
+	}
+	for d := range want {
+		if !sameBits(got[d], want[d]) {
+			return fmt.Errorf("Theta[%d] differs", d)
+		}
+	}
+	return nil
+}
+
 // TestTrainMatchesReferenceBitForBit holds Train and TrainParallel to
-// the loops they replaced: Φ, Θ, the prior, the terms and the logged
+// the loops they replaced: Φ, the prior, the terms and the logged
 // likelihoods, bit for bit, at every K, worker count and logging period,
 // on corpora with empty bags, a one-word vocabulary, repeated words, one
-// document, and the system benchmark's shape.
+// document, and the system benchmark's shape. Θ, which a model no longer
+// holds, is read off the final sample (trainTheta).
 func TestTrainMatchesReferenceBitForBit(t *testing.T) {
 	synth := func(spec corpus.GenSpec) *corpus.Corpus {
 		c, _, err := corpus.Synthesize(spec, nil)
@@ -413,15 +446,18 @@ func TestTrainMatchesReferenceBitForBit(t *testing.T) {
 		for _, k := range tc.ks {
 			for _, logEvery := range tc.logs {
 				spec := TrainSpec{NumTopics: k, Iterations: tc.iters, Seed: int64(k) + 3, LogEvery: logEvery}
-				got, gotTrace, err := Train(tc.c, spec)
+				got, gotTheta, gotTrace, err := trainTheta(tc.c, spec, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, wantTrace, err := trainRef(tc.c, spec)
+				want, wantTheta, wantTrace, err := trainRef(tc.c, spec)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if err := sameModelBits(got, want); err != nil {
+					t.Fatalf("%s, K=%d, LogEvery=%d: Train: %v", tc.name, k, logEvery, err)
+				}
+				if err := sameThetaBits(gotTheta, wantTheta); err != nil {
 					t.Fatalf("%s, K=%d, LogEvery=%d: Train: %v", tc.name, k, logEvery, err)
 				}
 				if !sameBits(gotTrace.LogLikelihood, wantTrace.LogLikelihood) {
@@ -429,15 +465,18 @@ func TestTrainMatchesReferenceBitForBit(t *testing.T) {
 						tc.name, k, logEvery, gotTrace.LogLikelihood, wantTrace.LogLikelihood)
 				}
 				for _, workers := range tc.workers {
-					got, err := TrainParallel(tc.c, spec, workers)
+					got, gotTheta, _, err := trainTheta(tc.c, spec, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := trainParallelRef(tc.c, spec, workers)
+					want, wantTheta, err := trainParallelRef(tc.c, spec, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if err := sameModelBits(got, want); err != nil {
+						t.Fatalf("%s, K=%d, LogEvery=%d, %d workers: TrainParallel: %v", tc.name, k, logEvery, workers, err)
+					}
+					if err := sameThetaBits(gotTheta, wantTheta); err != nil {
 						t.Fatalf("%s, K=%d, LogEvery=%d, %d workers: TrainParallel: %v", tc.name, k, logEvery, workers, err)
 					}
 				}
