@@ -36,8 +36,9 @@ func postingsFromBytes(data []byte) []Posting {
 
 // FuzzDecodePostings fuzzes the block codec from both ends: the input
 // bytes are (a) interpreted as a postings list, encoded, and decoded
-// back — the round trip must reproduce the list exactly through both
-// the wire-validation path and the iterator — and (b) fed raw to the
+// back — the encoding must be as long as blocksLen says, and the round
+// trip must reproduce the list exactly through both the
+// wire-validation path and the iterator — and (b) fed raw to the
 // wire reader and to the full TPIX codec, which must reject corrupt
 // or truncated input with an error, never a panic.
 func FuzzDecodePostings(f *testing.F) {
@@ -53,6 +54,9 @@ func FuzzDecodePostings(f *testing.F) {
 		cl, slab, err := encodePostings(pl, nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if n := blocksLen(pl); n != len(slab) {
+			t.Fatalf("blocksLen %d, encoded %d bytes", n, len(slab))
 		}
 		numDocs := 0
 		if n := len(pl); n > 0 {

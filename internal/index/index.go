@@ -166,26 +166,33 @@ func (b *Builder) Scratch(n int) []int32 {
 // Index encodes the documents added so far into an index over vocab,
 // which must name every term they hold, and empties the builder for the
 // next index; its scratch is kept. The index holds its payloads and its
-// document lengths at exact size.
+// document lengths at exact size: the payload slab is sized from the
+// lists' frames (blocksLen) and encoded into, allocated once.
 func (b *Builder) Index(vocab *textproc.Vocab) (*Index, error) {
 	if len(b.lists) > vocab.Size() {
 		return nil, fmt.Errorf("index: term %d outside the %d-term dictionary", len(b.lists)-1, vocab.Size())
 	}
+	size := 0
+	for _, pl := range b.lists {
+		size += blocksLen(pl)
+	}
+	if size > math.MaxUint32 {
+		return nil, errSlabSize(size)
+	}
 	x := &Index{
 		vocab:    vocab,
 		lists:    make([]compList, vocab.Size()),
+		data:     make([]byte, 0, size),
 		docLen:   exactCopy(b.docLen),
 		numDocs:  len(b.docLen),
 		totalLen: b.totalLen,
 	}
-	var slab []byte
 	for t, pl := range b.lists {
 		var err error
-		if x.lists[t], slab, err = encodePostings(pl, slab); err != nil {
+		if x.lists[t], x.data, err = encodePostings(pl, x.data); err != nil {
 			return nil, err
 		}
 	}
-	x.data = exactCopy(slab)
 	b.lists, b.docLen, b.totalLen = nil, nil, 0
 	return x, nil
 }

@@ -84,9 +84,18 @@ func Merge(parts []*Index, keep []func(corpus.DocID) bool) (*Index, [][]corpus.D
 
 	// Processing parts in order keeps every list sorted: merged IDs of
 	// part i all precede part i+1's, and each source list is ascending.
+	// The parts' payloads together are the merged payload's size but for
+	// dropped postings and re-cut blocks: its capacity, so the slab seldom
+	// grows before its one exact-size copy.
 	merged.lists = make([]compList, longest.NumTerms())
+	size := 0
+	for _, part := range parts {
+		for _, cl := range part.lists {
+			size += int(cl.end - cl.off)
+		}
+	}
 	var pl []Posting
-	var slab []byte
+	slab := make([]byte, 0, size)
 	var it Iterator
 	for t := range merged.lists {
 		pl = pl[:0]

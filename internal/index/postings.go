@@ -119,44 +119,25 @@ func packedLen(count int, width uint) int {
 	return (count*int(width) + 7) / 8
 }
 
-// appendBlock encodes one block of up to BlockSize postings (sorted,
-// strictly ascending docs, tfs ≥ 1) after a predecessor whose last doc
-// was prevLast (−1 at list start).
-func appendBlock(data []byte, prevLast corpus.DocID, pl []Posting) []byte {
-	n := len(pl)
-	var gaps [BlockSize]uint32
-	minGap := uint32(math.MaxUint32)
-	prev := pl[0].Doc
-	for i := 1; i < n; i++ {
-		g := uint32(pl[i].Doc - prev)
-		gaps[i-1] = g
-		if g < minGap {
-			minGap = g
-		}
-		prev = pl[i].Doc
+// blockFrame returns the frame of reference of one block of up to
+// BlockSize postings (sorted, strictly ascending docs, tfs ≥ 1): its
+// smallest doc gap and term frequency, and the bit widths the residuals
+// above them are packed at.
+func blockFrame(pl []Posting) (minGap, minTF uint32, gapBits, tfBits uint) {
+	minGap, minTF = math.MaxUint32, math.MaxUint32
+	var maxGap, maxTF uint32
+	for i := 1; i < len(pl); i++ {
+		g := uint32(pl[i].Doc - pl[i-1].Doc)
+		minGap, maxGap = min(minGap, g), max(maxGap, g)
 	}
-	var tfs [BlockSize]uint32
-	minTF := uint32(math.MaxUint32)
-	for i := 0; i < n; i++ {
-		tf := uint32(pl[i].TF)
-		tfs[i] = tf
-		if tf < minTF {
-			minTF = tf
-		}
+	for _, p := range pl {
+		tf := uint32(p.TF)
+		minTF, maxTF = min(minTF, tf), max(maxTF, tf)
 	}
-	var gapBits, tfBits uint
-	for i := 0; i < n-1; i++ {
-		gaps[i] -= minGap
-		if w := uint(bits.Len32(gaps[i])); w > gapBits {
-			gapBits = w
-		}
+	if len(pl) > 1 {
+		gapBits = uint(bits.Len32(maxGap - minGap))
 	}
-	for i := 0; i < n; i++ {
-		tfs[i] -= minTF
-		if w := uint(bits.Len32(tfs[i])); w > tfBits {
-			tfBits = w
-		}
-	}
+	tfBits = uint(bits.Len32(maxTF - minTF))
 	// Round widths up to whole bytes: the format carries arbitrary bit
 	// widths, but byte-aligned frames decode with plain loads instead
 	// of shift-and-mask extraction — roughly 3× faster on the block
@@ -167,6 +148,22 @@ func appendBlock(data []byte, prevLast corpus.DocID, pl []Posting) []byte {
 	gapBits = (gapBits + 7) &^ 7
 	if tfBits > 1 {
 		tfBits = (tfBits + 7) &^ 7
+	}
+	return minGap, minTF, gapBits, tfBits
+}
+
+// appendBlock encodes one block of up to BlockSize postings (sorted,
+// strictly ascending docs, tfs ≥ 1) after a predecessor whose last doc
+// was prevLast (−1 at list start).
+func appendBlock(data []byte, prevLast corpus.DocID, pl []Posting) []byte {
+	n := len(pl)
+	minGap, minTF, gapBits, tfBits := blockFrame(pl)
+	var gaps, tfs [BlockSize]uint32
+	for i := 1; i < n; i++ {
+		gaps[i-1] = uint32(pl[i].Doc-pl[i-1].Doc) - minGap
+	}
+	for i, p := range pl {
+		tfs[i] = uint32(p.TF) - minTF
 	}
 	data = appendUvarint(data, uint64(pl[0].Doc-prevLast))
 	data = appendUvarint(data, uint64(n))
@@ -189,6 +186,25 @@ func appendBlocks(data []byte, pl []Posting) []byte {
 		prevLast = pl[end-1].Doc
 	}
 	return data
+}
+
+// blocksLen returns the number of bytes appendBlocks encodes pl to,
+// from each block's frame alone: what lets Builder.Index allocate its
+// payload slab once, at exact size, before encoding into it.
+func blocksLen(pl []Posting) int {
+	size := 0
+	prevLast := corpus.DocID(-1)
+	for start := 0; start < len(pl); start += BlockSize {
+		b := pl[start:min(start+BlockSize, len(pl))]
+		minGap, minTF, gapBits, tfBits := blockFrame(b)
+		size += uvarintLen(uint64(b[0].Doc-prevLast)) + uvarintLen(uint64(len(b))) + 2 + uvarintLen(uint64(minTF-1)) +
+			packedLen(len(b)-1, gapBits) + packedLen(len(b), tfBits)
+		if len(b) > 1 {
+			size += uvarintLen(uint64(minGap - 1))
+		}
+		prevLast = b[len(b)-1].Doc
+	}
+	return size
 }
 
 // encodePostings compresses a sorted postings list — the one encoder

@@ -25,15 +25,15 @@ func trainSmall(t *testing.T, k int, seed int64) (*Model, *corpus.Corpus, *corpu
 }
 
 // fitSmall is trainSmall's training, returning the final sample as
-// well as the model: Θ is derived from the sample (theta).
-func fitSmall(t *testing.T, k int, seed int64) (*Model, *gibbs) {
+// well as the model and the corpus: Θ is derived from the sample (theta).
+func fitSmall(t *testing.T, k int, seed int64) (*Model, *gibbs, *corpus.Corpus) {
 	t.Helper()
 	c, _ := smallCorpus(t, seed)
-	g, _, err := fit(c, TrainSpec{NumTopics: k, Iterations: 80, Seed: seed}, 1)
+	m, g, _, err := train(c, TrainSpec{NumTopics: k, Iterations: 80, Seed: seed}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g.model(c.Vocab.Terms()), g
+	return m, g, c
 }
 
 func smallCorpus(t *testing.T, seed int64) (*corpus.Corpus, *corpus.GroundTruth) {
@@ -67,8 +67,8 @@ func assertDistribution(t *testing.T, name string, p []float64) {
 }
 
 func TestTrainShapesAndDistributions(t *testing.T) {
-	m, g := fitSmall(t, 6, 1)
-	if m.K != 6 || m.V != len(g.nwt)/g.k {
+	m, g, c := fitSmall(t, 6, 1)
+	if m.K != 6 || m.V != c.VocabSize() {
 		t.Fatalf("shape K=%d V=%d", m.K, m.V)
 	}
 	for tt := 0; tt < m.K; tt++ {
@@ -179,7 +179,7 @@ func badTrainSpecs() []TrainSpec {
 }
 
 func TestPriorMatchesThetaAverage(t *testing.T) {
-	m, g := fitSmall(t, 5, 11)
+	m, g, _ := fitSmall(t, 5, 11)
 	theta := g.theta()
 	for tt := 0; tt < m.K; tt++ {
 		sum := 0.0

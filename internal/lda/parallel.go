@@ -23,7 +23,7 @@ import (
 // source seeded spec.Seed+s+1, and workers beyond the host's cores only
 // take turns on them.
 func TrainParallel(c *corpus.Corpus, spec TrainSpec, workers int) (*Model, error) {
-	m, _, err := train(c, spec, workers)
+	m, _, _, err := train(c, spec, workers)
 	return m, err
 }
 

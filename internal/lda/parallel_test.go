@@ -141,7 +141,7 @@ func TestTrainParallelMassConservation(t *testing.T) {
 	}
 	// TrainParallel's final sample: Phi rows summing to 1 and Theta rows
 	// summing to 1 already depend on count consistency; verify Theta too.
-	g, _, err := fit(c, TrainSpec{NumTopics: 5, Iterations: 25, Seed: 205}, 3)
+	_, g, _, err := train(c, TrainSpec{NumTopics: 5, Iterations: 25, Seed: 205}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,8 @@ type TrainTrace struct {
 // and the random source seeded with spec.Seed that draws the initial
 // topics goes on to draw every sweep's.
 func Train(c *corpus.Corpus, spec TrainSpec) (*Model, *TrainTrace, error) {
-	return train(c, spec, 1)
+	m, _, trace, err := train(c, spec, 1)
+	return m, trace, err
 }
 
 // gibbs is the collapsed Gibbs state the shards of a training sample
@@ -78,37 +79,29 @@ type gibbs struct {
 	ndt []int32
 }
 
-// train is Train and TrainParallel: the model of fit's final sample.
-func train(c *corpus.Corpus, spec TrainSpec, workers int) (*Model, *TrainTrace, error) {
-	g, trace, err := fit(c, spec, workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	return g.model(c.Vocab.Terms()), trace, nil
-}
-
-// fit runs the Gibbs sampler: each of the shards partition makes
+// train is Train and TrainParallel: each of the shards partition makes
 // resamples its documents every sweep, and their deltas merge at the
-// sweep barrier. It returns the final sample's counts.
-func fit(c *corpus.Corpus, spec TrainSpec, workers int) (*gibbs, *TrainTrace, error) {
+// sweep barrier. Beside the model of the final sample it returns the
+// sample itself, which Train and TrainParallel drop.
+func train(c *corpus.Corpus, spec TrainSpec, workers int) (*Model, *gibbs, *TrainTrace, error) {
 	if c == nil || c.Vocab == nil {
-		return nil, nil, fmt.Errorf("lda: nil corpus")
+		return nil, nil, nil, fmt.Errorf("lda: nil corpus")
 	}
 	if spec.NumTopics < 2 {
-		return nil, nil, fmt.Errorf("lda: NumTopics = %d, need >= 2", spec.NumTopics)
+		return nil, nil, nil, fmt.Errorf("lda: NumTopics = %d, need >= 2", spec.NumTopics)
 	}
 	if spec.Iterations < 0 {
-		return nil, nil, fmt.Errorf("lda: Iterations = %d, need >= 0 (0 means the default)", spec.Iterations)
+		return nil, nil, nil, fmt.Errorf("lda: Iterations = %d, need >= 0 (0 means the default)", spec.Iterations)
 	}
 	if !(spec.Alpha >= 0) || math.IsInf(spec.Alpha, 1) || !(spec.Beta >= 0) || math.IsInf(spec.Beta, 1) {
-		return nil, nil, fmt.Errorf("lda: Alpha = %v, Beta = %v, need finite values >= 0 (0 means the default)", spec.Alpha, spec.Beta)
+		return nil, nil, nil, fmt.Errorf("lda: Alpha = %v, Beta = %v, need finite values >= 0 (0 means the default)", spec.Alpha, spec.Beta)
 	}
 	spec = spec.withDefaults()
 	k := spec.NumTopics
 	v := c.Vocab.Size()
 	d := c.NumDocs()
 	if v == 0 || d == 0 {
-		return nil, nil, fmt.Errorf("lda: empty corpus (docs=%d vocab=%d)", d, v)
+		return nil, nil, nil, fmt.Errorf("lda: empty corpus (docs=%d vocab=%d)", d, v)
 	}
 
 	g := &gibbs{
@@ -155,7 +148,7 @@ func fit(c *corpus.Corpus, spec TrainSpec, workers int) (*gibbs, *TrainTrace, er
 			trace.LogLikelihood = append(trace.LogLikelihood, g.logLikelihood())
 		}
 	}
-	return g, trace, nil
+	return g.model(c.Vocab.Terms()), g, trace, nil
 }
 
 // sweep resamples the topic of every token of sh's documents against

@@ -374,16 +374,6 @@ func (g *gibbs) theta() [][]float64 {
 	return theta
 }
 
-// trainTheta is train — Train at one worker, TrainParallel at more —
-// that also returns Θ of the final sample.
-func trainTheta(c *corpus.Corpus, spec TrainSpec, workers int) (*Model, [][]float64, *TrainTrace, error) {
-	g, trace, err := fit(c, spec, workers)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return g.model(c.Vocab.Terms()), g.theta(), trace, nil
-}
-
 func sameThetaBits(got, want [][]float64) error {
 	if len(got) != len(want) {
 		return fmt.Errorf("Theta has %d rows, want %d", len(got), len(want))
@@ -401,7 +391,7 @@ func sameThetaBits(got, want [][]float64) error {
 // likelihoods, bit for bit, at every K, worker count and logging period,
 // on corpora with empty bags, a one-word vocabulary, repeated words, one
 // document, and the system benchmark's shape. Θ, which a model no longer
-// holds, is read off the final sample (trainTheta).
+// holds, is read off the final sample train returns beside the model.
 func TestTrainMatchesReferenceBitForBit(t *testing.T) {
 	synth := func(spec corpus.GenSpec) *corpus.Corpus {
 		c, _, err := corpus.Synthesize(spec, nil)
@@ -446,7 +436,7 @@ func TestTrainMatchesReferenceBitForBit(t *testing.T) {
 		for _, k := range tc.ks {
 			for _, logEvery := range tc.logs {
 				spec := TrainSpec{NumTopics: k, Iterations: tc.iters, Seed: int64(k) + 3, LogEvery: logEvery}
-				got, gotTheta, gotTrace, err := trainTheta(tc.c, spec, 1)
+				got, g, gotTrace, err := train(tc.c, spec, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -457,7 +447,7 @@ func TestTrainMatchesReferenceBitForBit(t *testing.T) {
 				if err := sameModelBits(got, want); err != nil {
 					t.Fatalf("%s, K=%d, LogEvery=%d: Train: %v", tc.name, k, logEvery, err)
 				}
-				if err := sameThetaBits(gotTheta, wantTheta); err != nil {
+				if err := sameThetaBits(g.theta(), wantTheta); err != nil {
 					t.Fatalf("%s, K=%d, LogEvery=%d: Train: %v", tc.name, k, logEvery, err)
 				}
 				if !sameBits(gotTrace.LogLikelihood, wantTrace.LogLikelihood) {
@@ -465,7 +455,7 @@ func TestTrainMatchesReferenceBitForBit(t *testing.T) {
 						tc.name, k, logEvery, gotTrace.LogLikelihood, wantTrace.LogLikelihood)
 				}
 				for _, workers := range tc.workers {
-					got, gotTheta, _, err := trainTheta(tc.c, spec, workers)
+					got, g, _, err := train(tc.c, spec, workers)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -476,7 +466,7 @@ func TestTrainMatchesReferenceBitForBit(t *testing.T) {
 					if err := sameModelBits(got, want); err != nil {
 						t.Fatalf("%s, K=%d, LogEvery=%d, %d workers: TrainParallel: %v", tc.name, k, logEvery, workers, err)
 					}
-					if err := sameThetaBits(gotTheta, wantTheta); err != nil {
+					if err := sameThetaBits(g.theta(), wantTheta); err != nil {
 						t.Fatalf("%s, K=%d, LogEvery=%d, %d workers: TrainParallel: %v", tc.name, k, logEvery, workers, err)
 					}
 				}
