@@ -34,13 +34,16 @@
 // kill -9 — recovers without losing anything saved. With -router -shards=u1,u2,... the
 // process holds no index at all: it scatter-gathers every query cycle
 // across the shards, merges top-k, degrades gracefully when shards
-// fail, and serves the standard /search surface unchanged. Adding
-// -journal gives the router a durable placement journal: mutations are
-// acknowledged once fsynced there, a health loop re-drives anything a
-// crashed or rebooted shard missed, and a router restart replays its
-// placement state from disk. SIGINT/SIGTERM drains all modes the same
-// way: in-flight requests finish, then shards flush and save, routers
-// fsync and compact the journal.
+// fail, and serves the standard /search surface unchanged. Every add
+// and delete goes through the router's one mutation log: a sequenced
+// record, delivered to its shards in order and idempotently (deleting
+// a document twice succeeds). Without -journal the log lives in memory
+// and a mutation is acknowledged once its shards applied it; -journal
+// makes the log durable: mutations are acknowledged once fsynced there,
+// a health loop re-drives anything a crashed or rebooted shard missed,
+// and a router restart replays the log from disk. SIGINT/SIGTERM drains
+// all modes the same way: in-flight requests finish, then shards flush
+// and save, routers fsync and compact the journal.
 //
 // Usage:
 //
@@ -103,7 +106,7 @@ func main() {
 		shardList     = flag.String("shards", "", "router mode: comma-separated shard base URLs")
 		shardDeadline = flag.Duration("shard-deadline", 2*time.Second, "router mode: per-shard query deadline before degrading")
 		shardRetries  = flag.Int("shard-retries", 1, "router mode: transport retries per shard exchange on connection refused/reset")
-		journalDir    = flag.String("journal", "", "router mode: placement journal directory (durable acks, crash recovery, shard catch-up)")
+		journalDir    = flag.String("journal", "", "router mode: journal directory that makes the mutation log durable (acks once fsynced, crash recovery, shard catch-up)")
 		probeEvery    = flag.Duration("probe-interval", time.Second, "router mode with -journal: shard health-probe and catch-up period")
 		shardSaveEvry = flag.Int("shard-save-every", 0, "shard mode with -data: background save after this many mutations (0 = default)")
 	)
@@ -167,9 +170,9 @@ func main() {
 		}
 		router = rt
 		stats := rt.ComputeStats()
-		durability := "memory-only placement"
+		durability := "mutation log in memory (acknowledged once applied)"
 		if *journalDir != "" {
-			durability = "journaled placement in " + *journalDir
+			durability = "mutation log journaled in " + *journalDir + " (acknowledged once fsynced)"
 		}
 		log.Printf("router over %d shards: %d docs / %d terms, %s scoring, %v deadline, %s",
 			len(shards), stats.NumDocs, stats.NumTerms, rt.Scoring(), *shardDeadline, durability)

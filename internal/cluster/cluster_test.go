@@ -335,7 +335,8 @@ func checkCycleAgainstRebuild(t *testing.T, label string, r *Router, refEng *vsm
 }
 
 // TestClusterDocRoundTrip: routed fetch, title resolution (cache and
-// cold-miss paths), and delete-then-404.
+// cold-miss paths), delete-then-404, and a second delete of the same
+// gid succeeding.
 func TestClusterDocRoundTrip(t *testing.T) {
 	tc := newTestCluster(t, vsm.Cosine, 3, Config{})
 	r := tc.router
@@ -381,8 +382,8 @@ func TestClusterDocRoundTrip(t *testing.T) {
 	if _, ok := r.Doc(gids[3]); ok {
 		t.Fatalf("doc %d still fetchable after delete", gids[3])
 	}
-	if err := r.Delete(gids[3]); err == nil {
-		t.Fatal("double delete did not error")
+	if err := r.Delete(gids[3]); err != nil {
+		t.Fatalf("second delete of gid %d: %v, want an idempotent success", gids[3], err)
 	}
 	if err := r.Delete(99999); err == nil {
 		t.Fatal("deleting unknown gid did not error")

@@ -296,8 +296,9 @@ func getJSON(t *testing.T, url string, out interface{}) {
 // stability (every acked gid still resolves to its exact document,
 // every acked delete stays deleted), and store-vs-rebuild score
 // equality over the survivors. It also exercises the graceful path:
-// SIGTERM must drain, save, and exit 0. Set TOPPRIV_CLUSTER_E2E=1 to
-// run it.
+// SIGTERM must drain, save, and exit 0. Last, a router started on an
+// empty journal directory against the saved shards must deliver every
+// document it acknowledges. Set TOPPRIV_CLUSTER_E2E=1 to run it.
 func TestClusterCrashRecoveryE2E(t *testing.T) {
 	if os.Getenv("TOPPRIV_CLUSTER_E2E") != "1" {
 		t.Skip("set TOPPRIV_CLUSTER_E2E=1 to run the multi-process crash-recovery test")
@@ -633,12 +634,37 @@ func TestClusterCrashRecoveryE2E(t *testing.T) {
 
 	// Graceful router shutdown: SIGTERM drains, compacts the journal,
 	// and exits 0.
-	rt := procs["router"]
-	if err := rt.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatalf("SIGTERM router: %v", err)
+	stopRouter := func() {
+		t.Helper()
+		rt := procs["router"]
+		if err := rt.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatalf("SIGTERM router: %v", err)
+		}
+		if err := rt.Wait(); err != nil {
+			t.Fatalf("router did not exit cleanly on SIGTERM: %v", err)
+		}
+		delete(procs, "router")
 	}
-	if err := rt.Wait(); err != nil {
-		t.Fatalf("router did not exit cleanly on SIGTERM: %v", err)
+	stopRouter()
+
+	// A router started on an empty journal directory against the saved
+	// shards, which applied the old journal's sequences: its log starts
+	// above them, so every document it acknowledges reaches its shard.
+	emptyArgs := append([]string(nil), routerArgs...)
+	for i, a := range emptyArgs {
+		if a == journalDir {
+			emptyArgs[i] = filepath.Join(root, "journal-empty")
+		}
 	}
-	delete(procs, "router")
+	start("router", emptyArgs...)
+	waitReady(t, routerURL+"/stats")
+	more := synthDocs(t, 12, 43)
+	for i, gid := range ingest(more) {
+		var got corpus.Document
+		getJSON(t, fmt.Sprintf("%s/doc/%d", routerURL, gid), &got)
+		if got.Title != more[i].Title || got.Text != more[i].Text {
+			t.Fatalf("gid %d, added through a router on an empty journal, resolves to %q, want %q", gid, got.Title, more[i].Title)
+		}
+	}
+	stopRouter()
 }

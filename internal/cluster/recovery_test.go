@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -165,7 +166,7 @@ func newPCluster(t testing.TB, scoring vsm.Scoring, n int, cfg Config) *pCluster
 	}
 	cfg.Shards = urls
 	cfg.JournalDir = pc.journalDir
-	cfg.DisableHealthLoop = true
+	cfg.noHealthLoop = true
 	if cfg.Analyzer == nil {
 		cfg.Analyzer = textproc.NewAnalyzer()
 	}
@@ -255,7 +256,7 @@ func runCrashTrial(t *testing.T, scoring vsm.Scoring, trial int64) {
 	})
 	pc := newPCluster(t, scoring, 3, Config{
 		Deadline:         2 * time.Second,
-		MutationDeadline: 2 * time.Second,
+		mutationDeadline: 2 * time.Second,
 		HTTPClient:       &http.Client{Transport: ft},
 	})
 	rng := rand.New(rand.NewSource(4200 + trial))
@@ -552,7 +553,7 @@ func TestShardMetaLagRecovery(t *testing.T) {
 // cache evicts past its cap and evicted titles still resolve through
 // the owning shard.
 func TestRouterTitleCacheBounded(t *testing.T) {
-	pc := newPCluster(t, vsm.Cosine, 2, Config{TitleCacheSize: 8})
+	pc := newPCluster(t, vsm.Cosine, 2, Config{titleCap: 8})
 	r := pc.router
 	docs := synthDocs(t, 30, 55)
 	gids, err := r.Add(docs...)
@@ -603,7 +604,7 @@ func TestRouterTitleEvictionCost(t *testing.T) {
 		t.Fatalf("cache holds %d titles, cap %d, lowest evicted: %v", len(r.titles), capacity, !ok)
 	}
 
-	tc := newTestCluster(t, vsm.BM25, 2, Config{TitleCacheSize: 4})
+	tc := newTestCluster(t, vsm.BM25, 2, Config{titleCap: 4})
 	docs := synthDocs(t, 16, 5)
 	gids, err := tc.router.Add(docs...)
 	if err != nil {
@@ -661,5 +662,150 @@ func TestRouterStartsWithShardDown(t *testing.T) {
 			p.save()
 		}
 		pc.router.Probe()
+	}
+}
+
+// TestRouterOnEmptyJournalDelivers: persistent shards applied one
+// journal's sequences, and a router then starts on an empty journal
+// directory. Every document it acknowledges must reach its shard —
+// fetchable with its text, and scoring in a query — which a log that
+// starts again at sequence 1 fails: each shard takes the new records
+// for replays of the old journal's and skips them.
+func TestRouterOnEmptyJournalDelivers(t *testing.T) {
+	pc := newPCluster(t, vsm.BM25, 3, Config{})
+	docs := synthDocs(t, 30, 63)
+	for lo := 0; lo < 20; lo += 4 {
+		if _, err := pc.router.Add(docs[lo : lo+4]...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range pc.shards {
+		p.save()
+	}
+	pc.settle()
+	if err := pc.router.Close(); err != nil {
+		t.Fatal(err)
+	}
+	pc.cfg.JournalDir = t.TempDir()
+	pc.router = pc.openRouter()
+
+	an := textproc.NewAnalyzer()
+	for lo := 20; lo < len(docs); lo += 5 {
+		gids, err := pc.router.Add(docs[lo : lo+5]...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, gid := range gids {
+			doc := docs[lo+i]
+			if got, ok := pc.router.Doc(gid); !ok || got.Text != doc.Text {
+				t.Fatalf("acknowledged gid %d is not on its shard (ok=%v)", gid, ok)
+			}
+			scored := false
+			for _, hit := range mustSearch(t, pc.router, vsm.Request{Terms: an.Analyze(doc.Text), K: len(docs)}) {
+				scored = scored || hit.Doc == gid
+			}
+			if !scored {
+				t.Fatalf("acknowledged gid %d does not score in a query built from its own text", gid)
+			}
+		}
+	}
+}
+
+// TestRestartedUnjournaledRouterDelivers: a router without a journal,
+// restarted against the in-memory shards it drove, still delivers new
+// documents and deletes: its log starts above every sequence the
+// shards applied.
+func TestRestartedUnjournaledRouterDelivers(t *testing.T) {
+	tc := newTestCluster(t, vsm.BM25, 3, Config{})
+	docs := synthDocs(t, 24, 64)
+	first, err := tc.router.Add(docs[:12]...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, err := New(Config{Shards: routerShardNames(tc.router), Analyzer: textproc.NewAnalyzer()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gids, err := r2.Add(docs[12:]...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, gid := range gids {
+		if got, ok := r2.Doc(gid); !ok || got.Text != docs[12+i].Text {
+			t.Fatalf("gid %d added by the restarted router is not on its shard (ok=%v)", gid, ok)
+		}
+	}
+	if err := r2.Delete(first[3]); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r2.Doc(first[3]); ok {
+		t.Fatalf("gid %d still fetchable after the restarted router deleted it", first[3])
+	}
+	if n := r2.ComputeStats().NumDocs; n != len(docs)-1 {
+		t.Fatalf("cluster holds %d documents, want %d", n, len(docs)-1)
+	}
+}
+
+// TestForeignShardGetsNothing: a shard first reached after the router
+// started, having applied a sequence at or above the router's log's
+// first, was driven by another log. It gets no mutation — its store
+// does not change while the router acknowledges journaled adds — and
+// both the log and ClusterHealth say why.
+func TestForeignShardGetsNothing(t *testing.T) {
+	foreign, fresh := newPShard(t, vsm.BM25), newPShard(t, vsm.BM25)
+	if code := postIngest(foreign.shard, ingestBody(t, 2, 0, 1)); code != http.StatusOK {
+		t.Fatalf("seeding the foreign shard: %d", code)
+	}
+	foreign.save()
+	foreign.crash()
+
+	var logMu sync.Mutex
+	var logged []string
+	r, err := New(Config{
+		Shards:       []string{foreign.ts.URL, fresh.ts.URL},
+		Analyzer:     textproc.NewAnalyzer(),
+		JournalDir:   t.TempDir(),
+		noHealthLoop: true,
+		Logf: func(format string, args ...interface{}) {
+			logMu.Lock()
+			logged = append(logged, fmt.Sprintf(format, args...))
+			logMu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	foreign.start()
+	r.Probe()
+
+	// Many records, so that most sequences lie above the foreign shard's.
+	var gids []corpus.DocID
+	docs := synthDocs(t, 12, 65)
+	for lo := 0; lo < len(docs); lo += 2 {
+		added, err := r.Add(docs[lo : lo+2]...)
+		if err != nil {
+			t.Fatalf("journaled add with a foreign shard: %v", err)
+		}
+		gids = append(gids, added...)
+	}
+	if owned := ownedBy(r, gids, 0); len(owned) == 0 || len(owned) == len(gids) {
+		t.Fatalf("degenerate placement: the foreign shard owns %d of %d gids", len(owned), len(gids))
+	}
+	r.Probe()
+	if n := foreign.shard.Store().NumDocs(); n != 2 {
+		t.Fatalf("foreign shard holds %d documents, want its own 2", n)
+	}
+	if n := fresh.shard.Store().NumDocs(); n == 0 {
+		t.Fatal("the other shard got nothing")
+	}
+	const why = "another mutation log"
+	if h := r.ClusterHealth(); !strings.Contains(h.Shards[0].LastError, why) || h.Shards[1].LastError != "" {
+		t.Fatalf("cluster health does not name the foreign log: %+v", h.Shards)
+	}
+	logMu.Lock()
+	defer logMu.Unlock()
+	if !strings.Contains(strings.Join(logged, "\n"), why) {
+		t.Fatalf("no log line names the foreign log: %q", logged)
 	}
 }

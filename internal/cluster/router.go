@@ -31,14 +31,11 @@ type Config struct {
 	// Deadline bounds one shard's share of one query cycle, retries
 	// included. A shard that misses it is reported down for that cycle
 	// and the survivors' merged results return with Degraded set.
-	// Defaults to 2s.
+	// Defaults to 2s. A mutation exchange gets 5× Deadline: mutations
+	// serialize under the router's ingest lock, so one hung shard must
+	// not stall every later mutation, but they tolerate more latency
+	// than a query cycle.
 	Deadline time.Duration
-	// MutationDeadline bounds one shard's ingest or delete exchange,
-	// retries included. Mutations serialize under the router's ingest
-	// lock, so without a deadline one hung shard would stall every
-	// subsequent mutation forever. Defaults to 5× Deadline — mutations
-	// tolerate more latency than a query cycle, but not infinity.
-	MutationDeadline time.Duration
 	// Retry is the per-shard transport retry budget. The zero value
 	// retries nothing; a Max of 1–2 rides out a shard restart's
 	// connection resets without inflating tail latency.
@@ -49,34 +46,41 @@ type Config struct {
 	// shards only ever see analyzed terms. It must match the analyzer
 	// the documents were indexed with. Defaults to textproc.NewAnalyzer.
 	Analyzer *textproc.Analyzer
-	// JournalDir enables the placement journal: mutations are
-	// acknowledged once fsynced to the journal, shards that miss them
-	// are caught up by the health loop, and a restarted router replays
-	// its placement state from disk. Empty disables journaling and
-	// restores the PR 9 memory-only semantics (mutation failures are
-	// caller errors, restarts lose placement state).
+	// JournalDir makes the router's mutation log durable. Every Add and
+	// Delete is a sequenced record in that log, delivered the same way
+	// either way. With a journal a mutation is acknowledged once its
+	// record is fsynced, the health loop catches up shards that miss it,
+	// a record is dropped once every target shard saved it, and a
+	// restarted router replays the log. Without one a mutation is
+	// acknowledged once every target shard applied it (a delivery failure
+	// is the caller's error), a record is dropped once applied, and a
+	// restart keeps only what the shards hold.
 	JournalDir string
-	// SnapshotBytes triggers journal compaction once the WAL grows past
-	// this many bytes. Defaults to 4 MiB.
-	SnapshotBytes int64
 	// ProbeInterval is the health loop's probe period. The loop probes
 	// every shard's /cluster/stats, detects restarts, re-drives pending
 	// mutations, and compacts the journal. Defaults to 1s. The loop
 	// only runs when journaling is enabled.
 	ProbeInterval time.Duration
-	// DisableHealthLoop suppresses the background health loop (tests
-	// drive recovery deterministically via Probe). Startup replay and
-	// synchronous catch-up still run.
-	DisableHealthLoop bool
-	// TitleCacheSize bounds the in-memory gid → title cache; the lowest
-	// (oldest) gids are evicted past the cap. Evicted titles still
-	// resolve through the owning shard (and the journal snapshot
-	// carries the cache across restarts). 0 means 65536; negative means
-	// unbounded.
-	TitleCacheSize int
 	// Logf receives recovery-path diagnostics (nil = silent).
 	Logf func(format string, args ...interface{})
+
+	// Hooks for this package's tests: a mutation deadline other than
+	// 5× Deadline, a title-cache cap other than titleCacheSize, and no
+	// background health loop (the tests drive Probe themselves).
+	mutationDeadline time.Duration
+	titleCap         int
+	noHealthLoop     bool
 }
+
+const (
+	// snapshotBytes is the WAL size past which the journal is compacted.
+	snapshotBytes = 4 << 20
+	// titleCacheSize bounds the gid → title cache; the lowest (oldest)
+	// gids are evicted past it. Evicted titles still resolve through the
+	// owning shard, and the journal snapshot carries the cache across
+	// restarts.
+	titleCacheSize = 65536
+)
 
 // Router is the scatter-gather front of the distributed tier. It
 // implements the same surfaces segment.Store offers search.NewServer —
@@ -115,17 +119,22 @@ type Router struct {
 
 	// ingestMu serializes mutations: gid assignment must be sequential
 	// and each shard must receive its documents in ascending gid order.
-	// It also guards pending — the journaled mutations not yet durable
-	// on every target shard, in ascending Seq order.
+	// It also guards the mutation log: pending — the records not yet
+	// settled on every target shard, in ascending Seq order — and
+	// nextSeq, the next record's sequence when no journal assigns it.
 	ingestMu sync.Mutex
 	nextGid  corpus.DocID
+	nextSeq  uint64
 	pending  []journalRecord
+	// firstSeq is the log's next sequence when New returned, above every
+	// sequence the shards reached then had applied. A shard first reached
+	// later that has applied firstSeq or more was driven by another log.
+	firstSeq uint64
 
-	// journal, when non-nil, is the durability point: Add/Delete return
+	// journal, when non-nil, makes the log durable: Add/Delete return
 	// success once their record is fsynced, and delivery failures leave
 	// the record pending for the health loop to re-drive.
-	journal   *journal
-	snapBytes int64
+	journal *journal
 
 	// titles caches gid → title at ingest time so result rendering
 	// needs no per-hit shard round-trip, bounded to titleCap entries
@@ -188,6 +197,10 @@ type shardConn struct {
 	lastSeen      time.Time
 	restarts      uint64
 	needsRecovery bool
+	// foreign, once set, is why the shard gets no mutations: it was
+	// first reached having applied sequences this router's log never
+	// assigned.
+	foreign error
 
 	// Metric handles, nil until EnableMetrics.
 	mReqs     *telemetry.Counter
@@ -416,10 +429,11 @@ func (c *shardConn) snapStats() shardStats {
 
 // New connects to every shard, verifies the cluster is coherent (all
 // on one scoring function), seeds the statistics tables, and resumes
-// global-ID assignment above the cluster-wide high-water mark. Without
-// a journal every shard must be reachable; with one, down shards are
-// tolerated — the replayed journal knows the gid high-water and the
-// health loop re-admits them when they return.
+// global-ID assignment above the cluster-wide high-water mark and the
+// mutation log above every sequence a reachable shard has applied.
+// Without a journal every shard must be reachable; with one, down
+// shards are tolerated — the replayed journal knows the gid high-water
+// and the health loop re-admits them when they return.
 func New(cfg Config) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("cluster: no shards configured")
@@ -434,8 +448,8 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 2 * time.Second
 	}
-	if cfg.MutationDeadline <= 0 {
-		cfg.MutationDeadline = 5 * cfg.Deadline
+	if cfg.mutationDeadline <= 0 {
+		cfg.mutationDeadline = 5 * cfg.Deadline
 	}
 	if cfg.HTTPClient == nil {
 		cfg.HTTPClient = http.DefaultClient
@@ -443,18 +457,11 @@ func New(cfg Config) (*Router, error) {
 	if cfg.Analyzer == nil {
 		cfg.Analyzer = textproc.NewAnalyzer()
 	}
-	if cfg.SnapshotBytes <= 0 {
-		cfg.SnapshotBytes = 4 << 20
-	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
 	}
-	titleCap := cfg.TitleCacheSize
-	switch {
-	case titleCap == 0:
-		titleCap = 65536
-	case titleCap < 0:
-		titleCap = 0 // unbounded
+	if cfg.titleCap <= 0 {
+		cfg.titleCap = titleCacheSize
 	}
 	logf := cfg.Logf
 	if logf == nil {
@@ -465,11 +472,10 @@ func New(cfg Config) (*Router, error) {
 		ring:        newRing(cfg.Shards),
 		an:          cfg.Analyzer,
 		deadline:    cfg.Deadline,
-		mutDeadline: cfg.MutationDeadline,
+		mutDeadline: cfg.mutationDeadline,
 		logf:        logf,
 		titles:      make(map[corpus.DocID]string),
-		titleCap:    titleCap,
-		snapBytes:   cfg.SnapshotBytes,
+		titleCap:    cfg.titleCap,
 		probeEvery:  cfg.ProbeInterval,
 		stopCh:      make(chan struct{}),
 	}
@@ -483,81 +489,77 @@ func New(cfg Config) (*Router, error) {
 		r.byName[name] = c
 	}
 
-	journaledGid := corpus.DocID(-1)
+	maxGid, maxSeq := corpus.DocID(-1), uint64(0)
+	for _, c := range r.shards {
+		st, err := r.fetchStats(c)
+		switch {
+		case errors.Is(err, errMixedScoring):
+			return nil, err
+		case err != nil && cfg.JournalDir == "":
+			return nil, fmt.Errorf("cluster: shard %s unreachable: %w", c.name, err)
+		case err != nil:
+			logf("cluster: shard %s unreachable at startup (%v); health loop will re-admit it", c.name, err)
+		default:
+			maxGid = max(maxGid, st.MaxGid)
+			maxSeq = max(maxSeq, st.AppliedSeq)
+		}
+	}
+	// The log starts above every sequence a shard has applied, so that
+	// nothing it sends is mistaken for a replay of what an earlier log —
+	// a lost journal, or none — sent.
+	r.firstSeq = maxSeq + 1
 	if cfg.JournalDir != "" {
 		j, jst, err := openJournal(cfg.JournalDir)
 		if err != nil {
 			return nil, err
 		}
+		j.nextSeq = max(j.nextSeq, r.firstSeq)
+		r.firstSeq = j.nextSeq
 		r.journal = j
 		r.pending = jst.Pending
 		r.replayed.Add(uint64(jst.Replayed))
-		if jst.NextGid > 0 {
-			journaledGid = jst.NextGid - 1
-		}
+		maxGid = max(maxGid, jst.NextGid-1)
 		if jst.TornBytes > 0 {
 			logf("cluster: journal had a torn tail (%d bytes truncated); the cut record was never acknowledged", jst.TornBytes)
 		}
 		if len(jst.Pending) > 0 {
 			logf("cluster: journal replayed %d record(s), %d still pending shard durability", jst.Replayed, len(jst.Pending))
 		}
-		r.titleMu.Lock()
 		r.titleLow = jst.NextGid
 		for gid, title := range jst.Titles {
 			r.titles[gid] = title
 			r.titleLow = min(r.titleLow, gid)
 		}
 		r.boundTitlesLocked()
-		r.titleMu.Unlock()
 	}
-
-	maxGid := journaledGid
-	for _, c := range r.shards {
-		ctx, cancel := context.WithTimeout(context.Background(), cfg.Deadline)
-		var st shardStats
-		err := c.exchange(ctx, http.MethodGet, "/cluster/stats", nil, &st)
-		cancel()
-		if err != nil {
-			if r.journal == nil {
-				return nil, fmt.Errorf("cluster: shard %s unreachable: %w", c.name, err)
-			}
-			logf("cluster: shard %s unreachable at startup (%v); health loop will re-admit it", c.name, err)
-			continue
-		}
-		if err := r.noteScoring(c.name, st.Scoring); err != nil {
-			r.closeJournal()
-			return nil, err
-		}
-		c.setStats(st)
-		if st.MaxGid > maxGid {
-			maxGid = st.MaxGid
-		}
-	}
+	r.nextSeq = r.firstSeq
 	r.nextGid = maxGid + 1
 
-	if r.journal != nil {
-		// Startup catch-up: re-drive whatever the journal says the shards
-		// may have missed, then keep doing so in the background.
-		r.ingestMu.Lock()
-		for _, c := range r.shards {
-			if r.shardLagsLocked(c) {
-				c.mu.Lock()
-				c.needsRecovery = true
-				c.mu.Unlock()
-				if err := r.driveShardLocked(c, 0); err != nil {
-					logf("cluster: startup catch-up for %s: %v (health loop will retry)", c.name, err)
-				}
+	// Startup catch-up: re-drive whatever the log says the shards may
+	// have missed; with a journal, keep doing so in the background.
+	r.ingestMu.Lock()
+	for _, c := range r.shards {
+		if r.shardLagsLocked(c) {
+			c.mu.Lock()
+			c.needsRecovery = true
+			c.mu.Unlock()
+			if err := r.driveShardLocked(c, 0); err != nil {
+				logf("cluster: startup catch-up for %s: %v (health loop will retry)", c.name, err)
 			}
 		}
-		r.pruneLocked()
-		r.ingestMu.Unlock()
-		if !cfg.DisableHealthLoop {
-			r.loopWG.Add(1)
-			go r.healthLoop()
-		}
+	}
+	r.pruneLocked()
+	r.ingestMu.Unlock()
+	if r.journal != nil && !cfg.noHealthLoop {
+		r.loopWG.Add(1)
+		go r.healthLoop()
 	}
 	return r, nil
 }
+
+// errMixedScoring marks a shard that scores with another function than
+// the cluster's.
+var errMixedScoring = errors.New("cluster: mixed scoring")
 
 // noteScoring records or checks the cluster scoring function; shards
 // are checked lazily because a journaled router may start before any
@@ -573,7 +575,7 @@ func (r *Router) noteScoring(shard, scoring string) error {
 		return nil
 	}
 	if scoring != r.scoring {
-		return fmt.Errorf("cluster: shard %s scores with %s, cluster uses %s", shard, scoring, r.scoring)
+		return fmt.Errorf("%w: shard %s scores with %s, cluster uses %s", errMixedScoring, shard, scoring, r.scoring)
 	}
 	return nil
 }
@@ -586,11 +588,51 @@ func (r *Router) Scoring() string {
 	return r.scoring
 }
 
-// closeJournal releases the journal during failed construction.
-func (r *Router) closeJournal() {
-	if r.journal != nil {
-		r.journal.Close()
+// fetchStats fetches c's whole table from GET /cluster/stats, checks
+// its scoring function and installs it, logging a restart. The first
+// table c sends after New returned marks c foreign when it has applied
+// a sequence this router's log never assigned.
+func (r *Router) fetchStats(c *shardConn) (shardStats, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), r.deadline)
+	defer cancel()
+	var st shardStats
+	if err := c.exchange(ctx, http.MethodGet, "/cluster/stats", nil, &st); err != nil {
+		return st, err
 	}
+	if err := r.noteScoring(c.name, st.Scoring); err != nil {
+		return st, err
+	}
+	if r.firstSeq > 0 {
+		if err := c.markForeign(&st, r.firstSeq); err != nil {
+			r.logf("%v", err)
+		}
+	}
+	if c.setStats(st) {
+		r.logf("cluster: shard %s restarted (instance %x)", c.name, st.Instance)
+	}
+	return st, nil
+}
+
+// markForeign refuses c every mutation, and returns why, when st is
+// the first table the router receives from c and has applied firstSeq
+// or more.
+func (c *shardConn) markForeign(st *shardStats, firstSeq uint64) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.stats.Instance != 0 || st.AppliedSeq < firstSeq {
+		return nil
+	}
+	c.foreign = fmt.Errorf("cluster: shard %s has applied sequence %d of another mutation log (this router's log began at %d); "+
+		"it gets no mutations from this router: restart the router on the journal that drove the shard, or empty the shard's directory",
+		c.name, st.AppliedSeq, firstSeq)
+	return c.foreign
+}
+
+// refusal is why c gets no mutations, nil while it gets them.
+func (c *shardConn) refusal() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.foreign
 }
 
 // Close stops the health loop and, when journaling, compacts what it
@@ -628,28 +670,14 @@ func (r *Router) healthLoop() {
 }
 
 // Probe runs one health-loop iteration synchronously: probe every
-// shard's stats, catch up lagging shards, prune shard-durable records,
-// and compact the journal past the size threshold. Tests that disable
+// shard's stats, catch up lagging shards, prune settled records, and
+// compact the journal past the size threshold. Tests that disable
 // the background loop call it directly.
 func (r *Router) Probe() {
 	for _, c := range r.shards {
-		ctx, cancel := context.WithTimeout(context.Background(), r.deadline)
-		var st shardStats
-		err := c.exchange(ctx, http.MethodGet, "/cluster/stats", nil, &st)
-		cancel()
-		if err != nil {
-			continue
-		}
-		if err := r.noteScoring(c.name, st.Scoring); err != nil {
+		if _, err := r.fetchStats(c); errors.Is(err, errMixedScoring) {
 			r.logf("%v", err)
-			continue
 		}
-		if c.setStats(st) {
-			r.logf("cluster: shard %s restarted (instance %x)", c.name, st.Instance)
-		}
-	}
-	if r.journal == nil {
-		return
 	}
 	r.ingestMu.Lock()
 	defer r.ingestMu.Unlock()
@@ -665,11 +693,6 @@ func (r *Router) Probe() {
 		}
 	}
 	r.pruneLocked()
-	if r.journal.Size() > r.snapBytes {
-		if err := r.compactLocked(); err != nil {
-			r.logf("cluster: journal compaction: %v", err)
-		}
-	}
 }
 
 // shardLagsLocked reports whether any pending record targets c beyond
@@ -695,16 +718,20 @@ func (r *Router) shardLagsLocked(c *shardConn) bool {
 // starts over from the new instance's durable baseline — which is what
 // makes a stale cached applied-sequence harmless (over-delivery is
 // idempotent; under-delivery can only follow a restart, and the nonce
-// check catches every restart). freshSeq, when nonzero, marks the
-// record whose first delivery this is; everything else delivered here
-// counts as a replayed entry. Caller holds ingestMu; drives of distinct
-// shards may run concurrently under it.
+// check catches every restart). A foreign shard gets nothing. freshSeq,
+// when nonzero, marks the record whose first delivery this is;
+// everything else delivered here counts as a replayed entry. Caller
+// holds ingestMu; drives of distinct shards may run concurrently under
+// it.
 func (r *Router) driveShardLocked(c *shardConn, freshSeq uint64) error {
 	for attempt := 0; ; attempt++ {
 		if c.snapStats().Instance == 0 {
 			if err := r.refresh(c); err != nil {
 				return err
 			}
+		}
+		if err := c.refusal(); err != nil {
+			return err
 		}
 		err := r.sendPendingLocked(c, c.snapStats(), freshSeq)
 		if err == nil {
@@ -717,7 +744,7 @@ func (r *Router) driveShardLocked(c *shardConn, freshSeq uint64) error {
 				if r.mRecoveries != nil {
 					r.mRecoveries.Inc()
 				}
-				r.logf("cluster: shard %s caught up with the journal", c.name)
+				r.logf("cluster: shard %s caught up with the mutation log", c.name)
 			}
 			return nil
 		}
@@ -819,71 +846,63 @@ func (r *Router) mutate(c *shardConn, method, path string, body []byte) error {
 	return nil
 }
 
-// refresh fetches and installs the shard's whole table from GET
-// /cluster/stats, counted in toppriv_cluster_stats_refreshes_total.
+// refresh fetches c's whole table (fetchStats) because a mutation
+// forced it, counted in toppriv_cluster_stats_refreshes_total.
 func (r *Router) refresh(c *shardConn) error {
 	r.refreshes.Add(1)
-	ctx, cancel := context.WithTimeout(context.Background(), r.deadline)
-	defer cancel()
-	var st shardStats
-	if err := c.exchange(ctx, http.MethodGet, "/cluster/stats", nil, &st); err != nil {
-		return err
-	}
-	if err := r.noteScoring(c.name, st.Scoring); err != nil {
-		return err
-	}
-	if c.setStats(st) {
-		r.logf("cluster: shard %s restarted (instance %x)", c.name, st.Instance)
-	}
-	return nil
+	_, err := r.fetchStats(c)
+	return err
 }
 
-// pruneLocked drops pending records every target shard has made
-// durable (and retired records). In-memory shards report durable
-// sequence 0 forever, so their records — by design — never prune: the
-// journal is the only durable copy. Caller holds ingestMu.
+// pruneLocked drops the pending records every target shard has settled
+// — saved, when a journal keeps the log; applied, when none does — and
+// the retired ones, then compacts a journal grown past snapshotBytes.
+// An in-memory shard reports durable sequence 0 forever, so with a
+// journal its records never prune: the journal is the only durable
+// copy. Caller holds ingestMu.
 func (r *Router) pruneLocked() {
 	keep := r.pending[:0]
 	for i := range r.pending {
-		rec := &r.pending[i]
-		if rec.rejected {
-			continue
-		}
-		durable := true
-		for _, name := range rec.shardNames() {
-			c := r.byName[name]
-			if c == nil || c.snapStats().DurableSeq < rec.Seq {
-				durable = false
-				break
-			}
-		}
-		if !durable {
+		if rec := &r.pending[i]; !rec.rejected && !r.settled(rec) {
 			keep = append(keep, *rec)
 		}
 	}
-	tail := r.pending[len(keep):]
-	for i := range tail {
-		tail[i] = journalRecord{}
-	}
+	clear(r.pending[len(keep):])
 	r.pending = keep
+	if r.journal != nil && r.journal.Size() > snapshotBytes {
+		if err := r.compactLocked(); err != nil {
+			r.logf("cluster: journal compaction: %v", err)
+		}
+	}
+}
+
+// settled reports whether every target shard of rec has settled it.
+func (r *Router) settled(rec *journalRecord) bool {
+	for _, name := range rec.shardNames() {
+		c := r.byName[name]
+		if c == nil {
+			return false
+		}
+		st := c.snapStats()
+		seq := st.AppliedSeq
+		if r.journal != nil {
+			seq = st.DurableSeq
+		}
+		if seq < rec.Seq {
+			return false
+		}
+	}
+	return true
 }
 
 // compactLocked snapshots the journal: next gid, pending records, and
-// the title cache, then resets the WAL. Caller holds ingestMu.
+// the title cache, then resets the WAL. Caller holds ingestMu and has
+// just pruned, so no pending record is retired.
 func (r *Router) compactLocked() error {
 	r.titleMu.RLock()
-	titles := make(map[corpus.DocID]string, len(r.titles))
-	for gid, t := range r.titles {
-		titles[gid] = t
-	}
+	titles := maps.Clone(r.titles)
 	r.titleMu.RUnlock()
-	pending := make([]journalRecord, 0, len(r.pending))
-	for i := range r.pending {
-		if !r.pending[i].rejected {
-			pending = append(pending, r.pending[i])
-		}
-	}
-	return r.journal.Compact(r.nextGid, pending, titles)
+	return r.journal.Compact(r.nextGid, r.pending, titles)
 }
 
 // SearchRequest executes one request through the full scatter-gather
@@ -1009,23 +1028,19 @@ func (r *Router) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Res
 }
 
 // Add ingests documents: sequential global IDs, ring placement, one
-// POST per involved shard with its documents in ascending gid order,
-// the shards served concurrently. Unlike queries, mutations never
-// degrade — the call waits for every shard, and a failed shard fails
-// it. The gid range is committed before any shard is contacted: a
-// shard that accepts holds its gids immediately, so after a partial
-// failure the range is spent either way, and reusing it would bind the
-// same gid to different documents (the accepting shard's idempotency
-// check would silently drop the replacements). On error the documents
-// already applied to other shards stay applied under their unreturned
-// gids; retrying via a fresh Add assigns fresh IDs and at worst
-// duplicates content, never corrupts placement.
-// With a journal the contract strengthens: the record — gid burn and
-// full placements — is fsynced before anything is delivered, success
-// means journal-durable (not necessarily shard-delivered), and a
-// delivery that fails leaves the record pending for the health loop to
-// re-drive through the same idempotent path. No acknowledged document
-// can be lost while the journal directory survives.
+// record in the mutation log, and one POST per involved shard with its
+// documents in ascending gid order, the shards served concurrently.
+// The gid range is burned once the record is logged, before any shard
+// is contacted: a shard that accepts holds its gids immediately, so
+// reusing the range after a partial failure would bind the same gid to
+// different documents. Unlike queries, mutations never degrade. With a
+// journal, success means the record is fsynced, and a shard that
+// misses it is re-driven by the health loop: no acknowledged document
+// can be lost while the journal directory survives. Without one,
+// success means every shard applied its share, and a failed shard
+// fails the call; its record stays pending in memory, and the next
+// mutation reaching that shard, or Probe, delivers it under the same
+// gids.
 func (r *Router) Add(docs ...corpus.Document) ([]corpus.DocID, error) {
 	if len(docs) == 0 {
 		return nil, nil
@@ -1042,75 +1057,73 @@ func (r *Router) Add(docs ...corpus.Document) ([]corpus.DocID, error) {
 		d.ID = gid
 		perShard[owner] = append(perShard[owner], ingestDoc{Gid: gid, Doc: d})
 	}
-
-	if r.journal != nil {
-		rec := journalRecord{Base: r.nextGid, Burn: len(docs)}
-		for i, batch := range perShard {
-			if len(batch) > 0 {
-				rec.Places = append(rec.Places, placeEntry{Shard: r.shards[i].name, Docs: batch})
-			}
+	rec := journalRecord{Base: r.nextGid, Burn: len(docs)}
+	for i, batch := range perShard {
+		if len(batch) > 0 {
+			rec.Places = append(rec.Places, placeEntry{Shard: r.shards[i].name, Docs: batch})
 		}
-		if err := r.journal.Append(&rec); err != nil {
-			// Nothing durable, nothing delivered: the mutation never
-			// happened and the gid range is not burned.
-			return nil, fmt.Errorf("cluster: journal: %w", err)
-		}
-		r.nextGid += corpus.DocID(len(docs))
-		r.pending = append(r.pending, rec)
-		r.cacheTitles(docs, gids)
-		errs := r.deliver(perShard, func(c *shardConn, _ []ingestDoc) error {
-			return r.driveShardLocked(c, rec.Seq)
-		})
-		for i, err := range errs {
-			if err != nil {
-				r.logf("cluster: ingest to %s deferred: %v (journaled, will re-drive)", r.shards[i].name, err)
-			}
-		}
-		r.pruneLocked()
-		if r.journal.Size() > r.snapBytes {
-			if err := r.compactLocked(); err != nil {
-				r.logf("cluster: journal compaction: %v", err)
-			}
-		}
-		return gids, nil
 	}
-
-	// Burn the range up front — see the contract above.
+	if err := r.logLocked(&rec); err != nil {
+		// Nothing logged, nothing delivered: the mutation never happened
+		// and the gid range is not burned.
+		return nil, err
+	}
 	r.nextGid += corpus.DocID(len(docs))
-	errs := r.deliver(perShard, func(c *shardConn, batch []ingestDoc) error {
-		body, err := json.Marshal(ingestRequest{Docs: batch})
-		if err != nil {
-			return err
-		}
-		return r.mutate(c, http.MethodPost, "/cluster/index", body)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("cluster: ingest to %s: %w", r.shards[i].name, err)
-		}
-	}
 	r.cacheTitles(docs, gids)
-	return gids, nil
-}
-
-// deliver runs send for every shard with documents in perShard, each on
-// its own goroutine, and returns once all have: the errors by shard
-// index.
-func (r *Router) deliver(perShard [][]ingestDoc, send func(c *shardConn, docs []ingestDoc) error) []error {
 	errs := make([]error, len(r.shards))
 	var wg sync.WaitGroup
-	for i, docs := range perShard {
-		if len(docs) == 0 {
+	for i, batch := range perShard {
+		if len(batch) == 0 {
 			continue
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = send(r.shards[i], docs)
+			if err := r.driveShardLocked(r.shards[i], rec.Seq); err != nil {
+				errs[i] = fmt.Errorf("ingest to %s: %w", r.shards[i].name, err)
+			}
 		}()
 	}
 	wg.Wait()
-	return errs
+	r.pruneLocked()
+	for _, err := range errs {
+		if err := r.acknowledge(err); err != nil {
+			return nil, err
+		}
+	}
+	return gids, nil
+}
+
+// logLocked appends rec to the mutation log: rec takes the log's next
+// sequence — from the journal, which returns once rec is fsynced, or
+// from nextSeq — and joins pending. Caller holds ingestMu.
+func (r *Router) logLocked(rec *journalRecord) error {
+	if r.journal != nil {
+		if err := r.journal.Append(rec); err != nil {
+			return fmt.Errorf("cluster: journal: %w", err)
+		}
+	} else {
+		rec.Seq = r.nextSeq
+		r.nextSeq++
+	}
+	r.pending = append(r.pending, *rec)
+	return nil
+}
+
+// acknowledge is the acknowledgement policy for a mutation whose
+// delivery failed with err (nil: delivered). With a journal the record
+// is durable and stays pending for the health loop, so the failure is
+// logged and the mutation acknowledged; without one the failure is the
+// caller's.
+func (r *Router) acknowledge(err error) error {
+	switch {
+	case err == nil:
+		return nil
+	case r.journal != nil:
+		r.logf("cluster: %v (journaled, will re-drive)", err)
+		return nil
+	}
+	return fmt.Errorf("cluster: %w", err)
 }
 
 // cacheTitles inserts the batch's titles into the bounded cache.
@@ -1137,58 +1150,38 @@ func (r *Router) boundTitlesLocked() {
 	}
 }
 
-// Delete tombstones one document on its owning shard. With a journal
-// the delete is durable once journaled: if the shard is down the call
-// succeeds and the health loop applies it on rejoin; only a reachable,
-// in-sync shard answering "no such document" fails the call.
+// Delete tombstones one document on its owning shard, through the
+// mutation log like Add and under the same acknowledgement policy. It
+// fails for a gid this router never assigned, or one the owning shard —
+// reachable and in sync — has never held; deleting a document already
+// deleted succeeds.
 func (r *Router) Delete(id corpus.DocID) error {
-	if id < 0 {
+	r.ingestMu.Lock()
+	defer r.ingestMu.Unlock()
+	if id < 0 || id >= r.nextGid {
 		return fmt.Errorf("cluster: no document %d", id)
 	}
 	c := r.shards[r.ring.place(id)]
-	if r.journal != nil {
-		r.ingestMu.Lock()
-		defer r.ingestMu.Unlock()
-		if id >= r.nextGid {
-			return fmt.Errorf("cluster: no document %d", id)
-		}
-		rec := journalRecord{Delete: &deleteEntry{Shard: c.name, Gid: id}}
-		if err := r.journal.Append(&rec); err != nil {
-			return fmt.Errorf("cluster: journal: %w", err)
-		}
-		r.pending = append(r.pending, rec)
-		if err := r.driveShardLocked(c, rec.Seq); err != nil {
-			r.logf("cluster: delete %d on %s deferred: %v (journaled, will re-drive)", id, c.name, err)
-		}
-		// The drive retires a delete the shard rejected as unknown; that
-		// is the one case the caller must hear about.
-		rejected := false
-		for i := range r.pending {
-			if r.pending[i].Seq == rec.Seq {
-				rejected = r.pending[i].rejected
-				break
-			}
-		}
-		r.pruneLocked()
-		r.titleMu.Lock()
-		delete(r.titles, id)
-		r.titleMu.Unlock()
-		if rejected {
-			return fmt.Errorf("cluster: no document %d", id)
-		}
-		return nil
-	}
-	if err := r.mutate(c, http.MethodDelete, fmt.Sprintf("/cluster/doc/%d", id), nil); err != nil {
-		var se *statusError
-		if errors.As(err, &se) && se.code == http.StatusNotFound {
-			return fmt.Errorf("cluster: no document %d", id)
-		}
-		return fmt.Errorf("cluster: delete on %s: %w", c.name, err)
+	rec := journalRecord{Delete: &deleteEntry{Shard: c.name, Gid: id}}
+	if err := r.logLocked(&rec); err != nil {
+		return err
 	}
 	r.titleMu.Lock()
 	delete(r.titles, id)
 	r.titleMu.Unlock()
-	return nil
+	err := r.driveShardLocked(c, rec.Seq)
+	// The drive retires a delete the shard refused as unknown — the
+	// record is still the log's last — and that is the one case the
+	// caller must hear about.
+	rejected := r.pending[len(r.pending)-1].rejected
+	r.pruneLocked()
+	if rejected {
+		return fmt.Errorf("cluster: no document %d", id)
+	}
+	if err != nil {
+		err = fmt.Errorf("delete %d on %s: %w", id, c.name, err)
+	}
+	return r.acknowledge(err)
 }
 
 // Doc fetches one document from its owning shard.
@@ -1280,6 +1273,9 @@ func (r *Router) ClusterHealth() search.ClusterHealth {
 			Errors:    c.errs,
 			P99Millis: c.p99Locked(),
 			Restarts:  c.restarts,
+		}
+		if c.foreign != nil {
+			h.Shards[i].LastError = c.foreign.Error()
 		}
 		if !c.lastSeen.IsZero() {
 			h.Shards[i].LastSeenUnix = c.lastSeen.Unix()

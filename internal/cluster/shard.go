@@ -375,6 +375,11 @@ func (s *Shard) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Write(*bp)
 }
 
+// msgNoSeq refuses a mutation without its log sequence: the applied
+// high-water is what tells a restarted router which records a shard
+// still needs, so every mutation must advance it.
+const msgNoSeq = "bad request: seq: a mutation must carry its log sequence, above 0"
+
 // handleIngest adds router-placed documents under their gids; see
 // ingest for which ones it skips and which requests it refuses.
 func (s *Shard) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -386,6 +391,10 @@ func (s *Shard) handleIngest(w http.ResponseWriter, r *http.Request) {
 	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 32<<20)).Decode(&ir)
 	if err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if ir.Seq == 0 {
+		http.Error(w, msgNoSeq, http.StatusBadRequest)
 		return
 	}
 	if ir.IfInstance != 0 && ir.IfInstance != s.instance {
@@ -406,14 +415,13 @@ func (s *Shard) handleIngest(w http.ResponseWriter, r *http.Request) {
 // returns the status to refuse it with. A gid at or above the store's
 // next ID, and above the request's earlier gids, is fresh. One below
 // the next ID is a replay — a router retry after a lost response, or a
-// journal re-drive after a crash — and is skipped when the store holds
-// it, or when the request is journaled: delivery is in order, so a
-// journaled gid the store lacks can only be a document deleted and
-// compacted away after the save SHARD.json missed. Any other gid is
-// refused, because adding it would break the ascending-gid order that
-// keeps tie-breaks a single index's. The request's journal sequence
-// advances the applied high-water even when every document is a
-// replay.
+// re-drive of its log after a crash — and is skipped: delivery is in
+// order, so a gid below the next ID that the store lacks can only be a
+// document deleted and compacted away after the save SHARD.json missed.
+// Any other gid is refused, because adding it would break the
+// ascending-gid order that keeps tie-breaks a single index's. The
+// request's sequence advances the applied high-water even when every
+// document is a replay.
 func (s *Shard) ingest(dst []byte, ir *ingestRequest) ([]byte, int, error) {
 	s.mutMu.Lock()
 	defer s.mutMu.Unlock()
@@ -421,16 +429,12 @@ func (s *Shard) ingest(dst []byte, ir *ingestRequest) ([]byte, int, error) {
 	last := next - 1
 	fresh := make([]corpus.Document, 0, len(ir.Docs))
 	for _, d := range ir.Docs {
-		if d.Gid > last {
+		switch {
+		case d.Gid > last:
 			d.Doc.ID = d.Gid
 			fresh = append(fresh, d.Doc)
 			last = d.Gid
-			continue
-		}
-		if 0 <= d.Gid && d.Gid < next && ir.Seq > 0 {
-			continue // a journaled replay
-		}
-		if _, held := s.store.Doc(d.Gid); !held {
+		case d.Gid < 0 || d.Gid >= next:
 			return dst, http.StatusConflict, fmt.Errorf("gid %d arrives out of order (next ID %d)", d.Gid, last+1)
 		}
 	}
@@ -467,8 +471,8 @@ func (s *Shard) finishMutation(dst []byte, seq uint64, changed []segment.TermDF)
 }
 
 // handleDoc serves GET (fetch) and DELETE (tombstone) for one global
-// document ID. Journaled deletes carry their sequence number in the
-// ?seq query parameter.
+// document ID. A delete carries its log sequence in the ?seq query
+// parameter.
 func (s *Shard) handleDoc(w http.ResponseWriter, r *http.Request) {
 	gidStr := strings.TrimPrefix(r.URL.Path, "/cluster/doc/")
 	gid64, err := strconv.ParseInt(gidStr, 10, 32)
@@ -487,16 +491,11 @@ func (s *Shard) handleDoc(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, doc)
 	case http.MethodDelete:
 		// A parameter that does not parse is refused, not read as absent:
-		// dropping a malformed seq would apply a journalled delete as an
-		// unjournalled one (its re-drive then 404s and the router retires
-		// the record as rejected), dropping a malformed instance would
-		// skip the restart precondition.
-		var seq uint64
-		if v := r.URL.Query().Get("seq"); v != "" {
-			if seq, err = strconv.ParseUint(v, 10, 64); err != nil {
-				http.Error(w, "bad request: seq: "+err.Error(), http.StatusBadRequest)
-				return
-			}
+		// a malformed instance would skip the restart precondition.
+		seq, err := strconv.ParseUint(r.URL.Query().Get("seq"), 10, 64)
+		if err != nil || seq == 0 {
+			http.Error(w, msgNoSeq, http.StatusBadRequest)
+			return
 		}
 		if v := r.URL.Query().Get("instance"); v != "" {
 			want, err := strconv.ParseUint(v, 10, 64)
@@ -529,12 +528,12 @@ func (s *Shard) delete(dst []byte, gid corpus.DocID, seq uint64) ([]byte, error)
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
 	changed, err := s.store.DeleteDF(gid)
-	if err != nil && !(seq > 0 && gid < s.store.NextID() && errors.Is(err, segment.ErrNotFound)) {
+	if err != nil && !(gid < s.store.NextID() && errors.Is(err, segment.ErrNotFound)) {
 		return dst, err
 	}
-	// Applied — or, as ingest reads a journaled gid below the next ID, a
-	// journal re-drive of a delete that already applied: idempotent,
-	// advance the sequence and acknowledge.
+	// Applied — or, as ingest reads a gid below the next ID, a re-drive
+	// or repeat of a delete that already applied: idempotent, advance the
+	// sequence and acknowledge.
 	return s.finishMutation(dst, seq, changed), nil
 }
 

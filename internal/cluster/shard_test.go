@@ -43,8 +43,8 @@ func postIngest(s *Shard, body []byte) int {
 	return w.Code
 }
 
-// deleteDoc sends one DELETE /cluster/doc/{gid} straight to the shard's
-// handler and returns the status.
+// deleteDoc sends one DELETE /cluster/doc/{gid} under log sequence seq
+// straight to the shard's handler and returns the status.
 func deleteDoc(s *Shard, gid int64, seq uint64) int {
 	w := httptest.NewRecorder()
 	s.handleDoc(w, httptest.NewRequest(http.MethodDelete, fmt.Sprintf("/cluster/doc/%d?seq=%d", gid, seq), nil))
@@ -53,8 +53,8 @@ func deleteDoc(s *Shard, gid int64, seq uint64) int {
 
 func ingestText(gid corpus.DocID) string { return fmt.Sprintf("shard ingest rule document %d", gid) }
 
-// ingestBody is a POST /cluster/index body naming gids, under journal
-// sequence seq (0: unjournaled).
+// ingestBody is a POST /cluster/index body naming gids, under log
+// sequence seq (0: none, which the shard refuses).
 func ingestBody(t testing.TB, seq uint64, gids ...corpus.DocID) []byte {
 	t.Helper()
 	ir := ingestRequest{Seq: seq}
@@ -68,28 +68,33 @@ func ingestBody(t testing.TB, seq uint64, gids ...corpus.DocID) []byte {
 	return body
 }
 
-// TestShardIngestRefusesUnheldGidBelowNext pins the one ingest a shard
-// refuses: an unjournaled request naming a gid below the store's next
-// ID that the store does not hold. It gets 409 and changes nothing; a
-// held gid in the same place is a replay and is skipped.
+// TestShardIngestRefusesUnheldGidBelowNext pins the ingests a shard
+// refuses. One without a log sequence gets 400 whatever it names — a
+// gid below the store's next ID that the store does not hold included;
+// sequenced, that gid is a replay and is skipped, as a held one is. A
+// negative gid and fresh gids that descend get 409. A refused request
+// changes nothing.
 func TestShardIngestRefusesUnheldGidBelowNext(t *testing.T) {
 	s := newMemShard(t)
-	if code := postIngest(s, ingestBody(t, 0, 0, 1, 5)); code != http.StatusOK {
+	if code := postIngest(s, ingestBody(t, 1, 0, 1, 5)); code != http.StatusOK {
 		t.Fatalf("ingest 0, 1, 5: %d", code)
 	}
 	for _, tt := range []struct {
 		name string
+		seq  uint64
 		gids []corpus.DocID
 		want int
 	}{
-		{"gid in a gap", []corpus.DocID{3}, http.StatusConflict},
-		{"gap after a replay", []corpus.DocID{1, 3, 7}, http.StatusConflict},
-		{"negative gid", []corpus.DocID{-1}, http.StatusConflict},
-		{"descending fresh gids", []corpus.DocID{9, 8}, http.StatusConflict},
-		{"replay of held gids", []corpus.DocID{0, 5}, http.StatusOK},
+		{"gid in a gap, seq 0", 0, []corpus.DocID{3}, http.StatusBadRequest},
+		{"gap after a replay, seq 0", 0, []corpus.DocID{1, 3, 7}, http.StatusBadRequest},
+		{"replay of held gids, seq 0", 0, []corpus.DocID{0, 5}, http.StatusBadRequest},
+		{"negative gid", 2, []corpus.DocID{-1}, http.StatusConflict},
+		{"descending fresh gids", 2, []corpus.DocID{9, 8}, http.StatusConflict},
+		{"replay of held gids", 2, []corpus.DocID{0, 5}, http.StatusOK},
+		{"replay of a gid in a gap", 3, []corpus.DocID{3}, http.StatusOK},
 	} {
 		next, docs := s.store.NextID(), s.store.NumDocs()
-		if code := postIngest(s, ingestBody(t, 0, tt.gids...)); code != tt.want {
+		if code := postIngest(s, ingestBody(t, tt.seq, tt.gids...)); code != tt.want {
 			t.Fatalf("%s: %d, want %d", tt.name, code, tt.want)
 		}
 		if s.store.NextID() != next || s.store.NumDocs() != docs {
@@ -189,32 +194,40 @@ func TestShardRefusesVersion1Meta(t *testing.T) {
 // FuzzShardIngest drives one in-memory shard's mutation surface with an
 // arbitrary POST /cluster/index body and then a DELETE. The shard holds
 // gids 0–7, with 2 deleted and compacted away and 7 tombstoned. Nothing
-// may panic; a 200 ingest leaves every named gid fetchable unless it
-// was deleted; a 200 delete leaves its gid unfetchable; a refused
-// request changes neither the next ID nor the live size; and afterwards
-// every gid the shard accepted resolves to its text, under a next ID
-// above it — which a store whose IDs stopped ascending fails.
+// may panic; a mutation without a log sequence is refused; a 200 ingest
+// leaves every named gid fetchable unless it was deleted; a 200 delete
+// leaves its gid unfetchable; a refused request changes neither the
+// next ID nor the live size; and afterwards every gid the shard
+// accepted resolves to its text, under a next ID above it — which a
+// store whose IDs stopped ascending fails.
 func FuzzShardIngest(f *testing.F) {
 	f.Add(ingestBody(f, 0, 8, 9), int64(9), uint64(0))
+	f.Add(ingestBody(f, 5, 8, 9), int64(9), uint64(6))
 	f.Add(ingestBody(f, 4, 2, 7, 8), int64(2), uint64(5))
 	f.Add(ingestBody(f, 0, 3), int64(3), uint64(0))
+	f.Add(ingestBody(f, 5, 3), int64(3), uint64(6))
 	f.Add(ingestBody(f, 0, 12, 10), int64(-1), uint64(1))
 	f.Add(ingestBody(f, 1, -4, 8), int64(7), uint64(1))
 	f.Add(ingestBody(f, 0, 2147483647), int64(2147483647), uint64(0))
+	f.Add(ingestBody(f, 5, 2147483647), int64(2147483647), uint64(6))
 	f.Add([]byte(`{"docs":[{"gid":8,"doc":{"text":"x"}}],"seq":2}{`), int64(8), uint64(3))
 	f.Add([]byte(`{"docs":[{"gid":8},{"gid":8}]}`), int64(0), uint64(0))
+	f.Add([]byte(`{"docs":[{"gid":8},{"gid":8}],"seq":5}`), int64(0), uint64(6))
 	f.Fuzz(func(t *testing.T, body []byte, del int64, delSeq uint64) {
 		s := newMemShard(t)
 		live := map[corpus.DocID]string{}
 		deleted := map[corpus.DocID]bool{2: true, 7: true}
+		seq := uint64(0)
 		for _, batch := range [][]corpus.DocID{{0, 1, 2, 3, 4, 5}, {6, 7}} {
-			if code := postIngest(s, ingestBody(t, 0, batch...)); code != http.StatusOK {
+			seq++
+			if code := postIngest(s, ingestBody(t, seq, batch...)); code != http.StatusOK {
 				t.Fatalf("preload %v: %d", batch, code)
 			}
 			for _, gid := range batch {
 				live[gid] = ingestText(gid)
 				if deleted[gid] {
-					if code := deleteDoc(s, int64(gid), 0); code != http.StatusOK {
+					seq++
+					if code := deleteDoc(s, int64(gid), seq); code != http.StatusOK {
 						t.Fatalf("preload delete %d: %d", gid, code)
 					}
 					delete(live, gid)
@@ -242,6 +255,9 @@ func FuzzShardIngest(f *testing.F) {
 			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&ir); err != nil {
 				t.Fatalf("200 for a body that does not decode: %v", err)
 			}
+			if ir.Seq == 0 {
+				t.Fatal("200 for an ingest without a log sequence")
+			}
 			for _, d := range ir.Docs {
 				if d.Gid >= next {
 					live[d.Gid] = d.Doc.Text
@@ -257,6 +273,9 @@ func FuzzShardIngest(f *testing.F) {
 		next = s.store.NextID()
 		docs, size = s.store.LiveSize()
 		if code := deleteDoc(s, del, delSeq); code == http.StatusOK {
+			if delSeq == 0 {
+				t.Fatal("200 for a delete without a log sequence")
+			}
 			if _, ok := s.store.Doc(corpus.DocID(del)); ok {
 				t.Fatalf("200 delete left gid %d fetchable", del)
 			}

@@ -174,13 +174,13 @@ func runTablesTrial(t *testing.T, journaled bool) {
 	}
 	late := &lateAck{}
 	cfg := Config{
-		Shards:            urls,
-		Analyzer:          textproc.NewAnalyzer(),
-		Deadline:          5 * time.Second,
-		MutationDeadline:  time.Second,
-		HTTPClient:        &http.Client{Transport: late},
-		DisableHealthLoop: true,
-		Logf:              t.Logf,
+		Shards:           urls,
+		Analyzer:         textproc.NewAnalyzer(),
+		Deadline:         5 * time.Second,
+		mutationDeadline: time.Second,
+		HTTPClient:       &http.Client{Transport: late},
+		noHealthLoop:     true,
+		Logf:             t.Logf,
 	}
 	if journaled {
 		cfg.JournalDir = t.TempDir()

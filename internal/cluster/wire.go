@@ -533,12 +533,12 @@ type shardStats struct {
 	// when empty); a restarting router resumes gid assignment above the
 	// cluster-wide maximum.
 	MaxGid corpus.DocID `json:"max_gid"`
-	// AppliedSeq is the highest router journal sequence number this
-	// shard has applied (in memory); DurableSeq is the highest it had
-	// applied as of its last completed save — the high-water the router
-	// prunes journaled mutations against. An in-memory shard reports
-	// DurableSeq 0 forever: it can lose everything, so the journal must
-	// retain everything.
+	// AppliedSeq is the highest router log sequence number this shard
+	// has applied (in memory); DurableSeq is the highest it had applied
+	// as of its last completed save — the high-water a journaled router
+	// prunes its log against (a router without a journal prunes against
+	// AppliedSeq). An in-memory shard reports DurableSeq 0 forever: it
+	// can lose everything, so the journal must retain everything.
 	AppliedSeq uint64 `json:"applied_seq"`
 	DurableSeq uint64 `json:"durable_seq"`
 	// Instance is a random nonce drawn at shard process start. A change
@@ -560,10 +560,11 @@ type shardStats struct {
 // what keep shard-local score tie-breaks identical to a single index's.
 type ingestRequest struct {
 	Docs []ingestDoc `json:"docs"`
-	// Seq is the router's journal sequence number for this mutation
-	// (0 = unjournaled). The shard tracks the high-water of applied
-	// seqs and persists it with each save, so the router can tell
-	// exactly which journal records a restarted shard still needs.
+	// Seq is the mutation's sequence in the router's log, above 0: the
+	// shard refuses a mutation without one. The shard tracks the
+	// high-water of applied seqs and persists it with each save, so the
+	// router can tell exactly which log records a restarted shard still
+	// needs.
 	Seq uint64 `json:"seq,omitempty"`
 	// IfInstance, when nonzero, makes the ingest conditional on the
 	// shard's process nonce: a shard whose instance differs rejects

@@ -124,10 +124,13 @@ func DefaultPrivacyParams() PrivacyParams { return core.DefaultParams() }
 // (search, mutation, stats, titles), so search.NewServer hosts it
 // unchanged and clients cannot tell a cluster from a single node —
 // except for the Degraded flag when part of the corpus is unavailable.
-// Set ClusterConfig.JournalDir for a durable placement journal:
-// mutations are acknowledged only after an fsynced WAL append, a
-// router restart replays them, and the health loop re-drives whatever
-// a crashed shard missed.
+// Every Add and Delete is a sequenced record in the router's one
+// mutation log, delivered to its shards idempotently: deleting a
+// document twice succeeds. Without ClusterConfig.JournalDir the log is
+// held in memory and a mutation is acknowledged once its shards applied
+// it. JournalDir makes the log durable: mutations are acknowledged
+// after an fsynced WAL append, a router restart replays them, and the
+// health loop re-drives whatever a crashed shard missed.
 func NewClusterRouter(cfg ClusterConfig) (*ClusterRouter, error) { return cluster.New(cfg) }
 
 // NewClusterShard wraps a live store in the shard wire surface; mount
