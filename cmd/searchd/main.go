@@ -38,7 +38,8 @@
 // and delete goes through the router's one mutation log: a sequenced
 // record, delivered to its shards in order and idempotently (deleting
 // a document twice succeeds). Without -journal the log lives in memory
-// and a mutation is acknowledged once its shards applied it; -journal
+// and a mutation is acknowledged once its shards applied it (a failed
+// delivery is the client's error and is not retried); -journal
 // makes the log durable: mutations are acknowledged once fsynced there,
 // a health loop re-drives anything a crashed or rebooted shard missed,
 // and a router restart replays the log from disk. SIGINT/SIGTERM drains

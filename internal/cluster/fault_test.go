@@ -443,6 +443,63 @@ func TestClusterPartialIngestBurnsGidRange(t *testing.T) {
 	}
 }
 
+// TestUnjournaledRefusalKeepsNothing: without a journal, a shard that
+// refuses an ingest for good fails that one Add and nothing after it.
+// The refused record leaves the log with the call's error, so a later
+// Add to the same shard succeeds, nothing stays pending, and the
+// refused documents never reach the shard under gids the caller was
+// not given.
+func TestUnjournaledRefusalKeepsNothing(t *testing.T) {
+	var refuse atomic.Bool
+	tc := newTestCluster(t, vsm.BM25, 2, Config{})
+	inner := tc.servers[1]
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/cluster/index" && refuse.CompareAndSwap(true, false) {
+			http.Error(w, "injected refusal", http.StatusBadRequest)
+			return
+		}
+		proxyTo(t, inner.URL, w, r)
+	}))
+	defer proxy.Close()
+	r, err := New(Config{
+		Shards:   []string{tc.servers[0].URL, proxy.URL},
+		Analyzer: textproc.NewAnalyzer(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	docs := synthDocs(t, 24, 22)
+	owned := 0
+	for gid := 0; gid < 12; gid++ {
+		if r.ring.place(corpus.DocID(gid)) == 1 {
+			owned++
+		}
+	}
+	if owned == 0 {
+		t.Fatal("degenerate placement: the refusing shard owns none of the refused batch")
+	}
+	refuse.Store(true)
+	if _, err := r.Add(docs[:12]...); err == nil {
+		t.Fatal("refused ingest did not error")
+	}
+	gids, err := r.Add(docs[12:]...)
+	if err != nil {
+		t.Fatalf("add after a refused ingest: %v", err)
+	}
+	if n := len(r.pending); n != 0 {
+		t.Fatalf("%d record(s) pending after a delivered add", n)
+	}
+	for i, gid := range gids {
+		if got, ok := r.Doc(gid); !ok || got.Text != docs[12+i].Text {
+			t.Fatalf("gid %d not fetchable after a refused ingest (ok=%v)", gid, ok)
+		}
+	}
+	if n := tc.stores[1].NumDocs(); n != len(ownedBy(r, gids, 1)) {
+		t.Fatalf("refusing shard holds %d documents, want only the %d of the later add", n, len(ownedBy(r, gids, 1)))
+	}
+}
+
 // TestClusterMetricsExposition: EnableMetrics registers the per-shard
 // health families and they appear in the text exposition.
 func TestClusterMetricsExposition(t *testing.T) {

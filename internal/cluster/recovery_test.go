@@ -750,7 +750,8 @@ func TestRestartedUnjournaledRouterDelivers(t *testing.T) {
 // started, having applied a sequence at or above the router's log's
 // first, was driven by another log. It gets no mutation — its store
 // does not change while the router acknowledges journaled adds — and
-// both the log and ClusterHealth say why.
+// both the log and ClusterHealth say why. Emptied and restarted, the
+// shard gets every record of this log it owns.
 func TestForeignShardGetsNothing(t *testing.T) {
 	foreign, fresh := newPShard(t, vsm.BM25), newPShard(t, vsm.BM25)
 	if code := postIngest(foreign.shard, ingestBody(t, 2, 0, 1)); code != http.StatusOK {
@@ -804,8 +805,27 @@ func TestForeignShardGetsNothing(t *testing.T) {
 		t.Fatalf("cluster health does not name the foreign log: %+v", h.Shards)
 	}
 	logMu.Lock()
-	defer logMu.Unlock()
 	if !strings.Contains(strings.Join(logged, "\n"), why) {
 		t.Fatalf("no log line names the foreign log: %q", logged)
+	}
+	logMu.Unlock()
+
+	foreign.crash()
+	if err := os.RemoveAll(foreign.dir); err != nil {
+		t.Fatal(err)
+	}
+	foreign.start()
+	r.Probe()
+	owned := ownedBy(r, gids, 0)
+	if n := foreign.shard.Store().NumDocs(); n != len(owned) {
+		t.Fatalf("emptied shard holds %d documents, want the %d it owns", n, len(owned))
+	}
+	for i, gid := range gids {
+		if got, ok := r.Doc(gid); !ok || got.Text != docs[i].Text {
+			t.Fatalf("gid %d not fetchable once the foreign shard was emptied (ok=%v)", gid, ok)
+		}
+	}
+	if h := r.ClusterHealth(); strings.Contains(h.Shards[0].LastError, why) {
+		t.Fatalf("emptied shard still refused: %s", h.Shards[0].LastError)
 	}
 }

@@ -52,9 +52,10 @@ type Config struct {
 	// record is fsynced, the health loop catches up shards that miss it,
 	// a record is dropped once every target shard saved it, and a
 	// restarted router replays the log. Without one a mutation is
-	// acknowledged once every target shard applied it (a delivery failure
-	// is the caller's error), a record is dropped once applied, and a
-	// restart keeps only what the shards hold.
+	// acknowledged once every target shard applied it, a record is
+	// dropped once its delivery has run (a delivery failure is the
+	// caller's error, and nothing of it is sent again), and a restart
+	// keeps only what the shards hold.
 	JournalDir string
 	// ProbeInterval is the health loop's probe period. The loop probes
 	// every shard's /cluster/stats, detects restarts, re-drives pending
@@ -197,9 +198,9 @@ type shardConn struct {
 	lastSeen      time.Time
 	restarts      uint64
 	needsRecovery bool
-	// foreign, once set, is why the shard gets no mutations: it was
+	// foreign, while set, is why the shard gets no mutations: it was
 	// first reached having applied sequences this router's log never
-	// assigned.
+	// assigned, and has not since restarted without them (checkLog).
 	foreign error
 
 	// Metric handles, nil until EnableMetrics.
@@ -589,9 +590,9 @@ func (r *Router) Scoring() string {
 }
 
 // fetchStats fetches c's whole table from GET /cluster/stats, checks
-// its scoring function and installs it, logging a restart. The first
-// table c sends after New returned marks c foreign when it has applied
-// a sequence this router's log never assigned.
+// its scoring function and installs it, logging a restart. After New
+// returned, each table also decides whether c was driven by another
+// mutation log (checkLog).
 func (r *Router) fetchStats(c *shardConn) (shardStats, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), r.deadline)
 	defer cancel()
@@ -603,8 +604,8 @@ func (r *Router) fetchStats(c *shardConn) (shardStats, error) {
 		return st, err
 	}
 	if r.firstSeq > 0 {
-		if err := c.markForeign(&st, r.firstSeq); err != nil {
-			r.logf("%v", err)
+		if msg := c.checkLog(&st, r.firstSeq); msg != "" {
+			r.logf("%s", msg)
 		}
 	}
 	if c.setStats(st) {
@@ -613,19 +614,25 @@ func (r *Router) fetchStats(c *shardConn) (shardStats, error) {
 	return st, nil
 }
 
-// markForeign refuses c every mutation, and returns why, when st is
-// the first table the router receives from c and has applied firstSeq
-// or more.
-func (c *shardConn) markForeign(st *shardStats, firstSeq uint64) error {
+// checkLog refuses c every mutation when st is the first table the
+// router receives from c and has applied firstSeq or more: another log
+// drove c. A shard this router drove may restart at or above firstSeq,
+// so only a foreign shard's new instance below firstSeq — its directory
+// emptied — lifts the refusal. Returns what changed, "" if nothing did.
+func (c *shardConn) checkLog(st *shardStats, firstSeq uint64) string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.stats.Instance != 0 || st.AppliedSeq < firstSeq {
-		return nil
+	switch {
+	case c.stats.Instance == 0 && st.AppliedSeq >= firstSeq:
+		c.foreign = fmt.Errorf("cluster: shard %s has applied sequence %d of another mutation log (this router's log began at %d); "+
+			"it gets no mutations from this router: restart the router on the journal that drove the shard, or empty the shard's directory and restart it",
+			c.name, st.AppliedSeq, firstSeq)
+		return c.foreign.Error()
+	case c.foreign != nil && st.Instance != c.stats.Instance && st.AppliedSeq < firstSeq:
+		c.foreign = nil
+		return fmt.Sprintf("cluster: shard %s restarted holding no sequence of another mutation log; it gets mutations again", c.name)
 	}
-	c.foreign = fmt.Errorf("cluster: shard %s has applied sequence %d of another mutation log (this router's log began at %d); "+
-		"it gets no mutations from this router: restart the router on the journal that drove the shard, or empty the shard's directory",
-		c.name, st.AppliedSeq, firstSeq)
-	return c.foreign
+	return ""
 }
 
 // refusal is why c gets no mutations, nil while it gets them.
@@ -854,12 +861,8 @@ func (r *Router) refresh(c *shardConn) error {
 	return err
 }
 
-// pruneLocked drops the pending records every target shard has settled
-// — saved, when a journal keeps the log; applied, when none does — and
-// the retired ones, then compacts a journal grown past snapshotBytes.
-// An in-memory shard reports durable sequence 0 forever, so with a
-// journal its records never prune: the journal is the only durable
-// copy. Caller holds ingestMu.
+// pruneLocked drops the settled records and the retired ones, then
+// compacts a journal grown past snapshotBytes. Caller holds ingestMu.
 func (r *Router) pruneLocked() {
 	keep := r.pending[:0]
 	for i := range r.pending {
@@ -876,19 +879,17 @@ func (r *Router) pruneLocked() {
 	}
 }
 
-// settled reports whether every target shard of rec has settled it.
+// settled reports whether the log is done with rec: with a journal,
+// once every target shard saved it (never, on an in-memory shard: the
+// journal is its only durable copy); without one, once its drive ran,
+// delivered or not — a failed delivery was the caller's error.
 func (r *Router) settled(rec *journalRecord) bool {
+	if r.journal == nil {
+		return true
+	}
 	for _, name := range rec.shardNames() {
 		c := r.byName[name]
-		if c == nil {
-			return false
-		}
-		st := c.snapStats()
-		seq := st.AppliedSeq
-		if r.journal != nil {
-			seq = st.DurableSeq
-		}
-		if seq < rec.Seq {
+		if c == nil || c.snapStats().DurableSeq < rec.Seq {
 			return false
 		}
 	}
@@ -1038,9 +1039,8 @@ func (r *Router) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Res
 // misses it is re-driven by the health loop: no acknowledged document
 // can be lost while the journal directory survives. Without one,
 // success means every shard applied its share, and a failed shard
-// fails the call; its record stays pending in memory, and the next
-// mutation reaching that shard, or Probe, delivers it under the same
-// gids.
+// fails the call; the record is dropped all the same, so nothing of
+// the failed call is sent again.
 func (r *Router) Add(docs ...corpus.Document) ([]corpus.DocID, error) {
 	if len(docs) == 0 {
 		return nil, nil

@@ -128,7 +128,8 @@ func DefaultPrivacyParams() PrivacyParams { return core.DefaultParams() }
 // mutation log, delivered to its shards idempotently: deleting a
 // document twice succeeds. Without ClusterConfig.JournalDir the log is
 // held in memory and a mutation is acknowledged once its shards applied
-// it. JournalDir makes the log durable: mutations are acknowledged
+// it; a delivery failure is the caller's error and is not retried.
+// JournalDir makes the log durable: mutations are acknowledged
 // after an fsynced WAL append, a router restart replays them, and the
 // health loop re-drives whatever a crashed shard missed.
 func NewClusterRouter(cfg ClusterConfig) (*ClusterRouter, error) { return cluster.New(cfg) }
