@@ -882,14 +882,16 @@ func (r *Router) pruneLocked() {
 // settled reports whether the log is done with rec: with a journal,
 // once every target shard saved it (never, on an in-memory shard: the
 // journal is its only durable copy); without one, once its drive ran,
-// delivered or not — a failed delivery was the caller's error.
+// delivered or not — a failed delivery was the caller's error. A
+// refused (foreign) shard's DurableSeq counts another log's sequences,
+// so it settles nothing until the refusal lifts.
 func (r *Router) settled(rec *journalRecord) bool {
 	if r.journal == nil {
 		return true
 	}
 	for _, name := range rec.shardNames() {
 		c := r.byName[name]
-		if c == nil || c.snapStats().DurableSeq < rec.Seq {
+		if c == nil || c.refusal() != nil || c.snapStats().DurableSeq < rec.Seq {
 			return false
 		}
 	}

@@ -536,9 +536,10 @@ type shardStats struct {
 	// AppliedSeq is the highest router log sequence number this shard
 	// has applied (in memory); DurableSeq is the highest it had applied
 	// as of its last completed save — the high-water a journaled router
-	// prunes its log against (a router without a journal prunes against
-	// AppliedSeq). An in-memory shard reports DurableSeq 0 forever: it
-	// can lose everything, so the journal must retain everything.
+	// prunes its log against (a router without a journal prunes a record
+	// once its drive has run). An in-memory shard reports DurableSeq 0
+	// forever: it can lose everything, so the journal must retain
+	// everything.
 	AppliedSeq uint64 `json:"applied_seq"`
 	DurableSeq uint64 `json:"durable_seq"`
 	// Instance is a random nonce drawn at shard process start. A change

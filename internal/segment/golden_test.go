@@ -34,7 +34,7 @@ func goldenStoreHits(t *testing.T) []string {
 	var lines []string
 	for _, scoring := range []vsm.Scoring{vsm.Cosine, vsm.BM25} {
 		rng := rand.New(rand.NewSource(4200))
-		st, err := Open(Config{Scoring: scoring, Analyzer: an, SealThreshold: 23, DisableCompaction: true})
+		st, err := Open(Config{Scoring: scoring, Analyzer: an, SealThreshold: 23, DisableCompaction: true, fanout: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func goldenStoreHits(t *testing.T) []string {
 					t.Fatal(err)
 				}
 			case 1:
-				if _, err := st.compactOnce(3); err != nil {
+				if _, err := st.compactOnce(false); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -114,7 +114,7 @@ func goldenStoreHits(t *testing.T) []string {
 				}
 				st.Close()
 				for _, mapped := range []bool{false, true} {
-					if st, err = Load(dir, Config{Analyzer: an, Mapped: mapped, SealThreshold: 23, DisableCompaction: true}); err != nil {
+					if st, err = Load(dir, Config{Analyzer: an, Mapped: mapped, SealThreshold: 23, DisableCompaction: true, fanout: 3}); err != nil {
 						t.Fatal(err)
 					}
 					checkpoint(fmt.Sprintf("reloaded mapped=%v", mapped))

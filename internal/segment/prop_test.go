@@ -12,7 +12,8 @@ import (
 )
 
 // TestMergeEquivalenceProperty is the subsystem's correctness anchor:
-// for random interleavings of adds, deletes, flushes, and compactions,
+// for random interleavings of adds, deletes, flushes, and compactions
+// (busy steps, quiet folds and full compactions),
 // searching the segmented store must return exactly the documents — and
 // the same scores to within 1e-9 — as a from-scratch index.Build over
 // the surviving documents. This holds because every shard scores with
@@ -40,7 +41,7 @@ func runEquivalenceTrial(t *testing.T, scoring vsm.Scoring, trial int64) {
 		// Tiny threshold and no auto-compaction: the interleaving itself
 		// controls the segment layout, including explicit compactions.
 		SealThreshold:     5 + int(trial),
-		CompactFanout:     3,
+		fanout:            3,
 		DisableCompaction: true,
 	})
 	if err != nil {
@@ -81,12 +82,23 @@ func runEquivalenceTrial(t *testing.T, scoring vsm.Scoring, trial int64) {
 			}
 		case 1:
 			// One background-policy step, synchronously.
-			if _, err := st.compactOnce(st.cfg.CompactFanout); err != nil {
+			if _, err := st.compactOnce(false); err != nil {
 				t.Fatal(err)
 			}
 		case 2:
 			if err := st.Compact(); err != nil {
 				t.Fatal(err)
+			}
+		case 3:
+			// The store goes quiet: fold, synchronously.
+			for {
+				merged, err := st.compactOnce(true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !merged {
+					break
+				}
 			}
 		}
 	}

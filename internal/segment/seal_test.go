@@ -71,7 +71,7 @@ func TestSealIsBuild(t *testing.T) {
 	docs := synthDocs(t, 200, 31)
 	// An empty document is a posting-less row every build must keep.
 	docs[17].Text = "the of and"
-	st, err := Open(Config{Analyzer: an, SealThreshold: 10, CompactFanout: 4, CompactInterval: 10 * time.Millisecond})
+	st, err := Open(Config{Analyzer: an, SealThreshold: 10, CompactInterval: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

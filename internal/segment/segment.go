@@ -2,9 +2,11 @@
 // layering of a mutable in-memory memtable under a stack of immutable
 // sealed segments, each wrapping an index.Index. Documents are added to
 // the memtable; at a size threshold the memtable is sealed into a new
-// level-0 segment; a background compactor merges same-level runs of
-// segments into the next level; deletes set tombstone bits without
-// touching postings.
+// level-0 segment; a background compactor merges runs of four
+// same-level segments into the next level while documents arrive, and
+// once ingest goes quiet (a CompactInterval without a seal) folds the
+// stack to at most one segment per level; deletes set tombstone bits
+// without touching postings.
 //
 // The store has one vsm.Engine, and is that engine's source: a query —
 // a whole cycle at once — is resolved against the shared dictionary and

@@ -23,7 +23,8 @@ var ErrNotFound = errors.New("segment: no such live document")
 var ErrClosed = errors.New("segment: store is closed")
 
 // Config configures a Store. The zero value is usable: cosine scoring,
-// default analyzer, 256-document memtable, fanout-4 compaction.
+// default analyzer, 256-document memtable, background compaction at
+// fan-out 4 that folds the stack once ingest goes quiet for 500 ms.
 type Config struct {
 	// Scoring selects the ranking function, as in vsm.
 	Scoring vsm.Scoring
@@ -32,11 +33,10 @@ type Config struct {
 	// SealThreshold is the memtable document count that triggers an
 	// automatic seal into a level-0 segment. Zero means 256.
 	SealThreshold int
-	// CompactFanout is the length of a same-level run of segments that
-	// triggers a background merge into the next level. Zero means 4.
-	CompactFanout int
-	// CompactInterval is the background compactor's poll interval, a
-	// safety net behind the explicit post-seal triggers. Zero means 2s.
+	// CompactInterval is the background compactor's poll period behind
+	// the post-seal triggers, and its quiet period: a store that seals
+	// nothing for a whole interval folds its stack (see compactLoop).
+	// Zero means 500 ms.
 	CompactInterval time.Duration
 	// DisableCompaction turns the background compactor off (tests and
 	// benchmarks that need a deterministic segment layout). Explicit
@@ -53,6 +53,10 @@ type Config struct {
 	// compactor — without it a persistently failing compaction would
 	// retry invisibly forever. searchd passes log.Printf.
 	Logf func(format string, args ...interface{})
+
+	// Hook for this package's tests: a busy fan-out other than
+	// busyFanout.
+	fanout int
 }
 
 func (c Config) withDefaults() Config {
@@ -62,11 +66,11 @@ func (c Config) withDefaults() Config {
 	if c.SealThreshold == 0 {
 		c.SealThreshold = 256
 	}
-	if c.CompactFanout == 0 {
-		c.CompactFanout = 4
+	if c.fanout == 0 {
+		c.fanout = busyFanout
 	}
 	if c.CompactInterval == 0 {
-		c.CompactInterval = 2 * time.Second
+		c.CompactInterval = 500 * time.Millisecond
 	}
 	return c
 }
@@ -109,11 +113,16 @@ type Store struct {
 	wg        sync.WaitGroup
 	closed    bool
 
-	// compactRuns/compactNanos count completed compaction runs and
-	// their total wall time; maintained by compactRun, read at scrape
-	// time. Atomics so the compactor never contends with scrapes.
+	// compactRuns/compactNanos/compactDocs count completed compaction
+	// runs, their total wall time and the documents they rewrote;
+	// maintained by compactRun, read at scrape time. Atomics so the
+	// compactor never contends with scrapes.
 	compactRuns  atomic.Uint64
 	compactNanos atomic.Int64
+	compactDocs  atomic.Uint64
+	// seals counts the segments sealed since Open or Load; the
+	// compactor reads it to tell a quiet store from a busy one.
+	seals atomic.Uint64
 }
 
 // Open creates an empty store and starts its background compactor.
@@ -127,7 +136,7 @@ func Open(cfg Config) (*Store, error) {
 }
 
 func newStore(cfg Config) (*Store, error) {
-	if cfg.SealThreshold < 0 || cfg.CompactFanout < 0 {
+	if cfg.SealThreshold < 0 || cfg.CompactInterval < 0 {
 		return nil, fmt.Errorf("segment: negative config")
 	}
 	cfg = cfg.withDefaults()
@@ -380,6 +389,7 @@ func (st *Store) sealLocked() error {
 	}
 	if sg != nil {
 		st.segs = append(st.segs, sg)
+		st.seals.Add(1)
 	}
 	st.mem = newMemtable(st)
 	return nil

@@ -265,7 +265,7 @@ func TestStoreCompactPreservesResults(t *testing.T) {
 
 func TestBackgroundCompaction(t *testing.T) {
 	docs := synthDocs(t, 32, 3)
-	st, err := Open(Config{SealThreshold: 4, CompactFanout: 2, CompactInterval: 10 * time.Millisecond})
+	st, err := Open(Config{SealThreshold: 4, fanout: 2, CompactInterval: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,7 @@ func TestCompactedListsAreFullBlocks(t *testing.T) {
 	for {
 		st.mu.RLock()
 		segs = st.segs
-		start, _ := findRun(segs, st.cfg.CompactFanout)
+		start, _ := findRun(segs, st.cfg.fanout)
 		settled := start < 0
 		st.mu.RUnlock()
 		if settled {
@@ -440,7 +440,7 @@ func TestStorePersistenceRoundTrip(t *testing.T) {
 
 func TestStoreConcurrentUse(t *testing.T) {
 	docs := synthDocs(t, 200, 5)
-	st, err := Open(Config{SealThreshold: 16, CompactFanout: 2, CompactInterval: 5 * time.Millisecond})
+	st, err := Open(Config{SealThreshold: 16, fanout: 2, CompactInterval: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

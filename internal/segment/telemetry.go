@@ -42,6 +42,9 @@ func (st *Store) EnableMetrics(reg *telemetry.Registry, ring *telemetry.TraceRin
 	reg.CounterFunc("toppriv_compaction_seconds_total",
 		"Total wall time spent in completed compaction runs.",
 		func() float64 { return float64(st.compactNanos.Load()) / 1e9 })
+	reg.CounterFunc("toppriv_compaction_docs_total",
+		"Documents rewritten by compaction runs: with toppriv_segments, the store's write amplification.",
+		func() float64 { return float64(st.compactDocs.Load()) })
 	reg.GaugeFunc("toppriv_resident_bytes",
 		"Heap-resident postings footprint: PostingsBytes minus mapped payloads.",
 		func() float64 { return float64(st.ComputeStats().ResidentBytes) })
