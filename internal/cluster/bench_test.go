@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"net/http/httptest"
 	"testing"
 
 	"toppriv/internal/search"
@@ -30,7 +29,7 @@ func BenchmarkRouterAdd(b *testing.B) {
 			b.Fatal(err)
 		}
 		NewShard(st).Mount(srv)
-		ts := httptest.NewServer(srv)
+		ts := serveNamed(b, srv)
 		b.Cleanup(func() {
 			ts.Close()
 			st.Close()

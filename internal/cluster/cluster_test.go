@@ -5,7 +5,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net"
+	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -79,6 +83,67 @@ func splitWords(s string) []string {
 	return out
 }
 
+// testNet names the servers of this package's tests: the ring places
+// documents by shard URL, so a URL carrying a random port would give a
+// test a different placement on every run, and a placement-dependent
+// check would pass or fail by chance. A server is reached as
+// http://<test>-shard-<i>.test, i counting the servers its test has
+// named, through a dialer that resolves those names to loopback ports.
+var testNet = struct {
+	sync.Mutex
+	addr  map[string]string  // host → listener address
+	count map[testing.TB]int // servers named so far, per test
+}{addr: map[string]string{}, count: map[testing.TB]int{}}
+
+func init() {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.Proxy = nil
+	dial := tr.DialContext
+	tr.DialContext = func(ctx context.Context, network, addr string) (net.Conn, error) {
+		if host, _, err := net.SplitHostPort(addr); err == nil {
+			testNet.Lock()
+			if real, ok := testNet.addr[host]; ok {
+				addr = real
+			}
+			testNet.Unlock()
+		}
+		return dial(ctx, network, addr)
+	}
+	http.DefaultTransport = tr
+}
+
+// nameAddr names the listener at addr for t and returns its URL.
+func nameAddr(t testing.TB, addr string) string {
+	label := strings.Map(func(r rune) rune {
+		if 'a' <= r && r <= 'z' || '0' <= r && r <= '9' {
+			return r
+		}
+		if 'A' <= r && r <= 'Z' {
+			return r - 'A' + 'a'
+		}
+		return '-'
+	}, t.Name())
+	testNet.Lock()
+	defer testNet.Unlock()
+	host := fmt.Sprintf("%s-shard-%d.test", label, testNet.count[t])
+	testNet.count[t]++
+	testNet.addr[host] = addr
+	t.Cleanup(func() {
+		testNet.Lock()
+		delete(testNet.addr, host)
+		delete(testNet.count, t)
+		testNet.Unlock()
+	})
+	return "http://" + host
+}
+
+// serveNamed starts a test server for h under t's next name.
+func serveNamed(t testing.TB, h http.Handler) *httptest.Server {
+	ts := httptest.NewServer(h)
+	ts.URL = nameAddr(t, ts.Listener.Addr().String())
+	return ts
+}
+
 // testCluster is an in-process cluster: n shard stores, each mounted
 // on its own search.Server behind an httptest listener, fronted by a
 // Router — real HTTP, the real wire, separate vocabularies.
@@ -111,7 +176,7 @@ func newTestCluster(t testing.TB, scoring vsm.Scoring, n int, cfg Config) *testC
 			t.Fatal(err)
 		}
 		sh.Mount(srv)
-		ts := httptest.NewServer(srv)
+		ts := serveNamed(t, srv)
 		tc.stores = append(tc.stores, st)
 		tc.shards = append(tc.shards, sh)
 		tc.servers = append(tc.servers, ts)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +11,8 @@ import (
 	"sync"
 	"testing"
 
+	"toppriv/internal/corpus"
+	"toppriv/internal/search"
 	"toppriv/internal/textproc"
 	"toppriv/internal/vsm"
 )
@@ -265,27 +268,24 @@ func TestShardBatchRejectsBadStatistics(t *testing.T) {
 	}
 }
 
-// TestShardDeleteRejectsMalformedParameters pins the shard's answer to
-// a DELETE /cluster/doc/{gid} whose seq or instance does not parse: a
-// 400 naming the parameter, the document untouched. Read as absent — as
-// they were — a malformed seq applied a journalled delete unjournalled,
-// so its re-drive met a 404 and the router retired the record as
-// rejected, and a malformed instance skipped the restart precondition.
-func TestShardDeleteRejectsMalformedParameters(t *testing.T) {
+// TestShardRefusesMalformedMutation pins a shard's answer to a
+// POST /cluster/mutate frame whose seq or instance is malformed, absent
+// or another process's, or that is no well-formed frame at all: an
+// error naming the fault, the document untouched. A seq read as absent
+// once applied a journalled delete unjournalled, so its re-drive met a
+// 404 and the router retired the record as rejected; an instance read
+// as absent skipped the restart precondition.
+func TestShardRefusesMalformedMutation(t *testing.T) {
 	tc := newTestCluster(t, vsm.BM25, 1, Config{})
 	docs := synthDocs(t, 12, 19)
 	gids, err := tc.router.Add(docs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	url := fmt.Sprintf("%s/cluster/doc/%d", tc.servers[0].URL, gids[4])
-	do := func(method, query string) (int, string) {
+	base := tc.servers[0].URL
+	do := func(contentType string, frame []byte) (int, string) {
 		t.Helper()
-		req, err := http.NewRequest(method, url+query, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
+		resp, err := http.Post(base+"/cluster/mutate", contentType, bytes.NewReader(frame))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -293,34 +293,108 @@ func TestShardDeleteRejectsMalformedParameters(t *testing.T) {
 		msg, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, string(bytes.TrimSpace(msg))
 	}
+	fetch := func() int {
+		t.Helper()
+		resp, err := http.Get(fmt.Sprintf("%s/cluster/doc/%d", base, gids[4]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
 	instance := tc.shards[0].instance
+	gid := uint64(gids[4])
+	good := payloadFrame(99, instance, opDelete, gid)
+	unsealed := append([]byte(nil), good...)
+	unsealed[len(unsealed)-1] ^= 1
 	for _, tt := range []struct {
-		name, query, names string
-		status             int
+		name, contentType string
+		frame             []byte
+		status            int
+		names             string
 	}{
-		{"seq is not a number", "?seq=next", "seq", http.StatusBadRequest},
-		{"negative seq", fmt.Sprintf("?seq=-1&instance=%d", instance), "seq", http.StatusBadRequest},
-		{"seq overflows", "?seq=18446744073709551616", "seq", http.StatusBadRequest},
-		{"instance is not a number", "?seq=99&instance=0x2a", "instance", http.StatusBadRequest},
-		{"another process's instance", fmt.Sprintf("?seq=99&instance=%d", instance+2), "instance mismatch", http.StatusPreconditionFailed},
+		{"no seq", mutationContentType, payloadFrame(0, instance, opDelete, gid), http.StatusBadRequest, "seq"},
+		{"padded seq", mutationContentType, payloadFrame([]byte{0xe3, 0x00}, instance, opDelete, gid), http.StatusBadRequest, "integer"},
+		{"seq overflows", mutationContentType, payloadFrame(bytes.Repeat([]byte{0xff}, 10), 1, instance, opDelete, gid), http.StatusBadRequest, "integer"},
+		{"padded instance", mutationContentType, payloadFrame(99, []byte{0xaa, 0x80, 0x00}, opDelete, gid), http.StatusBadRequest, "integer"},
+		{"another process's instance", mutationContentType, payloadFrame(99, instance+2, opDelete, gid), http.StatusPreconditionFailed, "instance mismatch"},
+		{"unknown op", mutationContentType, payloadFrame(99, instance, 2, gid), http.StatusBadRequest, "op 2"},
+		{"bad CRC", mutationContentType, unsealed, http.StatusBadRequest, "checksum"},
+		{"short frame", mutationContentType, good[:len(good)-1], http.StatusBadRequest, "cut short"},
+		{"bytes after the frame", mutationContentType, append(append([]byte(nil), good...), 0), http.StatusBadRequest, "after the frame"},
+		{"JSON body", "application/json", []byte(fmt.Sprintf(`{"seq":99,"delete":%d}`, gid)), http.StatusUnsupportedMediaType, mutationContentType},
 	} {
-		status, msg := do(http.MethodDelete, tt.query)
+		status, msg := do(tt.contentType, tt.frame)
 		if status != tt.status || !strings.Contains(msg, tt.names) {
 			t.Errorf("%s: %d %q, want %d naming %q", tt.name, status, msg, tt.status, tt.names)
 		}
-		if status, _ := do(http.MethodGet, ""); status != http.StatusOK {
+		if status := fetch(); status != http.StatusOK {
 			t.Fatalf("%s: document gone after a refused delete (GET %d)", tt.name, status)
 		}
 	}
 	// Well-formed, the delete applies, and its re-drive under the same
 	// sequence is acknowledged.
-	good := fmt.Sprintf("?seq=99&instance=%d", instance)
 	for _, what := range []string{"delete", "re-driven delete"} {
-		if status, msg := do(http.MethodDelete, good); status != http.StatusOK {
+		if status, msg := do(mutationContentType, good); status != http.StatusOK {
 			t.Fatalf("%s: %d %q, want 200", what, status, msg)
 		}
 	}
-	if status, _ := do(http.MethodGet, ""); status != http.StatusNotFound {
+	if status := fetch(); status != http.StatusNotFound {
 		t.Fatalf("deleted document still served (GET %d)", status)
+	}
+}
+
+// TestClusterIndexesEscapeHeavyDocument: a document public /index
+// accepts reaches its shard whatever its text. Its text here is '<', '>'
+// and '&' just short of /index's 32 MiB limit, which JSON on the shard
+// hop escaped to six bytes each, past the shard's limit: the add failed
+// for good.
+func TestClusterIndexesEscapeHeavyDocument(t *testing.T) {
+	const maxIndexBody = 32 << 20 // search's cap on a POST /index body
+	tc := newTestCluster(t, vsm.BM25, 2, Config{})
+	srv, err := search.NewServer(tc.router, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := serveNamed(t, srv)
+	defer front.Close()
+	const head, tail = `{"docs":[{"title":"markup","text":"`, `"}]}`
+	text := strings.Repeat("<&>", (maxIndexBody-len(head)-len(tail))/3)
+	resp, err := http.Post(front.URL+"/index", "application/json", strings.NewReader(head+text+tail))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids search.IndexResponse
+	err = json.NewDecoder(resp.Body).Decode(&ids)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil || len(ids.IDs) != 1 {
+		t.Fatalf("POST /index of a %d-byte body: %d, %+v, %v", len(head)+len(text)+len(tail), resp.StatusCode, ids, err)
+	}
+	gid := ids.IDs[0]
+	doc, ok := tc.stores[tc.router.ring.place(gid)].Doc(gid)
+	if !ok || doc.Title != "markup" || doc.Text != text {
+		t.Fatalf("gid %d on its shard: ok=%v, title %q, %d text bytes of %d", gid, ok, doc.Title, len(doc.Text), len(text))
+	}
+}
+
+// TestRouterAddRefusesOversizedShare: a share of an add that cannot fit
+// a mutation frame fails the call before the record is logged: no gid
+// is burned, nothing is pending, and the journal is as it was.
+func TestRouterAddRefusesOversizedShare(t *testing.T) {
+	tc := newTestCluster(t, vsm.BM25, 2, Config{JournalDir: t.TempDir(), noHealthLoop: true})
+	r := tc.router
+	t.Cleanup(func() { r.Close() })
+	wal := r.journal.Size()
+	huge := corpus.Document{Title: "huge", Text: strings.Repeat("x", maxMutationBody)}
+	if _, err := r.Add(huge); err == nil || !strings.Contains(err.Error(), "over the") {
+		t.Fatalf("an add over the frame bound: %v", err)
+	}
+	if r.nextGid != 0 || len(r.pending) != 0 || r.journal.Size() != wal {
+		t.Fatalf("a refused add left next gid %d, %d pending, journal %d → %d bytes", r.nextGid, len(r.pending), wal, r.journal.Size())
+	}
+	docs := synthDocs(t, 3, 23)
+	gids, err := r.Add(docs...)
+	if err != nil || gids[0] != 0 {
+		t.Fatalf("the next add: gids %v, %v; want them from 0", gids, err)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -177,7 +176,7 @@ func TestClusterDeadlineBoundsSlowShard(t *testing.T) {
 	// Re-front shard 2 with a stalling proxy: same backing server, but
 	// /cluster/batch hangs far past the router deadline when tripped.
 	inner := tc.servers[2]
-	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	slow := serveNamed(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if stall.Load() && r.URL.Path == "/cluster/batch" {
 			time.Sleep(10 * deadline)
 		}
@@ -313,8 +312,10 @@ func TestClusterRetryRidesOutFlakyShard(t *testing.T) {
 	go proxy.Serve(fl)
 	defer proxy.Close()
 
-	noKeepAlive := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
-	shardURLs := []string{tc.servers[0].URL, "http://" + ln.Addr().String()}
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.DisableKeepAlives = true
+	noKeepAlive := &http.Client{Transport: tr}
+	shardURLs := []string{tc.servers[0].URL, nameAddr(t, ln.Addr().String())}
 	an := textproc.NewAnalyzer()
 	terms := an.Analyze(queryFrom(docs[2], 0, 4))
 
@@ -366,8 +367,8 @@ func TestClusterPartialIngestBurnsGidRange(t *testing.T) {
 	var failIngest atomic.Bool
 	tc := newTestCluster(t, vsm.Cosine, 2, Config{})
 	inner := tc.servers[1]
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if failIngest.Load() && r.URL.Path == "/cluster/index" {
+	proxy := serveNamed(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if failIngest.Load() && r.URL.Path == "/cluster/mutate" {
 			http.Error(w, "injected ingest failure", http.StatusInternalServerError)
 			return
 		}
@@ -453,8 +454,8 @@ func TestUnjournaledRefusalKeepsNothing(t *testing.T) {
 	var refuse atomic.Bool
 	tc := newTestCluster(t, vsm.BM25, 2, Config{})
 	inner := tc.servers[1]
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/cluster/index" && refuse.CompareAndSwap(true, false) {
+	proxy := serveNamed(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/cluster/mutate" && refuse.CompareAndSwap(true, false) {
 			http.Error(w, "injected refusal", http.StatusBadRequest)
 			return
 		}

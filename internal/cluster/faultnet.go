@@ -29,9 +29,7 @@ type FaultTransport struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
 	plan  FaultPlan
-	queue []FaultKind
 	armed bool
-	count map[FaultKind]uint64
 }
 
 // FaultKind names one injectable transport fault.
@@ -71,46 +69,17 @@ type FaultPlan struct {
 
 // NewFaultTransport wraps base with an armed plan.
 func NewFaultTransport(base http.RoundTripper, plan FaultPlan) *FaultTransport {
-	ft := &FaultTransport{Base: base, count: make(map[FaultKind]uint64)}
-	ft.Arm(plan)
-	return ft
-}
-
-// Arm (re)seeds the probabilistic plan and enables injection.
-func (ft *FaultTransport) Arm(plan FaultPlan) {
 	if plan.DelayFor <= 0 {
 		plan.DelayFor = 50 * time.Millisecond
 	}
-	ft.mu.Lock()
-	ft.plan = plan
-	ft.rng = rand.New(rand.NewSource(plan.Seed))
-	ft.armed = true
-	ft.mu.Unlock()
+	return &FaultTransport{Base: base, rng: rand.New(rand.NewSource(plan.Seed)), plan: plan, armed: true}
 }
 
-// Disarm stops all injection (queued one-shots included).
+// Disarm stops all injection.
 func (ft *FaultTransport) Disarm() {
 	ft.mu.Lock()
 	ft.armed = false
-	ft.queue = nil
 	ft.mu.Unlock()
-}
-
-// Inject queues exact one-shot faults, consumed in order by the next
-// exchanges ahead of any probabilistic draw — the fully deterministic
-// mode for pinning one failure to one request.
-func (ft *FaultTransport) Inject(kinds ...FaultKind) {
-	ft.mu.Lock()
-	ft.queue = append(ft.queue, kinds...)
-	ft.armed = true
-	ft.mu.Unlock()
-}
-
-// Injected reports how many faults of kind have fired.
-func (ft *FaultTransport) Injected(kind FaultKind) uint64 {
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	return ft.count[kind]
 }
 
 // next draws the fault for one exchange.
@@ -119,12 +88,6 @@ func (ft *FaultTransport) next() (FaultKind, time.Duration) {
 	defer ft.mu.Unlock()
 	if !ft.armed {
 		return FaultNone, 0
-	}
-	if len(ft.queue) > 0 {
-		k := ft.queue[0]
-		ft.queue = ft.queue[1:]
-		ft.count[k]++
-		return k, ft.plan.DelayFor
 	}
 	var k FaultKind
 	switch draw := ft.rng.Float64(); {
@@ -139,7 +102,6 @@ func (ft *FaultTransport) next() (FaultKind, time.Duration) {
 	default:
 		return FaultNone, 0
 	}
-	ft.count[k]++
 	return k, ft.plan.DelayFor
 }
 

@@ -1,7 +1,8 @@
 package cluster
 
 import (
-	"encoding/json"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -23,10 +24,25 @@ import (
 //
 // On-disk layout in the journal directory:
 //
-//	journal.wal    — magic header, then length-prefixed CRC-framed records
-//	SNAPSHOT.json  — periodic compaction point (atomic rename)
+//	journal.wal   — journalMagic, then one frame (frame.go) per record
+//	journal.snap  — snapshotMagic, then the compaction point's frames
+//	                (written aside and renamed into place)
 //
-// Each record is one frame (frame.go) around a JSON payload.
+// A record's payload:
+//
+//	uvarint seq
+//	uvarint base, burn     the gid range [base, base+burn) it burns (0, 0: a delete)
+//	uvarint shares
+//	shares × {             one per target shard
+//	    uvarint n, n bytes the shard's name
+//	    the share's body   a mutation frame's body (wire.go), documents in full
+//	}
+//
+// A snapshot's frames are its head — uvarint next_seq, next_gid, then the
+// counts of the frames that follow: pending, titles — then each pending
+// record's frame as the WAL holds it, then one frame per cached title:
+// uvarint gid, then the title's bytes. One frame loop (walkFrames) reads
+// both files.
 //
 // Recovery semantics, the contract the byte-flip sweep tests pin down:
 //
@@ -38,15 +54,25 @@ import (
 //   - A corrupted length that points past EOF is indistinguishable from
 //     a torn tail; the replay result then reports the (possibly large)
 //     truncated byte count so the operator sees exactly what was cut.
+//   - A snapshot is written whole or not at all, so any cut in one is
+//     corruption.
 
 const (
-	journalMagic    = "TPJW1\n"
-	journalName     = "journal.wal"
-	snapshotName    = "SNAPSHOT.json"
-	snapshotVersion = 1
-	// journalMaxRecord bounds one record's payload; a length beyond it is
+	journalMagic  = "TPJW2\n"
+	journalName   = "journal.wal"
+	snapshotMagic = "TPJS2\n"
+	snapshotName  = "journal.snap"
+	// journalMaxRecord bounds one frame's payload; a length beyond it is
 	// treated as corruption, not an allocation request.
 	journalMaxRecord = 64 << 20
+	// oldJournalMagic and oldSnapshotName are the files of the journal
+	// that held JSON records, refused with msgMigrate.
+	oldJournalMagic = "TPJW1\n"
+	oldSnapshotName = "SNAPSHOT.json"
+	msgMigrate      = "holds JSON records, which this build cannot read: drain it with the build that wrote it " +
+		"(run that router until GET /stats shows no pending_records), stop it, empty the journal directory " +
+		"and start this build's router with every shard up, which resumes above every gid and sequence " +
+		"the shards hold; over in-memory shards, which never drain it, empty it and add the corpus again"
 )
 
 // errJournalCrash is returned by appends after an injected crash point
@@ -54,80 +80,91 @@ const (
 // leave it, and the router built over it must be thrown away.
 var errJournalCrash = errors.New("cluster: journal crash point fired")
 
-// journalRecord is one durable mutation. Exactly one of the mutation
-// shapes is set: an ingest record carries the gid-range burn plus the
-// per-shard placements (with full document content, so a shard that
-// lost its memtable can be re-fed), a delete record carries the target.
+// journalRecord is one mutation in the router's log: an add's gid-range
+// burn and each target shard's share of its documents, or a delete's
+// one share.
 type journalRecord struct {
 	// Seq is the record's monotone sequence number, the unit of shard
 	// reconciliation: a shard that reports durable sequence s has made
 	// every record with Seq <= s addressed to it durable.
-	Seq uint64 `json:"seq"`
+	Seq uint64
 	// Base/Burn record a gid-range burn: gids [Base, Base+Burn) are
 	// spent whether or not delivery succeeds, so a replayed router can
 	// never re-bind them to different documents.
-	Base corpus.DocID `json:"base,omitempty"`
-	Burn int          `json:"burn,omitempty"`
-	// Places carries the ingest payload per target shard.
-	Places []placeEntry `json:"places,omitempty"`
-	// Delete tombstones one gid on its owning shard.
-	Delete *deleteEntry `json:"delete,omitempty"`
+	Base corpus.DocID
+	Burn int
+	// Shares holds one share per target shard.
+	Shares []share
+}
 
-	// rejected is router-runtime state, never serialized: the target
-	// shard, reachable and in sync, answered that the mutation can
-	// never apply (a delete of an unknown gid). Retired at next prune.
+// share is one shard's part of a record: the body of the mutation frame
+// that delivers it, with full document content, so a shard that lost
+// its memtable can be re-fed.
+type share struct {
+	Shard string
+	Body  []byte
+	// rejected is router-runtime state, never serialized: the shard,
+	// reachable and in sync, answered that it can never apply the share
+	// (a delete of a gid it never held). Only that shard's drive touches
+	// it.
 	rejected bool
 }
 
-type placeEntry struct {
-	Shard string      `json:"shard"`
-	Docs  []ingestDoc `json:"docs"`
-}
-
-type deleteEntry struct {
-	Shard string       `json:"shard"`
-	Gid   corpus.DocID `json:"gid"`
-}
-
-// targets reports whether the record carries a mutation for shard name.
-func (r *journalRecord) targets(name string) bool {
-	for _, p := range r.Places {
-		if p.Shard == name {
-			return true
+// share returns the record's share for shard name, nil if it has none.
+func (r *journalRecord) share(name string) *share {
+	for i := range r.Shares {
+		if r.Shares[i].Shard == name {
+			return &r.Shares[i]
 		}
 	}
-	return r.Delete != nil && r.Delete.Shard == name
+	return nil
 }
 
-// shardNames lists the shards the record mutates.
-func (r *journalRecord) shardNames() []string {
-	var names []string
-	for _, p := range r.Places {
-		names = append(names, p.Shard)
+// appendRecord appends rec's journal frame.
+func appendRecord(dst []byte, rec *journalRecord) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeader)...)
+	dst = binary.AppendUvarint(dst, rec.Seq)
+	dst = binary.AppendUvarint(dst, uint64(rec.Base))
+	dst = binary.AppendUvarint(dst, uint64(rec.Burn))
+	dst = binary.AppendUvarint(dst, uint64(len(rec.Shares)))
+	for _, sh := range rec.Shares {
+		dst = binary.AppendUvarint(dst, uint64(len(sh.Shard)))
+		dst = append(dst, sh.Shard...)
+		dst = append(dst, sh.Body...)
 	}
-	if r.Delete != nil {
-		names = append(names, r.Delete.Shard)
-	}
-	return names
+	sealFrame(dst[start:])
+	return dst
 }
 
-// snapshot is the journal's compaction point: everything replay needs
-// that is not in the WAL tail. Pending records (not yet shard-durable)
-// are carried forward verbatim; everything older is dropped, which is
-// what bounds the journal to the shards' save lag rather than the
-// corpus size.
-type snapshot struct {
-	Version int          `json:"version"`
-	NextSeq uint64       `json:"next_seq"`
-	NextGid corpus.DocID `json:"next_gid"`
-	// Pending are the records whose target shards had not confirmed
-	// durability when the snapshot was cut, in ascending Seq order.
-	Pending []journalRecord `json:"pending,omitempty"`
-	// Titles is the gid -> title table at snapshot time, capped by the
-	// router's title-cache bound; it is what lets the router evict its
-	// in-memory cache without losing cheap title resolution across a
-	// restart (misses still fall back to a shard fetch).
-	Titles map[corpus.DocID]string `json:"titles,omitempty"`
+// decodeRecord reads a record's payload. Like every frame it has one
+// encoding; each body is checked and kept as a copy of its bytes.
+func decodeRecord(payload []byte) (journalRecord, error) {
+	r := frameReader{b: payload, kind: "journal record"}
+	rec := journalRecord{Seq: r.u64(), Base: r.gid(), Burn: r.num()}
+	if r.err == nil && rec.Burn > math.MaxInt32+1-int(rec.Base) {
+		r.failf("burn of %d gids from %d runs past int32", rec.Burn, rec.Base)
+	}
+	// A share takes a name length and an op at least.
+	n := r.count(2)
+	if r.err != nil {
+		return journalRecord{}, r.err
+	}
+	rec.Shares = make([]share, n)
+	for i := range rec.Shares {
+		name := r.str()
+		at := r.b
+		var m mutation
+		r.body(&m)
+		if r.err != nil {
+			return journalRecord{}, r.err
+		}
+		rec.Shares[i] = share{Shard: name, Body: bytes.Clone(at[:len(at)-len(r.b)])}
+	}
+	if err := r.end(); err != nil {
+		return journalRecord{}, err
+	}
+	return rec, nil
 }
 
 // journalState is the result of replaying a journal directory.
@@ -146,16 +183,14 @@ type journalState struct {
 	Replayed int
 }
 
-// journal is the live append handle. Appends are group-committed: every
-// Append blocks until its record is durable, but concurrent appends
-// share fsyncs via the sync cursor.
+// journal is the live append handle: every Append blocks until its
+// record is durable.
 type journal struct {
 	dir string
 
 	mu      sync.Mutex
 	f       *os.File
 	size    int64 // bytes in journal.wal, header included
-	synced  int64 // high-water of fsynced bytes
 	nextSeq uint64
 	dead    error // set once the journal is unusable (crash hook fired)
 
@@ -187,33 +222,19 @@ func openJournal(dir string) (*journal, *journalState, error) {
 		return nil, nil, err
 	}
 	f, err := os.OpenFile(walPath, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: journal: %w", err)
-	}
-	if goodBytes == 0 {
+	if err == nil && goodBytes == 0 {
 		// Fresh (or fully torn-at-header) WAL: start from the magic.
-		if err := f.Truncate(0); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("cluster: journal: %w", err)
-		}
-		if _, err := f.Write([]byte(journalMagic)); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("cluster: journal: %w", err)
-		}
+		_, err = f.WriteAt([]byte(journalMagic), 0)
 		goodBytes = int64(len(journalMagic))
-	} else if err := f.Truncate(goodBytes); err != nil {
+	}
+	if err == nil {
+		err = cutWAL(f, goodBytes)
+	}
+	if err != nil {
 		f.Close()
 		return nil, nil, fmt.Errorf("cluster: journal: %w", err)
 	}
-	if _, err := f.Seek(goodBytes, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("cluster: journal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("cluster: journal: %w", err)
-	}
-	j := &journal{dir: dir, f: f, size: goodBytes, synced: goodBytes, nextSeq: st.NextSeq, crashAfter: -1}
+	j := &journal{dir: dir, f: f, size: goodBytes, nextSeq: st.NextSeq, crashAfter: -1}
 	if j.nextSeq == 0 {
 		j.nextSeq = 1
 	}
@@ -221,83 +242,111 @@ func openJournal(dir string) (*journal, *journalState, error) {
 	return j, st, nil
 }
 
+// loadSnapshot folds the snapshot, if there is one, into st.
 func loadSnapshot(dir string, st *journalState) error {
-	f, err := os.Open(filepath.Join(dir, snapshotName))
+	if _, err := os.Stat(filepath.Join(dir, oldSnapshotName)); err == nil {
+		return fmt.Errorf("cluster: journal: %s in %s %s", oldSnapshotName, dir, msgMigrate)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, snapshotName))
+	if os.IsNotExist(err) {
+		return nil
+	}
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
 		return fmt.Errorf("cluster: journal snapshot: %w", err)
 	}
-	defer f.Close()
-	var snap snapshot
-	if err := json.NewDecoder(f).Decode(&snap); err != nil {
+	if !bytes.HasPrefix(data, []byte(snapshotMagic)) {
+		return fmt.Errorf("cluster: journal snapshot: bad magic header")
+	}
+	frames, pending, titles := 0, 0, 0
+	good, err := walkFrames(data, snapshotMagic, func(_ int64, payload []byte) error {
+		r := frameReader{b: payload, kind: "journal snapshot"}
+		switch frames++; {
+		case frames == 1:
+			st.NextSeq, st.NextGid = r.u64(), r.gid()
+			pending, titles = r.num(), r.num()
+		case frames <= 1+pending:
+			rec, err := decodeRecord(payload)
+			if err != nil {
+				return err
+			}
+			st.Pending = append(st.Pending, rec)
+			return nil
+		case frames <= 1+pending+titles:
+			gid := r.gid()
+			st.Titles[gid] = string(r.b)
+			r.b = nil
+		default:
+			r.failf("more frames than its head counts")
+		}
+		return r.end()
+	})
+	if err == nil && (good != int64(len(data)) || frames != 1+pending+titles) {
+		err = errors.New("cut short")
+	}
+	if err != nil {
 		return fmt.Errorf("cluster: journal snapshot corrupt: %w", err)
 	}
-	if snap.Version != snapshotVersion {
-		return fmt.Errorf("cluster: journal snapshot: unsupported version %d", snap.Version)
-	}
-	st.NextSeq = snap.NextSeq
-	st.NextGid = snap.NextGid
-	st.Pending = append(st.Pending, snap.Pending...)
-	st.Replayed += len(snap.Pending)
-	for gid, title := range snap.Titles {
-		st.Titles[gid] = title
-	}
+	st.Replayed += pending
 	return nil
+}
+
+// walkFrames hands fn the payload of each whole frame after the magic
+// header that opens data, with its offset, and returns the offset past
+// the last one. Bytes beyond it are a frame cut short by EOF, or one
+// whose corrupted length points past EOF: the two cannot be told apart.
+// A whole frame that fails its checksum is corruption, and an error.
+func walkFrames(data []byte, magic string, fn func(off int64, payload []byte) error) (int64, error) {
+	off := int64(len(magic))
+	for off < int64(len(data)) {
+		payload, size, err := openFrame(data[off:], journalMaxRecord)
+		if errors.Is(err, errFrameTorn) {
+			break
+		}
+		if err != nil {
+			// Bit rot or tampering: never replay past it, never drop it
+			// silently.
+			return 0, fmt.Errorf("cluster: journal: frame at offset %d fails checksum — refusing to replay a corrupted journal", off)
+		}
+		if err := fn(off, payload); err != nil {
+			return 0, err
+		}
+		off += int64(size)
+	}
+	return off, nil
 }
 
 // replayWAL folds the records of the WAL's bytes into st and returns the
 // byte offset of the end of the last whole, valid frame — the reopen
 // truncation point. Every byte past it is counted in st.TornBytes.
 func replayWAL(data []byte, st *journalState) (int64, error) {
-	if len(data) == 0 {
+	switch {
+	case len(data) < len(journalMagic) && string(data) == journalMagic[:len(data)]:
+		// Empty, or a crash during the very first header write: an empty
+		// journal with a torn header, not corruption.
+		st.TornBytes = int64(len(data))
 		return 0, nil
-	}
-	if len(data) < len(journalMagic) {
-		if string(data) == journalMagic[:len(data)] {
-			// Crash during the very first header write: an empty journal
-			// with a torn header, not corruption.
-			st.TornBytes = int64(len(data))
-			return 0, nil
-		}
+	case bytes.HasPrefix(data, []byte(oldJournalMagic)):
+		return 0, fmt.Errorf("cluster: journal: %s %s", journalName, msgMigrate)
+	case !bytes.HasPrefix(data, []byte(journalMagic)):
 		return 0, fmt.Errorf("cluster: journal: bad magic header")
 	}
-	if string(data[:len(journalMagic)]) != journalMagic {
-		return 0, fmt.Errorf("cluster: journal: bad magic header")
-	}
-	off := int64(len(journalMagic))
-	for {
-		rest := data[off:]
-		if len(rest) == 0 {
-			return off, nil
-		}
-		payload, size, err := openFrame(rest, journalMaxRecord)
-		if errors.Is(err, errFrameTorn) {
-			// Header or payload cut by EOF — a crash-torn final record, or
-			// a corrupted length field that is indistinguishable from one.
-			// Either way nothing past this offset is trustworthy as a
-			// frame boundary; report the cut loudly and stop.
-			st.TornBytes = int64(len(rest))
-			return off, nil
-		}
+	good, err := walkFrames(data, journalMagic, func(off int64, payload []byte) error {
+		rec, err := decodeRecord(payload)
 		if err != nil {
-			// A complete frame that fails its checksum is interior
-			// corruption (bit rot, tampering) — never replay past it,
-			// never drop it silently.
-			return 0, fmt.Errorf("cluster: journal: record at offset %d fails checksum — refusing to replay a corrupted journal", off)
-		}
-		var rec journalRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return 0, fmt.Errorf("cluster: journal: record at offset %d undecodable: %w", off, err)
+			return fmt.Errorf("cluster: journal: record at offset %d undecodable: %w", off, err)
 		}
 		if rec.Seq == math.MaxUint64 {
 			// No sequence can follow it: the next one would wrap to 0.
-			return 0, fmt.Errorf("cluster: journal: record at offset %d has the last sequence number", off)
+			return fmt.Errorf("cluster: journal: record at offset %d has the last sequence number", off)
 		}
 		applyRecord(st, rec)
-		off += int64(size)
+		return nil
+	})
+	if err != nil {
+		return 0, err
 	}
+	st.TornBytes = int64(len(data)) - good
+	return good, nil
 }
 
 // applyRecord folds one replayed record into the recovery state,
@@ -312,90 +361,61 @@ func applyRecord(st *journalState, rec journalRecord) {
 	if top := rec.Base + corpus.DocID(rec.Burn); rec.Burn > 0 && top > st.NextGid {
 		st.NextGid = top
 	}
-	for _, p := range rec.Places {
-		for _, d := range p.Docs {
-			if d.Doc.Title != "" {
-				st.Titles[d.Gid] = d.Doc.Title
+	for _, sh := range rec.Shares {
+		// decodeRecord has checked the body.
+		r, m := frameReader{b: sh.Body}, mutation{}
+		r.body(&m)
+		for _, d := range m.docs {
+			if d.Title != "" {
+				st.Titles[d.ID] = d.Title
 			}
 		}
-	}
-	if rec.Delete != nil {
-		delete(st.Titles, rec.Delete.Gid)
+		if m.del {
+			delete(st.Titles, m.gid)
+		}
 	}
 	st.Pending = append(st.Pending, rec)
 	st.Replayed++
 }
 
 // Append assigns the record its sequence number, frames it, writes and
-// fsyncs. It returns only after the record is durable (group-committed:
-// a concurrent append may have synced past this record already, in
-// which case the fsync is skipped).
+// fsyncs: it returns only after the record is durable. A record over
+// journalMaxRecord is refused before it takes a sequence.
 func (j *journal) Append(rec *journalRecord) error {
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.dead != nil {
-		err := j.dead
-		j.mu.Unlock()
-		return err
+		return j.dead
 	}
 	// Seq assignment under the lock keeps the on-disk order equal to the
 	// seq order, which is what per-shard reconciliation relies on.
 	rec.Seq = j.nextSeq
-	j.nextSeq++
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		j.nextSeq--
-		j.mu.Unlock()
-		return err
+	frame := appendRecord(nil, rec)
+	if len(frame)-frameHeader > journalMaxRecord {
+		return fmt.Errorf("a %d-byte record is over the %d bytes a record may take", len(frame)-frameHeader, journalMaxRecord)
 	}
-	frame := make([]byte, frameHeader+len(payload))
-	copy(frame[frameHeader:], payload)
-	sealFrame(frame)
+	j.nextSeq++
 
 	if j.crashAfter >= 0 && j.size+int64(len(frame)) > j.crashAfter {
 		// Injected crash: write only the bytes that "made it to disk"
 		// before the kill, then poison the handle. The partial frame is
 		// exactly the torn tail recovery must tolerate.
-		keep := j.crashAfter - j.size
-		if keep < 0 {
-			keep = 0
-		}
-		if keep > 0 {
+		if keep := j.crashAfter - j.size; keep > 0 {
 			j.f.Write(frame[:keep])
 			j.f.Sync()
 		}
 		j.dead = errJournalCrash
-		j.mu.Unlock()
-		return errJournalCrash
+		return j.dead
 	}
-
 	if _, err := j.f.Write(frame); err != nil {
 		j.dead = fmt.Errorf("cluster: journal append: %w", err)
-		err := j.dead
-		j.mu.Unlock()
-		return err
+		return j.dead
 	}
 	j.size += int64(len(frame))
-	target := j.size
-	if err := j.syncToLocked(target); err != nil {
-		j.mu.Unlock()
-		return err
-	}
-	j.mu.Unlock()
-	return nil
-}
-
-// syncToLocked makes bytes [0, target) durable, skipping the fsync when
-// a concurrent append already carried the cursor past target. Caller
-// holds j.mu.
-func (j *journal) syncToLocked(target int64) error {
-	if j.synced >= target {
-		return nil
-	}
 	if err := j.f.Sync(); err != nil {
 		j.dead = fmt.Errorf("cluster: journal sync: %w", err)
 		return j.dead
 	}
-	j.synced = j.size
 	return nil
 }
 
@@ -426,32 +446,28 @@ func (j *journal) Compact(nextGid corpus.DocID, pending []journalRecord, titles 
 	if j.dead != nil {
 		return j.dead
 	}
-	snap := snapshot{
-		Version: snapshotVersion,
-		NextSeq: j.nextSeq,
-		NextGid: nextGid,
-		Pending: pending,
-		Titles:  titles,
-	}
-	if err := writeJSONAtomic(j.dir, snapshotName, &snap); err != nil {
+	if err := writeFileAtomic(j.dir, snapshotName, appendSnapshot(j.nextSeq, nextGid, pending, titles)); err != nil {
 		return fmt.Errorf("cluster: journal snapshot: %w", err)
 	}
 	// The snapshot is durable; the WAL's contents are now redundant.
-	if err := j.f.Truncate(int64(len(journalMagic))); err != nil {
-		j.dead = fmt.Errorf("cluster: journal reset: %w", err)
-		return j.dead
-	}
-	if _, err := j.f.Seek(int64(len(journalMagic)), io.SeekStart); err != nil {
-		j.dead = fmt.Errorf("cluster: journal reset: %w", err)
-		return j.dead
-	}
-	if err := j.f.Sync(); err != nil {
+	if err := cutWAL(j.f, int64(len(journalMagic))); err != nil {
 		j.dead = fmt.Errorf("cluster: journal reset: %w", err)
 		return j.dead
 	}
 	j.size = int64(len(journalMagic))
-	j.synced = j.size
 	return nil
+}
+
+// cutWAL truncates the WAL to size bytes, durably, and appends from
+// there.
+func cutWAL(f *os.File, size int64) error {
+	if err := f.Truncate(size); err != nil {
+		return err
+	}
+	if _, err := f.Seek(size, io.SeekStart); err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // Close fsyncs and closes the WAL. Further appends fail.
@@ -472,17 +488,42 @@ func (j *journal) Close() error {
 	return err
 }
 
-// writeJSONAtomic replaces dir/name with v's JSON encoding: written to a
-// temporary file and fsynced, renamed over name, and the rename made
-// durable by syncing dir. A crash at any point leaves either the old
-// file or the new one, never a torn one.
-func writeJSONAtomic(dir, name string, v any) error {
+// appendSnapshot returns the bytes of the journal's compaction point:
+// the records still pending, carried verbatim — everything older is
+// dropped, which bounds the journal by the shards' save lag, not the
+// corpus — and the title cache, so that a restarted router resolves
+// titles without a shard fetch.
+func appendSnapshot(nextSeq uint64, nextGid corpus.DocID, pending []journalRecord, titles map[corpus.DocID]string) []byte {
+	b := append([]byte(nil), snapshotMagic...)
+	start := len(b)
+	b = append(b, make([]byte, frameHeader)...)
+	for _, v := range [...]uint64{nextSeq, uint64(nextGid), uint64(len(pending)), uint64(len(titles))} {
+		b = binary.AppendUvarint(b, v)
+	}
+	sealFrame(b[start:])
+	for i := range pending {
+		b = appendRecord(b, &pending[i])
+	}
+	for gid, title := range titles {
+		start = len(b)
+		b = binary.AppendUvarint(append(b, make([]byte, frameHeader)...), uint64(gid))
+		b = append(b, title...)
+		sealFrame(b[start:])
+	}
+	return b
+}
+
+// writeFileAtomic replaces dir/name with data: written to a temporary
+// file and fsynced, renamed over name, and the rename made durable by
+// syncing dir. A crash at any point leaves either the old file or the
+// new one, never a torn one.
+func writeFileAtomic(dir, name string, data []byte) error {
 	tmp := filepath.Join(dir, name+".tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	err = json.NewEncoder(f).Encode(v)
+	_, err = f.Write(data)
 	if err == nil {
 		err = f.Sync()
 	}

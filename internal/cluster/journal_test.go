@@ -2,7 +2,7 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,9 +12,9 @@ import (
 	"toppriv/internal/corpus"
 )
 
-// jdoc builds a small ingest record payload.
-func jdoc(gid corpus.DocID, shard, title string) ingestDoc {
-	return ingestDoc{Gid: gid, Doc: corpus.Document{Title: title, Text: "text of " + title}}
+// jdoc builds a small document under its gid.
+func jdoc(gid corpus.DocID, title string) corpus.Document {
+	return corpus.Document{ID: gid, Title: title, Text: "text of " + title}
 }
 
 func appendRecords(t *testing.T, j *journal, recs []journalRecord) []journalRecord {
@@ -29,26 +29,31 @@ func appendRecords(t *testing.T, j *journal, recs []journalRecord) []journalReco
 	return out
 }
 
+// addShare and deleteShare are shard's shares of an add and a delete.
+func addShare(shard string, docs ...corpus.Document) share {
+	return share{Shard: shard, Body: appendAdd(nil, docs)}
+}
+
+func deleteShare(shard string, gid corpus.DocID) share {
+	return share{Shard: shard, Body: appendDelete(nil, gid)}
+}
+
 func sampleRecords() []journalRecord {
 	return []journalRecord{
-		{Base: 0, Burn: 3, Places: []placeEntry{
-			{Shard: "http://a", Docs: []ingestDoc{jdoc(0, "a", "alpha"), jdoc(2, "a", "gamma")}},
-			{Shard: "http://b", Docs: []ingestDoc{jdoc(1, "b", "beta")}},
+		{Base: 0, Burn: 3, Shares: []share{
+			addShare("http://a", jdoc(0, "alpha"), jdoc(2, "gamma")),
+			addShare("http://b", jdoc(1, "beta")),
 		}},
-		{Delete: &deleteEntry{Shard: "http://b", Gid: 1}},
-		{Base: 3, Burn: 1, Places: []placeEntry{
-			{Shard: "http://b", Docs: []ingestDoc{jdoc(3, "b", "delta")}},
+		{Shares: []share{deleteShare("http://b", 1)}},
+		{Base: 3, Burn: 1, Shares: []share{
+			addShare("http://b", jdoc(3, "delta")),
 		}},
 	}
 }
 
-func recJSON(t testing.TB, rec journalRecord) string {
-	t.Helper()
-	b, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
+// recBytes is rec's journal frame, the form records are compared in.
+func recBytes(rec journalRecord) string {
+	return string(appendRecord(nil, &rec))
 }
 
 func TestJournalRoundTrip(t *testing.T) {
@@ -86,9 +91,9 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("replayed %d pending, want %d", len(st2.Pending), len(want))
 	}
 	for i := range want {
-		if recJSON(t, st2.Pending[i]) != recJSON(t, want[i]) {
-			t.Fatalf("record %d changed across replay:\n got %s\nwant %s",
-				i, recJSON(t, st2.Pending[i]), recJSON(t, want[i]))
+		if recBytes(st2.Pending[i]) != recBytes(want[i]) {
+			t.Fatalf("record %d changed across replay:\n got %x\nwant %x",
+				i, recBytes(st2.Pending[i]), recBytes(want[i]))
 		}
 	}
 	// Titles fold from placements, deletes evict.
@@ -99,7 +104,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal("deleted gid 1 still has a title")
 	}
 	// Seq continuity: the next append must not reuse a sequence number.
-	rec := journalRecord{Delete: &deleteEntry{Shard: "http://a", Gid: 0}}
+	rec := journalRecord{Shares: []share{deleteShare("http://a", 0)}}
 	if err := j2.Append(&rec); err != nil {
 		t.Fatal(err)
 	}
@@ -164,9 +169,9 @@ func TestJournalByteFlipSweep(t *testing.T) {
 	}
 	want := appendRecords(t, j, sampleRecords())
 	j.Close()
-	wantJSON := make([]string, len(want))
+	wantRecs := make([]string, len(want))
 	for i := range want {
-		wantJSON[i] = recJSON(t, want[i])
+		wantRecs[i] = recBytes(want[i])
 	}
 	clean, err := os.ReadFile(filepath.Join(dir, journalName))
 	if err != nil {
@@ -197,9 +202,9 @@ func TestJournalByteFlipSweep(t *testing.T) {
 			t.Fatalf("offset %d: replayed %d records from a %d-record journal", off, len(st.Pending), len(want))
 		}
 		for i := range st.Pending {
-			if got := recJSON(t, st.Pending[i]); got != wantJSON[i] {
+			if got := recBytes(st.Pending[i]); got != wantRecs[i] {
 				j2.Close()
-				t.Fatalf("offset %d: record %d corrupted silently:\n got %s\nwant %s", off, i, got, wantJSON[i])
+				t.Fatalf("offset %d: record %d corrupted silently:\n got %x\nwant %x", off, i, got, wantRecs[i])
 			}
 		}
 		if len(st.Pending) < len(want) && st.TornBytes == 0 {
@@ -223,9 +228,9 @@ func TestJournalTruncationSweep(t *testing.T) {
 	}
 	want := appendRecords(t, j, sampleRecords())
 	j.Close()
-	wantJSON := make([]string, len(want))
+	wantRecs := make([]string, len(want))
 	for i := range want {
-		wantJSON[i] = recJSON(t, want[i])
+		wantRecs[i] = recBytes(want[i])
 	}
 	clean, err := os.ReadFile(filepath.Join(dir, journalName))
 	if err != nil {
@@ -243,8 +248,8 @@ func TestJournalTruncationSweep(t *testing.T) {
 			t.Fatalf("cut %d: truncated journal must replay, got %v", cut, err)
 		}
 		for i := range st.Pending {
-			if got := recJSON(t, st.Pending[i]); got != wantJSON[i] {
-				t.Fatalf("cut %d: record %d corrupted: %s", cut, i, got)
+			if got := recBytes(st.Pending[i]); got != wantRecs[i] {
+				t.Fatalf("cut %d: record %d corrupted: %x", cut, i, got)
 			}
 		}
 		if cut == len(clean) && len(st.Pending) != len(want) {
@@ -276,7 +281,7 @@ func TestJournalCompactionAndSeqDedup(t *testing.T) {
 	}
 	// More traffic after the snapshot.
 	tail := appendRecords(t, j, []journalRecord{
-		{Base: 4, Burn: 1, Places: []placeEntry{{Shard: "http://a", Docs: []ingestDoc{jdoc(4, "a", "epsilon")}}}},
+		{Base: 4, Burn: 1, Shares: []share{addShare("http://a", jdoc(4, "epsilon"))}},
 	})
 	j.Close()
 
@@ -291,7 +296,7 @@ func TestJournalCompactionAndSeqDedup(t *testing.T) {
 	if len(st.Pending) != 2 {
 		t.Fatalf("pending = %d records, want 2 (snapshot carry + tail)", len(st.Pending))
 	}
-	if recJSON(t, st.Pending[0]) != recJSON(t, recs[2]) || recJSON(t, st.Pending[1]) != recJSON(t, tail[0]) {
+	if recBytes(st.Pending[0]) != recBytes(recs[2]) || recBytes(st.Pending[1]) != recBytes(tail[0]) {
 		t.Fatalf("pending mismatch: %+v", st.Pending)
 	}
 	if st.NextSeq != 5 {
@@ -325,7 +330,7 @@ func checkReplay(t *testing.T, data []byte) {
 		t.Fatalf("the kept bytes replay %d records, the whole input %d", len(again.Pending), len(st.Pending))
 	}
 	for i, rec := range st.Pending {
-		if recJSON(t, again.Pending[i]) != recJSON(t, rec) {
+		if recBytes(again.Pending[i]) != recBytes(rec) {
 			t.Fatalf("record %d differs between the input and its kept bytes", i)
 		}
 		if i > 0 && rec.Seq <= st.Pending[i-1].Seq {
@@ -363,7 +368,7 @@ func FuzzReplayJournal(f *testing.F) {
 	rec := sampleRecords()[0]
 	for _, seq := range []uint64{7, math.MaxUint64} {
 		rec.Seq = seq
-		f.Add([]byte(recJSON(f, rec)))
+		f.Add([]byte(recBytes(rec))[frameHeader:])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkReplay(t, data)
@@ -408,7 +413,7 @@ func TestJournalCrashHook(t *testing.T) {
 		t.Fatalf("replayed %d records, want the 2 durable ones", len(st.Pending))
 	}
 	for i := range want {
-		if recJSON(t, st.Pending[i]) != recJSON(t, want[i]) {
+		if recBytes(st.Pending[i]) != recBytes(want[i]) {
 			t.Fatalf("record %d mismatch after crash", i)
 		}
 	}
@@ -416,4 +421,72 @@ func TestJournalCrashHook(t *testing.T) {
 	if st.NextSeq != 3 {
 		t.Fatalf("NextSeq = %d, want 3", st.NextSeq)
 	}
+}
+
+// TestJournalRefusesJSONFormat: a journal written by a build whose
+// records were JSON — a TPJW1 WAL, or a SNAPSHOT.json beside it — is
+// refused at open, and the error says how to migrate.
+func TestJournalRefusesJSONFormat(t *testing.T) {
+	for _, tt := range []struct{ name, file, content string }{
+		{"TPJW1 WAL", journalName, "TPJW1\n"},
+		{"SNAPSHOT.json", "SNAPSHOT.json", `{"version":1,"next_seq":4,"next_gid":3}` + "\n"},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, tt.file), []byte(tt.content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, _, err := openJournal(dir)
+		if err == nil {
+			j.Close()
+			t.Fatalf("%s: accepted", tt.name)
+		}
+		if msg := err.Error(); !strings.Contains(msg, tt.file) || !strings.Contains(msg, "drain it with the build that wrote it") {
+			t.Fatalf("%s: error does not name the migration: %v", tt.name, err)
+		}
+	}
+}
+
+// TestJournalSnapshotRefusesDamage: a snapshot is renamed into place
+// whole, so any damage to one — a flipped byte, a cut at any length, a
+// byte appended — fails the journal's open loudly instead of replaying
+// a snapshot short of records or titles.
+func TestJournalSnapshotRefusesDamage(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := openJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := appendRecords(t, j, sampleRecords())
+	if err := j.Compact(4, recs[1:], map[corpus.DocID]string{0: "alpha", 3: "delta"}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	snap, err := os.ReadFile(filepath.Join(dir, snapshotName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := func(what string, data []byte) {
+		t.Helper()
+		fdir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(fdir, snapshotName), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, _, err := openJournal(fdir)
+		if err == nil {
+			j.Close()
+			t.Fatalf("%s: a damaged snapshot was accepted", what)
+		}
+		if !strings.Contains(err.Error(), "journal") {
+			t.Fatalf("%s: unexpected error shape: %v", what, err)
+		}
+	}
+	for off := range snap {
+		flipped := append([]byte(nil), snap...)
+		flipped[off] ^= 0x10
+		open(fmt.Sprintf("byte %d flipped", off), flipped)
+	}
+	for cut := 1; cut < len(snap); cut++ {
+		open(fmt.Sprintf("cut to %d bytes", cut), snap[:cut])
+	}
+	open("a byte appended", append(append([]byte(nil), snap...), 0))
 }

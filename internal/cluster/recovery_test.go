@@ -44,7 +44,7 @@ func newPShard(t testing.TB, scoring vsm.Scoring) *pShard {
 	t.Helper()
 	p := &pShard{t: t, dir: t.TempDir(), scoring: scoring}
 	p.start()
-	p.ts = httptest.NewServer(p)
+	p.ts = serveNamed(t, p)
 	t.Cleanup(func() {
 		p.ts.Close()
 		p.mu.Lock()
@@ -754,7 +754,7 @@ func TestRestartedUnjournaledRouterDelivers(t *testing.T) {
 // shard gets every record of this log it owns.
 func TestForeignShardGetsNothing(t *testing.T) {
 	foreign, fresh := newPShard(t, vsm.BM25), newPShard(t, vsm.BM25)
-	if code := postIngest(foreign.shard, ingestBody(t, 2, 0, 1)); code != http.StatusOK {
+	if code := postMutation(foreign.shard, addFrame(2, 0, 1)); code != http.StatusOK {
 		t.Fatalf("seeding the foreign shard: %d", code)
 	}
 	foreign.save()

@@ -165,7 +165,7 @@ type Router struct {
 	// Frame bytes over /cluster/batch, summed over shards.
 	mBatchSent     *telemetry.Counter
 	mBatchReceived *telemetry.Counter
-	// Mutation bytes, summed over shards: request bodies sent, ack
+	// Mutation bytes, summed over shards: mutation frames sent, ack
 	// frames received.
 	mMutationSent     *telemetry.Counter
 	mMutationReceived *telemetry.Counter
@@ -263,50 +263,40 @@ func (c *shardConn) p99Locked() float64 {
 	return samples[idx] * 1000
 }
 
-// exchange POSTs (or GETs, body nil) one JSON control-plane call and
-// decodes the reply into out (nil: discarded).
-func (c *shardConn) exchange(ctx context.Context, method, path string, body []byte, out interface{}) error {
-	return c.roundTrip(ctx, method, path, "application/json", body, func(reply io.Reader) error {
-		if out == nil {
-			io.Copy(io.Discard, reply)
-			return nil
-		}
+// getJSON GETs one control-plane reply and decodes it into out.
+func (c *shardConn) getJSON(ctx context.Context, path string, out interface{}) error {
+	return c.roundTrip(ctx, http.MethodGet, path, "", nil, func(reply io.Reader) error {
 		return json.NewDecoder(reply).Decode(out)
 	})
 }
 
-// exchangeBatch POSTs one cycle's request frame to /cluster/batch and
-// decodes the reply frame, reporting the reply's size in bytes. The
-// reply is read through a pooled buffer and bounded by maxBatchReply
-// whatever the shard sends; a frame that does not decode fails this
-// shard's exchange like any other error.
-func (c *shardConn) exchangeBatch(ctx context.Context, frame []byte) (resps []vsm.Response, received int, err error) {
-	err = c.roundTrip(ctx, http.MethodPost, "/cluster/batch", batchContentType, frame, func(reply io.Reader) (err error) {
+// exchangeFrame POSTs one frame to c and decodes the reply frame,
+// reporting the reply's size in bytes. The reply is read through a
+// pooled buffer and bounded by maxReply payload bytes whatever the shard
+// sends; a frame that does not decode fails this shard's exchange like
+// any other error.
+func exchangeFrame[T any](ctx context.Context, c *shardConn, path, contentType string, frame []byte, maxReply int, decode func([]byte) (T, error)) (out T, received int, err error) {
+	err = c.roundTrip(ctx, http.MethodPost, path, contentType, frame, func(reply io.Reader) (err error) {
 		bp := wireBufs.Get().(*[]byte)
 		defer wireBufs.Put(bp)
 		// One byte past the largest frame: a longer reply fails to decode
 		// instead of being cut to something that might.
-		if *bp, err = readBody(io.LimitReader(reply, frameHeader+maxBatchReply+1), *bp); err != nil {
+		if *bp, err = readBody(io.LimitReader(reply, int64(frameHeader+maxReply+1)), *bp); err != nil {
 			return err
 		}
 		received = len(*bp)
-		resps, err = decodeBatchReply(*bp)
+		out, err = decode(*bp)
 		return err
 	})
-	return resps, received, err
+	return out, received, err
 }
 
 // roundTrip sends one wire call and hands a 200 reply's body to read,
 // recording health and latency (read's time and error included).
 // Non-2xx replies become errors carrying the shard's message.
-func (c *shardConn) roundTrip(ctx context.Context, method, path, contentType string, body []byte, read func(io.Reader) error) error {
+func (c *shardConn) roundTrip(ctx context.Context, method, path, contentType string, body []byte, read func(io.Reader) error) (err error) {
 	start := time.Now()
-	err := c.roundTripRaw(ctx, method, path, contentType, body, read)
-	c.observe(time.Since(start).Seconds(), err)
-	return err
-}
-
-func (c *shardConn) roundTripRaw(ctx context.Context, method, path, contentType string, body []byte, read func(io.Reader) error) error {
+	defer func() { c.observe(time.Since(start).Seconds(), err) }()
 	build := func() (*http.Request, error) {
 		var rd io.Reader
 		if body != nil {
@@ -342,24 +332,6 @@ type statusError struct {
 
 func (e *statusError) Error() string {
 	return fmt.Sprintf("shard returned %d: %s", e.code, e.msg)
-}
-
-// exchangeMutation sends one mutation and decodes the ack frame it is
-// answered with, reporting the ack's size in bytes. Like a batch reply
-// the ack is read through a pooled buffer, bounded whatever the shard
-// sends.
-func (c *shardConn) exchangeMutation(ctx context.Context, method, path string, body []byte) (ack mutationAck, received int, err error) {
-	err = c.roundTrip(ctx, method, path, "application/json", body, func(reply io.Reader) (err error) {
-		bp := wireBufs.Get().(*[]byte)
-		defer wireBufs.Put(bp)
-		if *bp, err = readBody(io.LimitReader(reply, frameHeader+maxMutationAck+1), *bp); err != nil {
-			return err
-		}
-		received = len(*bp)
-		ack, err = decodeMutationAck(*bp)
-		return err
-	})
-	return ack, received, err
 }
 
 // setStats installs a whole table fetched from GET /cluster/stats,
@@ -597,7 +569,7 @@ func (r *Router) fetchStats(c *shardConn) (shardStats, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), r.deadline)
 	defer cancel()
 	var st shardStats
-	if err := c.exchange(ctx, http.MethodGet, "/cluster/stats", nil, &st); err != nil {
+	if err := c.getJSON(ctx, "/cluster/stats", &st); err != nil {
 		return st, err
 	}
 	if err := r.noteScoring(c.name, st.Scoring); err != nil {
@@ -708,10 +680,7 @@ func (r *Router) shardLagsLocked(c *shardConn) bool {
 	st := c.snapStats()
 	for i := range r.pending {
 		rec := &r.pending[i]
-		if rec.rejected {
-			continue
-		}
-		if rec.Seq > st.AppliedSeq && rec.targets(c.name) {
+		if sh := rec.share(c.name); sh != nil && !sh.rejected && rec.Seq > st.AppliedSeq {
 			return true
 		}
 	}
@@ -772,42 +741,20 @@ func (r *Router) driveShardLocked(c *shardConn, freshSeq uint64) error {
 func (r *Router) sendPendingLocked(c *shardConn, st shardStats, freshSeq uint64) error {
 	for i := range r.pending {
 		rec := &r.pending[i]
-		// targets first: a delete's rejected flag belongs to the drive of
-		// the shard it targets, which may run beside this one.
-		if !rec.targets(c.name) || rec.rejected || rec.Seq <= st.AppliedSeq {
+		sh := rec.share(c.name)
+		if sh == nil || sh.rejected || rec.Seq <= st.AppliedSeq {
 			continue
 		}
-		if del := rec.Delete; del != nil {
-			err := r.mutate(c, http.MethodDelete,
-				fmt.Sprintf("/cluster/doc/%d?seq=%d&instance=%d", del.Gid, rec.Seq, st.Instance), nil)
-			if err != nil {
-				var se *statusError
-				if errors.As(err, &se) && se.code == http.StatusNotFound {
-					// The document does not exist on the current, in-sync
-					// instance: the delete can never succeed. Retire it.
-					rec.rejected = true
-					continue
-				}
-				return err
-			}
-		} else {
-			var docs []ingestDoc
-			for _, p := range rec.Places {
-				if p.Shard == c.name {
-					docs = p.Docs
-					break
-				}
-			}
-			if len(docs) == 0 {
-				continue
-			}
-			body, err := json.Marshal(ingestRequest{Docs: docs, Seq: rec.Seq, IfInstance: st.Instance})
-			if err != nil {
-				return err
-			}
-			if err := r.mutate(c, http.MethodPost, "/cluster/index", body); err != nil {
-				return err
-			}
+		err := r.mutate(c, appendMutation(nil, rec.Seq, st.Instance, sh.Body))
+		var se *statusError
+		if errors.As(err, &se) && se.code == http.StatusNotFound {
+			// The current, in-sync instance can never apply the share:
+			// a delete of a document it never held. Retire it.
+			sh.rejected = true
+			continue
+		}
+		if err != nil {
+			return err
 		}
 		if rec.Seq != freshSeq {
 			r.replayed.Add(1)
@@ -825,12 +772,12 @@ func (r *Router) sendPendingLocked(c *shardConn, st shardStats, freshSeq uint64)
 // version, or the exchange failed — after which the shard may have
 // applied the mutation all the same. A 404 is the one failure that
 // changed nothing.
-func (r *Router) mutate(c *shardConn, method, path string, body []byte) error {
+func (r *Router) mutate(c *shardConn, frame []byte) error {
 	ctx, cancel := context.WithTimeout(context.Background(), r.mutDeadline)
-	ack, received, err := c.exchangeMutation(ctx, method, path, body)
+	ack, received, err := exchangeFrame(ctx, c, "/cluster/mutate", mutationContentType, frame, maxMutationAck, decodeMutationAck)
 	cancel()
 	if r.mMutationSent != nil {
-		r.mMutationSent.Add(uint64(len(body)))
+		r.mMutationSent.Add(uint64(len(frame)))
 		r.mMutationReceived.Add(uint64(received))
 	}
 	if err != nil {
@@ -861,12 +808,12 @@ func (r *Router) refresh(c *shardConn) error {
 	return err
 }
 
-// pruneLocked drops the settled records and the retired ones, then
-// compacts a journal grown past snapshotBytes. Caller holds ingestMu.
+// pruneLocked drops the settled records, then compacts a journal grown
+// past snapshotBytes. Caller holds ingestMu.
 func (r *Router) pruneLocked() {
 	keep := r.pending[:0]
 	for i := range r.pending {
-		if rec := &r.pending[i]; !rec.rejected && !r.settled(rec) {
+		if rec := &r.pending[i]; !r.settled(rec) {
 			keep = append(keep, *rec)
 		}
 	}
@@ -880,17 +827,20 @@ func (r *Router) pruneLocked() {
 }
 
 // settled reports whether the log is done with rec: with a journal,
-// once every target shard saved it (never, on an in-memory shard: the
-// journal is its only durable copy); without one, once its drive ran,
-// delivered or not — a failed delivery was the caller's error. A
-// refused (foreign) shard's DurableSeq counts another log's sequences,
-// so it settles nothing until the refusal lifts.
+// once every target shard saved its share or retired it (never, on an
+// in-memory shard: the journal is its only durable copy); without one,
+// once its drive ran, delivered or not — a failed delivery was the
+// caller's error. A refused (foreign) shard's DurableSeq counts another
+// log's sequences, so it settles nothing until the refusal lifts.
 func (r *Router) settled(rec *journalRecord) bool {
 	if r.journal == nil {
 		return true
 	}
-	for _, name := range rec.shardNames() {
-		c := r.byName[name]
+	for i := range rec.Shares {
+		if rec.Shares[i].rejected {
+			continue
+		}
+		c := r.byName[rec.Shares[i].Shard]
 		if c == nil || c.refusal() != nil || c.snapStats().DurableSeq < rec.Seq {
 			return false
 		}
@@ -900,7 +850,7 @@ func (r *Router) settled(rec *journalRecord) bool {
 
 // compactLocked snapshots the journal: next gid, pending records, and
 // the title cache, then resets the WAL. Caller holds ingestMu and has
-// just pruned, so no pending record is retired.
+// just pruned.
 func (r *Router) compactLocked() error {
 	r.titleMu.RLock()
 	titles := maps.Clone(r.titles)
@@ -978,7 +928,7 @@ func (r *Router) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Res
 			defer wg.Done()
 			sctx, cancel := context.WithTimeout(ctx, r.deadline)
 			defer cancel()
-			resps, received, err := c.exchangeBatch(sctx, frame)
+			resps, received, err := exchangeFrame(sctx, c, "/cluster/batch", batchContentType, frame, maxBatchReply, decodeBatchReply)
 			if err == nil && len(resps) != len(reqs) {
 				err = fmt.Errorf("shard answered %d members for %d queries", len(resps), len(reqs))
 			}
@@ -1031,10 +981,12 @@ func (r *Router) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Res
 }
 
 // Add ingests documents: sequential global IDs, ring placement, one
-// record in the mutation log, and one POST per involved shard with its
-// documents in ascending gid order, the shards served concurrently.
-// The gid range is burned once the record is logged, before any shard
-// is contacted: a shard that accepts holds its gids immediately, so
+// record in the mutation log, and one mutation frame per involved shard
+// with its documents in ascending gid order, the shards served
+// concurrently. A shard's share over maxMutationBody, or a record the
+// journal cannot take, fails the call before anything is logged. The
+// gid range is burned once the record is logged, before any shard is
+// contacted: a shard that accepts holds its gids immediately, so
 // reusing the range after a partial failure would bind the same gid to
 // different documents. Unlike queries, mutations never degrade. With a
 // journal, success means the record is fsynced, and a shard that
@@ -1051,19 +1003,25 @@ func (r *Router) Add(docs ...corpus.Document) ([]corpus.DocID, error) {
 	defer r.ingestMu.Unlock()
 
 	gids := make([]corpus.DocID, len(docs))
-	perShard := make([][]ingestDoc, len(r.shards))
+	perShard := make([][]corpus.Document, len(r.shards))
 	for i, d := range docs {
 		gid := r.nextGid + corpus.DocID(i)
 		gids[i] = gid
 		owner := r.ring.place(gid)
 		d.ID = gid
-		perShard[owner] = append(perShard[owner], ingestDoc{Gid: gid, Doc: d})
+		perShard[owner] = append(perShard[owner], d)
 	}
 	rec := journalRecord{Base: r.nextGid, Burn: len(docs)}
 	for i, batch := range perShard {
-		if len(batch) > 0 {
-			rec.Places = append(rec.Places, placeEntry{Shard: r.shards[i].name, Docs: batch})
+		if len(batch) == 0 {
+			continue
 		}
+		body := appendAdd(nil, batch)
+		if len(body) > maxMutationBody {
+			return nil, fmt.Errorf("cluster: the %d documents for %s take %d bytes, over the %d a mutation carries",
+				len(batch), r.shards[i].name, len(body), maxMutationBody)
+		}
+		rec.Shares = append(rec.Shares, share{Shard: r.shards[i].name, Body: body})
 	}
 	if err := r.logLocked(&rec); err != nil {
 		// Nothing logged, nothing delivered: the mutation never happened
@@ -1072,26 +1030,8 @@ func (r *Router) Add(docs ...corpus.Document) ([]corpus.DocID, error) {
 	}
 	r.nextGid += corpus.DocID(len(docs))
 	r.cacheTitles(docs, gids)
-	errs := make([]error, len(r.shards))
-	var wg sync.WaitGroup
-	for i, batch := range perShard {
-		if len(batch) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := r.driveShardLocked(r.shards[i], rec.Seq); err != nil {
-				errs[i] = fmt.Errorf("ingest to %s: %w", r.shards[i].name, err)
-			}
-		}()
-	}
-	wg.Wait()
-	r.pruneLocked()
-	for _, err := range errs {
-		if err := r.acknowledge(err); err != nil {
-			return nil, err
-		}
+	if err := r.deliverLocked(&rec, "ingest"); err != nil {
+		return nil, err
 	}
 	return gids, nil
 }
@@ -1112,20 +1052,37 @@ func (r *Router) logLocked(rec *journalRecord) error {
 	return nil
 }
 
-// acknowledge is the acknowledgement policy for a mutation whose
-// delivery failed with err (nil: delivered). With a journal the record
-// is durable and stays pending for the health loop, so the failure is
-// logged and the mutation acknowledged; without one the failure is the
-// caller's.
-func (r *Router) acknowledge(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case r.journal != nil:
-		r.logf("cluster: %v (journaled, will re-drive)", err)
-		return nil
+// deliverLocked drives the shard of each of rec's shares, the shards
+// served concurrently, then prunes the log, and applies the
+// acknowledgement policy to the drives' failures: with a journal rec is
+// durable and stays pending for the health loop, so a failure is logged
+// and the mutation acknowledged; without one the first failure, in
+// shard order, is the caller's. Caller holds ingestMu and has logged rec.
+func (r *Router) deliverLocked(rec *journalRecord, what string) error {
+	errs := make([]error, len(rec.Shares))
+	var wg sync.WaitGroup
+	for i := range rec.Shares {
+		c := r.byName[rec.Shares[i].Shard]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := r.driveShardLocked(c, rec.Seq); err != nil {
+				errs[i] = fmt.Errorf("%s on %s: %w", what, c.name, err)
+			}
+		}()
 	}
-	return fmt.Errorf("cluster: %w", err)
+	wg.Wait()
+	r.pruneLocked()
+	for _, err := range errs {
+		switch {
+		case err == nil:
+		case r.journal != nil:
+			r.logf("cluster: %v (journaled, will re-drive)", err)
+		default:
+			return fmt.Errorf("cluster: %w", err)
+		}
+	}
+	return nil
 }
 
 // cacheTitles inserts the batch's titles into the bounded cache.
@@ -1163,27 +1120,21 @@ func (r *Router) Delete(id corpus.DocID) error {
 	if id < 0 || id >= r.nextGid {
 		return fmt.Errorf("cluster: no document %d", id)
 	}
-	c := r.shards[r.ring.place(id)]
-	rec := journalRecord{Delete: &deleteEntry{Shard: c.name, Gid: id}}
+	rec := journalRecord{Shares: []share{{Shard: r.shards[r.ring.place(id)].name, Body: appendDelete(nil, id)}}}
 	if err := r.logLocked(&rec); err != nil {
 		return err
 	}
 	r.titleMu.Lock()
 	delete(r.titles, id)
 	r.titleMu.Unlock()
-	err := r.driveShardLocked(c, rec.Seq)
-	// The drive retires a delete the shard refused as unknown — the
-	// record is still the log's last — and that is the one case the
-	// caller must hear about.
-	rejected := r.pending[len(r.pending)-1].rejected
-	r.pruneLocked()
-	if rejected {
+	err := r.deliverLocked(&rec, fmt.Sprintf("delete %d", id))
+	// The drive retires a delete the shard refused as unknown — through
+	// the pending copy of rec, which shares its Shares — and that is the
+	// one case the caller must hear about.
+	if rec.Shares[0].rejected {
 		return fmt.Errorf("cluster: no document %d", id)
 	}
-	if err != nil {
-		err = fmt.Errorf("delete %d on %s: %w", id, c.name, err)
-	}
-	return r.acknowledge(err)
+	return err
 }
 
 // Doc fetches one document from its owning shard.
@@ -1195,7 +1146,7 @@ func (r *Router) Doc(id corpus.DocID) (corpus.Document, bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), r.deadline)
 	defer cancel()
 	var doc corpus.Document
-	if err := c.exchange(ctx, http.MethodGet, fmt.Sprintf("/cluster/doc/%d", id), nil, &doc); err != nil {
+	if err := c.getJSON(ctx, fmt.Sprintf("/cluster/doc/%d", id), &doc); err != nil {
 		return corpus.Document{}, false
 	}
 	return doc, true
@@ -1329,7 +1280,7 @@ func (r *Router) EnableMetrics(reg *telemetry.Registry, _ *telemetry.TraceRing) 
 	r.mBatchSent = batchBytes.With("sent")
 	r.mBatchReceived = batchBytes.With("received")
 	mutationBytes := reg.CounterVec("toppriv_cluster_mutation_bytes_total",
-		"Mutation bytes exchanged over /cluster/index and /cluster/doc, summed over shards: request bodies sent, ack frames received.", "dir")
+		"Mutation bytes exchanged over /cluster/mutate, summed over shards: mutation frames sent, ack frames received.", "dir")
 	r.mMutationSent = mutationBytes.With("sent")
 	r.mMutationReceived = mutationBytes.With("received")
 	reg.CounterFunc("toppriv_cluster_stats_refreshes_total",

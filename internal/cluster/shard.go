@@ -206,7 +206,7 @@ func (s *Shard) Persistent() bool { return s.cfg.Dir != "" }
 func (s *Shard) Mount(srv *search.Server) {
 	srv.Handle("/cluster/batch", http.HandlerFunc(s.handleBatch))
 	srv.Handle("/cluster/stats", http.HandlerFunc(s.handleStats))
-	srv.Handle("/cluster/index", http.HandlerFunc(s.handleIngest))
+	srv.Handle("/cluster/mutate", http.HandlerFunc(s.handleMutate))
 	srv.Handle("/cluster/doc/", http.HandlerFunc(s.handleDoc))
 }
 
@@ -235,20 +235,6 @@ func (s *Shard) saveLoop() {
 	}
 }
 
-// noteMutation bumps the dirty counter (caller holds s.mu) and returns
-// whether the save threshold tripped.
-func (s *Shard) noteMutationLocked() bool {
-	s.dirty++
-	return s.cfg.Dir != "" && s.dirty >= s.cfg.SaveEvery
-}
-
-func (s *Shard) kickSave() {
-	select {
-	case s.saveCh <- struct{}{}:
-	default:
-	}
-}
-
 // Save persists the store (segments + manifest, the existing
 // generation-numbered crash-safe path) and then SHARD.json
 // atomically. Mutations are held off for the duration so both files
@@ -266,7 +252,11 @@ func (s *Shard) Save() error {
 	s.mu.RLock()
 	meta := shardMeta{Version: shardMetaVersion, AppliedSeq: s.appliedSeq}
 	s.mu.RUnlock()
-	if err := writeJSONAtomic(s.cfg.Dir, shardMetaName, &meta); err != nil {
+	data, err := json.Marshal(meta)
+	if err == nil {
+		err = writeFileAtomic(s.cfg.Dir, shardMetaName, append(data, '\n'))
+	}
+	if err != nil {
 		return fmt.Errorf("cluster: shard meta: %w", err)
 	}
 	s.mu.Lock()
@@ -330,218 +320,168 @@ func (s *Shard) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, st)
 }
 
+// serveFrame answers a POST of one frame of contentType, of at most
+// maxPayload payload bytes, with the replyType frame serve builds or the
+// status and error it returns; another content type is a router of
+// another release, and gets 415. One pooled buffer serves both ways:
+// serve decodes into values that alias nothing in it, then builds the
+// reply over it.
+func serveFrame(w http.ResponseWriter, r *http.Request, contentType string, maxPayload int, replyType string, serve func(buf []byte) ([]byte, int, error)) {
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST required", http.StatusMethodNotAllowed)
+		return
+	}
+	if r.Header.Get("Content-Type") != contentType {
+		http.Error(w, "Content-Type must be "+contentType, http.StatusUnsupportedMediaType)
+		return
+	}
+	bp := wireBufs.Get().(*[]byte)
+	defer wireBufs.Put(bp)
+	buf, err := readBody(http.MaxBytesReader(w, r.Body, int64(frameHeader+maxPayload)), *bp)
+	*bp = buf
+	status := http.StatusBadRequest
+	if err == nil {
+		buf, status, err = serve(buf)
+	}
+	switch {
+	case status == http.StatusBadRequest:
+		http.Error(w, "bad request: "+err.Error(), status)
+	case err != nil:
+		http.Error(w, err.Error(), status)
+	default:
+		*bp = buf
+		w.Header().Set("Content-Type", replyType)
+		w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
+		w.Write(buf)
+	}
+}
+
 // handleBatch executes one cycle against the local store. Every member
 // carries the router's merged statistics, so the store's engine weighs
 // query terms with cluster-wide N/df/avgdl while traversing only local
-// postings. Request and reply are one frame each (wire.go); a body of
-// any other content type is a router of another release and gets 415.
+// postings. Request and reply are one frame each (wire.go).
 func (s *Shard) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	if r.Header.Get("Content-Type") != batchContentType {
-		http.Error(w, "Content-Type must be "+batchContentType, http.StatusUnsupportedMediaType)
-		return
-	}
-	// One buffer serves both directions: the decoded requests alias
-	// nothing in it, so the reply is built over the request.
-	bp := wireBufs.Get().(*[]byte)
-	defer wireBufs.Put(bp)
-	var err error
-	if *bp, err = readBody(http.MaxBytesReader(w, r.Body, frameHeader+maxBatchRequest), *bp); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	reqs, err := decodeBatchRequest(*bp)
-	if err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	for i := range reqs {
-		if err := reqs[i].Validate(); err != nil {
-			http.Error(w, fmt.Sprintf("bad request: query %d: %v", i, err), http.StatusBadRequest)
-			return
+	serveFrame(w, r, batchContentType, maxBatchRequest, batchContentType, func(buf []byte) ([]byte, int, error) {
+		reqs, err := decodeBatchRequest(buf)
+		if err != nil {
+			return nil, http.StatusBadRequest, err
 		}
-	}
-	resps, err := s.store.SearchBatch(r.Context(), reqs)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	*bp = appendBatchReply((*bp)[:0], resps)
-	w.Header().Set("Content-Type", batchContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(*bp)))
-	w.Write(*bp)
+		for i := range reqs {
+			if err := reqs[i].Validate(); err != nil {
+				return nil, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err)
+			}
+		}
+		resps, err := s.store.SearchBatch(r.Context(), reqs)
+		if err != nil {
+			return nil, http.StatusInternalServerError, err
+		}
+		return appendBatchReply(buf[:0], resps), http.StatusOK, nil
+	})
 }
 
-// msgNoSeq refuses a mutation without its log sequence: the applied
+// errNoSeq refuses a mutation without its log sequence: the applied
 // high-water is what tells a restarted router which records a shard
 // still needs, so every mutation must advance it.
-const msgNoSeq = "bad request: seq: a mutation must carry its log sequence, above 0"
+var errNoSeq = errors.New("seq: a mutation must carry its log sequence, above 0")
 
-// handleIngest adds router-placed documents under their gids; see
-// ingest for which ones it skips and which requests it refuses.
-func (s *Shard) handleIngest(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	var ir ingestRequest
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 32<<20)).Decode(&ir)
-	if err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if ir.Seq == 0 {
-		http.Error(w, msgNoSeq, http.StatusBadRequest)
-		return
-	}
-	if ir.IfInstance != 0 && ir.IfInstance != s.instance {
-		http.Error(w, fmt.Sprintf("instance mismatch: request for %x, shard is %x", ir.IfInstance, s.instance), http.StatusPreconditionFailed)
-		return
-	}
-	bp := wireBufs.Get().(*[]byte)
-	defer wireBufs.Put(bp)
-	var status int
-	if *bp, status, err = s.ingest((*bp)[:0], &ir); err != nil {
-		http.Error(w, err.Error(), status)
-		return
-	}
-	writeAck(w, *bp)
+// handleMutate applies one mutation frame (wire.go) — an add or a
+// delete — and answers with its ack frame. The frame must carry its log
+// sequence, and is refused with 412 when it is for another instance of
+// the shard: the router's in-order catch-up baseline is valid only for
+// the instance it was read from, so delivery to any other must bounce
+// back to a fresh reconciliation instead of applying out of order.
+func (s *Shard) handleMutate(w http.ResponseWriter, r *http.Request) {
+	serveFrame(w, r, mutationContentType, maxMutation, ackContentType, func(buf []byte) ([]byte, int, error) {
+		m, err := decodeMutation(buf)
+		switch {
+		case err != nil:
+			return nil, http.StatusBadRequest, err
+		case m.seq == 0:
+			return nil, http.StatusBadRequest, errNoSeq
+		case m.ifInstance != 0 && m.ifInstance != s.instance:
+			return nil, http.StatusPreconditionFailed, fmt.Errorf("instance mismatch: request for %x, shard is %x", m.ifInstance, s.instance)
+		}
+		return s.apply(buf[:0], &m)
+	})
 }
 
-// ingest applies an ingest request and appends its ack to dst, or
-// returns the status to refuse it with. A gid at or above the store's
-// next ID, and above the request's earlier gids, is fresh. One below
-// the next ID is a replay — a router retry after a lost response, or a
+// apply applies a mutation and appends its ack to dst, or returns the
+// status to refuse it with. An add's gid at or above the store's next
+// ID, and above the mutation's earlier gids, is fresh. One below the
+// next ID is a replay — a router retry after a lost response, or a
 // re-drive of its log after a crash — and is skipped: delivery is in
 // order, so a gid below the next ID that the store lacks can only be a
 // document deleted and compacted away after the save SHARD.json missed.
-// Any other gid is refused, because adding it would break the
-// ascending-gid order that keeps tie-breaks a single index's. The
-// request's sequence advances the applied high-water even when every
-// document is a replay.
-func (s *Shard) ingest(dst []byte, ir *ingestRequest) ([]byte, int, error) {
+// Any other gid gets 409: adding it would break the ascending-gid order
+// that keeps tie-breaks a single index's. A delete of a gid below the
+// next ID that the store lacks is likewise a repeat, and acknowledged;
+// whatever else refuses a delete gets 404, as a missing document does.
+// The sequence advances the applied high-water even when nothing changes.
+func (s *Shard) apply(dst []byte, m *mutation) ([]byte, int, error) {
 	s.mutMu.Lock()
 	defer s.mutMu.Unlock()
 	next := s.store.NextID()
 	last := next - 1
-	fresh := make([]corpus.Document, 0, len(ir.Docs))
-	for _, d := range ir.Docs {
+	fresh := make([]corpus.Document, 0, len(m.docs))
+	for _, d := range m.docs {
 		switch {
-		case d.Gid > last:
-			d.Doc.ID = d.Gid
-			fresh = append(fresh, d.Doc)
-			last = d.Gid
-		case d.Gid < 0 || d.Gid >= next:
-			return dst, http.StatusConflict, fmt.Errorf("gid %d arrives out of order (next ID %d)", d.Gid, last+1)
+		case d.ID > last:
+			fresh = append(fresh, d)
+			last = d.ID
+		case d.ID >= next:
+			return dst, http.StatusConflict, fmt.Errorf("gid %d arrives out of order (next ID %d)", d.ID, last+1)
 		}
 	}
 	s.statsMu.Lock()
 	defer s.statsMu.Unlock()
 	var changed []segment.TermDF
-	if len(fresh) > 0 {
-		var err error
+	var err error
+	switch {
+	case m.del:
+		changed, err = s.store.DeleteDF(m.gid)
+		if err != nil && !(m.gid < s.store.NextID() && errors.Is(err, segment.ErrNotFound)) {
+			return dst, http.StatusNotFound, err
+		}
+	case len(fresh) > 0:
 		if _, changed, err = s.store.AddDF(fresh...); err != nil {
 			return dst, http.StatusInternalServerError, err
 		}
 	}
-	return s.finishMutation(dst, ir.Seq, changed), http.StatusOK, nil
-}
-
-// finishMutation records a successful mutation — the applied journal
-// sequence, the dirty counter (kicking the saver at threshold) and the
-// stats version — and appends its ack to dst: the shard's statistics
-// with the df entries the mutation changed. Caller holds mutMu and
-// statsMu.
-func (s *Shard) finishMutation(dst []byte, seq uint64, changed []segment.TermDF) []byte {
+	// Record the mutation — the applied sequence, the dirty counter
+	// (kicking the saver at threshold) and the stats version — and ack it.
 	s.version++
 	s.mu.Lock()
-	if seq > s.appliedSeq {
-		s.appliedSeq = seq
-	}
-	kick := s.noteMutationLocked()
+	s.appliedSeq = max(s.appliedSeq, m.seq)
+	s.dirty++
+	kick := s.cfg.Dir != "" && s.dirty >= s.cfg.SaveEvery
 	s.mu.Unlock()
 	if kick {
-		s.kickSave()
+		select {
+		case s.saveCh <- struct{}{}:
+		default:
+		}
 	}
 	st := s.statsLocked(false)
-	return appendMutationAck(dst, &st, changed)
+	return appendMutationAck(dst, &st, changed), http.StatusOK, nil
 }
 
-// handleDoc serves GET (fetch) and DELETE (tombstone) for one global
-// document ID. A delete carries its log sequence in the ?seq query
-// parameter.
+// handleDoc serves GET /cluster/doc/{gid}: one document, as JSON.
 func (s *Shard) handleDoc(w http.ResponseWriter, r *http.Request) {
-	gidStr := strings.TrimPrefix(r.URL.Path, "/cluster/doc/")
-	gid64, err := strconv.ParseInt(gidStr, 10, 32)
-	if err != nil || gid64 < 0 {
+	if r.Method != http.MethodGet {
+		http.Error(w, "GET required", http.StatusMethodNotAllowed)
+		return
+	}
+	gid, err := strconv.ParseInt(strings.TrimPrefix(r.URL.Path, "/cluster/doc/"), 10, 32)
+	if err != nil || gid < 0 {
 		http.Error(w, "no such document", http.StatusNotFound)
 		return
 	}
-	gid := corpus.DocID(gid64)
-	switch r.Method {
-	case http.MethodGet:
-		doc, ok := s.store.Doc(gid)
-		if !ok {
-			http.Error(w, "no such document", http.StatusNotFound)
-			return
-		}
-		writeJSON(w, doc)
-	case http.MethodDelete:
-		// A parameter that does not parse is refused, not read as absent:
-		// a malformed instance would skip the restart precondition.
-		seq, err := strconv.ParseUint(r.URL.Query().Get("seq"), 10, 64)
-		if err != nil || seq == 0 {
-			http.Error(w, msgNoSeq, http.StatusBadRequest)
-			return
-		}
-		if v := r.URL.Query().Get("instance"); v != "" {
-			want, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				http.Error(w, "bad request: instance: "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			if want != 0 && want != s.instance {
-				http.Error(w, fmt.Sprintf("instance mismatch: request for %x, shard is %x", want, s.instance), http.StatusPreconditionFailed)
-				return
-			}
-		}
-		bp := wireBufs.Get().(*[]byte)
-		defer wireBufs.Put(bp)
-		if *bp, err = s.delete((*bp)[:0], gid, seq); err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		writeAck(w, *bp)
-	default:
-		http.Error(w, "GET or DELETE required", http.StatusMethodNotAllowed)
+	doc, ok := s.store.Doc(corpus.DocID(gid))
+	if !ok {
+		http.Error(w, "no such document", http.StatusNotFound)
+		return
 	}
-}
-
-// delete tombstones one document and appends the ack to dst. Whatever
-// refuses it is answered as a missing document is, with 404.
-func (s *Shard) delete(dst []byte, gid corpus.DocID, seq uint64) ([]byte, error) {
-	s.mutMu.Lock()
-	defer s.mutMu.Unlock()
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	changed, err := s.store.DeleteDF(gid)
-	if err != nil && !(gid < s.store.NextID() && errors.Is(err, segment.ErrNotFound)) {
-		return dst, err
-	}
-	// Applied — or, as ingest reads a gid below the next ID, a re-drive
-	// or repeat of a delete that already applied: idempotent, advance the
-	// sequence and acknowledge.
-	return s.finishMutation(dst, seq, changed), nil
-}
-
-// writeAck answers a mutation with its ack frame.
-func writeAck(w http.ResponseWriter, ack []byte) {
-	w.Header().Set("Content-Type", ackContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(ack)))
-	w.Write(ack)
+	writeJSON(w, doc)
 }
 
 func writeJSON(w http.ResponseWriter, v interface{}) {

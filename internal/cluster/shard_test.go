@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -35,48 +34,43 @@ func newMemShard(t testing.TB) *Shard {
 	return NewShard(st)
 }
 
-// postIngest sends one POST /cluster/index body straight to the shard's
-// handler and returns the status.
-func postIngest(s *Shard, body []byte) int {
+// postMutation sends one POST /cluster/mutate frame straight to the
+// shard's handler and returns the status.
+func postMutation(s *Shard, frame []byte) int {
 	w := httptest.NewRecorder()
-	s.handleIngest(w, httptest.NewRequest(http.MethodPost, "/cluster/index", bytes.NewReader(body)))
-	return w.Code
-}
-
-// deleteDoc sends one DELETE /cluster/doc/{gid} under log sequence seq
-// straight to the shard's handler and returns the status.
-func deleteDoc(s *Shard, gid int64, seq uint64) int {
-	w := httptest.NewRecorder()
-	s.handleDoc(w, httptest.NewRequest(http.MethodDelete, fmt.Sprintf("/cluster/doc/%d?seq=%d", gid, seq), nil))
+	req := httptest.NewRequest(http.MethodPost, "/cluster/mutate", bytes.NewReader(frame))
+	req.Header.Set("Content-Type", mutationContentType)
+	s.handleMutate(w, req)
 	return w.Code
 }
 
 func ingestText(gid corpus.DocID) string { return fmt.Sprintf("shard ingest rule document %d", gid) }
 
-// ingestBody is a POST /cluster/index body naming gids, under log
-// sequence seq (0: none, which the shard refuses).
-func ingestBody(t testing.TB, seq uint64, gids ...corpus.DocID) []byte {
-	t.Helper()
-	ir := ingestRequest{Seq: seq}
-	for _, gid := range gids {
-		ir.Docs = append(ir.Docs, ingestDoc{Gid: gid, Doc: corpus.Document{Title: "doc", Text: ingestText(gid)}})
+// addFrame is the mutation frame adding gids under log sequence seq (0:
+// none, which the shard refuses).
+func addFrame(seq uint64, gids ...corpus.DocID) []byte {
+	docs := make([]corpus.Document, len(gids))
+	for i, gid := range gids {
+		docs[i] = corpus.Document{ID: gid, Title: "doc", Text: ingestText(gid)}
 	}
-	body, err := json.Marshal(ir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return body
+	return appendMutation(nil, seq, 0, appendAdd(nil, docs))
+}
+
+// deleteFrame is the mutation frame deleting gid under log sequence seq;
+// a gid outside int32 is sent as it is, for the shard to refuse.
+func deleteFrame(gid int64, seq uint64) []byte {
+	return payloadFrame(seq, 0, opDelete, uint64(gid))
 }
 
 // TestShardIngestRefusesUnheldGidBelowNext pins the ingests a shard
 // refuses. One without a log sequence gets 400 whatever it names — a
 // gid below the store's next ID that the store does not hold included;
 // sequenced, that gid is a replay and is skipped, as a held one is. A
-// negative gid and fresh gids that descend get 409. A refused request
-// changes nothing.
+// gid beyond int32 (-1 sent as a uvarint) does not decode and gets 400;
+// fresh gids that descend get 409. A refused request changes nothing.
 func TestShardIngestRefusesUnheldGidBelowNext(t *testing.T) {
 	s := newMemShard(t)
-	if code := postIngest(s, ingestBody(t, 1, 0, 1, 5)); code != http.StatusOK {
+	if code := postMutation(s, addFrame(1, 0, 1, 5)); code != http.StatusOK {
 		t.Fatalf("ingest 0, 1, 5: %d", code)
 	}
 	for _, tt := range []struct {
@@ -88,13 +82,13 @@ func TestShardIngestRefusesUnheldGidBelowNext(t *testing.T) {
 		{"gid in a gap, seq 0", 0, []corpus.DocID{3}, http.StatusBadRequest},
 		{"gap after a replay, seq 0", 0, []corpus.DocID{1, 3, 7}, http.StatusBadRequest},
 		{"replay of held gids, seq 0", 0, []corpus.DocID{0, 5}, http.StatusBadRequest},
-		{"negative gid", 2, []corpus.DocID{-1}, http.StatusConflict},
+		{"gid beyond int32", 2, []corpus.DocID{-1}, http.StatusBadRequest},
 		{"descending fresh gids", 2, []corpus.DocID{9, 8}, http.StatusConflict},
 		{"replay of held gids", 2, []corpus.DocID{0, 5}, http.StatusOK},
 		{"replay of a gid in a gap", 3, []corpus.DocID{3}, http.StatusOK},
 	} {
 		next, docs := s.store.NextID(), s.store.NumDocs()
-		if code := postIngest(s, ingestBody(t, tt.seq, tt.gids...)); code != tt.want {
+		if code := postMutation(s, addFrame(tt.seq, tt.gids...)); code != tt.want {
 			t.Fatalf("%s: %d, want %d", tt.name, code, tt.want)
 		}
 		if s.store.NextID() != next || s.store.NumDocs() != docs {
@@ -192,27 +186,28 @@ func TestShardRefusesVersion1Meta(t *testing.T) {
 }
 
 // FuzzShardIngest drives one in-memory shard's mutation surface with an
-// arbitrary POST /cluster/index body and then a DELETE. The shard holds
+// arbitrary mutation frame payload and then a delete. The shard holds
 // gids 0–7, with 2 deleted and compacted away and 7 tombstoned. Nothing
-// may panic; a mutation without a log sequence is refused; a 200 ingest
+// may panic; a mutation without a log sequence is refused; a 200 add
 // leaves every named gid fetchable unless it was deleted; a 200 delete
-// leaves its gid unfetchable; a refused request changes neither the
+// leaves its gid unfetchable; a refused mutation changes neither the
 // next ID nor the live size; and afterwards every gid the shard
 // accepted resolves to its text, under a next ID above it — which a
 // store whose IDs stopped ascending fails.
 func FuzzShardIngest(f *testing.F) {
-	f.Add(ingestBody(f, 0, 8, 9), int64(9), uint64(0))
-	f.Add(ingestBody(f, 5, 8, 9), int64(9), uint64(6))
-	f.Add(ingestBody(f, 4, 2, 7, 8), int64(2), uint64(5))
-	f.Add(ingestBody(f, 0, 3), int64(3), uint64(0))
-	f.Add(ingestBody(f, 5, 3), int64(3), uint64(6))
-	f.Add(ingestBody(f, 0, 12, 10), int64(-1), uint64(1))
-	f.Add(ingestBody(f, 1, -4, 8), int64(7), uint64(1))
-	f.Add(ingestBody(f, 0, 2147483647), int64(2147483647), uint64(0))
-	f.Add(ingestBody(f, 5, 2147483647), int64(2147483647), uint64(6))
-	f.Add([]byte(`{"docs":[{"gid":8,"doc":{"text":"x"}}],"seq":2}{`), int64(8), uint64(3))
-	f.Add([]byte(`{"docs":[{"gid":8},{"gid":8}]}`), int64(0), uint64(0))
-	f.Add([]byte(`{"docs":[{"gid":8},{"gid":8}],"seq":5}`), int64(0), uint64(6))
+	payload := func(frame []byte) []byte { return frame[frameHeader:] }
+	f.Add(payload(addFrame(0, 8, 9)), int64(9), uint64(0))
+	f.Add(payload(addFrame(5, 8, 9)), int64(9), uint64(6))
+	f.Add(payload(addFrame(4, 2, 7, 8)), int64(2), uint64(5))
+	f.Add(payload(addFrame(0, 3)), int64(3), uint64(0))
+	f.Add(payload(addFrame(5, 3)), int64(3), uint64(6))
+	f.Add(payload(addFrame(0, 12, 10)), int64(-1), uint64(1))
+	f.Add(payload(addFrame(1, -4, 8)), int64(7), uint64(1))
+	f.Add(payload(addFrame(0, 2147483647)), int64(2147483647), uint64(0))
+	f.Add(payload(addFrame(5, 2147483647)), int64(2147483647), uint64(6))
+	f.Add(append(payload(addFrame(2, 8)), 0), int64(8), uint64(3))
+	f.Add(payload(deleteFrame(4, 0)), int64(0), uint64(0))
+	f.Add(payload(deleteFrame(4, 5)), int64(0), uint64(6))
 	f.Fuzz(func(t *testing.T, body []byte, del int64, delSeq uint64) {
 		s := newMemShard(t)
 		live := map[corpus.DocID]string{}
@@ -220,14 +215,14 @@ func FuzzShardIngest(f *testing.F) {
 		seq := uint64(0)
 		for _, batch := range [][]corpus.DocID{{0, 1, 2, 3, 4, 5}, {6, 7}} {
 			seq++
-			if code := postIngest(s, ingestBody(t, seq, batch...)); code != http.StatusOK {
+			if code := postMutation(s, addFrame(seq, batch...)); code != http.StatusOK {
 				t.Fatalf("preload %v: %d", batch, code)
 			}
 			for _, gid := range batch {
 				live[gid] = ingestText(gid)
 				if deleted[gid] {
 					seq++
-					if code := deleteDoc(s, int64(gid), seq); code != http.StatusOK {
+					if code := postMutation(s, deleteFrame(int64(gid), seq)); code != http.StatusOK {
 						t.Fatalf("preload delete %d: %d", gid, code)
 					}
 					delete(live, gid)
@@ -240,48 +235,39 @@ func FuzzShardIngest(f *testing.F) {
 			}
 		}
 
-		unchanged := func(what string, next corpus.DocID, docs int, size int64) {
-			t.Helper()
-			if d, n := s.store.LiveSize(); s.store.NextID() != next || d != docs || n != size {
-				t.Fatalf("refused %s changed the store: next ID %d → %d, live %d/%d → %d/%d",
-					what, next, s.store.NextID(), docs, size, d, n)
-			}
-		}
-
-		next := s.store.NextID()
-		docs, size := s.store.LiveSize()
-		if code := postIngest(s, body); code == http.StatusOK {
-			var ir ingestRequest
-			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&ir); err != nil {
-				t.Fatalf("200 for a body that does not decode: %v", err)
-			}
-			if ir.Seq == 0 {
-				t.Fatal("200 for an ingest without a log sequence")
-			}
-			for _, d := range ir.Docs {
-				if d.Gid >= next {
-					live[d.Gid] = d.Doc.Text
+		// The input is sealed into a frame: a mutated frame hardly ever
+		// passes its CRC, so the decoder and the shard would go unfuzzed.
+		for _, frame := range [][]byte{payloadFrame(body), deleteFrame(del, delSeq)} {
+			next := s.store.NextID()
+			docs, size := s.store.LiveSize()
+			if code := postMutation(s, frame); code != http.StatusOK {
+				if d, n := s.store.LiveSize(); s.store.NextID() != next || d != docs || n != size {
+					t.Fatalf("refused mutation (%d) changed the store: next ID %d → %d, live %d/%d → %d/%d",
+						code, next, s.store.NextID(), docs, size, d, n)
 				}
-				if _, ok := s.store.Doc(d.Gid); !ok && !deleted[d.Gid] {
-					t.Fatalf("200 ingest left named gid %d unfetchable", d.Gid)
+				continue
+			}
+			m, err := decodeMutation(frame)
+			if err != nil {
+				t.Fatalf("200 for a frame that does not decode: %v", err)
+			}
+			if m.seq == 0 {
+				t.Fatal("200 for a mutation without a log sequence")
+			}
+			if m.del {
+				if _, ok := s.store.Doc(m.gid); ok {
+					t.Fatalf("200 delete left gid %d fetchable", m.gid)
+				}
+				delete(live, m.gid)
+			}
+			for _, d := range m.docs {
+				if d.ID >= next {
+					live[d.ID] = d.Text
+				}
+				if _, ok := s.store.Doc(d.ID); !ok && !deleted[d.ID] {
+					t.Fatalf("200 add left named gid %d unfetchable", d.ID)
 				}
 			}
-		} else {
-			unchanged(fmt.Sprintf("ingest (%d)", code), next, docs, size)
-		}
-
-		next = s.store.NextID()
-		docs, size = s.store.LiveSize()
-		if code := deleteDoc(s, del, delSeq); code == http.StatusOK {
-			if delSeq == 0 {
-				t.Fatal("200 for a delete without a log sequence")
-			}
-			if _, ok := s.store.Doc(corpus.DocID(del)); ok {
-				t.Fatalf("200 delete left gid %d fetchable", del)
-			}
-			delete(live, corpus.DocID(del))
-		} else {
-			unchanged(fmt.Sprintf("delete (%d)", code), next, docs, size)
 		}
 
 		for gid, text := range live {

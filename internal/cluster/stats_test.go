@@ -45,7 +45,7 @@ func (l *lateAck) arm(shard string, stats bool) {
 func (l *lateAck) RoundTrip(req *http.Request) (*http.Response, error) {
 	base := req.URL.Scheme + "://" + req.URL.Host
 	l.mu.Lock()
-	late := base == l.ingest && req.URL.Path == "/cluster/index"
+	late := base == l.ingest && req.URL.Path == "/cluster/mutate"
 	if late {
 		l.ingest = ""
 	}

@@ -18,15 +18,17 @@ import (
 // reaches a shard (the router analyzes once), and store-local document
 // IDs never leave one.
 //
-// The control plane's requests and GET /cluster/stats are JSON, the
-// structs at the bottom of this file. The query path, POST
-// /cluster/batch, is one binary frame each way, Content-Type
-// batchContentType: the framing of frame.go (uint32 length, uint32
-// CRC-32 over length + payload) around a payload of uvarints
-// (encoding/binary's, shortest form only), term bytes and raw float64
-// bits. It carries what a cycle is: one collection, the cycle's distinct
-// terms, and the members as references into them. A mutation's ack is
-// one such frame too (see appendMutationAck).
+// GET /cluster/stats and GET /cluster/doc/{gid}, the operator-readable
+// control plane, answer JSON: shardStats at the bottom of this file and
+// a corpus.Document. Everything else is binary frames: the framing of
+// frame.go (uint32 length, uint32 CRC-32 over length + payload) around a
+// payload of uvarints (encoding/binary's, shortest form only), raw bytes
+// and raw float64 bits. The query path, POST /cluster/batch, is one frame
+// each way, Content-Type batchContentType. It carries what a cycle is:
+// one collection, the cycle's distinct terms, and the members as
+// references into them. A mutation, POST /cluster/mutate, is one frame
+// (see appendMutation) answered with one ack frame (see
+// appendMutationAck).
 //
 // Request payload:
 //
@@ -250,14 +252,11 @@ func decodeBatchReply(frame []byte) ([]vsm.Response, error) {
 		}
 		lo := len(hits)
 		for j := 0; j < n; j++ {
-			gid, score := r.num(), r.float()
-			if r.err == nil && gid > math.MaxInt32 {
-				r.failf("member %d hit %d: gid %d beyond int32", i, j, gid)
-			}
+			gid, score := r.gid(), r.float()
 			if r.err != nil {
 				return nil, r.err
 			}
-			hits = append(hits, vsm.Result{Doc: corpus.DocID(gid), Score: score})
+			hits = append(hits, vsm.Result{Doc: gid, Score: score})
 		}
 		resps[i].Hits = hits[lo:len(hits):len(hits)]
 	}
@@ -267,10 +266,132 @@ func decodeBatchReply(frame []byte) ([]vsm.Response, error) {
 	return resps, nil
 }
 
-// A mutation — POST /cluster/index, DELETE /cluster/doc/{gid} — is
-// acknowledged with one frame, Content-Type ackContentType: the shard's
-// statistics once the mutation is in, with only the df entries the
-// mutation changed (GET /cluster/stats carries the whole table).
+// A mutation is one shard's share of a record in the router's mutation
+// log: documents to add, or one document to delete. It is one frame on
+// POST /cluster/mutate, Content-Type mutationContentType, and its body
+// is what the router's journal keeps of the share (journal.go):
+//
+//	uvarint seq            the record's log sequence (0: the shard refuses it)
+//	uvarint if_instance    the shard instance it is for (0: any)
+//	body:
+//	uvarint op             0: add, 1: delete
+//	op 0: uvarint docs
+//	      docs × {         ascending by gid
+//	          uvarint gid
+//	          uvarint n, n bytes the title
+//	          uvarint n, n bytes the text
+//	      }
+//	op 1: uvarint gid      the document to tombstone
+//
+// A document crosses as its gid, title and text, unescaped. Like every
+// frame it has one encoding: a padded uvarint, an op other than 0 or 1,
+// a gid beyond int32, a count beyond the bytes left and bytes after the
+// payload are refused; gid order is the shard's to judge. The router
+// refuses a share over maxMutationBody before it logs the record, and a
+// shard reads no more than the largest frame a router sends.
+
+const (
+	mutationContentType = "application/x-toppriv-mutation"
+	// maxMutation bounds a mutation frame's payload: the 32 MiB a public
+	// /index body may take, and room for the frame's own fields. Nothing
+	// is escaped, and a document's fields cost at most 13 bytes, no more
+	// than its JSON spends on field names, so what /index accepts fits
+	// unless it holds empty documents or invalid UTF-8 (which decodes
+	// longer); Router.Add refuses a share that does not fit before
+	// logging it.
+	maxMutation = 32<<20 + 64
+	// maxMutationBody leaves room in a frame for seq and if_instance.
+	maxMutationBody = maxMutation - 2*binary.MaxVarintLen64
+
+	opAdd    = 0
+	opDelete = 1
+)
+
+// mutation is a decoded mutation frame.
+type mutation struct {
+	seq, ifInstance uint64
+	// del marks a delete of gid; otherwise docs are the documents to add,
+	// each ID its gid.
+	del  bool
+	gid  corpus.DocID
+	docs []corpus.Document
+}
+
+// appendAdd appends the body of an add of docs, whose IDs are their gids.
+func appendAdd(dst []byte, docs []corpus.Document) []byte {
+	dst = append(dst, opAdd)
+	dst = binary.AppendUvarint(dst, uint64(len(docs)))
+	for i := range docs {
+		dst = binary.AppendUvarint(dst, uint64(docs[i].ID))
+		dst = binary.AppendUvarint(dst, uint64(len(docs[i].Title)))
+		dst = append(dst, docs[i].Title...)
+		dst = binary.AppendUvarint(dst, uint64(len(docs[i].Text)))
+		dst = append(dst, docs[i].Text...)
+	}
+	return dst
+}
+
+// appendDelete appends the body of a delete of gid.
+func appendDelete(dst []byte, gid corpus.DocID) []byte {
+	return binary.AppendUvarint(append(dst, opDelete), uint64(gid))
+}
+
+// appendMutation appends the frame delivering body under log sequence
+// seq to the shard instance ifInstance (0: any).
+func appendMutation(dst []byte, seq, ifInstance uint64, body []byte) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeader)...)
+	dst = binary.AppendUvarint(dst, seq)
+	dst = binary.AppendUvarint(dst, ifInstance)
+	dst = append(dst, body...)
+	sealFrame(dst[start:])
+	return dst
+}
+
+// decodeMutation reads a mutation frame. Every string comes back in an
+// allocation of its own, so a document the store keeps holds only its
+// own bytes.
+func decodeMutation(frame []byte) (mutation, error) {
+	r, err := openFrameReader(frame, maxMutation, "mutation")
+	if err != nil {
+		return mutation{}, err
+	}
+	var m mutation
+	m.seq = r.u64()
+	m.ifInstance = r.u64()
+	r.body(&m)
+	if err := r.end(); err != nil {
+		return mutation{}, err
+	}
+	return m, nil
+}
+
+// body reads a mutation body into m.
+func (r *frameReader) body(m *mutation) {
+	switch op := r.num(); {
+	case r.err != nil:
+	case op == opDelete:
+		m.del = true
+		m.gid = r.gid()
+	case op != opAdd:
+		r.failf("op %d is neither add nor delete", op)
+	default:
+		// A document takes a gid byte and two length bytes at least.
+		n := r.count(3)
+		if r.err != nil {
+			return
+		}
+		m.docs = make([]corpus.Document, n)
+		for i := range m.docs {
+			m.docs[i] = corpus.Document{ID: r.gid(), Title: r.str(), Text: r.str()}
+		}
+	}
+}
+
+// A mutation is acknowledged with one frame, Content-Type
+// ackContentType: the shard's statistics once the mutation is in, with
+// only the df entries the mutation changed (GET /cluster/stats carries
+// the whole table).
 //
 //	uvarint version        the shard's stats version: mutations applied by its instance
 //	uvarint instance       the shard process's nonce
@@ -296,8 +417,7 @@ const (
 	ackContentType = "application/x-toppriv-ack"
 	// maxMutationAck bounds the ack a router reads. An ack names each
 	// distinct term of the mutation's documents once, so it is no larger
-	// than a few times the JSON that ingested them, which a shard caps at
-	// 32 MiB a request.
+	// than a few times the mutation, which is at most maxMutation.
 	maxMutationAck = 64 << 20
 )
 
@@ -399,7 +519,7 @@ func decodeMutationAck(frame []byte) (mutationAck, error) {
 type frameReader struct {
 	b    []byte
 	err  error
-	kind string // the frame's name in errors: "batch" or "ack"
+	kind string // the frame's name in errors: "batch", "ack", "mutation"…
 }
 
 // openFrameReader checks a frame that must be the whole of its input.
@@ -443,6 +563,16 @@ func (r *frameReader) num() int {
 		return 0
 	}
 	return int(v)
+}
+
+// gid reads a global document ID: a uvarint within int32.
+func (r *frameReader) gid() corpus.DocID {
+	v := r.u64()
+	if v > math.MaxInt32 {
+		r.failf("gid %d beyond int32", v)
+		return 0
+	}
+	return corpus.DocID(v)
 }
 
 // str reads a length-prefixed string into an allocation of its own.
@@ -552,31 +682,4 @@ type shardStats struct {
 	Scoring string `json:"scoring"`
 	// Index is the shard's index-shape statistics, for aggregation.
 	Index index.Stats `json:"index"`
-}
-
-// ingestRequest is the POST /cluster/index payload: documents with
-// router-assigned global IDs, in ascending gid order. Ascending order
-// is load-bearing — the shard's store holds each document under its
-// gid and accepts only IDs above those it holds, and ascending IDs are
-// what keep shard-local score tie-breaks identical to a single index's.
-type ingestRequest struct {
-	Docs []ingestDoc `json:"docs"`
-	// Seq is the mutation's sequence in the router's log, above 0: the
-	// shard refuses a mutation without one. The shard tracks the
-	// high-water of applied seqs and persists it with each save, so the
-	// router can tell exactly which log records a restarted shard still
-	// needs.
-	Seq uint64 `json:"seq,omitempty"`
-	// IfInstance, when nonzero, makes the ingest conditional on the
-	// shard's process nonce: a shard whose instance differs rejects
-	// with 412. That closes the restart race — the router's in-order
-	// catch-up baseline is only valid for the instance it was read
-	// from, so delivery to any other instance must bounce back to a
-	// fresh reconciliation instead of applying out of order.
-	IfInstance uint64 `json:"if_instance,omitempty"`
-}
-
-type ingestDoc struct {
-	Gid corpus.DocID    `json:"gid"`
-	Doc corpus.Document `json:"doc"`
 }

@@ -370,9 +370,44 @@ var brokenAckFrames = []struct {
 	{"unread payload bytes", "unread", ackFrame(1, 1, "a", 2, 0)},
 }
 
+// genMutation is a random mutation frame: an add of up to 20 documents
+// in ascending gid order, or, one time in four, a delete.
+func genMutation(rng *rand.Rand) []byte {
+	seq, instance := rng.Uint64()>>rng.Intn(64), rng.Uint64()>>rng.Intn(64)
+	if rng.Intn(4) == 0 {
+		return appendMutation(nil, seq, instance, appendDelete(nil, corpus.DocID(rng.Int31())))
+	}
+	docs := make([]corpus.Document, rng.Intn(20))
+	gid := corpus.DocID(rng.Intn(1000))
+	for i := range docs {
+		gid += corpus.DocID(1 + rng.Intn(100))
+		docs[i] = corpus.Document{
+			ID:    gid,
+			Title: strings.Repeat("t", rng.Intn(3)),
+			Text:  fmt.Sprintf("<doc %d> & %s", gid, strings.Repeat("word ", rng.Intn(40))),
+		}
+	}
+	return appendMutation(nil, seq, instance, appendAdd(nil, docs))
+}
+
+var brokenMutationFrames = []struct {
+	name, says string
+	frame      []byte
+}{
+	{"empty payload", "integer", payloadFrame()},
+	{"op neither add nor delete", "op 2", payloadFrame(7, 0, 2, 5)},
+	{"delete of a gid beyond int32", "beyond int32", payloadFrame(7, 0, opDelete, uint64(1<<31))},
+	{"added gid beyond int32", "beyond int32", payloadFrame(7, 0, opAdd, 1, uint64(1<<31), 0, 0)},
+	{"document count beyond the bytes left", "count", payloadFrame(7, 0, opAdd, 1<<40)},
+	{"text length beyond the bytes left", "count", payloadFrame(7, 0, opAdd, 1, 5, 1, "t", 200, "ab")},
+	{"padded integer", "padded", payloadFrame(7, []byte{0x80, 0}, opDelete, 5)},
+	{"cut inside a document", "integer", payloadFrame(7, 0, opAdd, 1, 5, 1, "t")},
+	{"unread payload bytes", "unread", payloadFrame(7, 0, opDelete, 5, 0)},
+}
+
 // TestBatchFramesRefuseMalformed runs the hand-broken frames, every
 // truncation and every one-byte corruption of a good frame through every
-// frame decoder — the batch request and reply, the mutation ack: each is
+// frame decoder — the batch request and reply, the mutation and its ack: each is
 // an error, never a panic — and a count a frame merely claims never
 // sizes an allocation.
 func TestBatchFramesRefuseMalformed(t *testing.T) {
@@ -380,6 +415,7 @@ func TestBatchFramesRefuseMalformed(t *testing.T) {
 	goodReply := appendBatchReply(nil, genReply(rand.New(rand.NewSource(1))))
 	ackStats, ackChanged := genAck(rand.New(rand.NewSource(1)))
 	goodAck := appendMutationAck(nil, &ackStats, ackChanged)
+	goodMutation := appendMutation(nil, 9, 99, appendAdd(nil, []corpus.Document{{ID: 4, Title: "t", Text: "<a> & b"}, {ID: 6, Text: "c"}}))
 	for _, side := range []struct {
 		name   string
 		good   []byte
@@ -392,6 +428,7 @@ func TestBatchFramesRefuseMalformed(t *testing.T) {
 		{"request", goodRequest, func(b []byte) (int, error) { r, err := decodeBatchRequest(b); return len(r), err }, brokenRequestFrames},
 		{"reply", goodReply, func(b []byte) (int, error) { r, err := decodeBatchReply(b); return len(r), err }, brokenReplyFrames},
 		{"ack", goodAck, func(b []byte) (int, error) { a, err := decodeMutationAck(b); return len(a.changed), err }, brokenAckFrames},
+		{"mutation", goodMutation, func(b []byte) (int, error) { m, err := decodeMutation(b); return len(m.docs), err }, brokenMutationFrames},
 	} {
 		if _, err := side.decode(side.good); err != nil {
 			t.Fatalf("%s: good frame refused: %v", side.name, err)
@@ -541,6 +578,43 @@ func FuzzDecodeMutationAck(f *testing.F) {
 	})
 }
 
+// checkMutationFrame is the fuzz property of the mutation decoder: no
+// panic, every decoded document paid for by input bytes, and one
+// encoding per mutation, so a truncated or padded frame never decodes.
+func checkMutationFrame(t *testing.T, frame []byte) {
+	m, err := decodeMutation(frame)
+	if err != nil {
+		return
+	}
+	if 3*len(m.docs) > len(frame) {
+		t.Fatalf("%d-byte frame decoded to %d documents", len(frame), len(m.docs))
+	}
+	body := appendDelete(nil, m.gid)
+	if !m.del {
+		body = appendAdd(nil, m.docs)
+	}
+	if back := appendMutation(nil, m.seq, m.ifInstance, body); !bytes.Equal(back, frame) {
+		t.Fatalf("decoded mutation re-encodes to other bytes:\n%x\n%x", frame, back)
+	}
+}
+
+func FuzzDecodeMutation(f *testing.F) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 8; i++ {
+		frame := genMutation(rng)
+		f.Add(frame)
+		f.Add(frame[frameHeader:])
+	}
+	for _, tt := range brokenMutationFrames {
+		f.Add(tt.frame)
+		f.Add(tt.frame[frameHeader:])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkMutationFrame(t, data)
+		checkMutationFrame(t, payloadFrame(data))
+	})
+}
+
 // TestRouterBoundsMalformedReply: a shard that answers /cluster/batch
 // with anything but one well-formed frame of the request's member count
 // — or never stops answering — is an error for that shard alone: the
@@ -550,7 +624,7 @@ func TestRouterBoundsMalformedReply(t *testing.T) {
 	tc := newTestCluster(t, vsm.BM25, 3, Config{})
 	var mangle atomic.Value // func(http.ResponseWriter, []byte)
 	inner := tc.servers[2]
-	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	front := serveNamed(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		m, _ := mangle.Load().(func(http.ResponseWriter, []byte))
 		if m == nil || r.URL.Path != "/cluster/batch" {
 			proxyTo(t, inner.URL, w, r)
