@@ -199,12 +199,26 @@ func newTestCluster(t testing.TB, scoring vsm.Scoring, n int, cfg Config) *testC
 }
 
 func (tc *testCluster) close() {
+	if tc.router != nil {
+		for _, c := range tc.router.shards {
+			c.closeStreams()
+		}
+	}
 	for _, ts := range tc.servers {
 		ts.Close()
 	}
-	for _, st := range tc.stores {
-		st.Close()
+	// A shard's streams outlive its server's Close, as hijacked
+	// connections do; closing the shard ends them, then its store.
+	for _, sh := range tc.shards {
+		sh.Close()
 	}
+}
+
+// stop kills shard i as a process dies: its listener and every
+// connection it held, its cycle streams included.
+func (tc *testCluster) stop(i int) {
+	tc.servers[i].Close()
+	tc.shards[i].Close()
 }
 
 // TestClusterEquivalenceProperty is the distributed tier's correctness

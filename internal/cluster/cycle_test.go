@@ -1,15 +1,20 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"toppriv/internal/corpus"
 	"toppriv/internal/search"
@@ -18,30 +23,35 @@ import (
 )
 
 // wireTap is a transport that shows every router→shard cycle — the
-// requests a shard rebuilds from the /cluster/batch frame — to see
-// before forwarding the request.
+// requests a shard rebuilds from a request frame on its stream — to see
+// before the frame is sent.
 type wireTap struct {
 	see func([]vsm.Request)
 }
 
 func (w wireTap) RoundTrip(req *http.Request) (*http.Response, error) {
-	if strings.HasSuffix(req.URL.Path, "/cluster/batch") {
-		body, err := req.GetBody()
-		if err != nil {
-			return nil, err
-		}
-		frame, err := io.ReadAll(body)
-		body.Close()
-		if err != nil {
-			return nil, err
-		}
-		cycle, err := decodeBatchRequest(frame)
-		if err != nil {
-			return nil, err
-		}
-		w.see(cycle)
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
+		return resp, err
 	}
-	return http.DefaultTransport.RoundTrip(req)
+	resp.Body = tapStream{resp.Body.(io.ReadWriteCloser), w.see}
+	return resp, nil
+}
+
+// tapStream decodes each request frame the router writes on a stream —
+// one frame per Write — and shows it to see.
+type tapStream struct {
+	io.ReadWriteCloser
+	see func([]vsm.Request)
+}
+
+func (s tapStream) Write(frame []byte) (int, error) {
+	cycle, err := decodeBatchRequest(frame)
+	if err != nil {
+		return 0, err
+	}
+	s.see(cycle)
+	return s.ReadWriteCloser.Write(frame)
 }
 
 // overlappingCycle builds an n-member cycle over one pool of n words:
@@ -190,15 +200,43 @@ func TestRoutedCycleSharesTraversal(t *testing.T) {
 	}
 }
 
+// rawStream opens a cycle stream to the shard served by ts by hand — the
+// upgrade request written to a plain TCP connection and the 101 read off
+// it — so that a test can send a shard what no router would.
+func rawStream(t *testing.T, ts *httptest.Server) (*net.TCPConn, *bufio.Reader) {
+	t.Helper()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	// A shard that keeps a stream open it should have closed fails the
+	// test instead of hanging it.
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	fmt.Fprintf(conn, "GET /cluster/stream HTTP/1.1\r\nHost: shard\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", streamProtocol)
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusSwitchingProtocols || resp.Header.Get("Upgrade") != streamProtocol {
+		t.Fatalf("upgrade answered %s, Upgrade %q", resp.Status, resp.Header.Get("Upgrade"))
+	}
+	return conn.(*net.TCPConn), br
+}
+
 // TestShardBatchRejectsBadStatistics pins the shard's answer to a
-// /cluster/batch body no router would send: statistics the scorer
-// cannot weigh with (a df above the collection size makes idf negative
-// or NaN, terms in a collection of no tokens make BM25's avgdl zero), a
-// non-positive k — each a 400 naming the member, from Request.Validate —
-// and a body that is not a well-formed frame at all: a 400 from the
-// decoder, or 415 when it does not even claim to be one. (A negative df
-// and a df list that does not line up with the terms, which the JSON
-// body could say, the frame has no way to.)
+// request frame no router would send on its stream: statistics the
+// scorer cannot weigh with (a df above the collection size makes idf
+// negative or NaN, terms in a collection of no tokens make BM25's avgdl
+// zero), a non-positive k — each a 400 refusal frame naming the member,
+// from Request.Validate, after which the stream still answers — and
+// bytes that are not a well-formed frame at all: a 400 refusal from the
+// decoder, after which the stream is closed when the frame lost its
+// framing. (A negative df and a df list that does not line up with the
+// terms, which the JSON body could say, the frame has no way to.) A
+// request that is no upgrade to a cycle stream gets 426 over HTTP, and
+// nothing serves POST /cluster/batch any more.
 func TestShardBatchRejectsBadStatistics(t *testing.T) {
 	tc := newTestCluster(t, vsm.BM25, 1, Config{})
 	docs := synthDocs(t, 40, 17)
@@ -230,26 +268,93 @@ func TestShardBatchRejectsBadStatistics(t *testing.T) {
 	badRef[len(badRef)-1] = 7
 	unsealed := append([]byte(nil), badRef...)
 	sealFrame(badRef)
+	checkGood := func(name string, reply []byte) {
+		t.Helper()
+		if got, err := decodeCycleReply(reply); err != nil || len(got) != 2 || len(got[1].Hits) == 0 {
+			t.Errorf("%s: reply %+v, %v; want two members, the second with hits", name, got, err)
+		}
+	}
 	for _, tt := range []struct {
-		name        string
-		contentType string
-		body        []byte
-		status      int
-		names       string
+		name string
+		body []byte
+		// end closes the router's side of the connection after body.
+		end    bool
+		status int
+		says   string
+		// lost: the frame lost the stream's framing, so the shard closes
+		// the stream after refusing it.
+		lost bool
 	}{
-		{"well-formed", batchContentType, good, http.StatusOK, ""},
-		{"df above docs", batchContentType, frame(5, 40, 4000, 3, 41, 3), http.StatusBadRequest, "query 1"},
-		{"df on an empty collection", batchContentType, frame(5, 0, 0, 0, 1, 0), http.StatusBadRequest, "query 1"},
-		{"terms in a collection of no tokens", batchContentType, frame(5, 40, 0, 0, 3, 3), http.StatusBadRequest, "query 1"},
-		{"zero k", batchContentType, frame(0, 40, 4000, 3, 3, 3), http.StatusBadRequest, "query 1"},
-		{"bad CRC", batchContentType, unsealed, http.StatusBadRequest, "checksum"},
-		{"short frame", batchContentType, good[:len(good)-3], http.StatusBadRequest, "cut short"},
-		{"bytes after the frame", batchContentType, append(append([]byte(nil), good...), 0), http.StatusBadRequest, "after the frame"},
-		{"reference out of range", batchContentType, badRef, http.StatusBadRequest, "member 1 refers to term 7"},
-		{"JSON body", "application/json", []byte(`{"queries":[{"terms":["a"],"k":5,"global":{"docs":40,"total_len":4000,"df":[3]}}]}`), http.StatusUnsupportedMediaType, batchContentType},
-		{"frame under a JSON content type", "application/json", good, http.StatusUnsupportedMediaType, batchContentType},
+		{"well-formed", good, false, http.StatusOK, "", false},
+		{"df above docs", frame(5, 40, 4000, 3, 41, 3), false, http.StatusBadRequest, "query 1", false},
+		{"df on an empty collection", frame(5, 0, 0, 0, 1, 0), false, http.StatusBadRequest, "query 1", false},
+		{"terms in a collection of no tokens", frame(5, 40, 0, 0, 3, 3), false, http.StatusBadRequest, "query 1", false},
+		{"zero k", frame(0, 40, 4000, 3, 3, 3), false, http.StatusBadRequest, "query 1", false},
+		{"reference out of range", badRef, false, http.StatusBadRequest, "member 1 refers to term 7", false},
+		{"bad CRC", unsealed, false, http.StatusBadRequest, "checksum", true},
+		{"short frame", good[:len(good)-3], true, http.StatusBadRequest, "cut short", true},
+		{"bytes after the frame", append(append([]byte(nil), good...), 0), false, http.StatusBadRequest, "after the frame", true},
+		{"JSON body", []byte(`{"queries":[{"terms":["a"],"k":5,"global":{"docs":40,"total_len":4000,"df":[3]}}]}`), false, http.StatusBadRequest, "longer than its bound", true},
 	} {
-		resp, err := http.Post(tc.servers[0].URL+"/cluster/batch", tt.contentType, bytes.NewReader(tt.body))
+		conn, br := rawStream(t, tc.servers[0])
+		if _, err := conn.Write(tt.body); err != nil {
+			t.Fatal(err)
+		}
+		if tt.end {
+			conn.CloseWrite()
+		}
+		reply, err := readFrame(br, nil, maxBatchReply)
+		if err != nil {
+			t.Fatalf("%s: no reply frame: %v", tt.name, err)
+		}
+		if tt.status == http.StatusOK {
+			checkGood(tt.name, reply)
+		} else {
+			_, err := decodeCycleReply(reply)
+			var se *statusError
+			if !errors.As(err, &se) || se.code != tt.status || !strings.Contains(se.msg, tt.says) {
+				t.Errorf("%s: %v, want a %d refusal saying %q", tt.name, err, tt.status, tt.says)
+			}
+		}
+		if tt.lost {
+			if rest, err := readFrame(br, nil, maxBatchReply); err != io.EOF {
+				t.Errorf("%s: stream still open after a frame that lost its framing: %x, %v", tt.name, rest, err)
+			}
+			continue
+		}
+		if tt.end {
+			continue
+		}
+		if _, err := conn.Write(good); err != nil {
+			t.Fatal(err)
+		}
+		reply, err = readFrame(br, nil, maxBatchReply)
+		if err != nil {
+			t.Fatalf("%s: the stream did not answer the next frame: %v", tt.name, err)
+		}
+		checkGood(tt.name+", then a well-formed frame", reply)
+	}
+
+	// Over HTTP: only an upgrade to a cycle stream is one.
+	base := tc.servers[0].URL
+	for _, tt := range []struct {
+		name, method, path, upgrade string
+		status                      int
+	}{
+		{"no upgrade", http.MethodGet, "/cluster/stream", "", http.StatusUpgradeRequired},
+		{"another protocol", http.MethodGet, "/cluster/stream", "websocket", http.StatusUpgradeRequired},
+		{"POST", http.MethodPost, "/cluster/stream", streamProtocol, http.StatusMethodNotAllowed},
+		{"the old batch endpoint", http.MethodPost, "/cluster/batch", "", http.StatusNotFound},
+	} {
+		req, err := http.NewRequest(tt.method, base+tt.path, bytes.NewReader(good))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tt.upgrade != "" {
+			req.Header.Set("Connection", "Upgrade")
+			req.Header.Set("Upgrade", tt.upgrade)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,12 +363,8 @@ func TestShardBatchRejectsBadStatistics(t *testing.T) {
 		if resp.StatusCode != tt.status {
 			t.Errorf("%s: status %d (%s), want %d", tt.name, resp.StatusCode, bytes.TrimSpace(msg), tt.status)
 		}
-		if tt.status == http.StatusOK {
-			if got, err := decodeBatchReply(msg); err != nil || len(got) != 2 || len(got[1].Hits) == 0 {
-				t.Errorf("%s: reply %+v, %v; want two members, the second with hits", tt.name, got, err)
-			}
-		} else if !bytes.Contains(msg, []byte(tt.names)) {
-			t.Errorf("%s: error %q does not say %q", tt.name, bytes.TrimSpace(msg), tt.names)
+		if tt.status == http.StatusUpgradeRequired && (resp.Header.Get("Upgrade") != streamProtocol || !bytes.Contains(msg, []byte(streamProtocol))) {
+			t.Errorf("%s: Upgrade %q, message %q: neither names %q", tt.name, resp.Header.Get("Upgrade"), bytes.TrimSpace(msg), streamProtocol)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -119,7 +120,7 @@ func TestClusterDegradesOnDeadShard(t *testing.T) {
 	if len(dead) == 0 || len(dead) == len(gids) {
 		t.Fatalf("degenerate placement: victim owns %d of %d docs", len(dead), len(gids))
 	}
-	tc.servers[victim].Close()
+	tc.stop(victim)
 
 	const k = 10
 	for i, terms := range queries {
@@ -147,8 +148,8 @@ func TestClusterDegradesOnDeadShard(t *testing.T) {
 	}
 
 	// All shards down: still no error — empty, fully degraded response.
-	for _, ts := range tc.servers {
-		ts.Close()
+	for i := range tc.servers {
+		tc.stop(i)
 	}
 	resp, err := r.SearchRequest(context.Background(), vsm.Request{Terms: queries[0], K: k})
 	if err != nil {
@@ -174,13 +175,19 @@ func TestClusterDeadlineBoundsSlowShard(t *testing.T) {
 	var stall atomic.Bool
 	tc := newTestCluster(t, vsm.Cosine, 3, Config{Deadline: deadline})
 	// Re-front shard 2 with a stalling proxy: same backing server, but
-	// /cluster/batch hangs far past the router deadline when tripped.
+	// each request frame on its cycle streams hangs far past the router
+	// deadline when tripped.
 	inner := tc.servers[2]
 	slow := serveNamed(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if stall.Load() && r.URL.Path == "/cluster/batch" {
-			time.Sleep(10 * deadline)
+		if !upgradeRequested(r) {
+			proxyTo(t, inner.URL, w, r)
+			return
 		}
-		proxyTo(t, inner.URL, w, r)
+		proxyStream(inner.URL, w, func() {
+			if stall.Load() {
+				time.Sleep(10 * deadline)
+			}
+		}, nil)
 	}))
 	defer slow.Close()
 	shardURLs := []string{tc.servers[0].URL, tc.servers[1].URL, slow.URL}
@@ -188,6 +195,7 @@ func TestClusterDeadlineBoundsSlowShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer r.Close()
 
 	docs := synthDocs(t, 40, 5)
 	gids, err := r.Add(docs...)
@@ -223,7 +231,9 @@ func TestClusterDeadlineBoundsSlowShard(t *testing.T) {
 	stall.Store(false)
 
 	// The stalled exchanges' goroutines must drain once their sleeps
-	// and contexts unwind — no per-degraded-query leak.
+	// and contexts unwind — no per-degraded-query leak: the deadline
+	// closed the stalled stream, and the proxy and the shard end theirs
+	// when they find it closed.
 	deadlineAt := time.Now().Add(15 * deadline)
 	for runtime.NumGoroutine() > before+2 {
 		if time.Now().After(deadlineAt) {
@@ -234,8 +244,13 @@ func TestClusterDeadlineBoundsSlowShard(t *testing.T) {
 }
 
 // proxyTo forwards one request to a backing server, streaming status,
-// headers and body — a minimal fault-injection seam.
+// headers and body — a minimal fault-injection seam. A cycle stream is
+// relayed frame by frame (proxyStream).
 func proxyTo(t testing.TB, base string, w http.ResponseWriter, r *http.Request) {
+	if upgradeRequested(r) {
+		proxyStream(base, w, nil, nil)
+		return
+	}
 	var body bytes.Buffer
 	if r.Body != nil {
 		body.ReadFrom(r.Body)
@@ -261,6 +276,44 @@ func proxyTo(t testing.TB, base string, w http.ResponseWriter, r *http.Request) 
 	var out bytes.Buffer
 	out.ReadFrom(resp.Body)
 	w.Write(out.Bytes())
+}
+
+// proxyStream relays a cycle stream to the shard at base, one exchange
+// at a time: each request frame goes through onRequest (nil: none) before
+// the shard sees it — a stall sleeps there — and each reply frame through
+// onReply (nil: none), which may write something else to the router in
+// its place and report so; a stream whose reply was replaced ends there.
+// The shard's stream closes when the router's does.
+func proxyStream(base string, w http.ResponseWriter, onRequest func(), onReply func(w io.Writer, reply []byte) bool) {
+	inner, err := (&shardConn{name: base, httpc: http.DefaultClient}).dialStream(context.Background())
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadGateway)
+		return
+	}
+	defer inner.rwc.Close()
+	conn, br, err := upgradeStream(w)
+	if err != nil {
+		return
+	}
+	defer conn.Close()
+	var frame []byte
+	for {
+		if frame, err = readFrame(br, frame, maxBatchRequest); err != nil {
+			return
+		}
+		if onRequest != nil {
+			onRequest()
+		}
+		if err := inner.exchange(context.Background(), frame); err != nil {
+			return
+		}
+		if onReply != nil && onReply(conn, inner.buf) {
+			return
+		}
+		if _, err := conn.Write(inner.buf); err != nil {
+			return
+		}
+	}
 }
 
 // rstListener RST-kills the first n accepted connections — a shard
@@ -298,8 +351,10 @@ func TestClusterRetryRidesOutFlakyShard(t *testing.T) {
 	}
 
 	// Re-front shard 1 through a flaky listener proxying to the real
-	// shard. Keep-alives are disabled on the router's client so every
-	// exchange dials the flaky listener fresh.
+	// shard, its cycle streams relayed frame by frame. Keep-alives are
+	// disabled on the router's client so a router's first stream dials
+	// the flaky listener fresh instead of upgrading the connection its
+	// stats fetch left idle.
 	inner := tc.servers[1]
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -324,6 +379,7 @@ func TestClusterRetryRidesOutFlakyShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer bare.Close()
 	fl.kills.Store(1)
 	resp, err := bare.SearchRequest(context.Background(), vsm.Request{Terms: terms, K: 5})
 	if err != nil {
@@ -343,6 +399,7 @@ func TestClusterRetryRidesOutFlakyShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer retrying.Close()
 	fl.kills.Store(2)
 	resp, err = retrying.SearchRequest(context.Background(), vsm.Request{Terms: terms, K: 5})
 	if err != nil {
@@ -502,7 +559,9 @@ func TestUnjournaledRefusalKeepsNothing(t *testing.T) {
 }
 
 // TestClusterMetricsExposition: EnableMetrics registers the per-shard
-// health families and they appear in the text exposition.
+// health families and they appear in the text exposition, with the frame
+// bytes of a cycle and the stream counters that show the router reusing
+// its streams; each shard's /metrics counts the streams open on it.
 func TestClusterMetricsExposition(t *testing.T) {
 	tc := newTestCluster(t, vsm.Cosine, 2, Config{})
 	docs := synthDocs(t, 10, 3)
@@ -546,5 +605,49 @@ func TestClusterMetricsExposition(t *testing.T) {
 	}
 	if empty := len(appendBatchReply(nil, make([]vsm.Response, 1))); tc.router.mBatchReceived.Value() < uint64(2*empty) {
 		t.Fatalf("%d reply bytes counted, two empty replies are %d", tc.router.mBatchReceived.Value(), 2*empty)
+	}
+
+	// The first cycle dialed one stream per shard; two more cycles reuse
+	// them. A stopped and restarted shard's stream is redialed once.
+	mustSearch(t, tc.router, vsm.Request{Query: "topic", K: 3})
+	mustSearch(t, tc.router, vsm.Request{Query: "topic", K: 3})
+	scrape := func() string {
+		buf.Reset()
+		if err := reg.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	text = scrape()
+	for _, want := range []string{
+		"toppriv_cluster_stream_dials_total 2\n",
+		"toppriv_cluster_stream_redials_total 0\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("exposition missing %q:\n%s", want, text)
+		}
+	}
+	for i, ts := range tc.servers {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		shardText, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if want := "toppriv_cluster_streams_open 1\n"; !strings.Contains(string(shardText), want) {
+			t.Fatalf("shard %d exposition missing %q:\n%s", i, want, shardText)
+		}
+	}
+	tc.shards[0].dropStreams()
+	mustSearch(t, tc.router, vsm.Request{Query: "topic", K: 3})
+	text = scrape()
+	for _, want := range []string{
+		"toppriv_cluster_stream_dials_total 3\n",
+		"toppriv_cluster_stream_redials_total 1\n",
+		"toppriv_cluster_degraded_queries_total 0\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("exposition missing %q:\n%s", want, text)
+		}
 	}
 }

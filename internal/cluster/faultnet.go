@@ -18,6 +18,11 @@ import (
 // with the journal writer's kill-after-N-bytes crash hook to drive the
 // crash-anywhere recovery property tests.
 //
+// A request is one exchange, and draws one fault. An upgrade request
+// draws none: its 101 reply's stream is wrapped instead, and every frame
+// exchange on it — a request frame written, its reply read — draws one,
+// so a cycle meets the plan whether its stream was pooled or dialed.
+//
 // The errors it fabricates are shaped like the real thing: a reset
 // surfaces as a *net.OpError wrapping syscall.ECONNRESET, so
 // search.RetryPolicy classifies injected faults exactly as it would
@@ -39,17 +44,21 @@ const (
 	// FaultNone passes the exchange through untouched.
 	FaultNone FaultKind = iota
 	// FaultReset fails the exchange with a connection reset before the
-	// request reaches the shard (the shard never sees it).
+	// request reaches the shard (the shard never sees it); on a stream,
+	// before the request frame is written, and the stream is closed.
 	FaultReset
 	// FaultDelay delays the exchange by the plan's DelayFor, then
 	// delivers it normally.
 	FaultDelay
 	// FaultPartial delivers the request but cuts the response body
 	// after a few bytes — the shard applied the mutation, the caller
-	// never saw the acknowledgement.
+	// never saw the acknowledgement. On a stream the reply frame is cut
+	// after its header.
 	FaultPartial
 	// FaultBlackhole swallows the exchange until the caller's context
-	// deadline; neither side hears anything.
+	// deadline; neither side hears anything. On a stream the request
+	// frame is dropped and reads wait for the caller to close the stream,
+	// as its deadline does.
 	FaultBlackhole
 )
 
@@ -114,6 +123,18 @@ func (ft *FaultTransport) base() http.RoundTripper {
 
 // RoundTrip implements http.RoundTripper with the armed faults.
 func (ft *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Header.Get("Upgrade") != "" {
+		resp, err := ft.base().RoundTrip(req)
+		if err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
+			return resp, err
+		}
+		rwc, ok := resp.Body.(io.ReadWriteCloser)
+		if !ok {
+			return resp, nil
+		}
+		resp.Body = &faultStream{ReadWriteCloser: rwc, ft: ft, closed: make(chan struct{}), cut: -1}
+		return resp, nil
+	}
 	kind, delay := ft.next()
 	switch kind {
 	case FaultReset:
@@ -136,6 +157,64 @@ func (ft *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	// server, the client's read of the acknowledgement fails.
 	resp.Body = &partialBody{rc: resp.Body, remaining: 8}
 	return resp, nil
+}
+
+// faultStream is an upgraded stream under a plan: each Write starts a
+// frame exchange and draws its fault, which the reads of its reply obey.
+// One exchange at a time, as a cycle stream carries them.
+type faultStream struct {
+	io.ReadWriteCloser
+	ft     *FaultTransport
+	closed chan struct{}
+	once   sync.Once
+	// cut is how many reply bytes are left before the reply is cut (-1:
+	// no cut); hole drops the exchange.
+	cut  int
+	hole bool
+}
+
+func (s *faultStream) Write(b []byte) (int, error) {
+	kind, delay := s.ft.next()
+	s.cut, s.hole = -1, false
+	switch kind {
+	case FaultReset:
+		s.Close()
+		return 0, &net.OpError{Op: "write", Net: "tcp", Err: syscall.ECONNRESET}
+	case FaultDelay:
+		select {
+		case <-s.closed:
+			return 0, net.ErrClosed
+		case <-time.After(delay):
+		}
+	case FaultPartial:
+		s.cut = frameHeader
+	case FaultBlackhole:
+		s.hole = true
+		return len(b), nil
+	}
+	return s.ReadWriteCloser.Write(b)
+}
+
+func (s *faultStream) Read(b []byte) (int, error) {
+	switch {
+	case s.hole:
+		<-s.closed
+		return 0, net.ErrClosed
+	case s.cut == 0:
+		return 0, io.ErrUnexpectedEOF
+	case s.cut > 0 && len(b) > s.cut:
+		b = b[:s.cut]
+	}
+	n, err := s.ReadWriteCloser.Read(b)
+	if s.cut > 0 {
+		s.cut -= n
+	}
+	return n, err
+}
+
+func (s *faultStream) Close() error {
+	s.once.Do(func() { close(s.closed) })
+	return s.ReadWriteCloser.Close()
 }
 
 // partialBody yields at most remaining bytes, then fails the read the

@@ -7,12 +7,15 @@ import (
 )
 
 // One framing for everything this package checksums — the placement
-// journal's records, the /cluster/batch frames and the mutation acks: a
-// uint32 little-endian payload length, a uint32 little-endian CRC-32
-// (IEEE) over the length bytes followed by the payload, then the payload.
-// Covering the length field by the checksum means a corrupted length can
-// never silently re-frame a stream: any complete frame that fails its
-// CRC is rejected.
+// journal's records, the request, reply and refusal frames of a cycle
+// stream, the mutation frames and their acks: a uint32 little-endian
+// payload length, a uint32 little-endian CRC-32 (IEEE) over the length
+// bytes followed by the payload, then the payload. Covering the length
+// field by the checksum means a corrupted length can never silently
+// re-frame a stream: any complete frame that fails its CRC is rejected.
+// The journal is scanned frame by frame, a cycle stream is read one
+// frame at a time (readFrame), and a POST /cluster/mutate body and its
+// ack are one frame each.
 
 const frameHeader = 8
 

@@ -101,16 +101,21 @@ func (p *pShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // crashShard abandons a shard kill -9 style: the saver goroutine stops
-// but nothing is flushed — whatever the last Save captured is all that
-// survives.
+// and the cycle streams die with the process, but nothing is flushed —
+// whatever the last Save captured is all that survives.
 func crashShard(s *Shard) {
 	s.mu.Lock()
-	if !s.closed {
+	crashed := !s.closed
+	if crashed {
 		s.closed = true
 		close(s.closeCh)
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
+	if crashed {
+		s.stopScans()
+		s.dropStreams()
+	}
 }
 
 // crash kills the shard process without saving and marks it down.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -10,6 +11,7 @@ import (
 	"maps"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,6 +43,12 @@ type Config struct {
 	// connection resets without inflating tail latency.
 	Retry search.RetryPolicy
 	// HTTPClient overrides the transport (nil = http.DefaultClient).
+	// Mutations and the control plane are one request each through it.
+	// On the query path it only dials: it opens a stream with one
+	// upgrade request, and the cycles that stream carries never pass
+	// through it, so its idle-connection settings do not apply to them.
+	// Its Transport must hand over upgraded connections, as
+	// *http.Transport does, and its Timeout must be zero.
 	HTTPClient *http.Client
 	// Analyzer processes raw query text exactly once, at the router;
 	// shards only ever see analyzed terms. It must match the analyzer
@@ -81,6 +89,10 @@ const (
 	// owning shard, and the journal snapshot carries the cache across
 	// restarts.
 	titleCacheSize = 65536
+	// maxIdleStreams bounds the cycle streams kept open to one shard
+	// between cycles: one per cycle the router runs at once, up to this
+	// many. A stream returned to a full pool is closed.
+	maxIdleStreams = 16
 )
 
 // Router is the scatter-gather front of the distributed tier. It
@@ -158,11 +170,15 @@ type Router struct {
 	replayed   atomic.Uint64
 	// refreshes counts the whole-table fetches mutations forced.
 	refreshes atomic.Uint64
+	// dials counts the cycle streams opened; redials the pooled streams
+	// found closed and replaced in the middle of a cycle.
+	dials   atomic.Uint64
+	redials atomic.Uint64
 
 	mDegraded   *telemetry.Counter
 	mRecoveries *telemetry.Counter
 	mReplayed   *telemetry.Counter
-	// Frame bytes over /cluster/batch, summed over shards.
+	// Cycle frame bytes over the shards' streams, summed over shards.
 	mBatchSent     *telemetry.Counter
 	mBatchReceived *telemetry.Counter
 	// Mutation bytes, summed over shards: mutation frames sent, ack
@@ -202,6 +218,13 @@ type shardConn struct {
 	// first reached having applied sequences this router's log never
 	// assigned, and has not since restarted without them (checkLog).
 	foreign error
+
+	// streamMu guards idle, the cycle streams open between cycles (most
+	// recently used last), and streamsClosed, set once the router closed
+	// them for good.
+	streamMu      sync.Mutex
+	idle          []*cycleStream
+	streamsClosed bool
 
 	// Metric handles, nil until EnableMetrics.
 	mReqs     *telemetry.Counter
@@ -270,8 +293,8 @@ func (c *shardConn) getJSON(ctx context.Context, path string, out interface{}) e
 	})
 }
 
-// exchangeFrame POSTs one frame to c and decodes the reply frame,
-// reporting the reply's size in bytes. The reply is read through a
+// exchangeFrame POSTs one mutation frame to c and decodes the reply
+// frame, reporting the reply's size in bytes. The reply is read through a
 // pooled buffer and bounded by maxReply payload bytes whatever the shard
 // sends; a frame that does not decode fails this shard's exchange like
 // any other error.
@@ -332,6 +355,153 @@ type statusError struct {
 
 func (e *statusError) Error() string {
 	return fmt.Sprintf("shard returned %d: %s", e.code, e.msg)
+}
+
+// cycleStream is one open stream to a shard's GET /cluster/stream
+// (wire.go), carrying one exchange at a time.
+type cycleStream struct {
+	rwc io.ReadWriteCloser
+	br  *bufio.Reader
+	// buf holds the reply frame of the last exchange.
+	buf []byte
+}
+
+// dialStream opens a cycle stream to c: one GET /cluster/stream
+// upgraded to streamProtocol, through c's client and retry budget. Any
+// answer but 101 is the shard's error.
+func (c *shardConn) dialStream(ctx context.Context) (*cycleStream, error) {
+	resp, err := c.retry.Do(c.httpc, func() (*http.Request, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.name+"/cluster/stream", nil)
+		if err != nil {
+			return nil, err
+		}
+		req.Header.Set("Connection", "Upgrade")
+		req.Header.Set("Upgrade", streamProtocol)
+		return req, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	rwc, ok := resp.Body.(io.ReadWriteCloser)
+	switch {
+	case resp.StatusCode != http.StatusSwitchingProtocols:
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return nil, &statusError{code: resp.StatusCode, msg: string(bytes.TrimSpace(msg))}
+	case !strings.EqualFold(resp.Header.Get("Upgrade"), streamProtocol):
+		resp.Body.Close()
+		return nil, fmt.Errorf("cluster: shard upgraded to %q, not %q", resp.Header.Get("Upgrade"), streamProtocol)
+	case !ok:
+		resp.Body.Close()
+		return nil, errors.New("cluster: the HTTP client hands over no upgraded connection (a Client.Timeout wraps it)")
+	}
+	return &cycleStream{rwc: rwc, br: bufio.NewReader(rwc)}, nil
+}
+
+// exchange writes one request frame and reads the reply frame into
+// s.buf. ctx ending closes the stream, which fails the exchange with
+// ctx's error whatever it had received.
+func (s *cycleStream) exchange(ctx context.Context, frame []byte) error {
+	s.buf = s.buf[:0]
+	stop := context.AfterFunc(ctx, func() { s.rwc.Close() })
+	_, err := s.rwc.Write(frame)
+	if err == nil {
+		s.buf, err = readFrame(s.br, s.buf, maxBatchReply)
+	}
+	if !stop() {
+		return ctx.Err()
+	}
+	switch {
+	case errors.Is(err, errFrameTorn) || errors.Is(err, errFrameChecksum):
+		return fmt.Errorf("cluster: batch frame: %w", err)
+	case err == io.EOF:
+		return errors.New("cluster: the shard closed the stream")
+	case err == nil && s.br.Buffered() > 0:
+		// A shard sends nothing it was not asked for: the stream's
+		// framing is lost.
+		return fmt.Errorf("cluster: batch frame: %d bytes after the frame", s.br.Buffered())
+	}
+	return err
+}
+
+// takeStream returns c's most recently pooled stream, nil if none.
+func (c *shardConn) takeStream() *cycleStream {
+	c.streamMu.Lock()
+	defer c.streamMu.Unlock()
+	n := len(c.idle)
+	if n == 0 {
+		return nil
+	}
+	s := c.idle[n-1]
+	c.idle[n-1] = nil
+	c.idle = c.idle[:n-1]
+	return s
+}
+
+// putStream pools s for a later cycle, or closes it when the pool is
+// full or closed.
+func (c *shardConn) putStream(s *cycleStream) {
+	c.streamMu.Lock()
+	if !c.streamsClosed && len(c.idle) < maxIdleStreams {
+		c.idle = append(c.idle, s)
+		c.streamMu.Unlock()
+		return
+	}
+	c.streamMu.Unlock()
+	s.rwc.Close()
+}
+
+// closeStreams closes c's pooled streams, and every stream put back
+// afterwards.
+func (c *shardConn) closeStreams() {
+	c.streamMu.Lock()
+	idle := c.idle
+	c.idle, c.streamsClosed = nil, true
+	c.streamMu.Unlock()
+	for _, s := range idle {
+		s.rwc.Close()
+	}
+}
+
+// exchangeCycle sends one cycle's request frame to c over one of its
+// streams, written and read on the calling goroutine, and decodes the
+// reply, reporting its size in bytes. A stream that carried a whole
+// reply, responses or a refusal, goes back to c's pool; any other is
+// closed. A pooled stream that fails before any reply byte arrives — the
+// shard closed it while it idled, as a stopped or restarted shard does —
+// is redialed once: a cycle is read-only, so sending it again is
+// harmless.
+func (r *Router) exchangeCycle(ctx context.Context, c *shardConn, frame []byte) (resps []vsm.Response, received int, err error) {
+	start := time.Now()
+	defer func() { c.observe(time.Since(start).Seconds(), err) }()
+	s := c.takeStream()
+	pooled := s != nil
+	for {
+		if s == nil {
+			if s, err = c.dialStream(ctx); err != nil {
+				return nil, 0, err
+			}
+			r.dials.Add(1)
+		}
+		err = s.exchange(ctx, frame)
+		if err == nil || !pooled || len(s.buf) > 0 || ctx.Err() != nil {
+			break
+		}
+		s.rwc.Close()
+		s, pooled = nil, false
+		r.redials.Add(1)
+	}
+	received = len(s.buf)
+	if err == nil {
+		resps, err = decodeCycleReply(s.buf)
+		var refused *statusError
+		if err == nil || errors.As(err, &refused) {
+			c.putStream(s)
+			return resps, received, err
+		}
+	}
+	s.rwc.Close()
+	return nil, received, err
 }
 
 // setStats installs a whole table fetched from GET /cluster/stats,
@@ -614,12 +784,17 @@ func (c *shardConn) refusal() error {
 	return c.foreign
 }
 
-// Close stops the health loop and, when journaling, compacts what it
-// can into the snapshot and closes the WAL — the graceful-drain path.
-// A closed router must not be used for further mutations.
+// Close stops the health loop, closes the cycle streams and, when
+// journaling, compacts what it can into the snapshot and closes the WAL
+// — the graceful-drain path. A closed router must not be used for
+// further mutations; a cycle still running has its stream closed when
+// it ends.
 func (r *Router) Close() error {
 	r.stopOnce.Do(func() { close(r.stopCh) })
 	r.loopWG.Wait()
+	for _, c := range r.shards {
+		c.closeStreams()
+	}
 	if r.journal == nil {
 		return nil
 	}
@@ -869,11 +1044,11 @@ func (r *Router) SearchRequest(ctx context.Context, req vsm.Request) (vsm.Respon
 }
 
 // SearchBatch fans one cycle out to every shard in a single per-shard
-// round-trip, merges each member's per-shard top-k lists, and reports
-// per-shard outcomes. Shard failure degrades the response — merged
-// survivor results plus Degraded and ShardStatus — and is never a
-// whole-query error; only a dead parent context or a malformed request
-// returns one.
+// exchange on one of its streams, merges each member's per-shard top-k
+// lists, and reports per-shard outcomes. Shard failure degrades the
+// response — merged survivor results plus Degraded and ShardStatus — and
+// is never a whole-query error; only a dead parent context or a
+// malformed request returns one.
 func (r *Router) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Response, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -928,7 +1103,7 @@ func (r *Router) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Res
 			defer wg.Done()
 			sctx, cancel := context.WithTimeout(ctx, r.deadline)
 			defer cancel()
-			resps, received, err := exchangeFrame(sctx, c, "/cluster/batch", batchContentType, frame, maxBatchReply, decodeBatchReply)
+			resps, received, err := r.exchangeCycle(sctx, c, frame)
 			if err == nil && len(resps) != len(reqs) {
 				err = fmt.Errorf("shard answered %d members for %d queries", len(resps), len(reqs))
 			}
@@ -1276,13 +1451,19 @@ func (r *Router) EnableMetrics(reg *telemetry.Registry, _ *telemetry.TraceRing) 
 		c.mu.Unlock()
 	}
 	batchBytes := reg.CounterVec("toppriv_cluster_batch_bytes_total",
-		"Frame bytes exchanged over /cluster/batch, summed over shards: request frames sent, reply frames received.", "dir")
+		"Cycle frame bytes exchanged over the shards' streams (GET /cluster/stream), summed over shards: request frames sent, reply and refusal frames received.", "dir")
 	r.mBatchSent = batchBytes.With("sent")
 	r.mBatchReceived = batchBytes.With("received")
 	mutationBytes := reg.CounterVec("toppriv_cluster_mutation_bytes_total",
 		"Mutation bytes exchanged over /cluster/mutate, summed over shards: mutation frames sent, ack frames received.", "dir")
 	r.mMutationSent = mutationBytes.With("sent")
 	r.mMutationReceived = mutationBytes.With("received")
+	reg.CounterFunc("toppriv_cluster_stream_dials_total",
+		"Cycle streams opened to shards (GET /cluster/stream upgrades). Flat once every shard has a stream per concurrent cycle.",
+		func() float64 { return float64(r.dials.Load()) })
+	reg.CounterFunc("toppriv_cluster_stream_redials_total",
+		"Pooled cycle streams found closed before any reply byte and replaced within the cycle: one per stream a restarted or stopped shard left behind.",
+		func() float64 { return float64(r.redials.Load()) })
 	reg.CounterFunc("toppriv_cluster_stats_refreshes_total",
 		"Whole-table GET /cluster/stats fetches a mutation forced: an ack from another shard instance or past a version gap, or a failed mutation exchange. 0 in steady state.",
 		func() float64 { return float64(r.refreshes.Load()) })

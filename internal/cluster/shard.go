@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -68,6 +71,24 @@ type Shard struct {
 	closeCh chan struct{}
 	wg      sync.WaitGroup
 	closed  bool
+
+	// streams are the open cycle streams, guarded by mu; streamWG counts
+	// their goroutines. A hijacked connection escapes the HTTP server's
+	// Close and Shutdown, so the shard closes its streams itself
+	// (dropStreams). scanCtx is their scans' context, cancelled by Close.
+	streams   map[*shardStream]struct{}
+	streamWG  sync.WaitGroup
+	scanCtx   context.Context
+	stopScans context.CancelFunc
+}
+
+// shardStream is one open cycle stream: the hijacked connection, the
+// reader holding whatever the connection delivered past the upgrade, and
+// the buffer each request frame is read into and its reply built in.
+type shardStream struct {
+	conn net.Conn
+	br   *bufio.Reader
+	buf  []byte
 }
 
 // ShardConfig parameterizes a persistent shard.
@@ -118,13 +139,16 @@ type shardMeta struct {
 // only: nothing survives a restart, and the shard reports durable
 // sequence 0 so a journaling router retains every mutation for replay.
 func NewShard(store *segment.Store) *Shard {
-	return &Shard{
+	s := &Shard{
 		store:    store,
 		cfg:      ShardConfig{}.withDefaults(),
 		instance: rand.Uint64() | 1,
 		saveCh:   make(chan struct{}, 1),
 		closeCh:  make(chan struct{}),
+		streams:  make(map[*shardStream]struct{}),
 	}
+	s.scanCtx, s.stopScans = context.WithCancel(context.Background())
+	return s
 }
 
 // OpenShard opens a persistent shard in cfg.Dir: an existing store
@@ -202,12 +226,19 @@ func (s *Shard) Store() *segment.Store { return s.store }
 func (s *Shard) Persistent() bool { return s.cfg.Dir != "" }
 
 // Mount attaches the shard's wire endpoints to a search server, beside
-// the standard surface, sharing its HTTP instrumentation.
+// the standard surface, sharing its HTTP instrumentation, and registers
+// the open-stream gauge with its metrics.
 func (s *Shard) Mount(srv *search.Server) {
-	srv.Handle("/cluster/batch", http.HandlerFunc(s.handleBatch))
+	srv.Handle("/cluster/stream", http.HandlerFunc(s.handleStream))
 	srv.Handle("/cluster/stats", http.HandlerFunc(s.handleStats))
 	srv.Handle("/cluster/mutate", http.HandlerFunc(s.handleMutate))
 	srv.Handle("/cluster/doc/", http.HandlerFunc(s.handleDoc))
+	srv.Registry().GaugeFunc("toppriv_cluster_streams_open",
+		"Cycle streams (GET /cluster/stream) open on this shard.", func() float64 {
+			s.mu.RLock()
+			defer s.mu.RUnlock()
+			return float64(len(s.streams))
+		})
 }
 
 // saveLoop is the background saver: it saves when kicked past the
@@ -266,9 +297,10 @@ func (s *Shard) Save() error {
 	return nil
 }
 
-// Close stops the background saver, closes the store against further
-// mutations, and takes a final save — the graceful-drain order, so
-// nothing acknowledged before Close can miss the disk.
+// Close stops the background saver, closes the open streams and waits
+// for them, closes the store against further mutations, and takes a
+// final save — the graceful-drain order, so nothing acknowledged before
+// Close can miss the disk and no stream scans a closed store.
 func (s *Shard) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -279,8 +311,22 @@ func (s *Shard) Close() error {
 	s.mu.Unlock()
 	close(s.closeCh)
 	s.wg.Wait()
+	s.stopScans()
+	s.dropStreams()
 	s.store.Close()
 	return s.Save()
+}
+
+// dropStreams closes the open streams' connections and waits for their
+// goroutines. Once closed is set no stream opens afterwards, so none is
+// left.
+func (s *Shard) dropStreams() {
+	s.mu.RLock()
+	for st := range s.streams {
+		st.conn.Close()
+	}
+	s.mu.RUnlock()
+	s.streamWG.Wait()
 }
 
 // statsLocked snapshots the shard's live statistics for the router's
@@ -325,7 +371,7 @@ func (s *Shard) handleStats(w http.ResponseWriter, r *http.Request) {
 // status and error it returns; another content type is a router of
 // another release, and gets 415. One pooled buffer serves both ways:
 // serve decodes into values that alias nothing in it, then builds the
-// reply over it.
+// reply over it. Mutations take this path; cycles take a stream.
 func serveFrame(w http.ResponseWriter, r *http.Request, contentType string, maxPayload int, replyType string, serve func(buf []byte) ([]byte, int, error)) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
@@ -343,40 +389,141 @@ func serveFrame(w http.ResponseWriter, r *http.Request, contentType string, maxP
 	if err == nil {
 		buf, status, err = serve(buf)
 	}
-	switch {
-	case status == http.StatusBadRequest:
-		http.Error(w, "bad request: "+err.Error(), status)
-	case err != nil:
-		http.Error(w, err.Error(), status)
-	default:
-		*bp = buf
-		w.Header().Set("Content-Type", replyType)
-		w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-		w.Write(buf)
+	if err != nil {
+		http.Error(w, refusalMessage(status, err), status)
+		return
+	}
+	*bp = buf
+	w.Header().Set("Content-Type", replyType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
+	w.Write(buf)
+}
+
+// refusalMessage is what a refusal with status says: a 400 names the
+// request as bad, anything else is the error alone.
+func refusalMessage(status int, err error) string {
+	if status == http.StatusBadRequest {
+		return "bad request: " + err.Error()
+	}
+	return err.Error()
+}
+
+// handleStream upgrades GET /cluster/stream to a cycle stream (wire.go)
+// and serves it until it ends. The connection is the shard's once
+// hijacked: the HTTP server neither times it out nor closes it.
+func (s *Shard) handleStream(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		http.Error(w, "GET required", http.StatusMethodNotAllowed)
+		return
+	}
+	if !upgradeRequested(r) {
+		w.Header().Set("Connection", "Upgrade")
+		w.Header().Set("Upgrade", streamProtocol)
+		http.Error(w, "Upgrade: "+streamProtocol+" required", http.StatusUpgradeRequired)
+		return
+	}
+	conn, br, err := upgradeStream(w)
+	if err != nil {
+		return
+	}
+	st := &shardStream{conn: conn, br: br}
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		conn.Close()
+		return
+	}
+	s.streams[st] = struct{}{}
+	s.streamWG.Add(1)
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		delete(s.streams, st)
+		s.mu.Unlock()
+		s.streamWG.Done()
+	}()
+	s.serve(st)
+}
+
+// upgradeRequested reports whether r asks to upgrade to a cycle stream.
+func upgradeRequested(r *http.Request) bool {
+	return strings.EqualFold(r.Header.Get("Upgrade"), streamProtocol)
+}
+
+// upgradeStream hijacks w's connection, clears the deadlines the HTTP
+// server may have set on it, and answers 101 Switching Protocols. The
+// reader holds whatever the router sent past its request.
+func upgradeStream(w http.ResponseWriter) (net.Conn, *bufio.Reader, error) {
+	conn, brw, err := http.NewResponseController(w).Hijack()
+	if err != nil {
+		http.Error(w, "cluster: stream: "+err.Error(), http.StatusInternalServerError)
+		return nil, nil, err
+	}
+	conn.SetDeadline(time.Time{})
+	brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + streamProtocol + "\r\n\r\n")
+	if err := brw.Flush(); err != nil {
+		conn.Close()
+		return nil, nil, err
+	}
+	return conn, brw.Reader, nil
+}
+
+// serve answers st's request frames one at a time, each with its reply
+// or a refusal frame, and closes st's connection once the stream ends:
+// the router closed it, the shard is closing, or a frame lost the
+// stream's framing — cut short, longer than maxBatchRequest, failing its
+// CRC, or followed by bytes the router sent before the reply. The
+// refusal answering such a frame is the stream's last.
+func (s *Shard) serve(st *shardStream) {
+	defer st.conn.Close()
+	for {
+		var err error
+		st.buf, err = readFrame(st.br, st.buf, maxBatchRequest)
+		lost := true
+		switch {
+		case errors.Is(err, errFrameTorn) || errors.Is(err, errFrameChecksum):
+			err = fmt.Errorf("cluster: batch frame: %w", err)
+		case err != nil:
+			// The stream ended between frames, or its connection did.
+			return
+		case st.br.Buffered() > 0:
+			err = fmt.Errorf("cluster: batch frame: %d bytes after the frame", st.br.Buffered())
+		default:
+			lost = false
+		}
+		status := http.StatusBadRequest
+		if err == nil {
+			st.buf, status, err = s.cycle(st.buf)
+		}
+		if err != nil {
+			st.buf = appendRefusal(st.buf[:0], status, refusalMessage(status, err))
+		}
+		if _, err := st.conn.Write(st.buf); err != nil || lost {
+			return
+		}
 	}
 }
 
-// handleBatch executes one cycle against the local store. Every member
-// carries the router's merged statistics, so the store's engine weighs
-// query terms with cluster-wide N/df/avgdl while traversing only local
-// postings. Request and reply are one frame each (wire.go).
-func (s *Shard) handleBatch(w http.ResponseWriter, r *http.Request) {
-	serveFrame(w, r, batchContentType, maxBatchRequest, batchContentType, func(buf []byte) ([]byte, int, error) {
-		reqs, err := decodeBatchRequest(buf)
-		if err != nil {
-			return nil, http.StatusBadRequest, err
+// cycle executes one request frame against the local store and builds
+// its reply over the frame's storage, or returns the status to refuse it
+// with. Every member carries the router's merged statistics, so the
+// store's engine weighs query terms with cluster-wide N/df/avgdl while
+// traversing only local postings.
+func (s *Shard) cycle(frame []byte) ([]byte, int, error) {
+	reqs, err := decodeBatchRequest(frame)
+	if err != nil {
+		return frame, http.StatusBadRequest, err
+	}
+	for i := range reqs {
+		if err := reqs[i].Validate(); err != nil {
+			return frame, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err)
 		}
-		for i := range reqs {
-			if err := reqs[i].Validate(); err != nil {
-				return nil, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err)
-			}
-		}
-		resps, err := s.store.SearchBatch(r.Context(), reqs)
-		if err != nil {
-			return nil, http.StatusInternalServerError, err
-		}
-		return appendBatchReply(buf[:0], resps), http.StatusOK, nil
-	})
+	}
+	resps, err := s.store.SearchBatch(s.scanCtx, reqs)
+	if err != nil {
+		return frame, http.StatusInternalServerError, err
+	}
+	return appendBatchReply(frame[:0], resps), http.StatusOK, nil
 }
 
 // errNoSeq refuses a mutation without its log sequence: the applied

@@ -23,12 +23,18 @@ import (
 // a corpus.Document. Everything else is binary frames: the framing of
 // frame.go (uint32 length, uint32 CRC-32 over length + payload) around a
 // payload of uvarints (encoding/binary's, shortest form only), raw bytes
-// and raw float64 bits. The query path, POST /cluster/batch, is one frame
-// each way, Content-Type batchContentType. It carries what a cycle is:
-// one collection, the cycle's distinct terms, and the members as
-// references into them. A mutation, POST /cluster/mutate, is one frame
+// and raw float64 bits. A mutation, POST /cluster/mutate, is one frame
 // (see appendMutation) answered with one ack frame (see
 // appendMutationAck).
+//
+// The query path is a stream. A router opens one with GET
+// /cluster/stream, Connection: Upgrade, Upgrade: toppriv-cycle
+// (streamProtocol); the shard answers 101 Switching Protocols and takes
+// the connection over. From then on the connection carries one exchange
+// at a time, one request frame from the router and one reply frame back,
+// and the router keeps it open for later cycles. A request carries what
+// a cycle is: one collection, the cycle's distinct terms, and the
+// members as references into them.
 //
 // Request payload:
 //
@@ -58,17 +64,33 @@ import (
 //	    }                  best first
 //	}
 //
+// A request the shard cannot answer — its payload does not decode, a
+// member fails Request.Validate, the scan fails — is answered with a
+// refusal frame, and the stream stays open:
+//
+//	uvarint 0              no members (a request has at least one)
+//	uvarint status         the HTTP status of the refusal: 400 for the request, 500 for the shard
+//	uvarint n, n bytes     the message
+//
+// A frame cut short, longer than maxBatchRequest, failing its CRC, or
+// followed by bytes before its reply was written (a router never sends
+// any) loses the stream's framing: the shard answers it with a refusal
+// and closes the stream.
+//
 // A frame has one encoding: a padded uvarint, a term listed twice or out
 // of first-occurrence order or never referenced, and bytes after the
 // payload are all refused, so equal terms carry equal df by construction
 // and the bytes are a function of the member sequence alone. Nothing in
 // a frame tells the genuine query from its ghosts.
 //
-// There is one version and no negotiation: a shard answers any other
+// There is one version and no negotiation: a shard answers
+// GET /cluster/stream without Upgrade: toppriv-cycle — another token, or
+// none — with 426 Upgrade Required, and a mutation of any other
 // Content-Type with 415, so a router and its shards upgrade together.
 
 const (
-	batchContentType = "application/x-toppriv-cycle"
+	// streamProtocol is the Upgrade token of a cycle stream.
+	streamProtocol = "toppriv-cycle"
 	// maxBatchRequest and maxBatchReply bound the frame a shard reads
 	// from a router and a router from a shard. A cycle of 64 members
 	// asking 1000 hits each answers in under 1 MiB.
@@ -220,6 +242,39 @@ func appendBatchReply(dst []byte, resps []vsm.Response) []byte {
 	}
 	sealFrame(dst[start:])
 	return dst
+}
+
+// appendRefusal appends the refusal frame a shard answers a request it
+// cannot serve with: status and msg, as a non-2xx reply carries them.
+func appendRefusal(dst []byte, status int, msg string) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeader)...)
+	dst = binary.AppendUvarint(dst, 0)
+	dst = binary.AppendUvarint(dst, uint64(status))
+	dst = binary.AppendUvarint(dst, uint64(len(msg)))
+	dst = append(dst, msg...)
+	sealFrame(dst[start:])
+	return dst
+}
+
+// decodeCycleReply reads the reply frame of a stream exchange: the
+// cycle's responses, or the shard's refusal as a *statusError.
+func decodeCycleReply(frame []byte) ([]vsm.Response, error) {
+	resps, err := decodeBatchReply(frame)
+	if err == nil {
+		return resps, nil
+	}
+	// A refusal is the one reply with no members and more bytes after.
+	r, ferr := openFrameReader(frame, maxBatchReply, "batch")
+	if ferr != nil || len(r.b) < 2 || r.b[0] != 0 {
+		return nil, err
+	}
+	r.b = r.b[1:]
+	status, msg := r.num(), r.str()
+	if r.end() != nil || status < 400 || status > 599 {
+		return nil, err
+	}
+	return nil, &statusError{code: status, msg: msg}
 }
 
 // replyHitMin is the least a hit occupies: one gid byte and the score.
@@ -616,10 +671,9 @@ func (r *frameReader) end() error {
 	return r.err
 }
 
-// wireBufs pools the buffers /cluster/batch frames are read into and
-// replies built in. A request frame is never pooled: net/http may still
-// be reading it after Do returns, and a cycle's shard goroutines share
-// it.
+// wireBufs pools the buffers /cluster/mutate frames are read into and
+// acks built in. A mutation frame is never pooled: net/http may still be
+// reading it after Do returns.
 var wireBufs = sync.Pool{New: func() interface{} { return new([]byte) }}
 
 // readBody reads r to EOF into buf — to EOF so that a keep-alive
@@ -640,6 +694,48 @@ func readBody(r io.Reader, buf []byte) ([]byte, error) {
 			return buf, err
 		}
 	}
+}
+
+// readFrame reads the frame at the head of a stream into buf's storage:
+// the header, then as many payload bytes as it claims, up to maxPayload.
+// buf grows as bytes arrive, never ahead of them and never past the
+// frame, and nothing after the frame is read. A stream that ends between
+// two frames is io.EOF; one that ends inside a frame, or claims more
+// than maxPayload, is errFrameTorn; a whole frame that fails its CRC is
+// errFrameChecksum. After either of the last two the stream's framing is
+// lost.
+func readFrame(r io.Reader, buf []byte, maxPayload int) ([]byte, error) {
+	buf = buf[:0]
+	need := frameHeader
+	for len(buf) < need {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(max(2*cap(buf), 512), need))
+			copy(grown, buf)
+			buf = grown
+		}
+		n, err := r.Read(buf[len(buf):min(cap(buf), need)])
+		buf = buf[:len(buf)+n]
+		if need == frameHeader && len(buf) == frameHeader {
+			length := binary.LittleEndian.Uint32(buf)
+			if int64(length) > int64(maxPayload) {
+				return buf, errFrameTorn
+			}
+			need += int(length)
+		}
+		switch {
+		case err == nil || len(buf) == need:
+		case err == io.EOF && len(buf) == 0:
+			return buf, io.EOF
+		case err == io.EOF || err == io.ErrUnexpectedEOF:
+			return buf, errFrameTorn
+		default:
+			return buf, err
+		}
+	}
+	if frameSum(buf) != binary.LittleEndian.Uint32(buf[4:8]) {
+		return buf, errFrameChecksum
+	}
+	return buf, nil
 }
 
 // shardStats is the GET /cluster/stats reply: the shard's live

@@ -5,10 +5,10 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"strings"
@@ -36,7 +36,7 @@ func (c testCycle) encode() []byte {
 }
 
 // parentRequests is what a shard executed for this cycle before the
-// frame existed — handleBatch's vsm.Request{Terms, K, Global} over the
+// frame existed — the shard's vsm.Request{Terms, K, Global} over the
 // JSON body, whose Global the router's mergedStats built per member: the
 // snapshot repeated, DF aligned with Terms, repeats repeating their df,
 // nil Terms made empty.
@@ -615,31 +615,37 @@ func FuzzDecodeMutation(f *testing.F) {
 	})
 }
 
-// TestRouterBoundsMalformedReply: a shard that answers /cluster/batch
-// with anything but one well-formed frame of the request's member count
-// — or never stops answering — is an error for that shard alone: the
-// cycle degrades to the survivors' bit-identical results, as it does for
-// a dead shard, and the shard is back the moment it behaves.
+// TestRouterBoundsMalformedReply: a shard that answers a request frame
+// on its stream with anything but one well-formed frame of the request's
+// member count — or never stops answering — is an error for that shard
+// alone: the cycle degrades to the survivors' bit-identical results, as
+// it does for a dead shard, and the shard is back the moment it behaves.
 func TestRouterBoundsMalformedReply(t *testing.T) {
 	tc := newTestCluster(t, vsm.BM25, 3, Config{})
-	var mangle atomic.Value // func(http.ResponseWriter, []byte)
+	var mangle atomic.Value // func(io.Writer, []byte)
 	inner := tc.servers[2]
 	front := serveNamed(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		m, _ := mangle.Load().(func(http.ResponseWriter, []byte))
-		if m == nil || r.URL.Path != "/cluster/batch" {
+		if !upgradeRequested(r) {
 			proxyTo(t, inner.URL, w, r)
 			return
 		}
-		rec := httptest.NewRecorder()
-		proxyTo(t, inner.URL, rec, r)
-		w.Header().Set("Content-Type", batchContentType)
-		m(w, rec.Body.Bytes())
+		// A mangled reply ends the relayed stream, as a broken shard's
+		// connection would end.
+		proxyStream(inner.URL, w, nil, func(w io.Writer, reply []byte) bool {
+			m, _ := mangle.Load().(func(io.Writer, []byte))
+			if m == nil {
+				return false
+			}
+			m(w, reply)
+			return true
+		})
 	}))
 	defer front.Close()
 	r, err := New(Config{Shards: []string{tc.servers[0].URL, tc.servers[1].URL, front.URL}, Analyzer: textproc.NewAnalyzer()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer r.Close()
 	docs := synthDocs(t, 40, 5)
 	gids, err := r.Add(docs...)
 	if err != nil {
@@ -660,13 +666,13 @@ func TestRouterBoundsMalformedReply(t *testing.T) {
 	}
 	dead := ownedBy(r, gids, 2)
 
-	write := func(f func(good []byte) []byte) func(http.ResponseWriter, []byte) {
-		return func(w http.ResponseWriter, good []byte) { w.Write(f(append([]byte(nil), good...))) }
+	write := func(f func(good []byte) []byte) func(io.Writer, []byte) {
+		return func(w io.Writer, good []byte) { w.Write(f(append([]byte(nil), good...))) }
 	}
 	oneMember := appendBatchReply(nil, make([]vsm.Response, 1))
 	for _, tt := range []struct {
 		name, says string
-		mangle     func(http.ResponseWriter, []byte)
+		mangle     func(io.Writer, []byte)
 	}{
 		{"bad CRC", "checksum", write(func(b []byte) []byte { b[len(b)-1] ^= 1; return b })},
 		{"truncated", "cut short", write(func(b []byte) []byte { return b[:len(b)-5] })},
@@ -683,7 +689,7 @@ func TestRouterBoundsMalformedReply(t *testing.T) {
 			return payloadFrame(2, 0, 0, 0, 0, 1<<30, 7, score8, 0, 0, 0, 0, 0)
 		})},
 		{"JSON", "cut short", write(func([]byte) []byte { return []byte(`{"responses":[]}`) })},
-		{"a reply that never ends", "batch frame", func(w http.ResponseWriter, _ []byte) {
+		{"a reply that never ends", "batch frame", func(w io.Writer, _ []byte) {
 			chunk := make([]byte, 64<<10)
 			for {
 				if _, err := w.Write(chunk); err != nil {
@@ -706,7 +712,7 @@ func TestRouterBoundsMalformedReply(t *testing.T) {
 			}
 		}
 	}
-	mangle.Store((func(http.ResponseWriter, []byte))(nil))
+	mangle.Store((func(io.Writer, []byte))(nil))
 	resps, err := r.SearchBatch(context.Background(), reqs)
 	if err != nil || resps[0].Degraded {
 		t.Fatalf("well-behaved again, still degraded: err=%v %+v", err, resps[0].Shards)

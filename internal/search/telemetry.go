@@ -77,6 +77,11 @@ func (sr *statusRecorder) WriteHeader(code int) {
 	sr.ResponseWriter.WriteHeader(code)
 }
 
+// Unwrap lets http.ResponseController reach the connection under the
+// recorder — Hijack, Flush and deadlines — on every instrumented route.
+// A hijacked connection's bytes bypass the recorder and are not counted.
+func (sr *statusRecorder) Unwrap() http.ResponseWriter { return sr.ResponseWriter }
+
 func (sr *statusRecorder) Write(b []byte) (int, error) {
 	if sr.status == 0 {
 		sr.status = http.StatusOK

@@ -472,3 +472,67 @@ func TestHTTPResponseBytesCounter(t *testing.T) {
 		}
 	}
 }
+
+// TestMountedHandlerReachesConnection: a route mounted with Handle gets
+// the connection through http.ResponseController — a flush reaches the
+// client before the handler returns, and a hijack hands over the socket
+// — while the instrumentation still counts the request.
+func TestMountedHandlerReachesConnection(t *testing.T) {
+	f := newTelemetryFixture(t)
+	flushed := make(chan struct{})
+	f.server.Handle("/flush", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "first\n")
+		if err := http.NewResponseController(w).Flush(); err != nil {
+			t.Errorf("flush through a mounted handler: %v", err)
+			return
+		}
+		<-flushed
+		io.WriteString(w, "second\n")
+	}))
+	f.server.Handle("/hijack", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, brw, err := http.NewResponseController(w).Hijack()
+		if err != nil {
+			t.Errorf("hijack through a mounted handler: %v", err)
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		defer conn.Close()
+		brw.WriteString("HTTP/1.1 200 OK\r\nContent-Length: 8\r\nConnection: close\r\n\r\nhijacked")
+		brw.Flush()
+	}))
+
+	resp, err := http.Get(f.ts.URL + "/flush")
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := make([]byte, len("first\n"))
+	if _, err := io.ReadFull(resp.Body, line); err != nil || string(line) != "first\n" {
+		t.Fatalf("read %q before the handler returned (%v), want the flushed first line", line, err)
+	}
+	close(flushed)
+	rest, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if string(rest) != "second\n" {
+		t.Fatalf("rest of the flushed reply %q", rest)
+	}
+
+	resp, err = http.Get(f.ts.URL + "/hijack")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || string(body) != "hijacked" {
+		t.Fatalf("hijacked route answered %d %q", resp.StatusCode, body)
+	}
+
+	fam, ok := f.scrape(t)["toppriv_http_requests_total"]
+	if !ok {
+		t.Fatal("toppriv_http_requests_total missing from exposition")
+	}
+	for _, endpoint := range []string{"/flush", "/hijack"} {
+		if s, ok := findSample(fam, map[string]string{"endpoint": endpoint}); !ok || s.Value != 1 {
+			t.Errorf("http_requests_total{endpoint=%s} = %v (found=%v), want 1", endpoint, s.Value, ok)
+		}
+	}
+}
