@@ -371,22 +371,21 @@ func BenchmarkInference(b *testing.B) {
 	}
 }
 
-// BenchmarkInferenceIters sweeps the fold-in Gibbs budget — the
+// BenchmarkInferenceIters sweeps the fold-in pass count — the
 // accuracy/latency trade of the inference substrate.
 func BenchmarkInferenceIters(b *testing.B) {
 	env := getBenchEnv(b)
 	ks := env.SortedKs()
 	m := env.Models[ks[len(ks)/2]]
 	queries := env.AnalyzedQueries()
-	for _, iters := range []int{10, 40, 160} {
-		b.Run(itoa(iters), func(b *testing.B) {
-			inf, err := lda.NewInferencer(m, lda.InferSpec{Iterations: iters, Samples: iters / 4})
+	for _, passes := range []int{1, 3, 10} {
+		b.Run(itoa(passes), func(b *testing.B) {
+			inf, err := lda.NewInferencer(m, lda.InferSpec{Iterations: passes})
 			if err != nil {
 				b.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(12))
 			for i := 0; i < b.N; i++ {
-				inf.PosteriorTerms(queries[i%len(queries)], rng)
+				inf.PosteriorTerms(queries[i%len(queries)])
 			}
 		})
 	}

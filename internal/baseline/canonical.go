@@ -94,7 +94,7 @@ func (c *Canonical) Substitute(userTerms []string, rng *rand.Rand) (group [][]st
 	if len(userTerms) == 0 {
 		return nil, 0, fmt.Errorf("baseline: empty user query")
 	}
-	post := c.eng.Posterior(userTerms, rng)
+	post := c.eng.Posterior(userTerms, nil)
 	best := 0
 	for t := 1; t < len(post); t++ {
 		if post[t] > post[best] {

@@ -18,7 +18,14 @@ import (
 
 // Engine computes topical beliefs over a trained LDA model. Both the
 // TopPriv client and the simulated adversary use one — the paper's
-// threat model explicitly grants the adversary the topic model.
+// threat model explicitly grants the adversary the topic model. A
+// posterior is a deterministic function of the model and the query's
+// bag of words (lda.Inferencer), so every holder of the model computes
+// the same belief for a cycle: the (ε1, ε2) check the client makes is
+// the one an adversary would make.
+//
+// The methods' rng parameters are unused: no posterior draws. They
+// are kept for the callers that still pass one.
 type Engine struct {
 	inf *lda.Inferencer
 }
@@ -41,14 +48,15 @@ func (e *Engine) NumTopics() int { return e.inf.Model().K }
 func (e *Engine) Prior() []float64 { return e.inf.Model().Prior }
 
 // Posterior returns Pr(t|q) for a single query given as analyzed terms.
+// rng is unused.
 func (e *Engine) Posterior(terms []string, rng *rand.Rand) []float64 {
-	return e.inf.PosteriorTerms(terms, rng)
+	return e.inf.PosteriorTerms(terms)
 }
 
 // PosteriorBag is Posterior for a query already held as model word IDs,
 // which is how the obfuscator holds the ghosts it samples.
 func (e *Engine) PosteriorBag(bag []int, rng *rand.Rand) []float64 {
-	return e.inf.Posterior(bag, rng)
+	return e.inf.Posterior(bag)
 }
 
 // Boost returns B(t|q) = Pr(t|q) − Pr(t) for a single query.

@@ -170,7 +170,7 @@ func (o *Obfuscator) ObfuscateSticky(userTerms []string, prefer []int, rng *rand
 	k := m.K
 
 	// Step 1: infer Pr(t|q_u) and derive U.
-	userPost := o.eng.Posterior(userTerms, rng)
+	userPost := o.eng.Posterior(userTerms, nil)
 	userBoost := belief.BoostOf(userPost, prior)
 	u := belief.Intention(userBoost, o.params.Eps1)
 	inU := make([]bool, k)
@@ -232,7 +232,7 @@ func (o *Obfuscator) ObfuscateSticky(userTerms []string, prefer []int, rng *rand
 
 			// Step 3(c): accept only if the ghost reduces the exposure
 			// of U (computed on the tentative cycle C ∪ {q_g}).
-			ghostPost := o.eng.PosteriorBag(ghost, rng)
+			ghostPost := o.eng.PosteriorBag(ghost, nil)
 			tentative := make([]float64, k)
 			for t := 0; t < k; t++ {
 				tentative[t] = postSum[t] + ghostPost[t]

@@ -109,11 +109,11 @@ func goldenCycles(t *testing.T) []string {
 	return lines
 }
 
-// TestGoldenCycles holds the obfuscator to cycles recorded at the commit
-// before ghost sampling and fold-in inference were rewritten: the same
+// TestGoldenCycles holds the obfuscator to recorded cycles: the same
 // seed must still yield the same queries, positions, boosts and topic
-// sets. Regenerate with -update only for a change that is meant to alter
-// cycles.
+// sets. The file was last recorded when fold-in inference became a
+// deterministic fixed point. Regenerate with -update only for a change
+// that is meant to alter cycles.
 func TestGoldenCycles(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		// The compiler fuses multiply-adds on some other architectures,

@@ -12,7 +12,9 @@
 //
 // A trained Model also supports inference mode: estimating Pr(t|q) for a
 // query q that was not part of the training corpus, which is how both
-// the TopPriv client and the adversary form topical beliefs.
+// the TopPriv client and the adversary form topical beliefs. Inference
+// does not sample: it is a deterministic CVB0 fold-in (Inferencer), so
+// both compute the same belief.
 package lda
 
 import (

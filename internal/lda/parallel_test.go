@@ -2,7 +2,6 @@ package lda
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"toppriv/internal/corpus"
@@ -119,7 +118,7 @@ func TestTrainParallelQuality(t *testing.T) {
 			terms = append(terms, term)
 		}
 	}
-	post := inf.PosteriorTerms(terms, rand.New(rand.NewSource(1)))
+	post := inf.PosteriorTerms(terms)
 	maxBoost := 0.0
 	for tt := range post {
 		if b := post[tt] - m.Prior[tt]; b > maxBoost {

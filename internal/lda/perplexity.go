@@ -3,7 +3,6 @@ package lda
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"toppriv/internal/corpus"
@@ -15,7 +14,7 @@ import (
 // under p(w|θ̂, Φ) = Σ_t θ̂_t · Φ[t][w]. Lower is better. Tokens whose
 // surface form is outside the model vocabulary are skipped (standard
 // practice). Returns an error if nothing was scorable.
-func Perplexity(m *Model, spec InferSpec, held *corpus.Corpus, rng *rand.Rand) (float64, error) {
+func Perplexity(m *Model, spec InferSpec, held *corpus.Corpus) (float64, error) {
 	if m == nil {
 		return 0, fmt.Errorf("lda: nil model")
 	}
@@ -41,7 +40,7 @@ func Perplexity(m *Model, spec InferSpec, held *corpus.Corpus, rng *rand.Rand) (
 		}
 		half := len(ids) / 2
 		observed, eval := ids[:half], ids[half:]
-		theta := inf.Posterior(observed, rng)
+		theta := inf.Posterior(observed)
 		for _, w := range eval {
 			p := 0.0
 			for t := 0; t < m.K; t++ {
@@ -89,7 +88,7 @@ func SelectK(c *corpus.Corpus, candidates []int, heldFrac float64, base TrainSpe
 		if err != nil {
 			return 0, nil, fmt.Errorf("lda: SelectK train K=%d: %w", k, err)
 		}
-		p, err := Perplexity(m, InferSpec{}, held, rand.New(rand.NewSource(base.Seed+int64(k))))
+		p, err := Perplexity(m, InferSpec{}, held)
 		if err != nil {
 			return 0, nil, fmt.Errorf("lda: SelectK perplexity K=%d: %w", k, err)
 		}

@@ -1,7 +1,6 @@
 package lda
 
 import (
-	"math/rand"
 	"testing"
 
 	"toppriv/internal/corpus"
@@ -23,7 +22,7 @@ func TestPerplexityBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Perplexity(m, InferSpec{}, held, rand.New(rand.NewSource(1)))
+	p, err := Perplexity(m, InferSpec{}, held)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,10 +39,10 @@ func TestPerplexityBasics(t *testing.T) {
 func TestPerplexityValidation(t *testing.T) {
 	c, _, _ := corpus.Synthesize(corpus.GenSpec{Seed: 1, NumDocs: 20, NumTopics: 3, DocLenMin: 20, DocLenMax: 30}, nil)
 	m, _, _ := Train(c, TrainSpec{NumTopics: 3, Iterations: 10, Seed: 1})
-	if _, err := Perplexity(nil, InferSpec{}, c, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := Perplexity(nil, InferSpec{}, c); err == nil {
 		t.Error("nil model must error")
 	}
-	if _, err := Perplexity(m, InferSpec{}, nil, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := Perplexity(m, InferSpec{}, nil); err == nil {
 		t.Error("nil corpus must error")
 	}
 }

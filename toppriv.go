@@ -204,9 +204,6 @@ type Service struct {
 	inf      *lda.Inferencer
 
 	mu sync.Mutex
-	// foldRNG drives fold-in inference for documents added after
-	// training; guarded by mu.
-	foldRNG *rand.Rand
 	// foldedTopics caches the fold-in topic posterior of each
 	// post-training document, keyed by its live-store ID.
 	foldedTopics map[corpus.DocID][]float64
@@ -339,7 +336,6 @@ func NewService(spec ServiceSpec) (*Service, error) {
 		searcher:     searcher,
 		store:        store,
 		inf:          inf,
-		foldRNG:      rand.New(rand.NewSource(spec.Seed + 7919)),
 		foldedTopics: make(map[corpus.DocID][]float64),
 		trainedDocs:  c.NumDocs(),
 	}, nil
@@ -431,7 +427,7 @@ func (s *Service) AddDocuments(docs ...Document) ([]corpus.DocID, error) {
 	defer s.mu.Unlock()
 	for i, doc := range docs {
 		terms := s.analyzer.Analyze(doc.Text)
-		s.foldedTopics[ids[i]] = s.inf.PosteriorTerms(terms, s.foldRNG)
+		s.foldedTopics[ids[i]] = s.inf.PosteriorTerms(terms)
 		s.staleOps++
 	}
 	return ids, nil
