@@ -9,9 +9,10 @@
 // -live the engine runs on the segmented live index instead: POST
 // /index and DELETE /doc/{id} mutate the corpus while /search keeps
 // serving, the memtable seals into segments as it fills, a background
-// compactor merges them, and -data persists the segments (TPIX codec
-// per segment plus a manifest) so a restart recovers without
-// re-analyzing a single document. With -mmap the recovered segments
+// compactor merges them, and -data persists the segments (per segment
+// a TPIX index and a documents file in the binary document record the
+// cluster's mutation frames carry, plus a manifest) so a restart
+// recovers without re-analyzing a single document. With -mmap the recovered segments
 // are memory-mapped instead of decoded onto the heap — postings page
 // in on traversal; GET /stats reports the resulting residency.
 //
@@ -68,7 +69,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -370,7 +370,7 @@ func openLiveStore(an *textproc.Analyzer, scoring vsm.Scoring, corpusPath, dataD
 		Mapped: mapped, Logf: log.Printf,
 	}
 	if dataDir != "" {
-		if _, err := os.Stat(filepath.Join(dataDir, "MANIFEST.json")); err == nil {
+		if segment.Saved(dataDir) {
 			store, err := segment.Load(dataDir, cfg)
 			if err != nil {
 				log.Fatal(err)

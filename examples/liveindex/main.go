@@ -75,8 +75,8 @@ func main() {
 	fmt.Printf("after full compaction: %d segments, %d tombstones\n",
 		s.Segments, s.Tombstones)
 
-	// Persistence: segments round-trip through the TPIX codec plus a
-	// manifest; loading re-analyzes nothing.
+	// Persistence: segments round-trip through the TPIX codec and a
+	// binary documents file plus a manifest; loading re-analyzes nothing.
 	dir, err := os.MkdirTemp("", "liveindex")
 	if err != nil {
 		log.Fatal(err)

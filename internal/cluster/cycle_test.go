@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"toppriv/internal/corpus"
+	"toppriv/internal/frame"
 	"toppriv/internal/search"
 	"toppriv/internal/textproc"
 	"toppriv/internal/vsm"
@@ -250,7 +251,7 @@ func TestShardBatchRejectsBadStatistics(t *testing.T) {
 	// Member 0 is well-formed and asks for terms[0] alone; member 1 brings
 	// in the other two, so whatever is wrong with their statistics is
 	// member 1's.
-	frame := func(k, docs int, totalLen int64, df ...int) []byte {
+	request := func(k, docs int, totalLen int64, df ...int) []byte {
 		members := []vsm.Request{{Terms: terms[:1], K: 5}, {Terms: terms, K: k}}
 		return appendBatchRequest(nil, docs, totalLen, members, func(term string) int {
 			for i := range terms {
@@ -262,12 +263,12 @@ func TestShardBatchRejectsBadStatistics(t *testing.T) {
 			return 0
 		})
 	}
-	good := frame(5, 40, 4000, 3, 0, 40)
+	good := request(5, 40, 4000, 3, 0, 40)
 	// The last byte of the payload is member 1's reference to terms[2].
 	badRef := append([]byte(nil), good...)
 	badRef[len(badRef)-1] = 7
 	unsealed := append([]byte(nil), badRef...)
-	sealFrame(badRef)
+	frame.Seal(badRef)
 	checkGood := func(name string, reply []byte) {
 		t.Helper()
 		if got, err := decodeCycleReply(reply); err != nil || len(got) != 2 || len(got[1].Hits) == 0 {
@@ -286,10 +287,10 @@ func TestShardBatchRejectsBadStatistics(t *testing.T) {
 		lost bool
 	}{
 		{"well-formed", good, false, http.StatusOK, "", false},
-		{"df above docs", frame(5, 40, 4000, 3, 41, 3), false, http.StatusBadRequest, "query 1", false},
-		{"df on an empty collection", frame(5, 0, 0, 0, 1, 0), false, http.StatusBadRequest, "query 1", false},
-		{"terms in a collection of no tokens", frame(5, 40, 0, 0, 3, 3), false, http.StatusBadRequest, "query 1", false},
-		{"zero k", frame(0, 40, 4000, 3, 3, 3), false, http.StatusBadRequest, "query 1", false},
+		{"df above docs", request(5, 40, 4000, 3, 41, 3), false, http.StatusBadRequest, "query 1", false},
+		{"df on an empty collection", request(5, 0, 0, 0, 1, 0), false, http.StatusBadRequest, "query 1", false},
+		{"terms in a collection of no tokens", request(5, 40, 0, 0, 3, 3), false, http.StatusBadRequest, "query 1", false},
+		{"zero k", request(0, 40, 4000, 3, 3, 3), false, http.StatusBadRequest, "query 1", false},
 		{"reference out of range", badRef, false, http.StatusBadRequest, "member 1 refers to term 7", false},
 		{"bad CRC", unsealed, false, http.StatusBadRequest, "checksum", true},
 		{"short frame", good[:len(good)-3], true, http.StatusBadRequest, "cut short", true},

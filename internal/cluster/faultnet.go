@@ -8,6 +8,8 @@ import (
 	"sync"
 	"syscall"
 	"time"
+
+	"toppriv/internal/frame"
 )
 
 // FaultTransport is the deterministic fault-injection harness for the
@@ -187,7 +189,7 @@ func (s *faultStream) Write(b []byte) (int, error) {
 		case <-time.After(delay):
 		}
 	case FaultPartial:
-		s.cut = frameHeader
+		s.cut = frame.Header
 	case FaultBlackhole:
 		s.hole = true
 		return len(b), nil

@@ -12,6 +12,7 @@ import (
 	"sync"
 
 	"toppriv/internal/corpus"
+	"toppriv/internal/frame"
 )
 
 // The placement journal is the router's durability point: a mutation is
@@ -24,7 +25,7 @@ import (
 //
 // On-disk layout in the journal directory:
 //
-//	journal.wal   — journalMagic, then one frame (frame.go) per record
+//	journal.wal   — journalMagic, then one frame (package frame) per record
 //	journal.snap  — snapshotMagic, then the compaction point's frames
 //	                (written aside and renamed into place)
 //
@@ -41,7 +42,7 @@ import (
 // A snapshot's frames are its head — uvarint next_seq, next_gid, then the
 // counts of the frames that follow: pending, titles — then each pending
 // record's frame as the WAL holds it, then one frame per cached title:
-// uvarint gid, then the title's bytes. One frame loop (walkFrames) reads
+// uvarint gid, then the title's bytes. One frame loop (frame.Walk) reads
 // both files.
 //
 // Recovery semantics, the contract the byte-flip sweep tests pin down:
@@ -123,7 +124,7 @@ func (r *journalRecord) share(name string) *share {
 // appendRecord appends rec's journal frame.
 func appendRecord(dst []byte, rec *journalRecord) []byte {
 	start := len(dst)
-	dst = append(dst, make([]byte, frameHeader)...)
+	dst = append(dst, make([]byte, frame.Header)...)
 	dst = binary.AppendUvarint(dst, rec.Seq)
 	dst = binary.AppendUvarint(dst, uint64(rec.Base))
 	dst = binary.AppendUvarint(dst, uint64(rec.Burn))
@@ -133,35 +134,35 @@ func appendRecord(dst []byte, rec *journalRecord) []byte {
 		dst = append(dst, sh.Shard...)
 		dst = append(dst, sh.Body...)
 	}
-	sealFrame(dst[start:])
+	frame.Seal(dst[start:])
 	return dst
 }
 
 // decodeRecord reads a record's payload. Like every frame it has one
 // encoding; each body is checked and kept as a copy of its bytes.
 func decodeRecord(payload []byte) (journalRecord, error) {
-	r := frameReader{b: payload, kind: "journal record"}
-	rec := journalRecord{Seq: r.u64(), Base: r.gid(), Burn: r.num()}
-	if r.err == nil && rec.Burn > math.MaxInt32+1-int(rec.Base) {
-		r.failf("burn of %d gids from %d runs past int32", rec.Burn, rec.Base)
+	r := frame.Reader{B: payload, What: "cluster: journal record frame"}
+	rec := journalRecord{Seq: r.U64(), Base: r.Gid(), Burn: r.Num()}
+	if r.Err == nil && rec.Burn > math.MaxInt32+1-int(rec.Base) {
+		r.Failf("burn of %d gids from %d runs past int32", rec.Burn, rec.Base)
 	}
 	// A share takes a name length and an op at least.
-	n := r.count(2)
-	if r.err != nil {
-		return journalRecord{}, r.err
+	n := r.Count(2)
+	if r.Err != nil {
+		return journalRecord{}, r.Err
 	}
 	rec.Shares = make([]share, n)
 	for i := range rec.Shares {
-		name := r.str()
-		at := r.b
+		name := r.Str()
+		at := r.B
 		var m mutation
-		r.body(&m)
-		if r.err != nil {
-			return journalRecord{}, r.err
+		m.decodeBody(&r)
+		if r.Err != nil {
+			return journalRecord{}, r.Err
 		}
-		rec.Shares[i] = share{Shard: name, Body: bytes.Clone(at[:len(at)-len(r.b)])}
+		rec.Shares[i] = share{Shard: name, Body: bytes.Clone(at[:len(at)-len(r.B)])}
 	}
-	if err := r.end(); err != nil {
+	if err := r.End(); err != nil {
 		return journalRecord{}, err
 	}
 	return rec, nil
@@ -254,16 +255,13 @@ func loadSnapshot(dir string, st *journalState) error {
 	if err != nil {
 		return fmt.Errorf("cluster: journal snapshot: %w", err)
 	}
-	if !bytes.HasPrefix(data, []byte(snapshotMagic)) {
-		return fmt.Errorf("cluster: journal snapshot: bad magic header")
-	}
 	frames, pending, titles := 0, 0, 0
-	good, err := walkFrames(data, snapshotMagic, func(_ int64, payload []byte) error {
-		r := frameReader{b: payload, kind: "journal snapshot"}
+	good, err := frame.Walk(data, snapshotMagic, journalMaxRecord, func(_ int64, payload []byte) error {
+		r := frame.Reader{B: payload, What: "cluster: journal snapshot frame"}
 		switch frames++; {
 		case frames == 1:
-			st.NextSeq, st.NextGid = r.u64(), r.gid()
-			pending, titles = r.num(), r.num()
+			st.NextSeq, st.NextGid = r.U64(), r.Gid()
+			pending, titles = r.Num(), r.Num()
 		case frames <= 1+pending:
 			rec, err := decodeRecord(payload)
 			if err != nil {
@@ -272,13 +270,13 @@ func loadSnapshot(dir string, st *journalState) error {
 			st.Pending = append(st.Pending, rec)
 			return nil
 		case frames <= 1+pending+titles:
-			gid := r.gid()
-			st.Titles[gid] = string(r.b)
-			r.b = nil
+			gid := r.Gid()
+			st.Titles[gid] = string(r.B)
+			r.B = nil
 		default:
-			r.failf("more frames than its head counts")
+			r.Failf("more frames than its head counts")
 		}
-		return r.end()
+		return r.End()
 	})
 	if err == nil && (good != int64(len(data)) || frames != 1+pending+titles) {
 		err = errors.New("cut short")
@@ -288,31 +286,6 @@ func loadSnapshot(dir string, st *journalState) error {
 	}
 	st.Replayed += pending
 	return nil
-}
-
-// walkFrames hands fn the payload of each whole frame after the magic
-// header that opens data, with its offset, and returns the offset past
-// the last one. Bytes beyond it are a frame cut short by EOF, or one
-// whose corrupted length points past EOF: the two cannot be told apart.
-// A whole frame that fails its checksum is corruption, and an error.
-func walkFrames(data []byte, magic string, fn func(off int64, payload []byte) error) (int64, error) {
-	off := int64(len(magic))
-	for off < int64(len(data)) {
-		payload, size, err := openFrame(data[off:], journalMaxRecord)
-		if errors.Is(err, errFrameTorn) {
-			break
-		}
-		if err != nil {
-			// Bit rot or tampering: never replay past it, never drop it
-			// silently.
-			return 0, fmt.Errorf("cluster: journal: frame at offset %d fails checksum — refusing to replay a corrupted journal", off)
-		}
-		if err := fn(off, payload); err != nil {
-			return 0, err
-		}
-		off += int64(size)
-	}
-	return off, nil
 }
 
 // replayWAL folds the records of the WAL's bytes into st and returns the
@@ -327,23 +300,22 @@ func replayWAL(data []byte, st *journalState) (int64, error) {
 		return 0, nil
 	case bytes.HasPrefix(data, []byte(oldJournalMagic)):
 		return 0, fmt.Errorf("cluster: journal: %s %s", journalName, msgMigrate)
-	case !bytes.HasPrefix(data, []byte(journalMagic)):
-		return 0, fmt.Errorf("cluster: journal: bad magic header")
 	}
-	good, err := walkFrames(data, journalMagic, func(off int64, payload []byte) error {
+	good, err := frame.Walk(data, journalMagic, journalMaxRecord, func(off int64, payload []byte) error {
 		rec, err := decodeRecord(payload)
 		if err != nil {
-			return fmt.Errorf("cluster: journal: record at offset %d undecodable: %w", off, err)
+			return fmt.Errorf("record at offset %d undecodable: %w", off, err)
 		}
 		if rec.Seq == math.MaxUint64 {
 			// No sequence can follow it: the next one would wrap to 0.
-			return fmt.Errorf("cluster: journal: record at offset %d has the last sequence number", off)
+			return fmt.Errorf("record at offset %d has the last sequence number", off)
 		}
 		applyRecord(st, rec)
 		return nil
 	})
 	if err != nil {
-		return 0, err
+		// A corrupted journal is never replayed past the corruption.
+		return 0, fmt.Errorf("cluster: journal: %w", err)
 	}
 	st.TornBytes = int64(len(data)) - good
 	return good, nil
@@ -363,8 +335,8 @@ func applyRecord(st *journalState, rec journalRecord) {
 	}
 	for _, sh := range rec.Shares {
 		// decodeRecord has checked the body.
-		r, m := frameReader{b: sh.Body}, mutation{}
-		r.body(&m)
+		r, m := frame.Reader{B: sh.Body}, mutation{}
+		m.decodeBody(&r)
 		for _, d := range m.docs {
 			if d.Title != "" {
 				st.Titles[d.ID] = d.Title
@@ -390,28 +362,28 @@ func (j *journal) Append(rec *journalRecord) error {
 	// Seq assignment under the lock keeps the on-disk order equal to the
 	// seq order, which is what per-shard reconciliation relies on.
 	rec.Seq = j.nextSeq
-	frame := appendRecord(nil, rec)
-	if len(frame)-frameHeader > journalMaxRecord {
-		return fmt.Errorf("a %d-byte record is over the %d bytes a record may take", len(frame)-frameHeader, journalMaxRecord)
+	rf := appendRecord(nil, rec)
+	if len(rf)-frame.Header > journalMaxRecord {
+		return fmt.Errorf("a %d-byte record is over the %d bytes a record may take", len(rf)-frame.Header, journalMaxRecord)
 	}
 	j.nextSeq++
 
-	if j.crashAfter >= 0 && j.size+int64(len(frame)) > j.crashAfter {
+	if j.crashAfter >= 0 && j.size+int64(len(rf)) > j.crashAfter {
 		// Injected crash: write only the bytes that "made it to disk"
 		// before the kill, then poison the handle. The partial frame is
 		// exactly the torn tail recovery must tolerate.
 		if keep := j.crashAfter - j.size; keep > 0 {
-			j.f.Write(frame[:keep])
+			j.f.Write(rf[:keep])
 			j.f.Sync()
 		}
 		j.dead = errJournalCrash
 		return j.dead
 	}
-	if _, err := j.f.Write(frame); err != nil {
+	if _, err := j.f.Write(rf); err != nil {
 		j.dead = fmt.Errorf("cluster: journal append: %w", err)
 		return j.dead
 	}
-	j.size += int64(len(frame))
+	j.size += int64(len(rf))
 	if err := j.f.Sync(); err != nil {
 		j.dead = fmt.Errorf("cluster: journal sync: %w", err)
 		return j.dead
@@ -446,7 +418,7 @@ func (j *journal) Compact(nextGid corpus.DocID, pending []journalRecord, titles 
 	if j.dead != nil {
 		return j.dead
 	}
-	if err := writeFileAtomic(j.dir, snapshotName, appendSnapshot(j.nextSeq, nextGid, pending, titles)); err != nil {
+	if err := frame.WriteFileAtomic(j.dir, snapshotName, appendSnapshot(j.nextSeq, nextGid, pending, titles)); err != nil {
 		return fmt.Errorf("cluster: journal snapshot: %w", err)
 	}
 	// The snapshot is durable; the WAL's contents are now redundant.
@@ -496,58 +468,19 @@ func (j *journal) Close() error {
 func appendSnapshot(nextSeq uint64, nextGid corpus.DocID, pending []journalRecord, titles map[corpus.DocID]string) []byte {
 	b := append([]byte(nil), snapshotMagic...)
 	start := len(b)
-	b = append(b, make([]byte, frameHeader)...)
+	b = append(b, make([]byte, frame.Header)...)
 	for _, v := range [...]uint64{nextSeq, uint64(nextGid), uint64(len(pending)), uint64(len(titles))} {
 		b = binary.AppendUvarint(b, v)
 	}
-	sealFrame(b[start:])
+	frame.Seal(b[start:])
 	for i := range pending {
 		b = appendRecord(b, &pending[i])
 	}
 	for gid, title := range titles {
 		start = len(b)
-		b = binary.AppendUvarint(append(b, make([]byte, frameHeader)...), uint64(gid))
+		b = binary.AppendUvarint(append(b, make([]byte, frame.Header)...), uint64(gid))
 		b = append(b, title...)
-		sealFrame(b[start:])
+		frame.Seal(b[start:])
 	}
 	return b
-}
-
-// writeFileAtomic replaces dir/name with data: written to a temporary
-// file and fsynced, renamed over name, and the rename made durable by
-// syncing dir. A crash at any point leaves either the old file or the
-// new one, never a torn one.
-func writeFileAtomic(dir, name string, data []byte) error {
-	tmp := filepath.Join(dir, name+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
-
-// syncDir fsyncs a directory, making the renames into it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

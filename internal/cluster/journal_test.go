@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"toppriv/internal/corpus"
+	"toppriv/internal/frame"
 )
 
 // jdoc builds a small document under its gid.
@@ -368,16 +369,16 @@ func FuzzReplayJournal(f *testing.F) {
 	rec := sampleRecords()[0]
 	for _, seq := range []uint64{7, math.MaxUint64} {
 		rec.Seq = seq
-		f.Add([]byte(recBytes(rec))[frameHeader:])
+		f.Add([]byte(recBytes(rec))[frame.Header:])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkReplay(t, data)
 		// A mutated WAL hardly ever passes a CRC, so the record decoder
 		// would go unfuzzed: also replay data sealed as one record.
-		frame := make([]byte, frameHeader+len(data))
-		copy(frame[frameHeader:], data)
-		sealFrame(frame)
-		checkReplay(t, append(append([]byte(journalMagic), frame...), clean[len(journalMagic):]...))
+		sealed := make([]byte, frame.Header+len(data))
+		copy(sealed[frame.Header:], data)
+		frame.Seal(sealed)
+		checkReplay(t, append(append([]byte(journalMagic), sealed...), clean[len(journalMagic):]...))
 	})
 }
 

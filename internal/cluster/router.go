@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"toppriv/internal/corpus"
+	"toppriv/internal/frame"
 	"toppriv/internal/index"
 	"toppriv/internal/search"
 	"toppriv/internal/telemetry"
@@ -298,13 +299,13 @@ func (c *shardConn) getJSON(ctx context.Context, path string, out interface{}) e
 // pooled buffer and bounded by maxReply payload bytes whatever the shard
 // sends; a frame that does not decode fails this shard's exchange like
 // any other error.
-func exchangeFrame[T any](ctx context.Context, c *shardConn, path, contentType string, frame []byte, maxReply int, decode func([]byte) (T, error)) (out T, received int, err error) {
-	err = c.roundTrip(ctx, http.MethodPost, path, contentType, frame, func(reply io.Reader) (err error) {
+func exchangeFrame[T any](ctx context.Context, c *shardConn, path, contentType string, body []byte, maxReply int, decode func([]byte) (T, error)) (out T, received int, err error) {
+	err = c.roundTrip(ctx, http.MethodPost, path, contentType, body, func(reply io.Reader) (err error) {
 		bp := wireBufs.Get().(*[]byte)
 		defer wireBufs.Put(bp)
 		// One byte past the largest frame: a longer reply fails to decode
 		// instead of being cut to something that might.
-		if *bp, err = readBody(io.LimitReader(reply, int64(frameHeader+maxReply+1)), *bp); err != nil {
+		if *bp, err = readBody(io.LimitReader(reply, int64(frame.Header+maxReply+1)), *bp); err != nil {
 			return err
 		}
 		received = len(*bp)
@@ -401,10 +402,10 @@ func (c *shardConn) dialStream(ctx context.Context) (*cycleStream, error) {
 // exchange writes one request frame and reads the reply frame into
 // s.buf. ctx ending closes the stream, which fails the exchange with
 // ctx's error whatever it had received.
-func (s *cycleStream) exchange(ctx context.Context, frame []byte) error {
+func (s *cycleStream) exchange(ctx context.Context, req []byte) error {
 	s.buf = s.buf[:0]
 	stop := context.AfterFunc(ctx, func() { s.rwc.Close() })
-	_, err := s.rwc.Write(frame)
+	_, err := s.rwc.Write(req)
 	if err == nil {
 		s.buf, err = readFrame(s.br, s.buf, maxBatchReply)
 	}
@@ -412,7 +413,7 @@ func (s *cycleStream) exchange(ctx context.Context, frame []byte) error {
 		return ctx.Err()
 	}
 	switch {
-	case errors.Is(err, errFrameTorn) || errors.Is(err, errFrameChecksum):
+	case errors.Is(err, frame.ErrTorn) || errors.Is(err, frame.ErrChecksum):
 		return fmt.Errorf("cluster: batch frame: %w", err)
 	case err == io.EOF:
 		return errors.New("cluster: the shard closed the stream")

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"toppriv/internal/corpus"
+	"toppriv/internal/frame"
 	"toppriv/internal/search"
 	"toppriv/internal/segment"
 )
@@ -163,9 +164,8 @@ func OpenShard(storeCfg segment.Config, cfg ShardConfig) (*Shard, error) {
 	}
 	var store *segment.Store
 	var err error
-	haveManifest := false
-	if _, serr := os.Stat(filepath.Join(cfg.Dir, "MANIFEST.json")); serr == nil {
-		haveManifest = true
+	haveManifest := segment.Saved(cfg.Dir)
+	if haveManifest {
 		store, err = segment.Load(cfg.Dir, storeCfg)
 	} else {
 		store, err = segment.Open(storeCfg)
@@ -285,7 +285,7 @@ func (s *Shard) Save() error {
 	s.mu.RUnlock()
 	data, err := json.Marshal(meta)
 	if err == nil {
-		err = writeFileAtomic(s.cfg.Dir, shardMetaName, append(data, '\n'))
+		err = frame.WriteFileAtomic(s.cfg.Dir, shardMetaName, append(data, '\n'))
 	}
 	if err != nil {
 		return fmt.Errorf("cluster: shard meta: %w", err)
@@ -383,7 +383,7 @@ func serveFrame(w http.ResponseWriter, r *http.Request, contentType string, maxP
 	}
 	bp := wireBufs.Get().(*[]byte)
 	defer wireBufs.Put(bp)
-	buf, err := readBody(http.MaxBytesReader(w, r.Body, int64(frameHeader+maxPayload)), *bp)
+	buf, err := readBody(http.MaxBytesReader(w, r.Body, int64(frame.Header+maxPayload)), *bp)
 	*bp = buf
 	status := http.StatusBadRequest
 	if err == nil {
@@ -481,7 +481,7 @@ func (s *Shard) serve(st *shardStream) {
 		st.buf, err = readFrame(st.br, st.buf, maxBatchRequest)
 		lost := true
 		switch {
-		case errors.Is(err, errFrameTorn) || errors.Is(err, errFrameChecksum):
+		case errors.Is(err, frame.ErrTorn) || errors.Is(err, frame.ErrChecksum):
 			err = fmt.Errorf("cluster: batch frame: %w", err)
 		case err != nil:
 			// The stream ended between frames, or its connection did.

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"toppriv/internal/corpus"
+	"toppriv/internal/frame"
 	"toppriv/internal/segment"
 	"toppriv/internal/textproc"
 	"toppriv/internal/vsm"
@@ -185,6 +187,62 @@ func TestShardRefusesVersion1Meta(t *testing.T) {
 	}
 }
 
+// TestShardRefusesVersion1Store: a shard directory whose store a build
+// before the documents file saved — a version-1 manifest listing each
+// segment's ids, beside seg-*.docs.json files — is refused at open, and
+// the error says how to rebuild.
+func TestShardRefusesVersion1Store(t *testing.T) {
+	dir := t.TempDir()
+	st, err := segment.Open(segment.Config{DisableCompaction: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := corpus.Document{ID: 0, Title: "t", Text: "one saved document"}
+	if _, err := st.Add(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	var m map[string]interface{}
+	data, err := os.ReadFile(filepath.Join(dir, "MANIFEST.json"))
+	if err == nil {
+		err = json.Unmarshal(data, &m)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	m["version"] = 1
+	for _, s := range m["segments"].([]interface{}) {
+		seg := s.(map[string]interface{})
+		base := strings.TrimSuffix(seg["file"].(string), ".tpix")
+		seg["docs"], seg["ids"] = base+".docs.json", []int{0}
+		docs, _ := json.Marshal([]corpus.Document{doc})
+		if err := os.WriteFile(filepath.Join(dir, base+".docs.json"), docs, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(filepath.Join(dir, base+".docs")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, _ = json.Marshal(m)
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST.json"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, shardMetaName), []byte(`{"version":2,"applied_seq":1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenShard(segment.Config{}, ShardConfig{Dir: dir, SaveInterval: time.Hour})
+	if err == nil {
+		s.Close()
+		t.Fatal("a version-1 store was opened")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "manifest version 1") || !strings.Contains(msg, "rebuild the index from its documents") {
+		t.Fatalf("error does not name the rebuild: %v", err)
+	}
+}
+
 // FuzzShardIngest drives one in-memory shard's mutation surface with an
 // arbitrary mutation frame payload and then a delete. The shard holds
 // gids 0–7, with 2 deleted and compacted away and 7 tombstoned. Nothing
@@ -195,7 +253,7 @@ func TestShardRefusesVersion1Meta(t *testing.T) {
 // accepted resolves to its text, under a next ID above it — which a
 // store whose IDs stopped ascending fails.
 func FuzzShardIngest(f *testing.F) {
-	payload := func(frame []byte) []byte { return frame[frameHeader:] }
+	payload := func(b []byte) []byte { return b[frame.Header:] }
 	f.Add(payload(addFrame(0, 8, 9)), int64(9), uint64(0))
 	f.Add(payload(addFrame(5, 8, 9)), int64(9), uint64(6))
 	f.Add(payload(addFrame(4, 2, 7, 8)), int64(2), uint64(5))

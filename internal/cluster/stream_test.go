@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"toppriv/internal/frame"
 	"toppriv/internal/textproc"
 	"toppriv/internal/vsm"
 )
@@ -232,13 +233,13 @@ func (c *scriptConn) Close() error {
 // lost reports whether that piece loses the framing — cut short, or a
 // length beyond maxBatchRequest — rather than being empty.
 func splitExchanges(data []byte) (exchanges [][]byte, lost bool) {
-	for len(data) >= frameHeader {
+	for len(data) >= frame.Header {
 		length := binary.LittleEndian.Uint32(data)
-		if length > maxBatchRequest || int64(len(data)) < frameHeader+int64(length) {
+		if length > maxBatchRequest || int64(len(data)) < frame.Header+int64(length) {
 			break
 		}
-		exchanges = append(exchanges, data[:frameHeader+length])
-		data = data[frameHeader+length:]
+		exchanges = append(exchanges, data[:frame.Header+length])
+		data = data[frame.Header+length:]
 	}
 	return append(exchanges, data), len(data) > 0
 }
@@ -246,7 +247,7 @@ func splitExchanges(data []byte) (exchanges [][]byte, lost bool) {
 // FuzzShardStream drives a shard's cycle stream with arbitrary bytes
 // after the upgrade, one frame per exchange as a router sends them.
 // Nothing may panic, and no frame may be buffered past
-// frameHeader+maxBatchRequest. Each whole frame is answered in turn:
+// frame.Header+maxBatchRequest. Each whole frame is answered in turn:
 // one that fails its CRC with a 400 refusal that ends the stream; one
 // whose payload does not decode, or whose cycle Request.Validate
 // refuses, with a 400 refusal after which the stream still answers; any
@@ -302,14 +303,14 @@ func checkStream(t *testing.T, s *Shard, data []byte) {
 	if !conn.closed {
 		t.Fatal("the stream ended without its connection closed")
 	}
-	if c := cap(st.buf); c > frameHeader+maxBatchRequest {
+	if c := cap(st.buf); c > frame.Header+maxBatchRequest {
 		t.Fatalf("the stream buffered %d bytes for a frame", c)
 	}
 
 	out := conn.out.Bytes()
 	next := func() []byte {
 		t.Helper()
-		_, size, err := openFrame(out, maxBatchReply)
+		_, size, err := frame.Open(out, maxBatchReply)
 		if err != nil {
 			t.Fatalf("the shard wrote no whole frame: %v (%x)", err, out)
 		}
@@ -328,7 +329,7 @@ func checkStream(t *testing.T, s *Shard, data []byte) {
 	ended := false
 	for _, ex := range exchanges[:len(exchanges)-1] {
 		answer := next()
-		if _, _, err := openFrame(ex, maxBatchRequest); err != nil {
+		if _, _, err := frame.Open(ex, maxBatchRequest); err != nil {
 			refusal(answer, "checksum")
 			ended = true
 			break

@@ -2,12 +2,12 @@ package cluster
 
 import (
 	"encoding/binary"
-	"fmt"
 	"io"
 	"math"
 	"sync"
 
 	"toppriv/internal/corpus"
+	"toppriv/internal/frame"
 	"toppriv/internal/index"
 	"toppriv/internal/segment"
 	"toppriv/internal/vsm"
@@ -20,12 +20,9 @@ import (
 //
 // GET /cluster/stats and GET /cluster/doc/{gid}, the operator-readable
 // control plane, answer JSON: shardStats at the bottom of this file and
-// a corpus.Document. Everything else is binary frames: the framing of
-// frame.go (uint32 length, uint32 CRC-32 over length + payload) around a
-// payload of uvarints (encoding/binary's, shortest form only), raw bytes
-// and raw float64 bits. A mutation, POST /cluster/mutate, is one frame
-// (see appendMutation) answered with one ack frame (see
-// appendMutationAck).
+// a corpus.Document. Everything else is package frame's binary frames.
+// A mutation, POST /cluster/mutate, is one frame (see appendMutation)
+// answered with one ack frame (see appendMutationAck).
 //
 // The query path is a stream. A router opens one with GET
 // /cluster/stream, Connection: Upgrade, Upgrade: toppriv-cycle
@@ -114,7 +111,7 @@ func appendBatchRequest(dst []byte, docs int, totalLen int64, members []vsm.Requ
 		}
 	}
 	start := len(dst)
-	dst = append(dst, make([]byte, frameHeader)...)
+	dst = append(dst, make([]byte, frame.Header)...)
 	dst = binary.AppendUvarint(dst, uint64(docs))
 	dst = binary.AppendUvarint(dst, uint64(totalLen))
 	dst = binary.AppendUvarint(dst, uint64(len(table)))
@@ -131,73 +128,73 @@ func appendBatchRequest(dst []byte, docs int, totalLen int64, members []vsm.Requ
 			dst = binary.AppendUvarint(dst, refs[t])
 		}
 	}
-	sealFrame(dst[start:])
+	frame.Seal(dst[start:])
 	return dst
 }
 
 // decodeBatchRequest rebuilds the cycle of a request frame as the
 // requests a shard's store executes: every member's Terms and Global.DF
 // are windows of one backing array each, and every Global carries the
-// frame's one snapshot. Nothing returned aliases frame. What comes back
+// frame's one snapshot. Nothing returned aliases b. What comes back
 // is well-formed, not yet valid: Request.Validate still judges k and
 // the statistics.
-func decodeBatchRequest(frame []byte) ([]vsm.Request, error) {
-	r, err := openFrameReader(frame, maxBatchRequest, "batch")
+func decodeBatchRequest(b []byte) ([]vsm.Request, error) {
+	r, err := frame.OpenReader(b, maxBatchRequest, "cluster: batch frame")
 	if err != nil {
 		return nil, err
 	}
-	docs := r.num()
-	totalLen := r.num()
+	docs := r.Num()
+	totalLen := r.Num()
 	// Every count is checked against the bytes its elements must still
 	// occupy before anything is sized by it.
-	nTerms := r.count(2)
-	if r.err != nil {
-		return nil, r.err
+	nTerms := r.Count(2)
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	// One copy of the rest of the payload holds every term's bytes; the
 	// terms are substrings of it.
-	text := string(r.b)
+	text := string(r.B)
 	terms := make([]string, nTerms)
 	dfs := make([]int, nTerms)
 	seen := make(map[string]struct{}, nTerms)
 	for i := range terms {
-		n := r.count(1)
-		if r.err != nil {
-			return nil, r.err
+		n := r.Count(1)
+		if r.Err != nil {
+			return nil, r.Err
 		}
-		at := len(text) - len(r.b)
+		at := len(text) - len(r.B)
 		terms[i] = text[at : at+n]
-		r.b = r.b[n:]
-		dfs[i] = r.num()
+		r.B = r.B[n:]
+		dfs[i] = r.Num()
 		if _, dup := seen[terms[i]]; dup {
-			r.failf("term %d repeats an earlier term", i)
-			return nil, r.err
+			r.Failf("term %d repeats an earlier term", i)
+			return nil, r.Err
 		}
 		seen[terms[i]] = struct{}{}
 	}
-	nMembers := r.count(2)
-	if r.err == nil && nMembers == 0 {
+	nMembers := r.Count(2)
+	if r.Err == nil && nMembers == 0 {
 		// Not a cycle, and nothing to hang its snapshot on.
-		r.failf("no members")
+		r.Failf("no members")
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	// A reference takes a byte at least, a member two more.
-	maxRefs := len(r.b) - 2*nMembers
+	maxRefs := len(r.B) - 2*nMembers
 	reqs := make([]vsm.Request, nMembers)
 	globals := make([]vsm.GlobalStats, nMembers)
 	flatTerms := make([]string, 0, maxRefs)
 	flatDF := make([]int, 0, maxRefs)
 	next := 0
 	for i := range reqs {
-		k := r.num()
-		n := r.count(1)
+		k := r.Num()
+		n := r.Count(1)
 		lo := len(flatTerms)
-		for j := 0; j < n && r.err == nil; j++ {
-			ref := r.num()
+		for j := 0; j < n && r.Err == nil; j++ {
+			ref := r.Num()
 			if ref > next || ref >= nTerms {
-				r.failf("member %d refers to term %d, out of range or out of first-occurrence order", i, ref)
+				r.Failf("member %d refers to term %d, out of range or out of first-occurrence order", i, ref)
 				break
 			}
 			if ref == next {
@@ -206,17 +203,17 @@ func decodeBatchRequest(frame []byte) ([]vsm.Request, error) {
 			flatTerms = append(flatTerms, terms[ref])
 			flatDF = append(flatDF, dfs[ref])
 		}
-		if r.err != nil {
-			return nil, r.err
+		if r.Err != nil {
+			return nil, r.Err
 		}
 		hi := len(flatTerms)
 		globals[i] = vsm.GlobalStats{Docs: docs, TotalLen: int64(totalLen), DF: flatDF[lo:hi:hi]}
 		reqs[i] = vsm.Request{Terms: flatTerms[lo:hi:hi], K: k, Global: &globals[i]}
 	}
 	if next != nTerms {
-		r.failf("%d of %d terms are never referenced", nTerms-next, nTerms)
+		r.Failf("%d of %d terms are never referenced", nTerms-next, nTerms)
 	}
-	if err := r.end(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, err
 	}
 	return reqs, nil
@@ -226,7 +223,7 @@ func decodeBatchRequest(frame []byte) ([]vsm.Request, error) {
 // whose hits already carry global document IDs.
 func appendBatchReply(dst []byte, resps []vsm.Response) []byte {
 	start := len(dst)
-	dst = append(dst, make([]byte, frameHeader)...)
+	dst = append(dst, make([]byte, frame.Header)...)
 	dst = binary.AppendUvarint(dst, uint64(len(resps)))
 	for i := range resps {
 		st := &resps[i].Stats
@@ -240,7 +237,7 @@ func appendBatchReply(dst []byte, resps []vsm.Response) []byte {
 			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(h.Score))
 		}
 	}
-	sealFrame(dst[start:])
+	frame.Seal(dst[start:])
 	return dst
 }
 
@@ -248,30 +245,30 @@ func appendBatchReply(dst []byte, resps []vsm.Response) []byte {
 // cannot serve with: status and msg, as a non-2xx reply carries them.
 func appendRefusal(dst []byte, status int, msg string) []byte {
 	start := len(dst)
-	dst = append(dst, make([]byte, frameHeader)...)
+	dst = append(dst, make([]byte, frame.Header)...)
 	dst = binary.AppendUvarint(dst, 0)
 	dst = binary.AppendUvarint(dst, uint64(status))
 	dst = binary.AppendUvarint(dst, uint64(len(msg)))
 	dst = append(dst, msg...)
-	sealFrame(dst[start:])
+	frame.Seal(dst[start:])
 	return dst
 }
 
 // decodeCycleReply reads the reply frame of a stream exchange: the
 // cycle's responses, or the shard's refusal as a *statusError.
-func decodeCycleReply(frame []byte) ([]vsm.Response, error) {
-	resps, err := decodeBatchReply(frame)
+func decodeCycleReply(b []byte) ([]vsm.Response, error) {
+	resps, err := decodeBatchReply(b)
 	if err == nil {
 		return resps, nil
 	}
 	// A refusal is the one reply with no members and more bytes after.
-	r, ferr := openFrameReader(frame, maxBatchReply, "batch")
-	if ferr != nil || len(r.b) < 2 || r.b[0] != 0 {
+	r, ferr := frame.OpenReader(b, maxBatchReply, "cluster: batch frame")
+	if ferr != nil || len(r.B) < 2 || r.B[0] != 0 {
 		return nil, err
 	}
-	r.b = r.b[1:]
-	status, msg := r.num(), r.str()
-	if r.end() != nil || status < 400 || status > 599 {
+	r.B = r.B[1:]
+	status, msg := r.Num(), r.Str()
+	if r.End() != nil || status < 400 || status > 599 {
 		return nil, err
 	}
 	return nil, &statusError{code: status, msg: msg}
@@ -283,39 +280,39 @@ const replyHitMin = 1 + 8
 // decodeBatchReply reads a reply frame into one response per member —
 // Hits (windows of one backing array, in the order MergeTopK consumes)
 // and Stats (the counters ExecStats.Add sums). Nothing returned aliases
-// frame.
-func decodeBatchReply(frame []byte) ([]vsm.Response, error) {
-	r, err := openFrameReader(frame, maxBatchReply, "batch")
+// b.
+func decodeBatchReply(b []byte) ([]vsm.Response, error) {
+	r, err := frame.OpenReader(b, maxBatchReply, "cluster: batch frame")
 	if err != nil {
 		return nil, err
 	}
-	nMembers := r.count(5)
-	if r.err != nil {
-		return nil, r.err
+	nMembers := r.Count(5)
+	if r.Err != nil {
+		return nil, r.Err
 	}
 	resps := make([]vsm.Response, nMembers)
-	hits := make([]vsm.Result, 0, len(r.b)/replyHitMin)
+	hits := make([]vsm.Result, 0, len(r.B)/replyHitMin)
 	for i := range resps {
 		st := &resps[i].Stats
-		st.DocsScored = r.num()
-		st.DocsFiltered = r.num()
-		st.Postings = r.num()
-		st.BlocksDecoded = r.num()
-		n := r.count(replyHitMin)
-		if r.err != nil {
-			return nil, r.err
+		st.DocsScored = r.Num()
+		st.DocsFiltered = r.Num()
+		st.Postings = r.Num()
+		st.BlocksDecoded = r.Num()
+		n := r.Count(replyHitMin)
+		if r.Err != nil {
+			return nil, r.Err
 		}
 		lo := len(hits)
 		for j := 0; j < n; j++ {
-			gid, score := r.gid(), r.float()
-			if r.err != nil {
-				return nil, r.err
+			gid, score := r.Gid(), r.Float()
+			if r.Err != nil {
+				return nil, r.Err
 			}
 			hits = append(hits, vsm.Result{Doc: gid, Score: score})
 		}
 		resps[i].Hits = hits[lo:len(hits):len(hits)]
 	}
-	if err := r.end(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, err
 	}
 	return resps, nil
@@ -331,17 +328,14 @@ func decodeBatchReply(frame []byte) ([]vsm.Response, error) {
 //	body:
 //	uvarint op             0: add, 1: delete
 //	op 0: uvarint docs
-//	      docs × {         ascending by gid
-//	          uvarint gid
-//	          uvarint n, n bytes the title
-//	          uvarint n, n bytes the text
-//	      }
+//	      docs × record    frame.AppendDoc's (gid, title, text), ascending by gid
 //	op 1: uvarint gid      the document to tombstone
 //
-// A document crosses as its gid, title and text, unescaped. Like every
-// frame it has one encoding: a padded uvarint, an op other than 0 or 1,
-// a gid beyond int32, a count beyond the bytes left and bytes after the
-// payload are refused; gid order is the shard's to judge. The router
+// A saved segment's documents file holds the same document records.
+// Like every frame a mutation has one encoding: a padded uvarint, an op
+// other than 0 or 1, a gid beyond int32, a count beyond the bytes left
+// and bytes after the payload are refused; gid order is the shard's to
+// judge. The router
 // refuses a share over maxMutationBody before it logs the record, and a
 // shard reads no more than the largest frame a router sends.
 
@@ -377,11 +371,7 @@ func appendAdd(dst []byte, docs []corpus.Document) []byte {
 	dst = append(dst, opAdd)
 	dst = binary.AppendUvarint(dst, uint64(len(docs)))
 	for i := range docs {
-		dst = binary.AppendUvarint(dst, uint64(docs[i].ID))
-		dst = binary.AppendUvarint(dst, uint64(len(docs[i].Title)))
-		dst = append(dst, docs[i].Title...)
-		dst = binary.AppendUvarint(dst, uint64(len(docs[i].Text)))
-		dst = append(dst, docs[i].Text...)
+		dst = frame.AppendDoc(dst, &docs[i])
 	}
 	return dst
 }
@@ -395,50 +385,49 @@ func appendDelete(dst []byte, gid corpus.DocID) []byte {
 // seq to the shard instance ifInstance (0: any).
 func appendMutation(dst []byte, seq, ifInstance uint64, body []byte) []byte {
 	start := len(dst)
-	dst = append(dst, make([]byte, frameHeader)...)
+	dst = append(dst, make([]byte, frame.Header)...)
 	dst = binary.AppendUvarint(dst, seq)
 	dst = binary.AppendUvarint(dst, ifInstance)
 	dst = append(dst, body...)
-	sealFrame(dst[start:])
+	frame.Seal(dst[start:])
 	return dst
 }
 
 // decodeMutation reads a mutation frame. Every string comes back in an
 // allocation of its own, so a document the store keeps holds only its
 // own bytes.
-func decodeMutation(frame []byte) (mutation, error) {
-	r, err := openFrameReader(frame, maxMutation, "mutation")
+func decodeMutation(b []byte) (mutation, error) {
+	r, err := frame.OpenReader(b, maxMutation, "cluster: mutation frame")
 	if err != nil {
 		return mutation{}, err
 	}
 	var m mutation
-	m.seq = r.u64()
-	m.ifInstance = r.u64()
-	r.body(&m)
-	if err := r.end(); err != nil {
+	m.seq = r.U64()
+	m.ifInstance = r.U64()
+	m.decodeBody(&r)
+	if err := r.End(); err != nil {
 		return mutation{}, err
 	}
 	return m, nil
 }
 
-// body reads a mutation body into m.
-func (r *frameReader) body(m *mutation) {
-	switch op := r.num(); {
-	case r.err != nil:
+// decodeBody reads a mutation body from r into m.
+func (m *mutation) decodeBody(r *frame.Reader) {
+	switch op := r.Num(); {
+	case r.Err != nil:
 	case op == opDelete:
 		m.del = true
-		m.gid = r.gid()
+		m.gid = r.Gid()
 	case op != opAdd:
-		r.failf("op %d is neither add nor delete", op)
+		r.Failf("op %d is neither add nor delete", op)
 	default:
-		// A document takes a gid byte and two length bytes at least.
-		n := r.count(3)
-		if r.err != nil {
+		n := r.Count(frame.DocMin)
+		if r.Err != nil {
 			return
 		}
 		m.docs = make([]corpus.Document, n)
 		for i := range m.docs {
-			m.docs[i] = corpus.Document{ID: r.gid(), Title: r.str(), Text: r.str()}
+			m.docs[i] = r.Doc()
 		}
 	}
 }
@@ -487,7 +476,7 @@ type mutationAck struct {
 // DF, then changed.
 func appendMutationAck(dst []byte, st *shardStats, changed []segment.TermDF) []byte {
 	start := len(dst)
-	dst = append(dst, make([]byte, frameHeader)...)
+	dst = append(dst, make([]byte, frame.Header)...)
 	dst = binary.AppendUvarint(dst, st.Version)
 	dst = binary.AppendUvarint(dst, st.Instance)
 	dst = binary.AppendUvarint(dst, uint64(st.Docs))
@@ -512,7 +501,7 @@ func appendMutationAck(dst []byte, st *shardStats, changed []segment.TermDF) []b
 		dst = append(dst, e.Term...)
 		dst = binary.AppendUvarint(dst, uint64(e.DF))
 	}
-	sealFrame(dst[start:])
+	frame.Seal(dst[start:])
 	return dst
 }
 
@@ -520,155 +509,53 @@ func appendMutationAck(dst []byte, st *shardStats, changed []segment.TermDF) []b
 // allocation of its own: the router keeps terms as table keys, and a
 // key that shared memory with the rest of its ack would keep the whole
 // ack alive.
-func decodeMutationAck(frame []byte) (mutationAck, error) {
-	r, err := openFrameReader(frame, maxMutationAck, "ack")
+func decodeMutationAck(b []byte) (mutationAck, error) {
+	r, err := frame.OpenReader(b, maxMutationAck, "cluster: ack frame")
 	if err != nil {
 		return mutationAck{}, err
 	}
 	var a mutationAck
 	st := &a.stats
-	st.Version = r.u64()
-	st.Instance = r.u64()
-	st.Docs = r.num()
-	st.TotalLen = int64(r.num())
-	if maxGid := r.num(); maxGid > math.MaxInt32+1 {
-		r.failf("max gid %d beyond int32", maxGid-1)
+	st.Version = r.U64()
+	st.Instance = r.U64()
+	st.Docs = r.Num()
+	st.TotalLen = int64(r.Num())
+	if maxGid := r.Num(); maxGid > math.MaxInt32+1 {
+		r.Failf("max gid %d beyond int32", maxGid-1)
 	} else {
 		st.MaxGid = corpus.DocID(maxGid - 1)
 	}
-	st.AppliedSeq = r.u64()
-	st.DurableSeq = r.u64()
-	switch r.num() {
+	st.AppliedSeq = r.U64()
+	st.DurableSeq = r.U64()
+	switch r.Num() {
 	case 0:
 	case 1:
 		st.Persistent = true
 	default:
-		r.failf("persistent flag is neither 0 nor 1")
+		r.Failf("persistent flag is neither 0 nor 1")
 	}
-	st.Scoring = r.str()
+	st.Scoring = r.Str()
 	ix := &st.Index
-	ix.NumPostings = r.num()
-	ix.MaxListLen = r.num()
-	ix.SizeBytes = int64(r.num())
-	ix.PostingsBytes = int64(r.num())
-	ix.ResidentBytes = int64(r.num())
-	ix.PaddedPIRBytes = int64(r.num())
+	ix.NumPostings = r.Num()
+	ix.MaxListLen = r.Num()
+	ix.SizeBytes = int64(r.Num())
+	ix.PostingsBytes = int64(r.Num())
+	ix.ResidentBytes = int64(r.Num())
+	ix.PaddedPIRBytes = int64(r.Num())
 	// An entry takes a length byte and a df byte at least.
-	n := r.count(2)
-	if r.err != nil {
-		return mutationAck{}, r.err
+	n := r.Count(2)
+	if r.Err != nil {
+		return mutationAck{}, r.Err
 	}
 	a.changed = make([]segment.TermDF, n)
 	for i := range a.changed {
-		a.changed[i].Term = r.str()
-		a.changed[i].DF = r.num()
+		a.changed[i].Term = r.Str()
+		a.changed[i].DF = r.Num()
 	}
-	if err := r.end(); err != nil {
+	if err := r.End(); err != nil {
 		return mutationAck{}, err
 	}
 	return a, nil
-}
-
-// frameReader consumes a payload field by field; the first malformed
-// field sticks in err and every later read returns zero.
-type frameReader struct {
-	b    []byte
-	err  error
-	kind string // the frame's name in errors: "batch", "ack", "mutation"…
-}
-
-// openFrameReader checks a frame that must be the whole of its input.
-func openFrameReader(frame []byte, maxPayload uint32, kind string) (frameReader, error) {
-	payload, size, err := openFrame(frame, maxPayload)
-	if err != nil {
-		return frameReader{}, fmt.Errorf("cluster: %s frame: %w", kind, err)
-	}
-	if size != len(frame) {
-		return frameReader{}, fmt.Errorf("cluster: %s frame: %d bytes after the frame", kind, len(frame)-size)
-	}
-	return frameReader{b: payload, kind: kind}, nil
-}
-
-// failf records the first malformed field.
-func (r *frameReader) failf(format string, args ...interface{}) {
-	if r.err == nil {
-		r.err = fmt.Errorf("cluster: %s frame: %s", r.kind, fmt.Sprintf(format, args...))
-	}
-}
-
-// u64 reads one shortest-form uvarint.
-func (r *frameReader) u64() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b)
-	if n <= 0 || (n > 1 && r.b[n-1] == 0) {
-		r.failf("truncated, padded or oversized integer")
-		return 0
-	}
-	r.b = r.b[n:]
-	return v
-}
-
-// num reads one shortest-form uvarint that fits an int.
-func (r *frameReader) num() int {
-	v := r.u64()
-	if v > math.MaxInt {
-		r.failf("truncated, padded or oversized integer")
-		return 0
-	}
-	return int(v)
-}
-
-// gid reads a global document ID: a uvarint within int32.
-func (r *frameReader) gid() corpus.DocID {
-	v := r.u64()
-	if v > math.MaxInt32 {
-		r.failf("gid %d beyond int32", v)
-		return 0
-	}
-	return corpus.DocID(v)
-}
-
-// str reads a length-prefixed string into an allocation of its own.
-func (r *frameReader) str() string {
-	n := r.count(1)
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-// float reads a float64 from the 8 little-endian bytes of its bits.
-func (r *frameReader) float() float64 {
-	if r.err == nil && len(r.b) < 8 {
-		r.failf("truncated score")
-	}
-	if r.err != nil {
-		return 0
-	}
-	bits := binary.LittleEndian.Uint64(r.b)
-	r.b = r.b[8:]
-	return math.Float64frombits(bits)
-}
-
-// count reads the number of elements that follow, each at least min
-// bytes long, and refuses one the remaining bytes cannot hold — so a
-// claimed count never sizes an allocation the input did not pay for.
-func (r *frameReader) count(min int) int {
-	n := r.num()
-	if r.err == nil && n > len(r.b)/min {
-		r.failf("count %d exceeds the %d bytes left", n, len(r.b))
-		return 0
-	}
-	return n
-}
-
-// end reports the first error, or payload bytes nothing consumed.
-func (r *frameReader) end() error {
-	if r.err == nil && len(r.b) != 0 {
-		r.failf("%d unread payload bytes", len(r.b))
-	}
-	return r.err
 }
 
 // wireBufs pools the buffers /cluster/mutate frames are read into and
@@ -701,12 +588,12 @@ func readBody(r io.Reader, buf []byte) ([]byte, error) {
 // buf grows as bytes arrive, never ahead of them and never past the
 // frame, and nothing after the frame is read. A stream that ends between
 // two frames is io.EOF; one that ends inside a frame, or claims more
-// than maxPayload, is errFrameTorn; a whole frame that fails its CRC is
-// errFrameChecksum. After either of the last two the stream's framing is
+// than maxPayload, is frame.ErrTorn; a whole frame that fails its CRC is
+// frame.ErrChecksum. After either of the last two the stream's framing is
 // lost.
 func readFrame(r io.Reader, buf []byte, maxPayload int) ([]byte, error) {
 	buf = buf[:0]
-	need := frameHeader
+	need := frame.Header
 	for len(buf) < need {
 		if len(buf) == cap(buf) {
 			grown := make([]byte, len(buf), min(max(2*cap(buf), 512), need))
@@ -715,10 +602,10 @@ func readFrame(r io.Reader, buf []byte, maxPayload int) ([]byte, error) {
 		}
 		n, err := r.Read(buf[len(buf):min(cap(buf), need)])
 		buf = buf[:len(buf)+n]
-		if need == frameHeader && len(buf) == frameHeader {
+		if need == frame.Header && len(buf) == frame.Header {
 			length := binary.LittleEndian.Uint32(buf)
 			if int64(length) > int64(maxPayload) {
-				return buf, errFrameTorn
+				return buf, frame.ErrTorn
 			}
 			need += int(length)
 		}
@@ -727,15 +614,13 @@ func readFrame(r io.Reader, buf []byte, maxPayload int) ([]byte, error) {
 		case err == io.EOF && len(buf) == 0:
 			return buf, io.EOF
 		case err == io.EOF || err == io.ErrUnexpectedEOF:
-			return buf, errFrameTorn
+			return buf, frame.ErrTorn
 		default:
 			return buf, err
 		}
 	}
-	if frameSum(buf) != binary.LittleEndian.Uint32(buf[4:8]) {
-		return buf, errFrameChecksum
-	}
-	return buf, nil
+	_, _, err := frame.Open(buf, uint32(maxPayload))
+	return buf, err
 }
 
 // shardStats is the GET /cluster/stats reply: the shard's live

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"toppriv/internal/corpus"
+	"toppriv/internal/frame"
 	"toppriv/internal/index"
 	"toppriv/internal/segment"
 	"toppriv/internal/textproc"
@@ -227,7 +228,7 @@ func TestBatchReplyRoundTrip(t *testing.T) {
 
 // payloadFrame seals fields — uvarints, or raw bytes — into a frame.
 func payloadFrame(fields ...interface{}) []byte {
-	b := make([]byte, frameHeader)
+	b := make([]byte, frame.Header)
 	for _, f := range fields {
 		switch f := f.(type) {
 		case int:
@@ -240,7 +241,7 @@ func payloadFrame(fields ...interface{}) []byte {
 			b = append(b, f...)
 		}
 	}
-	sealFrame(b)
+	frame.Seal(b)
 	return b
 }
 
@@ -460,8 +461,8 @@ func TestBatchFramesRefuseMalformed(t *testing.T) {
 				t.Fatalf("%s: byte %d corrupted, frame still decoded", side.name, i)
 			}
 			// Past the checksum, the parser is on its own.
-			if i >= frameHeader {
-				sealFrame(bad)
+			if i >= frame.Header {
+				frame.Seal(bad)
 				side.decode(bad)
 			}
 		}
@@ -513,14 +514,14 @@ func checkReplyFrame(t *testing.T, frame []byte) {
 func FuzzDecodeBatchRequest(f *testing.F) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 8; i++ {
-		frame := genCycle(rng).encode()
-		f.Add(frame)
-		f.Add(frame[frameHeader:])
+		fr := genCycle(rng).encode()
+		f.Add(fr)
+		f.Add(fr[frame.Header:])
 	}
 	f.Add(benchCycle().encode())
 	for _, tt := range brokenRequestFrames {
 		f.Add(tt.frame)
-		f.Add(tt.frame[frameHeader:])
+		f.Add(tt.frame[frame.Header:])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkRequestFrame(t, data)
@@ -531,13 +532,13 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 func FuzzDecodeBatchReply(f *testing.F) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 8; i++ {
-		frame := appendBatchReply(nil, genReply(rng))
-		f.Add(frame)
-		f.Add(frame[frameHeader:])
+		fr := appendBatchReply(nil, genReply(rng))
+		f.Add(fr)
+		f.Add(fr[frame.Header:])
 	}
 	for _, tt := range brokenReplyFrames {
 		f.Add(tt.frame)
-		f.Add(tt.frame[frameHeader:])
+		f.Add(tt.frame[frame.Header:])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkReplyFrame(t, data)
@@ -564,13 +565,13 @@ func FuzzDecodeMutationAck(f *testing.F) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 8; i++ {
 		st, changed := genAck(rng)
-		frame := appendMutationAck(nil, &st, changed)
-		f.Add(frame)
-		f.Add(frame[frameHeader:])
+		fr := appendMutationAck(nil, &st, changed)
+		f.Add(fr)
+		f.Add(fr[frame.Header:])
 	}
 	for _, tt := range brokenAckFrames {
 		f.Add(tt.frame)
-		f.Add(tt.frame[frameHeader:])
+		f.Add(tt.frame[frame.Header:])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkAckFrame(t, data)
@@ -601,13 +602,13 @@ func checkMutationFrame(t *testing.T, frame []byte) {
 func FuzzDecodeMutation(f *testing.F) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 8; i++ {
-		frame := genMutation(rng)
-		f.Add(frame)
-		f.Add(frame[frameHeader:])
+		fr := genMutation(rng)
+		f.Add(fr)
+		f.Add(fr[frame.Header:])
 	}
 	for _, tt := range brokenMutationFrames {
 		f.Add(tt.frame)
-		f.Add(tt.frame[frameHeader:])
+		f.Add(tt.frame[frame.Header:])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkMutationFrame(t, data)

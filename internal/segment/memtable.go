@@ -41,9 +41,10 @@ func newMemtable(st *Store) *memtable {
 func (mt *memtable) add(doc corpus.Document, gid corpus.DocID) (terms []textproc.TermID, length int) {
 	mt.bag = mt.an.AppendIDs(mt.bag[:0], doc.Text)
 	terms, tfs := mt.b.Add(mt.bag)
-	doc.ID = gid
 	mt.ids = append(mt.ids, gid)
-	mt.docs = append(mt.docs, doc)
+	// Only what a save writes is kept, so Doc answers the same before a
+	// save and after a load.
+	mt.docs = append(mt.docs, corpus.Document{ID: gid, Title: doc.Title, Text: doc.Text})
 	mt.dead = append(mt.dead, false)
 	mt.live++
 	// Squares are summed in ascending term order, the order

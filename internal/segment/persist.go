@@ -1,13 +1,17 @@
 package segment
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"toppriv/internal/corpus"
+	"toppriv/internal/frame"
 	"toppriv/internal/index"
 	"toppriv/internal/textproc"
 	"toppriv/internal/vsm"
@@ -15,9 +19,15 @@ import (
 
 // On-disk layout of a saved store:
 //
-//	MANIFEST.json             — segment list, global-ID maps, tombstones
-//	seg-000001-00000.tpix     — one TPIX-codec index per sealed segment
-//	seg-000001-00000.docs.json — the segment's raw documents
+//	MANIFEST.json          — version, generation, next ID, scoring, and
+//	                         each segment's file, level and tombstones
+//	seg-000001-00000.tpix  — one TPIX-codec index per sealed segment
+//	seg-000001-00000.docs  — docsMagic, then one frame (package frame)
+//	                         per document, holding the record a mutation
+//	                         frame carries: gid, title, text
+//
+// A segment's gids are kept once, in its documents file. Load requires
+// them to ascend across the whole stack and stay below the next ID.
 //
 // The memtable is sealed into a segment by Save, so a saved store is
 // always fully on disk. Loading reads the TPIX files back — postings
@@ -37,7 +47,8 @@ import (
 
 const (
 	manifestName    = "MANIFEST.json"
-	manifestVersion = 1
+	manifestVersion = 2
+	docsMagic       = "TPDOC1\n"
 )
 
 type manifest struct {
@@ -49,11 +60,18 @@ type manifest struct {
 }
 
 type manifestSeg struct {
-	File  string         `json:"file"`
-	Docs  string         `json:"docs"`
-	Level int            `json:"level"`
-	IDs   []corpus.DocID `json:"ids"`
-	Dead  []int          `json:"dead,omitempty"` // local IDs tombstoned
+	File  string `json:"file"`
+	Level int    `json:"level"`
+	Dead  []int  `json:"dead,omitempty"` // local IDs tombstoned
+}
+
+// docsName is the documents file beside the TPIX file named file.
+func docsName(file string) string { return strings.TrimSuffix(file, ".tpix") + ".docs" }
+
+// Saved reports whether dir holds a saved store for Load to open.
+func Saved(dir string) bool {
+	_, err := os.Stat(filepath.Join(dir, manifestName))
+	return err == nil
 }
 
 // Save writes a point-in-time snapshot of the store to dir, creating
@@ -83,55 +101,40 @@ func (st *Store) Save(dir string) error {
 		return err
 	}
 	gen := st.gen + 1
-	segs := make([]*seg, len(st.segs))
-	copy(segs, st.segs)
-	deadSnap := make([][]int, len(segs))
+	segs := slices.Clone(st.segs)
+	m := manifest{Version: manifestVersion, Gen: gen, NextID: st.nextID, Scoring: int(st.cfg.Scoring)}
+	m.Segments = make([]manifestSeg, len(segs))
 	for i, sg := range segs {
+		m.Segments[i] = manifestSeg{File: fmt.Sprintf("seg-%06d-%05d.tpix", gen, i), Level: sg.level}
 		for d, dead := range sg.dead {
 			if dead {
-				deadSnap[i] = append(deadSnap[i], d)
+				m.Segments[i].Dead = append(m.Segments[i].Dead, d)
 			}
 		}
 	}
-	m := manifest{Version: manifestVersion, Gen: gen, NextID: st.nextID, Scoring: int(st.cfg.Scoring)}
 	st.mu.Unlock()
 
 	// From here on only immutable segment state (postings, docs, ids,
-	// frozen dictionary views) and the snapshot copies are touched.
+	// frozen dictionary views) and the snapshot copies are touched. Each
+	// file is durable before the manifest that names it.
 	for i, sg := range segs {
-		ms := manifestSeg{
-			File:  fmt.Sprintf("seg-%06d-%05d.tpix", gen, i),
-			Docs:  fmt.Sprintf("seg-%06d-%05d.docs.json", gen, i),
-			Level: sg.level,
-			IDs:   sg.ids,
-			Dead:  deadSnap[i],
+		var tpix bytes.Buffer
+		_, err := sg.idx.WriteTo(&tpix)
+		if err == nil {
+			err = frame.WriteFileAtomic(dir, m.Segments[i].File, tpix.Bytes())
 		}
-		if err := writeSegFiles(dir, ms, sg); err != nil {
-			return err
+		if err == nil {
+			err = frame.WriteFileAtomic(dir, docsName(m.Segments[i].File), appendDocs(nil, sg.docs))
 		}
-		m.Segments = append(m.Segments, ms)
+		if err != nil {
+			return fmt.Errorf("segment: save %s: %w", m.Segments[i].File, err)
+		}
 	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	f, err := os.Create(tmp)
+	data, err := json.Marshal(m)
+	if err == nil {
+		err = frame.WriteFileAtomic(dir, manifestName, append(data, '\n'))
+	}
 	if err != nil {
-		return fmt.Errorf("segment: save manifest: %w", err)
-	}
-	enc := json.NewEncoder(f)
-	if err := enc.Encode(m); err != nil {
-		f.Close()
-		return fmt.Errorf("segment: save manifest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("segment: save manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("segment: save manifest: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return fmt.Errorf("segment: save manifest: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
 		return fmt.Errorf("segment: save manifest: %w", err)
 	}
 	st.mu.Lock()
@@ -142,49 +145,50 @@ func (st *Store) Save(dir string) error {
 	return removeStaleSegFiles(dir, m)
 }
 
-func writeSegFiles(dir string, ms manifestSeg, sg *seg) error {
-	write := func(name string, fill func(f *os.File) error) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return fmt.Errorf("segment: save %s: %w", name, err)
-		}
-		if err := fill(f); err != nil {
-			f.Close()
-			return fmt.Errorf("segment: save %s: %w", name, err)
-		}
-		// The manifest rename must never become durable before the data
-		// it references.
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("segment: save %s: %w", name, err)
-		}
-		if err := f.Close(); err != nil {
-			return fmt.Errorf("segment: save %s: %w", name, err)
-		}
-		return nil
+// appendDocs appends the documents file holding docs.
+func appendDocs(dst []byte, docs []corpus.Document) []byte {
+	dst = append(dst, docsMagic...)
+	for i := range docs {
+		start := len(dst)
+		dst = frame.AppendDoc(append(dst, make([]byte, frame.Header)...), &docs[i])
+		frame.Seal(dst[start:])
 	}
-	if err := write(ms.File, func(f *os.File) error {
-		_, err := sg.idx.WriteTo(f)
-		return err
-	}); err != nil {
-		return err
-	}
-	return write(ms.Docs, func(f *os.File) error {
-		return json.NewEncoder(f).Encode(sg.docs)
-	})
+	return dst
 }
 
-// syncDir makes a completed rename in dir durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
+// decodeDocs reads a documents file that must hold want documents, each
+// gid above the one before it, the first above after, and all below
+// next. A cut or a failed checksum is an error: the file is written
+// whole before the manifest that names it.
+func decodeDocs(data []byte, want int, after, next corpus.DocID) ([]corpus.Document, error) {
+	docs := make([]corpus.Document, 0, min(want, len(data)/(frame.Header+frame.DocMin)))
+	// The payload bound is the file's size: any document Save writes fits.
+	good, err := frame.Walk(data, docsMagic, uint32(min(len(data), math.MaxUint32)), func(off int64, payload []byte) error {
+		r := frame.Reader{B: payload, What: "document frame"}
+		d := r.Doc()
+		switch err := r.End(); {
+		case err != nil:
+			return fmt.Errorf("at offset %d: %w", off, err)
+		case len(docs) == want:
+			return fmt.Errorf("more than the %d documents its index holds", want)
+		case d.ID <= after:
+			return fmt.Errorf("document at offset %d: gid %d does not ascend past gid %d", off, d.ID, after)
+		case d.ID >= next:
+			return fmt.Errorf("document at offset %d: gid %d is not below the next ID %d", off, d.ID, next)
+		}
+		after = d.ID
+		docs = append(docs, d)
+		return nil
+	})
+	switch {
+	case err != nil:
+		return nil, err
+	case good != int64(len(data)):
+		return nil, fmt.Errorf("cut short at offset %d", good)
+	case len(docs) != want:
+		return nil, fmt.Errorf("%d documents, its index holds %d", len(docs), want)
 	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return docs, nil
 }
 
 // removeStaleSegFiles deletes seg-* files not referenced by the
@@ -194,7 +198,7 @@ func removeStaleSegFiles(dir string, m manifest) error {
 	wanted := make(map[string]bool, 2*len(m.Segments))
 	for _, ms := range m.Segments {
 		wanted[ms.File] = true
-		wanted[ms.Docs] = true
+		wanted[docsName(ms.File)] = true
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -218,30 +222,33 @@ func removeStaleSegFiles(dir string, m manifest) error {
 // compactor starts once loading finishes.
 // The saved scoring function overrides cfg.Scoring.
 func Load(dir string, cfg Config) (*Store, error) {
-	mf, err := os.Open(filepath.Join(dir, manifestName))
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, fmt.Errorf("segment: load: %w", err)
 	}
 	var m manifest
-	err = json.NewDecoder(mf).Decode(&m)
-	mf.Close()
-	if err != nil {
+	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("segment: load manifest: %w", err)
 	}
 	if m.Version != manifestVersion {
-		return nil, fmt.Errorf("segment: load: unsupported manifest version %d", m.Version)
+		return nil, fmt.Errorf("segment: load %s: manifest version %d: this build reads version %d only; rebuild the index from its documents",
+			dir, m.Version, manifestVersion)
 	}
 	cfg.Scoring = vsm.Scoring(m.Scoring)
 	st, err := newStore(cfg)
 	if err != nil {
 		return nil, err
 	}
+	after := corpus.DocID(-1)
 	for _, ms := range m.Segments {
-		sg, err := st.loadSeg(dir, ms)
+		sg, err := st.loadSeg(dir, ms, after, m.NextID)
 		if err != nil {
 			return nil, err
 		}
 		st.segs = append(st.segs, sg)
+		if n := len(sg.ids); n > 0 {
+			after = sg.ids[n-1]
+		}
 	}
 	// Every segment's terms are in the store's dictionary now; each
 	// segment drops the dictionary it was read with for a view of the
@@ -258,26 +265,23 @@ func Load(dir string, cfg Config) (*Store, error) {
 	return st, nil
 }
 
-func (st *Store) loadSeg(dir string, ms manifestSeg) (*seg, error) {
+// loadSeg reads the segment ms names, whose gids must lie above after
+// and below next.
+func (st *Store) loadSeg(dir string, ms manifestSeg, after, next corpus.DocID) (*seg, error) {
 	var idx *index.Index
 	var err error
-	if st.cfg.Mapped {
+	if path := filepath.Join(dir, ms.File); st.cfg.Mapped {
 		// Disk-resident open: postings payloads stay views into the
 		// mapped file; only metadata is decoded onto the heap.
-		idx, err = index.OpenMapped(filepath.Join(dir, ms.File))
-		if err != nil {
-			return nil, fmt.Errorf("segment: load %s: %w", ms.File, err)
-		}
+		idx, err = index.OpenMapped(path)
+	} else if f, oerr := os.Open(path); oerr != nil {
+		err = oerr
 	} else {
-		f, oerr := os.Open(filepath.Join(dir, ms.File))
-		if oerr != nil {
-			return nil, fmt.Errorf("segment: load %s: %w", ms.File, oerr)
-		}
 		idx, err = index.Read(f)
 		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("segment: load %s: %w", ms.File, err)
-		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("segment: load %s: %w", ms.File, err)
 	}
 	// Replay this segment's dictionary into the shared vocabulary. The
 	// append-only invariant means term t here must intern at ID t; a
@@ -288,19 +292,18 @@ func (st *Store) loadSeg(dir string, ms manifestSeg) (*seg, error) {
 			return nil, fmt.Errorf("segment: load %s: dictionary mismatch at term %d (%q)", ms.File, t, term)
 		}
 	}
-	df, err := os.Open(filepath.Join(dir, ms.Docs))
-	if err != nil {
-		return nil, fmt.Errorf("segment: load %s: %w", ms.Docs, err)
-	}
+	name := docsName(ms.File)
+	data, err := os.ReadFile(filepath.Join(dir, name))
 	var docs []corpus.Document
-	err = json.NewDecoder(df).Decode(&docs)
-	df.Close()
-	if err != nil {
-		return nil, fmt.Errorf("segment: load %s: %w", ms.Docs, err)
+	if err == nil {
+		docs, err = decodeDocs(data, idx.NumDocs(), after, next)
 	}
-	if len(docs) != idx.NumDocs() || len(ms.IDs) != idx.NumDocs() {
-		return nil, fmt.Errorf("segment: load %s: %d docs, %d ids, index has %d",
-			ms.File, len(docs), len(ms.IDs), idx.NumDocs())
+	if err != nil {
+		return nil, fmt.Errorf("segment: load %s: %w", name, err)
+	}
+	ids := make([]corpus.DocID, len(docs))
+	for i := range docs {
+		ids[i] = docs[i].ID
 	}
 	dead := make([]bool, idx.NumDocs())
 	live := idx.NumDocs()
@@ -313,7 +316,7 @@ func (st *Store) loadSeg(dir string, ms manifestSeg) (*seg, error) {
 			live--
 		}
 	}
-	return &seg{level: ms.Level, ids: ms.IDs, docs: docs, idx: idx, norms: vsm.DocNorms(idx), dead: dead, live: live}, nil
+	return &seg{level: ms.Level, ids: ids, docs: docs, idx: idx, norms: vsm.DocNorms(idx), dead: dead, live: live}, nil
 }
 
 // rebuildStatsLocked recomputes liveDocs, liveLen, and per-term df from

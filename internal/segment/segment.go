@@ -18,8 +18,9 @@
 // unfiltered). Results are therefore identical — to floating-point noise
 // — to a from-scratch index.Build over the surviving documents.
 //
-// The store persists as one TPIX file per sealed segment plus a JSON
-// manifest, so a restart recovers without re-analyzing any text.
+// The store persists as one TPIX file and one documents file per sealed
+// segment plus a JSON manifest, so a restart recovers without
+// re-analyzing any text.
 package segment
 
 import (
