@@ -24,15 +24,15 @@ import (
 )
 
 // wireTap is a transport that shows every router→shard cycle — the
-// requests a shard rebuilds from a request frame on its stream — to see
-// before the frame is sent.
+// requests a shard rebuilds from a request frame on its cycle stream — to
+// see before the frame is sent.
 type wireTap struct {
 	see func([]vsm.Request)
 }
 
 func (w wireTap) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp, err := http.DefaultTransport.RoundTrip(req)
-	if err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
+	if err != nil || resp.StatusCode != http.StatusSwitchingProtocols || streamKindOf(req.Header.Get("Upgrade")) != cycleStreams {
 		return resp, err
 	}
 	resp.Body = tapStream{resp.Body.(io.ReadWriteCloser), w.see}
@@ -201,10 +201,16 @@ func TestRoutedCycleSharesTraversal(t *testing.T) {
 	}
 }
 
-// rawStream opens a cycle stream to the shard served by ts by hand — the
-// upgrade request written to a plain TCP connection and the 101 read off
-// it — so that a test can send a shard what no router would.
-func rawStream(t *testing.T, ts *httptest.Server) (*net.TCPConn, *bufio.Reader) {
+// decodeCycleReply reads the reply frame of a cycle stream's exchange:
+// the cycle's responses, or the shard's refusal as a *statusError.
+func decodeCycleReply(b []byte) ([]vsm.Response, error) {
+	return decodeReply(b, maxBatchReply, decodeBatchReply)
+}
+
+// rawStream opens a stream of kind to the shard served by ts by hand —
+// the upgrade request written to a plain TCP connection and the 101 read
+// off it — so that a test can send a shard what no router would.
+func rawStream(t *testing.T, ts *httptest.Server, kind *streamKind) (*net.TCPConn, *bufio.Reader) {
 	t.Helper()
 	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
 	if err != nil {
@@ -214,13 +220,13 @@ func rawStream(t *testing.T, ts *httptest.Server) (*net.TCPConn, *bufio.Reader) 
 	// A shard that keeps a stream open it should have closed fails the
 	// test instead of hanging it.
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	fmt.Fprintf(conn, "GET /cluster/stream HTTP/1.1\r\nHost: shard\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", streamProtocol)
+	fmt.Fprintf(conn, "GET /cluster/stream HTTP/1.1\r\nHost: shard\r\nConnection: Upgrade\r\nUpgrade: %s\r\n\r\n", kind.token)
 	br := bufio.NewReader(conn)
 	resp, err := http.ReadResponse(br, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusSwitchingProtocols || resp.Header.Get("Upgrade") != streamProtocol {
+	if resp.StatusCode != http.StatusSwitchingProtocols || resp.Header.Get("Upgrade") != kind.token {
 		t.Fatalf("upgrade answered %s, Upgrade %q", resp.Status, resp.Header.Get("Upgrade"))
 	}
 	return conn.(*net.TCPConn), br
@@ -297,7 +303,7 @@ func TestShardBatchRejectsBadStatistics(t *testing.T) {
 		{"bytes after the frame", append(append([]byte(nil), good...), 0), false, http.StatusBadRequest, "after the frame", true},
 		{"JSON body", []byte(`{"queries":[{"terms":["a"],"k":5,"global":{"docs":40,"total_len":4000,"df":[3]}}]}`), false, http.StatusBadRequest, "longer than its bound", true},
 	} {
-		conn, br := rawStream(t, tc.servers[0])
+		conn, br := rawStream(t, tc.servers[0], cycleStreams)
 		if _, err := conn.Write(tt.body); err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +342,8 @@ func TestShardBatchRejectsBadStatistics(t *testing.T) {
 		checkGood(tt.name+", then a well-formed frame", reply)
 	}
 
-	// Over HTTP: only an upgrade to a cycle stream is one.
+	// Over HTTP: only an upgrade to a stream is one, and a 426 names both
+	// tokens.
 	base := tc.servers[0].URL
 	for _, tt := range []struct {
 		name, method, path, upgrade string
@@ -344,7 +351,7 @@ func TestShardBatchRejectsBadStatistics(t *testing.T) {
 	}{
 		{"no upgrade", http.MethodGet, "/cluster/stream", "", http.StatusUpgradeRequired},
 		{"another protocol", http.MethodGet, "/cluster/stream", "websocket", http.StatusUpgradeRequired},
-		{"POST", http.MethodPost, "/cluster/stream", streamProtocol, http.StatusMethodNotAllowed},
+		{"POST", http.MethodPost, "/cluster/stream", cycleStreams.token, http.StatusMethodNotAllowed},
 		{"the old batch endpoint", http.MethodPost, "/cluster/batch", "", http.StatusNotFound},
 	} {
 		req, err := http.NewRequest(tt.method, base+tt.path, bytes.NewReader(good))
@@ -364,19 +371,25 @@ func TestShardBatchRejectsBadStatistics(t *testing.T) {
 		if resp.StatusCode != tt.status {
 			t.Errorf("%s: status %d (%s), want %d", tt.name, resp.StatusCode, bytes.TrimSpace(msg), tt.status)
 		}
-		if tt.status == http.StatusUpgradeRequired && (resp.Header.Get("Upgrade") != streamProtocol || !bytes.Contains(msg, []byte(streamProtocol))) {
-			t.Errorf("%s: Upgrade %q, message %q: neither names %q", tt.name, resp.Header.Get("Upgrade"), bytes.TrimSpace(msg), streamProtocol)
+		for _, token := range []string{cycleStreams.token, mutationStreams.token} {
+			if tt.status == http.StatusUpgradeRequired && (!strings.Contains(resp.Header.Get("Upgrade"), token) || !bytes.Contains(msg, []byte(token))) {
+				t.Errorf("%s: Upgrade %q, message %q: not both name %q", tt.name, resp.Header.Get("Upgrade"), bytes.TrimSpace(msg), token)
+			}
 		}
 	}
 }
 
-// TestShardRefusesMalformedMutation pins a shard's answer to a
-// POST /cluster/mutate frame whose seq or instance is malformed, absent
-// or another process's, or that is no well-formed frame at all: an
-// error naming the fault, the document untouched. A seq read as absent
-// once applied a journalled delete unjournalled, so its re-drive met a
-// 404 and the router retired the record as rejected; an instance read
-// as absent skipped the restart precondition.
+// TestShardRefusesMalformedMutation pins a shard's answer to a frame on
+// a mutation stream whose seq or instance is malformed, absent or another
+// process's, or that is no well-formed mutation frame at all, a cycle's
+// frame included: a refusal naming the fault, the document untouched.
+// After a frame that lost the stream's framing the shard closes the
+// stream; after any other refusal the stream still answers. A seq read as
+// absent once applied a journalled delete unjournalled, so its re-drive
+// met a 404 and the router retired the record as rejected; an instance
+// read as absent skipped the restart precondition. Over HTTP nothing
+// serves POST /cluster/mutate any more, and an unknown Upgrade token gets
+// 426.
 func TestShardRefusesMalformedMutation(t *testing.T) {
 	tc := newTestCluster(t, vsm.BM25, 1, Config{})
 	docs := synthDocs(t, 12, 19)
@@ -385,15 +398,29 @@ func TestShardRefusesMalformedMutation(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := tc.servers[0].URL
-	do := func(contentType string, frame []byte) (int, string) {
+	// send writes frame on the stream and returns the status and message
+	// of the frame it is answered with: 200 for an ack, a refusal's own.
+	send := func(conn *net.TCPConn, br *bufio.Reader, frame []byte, end bool) (int, string) {
 		t.Helper()
-		resp, err := http.Post(base+"/cluster/mutate", contentType, bytes.NewReader(frame))
-		if err != nil {
+		if _, err := conn.Write(frame); err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		msg, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, string(bytes.TrimSpace(msg))
+		if end {
+			conn.CloseWrite()
+		}
+		reply, err := readFrame(br, nil, maxMutationAck)
+		if err != nil {
+			t.Fatalf("no answer frame: %v", err)
+		}
+		_, err = decodeReply(reply, maxMutationAck, decodeMutationAck)
+		var se *statusError
+		switch {
+		case err == nil:
+			return http.StatusOK, ""
+		case !errors.As(err, &se):
+			t.Fatalf("the answer is neither an ack nor a refusal: %v", err)
+		}
+		return se.code, se.msg
 	}
 	fetch := func() int {
 		t.Helper()
@@ -409,35 +436,90 @@ func TestShardRefusesMalformedMutation(t *testing.T) {
 	good := payloadFrame(99, instance, opDelete, gid)
 	unsealed := append([]byte(nil), good...)
 	unsealed[len(unsealed)-1] ^= 1
+	noSeq := payloadFrame(0, instance, opDelete, gid)
+	// A cycle's seq and instance are its collection size and length, and
+	// its two terms read as op 2.
+	cycle := appendBatchRequest(nil, 12, 400, []vsm.Request{{Terms: []string{"shard", "rule"}, K: 5}}, func(string) int { return 1 })
+	next := tc.stores[0].NextID()
 	for _, tt := range []struct {
-		name, contentType string
-		frame             []byte
-		status            int
-		names             string
+		name   string
+		frame  []byte
+		end    bool
+		status int
+		names  string
+		// lost: the frame lost the stream's framing, so the shard closes
+		// the stream after refusing it.
+		lost bool
 	}{
-		{"no seq", mutationContentType, payloadFrame(0, instance, opDelete, gid), http.StatusBadRequest, "seq"},
-		{"padded seq", mutationContentType, payloadFrame([]byte{0xe3, 0x00}, instance, opDelete, gid), http.StatusBadRequest, "integer"},
-		{"seq overflows", mutationContentType, payloadFrame(bytes.Repeat([]byte{0xff}, 10), 1, instance, opDelete, gid), http.StatusBadRequest, "integer"},
-		{"padded instance", mutationContentType, payloadFrame(99, []byte{0xaa, 0x80, 0x00}, opDelete, gid), http.StatusBadRequest, "integer"},
-		{"another process's instance", mutationContentType, payloadFrame(99, instance+2, opDelete, gid), http.StatusPreconditionFailed, "instance mismatch"},
-		{"unknown op", mutationContentType, payloadFrame(99, instance, 2, gid), http.StatusBadRequest, "op 2"},
-		{"bad CRC", mutationContentType, unsealed, http.StatusBadRequest, "checksum"},
-		{"short frame", mutationContentType, good[:len(good)-1], http.StatusBadRequest, "cut short"},
-		{"bytes after the frame", mutationContentType, append(append([]byte(nil), good...), 0), http.StatusBadRequest, "after the frame"},
-		{"JSON body", "application/json", []byte(fmt.Sprintf(`{"seq":99,"delete":%d}`, gid)), http.StatusUnsupportedMediaType, mutationContentType},
+		{"no seq", noSeq, false, http.StatusBadRequest, "seq", false},
+		{"padded seq", payloadFrame([]byte{0xe3, 0x00}, instance, opDelete, gid), false, http.StatusBadRequest, "integer", false},
+		{"seq overflows", payloadFrame(bytes.Repeat([]byte{0xff}, 10), 1, instance, opDelete, gid), false, http.StatusBadRequest, "integer", false},
+		{"padded instance", payloadFrame(99, []byte{0xaa, 0x80, 0x00}, opDelete, gid), false, http.StatusBadRequest, "integer", false},
+		{"another process's instance", payloadFrame(99, instance+2, opDelete, gid), false, http.StatusPreconditionFailed, "instance mismatch", false},
+		{"unknown op", payloadFrame(99, instance, 2, gid), false, http.StatusBadRequest, "op 2", false},
+		{"a cycle frame", cycle, false, http.StatusBadRequest, "op 2", false},
+		{"bad CRC", unsealed, false, http.StatusBadRequest, "checksum", true},
+		{"short frame", good[:len(good)-1], true, http.StatusBadRequest, "cut short", true},
+		{"bytes after the frame", append(append([]byte(nil), good...), 0), false, http.StatusBadRequest, "after the frame", true},
+		{"JSON body", []byte(fmt.Sprintf(`{"seq":99,"delete":%d}`, gid)), false, http.StatusBadRequest, "longer than its bound", true},
 	} {
-		status, msg := do(tt.contentType, tt.frame)
+		conn, br := rawStream(t, tc.servers[0], mutationStreams)
+		status, msg := send(conn, br, tt.frame, tt.end)
 		if status != tt.status || !strings.Contains(msg, tt.names) {
 			t.Errorf("%s: %d %q, want %d naming %q", tt.name, status, msg, tt.status, tt.names)
 		}
 		if status := fetch(); status != http.StatusOK {
 			t.Fatalf("%s: document gone after a refused delete (GET %d)", tt.name, status)
 		}
+		if st := tc.stores[0]; st.NextID() != next || st.NumDocs() != len(docs) {
+			t.Fatalf("%s: the store changed: next ID %d → %d, %d → %d documents", tt.name, next, st.NextID(), len(docs), st.NumDocs())
+		}
+		switch {
+		case tt.lost:
+			if rest, err := readFrame(br, nil, maxMutationAck); err != io.EOF {
+				t.Errorf("%s: stream still open after a frame that lost its framing: %x, %v", tt.name, rest, err)
+			}
+		case !tt.end:
+			if status, msg := send(conn, br, noSeq, false); status != http.StatusBadRequest {
+				t.Errorf("%s: the stream answered the next frame %d %q, want a 400 refusal", tt.name, status, msg)
+			}
+		}
 	}
+
+	// Over HTTP: the old endpoint is gone, and another token is no stream.
+	for _, tt := range []struct {
+		name, method, path, upgrade string
+		status                      int
+	}{
+		{"the old mutation endpoint", http.MethodPost, "/cluster/mutate", "", http.StatusNotFound},
+		{"an unknown token", http.MethodGet, "/cluster/stream", "toppriv-mutate", http.StatusUpgradeRequired},
+	} {
+		req, err := http.NewRequest(tt.method, base+tt.path, bytes.NewReader(good))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tt.upgrade != "" {
+			req.Header.Set("Connection", "Upgrade")
+			req.Header.Set("Upgrade", tt.upgrade)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tt.status {
+			t.Errorf("%s: status %d, want %d", tt.name, resp.StatusCode, tt.status)
+		}
+		if status := fetch(); status != http.StatusOK {
+			t.Fatalf("%s: document gone (GET %d)", tt.name, status)
+		}
+	}
+
 	// Well-formed, the delete applies, and its re-drive under the same
-	// sequence is acknowledged.
+	// sequence on the same stream is acknowledged.
+	conn, br := rawStream(t, tc.servers[0], mutationStreams)
 	for _, what := range []string{"delete", "re-driven delete"} {
-		if status, msg := do(mutationContentType, good); status != http.StatusOK {
+		if status, msg := send(conn, br, good, false); status != http.StatusOK {
 			t.Fatalf("%s: %d %q, want 200", what, status, msg)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -179,14 +180,15 @@ func TestClusterDeadlineBoundsSlowShard(t *testing.T) {
 	// deadline when tripped.
 	inner := tc.servers[2]
 	slow := serveNamed(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !upgradeRequested(r) {
+		if streamKindOf(r.Header.Get("Upgrade")) != cycleStreams {
 			proxyTo(t, inner.URL, w, r)
 			return
 		}
-		proxyStream(inner.URL, w, func() {
+		proxyStream(inner.URL, w, cycleStreams, func(io.Writer, []byte) bool {
 			if stall.Load() {
 				time.Sleep(10 * deadline)
 			}
+			return false
 		}, nil)
 	}))
 	defer slow.Close()
@@ -244,11 +246,11 @@ func TestClusterDeadlineBoundsSlowShard(t *testing.T) {
 }
 
 // proxyTo forwards one request to a backing server, streaming status,
-// headers and body — a minimal fault-injection seam. A cycle stream is
-// relayed frame by frame (proxyStream).
+// headers and body — a minimal fault-injection seam. A stream is relayed
+// frame by frame (proxyStream).
 func proxyTo(t testing.TB, base string, w http.ResponseWriter, r *http.Request) {
-	if upgradeRequested(r) {
-		proxyStream(base, w, nil, nil)
+	if kind := streamKindOf(r.Header.Get("Upgrade")); kind != nil {
+		proxyStream(base, w, kind, nil, nil)
 		return
 	}
 	var body bytes.Buffer
@@ -278,42 +280,62 @@ func proxyTo(t testing.TB, base string, w http.ResponseWriter, r *http.Request) 
 	w.Write(out.Bytes())
 }
 
-// proxyStream relays a cycle stream to the shard at base, one exchange
-// at a time: each request frame goes through onRequest (nil: none) before
-// the shard sees it — a stall sleeps there — and each reply frame through
-// onReply (nil: none), which may write something else to the router in
-// its place and report so; a stream whose reply was replaced ends there.
-// The shard's stream closes when the router's does.
-func proxyStream(base string, w http.ResponseWriter, onRequest func(), onReply func(w io.Writer, reply []byte) bool) {
-	inner, err := (&shardConn{name: base, httpc: http.DefaultClient}).dialStream(context.Background())
+// proxyStream relays a stream of kind to the shard at base, one exchange
+// at a time: each request frame goes through onRequest (nil: none),
+// which may answer it in the shard's place and report so — a stall
+// sleeps there — and each reply frame through onReply (nil: none), which
+// may write something else to the router in its place and report so; a
+// stream whose reply was replaced ends there. The shard's stream closes
+// when the router's does.
+func proxyStream(base string, w http.ResponseWriter, kind *streamKind, onRequest, onReply func(w io.Writer, frame []byte) bool) {
+	inner, err := (&shardConn{name: base, httpc: http.DefaultClient}).dialStream(context.Background(), kind)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
 	defer inner.rwc.Close()
-	conn, br, err := upgradeStream(w)
+	conn, br, err := upgradeStream(w, kind.token)
 	if err != nil {
 		return
 	}
 	defer conn.Close()
-	var frame []byte
+	var frame, reply []byte
 	for {
-		if frame, err = readFrame(br, frame, maxBatchRequest); err != nil {
+		if frame, err = readFrame(br, frame, kind.maxRequest); err != nil {
 			return
 		}
-		if onRequest != nil {
-			onRequest()
+		if onRequest != nil && onRequest(conn, frame) {
+			continue
 		}
-		if err := inner.exchange(context.Background(), frame); err != nil {
+		if reply, err = inner.exchange(context.Background(), frame, reply); err != nil {
 			return
 		}
-		if onReply != nil && onReply(conn, inner.buf) {
+		if onReply != nil && onReply(conn, reply) {
 			return
 		}
-		if _, err := conn.Write(inner.buf); err != nil {
+		if _, err := conn.Write(reply); err != nil {
 			return
 		}
 	}
+}
+
+// refuseMutations fronts the shard at base, answering each mutation
+// frame for which refuse reports true with a refusal of status in the
+// shard's place; everything else reaches the shard.
+func refuseMutations(t testing.TB, base string, status int, refuse func() bool) *httptest.Server {
+	return serveNamed(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if streamKindOf(r.Header.Get("Upgrade")) != mutationStreams {
+			proxyTo(t, base, w, r)
+			return
+		}
+		proxyStream(base, w, mutationStreams, func(w io.Writer, _ []byte) bool {
+			if !refuse() {
+				return false
+			}
+			w.Write(appendRefusal(nil, status, "injected refusal"))
+			return true
+		}, nil)
+	}))
 }
 
 // rstListener RST-kills the first n accepted connections — a shard
@@ -423,14 +445,7 @@ func TestClusterRetryRidesOutFlakyShard(t *testing.T) {
 func TestClusterPartialIngestBurnsGidRange(t *testing.T) {
 	var failIngest atomic.Bool
 	tc := newTestCluster(t, vsm.Cosine, 2, Config{})
-	inner := tc.servers[1]
-	proxy := serveNamed(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if failIngest.Load() && r.URL.Path == "/cluster/mutate" {
-			http.Error(w, "injected ingest failure", http.StatusInternalServerError)
-			return
-		}
-		proxyTo(t, inner.URL, w, r)
-	}))
+	proxy := refuseMutations(t, tc.servers[1].URL, http.StatusInternalServerError, failIngest.Load)
 	defer proxy.Close()
 	r, err := New(Config{
 		Shards:   []string{tc.servers[0].URL, proxy.URL},
@@ -510,14 +525,7 @@ func TestClusterPartialIngestBurnsGidRange(t *testing.T) {
 func TestUnjournaledRefusalKeepsNothing(t *testing.T) {
 	var refuse atomic.Bool
 	tc := newTestCluster(t, vsm.BM25, 2, Config{})
-	inner := tc.servers[1]
-	proxy := serveNamed(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/cluster/mutate" && refuse.CompareAndSwap(true, false) {
-			http.Error(w, "injected refusal", http.StatusBadRequest)
-			return
-		}
-		proxyTo(t, inner.URL, w, r)
-	}))
+	proxy := refuseMutations(t, tc.servers[1].URL, http.StatusBadRequest, func() bool { return refuse.CompareAndSwap(true, false) })
 	defer proxy.Close()
 	r, err := New(Config{
 		Shards:   []string{tc.servers[0].URL, proxy.URL},
@@ -607,8 +615,9 @@ func TestClusterMetricsExposition(t *testing.T) {
 		t.Fatalf("%d reply bytes counted, two empty replies are %d", tc.router.mBatchReceived.Value(), 2*empty)
 	}
 
-	// The first cycle dialed one stream per shard; two more cycles reuse
-	// them. A stopped and restarted shard's stream is redialed once.
+	// The add dialed one mutation stream per shard and the first cycle one
+	// cycle stream per shard; two more cycles reuse them. A stopped and
+	// restarted shard's cycle stream is redialed once.
 	mustSearch(t, tc.router, vsm.Request{Query: "topic", K: 3})
 	mustSearch(t, tc.router, vsm.Request{Query: "topic", K: 3})
 	scrape := func() string {
@@ -620,7 +629,7 @@ func TestClusterMetricsExposition(t *testing.T) {
 	}
 	text = scrape()
 	for _, want := range []string{
-		"toppriv_cluster_stream_dials_total 2\n",
+		"toppriv_cluster_stream_dials_total 4\n",
 		"toppriv_cluster_stream_redials_total 0\n",
 	} {
 		if !strings.Contains(text, want) {
@@ -634,7 +643,7 @@ func TestClusterMetricsExposition(t *testing.T) {
 		}
 		shardText, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if want := "toppriv_cluster_streams_open 1\n"; !strings.Contains(string(shardText), want) {
+		if want := "toppriv_cluster_streams_open 2\n"; !strings.Contains(string(shardText), want) {
 			t.Fatalf("shard %d exposition missing %q:\n%s", i, want, shardText)
 		}
 	}
@@ -642,7 +651,7 @@ func TestClusterMetricsExposition(t *testing.T) {
 	mustSearch(t, tc.router, vsm.Request{Query: "topic", K: 3})
 	text = scrape()
 	for _, want := range []string{
-		"toppriv_cluster_stream_dials_total 3\n",
+		"toppriv_cluster_stream_dials_total 5\n",
 		"toppriv_cluster_stream_redials_total 1\n",
 		"toppriv_cluster_degraded_queries_total 0\n",
 	} {

@@ -20,10 +20,11 @@ import (
 // with the journal writer's kill-after-N-bytes crash hook to drive the
 // crash-anywhere recovery property tests.
 //
-// A request is one exchange, and draws one fault. An upgrade request
-// draws none: its 101 reply's stream is wrapped instead, and every frame
-// exchange on it — a request frame written, its reply read — draws one,
-// so a cycle meets the plan whether its stream was pooled or dialed.
+// A control-plane request is one exchange, and draws one fault. An
+// upgrade request draws none: its 101 reply's stream is wrapped instead,
+// and every frame exchange on it — a request frame written, its reply
+// read — draws one, so a cycle or a mutation meets the plan whether its
+// stream was pooled or dialed.
 //
 // The errors it fabricates are shaped like the real thing: a reset
 // surfaces as a *net.OpError wrapping syscall.ECONNRESET, so
@@ -53,9 +54,9 @@ const (
 	// delivers it normally.
 	FaultDelay
 	// FaultPartial delivers the request but cuts the response body
-	// after a few bytes — the shard applied the mutation, the caller
-	// never saw the acknowledgement. On a stream the reply frame is cut
-	// after its header.
+	// after a few bytes. On a stream the reply frame is cut after its
+	// header — the shard applied the mutation, the caller never saw the
+	// acknowledgement.
 	FaultPartial
 	// FaultBlackhole swallows the exchange until the caller's context
 	// deadline; neither side hears anything. On a stream the request
@@ -163,7 +164,7 @@ func (ft *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // faultStream is an upgraded stream under a plan: each Write starts a
 // frame exchange and draws its fault, which the reads of its reply obey.
-// One exchange at a time, as a cycle stream carries them.
+// One exchange at a time, as a stream carries them.
 type faultStream struct {
 	io.ReadWriteCloser
 	ft     *FaultTransport

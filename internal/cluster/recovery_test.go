@@ -759,7 +759,7 @@ func TestRestartedUnjournaledRouterDelivers(t *testing.T) {
 // shard gets every record of this log it owns.
 func TestForeignShardGetsNothing(t *testing.T) {
 	foreign, fresh := newPShard(t, vsm.BM25), newPShard(t, vsm.BM25)
-	if code := postMutation(foreign.shard, addFrame(2, 0, 1)); code != http.StatusOK {
+	if code := sendMutation(foreign.shard, addFrame(2, 0, 1)); code != http.StatusOK {
 		t.Fatalf("seeding the foreign shard: %d", code)
 	}
 	foreign.save()

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -44,12 +43,12 @@ type Config struct {
 	// connection resets without inflating tail latency.
 	Retry search.RetryPolicy
 	// HTTPClient overrides the transport (nil = http.DefaultClient).
-	// Mutations and the control plane are one request each through it.
-	// On the query path it only dials: it opens a stream with one
-	// upgrade request, and the cycles that stream carries never pass
-	// through it, so its idle-connection settings do not apply to them.
-	// Its Transport must hand over upgraded connections, as
-	// *http.Transport does, and its Timeout must be zero.
+	// The control plane is one request each through it. Cycles and
+	// mutations it only dials: it opens a stream with one upgrade
+	// request, and the frames that stream carries never pass through it,
+	// so its idle-connection settings do not apply to them. Its Transport
+	// must hand over upgraded connections, as *http.Transport does, and
+	// its Timeout must be zero.
 	HTTPClient *http.Client
 	// Analyzer processes raw query text exactly once, at the router;
 	// shards only ever see analyzed terms. It must match the analyzer
@@ -90,9 +89,10 @@ const (
 	// owning shard, and the journal snapshot carries the cache across
 	// restarts.
 	titleCacheSize = 65536
-	// maxIdleStreams bounds the cycle streams kept open to one shard
-	// between cycles: one per cycle the router runs at once, up to this
-	// many. A stream returned to a full pool is closed.
+	// maxIdleStreams bounds the streams of one kind kept open to one
+	// shard between exchanges: one per cycle the router runs at once, up
+	// to this many, and one for mutations, which a shard receives one at
+	// a time. A stream returned to a full pool is closed.
 	maxIdleStreams = 16
 )
 
@@ -171,14 +171,11 @@ type Router struct {
 	replayed   atomic.Uint64
 	// refreshes counts the whole-table fetches mutations forced.
 	refreshes atomic.Uint64
-	// dials counts the cycle streams opened; redials the pooled streams
-	// found closed and replaced in the middle of a cycle.
+	// dials counts the streams opened, of both kinds; redials the pooled
+	// streams found closed and replaced in the middle of an exchange.
 	dials   atomic.Uint64
 	redials atomic.Uint64
 
-	mDegraded   *telemetry.Counter
-	mRecoveries *telemetry.Counter
-	mReplayed   *telemetry.Counter
 	// Cycle frame bytes over the shards' streams, summed over shards.
 	mBatchSent     *telemetry.Counter
 	mBatchReceived *telemetry.Counter
@@ -220,11 +217,11 @@ type shardConn struct {
 	// assigned, and has not since restarted without them (checkLog).
 	foreign error
 
-	// streamMu guards idle, the cycle streams open between cycles (most
-	// recently used last), and streamsClosed, set once the router closed
-	// them for good.
+	// streamMu guards idle, the streams open between exchanges by kind
+	// (most recently used last), and streamsClosed, set once the router
+	// closed them for good.
 	streamMu      sync.Mutex
-	idle          []*cycleStream
+	idle          map[*streamKind][]*stream
 	streamsClosed bool
 
 	// Metric handles, nil until EnableMetrics.
@@ -287,55 +284,15 @@ func (c *shardConn) p99Locked() float64 {
 	return samples[idx] * 1000
 }
 
-// getJSON GETs one control-plane reply and decodes it into out.
-func (c *shardConn) getJSON(ctx context.Context, path string, out interface{}) error {
-	return c.roundTrip(ctx, http.MethodGet, path, "", nil, func(reply io.Reader) error {
-		return json.NewDecoder(reply).Decode(out)
-	})
-}
-
-// exchangeFrame POSTs one mutation frame to c and decodes the reply
-// frame, reporting the reply's size in bytes. The reply is read through a
-// pooled buffer and bounded by maxReply payload bytes whatever the shard
-// sends; a frame that does not decode fails this shard's exchange like
-// any other error.
-func exchangeFrame[T any](ctx context.Context, c *shardConn, path, contentType string, body []byte, maxReply int, decode func([]byte) (T, error)) (out T, received int, err error) {
-	err = c.roundTrip(ctx, http.MethodPost, path, contentType, body, func(reply io.Reader) (err error) {
-		bp := wireBufs.Get().(*[]byte)
-		defer wireBufs.Put(bp)
-		// One byte past the largest frame: a longer reply fails to decode
-		// instead of being cut to something that might.
-		if *bp, err = readBody(io.LimitReader(reply, int64(frame.Header+maxReply+1)), *bp); err != nil {
-			return err
-		}
-		received = len(*bp)
-		out, err = decode(*bp)
-		return err
-	})
-	return out, received, err
-}
-
-// roundTrip sends one wire call and hands a 200 reply's body to read,
-// recording health and latency (read's time and error included).
-// Non-2xx replies become errors carrying the shard's message.
-func (c *shardConn) roundTrip(ctx context.Context, method, path, contentType string, body []byte, read func(io.Reader) error) (err error) {
+// getJSON GETs one control-plane reply and decodes it into out
+// (decodeJSON), recording health and latency (decoding's time and error
+// included). Non-2xx replies become errors carrying the shard's message.
+func (c *shardConn) getJSON(ctx context.Context, path string, out interface{}) (err error) {
 	start := time.Now()
 	defer func() { c.observe(time.Since(start).Seconds(), err) }()
-	build := func() (*http.Request, error) {
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequestWithContext(ctx, method, c.name+path, rd)
-		if err != nil {
-			return nil, err
-		}
-		if body != nil {
-			req.Header.Set("Content-Type", contentType)
-		}
-		return req, nil
-	}
-	resp, err := c.retry.Do(c.httpc, build)
+	resp, err := c.retry.Do(c.httpc, func() (*http.Request, error) {
+		return http.NewRequestWithContext(ctx, http.MethodGet, c.name+path, nil)
+	})
 	if err != nil {
 		return err
 	}
@@ -344,7 +301,7 @@ func (c *shardConn) roundTrip(ctx context.Context, method, path, contentType str
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return &statusError{code: resp.StatusCode, msg: string(bytes.TrimSpace(msg))}
 	}
-	return read(resp.Body)
+	return decodeJSON(resp.Body, maxControlReply, out)
 }
 
 // statusError is a non-2xx shard reply. It is not transient: the shard
@@ -358,26 +315,25 @@ func (e *statusError) Error() string {
 	return fmt.Sprintf("shard returned %d: %s", e.code, e.msg)
 }
 
-// cycleStream is one open stream to a shard's GET /cluster/stream
-// (wire.go), carrying one exchange at a time.
-type cycleStream struct {
-	rwc io.ReadWriteCloser
-	br  *bufio.Reader
-	// buf holds the reply frame of the last exchange.
-	buf []byte
+// stream is one open stream to a shard's GET /cluster/stream (wire.go),
+// carrying one exchange of its kind at a time.
+type stream struct {
+	kind *streamKind
+	rwc  io.ReadWriteCloser
+	br   *bufio.Reader
 }
 
-// dialStream opens a cycle stream to c: one GET /cluster/stream
-// upgraded to streamProtocol, through c's client and retry budget. Any
+// dialStream opens a stream of kind to c: one GET /cluster/stream
+// upgraded to kind's token, through c's client and retry budget. Any
 // answer but 101 is the shard's error.
-func (c *shardConn) dialStream(ctx context.Context) (*cycleStream, error) {
+func (c *shardConn) dialStream(ctx context.Context, kind *streamKind) (*stream, error) {
 	resp, err := c.retry.Do(c.httpc, func() (*http.Request, error) {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.name+"/cluster/stream", nil)
 		if err != nil {
 			return nil, err
 		}
 		req.Header.Set("Connection", "Upgrade")
-		req.Header.Set("Upgrade", streamProtocol)
+		req.Header.Set("Upgrade", kind.token)
 		return req, nil
 	})
 	if err != nil {
@@ -389,62 +345,64 @@ func (c *shardConn) dialStream(ctx context.Context) (*cycleStream, error) {
 		defer resp.Body.Close()
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, &statusError{code: resp.StatusCode, msg: string(bytes.TrimSpace(msg))}
-	case !strings.EqualFold(resp.Header.Get("Upgrade"), streamProtocol):
+	case !strings.EqualFold(resp.Header.Get("Upgrade"), kind.token):
 		resp.Body.Close()
-		return nil, fmt.Errorf("cluster: shard upgraded to %q, not %q", resp.Header.Get("Upgrade"), streamProtocol)
+		return nil, fmt.Errorf("cluster: shard upgraded to %q, not %q", resp.Header.Get("Upgrade"), kind.token)
 	case !ok:
 		resp.Body.Close()
 		return nil, errors.New("cluster: the HTTP client hands over no upgraded connection (a Client.Timeout wraps it)")
 	}
-	return &cycleStream{rwc: rwc, br: bufio.NewReader(rwc)}, nil
+	return &stream{kind: kind, rwc: rwc, br: bufio.NewReader(rwc)}, nil
 }
 
-// exchange writes one request frame and reads the reply frame into
-// s.buf. ctx ending closes the stream, which fails the exchange with
+// exchange writes one request frame and reads the reply frame into buf's
+// storage. ctx ending closes the stream, which fails the exchange with
 // ctx's error whatever it had received.
-func (s *cycleStream) exchange(ctx context.Context, req []byte) error {
-	s.buf = s.buf[:0]
+func (s *stream) exchange(ctx context.Context, req, buf []byte) ([]byte, error) {
 	stop := context.AfterFunc(ctx, func() { s.rwc.Close() })
 	_, err := s.rwc.Write(req)
+	buf = buf[:0]
 	if err == nil {
-		s.buf, err = readFrame(s.br, s.buf, maxBatchReply)
+		buf, err = readFrame(s.br, buf, s.kind.maxReply)
 	}
 	if !stop() {
-		return ctx.Err()
+		return buf, ctx.Err()
 	}
 	switch {
 	case errors.Is(err, frame.ErrTorn) || errors.Is(err, frame.ErrChecksum):
-		return fmt.Errorf("cluster: batch frame: %w", err)
+		return buf, fmt.Errorf("cluster: %s frame: %w", s.kind.name, err)
 	case err == io.EOF:
-		return errors.New("cluster: the shard closed the stream")
+		return buf, errors.New("cluster: the shard closed the stream")
 	case err == nil && s.br.Buffered() > 0:
 		// A shard sends nothing it was not asked for: the stream's
 		// framing is lost.
-		return fmt.Errorf("cluster: batch frame: %d bytes after the frame", s.br.Buffered())
+		return buf, fmt.Errorf("cluster: %s frame: %d bytes after the frame", s.kind.name, s.br.Buffered())
 	}
-	return err
+	return buf, err
 }
 
-// takeStream returns c's most recently pooled stream, nil if none.
-func (c *shardConn) takeStream() *cycleStream {
+// takeStream returns c's most recently pooled stream of kind, nil if
+// none.
+func (c *shardConn) takeStream(kind *streamKind) *stream {
 	c.streamMu.Lock()
 	defer c.streamMu.Unlock()
-	n := len(c.idle)
+	idle := c.idle[kind]
+	n := len(idle)
 	if n == 0 {
 		return nil
 	}
-	s := c.idle[n-1]
-	c.idle[n-1] = nil
-	c.idle = c.idle[:n-1]
+	s := idle[n-1]
+	idle[n-1] = nil
+	c.idle[kind] = idle[:n-1]
 	return s
 }
 
-// putStream pools s for a later cycle, or closes it when the pool is
-// full or closed.
-func (c *shardConn) putStream(s *cycleStream) {
+// putStream pools s for a later exchange, or closes it when its kind's
+// pool is full or closed.
+func (c *shardConn) putStream(s *stream) {
 	c.streamMu.Lock()
-	if !c.streamsClosed && len(c.idle) < maxIdleStreams {
-		c.idle = append(c.idle, s)
+	if !c.streamsClosed && len(c.idle[s.kind]) < maxIdleStreams {
+		c.idle[s.kind] = append(c.idle[s.kind], s)
 		c.streamMu.Unlock()
 		return
 	}
@@ -459,50 +417,55 @@ func (c *shardConn) closeStreams() {
 	idle := c.idle
 	c.idle, c.streamsClosed = nil, true
 	c.streamMu.Unlock()
-	for _, s := range idle {
-		s.rwc.Close()
+	for _, streams := range idle {
+		for _, s := range streams {
+			s.rwc.Close()
+		}
 	}
 }
 
-// exchangeCycle sends one cycle's request frame to c over one of its
-// streams, written and read on the calling goroutine, and decodes the
-// reply, reporting its size in bytes. A stream that carried a whole
-// reply, responses or a refusal, goes back to c's pool; any other is
-// closed. A pooled stream that fails before any reply byte arrives — the
-// shard closed it while it idled, as a stopped or restarted shard does —
-// is redialed once: a cycle is read-only, so sending it again is
+// exchange sends one request frame to c over one of its streams of kind,
+// written and read on the calling goroutine, and decodes the reply into
+// values that must not alias it, reporting its size in bytes. A stream
+// that carried a whole reply, decoded or a refusal, goes back to c's
+// pool; any other is closed. A pooled stream that fails before any reply
+// byte arrives — the shard closed it while it idled, as a stopped or
+// restarted shard does — is redialed once: a cycle is read-only, and a
+// shard skips a mutation it already applied, so sending either again is
 // harmless.
-func (r *Router) exchangeCycle(ctx context.Context, c *shardConn, frame []byte) (resps []vsm.Response, received int, err error) {
+func exchange[T any](r *Router, ctx context.Context, c *shardConn, kind *streamKind, req []byte, decode func([]byte) (T, error)) (out T, received int, err error) {
 	start := time.Now()
 	defer func() { c.observe(time.Since(start).Seconds(), err) }()
-	s := c.takeStream()
+	bp := kind.bufs.Get().(*[]byte)
+	defer kind.bufs.Put(bp)
+	s := c.takeStream(kind)
 	pooled := s != nil
 	for {
 		if s == nil {
-			if s, err = c.dialStream(ctx); err != nil {
-				return nil, 0, err
+			if s, err = c.dialStream(ctx, kind); err != nil {
+				return out, 0, err
 			}
 			r.dials.Add(1)
 		}
-		err = s.exchange(ctx, frame)
-		if err == nil || !pooled || len(s.buf) > 0 || ctx.Err() != nil {
+		*bp, err = s.exchange(ctx, req, *bp)
+		if err == nil || !pooled || len(*bp) > 0 || ctx.Err() != nil {
 			break
 		}
 		s.rwc.Close()
 		s, pooled = nil, false
 		r.redials.Add(1)
 	}
-	received = len(s.buf)
+	received = len(*bp)
 	if err == nil {
-		resps, err = decodeCycleReply(s.buf)
+		out, err = decodeReply(*bp, kind.maxReply, decode)
 		var refused *statusError
 		if err == nil || errors.As(err, &refused) {
 			c.putStream(s)
-			return resps, received, err
+			return out, received, err
 		}
 	}
 	s.rwc.Close()
-	return nil, received, err
+	return out, received, err
 }
 
 // setStats installs a whole table fetched from GET /cluster/stats,
@@ -628,6 +591,7 @@ func New(cfg Config) (*Router, error) {
 			name:  name,
 			httpc: cfg.HTTPClient,
 			retry: cfg.Retry,
+			idle:  make(map[*streamKind][]*stream),
 		}
 		r.shards = append(r.shards, c)
 		r.byName[name] = c
@@ -785,7 +749,7 @@ func (c *shardConn) refusal() error {
 	return c.foreign
 }
 
-// Close stops the health loop, closes the cycle streams and, when
+// Close stops the health loop, closes the streams and, when
 // journaling, compacts what it can into the snapshot and closes the WAL
 // — the graceful-drain path. A closed router must not be used for
 // further mutations; a cycle still running has its stream closed when
@@ -893,9 +857,6 @@ func (r *Router) driveShardLocked(c *shardConn, freshSeq uint64) error {
 			c.mu.Unlock()
 			if recovered {
 				r.recoveries.Add(1)
-				if r.mRecoveries != nil {
-					r.mRecoveries.Inc()
-				}
 				r.logf("cluster: shard %s caught up with the mutation log", c.name)
 			}
 			return nil
@@ -934,9 +895,6 @@ func (r *Router) sendPendingLocked(c *shardConn, st shardStats, freshSeq uint64)
 		}
 		if rec.Seq != freshSeq {
 			r.replayed.Add(1)
-			if r.mReplayed != nil {
-				r.mReplayed.Inc()
-			}
 		}
 	}
 	return nil
@@ -950,7 +908,7 @@ func (r *Router) sendPendingLocked(c *shardConn, st shardStats, freshSeq uint64)
 // changed nothing.
 func (r *Router) mutate(c *shardConn, frame []byte) error {
 	ctx, cancel := context.WithTimeout(context.Background(), r.mutDeadline)
-	ack, received, err := exchangeFrame(ctx, c, "/cluster/mutate", mutationContentType, frame, maxMutationAck, decodeMutationAck)
+	ack, received, err := exchange(r, ctx, c, mutationStreams, frame, decodeMutationAck)
 	cancel()
 	if r.mMutationSent != nil {
 		r.mMutationSent.Add(uint64(len(frame)))
@@ -1104,7 +1062,7 @@ func (r *Router) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Res
 			defer wg.Done()
 			sctx, cancel := context.WithTimeout(ctx, r.deadline)
 			defer cancel()
-			resps, received, err := r.exchangeCycle(sctx, c, frame)
+			resps, received, err := exchange(r, sctx, c, cycleStreams, frame, decodeBatchReply)
 			if err == nil && len(resps) != len(reqs) {
 				err = fmt.Errorf("shard answered %d members for %d queries", len(resps), len(reqs))
 			}
@@ -1133,9 +1091,6 @@ func (r *Router) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Res
 	}
 	if degraded {
 		r.degraded.Add(1)
-		if r.mDegraded != nil {
-			r.mDegraded.Inc()
-		}
 	}
 
 	resps := make([]vsm.Response, len(reqs))
@@ -1456,26 +1411,27 @@ func (r *Router) EnableMetrics(reg *telemetry.Registry, _ *telemetry.TraceRing) 
 	r.mBatchSent = batchBytes.With("sent")
 	r.mBatchReceived = batchBytes.With("received")
 	mutationBytes := reg.CounterVec("toppriv_cluster_mutation_bytes_total",
-		"Mutation bytes exchanged over /cluster/mutate, summed over shards: mutation frames sent, ack frames received.", "dir")
+		"Mutation frame bytes exchanged over the shards' mutation streams (GET /cluster/stream), summed over shards: mutation frames sent, ack and refusal frames received.", "dir")
 	r.mMutationSent = mutationBytes.With("sent")
 	r.mMutationReceived = mutationBytes.With("received")
 	reg.CounterFunc("toppriv_cluster_stream_dials_total",
-		"Cycle streams opened to shards (GET /cluster/stream upgrades). Flat once every shard has a stream per concurrent cycle.",
+		"Streams opened to shards (GET /cluster/stream upgrades), cycle and mutation. Flat once every shard has a cycle stream per concurrent cycle and a mutation stream.",
 		func() float64 { return float64(r.dials.Load()) })
 	reg.CounterFunc("toppriv_cluster_stream_redials_total",
-		"Pooled cycle streams found closed before any reply byte and replaced within the cycle: one per stream a restarted or stopped shard left behind.",
+		"Pooled streams, cycle and mutation, found closed before any reply byte and replaced within the exchange: one per stream a restarted or stopped shard left behind.",
 		func() float64 { return float64(r.redials.Load()) })
 	reg.CounterFunc("toppriv_cluster_stats_refreshes_total",
 		"Whole-table GET /cluster/stats fetches a mutation forced: an ack from another shard instance or past a version gap, or a failed mutation exchange. 0 in steady state.",
 		func() float64 { return float64(r.refreshes.Load()) })
-	r.mDegraded = reg.Counter("toppriv_cluster_degraded_queries_total",
-		"Query cycles answered without every shard (merged survivor results).")
-	r.mRecoveries = reg.Counter("toppriv_cluster_recoveries_total",
-		"Completed shard catch-ups: restarted or rejoined shards reconciled with the placement journal.")
-	r.mRecoveries.Add(r.recoveries.Load())
-	r.mReplayed = reg.Counter("toppriv_cluster_replayed_entries_total",
-		"Journal records replayed at startup plus records re-driven to shards during catch-up.")
-	r.mReplayed.Add(r.replayed.Load())
+	reg.CounterFunc("toppriv_cluster_degraded_queries_total",
+		"Query cycles answered without every shard (merged survivor results).",
+		func() float64 { return float64(r.degraded.Load()) })
+	reg.CounterFunc("toppriv_cluster_recoveries_total",
+		"Completed shard catch-ups: restarted or rejoined shards reconciled with the placement journal.",
+		func() float64 { return float64(r.recoveries.Load()) })
+	reg.CounterFunc("toppriv_cluster_replayed_entries_total",
+		"Journal records replayed at startup plus records re-driven to shards during catch-up.",
+		func() float64 { return float64(r.replayed.Load()) })
 	if r.journal != nil {
 		reg.GaugeFunc("toppriv_cluster_journal_bytes",
 			"Placement journal WAL size in bytes (resets at snapshot compaction).", func() float64 {

@@ -73,7 +73,7 @@ type Shard struct {
 	wg      sync.WaitGroup
 	closed  bool
 
-	// streams are the open cycle streams, guarded by mu; streamWG counts
+	// streams are the open streams, guarded by mu; streamWG counts
 	// their goroutines. A hijacked connection escapes the HTTP server's
 	// Close and Shutdown, so the shard closes its streams itself
 	// (dropStreams). scanCtx is their scans' context, cancelled by Close.
@@ -83,13 +83,11 @@ type Shard struct {
 	stopScans context.CancelFunc
 }
 
-// shardStream is one open cycle stream: the hijacked connection, the
-// reader holding whatever the connection delivered past the upgrade, and
-// the buffer each request frame is read into and its reply built in.
+// shardStream is one open stream: the hijacked connection, and the
+// reader holding whatever the connection delivered past the upgrade.
 type shardStream struct {
 	conn net.Conn
 	br   *bufio.Reader
-	buf  []byte
 }
 
 // ShardConfig parameterizes a persistent shard.
@@ -231,10 +229,9 @@ func (s *Shard) Persistent() bool { return s.cfg.Dir != "" }
 func (s *Shard) Mount(srv *search.Server) {
 	srv.Handle("/cluster/stream", http.HandlerFunc(s.handleStream))
 	srv.Handle("/cluster/stats", http.HandlerFunc(s.handleStats))
-	srv.Handle("/cluster/mutate", http.HandlerFunc(s.handleMutate))
 	srv.Handle("/cluster/doc/", http.HandlerFunc(s.handleDoc))
 	srv.Registry().GaugeFunc("toppriv_cluster_streams_open",
-		"Cycle streams (GET /cluster/stream) open on this shard.", func() float64 {
+		"Streams (GET /cluster/stream), cycle and mutation, open on this shard.", func() float64 {
 			s.mu.RLock()
 			defer s.mu.RUnlock()
 			return float64(len(s.streams))
@@ -366,63 +363,24 @@ func (s *Shard) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, st)
 }
 
-// serveFrame answers a POST of one frame of contentType, of at most
-// maxPayload payload bytes, with the replyType frame serve builds or the
-// status and error it returns; another content type is a router of
-// another release, and gets 415. One pooled buffer serves both ways:
-// serve decodes into values that alias nothing in it, then builds the
-// reply over it. Mutations take this path; cycles take a stream.
-func serveFrame(w http.ResponseWriter, r *http.Request, contentType string, maxPayload int, replyType string, serve func(buf []byte) ([]byte, int, error)) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	if r.Header.Get("Content-Type") != contentType {
-		http.Error(w, "Content-Type must be "+contentType, http.StatusUnsupportedMediaType)
-		return
-	}
-	bp := wireBufs.Get().(*[]byte)
-	defer wireBufs.Put(bp)
-	buf, err := readBody(http.MaxBytesReader(w, r.Body, int64(frame.Header+maxPayload)), *bp)
-	*bp = buf
-	status := http.StatusBadRequest
-	if err == nil {
-		buf, status, err = serve(buf)
-	}
-	if err != nil {
-		http.Error(w, refusalMessage(status, err), status)
-		return
-	}
-	*bp = buf
-	w.Header().Set("Content-Type", replyType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
-	w.Write(buf)
-}
-
-// refusalMessage is what a refusal with status says: a 400 names the
-// request as bad, anything else is the error alone.
-func refusalMessage(status int, err error) string {
-	if status == http.StatusBadRequest {
-		return "bad request: " + err.Error()
-	}
-	return err.Error()
-}
-
-// handleStream upgrades GET /cluster/stream to a cycle stream (wire.go)
-// and serves it until it ends. The connection is the shard's once
-// hijacked: the HTTP server neither times it out nor closes it.
+// handleStream upgrades GET /cluster/stream to a stream of the kind its
+// Upgrade token names (wire.go) and serves it until it ends. The
+// connection is the shard's once hijacked: the HTTP server neither times
+// it out nor closes it.
 func (s *Shard) handleStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET required", http.StatusMethodNotAllowed)
 		return
 	}
-	if !upgradeRequested(r) {
+	kind := streamKindOf(r.Header.Get("Upgrade"))
+	if kind == nil {
+		tokens := cycleStreams.token + ", " + mutationStreams.token
 		w.Header().Set("Connection", "Upgrade")
-		w.Header().Set("Upgrade", streamProtocol)
-		http.Error(w, "Upgrade: "+streamProtocol+" required", http.StatusUpgradeRequired)
+		w.Header().Set("Upgrade", tokens)
+		http.Error(w, "Upgrade: one of "+tokens+" required", http.StatusUpgradeRequired)
 		return
 	}
-	conn, br, err := upgradeStream(w)
+	conn, br, err := upgradeStream(w, kind.token)
 	if err != nil {
 		return
 	}
@@ -442,25 +400,20 @@ func (s *Shard) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.mu.Unlock()
 		s.streamWG.Done()
 	}()
-	s.serve(st)
-}
-
-// upgradeRequested reports whether r asks to upgrade to a cycle stream.
-func upgradeRequested(r *http.Request) bool {
-	return strings.EqualFold(r.Header.Get("Upgrade"), streamProtocol)
+	s.serve(st, kind)
 }
 
 // upgradeStream hijacks w's connection, clears the deadlines the HTTP
-// server may have set on it, and answers 101 Switching Protocols. The
-// reader holds whatever the router sent past its request.
-func upgradeStream(w http.ResponseWriter) (net.Conn, *bufio.Reader, error) {
+// server may have set on it, and answers 101 Switching Protocols to
+// token. The reader holds whatever the router sent past its request.
+func upgradeStream(w http.ResponseWriter, token string) (net.Conn, *bufio.Reader, error) {
 	conn, brw, err := http.NewResponseController(w).Hijack()
 	if err != nil {
 		http.Error(w, "cluster: stream: "+err.Error(), http.StatusInternalServerError)
 		return nil, nil, err
 	}
 	conn.SetDeadline(time.Time{})
-	brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + streamProtocol + "\r\n\r\n")
+	brw.WriteString("HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + token + "\r\n\r\n")
 	if err := brw.Flush(); err != nil {
 		conn.Close()
 		return nil, nil, err
@@ -468,37 +421,48 @@ func upgradeStream(w http.ResponseWriter) (net.Conn, *bufio.Reader, error) {
 	return conn, brw.Reader, nil
 }
 
-// serve answers st's request frames one at a time, each with its reply
-// or a refusal frame, and closes st's connection once the stream ends:
-// the router closed it, the shard is closing, or a frame lost the
-// stream's framing — cut short, longer than maxBatchRequest, failing its
+// serve answers st's request frames one at a time, each with kind's
+// reply or a refusal frame, and closes st's connection once the stream
+// ends: the router closed it, the shard is closing, or a frame lost the
+// stream's framing — cut short, longer than kind's bound, failing its
 // CRC, or followed by bytes the router sent before the reply. The
-// refusal answering such a frame is the stream's last.
-func (s *Shard) serve(st *shardStream) {
+// refusal answering such a frame is the stream's last. A frame is read,
+// and its answer built, in a buffer of kind's pool taken once the
+// frame's first byte arrives, so an idle stream holds none.
+func (s *Shard) serve(st *shardStream, kind *streamKind) {
 	defer st.conn.Close()
 	for {
-		var err error
-		st.buf, err = readFrame(st.br, st.buf, maxBatchRequest)
+		if _, err := st.br.Peek(1); err != nil {
+			// The stream ended between frames, or its connection did.
+			return
+		}
+		bp := kind.bufs.Get().(*[]byte)
+		buf, err := readFrame(st.br, *bp, kind.maxRequest)
 		lost := true
 		switch {
 		case errors.Is(err, frame.ErrTorn) || errors.Is(err, frame.ErrChecksum):
-			err = fmt.Errorf("cluster: batch frame: %w", err)
+			err = fmt.Errorf("cluster: %s frame: %w", kind.name, err)
 		case err != nil:
-			// The stream ended between frames, or its connection did.
 			return
 		case st.br.Buffered() > 0:
-			err = fmt.Errorf("cluster: batch frame: %d bytes after the frame", st.br.Buffered())
+			err = fmt.Errorf("cluster: %s frame: %d bytes after the frame", kind.name, st.br.Buffered())
 		default:
 			lost = false
 		}
 		status := http.StatusBadRequest
 		if err == nil {
-			st.buf, status, err = s.cycle(st.buf)
+			buf, status, err = kind.handle(s, buf)
 		}
-		if err != nil {
-			st.buf = appendRefusal(st.buf[:0], status, refusalMessage(status, err))
+		switch {
+		case status == http.StatusBadRequest:
+			buf = appendRefusal(buf[:0], status, "bad request: "+err.Error())
+		case err != nil:
+			buf = appendRefusal(buf[:0], status, err.Error())
 		}
-		if _, err := st.conn.Write(st.buf); err != nil || lost {
+		_, err = st.conn.Write(buf)
+		*bp = buf
+		kind.bufs.Put(bp)
+		if err != nil || lost {
 			return
 		}
 	}
@@ -526,30 +490,25 @@ func (s *Shard) cycle(frame []byte) ([]byte, int, error) {
 	return appendBatchReply(frame[:0], resps), http.StatusOK, nil
 }
 
-// errNoSeq refuses a mutation without its log sequence: the applied
-// high-water is what tells a restarted router which records a shard
-// still needs, so every mutation must advance it.
-var errNoSeq = errors.New("seq: a mutation must carry its log sequence, above 0")
-
-// handleMutate applies one mutation frame (wire.go) — an add or a
-// delete — and answers with its ack frame. The frame must carry its log
-// sequence, and is refused with 412 when it is for another instance of
-// the shard: the router's in-order catch-up baseline is valid only for
-// the instance it was read from, so delivery to any other must bounce
-// back to a fresh reconciliation instead of applying out of order.
-func (s *Shard) handleMutate(w http.ResponseWriter, r *http.Request) {
-	serveFrame(w, r, mutationContentType, maxMutation, ackContentType, func(buf []byte) ([]byte, int, error) {
-		m, err := decodeMutation(buf)
-		switch {
-		case err != nil:
-			return nil, http.StatusBadRequest, err
-		case m.seq == 0:
-			return nil, http.StatusBadRequest, errNoSeq
-		case m.ifInstance != 0 && m.ifInstance != s.instance:
-			return nil, http.StatusPreconditionFailed, fmt.Errorf("instance mismatch: request for %x, shard is %x", m.ifInstance, s.instance)
-		}
-		return s.apply(buf[:0], &m)
-	})
+// mutate applies one mutation frame (wire.go) — an add or a delete —
+// and builds its ack over the frame's storage, or returns the status to
+// refuse it with. The frame must carry its log sequence, since the
+// applied high-water is what tells a restarted router which records a
+// shard still needs. It is refused with 412 when it is for another
+// instance of the shard: the router's in-order catch-up baseline is valid
+// only for the instance it was read from, so delivery to any other must
+// bounce back to a fresh reconciliation instead of applying out of order.
+func (s *Shard) mutate(frame []byte) ([]byte, int, error) {
+	m, err := decodeMutation(frame)
+	switch {
+	case err != nil:
+		return frame, http.StatusBadRequest, err
+	case m.seq == 0:
+		return frame, http.StatusBadRequest, errors.New("seq: a mutation must carry its log sequence, above 0")
+	case m.ifInstance != 0 && m.ifInstance != s.instance:
+		return frame, http.StatusPreconditionFailed, fmt.Errorf("instance mismatch: request for %x, shard is %x", m.ifInstance, s.instance)
+	}
+	return s.apply(frame[:0], &m)
 }
 
 // apply applies a mutation and appends its ack to dst, or returns the

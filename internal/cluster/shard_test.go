@@ -1,11 +1,11 @@
 package cluster
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,14 +36,21 @@ func newMemShard(t testing.TB) *Shard {
 	return NewShard(st)
 }
 
-// postMutation sends one POST /cluster/mutate frame straight to the
-// shard's handler and returns the status.
-func postMutation(s *Shard, frame []byte) int {
-	w := httptest.NewRecorder()
-	req := httptest.NewRequest(http.MethodPost, "/cluster/mutate", bytes.NewReader(frame))
-	req.Header.Set("Content-Type", mutationContentType)
-	s.handleMutate(w, req)
-	return w.Code
+// sendMutation sends one mutation frame straight to the shard's handler
+// on a mutation stream of its own and returns the status it is answered
+// with: 200 for an ack, a refusal's own, 0 for neither.
+func sendMutation(s *Shard, frame []byte) int {
+	conn := &scriptConn{exchanges: [][]byte{frame}}
+	s.serve(&shardStream{conn: conn, br: bufio.NewReader(conn)}, mutationStreams)
+	_, err := decodeReply(conn.out.Bytes(), maxMutationAck, decodeMutationAck)
+	var se *statusError
+	switch {
+	case err == nil:
+		return http.StatusOK
+	case errors.As(err, &se):
+		return se.code
+	}
+	return 0
 }
 
 func ingestText(gid corpus.DocID) string { return fmt.Sprintf("shard ingest rule document %d", gid) }
@@ -72,7 +79,7 @@ func deleteFrame(gid int64, seq uint64) []byte {
 // fresh gids that descend get 409. A refused request changes nothing.
 func TestShardIngestRefusesUnheldGidBelowNext(t *testing.T) {
 	s := newMemShard(t)
-	if code := postMutation(s, addFrame(1, 0, 1, 5)); code != http.StatusOK {
+	if code := sendMutation(s, addFrame(1, 0, 1, 5)); code != http.StatusOK {
 		t.Fatalf("ingest 0, 1, 5: %d", code)
 	}
 	for _, tt := range []struct {
@@ -90,7 +97,7 @@ func TestShardIngestRefusesUnheldGidBelowNext(t *testing.T) {
 		{"replay of a gid in a gap", 3, []corpus.DocID{3}, http.StatusOK},
 	} {
 		next, docs := s.store.NextID(), s.store.NumDocs()
-		if code := postMutation(s, addFrame(tt.seq, tt.gids...)); code != tt.want {
+		if code := sendMutation(s, addFrame(tt.seq, tt.gids...)); code != tt.want {
 			t.Fatalf("%s: %d, want %d", tt.name, code, tt.want)
 		}
 		if s.store.NextID() != next || s.store.NumDocs() != docs {
@@ -273,14 +280,14 @@ func FuzzShardIngest(f *testing.F) {
 		seq := uint64(0)
 		for _, batch := range [][]corpus.DocID{{0, 1, 2, 3, 4, 5}, {6, 7}} {
 			seq++
-			if code := postMutation(s, addFrame(seq, batch...)); code != http.StatusOK {
+			if code := sendMutation(s, addFrame(seq, batch...)); code != http.StatusOK {
 				t.Fatalf("preload %v: %d", batch, code)
 			}
 			for _, gid := range batch {
 				live[gid] = ingestText(gid)
 				if deleted[gid] {
 					seq++
-					if code := postMutation(s, deleteFrame(int64(gid), seq)); code != http.StatusOK {
+					if code := sendMutation(s, deleteFrame(int64(gid), seq)); code != http.StatusOK {
 						t.Fatalf("preload delete %d: %d", gid, code)
 					}
 					delete(live, gid)
@@ -298,7 +305,7 @@ func FuzzShardIngest(f *testing.F) {
 		for _, frame := range [][]byte{payloadFrame(body), deleteFrame(del, delSeq)} {
 			next := s.store.NextID()
 			docs, size := s.store.LiveSize()
-			if code := postMutation(s, frame); code != http.StatusOK {
+			if code := sendMutation(s, frame); code != http.StatusOK {
 				if d, n := s.store.LiveSize(); s.store.NextID() != next || d != docs || n != size {
 					t.Fatalf("refused mutation (%d) changed the store: next ID %d → %d, live %d/%d → %d/%d",
 						code, next, s.store.NextID(), docs, size, d, n)

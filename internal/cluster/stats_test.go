@@ -7,7 +7,9 @@ import (
 	"errors"
 	"io"
 	"maps"
+	"math"
 	"math/rand"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -23,9 +25,9 @@ import (
 )
 
 // lateAck is a transport that, once armed for a shard, delivers that
-// shard's next ingest and then withholds the ack until the caller gives
-// up: an ingest that times out after the shard applied it. Armed with
-// stats, it also fails the shard's next GET /cluster/stats, so the
+// shard's next mutation and then withholds the ack until the caller
+// gives up: a mutation that times out after the shard applied it. Armed
+// with stats, it also fails the shard's next GET /cluster/stats, so the
 // router's copy of the table stays a version behind.
 type lateAck struct {
 	mu     sync.Mutex
@@ -45,10 +47,6 @@ func (l *lateAck) arm(shard string, stats bool) {
 func (l *lateAck) RoundTrip(req *http.Request) (*http.Response, error) {
 	base := req.URL.Scheme + "://" + req.URL.Host
 	l.mu.Lock()
-	late := base == l.ingest && req.URL.Path == "/cluster/mutate"
-	if late {
-		l.ingest = ""
-	}
 	lost := base == l.stats && req.URL.Path == "/cluster/stats"
 	if lost {
 		l.stats = ""
@@ -58,13 +56,46 @@ func (l *lateAck) RoundTrip(req *http.Request) (*http.Response, error) {
 		return nil, errors.New("stats fetch lost")
 	}
 	resp, err := http.DefaultTransport.RoundTrip(req)
-	if err != nil || !late {
-		return resp, err
+	if err == nil && streamKindOf(req.Header.Get("Upgrade")) == mutationStreams && resp.StatusCode == http.StatusSwitchingProtocols {
+		resp.Body = &lateStream{ReadWriteCloser: resp.Body.(io.ReadWriteCloser), l: l, base: base, closed: make(chan struct{})}
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	<-req.Context().Done()
-	return nil, req.Context().Err()
+	return resp, err
+}
+
+// lateStream is a mutation stream under a lateAck: the exchange that
+// finds the lateAck armed for its shard reaches the shard, whose ack is
+// read and dropped, and its reader waits for the router to close the
+// stream, as the router's deadline does.
+type lateStream struct {
+	io.ReadWriteCloser
+	l      *lateAck
+	base   string
+	late   bool
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (s *lateStream) Write(b []byte) (int, error) {
+	s.l.mu.Lock()
+	if s.late = s.base == s.l.ingest; s.late {
+		s.l.ingest = ""
+	}
+	s.l.mu.Unlock()
+	return s.ReadWriteCloser.Write(b)
+}
+
+func (s *lateStream) Read(b []byte) (int, error) {
+	if s.late {
+		readFrame(s.ReadWriteCloser, nil, maxMutationAck)
+		<-s.closed
+		return 0, net.ErrClosed
+	}
+	return s.ReadWriteCloser.Read(b)
+}
+
+func (s *lateStream) Close() error {
+	s.once.Do(func() { close(s.closed) })
+	return s.ReadWriteCloser.Close()
 }
 
 // checkTables holds the router's copy of every shard's table — the df
@@ -307,4 +338,146 @@ func runTablesTrial(t *testing.T, journaled bool) {
 	if r.mMutationSent.Value() == 0 || r.mMutationReceived.Value() == 0 {
 		t.Errorf("mutation bytes: %d sent, %d received", r.mMutationSent.Value(), r.mMutationReceived.Value())
 	}
+}
+
+// badTables are tables no shard reports, each as a change to a good one,
+// and whether an ack can carry it at all.
+var badTables = []struct {
+	name  string
+	bad   func(st *shardStats)
+	inAck bool
+}{
+	{"negative docs", func(st *shardStats) { st.Docs = -1 }, false},
+	{"negative token count", func(st *shardStats) { st.TotalLen = -1 }, false},
+	{"negative postings count", func(st *shardStats) { st.Index.NumPostings = -1 }, false},
+	{"negative df", func(st *shardStats) { st.DF["a"] = -1 }, false},
+	{"df 0", func(st *shardStats) { st.DF["a"] = 0 }, false},
+	{"df above docs", func(st *shardStats) { st.DF["a"] = st.Docs + 1 }, false},
+	{"max gid MaxInt32", func(st *shardStats) { st.MaxGid = math.MaxInt32 }, true},
+	{"max gid below -1", func(st *shardStats) { st.MaxGid = -2 }, false},
+}
+
+// goodTable is a table a shard of three documents reports.
+func goodTable() shardStats {
+	return shardStats{Version: 1, Instance: 7, Docs: 3, TotalLen: 30, DF: map[string]int{"a": 3, "b": 1}, MaxGid: 2, Scoring: "bm25"}
+}
+
+// TestRouterRefusesBadStatsTable: a table no shard reports — a negative
+// count, a df outside [1, docs], a max gid that would wrap the router's
+// next gid past int32 — is refused wherever it arrives. A shard serving
+// one on GET /cluster/stats fails New, and an ack carrying one does not
+// decode. Installed, a negative count went into every cycle's merged
+// statistics, which every shard refuses to decode, and max gid MaxInt32
+// made the next gid negative. A control-plane reply past its bound is an
+// error, not a truncation.
+func TestRouterRefusesBadStatsTable(t *testing.T) {
+	good := goodTable()
+	body, err := json.Marshal(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st shardStats
+	if err := decodeJSON(bytes.NewReader(body), len(body), &st); err != nil {
+		t.Fatalf("the good table: %v", err)
+	}
+	if err := decodeJSON(bytes.NewReader(body), len(body)-1, &st); err == nil {
+		t.Fatal("a reply one byte past its bound decoded")
+	}
+	for _, tt := range badTables {
+		st := goodTable()
+		tt.bad(&st)
+		body, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fake := serveNamed(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != "/cluster/stats" {
+				http.NotFound(w, r)
+				return
+			}
+			w.Write(body)
+		}))
+		r, err := New(Config{Shards: []string{fake.URL}, Analyzer: textproc.NewAnalyzer()})
+		fake.Close()
+		if err == nil {
+			t.Errorf("%s: the router installed %s", tt.name, body)
+			r.Close()
+		} else if !strings.Contains(err.Error(), "cluster: stats") {
+			t.Errorf("%s: New failed for another reason: %v", tt.name, err)
+		}
+		if _, err := decodeMutationAck(appendMutationAck(nil, &st, nil)); tt.inAck && err == nil {
+			t.Errorf("%s: an ack carrying the table decoded", tt.name)
+		}
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(b []byte) (int, error) {
+	n, err := c.r.Read(b)
+	c.n += n
+	return n, err
+}
+
+// FuzzDecodeStats holds the GET /cluster/stats reply decoder to its rules
+// on arbitrary bytes: it never panics, and it answers an error or a table
+// whose every count is non-negative, every df in [1, docs] and max gid in
+// [-1, MaxInt32-1]. It reads no more than one byte past its bound, and a
+// reply past the bound — one that never ends included — is an error.
+func FuzzDecodeStats(f *testing.F) {
+	seed := func(st shardStats) {
+		body, err := json.Marshal(st)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	seed(goodTable())
+	seed(shardStats{MaxGid: -1})
+	for _, tt := range badTables {
+		st := goodTable()
+		tt.bad(&st)
+		seed(st)
+	}
+	for _, s := range []string{"", "{}", "null", "[]", `{"df":{"a":1}}`, `{"docs":1,"df":{"a":1}} {}`, `{"docs":1e400}`, `{"max_gid":-1,"df":null}`} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, limit := range []int{len(data), len(data) / 2} {
+			cr := &countingReader{r: bytes.NewReader(data)}
+			var st shardStats
+			err := decodeJSON(cr, limit, &st)
+			if cr.n > limit+1 {
+				t.Fatalf("read %d bytes of a reply bounded to %d", cr.n, limit)
+			}
+			if err != nil {
+				continue
+			}
+			if len(data) > limit {
+				t.Fatalf("a %d-byte reply bounded to %d decoded", len(data), limit)
+			}
+			ix := st.Index
+			if st.Docs < 0 || st.TotalLen < 0 || ix.NumPostings < 0 || ix.MaxListLen < 0 || ix.SizeBytes < 0 ||
+				ix.PostingsBytes < 0 || ix.ResidentBytes < 0 || ix.PaddedPIRBytes < 0 {
+				t.Fatalf("a table with a negative count decoded: %+v", st)
+			}
+			if st.MaxGid < -1 || st.MaxGid > math.MaxInt32-1 {
+				t.Fatalf("max gid %d decoded", st.MaxGid)
+			}
+			for term, df := range st.DF {
+				if df < 1 || df > st.Docs {
+					t.Fatalf("term %q decoded with df %d of %d documents", term, df, st.Docs)
+				}
+			}
+		}
+		// A reply that never ends.
+		cr := &countingReader{r: io.MultiReader(bytes.NewReader(data), strings.NewReader(strings.Repeat(" ", 1<<16)))}
+		if err := decodeJSON(cr, len(data)+64, new(shardStats)); err == nil || cr.n > len(data)+65 {
+			t.Fatalf("a reply past its bound: %v, %d bytes read of a %d-byte bound", err, cr.n, len(data)+64)
+		}
+	})
 }

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"toppriv/internal/corpus"
 	"toppriv/internal/frame"
 	"toppriv/internal/textproc"
 	"toppriv/internal/vsm"
@@ -121,6 +122,52 @@ func TestStreamsFollowShardRestart(t *testing.T) {
 	}
 }
 
+// TestMutationStreamFollowsShardRestart: a shard stopped and a new
+// instance mounted at its URL between two adds leaves the router holding
+// a mutation stream the old instance closed. The second add redials it
+// once, and its frame, addressed to the old instance, is refused with
+// 412 on the new stream, which stays open for the re-drive from the new
+// instance's baseline. Every document lands exactly once, under the gid
+// it was assigned.
+func TestMutationStreamFollowsShardRestart(t *testing.T) {
+	pc := newPCluster(t, vsm.BM25, 1, Config{})
+	r := pc.router
+	p := pc.shards[0]
+	docs := synthDocs(t, 20, 37)
+	first, err := r.Add(docs[:10]...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := p.shard
+	dials, redials := r.dials.Load(), r.redials.Load()
+	p.restart()
+	second, err := r.Add(docs[10:]...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.shard == old {
+		t.Fatal("the shard did not restart")
+	}
+	if n, m := r.dials.Load()-dials, r.redials.Load()-redials; n != 1 || m != 1 {
+		t.Fatalf("the add after the restart dialed %d streams, %d of them redials; want one redial", n, m)
+	}
+	gids := append(first, second...)
+	for i, gid := range gids {
+		if gid != corpus.DocID(i) {
+			t.Fatalf("document %d was assigned gid %d", i, gid)
+		}
+		if got, ok := p.shard.store.Doc(gid); !ok || got.Text != docs[i].Text {
+			t.Fatalf("gid %d on the new instance: ok=%v, text %q", gid, ok, got.Text)
+		}
+	}
+	if n := p.shard.store.NumDocs(); n != len(docs) {
+		t.Fatalf("the new instance holds %d documents, want %d", n, len(docs))
+	}
+	if next := p.shard.store.NextID(); next != corpus.DocID(len(docs)) {
+		t.Fatalf("the new instance's next ID is %d, want %d", next, len(docs))
+	}
+}
+
 // TestFaultTransportFaultsStreams: a fault plan applies to every frame
 // exchange on a stream the transport dialed, pooled or fresh — a reset
 // before the request frame is written, a delay, a reply cut after its
@@ -188,12 +235,14 @@ func TestFaultTransportFaultsStreams(t *testing.T) {
 // scriptConn is the router's end of a stream as a test scripts it: Read
 // hands over one exchange's bytes at a time, the next exchange's only
 // once the shard has written a reply — a router sends one frame at a
-// time — and every write is kept. Only Read, Write and Close are served.
+// time — and every write is kept, with the largest capacity a written
+// slice had. Only Read, Write and Close are served.
 type scriptConn struct {
 	net.Conn
 	exchanges [][]byte
 	replied   bool
 	out       bytes.Buffer
+	maxCap    int
 	closed    bool
 }
 
@@ -220,6 +269,7 @@ func (c *scriptConn) Write(b []byte) (int, error) {
 		return 0, net.ErrClosed
 	}
 	c.replied = true
+	c.maxCap = max(c.maxCap, cap(b))
 	return c.out.Write(b)
 }
 
@@ -282,7 +332,7 @@ func FuzzShardStream(f *testing.F) {
 	f.Add([]byte{})
 
 	s := newMemShard(f)
-	if code := postMutation(s, addFrame(1, 0, 1, 2, 3, 4, 5, 6, 7)); code != http.StatusOK {
+	if code := sendMutation(s, addFrame(1, 0, 1, 2, 3, 4, 5, 6, 7)); code != http.StatusOK {
 		f.Fatalf("preload: %d", code)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -298,12 +348,13 @@ func checkStream(t *testing.T, s *Shard, data []byte) {
 	t.Helper()
 	exchanges, lost := splitExchanges(data)
 	conn := &scriptConn{exchanges: append([][]byte(nil), exchanges...)}
-	st := &shardStream{conn: conn, br: bufio.NewReader(conn)}
-	s.serve(st)
+	s.serve(&shardStream{conn: conn, br: bufio.NewReader(conn)}, cycleStreams)
 	if !conn.closed {
 		t.Fatal("the stream ended without its connection closed")
 	}
-	if c := cap(st.buf); c > frame.Header+maxBatchRequest {
+	// The shard writes each answer from the buffer its frame was read
+	// into.
+	if c := conn.maxCap; c > frame.Header+maxBatchRequest {
 		t.Fatalf("the stream buffered %d bytes for a frame", c)
 	}
 

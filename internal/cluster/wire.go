@@ -2,8 +2,12 @@ package cluster
 
 import (
 	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"math"
+	"strings"
 	"sync"
 
 	"toppriv/internal/corpus"
@@ -20,18 +24,19 @@ import (
 //
 // GET /cluster/stats and GET /cluster/doc/{gid}, the operator-readable
 // control plane, answer JSON: shardStats at the bottom of this file and
-// a corpus.Document. Everything else is package frame's binary frames.
-// A mutation, POST /cluster/mutate, is one frame (see appendMutation)
-// answered with one ack frame (see appendMutationAck).
+// a corpus.Document, each at most maxControlReply bytes. Everything else
+// is package frame's binary frames, carried on streams.
 //
-// The query path is a stream. A router opens one with GET
-// /cluster/stream, Connection: Upgrade, Upgrade: toppriv-cycle
-// (streamProtocol); the shard answers 101 Switching Protocols and takes
-// the connection over. From then on the connection carries one exchange
-// at a time, one request frame from the router and one reply frame back,
-// and the router keeps it open for later cycles. A request carries what
-// a cycle is: one collection, the cycle's distinct terms, and the
-// members as references into them.
+// A router opens a stream with GET /cluster/stream, Connection: Upgrade,
+// Upgrade: toppriv-cycle for query cycles or toppriv-mutation for
+// mutations (streamKind); the shard answers 101 Switching Protocols and
+// takes the connection over. From then on the connection carries one
+// exchange at a time, one request frame from the router and one reply
+// frame back, and the router keeps it open for later exchanges. A
+// mutation is one frame (see appendMutation) answered with one ack frame
+// (see appendMutationAck). A cycle's request carries what a cycle is:
+// one collection, the cycle's distinct terms, and the members as
+// references into them.
 //
 // Request payload:
 //
@@ -61,15 +66,16 @@ import (
 //	    }                  best first
 //	}
 //
-// A request the shard cannot answer — its payload does not decode, a
-// member fails Request.Validate, the scan fails — is answered with a
+// A request the shard cannot answer — a cycle or a mutation whose
+// payload does not decode, a member that fails Request.Validate, a
+// mutation the shard refuses, a scan that fails — is answered with a
 // refusal frame, and the stream stays open:
 //
-//	uvarint 0              no members (a request has at least one)
-//	uvarint status         the HTTP status of the refusal: 400 for the request, 500 for the shard
+//	uvarint 0              no members, version 0 (a reply has at least one member, an ack version 1)
+//	uvarint status         the HTTP status of the refusal: 400 for the request, 500 for the shard, …
 //	uvarint n, n bytes     the message
 //
-// A frame cut short, longer than maxBatchRequest, failing its CRC, or
+// A frame cut short, longer than its kind's bound, failing its CRC, or
 // followed by bytes before its reply was written (a router never sends
 // any) loses the stream's framing: the shard answers it with a refusal
 // and closes the stream.
@@ -81,19 +87,41 @@ import (
 // a frame tells the genuine query from its ghosts.
 //
 // There is one version and no negotiation: a shard answers
-// GET /cluster/stream without Upgrade: toppriv-cycle — another token, or
-// none — with 426 Upgrade Required, and a mutation of any other
-// Content-Type with 415, so a router and its shards upgrade together.
+// GET /cluster/stream with any other Upgrade token, or none, with 426
+// Upgrade Required, so a router and its shards upgrade together.
 
 const (
-	// streamProtocol is the Upgrade token of a cycle stream.
-	streamProtocol = "toppriv-cycle"
 	// maxBatchRequest and maxBatchReply bound the frame a shard reads
 	// from a router and a router from a shard. A cycle of 64 members
 	// asking 1000 hits each answers in under 1 MiB.
 	maxBatchRequest = 4 << 20
 	maxBatchReply   = 16 << 20
 )
+
+// A streamKind is what the streams of one Upgrade token carry: the name
+// their frames go by in errors, the shard's handler for a request frame
+// (see Shard.serve), and the payload bounds of a request and a reply.
+type streamKind struct {
+	token, name          string
+	handle               func(s *Shard, frame []byte) ([]byte, int, error)
+	maxRequest, maxReply int
+	// bufs pools the buffers the kind's frames are read into and replies
+	// built in: a cycle never takes one a mutation's documents grew.
+	bufs sync.Pool
+}
+
+var (
+	cycleStreams = &streamKind{token: "toppriv-cycle", name: "batch", handle: (*Shard).cycle,
+		maxRequest: maxBatchRequest, maxReply: maxBatchReply, bufs: sync.Pool{New: newBuf}}
+	mutationStreams = &streamKind{token: "toppriv-mutation", name: "mutation", handle: (*Shard).mutate,
+		maxRequest: maxMutation, maxReply: maxMutationAck, bufs: sync.Pool{New: newBuf}}
+	streamKinds = map[string]*streamKind{cycleStreams.token: cycleStreams, mutationStreams.token: mutationStreams}
+)
+
+func newBuf() any { return new([]byte) }
+
+// streamKindOf returns the kind an Upgrade token names, nil for none.
+func streamKindOf(token string) *streamKind { return streamKinds[strings.ToLower(token)] }
 
 // appendBatchRequest appends the request frame of one cycle: members
 // supplies each member's Terms and K, df a term's merged document
@@ -254,24 +282,24 @@ func appendRefusal(dst []byte, status int, msg string) []byte {
 	return dst
 }
 
-// decodeCycleReply reads the reply frame of a stream exchange: the
-// cycle's responses, or the shard's refusal as a *statusError.
-func decodeCycleReply(b []byte) ([]vsm.Response, error) {
-	resps, err := decodeBatchReply(b)
+// decodeReply reads the reply frame of a stream exchange with decode, or
+// the shard's refusal, whose first field no reply decodes with, as a
+// *statusError.
+func decodeReply[T any](b []byte, maxPayload int, decode func([]byte) (T, error)) (T, error) {
+	out, err := decode(b)
 	if err == nil {
-		return resps, nil
+		return out, nil
 	}
-	// A refusal is the one reply with no members and more bytes after.
-	r, ferr := frame.OpenReader(b, maxBatchReply, "cluster: batch frame")
+	r, ferr := frame.OpenReader(b, uint32(maxPayload), "")
 	if ferr != nil || len(r.B) < 2 || r.B[0] != 0 {
-		return nil, err
+		return out, err
 	}
 	r.B = r.B[1:]
 	status, msg := r.Num(), r.Str()
 	if r.End() != nil || status < 400 || status > 599 {
-		return nil, err
+		return out, err
 	}
-	return nil, &statusError{code: status, msg: msg}
+	return out, &statusError{code: status, msg: msg}
 }
 
 // replyHitMin is the least a hit occupies: one gid byte and the score.
@@ -320,8 +348,8 @@ func decodeBatchReply(b []byte) ([]vsm.Response, error) {
 
 // A mutation is one shard's share of a record in the router's mutation
 // log: documents to add, or one document to delete. It is one frame on
-// POST /cluster/mutate, Content-Type mutationContentType, and its body
-// is what the router's journal keeps of the share (journal.go):
+// a mutation stream, and its body is what the router's journal keeps of
+// the share (journal.go):
 //
 //	uvarint seq            the record's log sequence (0: the shard refuses it)
 //	uvarint if_instance    the shard instance it is for (0: any)
@@ -340,7 +368,6 @@ func decodeBatchReply(b []byte) ([]vsm.Response, error) {
 // shard reads no more than the largest frame a router sends.
 
 const (
-	mutationContentType = "application/x-toppriv-mutation"
 	// maxMutation bounds a mutation frame's payload: the 32 MiB a public
 	// /index body may take, and room for the frame's own fields. Nothing
 	// is escaped, and a document's fields cost at most 13 bytes, no more
@@ -432,12 +459,11 @@ func (m *mutation) decodeBody(r *frame.Reader) {
 	}
 }
 
-// A mutation is acknowledged with one frame, Content-Type
-// ackContentType: the shard's statistics once the mutation is in, with
-// only the df entries the mutation changed (GET /cluster/stats carries
-// the whole table).
+// A mutation is acknowledged with one frame: the shard's statistics once
+// the mutation is in, with only the df entries the mutation changed
+// (GET /cluster/stats carries the whole table).
 //
-//	uvarint version        the shard's stats version: mutations applied by its instance
+//	uvarint version        the shard's stats version: mutations applied by its instance, at least 1
 //	uvarint instance       the shard process's nonce
 //	uvarint docs, total_len
 //	uvarint max_gid + 1    0: nothing ever ingested
@@ -455,10 +481,10 @@ func (m *mutation) decodeBody(r *frame.Reader) {
 //
 // Like a batch frame it has one encoding: a padded uvarint, a flag other
 // than 0 or 1, a count beyond the bytes left and bytes after the payload
-// are refused.
+// are refused, and so is version 0, a refusal's first field, and a table
+// shardStats.check refuses.
 
 const (
-	ackContentType = "application/x-toppriv-ack"
 	// maxMutationAck bounds the ack a router reads. An ack names each
 	// distinct term of the mutation's documents once, so it is no larger
 	// than a few times the mutation, which is at most maxMutation.
@@ -516,7 +542,9 @@ func decodeMutationAck(b []byte) (mutationAck, error) {
 	}
 	var a mutationAck
 	st := &a.stats
-	st.Version = r.U64()
+	if st.Version = r.U64(); st.Version == 0 {
+		r.Failf("version 0: a refusal, not an ack")
+	}
 	st.Instance = r.U64()
 	st.Docs = r.Num()
 	st.TotalLen = int64(r.Num())
@@ -555,32 +583,10 @@ func decodeMutationAck(b []byte) (mutationAck, error) {
 	if err := r.End(); err != nil {
 		return mutationAck{}, err
 	}
-	return a, nil
-}
-
-// wireBufs pools the buffers /cluster/mutate frames are read into and
-// acks built in. A mutation frame is never pooled: net/http may still be
-// reading it after Do returns.
-var wireBufs = sync.Pool{New: func() interface{} { return new([]byte) }}
-
-// readBody reads r to EOF into buf — to EOF so that a keep-alive
-// connection is reused — growing it as bytes arrive, never ahead of
-// them.
-func readBody(r io.Reader, buf []byte) ([]byte, error) {
-	buf = buf[:0]
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
+	if err := st.check(); err != nil {
+		return mutationAck{}, err
 	}
+	return a, nil
 }
 
 // readFrame reads the frame at the head of a stream into buf's storage:
@@ -663,4 +669,48 @@ type shardStats struct {
 	Scoring string `json:"scoring"`
 	// Index is the shard's index-shape statistics, for aggregation.
 	Index index.Stats `json:"index"`
+}
+
+// check refuses a table no shard reports: a negative count, a df outside
+// [1, docs], or a max gid outside [-1, MaxInt32-1] (a store refuses ID
+// MaxInt32, and the router's next gid would wrap past it). The router
+// installs no table that fails it: every cycle merges each table in, and
+// one shard's negative count would fail every cycle of the cluster.
+func (st *shardStats) check() error {
+	ix := &st.Index
+	if min(int64(st.Docs), st.TotalLen, int64(ix.NumPostings), int64(ix.MaxListLen),
+		ix.SizeBytes, ix.PostingsBytes, ix.ResidentBytes, ix.PaddedPIRBytes) < 0 {
+		return errors.New("cluster: stats: a negative count")
+	}
+	if st.MaxGid < -1 || st.MaxGid >= math.MaxInt32 {
+		return fmt.Errorf("cluster: stats: max gid %d outside [-1, %d]", st.MaxGid, math.MaxInt32-1)
+	}
+	for term, df := range st.DF {
+		if df < 1 || df > st.Docs {
+			return fmt.Errorf("cluster: stats: term %q has df %d, outside [1, %d]", term, df, st.Docs)
+		}
+	}
+	return nil
+}
+
+// maxControlReply bounds a control-plane reply: JSON spends at most six
+// bytes (\u00XX) on each byte of the documents a shard was sent.
+const maxControlReply = 6 * maxMutation
+
+// decodeJSON decodes a control-plane reply of at most limit bytes, one
+// JSON value, into out, and checks a stats table. A longer reply is an
+// error, not a truncation.
+func decodeJSON(reply io.Reader, limit int, out interface{}) error {
+	b, err := io.ReadAll(io.LimitReader(reply, int64(limit)+1))
+	switch {
+	case err != nil:
+		return err
+	case len(b) > limit:
+		return fmt.Errorf("cluster: control-plane reply over %d bytes", limit)
+	}
+	err = json.Unmarshal(b, out)
+	if st, ok := out.(*shardStats); ok && err == nil {
+		err = st.check()
+	}
+	return err
 }

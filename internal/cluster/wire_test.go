@@ -318,17 +318,18 @@ func genAck(rng *rand.Rand) (shardStats, []segment.TermDF) {
 
 // TestMutationAckRoundTrip: an ack decodes to the statistics and df
 // entries it was built from, field for field, extremes included, and
-// re-encodes to its own bytes.
+// re-encodes to its own bytes. An ack's version is at least 1.
 func TestMutationAckRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for trial := 0; trial < 300; trial++ {
 		st, changed := genAck(rng)
+		st.Version = max(st.Version, 1)
 		switch trial {
 		case 0:
 			st.Version, st.Instance, st.AppliedSeq, st.DurableSeq = math.MaxUint64, math.MaxUint64, math.MaxUint64, math.MaxUint64
-			st.MaxGid = math.MaxInt32
+			st.MaxGid = math.MaxInt32 - 1
 		case 1:
-			st = shardStats{MaxGid: -1, Instance: 1}
+			st = shardStats{Version: 1, MaxGid: -1, Instance: 1}
 			changed = changed[:0]
 		}
 		frame := appendMutationAck(nil, &st, changed)
@@ -626,13 +627,13 @@ func TestRouterBoundsMalformedReply(t *testing.T) {
 	var mangle atomic.Value // func(io.Writer, []byte)
 	inner := tc.servers[2]
 	front := serveNamed(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !upgradeRequested(r) {
+		if streamKindOf(r.Header.Get("Upgrade")) != cycleStreams {
 			proxyTo(t, inner.URL, w, r)
 			return
 		}
 		// A mangled reply ends the relayed stream, as a broken shard's
 		// connection would end.
-		proxyStream(inner.URL, w, nil, func(w io.Writer, reply []byte) bool {
+		proxyStream(inner.URL, w, cycleStreams, nil, func(w io.Writer, reply []byte) bool {
 			m, _ := mangle.Load().(func(io.Writer, []byte))
 			if m == nil {
 				return false
