@@ -27,12 +27,14 @@
 //
 // The distributed tier reuses this one binary in two more modes. With
 // -shard the process serves one slice of the corpus: a live store plus
-// the /cluster/* wire endpoints (batch search with injected global
-// statistics, stats export, gid-addressed ingest and delete) that a
-// router drives; it receives documents only by router placement, its
-// store holds each under its global ID, and with -data it persists the
-// store and the applied journal sequence so a restart — graceful or
-// kill -9 — recovers without losing anything saved. With -router -shards=u1,u2,... the
+// GET /cluster/stream, whose upgraded streams a router drives with
+// binary frames (batch search with injected global statistics,
+// gid-addressed ingest and delete, the stats table and documents); it
+// receives documents only by router placement — its own POST /index and
+// DELETE /doc/{id} answer 405 — its store holds each under its global
+// ID, and with -data it persists the store and the applied journal
+// sequence so a restart — graceful or kill -9 — recovers without losing
+// anything saved. With -router -shards=u1,u2,... the
 // process holds no index at all: it scatter-gathers every query cycle
 // across the shards, merges top-k, degrades gracefully when shards
 // fail, and serves the standard /search surface unchanged. Every add
@@ -102,11 +104,11 @@ func main() {
 		metricsAddr = flag.String("metrics-addr", "", "also serve GET /metrics and /debug/traces on a separate admin listener at this address")
 		pprofFlag   = flag.Bool("pprof", false, "mount net/http/pprof on the -metrics-addr admin listener")
 
-		shardMode     = flag.Bool("shard", false, "serve one cluster slice: a live store plus the /cluster/* wire endpoints (-data makes it persistent)")
+		shardMode     = flag.Bool("shard", false, "serve one cluster slice: a live store plus the router's GET /cluster/stream (-data makes it persistent)")
 		routerMode    = flag.Bool("router", false, "serve as scatter-gather router over -shards (holds no index)")
 		shardList     = flag.String("shards", "", "router mode: comma-separated shard base URLs")
 		shardDeadline = flag.Duration("shard-deadline", 2*time.Second, "router mode: per-shard query deadline before degrading")
-		shardRetries  = flag.Int("shard-retries", 1, "router mode: transport retries per shard exchange on connection refused/reset")
+		shardRetries  = flag.Int("shard-retries", 1, "router mode: retries of a shard stream dial on connection refused/reset (a frame exchange is never retried)")
 		journalDir    = flag.String("journal", "", "router mode: journal directory that makes the mutation log durable (acks once fsynced, crash recovery, shard catch-up)")
 		probeEvery    = flag.Duration("probe-interval", time.Second, "router mode with -journal: shard health-probe and catch-up period")
 		shardSaveEvry = flag.Int("shard-save-every", 0, "shard mode with -data: background save after this many mutations (0 = default)")

@@ -245,6 +245,9 @@ func runStats(server string) {
 			if sh.Restarts > 0 {
 				fmt.Printf("  %d restarts", sh.Restarts)
 			}
+			if sh.AppliedSeq > 0 {
+				fmt.Printf("  seq %d applied, %d saved", sh.AppliedSeq, sh.DurableSeq)
+			}
 			if sh.LastSeenUnix > 0 {
 				fmt.Printf("  last seen %s", time.Unix(sh.LastSeenUnix, 0).Format(time.TimeOnly))
 			}

@@ -469,6 +469,45 @@ func TestClusterDocRoundTrip(t *testing.T) {
 	}
 }
 
+// TestShardRefusesStrayMutations: a shard takes documents from its
+// router only. POST /index and DELETE /doc/ sent to the shard itself get
+// 405 and change nothing, so the router's next gid resolves to the
+// router's own document. A stray add once took that gid on the shard,
+// whose store then skipped the router's document as a replay.
+func TestShardRefusesStrayMutations(t *testing.T) {
+	tc := newTestCluster(t, vsm.BM25, 1, Config{})
+	r := tc.router
+	docs := synthDocs(t, 3, 43)
+	gids, err := r.Add(docs[:2]...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []struct{ method, path, body string }{
+		{http.MethodPost, "/index", `{"docs":[{"title":"stray","text":"a stray document"}]}`},
+		{http.MethodDelete, fmt.Sprintf("/doc/%d", gids[0]), ""},
+	} {
+		hreq, _ := http.NewRequest(req.method, tc.servers[0].URL+req.path, strings.NewReader(req.body))
+		resp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s: status %d, want 405", req.method, req.path, resp.StatusCode)
+		}
+	}
+	more, err := r.Add(docs[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := r.Doc(more[0]); !ok || got.Text != docs[2].Text {
+		t.Errorf("the router's next gid %d resolves to %q (ok=%v), want the router's document", more[0], got.Text, ok)
+	}
+	if _, ok := r.Doc(gids[0]); !ok {
+		t.Errorf("gid %d is gone", gids[0])
+	}
+}
+
 func routerShardNames(r *Router) []string {
 	names := make([]string, len(r.shards))
 	for i, c := range r.shards {

@@ -242,8 +242,8 @@ func rawStream(t *testing.T, ts *httptest.Server, kind *streamKind) (*net.TCPCon
 // decoder, after which the stream is closed when the frame lost its
 // framing. (A negative df and a df list that does not line up with the
 // terms, which the JSON body could say, the frame has no way to.) A
-// request that is no upgrade to a cycle stream gets 426 over HTTP, and
-// nothing serves POST /cluster/batch any more.
+// request that is no upgrade to a stream gets 426 over HTTP, and nothing
+// serves POST /cluster/batch or the JSON control plane any more.
 func TestShardBatchRejectsBadStatistics(t *testing.T) {
 	tc := newTestCluster(t, vsm.BM25, 1, Config{})
 	docs := synthDocs(t, 40, 17)
@@ -342,8 +342,8 @@ func TestShardBatchRejectsBadStatistics(t *testing.T) {
 		checkGood(tt.name+", then a well-formed frame", reply)
 	}
 
-	// Over HTTP: only an upgrade to a stream is one, and a 426 names both
-	// tokens.
+	// Over HTTP: only an upgrade to a stream is one, a 426 names every
+	// token, and the retired JSON endpoints are gone.
 	base := tc.servers[0].URL
 	for _, tt := range []struct {
 		name, method, path, upgrade string
@@ -353,6 +353,8 @@ func TestShardBatchRejectsBadStatistics(t *testing.T) {
 		{"another protocol", http.MethodGet, "/cluster/stream", "websocket", http.StatusUpgradeRequired},
 		{"POST", http.MethodPost, "/cluster/stream", cycleStreams.token, http.StatusMethodNotAllowed},
 		{"the old batch endpoint", http.MethodPost, "/cluster/batch", "", http.StatusNotFound},
+		{"the old stats endpoint", http.MethodGet, "/cluster/stats", "", http.StatusNotFound},
+		{"the old document endpoint", http.MethodGet, "/cluster/doc/0", "", http.StatusNotFound},
 	} {
 		req, err := http.NewRequest(tt.method, base+tt.path, bytes.NewReader(good))
 		if err != nil {
@@ -371,7 +373,7 @@ func TestShardBatchRejectsBadStatistics(t *testing.T) {
 		if resp.StatusCode != tt.status {
 			t.Errorf("%s: status %d (%s), want %d", tt.name, resp.StatusCode, bytes.TrimSpace(msg), tt.status)
 		}
-		for _, token := range []string{cycleStreams.token, mutationStreams.token} {
+		for _, token := range []string{cycleStreams.token, mutationStreams.token, controlStreams.token} {
 			if tt.status == http.StatusUpgradeRequired && (!strings.Contains(resp.Header.Get("Upgrade"), token) || !bytes.Contains(msg, []byte(token))) {
 				t.Errorf("%s: Upgrade %q, message %q: not both name %q", tt.name, resp.Header.Get("Upgrade"), bytes.TrimSpace(msg), token)
 			}
@@ -408,11 +410,11 @@ func TestShardRefusesMalformedMutation(t *testing.T) {
 		if end {
 			conn.CloseWrite()
 		}
-		reply, err := readFrame(br, nil, maxMutationAck)
+		reply, err := readFrame(br, nil, maxStats)
 		if err != nil {
 			t.Fatalf("no answer frame: %v", err)
 		}
-		_, err = decodeReply(reply, maxMutationAck, decodeMutationAck)
+		_, err = decodeReply(reply, maxStats, decodeStats)
 		var se *statusError
 		switch {
 		case err == nil:
@@ -422,14 +424,9 @@ func TestShardRefusesMalformedMutation(t *testing.T) {
 		}
 		return se.code, se.msg
 	}
-	fetch := func() int {
-		t.Helper()
-		resp, err := http.Get(fmt.Sprintf("%s/cluster/doc/%d", base, gids[4]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
+	held := func() bool {
+		_, ok := tc.router.Doc(gids[4])
+		return ok
 	}
 	instance := tc.shards[0].instance
 	gid := uint64(gids[4])
@@ -468,15 +465,15 @@ func TestShardRefusesMalformedMutation(t *testing.T) {
 		if status != tt.status || !strings.Contains(msg, tt.names) {
 			t.Errorf("%s: %d %q, want %d naming %q", tt.name, status, msg, tt.status, tt.names)
 		}
-		if status := fetch(); status != http.StatusOK {
-			t.Fatalf("%s: document gone after a refused delete (GET %d)", tt.name, status)
+		if !held() {
+			t.Fatalf("%s: document gone after a refused delete", tt.name)
 		}
 		if st := tc.stores[0]; st.NextID() != next || st.NumDocs() != len(docs) {
 			t.Fatalf("%s: the store changed: next ID %d → %d, %d → %d documents", tt.name, next, st.NextID(), len(docs), st.NumDocs())
 		}
 		switch {
 		case tt.lost:
-			if rest, err := readFrame(br, nil, maxMutationAck); err != io.EOF {
+			if rest, err := readFrame(br, nil, maxStats); err != io.EOF {
 				t.Errorf("%s: stream still open after a frame that lost its framing: %x, %v", tt.name, rest, err)
 			}
 		case !tt.end:
@@ -510,8 +507,8 @@ func TestShardRefusesMalformedMutation(t *testing.T) {
 		if resp.StatusCode != tt.status {
 			t.Errorf("%s: status %d, want %d", tt.name, resp.StatusCode, tt.status)
 		}
-		if status := fetch(); status != http.StatusOK {
-			t.Fatalf("%s: document gone (GET %d)", tt.name, status)
+		if !held() {
+			t.Fatalf("%s: document gone", tt.name)
 		}
 	}
 
@@ -523,8 +520,8 @@ func TestShardRefusesMalformedMutation(t *testing.T) {
 			t.Fatalf("%s: %d %q, want 200", what, status, msg)
 		}
 	}
-	if status := fetch(); status != http.StatusNotFound {
-		t.Fatalf("deleted document still served (GET %d)", status)
+	if held() {
+		t.Fatal("deleted document still served")
 	}
 }
 

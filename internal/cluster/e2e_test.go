@@ -71,7 +71,7 @@ func TestClusterEndToEnd(t *testing.T) {
 		startProc("-shard", "-bm25", "-addr", addrs[i])
 	}
 	for _, u := range shardURLs {
-		waitReady(t, u+"/cluster/stats")
+		waitReady(t, u+"/stats")
 	}
 	startProc("-router", "-shards", shardURLs[0]+","+shardURLs[1]+","+shardURLs[2],
 		"-addr", addrs[3], "-shard-deadline", "2s", "-shard-retries", "2")
@@ -353,7 +353,7 @@ func TestClusterCrashRecoveryE2E(t *testing.T) {
 		start(fmt.Sprintf("shard%d", i), shardArgs(i)...)
 	}
 	for _, u := range shardURLs {
-		waitReady(t, u+"/cluster/stats")
+		waitReady(t, u+"/stats")
 	}
 	start("router", routerArgs...)
 	waitReady(t, routerURL+"/stats")
@@ -389,7 +389,7 @@ func TestClusterCrashRecoveryE2E(t *testing.T) {
 		t.Fatalf("shard2 did not exit cleanly on SIGTERM: %v", err)
 	}
 	start("shard2", shardArgs(2)...)
-	waitReady(t, shardURLs[2]+"/cluster/stats")
+	waitReady(t, shardURLs[2]+"/stats")
 
 	ingest(docs[30:60])
 
@@ -469,7 +469,7 @@ func TestClusterCrashRecoveryE2E(t *testing.T) {
 	// segments and applied sequence, the router replays the placement
 	// journal and re-drives whatever the dead shard missed.
 	start("shard1", shardArgs(1)...)
-	waitReady(t, shardURLs[1]+"/cluster/stats")
+	waitReady(t, shardURLs[1]+"/stats")
 	start("router", routerArgs...)
 	waitReady(t, routerURL+"/stats")
 
@@ -533,15 +533,8 @@ func TestClusterCrashRecoveryE2E(t *testing.T) {
 			stats.NumDocs, len(alive), stats.Cluster.PendingRecords)
 	}
 	if stats.Cluster.PendingRecords != 0 {
-		for _, u := range shardURLs {
-			var ss struct {
-				AppliedSeq uint64 `json:"applied_seq"`
-				DurableSeq uint64 `json:"durable_seq"`
-				Persistent bool   `json:"persistent"`
-				Docs       int    `json:"docs"`
-			}
-			getJSON(t, u+"/cluster/stats", &ss)
-			t.Logf("shard %s: applied=%d durable=%d persistent=%v docs=%d", u, ss.AppliedSeq, ss.DurableSeq, ss.Persistent, ss.Docs)
+		for _, sh := range stats.Cluster.Shards {
+			t.Logf("shard %s: applied=%d durable=%d docs=%d", sh.Shard, sh.AppliedSeq, sh.DurableSeq, sh.Docs)
 		}
 		t.Fatalf("journal still holds %d pending records after catch-up", stats.Cluster.PendingRecords)
 	}

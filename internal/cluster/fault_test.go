@@ -245,39 +245,15 @@ func TestClusterDeadlineBoundsSlowShard(t *testing.T) {
 	}
 }
 
-// proxyTo forwards one request to a backing server, streaming status,
-// headers and body — a minimal fault-injection seam. A stream is relayed
-// frame by frame (proxyStream).
+// proxyTo relays a stream to a backing server frame by frame
+// (proxyStream): a router sends a shard nothing else.
 func proxyTo(t testing.TB, base string, w http.ResponseWriter, r *http.Request) {
-	if kind := streamKindOf(r.Header.Get("Upgrade")); kind != nil {
-		proxyStream(base, w, kind, nil, nil)
+	kind := streamKindOf(r.Header.Get("Upgrade"))
+	if kind == nil {
+		http.NotFound(w, r)
 		return
 	}
-	var body bytes.Buffer
-	if r.Body != nil {
-		body.ReadFrom(r.Body)
-	}
-	req, err := http.NewRequest(r.Method, base+r.URL.Path, &body)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	req.Header = r.Header.Clone()
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	defer resp.Body.Close()
-	for key, vals := range resp.Header {
-		for _, v := range vals {
-			w.Header().Add(key, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	var out bytes.Buffer
-	out.ReadFrom(resp.Body)
-	w.Write(out.Bytes())
+	proxyStream(base, w, kind, nil, nil)
 }
 
 // proxyStream relays a stream of kind to the shard at base, one exchange
@@ -373,10 +349,9 @@ func TestClusterRetryRidesOutFlakyShard(t *testing.T) {
 	}
 
 	// Re-front shard 1 through a flaky listener proxying to the real
-	// shard, its cycle streams relayed frame by frame. Keep-alives are
-	// disabled on the router's client so a router's first stream dials
-	// the flaky listener fresh instead of upgrading the connection its
-	// stats fetch left idle.
+	// shard, its streams relayed frame by frame. A router's connections
+	// are all streams, so none idles to be reused: each dial meets the
+	// flaky listener fresh.
 	inner := tc.servers[1]
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -389,15 +364,12 @@ func TestClusterRetryRidesOutFlakyShard(t *testing.T) {
 	go proxy.Serve(fl)
 	defer proxy.Close()
 
-	tr := http.DefaultTransport.(*http.Transport).Clone()
-	tr.DisableKeepAlives = true
-	noKeepAlive := &http.Client{Transport: tr}
 	shardURLs := []string{tc.servers[0].URL, nameAddr(t, ln.Addr().String())}
 	an := textproc.NewAnalyzer()
 	terms := an.Analyze(queryFrom(docs[2], 0, 4))
 
 	// Without retries the reset degrades the cycle.
-	bare, err := New(Config{Shards: shardURLs, HTTPClient: noKeepAlive, Analyzer: textproc.NewAnalyzer()})
+	bare, err := New(Config{Shards: shardURLs, Analyzer: textproc.NewAnalyzer()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,10 +385,9 @@ func TestClusterRetryRidesOutFlakyShard(t *testing.T) {
 
 	// With a budget the same fault is invisible.
 	retrying, err := New(Config{
-		Shards:     shardURLs,
-		HTTPClient: noKeepAlive,
-		Retry:      search.RetryPolicy{Max: 2, Base: time.Millisecond, MaxDelay: 5 * time.Millisecond},
-		Analyzer:   textproc.NewAnalyzer(),
+		Shards:   shardURLs,
+		Retry:    search.RetryPolicy{Max: 2, Base: time.Millisecond, MaxDelay: 5 * time.Millisecond},
+		Analyzer: textproc.NewAnalyzer(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -615,9 +586,10 @@ func TestClusterMetricsExposition(t *testing.T) {
 		t.Fatalf("%d reply bytes counted, two empty replies are %d", tc.router.mBatchReceived.Value(), 2*empty)
 	}
 
-	// The add dialed one mutation stream per shard and the first cycle one
-	// cycle stream per shard; two more cycles reuse them. A stopped and
-	// restarted shard's cycle stream is redialed once.
+	// New dialed one control stream per shard, the add one mutation
+	// stream per shard and the first cycle one cycle stream per shard; two
+	// more cycles reuse them. A stopped and restarted shard's cycle stream
+	// is redialed once.
 	mustSearch(t, tc.router, vsm.Request{Query: "topic", K: 3})
 	mustSearch(t, tc.router, vsm.Request{Query: "topic", K: 3})
 	scrape := func() string {
@@ -629,7 +601,7 @@ func TestClusterMetricsExposition(t *testing.T) {
 	}
 	text = scrape()
 	for _, want := range []string{
-		"toppriv_cluster_stream_dials_total 4\n",
+		"toppriv_cluster_stream_dials_total 6\n",
 		"toppriv_cluster_stream_redials_total 0\n",
 	} {
 		if !strings.Contains(text, want) {
@@ -643,7 +615,7 @@ func TestClusterMetricsExposition(t *testing.T) {
 		}
 		shardText, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if want := "toppriv_cluster_streams_open 2\n"; !strings.Contains(string(shardText), want) {
+		if want := "toppriv_cluster_streams_open 3\n"; !strings.Contains(string(shardText), want) {
 			t.Fatalf("shard %d exposition missing %q:\n%s", i, want, shardText)
 		}
 	}
@@ -651,7 +623,7 @@ func TestClusterMetricsExposition(t *testing.T) {
 	mustSearch(t, tc.router, vsm.Request{Query: "topic", K: 3})
 	text = scrape()
 	for _, want := range []string{
-		"toppriv_cluster_stream_dials_total 5\n",
+		"toppriv_cluster_stream_dials_total 7\n",
 		"toppriv_cluster_stream_redials_total 1\n",
 		"toppriv_cluster_degraded_queries_total 0\n",
 	} {

@@ -15,21 +15,19 @@ import (
 // FaultTransport is the deterministic fault-injection harness for the
 // distributed tier: an http.RoundTripper wrapper that injects the
 // failure modes a real network produces — connection resets, delays,
-// responses cut mid-body, and blackholed exchanges — from a seeded
+// replies cut mid-frame, and blackholed exchanges — from a seeded
 // source, so a failing trial replays exactly from its seed. It pairs
 // with the journal writer's kill-after-N-bytes crash hook to drive the
 // crash-anywhere recovery property tests.
 //
-// A control-plane request is one exchange, and draws one fault. An
-// upgrade request draws none: its 101 reply's stream is wrapped instead,
-// and every frame exchange on it — a request frame written, its reply
-// read — draws one, so a cycle or a mutation meets the plan whether its
-// stream was pooled or dialed.
+// Every router-to-shard exchange is a frame exchange on a stream. An
+// upgrade request draws no fault: its 101 reply's stream is wrapped
+// instead, and every frame exchange on it — a request frame written, its
+// reply read — draws one, so a cycle, a mutation or a control request
+// meets the plan whether its stream was pooled or dialed.
 //
 // The errors it fabricates are shaped like the real thing: a reset
-// surfaces as a *net.OpError wrapping syscall.ECONNRESET, so
-// search.RetryPolicy classifies injected faults exactly as it would
-// classify the genuine article.
+// surfaces as a *net.OpError wrapping syscall.ECONNRESET.
 type FaultTransport struct {
 	// Base performs the real exchange (nil = http.DefaultTransport).
 	Base http.RoundTripper
@@ -47,21 +45,20 @@ const (
 	// FaultNone passes the exchange through untouched.
 	FaultNone FaultKind = iota
 	// FaultReset fails the exchange with a connection reset before the
-	// request reaches the shard (the shard never sees it); on a stream,
-	// before the request frame is written, and the stream is closed.
+	// request frame is written (the shard never sees it), and closes the
+	// stream.
 	FaultReset
 	// FaultDelay delays the exchange by the plan's DelayFor, then
 	// delivers it normally.
 	FaultDelay
-	// FaultPartial delivers the request but cuts the response body
-	// after a few bytes. On a stream the reply frame is cut after its
-	// header — the shard applied the mutation, the caller never saw the
-	// acknowledgement.
+	// FaultPartial delivers the request frame but cuts the reply frame
+	// after its header — the shard applied the mutation, the caller never
+	// saw the acknowledgement.
 	FaultPartial
 	// FaultBlackhole swallows the exchange until the caller's context
-	// deadline; neither side hears anything. On a stream the request
-	// frame is dropped and reads wait for the caller to close the stream,
-	// as its deadline does.
+	// deadline; neither side hears anything: the request frame is dropped
+	// and reads wait for the caller to close the stream, as its deadline
+	// does.
 	FaultBlackhole
 )
 
@@ -124,41 +121,16 @@ func (ft *FaultTransport) base() http.RoundTripper {
 	return http.DefaultTransport
 }
 
-// RoundTrip implements http.RoundTripper with the armed faults.
+// RoundTrip implements http.RoundTripper: the request passes through,
+// and the stream a 101 reply hands over is put under the plan.
 func (ft *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if req.Header.Get("Upgrade") != "" {
-		resp, err := ft.base().RoundTrip(req)
-		if err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
-			return resp, err
-		}
-		rwc, ok := resp.Body.(io.ReadWriteCloser)
-		if !ok {
-			return resp, nil
-		}
-		resp.Body = &faultStream{ReadWriteCloser: rwc, ft: ft, closed: make(chan struct{}), cut: -1}
-		return resp, nil
-	}
-	kind, delay := ft.next()
-	switch kind {
-	case FaultReset:
-		return nil, &net.OpError{Op: "read", Net: "tcp", Err: syscall.ECONNRESET}
-	case FaultDelay:
-		select {
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
-		case <-time.After(delay):
-		}
-	case FaultBlackhole:
-		<-req.Context().Done()
-		return nil, req.Context().Err()
-	}
 	resp, err := ft.base().RoundTrip(req)
-	if err != nil || kind != FaultPartial {
+	if err != nil || resp.StatusCode != http.StatusSwitchingProtocols {
 		return resp, err
 	}
-	// Cut the response a few bytes in: the exchange happened on the
-	// server, the client's read of the acknowledgement fails.
-	resp.Body = &partialBody{rc: resp.Body, remaining: 8}
+	if rwc, ok := resp.Body.(io.ReadWriteCloser); ok {
+		resp.Body = &faultStream{ReadWriteCloser: rwc, ft: ft, closed: make(chan struct{}), cut: -1}
+	}
 	return resp, nil
 }
 
@@ -219,30 +191,3 @@ func (s *faultStream) Close() error {
 	s.once.Do(func() { close(s.closed) })
 	return s.ReadWriteCloser.Close()
 }
-
-// partialBody yields at most remaining bytes, then fails the read the
-// way a connection dropped mid-response does.
-type partialBody struct {
-	rc        io.ReadCloser
-	remaining int
-}
-
-func (p *partialBody) Read(b []byte) (int, error) {
-	if p.remaining <= 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	if len(b) > p.remaining {
-		b = b[:p.remaining]
-	}
-	n, err := p.rc.Read(b)
-	p.remaining -= n
-	if err != nil {
-		return n, err
-	}
-	if p.remaining <= 0 {
-		return n, io.ErrUnexpectedEOF
-	}
-	return n, nil
-}
-
-func (p *partialBody) Close() error { return p.rc.Close() }

@@ -38,17 +38,17 @@ type Config struct {
 	// not stall every later mutation, but they tolerate more latency
 	// than a query cycle.
 	Deadline time.Duration
-	// Retry is the per-shard transport retry budget. The zero value
-	// retries nothing; a Max of 1–2 rides out a shard restart's
-	// connection resets without inflating tail latency.
+	// Retry is the per-shard retry budget of a stream dial, sent again
+	// after a refused or reset connection; a frame exchange is never
+	// retried. The zero value retries nothing; a Max of 1–2 rides out a
+	// shard restart's connection resets without inflating tail latency.
 	Retry search.RetryPolicy
-	// HTTPClient overrides the transport (nil = http.DefaultClient).
-	// The control plane is one request each through it. Cycles and
-	// mutations it only dials: it opens a stream with one upgrade
-	// request, and the frames that stream carries never pass through it,
-	// so its idle-connection settings do not apply to them. Its Transport
-	// must hand over upgraded connections, as *http.Transport does, and
-	// its Timeout must be zero.
+	// HTTPClient overrides the transport (nil = http.DefaultClient). The
+	// router only dials through it: it opens a stream with one upgrade
+	// request, and the frames that stream carries — cycles, mutations,
+	// stats and documents — never pass through it, so its idle-connection
+	// settings do not apply to them. Its Transport must hand over upgraded
+	// connections, as *http.Transport does, and its Timeout must be zero.
 	HTTPClient *http.Client
 	// Analyzer processes raw query text exactly once, at the router;
 	// shards only ever see analyzed terms. It must match the analyzer
@@ -65,10 +65,10 @@ type Config struct {
 	// caller's error, and nothing of it is sent again), and a restart
 	// keeps only what the shards hold.
 	JournalDir string
-	// ProbeInterval is the health loop's probe period. The loop probes
-	// every shard's /cluster/stats, detects restarts, re-drives pending
-	// mutations, and compacts the journal. Defaults to 1s. The loop
-	// only runs when journaling is enabled.
+	// ProbeInterval is the health loop's probe period. The loop fetches
+	// every shard's stats table on its control stream, detects restarts,
+	// re-drives pending mutations, and compacts the journal. Defaults to
+	// 1s. The loop only runs when journaling is enabled.
 	ProbeInterval time.Duration
 	// Logf receives recovery-path diagnostics (nil = silent).
 	Logf func(format string, args ...interface{})
@@ -171,7 +171,7 @@ type Router struct {
 	replayed   atomic.Uint64
 	// refreshes counts the whole-table fetches mutations forced.
 	refreshes atomic.Uint64
-	// dials counts the streams opened, of both kinds; redials the pooled
+	// dials counts the streams opened, of every kind; redials the pooled
 	// streams found closed and replaced in the middle of an exchange.
 	dials   atomic.Uint64
 	redials atomic.Uint64
@@ -282,26 +282,6 @@ func (c *shardConn) p99Locked() float64 {
 		idx--
 	}
 	return samples[idx] * 1000
-}
-
-// getJSON GETs one control-plane reply and decodes it into out
-// (decodeJSON), recording health and latency (decoding's time and error
-// included). Non-2xx replies become errors carrying the shard's message.
-func (c *shardConn) getJSON(ctx context.Context, path string, out interface{}) (err error) {
-	start := time.Now()
-	defer func() { c.observe(time.Since(start).Seconds(), err) }()
-	resp, err := c.retry.Do(c.httpc, func() (*http.Request, error) {
-		return http.NewRequestWithContext(ctx, http.MethodGet, c.name+path, nil)
-	})
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return &statusError{code: resp.StatusCode, msg: string(bytes.TrimSpace(msg))}
-	}
-	return decodeJSON(resp.Body, maxControlReply, out)
 }
 
 // statusError is a non-2xx shard reply. It is not transient: the shard
@@ -430,9 +410,9 @@ func (c *shardConn) closeStreams() {
 // that carried a whole reply, decoded or a refusal, goes back to c's
 // pool; any other is closed. A pooled stream that fails before any reply
 // byte arrives — the shard closed it while it idled, as a stopped or
-// restarted shard does — is redialed once: a cycle is read-only, and a
-// shard skips a mutation it already applied, so sending either again is
-// harmless.
+// restarted shard does — is redialed once: cycles and control requests
+// are read-only, and a shard skips a mutation it already applied, so
+// sending any of them again is harmless.
 func exchange[T any](r *Router, ctx context.Context, c *shardConn, kind *streamKind, req []byte, decode func([]byte) (T, error)) (out T, received int, err error) {
 	start := time.Now()
 	defer func() { c.observe(time.Since(start).Seconds(), err) }()
@@ -468,62 +448,52 @@ func exchange[T any](r *Router, ctx context.Context, c *shardConn, kind *streamK
 	return out, received, err
 }
 
-// setStats installs a whole table fetched from GET /cluster/stats,
-// watching the shard's instance nonce: a change means the shard process
-// restarted, so it is counted and the shard flagged for catch-up. A
-// table older than the one held — the same instance at a lower version,
-// a fetch an ack overtook — is not installed. Returns whether a restart
-// was detected.
-func (c *shardConn) setStats(st shardStats) (restarted bool) {
+// install installs the stats frame f: a whole table, or an ack whose
+// entries go into a copy of the held df map (df 0 deletes the term). A
+// whole table from another instance is a restart, counted and flagged
+// for catch-up. A frame older than the held table changes nothing; an
+// ack from another instance or past a gap is an error, as is a table
+// check refuses, checking an ack's whole table only when docs fell.
+func (c *shardConn) install(f *statsFrame, whole bool) (restarted bool, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.stats.Instance != 0 && st.Instance != c.stats.Instance {
+	held, st := &c.stats, f.stats
+	switch {
+	case whole && held.Instance != 0 && st.Instance != held.Instance:
 		restarted = true
+	case st.Instance == held.Instance && (st.Version < held.Version || !whole && st.Version == held.Version):
+		return false, nil
+	case !whole && (held.Instance == 0 || st.Instance != held.Instance || st.Version != held.Version+1):
+		return false, fmt.Errorf("cluster: stats: an ack of version %d of instance %x, the table held is version %d of %x",
+			st.Version, st.Instance, held.Version, held.Instance)
+	}
+	if whole || held.DF == nil {
+		st.DF = make(map[string]int, len(f.entries))
+	} else {
+		st.DF = maps.Clone(held.DF)
+	}
+	for _, e := range f.entries {
+		switch {
+		case e.DF > st.Docs:
+			return false, fmt.Errorf("cluster: stats: term %q has df %d, above %d documents", e.Term, e.DF, st.Docs)
+		case e.DF == 0 && !whole:
+			delete(st.DF, e.Term)
+		default:
+			st.DF[e.Term] = e.DF
+		}
+	}
+	if err := st.check(whole || st.Docs < held.Docs); err != nil {
+		return false, err
+	}
+	if restarted {
 		c.restarts++
 		c.needsRecovery = true
 		if c.mRestarts != nil {
 			c.mRestarts.Inc()
 		}
-	} else if st.Version < c.stats.Version {
-		return false
 	}
 	c.stats = st
-	return restarted
-}
-
-// applyAck folds a mutation's ack into the held table when it is the
-// table's next version: the changed df entries go into a copy of the
-// held map, df 0 deleting the term, and every other field is replaced.
-// An ack the held table already covers (a whole-table fetch overtook
-// it) changes nothing. Returns false for an ack it cannot apply — from
-// another instance, or past a version gap — which leaves the table to a
-// whole-table fetch.
-func (c *shardConn) applyAck(ack *mutationAck) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	held := &c.stats
-	switch {
-	case held.Instance == 0 || ack.stats.Instance != held.Instance:
-		return false
-	case ack.stats.Version <= held.Version:
-		return true
-	case ack.stats.Version > held.Version+1:
-		return false
-	}
-	df := maps.Clone(held.DF)
-	if df == nil {
-		df = make(map[string]int, len(ack.changed))
-	}
-	for _, e := range ack.changed {
-		if e.DF == 0 {
-			delete(df, e.Term)
-		} else {
-			df[e.Term] = e.DF
-		}
-	}
-	c.stats = ack.stats
-	c.stats.DF = df
-	return true
+	return restarted, nil
 }
 
 // snapStats returns the last-known snapshot. The DF map inside is safe
@@ -540,7 +510,8 @@ func (c *shardConn) snapStats() shardStats {
 // mutation log above every sequence a reachable shard has applied.
 // Without a journal every shard must be reachable; with one, down
 // shards are tolerated — the replayed journal knows the gid high-water
-// and the health loop re-admits them when they return.
+// and the health loop re-admits them when they return. A New that fails
+// leaves no stream open.
 func New(cfg Config) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, errors.New("cluster: no shards configured")
@@ -602,8 +573,10 @@ func New(cfg Config) (*Router, error) {
 		st, err := r.fetchStats(c)
 		switch {
 		case errors.Is(err, errMixedScoring):
+			r.Close()
 			return nil, err
 		case err != nil && cfg.JournalDir == "":
+			r.Close()
 			return nil, fmt.Errorf("cluster: shard %s unreachable: %w", c.name, err)
 		case err != nil:
 			logf("cluster: shard %s unreachable at startup (%v); health loop will re-admit it", c.name, err)
@@ -619,6 +592,7 @@ func New(cfg Config) (*Router, error) {
 	if cfg.JournalDir != "" {
 		j, jst, err := openJournal(cfg.JournalDir)
 		if err != nil {
+			r.Close()
 			return nil, err
 		}
 		j.nextSeq = max(j.nextSeq, r.firstSeq)
@@ -696,15 +670,16 @@ func (r *Router) Scoring() string {
 	return r.scoring
 }
 
-// fetchStats fetches c's whole table from GET /cluster/stats, checks
-// its scoring function and installs it, logging a restart. After New
+// fetchStats fetches c's whole table on a control stream, checks its
+// scoring function and installs it, logging a restart. After New
 // returned, each table also decides whether c was driven by another
-// mutation log (checkLog).
+// mutation log (checkLog). The table returned has no DF.
 func (r *Router) fetchStats(c *shardConn) (shardStats, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), r.deadline)
 	defer cancel()
-	var st shardStats
-	if err := c.getJSON(ctx, "/cluster/stats", &st); err != nil {
+	f, _, err := exchange(r, ctx, c, controlStreams, appendControl(nil, ctlStats, 0), decodeStats)
+	st := f.stats
+	if err != nil {
 		return st, err
 	}
 	if err := r.noteScoring(c.name, st.Scoring); err != nil {
@@ -715,10 +690,11 @@ func (r *Router) fetchStats(c *shardConn) (shardStats, error) {
 			r.logf("%s", msg)
 		}
 	}
-	if c.setStats(st) {
+	restarted, err := c.install(&f, true)
+	if restarted {
 		r.logf("cluster: shard %s restarted (instance %x)", c.name, st.Instance)
 	}
-	return st, nil
+	return st, err
 }
 
 // checkLog refuses c every mutation when st is the first table the
@@ -900,15 +876,15 @@ func (r *Router) sendPendingLocked(c *shardConn, st shardStats, freshSeq uint64)
 	return nil
 }
 
-// mutate sends one mutation to c and applies the ack it is answered
-// with. The router fetches the shard's whole table instead on three
-// events: the ack came from another instance, the ack skipped a
-// version, or the exchange failed — after which the shard may have
-// applied the mutation all the same. A 404 is the one failure that
-// changed nothing.
+// mutate sends one mutation to c and installs the ack it is answered
+// with. The router fetches the shard's whole table instead when the ack
+// cannot be installed — it came from another instance, skipped a version
+// or carries a table no shard reports — or the exchange failed, after
+// which the shard may have applied the mutation all the same. A 404 is
+// the one failure that changed nothing.
 func (r *Router) mutate(c *shardConn, frame []byte) error {
 	ctx, cancel := context.WithTimeout(context.Background(), r.mutDeadline)
-	ack, received, err := exchange(r, ctx, c, mutationStreams, frame, decodeMutationAck)
+	ack, received, err := exchange(r, ctx, c, mutationStreams, frame, decodeStats)
 	cancel()
 	if r.mMutationSent != nil {
 		r.mMutationSent.Add(uint64(len(frame)))
@@ -924,7 +900,7 @@ func (r *Router) mutate(c *shardConn, frame []byte) error {
 		}
 		return err
 	}
-	if !c.applyAck(&ack) {
+	if _, err := c.install(&ack, false); err != nil {
 		if err := r.refresh(c); err != nil {
 			// The mutation is in; the table catches up at the next ack or
 			// probe.
@@ -1268,7 +1244,8 @@ func (r *Router) Delete(id corpus.DocID) error {
 	return err
 }
 
-// Doc fetches one document from its owning shard.
+// Doc fetches one document from its owning shard on a control stream.
+// A record under another gid than id's is no answer.
 func (r *Router) Doc(id corpus.DocID) (corpus.Document, bool) {
 	if id < 0 {
 		return corpus.Document{}, false
@@ -1276,8 +1253,8 @@ func (r *Router) Doc(id corpus.DocID) (corpus.Document, bool) {
 	c := r.shards[r.ring.place(id)]
 	ctx, cancel := context.WithTimeout(context.Background(), r.deadline)
 	defer cancel()
-	var doc corpus.Document
-	if err := c.getJSON(ctx, fmt.Sprintf("/cluster/doc/%d", id), &doc); err != nil {
+	doc, _, err := exchange(r, ctx, c, controlStreams, appendControl(nil, ctlDoc, id), decodeDoc)
+	if err != nil || doc.ID != id {
 		return corpus.Document{}, false
 	}
 	return doc, true
@@ -1349,14 +1326,16 @@ func (r *Router) ClusterHealth() search.ClusterHealth {
 	for i, c := range r.shards {
 		c.mu.Lock()
 		h.Shards[i] = search.ShardHealth{
-			Shard:     c.name,
-			Up:        c.up,
-			Docs:      c.stats.Docs,
-			LastError: c.lastErr,
-			Requests:  c.reqs,
-			Errors:    c.errs,
-			P99Millis: c.p99Locked(),
-			Restarts:  c.restarts,
+			Shard:      c.name,
+			Up:         c.up,
+			Docs:       c.stats.Docs,
+			AppliedSeq: c.stats.AppliedSeq,
+			DurableSeq: c.stats.DurableSeq,
+			LastError:  c.lastErr,
+			Requests:   c.reqs,
+			Errors:     c.errs,
+			P99Millis:  c.p99Locked(),
+			Restarts:   c.restarts,
 		}
 		if c.foreign != nil {
 			h.Shards[i].LastError = c.foreign.Error()
@@ -1384,7 +1363,7 @@ func (r *Router) ClusterHealth() search.ClusterHealth {
 // search.MetricsBackend, so search.NewServer wires it automatically.
 func (r *Router) EnableMetrics(reg *telemetry.Registry, _ *telemetry.TraceRing) {
 	reqs := reg.CounterVec("toppriv_cluster_shard_requests_total",
-		"Wire exchanges attempted per shard (queries and mutations).", "shard")
+		"Wire exchanges attempted per shard (cycles, mutations, stats and document fetches).", "shard")
 	errs := reg.CounterVec("toppriv_cluster_shard_errors_total",
 		"Failed wire exchanges per shard (transport failure, deadline, or non-2xx).", "shard")
 	up := reg.GaugeVec("toppriv_cluster_shard_up",
@@ -1415,13 +1394,13 @@ func (r *Router) EnableMetrics(reg *telemetry.Registry, _ *telemetry.TraceRing) 
 	r.mMutationSent = mutationBytes.With("sent")
 	r.mMutationReceived = mutationBytes.With("received")
 	reg.CounterFunc("toppriv_cluster_stream_dials_total",
-		"Streams opened to shards (GET /cluster/stream upgrades), cycle and mutation. Flat once every shard has a cycle stream per concurrent cycle and a mutation stream.",
+		"Streams opened to shards (GET /cluster/stream upgrades), cycle, mutation and control. Flat once every shard has a cycle stream per concurrent cycle, a mutation stream and a control stream.",
 		func() float64 { return float64(r.dials.Load()) })
 	reg.CounterFunc("toppriv_cluster_stream_redials_total",
-		"Pooled streams, cycle and mutation, found closed before any reply byte and replaced within the exchange: one per stream a restarted or stopped shard left behind.",
+		"Pooled streams, of every kind, found closed before any reply byte and replaced within the exchange: one per stream a restarted or stopped shard left behind.",
 		func() float64 { return float64(r.redials.Load()) })
 	reg.CounterFunc("toppriv_cluster_stats_refreshes_total",
-		"Whole-table GET /cluster/stats fetches a mutation forced: an ack from another shard instance or past a version gap, or a failed mutation exchange. 0 in steady state.",
+		"Whole stats tables fetched on a control stream because a mutation forced it: an ack from another shard instance, past a version gap or carrying a table no shard reports, or a failed mutation exchange. 0 in steady state.",
 		func() float64 { return float64(r.refreshes.Load()) })
 	reg.CounterFunc("toppriv_cluster_degraded_queries_total",
 		"Query cycles answered without every shard (merged survivor results).",

@@ -11,8 +11,6 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -52,12 +50,12 @@ type Shard struct {
 
 	// statsMu orders stats reads after whole mutations: a mutation
 	// write-holds it across its store change, its version bump and its
-	// ack, and GET /cluster/stats read-holds it, so every table the shard
+	// ack, and a stats request read-holds it, so every table the shard
 	// sends is the one its version names. Saves and queries never take
 	// it. Ordered before mu.
 	statsMu sync.RWMutex
-	// version counts the mutations this instance has applied. Guarded by
-	// statsMu.
+	// version is 1 + the mutations this instance has applied: a stats
+	// frame's first field is never a refusal's 0. Guarded by statsMu.
 	version uint64
 
 	mu sync.RWMutex
@@ -142,6 +140,7 @@ func NewShard(store *segment.Store) *Shard {
 		store:    store,
 		cfg:      ShardConfig{}.withDefaults(),
 		instance: rand.Uint64() | 1,
+		version:  1,
 		saveCh:   make(chan struct{}, 1),
 		closeCh:  make(chan struct{}),
 		streams:  make(map[*shardStream]struct{}),
@@ -223,15 +222,20 @@ func (s *Shard) Store() *segment.Store { return s.store }
 // Persistent reports whether the shard saves to disk.
 func (s *Shard) Persistent() bool { return s.cfg.Dir != "" }
 
-// Mount attaches the shard's wire endpoints to a search server, beside
+// Mount attaches the shard's wire endpoint to a search server, beside
 // the standard surface, sharing its HTTP instrumentation, and registers
-// the open-stream gauge with its metrics.
+// the open-stream gauge with its metrics. POST /index and DELETE /doc/
+// answer 405: a document added past the router would take the gid of
+// the router's next one.
 func (s *Shard) Mount(srv *search.Server) {
 	srv.Handle("/cluster/stream", http.HandlerFunc(s.handleStream))
-	srv.Handle("/cluster/stats", http.HandlerFunc(s.handleStats))
-	srv.Handle("/cluster/doc/", http.HandlerFunc(s.handleDoc))
+	stray := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "a shard takes mutations from its router only", http.StatusMethodNotAllowed)
+	})
+	srv.Handle("POST /index", stray)
+	srv.Handle("DELETE /doc/", stray)
 	srv.Registry().GaugeFunc("toppriv_cluster_streams_open",
-		"Streams (GET /cluster/stream), cycle and mutation, open on this shard.", func() float64 {
+		"Streams (GET /cluster/stream), cycle, mutation and control, open on this shard.", func() float64 {
 			s.mu.RLock()
 			defer s.mu.RUnlock()
 			return float64(len(s.streams))
@@ -352,17 +356,6 @@ func (s *Shard) statsLocked(withDF bool) shardStats {
 	return st
 }
 
-func (s *Shard) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
-	s.statsMu.RLock()
-	st := s.statsLocked(true)
-	s.statsMu.RUnlock()
-	writeJSON(w, st)
-}
-
 // handleStream upgrades GET /cluster/stream to a stream of the kind its
 // Upgrade token names (wire.go) and serves it until it ends. The
 // connection is the shard's once hijacked: the HTTP server neither times
@@ -374,7 +367,7 @@ func (s *Shard) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 	kind := streamKindOf(r.Header.Get("Upgrade"))
 	if kind == nil {
-		tokens := cycleStreams.token + ", " + mutationStreams.token
+		tokens := cycleStreams.token + ", " + mutationStreams.token + ", " + controlStreams.token
 		w.Header().Set("Connection", "Upgrade")
 		w.Header().Set("Upgrade", tokens)
 		http.Error(w, "Upgrade: one of "+tokens+" required", http.StatusUpgradeRequired)
@@ -568,31 +561,25 @@ func (s *Shard) apply(dst []byte, m *mutation) ([]byte, int, error) {
 		}
 	}
 	st := s.statsLocked(false)
-	return appendMutationAck(dst, &st, changed), http.StatusOK, nil
+	return appendStats(dst, &st, changed), http.StatusOK, nil
 }
 
-// handleDoc serves GET /cluster/doc/{gid}: one document, as JSON.
-func (s *Shard) handleDoc(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
+// control answers one control request (wire.go) over its frame's
+// storage: the shard's whole stats table, or one document.
+func (s *Shard) control(req []byte) ([]byte, int, error) {
+	op, gid, err := decodeControl(req)
+	if err != nil {
+		return req, http.StatusBadRequest, err
 	}
-	gid, err := strconv.ParseInt(strings.TrimPrefix(r.URL.Path, "/cluster/doc/"), 10, 32)
-	if err != nil || gid < 0 {
-		http.Error(w, "no such document", http.StatusNotFound)
-		return
+	if op == ctlStats {
+		s.statsMu.RLock()
+		st := s.statsLocked(true)
+		s.statsMu.RUnlock()
+		return appendStats(req[:0], &st, nil), http.StatusOK, nil
 	}
-	doc, ok := s.store.Doc(corpus.DocID(gid))
+	doc, ok := s.store.Doc(gid)
 	if !ok {
-		http.Error(w, "no such document", http.StatusNotFound)
-		return
+		return req, http.StatusNotFound, fmt.Errorf("no document %d", gid)
 	}
-	writeJSON(w, doc)
-}
-
-func writeJSON(w http.ResponseWriter, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	return appendDoc(req[:0], &doc), http.StatusOK, nil
 }

@@ -42,7 +42,7 @@ func newMemShard(t testing.TB) *Shard {
 func sendMutation(s *Shard, frame []byte) int {
 	conn := &scriptConn{exchanges: [][]byte{frame}}
 	s.serve(&shardStream{conn: conn, br: bufio.NewReader(conn)}, mutationStreams)
-	_, err := decodeReply(conn.out.Bytes(), maxMutationAck, decodeMutationAck)
+	_, err := decodeReply(conn.out.Bytes(), maxStats, decodeStats)
 	var se *statusError
 	switch {
 	case err == nil:

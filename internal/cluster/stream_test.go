@@ -124,10 +124,11 @@ func TestStreamsFollowShardRestart(t *testing.T) {
 
 // TestMutationStreamFollowsShardRestart: a shard stopped and a new
 // instance mounted at its URL between two adds leaves the router holding
-// a mutation stream the old instance closed. The second add redials it
-// once, and its frame, addressed to the old instance, is refused with
-// 412 on the new stream, which stays open for the re-drive from the new
-// instance's baseline. Every document lands exactly once, under the gid
+// a mutation stream and a control stream the old instance closed. The
+// second add redials each once: its frame, addressed to the old
+// instance, is refused with 412 on the new mutation stream, which stays
+// open for the re-drive from the new instance's baseline, fetched on the
+// new control stream. Every document lands exactly once, under the gid
 // it was assigned.
 func TestMutationStreamFollowsShardRestart(t *testing.T) {
 	pc := newPCluster(t, vsm.BM25, 1, Config{})
@@ -148,8 +149,8 @@ func TestMutationStreamFollowsShardRestart(t *testing.T) {
 	if p.shard == old {
 		t.Fatal("the shard did not restart")
 	}
-	if n, m := r.dials.Load()-dials, r.redials.Load()-redials; n != 1 || m != 1 {
-		t.Fatalf("the add after the restart dialed %d streams, %d of them redials; want one redial", n, m)
+	if n, m := r.dials.Load()-dials, r.redials.Load()-redials; n != 2 || m != 2 {
+		t.Fatalf("the add after the restart dialed %d streams, %d of them redials; want two redials", n, m)
 	}
 	gids := append(first, second...)
 	for i, gid := range gids {
@@ -281,11 +282,11 @@ func (c *scriptConn) Close() error {
 // splitExchanges cuts a stream's bytes where its frames end, as their
 // headers say; the last piece is whatever follows the last whole frame.
 // lost reports whether that piece loses the framing — cut short, or a
-// length beyond maxBatchRequest — rather than being empty.
-func splitExchanges(data []byte) (exchanges [][]byte, lost bool) {
+// length beyond bound — rather than being empty.
+func splitExchanges(data []byte, bound int) (exchanges [][]byte, lost bool) {
 	for len(data) >= frame.Header {
 		length := binary.LittleEndian.Uint32(data)
-		if length > maxBatchRequest || int64(len(data)) < frame.Header+int64(length) {
+		if int64(length) > int64(bound) || int64(len(data)) < frame.Header+int64(length) {
 			break
 		}
 		exchanges = append(exchanges, data[:frame.Header+length])
@@ -294,16 +295,18 @@ func splitExchanges(data []byte) (exchanges [][]byte, lost bool) {
 	return append(exchanges, data), len(data) > 0
 }
 
-// FuzzShardStream drives a shard's cycle stream with arbitrary bytes
-// after the upgrade, one frame per exchange as a router sends them.
-// Nothing may panic, and no frame may be buffered past
-// frame.Header+maxBatchRequest. Each whole frame is answered in turn:
-// one that fails its CRC with a 400 refusal that ends the stream; one
-// whose payload does not decode, or whose cycle Request.Validate
-// refuses, with a 400 refusal after which the stream still answers; any
-// other with a reply of its member count. What follows the last whole
-// frame, unless nothing does, is cut short or claims more than
-// maxBatchRequest: a 400 refusal, and the stream ends.
+// FuzzShardStream drives a shard's cycle stream and its control stream
+// with arbitrary bytes after the upgrade, one frame per exchange as a
+// router sends them. Nothing may panic, and no frame may be buffered
+// past its kind's bound. Each whole frame is answered in turn: one that
+// fails its CRC with a 400 refusal that ends the stream; one whose
+// payload does not decode, or whose cycle Request.Validate refuses, with
+// a 400 refusal after which the stream still answers; a control request
+// for a document the shard lacks with a 404 refusal; any other with a
+// reply: a cycle's of its member count, the shard's stats table, or the
+// document asked for. What follows the last whole frame, unless nothing
+// does, is cut short or claims more than the kind's bound: a 400
+// refusal, and the stream ends.
 func FuzzShardStream(f *testing.F) {
 	rng := rand.New(rand.NewSource(5))
 	var frames [][]byte
@@ -330,38 +333,45 @@ func FuzzShardStream(f *testing.F) {
 	}
 	f.Add([]byte(`{"queries":[]}`))
 	f.Add([]byte{})
+	stats, doc := appendControl(nil, ctlStats, 0), appendControl(nil, ctlDoc, 3)
+	f.Add(bytes.Join([][]byte{stats, doc, appendControl(nil, ctlDoc, 99), stats}, nil))
+	f.Add(bytes.Join([][]byte{doc, payloadFrame(2), payloadFrame(ctlDoc, 1<<31), payloadFrame(ctlStats, 0), doc}, nil))
 
 	s := newMemShard(f)
 	if code := sendMutation(s, addFrame(1, 0, 1, 2, 3, 4, 5, 6, 7)); code != http.StatusOK {
 		f.Fatalf("preload: %d", code)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkStream(t, s, data)
 		// A mutated frame hardly ever passes its CRC, so the input is also
 		// sealed as the payload of one frame, followed by a good one.
-		checkStream(t, s, append(payloadFrame(data), good...))
+		checkStream(t, s, cycleStreams, data)
+		checkStream(t, s, cycleStreams, append(payloadFrame(data), good...))
+		checkStream(t, s, controlStreams, data)
+		checkStream(t, s, controlStreams, append(payloadFrame(data), doc...))
 	})
 }
 
-// checkStream is FuzzShardStream's property, for one stream of bytes.
-func checkStream(t *testing.T, s *Shard, data []byte) {
+// checkStream is FuzzShardStream's property, for one stream of kind's
+// bytes.
+func checkStream(t *testing.T, s *Shard, kind *streamKind, data []byte) {
 	t.Helper()
-	exchanges, lost := splitExchanges(data)
+	exchanges, lost := splitExchanges(data, kind.maxRequest)
 	conn := &scriptConn{exchanges: append([][]byte(nil), exchanges...)}
-	s.serve(&shardStream{conn: conn, br: bufio.NewReader(conn)}, cycleStreams)
+	s.serve(&shardStream{conn: conn, br: bufio.NewReader(conn)}, kind)
 	if !conn.closed {
 		t.Fatal("the stream ended without its connection closed")
 	}
 	// The shard writes each answer from the buffer its frame was read
-	// into.
-	if c := conn.maxCap; c > frame.Header+maxBatchRequest {
+	// into; a control answer is the preloaded shard's table, or one of its
+	// documents, within 4 KiB.
+	if c := conn.maxCap; c > frame.Header+max(kind.maxRequest, 4<<10) {
 		t.Fatalf("the stream buffered %d bytes for a frame", c)
 	}
 
 	out := conn.out.Bytes()
 	next := func() []byte {
 		t.Helper()
-		_, size, err := frame.Open(out, maxBatchReply)
+		_, size, err := frame.Open(out, uint32(kind.maxReply))
 		if err != nil {
 			t.Fatalf("the shard wrote no whole frame: %v (%x)", err, out)
 		}
@@ -369,28 +379,49 @@ func checkStream(t *testing.T, s *Shard, data []byte) {
 		out = out[size:]
 		return frame
 	}
-	refusal := func(frame []byte, says string) {
+	refusal := func(frame []byte, status int, says string) {
 		t.Helper()
-		_, err := decodeCycleReply(frame)
+		_, err := decodeReply(frame, kind.maxReply, func([]byte) (int, error) { return 0, errors.New("an answer") })
 		var se *statusError
-		if !errors.As(err, &se) || se.code != http.StatusBadRequest || !strings.Contains(se.msg, says) {
-			t.Fatalf("answer %v, want a 400 refusal saying %q", err, says)
+		if !errors.As(err, &se) || se.code != status || !strings.Contains(se.msg, says) {
+			t.Fatalf("answer %v, want a %d refusal saying %q", err, status, says)
 		}
 	}
 	ended := false
 	for _, ex := range exchanges[:len(exchanges)-1] {
 		answer := next()
-		if _, _, err := frame.Open(ex, maxBatchRequest); err != nil {
-			refusal(answer, "checksum")
+		if _, _, err := frame.Open(ex, uint32(kind.maxRequest)); err != nil {
+			refusal(answer, http.StatusBadRequest, "checksum")
 			ended = true
 			break
+		}
+		if kind == controlStreams {
+			// The table for a stats request, the document or a 404 for a
+			// document request.
+			op, gid, err := decodeControl(ex)
+			switch doc, held := s.store.Doc(gid); {
+			case err != nil:
+				refusal(answer, http.StatusBadRequest, "bad request")
+			case op == ctlStats:
+				f, err := decodeStats(answer)
+				if docs, _ := s.store.LiveSize(); err != nil || f.stats.Docs != docs || len(f.entries) == 0 {
+					t.Fatalf("a stats request answered %+v: %v", f.stats, err)
+				}
+			case !held:
+				refusal(answer, http.StatusNotFound, "no document")
+			default:
+				if got, err := decodeDoc(answer); err != nil || got.ID != gid || got.Title != doc.Title || got.Text != doc.Text {
+					t.Fatalf("document %d answered %+v: %v", gid, got, err)
+				}
+			}
+			continue
 		}
 		reqs, err := decodeBatchRequest(ex)
 		for i := 0; err == nil && i < len(reqs); i++ {
 			err = reqs[i].Validate()
 		}
 		if err != nil {
-			refusal(answer, "bad request")
+			refusal(answer, http.StatusBadRequest, "bad request")
 			continue
 		}
 		resps, err := decodeCycleReply(answer)
@@ -399,7 +430,7 @@ func checkStream(t *testing.T, s *Shard, data []byte) {
 		}
 	}
 	if !ended && lost {
-		refusal(next(), "cut short or longer than its bound")
+		refusal(next(), http.StatusBadRequest, "cut short or longer than its bound")
 	}
 	if len(out) != 0 {
 		t.Fatalf("%d bytes written past the stream's last answer", len(out))

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -22,21 +21,19 @@ import (
 // reaches a shard (the router analyzes once), and store-local document
 // IDs never leave one.
 //
-// GET /cluster/stats and GET /cluster/doc/{gid}, the operator-readable
-// control plane, answer JSON: shardStats at the bottom of this file and
-// a corpus.Document, each at most maxControlReply bytes. Everything else
-// is package frame's binary frames, carried on streams.
-//
-// A router opens a stream with GET /cluster/stream, Connection: Upgrade,
-// Upgrade: toppriv-cycle for query cycles or toppriv-mutation for
-// mutations (streamKind); the shard answers 101 Switching Protocols and
+// A router reaches a shard one way: it opens a stream with GET
+// /cluster/stream, Connection: Upgrade, and an Upgrade token naming the
+// stream's kind (streamKind): toppriv-cycle for query cycles,
+// toppriv-mutation for mutations, toppriv-control for the shard's stats
+// table and its documents. The shard answers 101 Switching Protocols and
 // takes the connection over. From then on the connection carries one
-// exchange at a time, one request frame from the router and one reply
-// frame back, and the router keeps it open for later exchanges. A
-// mutation is one frame (see appendMutation) answered with one ack frame
-// (see appendMutationAck). A cycle's request carries what a cycle is:
-// one collection, the cycle's distinct terms, and the members as
-// references into them.
+// exchange at a time, one request frame (package frame) from the router
+// and one reply frame back, and the router keeps it open for later
+// exchanges. A mutation is one frame (see appendMutation) answered with
+// one stats frame (see appendStats); a control request is one frame (see
+// appendControl) answered with the whole stats table or one document. A
+// cycle's request carries what a cycle is: one collection, the cycle's
+// distinct terms, and the members as references into them.
 //
 // Request payload:
 //
@@ -66,12 +63,12 @@ import (
 //	    }                  best first
 //	}
 //
-// A request the shard cannot answer — a cycle or a mutation whose
-// payload does not decode, a member that fails Request.Validate, a
-// mutation the shard refuses, a scan that fails — is answered with a
-// refusal frame, and the stream stays open:
+// A request the shard cannot answer — a frame whose payload does not
+// decode, a member that fails Request.Validate, a mutation the shard
+// refuses, a document it does not hold, a scan that fails — is answered
+// with a refusal frame, and the stream stays open:
 //
-//	uvarint 0              no members, version 0 (a reply has at least one member, an ack version 1)
+//	uvarint 0              no members, version 0 or gid 0: a frame is read as a refusal once it fails as a reply
 //	uvarint status         the HTTP status of the refusal: 400 for the request, 500 for the shard, …
 //	uvarint n, n bytes     the message
 //
@@ -114,8 +111,11 @@ var (
 	cycleStreams = &streamKind{token: "toppriv-cycle", name: "batch", handle: (*Shard).cycle,
 		maxRequest: maxBatchRequest, maxReply: maxBatchReply, bufs: sync.Pool{New: newBuf}}
 	mutationStreams = &streamKind{token: "toppriv-mutation", name: "mutation", handle: (*Shard).mutate,
-		maxRequest: maxMutation, maxReply: maxMutationAck, bufs: sync.Pool{New: newBuf}}
-	streamKinds = map[string]*streamKind{cycleStreams.token: cycleStreams, mutationStreams.token: mutationStreams}
+		maxRequest: maxMutation, maxReply: maxStats, bufs: sync.Pool{New: newBuf}}
+	controlStreams = &streamKind{token: "toppriv-control", name: "control", handle: (*Shard).control,
+		maxRequest: maxControl, maxReply: maxStats, bufs: sync.Pool{New: newBuf}}
+	streamKinds = map[string]*streamKind{cycleStreams.token: cycleStreams, mutationStreams.token: mutationStreams,
+		controlStreams.token: controlStreams}
 )
 
 func newBuf() any { return new([]byte) }
@@ -282,9 +282,8 @@ func appendRefusal(dst []byte, status int, msg string) []byte {
 	return dst
 }
 
-// decodeReply reads the reply frame of a stream exchange with decode, or
-// the shard's refusal, whose first field no reply decodes with, as a
-// *statusError.
+// decodeReply reads the reply frame of a stream exchange with decode; a
+// frame decode refuses is read as the shard's refusal, a *statusError.
 func decodeReply[T any](b []byte, maxPayload int, decode func([]byte) (T, error)) (T, error) {
 	out, err := decode(b)
 	if err == nil {
@@ -459,11 +458,11 @@ func (m *mutation) decodeBody(r *frame.Reader) {
 	}
 }
 
-// A mutation is acknowledged with one frame: the shard's statistics once
-// the mutation is in, with only the df entries the mutation changed
-// (GET /cluster/stats carries the whole table).
+// A stats frame carries a shard's statistics: the ack of a mutation,
+// with only the df entries the mutation changed, or a control stream's
+// answer to a stats request, with every live df entry.
 //
-//	uvarint version        the shard's stats version: mutations applied by its instance, at least 1
+//	uvarint version        the shard's stats version: 1 + the mutations applied by its instance
 //	uvarint instance       the shard process's nonce
 //	uvarint docs, total_len
 //	uvarint max_gid + 1    0: nothing ever ingested
@@ -474,33 +473,43 @@ func (m *mutation) decodeBody(r *frame.Reader) {
 //	        resident_bytes, padded_pir_bytes
 //	                       the index shape the router aggregates
 //	uvarint entries
-//	entries × {            every distinct term of the mutation's documents, once
-//	    uvarint n, n bytes the term
-//	    uvarint df         its live df afterwards (0: no live document holds it)
+//	entries × {            each term once: every distinct term of an ack's
+//	    uvarint n, n bytes the term       mutation, every live term of a table
+//	    uvarint df         its live df (0, in an ack: no live document holds it)
 //	}
 //
 // Like a batch frame it has one encoding: a padded uvarint, a flag other
 // than 0 or 1, a count beyond the bytes left and bytes after the payload
-// are refused, and so is version 0, a refusal's first field, and a table
-// shardStats.check refuses.
+// are refused, and so is version 0, a refusal's first field. The router
+// judges the table as it installs it (shardConn.install).
+//
+// A control request is one frame, answered with a stats frame, a
+// document frame holding one frame.AppendDoc record, or a 404 refusal:
+//
+//	uvarint op             0: the stats table, 1: a document
+//	op 1: uvarint gid      the document
 
 const (
-	// maxMutationAck bounds the ack a router reads. An ack names each
-	// distinct term of the mutation's documents once, so it is no larger
-	// than a few times the mutation, which is at most maxMutation.
-	maxMutationAck = 64 << 20
+	// maxStats bounds a stats frame and a document frame: an ack is a few
+	// times its mutation at most, a table spends a few bytes on each term
+	// besides the term, and a document fits in a mutation.
+	maxStats = 64 << 20
+	// maxControl bounds a control request: an op and a gid.
+	maxControl = 2 * binary.MaxVarintLen64
+
+	ctlStats = 0
+	ctlDoc   = 1
 )
 
-// mutationAck is a decoded ack: the shard's statistics, DF nil, and the
-// df entries the mutation changed.
-type mutationAck struct {
+// statsFrame is a decoded stats frame: its statistics, DF nil, and entries.
+type statsFrame struct {
 	stats   shardStats
-	changed []segment.TermDF
+	entries []segment.TermDF
 }
 
-// appendMutationAck appends the ack frame of a mutation: st's fields but
-// DF, then changed.
-func appendMutationAck(dst []byte, st *shardStats, changed []segment.TermDF) []byte {
+// appendStats appends the stats frame of st: its fields, then as its
+// entries st.DF's and those of changed.
+func appendStats(dst []byte, st *shardStats, changed []segment.TermDF) []byte {
 	start := len(dst)
 	dst = append(dst, make([]byte, frame.Header)...)
 	dst = binary.AppendUvarint(dst, st.Version)
@@ -521,29 +530,35 @@ func appendMutationAck(dst []byte, st *shardStats, changed []segment.TermDF) []b
 	for _, v := range [...]int64{int64(ix.NumPostings), int64(ix.MaxListLen), ix.SizeBytes, ix.PostingsBytes, ix.ResidentBytes, ix.PaddedPIRBytes} {
 		dst = binary.AppendUvarint(dst, uint64(v))
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(changed)))
+	dst = binary.AppendUvarint(dst, uint64(len(st.DF)+len(changed)))
+	entry := func(term string, df int) {
+		dst = binary.AppendUvarint(dst, uint64(len(term)))
+		dst = append(dst, term...)
+		dst = binary.AppendUvarint(dst, uint64(df))
+	}
+	for term, df := range st.DF {
+		entry(term, df)
+	}
 	for _, e := range changed {
-		dst = binary.AppendUvarint(dst, uint64(len(e.Term)))
-		dst = append(dst, e.Term...)
-		dst = binary.AppendUvarint(dst, uint64(e.DF))
+		entry(e.Term, e.DF)
 	}
 	frame.Seal(dst[start:])
 	return dst
 }
 
-// decodeMutationAck reads an ack frame. Every string comes back in an
-// allocation of its own: the router keeps terms as table keys, and a
-// key that shared memory with the rest of its ack would keep the whole
-// ack alive.
-func decodeMutationAck(b []byte) (mutationAck, error) {
-	r, err := frame.OpenReader(b, maxMutationAck, "cluster: ack frame")
+// decodeStats reads a stats frame. Every string comes back in an
+// allocation of its own: the router keeps terms as table keys, and a key
+// that shared memory with the rest of its frame would keep the whole
+// frame alive.
+func decodeStats(b []byte) (statsFrame, error) {
+	r, err := frame.OpenReader(b, maxStats, "cluster: stats frame")
 	if err != nil {
-		return mutationAck{}, err
+		return statsFrame{}, err
 	}
-	var a mutationAck
-	st := &a.stats
+	var f statsFrame
+	st := &f.stats
 	if st.Version = r.U64(); st.Version == 0 {
-		r.Failf("version 0: a refusal, not an ack")
+		r.Failf("version 0: a refusal, not a stats frame")
 	}
 	st.Instance = r.U64()
 	st.Docs = r.Num()
@@ -573,20 +588,62 @@ func decodeMutationAck(b []byte) (mutationAck, error) {
 	// An entry takes a length byte and a df byte at least.
 	n := r.Count(2)
 	if r.Err != nil {
-		return mutationAck{}, r.Err
+		return statsFrame{}, r.Err
 	}
-	a.changed = make([]segment.TermDF, n)
-	for i := range a.changed {
-		a.changed[i].Term = r.Str()
-		a.changed[i].DF = r.Num()
+	f.entries = make([]segment.TermDF, n)
+	for i := range f.entries {
+		f.entries[i].Term = r.Str()
+		f.entries[i].DF = r.Num()
 	}
 	if err := r.End(); err != nil {
-		return mutationAck{}, err
+		return statsFrame{}, err
 	}
-	if err := st.check(); err != nil {
-		return mutationAck{}, err
+	return f, nil
+}
+
+// appendControl appends the control request for op, asking for document
+// gid when op is ctlDoc.
+func appendControl(dst []byte, op int, gid corpus.DocID) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, frame.Header)...)
+	dst = binary.AppendUvarint(dst, uint64(op))
+	if op == ctlDoc {
+		dst = binary.AppendUvarint(dst, uint64(gid))
 	}
-	return a, nil
+	frame.Seal(dst[start:])
+	return dst
+}
+
+// decodeControl reads a control request: its op, and the gid a document
+// request asks for.
+func decodeControl(b []byte) (op int, gid corpus.DocID, err error) {
+	r, err := frame.OpenReader(b, maxControl, "cluster: control frame")
+	if err != nil {
+		return 0, 0, err
+	}
+	if op = r.Num(); op == ctlDoc {
+		gid = r.Gid()
+	} else if op != ctlStats {
+		r.Failf("op %d is neither stats nor document", op)
+	}
+	return op, gid, r.End()
+}
+
+// appendDoc appends the document frame of d.
+func appendDoc(dst []byte, d *corpus.Document) []byte {
+	start := len(dst)
+	dst = frame.AppendDoc(append(dst, make([]byte, frame.Header)...), d)
+	frame.Seal(dst[start:])
+	return dst
+}
+
+// decodeDoc reads a document frame.
+func decodeDoc(b []byte) (corpus.Document, error) {
+	r, err := frame.OpenReader(b, maxStats, "cluster: document frame")
+	if err != nil {
+		return corpus.Document{}, err
+	}
+	return r.Doc(), r.End()
 }
 
 // readFrame reads the frame at the head of a stream into buf's storage:
@@ -629,27 +686,27 @@ func readFrame(r io.Reader, buf []byte, maxPayload int) ([]byte, error) {
 	return buf, err
 }
 
-// shardStats is the GET /cluster/stats reply: the shard's live
-// collection statistics, keyed by term string because shards have
-// independent vocabularies. A mutation's ack carries the same fields
-// with only the df entries the mutation changed, so the router's merged
-// tables stay exact without extra round-trips.
+// shardStats is a shard's live collection statistics, keyed by term
+// string because shards have independent vocabularies: what a stats
+// frame carries. A mutation's ack carries only the df entries the
+// mutation changed, so the router's merged tables stay exact without
+// extra round-trips.
 type shardStats struct {
-	// Version counts the mutations this shard instance has applied; the
-	// table a reply carries is the one after exactly that many. The
+	// Version is 1 + the mutations this shard instance has applied; the
+	// table a frame carries is the one after exactly that many. The
 	// router folds an ack into its copy of the table only when the ack's
 	// version is the next one.
-	Version uint64 `json:"version"`
+	Version uint64
 	// Docs and TotalLen are the shard's live document count and
 	// analyzed token count.
-	Docs     int   `json:"docs"`
-	TotalLen int64 `json:"total_len"`
+	Docs     int
+	TotalLen int64
 	// DF maps term → live document frequency (zero-df terms omitted).
-	DF map[string]int `json:"df"`
+	DF map[string]int
 	// MaxGid is the largest global ID ever ingested on this shard (-1
 	// when empty); a restarting router resumes gid assignment above the
 	// cluster-wide maximum.
-	MaxGid corpus.DocID `json:"max_gid"`
+	MaxGid corpus.DocID
 	// AppliedSeq is the highest router log sequence number this shard
 	// has applied (in memory); DurableSeq is the highest it had applied
 	// as of its last completed save — the high-water a journaled router
@@ -657,26 +714,27 @@ type shardStats struct {
 	// once its drive has run). An in-memory shard reports DurableSeq 0
 	// forever: it can lose everything, so the journal must retain
 	// everything.
-	AppliedSeq uint64 `json:"applied_seq"`
-	DurableSeq uint64 `json:"durable_seq"`
+	AppliedSeq uint64
+	DurableSeq uint64
 	// Instance is a random nonce drawn at shard process start. A change
 	// between two stats reports is how the router counts shard restarts.
-	Instance uint64 `json:"instance"`
+	Instance uint64
 	// Persistent reports whether the shard saves to disk at all.
-	Persistent bool `json:"persistent"`
+	Persistent bool
 	// Scoring is the shard's scoring function; the router refuses
 	// mixed-scoring clusters.
-	Scoring string `json:"scoring"`
+	Scoring string
 	// Index is the shard's index-shape statistics, for aggregation.
-	Index index.Stats `json:"index"`
+	Index index.Stats
 }
 
-// check refuses a table no shard reports: a negative count, a df outside
-// [1, docs], or a max gid outside [-1, MaxInt32-1] (a store refuses ID
-// MaxInt32, and the router's next gid would wrap past it). The router
-// installs no table that fails it: every cycle merges each table in, and
-// one shard's negative count would fail every cycle of the cluster.
-func (st *shardStats) check() error {
+// check refuses a table no shard reports: a negative count, a max gid
+// outside [-1, MaxInt32-1] (a store refuses ID MaxInt32, and the router's
+// next gid would wrap past it), or, withDF, a df outside [1, docs]. The
+// router installs no table that fails it: every cycle merges each table
+// in, and one shard's negative count would fail every cycle of the
+// cluster.
+func (st *shardStats) check(withDF bool) error {
 	ix := &st.Index
 	if min(int64(st.Docs), st.TotalLen, int64(ix.NumPostings), int64(ix.MaxListLen),
 		ix.SizeBytes, ix.PostingsBytes, ix.ResidentBytes, ix.PaddedPIRBytes) < 0 {
@@ -685,32 +743,13 @@ func (st *shardStats) check() error {
 	if st.MaxGid < -1 || st.MaxGid >= math.MaxInt32 {
 		return fmt.Errorf("cluster: stats: max gid %d outside [-1, %d]", st.MaxGid, math.MaxInt32-1)
 	}
+	if !withDF {
+		return nil
+	}
 	for term, df := range st.DF {
 		if df < 1 || df > st.Docs {
 			return fmt.Errorf("cluster: stats: term %q has df %d, outside [1, %d]", term, df, st.Docs)
 		}
 	}
 	return nil
-}
-
-// maxControlReply bounds a control-plane reply: JSON spends at most six
-// bytes (\u00XX) on each byte of the documents a shard was sent.
-const maxControlReply = 6 * maxMutation
-
-// decodeJSON decodes a control-plane reply of at most limit bytes, one
-// JSON value, into out, and checks a stats table. A longer reply is an
-// error, not a truncation.
-func decodeJSON(reply io.Reader, limit int, out interface{}) error {
-	b, err := io.ReadAll(io.LimitReader(reply, int64(limit)+1))
-	switch {
-	case err != nil:
-		return err
-	case len(b) > limit:
-		return fmt.Errorf("cluster: control-plane reply over %d bytes", limit)
-	}
-	err = json.Unmarshal(b, out)
-	if st, ok := out.(*shardStats); ok && err == nil {
-		err = st.check()
-	}
-	return err
 }

@@ -332,15 +332,15 @@ func TestMutationAckRoundTrip(t *testing.T) {
 			st = shardStats{Version: 1, MaxGid: -1, Instance: 1}
 			changed = changed[:0]
 		}
-		frame := appendMutationAck(nil, &st, changed)
-		got, err := decodeMutationAck(frame)
+		frame := appendStats(nil, &st, changed)
+		got, err := decodeStats(frame)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if !reflect.DeepEqual(got.stats, st) || !reflect.DeepEqual(got.changed, changed) {
-			t.Fatalf("trial %d: decoded\n%+v %v\nwant\n%+v %v", trial, got.stats, got.changed, st, changed)
+		if !reflect.DeepEqual(got.stats, st) || !reflect.DeepEqual(got.entries, changed) {
+			t.Fatalf("trial %d: decoded\n%+v %v\nwant\n%+v %v", trial, got.stats, got.entries, st, changed)
 		}
-		if back := appendMutationAck(nil, &got.stats, got.changed); !bytes.Equal(back, frame) {
+		if back := appendStats(nil, &got.stats, got.entries); !bytes.Equal(back, frame) {
 			t.Fatalf("trial %d: decoded ack re-encodes to other bytes", trial)
 		}
 	}
@@ -416,7 +416,7 @@ func TestBatchFramesRefuseMalformed(t *testing.T) {
 	goodRequest := genCycle(rand.New(rand.NewSource(1))).encode()
 	goodReply := appendBatchReply(nil, genReply(rand.New(rand.NewSource(1))))
 	ackStats, ackChanged := genAck(rand.New(rand.NewSource(1)))
-	goodAck := appendMutationAck(nil, &ackStats, ackChanged)
+	goodAck := appendStats(nil, &ackStats, ackChanged)
 	goodMutation := appendMutation(nil, 9, 99, appendAdd(nil, []corpus.Document{{ID: 4, Title: "t", Text: "<a> & b"}, {ID: 6, Text: "c"}}))
 	for _, side := range []struct {
 		name   string
@@ -429,7 +429,7 @@ func TestBatchFramesRefuseMalformed(t *testing.T) {
 	}{
 		{"request", goodRequest, func(b []byte) (int, error) { r, err := decodeBatchRequest(b); return len(r), err }, brokenRequestFrames},
 		{"reply", goodReply, func(b []byte) (int, error) { r, err := decodeBatchReply(b); return len(r), err }, brokenReplyFrames},
-		{"ack", goodAck, func(b []byte) (int, error) { a, err := decodeMutationAck(b); return len(a.changed), err }, brokenAckFrames},
+		{"ack", goodAck, func(b []byte) (int, error) { a, err := decodeStats(b); return len(a.entries), err }, brokenAckFrames},
 		{"mutation", goodMutation, func(b []byte) (int, error) { m, err := decodeMutation(b); return len(m.docs), err }, brokenMutationFrames},
 	} {
 		if _, err := side.decode(side.good); err != nil {
@@ -550,14 +550,14 @@ func FuzzDecodeBatchReply(f *testing.F) {
 // checkAckFrame is the fuzz property of the ack decoder: no panic, every
 // decoded entry paid for by input bytes, and one encoding per ack.
 func checkAckFrame(t *testing.T, frame []byte) {
-	a, err := decodeMutationAck(frame)
+	a, err := decodeStats(frame)
 	if err != nil {
 		return
 	}
-	if 2*len(a.changed) > len(frame) {
-		t.Fatalf("%d-byte frame decoded to %d entries", len(frame), len(a.changed))
+	if 2*len(a.entries) > len(frame) {
+		t.Fatalf("%d-byte frame decoded to %d entries", len(frame), len(a.entries))
 	}
-	if back := appendMutationAck(nil, &a.stats, a.changed); !bytes.Equal(back, frame) {
+	if back := appendStats(nil, &a.stats, a.entries); !bytes.Equal(back, frame) {
 		t.Fatalf("decoded ack re-encodes to other bytes:\n%x\n%x", frame, back)
 	}
 }
@@ -566,7 +566,7 @@ func FuzzDecodeMutationAck(f *testing.F) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 8; i++ {
 		st, changed := genAck(rng)
-		fr := appendMutationAck(nil, &st, changed)
+		fr := appendStats(nil, &st, changed)
 		f.Add(fr)
 		f.Add(fr[frame.Header:])
 	}

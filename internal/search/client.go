@@ -40,10 +40,9 @@ type Client struct {
 	// the server was started with an admin token.
 	AdminToken string
 	// Retry bounds automatic retries of transient transport errors. The
-	// zero value — the default — retries nothing; the cluster router's
-	// shard client enables a small budget. Query submissions replay on
-	// any refused or reset connection (they are idempotent); the
-	// mutations (AddDocuments, DeleteDocument) target the single-node
+	// zero value — the default — retries nothing. Query submissions
+	// replay on any refused or reset connection (they are idempotent);
+	// the mutations (AddDocuments, DeleteDocument) target the single-node
 	// /index surface, which is NOT idempotent, so they replay only
 	// connection-refused failures — the one error proving the server
 	// never saw the request and cannot have applied it. See RetryPolicy.

@@ -12,9 +12,9 @@ import (
 // RetryPolicy bounds automatic retries of transient transport failures
 // — connection refused or reset, the failures a restarting or briefly
 // overloaded server produces. The zero value retries nothing, which is
-// the Client default: ordinary clients surface the first error, while a
-// scatter-gather router enables a small budget so one dropped
-// connection does not degrade a whole cycle.
+// the Client default: ordinary clients surface the first error. The
+// cluster router spends its budget (cluster.Config.Retry) on stream dials
+// only, so one dropped connection does not degrade a whole cycle.
 //
 // Only transport errors are retried, never HTTP status codes: a
 // response, even a 5xx, means the request may have executed, and

@@ -213,11 +213,14 @@ func NewServer(engine vsm.RequestSearcher, docs []corpus.Document) (*Server, err
 }
 
 // Handle mounts an additional instrumented route on the server's mux —
-// the seam a cluster shard or router uses to expose its wire endpoints
-// (/cluster/...) alongside the standard search surface, inheriting the
-// same request/error/inflight accounting. Mount before serving.
+// the seam a cluster shard uses to expose its wire endpoint
+// (/cluster/stream) alongside the standard search surface, inheriting
+// the same request/error/inflight accounting. A pattern may name a
+// method ("POST /index"), which then takes that method's requests from
+// the standard route; the route's metrics label is the path alone.
+// Mount before serving.
 func (s *Server) Handle(pattern string, h http.Handler) {
-	route := strings.TrimRight(pattern, "/")
+	route := strings.TrimRight(pattern[strings.IndexByte(pattern, ' ')+1:], "/")
 	s.mux.Handle(pattern, s.instrument(route, h.ServeHTTP))
 }
 
@@ -563,6 +566,11 @@ type ShardHealth struct {
 	Up bool `json:"up"`
 	// Docs is the shard's live document count at its last stats report.
 	Docs int `json:"docs"`
+	// AppliedSeq and DurableSeq are, at the shard's last stats report,
+	// the highest router log sequence it had applied and the highest it
+	// had saved (0 for a shard that saves nothing).
+	AppliedSeq uint64 `json:"applied_seq,omitempty"`
+	DurableSeq uint64 `json:"durable_seq,omitempty"`
 	// LastError is the most recent failure, empty while healthy.
 	LastError string `json:"last_error,omitempty"`
 	// Requests and Errors count this shard's exchanges since router start.

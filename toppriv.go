@@ -95,7 +95,8 @@ type (
 	// Response is the ranked hits plus execution stats for one Request.
 	Response = vsm.Response
 	// RetryPolicy bounds transport retries on transient connection
-	// errors (used by the trusted client and the cluster router).
+	// errors: the trusted client's requests, and the cluster router's
+	// stream dials.
 	RetryPolicy = search.RetryPolicy
 	// ClusterConfig parameterizes a scatter-gather router over shard
 	// servers.
