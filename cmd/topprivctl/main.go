@@ -21,7 +21,6 @@ import (
 	"log"
 	"math"
 	"math/rand"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -111,7 +110,7 @@ func main() {
 		rngSeed = int64(os.Getpid())
 	}
 	an := textproc.NewAnalyzer()
-	client, err := search.NewClient(*server, http.DefaultClient, obf, an, rand.New(rand.NewSource(rngSeed)))
+	client, err := search.NewClient(*server, nil, obf, an, rand.New(rand.NewSource(rngSeed)))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"toppriv/internal/core"
@@ -60,8 +61,31 @@ type Client struct {
 	lastCycle *core.Cycle
 }
 
+// defaultHTTP is the client NewClient and NewAdminClient use when they
+// are given none, built at first use. http.DefaultTransport keeps two
+// idle connections per host, so a process running more cycles than
+// that at once would dial and close a connection per extra cycle; this
+// transport, a clone of it, keeps maxIdleConnsPerHost. A program that
+// has replaced http.DefaultTransport with another RoundTripper gets
+// http.DefaultClient, which follows it.
+var defaultHTTP = sync.OnceValue(func() *http.Client {
+	base, ok := http.DefaultTransport.(*http.Transport)
+	if !ok {
+		return http.DefaultClient
+	}
+	tr := base.Clone()
+	tr.MaxIdleConnsPerHost = maxIdleConnsPerHost
+	return &http.Client{Transport: tr}
+})
+
+// maxIdleConnsPerHost is the idle connections defaultHTTP keeps to one
+// server: as many as the benchmark's clients keep, so that what it
+// measures is what a nil httpc gets.
+const maxIdleConnsPerHost = 8
+
 // NewClient builds a trusted client talking to baseURL. A nil httpc
-// uses http.DefaultClient; a nil analyzer uses the repository default.
+// uses a shared client whose transport keeps up to 8 idle connections
+// per host; a nil analyzer uses the repository default.
 // The RNG seeds the obfuscation decisions and must not be shared with
 // the server.
 func NewClient(baseURL string, httpc *http.Client, obf *core.Obfuscator, an *textproc.Analyzer, rng *rand.Rand) (*Client, error) {
@@ -72,7 +96,7 @@ func NewClient(baseURL string, httpc *http.Client, obf *core.Obfuscator, an *tex
 		return nil, fmt.Errorf("search: nil rng")
 	}
 	if httpc == nil {
-		httpc = http.DefaultClient
+		httpc = defaultHTTP()
 	}
 	if an == nil {
 		an = textproc.NewAnalyzer()
@@ -192,12 +216,12 @@ func (c *Client) submitBatch(ctx context.Context, queries [][]string, only int) 
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("server returned %s: %s", resp.Status, strings.TrimSpace(string(msg)))
 	}
-	bp := wireBufs.Get().(*[]byte)
-	defer wireBufs.Put(bp)
-	if *bp, err = readReply(resp.Body, *bp, maxReplyBody); err != nil {
-		return nil, err
-	}
-	return decodeBatch(*bp, len(queries), only)
+	var out []SearchResponse
+	err = decodeReply(resp.Body, func(b []byte) error {
+		out, err = decodeBatch(b, len(queries), only)
+		return err
+	})
+	return out, err
 }
 
 // LastCycle returns the cycle generated by the most recent Search call,
@@ -225,7 +249,7 @@ func (c *Client) submit(terms []string) ([]SearchHit, error) {
 		return nil, fmt.Errorf("server returned %s: %s", resp.Status, strings.TrimSpace(string(msg)))
 	}
 	var sr SearchResponse
-	if err := unmarshalReply(resp.Body, &sr); err != nil {
+	if err := decodeReply(resp.Body, func(b []byte) error { return decodeResponse(b, &sr) }); err != nil {
 		return nil, err
 	}
 	return sr.Hits, nil
@@ -233,10 +257,11 @@ func (c *Client) submit(terms []string) ([]SearchHit, error) {
 
 // NewAdminClient builds a client for the administrative surface only —
 // AddDocuments, DeleteDocument, FetchDocument — with no obfuscator.
-// Search and SearchPlain must not be called on it.
+// Search and SearchPlain must not be called on it. A nil httpc uses the
+// shared client NewClient uses.
 func NewAdminClient(baseURL string, httpc *http.Client) *Client {
 	if httpc == nil {
-		httpc = http.DefaultClient
+		httpc = defaultHTTP()
 	}
 	return &Client{baseURL: strings.TrimRight(baseURL, "/"), httpc: httpc}
 }

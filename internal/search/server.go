@@ -178,7 +178,8 @@ type Server struct {
 }
 
 // Request body ceilings: queries are a handful of words; index batches
-// may carry whole documents but must not be able to exhaust memory.
+// may carry whole documents but must not be able to exhaust memory. A
+// search body past its ceiling is refused whole (see wire.go).
 const (
 	maxSearchBody = 1 << 20 // 1 MiB
 	// maxBatchBody bounds a whole batch of queries — generous for
@@ -378,7 +379,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SearchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSearchBody)).Decode(&req); err != nil {
+	if err := decodeSearchRequest(http.MaxBytesReader(w, r.Body, maxSearchBody), &req); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -404,7 +405,7 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var batch BatchSearchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBody)).Decode(&batch); err != nil {
+	if err := decodeBatchRequest(http.MaxBytesReader(w, r.Body, maxBatchBody), &batch); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return
 	}

@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -160,5 +163,70 @@ func TestSearchCycleKeepsTheGenuineMember(t *testing.T) {
 		if len(hits) == 0 || !reflect.DeepEqual(hits, all[cycle.UserIndex].Hits) {
 			t.Fatalf("query %d (%q, genuine at %d of %d): SearchCycle %v, SubmitBatch %v", i, q, cycle.UserIndex, cycle.Len(), hits, all[cycle.UserIndex].Hits)
 		}
+	}
+}
+
+// TestNilHTTPClientKeepsConnectionsAlive: eight clients built with no
+// http.Client, running cycles at once, reuse their connections — one
+// each is ever opened. Cycles run in rounds, one per client: the server
+// holds each request until all eight are in flight, so that eight
+// connections are busy at once, and the next round starts when all
+// eight replies are read, so that they are idle at once. With
+// http.DefaultClient, whose transport keeps two idle connections per
+// host, six were closed after every round and dialled again for the
+// next.
+func TestNilHTTPClientKeepsConnectionsAlive(t *testing.T) {
+	f := getFixture(t)
+	const clients, rounds = 8, 25
+	var (
+		mu       sync.Mutex
+		inFlight int
+		release  = make(chan struct{})
+		opened   atomic.Int32
+	)
+	ts := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		wait := release
+		if inFlight++; inFlight == clients {
+			close(release)
+			inFlight, release = 0, make(chan struct{})
+		}
+		mu.Unlock()
+		<-wait
+		f.server.ServeHTTP(w, r)
+	}))
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	cls := make([]*Client, clients)
+	for c := range cls {
+		var err error
+		if cls[c], err = NewClient(ts.URL, nil, f.obf, f.an, rand.New(rand.NewSource(int64(90+c)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	errs := make([]error, clients)
+	for round := 0; round < rounds; round++ {
+		var wg sync.WaitGroup
+		for c, cl := range cls {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, errs[c] = cl.SearchCycle(context.Background(), f.topicQueryText((c+round)%8, 4))
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if n := opened.Load(); n > clients {
+		t.Errorf("%d clients opened %d connections over %d rounds", clients, n, rounds)
 	}
 }

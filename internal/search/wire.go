@@ -3,18 +3,20 @@ package search
 // The public hop's JSON, written and read without reflection.
 //
 // POST /search and POST /search/batch are the public API and stay JSON:
-// the struct tags on SearchRequest, SearchResponse, SearchHit,
-// vsm.ExecStats and vsm.ShardStatus remain the documented schema, and
-// they are the oracle this file is held to — FuzzAppendResponse compares
-// every reply written here with json.Encoder's byte for byte, and
-// TestAppendCoversEveryField fails when one of those structs gains a
-// field the encoder does not write. A cycle is υ ≈ 10 members out and υ
-// hit lists back, of which the client keeps one (Step 4 of Fig. 1), so
-// the two costs worth removing are the server reflecting over every hit
-// row and the client materialising nine hit lists it drops.
+// the struct tags on SearchRequest, BatchSearchRequest, SearchResponse,
+// SearchHit, vsm.ExecStats and vsm.ShardStatus remain the documented
+// schema, and encoding/json is the oracle this file is held to, in its
+// tests only. FuzzAppendResponse compares every reply written here with
+// json.Encoder's byte for byte; FuzzDecodeRequest holds the request
+// decoders to json.Decoder and FuzzBatchMembers the reply decoders to
+// json.Valid and json.Unmarshal, verdict for verdict and value for
+// value; TestAppendCoversEveryField and TestDecodeCoversEveryField fail
+// when one of those structs gains a field this file does not write or
+// read. A cycle is υ ≈ 10 members out and υ hit lists back, of which the
+// client keeps one (Step 4 of Fig. 1).
 //
-// Server half (appendResponse, appendBatchResponse). The rules are
-// encoding/json's, copied:
+// Encoders (appendResponse, appendBatchResponse, appendBatchRequest).
+// The rules are encoding/json's, copied:
 //
 //   - Strings: HTML escaping is on, as it is for json.Encoder and
 //     json.Marshal — '<', '>' and '&' become \u003c, \u003e, \u0026; '"'
@@ -34,26 +36,56 @@ package search
 //     strings, nil pointers and empty slices; fields come in struct
 //     order; a reply ends in the newline json.Encoder appends.
 //
-// The opt-in "trace" member goes through json.Marshal: it is cold.
+// Decoders (decodeSearchRequest, decodeBatchRequest on the server,
+// decodeResponse on the client). One hand-written decoder per type,
+// validating as it goes with the walker's skipValue, skipString and
+// skipNumber, with encoding/json's rules copied:
 //
-// Client half (batchMembers, decodeBatch). The reply is read to EOF
-// under maxReplyBody, validated in full by a walker that accepts exactly
-// what json.Valid accepts of a top-level object (FuzzBatchMembers), and
-// only the members the caller keeps are handed to json.Unmarshal — so a
-// kept member is decoded by encoding/json as it always was, and a
-// ghost's hits are checked for syntax and never built. One deliberate
-// tightening: the walker finds the member list under the literal
-// lower-case key "responses", the spelling the server writes, where
-// encoding/json would also take "Responses" or "\u0072esponses"; a body
-// spelled that way now reads as zero responses. Bytes after the object
-// other than white space are refused, where json.Decoder left them
-// unread.
+//   - Keys: matched as encoding/json matches them, exactly or else
+//     under bytes.EqualFold ("QUERY", "\u212a" — the Kelvin sign — for
+//     "k", "querie\u017f" with a long s), after their escapes are
+//     decoded. Unknown keys of any type are skipped; the last of
+//     duplicate keys wins.
+//   - null leaves a string, number, bool or struct as it was, and sets
+//     a slice or pointer to nil. A second array for the same slice key
+//     is decoded into the elements already there, and a pointer's
+//     second object into the struct already allocated, as reflection
+//     does it.
+//   - Strings: \u escapes decode, surrogate pairs combine, a lone
+//     surrogate and each byte that is not valid UTF-8 become U+FFFD.
+//     Every string is copied out of the buffer it was read from:
+//     nothing decoded aliases a pooled buffer, so a query-log entry
+//     never changes under a later request.
+//   - Numbers: an integer field takes only an integer literal in its
+//     type's range (1.0, 1e2 and 9223372036854775808 are refused for
+//     "k"); a float takes what strconv.ParseFloat takes without a
+//     range error. Any value of the wrong type is refused.
+//   - Nesting deeper than 10 000 is refused, as the scanner refuses it.
 //
-// Request bodies are appended with the same string rules and are the
-// bytes json.Marshal wrote. The server's request decoder is *not*
-// hand-written: it parses untrusted input from anyone who can reach the
-// port, encoding/json's decoder is the hardened one, and at ≈ 0.5 s of
-// 21 s in the client_bound profile it is not where the hop's time goes.
+// The opt-in "trace" member is cold: the encoder hands it to
+// json.Marshal and the decoder its span to json.Unmarshal.
+//
+// Server side. A request body is read whole into a pooled buffer under
+// maxSearchBody or maxBatchBody, and its first JSON value decoded;
+// bytes after that value are ignored, as json.Decoder ignored them. One
+// deliberate tightening: a body past the cap is refused whole (400, and
+// nothing logged), even when its first value ends before the cap, where
+// json.Decoder answered it if that value happened to arrive in a read
+// that stopped short of the cap. A refusal is a 400 as before; only the
+// text after "bad request: " differs from encoding/json's.
+//
+// Client side. A reply is read to EOF under maxReplyBody. A /search
+// reply is decoded whole by decodeResponse, refused, like json.Unmarshal
+// refuses it, if anything but white space follows it. A /search/batch
+// reply is validated in full by batchMembers, a walker that accepts
+// exactly what json.Valid accepts of a top-level object, and only the
+// members the caller keeps are handed to decodeResponse — a ghost's hits
+// are checked for syntax and never built. One deliberate tightening
+// there: the walker finds the member list under the literal lower-case
+// key "responses", the spelling the server writes, where encoding/json
+// would also take "Responses" or "\u0072esponses"; a body spelled that
+// way reads as zero responses. Bytes after the object other than white
+// space are refused, where json.Decoder left them unread.
 //
 // Nothing here is visible to the engine's log: request and reply bytes
 // are what encoding/json produced, and which member the client decodes
@@ -69,6 +101,8 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"unicode"
+	"unicode/utf16"
 	"unicode/utf8"
 
 	"toppriv/internal/vsm"
@@ -84,9 +118,10 @@ import (
 // growing without limit.
 const maxReplyBody = DefaultMaxBatch * DefaultMaxK * 256
 
-// wireBufs pools the buffers replies are built in (server) and read
-// into (client). A request body is never pooled: net/http may still be
-// reading it after Do returns.
+// wireBufs pools the buffers replies are built in and requests read
+// into (server), and replies are read into (client). A request body the
+// client sends is never pooled: net/http may still be reading it after
+// Do returns.
 var wireBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // writeWire answers a search endpoint with what encode appends and the
@@ -313,14 +348,9 @@ func appendBatchRequest(dst []byte, queries [][]string, k int) []byte {
 	return append(dst, "]}"...)
 }
 
-// readReply reads one reply body into buf, to EOF — so that the
-// keep-alive connection is reused — and refuses one past limit bytes
-// (maxReplyBody for every reply but a document's). The buffer grows as
-// bytes arrive, never ahead of them.
-func readReply(r io.Reader, buf []byte, limit int) ([]byte, error) {
-	// One byte past the cap, so that an over-long reply is seen to be
-	// one instead of being cut to something that might parse.
-	r = io.LimitReader(r, int64(limit)+1)
+// readAll reads r to EOF into buf. The buffer grows as bytes arrive,
+// never ahead of them.
+func readAll(r io.Reader, buf []byte) ([]byte, error) {
 	buf = buf[:0]
 	for {
 		if len(buf) == cap(buf) {
@@ -328,9 +358,6 @@ func readReply(r io.Reader, buf []byte, limit int) ([]byte, error) {
 		}
 		n, err := r.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
-		if len(buf) > limit {
-			return buf, fmt.Errorf("reply exceeds the client's cap of %d bytes", limit)
-		}
 		if err == io.EOF {
 			return buf, nil
 		}
@@ -340,16 +367,35 @@ func readReply(r io.Reader, buf []byte, limit int) ([]byte, error) {
 	}
 }
 
-// unmarshalReply reads a reply body through a pooled buffer, under
-// maxReplyBody, and unmarshals it into v.
-func unmarshalReply(body io.Reader, v any) error {
+// readReply reads one reply body into buf, to EOF — so that the
+// keep-alive connection is reused — and refuses one past limit bytes
+// (maxReplyBody for every reply but a document's).
+func readReply(r io.Reader, buf []byte, limit int) ([]byte, error) {
+	// One byte past the cap, so that an over-long reply is seen to be
+	// one instead of being cut to something that might parse.
+	buf, err := readAll(io.LimitReader(r, int64(limit)+1), buf)
+	if len(buf) > limit {
+		return buf, fmt.Errorf("reply exceeds the client's cap of %d bytes", limit)
+	}
+	return buf, err
+}
+
+// decodeReply reads a reply body through a pooled buffer, under
+// maxReplyBody, and hands it to decode, which must not keep it.
+func decodeReply(body io.Reader, decode func([]byte) error) error {
 	bp := wireBufs.Get().(*[]byte)
 	defer wireBufs.Put(bp)
 	var err error
 	if *bp, err = readReply(body, *bp, maxReplyBody); err != nil {
 		return err
 	}
-	return json.Unmarshal(*bp, v)
+	return decode(*bp)
+}
+
+// unmarshalReply decodes a cold endpoint's reply (/index, /stats,
+// /debug/traces) into v with encoding/json.
+func unmarshalReply(body io.Reader, v any) error {
+	return decodeReply(body, func(b []byte) error { return json.Unmarshal(b, v) })
 }
 
 // decodeBatch validates body as a /search/batch reply of want members
@@ -369,7 +415,7 @@ func decodeBatch(body []byte, want, only int) ([]SearchResponse, error) {
 		if only >= 0 && i != only {
 			continue
 		}
-		if err := json.Unmarshal(body[sp.start:sp.end], &out[i]); err != nil {
+		if err := decodeResponse(body[sp.start:sp.end], &out[i]); err != nil {
 			return nil, fmt.Errorf("response %d: %w", i, err)
 		}
 	}
@@ -382,8 +428,12 @@ type span struct{ start, end int }
 // maxNesting is json.Valid's bound on open objects and arrays.
 const maxNesting = 10000
 
+func nestingError(i int) error {
+	return fmt.Errorf("JSON nests deeper than %d at byte %d", maxNesting, i)
+}
+
 func syntaxError(i int) error {
-	return fmt.Errorf("invalid JSON in reply at byte %d", i)
+	return fmt.Errorf("invalid JSON at byte %d", i)
 }
 
 // batchMembers checks that body is one JSON object and nothing else —
@@ -398,10 +448,11 @@ func batchMembers(body []byte, spans []span) (n int, err error) {
 	}
 	i, done := enter(body, i, '}')
 	for !done {
-		isResponses := bytes.HasPrefix(body[i:], []byte(`"responses"`))
-		if i, err = skipKey(body, i); err != nil {
+		var key []byte
+		if key, i, err = skipKey(body, i); err != nil {
 			return 0, err
 		}
+		isResponses := string(key) == "responses"
 		if isResponses {
 			n = 0
 		}
@@ -468,19 +519,21 @@ func after(b []byte, i int, closer byte) (next int, done bool, err error) {
 	return i, false, syntaxError(i)
 }
 
-// skipKey steps over an object key at b[i] and its colon, to the value.
-func skipKey(b []byte, i int) (int, error) {
+// skipKey steps over an object key at b[i] and its colon, to the value
+// at next. raw is what lies between the key's quotes, escapes as they
+// are.
+func skipKey(b []byte, i int) (raw []byte, next int, err error) {
 	if i == len(b) || b[i] != '"' {
-		return i, syntaxError(i)
+		return nil, i, syntaxError(i)
 	}
-	i, err := skipString(b, i)
+	end, err := skipString(b, i)
 	if err != nil {
-		return i, err
+		return nil, end, err
 	}
-	if i = skipSpace(b, i); i == len(b) || b[i] != ':' {
-		return i, syntaxError(i)
+	if next = skipSpace(b, end); next == len(b) || b[next] != ':' {
+		return nil, next, syntaxError(next)
 	}
-	return skipSpace(b, i+1), nil
+	return b[i+1 : end-1], skipSpace(b, next+1), nil
 }
 
 // skipValue steps over the JSON value that starts at b[i], depth open
@@ -494,13 +547,13 @@ func skipValue(b []byte, i, depth int) (int, error) {
 	switch c := b[i]; {
 	case c == '{' || c == '[':
 		if depth == maxNesting {
-			return i, fmt.Errorf("reply nests deeper than %d at byte %d", maxNesting, i)
+			return i, nestingError(i)
 		}
 		closer := c + 2 // '{'+2 == '}', '['+2 == ']'
 		i, done := enter(b, i, closer)
 		for !done {
 			if c == '{' {
-				if i, err = skipKey(b, i); err != nil {
+				if _, i, err = skipKey(b, i); err != nil {
 					return i, err
 				}
 			}
@@ -537,6 +590,9 @@ func skipLiteral(b []byte, i int, lit string) (int, error) {
 // json.Valid it checks escapes and control bytes, not UTF-8.
 func skipString(b []byte, i int) (int, error) {
 	for i++; i < len(b); i++ {
+		if plainInString[b[i]] {
+			continue
+		}
 		switch c := b[i]; {
 		case c == '"':
 			return i + 1, nil
@@ -563,6 +619,15 @@ func skipString(b []byte, i int) (int, error) {
 	}
 	return i, syntaxError(i)
 }
+
+// plainInString marks the bytes a string holds as they are: all but
+// '"', '\' and those below 0x20.
+var plainInString = func() (t [256]bool) {
+	for c := 0x20; c < len(t); c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
 
 func isHex(c byte) bool {
 	return '0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F'
@@ -606,4 +671,441 @@ func skipDigits(b []byte, i int) int {
 		i++
 	}
 	return i
+}
+
+// decodeSearchRequest reads a /search body to EOF into a pooled buffer
+// and decodes its first JSON value into req, as json.Decoder.Decode
+// does. The caller bounds body (http.MaxBytesReader at maxSearchBody).
+func decodeSearchRequest(body io.Reader, req *SearchRequest) error {
+	return readRequest(body, req, decodeRequest)
+}
+
+// decodeBatchRequest is decodeSearchRequest for a /search/batch body
+// (maxBatchBody).
+func decodeBatchRequest(body io.Reader, batch *BatchSearchRequest) error {
+	return readRequest(body, batch, decodeBatchObject)
+}
+
+// readRequest reads body whole into a pooled buffer and decodes its
+// first JSON value into v. Nothing decoded aliases the buffer.
+func readRequest[T any](body io.Reader, v *T, decode func(b []byte, i, depth int, v *T) (int, error)) error {
+	bp := wireBufs.Get().(*[]byte)
+	defer wireBufs.Put(bp)
+	var err error
+	if *bp, err = readAll(body, *bp); err != nil {
+		return err
+	}
+	// What follows the first value is not read.
+	_, err = decode(*bp, skipSpace(*bp, 0), 0, v)
+	return err
+}
+
+// decodeResponse decodes one /search reply, or one member of a
+// /search/batch reply, into r as json.Unmarshal does: the whole of b,
+// white space aside, must be the one value.
+func decodeResponse(b []byte, r *SearchResponse) error {
+	i, err := decodeObject(b, skipSpace(b, 0), 0, r, responseFields, responseField)
+	if err != nil {
+		return err
+	}
+	if i = skipSpace(b, i); i != len(b) {
+		return syntaxError(i)
+	}
+	return nil
+}
+
+// The field names of each decoded struct, in the order its field
+// function numbers them.
+var (
+	requestFields  = []string{"query", "k", "trace"}
+	batchFields    = []string{"queries"}
+	responseFields = []string{"hits", "stats", "trace", "degraded", "shards"}
+	hitFields      = []string{"doc", "score", "title"}
+	statsFields    = []string{"docs_scored", "docs_pruned", "docs_filtered", "postings", "blocks_decoded"}
+	shardFields    = []string{"shard", "ok", "err"}
+)
+
+func decodeRequest(b []byte, i, depth int, req *SearchRequest) (int, error) {
+	return decodeObject(b, i, depth, req, requestFields, requestField)
+}
+
+func requestField(b []byte, i, depth, f int, req *SearchRequest) (int, error) {
+	switch f {
+	case 0:
+		return decodeString(b, i, depth, &req.Query)
+	case 1:
+		return decodeInt(b, i, depth, &req.K)
+	}
+	return decodeBool(b, i, depth, &req.Trace)
+}
+
+func decodeBatchObject(b []byte, i, depth int, batch *BatchSearchRequest) (int, error) {
+	return decodeObject(b, i, depth, batch, batchFields, batchField)
+}
+
+func batchField(b []byte, i, depth, _ int, batch *BatchSearchRequest) (int, error) {
+	return decodeArray(b, i, depth, &batch.Queries, decodeRequest)
+}
+
+func responseField(b []byte, i, depth, f int, r *SearchResponse) (int, error) {
+	switch f {
+	case 0:
+		return decodeArray(b, i, depth, &r.Hits, decodeHit)
+	case 1:
+		return decodePointer(b, i, depth, &r.Stats, decodeStats)
+	case 2:
+		end, err := skipValue(b, i, depth)
+		if err != nil {
+			return end, err
+		}
+		if err := json.Unmarshal(b[i:end], &r.Trace); err != nil {
+			return i, err
+		}
+		return end, nil
+	case 3:
+		return decodeBool(b, i, depth, &r.Degraded)
+	}
+	return decodeArray(b, i, depth, &r.Shards, decodeShard)
+}
+
+func decodeHit(b []byte, i, depth int, h *SearchHit) (int, error) {
+	return decodeObject(b, i, depth, h, hitFields, hitField)
+}
+
+func hitField(b []byte, i, depth, f int, h *SearchHit) (int, error) {
+	switch f {
+	case 0:
+		return decodeInt(b, i, depth, &h.Doc)
+	case 1:
+		return decodeFloat(b, i, depth, &h.Score)
+	}
+	return decodeString(b, i, depth, &h.Title)
+}
+
+func decodeStats(b []byte, i, depth int, st *vsm.ExecStats) (int, error) {
+	return decodeObject(b, i, depth, st, statsFields, statsField)
+}
+
+func statsField(b []byte, i, depth, f int, st *vsm.ExecStats) (int, error) {
+	dst := [...]*int{&st.DocsScored, &st.DocsPruned, &st.DocsFiltered, &st.Postings, &st.BlocksDecoded}[f]
+	return decodeInt(b, i, depth, dst)
+}
+
+func decodeShard(b []byte, i, depth int, sh *vsm.ShardStatus) (int, error) {
+	return decodeObject(b, i, depth, sh, shardFields, shardField)
+}
+
+func shardField(b []byte, i, depth, f int, sh *vsm.ShardStatus) (int, error) {
+	switch f {
+	case 0:
+		return decodeString(b, i, depth, &sh.Shard)
+	case 1:
+		return decodeBool(b, i, depth, &sh.OK)
+	}
+	return decodeString(b, i, depth, &sh.Err)
+}
+
+// decodeObject decodes the object at b[i], inside depth open
+// containers, into v: field(b, at, depth, f, v) decodes the value at
+// b[at] of the key that matched names[f], and every other key's value
+// is skipped. null leaves v as it was. It returns the index of the byte
+// after the value.
+func decodeObject[T any](b []byte, i, depth int, v *T, names []string, field func(b []byte, i, depth, f int, v *T) (int, error)) (int, error) {
+	if isNull(b, i) {
+		return i + 4, nil
+	}
+	if i == len(b) || b[i] != '{' {
+		return i, wrongType(b, i, depth, "an object")
+	}
+	if depth == maxNesting {
+		return i, nestingError(i)
+	}
+	i, done := enter(b, i, '}')
+	var err error
+	for !done {
+		var f int
+		if f, i, err = objectKey(b, i, names); err != nil {
+			return i, err
+		}
+		if f < 0 {
+			i, err = skipValue(b, i, depth+1)
+		} else {
+			i, err = field(b, i, depth+1, f, v)
+		}
+		if err != nil {
+			return i, err
+		}
+		if i, done, err = after(b, i, '}'); err != nil {
+			return i, err
+		}
+	}
+	return i, nil
+}
+
+// decodeArray decodes the array at b[i] into *s as reflection does:
+// element n is decoded into (*s)[n] where it exists, so a second array
+// for the same key lands on the first one's elements, and the slice is
+// then cut to the array's length — to a new empty slice for [], to nil
+// for null.
+func decodeArray[T any](b []byte, i, depth int, s *[]T, elem func(b []byte, i, depth int, v *T) (int, error)) (int, error) {
+	if isNull(b, i) {
+		*s = nil
+		return i + 4, nil
+	}
+	if i == len(b) || b[i] != '[' {
+		return i, wrongType(b, i, depth, "an array")
+	}
+	if depth == maxNesting {
+		return i, nestingError(i)
+	}
+	v, n := *s, 0
+	i, done := enter(b, i, ']')
+	var err error
+	for !done {
+		if n == len(v) {
+			if n == cap(v) {
+				// Growing only a full slice keeps what lies past its
+				// length, so the policy need not be reflection's. The
+				// first allocation takes a default cycle's 10 hits in
+				// two steps, a router's shard list in one.
+				v = slices.Grow(v, max(n, 8))
+			}
+			v = v[:n+1]
+		}
+		if i, err = elem(b, i, depth+1, &v[n]); err != nil {
+			return i, err
+		}
+		n++
+		if i, done, err = after(b, i, ']'); err != nil {
+			return i, err
+		}
+	}
+	if n == 0 {
+		v = []T{}
+	}
+	*s = v[:n]
+	return i, nil
+}
+
+// decodePointer decodes the object at b[i] into **p, allocating *p only
+// when it is nil; null sets *p to nil.
+func decodePointer[T any](b []byte, i, depth int, p **T, decode func(b []byte, i, depth int, v *T) (int, error)) (int, error) {
+	if isNull(b, i) {
+		*p = nil
+		return i + 4, nil
+	}
+	if i == len(b) || b[i] != '{' {
+		return i, wrongType(b, i, depth, "an object")
+	}
+	if *p == nil {
+		*p = new(T)
+	}
+	return decode(b, i, depth, *p)
+}
+
+// decodeString decodes the string at b[i] into a copy in *dst.
+func decodeString(b []byte, i, depth int, dst *string) (int, error) {
+	if i == len(b) || b[i] != '"' {
+		if isNull(b, i) {
+			return i + 4, nil
+		}
+		return i, wrongType(b, i, depth, "a string")
+	}
+	end, err := skipString(b, i)
+	if err != nil {
+		return end, err
+	}
+	raw := b[i+1 : end-1]
+	for _, c := range raw {
+		if c == '\\' || c >= utf8.RuneSelf {
+			var scratch [64]byte
+			*dst = string(appendUnquoted(scratch[:0], raw))
+			return end, nil
+		}
+	}
+	*dst = string(raw)
+	return end, nil
+}
+
+// decodeInt decodes the integer literal at b[i] into *dst. A fraction,
+// an exponent or a value outside T's range is the wrong type, as for
+// json.Unmarshal.
+func decodeInt[T ~int | ~int32](b []byte, i, depth int, dst *T) (int, error) {
+	if isNull(b, i) {
+		return i + 4, nil
+	}
+	if i == len(b) || b[i] != '-' && (b[i] < '0' || b[i] > '9') {
+		return i, wrongType(b, i, depth, "an integer")
+	}
+	end, err := skipNumber(b, i)
+	if err != nil {
+		return end, err
+	}
+	n, ok := parseInt(b[i:end])
+	if !ok || int64(T(n)) != n {
+		return i, wrongType(b, i, depth, "an integer in range")
+	}
+	*dst = T(n)
+	return end, nil
+}
+
+// parseInt is strconv.ParseInt(lit, 10, 64) over a JSON number literal.
+func parseInt(lit []byte) (int64, bool) {
+	neg := lit[0] == '-'
+	if neg {
+		lit = lit[1:]
+	}
+	limit := uint64(math.MaxInt64)
+	if neg {
+		limit++
+	}
+	var u uint64
+	for _, c := range lit {
+		d := uint64(c - '0')
+		if d > 9 || u > (limit-d)/10 {
+			return 0, false
+		}
+		u = u*10 + d
+	}
+	if neg {
+		return -int64(u), true
+	}
+	return int64(u), true
+}
+
+// decodeFloat decodes the number at b[i] into *dst; one out of
+// float64's range is the wrong type, as for json.Unmarshal.
+func decodeFloat(b []byte, i, depth int, dst *float64) (int, error) {
+	if isNull(b, i) {
+		return i + 4, nil
+	}
+	if i == len(b) || b[i] != '-' && (b[i] < '0' || b[i] > '9') {
+		return i, wrongType(b, i, depth, "a number")
+	}
+	end, err := skipNumber(b, i)
+	if err != nil {
+		return end, err
+	}
+	f, err := strconv.ParseFloat(string(b[i:end]), 64)
+	if err != nil {
+		return i, wrongType(b, i, depth, "a number in range")
+	}
+	*dst = f
+	return end, nil
+}
+
+func decodeBool(b []byte, i, depth int, dst *bool) (int, error) {
+	switch {
+	case bytes.HasPrefix(b[i:], []byte("true")):
+		*dst = true
+		return i + 4, nil
+	case bytes.HasPrefix(b[i:], []byte("false")):
+		*dst = false
+		return i + 5, nil
+	case isNull(b, i):
+		return i + 4, nil
+	}
+	return i, wrongType(b, i, depth, "a boolean")
+}
+
+func isNull(b []byte, i int) bool {
+	return len(b)-i >= 4 && string(b[i:i+4]) == "null"
+}
+
+// wrongType refuses the value at b[i] for its type — or for its syntax,
+// when it is not valid JSON either.
+func wrongType(b []byte, i, depth int, want string) error {
+	if _, err := skipValue(b, i, depth); err != nil {
+		return err
+	}
+	return fmt.Errorf("JSON value at byte %d is not %s", i, want)
+}
+
+// objectKey reads the object key at b[i] and its colon. f is the index
+// in names of the field it matches — exactly, or else, its escapes
+// decoded, under bytes.EqualFold, which is encoding/json's rule — or
+// -1; next is where the value starts.
+func objectKey(b []byte, i int, names []string) (f, next int, err error) {
+	raw, next, err := skipKey(b, i)
+	if err != nil {
+		return -1, next, err
+	}
+	for f, name := range names {
+		if string(raw) == name {
+			return f, next, nil
+		}
+	}
+	var scratch [32]byte
+	key := appendUnquoted(scratch[:0], raw)
+	for f, name := range names {
+		if bytes.EqualFold(key, []byte(name)) {
+			return f, next, nil
+		}
+	}
+	return -1, next, nil
+}
+
+// appendUnquoted appends the string whose inside is raw — already
+// checked by skipString — with its escapes decoded: a surrogate pair
+// combines, a lone surrogate and each byte that is not valid UTF-8
+// become U+FFFD.
+func appendUnquoted(dst, raw []byte) []byte {
+	for r := 0; r < len(raw); {
+		c := raw[r]
+		switch {
+		case c == '\\':
+			switch e := raw[r+1]; e {
+			case 'b':
+				dst = append(dst, '\b')
+			case 'f':
+				dst = append(dst, '\f')
+			case 'n':
+				dst = append(dst, '\n')
+			case 'r':
+				dst = append(dst, '\r')
+			case 't':
+				dst = append(dst, '\t')
+			case 'u':
+				cp := hex4(raw[r+2:])
+				r += 6
+				if utf16.IsSurrogate(cp) && r+1 < len(raw) && raw[r] == '\\' && raw[r+1] == 'u' {
+					if pair := utf16.DecodeRune(cp, hex4(raw[r+2:])); pair != unicode.ReplacementChar {
+						cp = pair
+						r += 6
+					}
+				}
+				// A lone surrogate is not a rune: AppendRune writes U+FFFD.
+				dst = utf8.AppendRune(dst, cp)
+				continue
+			default: // '"', '\\', '/'
+				dst = append(dst, e)
+			}
+			r += 2
+		case c < utf8.RuneSelf:
+			dst = append(dst, c)
+			r++
+		default:
+			cp, n := utf8.DecodeRune(raw[r:])
+			dst = utf8.AppendRune(dst, cp)
+			r += n
+		}
+	}
+	return dst
+}
+
+// hex4 is the code point spelled by the four hex digits at h[0:4].
+func hex4(h []byte) rune {
+	var cp rune
+	for _, c := range h[:4] {
+		switch {
+		case c <= '9':
+			c -= '0'
+		case c <= 'F':
+			c -= 'A' - 10
+		default:
+			c -= 'a' - 10
+		}
+		cp = cp<<4 | rune(c)
+	}
+	return cp
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -235,23 +237,117 @@ var brokenBodies = []string{
 	`{"responses":[{}],"responses":null}`, `{"responses":[{}],"responses":[{},{}]}`, "\t{ \"responses\" : [ { } , null ] }\r\n",
 }
 
-// FuzzBatchMembers holds the reply walker to encoding/json: it accepts
-// a body exactly when json.Valid does and the body is an object; what
-// it records as the elements of "responses" are the elements
-// encoding/json sees; and over any body the encoder can emit,
-// decodeBatch returns what json.Unmarshal returns — all of it for only
-// = -1, element i alone for only = i.
+// replySeeds are /search reply bodies — batch members — that take every
+// branch of the reply decoder: folded and duplicate keys, a second
+// array over the first one's elements, null over each kind, escapes,
+// range edges and wrong types.
+var replySeeds = []string{
+	`{"hits":[{"doc":1,"score":0.5,"title":"a"}],"stats":{"docs_scored":3},"degraded":true,"shards":[{"shard":"s","ok":true}]}`,
+	`{"HITS":[{"DOC":2,"Score":1}],"\u0073tats":{"DOCS_SCORED":1,"bloc\u212as_decoded":2},"Shard\u017f":[{"OK":true,"ERR":"e"}]}`,
+	`{"hits":[{"doc":1},{"doc":2},{"doc":3}],"hits":[{"score":1}],"hits":[{},{},{},{}]}`,
+	`{"hits":[{"doc":1}],"hits":[],"hits":[{"score":2}]}`,
+	`{"hits":[{"doc":1}],"hits":null,"hits":[{}]}`,
+	`{"hits":[null,{"doc":1,"doc":null,"title":null,"score":null}]}`,
+	`{"stats":{"docs_scored":1},"stats":{"postings":2}}`, `{"stats":{"docs_scored":1},"stats":null,"stats":{"docs_pruned":3}}`,
+	`{"trace":{"seq":1,"mode":"batch","total_ns":5},"trace":{"terms":2},"trace":null,"trace":{"k":1}}`,
+	`{"trace":[1]}`, `{"trace":{"seq":-1}}`, `{"trace":{"seq":1.5}}`,
+	`{"hits":[{"doc":2147483647,"score":-0}]}`, `{"hits":[{"doc":-2147483648}]}`, `{"hits":[{"doc":2147483648}]}`,
+	`{"hits":[{"score":1e308}]}`, `{"hits":[{"score":1e309}]}`, `{"hits":[{"score":-1e400}]}`, `{"hits":[{"score":1e-400}]}`,
+	`{"hits":[{"score":4.9e-324,"doc":-0}]}`, `{"hits":[{"doc":1.0}]}`, `{"hits":[{"doc":1e2}]}`, `{"hits":[{"doc":"1"}]}`,
+	`{"hits":[{"title":"\ud83d\ude00 \ud800 \udc00x \ud800\u0041 \u00e9 \/ \b\f\n\r\t \"\\ \u003c"}]}`,
+	"{\"hits\":[{\"title\":\"a\xff\xc3b\xed\xa0\x80 na\xc3\xafve\"}]}",
+	`{"hits":{}}`, `{"hits":"x"}`, `{"stats":[]}`, `{"stats":7}`, `{"degraded":1}`, `{"degraded":"true"}`, `{"shards":[7]}`,
+	`{"shards":[{"ok":null,"shard":null}],"x":[{"y":[true,false,null,-1.5e3,"z"]}],"degraded":false}`,
+	`null`, ` {} `, `{} x`, `{}{}`, `[]`, `5`, `"x"`, `{"hits":[{"doc":1}]`, `{"hits":[{"doc":01}]}`, `{"hits" [1]}`,
+}
+
+// decodeBatchRef is decodeBatch as it was with encoding/json: the walker
+// (held to json.Valid above), then json.Unmarshal of each kept member.
+func decodeBatchRef(body []byte, want, only int) ([]SearchResponse, error) {
+	spans := make([]span, want)
+	n, err := batchMembers(body, spans)
+	if err != nil {
+		return nil, err
+	}
+	if n != want {
+		return nil, fmt.Errorf("server returned %d responses for %d queries", n, want)
+	}
+	out := make([]SearchResponse, want)
+	for i, sp := range spans {
+		if only >= 0 && i != only {
+			continue
+		}
+		if err := json.Unmarshal(body[sp.start:sp.end], &out[i]); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// checkReplyDecoders holds the reply decoders to encoding/json on body:
+// decodeResponse to json.Unmarshal of the whole body, and decodeBatch,
+// for every member kept and for all of them, to decodeBatchRef —
+// the same verdict, and on success the same values.
+func checkReplyDecoders(t *testing.T, body []byte) {
+	t.Helper()
+	var got, want SearchResponse
+	gotErr, wantErr := decodeResponse(body, &got), json.Unmarshal(body, &want)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("decodeResponse error %v, json.Unmarshal error %v\n%q", gotErr, wantErr, body)
+	}
+	if gotErr == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("decodeResponse = %+v\njson.Unmarshal = %+v\n%q", got, want, body)
+	}
+	n, err := batchMembers(body, nil)
+	if err != nil {
+		if _, err := decodeBatch(body, n, -1); err == nil {
+			t.Fatalf("decodeBatch accepted a body the walker refuses\n%q", body)
+		}
+		return
+	}
+	for only := -1; only < n; only++ {
+		got, gotErr := decodeBatch(body, n, only)
+		want, wantErr := decodeBatchRef(body, n, only)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("decodeBatch(only=%d) error %v, json.Unmarshal error %v\n%q", only, gotErr, wantErr, body)
+		}
+		if gotErr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("decodeBatch(only=%d) = %+v\njson.Unmarshal = %+v\n%q", only, got, want, body)
+		}
+	}
+	if _, err := decodeBatch(body, n+1, -1); err == nil {
+		t.Fatal("a count mismatch went unnoticed")
+	}
+}
+
+// FuzzBatchMembers holds the client's reply path to encoding/json. The
+// walker accepts a body exactly when json.Valid does and the body is an
+// object, and what it records as the elements of "responses" are the
+// elements encoding/json sees. Over any body — and over what the
+// encoder emits for whatever encoding/json reads in it — decodeResponse
+// is json.Unmarshal, and decodeBatch is json.Unmarshal of the members it
+// keeps, for every choice of member, error for error and value for
+// value.
 func FuzzBatchMembers(f *testing.F) {
 	for _, name := range []string{"batch_reply_10x10.json", "batch_reply_degraded.json"} {
 		body, _ := recordedReply(f, name)
 		f.Add(body)
 		f.Add(body[:len(body)/2])
 		f.Add(bytes.Replace(body, []byte(`"score":`), []byte(`"score":-`), 3))
+		spans := make([]span, 2)
+		batchMembers(body, spans)
+		f.Add(body[spans[0].start:spans[0].end])
 	}
 	for _, b := range brokenBodies {
 		f.Add([]byte(b))
 	}
+	for _, r := range replySeeds {
+		f.Add([]byte(r))
+		f.Add([]byte(`{"responses":[` + r + `,{"hits":[]}]}`))
+	}
 	f.Add([]byte(`{"responses":[` + strings.Repeat("[", 200) + strings.Repeat("]", 200) + `]}`))
+	f.Add([]byte(`{"hits":[{"x":` + strings.Repeat("[", maxNesting-3) + strings.Repeat("]", maxNesting-3) + `}]}`))
+	f.Add([]byte(`{"hits":[{"x":` + strings.Repeat("[", maxNesting-2) + strings.Repeat("]", maxNesting-2) + `}]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		spans := make([]span, 8)
 		n, err := batchMembers(body, spans)
@@ -260,12 +356,9 @@ func FuzzBatchMembers(f *testing.F) {
 		if (err == nil) != valid {
 			t.Fatalf("batchMembers error %v, but json.Valid ∧ object = %v", err, valid)
 		}
-		if !valid {
-			return
-		}
 		// Elements: where the body spells the key once and only literally,
 		// a map decode finds the same value the walker found.
-		if bytes.Count(body, []byte("esponses")) == 1 && !bytes.Contains(body, []byte(`\u00`)) {
+		if valid && bytes.Count(body, []byte("esponses")) == 1 && !bytes.Contains(body, []byte(`\u00`)) {
 			var top map[string]json.RawMessage
 			if err := json.Unmarshal(body, &top); err != nil {
 				t.Fatal(err)
@@ -285,8 +378,8 @@ func FuzzBatchMembers(f *testing.F) {
 				}
 			}
 		}
-		// Any body the encoder can emit: decode what this one means to
-		// encoding/json, re-encode it, and hold decodeBatch to json.Unmarshal.
+		checkReplyDecoders(t, body)
+		// What the encoder emits for what this body means to encoding/json.
 		var br BatchSearchResponse
 		if json.Unmarshal(body, &br) != nil {
 			return
@@ -295,9 +388,15 @@ func FuzzBatchMembers(f *testing.F) {
 		if err != nil {
 			t.Fatal(err) // a decoded float is never NaN or Inf
 		}
+		checkReplyDecoders(t, emitted)
+		// And on what the encoder emits, decodeBatch is json.Unmarshal of
+		// the whole body, not only the walker's members.
 		var want BatchSearchResponse
 		if err := json.Unmarshal(emitted, &want); err != nil {
 			t.Fatalf("encoder emitted what encoding/json refuses: %v\n%s", err, emitted)
+		}
+		if n, err := batchMembers(emitted, nil); err != nil || n != len(want.Responses) {
+			t.Fatalf("batchMembers = %d, %v on emitted; encoding/json reads %d members\n%s", n, err, len(want.Responses), emitted)
 		}
 		all, err := decodeBatch(emitted, len(want.Responses), -1)
 		if err != nil {
@@ -325,6 +424,191 @@ func FuzzBatchMembers(f *testing.F) {
 			t.Fatal("a count mismatch went unnoticed")
 		}
 	})
+}
+
+// requestSeeds take every branch of the request decoders: encoding/json's
+// key folding, duplicate and unknown keys, null, escapes and invalid
+// UTF-8, the integer rules for "k", wrong types, trailing bytes, and a
+// second "queries" array over the first one's elements.
+var requestSeeds = []string{
+	`{"query":"market shares","k":10}`, `{"query":"a","k":3,"trace":true}`,
+	`{"QUERY":"a","K":2,"TRACE":true}`, `{"\u212a":5,"query":"kelvin"}`, "{\"\xe2\x84\xaa\":6,\"query\":\"x\"}",
+	`{"querie\u017f":[{"query":"long s"}]}`, "{\"querie\xc5\xbf\":[{\"Query\":\"x\"}]}", `{"\u0071uery":"escaped key"}`,
+	`{"quer\u0130es":[{"query":"dotted I"}]}`, `{"quer\u0131es":[{"query":"dotless i"}]}`, `{"query\u0000":"x"}`, "{\"qu\xffery\":\"x\"}",
+	`{"query":"a","query":"b","k":1,"k":2}`, `{"query":"a","k":4,"trace":true,"query":null,"k":null,"trace":null}`,
+	`{"exec":"batch","x":[1,{"y":null}],"z":{"a":[true,false]},"n":-1.5e3,"query":"a","queries":7}`,
+	`{"query":"\ud83d\ude00 \ud800 \udc00x \ud800\u0041 \ud800\ud800 \u00e9 \/ \b\f\n\r\t \"\\ \u003c"}`,
+	"{\"query\":\"a\xff\xc3b\xed\xa0\x80 na\xc3\xafve \xf0\x9f\x94\x8d\"}", "{\"query\":\"tab\there\"}",
+	`{"k":1.0}`, `{"k":1e2}`, `{"k":9223372036854775808}`, `{"k":-9223372036854775809}`, `{"k":-9223372036854775808}`,
+	`{"k":9223372036854775807}`, `{"k":-0}`, `{"k":"5"}`, `{"k":true}`, `{"k":[]}`, `{"k":{}}`, `{"k":01}`, `{"k":-}`,
+	`{"query":5}`, `{"query":true}`, `{"query":{}}`, `{"query":[]}`, `{"trace":1}`, `{"trace":"true"}`, `{"trace":tru}`,
+	`{"query":"a"} garbage`, `{"query":"a"}{`, `{"query":"a"}]`, `null x`, `nullx`, `nul`, `{}`, ` {} `,
+	``, ` `, `null`, `5`, `"x"`, `[]`, `true`, `{`, `{"query"`, `{"query":"a"`, `{"query":"a",}`, `{"query" "a"}`, `{'query':'a'}`,
+	`{"queries":[{"query":"a","k":5}],"queries":[{"query":"b"}]}`,
+	`{"queries":[{"query":"a"},{"query":"b"},{"query":"c"}],"queries":[{}],"queries":[{},{},{},{},{}]}`,
+	`{"queries":[{"k":1}],"queries":[],"queries":[{}]}`, `{"queries":[{"k":1}],"queries":null,"queries":[{}]}`,
+	`{"queries":null}`, `{"queries":[]}`, `{"queries":[null,{"query":"a"}]}`, `{"queries":{}}`, `{"queries":[1]}`,
+	`{"Queries":[{"QUERY":"x","\u212a":3}]}`, `{"queries":[{"query":"a"},]}`, `{"queries":[{"query":"a"}}`,
+}
+
+// FuzzDecodeRequest holds the server's request decoders to
+// json.NewDecoder(…).Decode, the reader they replaced: over any body
+// under the cap, the same accept or refuse decision, and on acceptance
+// reflect.DeepEqual values.
+func FuzzDecodeRequest(f *testing.F) {
+	golden, err := os.ReadFile("testdata/batch_request.golden")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	for _, r := range requestSeeds {
+		f.Add([]byte(r))
+	}
+	for _, depth := range []int{maxNesting - 1, maxNesting, maxNesting + 1} {
+		f.Add([]byte(`{"x":` + strings.Repeat("[", depth-1) + strings.Repeat("]", depth-1) + `,"query":"a"}`))
+		f.Add([]byte(`{"queries":[{"x":` + strings.Repeat("[", depth-3) + strings.Repeat("]", depth-3) + `}]}`))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		if len(body) > maxSearchBody {
+			return
+		}
+		var got, want SearchRequest
+		gotErr := decodeSearchRequest(bytes.NewReader(body), &got)
+		wantErr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("decodeSearchRequest error %v, json.Decoder error %v\n%q", gotErr, wantErr, body)
+		}
+		if gotErr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("decodeSearchRequest = %+v\njson.Decoder = %+v\n%q", got, want, body)
+		}
+		var gotBatch, wantBatch BatchSearchRequest
+		gotErr = decodeBatchRequest(bytes.NewReader(body), &gotBatch)
+		wantErr = json.NewDecoder(bytes.NewReader(body)).Decode(&wantBatch)
+		if (gotErr == nil) != (wantErr == nil) {
+			t.Fatalf("decodeBatchRequest error %v, json.Decoder error %v\n%q", gotErr, wantErr, body)
+		}
+		if gotErr == nil && !reflect.DeepEqual(gotBatch, wantBatch) {
+			t.Fatalf("decodeBatchRequest = %+v\njson.Decoder = %+v\n%q", gotBatch, wantBatch, body)
+		}
+	})
+}
+
+// TestDecodeCoversEveryField fails when SearchRequest,
+// BatchSearchRequest, SearchResponse, SearchHit, vsm.ExecStats or
+// vsm.ShardStatus gains a field the hand-written decoders do not read:
+// with every field set, json.Marshal writes it and the decoder leaves it
+// zero.
+func TestDecodeCoversEveryField(t *testing.T) {
+	var r SearchResponse
+	fillNonZero(reflect.ValueOf(&r).Elem())
+	body, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got SearchResponse
+	if err := decodeResponse(body, &got); err != nil || !reflect.DeepEqual(got, r) {
+		t.Errorf("decodeResponse(%s) = %+v, %v", body, got, err)
+	}
+	var batch BatchSearchRequest
+	fillNonZero(reflect.ValueOf(&batch).Elem())
+	if body, err = json.Marshal(batch); err != nil {
+		t.Fatal(err)
+	}
+	var gotBatch BatchSearchRequest
+	if err := decodeBatchRequest(bytes.NewReader(body), &gotBatch); err != nil || !reflect.DeepEqual(gotBatch, batch) {
+		t.Errorf("decodeBatchRequest(%s) = %+v, %v", body, gotBatch, err)
+	}
+	if body, err = json.Marshal(batch.Queries[0]); err != nil {
+		t.Fatal(err)
+	}
+	var gotReq SearchRequest
+	if err := decodeSearchRequest(bytes.NewReader(body), &gotReq); err != nil || !reflect.DeepEqual(gotReq, batch.Queries[0]) {
+		t.Errorf("decodeSearchRequest(%s) = %+v, %v", body, gotReq, err)
+	}
+}
+
+// TestRequestBodyCaps pins the body ceilings of both search endpoints:
+// a body of exactly the cap is served, one a byte past it is a 400 that
+// logs nothing — also when its first JSON value ends well before the
+// cap and only white space runs past it, a body json.Decoder could
+// answer (see wire.go).
+func TestRequestBodyCaps(t *testing.T) {
+	f := getFixture(t)
+	for _, ep := range []struct {
+		path string
+		max  int
+		body func(pad string) string
+		logs int
+	}{
+		{"/search", maxSearchBody, func(pad string) string { return `{"query":"market","pad":"` + pad + `"}` }, 1},
+		{"/search/batch", maxBatchBody, func(pad string) string {
+			return `{"queries":[{"query":"market"},{"query":"shares"}],"pad":"` + pad + `"}`
+		}, 2},
+	} {
+		fill := ep.max - len(ep.body(""))
+		for _, tc := range []struct {
+			name, body string
+			status     int
+		}{
+			{"at the cap", ep.body(strings.Repeat("x", fill)), http.StatusOK},
+			{"a byte past the cap", ep.body(strings.Repeat("x", fill+1)), http.StatusBadRequest},
+			{"first value inside the cap, white space past it", ep.body("") + strings.Repeat(" ", fill+1), http.StatusBadRequest},
+		} {
+			f.server.ResetLog()
+			resp, err := http.Post(f.ts.URL+ep.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatalf("%s %s: %v", ep.path, tc.name, err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			wantLogs := ep.logs
+			if tc.status != http.StatusOK {
+				wantLogs = 0
+				if !strings.Contains(string(msg), "bad request: http: request body too large") {
+					t.Errorf("%s %s: body %q", ep.path, tc.name, msg)
+				}
+			}
+			if resp.StatusCode != tc.status || len(f.server.QueryLog()) != wantLogs {
+				t.Errorf("%s %s (%d bytes): status %d and %d log entries, want %d and %d",
+					ep.path, tc.name, len(tc.body), resp.StatusCode, len(f.server.QueryLog()), tc.status, wantLogs)
+			}
+		}
+	}
+}
+
+// TestQueryLogNeverAliasesARequestBuffer: request bodies are read into
+// pooled buffers — the pool replies are built in — and the query log,
+// the adversary's artifact, must read what was posted after later
+// requests reuse them. A decoder that handed out views of the buffer
+// instead of copies fails here.
+func TestQueryLogNeverAliasesARequestBuffer(t *testing.T) {
+	f := getFixture(t)
+	post := func(path, body string) {
+		t.Helper()
+		resp, err := http.Post(f.ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+	}
+	want := []string{"market shares", "stock trading", "apache helicopter"}
+	post("/search/batch", `{"queries":[{"query":"`+want[0]+`"},{"query":"`+want[1]+`"}]}`)
+	post("/search", `{"query":"`+want[2]+`"}`)
+	logged := f.server.QueryLog()
+	for round := 0; round < 8; round++ {
+		post("/search/batch", `{"queries":[{"query":"zzzzzz zzzzzz"},{"query":"yyyyy yyyyyyy"}]}`)
+		post("/search", `{"query":"xxxxxx xxxxxxxxxx"}`)
+	}
+	now := f.server.QueryLog()
+	for i, q := range want {
+		if logged[i].Query != q || now[i].Query != q {
+			t.Fatalf("log entry %d reads %q, then %q; %q was posted", i, logged[i].Query, now[i].Query, q)
+		}
+	}
 }
 
 // TestBatchMembersAllocatesNothing: validating a reply and locating its
@@ -389,8 +673,10 @@ var benchSink int
 // BenchmarkPublicWire is the machine-independent figure for the public
 // hop: one recorded 10-member × 10-hit cycle reply (titles, stats, three
 // shard statuses a member) encoded as the server does it and decoded as
-// SearchCycle (keep-one) and SubmitBatch (keep-all) do it. allocs/op is
-// gated in CI (cmd/benchjson); bytes/cycle is the reply's size.
+// SearchCycle (keep-one) and SubmitBatch (keep-all) do it; one member of
+// it decoded as a /search reply (plain); and the golden 7-member cycle
+// request decoded as the server does it (request). allocs/op is gated in
+// CI (cmd/benchjson); bytes/cycle is the reply's size.
 func BenchmarkPublicWire(b *testing.B) {
 	body, rs := recordedReply(b, "batch_reply_10x10.json")
 	b.Run("encode", func(b *testing.B) {
@@ -404,6 +690,39 @@ func BenchmarkPublicWire(b *testing.B) {
 			benchSink += len(out)
 		}
 		b.ReportMetric(float64(len(body)), "bytes/cycle")
+	})
+	b.Run("decode/plain", func(b *testing.B) {
+		spans := make([]span, len(rs))
+		if _, err := batchMembers(body, spans); err != nil {
+			b.Fatal(err)
+		}
+		plain := append(body[spans[4].start:spans[4].end:spans[4].end], '\n')
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var sr SearchResponse
+			if err := decodeResponse(plain, &sr); err != nil {
+				b.Fatal(err)
+			}
+			benchSink += len(sr.Hits)
+		}
+		b.ReportMetric(float64(len(plain)), "bytes/reply")
+	})
+	b.Run("decode/request", func(b *testing.B) {
+		request, err := os.ReadFile("testdata/batch_request.golden")
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := bytes.NewReader(request)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			r.Reset(request)
+			var batch BatchSearchRequest
+			if err := decodeBatchRequest(r, &batch); err != nil {
+				b.Fatal(err)
+			}
+			benchSink += len(batch.Queries)
+		}
+		b.ReportMetric(float64(len(request)), "bytes/request")
 	})
 	for _, mode := range []struct {
 		name string

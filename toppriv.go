@@ -28,7 +28,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"net/http"
 	"sync"
 
 	"toppriv/internal/baseline"
@@ -534,7 +533,7 @@ func (s *Service) Handler() (*Server, error) {
 
 // NewClient builds the trusted client module against a running server.
 func (s *Service) NewClient(baseURL string, obf *Obfuscator, seed int64) (*Client, error) {
-	return search.NewClient(baseURL, http.DefaultClient, obf, s.analyzer, rand.New(rand.NewSource(seed)))
+	return search.NewClient(baseURL, nil, obf, s.analyzer, rand.New(rand.NewSource(seed)))
 }
 
 // Workload generates benchmark queries from the service's ground truth
