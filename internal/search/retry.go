@@ -18,11 +18,13 @@ import (
 //
 // Only transport errors are retried, never HTTP status codes: a
 // response, even a 5xx, means the request may have executed, and
-// replaying a mutation on that evidence would double-apply it. Do and
-// DoMutation split the transport errors the same way: Do replays any
-// connection that never carried a response — safe for idempotent
-// calls — while DoMutation replays only connections refused outright,
-// the one failure proving the server never saw the request.
+// replaying a mutation on that evidence would double-apply it. Which
+// transport errors replay depends on the request: Do, and a Client's
+// reads and searches, replay any connection that never carried a
+// response (TransientError) — safe for idempotent calls — while a
+// Client's mutations replay only connections refused outright
+// (UnsentError), the one failure proving the server never saw the
+// request.
 type RetryPolicy struct {
 	// Max is the number of retries after the initial attempt.
 	Max int
@@ -79,15 +81,7 @@ func (p RetryPolicy) Do(httpc *http.Client, build func() (*http.Request, error))
 	return p.do(httpc, build, TransientError)
 }
 
-// DoMutation executes like Do but retries only failures that prove the
-// request never reached a server (UnsentError): resets and broken
-// pipes surface immediately, because the request may already have
-// executed and replaying it against a non-idempotent endpoint would
-// double-apply it.
-func (p RetryPolicy) DoMutation(httpc *http.Client, build func() (*http.Request, error)) (*http.Response, error) {
-	return p.do(httpc, build, UnsentError)
-}
-
+// do is Do with retriable in place of TransientError.
 func (p RetryPolicy) do(httpc *http.Client, build func() (*http.Request, error), retriable func(error) bool) (*http.Response, error) {
 	for attempt := 0; ; attempt++ {
 		req, err := build()

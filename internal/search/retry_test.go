@@ -3,12 +3,15 @@ package search
 import (
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
+
+	"toppriv/internal/corpus"
 )
 
 func TestTransientErrorClassification(t *testing.T) {
@@ -108,40 +111,59 @@ func TestRetryDoRecoversFromResets(t *testing.T) {
 	}
 }
 
-// TestDoMutationNeverReplaysResets: a reset mid-exchange may follow
-// server-side execution, so DoMutation must surface it on the first
-// attempt even with budget left — replaying could double-apply.
-func TestDoMutationNeverReplaysResets(t *testing.T) {
+// countingTransport counts the requests a client sends.
+type countingTransport struct{ sent atomic.Int32 }
+
+func (c *countingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	c.sent.Add(1)
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// TestMutationNeverReplaysResets: a reset mid-exchange may follow
+// server-side execution, so a mutation must surface it on the first
+// attempt even with budget left — replaying could double-apply — while
+// a read rides it out.
+func TestMutationNeverReplaysResets(t *testing.T) {
 	inner, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	fl := &flakyListener{Listener: inner}
-	fl.kills.Store(1)
+	fl.kills.Store(3)
 	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
+		if r.Method == http.MethodGet {
+			io.WriteString(w, "{}")
+			return
+		}
+		w.WriteHeader(http.StatusNoContent)
 	})}
 	go srv.Serve(fl)
 	defer srv.Close()
 
-	url := "http://" + inner.Addr().String() + "/"
-	builds := 0
-	p := RetryPolicy{Max: 3, Base: time.Millisecond, MaxDelay: 5 * time.Millisecond}
-	_, err = p.DoMutation(http.DefaultClient, func() (*http.Request, error) {
-		builds++
-		return http.NewRequest(http.MethodPost, url, nil)
-	})
-	if err == nil {
-		t.Fatal("reset did not surface through DoMutation")
+	tr := &countingTransport{}
+	cl := NewAdminClient("http://"+inner.Addr().String(), &http.Client{Transport: tr})
+	cl.Retry = RetryPolicy{Max: 3, Base: time.Millisecond, MaxDelay: 5 * time.Millisecond}
+	if err := cl.DeleteDocument(1); err == nil {
+		t.Fatal("reset did not surface through DeleteDocument")
 	}
-	if builds != 1 {
-		t.Fatalf("DoMutation made %d attempts on a reset, want 1", builds)
+	if _, err := cl.AddDocuments([]corpus.Document{{Title: "t", Text: "x"}}); err == nil {
+		t.Fatal("reset did not surface through AddDocuments")
+	}
+	if n := tr.sent.Load(); n != 2 {
+		t.Fatalf("two mutations made %d attempts on resets, want 2", n)
+	}
+	// One kill remains: a read replays past it.
+	if _, err := cl.StatsFull(); err != nil {
+		t.Fatalf("StatsFull did not ride out a reset: %v", err)
+	}
+	if n := tr.sent.Load(); n != 4 {
+		t.Fatalf("StatsFull made %d attempts, want 2", n-2)
 	}
 }
 
-// TestDoMutationRetriesRefused: a refused dial proves the server never
+// TestMutationRetriesRefused: a refused dial proves the server never
 // saw the request, so mutations may safely ride out a restart window.
-func TestDoMutationRetriesRefused(t *testing.T) {
+func TestMutationRetriesRefused(t *testing.T) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -149,17 +171,14 @@ func TestDoMutationRetriesRefused(t *testing.T) {
 	addr := l.Addr().String()
 	l.Close()
 
-	builds := 0
-	p := RetryPolicy{Max: 2, Base: time.Millisecond, MaxDelay: 2 * time.Millisecond}
-	_, err = p.DoMutation(http.DefaultClient, func() (*http.Request, error) {
-		builds++
-		return http.NewRequest(http.MethodPost, "http://"+addr+"/", nil)
-	})
-	if err == nil {
+	tr := &countingTransport{}
+	cl := NewAdminClient("http://"+addr, &http.Client{Transport: tr})
+	cl.Retry = RetryPolicy{Max: 2, Base: time.Millisecond, MaxDelay: 2 * time.Millisecond}
+	if err := cl.DeleteDocument(1); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
-	if builds != 3 {
-		t.Fatalf("made %d attempts, want 1+Max = 3", builds)
+	if n := tr.sent.Load(); n != 3 {
+		t.Fatalf("made %d attempts, want 1+Max = 3", n)
 	}
 }
 

@@ -303,6 +303,12 @@ func TestClientConstructorValidation(t *testing.T) {
 	if _, err := NewClient(f.ts.URL, nil, nil, f.an, rand.New(rand.NewSource(5))); err == nil {
 		t.Error("nil obfuscator must error")
 	}
+	if _, err := NewClient(f.ts.URL, nil, (*core.Obfuscator)(nil), f.an, rand.New(rand.NewSource(5))); err == nil {
+		t.Error("typed-nil *core.Obfuscator must error")
+	}
+	if _, err := NewClient(f.ts.URL, nil, (*core.Session)(nil), f.an, rand.New(rand.NewSource(5))); err == nil {
+		t.Error("typed-nil *core.Session must error")
+	}
 	if _, err := NewClient(f.ts.URL, nil, f.obf, f.an, nil); err == nil {
 		t.Error("nil rng must error")
 	}

@@ -22,10 +22,6 @@ type MetricsBackend interface {
 // GET /metrics exposition.
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
-// TraceRing exposes the server's phase-trace ring (what GET
-// /debug/traces serves).
-func (s *Server) TraceRing() *telemetry.TraceRing { return s.ring }
-
 // endpointMetrics is one endpoint's pre-resolved request/error/
 // in-flight/response-byte handles.
 type endpointMetrics struct {

@@ -9,10 +9,10 @@ package search
 // tests only. FuzzAppendResponse compares every reply written here with
 // json.Encoder's byte for byte; FuzzDecodeRequest holds the request
 // decoders to json.Decoder and FuzzBatchMembers the reply decoders to
-// json.Valid and json.Unmarshal, verdict for verdict and value for
-// value; TestAppendCoversEveryField and TestDecodeCoversEveryField fail
-// when one of those structs gains a field this file does not write or
-// read. A cycle is υ ≈ 10 members out and υ hit lists back, of which the
+// json.Unmarshal, verdict for verdict and value for value;
+// TestAppendCoversEveryField and TestDecodeCoversEveryField fail when
+// one of those structs gains a field this file does not write or read.
+// A cycle is υ ≈ 10 members out and υ hit lists back, of which the
 // client keeps one (Step 4 of Fig. 1).
 //
 // Encoders (appendResponse, appendBatchResponse, appendBatchRequest).
@@ -37,8 +37,8 @@ package search
 //     order; a reply ends in the newline json.Encoder appends.
 //
 // Decoders (decodeSearchRequest, decodeBatchRequest on the server,
-// decodeResponse on the client). One hand-written decoder per type,
-// validating as it goes with the walker's skipValue, skipString and
+// decodeResponse and decodeBatch on the client). One hand-written
+// decoder per type, validating as it goes with skipValue, skipString and
 // skipNumber, with encoding/json's rules copied:
 //
 //   - Keys: matched as encoding/json matches them, exactly or else
@@ -74,18 +74,13 @@ package search
 // that stopped short of the cap. A refusal is a 400 as before; only the
 // text after "bad request: " differs from encoding/json's.
 //
-// Client side. A reply is read to EOF under maxReplyBody. A /search
-// reply is decoded whole by decodeResponse, refused, like json.Unmarshal
-// refuses it, if anything but white space follows it. A /search/batch
-// reply is validated in full by batchMembers, a walker that accepts
-// exactly what json.Valid accepts of a top-level object, and only the
-// members the caller keeps are handed to decodeResponse — a ghost's hits
-// are checked for syntax and never built. One deliberate tightening
-// there: the walker finds the member list under the literal lower-case
-// key "responses", the spelling the server writes, where encoding/json
-// would also take "Responses" or "\u0072esponses"; a body spelled that
-// way reads as zero responses. Bytes after the object other than white
-// space are refused, where json.Decoder left them unread.
+// Client side. A reply is read to EOF under maxReplyBody and decoded
+// whole, by the same rules, refused as json.Unmarshal refuses it if
+// anything but white space follows it. A /search/batch reply must be an
+// object; its "responses" key folds like every other, and the last
+// "responses" array names the members, as encoding/json reads it into
+// []json.RawMessage. Only the members the caller keeps are decoded —
+// a ghost's hits are checked by skipValue and never built.
 //
 // Nothing here is visible to the engine's log: request and reply bytes
 // are what encoding/json produced, and which member the client decodes
@@ -367,63 +362,76 @@ func readAll(r io.Reader, buf []byte) ([]byte, error) {
 	}
 }
 
-// readReply reads one reply body into buf, to EOF — so that the
-// keep-alive connection is reused — and refuses one past limit bytes
-// (maxReplyBody for every reply but a document's).
-func readReply(r io.Reader, buf []byte, limit int) ([]byte, error) {
-	// One byte past the cap, so that an over-long reply is seen to be
-	// one instead of being cut to something that might parse.
-	buf, err := readAll(io.LimitReader(r, int64(limit)+1), buf)
-	if len(buf) > limit {
-		return buf, fmt.Errorf("reply exceeds the client's cap of %d bytes", limit)
-	}
-	return buf, err
-}
-
-// decodeReply reads a reply body through a pooled buffer, under
-// maxReplyBody, and hands it to decode, which must not keep it.
-func decodeReply(body io.Reader, decode func([]byte) error) error {
-	bp := wireBufs.Get().(*[]byte)
-	defer wireBufs.Put(bp)
-	var err error
-	if *bp, err = readReply(body, *bp, maxReplyBody); err != nil {
-		return err
-	}
-	return decode(*bp)
-}
-
-// unmarshalReply decodes a cold endpoint's reply (/index, /stats,
-// /debug/traces) into v with encoding/json.
-func unmarshalReply(body io.Reader, v any) error {
-	return decodeReply(body, func(b []byte) error { return json.Unmarshal(b, v) })
-}
-
-// decodeBatch validates body as a /search/batch reply of want members
-// and decodes member only, or every member when only < 0; the others
-// stay zero. Nothing returned aliases body.
+// decodeBatch decodes body as a /search/batch reply of want members:
+// member only, or every member when only < 0; the others stay zero.
+// Nothing returned aliases body.
 func decodeBatch(body []byte, want, only int) ([]SearchResponse, error) {
-	spans := make([]span, want)
-	n, err := batchMembers(body, spans)
+	i := skipSpace(body, 0)
+	if i == len(body) || body[i] != '{' {
+		return nil, fmt.Errorf("reply is not a JSON object")
+	}
+	br := batchReply{out: make([]SearchResponse, want), only: only}
+	i, err := decodeObject(body, i, 0, &br, batchReplyFields, responsesField)
 	if err != nil {
 		return nil, err
 	}
-	if n != want {
-		return nil, fmt.Errorf("server returned %d responses for %d queries", n, want)
+	if i = skipSpace(body, i); i != len(body) {
+		return nil, fmt.Errorf("reply has trailing bytes after the JSON object at byte %d", i)
 	}
-	out := make([]SearchResponse, want)
-	for i, sp := range spans {
-		if only >= 0 && i != only {
-			continue
-		}
-		if err := decodeResponse(body[sp.start:sp.end], &out[i]); err != nil {
-			return nil, fmt.Errorf("response %d: %w", i, err)
-		}
+	if br.n != want {
+		return nil, fmt.Errorf("server returned %d responses for %d queries", br.n, want)
 	}
-	return out, nil
+	if br.err != nil {
+		return nil, br.err
+	}
+	return br.out, nil
 }
 
-// span is the byte range [start, end) of one JSON value in a reply.
-type span struct{ start, end int }
+// batchReply is what decodeBatch has read: the members it decoded, how
+// many the last "responses" array held, and its first member error.
+type batchReply struct {
+	out     []SearchResponse
+	n, only int
+	err     error
+}
+
+// responsesField reads a "responses" value, first clearing what an
+// earlier one decoded, so that the last names the members: member n is
+// decoded into out[n] when it is kept, and skipped otherwise. As with
+// encoding/json, a kept member's type error counts (br.err) only if no
+// later "responses" replaces its array; a syntax error counts anywhere.
+func responsesField(b []byte, i, depth, _ int, br *batchReply) (int, error) {
+	clear(br.out)
+	br.n, br.err = 0, nil
+	if isNull(b, i) {
+		return i + 4, nil
+	}
+	if i == len(b) || b[i] != '[' {
+		return i, wrongType(b, i, depth, "an array")
+	}
+	i, done := enter(b, i, ']')
+	var err error
+	for ; !done; br.n++ {
+		var end int
+		kept := br.n < len(br.out) && (br.only < 0 || br.n == br.only)
+		if kept {
+			end, err = decodeObject(b, i, depth+1, &br.out[br.n], responseFields, responseField)
+			if err != nil && br.err == nil {
+				br.err = fmt.Errorf("response %d: %w", br.n, err)
+			}
+		}
+		if !kept || err != nil {
+			if end, err = skipValue(b, i, depth+1); err != nil {
+				return end, err
+			}
+		}
+		i = end
+		if i, done, err = after(b, i, ']'); err != nil {
+			return i, err
+		}
+	}
+	return i, nil
+}
 
 // maxNesting is json.Valid's bound on open objects and arrays.
 const maxNesting = 10000
@@ -434,56 +442,6 @@ func nestingError(i int) error {
 
 func syntaxError(i int) error {
 	return fmt.Errorf("invalid JSON at byte %d", i)
-}
-
-// batchMembers checks that body is one JSON object and nothing else —
-// by json.Valid's grammar, all of it — and records where each element
-// of its "responses" array lies: the first len(spans) in spans, and
-// how many there are in n (of the last such key, if a hostile body has
-// several; 0 if its value is not an array). It allocates nothing.
-func batchMembers(body []byte, spans []span) (n int, err error) {
-	i := skipSpace(body, 0)
-	if i == len(body) || body[i] != '{' {
-		return 0, fmt.Errorf("reply is not a JSON object")
-	}
-	i, done := enter(body, i, '}')
-	for !done {
-		var key []byte
-		if key, i, err = skipKey(body, i); err != nil {
-			return 0, err
-		}
-		isResponses := string(key) == "responses"
-		if isResponses {
-			n = 0
-		}
-		if isResponses && i < len(body) && body[i] == '[' {
-			var last bool
-			i, last = enter(body, i, ']')
-			for !last {
-				start := i
-				// Depth 2: inside the reply object and this array.
-				if i, err = skipValue(body, i, 2); err != nil {
-					return 0, err
-				}
-				if n < len(spans) {
-					spans[n] = span{start, i}
-				}
-				n++
-				if i, last, err = after(body, i, ']'); err != nil {
-					return 0, err
-				}
-			}
-		} else if i, err = skipValue(body, i, 1); err != nil {
-			return 0, err
-		}
-		if i, done, err = after(body, i, '}'); err != nil {
-			return 0, err
-		}
-	}
-	if i = skipSpace(body, i); i != len(body) {
-		return 0, fmt.Errorf("reply has trailing bytes after the JSON object at byte %d", i)
-	}
-	return n, nil
 }
 
 func skipSpace(b []byte, i int) int {
@@ -717,12 +675,13 @@ func decodeResponse(b []byte, r *SearchResponse) error {
 // The field names of each decoded struct, in the order its field
 // function numbers them.
 var (
-	requestFields  = []string{"query", "k", "trace"}
-	batchFields    = []string{"queries"}
-	responseFields = []string{"hits", "stats", "trace", "degraded", "shards"}
-	hitFields      = []string{"doc", "score", "title"}
-	statsFields    = []string{"docs_scored", "docs_pruned", "docs_filtered", "postings", "blocks_decoded"}
-	shardFields    = []string{"shard", "ok", "err"}
+	requestFields    = []string{"query", "k", "trace"}
+	batchFields      = []string{"queries"}
+	batchReplyFields = []string{"responses"}
+	responseFields   = []string{"hits", "stats", "trace", "degraded", "shards"}
+	hitFields        = []string{"doc", "score", "title"}
+	statsFields      = []string{"docs_scored", "docs_pruned", "docs_filtered", "postings", "blocks_decoded"}
+	shardFields      = []string{"shard", "ok", "err"}
 )
 
 func decodeRequest(b []byte, i, depth int, req *SearchRequest) (int, error) {

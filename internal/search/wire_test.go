@@ -224,8 +224,8 @@ func FuzzAppendResponse(f *testing.F) {
 	})
 }
 
-// brokenBodies are hand-broken replies: each must be refused, or read
-// as holding no responses.
+// brokenBodies are hand-broken replies, and replies that spell or
+// repeat "responses" in ways the server never writes.
 var brokenBodies = []string{
 	``, ` `, `null`, `[]`, `5`, `"responses"`, `{`, `{"responses"`, `{"responses":`, `{"responses":[`, `{"responses":[{`,
 	`{"responses":[{}]`, `{"responses":[{}]}x`, `{"responses":[{}]}{}`, `{"responses":[{},]}`, `{"responses":[,{}]}`,
@@ -261,33 +261,60 @@ var replySeeds = []string{
 	`null`, ` {} `, `{} x`, `{}{}`, `[]`, `5`, `"x"`, `{"hits":[{"doc":1}]`, `{"hits":[{"doc":01}]}`, `{"hits" [1]}`,
 }
 
-// decodeBatchRef is decodeBatch as it was with encoding/json: the walker
-// (held to json.Valid above), then json.Unmarshal of each kept member.
-func decodeBatchRef(body []byte, want, only int) ([]SearchResponse, error) {
-	spans := make([]span, want)
-	n, err := batchMembers(body, spans)
-	if err != nil {
-		return nil, err
+// batchSeeds repeat "responses" — the second array shorter, then
+// longer, under a folded spelling, not an array at all, or replacing
+// members that do not decode — so that which occurrence names the
+// members is encoding/json's choice.
+var batchSeeds = []string{
+	`{"responses":[{"hits":[{"doc":1}]},{"hits":[{"doc":2}]}],"responses":[{"stats":{"postings":1}}]}`,
+	`{"responses":[{"hits":[{"doc":1}]}],"responses":[{"degraded":true},{"hits":[{"doc":2}]},{}]}`,
+	`{"Responses":[{"hits":[]},{}],"responses":[{"degraded":true}]}`,
+	`{"responses":[{"degraded":true}],"Responses":[{"hits":[]},{}]}`,
+	`{"RESPONSES":[{}],"re\u0073ponses":[{"hits":null},{}]}`,
+	`{"responses":[{"hits":[]}],"responses":7}`, `{"responses":[{"hits":[]}],"responses":{}}`,
+	`{"responses":[{"hits":[]}],"responses":null}`, `{"responses":7,"responses":[{}]}`,
+	`{"responses":{},"responses":[{}]}`, `{"responses":null,"responses":[{"hits":[{"doc":3}]}]}`,
+	`{"responses":[{"hits":5}],"responses":[{}]}`, `{"responses":[{},{"stats":[]}],"responses":null}`,
+	`{"responses":[7,{"hits":[{"doc":"1"}]}],"responses":[{},{"hits":[{"doc":1}]}]}`,
+	`{"responses":[{"hits":5}],"responses":[{"degraded":1}]}`, `{"responses":[{"hits":[01]}],"responses":[{}]}`,
+}
+
+// rawBatch is how encoding/json reads a /search/batch reply when each
+// member is left raw.
+type rawBatch struct{ Responses []json.RawMessage }
+
+// decodeBatchRef is decodeBatch by encoding/json alone: the body must be
+// valid JSON and an object, its members are what a rawBatch reads, and
+// each kept member is json.Unmarshal'd. n is how many members it holds,
+// -1 if the body is refused before they are counted.
+func decodeBatchRef(body []byte, want, only int) (out []SearchResponse, n int, err error) {
+	trimmed := bytes.TrimLeft(body, " \t\r\n")
+	if !json.Valid(body) || trimmed[0] != '{' {
+		return nil, -1, fmt.Errorf("not a valid JSON object")
 	}
-	if n != want {
-		return nil, fmt.Errorf("server returned %d responses for %d queries", n, want)
+	var raw rawBatch
+	if err := json.Unmarshal(body, &raw); err != nil {
+		return nil, -1, err
 	}
-	out := make([]SearchResponse, want)
-	for i, sp := range spans {
+	if len(raw.Responses) != want {
+		return nil, len(raw.Responses), fmt.Errorf("server returned %d responses for %d queries", len(raw.Responses), want)
+	}
+	out = make([]SearchResponse, want)
+	for i, m := range raw.Responses {
 		if only >= 0 && i != only {
 			continue
 		}
-		if err := json.Unmarshal(body[sp.start:sp.end], &out[i]); err != nil {
-			return nil, err
+		if err := json.Unmarshal(m, &out[i]); err != nil {
+			return nil, want, err
 		}
 	}
-	return out, nil
+	return out, want, nil
 }
 
 // checkReplyDecoders holds the reply decoders to encoding/json on body:
 // decodeResponse to json.Unmarshal of the whole body, and decodeBatch,
-// for every member kept and for all of them, to decodeBatchRef —
-// the same verdict, and on success the same values.
+// for every member kept and for all of them, to decodeBatchRef — the
+// same verdict, and on success the same values.
 func checkReplyDecoders(t *testing.T, body []byte) {
 	t.Helper()
 	var got, want SearchResponse
@@ -298,16 +325,16 @@ func checkReplyDecoders(t *testing.T, body []byte) {
 	if gotErr == nil && !reflect.DeepEqual(got, want) {
 		t.Fatalf("decodeResponse = %+v\njson.Unmarshal = %+v\n%q", got, want, body)
 	}
-	n, err := batchMembers(body, nil)
-	if err != nil {
-		if _, err := decodeBatch(body, n, -1); err == nil {
-			t.Fatalf("decodeBatch accepted a body the walker refuses\n%q", body)
+	_, n, err := decodeBatchRef(body, 0, -1)
+	if n < 0 {
+		if _, gotErr := decodeBatch(body, 0, -1); gotErr == nil {
+			t.Fatalf("decodeBatch accepted a body encoding/json refuses (%v)\n%q", err, body)
 		}
 		return
 	}
 	for only := -1; only < n; only++ {
 		got, gotErr := decodeBatch(body, n, only)
-		want, wantErr := decodeBatchRef(body, n, only)
+		want, _, wantErr := decodeBatchRef(body, n, only)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("decodeBatch(only=%d) error %v, json.Unmarshal error %v\n%q", only, gotErr, wantErr, body)
 		}
@@ -320,23 +347,29 @@ func checkReplyDecoders(t *testing.T, body []byte) {
 	}
 }
 
-// FuzzBatchMembers holds the client's reply path to encoding/json. The
-// walker accepts a body exactly when json.Valid does and the body is an
-// object, and what it records as the elements of "responses" are the
-// elements encoding/json sees. Over any body — and over what the
-// encoder emits for whatever encoding/json reads in it — decodeResponse
-// is json.Unmarshal, and decodeBatch is json.Unmarshal of the members it
-// keeps, for every choice of member, error for error and value for
-// value.
+// recordedMember is member i of a recorded reply, as its bytes stand.
+func recordedMember(t testing.TB, body []byte, i int) []byte {
+	t.Helper()
+	var raw rawBatch
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	return raw.Responses[i]
+}
+
+// FuzzBatchMembers holds the client's reply decoders to encoding/json.
+// Over any body — and over what the encoder emits for whatever
+// encoding/json reads in it — decodeResponse is json.Unmarshal, and
+// decodeBatch is decodeBatchRef — json.Valid ∧ object, the members a
+// rawBatch reads, json.Unmarshal of those it keeps — for every choice of
+// member, error for error and value for value.
 func FuzzBatchMembers(f *testing.F) {
 	for _, name := range []string{"batch_reply_10x10.json", "batch_reply_degraded.json"} {
 		body, _ := recordedReply(f, name)
 		f.Add(body)
 		f.Add(body[:len(body)/2])
 		f.Add(bytes.Replace(body, []byte(`"score":`), []byte(`"score":-`), 3))
-		spans := make([]span, 2)
-		batchMembers(body, spans)
-		f.Add(body[spans[0].start:spans[0].end])
+		f.Add(recordedMember(f, body, 0))
 	}
 	for _, b := range brokenBodies {
 		f.Add([]byte(b))
@@ -348,36 +381,10 @@ func FuzzBatchMembers(f *testing.F) {
 	f.Add([]byte(`{"responses":[` + strings.Repeat("[", 200) + strings.Repeat("]", 200) + `]}`))
 	f.Add([]byte(`{"hits":[{"x":` + strings.Repeat("[", maxNesting-3) + strings.Repeat("]", maxNesting-3) + `}]}`))
 	f.Add([]byte(`{"hits":[{"x":` + strings.Repeat("[", maxNesting-2) + strings.Repeat("]", maxNesting-2) + `}]}`))
+	for _, b := range batchSeeds {
+		f.Add([]byte(b))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		spans := make([]span, 8)
-		n, err := batchMembers(body, spans)
-		trimmed := bytes.TrimLeft(body, " \t\r\n")
-		valid := json.Valid(body) && len(trimmed) > 0 && trimmed[0] == '{'
-		if (err == nil) != valid {
-			t.Fatalf("batchMembers error %v, but json.Valid ∧ object = %v", err, valid)
-		}
-		// Elements: where the body spells the key once and only literally,
-		// a map decode finds the same value the walker found.
-		if valid && bytes.Count(body, []byte("esponses")) == 1 && !bytes.Contains(body, []byte(`\u00`)) {
-			var top map[string]json.RawMessage
-			if err := json.Unmarshal(body, &top); err != nil {
-				t.Fatal(err)
-			}
-			var elems []json.RawMessage
-			if raw := top["responses"]; len(raw) > 0 && raw[0] == '[' {
-				if err := json.Unmarshal(raw, &elems); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if n != len(elems) {
-				t.Fatalf("walker counted %d responses, encoding/json %d", n, len(elems))
-			}
-			for i := 0; i < n && i < len(spans); i++ {
-				if got := body[spans[i].start:spans[i].end]; !bytes.Equal(got, elems[i]) {
-					t.Fatalf("element %d: walker recorded %q, encoding/json %q", i, got, elems[i])
-				}
-			}
-		}
 		checkReplyDecoders(t, body)
 		// What the encoder emits for what this body means to encoding/json.
 		var br BatchSearchResponse
@@ -390,13 +397,10 @@ func FuzzBatchMembers(f *testing.F) {
 		}
 		checkReplyDecoders(t, emitted)
 		// And on what the encoder emits, decodeBatch is json.Unmarshal of
-		// the whole body, not only the walker's members.
+		// the whole body, not only of the members it keeps.
 		var want BatchSearchResponse
 		if err := json.Unmarshal(emitted, &want); err != nil {
 			t.Fatalf("encoder emitted what encoding/json refuses: %v\n%s", err, emitted)
-		}
-		if n, err := batchMembers(emitted, nil); err != nil || n != len(want.Responses) {
-			t.Fatalf("batchMembers = %d, %v on emitted; encoding/json reads %d members\n%s", n, err, len(want.Responses), emitted)
 		}
 		all, err := decodeBatch(emitted, len(want.Responses), -1)
 		if err != nil {
@@ -611,18 +615,25 @@ func TestQueryLogNeverAliasesARequestBuffer(t *testing.T) {
 	}
 }
 
-// TestBatchMembersAllocatesNothing: validating a reply and locating its
-// members costs no heap, so what the client allocates per cycle is the
-// member it keeps.
-func TestBatchMembersAllocatesNothing(t *testing.T) {
+// TestDecodeBatchAllocatesOnlyTheKeptMember: checking a whole reply and
+// skipping its ghosts costs no heap, so keep-one allocates what
+// decodeResponse of the kept member does, and the result slice.
+func TestDecodeBatchAllocatesOnlyTheKeptMember(t *testing.T) {
 	body, rs := recordedReply(t, "batch_reply_10x10.json")
-	spans := make([]span, len(rs))
-	if allocs := testing.AllocsPerRun(20, func() {
-		if n, err := batchMembers(body, spans); err != nil || n != len(rs) {
-			t.Fatalf("batchMembers = %d, %v", n, err)
+	member := recordedMember(t, body, 4)
+	alone := testing.AllocsPerRun(20, func() {
+		var sr SearchResponse
+		if err := decodeResponse(member, &sr); err != nil {
+			t.Fatal(err)
 		}
-	}); allocs != 0 {
-		t.Errorf("batchMembers allocated %v times", allocs)
+	})
+	keepOne := testing.AllocsPerRun(20, func() {
+		if _, err := decodeBatch(body, len(rs), 4); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if keepOne > alone+1 {
+		t.Errorf("decodeBatch keeping one member allocated %v times; the member alone takes %v, and the result slice 1", keepOne, alone)
 	}
 }
 
@@ -692,11 +703,8 @@ func BenchmarkPublicWire(b *testing.B) {
 		b.ReportMetric(float64(len(body)), "bytes/cycle")
 	})
 	b.Run("decode/plain", func(b *testing.B) {
-		spans := make([]span, len(rs))
-		if _, err := batchMembers(body, spans); err != nil {
-			b.Fatal(err)
-		}
-		plain := append(body[spans[4].start:spans[4].end:spans[4].end], '\n')
+		member := recordedMember(b, body, 4)
+		plain := append(member[:len(member):len(member)], '\n')
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			var sr SearchResponse
