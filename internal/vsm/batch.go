@@ -1,6 +1,7 @@
 // The flat scan: the engine's one term-at-a-time kernel. A cycle of υ
-// queries and a query on its own run the same two loops — flatScan
-// accumulates, sweep finalizes — the solo query as a one-member cycle.
+// queries and a query on its own run the same loops — flatScan
+// accumulates, sweep (or, for a member whose lists cover the part,
+// sweepDense) finalizes — the solo query as a one-member cycle.
 // SearchBatch and runBatch, the one query path that feeds the kernel,
 // are here too.
 
@@ -32,6 +33,12 @@ type batchMember struct {
 	// live is false when the member resolved to nothing (no indexable
 	// terms, or zero query norm) and owns no pooled state.
 	live bool
+	// dense is the path flatScan picked for the member over the part it
+	// is scanning (see denseRule); postings and hi are what it picked by:
+	// the length of the member's lists in that part, and one past the
+	// last document they hold.
+	dense        bool
+	postings, hi int
 }
 
 // batchRef fans one distinct term out to a member containing it, with
@@ -317,17 +324,26 @@ func (bs *batchState) buildUnion() {
 // decoded block at a time. Per block, once: the query-independent
 // impact of every posting (blockImpacts) with the scorer chosen outside
 // the loop. Per member containing the term: score[d] += w·impact over
-// the block (add) and nothing else — no per-document bookkeeping to
-// load, no branch, no filter. The accumulators are all zero when a scan
-// starts (queryState; the sweep that ends a part's scan leaves them so
-// for the next), so a member's first contribution to a document
-// is 0 + x and the rest follow in term order: the sequence of additions
-// each score sees is the one a textbook term-at-a-time scorer makes,
-// whoever else is in the cycle, which is what keeps every member's
-// scores bit-identical to running alone and to the reference scorer.
-// Every weight and impact is finite and positive (Request.Validate
-// vouches for injected statistics), which is what lets add recognize a
-// first contribution by the zero it lands on.
+// the block and nothing else — no per-document bookkeeping to load, no
+// filter. The accumulators are all zero when a scan starts (queryState;
+// the sweep that ends a part's scan leaves them so for the next), so a
+// member's first contribution to a document is 0 + x and the rest
+// follow in term order: the sequence of additions each score sees is
+// the one a textbook term-at-a-time scorer makes, whoever else is in
+// the cycle, which is what keeps every member's scores bit-identical to
+// running alone and to the reference scorer. Every weight and impact is
+// finite and positive (Request.Validate vouches for injected
+// statistics), which is what lets add recognize a first contribution by
+// the zero it lands on, and lets sweepDense tell the documents a scan
+// reached by their nonzero scores.
+//
+// Each member takes one of two paths over the part, picked before the
+// first block by denseRule: a sparse member keeps a list of the
+// documents it reached (add) and sweeps that list (sweep); a dense one,
+// whose lists hold as many postings as the range they span, adds bare
+// (accumulate) and sweeps the range in document order (sweepDense).
+// Both make the same additions and offer the heap the same documents
+// it keeps.
 //
 // The context is polled every cancelStride postings, between blocks. A
 // scan that stops early leaves its members' accumulators unswept;
@@ -335,8 +351,13 @@ func (bs *batchState) buildUnion() {
 func (e *Engine) flatScan(ctx context.Context, bs *batchState, pi int) error {
 	part := &bs.parts[pi]
 	done := ctx.Done()
+	for _, i := range bs.shared {
+		m := &bs.members[i]
+		m.postings, m.hi = 0, 0
+		m.qs.unswept = true
+	}
 	// Size each member's accumulator off its own lists' final entries
-	// (block metadata — no decoding).
+	// and lengths (block metadata — no decoding).
 	maxDoc := corpus.DocID(-1)
 	for ui := range bs.union {
 		ut := &bs.union[ui]
@@ -346,11 +367,23 @@ func (e *Engine) flatScan(ctx context.Context, bs *batchState, pi int) error {
 		last := ut.it.LastDoc()
 		maxDoc = max(maxDoc, last)
 		for _, rf := range bs.refs[ut.from:ut.to] {
-			bs.members[rf.member].qs.ensureDoc(last)
+			m := &bs.members[rf.member]
+			m.qs.ensureDoc(last)
+			m.postings += ut.it.Len()
+			m.hi = max(m.hi, int(last)+1)
 		}
 	}
+	gated := part.Dead == nil && e.prior == nil
 	for _, i := range bs.shared {
-		bs.members[i].qs.unswept = true
+		m := &bs.members[i]
+		switch e.density {
+		case allDense:
+			m.dense = true
+		case allSparse:
+			m.dense = false
+		default:
+			m.dense = gated && m.keep == nil && denseRule(m.postings, m.hi)
+		}
 	}
 	var avgLen float64
 	var denoms []float64
@@ -381,7 +414,11 @@ func (e *Engine) flatScan(ctx context.Context, bs *batchState, pi int) error {
 			impacts := bs.impacts[:len(docs)]
 			e.blockImpacts(impacts, docs, tfs, part.Postings, avgLen, denoms)
 			for _, rf := range refs {
-				bs.members[rf.member].qs.add(docs, impacts, rf.w)
+				if m := &bs.members[rf.member]; m.dense {
+					m.qs.accumulate(docs, impacts, rf.w)
+				} else {
+					m.qs.add(docs, impacts, rf.w)
+				}
 			}
 			if !ut.it.NextWindow() {
 				break
@@ -394,10 +431,41 @@ func (e *Engine) flatScan(ctx context.Context, bs *batchState, pi int) error {
 		}
 	}
 	for _, i := range bs.shared {
-		e.sweep(&bs.members[i], part)
+		if m := &bs.members[i]; m.dense {
+			e.sweepDense(m, part)
+		} else {
+			e.sweep(m, part)
+		}
 	}
 	return nil
 }
+
+// denseRule is the one rule that sends a member down the dense path
+// over a part: its lists there hold, between them, at least as many
+// postings as the document range they span. A cycle's ghost queries
+// carry common words and clear it about twice over: such a member
+// reaches three documents in four of the range, so a reached list
+// would cost it a store per posting and a random-access walk over
+// nearly every document, where the dense sweep reads the range once,
+// in order. A topical query's terms share their documents — at half
+// the range in postings it reaches about a quarter of it — and rare
+// terms reach a handful: those keep the list, which visits what they
+// reached and nothing else. Only a member sweep can gate is sent (no
+// keep filter, no tombstone in the part, no prior): past the gate
+// every nonzero document takes the exact path, and nothing would be
+// saved.
+func denseRule(postings, hi int) bool { return postings >= hi }
+
+// density is how flatScan picks each member's path: by denseRule (the
+// zero value), or — for tests that hold the two paths to each other —
+// every member dense or every member sparse, whatever its filters.
+type density int8
+
+const (
+	byRule density = iota
+	allDense
+	allSparse
+)
 
 // blockImpacts fills impacts with the query-independent factor of every
 // posting of one decoded block — the lnc document weight 1+ln(tf) for
@@ -424,13 +492,13 @@ func (e *Engine) blockImpacts(impacts []float64, docs []corpus.DocID, tfs []int3
 	}
 }
 
-// add is the flat scan's inner loop: one block of one term into one
-// member's accumulator. A document's first contribution is the one
-// that finds its score zero — contributions are positive — and that is
-// how the document gets on the reached list, without a branch: every
-// posting writes its document at the list's end, and the end moves on
-// only for a first contribution. A function of its own so that its
-// handful of values stay in registers whatever flatScan is juggling
+// add is the flat scan's inner loop for a sparse member: one block of
+// one term into its accumulator. A document's first contribution is
+// the one that finds its score zero — contributions are positive — and
+// that is how the document gets on the reached list, without a branch:
+// every posting writes its document at the list's end, and the end
+// moves on only for a first contribution. A function of its own so that
+// its handful of values stay in registers whatever flatScan is juggling
 // around the call.
 func (qs *queryState) add(docs []corpus.DocID, impacts []float64, w float64) {
 	score, n := qs.score, len(qs.reached)
@@ -446,6 +514,20 @@ func (qs *queryState) add(docs []corpus.DocID, impacts []float64, w float64) {
 		score[d] = s + float64(w*impacts[i])
 	}
 	qs.reached = reached[:n]
+}
+
+// accumulate is add for a dense member: one block of one term into its
+// accumulator, and nothing else — no reached list to write, no first
+// contribution to tell apart; sweepDense finds the documents by their
+// nonzero scores. A function of its own, like add, so that flatScan's
+// juggling does not spill its values.
+func (qs *queryState) accumulate(docs []corpus.DocID, impacts []float64, w float64) {
+	score := qs.score
+	impacts = impacts[:len(docs)]
+	for i, d := range docs {
+		// The conversion rounds the product on its own, as in add.
+		score[d] += float64(w * impacts[i])
+	}
 }
 
 // gateSlack shrinks the cosine skip limit by more than the rounding of
@@ -492,19 +574,19 @@ func (qs *queryState) next(at *int, norms []float64, bound float64) (d corpus.Do
 	return 0, 0, skipped, false
 }
 
-// sweep finalizes one member over one part after flatScan: it takes the
-// reached documents out of the accumulator, consults the part's
-// tombstones and then the keep filter (under the document's reported ID)
-// once per document, and offers the survivors to the member's top-k
-// heap, each finalized by finalizeScore. Once the heap is full — filled
-// by this part or by the ones before it — most documents cannot enter
-// it, and where the final score is raw/(norm·qnorm) or raw itself with
-// nothing else to consult — no tombstone, no filter, no prior — next
-// turns those away with one multiplication and a comparison, before the
-// division and the heap call: final < root ⟸ raw <
-// root·norm·qnorm·gateSlack under cosine, raw < root (exactly) under
-// BM25. A document with no norm has limit 0 and always takes the exact
-// path. The heap ends up holding the k best whatever order documents
+// sweep finalizes one sparse member over one part after flatScan: it
+// takes the reached documents out of the accumulator, consults the
+// part's tombstones and then the keep filter (under the document's
+// reported ID) once per document, and offers the survivors to the
+// member's top-k heap, each finalized by finalizeScore. Once the heap
+// is full — filled by this part or by the ones before it — most
+// documents cannot enter it, and where the final score is
+// raw/(norm·qnorm) or raw itself with nothing else to consult — no
+// tombstone, no filter, no prior — next turns those away with one
+// multiplication and a comparison, before the division and the heap
+// call: final < root ⟸ raw < root·norm·qnorm·gateSlack under cosine,
+// raw < root (exactly) under BM25. A document with no norm has limit 0
+// and always takes the exact path. The heap ends up holding the k best whatever order documents
 // are offered in, so nothing depends on the list's (first-contribution)
 // order, or on the parts'.
 func (e *Engine) sweep(m *batchMember, part *Part) {
@@ -541,4 +623,113 @@ func (e *Engine) sweep(m *batchMember, part *Part) {
 	}
 	qs.reached = qs.reached[:0]
 	qs.unswept = false
+}
+
+// sweepDense is sweep for a dense member: it walks the member's range
+// of the accumulator, score[:hi], in ascending document order instead
+// of a reached list, then clears it whole, which restores the pooled
+// state's all-zero invariant. The gate is sweep's, with the zero test
+// folded into it: under cosine a document is offered iff raw >
+// norms[d]·bound (raw > 0 past the norms), under BM25 iff raw ≥
+// max(bound, the smallest positive float) — so an untouched document
+// never passes, even at bound 0, and no branch tests for zero. raw
+// equal to the cosine limit finalizes strictly below the root
+// (gateSlack), so turning it away changes nothing; raw equal to the
+// BM25 root is offered, for a smaller ID wins the tie. Every nonzero
+// document walked is counted: DocsScored is the count less what the
+// tombstones and the keep filter reject, as sweep counts it.
+func (e *Engine) sweepDense(m *batchMember, part *Part) {
+	qs, k := m.qs, m.k
+	gated := m.keep == nil && part.Dead == nil && e.prior == nil
+	score := qs.score[:m.hi]
+	norms, scale := part.Norms, m.qnorm*gateSlack
+	if e.scoring == BM25 {
+		norms, scale = nil, 1
+	}
+	norms = norms[:min(len(norms), len(score))]
+	bound := 0.0
+	if gated && len(qs.heap) == k {
+		bound = qs.heap[0].Score * scale
+	}
+	filtered, nonzero := m.stats.DocsFiltered, 0
+	for at := 0; at < len(score); {
+		var raw float64
+		var n int
+		var ok bool
+		if at < len(norms) {
+			raw, n, ok = skimNorms(score[:len(norms)], norms, bound, &at)
+		} else {
+			limit := math.SmallestNonzeroFloat64
+			if norms == nil {
+				limit = max(bound, limit)
+			}
+			raw, n, ok = skim(score, limit, &at)
+		}
+		nonzero += n
+		if ok {
+			e.offer(m, part, at-1, raw)
+			if gated && len(qs.heap) == k {
+				bound = qs.heap[0].Score * scale
+			}
+		}
+	}
+	m.stats.DocsScored += nonzero - (m.stats.DocsFiltered - filtered)
+	clear(score)
+	qs.unswept = false
+}
+
+// offer is sweepDense's exact path for document d of the part, past the
+// gate: the tombstones, then the keep filter under the document's
+// reported ID, then the heap, with the score finalized.
+func (e *Engine) offer(m *batchMember, part *Part, d int, raw float64) {
+	id := corpus.DocID(d)
+	if part.IDs != nil {
+		id = part.IDs[d]
+	}
+	if (part.Dead != nil && part.Dead[d]) || (m.keep != nil && !m.keep(id)) {
+		m.stats.DocsFiltered++
+		return
+	}
+	pushTopK(&m.qs.heap, m.k, Result{Doc: id, Score: e.finalizeScore(raw, corpus.DocID(d), part.Norms, m.qnorm)})
+}
+
+// skimNorms walks score from position *at to its end, norms alongside
+// (as long), and stops past the first document whose raw score is above
+// norms[d]·bound, returning that score; ok is false when it reached the
+// end. nonzero counts the documents with a score among those it walked,
+// counted without a branch. The loop makes no calls, so it runs out of
+// registers — that is the reason it is a function of its own, kept out
+// of line: inlined into sweepDense, it spills its count.
+//
+//go:noinline
+func skimNorms(score, norms []float64, bound float64, at *int) (raw float64, nonzero int, ok bool) {
+	from := *at
+	norms = norms[from:len(score)]
+	for i, raw := range score[from:] {
+		// 1 for any positive score, 0 for +0, whose bits are all clear.
+		nonzero += int(-math.Float64bits(raw) >> 63)
+		if raw > norms[i]*bound {
+			*at = from + i + 1
+			return raw, nonzero, true
+		}
+	}
+	*at = len(score)
+	return 0, nonzero, false
+}
+
+// skim is skimNorms with one limit for every document, which a raw
+// score must reach: BM25's, and cosine's past the norms.
+//
+//go:noinline
+func skim(score []float64, limit float64, at *int) (raw float64, nonzero int, ok bool) {
+	from := *at
+	for i, raw := range score[from:] {
+		nonzero += int(-math.Float64bits(raw) >> 63)
+		if raw >= limit {
+			*at = from + i + 1
+			return raw, nonzero, true
+		}
+	}
+	*at = len(score)
+	return 0, nonzero, false
 }

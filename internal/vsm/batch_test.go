@@ -373,7 +373,12 @@ func (s *cancelingPostings) DocLen(d corpus.DocID) int {
 // abandoned inside its sweep by a panicking keep filter must not hand
 // those states back to the pool: the same engine then answers a stream
 // of solo queries and cycles bit for bit like an engine that was never
-// interrupted.
+// interrupted. Each interruption happens twice: with the members on
+// the paths denseRule picks (the keep filter keeps them all sparse),
+// and with every member sent down the dense path, whose accumulators
+// only a sweep to the end of the range clears. The stream after them
+// runs on either path and by the rule, against a new engine for every
+// query, so a state left dirty by a scan that did finish shows too.
 func interruptedScanLeavesPoolClean(t *testing.T) {
 	c, gt, err := corpus.Synthesize(corpus.GenSpec{
 		Seed: 23, NumDocs: 2500, NumTopics: 5, DocLenMin: 20, DocLenMax: 50,
@@ -399,72 +404,79 @@ func interruptedScanLeavesPoolClean(t *testing.T) {
 		// Three parts, the interruptions in the middle one: by then the
 		// first has been swept into the members' heaps.
 		parts := splitParts(t, c, 3)
-		fresh, err := NewEngineOver(partsSource{idx, parts}, an, scoring)
-		if err != nil {
-			t.Fatal(err)
+		fresh := func() *Engine {
+			e, err := NewEngineOver(partsSource{idx, parts}, an, scoring)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
 		}
 		src := &cancelingPostings{Postings: parts[1].Postings}
-		parts = slices.Clone(parts)
-		parts[1].Postings = src
-		eng, err := NewEngineOver(partsSource{idx, parts}, an, scoring)
+		interrupted := slices.Clone(parts)
+		interrupted[1].Postings = src
+		eng, err := NewEngineOver(partsSource{idx, interrupted}, an, scoring)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if scoring == BM25 {
-			// Mid-traversal: a hundred documents into the middle part's
-			// first lists, with thousands of postings still to come. Each
-			// interrupted call scores under an avgdl of its own, so the
-			// length cache starts cold and DocLen gets read.
-			withAvgLen := func(req Request, extraLen int64) Request {
-				req.Global = globalFor(idx, req.Terms, 1, extraLen)
-				return req
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			src.reads, src.cancelAt, src.cancel = 0, 100, cancel
-			var reqs []Request
-			for _, req := range cycles[2] {
-				reqs = append(reqs, withAvgLen(req, 1000))
-			}
-			if _, err := eng.SearchBatch(ctx, reqs); err != context.Canceled {
-				t.Fatalf("batch canceled mid-traversal returned %v, want context.Canceled", err)
-			}
-			ctx, cancel = context.WithCancel(context.Background())
-			src.reads, src.cancelAt, src.cancel = 0, 100, cancel
-			solo := withAvgLen(cycles[2][0], 2000)
-			if _, err := eng.SearchRequest(ctx, solo); err != context.Canceled {
-				t.Fatalf("request canceled mid-traversal returned %v, want context.Canceled", err)
-			}
-			src.cancelAt = 0
-		}
-		// Mid-sweep: the filter gives up on the hundredth document of
-		// the first member it is asked about.
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("panicking keep filter did not propagate")
+		for _, d := range []density{byRule, allDense} {
+			eng.withDensity(d)
+			if scoring == BM25 {
+				// Mid-traversal: a hundred documents into the middle part's
+				// first lists, with thousands of postings still to come.
+				// Each interrupted call scores under an avgdl of its own, so
+				// the length cache starts cold and DocLen gets read.
+				withAvgLen := func(req Request, extraLen int64) Request {
+					req.Global = globalFor(idx, req.Terms, 1, extraLen)
+					return req
 				}
-			}()
-			calls := 0
-			reqs := append([]Request(nil), cycles[3]...)
-			for i := range reqs {
-				reqs[i].Keep = func(corpus.DocID) bool {
-					if calls++; calls == 100 {
-						panic("keep filter gave up")
+				ctx, cancel := context.WithCancel(context.Background())
+				src.reads, src.cancelAt, src.cancel = 0, 100, cancel
+				var reqs []Request
+				for _, req := range cycles[2] {
+					reqs = append(reqs, withAvgLen(req, 1000+int64(d)))
+				}
+				if _, err := eng.SearchBatch(ctx, reqs); err != context.Canceled {
+					t.Fatalf("batch canceled mid-traversal returned %v, want context.Canceled", err)
+				}
+				ctx, cancel = context.WithCancel(context.Background())
+				src.reads, src.cancelAt, src.cancel = 0, 100, cancel
+				solo := withAvgLen(cycles[2][0], 2000+int64(d))
+				if _, err := eng.SearchRequest(ctx, solo); err != context.Canceled {
+					t.Fatalf("request canceled mid-traversal returned %v, want context.Canceled", err)
+				}
+				src.cancelAt = 0
+			}
+			// Mid-sweep: the filter gives up on the hundredth document of
+			// the first member it is asked about.
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("panicking keep filter did not propagate")
 					}
-					return true
+				}()
+				calls := 0
+				reqs := append([]Request(nil), cycles[3]...)
+				for i := range reqs {
+					reqs[i].Keep = func(corpus.DocID) bool {
+						if calls++; calls == 100 {
+							panic("keep filter gave up")
+						}
+						return true
+					}
 				}
-			}
-			eng.SearchBatch(context.Background(), reqs)
-		}()
+				eng.SearchBatch(context.Background(), reqs)
+			}()
+		}
 
-		for n := 0; n < 50; n++ {
+		for n := 0; n < 60; n++ {
+			eng.withDensity([]density{byRule, allDense, allSparse}[n%3])
 			reqs := cycles[n%len(cycles)]
 			var got, want []Response
 			if n%2 == 0 {
 				if got, err = eng.SearchBatch(context.Background(), reqs); err != nil {
 					t.Fatal(err)
 				}
-				if want, err = fresh.SearchBatch(context.Background(), reqs); err != nil {
+				if want, err = fresh().SearchBatch(context.Background(), reqs); err != nil {
 					t.Fatal(err)
 				}
 			} else {
@@ -472,7 +484,7 @@ func interruptedScanLeavesPoolClean(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				w, err := fresh.SearchRequest(context.Background(), reqs[n%len(reqs)])
+				w, err := fresh().SearchRequest(context.Background(), reqs[n%len(reqs)])
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -10,8 +10,13 @@
 // accumulator and then sweeps the documents it reached into a top-k
 // heap. It is one kernel (flatScan) that a cycle's members run together
 // — each distinct postings block decoded and weighed once for all of
-// them — and a solo query runs as a cycle of one. Contributions are
-// accumulated in one canonical term order, so a query's results —
+// them — and a solo query runs as a cycle of one. Inside it, one fixed
+// rule (denseRule) picks how a member finds the documents it reached in
+// a part: a member whose lists hold as many postings as the document
+// range they span — a ghost query of common words — sweeps that range
+// in document order, and any other keeps a list of the documents it
+// reached. Contributions are accumulated in one canonical term order,
+// whichever way, so a query's results —
 // documents, ranks, and floating-point scores — are the same alone and
 // inside any cycle. README "Why there is one strategy" has the
 // measurements behind the choice.
@@ -21,10 +26,11 @@
 package vsm
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"toppriv/internal/corpus"
@@ -157,6 +163,8 @@ type Engine struct {
 	// metrics, when non-nil, carries the pre-resolved telemetry handles
 	// every query updates (see EnableMetrics). Set before serving.
 	metrics *engineMetrics
+	// density is byRule outside tests (export_test.go).
+	density density
 }
 
 // NewEngine builds a search engine over idx. The analyzer must be the
@@ -354,24 +362,18 @@ func pushTopK(h *resultHeap, k int, r Result) {
 	}
 }
 
-// byRank orders results best-first: descending score, ascending DocID
-// on ties — the rule every ranked surface in the system shares.
-type byRank []Result
-
-func (s byRank) Len() int      { return len(s) }
-func (s byRank) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
-func (s byRank) Less(i, j int) bool {
-	if s[i].Score != s[j].Score {
-		return s[i].Score > s[j].Score
-	}
-	return s[i].Doc < s[j].Doc
-}
-
-// drainTopK copies the heap into a freshly allocated, rank-ordered
-// result slice (the heap itself is pooled scratch and must not escape).
+// drainTopK copies the heap into a freshly allocated result slice,
+// sorted best-first — descending score, ascending DocID on ties, the
+// rule every ranked surface in the system shares (the heap itself is
+// pooled scratch and must not escape).
 func drainTopK(h *resultHeap) []Result {
 	out := make([]Result, len(*h))
 	copy(out, *h)
-	sort.Sort(byRank(out))
+	slices.SortFunc(out, func(a, b Result) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Doc, b.Doc)
+	})
 	return out
 }

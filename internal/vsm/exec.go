@@ -120,12 +120,15 @@ type qterm struct {
 type queryState struct {
 	terms []qterm
 	// score is the flat scan's accumulator, indexed by local doc ID, and
-	// reached lists the documents a scan has added to, each once, in the
-	// order of their first contributions. Pool invariant: between
+	// reached lists the documents a sparse member's scan has added to,
+	// each once, in the order of their first contributions; a dense
+	// member keeps no list (see denseRule). Pool invariant: between
 	// queries every score is zero and the list empty. A scan adds into
-	// the zeros and its sweep zeroes what it reads, so no query clears
-	// the array or versions its entries, and a short query on a large
-	// index visits the documents it reached and nothing else.
+	// the zeros and its sweep zeroes what it reads — the listed
+	// documents one by one, or a dense member's range whole — so no
+	// query clears the whole array or versions its entries, and a short
+	// query on a large index visits the documents it reached and nothing
+	// else.
 	score   []float64
 	reached []corpus.DocID
 	// unswept is set from the moment a flat scan may have written score

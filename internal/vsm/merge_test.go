@@ -37,7 +37,21 @@ func TestMergeTopK(t *testing.T) {
 	if raceEnabled {
 		return // race instrumentation inflates allocation counts
 	}
-	if avg := testing.AllocsPerRun(100, func() { MergeTopK(lists, 10) }); avg > 3 {
-		t.Errorf("%.1f allocs to merge %d hits into 10, want the heap, the result and the sort's header", avg, len(all))
+	if avg := testing.AllocsPerRun(100, func() { MergeTopK(lists, 10) }); avg > 2 {
+		t.Errorf("%.1f allocs to merge %d hits into 10, want the heap and the result", avg, len(all))
 	}
+}
+
+// byRank orders results best-first: descending score, ascending DocID
+// on ties — the order drainTopK sorts hits into, written out a second
+// way for the tests to hold it to.
+type byRank []Result
+
+func (s byRank) Len() int      { return len(s) }
+func (s byRank) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
+func (s byRank) Less(i, j int) bool {
+	if s[i].Score != s[j].Score {
+		return s[i].Score > s[j].Score
+	}
+	return s[i].Doc < s[j].Doc
 }
