@@ -15,6 +15,7 @@ package toppriv
 import (
 	"context"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -463,8 +464,9 @@ func BenchmarkSearchInstrumented(b *testing.B) {
 // eight queries run one after another. The batch plan shares term
 // resolution, postings fetches and the per-posting impact computation
 // across members; the sequential baseline pays each query's full cost.
-// The -global rows run the cycle as a shard sees it behind a router.
-// The regression gate covers every row.
+// The -text rows submit the members as Query text, the path a search
+// server runs; the -global rows run the cycle as a shard sees it behind
+// a router. The regression gate covers every row.
 func BenchmarkSearchBatch(b *testing.B) {
 	env := getBenchEnv(b)
 	eng := midEngine(env)
@@ -515,6 +517,14 @@ func BenchmarkSearchBatch(b *testing.B) {
 			}
 		}
 		b.Run(scoring.String()+"/batch8", batch8(reqs))
+		// The same cycle as a search server receives it: each member's
+		// terms joined into Query text, which the engine resolves through
+		// its token memo.
+		text := make([]vsm.Request, len(cycle))
+		for i, q := range cycle {
+			text[i] = vsm.Request{Query: strings.Join(q, " "), K: 10}
+		}
+		b.Run(scoring.String()+"/batch8-text", batch8(text))
 		// The routed form of the same cycle: every member carries
 		// GlobalStats the way a cluster.Router attaches them (here the
 		// index's own, so the work matches the row above). It must cost

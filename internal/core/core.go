@@ -11,6 +11,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -180,8 +181,13 @@ func (o *Obfuscator) ObfuscateSticky(userTerms []string, prefer []int, rng *rand
 
 	// Step 2: initialize. postSum accumulates Σ Pr(t|q) over the cycle so
 	// the Eq. 2 cycle posterior is (postSum / υ) without re-inference.
+	// tentative is the sum with a candidate ghost added; the two trade
+	// places when the ghost is kept.
 	postSum := make([]float64, k)
 	copy(postSum, userPost)
+	tentative := make([]float64, k)
+	var sc candidates
+	var ghost []int // the candidate ghost, as model word IDs
 	queries := [][]string{userTerms}
 	var maskTopics, rejected []int
 	inTm := make([]bool, k)
@@ -205,24 +211,23 @@ func (o *Obfuscator) ObfuscateSticky(userTerms []string, prefer []int, rng *rand
 		}
 		// Step 3(b): candidate masking topics are T \ U \ Tm \ X,
 		// preferred (sticky) topics first, each tier in random order.
-		candidates := orderCandidates(k, inU, inTm, inX, prefer, rng)
-		if len(candidates) == 0 {
+		cands := sc.order(k, inU, inTm, inX, prefer, rng)
+		if len(cands) == 0 {
 			break
 		}
 		accepted := false
-		for len(candidates) > 0 {
-			tm := candidates[0]
-			candidates = candidates[1:]
+		for len(cands) > 0 {
+			tm := cands[0]
+			cands = cands[1:]
 
 			// Step 3(a): ghost length as a random multiple of |q_u| —
 			// except under profile mimicry, where the ghost matches the
 			// genuine length exactly (length is itself a distinguishing
 			// feature).
-			var ghost []int // model word IDs
 			if o.params.MimicProfile {
-				ghost = o.sampleGhostWordsMimic(tm, len(userTerms), userTerms, rng)
+				ghost = o.sampleGhostWordsMimic(ghost[:0], tm, len(userTerms), userTerms, rng)
 			} else {
-				ghost = o.sampleGhostWords(tm, o.ghostLen(len(userTerms), rng), rng)
+				ghost = o.sampleGhostWords(ghost[:0], tm, o.ghostLen(len(userTerms), rng), rng)
 			}
 			if len(ghost) == 0 {
 				inX[tm] = true
@@ -233,7 +238,6 @@ func (o *Obfuscator) ObfuscateSticky(userTerms []string, prefer []int, rng *rand
 			// Step 3(c): accept only if the ghost reduces the exposure
 			// of U (computed on the tentative cycle C ∪ {q_g}).
 			ghostPost := o.eng.PosteriorBag(ghost, nil)
-			tentative := make([]float64, k)
 			for t := 0; t < k; t++ {
 				tentative[t] = postSum[t] + ghostPost[t]
 			}
@@ -245,7 +249,7 @@ func (o *Obfuscator) ObfuscateSticky(userTerms []string, prefer []int, rng *rand
 			}
 
 			// Step 3(d): commit.
-			postSum = tentative
+			postSum, tentative = tentative, postSum
 			ghostTerms := make([]string, len(ghost))
 			for i, w := range ghost {
 				ghostTerms[i] = m.Terms[w]
@@ -291,26 +295,41 @@ func (o *Obfuscator) ObfuscateSticky(userTerms []string, prefer []int, rng *rand
 	return cyc, nil
 }
 
-// orderCandidates lists the legal masking topics with preferred ones
-// first; each tier is shuffled by the caller's RNG.
-func orderCandidates(k int, inU, inTm, inX []bool, prefer []int, rng *rand.Rand) []int {
+// candidates is the working memory of the masking-topic order: one
+// ObfuscateSticky call orders its candidates into the same buffers at
+// every step.
+type candidates struct {
+	used   []bool
+	topics []int
+}
+
+// order lists the legal masking topics with preferred ones first; each
+// tier is shuffled by the caller's RNG. The result is valid until the
+// next call.
+func (c *candidates) order(k int, inU, inTm, inX []bool, prefer []int, rng *rand.Rand) []int {
 	legal := func(t int) bool { return t >= 0 && t < k && !inU[t] && !inTm[t] && !inX[t] }
-	used := make([]bool, k)
-	var head, tail []int
+	if c.used == nil {
+		c.used = make([]bool, k)
+	}
+	clear(c.used)
+	out := c.topics[:0]
 	for _, t := range prefer {
-		if legal(t) && !used[t] {
-			used[t] = true
-			head = append(head, t)
+		if legal(t) && !c.used[t] {
+			c.used[t] = true
+			out = append(out, t)
 		}
 	}
+	preferred := len(out)
 	for t := 0; t < k; t++ {
-		if legal(t) && !used[t] {
-			tail = append(tail, t)
+		if legal(t) && !c.used[t] {
+			out = append(out, t)
 		}
 	}
+	c.topics = out
+	head, tail := out[:preferred], out[preferred:]
 	rng.Shuffle(len(head), func(i, j int) { head[i], head[j] = head[j], head[i] })
 	rng.Shuffle(len(tail), func(i, j int) { tail[i], tail[j] = tail[j], tail[i] })
-	return append(head, tail...)
+	return out
 }
 
 // ghostLen draws the ghost length per Step 3(a) (or the ablation
@@ -330,37 +349,31 @@ func (o *Obfuscator) ghostLen(userLen int, rng *rand.Rand) int {
 	return lo + rng.Intn(hi-lo+1)
 }
 
-// sampleGhostWords draws distinct words, as model word IDs, for a ghost
-// query. The default draws proportionally to Pr(w|t_m)
-// (lda.Model.SampleWord), so ghosts read as semantically coherent text
-// on the masking topic. The UniformWords ablation draws uniformly from
-// the vocabulary instead.
-func (o *Obfuscator) sampleGhostWords(tm, n int, rng *rand.Rand) []int {
+// sampleGhostWords appends to words, which the caller hands over empty,
+// distinct words, as model word IDs, for a ghost query. The default
+// draws proportionally to Pr(w|t_m) (lda.Model.SampleWord), so ghosts
+// read as semantically coherent text on the masking topic. The
+// UniformWords ablation draws uniformly from the vocabulary instead. A
+// ghost is a few dozen words at most, so a draw is checked against the
+// words already drawn by a scan, not a set.
+func (o *Obfuscator) sampleGhostWords(words []int, tm, n int, rng *rand.Rand) []int {
 	m := o.eng.Model()
 	if n > m.V {
 		n = m.V
 	}
-	words := make([]int, 0, n)
-	seen := make(map[int]struct{}, n)
 	if o.params.UniformWords {
 		for len(words) < n {
-			w := rng.Intn(m.V)
-			if _, dup := seen[w]; dup {
-				continue
+			if w := rng.Intn(m.V); !slices.Contains(words, w) {
+				words = append(words, w)
 			}
-			seen[w] = struct{}{}
-			words = append(words, w)
 		}
 		return words
 	}
 	maxAttempts := 50 * n
 	for attempts := 0; len(words) < n && attempts < maxAttempts; attempts++ {
-		w := m.SampleWord(tm, rng)
-		if _, dup := seen[w]; dup {
-			continue
+		if w := m.SampleWord(tm, rng); !slices.Contains(words, w) {
+			words = append(words, w)
 		}
-		seen[w] = struct{}{}
-		words = append(words, w)
 	}
 	return words
 }

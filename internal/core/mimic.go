@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 )
 
@@ -62,14 +63,14 @@ func (o *Obfuscator) mimic() *mimicState {
 	return o.mimicCache
 }
 
-// sampleGhostWordsMimic draws n distinct ghost words (model word IDs)
-// from masking topic tm whose rank depths mirror the user query's term
-// depths.
-func (o *Obfuscator) sampleGhostWordsMimic(tm, n int, userTerms []string, rng *rand.Rand) []int {
+// sampleGhostWordsMimic appends to words, which the caller hands over
+// empty, n distinct ghost words (model word IDs) from masking topic tm
+// whose rank depths mirror the user query's term depths.
+func (o *Obfuscator) sampleGhostWordsMimic(words []int, tm, n int, userTerms []string, rng *rand.Rand) []int {
 	st := o.mimic()
 	ranked := st.ranked[tm]
 	if len(ranked) == 0 {
-		return nil
+		return words
 	}
 	if n > len(ranked) {
 		n = len(ranked)
@@ -84,8 +85,6 @@ func (o *Obfuscator) sampleGhostWordsMimic(tm, n int, userTerms []string, rng *r
 			depths = append(depths, len(ranked)-1)
 		}
 	}
-	words := make([]int, 0, n)
-	seen := make(map[int]struct{}, n)
 	maxAttempts := 30 * n
 	for attempts := 0; len(words) < n && attempts < maxAttempts; attempts++ {
 		target := depths[rng.Intn(len(depths))]
@@ -102,12 +101,9 @@ func (o *Obfuscator) sampleGhostWordsMimic(tm, n int, userTerms []string, rng *r
 		if r >= len(ranked) {
 			r = len(ranked) - 1
 		}
-		w := ranked[r]
-		if _, dup := seen[w]; dup {
-			continue
+		if w := ranked[r]; !slices.Contains(words, w) {
+			words = append(words, w)
 		}
-		seen[w] = struct{}{}
-		words = append(words, w)
 	}
 	return words
 }

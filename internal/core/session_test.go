@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -132,7 +133,8 @@ func TestOrderCandidates(t *testing.T) {
 	inTm[1] = true
 	inX[2] = true
 	rng := rand.New(rand.NewSource(1))
-	got := orderCandidates(k, inU, inTm, inX, []int{4, 0, 99, 4}, rng)
+	var c candidates
+	got := c.order(k, inU, inTm, inX, []int{4, 0, 99, 4}, rng)
 	if len(got) != 3 { // topics 3, 4, 5 are legal
 		t.Fatalf("got %v", got)
 	}
@@ -148,5 +150,11 @@ func TestOrderCandidates(t *testing.T) {
 		if t2 == 0 || t2 == 1 || t2 == 2 {
 			t.Fatalf("illegal candidate in %v", got)
 		}
+	}
+	// The next step reuses the buffers, and what the first call marked
+	// preferred must not linger: topic 4 is an ordinary candidate now.
+	got = c.order(k, inU, inTm, inX, []int{5}, rng)
+	if len(got) != 3 || got[0] != 5 || !slices.Contains(got[1:], 3) || !slices.Contains(got[1:], 4) {
+		t.Errorf("second order over reused buffers = %v, want 5 first, then 3 and 4", got)
 	}
 }

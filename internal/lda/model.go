@@ -39,8 +39,11 @@ type Model struct {
 	Phi [][]float64
 	// Prior[t] = Pr(t), the corpus-wide topic prior of Eq. 1.
 	Prior []float64
-	// Terms[w] is the surface form of word ID w, aligned with the
-	// corpus vocabulary the model was trained on.
+	// Terms[w] is the term of word ID w as the analyzer produced it (a
+	// Porter stem, not a surface word), aligned with the corpus
+	// vocabulary the model was trained on. A client that sends these
+	// terms as query text has them analyzed a second time (ROADMAP,
+	// "Words on the wire, not stems").
 	Terms []string
 
 	// Lookup structures derived from Terms and Phi on first use; the

@@ -11,10 +11,10 @@ import (
 // TestStoreSearchAllocations pins what segmentation costs a cycle in
 // allocations: nothing. An eight-member batch over four sealed segments
 // allocates what the same batch allocates over the same documents
-// compacted into one — the prepared requests, the responses and each
-// member's hits — because the parts are scanned in turn out of one
-// pooled state into one heap per member. (With an engine per segment
-// and a merge behind them, a solo query went from 19 allocations to 87.)
+// compacted into one — the responses and each member's hits — because
+// the parts are scanned in turn out of one pooled state into one heap
+// per member. (With an engine per segment and a merge behind them, a
+// solo query went from 19 allocations to 87.)
 func TestStoreSearchAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation counts past the budget")

@@ -435,22 +435,19 @@ func (st *Store) SearchRequest(ctx context.Context, req vsm.Request) (vsm.Respon
 // postings blocks. Each member's ranking equals a single-index search
 // over the surviving documents — and its result is identical to running
 // it alone; the property tests assert both.
+//
+// Query text goes to the engine as it is: the engine's token memo
+// resolves a token it has seen without the text pipeline, and analyzes
+// one it has not under the read lock, since a miss reads the dictionary.
 func (st *Store) SearchBatch(ctx context.Context, reqs []vsm.Request) ([]vsm.Response, error) {
-	// Analyze raw queries once, before taking the lock: writers wait for
-	// the scan, not for the text pipeline.
-	prepared := make([]vsm.Request, len(reqs))
-	for i, req := range reqs {
-		if err := req.Validate(); err != nil {
+	for i := range reqs {
+		if err := reqs[i].Validate(); err != nil {
 			return nil, fmt.Errorf("segment: batch member %d: %w", i, err)
 		}
-		if req.Terms == nil {
-			req.Terms = st.an.Analyze(req.Query)
-		}
-		prepared[i] = req
 	}
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return st.eng.SearchBatch(ctx, prepared)
+	return st.eng.SearchBatch(ctx, reqs)
 }
 
 // Scoring returns the store's effective scoring function. After Load

@@ -1,6 +1,9 @@
 package textproc
 
-import "strings"
+import (
+	"strings"
+	"sync"
+)
 
 // Analyzer is the full preprocessing pipeline: tokenize, drop stopwords,
 // and optionally stem. It is the single entry point the index, the topic
@@ -93,7 +96,7 @@ func (a *Analyzer) AnalyzeTerm(term string) (string, bool) {
 }
 
 // DocAnalyzer analyzes documents into the term IDs of a growing
-// dictionary: the ingest side of the pipeline, where Analyze is the
+// dictionary: the ingest side of the pipeline, where TermMemo is the
 // query side. It runs Analyze's scan, stop filter and stemmer, and
 // memoizes each surface token it meets (lowercased, before stop
 // filtering and stemming) to the ID its term got, or to InvalidTerm for a
@@ -143,6 +146,105 @@ func (d *DocAnalyzer) AppendIDs(dst []TermID, text string) []TermID {
 		}
 		if id != InvalidTerm {
 			dst = append(dst, id)
+		}
+	}
+}
+
+// TermMemo resolves query text to the IDs of a dictionary's terms: the
+// query side of DocAnalyzer. It runs the same scan and memo, so a token
+// seen before costs one map lookup instead of a stop check, a Porter
+// stem and a dictionary lookup, but it never interns: a term the
+// dictionary lacks resolves to InvalidTerm, as Vocab.ID gives it.
+//
+// What it remembers is bounded by the dictionary, not by the text it
+// meets. A token is kept only when the dictionary holds its term, whose
+// ID never changes (a dictionary only grows), or when the pipeline drops
+// it, which does not depend on the dictionary. A token whose term is
+// absent is analyzed again at its next use, so it resolves once a
+// document adds the term. Admission stops at twice the dictionary's
+// size.
+//
+// A TermMemo is safe for concurrent use. A miss reads the dictionary,
+// so while AppendIDs runs the dictionary's writers must be kept out (a
+// live store holds its read lock).
+type TermMemo struct {
+	an    *Analyzer
+	vocab *Vocab
+	mu    sync.RWMutex
+	// ids maps a lowercased surface token to its term's ID, or to
+	// InvalidTerm for a token the pipeline drops.
+	ids map[string]TermID
+}
+
+// NewTermMemo returns a TermMemo that analyzes with an and resolves
+// against vocab.
+func NewTermMemo(an *Analyzer, vocab *Vocab) *TermMemo {
+	return &TermMemo{an: an, vocab: vocab, ids: make(map[string]TermID)}
+}
+
+// memoEntry is a token a lookup missed, kept for admission.
+type memoEntry struct {
+	tok string
+	id  TermID
+}
+
+// AppendIDs appends to dst the Vocab.ID of each term of Analyze(text),
+// in text order, with InvalidTerm for a term the dictionary lacks. It
+// takes the memo's read lock once, and its write lock only when a token
+// it missed may be kept; it allocates nothing when every token of a
+// lowercase text is a hit.
+func (m *TermMemo) AppendIDs(dst []TermID, text string) []TermID {
+	var buf [8]memoEntry
+	missed := buf[:0]
+	s := tokenScanner{text: text}
+	m.mu.RLock()
+	full := len(m.ids) >= m.limit()
+	for {
+		tok, ok := s.next()
+		if !ok {
+			break
+		}
+		id, seen := m.ids[tok]
+		if !seen {
+			term, kept := m.an.normalize(&s, tok)
+			id = InvalidTerm
+			if kept {
+				id = m.vocab.ID(term)
+			}
+			if !full && (!kept || id != InvalidTerm) {
+				missed = append(missed, memoEntry{tok, id})
+			}
+			if kept {
+				dst = append(dst, id)
+			}
+			continue
+		}
+		if id != InvalidTerm {
+			dst = append(dst, id)
+		}
+	}
+	m.mu.RUnlock()
+	if len(missed) > 0 {
+		m.admit(missed)
+	}
+	return dst
+}
+
+// limit is the memo's bound: twice the dictionary's size.
+func (m *TermMemo) limit() int { return 2 * m.vocab.Size() }
+
+// admit keeps the missed tokens while the memo is under its bound.
+func (m *TermMemo) admit(missed []memoEntry) {
+	limit := m.limit()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, e := range missed {
+		if len(m.ids) >= limit {
+			return
+		}
+		if _, ok := m.ids[e.tok]; !ok {
+			// tok shares memory with the text or the scan's buffer.
+			m.ids[strings.Clone(e.tok)] = e.id
 		}
 	}
 }

@@ -8,7 +8,6 @@
 package vsm
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -83,9 +82,16 @@ type batchState struct {
 	pending []int
 	shared  []int
 	parts   []Part
-	union   []unionTerm
-	refs    []batchRef
-	impacts [index.BlockSize]float64
+	// ids holds the member being resolved, as dictionary IDs in request
+	// order.
+	ids   []textproc.TermID
+	union []unionTerm
+	// buildUnion collects the references in refs, sorts their packed
+	// (TermID, position) keys and gathers them in that order into sorted,
+	// which then trades places with refs.
+	refs, sorted []batchRef
+	keys         []uint64
+	impacts      [index.BlockSize]float64
 	// lengths has a cache per part, by its position among the parts: a
 	// static index keeps its one, and a store's segments keep their
 	// places from one query to the next until the stack is restructured.
@@ -211,17 +217,14 @@ func (e *Engine) runBatch(ctx context.Context, reqs []Request, resps []Response)
 	for i := range reqs {
 		req := &reqs[i]
 		m := batchMember{k: req.K, keep: req.Keep}
-		terms := req.Terms
-		if terms == nil {
-			terms = e.an.Analyze(req.Query)
-		}
-		if len(terms) > 0 {
+		bs.ids = e.termIDs(bs.ids[:0], req)
+		if len(bs.ids) > 0 {
 			qs := e.states.Get().(*queryState)
 			qs.reset()
-			if e.resolveTerms(qs, terms) {
+			if qs.resolve(bs.ids) {
 				qnorm := 0.0
 				if req.Global != nil {
-					qnorm = e.weighTermsGlobal(qs, terms, req.Global)
+					qnorm = e.weighTermsGlobal(qs, req.Terms, req.Global)
 				} else {
 					qnorm = e.weighTerms(qs)
 				}
@@ -285,19 +288,25 @@ func (e *Engine) runBatch(ctx context.Context, reqs []Request, resps []Response)
 // repositions. Terms that carry no weight for a member are left out of
 // it.
 func (bs *batchState) buildUnion() {
+	// A member's terms are distinct and bs.shared ascends, so ordering
+	// the references by (TermID, position collected) orders them by
+	// (TermID, member): one sort of packed integers, no comparison
+	// function.
+	bs.keys = bs.keys[:0]
 	for _, i := range bs.shared {
 		for _, t := range bs.members[i].qs.terms {
 			if t.w != 0 {
+				bs.keys = append(bs.keys, uint64(t.id)<<32|uint64(len(bs.refs)))
 				bs.refs = append(bs.refs, batchRef{id: t.id, member: i, w: t.w})
 			}
 		}
 	}
-	slices.SortFunc(bs.refs, func(a, b batchRef) int {
-		if c := cmp.Compare(a.id, b.id); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.member, b.member)
-	})
+	slices.Sort(bs.keys)
+	bs.sorted = bs.sorted[:0]
+	for _, k := range bs.keys {
+		bs.sorted = append(bs.sorted, bs.refs[uint32(k)])
+	}
+	bs.refs, bs.sorted = bs.sorted, bs.refs
 	for ri := range bs.refs {
 		n := len(bs.union)
 		if id := bs.refs[ri].id; n == 0 || bs.union[n-1].id != id {

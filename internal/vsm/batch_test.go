@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -642,6 +643,65 @@ func TestSearchBatchGlobalBitIdentical(t *testing.T) {
 						}
 					}
 				})
+			}
+		}
+	}
+}
+
+// TestQueryTextMatchesTerms holds the token memo to the pipeline it
+// replaces: a batch whose members carry Query text answers, hits, scores
+// and ExecStats, exactly as the same batch with Terms =
+// Analyze(Query) does, with the memo cold and warm. The text comes in
+// the forms a server meets: surface words in mixed case, and analyzed
+// terms joined with spaces (which the engine analyzes a second time,
+// so a stem Porter does not map to itself misses, as it does today).
+func TestQueryTextMatchesTerms(t *testing.T) {
+	ctx := context.Background()
+	c, gt, err := corpus.Synthesize(corpus.GenSpec{
+		Seed: 21, NumDocs: 300, NumTopics: 5, DocLenMin: 15, DocLenMax: 60,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := index.Build(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an := textproc.NewAnalyzer()
+	rng := rand.New(rand.NewSource(22))
+	var texts []string
+	for _, words := range gt.TopicWords {
+		for i := 0; i+3 <= len(words) && i < 12; i += 3 {
+			surface := strings.Join(words[i:i+3], " ")
+			texts = append(texts, strings.ToUpper(surface[:1])+surface[1:]+", the "+words[i], strings.Join(an.Analyze(surface), " "))
+		}
+	}
+	texts = append(texts, "hous televis basebal franchis", "the and of", "zzzz qqqq", "")
+	for _, scoring := range []Scoring{Cosine, BM25} {
+		eng, err := NewEngine(idx, an, scoring)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			rng.Shuffle(len(texts), func(i, j int) { texts[i], texts[j] = texts[j], texts[i] })
+			text := make([]Request, len(texts))
+			terms := make([]Request, len(texts))
+			for i, q := range texts {
+				text[i] = Request{Query: q, K: 10}
+				terms[i] = Request{Terms: an.Analyze(q), K: 10}
+			}
+			got, err := eng.SearchBatch(ctx, text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := eng.SearchBatch(ctx, terms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range texts {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("%v pass %d: %q as text %+v, as terms %+v", scoring, pass, texts[i], got[i], want[i])
+				}
 			}
 		}
 	}

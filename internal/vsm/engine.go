@@ -82,6 +82,9 @@ type Result struct {
 // one that has never seen it, which is what makes scanning part by part
 // add up to exactly the single-index result.
 type Source interface {
+	// Vocab is the dictionary, the same one for the source's life: it
+	// may grow, but an ID once given keeps its term (the engine's token
+	// memo relies on it).
 	Vocab() *textproc.Vocab
 	NumDocs() int
 	// DocFreq is the number of documents containing the term.
@@ -142,13 +145,18 @@ func (w whole) AppendParts(dst []Part) []Part {
 }
 
 // Engine executes similarity queries against a Source. Built over a
-// static index it is immutable and safe for concurrent use; built over
-// a live source its safety follows the source's locking discipline.
+// static index it is safe for concurrent use (what it learns, its token
+// memo, is guarded by a lock of its own); built over a live source its
+// safety follows the source's locking discipline.
 type Engine struct {
 	src     Source
 	idx     *index.Index // non-nil when built over a concrete index
 	an      *textproc.Analyzer
 	scoring Scoring
+	// memo resolves the members that carry Query text against the
+	// source's dictionary, analyzing each distinct token once per
+	// process.
+	memo *textproc.TermMemo
 	// states pools per-query scratch (term bags, flat accumulators,
 	// heaps) across queries and goroutines.
 	states sync.Pool
@@ -193,7 +201,7 @@ func NewEngineOver(src Source, an *textproc.Analyzer, scoring Scoring) (*Engine,
 	if an == nil {
 		an = textproc.NewAnalyzer()
 	}
-	e := &Engine{src: src, an: an, scoring: scoring}
+	e := &Engine{src: src, an: an, memo: textproc.NewTermMemo(an, src.Vocab()), scoring: scoring}
 	e.states.New = func() interface{} { return &queryState{} }
 	e.batches.New = func() interface{} { return newBatchState() }
 	return e, nil

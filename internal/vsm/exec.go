@@ -165,12 +165,26 @@ func (e *Engine) putState(qs *queryState) {
 	}
 }
 
-// resolveTerms builds the deduplicated, TermID-sorted term bag in
-// qs.terms. Returns false when no query term is in the dictionary.
-func (e *Engine) resolveTerms(qs *queryState, terms []string) bool {
+// termIDs appends the dictionary ID of each of req's terms to dst, in
+// request order, InvalidTerm for a term the dictionary lacks: Terms
+// looked up one by one, Query text through the engine's token memo
+// (the IDs of Vocab.ID over Analyze(Query), either way).
+func (e *Engine) termIDs(dst []textproc.TermID, req *Request) []textproc.TermID {
+	if req.Terms == nil {
+		return e.memo.AppendIDs(dst, req.Query)
+	}
 	vocab := e.src.Vocab()
-	for i, term := range terms {
-		id := vocab.ID(term)
+	for _, term := range req.Terms {
+		dst = append(dst, vocab.ID(term))
+	}
+	return dst
+}
+
+// resolve builds the deduplicated, TermID-sorted term bag in qs.terms
+// from a request's term IDs (termIDs). Returns false when no query term
+// is in the dictionary.
+func (qs *queryState) resolve(ids []textproc.TermID) bool {
+	for i, id := range ids {
 		if id == textproc.InvalidTerm {
 			continue
 		}

@@ -14,8 +14,9 @@ import (
 // cycle's υ queries together; Request is the per-member shape and
 // SearchBatch the cycle-at-a-time entry point.
 type Request struct {
-	// Query is the raw query text, analyzed by the engine's analyzer
-	// when Terms is nil. Ignored when Terms is set.
+	// Query is the raw query text, resolved when Terms is nil to the
+	// dictionary IDs of what the engine's analyzer makes of it, through
+	// the engine's token memo. Ignored when Terms is set.
 	Query string
 	// Terms is the query already analyzed into index terms; takes
 	// precedence over Query. Callers that analyzed once (the trusted
