@@ -27,7 +27,6 @@ import (
 	"toppriv/internal/experiment"
 	"toppriv/internal/index"
 	"toppriv/internal/lda"
-	"toppriv/internal/linkrank"
 	"toppriv/internal/telemetry"
 	"toppriv/internal/textproc"
 	"toppriv/internal/vsm"
@@ -761,26 +760,6 @@ func BenchmarkLDATrainSample(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := lda.TrainParallel(sample, lda.TrainSpec{NumTopics: 32, Iterations: 10, Seed: 1}, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPageRank measures the link-analysis substrate on a synthetic
-// citation graph at the bench corpus scale.
-func BenchmarkPageRank(b *testing.B) {
-	env := getBenchEnv(b)
-	topics := make([][]float64, env.Corpus.NumDocs())
-	for d := range topics {
-		topics[d] = env.Corpus.Docs[d].TrueTopics
-	}
-	g, err := linkrank.SyntheticGraph(topics, 4, 43)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := linkrank.PageRank(g, 0.85, 100, 1e-10); err != nil {
 			b.Fatal(err)
 		}
 	}

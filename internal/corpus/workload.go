@@ -3,7 +3,6 @@ package corpus
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 )
 
@@ -162,9 +161,4 @@ func Stats(queries []QuerySpec) WorkloadStats {
 	s.MeanLen = float64(total) / float64(len(queries))
 	s.TopicSpread = len(topics)
 	return s
-}
-
-// SortByID orders queries by ID in place (useful after filtering).
-func SortByID(queries []QuerySpec) {
-	sort.Slice(queries, func(i, j int) bool { return queries[i].ID < queries[j].ID })
 }

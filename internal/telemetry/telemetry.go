@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -391,17 +390,4 @@ func escapeLabel(s string) string {
 	s = strings.ReplaceAll(s, `\`, `\\`)
 	s = strings.ReplaceAll(s, "\n", `\n`)
 	return strings.ReplaceAll(s, `"`, `\"`)
-}
-
-// SortedNames returns the registered family names in lexical order —
-// used by tooling (topprivctl -metrics) for stable pretty-printing.
-func (r *Registry) SortedNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.order))
-	for _, f := range r.order {
-		names = append(names, f.name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -382,7 +382,7 @@ func (e *Engine) flatScan(ctx context.Context, bs *batchState, pi int) error {
 			m.hi = max(m.hi, int(last)+1)
 		}
 	}
-	gated := part.Dead == nil && e.prior == nil
+	gated := part.Dead == nil
 	for _, i := range bs.shared {
 		m := &bs.members[i]
 		switch e.density {
@@ -460,9 +460,8 @@ func (e *Engine) flatScan(ctx context.Context, bs *batchState, pi int) error {
 // the range in postings it reaches about a quarter of it — and rare
 // terms reach a handful: those keep the list, which visits what they
 // reached and nothing else. Only a member sweep can gate is sent (no
-// keep filter, no tombstone in the part, no prior): past the gate
-// every nonzero document takes the exact path, and nothing would be
-// saved.
+// keep filter, no tombstone in the part): past the gate every nonzero
+// document takes the exact path, and nothing would be saved.
 func denseRule(postings, hi int) bool { return postings >= hi }
 
 // density is how flatScan picks each member's path: by denseRule (the
@@ -591,7 +590,7 @@ func (qs *queryState) next(at *int, norms []float64, bound float64) (d corpus.Do
 // is full — filled by this part or by the ones before it — most
 // documents cannot enter it, and where the final score is
 // raw/(norm·qnorm) or raw itself with nothing else to consult — no
-// tombstone, no filter, no prior — next turns those away with one
+// tombstone, no filter — next turns those away with one
 // multiplication and a comparison, before the division and the heap
 // call: final < root ⟸ raw < root·norm·qnorm·gateSlack under cosine,
 // raw < root (exactly) under BM25. A document with no norm has limit 0
@@ -601,7 +600,7 @@ func (qs *queryState) next(at *int, norms []float64, bound float64) (d corpus.Do
 func (e *Engine) sweep(m *batchMember, part *Part) {
 	qs, k, keep, qnorm := m.qs, m.k, m.keep, m.qnorm
 	ids, dead := part.IDs, part.Dead
-	gated := keep == nil && dead == nil && e.prior == nil
+	gated := keep == nil && dead == nil
 	norms, scale := part.Norms, qnorm*gateSlack
 	if e.scoring == BM25 {
 		norms, scale = nil, 1
@@ -649,7 +648,7 @@ func (e *Engine) sweep(m *batchMember, part *Part) {
 // tombstones and the keep filter reject, as sweep counts it.
 func (e *Engine) sweepDense(m *batchMember, part *Part) {
 	qs, k := m.qs, m.k
-	gated := m.keep == nil && part.Dead == nil && e.prior == nil
+	gated := m.keep == nil && part.Dead == nil
 	score := qs.score[:m.hi]
 	norms, scale := part.Norms, m.qnorm*gateSlack
 	if e.scoring == BM25 {

@@ -165,11 +165,10 @@ func ruleSplit(src Source, reqs []Request) (dense, sparse int) {
 // an engine that sends every member dense and one that sends every
 // member sparse return, bit for bit, the hits and counters of the
 // engine that picks by denseRule — alone and in a cycle; over a static
-// index (with and without a prior), a one-memtable store and a store of
-// two segments and a memtable (reported IDs that are not the local
-// ones, with and without tombstones); under local and router-injected
-// statistics; for both scorers; with and without a keep filter; at k =
-// 1, 10 and 100. Each cycle mixes members of common terms, which the
+// index, a one-memtable store and a store of two segments and a
+// memtable (reported IDs that are not the local ones, with and without
+// tombstones); under local and router-injected statistics; for both
+// scorers; with and without a keep filter; at k = 1, 10 and 100. Each cycle mixes members of common terms, which the
 // rule sends dense, with members of rare ones, which it keeps sparse.
 func TestDenseAndSparsePathsAgree(t *testing.T) {
 	c, gt, err := corpus.Synthesize(corpus.GenSpec{
@@ -184,11 +183,7 @@ func TestDenseAndSparsePathsAgree(t *testing.T) {
 	}
 	an := textproc.NewAnalyzer()
 	n := c.NumDocs()
-	prior := make([]float64, n)
 	rng := rand.New(rand.NewSource(46))
-	for d := range prior {
-		prior[d] = rng.Float64()
-	}
 
 	// Terms by document frequency: the head reaches most documents, the
 	// tail a handful.
@@ -235,7 +230,6 @@ func TestDenseAndSparsePathsAgree(t *testing.T) {
 		}
 		setups := []setup{
 			{"static index", whole{idx, DocNorms(idx)}, threeWays(t, func() (*Engine, error) { return NewEngine(idx, an, scoring) })},
-			{"static index with prior", nil, threeWays(t, func() (*Engine, error) { return NewEngineWithPrior(idx, an, scoring, prior, 0.3) })},
 		}
 		for _, s := range sources {
 			src := s.src
@@ -256,7 +250,7 @@ func TestDenseAndSparsePathsAgree(t *testing.T) {
 					}
 					name := fmt.Sprintf("%v over a %s, global=%v keep=%v", scoring, s.name, global, filtered)
 					agree(t, name, s.engs, reqs)
-					if s.src != nil && !global && !filtered {
+					if !global && !filtered {
 						if dense, sparse := ruleSplit(s.src, reqs); dense == 0 || sparse == 0 {
 							t.Fatalf("%s: the rule sent %d members dense and %d sparse; the cycle must hold both", name, dense, sparse)
 						}
@@ -380,7 +374,7 @@ func TestDenseSweepOffersOnlyReachedDocuments(t *testing.T) {
 // adversarial accumulators: raw scores crowding the gate's limit, runs
 // of equal finals, documents without a norm or past the norms, seeded
 // heaps of larger IDs, k = 1 and heaps that never fill, reported IDs,
-// tombstones, priors and keep filters. For each, sweepDense over the
+// tombstones and keep filters. For each, sweepDense over the
 // whole range must leave the heap, the counters and an all-zero
 // accumulator exactly as sweep over the reached list does.
 func TestDenseSweepAgreesWithSweep(t *testing.T) {
@@ -409,12 +403,6 @@ func TestDenseSweepAgreesWithSweep(t *testing.T) {
 			part.Dead = make([]bool, nDocs)
 			for d := range part.Dead {
 				part.Dead[d] = rng.Intn(6) == 0
-			}
-		}
-		if trial%11 == 10 {
-			e.prior = make([]float64, nDocs)
-			for d := range e.prior {
-				e.prior[d] = 0.6 + 0.4*rng.Float64()
 			}
 		}
 		var keep func(corpus.DocID) bool
@@ -464,8 +452,8 @@ func TestDenseSweepAgreesWithSweep(t *testing.T) {
 		e.sweep(&ms, &part)
 		e.sweepDense(&md, &part)
 		if err := sameHits(drainTopK(&dense.heap), drainTopK(&sparse.heap)); err != nil {
-			t.Fatalf("trial %d (%v, k=%d, keep=%v, prior=%v, ids=%v, dead=%v): %v",
-				trial, e.scoring, k, keep != nil, e.prior != nil, part.IDs != nil, part.Dead != nil, err)
+			t.Fatalf("trial %d (%v, k=%d, keep=%v, ids=%v, dead=%v): %v",
+				trial, e.scoring, k, keep != nil, part.IDs != nil, part.Dead != nil, err)
 		}
 		if md.stats != ms.stats {
 			t.Fatalf("trial %d: dense stats %+v, sparse %+v", trial, md.stats, ms.stats)

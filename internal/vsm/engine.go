@@ -164,10 +164,6 @@ type Engine struct {
 	// term-union plan with its iterators, the BM25 length caches) across
 	// batches, a solo query's batch of one included.
 	batches sync.Pool
-	// prior, when non-nil, is a static per-document score multiplier in
-	// (0, 1], derived from link analysis (see NewEngineWithPrior).
-	prior       []float64
-	priorWeight float64
 	// metrics, when non-nil, carries the pre-resolved telemetry handles
 	// every query updates (see EnableMetrics). Set before serving.
 	metrics *engineMetrics
@@ -204,49 +200,6 @@ func NewEngineOver(src Source, an *textproc.Analyzer, scoring Scoring) (*Engine,
 	e := &Engine{src: src, an: an, memo: textproc.NewTermMemo(an, src.Vocab()), scoring: scoring}
 	e.states.New = func() interface{} { return &queryState{} }
 	e.batches.New = func() interface{} { return newBatchState() }
-	return e, nil
-}
-
-// NewEngineWithPrior builds an engine that folds a static document
-// prior (e.g. PageRank or HITS authority from internal/linkrank) into
-// its ranking, the way the paper's system model allows (§III-A: the
-// engine may combine the VSM "in conjunction with Web link analysis
-// techniques"). Each similarity score is multiplied by
-//
-//	(1 − weight) + weight · prior[d]/max(prior)
-//
-// so weight = 0 is pure similarity and weight = 1 ranks by
-// prior-modulated similarity. TopPriv's privacy layer is independent of
-// this choice — it never sees document scores.
-func NewEngineWithPrior(idx *index.Index, an *textproc.Analyzer, scoring Scoring, prior []float64, weight float64) (*Engine, error) {
-	e, err := NewEngine(idx, an, scoring)
-	if err != nil {
-		return nil, err
-	}
-	if len(prior) != idx.NumDocs() {
-		return nil, fmt.Errorf("vsm: prior has %d entries for %d docs", len(prior), idx.NumDocs())
-	}
-	if weight < 0 || weight > 1 {
-		return nil, fmt.Errorf("vsm: prior weight = %v, need [0,1]", weight)
-	}
-	mx := 0.0
-	for _, p := range prior {
-		if p < 0 {
-			return nil, fmt.Errorf("vsm: negative prior %v", p)
-		}
-		if p > mx {
-			mx = p
-		}
-	}
-	if mx == 0 {
-		return nil, fmt.Errorf("vsm: all-zero prior")
-	}
-	scaled := make([]float64, len(prior))
-	for d, p := range prior {
-		scaled[d] = (1 - weight) + weight*p/mx
-	}
-	e.prior = scaled
-	e.priorWeight = weight
 	return e, nil
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"toppriv/internal/corpus"
 	"toppriv/internal/index"
-	"toppriv/internal/linkrank"
 	"toppriv/internal/textproc"
 )
 
@@ -239,97 +238,5 @@ func TestSearchMonotoneUnderIrrelevantDocs(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestEngineWithPriorReordersTies(t *testing.T) {
-	docs := []corpus.Document{
-		{Text: "same text"},
-		{Text: "same text"},
-	}
-	an := textproc.NewAnalyzer(textproc.WithStemming(false))
-	c, err := corpus.Build(docs, an, textproc.PruneSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, _ := index.Build(c)
-	// Without a prior, doc 0 wins the tie-break.
-	plain, _ := NewEngine(idx, an, Cosine)
-	res := mustSearch(t, plain, Request{Query: "same text", K: 2})
-	if res[0].Doc != 0 {
-		t.Fatalf("baseline tie-break broken: %v", res)
-	}
-	// A prior favoring doc 1 must flip the order.
-	e, err := NewEngineWithPrior(idx, an, Cosine, []float64{0.1, 0.9}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res = mustSearch(t, e, Request{Query: "same text", K: 2})
-	if res[0].Doc != 1 {
-		t.Fatalf("prior ignored: %v", res)
-	}
-	// Weight 0 is pure similarity: back to the tie-break.
-	e0, err := NewEngineWithPrior(idx, an, Cosine, []float64{0.1, 0.9}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res = mustSearch(t, e0, Request{Query: "same text", K: 2})
-	if res[0].Doc != 0 {
-		t.Fatalf("weight 0 should be pure similarity: %v", res)
-	}
-}
-
-func TestEngineWithPriorValidation(t *testing.T) {
-	e := buildEngine(t, Cosine, "alpha beta", "gamma delta")
-	idx := e.Index()
-	an := e.Analyzer()
-	if _, err := NewEngineWithPrior(idx, an, Cosine, []float64{1}, 0.5); err == nil {
-		t.Error("length mismatch must error")
-	}
-	if _, err := NewEngineWithPrior(idx, an, Cosine, []float64{1, 1}, 2); err == nil {
-		t.Error("weight > 1 must error")
-	}
-	if _, err := NewEngineWithPrior(idx, an, Cosine, []float64{-1, 1}, 0.5); err == nil {
-		t.Error("negative prior must error")
-	}
-	if _, err := NewEngineWithPrior(idx, an, Cosine, []float64{0, 0}, 0.5); err == nil {
-		t.Error("all-zero prior must error")
-	}
-}
-
-func TestEngineWithPageRankPrior(t *testing.T) {
-	// End-to-end with the linkrank substrate: a link-popular relevant
-	// doc outranks an equally-similar unpopular one.
-	spec := corpus.GenSpec{Seed: 19, NumDocs: 40, NumTopics: 4, DocLenMin: 20, DocLenMax: 40}
-	c, _, err := corpus.Synthesize(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx, _ := index.Build(c)
-	topics := make([][]float64, c.NumDocs())
-	for d := range topics {
-		topics[d] = c.Docs[d].TrueTopics
-	}
-	g, err := linkrank.SyntheticGraph(topics, 3, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, err := linkrank.PageRank(g, 0.85, 100, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	an := textproc.NewAnalyzer()
-	e, err := NewEngineWithPrior(idx, an, Cosine, pr, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := mustSearch(t, e, Request{Terms: an.Analyze(c.Docs[0].Text)[:5], K: 10})
-	if len(res) == 0 {
-		t.Fatal("no results with prior-modulated engine")
-	}
-	for _, r := range res {
-		if r.Score < 0 {
-			t.Fatalf("negative combined score %v", r.Score)
-		}
 	}
 }

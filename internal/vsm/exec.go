@@ -338,17 +338,13 @@ func canceled(done <-chan struct{}) bool {
 }
 
 // finalizeScore applies the per-document normalization (cosine, by the
-// part's norms; a document without one is left as it is) and the static
-// prior.
+// part's norms; a document without one is left as it is).
 func (e *Engine) finalizeScore(raw float64, d corpus.DocID, norms []float64, qnorm float64) float64 {
 	s := raw
 	if e.scoring != BM25 && int(d) < len(norms) {
 		if n := norms[d]; n > 0 {
 			s /= n * qnorm
 		}
-	}
-	if e.prior != nil && int(d) < len(e.prior) {
-		s *= e.prior[d]
 	}
 	return s
 }

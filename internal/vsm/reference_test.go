@@ -65,11 +65,10 @@ type refTerm struct {
 
 // search ranks the collection for req the way the textbooks state it:
 // for every document, sum w(t,q)·w(t,d) over the query's distinct terms
-// in ascending term order, normalize, sort. prior is the engine's
-// per-document multiplier (nil for none). The returned stats are the
+// in ascending term order, normalize, sort. The returned stats are the
 // flat scan's definition of the work: postings of the terms that carry
 // weight, matching documents kept and rejected.
-func (r *refIndex) search(scoring Scoring, prior []float64, req Request) ([]Result, ExecStats) {
+func (r *refIndex) search(scoring Scoring, req Request) ([]Result, ExecStats) {
 	const k1, b = 1.2, 0.75
 	g := req.Global
 	n := float64(len(r.tf))
@@ -182,9 +181,6 @@ func (r *refIndex) search(scoring Scoring, prior []float64, req Request) ([]Resu
 		if scoring == Cosine && r.norm[d] > 0 {
 			s /= r.norm[d] * qnorm
 		}
-		if prior != nil {
-			s *= prior[d]
-		}
 		all = append(all, Result{Doc: corpus.DocID(d), Score: s})
 	}
 	sort.Slice(all, func(i, j int) bool {
@@ -219,10 +215,9 @@ func sameHits(got, want []Result) error {
 // scorer, bit for bit. The solo flat scan and the shared
 // traversal are one kernel, so comparing them with each other proves
 // nothing about it; this does. Each collection is searched as one index
-// (with and without a prior) and dealt out to three parts the way a live
-// store holds it: reported IDs that are not the local ones, a tombstone
-// or more in every part, documents of unequal length under equal local
-// IDs.
+// and dealt out to three parts the way a live store holds it: reported
+// IDs that are not the local ones, a tombstone or more in every part,
+// documents of unequal length under equal local IDs.
 func TestEngineMatchesReferenceScorer(t *testing.T) {
 	ctx := context.Background()
 	ks := []int{1, 10, 100}
@@ -243,17 +238,6 @@ func TestEngineMatchesReferenceScorer(t *testing.T) {
 		an := textproc.NewAnalyzer()
 		ref := newRefIndex(c)
 
-		rawPrior := make([]float64, c.NumDocs())
-		maxPrior := 0.0
-		for d := range rawPrior {
-			rawPrior[d] = rng.Float64()
-			maxPrior = math.Max(maxPrior, rawPrior[d])
-		}
-		const priorWeight = 0.4
-		scaledPrior := make([]float64, len(rawPrior))
-		for d, p := range rawPrior {
-			scaledPrior[d] = (1 - priorWeight) + priorWeight*p/maxPrior
-		}
 		dead := make([]bool, c.NumDocs())
 		for d := range dead {
 			dead[d] = rng.Float64() < 0.2
@@ -282,14 +266,9 @@ func TestEngineMatchesReferenceScorer(t *testing.T) {
 		queries[3] = append(queries[3], "zzzzothershardterm", queries[3][0])
 
 		for _, scoring := range []Scoring{Cosine, BM25} {
-			for _, over := range []string{"index", "index with prior", "three parts"} {
+			for _, over := range []string{"index", "three parts"} {
 				eng, err := NewEngine(idx, an, scoring)
-				var prior []float64
-				switch over {
-				case "index with prior":
-					eng, err = NewEngineWithPrior(idx, an, scoring, rawPrior, priorWeight)
-					prior = scaledPrior
-				case "three parts":
+				if over == "three parts" {
 					eng, err = NewEngineOver(partsSource{idx, parts}, an, scoring)
 				}
 				if err != nil {
@@ -318,7 +297,7 @@ func TestEngineMatchesReferenceScorer(t *testing.T) {
 								// To the reference a tombstone is a filter.
 								refReq.Keep = func(d corpus.DocID) bool { return !tomb[d] && (keep == nil || keep(d)) }
 							}
-							want, wantStats := ref.search(scoring, prior, refReq)
+							want, wantStats := ref.search(scoring, refReq)
 							check := func(how string, resp Response) {
 								t.Helper()
 								if err := sameHits(resp.Hits, want); err != nil {

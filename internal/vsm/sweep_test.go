@@ -72,12 +72,6 @@ func TestSweepGateNeverRejectsAnAdmissibleDocument(t *testing.T) {
 			}
 			return corpus.DocID(d)
 		}
-		if trial%11 == 10 {
-			e.prior = make([]float64, nDocs)
-			for d := range e.prior {
-				e.prior[d] = 0.6 + 0.4*rng.Float64()
-			}
-		}
 		var keep func(corpus.DocID) bool
 		if trial%7 == 6 {
 			dead := rng.Intn(nDocs)
@@ -147,8 +141,8 @@ func TestSweepGateNeverRejectsAnAdmissibleDocument(t *testing.T) {
 		qs.unswept = true
 		e.sweep(&m, &part)
 		if err := sameHits(drainTopK(&qs.heap), drainTopK(&exact)); err != nil {
-			t.Fatalf("trial %d (%v, k=%d, keep=%v, prior=%v, ids=%v, dead=%v): %v",
-				trial, e.scoring, k, keep != nil, e.prior != nil, part.IDs != nil, part.Dead != nil, err)
+			t.Fatalf("trial %d (%v, k=%d, keep=%v, ids=%v, dead=%v): %v",
+				trial, e.scoring, k, keep != nil, part.IDs != nil, part.Dead != nil, err)
 		}
 		if m.stats != want {
 			t.Fatalf("trial %d: stats %+v, want %+v", trial, m.stats, want)

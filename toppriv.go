@@ -37,7 +37,6 @@ import (
 	"toppriv/internal/corpus"
 	"toppriv/internal/index"
 	"toppriv/internal/lda"
-	"toppriv/internal/linkrank"
 	"toppriv/internal/search"
 	"toppriv/internal/segment"
 	"toppriv/internal/textproc"
@@ -168,17 +167,10 @@ type ServiceSpec struct {
 	TrainIters int
 	// BM25 selects Okapi BM25 scoring instead of tf-idf cosine.
 	BM25 bool
-	// LinkPriorWeight, when > 0, synthesizes a citation graph over the
-	// corpus (topical preferential attachment), computes PageRank, and
-	// folds it into the ranking with this weight in (0, 1] — the
-	// §III-A "in conjunction with Web link analysis techniques" engine
-	// variant. TopPriv is unaffected either way.
-	LinkPriorWeight float64
 	// Live serves searches from the segmented live index instead of the
 	// immutable engine: AddDocuments and DeleteDocument become
 	// available, and the HTTP handler accepts POST /index and
-	// DELETE /doc/{id}. Incompatible with LinkPriorWeight (a static
-	// prior cannot follow a changing corpus).
+	// DELETE /doc/{id}.
 	Live bool
 	// SealThreshold is the live memtable's seal size in documents
 	// (0 = segment package default). Ignored unless Live.
@@ -248,10 +240,7 @@ func NewService(spec ServiceSpec) (*Service, error) {
 		searcher vsm.RequestSearcher
 		store    *segment.Store
 	)
-	switch {
-	case spec.Live && spec.LinkPriorWeight > 0:
-		return nil, fmt.Errorf("toppriv: Live is incompatible with LinkPriorWeight (static prior over a changing corpus)")
-	case spec.Live:
+	if spec.Live {
 		store, err = segment.Open(segment.Config{
 			Scoring:       scoring,
 			Analyzer:      an,
@@ -265,29 +254,7 @@ func NewService(spec ServiceSpec) (*Service, error) {
 			return nil, fmt.Errorf("toppriv: live store seed: %w", err)
 		}
 		searcher = store
-	case spec.LinkPriorWeight > 0:
-		topics := make([][]float64, c.NumDocs())
-		for d := range topics {
-			theta := c.Docs[d].TrueTopics
-			if len(theta) == 0 {
-				theta = []float64{1} // ingested corpora: single pseudo-topic
-			}
-			topics[d] = theta
-		}
-		g, err := linkrank.SyntheticGraph(topics, 4, spec.Seed+13)
-		if err != nil {
-			return nil, fmt.Errorf("toppriv: link graph: %w", err)
-		}
-		pr, err := linkrank.PageRank(g, 0.85, 100, 1e-10)
-		if err != nil {
-			return nil, fmt.Errorf("toppriv: pagerank: %w", err)
-		}
-		eng, err := vsm.NewEngineWithPrior(idx, an, scoring, pr, spec.LinkPriorWeight)
-		if err != nil {
-			return nil, fmt.Errorf("toppriv: engine: %w", err)
-		}
-		searcher = eng
-	default:
+	} else {
 		eng, err := vsm.NewEngine(idx, an, scoring)
 		if err != nil {
 			return nil, fmt.Errorf("toppriv: engine: %w", err)

@@ -97,15 +97,6 @@ func TestServiceLive(t *testing.T) {
 }
 
 func TestServiceLiveValidation(t *testing.T) {
-	if _, err := NewService(ServiceSpec{
-		Seed:            3,
-		Corpus:          CorpusSpec{NumDocs: 40, NumTopics: 4},
-		TrainIters:      5,
-		Live:            true,
-		LinkPriorWeight: 0.5,
-	}); err == nil {
-		t.Fatal("Live + LinkPriorWeight should be rejected")
-	}
 	svc := getService(t)
 	if svc.Live() {
 		t.Fatal("default service should not be live")

@@ -236,35 +236,6 @@ func TestServiceSession(t *testing.T) {
 	}
 }
 
-func TestServiceWithLinkPrior(t *testing.T) {
-	svc, err := NewService(ServiceSpec{
-		Seed: 93,
-		Corpus: CorpusSpec{
-			NumDocs:   200,
-			NumTopics: 6,
-			DocLenMin: 40,
-			DocLenMax: 70,
-		},
-		TrainIters:      30,
-		LinkPriorWeight: 0.5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hits := svc.Search(svc.topicQueryText(0, 5), 5)
-	if len(hits) == 0 {
-		t.Fatal("link-prior engine returned no hits")
-	}
-	// Privacy layer is unaffected by the ranking variant.
-	obf, err := svc.NewObfuscator(PrivacyParams{Eps1: 0.04, Eps2: 0.02})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := obf.Obfuscate(svc.AnalyzeQuery(svc.topicQueryText(0, 10)), rand.New(rand.NewSource(1))); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestServiceRequestAPI(t *testing.T) {
 	svc := getService(t)
 	ctx := context.Background()
