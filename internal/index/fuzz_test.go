@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
@@ -34,6 +35,119 @@ func postingsFromBytes(data []byte) []Posting {
 	return pl
 }
 
+// wrappedBlock is one block whose stored minimum gap (gap) or minimum
+// tf (tf) is 2⁶⁴ − 1, a field whose +1 wraps to 0: with the gap, a
+// block of docs [0 0]; with the tf, doc 0 at tf 0. Both break what an
+// accepted list promises — strictly ascending documents, positive
+// frequencies — so the header parser must refuse them.
+func wrappedBlock(field string) (block []byte, postings int) {
+	b := binary.AppendUvarint(nil, 1) // base delta: doc 0
+	switch field {
+	case "gap":
+		b = binary.AppendUvarint(b, 2) // two postings
+		b = append(b, 0, 0)            // no residual bits
+		b = binary.AppendUvarint(b, math.MaxUint64)
+		b = binary.AppendUvarint(b, 0)
+		return b, 2
+	case "tf":
+		b = binary.AppendUvarint(b, 1)
+		b = append(b, 0, 0)
+		b = binary.AppendUvarint(b, math.MaxUint64)
+		return b, 1
+	}
+	panic("wrappedBlock: " + field)
+}
+
+// tpixOfBlock is a whole TPIX image of two documents of length 1 and
+// one term, "a", whose list is block, of the given posting count,
+// ending at doc 0.
+func tpixOfBlock(block []byte, postings int) []byte {
+	img := []byte(codecMagic)
+	img = binary.LittleEndian.AppendUint32(img, codecVersion)
+	img = binary.AppendUvarint(img, 2) // documents
+	img = binary.AppendUvarint(img, 1) // terms
+	img = binary.AppendUvarint(img, 1)
+	img = append(img, 'a')
+	img = binary.AppendUvarint(img, uint64(postings))
+	img = binary.AppendUvarint(img, uint64(len(block)))
+	img = append(img, block...)
+	img = binary.AppendUvarint(img, 0) // last doc
+	return append(img, 1, 1)           // document lengths
+}
+
+// TestWrappedBlockHeadersRefused holds the block-header parser to the
+// bound of its minimum-gap and minimum-tf fields: a block whose field
+// wraps its +1 to 0 is refused on its own (with and without the payload
+// decode), inside a TPIX stream (Read) and in a mapped file
+// (OpenMapped), and so is the smallest field that would carry past an
+// int32. A well-formed block of the same shape loads, so the refusals
+// are the fields'.
+func TestWrappedBlockHeadersRefused(t *testing.T) {
+	for _, field := range []string{"gap", "tf"} {
+		block, n := wrappedBlock(field)
+		want := "minimum " + field
+		for _, verify := range []bool{true, false} {
+			if err := checkListWire(n, block, 0, 2, verify); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s block, verifyPayload=%v: err = %v, want %q", field, verify, err, want)
+			}
+		}
+		img := tpixOfBlock(block, n)
+		if _, err := Read(bytes.NewReader(img)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s block: Read err = %v, want %q", field, err, want)
+		}
+		path := filepath.Join(t.TempDir(), field+".tpix")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := OpenMapped(path); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s block: OpenMapped err = %v, want %q", field, err, want)
+		}
+	}
+	// The largest fields the encoder can write, MaxInt32 − 1, parse; one
+	// more is refused.
+	for _, mg := range []uint64{math.MaxInt32 - 1, math.MaxInt32} {
+		b := binary.AppendUvarint(nil, 1)
+		b = binary.AppendUvarint(b, 2)
+		b = append(b, 0, 0)
+		b = binary.AppendUvarint(b, mg)
+		b = binary.AppendUvarint(b, math.MaxInt32-1)
+		_, err := parseBlockHeader(b, 0)
+		if (err == nil) != (mg < math.MaxInt32) {
+			t.Errorf("minimum gap field %d: err = %v", mg, err)
+		}
+	}
+	valid := binary.AppendUvarint(nil, 1)
+	valid = binary.AppendUvarint(valid, 1)
+	valid = append(valid, 0, 0)
+	valid = binary.AppendUvarint(valid, 0)
+	x, err := Read(bytes.NewReader(tpixOfBlock(valid, 1)))
+	if err != nil {
+		t.Fatalf("well-formed one-block image refused: %v", err)
+	}
+	assertTraversable(t, x, "well-formed one-block image")
+}
+
+// TestPayloadWalkRefusesRepeatsAndZeroTF holds checkListWire's payload
+// decode (verifyBlock) to the list contract on its own, behind the
+// header parser: a doc that does not ascend and a tf of 0 are each
+// refused. parseBlockHeader no longer lets such a block through, so the
+// walk is handed the wrapped headers as the unchecked reader reads
+// them.
+func TestPayloadWalkRefusesRepeatsAndZeroTF(t *testing.T) {
+	block, _ := wrappedBlock("gap")
+	last := int64(-1)
+	h := readBlockHeader(block, 0) // minGap wrapped to 0
+	if err := verifyBlock(block, h, &last, 2); err == nil || !strings.Contains(err.Error(), "after doc") {
+		t.Errorf("repeated doc: err = %v", err)
+	}
+	block, _ = wrappedBlock("tf")
+	last = -1
+	h = readBlockHeader(block, 0) // minTF wrapped to 0
+	if err := verifyBlock(block, h, &last, 2); err == nil || !strings.Contains(err.Error(), "tf 0") {
+		t.Errorf("tf 0: err = %v", err)
+	}
+}
+
 // FuzzDecodePostings fuzzes the block codec from both ends: the input
 // bytes are (a) interpreted as a postings list, encoded, and decoded
 // back — the encoding must be as long as blocksLen says, and the round
@@ -48,6 +162,10 @@ func FuzzDecodePostings(f *testing.F) {
 	// block structures.
 	_, seed, _ := encodePostings([]Posting{{Doc: 0, TF: 1}, {Doc: 5, TF: 3}, {Doc: 1000, TF: 9}}, nil)
 	f.Add(seed)
+	for _, field := range []string{"gap", "tf"} {
+		block, _ := wrappedBlock(field)
+		f.Add(block)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// (a) Round trip: encode(postings) then decode must be exact.
 		pl := postingsFromBytes(data)
@@ -152,6 +270,9 @@ func FuzzReadTPIX(f *testing.F) {
 		flipped[pos] ^= 0x41
 	}
 	f.Add(flipped)
+	for _, field := range []string{"gap", "tf"} {
+		f.Add(tpixOfBlock(wrappedBlock(field)))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		y, err := Read(bytes.NewReader(data))
 		if err != nil || y == nil {

@@ -252,7 +252,11 @@ type blockHeader struct {
 // parseBlockHeader parses the block starting at data[off:], validating
 // every field and that the payload fits in data. It is the parser for
 // bytes from outside (load, fuzz); iterators over accepted lists read
-// headers with readBlockHeader.
+// headers with readBlockHeader. The stored minimum gap and tf are one
+// less than the values (a gap and a tf are at least 1) and no more than
+// MaxInt32 − 1 in anything the encoder writes: a larger field is
+// refused, for its +1 would carry past an int32 or, at 2⁶⁴ − 1, wrap to
+// a gap of 0 (a repeated document) or a tf of 0.
 func parseBlockHeader(data []byte, off int) (blockHeader, error) {
 	var h blockHeader
 	rd := func() (uint64, error) {
@@ -291,11 +295,17 @@ func parseBlockHeader(data []byte, off int) (blockHeader, error) {
 		if err != nil {
 			return h, err
 		}
+		if mg >= math.MaxInt32 {
+			return h, fmt.Errorf("index: block header: minimum gap %d out of range", mg)
+		}
 		h.minGap = mg + 1
 	}
 	mt, err := rd()
 	if err != nil {
 		return h, err
+	}
+	if mt >= math.MaxInt32 {
+		return h, fmt.Errorf("index: block header: minimum tf %d out of range", mt)
 	}
 	h.minTF = mt + 1
 	h.gapsOff = off
@@ -481,32 +491,49 @@ func checkListWire(n int, data []byte, lastDoc corpus.DocID, numDocs int, verify
 	var verify func(blockHeader) error
 	d := int64(-1)
 	if verifyPayload {
-		verify = func(h blockHeader) error {
-			var resid [BlockSize]uint32
-			unpackBits(data[h.gapsOff:h.tfsOff], h.count-1, h.gapBits, resid[:])
-			d += int64(h.baseDelta)
-			for i := 0; i < h.count; i++ {
-				if i > 0 {
-					d += int64(h.minGap) + int64(resid[i-1])
-				}
-				if d >= int64(numDocs) || d > math.MaxInt32 {
-					return fmt.Errorf("index: doc %d out of range", d)
-				}
-			}
-			unpackBits(data[h.tfsOff:h.end], h.count, h.tfBits, resid[:])
-			for i := 0; i < h.count; i++ {
-				if h.minTF+uint64(resid[i]) > math.MaxInt32 {
-					return fmt.Errorf("index: tf overflow")
-				}
-			}
-			return nil
-		}
+		verify = func(h blockHeader) error { return verifyBlock(data, h, &d, numDocs) }
 	}
 	if err := walkBlocks(data, n, verify); err != nil {
 		return err
 	}
 	if verifyPayload && d != int64(lastDoc) {
 		return fmt.Errorf("index: last doc %d, stored %d", d, lastDoc)
+	}
+	return nil
+}
+
+// verifyBlock decodes the payload of one block whose header the parser
+// accepted and checks it against the list contract: documents strictly
+// ascending from *last (the previous block's last document, −1 at the
+// list's start) and inside [0, numDocs), frequencies in [1, MaxInt32].
+// It leaves the block's last document in *last.
+func verifyBlock(data []byte, h blockHeader, last *int64, numDocs int) error {
+	var resid [BlockSize]uint32
+	unpackBits(data[h.gapsOff:h.tfsOff], h.count-1, h.gapBits, resid[:])
+	prev := *last
+	d := prev + int64(h.baseDelta)
+	for i := 0; i < h.count; i++ {
+		if i > 0 {
+			d += int64(h.minGap) + int64(resid[i-1])
+		}
+		if d <= prev {
+			return fmt.Errorf("index: doc %d after doc %d", d, prev)
+		}
+		if d >= int64(numDocs) || d > math.MaxInt32 {
+			return fmt.Errorf("index: doc %d out of range", d)
+		}
+		prev = d
+	}
+	*last = d
+	unpackBits(data[h.tfsOff:h.end], h.count, h.tfBits, resid[:])
+	for i := 0; i < h.count; i++ {
+		tf := h.minTF + uint64(resid[i])
+		if tf < 1 {
+			return fmt.Errorf("index: tf 0")
+		}
+		if tf > math.MaxInt32 {
+			return fmt.Errorf("index: tf overflow")
+		}
 	}
 	return nil
 }

@@ -1,9 +1,14 @@
 // The flat scan: the engine's one term-at-a-time kernel. A cycle of υ
 // queries and a query on its own run the same loops — flatScan
 // accumulates, sweep (or, for a member whose lists cover the part,
-// sweepDense) finalizes — the solo query as a one-member cycle.
-// SearchBatch and runBatch, the one query path that feeds the kernel,
-// are here too.
+// sweepDense) finalizes — the solo query as a one-member cycle. The
+// accumulate loops split by scorer: under cosine each member's
+// contribution w·(1+ln tf) is read from a small per-reference table
+// indexed by the posting's tf, so a posting is read once; under BM25 a
+// block's impacts, which depend on the document's length, are computed
+// once into a shared buffer and each member multiplies them by its
+// weight. SearchBatch and runBatch, the one query path that feeds the
+// kernel, are here too.
 
 package vsm
 
@@ -48,6 +53,20 @@ type batchRef struct {
 	w      float64
 }
 
+// tfTableLen is how many term frequencies a cosine reference's weight
+// table covers: tf below it is read from the table, tf at or above it
+// is computed. In the benchmark's 9 000-document corpus tf ≤ 15 covers
+// all but about one posting in a thousand (tf = 1 alone three in four),
+// so the fallback is rare, and a table is 128 bytes.
+const tfTableLen = 16
+
+// weightTable is a cosine reference's contributions by term frequency:
+// entry tf is float64(w·docWeight(tf)), the product the scan would
+// otherwise form per posting — bit for bit, for the table is filled
+// with that very expression. Entry 0 belongs to no valid posting
+// (frequencies are positive) and is never read by a valid scan.
+type weightTable [tfTableLen]float64
+
 // unionTerm is one distinct term across the batch with the slice of
 // members containing it and its postings iterator, repositioned over
 // each part in turn — each distinct list of each part is decoded exactly
@@ -72,9 +91,9 @@ type lengthCache struct {
 }
 
 // batchState is the pooled per-scan scratch: the member table, the
-// parts, the TermID-sorted union plan, the flattened member references,
-// and the per-block impact buffer the flat scan fills once per distinct
-// block.
+// parts, the TermID-sorted union plan, the flattened member references
+// with, under cosine, a weight table each, and the BM25 impact buffer
+// the flat scan fills once per distinct block.
 type batchState struct {
 	members []batchMember
 	// pending lists the live members no scan has served yet, shared the
@@ -91,7 +110,14 @@ type batchState struct {
 	// which then trades places with refs.
 	refs, sorted []batchRef
 	keys         []uint64
-	impacts      [index.BlockSize]float64
+	// weights holds, under cosine, the weight table of refs[ri] at
+	// position ri: filled once per scan by weighRefs and read for every
+	// part, since a posting's cosine weight does not depend on its part.
+	weights []weightTable
+	// impacts is BM25's per-block buffer: the tf-saturation factor of
+	// every posting of the block being scanned (blockImpacts), shared by
+	// the members containing the term. Cosine does not use it.
+	impacts [index.BlockSize]float64
 	// lengths has a cache per part, by its position among the parts: a
 	// static index keeps its one, and a store's segments keep their
 	// places from one query to the next until the stack is restructured.
@@ -152,12 +178,11 @@ func (bs *batchState) reset() {
 // of one obfuscation cycle, submitted together as the paper's system
 // model does (§III, Fig. 1). Terms are resolved in one pass, and the
 // members are evaluated in a single cycle-at-a-time flat scan that
-// decodes each distinct postings list once, computes every posting's
-// query-independent impact once, and fans it out to the members
-// containing the term — over each of the source's parts in turn, into
-// one top-k heap per member. Members carrying a router's Global
-// statistics join it like any other — a routed cycle shares on every
-// shard segment exactly as it does on a single node. Under BM25 the
+// decodes each distinct postings list once and fans every posting out
+// to the members containing the term — over each of the source's parts
+// in turn, into one top-k heap per member. Members carrying a router's
+// Global statistics join it like any other — a routed cycle shares on
+// every shard segment exactly as it does on a single node. Under BM25 the
 // members of one scan must score with one avgdl (a length cache is valid
 // for one), so members that agree on avgdl scan together: one scan for a
 // local batch or a routed cycle, one per avgdl for a mixed Global/local
@@ -259,6 +284,9 @@ func (e *Engine) runBatch(ctx context.Context, reqs []Request, resps []Response)
 		}
 		pending = rest
 		bs.buildUnion()
+		if e.scoring != BM25 {
+			bs.weighRefs()
+		}
 		for pi := range bs.parts {
 			for ui := range bs.union {
 				ut := &bs.union[ui]
@@ -324,33 +352,51 @@ func (bs *batchState) buildUnion() {
 	}
 }
 
+// weighRefs fills bs.weights with a cosine weight table for each of
+// bs.refs: tfTableLen products per reference, made once per scan and
+// read by every part's.
+func (bs *batchState) weighRefs() {
+	bs.weights = slices.Grow(bs.weights[:0], len(bs.refs))[:len(bs.refs)]
+	for ri, rf := range bs.refs {
+		wt := &bs.weights[ri]
+		for tf := range wt {
+			wt[tf] = float64(rf.w * lnTFTable[tf])
+		}
+	}
+}
+
 // flatScan scores every posting part pi holds of every term in bs.union
 // — the iterators are on that part's lists — for the members in
 // bs.shared and offers the documents it reached to each member's heap;
 // the caller drains the heaps after the last part.
 //
 // One pass over each distinct list, in ascending TermID order, a
-// decoded block at a time. Per block, once: the query-independent
-// impact of every posting (blockImpacts) with the scorer chosen outside
-// the loop. Per member containing the term: score[d] += w·impact over
-// the block and nothing else — no per-document bookkeeping to load, no
-// filter. The accumulators are all zero when a scan starts (queryState;
-// the sweep that ends a part's scan leaves them so for the next), so a
-// member's first contribution to a document is 0 + x and the rest
+// decoded block at a time, with the scorer chosen outside the loop.
+// Under cosine, per member containing the term: score[d] += wt[tf],
+// the member's w·(1+ln tf) read from its reference's weight table
+// (weighRefs), straight off the decoded frequencies. Under BM25, per
+// block, once: the tf-saturation impact of every posting
+// (blockImpacts), which depends on the document's length; then per
+// member, score[d] += w·impact over the block. Either way nothing else
+// — no per-document bookkeeping to load, no filter. The accumulators
+// are all zero when a scan starts (queryState; the sweep that ends a
+// part's scan leaves them so for the next), so a member's first
+// contribution to a document is 0 + x and the rest
 // follow in term order: the sequence of additions each score sees is
 // the one a textbook term-at-a-time scorer makes, whoever else is in
 // the cycle, which is what keeps every member's scores bit-identical to
 // running alone and to the reference scorer. Every weight and impact is
 // finite and positive (Request.Validate vouches for injected
-// statistics), which is what lets add recognize a first contribution by
-// the zero it lands on, and lets sweepDense tell the documents a scan
+// statistics), which is what lets add and addCosine recognize a first
+// contribution by the zero it lands on, and lets sweepDense tell the documents a scan
 // reached by their nonzero scores.
 //
 // Each member takes one of two paths over the part, picked before the
 // first block by denseRule: a sparse member keeps a list of the
-// documents it reached (add) and sweeps that list (sweep); a dense one,
-// whose lists hold as many postings as the range they span, adds bare
-// (accumulate) and sweeps the range in document order (sweepDense).
+// documents it reached (add, addCosine) and sweeps that list (sweep); a
+// dense one, whose lists hold as many postings as the range they span,
+// adds bare (accumulate, accumulateCosine) and sweeps the range in
+// document order (sweepDense).
 // Both make the same additions and offer the heap the same documents
 // it keeps.
 //
@@ -394,9 +440,10 @@ func (e *Engine) flatScan(ctx context.Context, bs *batchState, pi int) error {
 			m.dense = gated && m.keep == nil && denseRule(m.postings, m.hi)
 		}
 	}
+	cosine := e.scoring != BM25
 	var avgLen float64
 	var denoms []float64
-	if e.scoring == BM25 {
+	if !cosine {
 		// The sharing group's one avgdl: the source's own, or the
 		// cluster-merged value a router injected.
 		avgLen = bs.members[bs.shared[0]].qs.avgLen
@@ -420,13 +467,24 @@ func (e *Engine) flatScan(ctx context.Context, bs *batchState, pi int) error {
 					return ctx.Err()
 				}
 			}
-			impacts := bs.impacts[:len(docs)]
-			e.blockImpacts(impacts, docs, tfs, part.Postings, avgLen, denoms)
-			for _, rf := range refs {
-				if m := &bs.members[rf.member]; m.dense {
-					m.qs.accumulate(docs, impacts, rf.w)
-				} else {
-					m.qs.add(docs, impacts, rf.w)
+			if cosine {
+				for ri, rf := range refs {
+					wt := &bs.weights[ut.from+ri]
+					if m := &bs.members[rf.member]; m.dense {
+						m.qs.accumulateCosine(docs, tfs, wt, rf.w)
+					} else {
+						m.qs.addCosine(docs, tfs, wt, rf.w)
+					}
+				}
+			} else {
+				impacts := bs.impacts[:len(docs)]
+				blockImpacts(impacts, docs, tfs, part.Postings, avgLen, denoms)
+				for _, rf := range refs {
+					if m := &bs.members[rf.member]; m.dense {
+						m.qs.accumulate(docs, impacts, rf.w)
+					} else {
+						m.qs.add(docs, impacts, rf.w)
+					}
 				}
 			}
 			if !ut.it.NextWindow() {
@@ -475,20 +533,13 @@ const (
 	allSparse
 )
 
-// blockImpacts fills impacts with the query-independent factor of every
-// posting of one decoded block — the lnc document weight 1+ln(tf) for
-// cosine, the BM25 tf-saturation factor for BM25 — with the scorer
-// chosen once per block instead of once per posting, and BM25's length
-// normalization read from (or entered into) the denoms cache, so a
-// document's DocLen is fetched once however many of the union's lists
-// it is on.
-func (e *Engine) blockImpacts(impacts []float64, docs []corpus.DocID, tfs []int32, part Postings, avgLen float64, denoms []float64) {
-	if e.scoring != BM25 {
-		for i, tf := range tfs {
-			impacts[i] = docWeight(tf)
-		}
-		return
-	}
+// blockImpacts fills impacts with the BM25 tf-saturation factor of
+// every posting of one decoded block, the query-independent part of its
+// score, with the length normalization read from (or entered into) the
+// denoms cache, so a document's DocLen is fetched once however many of
+// the union's lists it is on. Cosine needs no such pass: its factor
+// depends on tf alone and is read from the weight tables.
+func blockImpacts(impacts []float64, docs []corpus.DocID, tfs []int32, part Postings, avgLen float64, denoms []float64) {
 	for i, d := range docs {
 		dn := denoms[d]
 		if dn == 0 {
@@ -500,8 +551,8 @@ func (e *Engine) blockImpacts(impacts []float64, docs []corpus.DocID, tfs []int3
 	}
 }
 
-// add is the flat scan's inner loop for a sparse member: one block of
-// one term into its accumulator. A document's first contribution is
+// add is the flat scan's inner loop for a sparse BM25 member: one block
+// of one term into its accumulator. A document's first contribution is
 // the one that finds its score zero — contributions are positive — and
 // that is how the document gets on the reached list, without a branch:
 // every posting writes its document at the list's end, and the end
@@ -524,8 +575,8 @@ func (qs *queryState) add(docs []corpus.DocID, impacts []float64, w float64) {
 	qs.reached = reached[:n]
 }
 
-// accumulate is add for a dense member: one block of one term into its
-// accumulator, and nothing else — no reached list to write, no first
+// accumulate is add for a dense BM25 member: one block of one term into
+// its accumulator, and nothing else — no reached list to write, no first
 // contribution to tell apart; sweepDense finds the documents by their
 // nonzero scores. A function of its own, like add, so that flatScan's
 // juggling does not spill its values.
@@ -535,6 +586,45 @@ func (qs *queryState) accumulate(docs []corpus.DocID, impacts []float64, w float
 	for i, d := range docs {
 		// The conversion rounds the product on its own, as in add.
 		score[d] += float64(w * impacts[i])
+	}
+}
+
+// addCosine is add for a sparse cosine member: each posting's
+// contribution is its reference's table entry for the posting's tf,
+// read straight off the decoded frequencies, and — for a tf past the
+// table — the product the table holds for the others, formed in place.
+// The table is read through a slice of it, whose nil check is made once
+// rather than per posting.
+func (qs *queryState) addCosine(docs []corpus.DocID, tfs []int32, wt *weightTable, w float64) {
+	score, n, tab := qs.score, len(qs.reached), wt[:]
+	reached := slices.Grow(qs.reached, len(docs))[:n+len(docs)]
+	tfs = tfs[:len(docs)]
+	for i, d := range docs {
+		s := score[d]
+		reached[n] = d
+		n += int((math.Float64bits(s) - 1) >> 63)
+		var x float64
+		if tf := uint32(tfs[i]); tf < tfTableLen {
+			x = tab[tf]
+		} else {
+			x = float64(w * docWeight(tfs[i]))
+		}
+		score[d] = s + x
+	}
+	qs.reached = reached[:n]
+}
+
+// accumulateCosine is accumulate for a dense cosine member, reading its
+// contributions as addCosine does.
+func (qs *queryState) accumulateCosine(docs []corpus.DocID, tfs []int32, wt *weightTable, w float64) {
+	score, tab := qs.score, wt[:]
+	tfs = tfs[:len(docs)]
+	for i, d := range docs {
+		if tf := uint32(tfs[i]); tf < tfTableLen {
+			score[d] += tab[tf]
+		} else {
+			score[d] += float64(w * docWeight(tfs[i]))
+		}
 	}
 }
 

@@ -170,10 +170,25 @@ func ruleSplit(src Source, reqs []Request) (dense, sparse int) {
 // tombstones); under local and router-injected statistics; for both
 // scorers; with and without a keep filter; at k = 1, 10 and 100. Each cycle mixes members of common terms, which the
 // rule sends dense, with members of rare ones, which it keeps sparse.
+// The second collection's documents are long (longDocs), so the common
+// terms' postings reach the term frequencies the cosine weight tables
+// do not cover.
 func TestDenseAndSparsePathsAgree(t *testing.T) {
-	c, gt, err := corpus.Synthesize(corpus.GenSpec{
-		Seed: 45, NumDocs: 900, NumTopics: 6, DocLenMin: 20, DocLenMax: 60,
-	}, nil)
+	for _, spec := range []corpus.GenSpec{
+		{Seed: 45, NumDocs: 900, NumTopics: 6, DocLenMin: 20, DocLenMax: 60},
+		longDocs,
+	} {
+		t.Run(fmt.Sprintf("%d-%d tokens", spec.DocLenMin, spec.DocLenMax), func(t *testing.T) {
+			denseAndSparseAgree(t, spec, spec.DocLenMin >= longDocs.DocLenMin)
+		})
+	}
+}
+
+// denseAndSparseAgree is TestDenseAndSparsePathsAgree over the
+// collection spec generates; long asks that its queries reach the term
+// frequencies past the cosine weight table and past lnTFTable.
+func denseAndSparseAgree(t *testing.T, spec corpus.GenSpec, long bool) {
+	c, gt, err := corpus.Synthesize(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +211,8 @@ func TestDenseAndSparsePathsAgree(t *testing.T) {
 	slices.SortStableFunc(byDF, func(a, b string) int {
 		return idx.DocFreq(c.Vocab.ID(b)) - idx.DocFreq(c.Vocab.ID(a))
 	})
-	head, tail := byDF[:30], byDF[len(byDF)-200:]
+	// (The long collection's vocabulary is small: half of it is its tail.)
+	head, tail := byDF[:30], byDF[len(byDF)-min(200, len(byDF)/2):]
 	pick := func(from []string, n int) []string {
 		q := make([]string, n)
 		for i := range q {
@@ -210,6 +226,9 @@ func TestDenseAndSparsePathsAgree(t *testing.T) {
 	}
 	queries = append(queries, cycleQueries(gt, an, rng, 4)...)
 	queries[0] = append(queries[0], "zzzzothershardterm", queries[0][0])
+	if mid, high := queryTFReach(idx, c.Vocab, queries); long && !(mid && high) {
+		t.Fatalf("the queries reach a tf in [%d, %d): %v, one of %d or more: %v; want both", tfTableLen, len(lnTFTable), mid, len(lnTFTable), high)
+	}
 
 	segs := []Part{segmentPart(t, c, 0, n/3), segmentPart(t, c, n/3, 2*n/3), memtablePart(c, 2*n/3, n)}
 	sources := []struct {

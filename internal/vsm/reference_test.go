@@ -210,6 +210,35 @@ func sameHits(got, want []Result) error {
 	return nil
 }
 
+// queryTFReach reports whether the lists of queries' terms in idx hold
+// a posting whose tf is past the cosine weight table but inside
+// lnTFTable (mid), and one past lnTFTable too, whose weight takes
+// math.Log (high).
+func queryTFReach(idx *index.Index, vocab *textproc.Vocab, queries [][]string) (mid, high bool) {
+	var it index.Iterator
+	for _, q := range queries {
+		for _, term := range q {
+			id := vocab.ID(term)
+			if id == textproc.InvalidTerm {
+				continue
+			}
+			for idx.IterInto(id, &it); it.Valid(); it.Next() {
+				tf := int(it.TF())
+				mid = mid || (tf >= tfTableLen && tf < len(lnTFTable))
+				high = high || tf >= len(lnTFTable)
+			}
+		}
+	}
+	return mid, high
+}
+
+// longDocs is a collection of long documents over few topics: their
+// head words recur dozens of times in a document, so the queries of
+// cycleQueries reach term frequencies past the cosine weight table and
+// past lnTFTable, which the short documents of the other trials almost
+// never do.
+var longDocs = corpus.GenSpec{Seed: 4800, NumDocs: 160, NumTopics: 2, DocLenMin: 400, DocLenMax: 700}
+
 // TestEngineMatchesReferenceScorer holds both ways into the engine — a
 // solo request and a cycle through SearchBatch — to the naive reference
 // scorer, bit for bit. The solo flat scan and the shared
@@ -217,17 +246,24 @@ func sameHits(got, want []Result) error {
 // nothing about it; this does. Each collection is searched as one index
 // and dealt out to three parts the way a live store holds it: reported
 // IDs that are not the local ones, a tombstone or more in every part,
-// documents of unequal length under equal local IDs.
+// documents of unequal length under equal local IDs. The last trial's
+// documents are long (longDocs), so its queries' postings reach the
+// term frequencies the cosine weight tables do not cover.
 func TestEngineMatchesReferenceScorer(t *testing.T) {
 	ctx := context.Background()
 	ks := []int{1, 10, 100}
-	for trial := int64(0); trial < 3; trial++ {
+	for trial := int64(0); trial < 4; trial++ {
 		rng := rand.New(rand.NewSource(9300 + trial))
-		c, gt, err := corpus.Synthesize(corpus.GenSpec{
+		spec := corpus.GenSpec{
 			Seed:    510 + trial,
 			NumDocs: 250 + int(trial)*230, NumTopics: 5,
 			DocLenMin: 15, DocLenMax: 60,
-		}, nil)
+		}
+		long := trial == 3
+		if long {
+			spec = longDocs
+		}
+		c, gt, err := corpus.Synthesize(spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -264,6 +300,9 @@ func TestEngineMatchesReferenceScorer(t *testing.T) {
 		// A term no document of this collection holds (another shard's),
 		// and a repeated one.
 		queries[3] = append(queries[3], "zzzzothershardterm", queries[3][0])
+		if mid, high := queryTFReach(idx, c.Vocab, queries); long && !(mid && high) {
+			t.Fatalf("trial %d: the queries reach a tf in [%d, %d): %v, one of %d or more: %v; want both", trial, tfTableLen, len(lnTFTable), mid, len(lnTFTable), high)
+		}
 
 		for _, scoring := range []Scoring{Cosine, BM25} {
 			for _, over := range []string{"index", "three parts"} {
