@@ -224,16 +224,3 @@ func TestTrackMeNotCycle(t *testing.T) {
 		t.Error("empty query must error")
 	}
 }
-
-func TestNaiveDownload(t *testing.T) {
-	n := NaiveDownload{IndexBytes: 1000, ModelBytes: 550}
-	if got := n.Saving(); got < 0.44 || got > 0.46 {
-		t.Errorf("Saving = %v, want 0.45", got)
-	}
-	if !n.RequiresEngineChange() {
-		t.Error("naive approach requires engine change")
-	}
-	if (NaiveDownload{}).Saving() != 0 {
-		t.Error("zero index size should yield 0 saving")
-	}
-}

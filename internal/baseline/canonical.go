@@ -78,14 +78,6 @@ func NewCanonical(eng *belief.Engine, groupSize, queryLen int, seed int64) (*Can
 	return c, nil
 }
 
-// CanonicalQuery returns topic t's canonical query.
-func (c *Canonical) CanonicalQuery(t int) []string {
-	if t < 0 || t >= len(c.queries) {
-		return nil
-	}
-	return c.queries[t]
-}
-
 // Substitute maps the user query to its nearest canonical query (by
 // posterior topic mass) and returns that query's whole group, shuffled,
 // with the index of the substituted query. The genuine terms are NOT

@@ -1,7 +1,8 @@
 // Package baseline implements the comparison schemes of the paper's
 // evaluation: PDX (query embellishment, Pang/Ding/Xiao VLDB'10 — the
 // baseline of Figures 4 and 5), a TrackMeNot-style random ghost
-// generator (§II), and the naive download-the-index cost model (§V-D).
+// generator (§II), and Murugesan–Clifton canonical-query substitution
+// (§II).
 package baseline
 
 import (

@@ -85,13 +85,7 @@ func Build(docs []Document, an *textproc.Analyzer, spec textproc.PruneSpec) (*Co
 		bags[i] = bag
 	}
 	if spec != (textproc.PruneSpec{}) {
-		if spec.MaxDocRatio > 0 && spec.TotalDocs == 0 {
-			spec.TotalDocs = len(docs)
-		}
-		pruned, remap, err := vocab.Prune(spec)
-		if err != nil {
-			return nil, fmt.Errorf("corpus: prune: %w", err)
-		}
+		pruned, remap := vocab.Prune(spec)
 		newBags := make([][]textproc.TermID, len(bags))
 		for i, bag := range bags {
 			nb := make([]textproc.TermID, 0, len(bag))

@@ -96,9 +96,6 @@ func SyntheticQrels(c *corpus.Corpus, queries []corpus.QuerySpec, minAffinity, m
 	return qrels, nil
 }
 
-// NumRelevant returns the relevant-set size for a query (0 if unknown).
-func (q Qrels) NumRelevant(queryID int) int { return len(q[queryID]) }
-
 // PrecisionAtK is |relevant ∩ top-k| / k. Rankings shorter than k are
 // treated as padded with non-relevant results (standard trec_eval
 // behaviour).

@@ -82,7 +82,7 @@ func TestSyntheticQrels(t *testing.T) {
 	}
 	someRelevant := 0
 	for _, q := range queries {
-		if qrels.NumRelevant(q.ID) > 0 {
+		if len(qrels[q.ID]) > 0 {
 			someRelevant++
 		}
 		// Every judged-relevant doc must indeed have >= 0.5 affinity.

@@ -73,34 +73,3 @@ func TestPrintTopicColumnsRagged(t *testing.T) {
 		t.Error("empty table should still print its title")
 	}
 }
-
-func TestCSVWriters(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WritePDXCSV(&buf, []PDXPoint{{K: 8, Expansion: 2, Eps: 0.01, Exposure: 0.05, Queries: 10}}); err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(buf.String(), "\n"); lines != 2 {
-		t.Errorf("PDX CSV lines = %d", lines)
-	}
-	buf.Reset()
-	if err := WriteRatioCSV(&buf, []RatioPoint{{K: 8, Upsilon: 2, Ratio: 0.5, Queries: 5}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "LDA008,8,2") {
-		t.Errorf("ratio CSV content:\n%s", buf.String())
-	}
-	buf.Reset()
-	if err := WriteScaleCSV(&buf, []ScalePoint{{NumDocs: 100, VocabSize: 50, IndexBytes: 10, ModelBytes: 20, Saving: -1}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "100,50,10,20,-1") {
-		t.Errorf("scale CSV content:\n%s", buf.String())
-	}
-	buf.Reset()
-	if err := WriteAttackCSV(&buf, []AttackRow{{Attack: "coherence", Scheme: "toppriv", Metric: "m", Value: 0.1, Baseline: 0.2}}); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "coherence,toppriv,m,0.1,0.2") {
-		t.Errorf("attack CSV content:\n%s", buf.String())
-	}
-}

@@ -282,16 +282,6 @@ func (x *Index) IterInto(id textproc.TermID, it *Iterator) {
 	it.reset(x.data, x.lists[id])
 }
 
-// IDF returns the smoothed inverse document frequency
-// ln(1 + N/df). Terms absent from the dictionary get 0.
-func (x *Index) IDF(id textproc.TermID) float64 {
-	df := x.DocFreq(id)
-	if df == 0 {
-		return 0
-	}
-	return math.Log(1 + float64(x.numDocs)/float64(df))
-}
-
 // DocLen returns the analyzed token count of document d.
 func (x *Index) DocLen(d corpus.DocID) int {
 	if d < 0 || int(d) >= len(x.docLen) {

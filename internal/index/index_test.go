@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -71,23 +70,6 @@ func TestPostingsSorted(t *testing.T) {
 				t.Fatalf("term %d postings not strictly sorted: %v", id, pl)
 			}
 		}
-	}
-}
-
-func TestIDF(t *testing.T) {
-	c := buildTestCorpus(t)
-	x, _ := Build(c)
-	apache := x.Vocab().ID("apache")
-	heli := x.Vocab().ID("helicopter")
-	if x.IDF(apache) >= x.IDF(heli) {
-		t.Error("rarer term must have higher IDF")
-	}
-	want := math.Log(1 + 4.0/2.0)
-	if got := x.IDF(apache); math.Abs(got-want) > 1e-12 {
-		t.Errorf("IDF = %v, want %v", got, want)
-	}
-	if x.IDF(textproc.InvalidTerm) != 0 {
-		t.Error("unknown term must have IDF 0")
 	}
 }
 

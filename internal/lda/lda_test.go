@@ -2,10 +2,12 @@ package lda
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"toppriv/internal/corpus"
@@ -167,14 +169,10 @@ func TestTrainValidation(t *testing.T) {
 	}
 }
 
-// badTrainSpecs are specs with a negative sweep count or a negative or
-// non-finite prior; zero would mean the default.
+// badTrainSpecs are specs with a negative sweep count; zero would mean
+// the default.
 func badTrainSpecs() []TrainSpec {
-	var specs []TrainSpec
-	for _, x := range []float64{-0.5, math.Inf(1), math.Inf(-1), math.NaN()} {
-		specs = append(specs, TrainSpec{NumTopics: 3, Alpha: x}, TrainSpec{NumTopics: 3, Beta: x})
-	}
-	return append(specs, TrainSpec{NumTopics: 3, Iterations: -1})
+	return []TrainSpec{{NumTopics: 3, Iterations: -1}}
 }
 
 func TestPriorMatchesThetaAverage(t *testing.T) {
@@ -351,6 +349,63 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestLoadRefusesPoisonedValues crafts model files whose shapes are
+// right but whose numbers are not distributions or priors, one per
+// refusal; the clean file they start from loads.
+func TestLoadRefusesPoisonedValues(t *testing.T) {
+	m, _, _ := trainSmall(t, 3, 29)
+	var clean bytes.Buffer
+	if err := m.Save(&clean); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(bytes.NewReader(clean.Bytes())); err != nil {
+		t.Fatalf("clean model refused: %v", err)
+	}
+	scale := func(p []float64, f float64) {
+		for i := range p {
+			p[i] *= f
+		}
+	}
+	cases := []struct {
+		name   string
+		poison func(m *Model)
+		want   string
+	}{
+		{"phi NaN", func(m *Model) { m.Phi[1][2] = math.NaN() }, fmt.Sprintf("topic 1, word 2 %q = NaN", m.Terms[2])},
+		{"phi negative", func(m *Model) { m.Phi[0][1] = -1e-9 }, fmt.Sprintf("topic 0, word 1 %q = -1e-09", m.Terms[1])},
+		{"phi infinite", func(m *Model) { m.Phi[2][0] = math.Inf(1) }, fmt.Sprintf("topic 2, word 0 %q = +Inf", m.Terms[0])},
+		{"phi row sum", func(m *Model) { scale(m.Phi[2], 1.001) }, "Phi of topic 2 sums to"},
+		{"prior NaN", func(m *Model) { m.Prior[0] = math.NaN() }, "Prior[0] = NaN"},
+		{"prior negative", func(m *Model) { m.Prior[1] = -0.5 }, "Prior[1] = -0.5"},
+		{"prior sum", func(m *Model) { scale(m.Prior, 0.99) }, "Prior sums to"},
+		{"alpha zero", func(m *Model) { m.Alpha = 0 }, "Alpha = 0"},
+		{"alpha NaN", func(m *Model) { m.Alpha = math.NaN() }, "Alpha = NaN"},
+		{"alpha infinite", func(m *Model) { m.Alpha = math.Inf(1) }, "Alpha = +Inf"},
+		{"beta negative", func(m *Model) { m.Beta = -0.1 }, "Beta = -0.1"},
+		{"beta NaN", func(m *Model) { m.Beta = math.NaN() }, "Beta = NaN"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			bad, err := Load(bytes.NewReader(clean.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.poison(bad)
+			var file bytes.Buffer
+			if err := bad.Save(&file); err != nil {
+				t.Fatal(err)
+			}
+			_, err = Load(&file)
+			if err == nil {
+				t.Fatal("poisoned model loaded")
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("error %q does not say %q", err, c.want)
+			}
+		})
+	}
+}
+
 func TestSizeBytesDominatedByPhi(t *testing.T) {
 	m, _, _ := trainSmall(t, 6, 31)
 	min := int64(m.K) * int64(m.V) * 8
@@ -424,17 +479,12 @@ func TestTermIDFindsEveryTerm(t *testing.T) {
 	}
 }
 
-func TestBagFromTermsAndIDs(t *testing.T) {
-	m, c, _ := trainSmall(t, 4, 37)
+func TestBagFromTerms(t *testing.T) {
+	m, _, _ := trainSmall(t, 4, 37)
 	terms := []string{m.Terms[0], "zzz-not-present", m.Terms[1]}
 	bag := m.BagFromTerms(terms)
 	if len(bag) != 2 || bag[0] != 0 || bag[1] != 1 {
 		t.Errorf("BagFromTerms = %v", bag)
-	}
-	ids := c.Bags[0]
-	bag2 := m.BagFromIDs(ids)
-	if len(bag2) != len(ids) {
-		t.Errorf("BagFromIDs dropped in-vocabulary ids: %d vs %d", len(bag2), len(ids))
 	}
 }
 

@@ -24,8 +24,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-
-	"toppriv/internal/textproc"
 )
 
 // Model is a trained LDA model. It is immutable after training and safe
@@ -100,18 +98,6 @@ func (m *Model) BagFromTerms(terms []string) []int {
 	for _, t := range terms {
 		if id := m.TermID(t); id >= 0 {
 			bag = append(bag, id)
-		}
-	}
-	return bag
-}
-
-// BagFromIDs converts corpus vocabulary IDs (which equal model word IDs
-// when the model was trained on that corpus) into an inference bag.
-func (m *Model) BagFromIDs(ids []textproc.TermID) []int {
-	bag := make([]int, 0, len(ids))
-	for _, id := range ids {
-		if int(id) < m.V {
-			bag = append(bag, int(id))
 		}
 	}
 	return bag

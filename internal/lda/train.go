@@ -14,12 +14,6 @@ import (
 type TrainSpec struct {
 	// NumTopics is K, the number of latent topics (required).
 	NumTopics int
-	// Alpha is the document-topic Dirichlet hyperparameter. Zero means
-	// the paper's default, 50/K.
-	Alpha float64
-	// Beta is the topic-word Dirichlet hyperparameter. Zero means the
-	// paper's default, 0.1.
-	Beta float64
 	// Iterations is the number of full Gibbs sweeps. Zero means 150.
 	Iterations int
 	// Seed makes training deterministic.
@@ -29,13 +23,14 @@ type TrainSpec struct {
 	LogEvery int
 }
 
+// The paper's Dirichlet priors: α = 50/K on a document's topic mixture
+// and β = 0.1 on a topic's word distribution. Every model trains with
+// them, and carries them as Model.Alpha and Model.Beta.
+func trainAlpha(k int) float64 { return 50 / float64(k) }
+
+const trainBeta = 0.1
+
 func (s TrainSpec) withDefaults() TrainSpec {
-	if s.Alpha == 0 {
-		s.Alpha = 50 / float64(s.NumTopics)
-	}
-	if s.Beta == 0 {
-		s.Beta = 0.1
-	}
 	if s.Iterations == 0 {
 		s.Iterations = 150
 	}
@@ -93,9 +88,6 @@ func train(c *corpus.Corpus, spec TrainSpec, workers int) (*Model, *gibbs, *Trai
 	if spec.Iterations < 0 {
 		return nil, nil, nil, fmt.Errorf("lda: Iterations = %d, need >= 0 (0 means the default)", spec.Iterations)
 	}
-	if !(spec.Alpha >= 0) || math.IsInf(spec.Alpha, 1) || !(spec.Beta >= 0) || math.IsInf(spec.Beta, 1) {
-		return nil, nil, nil, fmt.Errorf("lda: Alpha = %v, Beta = %v, need finite values >= 0 (0 means the default)", spec.Alpha, spec.Beta)
-	}
 	spec = spec.withDefaults()
 	k := spec.NumTopics
 	v := c.Vocab.Size()
@@ -107,9 +99,9 @@ func train(c *corpus.Corpus, spec TrainSpec, workers int) (*Model, *gibbs, *Trai
 	g := &gibbs{
 		bags:   c.Bags,
 		k:      k,
-		alpha:  spec.Alpha,
-		beta:   spec.Beta,
-		vbeta:  float64(v) * spec.Beta,
+		alpha:  trainAlpha(k),
+		beta:   trainBeta,
+		vbeta:  float64(v) * trainBeta,
 		assign: make([][]int32, d),
 		nwt:    make([]int32, v*k),
 		nt:     make([]int32, k),

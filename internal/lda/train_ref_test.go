@@ -56,7 +56,7 @@ func trainRef(c *corpus.Corpus, spec TrainSpec) (*Model, [][]float64, *TrainTrac
 		}
 	}
 
-	alpha, beta := spec.Alpha, spec.Beta
+	alpha, beta := trainAlpha(k), float64(trainBeta)
 	vbeta := float64(v) * beta
 	probs := make([]float64, k)
 	trace := &TrainTrace{}
@@ -226,7 +226,7 @@ func trainParallelRef(c *corpus.Corpus, spec TrainSpec, workers int) (*Model, []
 		}
 	}
 
-	alpha, beta := spec.Alpha, spec.Beta
+	alpha, beta := trainAlpha(k), float64(trainBeta)
 	vbeta := float64(v) * beta
 	var wg sync.WaitGroup
 	for sweep := 0; sweep < spec.Iterations; sweep++ {

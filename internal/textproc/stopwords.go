@@ -56,12 +56,5 @@ func (s StopSet) Add(words ...string) {
 	}
 }
 
-// Remove deletes words from the set.
-func (s StopSet) Remove(words ...string) {
-	for _, w := range words {
-		delete(s, w)
-	}
-}
-
 // Len returns the number of stopwords in the set.
 func (s StopSet) Len() int { return len(s) }

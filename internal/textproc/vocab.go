@@ -1,10 +1,6 @@
 package textproc
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "strings"
 
 // TermID identifies a vocabulary term. IDs are dense, starting at 0, in
 // insertion order.
@@ -77,7 +73,7 @@ func (v *Vocab) insert(term string) TermID {
 // and the view may be read without a lock while v grows.
 //
 // A view answers Term, Size, Terms and ID (which scans); Add panics,
-// and ObserveDoc, DocFreq, CollFreq, Prune and TopByCollFreq have no
+// and ObserveDoc, DocFreq, CollFreq and Prune have no
 // frequencies to read.
 func (v *Vocab) Prefix(n int) *Vocab {
 	return &Vocab{terms: v.terms[:n:n]}
@@ -143,20 +139,11 @@ type PruneSpec struct {
 	// collection frequency 1; we express it on document frequency, which
 	// subsumes that case for our synthetic corpus.
 	MinDocFreq int
-	// MaxDocRatio drops terms appearing in more than this fraction of
-	// documents (0 disables). Useful as a corpus-specific stopword pass.
-	MaxDocRatio float64
-	// TotalDocs is the number of documents observed; required when
-	// MaxDocRatio > 0.
-	TotalDocs int
 }
 
 // Prune returns a new vocabulary containing only the surviving terms and
 // a remap slice: remap[oldID] = newID or InvalidTerm for dropped terms.
-func (v *Vocab) Prune(spec PruneSpec) (*Vocab, []TermID, error) {
-	if spec.MaxDocRatio > 0 && spec.TotalDocs <= 0 {
-		return nil, nil, fmt.Errorf("textproc: PruneSpec.MaxDocRatio set but TotalDocs = %d", spec.TotalDocs)
-	}
+func (v *Vocab) Prune(spec PruneSpec) (*Vocab, []TermID) {
 	nv := NewVocab()
 	remap := make([]TermID, len(v.terms))
 	for old, term := range v.terms {
@@ -165,34 +152,10 @@ func (v *Vocab) Prune(spec PruneSpec) (*Vocab, []TermID, error) {
 		if spec.MinDocFreq > 0 && df < spec.MinDocFreq {
 			continue
 		}
-		if spec.MaxDocRatio > 0 &&
-			float64(df) > spec.MaxDocRatio*float64(spec.TotalDocs) {
-			continue
-		}
 		id := nv.Add(term)
 		nv.docFreq[id] = v.docFreq[old]
 		nv.collFreq[id] = v.collFreq[old]
 		remap[old] = id
 	}
-	return nv, remap, nil
-}
-
-// TopByCollFreq returns up to n term IDs sorted by descending collection
-// frequency (ties broken by ID for determinism).
-func (v *Vocab) TopByCollFreq(n int) []TermID {
-	ids := make([]TermID, len(v.terms))
-	for i := range ids {
-		ids[i] = TermID(i)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		fa, fb := v.collFreq[ids[a]], v.collFreq[ids[b]]
-		if fa != fb {
-			return fa > fb
-		}
-		return ids[a] < ids[b]
-	})
-	if n < len(ids) {
-		ids = ids[:n]
-	}
-	return ids
+	return nv, remap
 }

@@ -86,48 +86,18 @@ func TestVocabPrune(t *testing.T) {
 		}
 		v.ObserveDoc(bag)
 	}
-	nv, remap, err := v.Prune(PruneSpec{MinDocFreq: 2, MaxDocRatio: 0.8, TotalDocs: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	nv, remap := v.Prune(PruneSpec{MinDocFreq: 2})
 	if remap[rare] != InvalidTerm {
 		t.Error("rare term should be pruned by MinDocFreq")
 	}
-	if remap[everywhere] != InvalidTerm {
-		t.Error("ubiquitous term should be pruned by MaxDocRatio")
+	if remap[common] == InvalidTerm || remap[everywhere] == InvalidTerm {
+		t.Error("common terms should survive")
 	}
-	if remap[common] == InvalidTerm {
-		t.Error("common term should survive")
+	if nv.Size() != 2 {
+		t.Errorf("pruned vocab size = %d, want 2", nv.Size())
 	}
-	if nv.Size() != 1 {
-		t.Errorf("pruned vocab size = %d, want 1", nv.Size())
-	}
-	if nv.DocFreq(remap[common]) != 5 {
+	if nv.DocFreq(remap[common]) != 5 || nv.DocFreq(remap[everywhere]) != 10 {
 		t.Error("frequencies must carry over to the pruned vocab")
-	}
-}
-
-func TestVocabPruneRatioRequiresTotal(t *testing.T) {
-	v := NewVocab()
-	v.Add("x")
-	if _, _, err := v.Prune(PruneSpec{MaxDocRatio: 0.5}); err == nil {
-		t.Error("expected error when MaxDocRatio set without TotalDocs")
-	}
-}
-
-func TestVocabTopByCollFreq(t *testing.T) {
-	v := NewVocab()
-	a := v.Add("a")
-	b := v.Add("b")
-	c := v.Add("c")
-	v.ObserveDoc([]TermID{b, b, b, c, c, a})
-	top := v.TopByCollFreq(2)
-	if len(top) != 2 || top[0] != b || top[1] != c {
-		t.Errorf("TopByCollFreq = %v, want [b c] = [%d %d]", top, b, c)
-	}
-	all := v.TopByCollFreq(100)
-	if len(all) != 3 {
-		t.Errorf("TopByCollFreq(100) returned %d ids", len(all))
 	}
 }
 

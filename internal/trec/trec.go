@@ -1,14 +1,12 @@
-// Package trec parses the TREC data formats the paper's evaluation is
-// built on: the SGML-style document markup used by the Wall Street
-// Journal collection (TREC disks 1–2) and the TREC ad-hoc topic format
-// (topics 51–200 are the paper's 150 queries).
+// Package trec parses the SGML-style TREC document markup that the
+// paper's evaluation collection, the Wall Street Journal (TREC disks
+// 1–2), is distributed in.
 //
 // The repository's experiments run on a synthetic substitute corpus,
 // but a user holding the licensed WSJ data can ingest it with this
-// package and reproduce the paper on the original collection:
+// package and index the original collection:
 //
-//	docs, err := trec.ParseDocuments(f)       // WSJ SGML
-//	topics, err := trec.ParseTopics(tf)       // TREC topics
+//	docs, err := trec.ParseDocuments(f) // WSJ SGML
 //	svc, err := toppriv.NewService(toppriv.ServiceSpec{Documents: docs})
 package trec
 
@@ -16,7 +14,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 	"strings"
 
 	"toppriv/internal/corpus"
@@ -103,107 +100,4 @@ func ParseDocuments(r io.Reader) ([]corpus.Document, error) {
 		return nil, fmt.Errorf("trec: unterminated <DOC>")
 	}
 	return docs, nil
-}
-
-// Topic is one TREC ad-hoc topic. The paper uses the Title field as the
-// query (its demonstration query is topic 91's title).
-type Topic struct {
-	Number      int
-	Title       string
-	Description string
-	Narrative   string
-}
-
-// Query returns the topic's title as a search query string.
-func (t Topic) Query() string { return t.Title }
-
-// ParseTopics reads the classic TREC topic format:
-//
-//	<top>
-//	<num> Number: 091
-//	<title> Topic: U.S. Army Acquisition of Advanced Weapons Systems
-//	<desc> Description:
-//	...free text...
-//	<narr> Narrative:
-//	...free text...
-//	</top>
-func ParseTopics(r io.Reader) ([]Topic, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	var topics []Topic
-	var cur *Topic
-	section := ""
-	var desc, narr strings.Builder
-	flushSection := func() {
-		if cur == nil {
-			return
-		}
-		cur.Description = strings.TrimSpace(desc.String())
-		cur.Narrative = strings.TrimSpace(narr.String())
-	}
-	line := 0
-	for sc.Scan() {
-		line++
-		trimmed := strings.TrimSpace(sc.Text())
-		switch {
-		case trimmed == "<top>":
-			if cur != nil {
-				return nil, fmt.Errorf("trec: line %d: nested <top>", line)
-			}
-			cur = &Topic{}
-			section = ""
-			desc.Reset()
-			narr.Reset()
-		case trimmed == "</top>":
-			if cur == nil {
-				return nil, fmt.Errorf("trec: line %d: </top> without <top>", line)
-			}
-			flushSection()
-			topics = append(topics, *cur)
-			cur = nil
-		case cur == nil:
-			continue
-		case strings.HasPrefix(trimmed, "<num>"):
-			rest := strings.TrimPrefix(trimmed, "<num>")
-			rest = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(rest), "Number:"))
-			n, err := strconv.Atoi(strings.TrimSpace(rest))
-			if err != nil {
-				return nil, fmt.Errorf("trec: line %d: bad topic number %q", line, rest)
-			}
-			cur.Number = n
-			section = ""
-		case strings.HasPrefix(trimmed, "<title>"):
-			rest := strings.TrimPrefix(trimmed, "<title>")
-			rest = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(rest), "Topic:"))
-			cur.Title = rest
-			section = "title"
-		case strings.HasPrefix(trimmed, "<desc>"):
-			section = "desc"
-		case strings.HasPrefix(trimmed, "<narr>"):
-			section = "narr"
-		default:
-			switch section {
-			case "title":
-				if trimmed != "" {
-					if cur.Title != "" {
-						cur.Title += " "
-					}
-					cur.Title += trimmed
-				}
-			case "desc":
-				desc.WriteString(trimmed)
-				desc.WriteByte(' ')
-			case "narr":
-				narr.WriteString(trimmed)
-				narr.WriteByte(' ')
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("trec: scan: %w", err)
-	}
-	if cur != nil {
-		return nil, fmt.Errorf("trec: unterminated <top>")
-	}
-	return topics, nil
 }

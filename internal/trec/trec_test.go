@@ -56,96 +56,24 @@ func TestParseDocuments(t *testing.T) {
 	}
 }
 
+// parseErrorCases is a slice, not a map, so that FuzzParseDocuments
+// numbers its seeds the same way on every run.
+var parseErrorCases = []struct{ name, in string }{
+	{"nested", "<DOC>\n<DOC>\n</DOC>\n</DOC>\n"},
+	{"orphan close", "</DOC>\n<DOC>\n</DOC>\n"},
+	{"unterminated", "<DOC>\n<TEXT>\nabc\n</TEXT>\n"},
+}
+
 func TestParseDocumentsErrors(t *testing.T) {
-	cases := map[string]string{
-		"nested":       "<DOC>\n<DOC>\n</DOC>\n</DOC>\n",
-		"orphan close": "</DOC>\n<DOC>\n</DOC>\n",
-		"unterminated": "<DOC>\n<TEXT>\nabc\n</TEXT>\n",
-	}
-	for name, in := range cases {
-		if _, err := ParseDocuments(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: expected error", name)
+	for _, c := range parseErrorCases {
+		if _, err := ParseDocuments(strings.NewReader(c.in)); err == nil {
+			t.Errorf("%s: expected error", c.name)
 		}
 	}
 	// "orphan close" first line actually errors; also verify empty input is fine.
 	docs, err := ParseDocuments(strings.NewReader(""))
 	if err != nil || len(docs) != 0 {
 		t.Errorf("empty input: %v, %d docs", err, len(docs))
-	}
-}
-
-const sampleTopics = `
-<top>
-<num> Number: 091
-<title> Topic:  U.S. Army Acquisition of Advanced Weapons Systems
-<desc> Description:
-Document will identify the U.S. Army's acquisition of advanced
-weapons systems.
-<narr> Narrative:
-To be relevant, a document must identify one of the advanced
-weapons systems.
-</top>
-<top>
-<num> Number: 092
-<title> Topic:  International Military Equipment Sales
-<desc> Description:
-Document will discuss a sale.
-<narr> Narrative:
-Relevant documents discuss sales.
-</top>
-`
-
-func TestParseTopics(t *testing.T) {
-	topics, err := ParseTopics(strings.NewReader(sampleTopics))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(topics) != 2 {
-		t.Fatalf("got %d topics", len(topics))
-	}
-	t91 := topics[0]
-	if t91.Number != 91 {
-		t.Errorf("number = %d", t91.Number)
-	}
-	if t91.Title != "U.S. Army Acquisition of Advanced Weapons Systems" {
-		t.Errorf("title = %q", t91.Title)
-	}
-	if !strings.Contains(t91.Description, "advanced weapons systems") {
-		t.Errorf("description = %q", t91.Description)
-	}
-	if !strings.Contains(t91.Narrative, "To be relevant") {
-		t.Errorf("narrative = %q", t91.Narrative)
-	}
-	if t91.Query() != t91.Title {
-		t.Error("Query should return the title")
-	}
-	if topics[1].Number != 92 {
-		t.Errorf("second topic number %d", topics[1].Number)
-	}
-}
-
-func TestParseTopicsErrors(t *testing.T) {
-	cases := map[string]string{
-		"nested":       "<top>\n<top>\n</top>\n",
-		"orphan close": "</top>\n",
-		"bad number":   "<top>\n<num> Number: abc\n</top>\n",
-		"unterminated": "<top>\n<num> Number: 51\n",
-	}
-	for name, in := range cases {
-		if _, err := ParseTopics(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: expected error", name)
-		}
-	}
-}
-
-func TestParseTopicsMultilineTitle(t *testing.T) {
-	in := "<top>\n<num> Number: 101\n<title> Topic: First Part\nSecond Part\n<desc> Description:\nx\n</top>\n"
-	topics, err := ParseTopics(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if topics[0].Title != "First Part Second Part" {
-		t.Errorf("title = %q", topics[0].Title)
 	}
 }
 
@@ -158,4 +86,38 @@ func TestParsedDocsBuildCorpus(t *testing.T) {
 	if docs[0].Text == "" || docs[1].Text == "" {
 		t.Fatal("empty bodies")
 	}
+}
+
+// FuzzParseDocuments holds the parser to its contract on arbitrary input
+// (corpusgen -trec reads files from outside): an error, or documents
+// whose IDs run densely 0…n−1 and whose title and text come back
+// trimmed. It must never panic.
+func FuzzParseDocuments(f *testing.F) {
+	f.Add(sampleDocs)
+	f.Add("")
+	for _, c := range parseErrorCases {
+		f.Add(c.in)
+	}
+	f.Add("<DOC>\n<HL> only a headline </HL>\n<TEXT>\n  padded body  \n</TEXT>\n</DOC>\n")
+	f.Add("<DOC>\n<DOCNO></DOCNO>\n<HL>\n\n</HL>\n</DOC>\njunk\n<DOC>\n</DOC>\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		docs, err := ParseDocuments(strings.NewReader(in))
+		if err != nil {
+			if docs != nil {
+				t.Fatalf("error %v came with %d documents", err, len(docs))
+			}
+			return
+		}
+		for i, d := range docs {
+			if int(d.ID) != i {
+				t.Fatalf("doc %d has ID %d", i, d.ID)
+			}
+			if d.Title != strings.TrimSpace(d.Title) {
+				t.Fatalf("doc %d title %q is not trimmed", i, d.Title)
+			}
+			if d.Text != strings.TrimSpace(d.Text) {
+				t.Fatalf("doc %d text %q is not trimmed", i, d.Text)
+			}
+		}
+	})
 }

@@ -67,8 +67,6 @@ type (
 	Session = core.Session
 	// Model is a trained LDA topic model.
 	Model = lda.Model
-	// TrainSpec configures LDA training.
-	TrainSpec = lda.TrainSpec
 	// SearchHit is one search result row.
 	SearchHit = search.SearchHit
 	// Client is the trusted client module (Fig. 1 of the paper).
