@@ -52,7 +52,9 @@ func NewPDX(eng *belief.Engine, expansion, eps1 float64) (*PDX, error) {
 		pt := m.Prior[t]
 		row := m.Phi[t]
 		for w := 0; w < m.V; w++ {
-			wp[w] += row[w] * pt
+			// Rounded before it is added, so no architecture fuses the
+			// two.
+			wp[w] += float64(float64(row[w]) * pt)
 		}
 	}
 	return &PDX{eng: eng, Expansion: expansion, Eps1: eps1, Band: 4, wordProb: wp}, nil

@@ -26,7 +26,7 @@ func longChainPosterior(m *lda.Model, bag []int, sweeps, burnIn int, rng *rand.R
 	cols := make([]float64, len(bag)*k)
 	for t, row := range m.Phi {
 		for i, w := range bag {
-			cols[i*k+t] = row[w]
+			cols[i*k+t] = float64(row[w])
 		}
 	}
 	w8 := make([]float64, k)

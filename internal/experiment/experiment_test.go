@@ -221,6 +221,13 @@ func TestFig6Sublinear(t *testing.T) {
 	if modelGrowth >= idxGrowth {
 		t.Errorf("model growth %v >= index growth %v; expected sublinear model", modelGrowth, idxGrowth)
 	}
+	// The same holds for the bytes a client receives.
+	if small.FileBytes <= 0 {
+		t.Fatalf("model file of %d B", small.FileBytes)
+	}
+	if fileGrowth := float64(large.FileBytes) / float64(small.FileBytes); fileGrowth >= idxGrowth {
+		t.Errorf("model file growth %v >= index growth %v; expected sublinear model", fileGrowth, idxGrowth)
+	}
 	// Saving should improve (or at least not collapse) with scale.
 	if large.Saving < small.Saving-0.05 {
 		t.Errorf("saving shrank with scale: %v -> %v", small.Saving, large.Saving)

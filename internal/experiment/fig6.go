@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"fmt"
 
 	"toppriv/internal/corpus"
@@ -15,8 +16,13 @@ type ScalePoint struct {
 	NumDocs    int
 	VocabSize  int
 	IndexBytes int64
+	// ModelBytes is the heap the client holds for the model
+	// (lda.Model.ClientSizeBytes); FileBytes is what lda.Model.Save
+	// writes, the bytes a client receives.
 	ModelBytes int64
-	// Saving is the naive-download comparison of §V-D.
+	FileBytes  int64
+	// Saving is the naive-download comparison of §V-D, against
+	// ModelBytes.
 	Saving float64
 }
 
@@ -58,11 +64,16 @@ func Fig6(env *Env, fractions []float64) ([]ScalePoint, error) {
 		if err != nil {
 			return nil, err
 		}
+		var file bytes.Buffer
+		if err := m.Save(&file); err != nil {
+			return nil, err
+		}
 		pt := ScalePoint{
 			NumDocs:    nd,
 			VocabSize:  c.VocabSize(),
 			IndexBytes: idx.SizeBytes(),
 			ModelBytes: m.ClientSizeBytes(),
+			FileBytes:  int64(file.Len()),
 		}
 		if pt.IndexBytes > 0 {
 			pt.Saving = 1 - float64(pt.ModelBytes)/float64(pt.IndexBytes)

@@ -51,11 +51,11 @@ func PrintRatioPoints(w io.Writer, points []RatioPoint) {
 func PrintScalePoints(w io.Writer, points []ScalePoint) {
 	fmt.Fprintln(w, "== Figure 6: LDA model size vs inverted index size ==")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "docs\tvocab\tindex_KB\tmodel_KB\tsaving%")
+	fmt.Fprintln(tw, "docs\tvocab\tindex_KB\tmodel_KB\tfile_KB\tsaving%")
 	for _, p := range points {
-		fmt.Fprintf(tw, "%d\t%d\t%.1f\t%.1f\t%.1f\n",
+		fmt.Fprintf(tw, "%d\t%d\t%.1f\t%.1f\t%.1f\t%.1f\n",
 			p.NumDocs, p.VocabSize,
-			float64(p.IndexBytes)/1024, float64(p.ModelBytes)/1024, p.Saving*100)
+			float64(p.IndexBytes)/1024, float64(p.ModelBytes)/1024, float64(p.FileBytes)/1024, p.Saving*100)
 	}
 	tw.Flush()
 }

@@ -31,10 +31,10 @@ func TestPrintRatioPoints(t *testing.T) {
 func TestPrintScalePoints(t *testing.T) {
 	var buf bytes.Buffer
 	PrintScalePoints(&buf, []ScalePoint{
-		{NumDocs: 500, VocabSize: 1900, IndexBytes: 90 * 1024, ModelBytes: 500 * 1024, Saving: -4.5},
+		{NumDocs: 500, VocabSize: 1900, IndexBytes: 90 * 1024, ModelBytes: 500 * 1024, FileBytes: 321 * 1024, Saving: -4.5},
 	})
 	out := buf.String()
-	if !strings.Contains(out, "500") || !strings.Contains(out, "1900") {
+	if !strings.Contains(out, "500") || !strings.Contains(out, "1900") || !strings.Contains(out, "file_KB") || !strings.Contains(out, "321.0") {
 		t.Errorf("missing fields:\n%s", out)
 	}
 }

@@ -85,8 +85,9 @@ func (inf *Inferencer) Model() *Model { return inf.m }
 // expected counts N_t = Σ_i γ_it, and the estimate is
 // (N_t + α) / (n + Kα). Every pass needs Φ[t][w] for all K topics of
 // every token: K cache lines apart in Φ. They are gathered once per
-// call into a contiguous column per token, which every pass then reads
-// in order.
+// call into a contiguous column per token, each entry widened from
+// float32 to float64, which every pass then reads in order; all the
+// arithmetic is float64.
 func (inf *Inferencer) Posterior(bag []int) []float64 {
 	m := inf.m
 	k := m.K
@@ -117,7 +118,7 @@ func (inf *Inferencer) Posterior(bag []int) []float64 {
 	clear(counts)
 	for t, row := range m.Phi {
 		for i, w := range words {
-			cols[i*k+t] = row[w]
+			cols[i*k+t] = float64(row[w])
 		}
 	}
 
@@ -154,7 +155,7 @@ func (inf *Inferencer) Posterior(bag []int) []float64 {
 			}
 		}
 	}
-	denom := float64(n) + float64(k)*alpha
+	denom := float64(n) + float64(float64(k)*alpha)
 	for t := range out {
 		out[t] = (counts[t] + alpha) / denom
 	}

@@ -33,12 +33,12 @@ func posteriorRef(m *Model, spec InferSpec, bag []int) []float64 {
 	for i, w := range words {
 		total := 0.0
 		for t := 0; t < k; t++ {
-			total += m.Phi[t][w]
+			total += float64(m.Phi[t][w])
 		}
 		inv := 1 / total
 		gamma[i] = make([]float64, k)
 		for t := 0; t < k; t++ {
-			gamma[i][t] = float64(m.Phi[t][w] * inv)
+			gamma[i][t] = float64(float64(m.Phi[t][w]) * inv)
 			counts[t] += gamma[i][t]
 		}
 	}
@@ -50,7 +50,7 @@ func posteriorRef(m *Model, spec InferSpec, bag []int) []float64 {
 			}
 			total := 0.0
 			for t := 0; t < k; t++ {
-				g[t] = float64(m.Phi[t][w] * (counts[t] + m.Alpha))
+				g[t] = float64(float64(m.Phi[t][w]) * (counts[t] + m.Alpha))
 				total += g[t]
 			}
 			inv := 1 / total
@@ -62,7 +62,7 @@ func posteriorRef(m *Model, spec InferSpec, bag []int) []float64 {
 			}
 		}
 	}
-	denom := float64(len(words)) + float64(k)*m.Alpha
+	denom := float64(len(words)) + float64(float64(k)*m.Alpha)
 	for t := 0; t < k; t++ {
 		out[t] = (counts[t] + m.Alpha) / denom
 	}
@@ -97,19 +97,19 @@ func gibbsPosterior(m *Model, bag []int, sweeps, samples int, rng *rand.Rand) []
 	for i, w := range bag {
 		total := 0.0
 		for t := range probs {
-			probs[t] = m.Phi[t][w]
+			probs[t] = float64(m.Phi[t][w])
 			total += probs[t]
 		}
 		assign[i] = pick(total)
 		counts[assign[i]]++
 	}
-	denom := float64(len(bag)) + float64(k)*m.Alpha
+	denom := float64(len(bag)) + float64(float64(k)*m.Alpha)
 	for sweep := 0; sweep < sweeps; sweep++ {
 		for i, w := range bag {
 			counts[assign[i]]--
 			total := 0.0
 			for t := range probs {
-				probs[t] = m.Phi[t][w] * (counts[t] + m.Alpha)
+				probs[t] = float64(m.Phi[t][w]) * (counts[t] + m.Alpha)
 				total += probs[t]
 			}
 			assign[i] = pick(total)
@@ -127,12 +127,12 @@ func gibbsPosterior(m *Model, bag []int, sweeps, samples int, rng *rand.Rand) []
 	return out
 }
 
-func sameBits(a, b []float64) bool {
+func sameBits[F float32 | float64](a, b []F) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+		if math.Float64bits(float64(a[i])) != math.Float64bits(float64(b[i])) {
 			return false
 		}
 	}
@@ -162,10 +162,10 @@ func sparseModel() *Model {
 	rng := rand.New(rand.NewSource(59))
 	m := &Model{K: k, V: v, Alpha: 50.0 / k, Beta: 0.1, Prior: make([]float64, k), Terms: make([]string, v)}
 	for t := 0; t < k; t++ {
-		row := make([]float64, v)
+		row := make([]float32, v)
 		for w := range row {
 			if rng.Intn(3) > 0 {
-				row[w] = rng.Float64()
+				row[w] = float32(rng.Float64())
 			}
 		}
 		m.Phi = append(m.Phi, row)

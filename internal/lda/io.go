@@ -13,7 +13,10 @@ import (
 // saved models. Files saved before the model stopped holding Pr(t|d)
 // also carry a Theta field; gob skips a field the target type lacks, so
 // they load as they are; an older build reads a file saved now with an
-// empty Theta.
+// empty Theta. Φ travels as float64, as gob sends every float: a file
+// saved while Φ was float64 loads with each entry rounded to float32,
+// once, as training rounds it, and an older build reads a file saved
+// now with the float32 values widened exactly.
 type modelWire struct {
 	Version     int
 	K, V        int
@@ -33,7 +36,7 @@ func (m *Model) Save(w io.Writer) error {
 		Version: modelWireVersion,
 		K:       m.K, V: m.V,
 		Alpha: m.Alpha, Beta: m.Beta,
-		Phi: m.Phi, Prior: m.Prior, Terms: m.Terms,
+		Phi: convertRows[float64](m.Phi), Prior: m.Prior, Terms: m.Terms,
 	})
 	if err != nil {
 		return fmt.Errorf("lda: save: %w", err)
@@ -42,11 +45,11 @@ func (m *Model) Save(w io.Writer) error {
 }
 
 // Load deserializes a model written by Save and validates it: its shape,
-// and that Φ's rows and the prior are distributions and α and β are
-// positive. A file may come from anywhere, and inference trusts every
-// number in it: one NaN in Φ makes every (ε1, ε2) comparison false, so a
-// query with that word would go out as a cycle of one with no intention
-// topic and pass the check.
+// that every Φ entry fits a float32, and that Φ's rows and the prior are
+// distributions and α and β are positive. A file may come from
+// anywhere, and inference trusts every number in it: one NaN in Φ makes
+// every (ε1, ε2) comparison false, so a query with that word would go
+// out as a cycle of one with no intention topic and pass the check.
 func Load(r io.Reader) (*Model, error) {
 	var wire modelWire
 	if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&wire); err != nil {
@@ -58,15 +61,36 @@ func Load(r io.Reader) (*Model, error) {
 	m := &Model{
 		K: wire.K, V: wire.V,
 		Alpha: wire.Alpha, Beta: wire.Beta,
-		Phi: wire.Phi, Prior: wire.Prior, Terms: wire.Terms,
+		Phi: convertRows[float32](wire.Phi), Prior: wire.Prior, Terms: wire.Terms,
 	}
 	if err := m.validate(); err != nil {
 		return nil, err
+	}
+	// A finite value that rounds to an infinite float32 is named as it
+	// was written, not as the infinity checkValues would report.
+	for t, row := range wire.Phi {
+		for w, x := range row {
+			if math.IsInf(float64(m.Phi[t][w]), 0) && !math.IsInf(x, 0) {
+				return nil, fmt.Errorf("lda: Phi of topic %d, word %d %q = %v, beyond float32's range", t, w, m.Terms[w], x)
+			}
+		}
 	}
 	if err := m.checkValues(); err != nil {
 		return nil, err
 	}
 	return m, nil
+}
+
+// convertRows copies rows with each entry converted to D.
+func convertRows[D, S float32 | float64](rows [][]S) [][]D {
+	out := make([][]D, len(rows))
+	for t, row := range rows {
+		out[t] = make([]D, len(row))
+		for i, x := range row {
+			out[t][i] = D(x)
+		}
+	}
+	return out
 }
 
 // checkValues refuses a non-finite or non-positive α or β, and a Φ row
@@ -97,13 +121,13 @@ func (m *Model) checkValues() error {
 
 // checkDistribution returns the index of p's first entry that is not
 // finite and ≥ 0 (-1 when there is none) and, when there is none, p's
-// sum.
-func checkDistribution(p []float64) (bad int, sum float64) {
+// sum in float64.
+func checkDistribution[F float32 | float64](p []F) (bad int, sum float64) {
 	for i, x := range p {
-		if !(x >= 0) || math.IsInf(x, 1) {
+		if !(x >= 0) || math.IsInf(float64(x), 1) {
 			return i, 0
 		}
-		sum += x
+		sum += float64(x)
 	}
 	return -1, sum
 }

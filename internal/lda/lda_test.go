@@ -2,6 +2,7 @@ package lda
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math"
 	"os"
@@ -53,10 +54,11 @@ func smallCorpus(t *testing.T, seed int64) (*corpus.Corpus, *corpus.GroundTruth)
 	return c, gt
 }
 
-func assertDistribution(t *testing.T, name string, p []float64) {
+func assertDistribution[F float32 | float64](t *testing.T, name string, p []F) {
 	t.Helper()
 	sum := 0.0
-	for i, v := range p {
+	for i, x := range p {
+		v := float64(x)
 		if v < 0 || math.IsNaN(v) {
 			t.Fatalf("%s[%d] = %v", name, i, v)
 		}
@@ -292,25 +294,28 @@ func TestNewInferencerValidation(t *testing.T) {
 	}
 }
 
+// TestSaveLoadRoundTrip holds Save→Load to the model bit for bit, and
+// saving the loaded model to the same bytes.
 func TestSaveLoadRoundTrip(t *testing.T) {
 	m, _, _ := trainSmall(t, 4, 29)
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
+	saved := bytes.Clone(buf.Bytes())
 	m2, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2.K != m.K || m2.V != m.V || m2.Alpha != m.Alpha || m2.Beta != m.Beta {
-		t.Fatal("scalar fields lost")
+	if err := sameModelBits(m2, m); err != nil {
+		t.Fatal(err)
 	}
-	for tt := 0; tt < m.K; tt++ {
-		for w := 0; w < m.V; w++ {
-			if m.Phi[tt][w] != m2.Phi[tt][w] {
-				t.Fatal("Phi lost in round trip")
-			}
-		}
+	var again bytes.Buffer
+	if err := m2.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), saved) {
+		t.Error("the loaded model saves to other bytes")
 	}
 	if m2.TermID(m.Terms[0]) != 0 {
 		t.Error("TermID lookup broken after load")
@@ -350,8 +355,10 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 // TestLoadRefusesPoisonedValues crafts model files whose shapes are
-// right but whose numbers are not distributions or priors, one per
-// refusal; the clean file they start from loads.
+// right but whose numbers are not distributions or priors, or do not fit
+// Φ's float32, one per refusal; the clean file they start from loads.
+// The poison goes into the file's float64 wire form, where any value can
+// be written.
 func TestLoadRefusesPoisonedValues(t *testing.T) {
 	m, _, _ := trainSmall(t, 3, 29)
 	var clean bytes.Buffer
@@ -368,34 +375,36 @@ func TestLoadRefusesPoisonedValues(t *testing.T) {
 	}
 	cases := []struct {
 		name   string
-		poison func(m *Model)
+		poison func(m *modelWire)
 		want   string
 	}{
-		{"phi NaN", func(m *Model) { m.Phi[1][2] = math.NaN() }, fmt.Sprintf("topic 1, word 2 %q = NaN", m.Terms[2])},
-		{"phi negative", func(m *Model) { m.Phi[0][1] = -1e-9 }, fmt.Sprintf("topic 0, word 1 %q = -1e-09", m.Terms[1])},
-		{"phi infinite", func(m *Model) { m.Phi[2][0] = math.Inf(1) }, fmt.Sprintf("topic 2, word 0 %q = +Inf", m.Terms[0])},
-		{"phi row sum", func(m *Model) { scale(m.Phi[2], 1.001) }, "Phi of topic 2 sums to"},
-		{"prior NaN", func(m *Model) { m.Prior[0] = math.NaN() }, "Prior[0] = NaN"},
-		{"prior negative", func(m *Model) { m.Prior[1] = -0.5 }, "Prior[1] = -0.5"},
-		{"prior sum", func(m *Model) { scale(m.Prior, 0.99) }, "Prior sums to"},
-		{"alpha zero", func(m *Model) { m.Alpha = 0 }, "Alpha = 0"},
-		{"alpha NaN", func(m *Model) { m.Alpha = math.NaN() }, "Alpha = NaN"},
-		{"alpha infinite", func(m *Model) { m.Alpha = math.Inf(1) }, "Alpha = +Inf"},
-		{"beta negative", func(m *Model) { m.Beta = -0.1 }, "Beta = -0.1"},
-		{"beta NaN", func(m *Model) { m.Beta = math.NaN() }, "Beta = NaN"},
+		{"phi NaN", func(m *modelWire) { m.Phi[1][2] = math.NaN() }, fmt.Sprintf("topic 1, word 2 %q = NaN", m.Terms[2])},
+		{"phi negative", func(m *modelWire) { m.Phi[0][1] = -1e-9 }, fmt.Sprintf("topic 0, word 1 %q = -1e-09", m.Terms[1])},
+		{"phi infinite", func(m *modelWire) { m.Phi[2][0] = math.Inf(1) }, fmt.Sprintf("topic 2, word 0 %q = +Inf", m.Terms[0])},
+		{"phi beyond float32", func(m *modelWire) { m.Phi[1][0] = 1e39 }, fmt.Sprintf("topic 1, word 0 %q = 1e+39, beyond float32's range", m.Terms[0])},
+		{"phi beyond float32, negative", func(m *modelWire) { m.Phi[0][2] = -math.MaxFloat64 }, fmt.Sprintf("topic 0, word 2 %q = -1.7976931348623157e+308, beyond float32's range", m.Terms[2])},
+		{"phi row sum", func(m *modelWire) { scale(m.Phi[2], 1.001) }, "Phi of topic 2 sums to"},
+		{"prior NaN", func(m *modelWire) { m.Prior[0] = math.NaN() }, "Prior[0] = NaN"},
+		{"prior negative", func(m *modelWire) { m.Prior[1] = -0.5 }, "Prior[1] = -0.5"},
+		{"prior sum", func(m *modelWire) { scale(m.Prior, 0.99) }, "Prior sums to"},
+		{"alpha zero", func(m *modelWire) { m.Alpha = 0 }, "Alpha = 0"},
+		{"alpha NaN", func(m *modelWire) { m.Alpha = math.NaN() }, "Alpha = NaN"},
+		{"alpha infinite", func(m *modelWire) { m.Alpha = math.Inf(1) }, "Alpha = +Inf"},
+		{"beta negative", func(m *modelWire) { m.Beta = -0.1 }, "Beta = -0.1"},
+		{"beta NaN", func(m *modelWire) { m.Beta = math.NaN() }, "Beta = NaN"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			bad, err := Load(bytes.NewReader(clean.Bytes()))
-			if err != nil {
+			var bad modelWire
+			if err := gob.NewDecoder(bytes.NewReader(clean.Bytes())).Decode(&bad); err != nil {
 				t.Fatal(err)
 			}
-			c.poison(bad)
+			c.poison(&bad)
 			var file bytes.Buffer
-			if err := bad.Save(&file); err != nil {
+			if err := gob.NewEncoder(&file).Encode(bad); err != nil {
 				t.Fatal(err)
 			}
-			_, err = Load(&file)
+			_, err := Load(&file)
 			if err == nil {
 				t.Fatal("poisoned model loaded")
 			}
@@ -408,7 +417,7 @@ func TestLoadRefusesPoisonedValues(t *testing.T) {
 
 func TestSizeBytesDominatedByPhi(t *testing.T) {
 	m, _, _ := trainSmall(t, 6, 31)
-	min := int64(m.K) * int64(m.V) * 8
+	min := int64(m.K) * int64(m.V) * 4
 	if m.ClientSizeBytes() < min {
 		t.Errorf("ClientSizeBytes %d below Phi floor %d", m.ClientSizeBytes(), min)
 	}

@@ -33,8 +33,11 @@ type Model struct {
 	K, V int
 	// Alpha and Beta are the Dirichlet hyperparameters used in training.
 	Alpha, Beta float64
-	// Phi[t][w] = Pr(w|t), each row summing to 1.
-	Phi [][]float64
+	// Phi[t][w] = Pr(w|t), each row summing to 1. Each entry is a
+	// float64 estimate rounded once to float32, the client's largest
+	// structure at half the bytes; every computation that reads an entry
+	// widens it back to float64 first.
+	Phi [][]float32
 	// Prior[t] = Pr(t), the corpus-wide topic prior of Eq. 1.
 	Prior []float64
 	// Terms[w] is the term of word ID w as the analyzer produced it (a
@@ -131,7 +134,7 @@ func (m *Model) TopWords(t, n int) []TermWeight {
 	}
 	out := make([]TermWeight, n)
 	for i := 0; i < n; i++ {
-		out[i] = TermWeight{Term: m.Terms[idx[i]], Weight: row[idx[i]]}
+		out[i] = TermWeight{Term: m.Terms[idx[i]], Weight: float64(row[idx[i]])}
 	}
 	return out
 }
@@ -145,7 +148,7 @@ func (m *Model) TopWords(t, n int) []TermWeight {
 // corpus grows — the sublinear curve of Figure 6.
 func (m *Model) ClientSizeBytes() int64 {
 	k, v := int64(m.K), int64(m.V)
-	n := k*v*8 + k*24 // Φ's rows and their headers
+	n := k*v*4 + k*24 // Φ's float32 rows and their headers
 	n += k * 8        // Prior
 	n += k * (((v+samplerBlock-1)/samplerBlock+1)*8 + 48)
 	n += v * 4 // byTerm

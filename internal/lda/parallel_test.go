@@ -60,7 +60,7 @@ func TestTrainParallelQuality(t *testing.T) {
 	for tt := 0; tt < m.K; tt++ {
 		sum := 0.0
 		for w := 0; w < m.V; w++ {
-			p := m.Phi[tt][w]
+			p := float64(m.Phi[tt][w])
 			if p < 0 || math.IsNaN(p) {
 				t.Fatalf("invalid Phi[%d]", tt)
 			}

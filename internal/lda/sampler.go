@@ -10,26 +10,27 @@ const samplerBlock = 64
 
 // rowSampler draws a word from one topic's row of Φ in proportion to
 // its weight, without reading the whole row. prefix[b] is the running
-// sum of the row — added left to right, one word at a time — before
-// word b·samplerBlock, and prefix[len(prefix)-1] is the row total.
+// float64 sum of the row — each weight widened and added left to right,
+// one word at a time — before word b·samplerBlock, and
+// prefix[len(prefix)-1] is the row total.
 //
 // A draw u·total lands in the block whose prefixes straddle it, and the
 // scan inside that block resumes the same running sum from the stored
 // value, so every comparison sees the float the full left-to-right scan
 // would have seen there and picks the same word for the same u.
 type rowSampler struct {
-	row    []float64
+	row    []float32
 	prefix []float64
 }
 
-func newRowSampler(row []float64) rowSampler {
+func newRowSampler(row []float32) rowSampler {
 	prefix := make([]float64, 0, len(row)/samplerBlock+2)
 	acc := 0.0
 	for i, w := range row {
 		if i%samplerBlock == 0 {
 			prefix = append(prefix, acc)
 		}
-		acc += w
+		acc += float64(w)
 	}
 	return rowSampler{row: row, prefix: append(prefix, acc)}
 }
@@ -50,7 +51,7 @@ func (s rowSampler) pick(u float64) int {
 	}
 	acc := s.prefix[b]
 	for i := b * samplerBlock; ; i++ {
-		acc += s.row[i]
+		acc += float64(s.row[i])
 		if u < acc {
 			return i
 		}

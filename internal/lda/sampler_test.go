@@ -9,10 +9,10 @@ import (
 
 // scanIndexRef is the sampler this package's rowSampler replaced: a
 // left-to-right scan of the whole weight vector. Kept as the oracle.
-func scanIndexRef(weights []float64, u float64) int {
+func scanIndexRef(weights []float32, u float64) int {
 	acc := 0.0
 	for i, w := range weights {
-		acc += w
+		acc += float64(w)
 		if u < acc {
 			return i
 		}
@@ -20,25 +20,25 @@ func scanIndexRef(weights []float64, u float64) int {
 	return len(weights) - 1
 }
 
-func sampleIndexRef(weights []float64, rng *rand.Rand) int {
+func sampleIndexRef(weights []float32, rng *rand.Rand) int {
 	total := 0.0
 	for _, w := range weights {
-		total += w
+		total += float64(w)
 	}
 	return scanIndexRef(weights, rng.Float64()*total)
 }
 
 // samplerRows are weight vectors around every block-layout edge.
-func samplerRows() map[string][]float64 {
+func samplerRows() map[string][]float32 {
 	rng := rand.New(rand.NewSource(77))
-	zipf := func(v int) []float64 {
-		row := make([]float64, v)
+	zipf := func(v int) []float32 {
+		row := make([]float32, v)
 		for i := range row {
-			row[i] = rng.Float64() / float64(1+rng.Intn(v))
+			row[i] = float32(rng.Float64() / float64(1+rng.Intn(v)))
 		}
 		return row
 	}
-	withZeros := func(row []float64, runs ...[2]int) []float64 {
+	withZeros := func(row []float32, runs ...[2]int) []float32 {
 		for _, r := range runs {
 			for i := r[0]; i < r[1] && i < len(row); i++ {
 				row[i] = 0
@@ -46,7 +46,7 @@ func samplerRows() map[string][]float64 {
 		}
 		return row
 	}
-	return map[string][]float64{
+	return map[string][]float32{
 		"one word":              {0.3},
 		"under a block":         zipf(samplerBlock - 27),
 		"exactly a block":       zipf(samplerBlock),
@@ -58,7 +58,7 @@ func samplerRows() map[string][]float64 {
 		"zero tail":             withZeros(zipf(200), [2]int{120, 200}),
 		"whole blocks of zeros": withZeros(zipf(400), [2]int{64, 192}, [2]int{320, 400}),
 		"scattered zeros":       withZeros(zipf(300), [2]int{3, 4}, [2]int{63, 65}, [2]int{127, 129}, [2]int{299, 300}),
-		"all zeros":             make([]float64, 150),
+		"all zeros":             make([]float32, 150),
 	}
 }
 
@@ -99,7 +99,7 @@ func TestRowSamplerBlockBoundaries(t *testing.T) {
 		// inside a block.
 		acc := 0.0
 		for _, w := range row {
-			acc += w
+			acc += float64(w)
 			us = append(us, acc, math.Nextafter(acc, 0))
 		}
 		for _, u := range us {
@@ -112,7 +112,7 @@ func TestRowSamplerBlockBoundaries(t *testing.T) {
 
 func TestRowSamplerPrefixCount(t *testing.T) {
 	for v, want := range map[int]int{1: 2, 63: 2, 64: 2, 65: 3, 128: 3, 129: 4} {
-		if got := len(newRowSampler(make([]float64, v)).prefix); got != want {
+		if got := len(newRowSampler(make([]float32, v)).prefix); got != want {
 			t.Errorf("V=%d: %d prefixes, want %d", v, got, want)
 		}
 	}
@@ -226,14 +226,14 @@ func FuzzFirstAbove(f *testing.F) {
 func TestRowSamplerPickAtEveryBlockBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for v := 1; v <= 11*samplerBlock; v++ {
-		row := make([]float64, v)
+		row := make([]float32, v)
 		for i := 0; i < v; {
 			run := 1 + rng.Intn(2*samplerBlock)
-			w := [3]float64{0, float64(1 + rng.Intn(4)), rng.Float64()}[rng.Intn(3)]
+			w := [3]float32{0, float32(1 + rng.Intn(4)), float32(rng.Float64())}[rng.Intn(3)]
 			for ; run > 0 && i < v; run-- {
 				row[i] = w
 				if w != 0 && rng.Intn(4) == 0 {
-					row[i] = rng.Float64()
+					row[i] = float32(rng.Float64())
 				}
 				i++
 			}

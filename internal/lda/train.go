@@ -213,7 +213,8 @@ func (g *gibbs) sweep(sh *shard) {
 	}
 }
 
-// model estimates Φ from the counts, and the prior as the mean of the
+// model estimates Φ from the counts, each entry rounded to float32, and
+// the prior as the mean of the
 // documents' Pr(t|d) (Eq. 1), each added to the sum as it is computed
 // and none kept.
 func (g *gibbs) model(terms []string) *Model {
@@ -223,23 +224,26 @@ func (g *gibbs) model(terms []string) *Model {
 		V:     v,
 		Alpha: g.alpha,
 		Beta:  g.beta,
-		Phi:   make([][]float64, k),
+		Phi:   make([][]float32, k),
 		Prior: make([]float64, k),
 		Terms: terms,
 	}
+	// Each entry is computed in float64 and rounded to float32 once.
 	// A row at a time, each allocated just before it is written: filled a
 	// column at a time, the rows' pages were first touched interleaved,
 	// and the system benchmark's single_node cycles read 3–5 % slower in
 	// most pairs.
 	for t := range m.Phi {
-		row := make([]float64, v)
+		row := make([]float32, v)
 		denom := float64(g.nt[t]) + g.vbeta
 		for w := range row {
-			row[w] = (float64(g.nwt[w*k+t]) + g.beta) / denom
+			row[w] = float32((float64(g.nwt[w*k+t]) + g.beta) / denom)
 		}
 		m.Phi[t] = row
 	}
-	kalpha := float64(k) * g.alpha
+	// Rounded before it is added, so no architecture fuses the two (see
+	// sweep).
+	kalpha := float64(float64(k) * g.alpha)
 	for di, bag := range g.bags {
 		denom := float64(len(bag)) + kalpha
 		for t, n := range g.ndt[di*k:][:k] {
@@ -256,7 +260,7 @@ func (g *gibbs) model(terms []string) *Model {
 // under the counts of the last sweep barrier.
 func (g *gibbs) logLikelihood() float64 {
 	k := g.k
-	kalpha := float64(k) * g.alpha
+	kalpha := float64(float64(k) * g.alpha)
 	ll := 0.0
 	tokens := 0
 	for di, bag := range g.bags {

@@ -105,20 +105,20 @@ func trainRef(c *corpus.Corpus, spec TrainSpec) (*Model, [][]float64, *TrainTrac
 		V:     v,
 		Alpha: alpha,
 		Beta:  beta,
-		Phi:   make([][]float64, k),
+		Phi:   make([][]float32, k),
 		Prior: make([]float64, k),
 		Terms: c.Vocab.Terms(),
 	}
 	theta := make([][]float64, d)
 	for t := 0; t < k; t++ {
-		row := make([]float64, v)
+		row := make([]float32, v)
 		denom := float64(nt[t]) + vbeta
 		for w := 0; w < v; w++ {
-			row[w] = (float64(nwt[t*v+w]) + beta) / denom
+			row[w] = float32((float64(nwt[t*v+w]) + beta) / denom)
 		}
 		m.Phi[t] = row
 	}
-	kalpha := float64(k) * alpha
+	kalpha := float64(float64(k) * alpha)
 	for di := 0; di < d; di++ {
 		row := make([]float64, k)
 		denom := float64(len(c.Bags[di])) + kalpha
@@ -138,7 +138,7 @@ func trainRef(c *corpus.Corpus, spec TrainSpec) (*Model, [][]float64, *TrainTrac
 // under the current Gibbs state.
 func logLikelihoodRef(c *corpus.Corpus, nwt, ndt []int32, nt []int32, k, v int, alpha, beta float64) float64 {
 	vbeta := float64(v) * beta
-	kalpha := float64(k) * alpha
+	kalpha := float64(float64(k) * alpha)
 	ll := 0.0
 	tokens := 0
 	for di, bag := range c.Bags {
@@ -296,20 +296,20 @@ func trainParallelRef(c *corpus.Corpus, spec TrainSpec, workers int) (*Model, []
 		V:     v,
 		Alpha: alpha,
 		Beta:  beta,
-		Phi:   make([][]float64, k),
+		Phi:   make([][]float32, k),
 		Prior: make([]float64, k),
 		Terms: c.Vocab.Terms(),
 	}
 	theta := make([][]float64, d)
 	for t := 0; t < k; t++ {
-		row := make([]float64, v)
+		row := make([]float32, v)
 		denom := float64(nt[t]) + vbeta
 		for w := 0; w < v; w++ {
-			row[w] = (float64(nwt[t*v+w]) + beta) / denom
+			row[w] = float32((float64(nwt[t*v+w]) + beta) / denom)
 		}
 		m.Phi[t] = row
 	}
-	kalpha := float64(k) * alpha
+	kalpha := float64(float64(k) * alpha)
 	for di := 0; di < d; di++ {
 		row := make([]float64, k)
 		denom := float64(len(c.Bags[di])) + kalpha
@@ -361,7 +361,7 @@ func sameModelBits(got, want *Model) error {
 // no longer holds, for the tests to check.
 func (g *gibbs) theta() [][]float64 {
 	k := g.k
-	kalpha := float64(k) * g.alpha
+	kalpha := float64(float64(k) * g.alpha)
 	theta := make([][]float64, len(g.bags))
 	for di, bag := range g.bags {
 		row := make([]float64, k)
