@@ -1,7 +1,7 @@
 package toppriv
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (§V), plus the ablations called out in DESIGN.md §5 and
+// evaluation (§V), plus ablations of the obfuscator's design choices and
 // micro-benchmarks for the hot paths. Quality metrics (exposure %,
 // cycle length, TopPriv/PDX ratio, …) are attached to each benchmark
 // via b.ReportMetric, so `go test -bench=. -benchmem` leaves a full
@@ -276,7 +276,7 @@ func BenchmarkTableAttacks(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §5) ----------------------------------------------
+// --- Ablations of the obfuscator's design choices -------------------------
 
 // ablationRun measures mean exposure and cycle length for a parameter
 // variant of the obfuscator over the bench workload.

@@ -6,16 +6,19 @@
 //
 // Usage:
 //
-//	ldatrain -corpus corpus.json -out model.gob -k 24 -iters 150
+//	ldatrain -corpus corpus.json -out model.tplm -k 24 -iters 150
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"log"
 	"os"
+	"path/filepath"
 
 	"toppriv/internal/corpus"
+	"toppriv/internal/frame"
 	"toppriv/internal/lda"
 	"toppriv/internal/textproc"
 )
@@ -26,7 +29,7 @@ func main() {
 
 	var (
 		corpusPath = flag.String("corpus", "corpus.json", "corpus JSON from corpusgen")
-		out        = flag.String("out", "model.gob", "output model path")
+		out        = flag.String("out", "model.tplm", "output model path")
 		k          = flag.Int("k", 24, "number of topics")
 		iters      = flag.Int("iters", 150, "Gibbs sweeps")
 		seed       = flag.Int64("seed", 1, "sampling seed")
@@ -60,16 +63,14 @@ func main() {
 			trace.LogLikelihood[0], trace.LogLikelihood[n-1], *iters)
 	}
 
-	of, err := os.Create(*out)
-	if err != nil {
+	var file bytes.Buffer
+	if err := m.Save(&file); err != nil {
 		log.Fatal(err)
 	}
-	defer of.Close()
-	if err := m.Save(of); err != nil {
+	if err := frame.WriteFileAtomic(filepath.Dir(*out), filepath.Base(*out), file.Bytes()); err != nil {
 		log.Fatal(err)
 	}
-	log.Printf("model: K=%d, client footprint %.1f KB, saved to %s",
-		m.K, float64(m.ClientSizeBytes())/1024, *out)
+	log.Printf("model: K=%d, %.1f KB, saved to %s", m.K, float64(file.Len())/1024, *out)
 
 	if *topWords > 0 {
 		for t := 0; t < m.K; t++ {

@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	topprivctl -server http://localhost:8080 -model model.gob \
+//	topprivctl -server http://localhost:8080 -model model.tplm \
 //	    -eps1 0.05 -eps2 0.01 -show-ghosts "apache helicopter army"
 //
 // With no positional arguments, queries are read one per line from
@@ -39,7 +39,7 @@ func main() {
 
 	var (
 		server     = flag.String("server", "http://localhost:8080", "searchd base URL")
-		modelPath  = flag.String("model", "model.gob", "trained LDA model from ldatrain")
+		modelPath  = flag.String("model", "model.tplm", "trained LDA model from ldatrain")
 		eps1       = flag.Float64("eps1", 0.05, "relevance threshold ε1")
 		eps2       = flag.Float64("eps2", 0.01, "exposure threshold ε2 (≤ ε1)")
 		k          = flag.Int("k", 10, "results per query")

@@ -41,7 +41,7 @@ func TestCLIPipeline(t *testing.T) {
 	bin := buildTools(t)
 	work := t.TempDir()
 	corpusPath := filepath.Join(work, "corpus.json")
-	modelPath := filepath.Join(work, "model.gob")
+	modelPath := filepath.Join(work, "model.tplm")
 
 	// 1. corpusgen
 	out, err := exec.Command(filepath.Join(bin, "corpusgen"),

@@ -142,7 +142,7 @@ func fitGaussian(a *Distinguisher, queries [][]string) (mean, variance [nFeature
 		f := a.features(q)
 		for i := range f {
 			d := f[i] - mean[i]
-			variance[i] += d * d
+			variance[i] += float64(d * d) // rounded first: never fused
 		}
 	}
 	for i := range variance {
@@ -165,7 +165,8 @@ func (a *Distinguisher) userScore(query []string) float64 {
 
 func gaussLogPDF(x, mean, variance float64) float64 {
 	d := x - mean
-	return -0.5*math.Log(2*math.Pi*variance) - d*d/(2*variance)
+	// The product is rounded before the subtraction: never fused.
+	return float64(-0.5*math.Log(2*math.Pi*variance)) - d*d/(2*variance)
 }
 
 // GuessUser implements QueryGuesser: the cycle member with the highest

@@ -44,9 +44,9 @@ func TestDistinguisherMeasuredAgainstTopPriv(t *testing.T) {
 	// The honest measurement: train on obfuscator-generated ghosts and
 	// probe queries, attack fresh cycles. We don't assert the attack
 	// fails — we assert the measurement machinery works and record the
-	// rate. (EXPERIMENTS.md discusses the observed value: the attack
-	// beats random because workload queries carry deeper-ranked terms
-	// than Φ-head ghosts, a known cost of topical ghost generation.)
+	// rate. (The attack beats random because workload queries carry
+	// deeper-ranked terms than Φ-head ghosts, a known cost of topical
+	// ghost generation.)
 	f := getFixture(t)
 	rng := rand.New(rand.NewSource(2))
 	var probes [][]string

@@ -68,7 +68,7 @@ func (p *PDX) Embellish(userTerms []string, rng *rand.Rand) ([]string, error) {
 		return nil, fmt.Errorf("baseline: empty user query")
 	}
 	m := p.eng.Model()
-	nDecoys := int(p.Expansion*float64(len(userTerms))+0.5) - len(userTerms)
+	nDecoys := int(float64(p.Expansion*float64(len(userTerms)))+0.5) - len(userTerms)
 	if nDecoys <= 0 {
 		out := append([]string{}, userTerms...)
 		rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })

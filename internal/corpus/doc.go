@@ -1,8 +1,8 @@
 // Package corpus provides the document-collection substrate: a document
 // model, a deterministic generative corpus that substitutes for the
 // paper's Wall Street Journal collection, and a query workload that
-// substitutes for the TREC-1/2 ad-hoc queries (see DESIGN.md §3 for the
-// substitution argument).
+// substitutes for the TREC-1/2 ad-hoc queries (see PAPER.md, "What this
+// repository reproduces").
 package corpus
 
 import (

@@ -12,7 +12,7 @@ import (
 // produce a corpus that stands in for the paper's WSJ collection at
 // laptop scale: multi-topic, Zipfian within-topic word distributions,
 // sparse per-document topic mixtures, and a generic background shared by
-// every document (see DESIGN.md §3).
+// every document (see PAPER.md, "What this repository reproduces").
 type GenSpec struct {
 	// Seed makes generation deterministic. Same spec + seed => same corpus.
 	Seed int64

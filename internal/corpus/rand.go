@@ -21,22 +21,25 @@ func randGamma(rng *rand.Rand, shape float64) float64 {
 	}
 	d := shape - 1.0/3.0
 	c := 1.0 / math.Sqrt(9*d)
+	// Each product below is rounded before it is added, so no
+	// architecture fuses the two and a seed draws the same corpus
+	// wherever math.Log and math.Pow agree.
 	for {
 		x := rng.NormFloat64()
-		v := 1 + c*x
+		v := 1 + float64(c*x)
 		if v <= 0 {
 			continue
 		}
-		v = v * v * v
+		v = float64(v * v * v) // else 1-v below fuses with its last product
 		u := rng.Float64()
 		if u == 0 {
 			continue
 		}
 		x2 := x * x
-		if u < 1-0.0331*x2*x2 {
+		if u < 1-float64(0.0331*x2*x2) {
 			return d * v
 		}
-		if math.Log(u) < 0.5*x2+d*(1-v+math.Log(v)) {
+		if math.Log(u) < float64(0.5*x2)+float64(d*(1-v+math.Log(v))) {
 			return d * v
 		}
 	}

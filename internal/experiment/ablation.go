@@ -10,8 +10,8 @@ import (
 	"toppriv/internal/core"
 )
 
-// AblationRow measures one obfuscator variant over the workload —
-// the design-choice studies of DESIGN.md §5.
+// AblationRow measures one obfuscator variant over the workload: one
+// of TopPriv's design choices switched off.
 type AblationRow struct {
 	Variant  string
 	Exposure float64 // mean exposure over contributing queries
@@ -71,7 +71,7 @@ func Ablations(env *Env, eps1, eps2 float64, seed int64) ([]AblationRow, error) 
 
 // PrintAblations renders the variant table.
 func PrintAblations(w io.Writer, rows []AblationRow) {
-	fmt.Fprintln(w, "== Ablations (DESIGN.md §5) ==")
+	fmt.Fprintln(w, "== Ablations: TopPriv's design choices switched off ==")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "variant\texposure%\tupsilon\tgen_ms\tqueries")
 	for _, r := range rows {

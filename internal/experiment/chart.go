@@ -176,8 +176,8 @@ func RatioChart(points []RatioPoint) *Chart {
 				continue
 			}
 			// Drop the degenerate small-K points (PDX exposure clamped
-			// near zero blows the ratio up; see EXPERIMENTS.md) so the
-			// paper-shape region stays readable.
+			// near zero blows the ratio up) so the paper-shape region
+			// stays readable.
 			if p.Ratio > 3 {
 				continue
 			}

@@ -1,7 +1,8 @@
 // Package experiment is the evaluation harness: it reconstructs the
 // paper's laboratory (corpus, workload, a grid of LDA models) and
-// regenerates every table and figure of §V. See DESIGN.md §4 for the
-// experiment index and EXPERIMENTS.md for paper-vs-measured results.
+// regenerates every table and figure of §V. README's "Experiments and
+// benchmarks" says how to run it, and PAPER.md's "What this repository
+// reproduces" where its results depart from the paper's.
 package experiment
 
 import (

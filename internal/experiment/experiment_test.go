@@ -178,8 +178,8 @@ func TestFig5RatioBelowOneAtSmallBudget(t *testing.T) {
 	// Paper Figure 5: TopPriv beats PDX at equal word budgets. The unit
 	// environment's models are far smaller than the paper's K >= 50, and
 	// at large budgets heavy embellishment over-dilutes against a 1/K
-	// prior (see EXPERIMENTS.md), so the paper-regime assertion is made
-	// at υ = 2; the full-scale bench covers the default grid.
+	// prior, so the paper-regime assertion is made at υ = 2; the
+	// full-scale bench covers the default grid.
 	env := getEnv(t)
 	points, err := Fig5(env, 6)
 	if err != nil {
@@ -220,13 +220,6 @@ func TestFig6Sublinear(t *testing.T) {
 	modelGrowth := float64(large.ModelBytes) / float64(small.ModelBytes)
 	if modelGrowth >= idxGrowth {
 		t.Errorf("model growth %v >= index growth %v; expected sublinear model", modelGrowth, idxGrowth)
-	}
-	// The same holds for the bytes a client receives.
-	if small.FileBytes <= 0 {
-		t.Fatalf("model file of %d B", small.FileBytes)
-	}
-	if fileGrowth := float64(large.FileBytes) / float64(small.FileBytes); fileGrowth >= idxGrowth {
-		t.Errorf("model file growth %v >= index growth %v; expected sublinear model", fileGrowth, idxGrowth)
 	}
 	// Saving should improve (or at least not collapse) with scale.
 	if large.Saving < small.Saving-0.05 {

@@ -13,14 +13,12 @@ import (
 // ScalePoint is one Figure 6 measurement: at a given corpus scale, the
 // serialized inverted-index size versus the client-side LDA model size.
 type ScalePoint struct {
-	NumDocs    int
-	VocabSize  int
+	NumDocs   int
+	VocabSize int
+	// IndexBytes is what the index's WriteTo writes; ModelBytes is what
+	// lda.Model.Save writes, the bytes a client receives.
 	IndexBytes int64
-	// ModelBytes is the heap the client holds for the model
-	// (lda.Model.ClientSizeBytes); FileBytes is what lda.Model.Save
-	// writes, the bytes a client receives.
 	ModelBytes int64
-	FileBytes  int64
 	// Saving is the naive-download comparison of §V-D, against
 	// ModelBytes.
 	Saving float64
@@ -72,8 +70,7 @@ func Fig6(env *Env, fractions []float64) ([]ScalePoint, error) {
 			NumDocs:    nd,
 			VocabSize:  c.VocabSize(),
 			IndexBytes: idx.SizeBytes(),
-			ModelBytes: m.ClientSizeBytes(),
-			FileBytes:  int64(file.Len()),
+			ModelBytes: int64(file.Len()),
 		}
 		if pt.IndexBytes > 0 {
 			pt.Saving = 1 - float64(pt.ModelBytes)/float64(pt.IndexBytes)

@@ -128,7 +128,7 @@ func Fig5(env *Env, seed int64) ([]RatioPoint, error) {
 				// prior reveals nothing, and with small K the prior (1/K)
 				// is large enough that heavy embellishment can push the
 				// boost negative — an artifact the paper's K >= 50 models
-				// never reach. See EXPERIMENTS.md.
+				// never reach.
 				tpSum += math.Max(cyc.Exposure, 0)
 				pdxSum += math.Max(belief.Exposure(embBoost, cyc.Intention), 0)
 				pt.Queries++

@@ -1,6 +1,7 @@
 // Package frame is the one framing and document codec of everything
 // this repository checksums: the cluster's journal, snapshot, cycle
-// stream, mutation and ack frames, and a saved segment's documents file.
+// stream, mutation and ack frames, a saved segment's documents file,
+// and the client's LDA model file.
 //
 // A frame is a uint32 little-endian payload length, a uint32
 // little-endian CRC-32 (IEEE) over the length bytes followed by the

@@ -1,96 +1,105 @@
 package lda
 
 import (
-	"bufio"
-	"encoding/gob"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+
+	"toppriv/internal/frame"
 )
 
-// modelWire is the gob wire form of a Model. Keeping it separate from
-// the runtime type lets the in-memory layout evolve without breaking
-// saved models. Files saved before the model stopped holding Pr(t|d)
-// also carry a Theta field; gob skips a field the target type lacks, so
-// they load as they are; an older build reads a file saved now with an
-// empty Theta. Φ travels as float64, as gob sends every float: a file
-// saved while Φ was float64 loads with each entry rounded to float32,
-// once, as training rounds it, and an older build reads a file saved
-// now with the float32 values widened exactly.
-type modelWire struct {
-	Version     int
-	K, V        int
-	Alpha, Beta float64
-	Phi         [][]float64
-	Prior       []float64
-	Terms       []string
-}
+// modelMagic opens a model file. One frame (package frame) follows it,
+// whose payload is, in order: K and V (uvarints); α and β (float64
+// bits); the prior (K float64 bits); the terms (V uvarint lengths, each
+// followed by its bytes); and Φ, row by row (K × V float32 bits). Every
+// number is little-endian.
+const modelMagic = "TPLM1\n"
 
-const modelWireVersion = 1
-
-// Save serializes the model with gob.
+// Save writes the model as modelMagic and one checksummed frame.
 func (m *Model) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := gob.NewEncoder(bw)
-	err := enc.Encode(modelWire{
-		Version: modelWireVersion,
-		K:       m.K, V: m.V,
-		Alpha: m.Alpha, Beta: m.Beta,
-		Phi: convertRows[float64](m.Phi), Prior: m.Prior, Terms: m.Terms,
-	})
-	if err != nil {
-		return fmt.Errorf("lda: save: %w", err)
+	if err := m.validate(); err != nil {
+		return err
 	}
-	return bw.Flush()
+	b := append([]byte(modelMagic), make([]byte, frame.Header)...)
+	b = binary.AppendUvarint(b, uint64(m.K))
+	b = binary.AppendUvarint(b, uint64(m.V))
+	for _, x := range append([]float64{m.Alpha, m.Beta}, m.Prior...) {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+	for _, t := range m.Terms {
+		b = binary.AppendUvarint(b, uint64(len(t)))
+		b = append(b, t...)
+	}
+	for _, row := range m.Phi {
+		for _, x := range row {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
+		}
+	}
+	if len(b)-len(modelMagic)-frame.Header > math.MaxUint32 {
+		return fmt.Errorf("lda: save: a %d B model does not fit one frame", len(b))
+	}
+	frame.Seal(b[len(modelMagic):])
+	_, err := w.Write(b)
+	return err
 }
 
-// Load deserializes a model written by Save and validates it: its shape,
-// that every Φ entry fits a float32, and that Φ's rows and the prior are
-// distributions and α and β are positive. A file may come from
-// anywhere, and inference trusts every number in it: one NaN in Φ makes
-// every (ε1, ε2) comparison false, so a query with that word would go
-// out as a cycle of one with no intention topic and pass the check.
+// Load reads a model written by Save and validates it: its checksum,
+// its shape, and that Φ's rows and the prior are distributions and α
+// and β are positive. A file may come from anywhere, and inference
+// trusts every number in it: one NaN in Φ makes every (ε1, ε2)
+// comparison false, so a query with that word would go out as a cycle
+// of one with no intention topic and pass the check.
 func Load(r io.Reader) (*Model, error) {
-	var wire modelWire
-	if err := gob.NewDecoder(bufio.NewReader(r)).Decode(&wire); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return nil, fmt.Errorf("lda: load: %w", err)
 	}
-	if wire.Version != modelWireVersion {
-		return nil, fmt.Errorf("lda: unsupported model version %d", wire.Version)
+	if !bytes.HasPrefix(data, []byte(modelMagic)) {
+		return nil, errors.New("lda: load: not a TPLM1 model file; a gob model saved by an older build is not read: retrain it with cmd/ldatrain")
 	}
-	m := &Model{
-		K: wire.K, V: wire.V,
-		Alpha: wire.Alpha, Beta: wire.Beta,
-		Phi: convertRows[float32](wire.Phi), Prior: wire.Prior, Terms: wire.Terms,
+	data = data[len(modelMagic):]
+	rd, err := frame.OpenReader(data, uint32(min(len(data), math.MaxUint32)), "lda: load")
+	if err != nil {
+		return nil, err
+	}
+	// Each topic takes at least its prior's 8 B, and each word its
+	// length byte and its K entries of Φ.
+	m := &Model{K: rd.Count(8)}
+	m.V = rd.Count(1 + 4*m.K)
+	m.Alpha, m.Beta = rd.Float(), rd.Float()
+	m.Prior = make([]float64, m.K)
+	for t := range m.Prior {
+		m.Prior[t] = rd.Float()
+	}
+	m.Terms = make([]string, m.V)
+	for w := range m.Terms {
+		m.Terms[w] = rd.Str()
+	}
+	// Φ takes the rest, exactly.
+	if rd.Err == nil && len(rd.B) != 4*m.K*m.V {
+		rd.Failf("Phi takes %d B, %d left", 4*m.K*m.V, len(rd.B))
+	}
+	if rd.Err != nil {
+		return nil, rd.Err
+	}
+	m.Phi = make([][]float32, m.K)
+	for t := range m.Phi {
+		row := make([]float32, m.V)
+		for w := range row {
+			row[w] = math.Float32frombits(binary.LittleEndian.Uint32(rd.B[4*(t*m.V+w):]))
+		}
+		m.Phi[t] = row
 	}
 	if err := m.validate(); err != nil {
 		return nil, err
-	}
-	// A finite value that rounds to an infinite float32 is named as it
-	// was written, not as the infinity checkValues would report.
-	for t, row := range wire.Phi {
-		for w, x := range row {
-			if math.IsInf(float64(m.Phi[t][w]), 0) && !math.IsInf(x, 0) {
-				return nil, fmt.Errorf("lda: Phi of topic %d, word %d %q = %v, beyond float32's range", t, w, m.Terms[w], x)
-			}
-		}
 	}
 	if err := m.checkValues(); err != nil {
 		return nil, err
 	}
 	return m, nil
-}
-
-// convertRows copies rows with each entry converted to D.
-func convertRows[D, S float32 | float64](rows [][]S) [][]D {
-	out := make([][]D, len(rows))
-	for t, row := range rows {
-		out[t] = make([]D, len(row))
-		for i, x := range row {
-			out[t][i] = D(x)
-		}
-	}
-	return out
 }
 
 // checkValues refuses a non-finite or non-positive α or β, and a Φ row

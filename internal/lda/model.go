@@ -139,26 +139,7 @@ func (m *Model) TopWords(t, n int) []TermWeight {
 	return out
 }
 
-// ClientSizeBytes reports the heap the TopPriv client holds for the
-// model once it has answered a query: Φ (K × V), the prior Pr(t), the
-// dictionary with its sorted lookup, and the per-topic prefix sums
-// SampleWord draws from — the quantity Figure 6 plots against the
-// inverted-index size. Pr(t|d) is not held (it is only needed to derive
-// the prior once), so the cost plateaus with the vocabulary even as the
-// corpus grows — the sublinear curve of Figure 6.
-func (m *Model) ClientSizeBytes() int64 {
-	k, v := int64(m.K), int64(m.V)
-	n := k*v*4 + k*24 // Φ's float32 rows and their headers
-	n += k * 8        // Prior
-	n += k * (((v+samplerBlock-1)/samplerBlock+1)*8 + 48)
-	n += v * 4 // byTerm
-	for _, t := range m.Terms {
-		n += int64(len(t)) + 16
-	}
-	return n
-}
-
-// validate checks internal consistency; used by Load and tests.
+// validate checks internal consistency; used by Save, Load and tests.
 func (m *Model) validate() error {
 	if m.K <= 0 || m.V <= 0 {
 		return fmt.Errorf("lda: bad shape K=%d V=%d", m.K, m.V)

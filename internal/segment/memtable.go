@@ -53,7 +53,7 @@ func (mt *memtable) add(doc corpus.Document, gid corpus.DocID) (terms []textproc
 	normSq := 0.0
 	for _, tf := range tfs {
 		w := 1 + math.Log(float64(tf))
-		normSq += w * w
+		normSq += float64(w * w) // rounded first, as vsm.DocNorms: never fused
 	}
 	mt.norm = append(mt.norm, math.Sqrt(normSq))
 	return terms, len(mt.bag)

@@ -218,7 +218,9 @@ func DocNorms(idx *index.Index) []float64 {
 			docs, tfs := it.Window()
 			for i, d := range docs {
 				w := 1 + math.Log(float64(tfs[i]))
-				norms[d] += w * w
+				// Rounded before it is added, so no architecture
+				// fuses the two.
+				norms[d] += float64(w * w)
 			}
 		}
 	}

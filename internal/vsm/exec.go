@@ -244,7 +244,7 @@ func (e *Engine) weighTerms(qs *queryState) float64 {
 				idf = math.Log(1 + n/float64(df))
 			}
 			t.w = (1 + math.Log(float64(t.qtf))) * idf
-			qnorm += t.w * t.w
+			qnorm += float64(t.w * t.w) // rounded first: never fused
 		}
 		return math.Sqrt(qnorm)
 	}
@@ -299,7 +299,7 @@ func (e *Engine) weighTermsGlobal(qs *queryState, terms []string, g *GlobalStats
 				}
 			}
 			w := (1 + math.Log(float64(qtf))) * math.Log(1+n/float64(df))
-			qnorm += w * w
+			qnorm += float64(w * w) // rounded first: never fused
 		}
 		qnorm = math.Sqrt(qnorm)
 		if qnorm == 0 {
