@@ -71,6 +71,9 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("model: K=%d, %.1f KB, saved to %s", m.K, float64(file.Len())/1024, *out)
+	explicit := m.PhiExplicit()
+	log.Printf("Phi: %d of %d entries explicit (%.1f %%), the rest their topic's floor",
+		explicit, m.K*m.V, 100*float64(explicit)/float64(m.K*m.V))
 
 	if *topWords > 0 {
 		for t := 0; t < m.K; t++ {

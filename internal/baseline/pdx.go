@@ -50,11 +50,10 @@ func NewPDX(eng *belief.Engine, expansion, eps1 float64) (*PDX, error) {
 	wp := make([]float64, m.V)
 	for t := 0; t < m.K; t++ {
 		pt := m.Prior[t]
-		row := m.Phi[t]
 		for w := 0; w < m.V; w++ {
 			// Rounded before it is added, so no architecture fuses the
 			// two.
-			wp[w] += float64(float64(row[w]) * pt)
+			wp[w] += float64(float64(m.Phi(t, w)) * pt)
 		}
 	}
 	return &PDX{eng: eng, Expansion: expansion, Eps1: eps1, Band: 4, wordProb: wp}, nil

@@ -331,7 +331,7 @@ func decodeBatchReply(b []byte) ([]vsm.Response, error) {
 		}
 		lo := len(hits)
 		for j := 0; j < n; j++ {
-			gid, score := r.Gid(), r.Float()
+			gid, score := r.Gid(), r.Float("score")
 			if r.Err != nil {
 				return nil, r.Err
 			}

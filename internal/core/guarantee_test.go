@@ -24,9 +24,9 @@ func longChainPosterior(m *lda.Model, bag []int, sweeps, burnIn int, rng *rand.R
 	// Φ's columns for the bag's words, gathered once: a draw then reads
 	// K adjacent weights instead of K rows of Φ.
 	cols := make([]float64, len(bag)*k)
-	for t, row := range m.Phi {
+	for t := 0; t < k; t++ {
 		for i, w := range bag {
-			cols[i*k+t] = float64(row[w])
+			cols[i*k+t] = float64(m.Phi(t, w))
 		}
 	}
 	w8 := make([]float64, k)

@@ -166,10 +166,11 @@ func (r *Reader) Str() string {
 	return s
 }
 
-// Float reads a float64 from the 8 little-endian bytes of its bits.
-func (r *Reader) Float() float64 {
+// Float reads a float64 from the 8 little-endian bytes of its bits;
+// what names it in the error when fewer are left: "score", "alpha"…
+func (r *Reader) Float(what string) float64 {
 	if r.Err == nil && len(r.B) < 8 {
-		r.Failf("truncated score")
+		r.Failf("truncated %s", what)
 	}
 	if r.Err != nil {
 		return 0

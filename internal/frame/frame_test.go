@@ -188,7 +188,7 @@ func TestReaderRoundTrip(t *testing.T) {
 		}
 	}
 	for _, want := range floats {
-		if got := r.Float(); math.Float64bits(got) != math.Float64bits(want) {
+		if got := r.Float("float"); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("Float = %v, want %v bit for bit", got, want)
 		}
 	}
@@ -230,7 +230,7 @@ func TestReaderRefusals(t *testing.T) {
 		{"oversized uvarint", bytes.Repeat([]byte{0xff}, 11), func(r *Reader) any { return r.U64() }, "oversized"},
 		{"int past MaxInt", binary.AppendUvarint(nil, math.MaxUint64), func(r *Reader) any { return r.Num() }, "oversized"},
 		{"gid past int32", binary.AppendUvarint(nil, math.MaxInt32+1), func(r *Reader) any { return r.Gid() }, "beyond int32"},
-		{"truncated float", make([]byte, 7), func(r *Reader) any { return r.Float() }, "truncated score"},
+		{"truncated float", make([]byte, 7), func(r *Reader) any { return r.Float("alpha") }, "truncated alpha"},
 		// Count guards an allocation: a count the bytes left cannot
 		// hold is refused before anything is sized by it.
 		{"count past the bytes", append(binary.AppendUvarint(nil, 3), 0, 0, 0, 0, 0), func(r *Reader) any { return r.Count(2) }, "count 3 exceeds the 5 bytes left"},

@@ -2,6 +2,7 @@ package lda
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -84,10 +85,11 @@ func (inf *Inferencer) Model() *Model { return inf.m }
 // Iterations passes then updates every token in turn against the
 // expected counts N_t = Σ_i γ_it, and the estimate is
 // (N_t + α) / (n + Kα). Every pass needs Φ[t][w] for all K topics of
-// every token: K cache lines apart in Φ. They are gathered once per
-// call into a contiguous column per token, each entry widened from
-// float32 to float64, which every pass then reads in order; all the
-// arithmetic is float64.
+// every token: K rows apart in Φ. They are gathered once per call into
+// a contiguous column per token, each entry the row's floor unless the
+// row's bitmap marks it explicit, widened from float32 to float64; every
+// pass then reads the columns in order, and all the arithmetic is
+// float64.
 func (inf *Inferencer) Posterior(bag []int) []float64 {
 	m := inf.m
 	k := m.K
@@ -116,12 +118,19 @@ func (inf *Inferencer) Posterior(bag []int) []float64 {
 	slices.Sort(words)
 	cols, gamma, counts := sc.f[:n*k], sc.f[n*k:2*n*k], sc.f[2*n*k:(2*n+1)*k]
 	clear(counts)
-	for t, row := range m.Phi {
-		for i, w := range words {
-			cols[i*k+t] = float64(row[w])
+	p := m.phi
+	for i, w := range words {
+		b, bit := int(w)/samplerBlock, uint64(1)<<(w%samplerBlock)
+		col := cols[i*k : (i+1)*k]
+		blockBits, rank := p.bits[b*k:][:k], p.rank[b*k:][:k]
+		for t, floor := range p.floor[:k] {
+			x := floor
+			if word := blockBits[t]; word&bit != 0 {
+				x = p.vals[rank[t]+uint32(bits.OnesCount64(word&(bit-1)))]
+			}
+			col[t] = float64(x)
 		}
 	}
-
 	for i := range words {
 		col, g := cols[i*k:(i+1)*k], gamma[i*k:(i+1)*k]
 		total := 0.0

@@ -14,7 +14,7 @@ import (
 )
 
 // posteriorRef is the fold-in fixed point written the plain way: it
-// reads m.Phi[t][w] in place, keeps each token's responsibilities in a
+// reads phi[t][w] in place from Φ's dense expansion, keeps each token's responsibilities in a
 // slice of its own and takes the N −= γ_i, update, N += γ_i steps one
 // loop at a time. Kept as the oracle Inferencer.Posterior must match
 // bit for bit.
@@ -26,6 +26,7 @@ func posteriorRef(m *Model, spec InferSpec, bag []int) []float64 {
 		copy(out, m.Prior)
 		return out
 	}
+	phi := m.dense()
 	words := append([]int(nil), bag...)
 	sort.Ints(words)
 	gamma := make([][]float64, len(words))
@@ -33,12 +34,12 @@ func posteriorRef(m *Model, spec InferSpec, bag []int) []float64 {
 	for i, w := range words {
 		total := 0.0
 		for t := 0; t < k; t++ {
-			total += float64(m.Phi[t][w])
+			total += float64(phi[t][w])
 		}
 		inv := 1 / total
 		gamma[i] = make([]float64, k)
 		for t := 0; t < k; t++ {
-			gamma[i][t] = float64(float64(m.Phi[t][w]) * inv)
+			gamma[i][t] = float64(float64(phi[t][w]) * inv)
 			counts[t] += gamma[i][t]
 		}
 	}
@@ -50,7 +51,7 @@ func posteriorRef(m *Model, spec InferSpec, bag []int) []float64 {
 			}
 			total := 0.0
 			for t := 0; t < k; t++ {
-				g[t] = float64(float64(m.Phi[t][w]) * (counts[t] + m.Alpha))
+				g[t] = float64(float64(phi[t][w]) * (counts[t] + m.Alpha))
 				total += g[t]
 			}
 			inv := 1 / total
@@ -82,6 +83,7 @@ func gibbsPosterior(m *Model, bag []int, sweeps, samples int, rng *rand.Rand) []
 		copy(out, m.Prior)
 		return out
 	}
+	phi := m.dense()
 	probs := make([]float64, k)
 	pick := func(total float64) int {
 		u := rng.Float64() * total
@@ -97,7 +99,7 @@ func gibbsPosterior(m *Model, bag []int, sweeps, samples int, rng *rand.Rand) []
 	for i, w := range bag {
 		total := 0.0
 		for t := range probs {
-			probs[t] = float64(m.Phi[t][w])
+			probs[t] = float64(phi[t][w])
 			total += probs[t]
 		}
 		assign[i] = pick(total)
@@ -109,7 +111,7 @@ func gibbsPosterior(m *Model, bag []int, sweeps, samples int, rng *rand.Rand) []
 			counts[assign[i]]--
 			total := 0.0
 			for t := range probs {
-				probs[t] = float64(m.Phi[t][w]) * (counts[t] + m.Alpha)
+				probs[t] = float64(phi[t][w]) * (counts[t] + m.Alpha)
 				total += probs[t]
 			}
 			assign[i] = pick(total)
@@ -161,6 +163,7 @@ func sparseModel() *Model {
 	const k, v = 9, 70
 	rng := rand.New(rand.NewSource(59))
 	m := &Model{K: k, V: v, Alpha: 50.0 / k, Beta: 0.1, Prior: make([]float64, k), Terms: make([]string, v)}
+	var phi [][]float32
 	for t := 0; t < k; t++ {
 		row := make([]float32, v)
 		for w := range row {
@@ -168,9 +171,10 @@ func sparseModel() *Model {
 				row[w] = float32(rng.Float64())
 			}
 		}
-		m.Phi = append(m.Phi, row)
+		phi = append(phi, row)
 		m.Prior[t] = 1.0 / k
 	}
+	setPhi(m, phi)
 	for w := range m.Terms {
 		m.Terms[w] = "w" + string(rune('a'+w/26)) + string(rune('a'+w%26))
 	}

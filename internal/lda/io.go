@@ -33,8 +33,8 @@ func (m *Model) Save(w io.Writer) error {
 		b = binary.AppendUvarint(b, uint64(len(t)))
 		b = append(b, t...)
 	}
-	for _, row := range m.Phi {
-		for _, x := range row {
+	for t := 0; t < m.K; t++ {
+		for _, x := range m.phi.entries(t) {
 			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
 		}
 	}
@@ -69,10 +69,10 @@ func Load(r io.Reader) (*Model, error) {
 	// length byte and its K entries of Φ.
 	m := &Model{K: rd.Count(8)}
 	m.V = rd.Count(1 + 4*m.K)
-	m.Alpha, m.Beta = rd.Float(), rd.Float()
+	m.Alpha, m.Beta = rd.Float("alpha"), rd.Float("beta")
 	m.Prior = make([]float64, m.K)
 	for t := range m.Prior {
-		m.Prior[t] = rd.Float()
+		m.Prior[t] = rd.Float("prior")
 	}
 	m.Terms = make([]string, m.V)
 	for w := range m.Terms {
@@ -85,34 +85,37 @@ func Load(r io.Reader) (*Model, error) {
 	if rd.Err != nil {
 		return nil, rd.Err
 	}
-	m.Phi = make([][]float32, m.K)
-	for t := range m.Phi {
-		row := make([]float32, m.V)
-		for w := range row {
-			row[w] = math.Float32frombits(binary.LittleEndian.Uint32(rd.B[4*(t*m.V+w):]))
-		}
-		m.Phi[t] = row
-	}
-	if err := m.validate(); err != nil {
+	if err := m.checkShape(); err != nil {
 		return nil, err
 	}
-	if err := m.checkValues(); err != nil {
+	// The file's rows are dense; the values are checked on them before
+	// the sparse rows are built.
+	at := func(t, w int) float32 {
+		return math.Float32frombits(binary.LittleEndian.Uint32(rd.B[4*(t*m.V+w):]))
+	}
+	if err := m.checkValues(at); err != nil {
 		return nil, err
 	}
+	m.phi = newPhi(m.K, m.V, at)
 	return m, nil
 }
 
 // checkValues refuses a non-finite or non-positive α or β, and a Φ row
 // or prior with an entry that is not finite and ≥ 0 or a sum off 1 by
-// more than 1e-6. It needs validate's shapes.
-func (m *Model) checkValues() error {
+// more than 1e-6. Entry w of Φ's row t is at(t, w). It needs
+// checkShape's shapes.
+func (m *Model) checkValues(at func(t, w int) float32) error {
 	if !(m.Alpha > 0) || math.IsInf(m.Alpha, 1) || !(m.Beta > 0) || math.IsInf(m.Beta, 1) {
 		return fmt.Errorf("lda: Alpha = %v, Beta = %v, need finite values > 0", m.Alpha, m.Beta)
 	}
-	for t, row := range m.Phi {
-		w, sum := checkDistribution(row)
-		if w >= 0 {
-			return fmt.Errorf("lda: Phi of topic %d, word %d %q = %v, need a finite value >= 0", t, w, m.Terms[w], row[w])
+	for t := 0; t < m.K; t++ {
+		sum := 0.0
+		for w := 0; w < m.V; w++ {
+			x := at(t, w)
+			if !(x >= 0) || math.IsInf(float64(x), 1) {
+				return fmt.Errorf("lda: Phi of topic %d, word %d %q = %v, need a finite value >= 0", t, w, m.Terms[w], x)
+			}
+			sum += float64(x)
 		}
 		if math.Abs(sum-1) > 1e-6 {
 			return fmt.Errorf("lda: Phi of topic %d sums to %v, need 1", t, sum)
@@ -131,12 +134,12 @@ func (m *Model) checkValues() error {
 // checkDistribution returns the index of p's first entry that is not
 // finite and ≥ 0 (-1 when there is none) and, when there is none, p's
 // sum in float64.
-func checkDistribution[F float32 | float64](p []F) (bad int, sum float64) {
+func checkDistribution(p []float64) (bad int, sum float64) {
 	for i, x := range p {
-		if !(x >= 0) || math.IsInf(float64(x), 1) {
+		if !(x >= 0) || math.IsInf(x, 1) {
 			return i, 0
 		}
-		sum += float64(x)
+		sum += x
 	}
 	return -1, sum
 }

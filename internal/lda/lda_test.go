@@ -75,7 +75,7 @@ func TestTrainShapesAndDistributions(t *testing.T) {
 		t.Fatalf("shape K=%d V=%d", m.K, m.V)
 	}
 	for tt := 0; tt < m.K; tt++ {
-		assertDistribution(t, "Phi", m.Phi[tt])
+		assertDistribution(t, "Phi", m.dense()[tt])
 	}
 	theta := g.theta()
 	for d := 0; d < 10; d++ {
@@ -93,7 +93,7 @@ func TestTrainDeterministic(t *testing.T) {
 	m2, _, _ := trainSmall(t, 4, 7)
 	for tt := 0; tt < m1.K; tt++ {
 		for w := 0; w < m1.V; w++ {
-			if m1.Phi[tt][w] != m2.Phi[tt][w] {
+			if m1.Phi(tt, w) != m2.Phi(tt, w) {
 				t.Fatalf("Phi differs at (%d,%d) for identical seeds", tt, w)
 			}
 		}
@@ -375,6 +375,23 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestLoadNamesTheCutFloat seals frames cut inside α, β and the prior:
+// each is refused with the name of the float it was reading.
+func TestLoadNamesTheCutFloat(t *testing.T) {
+	eight := make([]byte, 8)
+	for want, payload := range map[string][]byte{
+		"lda: load: truncated alpha": {0, 0, 1, 2, 3},
+		"lda: load: truncated beta":  slices.Concat([]byte{0, 0}, eight, []byte{1, 2, 3}),
+		"lda: load: truncated prior": slices.Concat([]byte{1, 0}, eight, eight, []byte{1, 2, 3}),
+	} {
+		b := slices.Concat([]byte(modelMagic), make([]byte, frame.Header), payload)
+		frame.Seal(b[len(modelMagic):])
+		if _, err := Load(bytes.NewReader(b)); err == nil || err.Error() != want {
+			t.Errorf("payload %x: err = %v, want %q", payload, err, want)
+		}
+	}
+}
+
 // TestLoadRefusesPoisonedValues saves models whose shapes are right but
 // whose numbers are not distributions or priors, one per refusal; the
 // clean model they start from loads.
@@ -392,10 +409,10 @@ func TestLoadRefusesPoisonedValues(t *testing.T) {
 		poison func(m *Model)
 		want   string
 	}{
-		{"phi NaN", func(m *Model) { m.Phi[1][2] = float32(math.NaN()) }, fmt.Sprintf("topic 1, word 2 %q = NaN", m.Terms[2])},
-		{"phi negative", func(m *Model) { m.Phi[0][1] = -1e-9 }, fmt.Sprintf("topic 0, word 1 %q = -1e-09", m.Terms[1])},
-		{"phi infinite", func(m *Model) { m.Phi[2][0] = float32(math.Inf(1)) }, fmt.Sprintf("topic 2, word 0 %q = +Inf", m.Terms[0])},
-		{"phi row sum", func(m *Model) { scale(m.Phi[2], 1.001) }, "Phi of topic 2 sums to"},
+		{"phi NaN", func(m *Model) { poisonPhi(m, func(phi [][]float32) { phi[1][2] = float32(math.NaN()) }) }, fmt.Sprintf("topic 1, word 2 %q = NaN", m.Terms[2])},
+		{"phi negative", func(m *Model) { poisonPhi(m, func(phi [][]float32) { phi[0][1] = -1e-9 }) }, fmt.Sprintf("topic 0, word 1 %q = -1e-09", m.Terms[1])},
+		{"phi infinite", func(m *Model) { poisonPhi(m, func(phi [][]float32) { phi[2][0] = float32(math.Inf(1)) }) }, fmt.Sprintf("topic 2, word 0 %q = +Inf", m.Terms[0])},
+		{"phi row sum", func(m *Model) { poisonPhi(m, func(phi [][]float32) { scale(phi[2], 1.001) }) }, "Phi of topic 2 sums to"},
 		{"prior NaN", func(m *Model) { m.Prior[0] = math.NaN() }, "Prior[0] = NaN"},
 		{"prior negative", func(m *Model) { m.Prior[1] = -0.5 }, "Prior[1] = -0.5"},
 		{"prior sum", func(m *Model) { scale(m.Prior, 0.99) }, "Prior sums to"},
@@ -409,9 +426,7 @@ func TestLoadRefusesPoisonedValues(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			bad := &Model{K: m.K, V: m.V, Alpha: m.Alpha, Beta: m.Beta,
 				Prior: slices.Clone(m.Prior), Terms: m.Terms}
-			for _, row := range m.Phi {
-				bad.Phi = append(bad.Phi, slices.Clone(row))
-			}
+			setPhi(bad, m.dense())
 			c.poison(bad)
 			var file bytes.Buffer
 			if err := bad.Save(&file); err != nil {
@@ -426,6 +441,14 @@ func TestLoadRefusesPoisonedValues(t *testing.T) {
 			}
 		})
 	}
+}
+
+// poisonPhi applies poison to a dense expansion of m's Φ and holds the
+// result as m's Φ.
+func poisonPhi(m *Model, poison func(phi [][]float32)) {
+	phi := m.dense()
+	poison(phi)
+	setPhi(m, phi)
 }
 
 // scale multiplies each entry of p by f.
@@ -509,11 +532,15 @@ func liveHeap() int64 {
 
 // TestClientSizeIsResident holds the heap a model retains once it has
 // served an inferencer and a term lookup, at the system benchmark's
-// training shape (K = 32, 1 500 documents), to 1.5 × the bytes its Save
-// writes. The file holds Φ, the prior and the terms; the heap adds row
-// and string headers, the sorted lookup and the ghost sampler's prefix
-// sums (about 1.25 × in all). Pr(t|d) for those documents would take it
-// to about 1.8 ×, so no per-document structure can come back unnoticed.
+// training shape (K = 32, 1 500 documents, 40 sweeps), to two bounds.
+// The heap holds Φ's sparse rows, the prior, the terms with their string
+// headers, the sorted lookup and the ghost sampler's prefix sums.
+//
+//   - At most 1.5 × the bytes its Save writes: Pr(t|d) for those
+//     documents alone would take more, so no per-document structure can
+//     come back unnoticed.
+//   - At most half of Φ's K·V·4 dense bytes: a dense copy of Φ, kept
+//     anywhere beside the sparse rows, breaks it.
 func TestClientSizeIsResident(t *testing.T) {
 	// Whatever synthesis keeps for the process is made before the
 	// baseline.
@@ -528,7 +555,7 @@ func TestClientSizeIsResident(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m, err = TrainParallel(c, TrainSpec{NumTopics: 32, Iterations: 2, Seed: 1}, 2); err != nil {
+		if m, err = TrainParallel(c, TrainSpec{NumTopics: 32, Iterations: 40, Seed: 1}, 2); err != nil {
 			t.Fatal(err)
 		}
 		if inf, err = NewInferencer(m, InferSpec{}); err != nil {
@@ -544,10 +571,15 @@ func TestClientSizeIsResident(t *testing.T) {
 	if err := m.Save(&file); err != nil {
 		t.Fatal(err)
 	}
+	dense := 4 * m.K * m.V
 	ratio := float64(held) / float64(file.Len())
-	t.Logf("K=%d V=%d: %d B held, %d B on file (%.2f ×)", m.K, m.V, held, file.Len(), ratio)
+	t.Logf("K=%d V=%d: %d B held, %d B on file (%.2f ×), %.2f × a dense Φ; %d of %d entries of Φ explicit",
+		m.K, m.V, held, file.Len(), ratio, float64(held)/float64(dense), m.PhiExplicit(), m.K*m.V)
 	if ratio > 1.5 {
 		t.Errorf("the model holds %d B of heap, %.2f × the %d B its file takes", held, ratio, file.Len())
+	}
+	if 2*held > int64(dense) {
+		t.Errorf("the model holds %d B of heap, more than half the %d B of a dense Φ", held, dense)
 	}
 }
 

@@ -18,10 +18,11 @@
 package lda
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -33,11 +34,12 @@ type Model struct {
 	K, V int
 	// Alpha and Beta are the Dirichlet hyperparameters used in training.
 	Alpha, Beta float64
-	// Phi[t][w] = Pr(w|t), each row summing to 1. Each entry is a
-	// float64 estimate rounded once to float32, the client's largest
-	// structure at half the bytes; every computation that reads an entry
-	// widens it back to float64 first.
-	Phi [][]float32
+	// phi holds Φ, phi.at(t, w) = Pr(w|t), each row summing to 1; Phi
+	// reads one entry. Each entry is a float64 estimate rounded once to
+	// float32, and every computation that reads one widens it back to
+	// float64 first. The rows are held sparse: each stores its smoothing
+	// floor once (sparsePhi).
+	phi *sparsePhi
 	// Prior[t] = Pr(t), the corpus-wide topic prior of Eq. 1.
 	Prior []float64
 	// Terms[w] is the term of word ID w as the analyzer produced it (a
@@ -65,11 +67,20 @@ func (m *Model) buildLookups() {
 	slices.SortStableFunc(m.byTerm, func(a, b int32) int {
 		return strings.Compare(m.Terms[a], m.Terms[b])
 	})
-	m.samplers = make([]rowSampler, len(m.Phi))
-	for t, row := range m.Phi {
-		m.samplers[t] = newRowSampler(row)
+	nb := (m.V + samplerBlock - 1) / samplerBlock
+	prefix := make([]float64, m.K*(nb+1))
+	m.samplers = make([]rowSampler, m.K)
+	for t := range m.samplers {
+		m.samplers[t] = m.phi.sampler(t, prefix[t*(nb+1):(t+1)*(nb+1)])
 	}
 }
+
+// Phi returns Pr(w|t): entry w of topic t's row of Φ.
+func (m *Model) Phi(t, w int) float32 { return m.phi.at(t, w) }
+
+// PhiExplicit returns how many of Φ's K·V entries the model stores
+// explicitly: those whose bits differ from their row's floor.
+func (m *Model) PhiExplicit() int { return len(m.phi.vals) }
 
 // TermID returns the model's word ID for a term, or -1 when the term is
 // out of vocabulary. A term listed twice resolves to its first ID.
@@ -87,8 +98,9 @@ func (m *Model) TermID(term string) int {
 // SampleWord draws a word ID with probability Pr(w|t) — the
 // distribution TopPriv's Step 3(b) samples ghost-query words from: a
 // topic vector with Pr(t) = 1 collapses Pr(w) = Σ_t Pr(w|t)·Pr(t) to
-// Phi[t]. It consumes one rng.Float64 and costs a binary search plus a
-// scan of at most 64 words, not a pass over the vocabulary.
+// topic t's row of Φ. It consumes one rng.Float64 and costs a binary
+// search plus a scan of at most 64 words, not a pass over the
+// vocabulary.
 func (m *Model) SampleWord(t int, rng *rand.Rand) int {
 	m.derive.Do(m.buildLookups)
 	return m.samplers[t].sample(rng)
@@ -113,44 +125,64 @@ type TermWeight struct {
 }
 
 // TopWords returns topic t's n most probable words in descending
-// probability — the rows of the paper's Tables II–IV.
+// probability, ties in ascending word ID — the rows of the paper's
+// Tables II–IV. Only the row's explicit entries above its floor are
+// sorted; the words that hold the floor follow in ascending ID.
 func (m *Model) TopWords(t, n int) []TermWeight {
 	if t < 0 || t >= m.K {
 		return nil
 	}
-	idx := make([]int, m.V)
-	for i := range idx {
-		idx[i] = i
+	p := m.phi
+	floor, vals := p.floor[t], p.explicit(t)
+	type entry struct {
+		w int
+		x float32
 	}
-	row := m.Phi[t]
-	sort.Slice(idx, func(a, b int) bool {
-		if row[idx[a]] != row[idx[b]] {
-			return row[idx[a]] > row[idx[b]]
+	var above []entry
+	for b := t; b < len(p.bits); b += p.k {
+		for word := p.bits[b]; word != 0; word &= word - 1 {
+			if x := vals[0]; x > floor {
+				above = append(above, entry{b/p.k*samplerBlock + bits.TrailingZeros64(word), x})
+			}
+			vals = vals[1:]
 		}
-		return idx[a] < idx[b]
-	})
-	if n > len(idx) {
-		n = len(idx)
 	}
-	out := make([]TermWeight, n)
-	for i := 0; i < n; i++ {
-		out[i] = TermWeight{Term: m.Terms[idx[i]], Weight: float64(row[idx[i]])}
+	slices.SortFunc(above, func(a, b entry) int {
+		if a.x != b.x {
+			return cmp.Compare(b.x, a.x)
+		}
+		return a.w - b.w
+	})
+	out := make([]TermWeight, 0, min(n, m.V))
+	for _, e := range above[:min(n, len(above))] {
+		out = append(out, TermWeight{Term: m.Terms[e.w], Weight: float64(e.x)})
+	}
+	// An explicit entry can equal the floor only as the other zero, and
+	// then it ties with the floor's words.
+	for w := 0; w < m.V && len(out) < n; w++ {
+		if x := p.at(t, w); x == floor {
+			out = append(out, TermWeight{Term: m.Terms[w], Weight: float64(x)})
+		}
 	}
 	return out
 }
 
-// validate checks internal consistency; used by Save, Load and tests.
+// validate checks internal consistency; used by Save, NewInferencer
+// and tests.
 func (m *Model) validate() error {
+	if err := m.checkShape(); err != nil {
+		return err
+	}
+	if m.phi == nil || m.phi.k != m.K || m.phi.v != m.V {
+		return fmt.Errorf("lda: Phi does not hold %d rows of %d words", m.K, m.V)
+	}
+	return nil
+}
+
+// checkShape checks K, V and the lengths of the prior and the terms.
+func (m *Model) checkShape() error {
 	if m.K <= 0 || m.V <= 0 {
 		return fmt.Errorf("lda: bad shape K=%d V=%d", m.K, m.V)
-	}
-	if len(m.Phi) != m.K {
-		return fmt.Errorf("lda: Phi has %d rows, want %d", len(m.Phi), m.K)
-	}
-	for t, row := range m.Phi {
-		if len(row) != m.V {
-			return fmt.Errorf("lda: Phi[%d] has %d cols, want %d", t, len(row), m.V)
-		}
 	}
 	if len(m.Prior) != m.K {
 		return fmt.Errorf("lda: Prior has %d entries, want %d", len(m.Prior), m.K)

@@ -22,7 +22,7 @@ func TestTrainParallelDelegatesAtOneWorker(t *testing.T) {
 	}
 	for tt := 0; tt < seq.K; tt++ {
 		for w := 0; w < seq.V; w++ {
-			if seq.Phi[tt][w] != par.Phi[tt][w] {
+			if seq.Phi(tt, w) != par.Phi(tt, w) {
 				t.Fatal("workers=1 must be the exact sequential sampler")
 			}
 		}
@@ -60,7 +60,7 @@ func TestTrainParallelQuality(t *testing.T) {
 	for tt := 0; tt < m.K; tt++ {
 		sum := 0.0
 		for w := 0; w < m.V; w++ {
-			p := float64(m.Phi[tt][w])
+			p := float64(m.Phi(tt, w))
 			if p < 0 || math.IsNaN(p) {
 				t.Fatalf("invalid Phi[%d]", tt)
 			}

@@ -5,9 +5,6 @@ import (
 	"math/rand"
 )
 
-// samplerBlock is how many words share one stored prefix sum.
-const samplerBlock = 64
-
 // rowSampler draws a word from one topic's row of Φ in proportion to
 // its weight, without reading the whole row. prefix[b] is the running
 // float64 sum of the row — each weight widened and added left to right,
@@ -19,20 +16,24 @@ const samplerBlock = 64
 // value, so every comparison sees the float the full left-to-right scan
 // would have seen there and picks the same word for the same u.
 type rowSampler struct {
-	row    []float32
+	phi    *sparsePhi
+	t      int
 	prefix []float64
 }
 
-func newRowSampler(row []float32) rowSampler {
-	prefix := make([]float64, 0, len(row)/samplerBlock+2)
+// sampler returns the sampler of row t. Its prefix sums are appended to
+// prefix[:0], which has room for them when its capacity is at least
+// ⌈V/samplerBlock⌉+1.
+func (p *sparsePhi) sampler(t int, prefix []float64) rowSampler {
+	prefix = prefix[:0]
 	acc := 0.0
-	for i, w := range row {
-		if i%samplerBlock == 0 {
+	for w, x := range p.entries(t) {
+		if w%samplerBlock == 0 {
 			prefix = append(prefix, acc)
 		}
-		acc += float64(w)
+		acc += float64(x)
 	}
-	return rowSampler{row: row, prefix: append(prefix, acc)}
+	return rowSampler{phi: p, t: t, prefix: append(prefix, acc)}
 }
 
 func (s rowSampler) sample(rng *rand.Rand) int {
@@ -46,12 +47,22 @@ func (s rowSampler) pick(u float64) int {
 	// holding the first such word. When none does, firstAbove answers
 	// the last block, and u is at or above the total.
 	b := firstAbove(s.prefix[1:], u)
+	p := s.phi
 	if u >= s.prefix[b+1] {
-		return len(s.row) - 1
+		return p.v - 1
 	}
+	// Block b's bitmap word says, lowest bit first, which of its words
+	// are explicit; the others hold the floor.
+	word, j := p.bits[b*p.k+s.t], p.rank[b*p.k+s.t]
 	acc := s.prefix[b]
 	for i := b * samplerBlock; ; i++ {
-		acc += float64(s.row[i])
+		x := p.floor[s.t]
+		if word&1 != 0 {
+			x = p.vals[j]
+			j++
+		}
+		word >>= 1
+		acc += float64(x)
 		if u < acc {
 			return i
 		}

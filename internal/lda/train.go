@@ -213,10 +213,10 @@ func (g *gibbs) sweep(sh *shard) {
 	}
 }
 
-// model estimates Φ from the counts, each entry rounded to float32, and
-// the prior as the mean of the
-// documents' Pr(t|d) (Eq. 1), each added to the sum as it is computed
-// and none kept.
+// model estimates Φ from the counts, each entry computed in float64 and
+// rounded to float32 once, straight into the sparse rows, and the prior
+// as the mean of the documents' Pr(t|d) (Eq. 1), each added to the sum
+// as it is computed and none kept.
 func (g *gibbs) model(terms []string) *Model {
 	k, v, d := g.k, len(g.nwt)/g.k, len(g.assign)
 	m := &Model{
@@ -224,23 +224,12 @@ func (g *gibbs) model(terms []string) *Model {
 		V:     v,
 		Alpha: g.alpha,
 		Beta:  g.beta,
-		Phi:   make([][]float32, k),
 		Prior: make([]float64, k),
 		Terms: terms,
 	}
-	// Each entry is computed in float64 and rounded to float32 once.
-	// A row at a time, each allocated just before it is written: filled a
-	// column at a time, the rows' pages were first touched interleaved,
-	// and the system benchmark's single_node cycles read 3–5 % slower in
-	// most pairs.
-	for t := range m.Phi {
-		row := make([]float32, v)
-		denom := float64(g.nt[t]) + g.vbeta
-		for w := range row {
-			row[w] = float32((float64(g.nwt[w*k+t]) + g.beta) / denom)
-		}
-		m.Phi[t] = row
-	}
+	m.phi = newPhi(k, v, func(t, w int) float32 {
+		return float32((float64(g.nwt[w*k+t]) + g.beta) / (float64(g.nt[t]) + g.vbeta))
+	})
 	// Rounded before it is added, so no architecture fuses the two (see
 	// sweep).
 	kalpha := float64(float64(k) * g.alpha)

@@ -105,19 +105,20 @@ func trainRef(c *corpus.Corpus, spec TrainSpec) (*Model, [][]float64, *TrainTrac
 		V:     v,
 		Alpha: alpha,
 		Beta:  beta,
-		Phi:   make([][]float32, k),
 		Prior: make([]float64, k),
 		Terms: c.Vocab.Terms(),
 	}
 	theta := make([][]float64, d)
+	phi := make([][]float32, k)
 	for t := 0; t < k; t++ {
 		row := make([]float32, v)
 		denom := float64(nt[t]) + vbeta
 		for w := 0; w < v; w++ {
 			row[w] = float32((float64(nwt[t*v+w]) + beta) / denom)
 		}
-		m.Phi[t] = row
+		phi[t] = row
 	}
+	setPhi(m, phi)
 	kalpha := float64(float64(k) * alpha)
 	for di := 0; di < d; di++ {
 		row := make([]float64, k)
@@ -296,19 +297,20 @@ func trainParallelRef(c *corpus.Corpus, spec TrainSpec, workers int) (*Model, []
 		V:     v,
 		Alpha: alpha,
 		Beta:  beta,
-		Phi:   make([][]float32, k),
 		Prior: make([]float64, k),
 		Terms: c.Vocab.Terms(),
 	}
 	theta := make([][]float64, d)
+	phi := make([][]float32, k)
 	for t := 0; t < k; t++ {
 		row := make([]float32, v)
 		denom := float64(nt[t]) + vbeta
 		for w := 0; w < v; w++ {
 			row[w] = float32((float64(nwt[t*v+w]) + beta) / denom)
 		}
-		m.Phi[t] = row
+		phi[t] = row
 	}
+	setPhi(m, phi)
 	kalpha := float64(float64(k) * alpha)
 	for di := 0; di < d; di++ {
 		row := make([]float64, k)
@@ -342,8 +344,9 @@ func sameModelBits(got, want *Model) error {
 		return fmt.Errorf("shape or hyperparameters differ: K=%d V=%d α=%v β=%v, want K=%d V=%d α=%v β=%v",
 			got.K, got.V, got.Alpha, got.Beta, want.K, want.V, want.Alpha, want.Beta)
 	}
-	for t := range want.Phi {
-		if !sameBits(got.Phi[t], want.Phi[t]) {
+	gotPhi, wantPhi := got.dense(), want.dense()
+	for t := range wantPhi {
+		if !sameBits(gotPhi[t], wantPhi[t]) {
 			return fmt.Errorf("Phi[%d] differs", t)
 		}
 	}
